@@ -1,24 +1,22 @@
-"""CI perf-regression gate: compare a fresh bench run against the
-committed baselines.
+"""CI perf-regression gate: compare a fresh ``bench_precopy`` run against
+the committed baseline.
 
     python benchmarks/check_perf_regression.py BENCH_SMOKE.json \
-        --baseline BENCH_PR3.json --graphplan-baseline BENCH_PR8.json \
-        [--threshold 0.20] [--floor-ms 5]
+        --precopy-baseline BENCH_PR9.json [--threshold 0.20] [--floor-ms 5]
 
-Compares the ``codec`` section against ``--baseline``, the
-``graphplan`` section against ``--graphplan-baseline``, and the
-``precopy`` section (stop-and-copy downtime) against
-``--precopy-baseline``, row-by-row (keyed on workload + size): a row
-regresses when its measured
-collect+restore time exceeds the baseline by more than ``--threshold``
-(relative) AND ``--floor-ms`` (absolute — sub-floor deltas on
-millisecond-scale smoke rows are timer noise, not regressions).
-Sections or rows present on only one side are reported and skipped,
-never failed: the gate judges comparable work only.  Independent of any
-baseline, a graphplan row whose ``payload_identical`` flag is false
-fails outright — byte identity between plan-on and plan-off is a
-correctness invariant, not a perf number.  Exits 1 when any comparable
-row regresses or any payload differs, else 0.
+Compares the ``precopy`` section (stop-and-copy downtime) row-by-row
+(keyed on workload + size): a row regresses when its measured downtime
+exceeds the baseline by more than ``--threshold`` (relative) AND
+``--floor-ms`` (absolute — sub-floor deltas on millisecond-scale smoke
+rows are timer noise, not regressions).  Rows present on only one side
+and runs in a different mode are reported and skipped, never failed:
+the gate judges comparable work only.  Exits 1 when any comparable row
+regresses, else 0.
+
+Collect/restore speed and plans-on/off byte identity are not gated
+here: the rows are ``benchmarks/suite`` (compared interleaved, see
+BENCHMARK.json) and the identity check is tier-1
+(``tests/test_difftest_corpus.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +25,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+SECTION = "precopy"
+FIELD = "downtime_precopy_s"
 
 
 def _load(path: str) -> dict:
@@ -41,60 +42,39 @@ def _load(path: str) -> dict:
     return data
 
 
-def _size_key(size) -> str:
-    return json.dumps(size)  # sizes are ints or [rows, cols] lists
-
-
-#: gated sections: candidate/baseline key -> timing fields summed per row
-SECTIONS = {
-    "codec": ("collect_codec_s", "restore_codec_s"),
-    "graphplan": ("collect_plan_s", "restore_plan_s"),
-    "precopy": ("downtime_precopy_s",),
-}
-
-
-def _section_rows(data: dict, section: str) -> dict[tuple, dict]:
-    block = data.get(section)
+def _rows(data: dict) -> dict[tuple, dict]:
+    block = data.get(SECTION)
     if not isinstance(block, dict):
         return {}
     out = {}
     for row in block.get("rows", []):
         if isinstance(row, dict) and "workload" in row:
-            out[(row["workload"], _size_key(row.get("size")))] = row
+            # sizes are ints or [rows, cols] lists
+            out[(row["workload"], json.dumps(row.get("size")))] = row
     return out
 
 
-def _total_s(row: dict, fields: tuple[str, ...]) -> float | None:
-    values = [row.get(f) for f in fields]
-    if not all(isinstance(v, (int, float)) for v in values):
-        return None
-    return float(sum(values))
-
-
 def check(candidate: dict, baseline: dict, threshold: float,
-          floor_s: float, section: str = "codec") -> tuple[list[str], list[str]]:
-    """Gate one *section* of *candidate* against *baseline*.
+          floor_s: float) -> tuple[list[str], list[str]]:
+    """Gate *candidate*'s pre-copy downtime rows against *baseline*.
 
     Returns (failures, notes)."""
     failures: list[str] = []
     notes: list[str] = []
-    fields = SECTIONS[section]
-    cand_rows = _section_rows(candidate, section)
-    base_rows = _section_rows(baseline, section)
+    cand_rows = _rows(candidate)
+    base_rows = _rows(baseline)
     if not base_rows:
-        notes.append(f"baseline has no {section} section - nothing to gate")
+        notes.append(f"baseline has no {SECTION} section - nothing to gate")
         return failures, notes
     if not cand_rows:
-        failures.append(
-            f"candidate has no {section} section - did the bench run?"
-        )
+        failures.append(f"candidate has no {SECTION} section - did the bench run?")
         return failures, notes
 
-    cand_mode = candidate.get(section, {}).get("mode")
-    base_mode = baseline.get(section, {}).get("mode")
+    cand_mode = candidate.get(SECTION, {}).get("mode")
+    base_mode = baseline.get(SECTION, {}).get("mode")
     if cand_mode != base_mode:
         notes.append(
-            f"{section}: mode mismatch (candidate {cand_mode!r} vs baseline "
+            f"{SECTION}: mode mismatch (candidate {cand_mode!r} vs baseline "
             f"{base_mode!r}) - sizes differ, skipping the gate"
         )
         return failures, notes
@@ -105,20 +85,18 @@ def check(candidate: dict, baseline: dict, threshold: float,
         if cand is None:
             notes.append(f"{workload} {size}: missing from candidate, skipped")
             continue
-        base_t = _total_s(base_rows[key], fields)
-        cand_t = _total_s(cand, fields)
-        if base_t is None or cand_t is None or base_t <= 0.0:
+        base_t = base_rows[key].get(FIELD)
+        cand_t = cand.get(FIELD)
+        if not all(isinstance(t, (int, float)) for t in (base_t, cand_t)) or base_t <= 0.0:
             notes.append(f"{workload} {size}: not comparable, skipped")
             continue
         ratio = cand_t / base_t
-        delta = cand_t - base_t
-        label = "downtime" if section == "precopy" else "collect+restore"
         line = (
-            f"{workload:10s} {size:>12s}  {label} "
+            f"{workload:10s} {size:>12s}  downtime "
             f"{base_t * 1e3:8.2f} -> {cand_t * 1e3:8.2f} ms "
             f"({ratio:5.2f}x)"
         )
-        if ratio > 1.0 + threshold and delta > floor_s:
+        if ratio > 1.0 + threshold and cand_t - base_t > floor_s:
             failures.append(
                 f"{line}  REGRESSION (> {threshold:.0%} and "
                 f"> {floor_s * 1e3:.0f} ms over baseline)"
@@ -128,77 +106,32 @@ def check(candidate: dict, baseline: dict, threshold: float,
     return failures, notes
 
 
-def check_payload_identity(candidate: dict) -> list[str]:
-    """Byte-identity failures in the candidate's graphplan rows — gated
-    unconditionally (no baseline required, smoke rows included)."""
-    failures = []
-    for (workload, size), row in sorted(
-        _section_rows(candidate, "graphplan").items()
-    ):
-        if row.get("payload_identical") is not True:
-            failures.append(
-                f"{workload} {size}: plan-on payload differs from plan-off "
-                "(payload_identical is not true)"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("candidate", help="fresh bench JSON (BENCH_SMOKE.json)")
-    parser.add_argument("--baseline", default="BENCH_PR3.json",
-                        help="committed codec baseline bench JSON")
-    parser.add_argument("--graphplan-baseline", default=None,
-                        help="committed graphplan baseline bench JSON "
-                             "(BENCH_PR8.json); omit to skip that gate")
-    parser.add_argument("--precopy-baseline", default=None,
-                        help="committed pre-copy downtime baseline bench "
-                             "JSON (BENCH_PR9.json); omit to skip that gate")
+    parser.add_argument("--precopy-baseline", default="BENCH_PR9.json",
+                        help="committed pre-copy downtime baseline bench JSON")
     parser.add_argument("--threshold", type=float, default=0.20,
                         help="relative regression threshold (default 0.20)")
     parser.add_argument("--floor-ms", type=float, default=5.0,
                         help="absolute noise floor in ms (default 5)")
     args = parser.parse_args(argv)
 
-    candidate = _load(args.candidate)
     failures, notes = check(
-        candidate, _load(args.baseline),
+        _load(args.candidate), _load(args.precopy_baseline),
         threshold=args.threshold, floor_s=args.floor_ms / 1e3,
-        section="codec",
     )
-    baselines = [args.baseline]
-    if args.graphplan_baseline is not None:
-        gp_failures, gp_notes = check(
-            candidate, _load(args.graphplan_baseline),
-            threshold=args.threshold, floor_s=args.floor_ms / 1e3,
-            section="graphplan",
-        )
-        failures += gp_failures
-        notes += gp_notes
-        baselines.append(args.graphplan_baseline)
-    if args.precopy_baseline is not None:
-        pc_failures, pc_notes = check(
-            candidate, _load(args.precopy_baseline),
-            threshold=args.threshold, floor_s=args.floor_ms / 1e3,
-            section="precopy",
-        )
-        failures += pc_failures
-        notes += pc_notes
-        baselines.append(args.precopy_baseline)
-    failures += check_payload_identity(candidate)
-
     for note in notes:
         print(note)
     for failure in failures:
         print(failure, file=sys.stderr)
     if failures:
         print(
-            f"{len(failures)} perf/identity failure(s) vs "
-            f"{', '.join(baselines)}",
+            f"{len(failures)} perf failure(s) vs {args.precopy_baseline}",
             file=sys.stderr,
         )
         return 1
-    print(f"perf gate passed vs {', '.join(baselines)}")
+    print(f"perf gate passed vs {args.precopy_baseline}")
     return 0
 
 

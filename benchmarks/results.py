@@ -3,7 +3,7 @@
 Every benchmark that produces trajectory-worthy numbers merges them into
 a ``BENCH_PR<n>.json`` at the repo root under its own section key.  In
 practice each PR committed its *own* file (``BENCH_PR1.json``,
-``BENCH_PR3.json``, ...), so the "one diffable file" story needs an
+``BENCH_PR9.json``, ...), so the "one diffable file" story needs an
 aggregation step: :func:`load_bench_files` reads every committed
 ``BENCH_*.json`` and :func:`render_trend` folds them into one trajectory
 table (per file × section: mode, row count, and the headline ratio

@@ -52,10 +52,8 @@ __all__ = [
     "encode_array",
     "decode_array",
     "wire_dtype",
-    "wire_struct_code",
     "host_struct_code",
     "host_np_dtype",
-    "int_bounds",
 ]
 
 #: Canonical on-the-wire byte width of every primitive kind.
@@ -183,13 +181,13 @@ def decode_array(kind: str, data: bytes | memoryview, count: int, offset: int = 
     return np.frombuffer(data, dtype=wire, count=count, offset=offset).copy()
 
 
-# -- host-side format tables (compiled codec support) --------------------------
+# -- host-side format tables (compiled plan support) ----------------------------
 #
-# The compiled codec plans in :mod:`repro.msr.ti` fuse many per-cell
-# encode/decode calls into one precompiled :class:`struct.Struct` or one
-# NumPy structured-dtype cast.  That requires the *host* representation
-# of each primitive kind — which, unlike the wire side, depends on the
-# architecture (byte order, ``long``/pointer width, ``char`` signedness).
+# The compiled plans in :mod:`repro.msr.graphplan` fuse many per-cell
+# encode/decode calls into one NumPy (structured-)dtype cast.  That
+# requires the *host* representation of each primitive kind — which,
+# unlike the wire side, depends on the architecture (byte order,
+# ``long``/pointer width, ``char`` signedness).
 
 _HOST_CODE_FIXED: Final[dict[str, str]] = {
     "uchar": "B",
@@ -202,12 +200,6 @@ _HOST_CODE_FIXED: Final[dict[str, str]] = {
     "float": "f",
     "double": "d",
 }
-
-
-def wire_struct_code(kind: str) -> str:
-    """Canonical wire :mod:`struct` format character of primitive *kind*
-    (apply with a ``">"`` byte-order prefix)."""
-    return _STRUCT_FMT[kind]
 
 
 def host_struct_code(kind: str, arch) -> str:
@@ -232,10 +224,3 @@ def host_np_dtype(kind: str, arch) -> np.dtype:
                "I": "u4", "q": "i8", "Q": "u8", "f": "f4", "d": "f8"}[code]
     order = "<" if arch.byteorder == "little" else ">"
     return np.dtype(order + np_code)
-
-
-def int_bounds(code: str, size: int) -> tuple[int, int, bool]:
-    """``(mask, sign bit, signed)`` wrap parameters for an integer struct
-    format *code* of *size* bytes — the reduction :func:`encode` applies,
-    exposed so compiled codec plans can pre-bind it per cell."""
-    return (1 << (8 * size)) - 1, 1 << (8 * size - 1), code.islower()

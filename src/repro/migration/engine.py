@@ -562,7 +562,7 @@ class MigrationEngine:
                     ch.reset()
                 if policy.attempt_timeout_s is not None and hasattr(ch, "set_deadline"):
                     ch.set_deadline(policy.attempt_timeout_s)
-                sent_before = self._channel_bytes(ch)
+                sent_before = ch.accepted_bytes
                 # transactional restore: build the new process off to the side
                 # and only graft it onto *dest* once everything validated.
                 # A surviving pre-copy hands over its pre-warmed scratch and
@@ -609,7 +609,7 @@ class MigrationEngine:
                 except RETRYABLE_ERRORS as exc:
                     stats.attempts = attempt + 1
                     stats.retries = attempt
-                    aborted = self._channel_bytes(ch) - sent_before
+                    aborted = ch.accepted_bytes - sent_before
                     stats.aborted_bytes += aborted
                     obs.inc("engine.aborted_bytes", aborted)
                     obs.event(
@@ -766,12 +766,6 @@ class MigrationEngine:
         # profiler reference outlives the migration it belonged to
         process.msrlt.profiler = None
         obs_.tracer.finish()
-
-    @staticmethod
-    def _channel_bytes(channel) -> int:
-        return getattr(channel, "bytes_sent", 0) + getattr(
-            channel, "framed_bytes_sent", 0
-        )
 
     @staticmethod
     def _adopt(dest: Process, scratch: Process) -> None:

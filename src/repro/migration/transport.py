@@ -202,6 +202,14 @@ class _ChunkStreamMixin:
         the decoder until ``reset()`` folds it)."""
         return self.codec_seconds + self._decoder.codec_seconds
 
+    @property
+    def accepted_bytes(self) -> int:
+        """Every byte handed to the send side — whole messages and frames
+        of every kind — counted once.  By default a frame is one more
+        ``send()``, so ``bytes_sent`` already holds them all
+        (``framed_bytes_sent`` is the frames' share, not an addend)."""
+        return self.bytes_sent
+
     def set_deadline(self, seconds: float | None) -> None:
         """Install a recv deadline.  The modeled channels cannot block, so
         for them the deadline is bookkeeping the fault layer consults;
@@ -591,6 +599,11 @@ class SocketChannel(_ChunkStreamMixin):
 
     # -- streamed frames go through the socket for real -------------------
 
+    @property
+    def accepted_bytes(self) -> int:
+        # frames go straight into the socket, past send()
+        return self.bytes_sent + self.framed_bytes_sent
+
     def _send_frame(self, frame: bytes) -> float:
         self._tx.sendall(frame)
         return self.link.transfer_time(len(frame))
@@ -914,6 +927,7 @@ class FaultyChannel(_ChunkStreamMixin):
         channel still refuses them."""
         if self._closed:
             raise ChannelClosedError("send on a disconnected channel")
+        self.bytes_sent += len(frame)
         return self.inner._send_control(frame)
 
     def _send_delta_frame(self, frame: bytes) -> float:
@@ -925,6 +939,7 @@ class FaultyChannel(_ChunkStreamMixin):
         disconnected channel still refuses them."""
         if self._closed:
             raise ChannelClosedError("send on a disconnected channel")
+        self.bytes_sent += len(frame)
         return self.inner._send_delta_frame(frame)
 
     def _recv_frame(self) -> bytes:

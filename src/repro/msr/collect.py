@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.arch import xdr
 from repro.arch.buffers import WriteBuffer
-from repro.msr.graphplan import NO_PLAN
 from repro.msr.msrlt import MemoryBlock, MSRLTError
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import FLAG_FLAT, TAG_BLOCK, TAG_NULL, TAG_REF, write_logical
@@ -37,11 +36,12 @@ class CollectStats:
     n_blocks: int = 0
     n_refs: int = 0
     n_nulls: int = 0
+    #: flat blocks saved through the reference bulk encode (plans off)
     n_flat_blocks: int = 0
-    #: blocks saved through a compiled codec plan (struct or segmented)
+    #: blocks saved through a StructPlan
     n_codec_blocks: int = 0
-    #: blocks saved through a whole-graph plan (flat/ptr-array bulk;
-    #: chain batches count into n_blocks directly, not here)
+    #: blocks saved through a FlatPlan or PtrArrayPlan, plus every block
+    #: a ChainPlan batch emitted
     n_plan_blocks: int = 0
     #: blocks elided as pre-copy cached stubs (TAG_CACHED records)
     n_cached_blocks: int = 0
@@ -52,12 +52,11 @@ class CollectStats:
 class Collector:
     """One data-collection pass over a process's live state."""
 
-    #: whether the ptr_array/chain whole-graph plans may emit BLOCK
-    #: records in bulk.  The pre-copy delta/final collectors override
-    #: per-record tag decisions (REF-only, cached stubs), which the bulk
-    #: emitters would bypass — they subclass with this set to False.
-    #: Flat plans and codecs stay enabled: they route every pointer cell
-    #: through the overridable save_pointer, or carry no pointers at all.
+    #: whether plans that emit pointer records in bulk (a plan class
+    #: with ``emits_records``) may run.  The pre-copy delta/final
+    #: collectors override per-record tag decisions (REF-only, cached
+    #: stubs), which the bulk emitters would bypass — they subclass with
+    #: this set to False.  Plans for pointer-free contents stay enabled.
     pointer_plans = True
 
     def __init__(self, process, buf: WriteBuffer) -> None:
@@ -73,14 +72,13 @@ class Collector:
         self._prof = obs.current_attribution()
         if self._prof is not None:
             self.msrlt.profiler = self._prof
-        # whole-graph plans are bypassed under attribution so PR 5's
-        # exact per-type byte partition keeps its meaning (DESIGN §12)
-        self.plan_enabled = self._prof is None and getattr(
-            process.ti, "graphplan_enabled", True
-        )
-        # chain-plan engagement backoff state (graphplan.ChainPlan)
-        self._chain_misses = 0
-        self._chain_skip = 0
+        self.plan_enabled = self.ti.plans_enabled
+        # record-emitting plans write other blocks' records inside this
+        # block's contents, so they are bypassed under attribution to
+        # keep PR 5's exact per-type byte partition (DESIGN §8)
+        self.record_plans = self._prof is None and self.pointer_plans
+        #: per-pass scratch owned by the plans (ChainPlan's backoff)
+        self.plan_state = None
 
     # -- public entry points (paper interface names) --------------------------------
 
@@ -147,76 +145,40 @@ class Collector:
                 )
 
     def _save_contents(self, block: MemoryBlock, info: TypeInfo) -> str:
-        """Serialize one block's contents; returns which path engaged
-        (``"flat"`` / ``"codec"`` / ``"percell"``, for attribution)."""
-        if self.plan_enabled:
-            # inlined ti.plan_for fast path — this runs once per record
-            plan = info.plan
-            if plan is None:
-                plan = self.ti.plan_for(info)
-            elif plan is NO_PLAN:
-                plan = None
-        else:
-            plan = None
-        if info.flat_kind is not None:
-            # bulk path: one vectorized encode for the whole block
-            self.buf.write_u8(FLAG_FLAT)
-            n = info.cells_in(block.count)
-            if plan is not None and plan.save(self, block, info):
-                # zero-copy cast straight into the wire buffer storage
-                self.stats.n_plan_blocks += 1
-                return "plan"
-            self.buf.write(self.ti.save_flat(self.memory, block.addr, info.flat_kind, n))
-            self.stats.n_flat_blocks += 1
-            return "flat"
+        """Serialize one block's contents: flag byte, then the type's
+        compiled plan, else the reference path.  Returns which path
+        engaged (``"flat"`` / ``"codec"`` / ``"percell"``, for
+        attribution, under which only pointer-free plans run).
 
-        self.buf.write_u8(0)
-        codec = self.ti.codec_for(info)
-        if codec is not None:
-            # compiled plan: vectorized (pointer-free) or segmented
-            # (bulk runs + pointers); bytes identical to the loop below
-            codec.save(self, block, info)
-            self.stats.n_codec_blocks += 1
-            return "codec"
+        The reference path is the plans-off oracle.  It stays inline,
+        with few locals: this frame is on the stack once per pointer
+        hop, and both a second frame and a fat one cost measurably."""
+        flat = info.flat_kind
+        self.buf.write_u8(0 if flat is None else FLAG_FLAT)
+        plan = self.ti.plan_for(info) if self.plan_enabled else None
         if (
             plan is not None
-            and self.pointer_plans
-            and plan.KIND == "ptr_array"
+            and (self.record_plans or not plan.emits_records)
             and plan.save(self, block, info)
         ):
-            self.stats.n_plan_blocks += 1
-            return "plan"
-        chain = (
-            plan
-            if plan is not None and self.pointer_plans and plan.KIND == "chain"
-            else None
-        )
-        memory = self.memory
-        buf = self.buf
-        addr = block.addr
-        stride = info.unit_size
-        cells = info.cells
-        tail = cells[-1] if chain is not None else None
+            return "codec" if flat is None else "flat"
+        if flat is not None:
+            # one vectorized encode for the whole block
+            n = info.cells_in(block.count)
+            data = self.ti.save_flat(self.memory, block.addr, flat, n)
+            self.buf.write(data)
+            self.stats.n_flat_blocks += 1
+            return "flat"
+        # the cell-by-cell saving function
+        load = self.memory.load
         for unit in range(info.units_in(block.count)):
-            base = addr + unit * stride
-            for cell in cells:
+            base = block.addr + unit * info.unit_size
+            for cell in info.cells:
                 if cell.kind == "ptr":
-                    value = memory.load("ptr", base + cell.offset)
-                    if cell is tail:
-                        # tail pointer of a chain-shaped struct: let the
-                        # plan try a batched stride walk (emits exactly
-                        # what save_pointer would).  The backoff skip
-                        # branch is inlined so declined tails cost one
-                        # int test over the reference path
-                        if self._chain_skip and value != 0:
-                            self._chain_skip -= 1
-                            self.save_pointer(value)
-                        else:
-                            chain.save_tail(self, value)
-                    else:
-                        self.save_pointer(value)
+                    self.save_pointer(load("ptr", base + cell.offset))
                 else:
-                    buf.write(xdr.encode(cell.kind, memory.load(cell.kind, base + cell.offset)))
+                    value = load(cell.kind, base + cell.offset)
+                    self.buf.write(xdr.encode(cell.kind, value))
         return "percell"
 
     # -- bookkeeping --------------------------------------------------------------------

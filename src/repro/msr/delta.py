@@ -11,11 +11,11 @@ contents of blocks the write barriers marked dirty.  The round payload
     u32 n_blocks; n_blocks x  (logical, u8 state, [flags + contents])
 
 ``state`` 0 means the block's contents follow (exactly what the full
-collector's ``_save_contents`` emits: the flags byte, then the flat /
-codec / per-cell encoding); 1 means the block was *deferred* — one of
-its pointers could not be expressed as a ``REF`` (dangling, or aimed at
-the stack, which never ships in rounds) — and will arrive in the final
-stop-and-copy stream instead.
+collector's ``_save_contents`` emits: the flags byte, then the contents
+through the type's plan or the per-cell path); 1 means the block was
+*deferred* — one of its pointers could not be expressed as a ``REF``
+(dangling, or aimed at the stack, which never ships in rounds) — and
+will arrive in the final stop-and-copy stream instead.
 
 Inside round contents every pointer is encoded as ``NULL`` or ``REF``:
 the destination already holds every shippable target (earlier rounds or

@@ -1,45 +1,41 @@
-"""Compiled whole-graph collect/restore plans (DESIGN.md §12).
+"""Compiled content plans: one per (type, architecture) (DESIGN.md §8).
 
-PR 3's codecs vectorized the *contents* of one block; the graph walk
-itself — pointer discovery, MSRLT search, record emission — stayed a
-per-cell Python loop.  This module compiles the walk:
+The paper's TI table holds one saving and one restoring function per
+type (§3.1).  Here that function is a *plan*, compiled once by
+:meth:`repro.msr.ti.TITable.plan_for` and cached on the ``TypeInfo``.
+Every plan has the same two entry points::
 
-- :class:`SortedArena` — the MSRLT's blocks snapshotted into parallel
-  NumPy columns (starts, ends, kinds, logical ids, type keys, counts)
-  so *every pointer in a block* translates to ``(logical id, offset)``
-  with one ``numpy.searchsorted`` instead of one bisect per pointer.
-  Stamped with the table's mutation generation: register/unregister
-  invalidates it and the scalar last-hit cache by the same rule.
+    save(collector, block, info) -> bool
+    restore(restorer, block, info) -> bool
 
-- :class:`FlatPlan` — zero-copy bulk path: a host-dtype view over the
-  block's segment window cast straight into the wire buffer's storage
-  (collect), and a wire-dtype view over the read window assigned into
-  the segment (restore).  No intermediate ``bytes`` on either side.
+``True`` means the plan wrote (consumed) the block's whole contents;
+``False`` means it declined *before a byte was written or consumed* and
+the caller runs the per-cell reference path instead.  There are four
+plan kinds, chosen by :func:`compile_plan` from the shape of the unit:
 
-- :class:`PtrArrayPlan` — for blocks that are dense pointer arrays
-  (``cell *hot[64]``): gather every pointer value with one
-  ``frombuffer``, classify NULL / REF (visited target) / BLOCK
-  (unvisited target) vectorized, and emit whole same-class runs as one
-  structured-array write.  Unvisited targets still recurse through the
-  reference traversal (they must — their contents follow on the wire).
-
-- :class:`ChainPlan` — for linked-list-shaped structs (tail cell is a
-  pointer): on collect, a speculative stride walk discovers the whole
-  chain of equally-spaced heap nodes at once, validates eligibility
-  against the arena columns, and emits ``m`` records as one structured
-  row array; on restore, the row array is parsed back vectorized, the
-  nodes are carved with one bulk heap allocation + one bulk MSRLT
-  slice-insert, and the contents land with one scatter write.
+- :class:`FlatPlan` — homogeneous dense primitives (``double[n]``): a
+  host-dtype view over the segment window cast straight into the wire
+  buffer's storage, and the mirror on restore.  Never declines.
+- :class:`StructPlan` — pointer-free units with mixed kinds or padding
+  (``struct {int a; double b;}``): two NumPy structured dtypes, one
+  vectorized cast per field for the whole block.  Never declines.
+- :class:`PtrArrayPlan` — dense pointer arrays (``cell *hot[64]``): all
+  pointers translated with one ``searchsorted`` over a
+  :class:`SortedArena`, NULL/REF runs written as one structured array.
+  Declines below ``MIN_BULK_CELLS`` and on a dangling pointer.
+- :class:`ChainPlan` — units whose last cell is a pointer (list nodes):
+  runs the unit loop itself and, at each tail pointer, tries to emit a
+  whole stride-regular chain of nodes as one row array.  A tail that
+  does not batch continues through the reference traversal, and a
+  per-pass backoff stops the probing on data that never batches.
 
 Every plan produces and consumes bytes *identical* to the per-cell
-reference path — each decision point either batches or falls back to
-the reference functions mid-stream, never both for the same record —
-and the per-element eligibility rules (visited marks, address parity of
-the destination allocator, padding ordinals, dangling pointers) are
-checked *before* any bytes are written so a decline is always clean.
-``TITable.graphplan_enabled = False`` disables compilation wholesale;
-plans are also bypassed whenever an attribution profiler is active so
-PR 5's exact per-type byte partition keeps its meaning.
+reference path: each decision point either batches or falls back to the
+reference functions mid-stream, never both for the same record, and
+eligibility (visited marks, address parity of the destination
+allocator, padding ordinals, dangling pointers) is checked before any
+byte is written.  ``TITable.plans_enabled = False`` (tests only) runs
+every block through the reference path — the oracle.
 """
 
 from __future__ import annotations
@@ -55,21 +51,18 @@ from repro.msr.msrlt import BlockKind, MSRLTError
 __all__ = [
     "SortedArena",
     "FlatPlan",
+    "StructPlan",
     "PtrArrayPlan",
     "ChainPlan",
     "compile_plan",
-    "NO_PLAN",
 ]
 
-#: TypeInfo.plan value meaning "compiled: no plan applies"
-NO_PLAN = object()
-
-#: smallest pointer-array / flat block worth the NumPy call overhead
-#: (below this the scalar loop is faster; payload bytes are identical
-#: either way, so the threshold is purely a performance choice)
+#: smallest pointer array worth the NumPy call overhead (below this the
+#: scalar loop is faster; payload bytes are identical either way, so the
+#: threshold is purely a performance choice)
 MIN_BULK_CELLS = 16
 #: smallest chain batch worth the collect-side NumPy round-trip.  The
-#: scalar pre-walk in :meth:`ChainPlan.save_tail` must find this many
+#: scalar pre-walk in :meth:`ChainPlan._save_batch` must find this many
 #: linked nodes before anything is vectorized, so tree-shaped data
 #: (whose "chains" are 2-3 coincidentally adjacent allocations) stays
 #: on the cheap reference path.
@@ -78,12 +71,14 @@ MIN_CHAIN = 4
 #: self-describing (no speculation), so the overhead floor is lower.
 RESTORE_MIN_CHAIN = 2
 #: deterministic engagement backoff: after this many *consecutive*
-#: declined chain attempts the plan stops even pre-walking for the next
-#: CHAIN_BACKOFF_SKIP tail pointers (tree-shaped data declines every
-#: time; without backoff the per-tail attempt cost adds up).  Any
-#: successful batch resets both counters, so a long list that follows a
-#: tree re-engages within ~CHAIN_BACKOFF_SKIP nodes.  Purely a timing
-#: choice — the emitted/consumed bytes never depend on engagement.
+#: declined chain attempts the plan declines the next CHAIN_BACKOFF_SKIP
+#: chain-shaped blocks outright (tree-shaped and irregular data decline
+#: every time; without backoff the per-tail attempt cost adds up).  A miss is booked before the traversal descends into the tail's
+#: target, so a deep chain backs off after CHAIN_BACKOFF_MISSES nodes,
+#: not after the recursion unwinds.  Any committed batch resets the miss
+#: count, so a long list that follows a tree re-engages within
+#: ~CHAIN_BACKOFF_SKIP nodes.  Purely a timing choice — the
+#: emitted/consumed bytes never depend on engagement.
 CHAIN_BACKOFF_MISSES = 8
 CHAIN_BACKOFF_SKIP = 512
 
@@ -247,7 +242,10 @@ def _true_prefix(mask: np.ndarray) -> int:
 class FlatPlan:
     """Zero-copy bulk path for homogeneous dense primitive blocks."""
 
-    KIND = "flat"
+    #: True on plans that write and read pointer *records* in bulk,
+    #: bypassing ``save_pointer`` / ``restore_pointer`` (see
+    #: ``Collector.pointer_plans``)
+    emits_records = False
     __slots__ = ("kind", "host_dtype", "wire_dtype")
 
     def __init__(self, info, layout) -> None:
@@ -257,26 +255,22 @@ class FlatPlan:
 
     def save(self, collector, block, info) -> bool:
         n = info.cells_in(block.count)
-        if n < MIN_BULK_CELLS:
-            return False
-        memory = collector.memory
-        raw = memory.view(block.addr, n * self.host_dtype.itemsize)
+        raw = collector.memory.view(block.addr, n * self.host_dtype.itemsize)
         if self.host_dtype == self.wire_dtype:
             # host representation IS the wire representation (same width,
             # same byte order): one memcpy into the wire storage
             collector.buf.write(raw)
-            return True
-        src = np.frombuffer(raw, dtype=self.host_dtype, count=n)
-        # cast straight into the wire buffer's storage: the only copy is
-        # the conversion itself (save_flat does read-copy + encode-copy)
-        collector.buf.write_ndarray(src, self.wire_dtype)
-        del src
+        else:
+            # cast straight into the wire buffer's storage: the only copy
+            # is the conversion itself
+            src = np.frombuffer(raw, dtype=self.host_dtype, count=n)
+            collector.buf.write_ndarray(src, self.wire_dtype)
+            del src
+        collector.stats.n_plan_blocks += 1
         return True
 
     def restore(self, restorer, block, info) -> bool:
         n = info.cells_in(block.count)
-        if n < MIN_BULK_CELLS:
-            return False
         nbytes = n * self.wire_dtype.itemsize
         if self.host_dtype == self.wire_dtype:
             # host representation IS the wire representation: fill the
@@ -296,17 +290,79 @@ class FlatPlan:
         return True
 
 
+# -- pointer-free structs -----------------------------------------------------
+
+
+class StructPlan:
+    """Whole-block vectorized codec for pointer-free, non-flat units.
+
+    The host side is a NumPy structured dtype with the unit's real field
+    offsets and itemsize (so struct padding is stepped over for free);
+    the wire side is the packed big-endian image.  Encoding an entire
+    block is then ``len(cells)`` vectorized field casts, independent of
+    the number of units — the same O(fields) shape the flat plan has.
+    """
+
+    emits_records = False
+    __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size")
+
+    def __init__(self, info, layout) -> None:
+        cells, arch = info.cells, layout.arch
+        self.names = tuple(f"c{i}" for i in range(len(cells)))
+        self.src_dtype = np.dtype({
+            "names": list(self.names),
+            "formats": [xdr.host_np_dtype(c.kind, arch) for c in cells],
+            "offsets": [c.offset for c in cells],
+            "itemsize": info.unit_size,
+        })
+        wire_offsets, off = [], 0
+        for c in cells:
+            wire_offsets.append(off)
+            off += xdr.wire_sizeof(c.kind)
+        self.wire_unit_size = off
+        self.wire_dtype = np.dtype({
+            "names": list(self.names),
+            "formats": [xdr.wire_dtype(c.kind) for c in cells],
+            "offsets": wire_offsets,
+            "itemsize": off,
+        })
+
+    def save(self, collector, block, info) -> bool:
+        n = info.units_in(block.count)
+        raw = collector.memory.view(block.addr, n * info.unit_size)
+        src = np.frombuffer(raw, dtype=self.src_dtype, count=n)
+        out = np.zeros(n, dtype=self.wire_dtype)
+        for name in self.names:
+            # field assignment casts C-style: narrowing wraps modulo
+            # 2^bits, widening sign-extends — same as xdr.encode
+            out[name] = src[name]
+        collector.buf.write(out.tobytes())
+        collector.stats.n_codec_blocks += 1
+        return True
+
+    def restore(self, restorer, block, info) -> bool:
+        n = info.units_in(block.count)
+        raw = restorer.buf.read(n * self.wire_unit_size)
+        wire = np.frombuffer(raw, dtype=self.wire_dtype, count=n)
+        # zeros, not empty: struct padding must restore deterministically
+        out = np.zeros(n, dtype=self.src_dtype)
+        for name in self.names:
+            out[name] = wire[name]
+        restorer.memory.write_bytes(block.addr, out.tobytes())
+        return True
+
+
 # -- pointer arrays -----------------------------------------------------------
 
 
 class PtrArrayPlan:
     """Run-batched save/restore for dense pointer-array blocks."""
 
-    KIND = "ptr_array"
-    __slots__ = ("ptr_size",)
+    emits_records = True
+    __slots__ = ()
 
     def __init__(self, info, layout) -> None:
-        self.ptr_size = layout.arch.ptr_size
+        pass  # stateless: every block re-reads the arena
 
     # -- collect --------------------------------------------------------------
 
@@ -367,6 +423,7 @@ class PtrArrayPlan:
             else:
                 self._emit_ref_run(collector, arena, vals, idx, offs, p, q)
             p = q
+        stats.n_plan_blocks += 1
         return True
 
     def _emit_ref_run(self, collector, arena, vals, idx, offs, p, q) -> None:
@@ -477,21 +534,39 @@ class PtrArrayPlan:
 # -- linked chains ------------------------------------------------------------
 
 
+class _Backoff:
+    """Chain engagement backoff of one collect or restore pass."""
+
+    __slots__ = ("misses", "skip")
+
+    def __init__(self) -> None:
+        self.misses = 0  # consecutive declined attempts
+        self.skip = 0  # chain-shaped blocks left to decline unprobed
+
+    def miss(self) -> None:
+        self.misses += 1
+        if self.misses >= CHAIN_BACKOFF_MISSES:
+            self.misses = 0
+            self.skip = CHAIN_BACKOFF_SKIP
+
+
 class ChainPlan:
     """Stride-speculative batching for linked-list-shaped structs.
 
     Compiled for per-cell unit types whose *last* cell is a pointer
-    (``struct probe {cell *target; int strength; probe *next}``).  One
-    wire row is the fixed-size image of one chain node's BLOCK record:
-    header + flag byte + each non-tail cell (scalars in wire encoding,
-    pointers as full REF records).  The tail pointer of node *k* IS the
-    record of node *k+1*, so ``m`` nodes serialize as exactly ``m``
-    consecutive rows followed by the last node's tail record.
+    (``struct probe {cell *target; int strength; probe *next}``).  The
+    plan runs the unit loop of the reference path itself; what it adds
+    happens at the tail pointer.  One wire row is the fixed-size image
+    of one chain node's BLOCK record: header + flag byte + each non-tail
+    cell (scalars in wire encoding, pointers as full REF records).  The
+    tail pointer of node *k* IS the record of node *k+1*, so ``m`` nodes
+    serialize as exactly ``m`` consecutive rows followed by the last
+    node's tail record.
     """
 
-    KIND = "chain"
+    emits_records = True
     __slots__ = (
-        "info", "tail_off", "ptr_size", "row_dtype", "row_size",
+        "info", "head", "tail_off", "row_dtype", "row_size",
         "cols", "n_ptr_cols", "host_dtype_cache", "host_fields", "size",
         "_hdr", "_ptr_tag_offs",
     )
@@ -500,15 +575,15 @@ class ChainPlan:
         arch = layout.arch
         self.info = info
         self.size = info.size
+        self.head = info.cells[:-1]
         self.tail_off = info.cells[-1].offset
-        self.ptr_size = arch.ptr_size
         fields = [
             ("tag", "u1"), ("lk", "u1"), ("la", ">u4"), ("lb", ">u4"),
             ("tid", ">u4"), ("cnt", ">u4"), ("ord", ">u4"), ("flag", "u1"),
         ]
         #: ("ptr"|"scalar", cell, wire field name(s) prefix)
         self.cols = []
-        for j, c in enumerate(info.cells[:-1]):
+        for j, c in enumerate(self.head):
             if c.kind == "ptr":
                 fields += [
                     (f"p{j}t", "u1"), (f"p{j}k", "u1"),
@@ -522,7 +597,7 @@ class ChainPlan:
         self.row_size = self.row_dtype.itemsize
         self.n_ptr_cols = sum(1 for k, _, _ in self.cols if k == "ptr")
         # scalar mirrors of the vectorized row validation, for the
-        # cheap pre-check in try_restore: the fixed header prefix
+        # cheap pre-check in _restore_batch: the fixed header prefix
         # (tag, logical kind/a/b, type id, count, ordinal, flag) plus
         # the byte offset of every REF column's tag
         self._hdr = struct.Struct(">BBIIIIIB")
@@ -553,36 +628,58 @@ class ChainPlan:
 
     # -- collect --------------------------------------------------------------
 
-    def save_tail(self, collector, value: int) -> None:
-        """Handle the tail-pointer record of the current element —
-        batched continuation when a stride chain is found, the reference
-        path otherwise.  Always emits exactly what ``save_pointer``
-        would."""
-        if value == 0:
-            collector.save_pointer(0)
-            return
-        if collector._chain_skip:
-            collector._chain_skip -= 1
-            collector.save_pointer(value)
-            return
-        if self._save_tail(collector, value):
-            collector._chain_misses = 0
-        else:
-            misses = collector._chain_misses + 1
-            if misses >= CHAIN_BACKOFF_MISSES:
-                collector._chain_misses = 0
-                collector._chain_skip = CHAIN_BACKOFF_SKIP
-            else:
-                collector._chain_misses = misses
+    def save(self, collector, block, info) -> bool:
+        """The reference unit loop, with each tail pointer offered to
+        :meth:`_save_batch` first.  Emits exactly what the per-cell path
+        would.  Declines only while backed off.
 
-    def _save_tail(self, collector, value: int) -> bool:
-        """One chain attempt; emits the record either way and returns
-        whether a batch engaged (feeds the backoff accounting)."""
+        This frame sits on the stack once per pointer hop, so it is kept
+        small (few locals), and pointer targets are looked up here and
+        handed straight to ``_save_target``: a hop through this plan
+        costs no more frames than one through ``save_pointer``."""
+        backoff = collector.plan_state
+        if backoff is None:
+            backoff = collector.plan_state = _Backoff()
+        elif backoff.skip:
+            backoff.skip -= 1
+            return False
+        load = collector.memory.load
+        tail = info.cells[-1]
+        for unit in range(info.units_in(block.count)):
+            base = block.addr + unit * info.unit_size
+            for cell in info.cells:
+                if cell.kind != "ptr":
+                    value = load(cell.kind, base + cell.offset)
+                    collector.buf.write(xdr.encode(cell.kind, value))
+                    continue
+                value = load("ptr", base + cell.offset)
+                while value:
+                    try:
+                        target = collector.msrlt.lookup_addr(value)
+                    except MSRLTError:
+                        raise MSRLTError(_DANGLING.format(value=value)) from None
+                    if cell is tail and not backoff.skip:
+                        value = self._save_batch(collector, *target)
+                        if value is not None:
+                            # a batch went out; its last node's tail is
+                            # the next record (maybe another batch)
+                            backoff.misses = 0
+                            continue
+                        # booked BEFORE descending: on a deep chain the
+                        # call below returns only when the list ends
+                        backoff.miss()
+                    collector._save_target(*target)
+                    break
+                else:
+                    collector.save_pointer(0)
+        return True
+
+    def _save_batch(self, collector, block, off):
+        """One chain attempt starting at *block* (the tail's target).
+        Emits a batch of ``>= MIN_CHAIN`` node records and returns the
+        last node's tail pointer value, or returns ``None`` having
+        written nothing."""
         msrlt = collector.msrlt
-        try:
-            block, off = msrlt.lookup_addr(value)
-        except MSRLTError:
-            raise MSRLTError(_DANGLING.format(value=value)) from None
         info = self.info
         if (
             off != 0
@@ -591,15 +688,13 @@ class ChainPlan:
             or block.logical in collector._visited
             or collector.ti.info_for(block.elem_type) is not info
         ):
-            collector._save_target(block, off)
-            return False
+            return None
         memory = collector.memory
         a0 = block.addr
         t0 = memory.load("ptr", a0 + self.tail_off)
         stride = t0 - a0
         if t0 == 0 or stride == 0 or abs(stride) < self.size:
-            collector._save_target(block, 0)
-            return False
+            return None
         arena = msrlt.heap_arena()
         tkey = id(block.elem_type)
         # cheap scalar pre-walk: vectorize only when at least MIN_CHAIN
@@ -637,8 +732,7 @@ class ChainPlan:
             if memory.load("ptr", addr + tail_off) != nxt:
                 break
         if linked < MIN_CHAIN:
-            collector._save_target(block, 0)
-            return False
+            return None
         seg = memory.heap_seg
         lo = seg.window_start
         hi = lo + len(seg.buf)
@@ -656,30 +750,25 @@ class ChainPlan:
             arena, seg, a0, stride, kmax, tkey, collector._visited
         )
         if m < MIN_CHAIN:
-            collector._save_target(block, 0)
-            return False
+            return None
         # row emission translates the non-tail pointer columns, whose
         # targets may be stack or global blocks — that needs the FULL
         # arena (built at most once per generation, and only on passes
         # where a chain actually engaged)
         rows, m = self._build_rows(collector, msrlt.arena(), hostarr, serials, m)
         if m < MIN_CHAIN:
-            collector._save_target(block, 0)
-            return False
+            return None
         for s in serials[:m].tolist():
             collector._visited.add((BlockKind.HEAP, s, 0))
         collector.buf.write(rows[:m].tobytes())
         stats = collector.stats
         stats.n_blocks += m
+        stats.n_plan_blocks += m
         stats.data_bytes += m * self.size
         stats.n_refs += m * self.n_ptr_cols
         # discovery of elements 1..m-1 plus one translate per REF col
         msrlt.n_searches += (m - 1) + m * self.n_ptr_cols
-        # the last node's tail is the next record — reference traversal
-        # continues there (may well start another batch)
-        tail_name = self.host_fields[-1][0]
-        collector.save_pointer(int(hostarr[tail_name][m - 1]))
-        return True
+        return int(hostarr[self.host_fields[-1][0]][m - 1])
 
     def _walk(self, arena, seg, a0, stride, kmax, tkey, visited):
         """Speculative stride walk: the longest prefix of candidates
@@ -801,28 +890,42 @@ class ChainPlan:
 
     # -- restore --------------------------------------------------------------
 
-    def try_restore(self, restorer, info):
-        """Attempt a batched chain restore at a tail-pointer cell.
+    def restore(self, restorer, block, info) -> bool:
+        """Mirror of :meth:`save`: the reference unit loop, with each
+        tail record offered to :meth:`_restore_batch` first.  Declines
+        only while backed off."""
+        backoff = restorer.plan_state
+        if backoff is None:
+            backoff = restorer.plan_state = _Backoff()
+        elif backoff.skip:
+            backoff.skip -= 1
+            return False
+        store = restorer.memory.store
+        for unit in range(info.units_in(block.count)):
+            base = block.addr + unit * info.unit_size
+            for cell in self.head:
+                if cell.kind == "ptr":
+                    store("ptr", base + cell.offset, restorer.restore_pointer())
+                else:
+                    raw = restorer.buf.read(xdr.wire_sizeof(cell.kind))
+                    store(cell.kind, base + cell.offset, xdr.decode(cell.kind, raw))
+            slot = base + self.tail_off
+            batch = None if backoff.skip else self._restore_batch(restorer, info)
+            if batch is not None:
+                backoff.misses = 0
+                # the record after the batch is its last node's tail
+                store("ptr", slot, batch[0])
+                slot = batch[1]
+            elif not backoff.skip:
+                backoff.miss()
+            store("ptr", slot, restorer.restore_pointer())
+        return True
 
-        Returns the destination address for the tail (the first batched
-        node) or ``None`` to let the reference path consume the record.
-        Never consumes bytes unless it commits a batch."""
-        if restorer._chain_skip:
-            restorer._chain_skip -= 1
-            return None
-        addr = self._try_restore(restorer, info)
-        if addr is None:
-            misses = restorer._chain_misses + 1
-            if misses >= CHAIN_BACKOFF_MISSES:
-                restorer._chain_misses = 0
-                restorer._chain_skip = CHAIN_BACKOFF_SKIP
-            else:
-                restorer._chain_misses = misses
-        else:
-            restorer._chain_misses = 0
-        return addr
-
-    def _try_restore(self, restorer, info):
+    def _restore_batch(self, restorer, info):
+        """Rebuild a run of ``>= RESTORE_MIN_CHAIN`` chain rows at the
+        read position.  Returns ``(address of the first node, address of
+        the last node's tail cell)``, or ``None`` having consumed
+        nothing."""
         buf = restorer.buf
         try:
             tag = buf.peek_u8()
@@ -955,31 +1058,27 @@ class ChainPlan:
         stats.n_heap_allocs += m
         stats.n_refs += m * self.n_ptr_cols
         stats.data_bytes += m * self.size
-        # the record after the batch is the last node's tail (may chain
-        # into another batch, a REF, a NULL — the reference path decides)
-        tail_val = restorer.restore_pointer()
-        memory.store("ptr", int(addrs[-1]) + self.tail_off, tail_val)
-        return int(base)
+        return int(base), int(addrs[-1]) + self.tail_off
 
 
 # -- compilation --------------------------------------------------------------
 
 
 def compile_plan(info, layout):
-    """Compile the graph plan for one (TypeInfo, architecture), or
-    ``None`` when no plan shape applies (the per-cell/codec paths are
-    already the right tool)."""
-    arch = layout.arch
+    """Compile the content plan for one (TypeInfo, architecture), or
+    ``None`` when no plan shape applies and the per-cell reference path
+    is the right tool.  Called only by ``TITable.plan_for``."""
     if info.flat_kind is not None:
         return FlatPlan(info, layout)
     cells = info.cells
     if not cells:
         return None
+    if not info.has_pointers:
+        return StructPlan(info, layout)
     if (
         info.cell_count == 1
-        and cells[0].kind == "ptr"
         and cells[0].offset == 0
-        and info.unit_size == arch.ptr_size
+        and info.unit_size == layout.arch.ptr_size
     ):
         return PtrArrayPlan(info, layout)
     if info.repeat == 1 and info.cell_count >= 2 and cells[-1].kind == "ptr":

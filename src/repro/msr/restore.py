@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.arch import xdr
 from repro.arch.buffers import ReadBuffer
-from repro.msr.graphplan import NO_PLAN
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import FLAG_FLAT, TAG_BLOCK, TAG_NULL, TAG_REF, read_logical
@@ -53,8 +52,8 @@ class Restorer:
     """One data-restoration pass into a destination process."""
 
     #: mirror of Collector.pointer_plans — the pre-copy restorers read
-    #: per-record tags the bulk ptr_array/chain restore paths cannot see,
-    #: so their subclasses disable those two plan kinds symmetrically.
+    #: per-record tags the bulk record readers cannot see, so their
+    #: subclasses disable the ``emits_records`` plans symmetrically.
     pointer_plans = True
 
     def __init__(self, process, buf: ReadBuffer) -> None:
@@ -69,14 +68,13 @@ class Restorer:
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
-        # whole-graph plans are bypassed under attribution so PR 5's
-        # exact per-type byte partition keeps its meaning (DESIGN §12)
-        self.plan_enabled = self._prof is None and getattr(
-            process.ti, "graphplan_enabled", True
-        )
-        # chain-plan engagement backoff state (graphplan.ChainPlan)
-        self._chain_misses = 0
-        self._chain_skip = 0
+        self.plan_enabled = self.ti.plans_enabled
+        # record-reading plans consume other blocks' records inside this
+        # block's contents, so they are bypassed under attribution to
+        # keep PR 5's exact per-type byte partition (DESIGN §8)
+        self.record_plans = self._prof is None and self.pointer_plans
+        #: per-pass scratch owned by the plans (ChainPlan's backoff)
+        self.plan_state = None
         self._prefault_registered()
 
     def _prefault_registered(self) -> None:
@@ -183,90 +181,41 @@ class Restorer:
     # -- contents -----------------------------------------------------------------------------
 
     def _restore_contents(self, block: MemoryBlock, info: TypeInfo) -> str:
-        """Rebuild one block's contents; returns which path engaged
-        (``"flat"`` / ``"codec"`` / ``"percell"``, for attribution)."""
-        flags = self.buf.read_u8()
-        n_cells = info.cells_in(block.count)
-        if self.plan_enabled:
-            # inlined ti.plan_for fast path — this runs once per record
-            plan = info.plan
-            if plan is None:
-                plan = self.ti.plan_for(info)
-            elif plan is NO_PLAN:
-                plan = None
-        else:
-            plan = None
+        """Rebuild one block's contents: flag byte, then the type's
+        compiled plan, else the reference path.  Returns which path
+        engaged (``"flat"`` / ``"codec"`` / ``"percell"``, for
+        attribution, under which only pointer-free plans run).
 
-        if flags & FLAG_FLAT:
-            # the wire is a dense run of one primitive kind; find that kind
-            # from the type (flatness is structural, but be defensive about
-            # exotic architectures where the destination layout is padded)
-            kind = info.cells[0].kind
-            if (
-                info.flat_kind is not None
-                and plan is not None
-                and plan.restore(self, block, info)
-            ):
-                # zero-copy: wire view decoded straight into the segment
-                return "plan"
-            raw = self.buf.read(n_cells * xdr.wire_sizeof(kind))
-            if info.flat_kind is not None:
-                self.ti.restore_flat(self.memory, block.addr, kind, n_cells, raw)
-            else:  # pragma: no cover - no supported arch pair hits this
-                values = xdr.decode_array(kind, raw, n_cells)
-                for i in range(info.units_in(block.count)):
-                    base = block.addr + i * info.unit_size
-                    for j, cell in enumerate(info.cells):
-                        self.memory.store(
-                            cell.kind, base + cell.offset, values[i * info.cell_count + j].item()
-                        )
-            return "flat"
-
-        codec = self.ti.codec_for(info)
-        if codec is not None:
-            # compiled mirror plan for this (type, destination arch)
-            codec.restore(self, block, info)
-            return "codec"
-
+        The reference path is the plans-off oracle, inline and with few
+        locals for the same reason as ``Collector._save_contents``."""
+        flat = info.flat_kind
+        if bool(self.buf.read_u8() & FLAG_FLAT) != (flat is not None):
+            # flatness is structural (same answer on every architecture),
+            # so a disagreeing flag is a corrupt or mismatched payload
+            raise RestoreError(f"flat flag disagrees with type {info.label}")
+        plan = self.ti.plan_for(info) if self.plan_enabled else None
         if (
             plan is not None
-            and self.pointer_plans
-            and plan.KIND == "ptr_array"
+            and (self.record_plans or not plan.emits_records)
             and plan.restore(self, block, info)
         ):
-            return "plan"
-        chain = (
-            plan
-            if plan is not None and self.pointer_plans and plan.KIND == "chain"
-            else None
-        )
-        memory = self.memory
-        buf = self.buf
-        cells = info.cells
-        tail = cells[-1] if chain is not None else None
+            return "codec" if flat is None else "flat"
+        if flat is not None:
+            # one vectorized decode for the whole block
+            n = info.cells_in(block.count)
+            raw = self.buf.read(n * xdr.wire_sizeof(flat))
+            self.ti.restore_flat(self.memory, block.addr, flat, n, raw)
+            return "flat"
+        # the cell-by-cell restoring function
+        store = self.memory.store
         for unit in range(info.units_in(block.count)):
             base = block.addr + unit * info.unit_size
-            for cell in cells:
+            for cell in info.cells:
                 if cell.kind == "ptr":
-                    if cell is tail:
-                        # tail pointer of a chain-shaped struct: a batched
-                        # restore consumes the whole row run; otherwise
-                        # fall through to the reference record read.  The
-                        # backoff skip branch is inlined (one int test)
-                        if self._chain_skip:
-                            self._chain_skip -= 1
-                            value = None
-                        else:
-                            value = chain.try_restore(self, info)
-                        if value is None:
-                            value = self.restore_pointer()
-                        memory.store("ptr", base + cell.offset, value)
-                    else:
-                        memory.store("ptr", base + cell.offset, self.restore_pointer())
+                    store("ptr", base + cell.offset, self.restore_pointer())
                 else:
-                    width = xdr.wire_sizeof(cell.kind)
-                    value = xdr.decode(cell.kind, buf.read(width))
-                    memory.store(cell.kind, base + cell.offset, value)
+                    raw = self.buf.read(xdr.wire_sizeof(cell.kind))
+                    store(cell.kind, base + cell.offset, xdr.decode(cell.kind, raw))
         return "percell"
 
 

@@ -21,39 +21,26 @@ the general cell-by-cell saving function.
 One TI table is shared by every process of a program on one architecture
 (it is a pure cache over the type graph).
 
-Compiled codec plans
---------------------
+One compiled plan per type
+--------------------------
 
-Beyond the flat bulk path, every :class:`TypeInfo` lazily compiles a
-*fused codec plan* the first time its contents are saved or restored
-(DESIGN.md §8):
-
-- a **pointer-free** unit with mixed kinds or padding (``struct {int a;
-  double b;}``) gets a :class:`StructCodec` — two NumPy structured
-  dtypes (host layout with real field offsets, packed big-endian wire
-  layout) so an entire block converts with one vectorized per-field
-  cast instead of ``cells × units`` Python-level ``xdr.encode`` calls;
-- a **pointer-bearing** unit gets a :class:`SegmentedCodec` — the
-  unit's cells are split into ``(bulk run, ptr)`` spans, each run
-  precompiled into one host-order and one wire-order
-  :class:`struct.Struct`, so only the pointer cells go through the
-  Python-level graph traversal.
-
-Both plans produce bytes **identical** to the per-cell path (the wire
-format does not change; ``tests/test_codec_fuzz.py`` cross-checks the
-encoders against each other), and both are per-(type, architecture),
-so the destination table compiles its own mirror plans.  Setting
-``TITable.codecs_enabled = False`` falls back to the per-cell path —
-the baseline the E5 benchmarks and the fuzz tests compare against.
+The paper's TI table holds one saving and one restoring function per
+type.  Here that pair is a *plan* object, compiled the first time a
+block of the type is saved or restored and cached on the
+:class:`TypeInfo`: :meth:`TITable.plan_for` is the only place a content
+strategy is chosen (the four plan kinds and the shapes they compile for
+are in :mod:`repro.msr.graphplan`; DESIGN.md §8).  Plans are
+per-(type, architecture), so the destination table compiles its own
+mirrors, and every plan produces bytes **identical** to the per-cell
+reference path.  Setting ``TITable.plans_enabled = False`` — tests only
+— runs every block through that reference path, the oracle the
+plans-on/off identity tests compare against.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from repro.arch import xdr
 from repro.clang.ctypes import (
@@ -64,18 +51,14 @@ from repro.clang.ctypes import (
     PrimType,
     StructType,
     TypeLayout,
-    type_key,
 )
+from repro.msr.graphplan import compile_plan
 
-__all__ = [
-    "TypeInfo",
-    "TITable",
-    "flat_prim_kind",
-    "unit_of",
-    "StructCodec",
-    "SegmentedCodec",
-    "BulkRun",
-]
+__all__ = ["TypeInfo", "TITable", "flat_prim_kind", "unit_of"]
+
+#: ``TypeInfo.plan`` before :meth:`TITable.plan_for` first compiles it
+#: (``None`` is a compiled answer: no plan shape applies)
+_UNCOMPILED = object()
 
 
 def unit_of(ctype: CType) -> tuple[CType, int]:
@@ -133,12 +116,8 @@ class TypeInfo:
     flat_kind: Optional[str]
     #: True when the unit contains at least one pointer cell
     has_pointers: bool
-    #: lazily compiled codec plan (see module docstring); ``None`` until
-    #: first use, the module sentinel when no plan applies
-    codec: object = field(default=None, repr=False, compare=False)
-    #: lazily compiled whole-graph plan (repro.msr.graphplan); ``None``
-    #: until first use, ``graphplan.NO_PLAN`` when no plan shape applies
-    plan: object = field(default=None, repr=False, compare=False)
+    #: the compiled content plan, owned by :meth:`TITable.plan_for`
+    plan: object = field(default=_UNCOMPILED, repr=False, compare=False)
     #: cached human-readable label (the attribution table's row key);
     #: ``str(ctype)`` computed once instead of per block visit
     _label: Optional[str] = field(default=None, repr=False, compare=False)
@@ -186,209 +165,6 @@ class TypeInfo:
         )
 
 
-# -- compiled codec plans ------------------------------------------------------
-
-#: TypeInfo.codec value meaning "compiled: no plan applies, use the
-#: flat bulk path or the per-cell loop"
-_NO_CODEC = object()
-
-
-def _wrap_ints(values, fixes):
-    """Apply per-value two's-complement reduction ``(mask, sign)`` pairs
-    (``None`` entries pass through).  Mirrors :func:`repro.arch.xdr.encode`'s
-    integer handling, pre-bound per cell at plan-compile time."""
-    out = []
-    for v, fix in zip(values, fixes):
-        if fix is not None:
-            mask, sign = fix
-            v = int(v) & mask
-            if v & sign:
-                v -= mask + 1
-        out.append(v)
-    return out
-
-
-class BulkRun:
-    """One maximal run of consecutive non-pointer cells inside a unit.
-
-    ``host`` unpacks/packs the run's bytes in the block's architecture
-    (``x`` pad codes skip inter-cell padding); ``wire`` is the packed
-    big-endian wire image of the same cells.  ``enc_fix``/``dec_fix``
-    hold the integer wrap parameters for cells whose host and wire
-    representations differ (width or signedness) — ``None`` when every
-    cell converts losslessly, which is the common case.
-    """
-
-    __slots__ = ("offset", "host", "host_nbytes", "wire", "wire_nbytes",
-                 "enc_fix", "dec_fix")
-
-    def __init__(self, offset, host, wire, enc_fix, dec_fix) -> None:
-        self.offset = offset
-        self.host = host
-        self.host_nbytes = host.size
-        self.wire = wire
-        self.wire_nbytes = wire.size
-        self.enc_fix = enc_fix
-        self.dec_fix = dec_fix
-
-
-class StructCodec:
-    """Whole-block vectorized codec for pointer-free, non-flat units.
-
-    The host side is a NumPy structured dtype with the unit's real field
-    offsets and itemsize (so struct padding is stepped over for free);
-    the wire side is the packed big-endian image.  Encoding an entire
-    block is then ``len(cells)`` vectorized field casts, independent of
-    the number of units — the same O(fields) shape the flat path has.
-    """
-
-    __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size")
-
-    def __init__(self, cells: tuple[Cell, ...], unit_size: int, arch) -> None:
-        self.names = tuple(f"c{i}" for i in range(len(cells)))
-        host_formats = [xdr.host_np_dtype(c.kind, arch) for c in cells]
-        self.src_dtype = np.dtype({
-            "names": list(self.names),
-            "formats": host_formats,
-            "offsets": [c.offset for c in cells],
-            "itemsize": unit_size,
-        })
-        wire_formats = [xdr.wire_dtype(c.kind) for c in cells]
-        wire_offsets, off = [], 0
-        for c in cells:
-            wire_offsets.append(off)
-            off += xdr.wire_sizeof(c.kind)
-        self.wire_unit_size = off
-        self.wire_dtype = np.dtype({
-            "names": list(self.names),
-            "formats": wire_formats,
-            "offsets": wire_offsets,
-            "itemsize": off,
-        })
-
-    def save(self, collector, block, info) -> None:
-        n = info.units_in(block.count)
-        raw = collector.memory.view(block.addr, n * info.unit_size)
-        src = np.frombuffer(raw, dtype=self.src_dtype, count=n)
-        out = np.zeros(n, dtype=self.wire_dtype)
-        for name in self.names:
-            # field assignment casts C-style: narrowing wraps modulo
-            # 2^bits, widening sign-extends — same as xdr.encode
-            out[name] = src[name]
-        collector.buf.write(out.tobytes())
-
-    def restore(self, restorer, block, info) -> None:
-        n = info.units_in(block.count)
-        raw = restorer.buf.read(n * self.wire_unit_size)
-        wire = np.frombuffer(raw, dtype=self.wire_dtype, count=n)
-        # zeros, not empty: struct padding must restore deterministically
-        out = np.zeros(n, dtype=self.src_dtype)
-        for name in self.names:
-            out[name] = wire[name]
-        restorer.memory.write_bytes(block.addr, out.tobytes())
-
-
-class SegmentedCodec:
-    """Codec plan for pointer-bearing units: ``(bulk run | ptr)`` spans.
-
-    Non-pointer cells batch into precompiled :class:`BulkRun`s (one
-    unpack + one pack per run instead of two Python calls per cell);
-    pointer cells — an ``int`` offset in the segment list — go through
-    the collector/restorer's graph traversal exactly as before.
-    """
-
-    __slots__ = ("segments", "run_lengths")
-
-    def __init__(self, cells: tuple[Cell, ...], arch) -> None:
-        host_order = "<" if arch.byteorder == "little" else ">"
-        segments: list = []
-        run_lengths: list[int] = []
-        run: list[Cell] = []
-
-        def close_run() -> None:
-            if not run:
-                return
-            run_lengths.append(len(run))
-            host_fmt, wire_fmt = [host_order], [">"]
-            enc_fix, dec_fix, any_fix = [], [], False
-            pos = run[0].offset
-            for c in run:
-                if c.offset > pos:
-                    host_fmt.append("x" * (c.offset - pos))
-                hcode = xdr.host_struct_code(c.kind, arch)
-                wcode = xdr.wire_struct_code(c.kind)
-                host_fmt.append(hcode)
-                wire_fmt.append(wcode)
-                if hcode != wcode and c.kind not in ("float", "double"):
-                    wm, ws, wsig = xdr.int_bounds(wcode, xdr.wire_sizeof(c.kind))
-                    hm, hs, hsig = xdr.int_bounds(hcode, arch.sizeof(c.kind))
-                    enc_fix.append((wm, ws if wsig else 0))
-                    dec_fix.append((hm, hs if hsig else 0))
-                    any_fix = True
-                else:
-                    enc_fix.append(None)
-                    dec_fix.append(None)
-                pos = c.offset + arch.sizeof(c.kind)
-            segments.append(BulkRun(
-                run[0].offset,
-                struct.Struct("".join(host_fmt)),
-                struct.Struct("".join(wire_fmt)),
-                tuple(enc_fix) if any_fix else None,
-                tuple(dec_fix) if any_fix else None,
-            ))
-            run.clear()
-
-        for cell in cells:
-            if cell.kind == "ptr":
-                close_run()
-                segments.append(cell.offset)
-            else:
-                run.append(cell)
-        close_run()
-        self.segments = tuple(segments)
-        #: cells per bulk run — the compilation gate skips plans whose
-        #: runs never batch more than one cell
-        self.run_lengths = tuple(run_lengths)
-
-    def save(self, collector, block, info) -> None:
-        memory = collector.memory
-        buf = collector.buf
-        load = memory.load
-        read_bytes = memory.read_bytes
-        save_pointer = collector.save_pointer
-        stride = info.unit_size
-        addr = block.addr
-        for u in range(info.units_in(block.count)):
-            base = addr + u * stride
-            for seg in self.segments:
-                if type(seg) is int:  # a pointer cell
-                    save_pointer(load("ptr", base + seg))
-                else:
-                    vals = seg.host.unpack(read_bytes(base + seg.offset, seg.host_nbytes))
-                    if seg.enc_fix is not None:
-                        vals = _wrap_ints(vals, seg.enc_fix)
-                    buf.write(seg.wire.pack(*vals))
-
-    def restore(self, restorer, block, info) -> None:
-        memory = restorer.memory
-        buf = restorer.buf
-        store = memory.store
-        write_bytes = memory.write_bytes
-        restore_pointer = restorer.restore_pointer
-        stride = info.unit_size
-        addr = block.addr
-        for u in range(info.units_in(block.count)):
-            base = addr + u * stride
-            for seg in self.segments:
-                if type(seg) is int:
-                    store("ptr", base + seg, restore_pointer())
-                else:
-                    vals = seg.wire.unpack(buf.read(seg.wire_nbytes))
-                    if seg.dec_fix is not None:
-                        vals = _wrap_ints(vals, seg.dec_fix)
-                    write_bytes(base + seg.offset, seg.host.pack(*vals))
-
-
 class TITable:
     """All :class:`TypeInfo` records for one (program, architecture).
 
@@ -404,12 +180,10 @@ class TITable:
         # object alive in the value so its id can never be recycled
         # (the poison scenario the layout's key-based memos avoid)
         self._by_identity: dict[int, tuple[CType, TypeInfo]] = {}
-        #: when False, contents go through the per-cell reference path —
-        #: the baseline the benchmarks and fuzz tests compare against
-        self.codecs_enabled = True
-        #: when False, whole-graph plans (repro.msr.graphplan) are never
-        #: compiled or consulted — the plan-off baseline for difftests
-        self.graphplan_enabled = True
+        #: set to False only by tests: every block then goes through the
+        #: per-cell reference path, the oracle the plans are checked
+        #: against.  Read once per pass, when a Collector/Restorer starts
+        self.plans_enabled = True
         #: info_for memo hit/miss counters (the engine reports the
         #: per-migration delta as ``ti.info_hits`` / ``ti.info_misses``)
         self.n_info_hits = 0
@@ -453,57 +227,28 @@ class TITable:
         self._by_identity[id(ctype)] = (ctype, info)
         return info
 
-    # -- compiled codec plans ----------------------------------------------------
-
-    def codec_for(self, info: TypeInfo):
-        """The compiled codec plan for *info*, or ``None`` when the
-        per-cell path must be used (codecs disabled, or the type is
-        flat and the bulk path already covers it)."""
-        if not self.codecs_enabled:
-            return None
-        codec = info.codec
-        if codec is None:
-            codec = info.codec = self._compile_codec(info)
-        return None if codec is _NO_CODEC else codec
-
-    def _compile_codec(self, info: TypeInfo):
-        if info.flat_kind is not None or not info.cells:
-            return _NO_CODEC  # the flat bulk path already handles it
-        if not info.has_pointers:
-            return StructCodec(info.cells, info.unit_size, self.layout.arch)
-        codec = SegmentedCodec(info.cells, self.layout.arch)
-        # a segmented plan only wins when a bulk run actually batches
-        # cells; on tiny pointer-heavy units (a tree node: one int + two
-        # pointers) the per-run dispatch costs more than the per-cell
-        # loop it replaces
-        if max(codec.run_lengths, default=0) < 2:
-            return _NO_CODEC
-        return codec
-
-    # -- compiled whole-graph plans ---------------------------------------------
-
     def plan_for(self, info: TypeInfo):
-        """The compiled whole-graph plan for *info* (DESIGN §12), or
-        ``None`` when no plan shape applies.  Lazily compiled, like
-        :meth:`codec_for`; the import is deferred so the graphplan
-        module (and NumPy's structured-dtype machinery) only loads when
-        plans are actually in play."""
-        from repro.msr.graphplan import NO_PLAN, compile_plan
-
+        """The one saving/restoring function pair of *info*'s type on
+        this architecture: a compiled plan with ``save`` / ``restore``,
+        or ``None`` when the per-cell reference path is the right tool.
+        Compiled on first use, then cached on the record."""
         plan = info.plan
-        if plan is None:
-            plan = info.plan = compile_plan(info, self.layout) or NO_PLAN
-        return None if plan is NO_PLAN else plan
+        if plan is _UNCOMPILED:
+            plan = info.plan = compile_plan(info, self.layout)
+        return plan
 
     # -- the memory block saving/restoring functions ---------------------------------
 
+    # The reference encoding of flat blocks (the plans-off oracle for
+    # FlatPlan): read-copy, then encode-copy.
+
     def save_flat(self, memory, block_addr: int, kind: str, n: int) -> bytes:
-        """Bulk path: encode *n* primitives of *kind* at *block_addr* into
-        the machine-independent format in one vectorized operation."""
+        """Encode *n* primitives of *kind* at *block_addr* into the
+        machine-independent format in one vectorized operation."""
         values = memory.read_array(kind, block_addr, n)
         return xdr.encode_array(kind, values)
 
     def restore_flat(self, memory, block_addr: int, kind: str, n: int, data) -> None:
-        """Bulk path inverse: decode and write *n* primitives."""
+        """Inverse of :meth:`save_flat`: decode and write *n* primitives."""
         values = xdr.decode_array(kind, data, n)
         memory.write_array(kind, block_addr, values)

@@ -1,10 +1,20 @@
 """Shared fixtures and helpers for the test suite."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
+from repro.migration.engine import collect_state, restore_state
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from repro.workloads import (
+    bitonic_source,
+    hashtable_source,
+    linpack_source,
+    structgrid_source,
+    test_pointer_source,
+)
 
 #: the paper's truly-heterogeneous pair (§4.1)
 PAPER_PAIR = (DEC5000, SPARC20)
@@ -31,6 +41,69 @@ def expr_value(expr: str, decls: str = "", fmt: str = "%d", arch=DEC5000) -> str
     """Evaluate a C expression and return its printf rendering."""
     out = run_main(f'{decls} printf("{fmt}", {expr});', arch=arch)
     return out
+
+
+def stopped_at(source: str, polls: int, arch) -> Process:
+    """Compile *source* and run it on *arch* up to its *polls*-th
+    poll-point: a process ready to be collected."""
+    prog = compile_program(source, poll_strategy="user")
+    proc = Process(prog, arch)
+    proc.start()
+    proc.migration_pending = True
+    proc.migrate_after_polls = polls
+    assert proc.run().status == "poll"
+    return proc
+
+
+@contextmanager
+def plans_off(*procs):
+    """Run the body with every block of *procs* going through the
+    per-cell reference path — the oracle the compiled plans are checked
+    against.  The TI table is shared per (program, arch), so this
+    reaches every process of the same program on the same architecture;
+    the switch is read when a Collector/Restorer is created."""
+    for proc in procs:
+        proc.ti.plans_enabled = False
+    try:
+        yield
+    finally:
+        for proc in procs:
+            proc.ti.plans_enabled = True
+
+
+#: the plans-on/off identity matrix: name -> (source, poll to stop at)
+PLAN_WORKLOADS = {
+    "structgrid": (structgrid_source(64, 24), 12),
+    "linpack": (linpack_source(48), 1),
+    "bitonic": (bitonic_source(96), 24),
+    "hashtable": (hashtable_source(120), 60),
+    "test_pointer": (test_pointer_source(), 30),
+}
+
+
+def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
+    """THE plans-on vs plans-off identity check: the collected payload
+    is byte-identical with the plans on and with every block on the
+    per-cell oracle; either payload restores through either restorer;
+    and the restored process resumes to the unmigrated output."""
+    proc = stopped_at(source, polls, src_arch)
+    prog = proc.program
+    expected = Process(prog, src_arch)
+    expected.run_to_completion()
+
+    with plans_off(proc):
+        oracle, _ = collect_state(proc)
+    planned, _ = collect_state(proc)
+    assert planned == oracle
+
+    dest = Process(prog, dst_arch)
+    with plans_off(dest):
+        restore_state(prog, planned, dest)  # plan-written, oracle-read
+    twin = Process(prog, dst_arch)
+    restore_state(prog, oracle, twin)  # oracle-written, plan-read
+    for restored in (dest, twin):
+        assert restored.run().status == "exit"
+        assert restored.stdout == expected.stdout
 
 
 @pytest.fixture

@@ -1,20 +1,21 @@
 """Tier-1 guard for the streaming perf claim: ``bench_pipeline --smoke``
 must show streamed response time strictly below monolithic
 (Collect + Tx + Restore) for linpack N >= 200 over the modeled 10 Mb/s
-Ethernet, and must leave machine-readable results in BENCH_PR1.json."""
+Ethernet, and must leave machine-readable results in the bench JSON it
+is pointed at (a temporary file here: tier-1 leaves the tree clean)."""
 
 import json
 
 import pytest
 
 from benchmarks import bench_pipeline
-from benchmarks.results import BENCH_JSON
 
 
 @pytest.fixture(scope="module")
-def smoke_rows():
-    assert bench_pipeline.main(["--smoke"]) == 0
-    return {(r["workload"], r["n"]): r for r in json.loads(BENCH_JSON.read_text())["pipeline"]["rows"]}
+def smoke_rows(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bench") / "BENCH_SMOKE.json"
+    assert bench_pipeline.main(["--smoke", "--out", str(out)]) == 0
+    return {(r["workload"], r["n"]): r for r in json.loads(out.read_text())["pipeline"]["rows"]}
 
 
 class TestPipelineSmoke:

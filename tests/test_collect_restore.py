@@ -357,6 +357,23 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="magic"):
             restore_state(proc.program, b"XXXX" + payload[4:], dest)
 
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "struct"])
+    def test_flat_flag_must_agree_with_the_type(self, flat):
+        """Flatness is structural, so the flag byte carries no news: a
+        payload whose flag disagrees with the type is corrupt."""
+        from repro.arch.buffers import ReadBuffer
+        from repro.msr.restore import RestoreError, Restorer
+        from repro.msr.wire import FLAG_FLAT
+
+        proc = stop_at_poll(SHARED_GRAPH)
+        is_flat = lambda b: proc.ti.info_for(b.elem_type).flat_kind is not None  # noqa: E731
+        block = next(b for b in proc.msrlt.arena().blocks if is_flat(b) == flat)
+        wrong_flag = bytes([0 if flat else FLAG_FLAT]) + bytes(64)
+        with pytest.raises(RestoreError, match="flat flag"):
+            Restorer(proc, ReadBuffer(wrong_flag))._restore_contents(
+                block, proc.ti.info_for(block.elem_type)
+            )
+
     def test_payload_smaller_than_data_for_dedup(self):
         """With heavy sharing the wire carries REFs, not copies."""
         src = """

@@ -20,13 +20,13 @@ from repro.vm.program import compile_program
 ENTRIES = load_corpus()
 
 #: plan-identity chain: endianness flip then word-size change, so the
-#: graph plans cross both wire-representation boundaries
+#: plans cross both wire-representation boundaries
 PLAN_CHAIN = ("dec5000", "sparc20", "alpha")
 
 
-def _chain_run(program, plan_enabled: bool):
-    """Migrate through PLAN_CHAIN at successive polls with graph plans
-    forced on/off on every hop's TI; returns (stdout, per-hop payloads).
+def _chain_run(program, plans_enabled: bool):
+    """Migrate through PLAN_CHAIN at successive polls with the compiled
+    plans on/off on every hop's TI; returns (stdout, per-hop payloads).
 
     Short programs that exit before a hop's poll simply make shorter
     chains — both modes truncate identically, so the comparison stays
@@ -35,7 +35,7 @@ def _chain_run(program, plan_enabled: bool):
     # TypeInfo tables are shared per (program, arch): toggling through a
     # throwaway Process reaches every process of this program below
     for arch in arches:
-        Process(program, arch).ti.graphplan_enabled = plan_enabled
+        Process(program, arch).ti.plans_enabled = plans_enabled
     try:
         proc = Process(program, arches[0])
         proc.start()
@@ -59,7 +59,7 @@ def _chain_run(program, plan_enabled: bool):
         return proc.stdout, payloads
     finally:
         for arch in arches:
-            Process(program, arch).ti.graphplan_enabled = True
+            Process(program, arch).ti.plans_enabled = True
 
 
 def test_corpus_is_populated():
@@ -78,13 +78,13 @@ def test_corpus_entry_replays_clean(entry):
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
 def test_corpus_entry_plan_identity(entry):
-    """Graph plans must be invisible on the wire: replaying every corpus
-    program plan-on vs plan-off produces bit-identical stdout AND
-    byte-identical payloads on every migration hop (DESIGN §12's
-    byte-identity invariant, exercised over the whole corpus)."""
+    """Plans must be invisible on the wire: replaying every corpus
+    program plans-on vs plans-off (the per-cell oracle) produces
+    bit-identical stdout AND byte-identical payloads on every migration
+    hop (DESIGN §8's byte-identity invariant, over the whole corpus)."""
     program = compile_program(entry.source, poll_strategy="user")
-    stdout_off, payloads_off = _chain_run(program, plan_enabled=False)
-    stdout_on, payloads_on = _chain_run(program, plan_enabled=True)
+    stdout_off, payloads_off = _chain_run(program, plans_enabled=False)
+    stdout_on, payloads_on = _chain_run(program, plans_enabled=True)
     assert stdout_on == stdout_off
     assert len(payloads_on) == len(payloads_off)
     for hop, (off, on) in enumerate(zip(payloads_off, payloads_on)):

@@ -228,6 +228,43 @@ class TestFaultMatrix:
         assert stats.aborted_bytes > 0
         assert stats.time_in_backoff > 0
 
+    @pytest.mark.parametrize("kind", ["memory", "file", "socket"])
+    def test_aborted_bytes_count_every_frame_once(self, prog, tmp_path, kind):
+        """``aborted_bytes`` of a failed streamed attempt is what the
+        channel accepted during it.  Wherever a frame rides ``send()``
+        it is already in ``bytes_sent``; adding ``framed_bytes_sent`` on
+        top counted each frame twice (only a bare ``SocketChannel``
+        keeps the two counters disjoint)."""
+
+        def make():
+            if kind == "memory":
+                return Channel(LOOPBACK)
+            if kind == "file":
+                return FileChannel(tmp_path / f"spool-{time.monotonic_ns()}.bin")
+            return SocketChannel(LOOPBACK)
+
+        def migrate(channel):
+            try:
+                _dest, stats = MigrationEngine().migrate(
+                    stopped(prog), SPARC20, channel=channel, streaming=True,
+                    chunk_size=64, retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+                )
+            finally:
+                if kind == "socket":
+                    channel.close()
+            return stats
+
+        # a streamed migration sends frames only, and framed_bytes_sent
+        # counts each frame of every kind once as it is built: the
+        # failed attempt's share is the total minus one clean attempt
+        clean = make()
+        assert migrate(clean).aborted_bytes == 0
+        faulty = FaultyChannel(make(), FaultPlan.parse("bitflip@0"))
+        stats = migrate(faulty)
+        assert stats.attempts == 2
+        failed_attempt = faulty.framed_bytes_sent - clean.framed_bytes_sent
+        assert stats.aborted_bytes == failed_attempt > 0
+
     def test_fault_free_run_reports_single_attempt(self, prog, expected):
         proc = stopped(prog)
         dest, stats = MigrationEngine().migrate(

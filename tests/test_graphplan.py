@@ -1,61 +1,66 @@
-"""Whole-graph vectorized collect/restore (PR 8).
+"""Compiled content plans (DESIGN §8): one plan per type, four kinds.
 
-Four contracts under test:
+Contracts under test:
 
 - **Arena equivalence** — the searchsorted arena's bulk lookup agrees
   with the scalar ``lookup_addr`` on every address class (start,
   interior, one-past-end-with-adjacent-successor, miss), and both the
   scalar last-hit cache and the cached arena snapshots are invalidated
   by *every* mutation class (the generation-stamp regression tests).
-- **Byte identity** — graph plans never change a single wire byte, on
-  any workload × architecture pair, and a plan-restored process resumes
-  to the same stdout (DESIGN §12's invariant; the corpus-wide version
-  lives in test_difftest_corpus.py).
+- **Byte identity** — plans never change a single wire byte: the
+  plans-on payload equals the plans-off (per-cell oracle) payload on
+  every workload × architecture pair, restores through either side,
+  and resumes to the unmigrated output; each of the four plan kinds
+  must actually engage, so a plan that silently stops compiling cannot
+  pass (the corpus-wide version lives in test_difftest_corpus.py).
+- **Chain backoff** — a miss is booked before the traversal descends,
+  so a deep irregular list stops probing after ``CHAIN_BACKOFF_MISSES``
+  nodes, while an evenly spaced chain still commits in one batch.
 - **Zero-copy plumbing** — WriteBuffer drain/flush detach storage
   (views survive later writes), StreamReadBuffer.readinto fills a
   destination straight from chunks, and Segment.write materializes
   fresh windows from the data itself.
-- **Complexity accounting** — ``n_searches`` is identical plan-on vs
-  plan-off, so E5's complexity counters keep their meaning.
+- **Complexity accounting** — ``n_searches`` is identical plans-on vs
+  plans-off, so E5's complexity counters keep their meaning.
 """
+
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86
+from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
 from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
 from repro.clang.ctypes import INT, TypeLayout
-from repro.migration.engine import collect_state, restore_state
+from repro.difftest.corpus import load_corpus
+from repro.migration.engine import (
+    MigrationEngine,
+    collect_state,
+    collect_state_chunks,
+    restore_state,
+    restore_state_stream,
+)
+from repro.migration.precopy import PrecopyPolicy
+from repro.migration.transport import LOOPBACK, Channel
+from repro.msr import graphplan
+from repro.msr.graphplan import ChainPlan, FlatPlan, PtrArrayPlan, StructPlan
 from repro.msr.msrlt import MSRLT, BlockKind, MSRLTError
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from repro.workloads import bitonic_source, linpack_source, structgrid_source
-
-WORKLOADS = {
-    "structgrid": (structgrid_source(64, 24), 12),
-    "linpack": (linpack_source(48), 1),
-    "bitonic": (bitonic_source(96), 24),
-}
+from tests.conftest import (
+    PLAN_WORKLOADS as WORKLOADS,
+    assert_plans_invisible,
+    plans_off,
+    stopped_at,
+)
 
 #: endianness flip, word-size change, and a same-layout control
 ARCH_PAIRS = [(ULTRA5, DEC5000), (SPARC20, ALPHA), (DEC5000, X86)]
 
-
-def _stopped(source: str, polls: int, arch) -> Process:
-    prog = compile_program(source, poll_strategy="user")
-    proc = Process(prog, arch)
-    proc.start()
-    proc.migration_pending = True
-    proc.migrate_after_polls = polls
-    result = proc.run()
-    assert result.status == "poll"
-    return proc
-
-
-def _set_plans(proc: Process, enabled: bool) -> None:
-    proc.ti.codecs_enabled = True
-    proc.ti.graphplan_enabled = enabled
+PLAN_KINDS = (FlatPlan, StructPlan, PtrArrayPlan, ChainPlan)
 
 
 # ---------------------------------------------------------------------------
@@ -195,55 +200,301 @@ class TestRegisterHeapBulk:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def engaged(monkeypatch):
+    """Count, per plan class and side, the ``save`` / ``restore`` calls
+    that took their block, plus the chain batches that committed (a
+    ChainPlan also takes blocks it only walks per cell).  ``counts[key,
+    "calls"]`` is how often each was tried."""
+    counts = Counter()
+
+    def counting(cls, name, key, took=bool):
+        inner = getattr(cls, name)
+
+        def wrapper(self, *args):
+            counts[key, "calls"] += 1
+            result = inner(self, *args)
+            if took(result):
+                counts[key] += 1
+            return result
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in PLAN_KINDS:
+        counting(cls, "save", (cls, "save"))
+        counting(cls, "restore", (cls, "restore"))
+    not_none = lambda result: result is not None  # noqa: E731
+    counting(ChainPlan, "_save_batch", "save batches", not_none)
+    counting(ChainPlan, "_restore_batch", "restore batches", not_none)
+    counting(ChainPlan, "_walk", "walks", not_none)
+    return counts
+
+
 class TestPlanByteIdentity:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize(
         "pair", ARCH_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
     )
     def test_payload_and_resume_identical(self, workload, pair):
-        src_arch, dst_arch = pair
-        source, polls = WORKLOADS[workload]
-        proc = _stopped(source, polls, src_arch)
-        try:
-            _set_plans(proc, False)
-            baseline, _ = collect_state(proc)
-            _set_plans(proc, True)
-            planned, info = collect_state(proc)
-            assert planned == baseline
+        assert_plans_invisible(*WORKLOADS[workload], *pair)
 
-            prog = proc.program
-            outs = {}
-            for enabled in (False, True):
-                dest = Process(prog, dst_arch)
-                _set_plans(dest, enabled)
-                restore_state(prog, planned, dest)
-                result = dest.run()
-                assert result.status == "exit"
-                outs[enabled] = dest.stdout
-            assert outs[True] == outs[False]
-        finally:
-            _set_plans(proc, True)
+    def test_every_plan_kind_engages(self, engaged):
+        """The identity matrix above proves nothing about a plan that no
+        longer compiles (oracle == oracle).  structgrid has one shape
+        per kind: scalars, a mixed pointer-free struct grid, a dense
+        pointer array, and a linked chain of probes."""
+        assert_plans_invisible(*WORKLOADS["structgrid"], DEC5000, SPARC20)
+        for cls in PLAN_KINDS:
+            assert engaged[cls, "save"] > 0, f"{cls.__name__} never saved a block"
+            assert engaged[cls, "restore"] > 0, f"{cls.__name__} never restored one"
+        assert engaged["save batches"] > 0 and engaged["restore batches"] > 0
 
     def test_structgrid_engages_plans(self):
-        source, polls = WORKLOADS["structgrid"]
-        proc = _stopped(source, polls, ULTRA5)
-        _set_plans(proc, True)
+        proc = stopped_at(*WORKLOADS["structgrid"], ULTRA5)
         _, info = collect_state(proc)
-        assert info.stats.n_plan_blocks > 0
+        stats = info.stats
+        assert stats.n_plan_blocks > 0 and stats.n_codec_blocks > 0
+        # the probe chain batches, and its blocks are booked (suite
+        # finding 7): every block but the chain head's own is on a plan
+        fast = stats.n_flat_blocks + stats.n_codec_blocks + stats.n_plan_blocks
+        assert stats.n_flat_blocks == 0 and fast >= stats.n_blocks - 2
 
     def test_n_searches_identical_across_modes(self):
         """E5's complexity counters must not notice the plans: a bulk
         batch charges exactly the searches the scalar walk would."""
-        source, polls = WORKLOADS["structgrid"]
-        proc = _stopped(source, polls, ULTRA5)
-        deltas = {}
-        for enabled in (False, True):
-            _set_plans(proc, enabled)
-            before = proc.msrlt.n_searches
+        proc = stopped_at(*WORKLOADS["structgrid"], ULTRA5)
+        before = proc.msrlt.n_searches
+        collect_state(proc)
+        planned = proc.msrlt.n_searches - before
+        with plans_off(proc):
             collect_state(proc)
-            deltas[enabled] = proc.msrlt.n_searches - before
-        _set_plans(proc, True)
-        assert deltas[True] == deltas[False]
+        assert proc.msrlt.n_searches - before - planned == planned
+
+
+class _RecordingChannel(Channel):
+    """An in-memory channel that keeps a copy of everything sent."""
+
+    def __init__(self) -> None:
+        super().__init__(LOOPBACK)
+        self.sent = []
+
+    def send(self, payload) -> float:
+        self.sent.append(bytes(payload))
+        return super().send(payload)
+
+
+#: the corpus programs most likely to trip delta-round bookkeeping, and
+#: the pairs test_precopy.py replays them on
+CORPUS = {e.name: e for e in load_corpus()}
+PRECOPY_CORPUS = ("gen_churn", "gen_pastend", "gen_list_churn", "gen_mixed_churn")
+PRECOPY_PAIRS = (
+    (DEC5000, ALPHA), (ALPHA, SPARC20), (SPARC20, X86_64), (X86_64, DEC5000),
+)
+
+
+@pytest.mark.parametrize("entry_name", PRECOPY_CORPUS)
+@pytest.mark.parametrize(
+    "pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
+)
+def test_precopy_wire_identical_plans_on_off(entry_name, pair):
+    """Pre-copy runs the pointer-free plans only (its collectors set
+    ``pointer_plans = False``): every delta frame and the final payload
+    must equal what the per-cell oracle sends."""
+    prog = compile_program(CORPUS[entry_name].source, poll_strategy="user")
+    src_arch, dst_arch = pair
+
+    def migrate():
+        proc = Process(prog, src_arch)
+        proc.start()
+        proc.migration_pending = True
+        assert proc.run().status == "poll"
+        channel = _RecordingChannel()
+        dest, stats = MigrationEngine().migrate(
+            proc, dst_arch, channel=channel, precopy=True,
+            precopy_policy=PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0),
+        )
+        assert stats.precopy and not stats.precopy_degraded
+        assert stats.precopy_rounds >= 2
+        dest.run_to_completion()
+        # trace-context control frames carry per-migration ids
+        wire = [frame for frame in channel.sent if frame[:4] != b"MCTX"]
+        return wire, dest.stdout
+
+    planned = migrate()
+    probe = Process(prog, src_arch), Process(prog, dst_arch)
+    with plans_off(*probe):
+        oracle = migrate()
+    assert planned == oracle
+
+
+def small_flat_source() -> str:
+    """Flat blocks of 1-15 cells: a lone int, a 3-char string, short
+    arrays — on the stack, in globals and on the heap."""
+    return r"""
+int lone;
+char tag[4];
+short trio[3];
+double pair[2];
+
+int main() {
+    int local;
+    char *name;
+    long *few;
+    int i;
+    lone = -7;
+    tag[0] = 'a'; tag[1] = 'b'; tag[2] = 'c'; tag[3] = (char) 0;
+    for (i = 0; i < 3; i++) trio[i] = (short) (i * 1000 - 1500);
+    pair[0] = 0.25; pair[1] = -1.0e300;
+    local = 123456789;
+    name = (char *) malloc(4);
+    name[0] = 'x'; name[1] = 'y'; name[2] = 'z'; name[3] = (char) 0;
+    few = (long *) malloc(15 * sizeof(long));
+    for (i = 0; i < 15; i++) few[i] = (long) i * -65537;
+    migrate_here();
+    printf("%d %s %d %d %d %g %g %d %s", lone, tag, trio[0], trio[1], trio[2],
+           pair[0], pair[1], local, name);
+    for (i = 0; i < 15; i++) printf(" %d", (int) few[i]);
+    return 0;
+}
+"""
+
+
+class TestSmallFlatBlocks:
+    """FlatPlan takes flat blocks of every size (the ``MIN_BULK_CELLS``
+    decline that used to route 1-15 cell blocks around it is gone)."""
+
+    @pytest.mark.parametrize(
+        "pair", [(DEC5000, SPARC20), (ALPHA, X86), (SPARC20, X86_64)],
+        ids=lambda p: f"{p[0].name}-{p[1].name}",
+    )
+    def test_identity(self, pair):
+        assert_plans_invisible(small_flat_source(), 1, *pair)
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "pair", [(DEC5000, SPARC20), (SPARC20, ULTRA5)],
+        ids=lambda p: f"{p[0].name}-{p[1].name}",
+    )
+    def test_streamed_restore_with_boundaries_inside_blocks(
+        self, pair, chunk_size, engaged
+    ):
+        """Chunks smaller than every block, so each flat block — the
+        lone int, the 3-char string — straddles a chunk boundary on the
+        streamed path, through both FlatPlan.restore branches (cast on
+        the endianness flip, straight ``readinto`` on the same-layout
+        pair)."""
+        src_arch, dst_arch = pair
+        proc = stopped_at(small_flat_source(), 1, src_arch)
+        prog = proc.program
+        expected = Process(prog, src_arch)
+        expected.run_to_completion()
+        payload, _ = collect_state(proc)
+        chunks = list(collect_state_chunks(proc, chunk_size=chunk_size))
+        assert b"".join(bytes(c) for c in chunks) == payload
+        dest = Process(prog, dst_arch)
+        restore_state_stream(prog, iter(chunks), dest)
+        assert engaged[FlatPlan, "restore"] >= 8
+        assert dest.run().status == "exit"
+        assert dest.stdout == expected.stdout
+
+
+# ---------------------------------------------------------------------------
+# chain backoff
+# ---------------------------------------------------------------------------
+
+LONGLIST_C = (
+    Path(__file__).resolve().parent.parent
+    / "benchmarks" / "suite" / "programs" / "longlist.c"
+)
+
+
+def longlist_source(n: int, seed: int = 7) -> str:
+    """The suite's irregular chain: *n* records, each owning a heap
+    string of 1..13 characters allocated between two nodes."""
+    return LONGLIST_C.read_text().replace("%N%", str(n)).replace("%SEED%", str(seed))
+
+
+def evenlist_source(n: int) -> str:
+    """*n* list nodes allocated back to back: one stride throughout."""
+    return r"""
+struct node { int id; double weight; struct node *next; };
+struct node *head;
+int main() {
+    int i, acc;
+    struct node *p;
+    head = NULL;
+    for (i = 0; i < %N%; i++) {
+        p = (struct node *) malloc(sizeof(struct node));
+        p->id = i; p->weight = i * 0.5; p->next = head; head = p;
+    }
+    migrate_here();
+    acc = 0;
+    for (p = head; p != NULL; p = p->next) acc = (acc * 31 + p->id) % 1000003;
+    printf("acc=%d", acc);
+    return 0;
+}
+""".replace("%N%", str(n))
+
+
+@pytest.fixture
+def deep_stack():
+    """Room for the recursive traversal of a long list (one pointer hop
+    per record; the iterative traversal is a ROADMAP item)."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+class TestChainBackoff:
+    def test_deep_irregular_list_backs_off_preorder(self, engaged, deep_stack):
+        """300 irregularly spaced records: every probe misses.  The miss
+        is booked before the descent into the tail's target, so probing
+        stops after CHAIN_BACKOFF_MISSES nodes — booked on the way back
+        up, the whole list was probed (299 attempts, 69 vectorized
+        walks) before the backoff ever saw a miss."""
+        proc = stopped_at(longlist_source(300), 1, SPARC20)
+        with plans_off(proc):
+            oracle, _ = collect_state(proc)
+        engaged.clear()
+        planned, info = collect_state(proc)
+        assert planned == oracle
+        assert info.stats.n_blocks >= 600  # 300 records + 300 strings
+        probes = graphplan.CHAIN_BACKOFF_MISSES + 1
+        assert 0 < engaged["save batches", "calls"] <= probes
+        assert engaged["walks", "calls"] <= 2
+        # the restore side books its miss when the row parse declines,
+        # which is before restore_pointer descends: same bound
+        restore_state(proc.program, planned, Process(proc.program, X86_64))
+        assert 0 < engaged["restore batches", "calls"] <= probes
+        assert engaged["save batches"] == engaged["restore batches"] == 0
+
+    def test_even_chain_commits_in_one_batch(self, engaged, deep_stack):
+        proc = stopped_at(evenlist_source(1024), 1, DEC5000)
+        with plans_off(proc):
+            oracle, _ = collect_state(proc)
+        planned, info = collect_state(proc)
+        assert planned == oracle
+        assert engaged["save batches"] == 1
+        # the head pointer's own target is the batch's first node, so
+        # the global reaches all 1024 nodes through one row array
+        assert info.stats.n_plan_blocks >= 1024
+        dest = Process(proc.program, SPARC20)
+        restore_state(proc.program, planned, dest)
+        assert engaged["restore batches"] == 1
+        assert dest.run().status == "exit"
+
+    def test_longlist_246_migrates_at_default_recursion_limit(self):
+        """Frames per pointer hop must not grow: N = 246 was the longest
+        longlist.c that migrated at the interpreter's default limit
+        before the plans took over the unit loop."""
+        assert sys.getrecursionlimit() == 1000
+        proc = stopped_at(longlist_source(246), 1, SPARC20)
+        expected = Process(proc.program, SPARC20)
+        expected.run_to_completion()
+        dest, _stats = MigrationEngine().migrate(proc, X86_64)
+        assert dest.run().status == "exit"
+        assert dest.stdout == expected.stdout
 
 
 # ---------------------------------------------------------------------------

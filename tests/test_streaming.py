@@ -19,6 +19,8 @@ from repro.migration.stats import pipelined_response_time
 from repro.migration.transport import (
     Channel,
     ETHERNET_10M,
+    FaultPlan,
+    FaultyChannel,
     FileChannel,
     LOOPBACK,
     Link,
@@ -235,6 +237,24 @@ class TestChannelChunkAPI:
             ch.end_stream()
             assert list(ch.iter_chunks()) == stream  # seq resets per stream
         assert ch.chunks_sent == 4
+
+    @pytest.mark.parametrize("kind", ["memory", "file", "socket", "faulty"])
+    def test_accepted_bytes_counts_messages_and_frames_once(self, tmp_path, kind):
+        ch = {
+            "memory": lambda: Channel(LOOPBACK),
+            "file": lambda: FileChannel(tmp_path / "spool.bin", link=LOOPBACK),
+            "socket": lambda: SocketChannel(link=LOOPBACK),
+            "faulty": lambda: FaultyChannel(Channel(LOOPBACK), FaultPlan([])),
+        }[kind]()
+        ch.send(b"whole message")
+        ch.send_context(b"ctx")
+        ch.send_chunk(b"x" * 100)
+        ch.end_stream()
+        ch.send_delta(b"y" * 10)
+        ch.end_delta_round()
+        assert ch.accepted_bytes == len(b"whole message") + ch.framed_bytes_sent
+        if kind == "socket":
+            ch.close()
 
     def test_socket_chunk_roundtrip_threaded(self):
         import threading
