@@ -73,10 +73,8 @@ class Collector:
         if self._prof is not None:
             self.msrlt.profiler = self._prof
         self.plan_enabled = self.ti.plans_enabled
-        # record-emitting plans write other blocks' records inside this
-        # block's contents, so they are bypassed under attribution to
-        # keep PR 5's exact per-type byte partition (DESIGN §8)
-        self.record_plans = self._prof is None and self.pointer_plans
+        # read once per block: kept on the instance
+        self.record_plans = self.pointer_plans
         #: per-pass scratch owned by the plans (ChainPlan's backoff)
         self.plan_state = None
 
@@ -148,7 +146,7 @@ class Collector:
         """Serialize one block's contents: flag byte, then the type's
         compiled plan, else the reference path.  Returns which path
         engaged (``"flat"`` / ``"codec"`` / ``"percell"``, for
-        attribution, under which only pointer-free plans run).
+        attribution).
 
         The reference path is the plans-off oracle.  It stays inline,
         with few locals: this frame is on the stack once per pointer
@@ -161,7 +159,7 @@ class Collector:
             and (self.record_plans or not plan.emits_records)
             and plan.save(self, block, info)
         ):
-            return "codec" if flat is None else "flat"
+            return plan.engagement
         if flat is not None:
             # one vectorized encode for the whole block
             n = info.cells_in(block.count)

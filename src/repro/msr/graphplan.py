@@ -246,6 +246,8 @@ class FlatPlan:
     #: bypassing ``save_pointer`` / ``restore_pointer`` (see
     #: ``Collector.pointer_plans``)
     emits_records = False
+    #: the attribution engagement class a block this plan took books
+    engagement = "flat"
     __slots__ = ("kind", "host_dtype", "wire_dtype")
 
     def __init__(self, info, layout) -> None:
@@ -304,6 +306,7 @@ class StructPlan:
     """
 
     emits_records = False
+    engagement = "codec"
     __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size")
 
     def __init__(self, info, layout) -> None:
@@ -359,6 +362,7 @@ class PtrArrayPlan:
     """Run-batched save/restore for dense pointer-array blocks."""
 
     emits_records = True
+    engagement = "codec"
     __slots__ = ()
 
     def __init__(self, info, layout) -> None:
@@ -452,7 +456,7 @@ class PtrArrayPlan:
         rows["lb"] = arena.lb[run_idx]
         rows["ord"] = ords
         collector.buf.write(rows.tobytes())
-        collector.msrlt.n_searches += m  # one search per translated pointer
+        collector.msrlt.count_searches(m)  # one per translated pointer
         collector.stats.n_refs += m
 
     # -- restore --------------------------------------------------------------
@@ -565,6 +569,9 @@ class ChainPlan:
     """
 
     emits_records = True
+    #: the block ``save`` / ``restore`` took went through the unit loop;
+    #: the blocks of a batch book "codec" through ``book_batch``
+    engagement = "percell"
     __slots__ = (
         "info", "head", "tail_off", "row_dtype", "row_size",
         "cols", "n_ptr_cols", "host_dtype_cache", "host_fields", "size",
@@ -625,6 +632,23 @@ class ChainPlan:
             })
             self.host_dtype_cache[stride] = dt
         return dt
+
+    def _book_batch(self, prof, phase, m, nbytes, t0, pos) -> None:
+        """Attribution of a committed batch: *m* block visits of this
+        type booked in one call.  The per-cell order nests each node in
+        its predecessor, so what follows the batch inside the open block
+        (the batch's searches, the record after it: the last node's
+        tail) is a node's, not the open block's — it lands in a
+        continuation frame of the nodes' row, which closes with the open
+        block.  (Only a heap block of this very type has more units to
+        come, and those land in that same row.)"""
+        label = self.info.label
+        heap = BlockKind.NAMES[BlockKind.HEAP]
+        prof.book_batch(
+            phase, label, heap, m, nbytes, prof.clock() - t0,
+            m * self.info.cell_count,
+        )
+        prof.enter_block(phase, label, heap, pos, counted=False)
 
     # -- collect --------------------------------------------------------------
 
@@ -709,6 +733,20 @@ class ChainPlan:
         counts_l = arena.counts_l
         heap_kind = int(BlockKind.HEAP)
         visited = collector._visited
+        # the first node's other pointers must be REFs (non-NULL, target
+        # visited) or _build_rows ends the batch at zero rows: a list
+        # whose records each own a string declines here
+        for kind, cell, _name in self.cols:
+            if kind != "ptr":
+                continue
+            ptr = memory.load("ptr", a0 + cell.offset)
+            if ptr == 0:
+                return None
+            i = bisect_right(starts_l, ptr) - 1
+            if i >= 0:
+                owner = arena.blocks[i]
+                if ptr < owner.end and owner.logical not in visited:
+                    return None
         tail_off = self.tail_off
         addr = a0
         nxt = t0
@@ -733,6 +771,8 @@ class ChainPlan:
                 break
         if linked < MIN_CHAIN:
             return None
+        prof = collector._prof
+        t0 = 0.0 if prof is None else prof.clock()
         seg = memory.heap_seg
         lo = seg.window_start
         hi = lo + len(seg.buf)
@@ -766,8 +806,12 @@ class ChainPlan:
         stats.n_plan_blocks += m
         stats.data_bytes += m * self.size
         stats.n_refs += m * self.n_ptr_cols
+        if prof is not None:
+            self._book_batch(
+                prof, "collect", m, m * self.row_size, t0, collector.buf.nbytes
+            )
         # discovery of elements 1..m-1 plus one translate per REF col
-        msrlt.n_searches += (m - 1) + m * self.n_ptr_cols
+        msrlt.count_searches((m - 1) + m * self.n_ptr_cols)
         return int(hostarr[self.host_fields[-1][0]][m - 1])
 
     def _walk(self, arena, seg, a0, stride, kmax, tkey, visited):
@@ -959,6 +1003,8 @@ class ChainPlan:
             for po in self._ptr_tag_offs:
                 if window[off + po] != _TAG_REF:
                     return None
+        prof = restorer._prof
+        t0 = 0.0 if prof is None else prof.clock()
         memory = restorer.memory
         cap = 64
         while True:
@@ -1058,6 +1104,13 @@ class ChainPlan:
         stats.n_heap_allocs += m
         stats.n_refs += m * self.n_ptr_cols
         stats.data_bytes += m * self.size
+        if prof is not None:
+            # a restore frame opens after its record's header, so the
+            # first row's header stays with the frame around the batch
+            self._book_batch(
+                prof, "restore", m,
+                m * self.row_size - (self._hdr.size - 1), t0, buf.position,
+            )
         return int(base), int(addrs[-1]) + self.tail_off
 
 

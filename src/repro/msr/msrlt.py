@@ -356,26 +356,16 @@ class MSRLT:
             a = self._heap_arena = SortedArena(heap, self.heap_generation)
         return a
 
-    def lookup_addrs_bulk(self, addrs):
-        """Vectorized :meth:`lookup_addr` over an int64 ndarray.
-
-        Returns ``(block_indexes, offsets)`` into :meth:`arena` —
-        ``block_indexes[k] == -1`` where the address resolves to no
-        registered block (the scalar path raises there; bulk callers
-        fall back per-cell so the reference error surfaces verbatim).
-        Start-preference over one-past-end is inherited from
-        ``searchsorted(..., side="right")``; counted as one search per
-        address so E5's complexity counters stay meaningful.
-        """
-        arena = self.arena()
-        idx, offs = arena.lookup(addrs)
-        n = len(addrs)
+    def count_searches(self, n: int) -> None:
+        """Book *n* searches a plan resolved in bulk through an arena and
+        then committed to the wire: counted, and attributed to the block
+        being visited, as *n* :meth:`lookup_addr` binary searches — so
+        E5's complexity counters and the attribution table read the same
+        whichever path ran.  The arena lookups themselves are free:
+        plans look up speculatively and count only what they emit."""
         self.n_searches += n
-        if self.profiler is not None:  # pragma: no cover - plans disable
-            depth = len(self._starts).bit_length()
-            for _ in range(n):
-                self.profiler.msrlt_lookup(depth, False)
-        return idx, offs
+        if self.profiler is not None:
+            self.profiler.msrlt_lookups(n, len(self._starts).bit_length())
 
     def blocks_overlapping(self, lo: int, hi: int) -> list[MemoryBlock]:
         """All registered blocks intersecting the byte range ``[lo, hi)``.

@@ -69,10 +69,8 @@ class Restorer:
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
         self.plan_enabled = self.ti.plans_enabled
-        # record-reading plans consume other blocks' records inside this
-        # block's contents, so they are bypassed under attribution to
-        # keep PR 5's exact per-type byte partition (DESIGN §8)
-        self.record_plans = self._prof is None and self.pointer_plans
+        # read once per block: kept on the instance
+        self.record_plans = self.pointer_plans
         #: per-pass scratch owned by the plans (ChainPlan's backoff)
         self.plan_state = None
         self._prefault_registered()
@@ -184,7 +182,7 @@ class Restorer:
         """Rebuild one block's contents: flag byte, then the type's
         compiled plan, else the reference path.  Returns which path
         engaged (``"flat"`` / ``"codec"`` / ``"percell"``, for
-        attribution, under which only pointer-free plans run).
+        attribution).
 
         The reference path is the plans-off oracle, inline and with few
         locals for the same reason as ``Collector._save_contents``."""
@@ -199,7 +197,7 @@ class Restorer:
             and (self.record_plans or not plan.emits_records)
             and plan.restore(self, block, info)
         ):
-            return "codec" if flat is None else "flat"
+            return plan.engagement
         if flat is not None:
             # one vectorized decode for the whole block
             n = info.cells_in(block.count)

@@ -14,6 +14,14 @@ types and blocks".  It accumulates, per ``(type, block class)`` pair:
   attributed to the block being collected when the lookup ran (the
   paper's O(n log n) collection term, finally split by type).
 
+A plan that emits many blocks' records at once (``ChainPlan``) books
+them itself: :meth:`AttributionProfiler.book_batch` folds the whole
+batch into its row in one call, and a *continuation* frame
+(``enter_block(..., counted=False)``) takes what follows the batch
+inside the open block, which the per-cell order books to the batch's
+last block.  The table is the one the per-cell oracle produces,
+whatever ran.
+
 Hot-path discipline: the collector and restorer fetch the profiler
 **once** per pass (`repro.obs.current_attribution()`); when attribution
 is off that is ``None`` and every per-block hook is a single
@@ -46,8 +54,6 @@ BLOCK_CLASSES = ("global", "stack", "heap")
 #: tables, record scaffolding) — what makes the byte partition exact
 FRAMING_ROW = ("(framing)", "wire")
 
-_ENGAGEMENTS = ("flat", "codec", "percell")
-
 
 class _Row:
     """Accumulated cost of one ``(type, block class)`` pair."""
@@ -79,16 +85,18 @@ class _Frame:
     """One open block visit on a thread's frame stack."""
 
     __slots__ = (
-        "key", "phase", "scope", "t0", "pos0", "child_s", "child_bytes",
+        "key", "phase", "scope", "t0", "pos0", "counted",
+        "child_s", "child_bytes",
     )
 
     def __init__(self, key: tuple, phase: str, scope: str, t0: float,
-                 pos0: int) -> None:
+                 pos0: int, counted: bool) -> None:
         self.key = key
         self.phase = phase
         self.scope = scope
         self.t0 = t0
         self.pos0 = pos0
+        self.counted = counted
         self.child_s = 0.0
         self.child_bytes = 0
 
@@ -106,7 +114,7 @@ class AttributionProfiler:
     DEFAULT_SCOPE = "final"
 
     def __init__(self, clock=time.perf_counter) -> None:
-        self._clock = clock
+        self.clock = clock
         self._lock = threading.Lock()
         #: scope -> (type, class) -> row
         self._scopes: dict[str, dict[tuple, _Row]] = {
@@ -150,41 +158,77 @@ class AttributionProfiler:
     # -- block visits ------------------------------------------------------
 
     def enter_block(self, phase: str, type_label: str, block_class: str,
-                    pos: int) -> None:
+                    pos: int, counted: bool = True) -> None:
         """Open a frame for one block visit (*phase* is ``"collect"`` or
         ``"restore"``; *pos* the wire offset at entry).  The scope is
         captured at entry so a frame closes into the scope it opened in
-        even if the phase boundary moved meanwhile."""
+        even if the phase boundary moved meanwhile.
+
+        ``counted=False`` opens a *continuation* of a block that
+        :meth:`book_batch` already counted: bytes, seconds and lookups
+        inside it land in its row as usual, no visit is booked, and it
+        closes with the block around it."""
         self._stack().append(
             _Frame((type_label, block_class), phase, self.scope,
-                   self._clock(), pos)
+                   self.clock(), pos, counted)
         )
 
     def exit_block(self, pos: int, engagement: str, cells: int = 0) -> None:
-        """Close the innermost frame at wire offset *pos* and fold its
-        *self* cost (total minus nested children) into its row."""
+        """Close the innermost block visit at wire offset *pos*, and the
+        continuations opened inside it, folding each frame's *self* cost
+        (total minus nested children) into its row."""
         stack = self._stack()
+        while not stack[-1].counted:
+            self._close(stack, pos, 0, "", 0)
+        self._close(stack, pos, 1, engagement, cells)
+
+    def _close(self, stack: list, pos: int, blocks: int, engagement: str,
+               cells: int) -> None:
         frame = stack.pop()
-        total_s = self._clock() - frame.t0
+        total_s = self.clock() - frame.t0
         total_b = pos - frame.pos0
-        self_s = max(total_s - frame.child_s, 0.0)
-        self_b = total_b - frame.child_bytes
         if stack:
             parent = stack[-1]
             parent.child_s += total_s
             parent.child_bytes += total_b
+        self._book(
+            frame.key, frame.scope, frame.phase,
+            max(total_s - frame.child_s, 0.0), total_b - frame.child_bytes,
+            blocks, engagement, cells,
+        )
+
+    def book_batch(self, phase: str, type_label: str, block_class: str,
+                   blocks: int, nbytes: int, seconds: float,
+                   cells: int) -> None:
+        """Book a plan's whole batch in one call: *blocks* visits of one
+        type that together wrote (read) *nbytes* self bytes in *seconds*.
+        The open frame is charged the batch as child cost, exactly as if
+        each block had opened a frame of its own inside it."""
+        stack = self._stack()
+        if stack:
+            parent = stack[-1]
+            parent.child_s += seconds
+            parent.child_bytes += nbytes
+            scope = parent.scope
+        else:
+            scope = self.scope
+        self._book((type_label, block_class), scope, phase, seconds, nbytes,
+                   blocks, "codec", cells)
+
+    def _book(self, key: tuple, scope: str, phase: str, seconds: float,
+              nbytes: int, blocks: int, engagement: str, cells: int) -> None:
         with self._lock:
-            row = self._row(frame.key, frame.scope)
-            if frame.phase == "collect":
-                row.collect_s += self_s
-                row.bytes += self_b
-                row.blocks += 1
+            row = self._row(key, scope)
+            if phase == "collect":
+                row.collect_s += seconds
+                row.bytes += nbytes
+                row.blocks += blocks
             else:
-                row.restore_s += self_s
-                row.restore_bytes += self_b
-                row.restore_blocks += 1
-            if engagement in _ENGAGEMENTS:
-                setattr(row, engagement, getattr(row, engagement) + 1)
+                row.restore_s += seconds
+                row.restore_bytes += nbytes
+                row.restore_blocks += blocks
+            if blocks:
+                setattr(row, engagement, getattr(row, engagement) + blocks)
             row.cells += cells
 
     # -- MSRLT search cost -------------------------------------------------
@@ -193,6 +237,11 @@ class AttributionProfiler:
         """Account one address lookup: *depth* is the binary-search depth
         (0 for a last-hit cache hit).  Attributed to the block being
         visited when the lookup ran, else to the framing row."""
+        self.msrlt_lookups(1, depth, cache_hit)
+
+    def msrlt_lookups(self, n: int, depth: int, cache_hit: bool = False) -> None:
+        """Account *n* lookups of *depth* each in one call (a plan's
+        bulk translation of a whole pointer run)."""
         stack = self._stack()
         if stack:
             key, scope = stack[-1].key, stack[-1].scope
@@ -200,10 +249,10 @@ class AttributionProfiler:
             key, scope = FRAMING_ROW, self.scope
         with self._lock:
             row = self._row(key, scope)
-            row.msrlt_searches += 1
-            row.msrlt_depth += depth
+            row.msrlt_searches += n
+            row.msrlt_depth += n * depth
             if cache_hit:
-                row.msrlt_cache_hits += 1
+                row.msrlt_cache_hits += n
 
     # -- read-out ----------------------------------------------------------
 

@@ -81,6 +81,11 @@ PLAN_WORKLOADS = {
 }
 
 
+#: the architecture pairs the matrix runs on: endianness flip,
+#: word-size change, and a same-layout control
+PLAN_ARCH_PAIRS = [(ULTRA5, DEC5000), (SPARC20, ALPHA), (DEC5000, X86)]
+
+
 def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
     """THE plans-on vs plans-off identity check: the collected payload
     is byte-identical with the plans on and with every block on the

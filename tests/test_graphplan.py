@@ -51,14 +51,12 @@ from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from tests.conftest import (
+    PLAN_ARCH_PAIRS as ARCH_PAIRS,
     PLAN_WORKLOADS as WORKLOADS,
     assert_plans_invisible,
     plans_off,
     stopped_at,
 )
-
-#: endianness flip, word-size change, and a same-layout control
-ARCH_PAIRS = [(ULTRA5, DEC5000), (SPARC20, ALPHA), (DEC5000, X86)]
 
 PLAN_KINDS = (FlatPlan, StructPlan, PtrArrayPlan, ChainPlan)
 
@@ -97,12 +95,12 @@ class TestArenaLookup:
         self._populated(table)
         block, off = table.lookup_addr(0x2010)
         assert block.addr == 0x2010 and off == 0
-        idx, offs = table.lookup_addrs_bulk(np.asarray([0x2010], dtype=np.int64))
+        idx, offs = table.arena().lookup(np.asarray([0x2010], dtype=np.int64))
         assert table.arena().blocks[idx[0]].addr == 0x2010 and offs[0] == 0
 
     def test_bulk_reports_misses_as_minus_one(self, table):
         self._populated(table)
-        idx, _ = table.lookup_addrs_bulk(
+        idx, _ = table.arena().lookup(
             np.asarray([0x0500, 0x2020, 0x9999], dtype=np.int64)
         )
         assert list(idx) == [-1, -1, -1]
@@ -134,10 +132,10 @@ class TestGenerationInvalidation:
         table.register_heap(0x2000, INT, 4)
         keep = table.register_heap(0x4000, INT, 4)
         addrs = np.asarray([0x2000, 0x4000], dtype=np.int64)
-        idx, _ = table.lookup_addrs_bulk(addrs)
+        idx, _ = table.arena().lookup(addrs)
         assert -1 not in idx
         table.unregister(0x2000)
-        idx, _ = table.lookup_addrs_bulk(addrs)
+        idx, _ = table.arena().lookup(addrs)
         assert idx[0] == -1
         assert table.arena().blocks[idx[1]] is keep
 
@@ -162,10 +160,10 @@ class TestGenerationInvalidation:
 
     def test_stale_arena_never_resolves_dropped_stack_blocks(self, table):
         table.register_stack(0, 0, 0x7000, INT, name="s")
-        idx, _ = table.lookup_addrs_bulk(np.asarray([0x7000], dtype=np.int64))
+        idx, _ = table.arena().lookup(np.asarray([0x7000], dtype=np.int64))
         assert idx[0] != -1
         table.drop_stack_blocks()
-        idx, _ = table.lookup_addrs_bulk(np.asarray([0x7000], dtype=np.int64))
+        idx, _ = table.arena().lookup(np.asarray([0x7000], dtype=np.int64))
         assert idx[0] == -1
 
 
