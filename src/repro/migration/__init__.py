@@ -37,6 +37,7 @@ from repro.migration.checkpoint import (
 )
 from repro.migration.stats import MigrationStats, pipelined_response_time
 from repro.migration.engine import (
+    CollectError,
     DEFAULT_CHUNK_SIZE,
     MigrationAbortedError,
     MigrationEngine,
@@ -62,6 +63,7 @@ __all__ = [
     "FaultPlan",
     "FaultyChannel",
     "MigrationError",
+    "CollectError",
     "TransferError",
     "RestoreError",
     "MigrationAbortedError",

@@ -26,17 +26,18 @@ Two transfer disciplines share that record stream:
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
-from dataclasses import dataclass
+from collections import deque
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro import obs
 from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
 from repro.migration.stats import MigrationStats
-from repro.obs import DEFAULT_EVENT_CAPACITY, MigrationObservation, propagate
+from repro.obs import MigrationObservation, propagate
 from repro.migration.transport import Channel, ChannelError, LOOPBACK, Link
 from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind
@@ -61,6 +62,7 @@ __all__ = [
     "restore_state",
     "restore_state_stream",
     "MigrationError",
+    "CollectError",
     "TransferError",
     "RestoreError",
     "MigrationAbortedError",
@@ -74,6 +76,13 @@ DEFAULT_CHUNK_SIZE = 64 * 1024
 
 class MigrationError(Exception):
     """A migration could not be performed."""
+
+
+class CollectError(MigrationError):
+    """The collector itself failed (today: the recursive traversal of a
+    deep list hitting the interpreter's recursion limit).  That is not
+    transport noise — every retry would repeat it — so the engine fails
+    fast; the source stays at its poll-point, runnable."""
 
 
 class TransferError(MigrationError):
@@ -99,8 +108,56 @@ class MigrationAbortedError(MigrationError):
 
 
 #: transient failures a retry can cure (wire damage, stalls, drops);
-#: anything else — bad arguments, wrong program — fails fast
+#: anything else — bad arguments, wrong program, a collector fault —
+#: fails fast
 RETRYABLE_ERRORS = (ChannelError, WireFrameError, TransferError, RestoreError)
+
+#: failures of the interpreter under the restorer, not of the bytes it
+#: was fed: a retry repeats them, so they are never made retryable
+_NOT_DAMAGE = (RecursionError, MemoryError, AssertionError)
+
+
+@contextmanager
+def collect_errors():
+    """Around every collection a migration drives: whatever the collector
+    raises (its own :class:`MigrationError` refusals aside) becomes a
+    :class:`CollectError`, in every transfer mode."""
+    try:
+        yield
+    except MigrationError:
+        raise
+    except Exception as exc:
+        raise CollectError(
+            f"collection failed with {type(exc).__name__} ({exc}); the "
+            f"source is still at its poll-point"
+        ) from exc
+
+
+@contextmanager
+def restore_errors(what: str):
+    """The one damage-to-:class:`RestoreError` net, around every place
+    received bytes are turned into destination state (the final restore,
+    the pre-copy snapshot restore, each delta round).
+
+    Whatever garbage on the wire makes the restorer raise becomes a
+    typed, retryable :class:`RestoreError` naming *what* failed.  Errors
+    that already are typed pass through, as does a :class:`CollectError`
+    (the inline streaming feed collects inside the restorer's pull), and
+    the :data:`_NOT_DAMAGE` family fails fast as a plain
+    :class:`MigrationError`.
+    """
+    try:
+        yield
+    except (CollectError, *RETRYABLE_ERRORS):
+        raise
+    except _NOT_DAMAGE as exc:
+        raise MigrationError(
+            f"{what} failed with {type(exc).__name__} ({exc}); not retried"
+        ) from exc
+    except Exception as exc:
+        raise RestoreError(
+            f"{what} failed ({exc}); destination left untouched"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -142,15 +199,19 @@ class RetryPolicy:
         return max(delay, 0.0)
 
 
-def _collect_records(process: Process, buf: WriteBuffer, collector_factory=Collector):
+def _collect_records(
+    process: Process, buf: WriteBuffer, collector_factory, info_slot: list
+):
     """Write the full migration payload into *buf*, yielding after every
-    variable (a safe drain point for the streaming pipeline).
+    variable (a safe drain point for the streaming pipeline); once done,
+    the :class:`StateInfo` is appended to *info_slot* (generators cannot
+    hand a return value to a ``for`` loop).
 
-    Returns (via ``StopIteration.value``) the :class:`CollectInfo`.  Both
-    the monolithic and the chunked collectors drive this one generator,
-    which is what keeps their payload bytes identical.  *collector_factory*
-    swaps the record writer (the pre-copy final pass uses one that elides
-    already-delivered blocks); the stream structure is unchanged.
+    Both the monolithic and the chunked collectors drive this one
+    generator, which is what keeps their payload bytes identical.
+    *collector_factory* swaps the record writer (the pre-copy final pass
+    uses one that elides already-delivered blocks); the stream structure
+    is unchanged.
     """
     if not process.frames:
         raise MigrationError("process has no frames (not running?)")
@@ -193,21 +254,18 @@ def _collect_records(process: Process, buf: WriteBuffer, collector_factory=Colle
     # registrations are dropped for hygiene (it may also be resumed locally
     # when a migration is cancelled)
     process.msrlt.drop_stack_blocks()
-    return CollectInfo(stats=stats, header=header)
+    info_slot.append(StateInfo(stats=stats, header=header))
 
 
 def collect_state(
     process: Process, collector_factory=Collector
-) -> tuple[bytes, "CollectInfo"]:
+) -> tuple[bytes, "StateInfo"]:
     """Collect the execution + memory state of a process stopped at a
     poll-point.  Returns the machine-independent payload."""
-    buf = WriteBuffer()
-    gen = _collect_records(process, buf, collector_factory)
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return buf.getvalue(), stop.value
+    buf, info_slot = WriteBuffer(), []
+    for _ in _collect_records(process, buf, collector_factory, info_slot):
+        pass
+    return buf.getvalue(), info_slot[0]
 
 
 def collect_state_chunks(
@@ -221,35 +279,29 @@ def collect_state_chunks(
 
     The concatenation of the chunks is byte-identical to
     :func:`collect_state`'s payload.  When the generator is exhausted,
-    the :class:`CollectInfo` is appended to *info_slot* (generators
-    cannot hand a return value to a ``for`` loop).
+    the :class:`StateInfo` is appended to *info_slot*.
     """
     if chunk_size <= 0:
         raise MigrationError(f"chunk_size must be positive, got {chunk_size}")
     buf = WriteBuffer()
-    gen = _collect_records(process, buf, collector_factory)
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            if info_slot is not None:
-                info_slot.append(stop.value)
-            break
+    if info_slot is None:
+        info_slot = []
+    for _ in _collect_records(process, buf, collector_factory, info_slot):
         yield from buf.drain(chunk_size)
     tail = buf.flush()
     if tail:
         yield tail
 
 
-class CollectInfo:
-    """Collection by-products (stats + the header that was written)."""
+class StateInfo(NamedTuple):
+    """By-products of a collection or a restoration: the pass's stats
+    and the payload header it wrote or read."""
 
-    def __init__(self, stats, header: WireHeader) -> None:
-        self.stats = stats
-        self.header = header
+    stats: object
+    header: WireHeader
 
 
-def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "RestoreInfo":
+def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "StateInfo":
     """Rebuild execution + memory state from any reader with the
     :class:`ReadBuffer` interface (contiguous payload or chunk stream)."""
     if dest.frames:
@@ -287,12 +339,12 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "R
         raise MigrationError(f"{rbuf.remaining} trailing bytes in migration payload")
 
     dest.msrlt.drop_stack_blocks()
-    return RestoreInfo(stats=restorer.stats, header=header)
+    return StateInfo(stats=restorer.stats, header=header)
 
 
 def restore_state(
     program, payload: bytes, dest: Process, restorer_factory=Restorer
-) -> "RestoreInfo":
+) -> "StateInfo":
     """Rebuild execution + memory state inside a fresh destination process.
 
     *program* must be the very program object *dest* was invoked from;
@@ -303,19 +355,11 @@ def restore_state(
 
 def restore_state_stream(
     program, chunks: Iterable[bytes], dest: Process, restorer_factory=Restorer
-) -> "RestoreInfo":
+) -> "StateInfo":
     """Like :func:`restore_state`, but consuming an iterator of payload
     chunks (e.g. a channel's ``iter_chunks()``) as they arrive — the
     incremental-restore half of the streaming pipeline."""
     return _restore_from(program, StreamReadBuffer(chunks), dest, restorer_factory)
-
-
-class RestoreInfo:
-    """Restoration by-products."""
-
-    def __init__(self, stats, header: WireHeader) -> None:
-        self.stats = stats
-        self.header = header
 
 
 class _TimedIter:
@@ -354,6 +398,484 @@ class _TimedIter:
         return item
 
 
+def _check_waiting(waiting: Process, process: Process, dest_arch) -> None:
+    """A pre-invoked destination must be loaded but not started, on the
+    requested architecture, and invoked from the source's program."""
+    if waiting.frames or waiting.exited:
+        raise MigrationError("waiting destination is already running")
+    if waiting.arch.name != dest_arch.name:
+        raise MigrationError(
+            f"waiting process is on {waiting.arch.name}, not {dest_arch.name}"
+        )
+    if waiting.program is not process.program:
+        raise MigrationError(
+            "waiting process was invoked from a different program "
+            "(the migratable source must be pre-distributed)"
+        )
+
+
+@dataclass
+class _Run:
+    """One migration: what ``migrate()`` was asked for plus the state its
+    steps share.  ``migrate()`` runs the steps in order — ``prepare``,
+    ``precopy``, ``transfer`` (attempts of collect → transmit →
+    restore), ``adopt`` — and ``finish`` on every exit (DESIGN §7).
+
+    Two private executors own what the steps have in common:
+    :meth:`_acquire` is the only place a channel is obtained, and
+    :meth:`_guarded` is the only place a failable step (the pre-copy
+    phase, one transfer attempt) is bracketed by its span and by the
+    source hygiene a failure needs.
+    """
+
+    source: Process
+    dest: Process
+    channel: Optional[Channel]
+    channel_factory: Optional[Callable[[], Channel]]
+    streaming: bool
+    chunk_size: int
+    compress: bool
+    policy: RetryPolicy
+    #: ``None`` = plain stop-and-copy
+    precopy_policy: Optional[object]
+    obs: MigrationObservation
+    stats: MigrationStats = field(init=False)
+    #: what a surviving pre-copy phase hands the final attempt
+    pre_state: Optional[object] = None
+    #: the off-to-the-side process the current attempt restores into
+    scratch: Optional[Process] = None
+    adopted: bool = False
+
+    def __post_init__(self) -> None:
+        self.stats = MigrationStats(
+            source_arch=self.source.arch.name,
+            dest_arch=self.dest.arch.name,
+            n_frames=len(self.source.frames),
+            obs=self.obs,
+        )
+
+    # -- the steps ---------------------------------------------------------
+
+    def prepare(self) -> None:
+        """Open the books: the begin event, and baselines for the
+        per-migration lookup-cost deltas (the tables' counters are
+        cumulative over the process/program lifetime; every scratch
+        process shares the destination's per-(program, arch) TI table)."""
+        stats = self.stats
+        obs.event(
+            "migration_begin",
+            source_arch=stats.source_arch,
+            dest_arch=stats.dest_arch,
+            streaming=self.streaming,
+            compress=self.compress,
+            precopy=self.precopy_policy is not None,
+        )
+        self._lookups0 = self._lookup_counters()
+
+    def precopy(self) -> None:
+        """Iterative pre-copy, when asked for: snapshot + delta rounds
+        into a scratch that the final attempt then only tops up.  A
+        retryable failure degrades to the plain path."""
+        if self.precopy_policy is None:
+            return
+        from repro.migration.precopy import run_precopy
+
+        channel = self._acquire(retry=False)
+        scratch = self._new_scratch()
+        prof = self.obs.attribution
+
+        def rounds():
+            # delta-round collect/restore cost must not lump into the
+            # final attempt's attribution partition
+            with prof.scoped("precopy") if prof is not None else nullcontext():
+                return run_precopy(
+                    self.source, scratch, channel, self.precopy_policy,
+                    self.stats, self.chunk_size,
+                )
+
+        try:
+            self.pre_state = self._guarded("precopy", rounds)
+        except RETRYABLE_ERRORS as exc:
+            self._degrade_precopy(exc)
+
+    def transfer(self) -> None:
+        """The stop-and-copy: attempts of collect → transmit → restore
+        under the retry policy (backoff, fresh channel per attempt,
+        degradation of a failing pre-copy final pass to a plain one and
+        of failing streaming to one monolithic transfer)."""
+        policy, stats = self.policy, self.stats
+        failed_streaming = 0
+        for attempt in range(policy.max_attempts):
+            stats.attempts, stats.retries = attempt + 1, attempt
+            channel = self._acquire(retry=attempt > 0)
+            sent_before = channel.accepted_bytes
+            use_pre = self._stage()
+            obs.event(
+                "attempt_begin", attempt=attempt + 1,
+                streaming=self.streaming, precopy_final=use_pre,
+            )
+            discipline = self._streamed if self.streaming else self._monolithic
+            try:
+                self._guarded(
+                    "attempt", partial(discipline, channel, attempt + 1),
+                    n=attempt + 1,
+                )
+                return
+            except RETRYABLE_ERRORS as exc:
+                error = exc
+            aborted = channel.accepted_bytes - sent_before
+            stats.aborted_bytes += aborted
+            obs.inc("engine.aborted_bytes", aborted)
+            obs.event(
+                "attempt_fail",
+                attempt=attempt + 1,
+                error_type=type(error).__name__,
+                error=str(error),
+            )
+            if use_pre:
+                self._degrade_precopy(error)
+            if self.streaming:
+                failed_streaming += 1
+                after = policy.degrade_after
+                if after is not None and failed_streaming >= after:
+                    self.streaming = False
+                    stats.degraded = True
+                    obs.inc("engine.degraded")
+                    obs.event("degraded", after_failed_attempts=failed_streaming)
+            if attempt + 1 >= policy.max_attempts:
+                raise MigrationAbortedError(
+                    f"migration aborted after {attempt + 1} attempt(s); "
+                    f"source still runnable, destination untouched "
+                    f"(last error: {error})",
+                    attempts=attempt + 1,
+                    last_error=error,
+                ) from error
+            delay = policy.backoff_for(attempt)
+            stats.time_in_backoff += delay
+            obs.event("backoff", attempt=attempt + 1, delay_s=round(delay, 9))
+            if delay > 0:
+                policy.sleep(delay)
+
+    def adopt(self) -> None:
+        """Commit: graft the fully-restored scratch state onto the real
+        destination (everything else about it — identity, image, layout,
+        TI table — is already right, scratch shares its program and
+        arch) and terminate the source."""
+        stats, source, dest, scratch = self.stats, self.source, self.dest, self.scratch
+        if self.pre_state is not None:
+            # the successful final pass rode on the pre-copy: what the
+            # user experienced as downtime is only that final phase
+            stats.precopy = True
+            stats.precopy_downtime_s = stats.response_time
+            obs.record("precopy.downtime_seconds", stats.downtime, derived=True)
+        obs.event(
+            "migration_end",
+            collect_s=round(stats.collect_time, 9),
+            tx_s=round(stats.tx_time, 9),
+            restore_s=round(stats.restore_time, 9),
+            attempts=stats.attempts,
+        )
+        dest.memory = scratch.memory
+        dest.msrlt = scratch.msrlt
+        dest.frames = scratch.frames
+        dest._loaded = True
+        dest.exited = False
+        dest.exit_code = None
+        if self.precopy_policy is not None:
+            # pre-copy slices ran the source past output it had not yet
+            # produced when migrate() was called; carry that output over so
+            # the destination's stream is the complete program output
+            dest._stdout[:0] = list(source._stdout)
+        # the migrating process terminates after successful transmission
+        source.frames.clear()
+        source.exited = True
+        source.migration_pending = False
+        self.adopted = True
+
+    def finish(self) -> None:
+        """On every exit: fold the outcome counters and the lookup-table
+        deltas into the metrics registry, detach the profiler, close the
+        span tree."""
+        stats, m = self.stats, self.obs.metrics
+        m.inc("engine.attempts", stats.attempts)
+        m.inc("engine.retries", stats.retries)
+        m.inc("engine.payload_bytes", stats.payload_bytes)
+        m.inc("engine.blocks", stats.n_blocks)
+        if stats.streamed:
+            m.inc("engine.chunks", stats.n_chunks)
+        if stats.compressed:
+            m.inc(
+                "codec.bytes_saved",
+                max(stats.payload_bytes - stats.compressed_bytes, 0),
+            )
+        for name, now in self._lookup_counters().items():
+            m.inc(name, now - self._lookups0[name])
+        if self.obs.events.dropped:
+            m.inc("events.dropped", self.obs.events.dropped)
+        # latency distributions for the fleet roll-up: one observation
+        # per attempt span, plus whole-migration totals on success (the
+        # scheduler merges these snapshots, which is where p50/p99
+        # across migrations comes from)
+        for _path, sp in self.obs.tracer.iter_spans():
+            if sp.name == "attempt":
+                m.observe("engine.attempt_seconds", sp.seconds)
+        if self.adopted:
+            m.observe("engine.migration_seconds", stats.response_time)
+            m.observe("engine.downtime_seconds", stats.downtime)
+        # an aborted collection skips Collector.finish(); make sure no
+        # profiler reference outlives the migration it belonged to
+        self.source.msrlt.profiler = None
+        self.obs.tracer.finish()
+
+    # -- what the steps share ----------------------------------------------
+
+    def _acquire(self, retry: bool) -> Channel:
+        """The channel for the next step: a fresh one from the factory,
+        else the caller's (``reset()`` to fresh-connection state when it
+        already carried a failed attempt), with the recv deadline set."""
+        if self.channel_factory is not None:
+            channel = self.channel_factory()
+        else:
+            channel = self.channel
+            if retry:
+                channel.reset()
+        if self.policy.attempt_timeout_s is not None:
+            channel.set_deadline(self.policy.attempt_timeout_s)
+        return channel
+
+    def _guarded(self, span: str, step, **attrs):
+        """Run one failable *step* inside its span.  However it fails, a
+        half-driven collection's stack registrations are dropped, so the
+        source stays cleanly runnable and the next step registers from
+        scratch."""
+        try:
+            with self.obs.tracer.span(span, **attrs):
+                return step()
+        except BaseException:
+            self.source.msrlt.drop_stack_blocks()
+            raise
+
+    def _degrade_precopy(self, exc: Exception) -> None:
+        """Forget the pre-warmed scratch (half-built by a failed round,
+        or half-mutated by a failed final pass) and go on with a plain
+        full stop-and-copy from the source's current poll-point — the
+        slices it executed are real progress."""
+        self.stats.precopy_degraded = True
+        self.pre_state = None
+        obs.inc("engine.precopy_degraded")
+        obs.event(
+            "precopy_degraded", error_type=type(exc).__name__, error=str(exc)
+        )
+
+    def _lookup_counters(self) -> dict:
+        """Cumulative lookup counters of the tables this migration
+        touches, by metric name: the source's MSRLT (plus, once adopted,
+        the restored side's, born for this migration) and the two
+        architectures' shared TI tables."""
+        msrlts = [self.source.msrlt]
+        if self.adopted:
+            msrlts.append(self.scratch.msrlt)
+        tis = {id(t): t for t in (self.source.ti, self.dest.ti)}.values()
+        return {
+            "msrlt.searches": sum(t.n_searches for t in msrlts),
+            "msrlt.cache_hits": sum(t.n_cache_hits for t in msrlts),
+            "msrlt.registrations": sum(t.n_registrations for t in msrlts),
+            "ti.info_hits": sum(t.n_info_hits for t in tis),
+            "ti.info_misses": sum(t.n_info_misses for t in tis),
+        }
+
+    def _new_scratch(self) -> Process:
+        return Process(self.source.program, self.dest.arch, name=self.dest.name)
+
+    def _stage(self) -> bool:
+        """Transactional restore: the attempt builds the new process off
+        to the side, and only :meth:`adopt` grafts it onto the real
+        destination.  A surviving pre-copy hands over its pre-warmed
+        scratch and the cached set the final collector elides; returns
+        whether it did."""
+        pre = self.pre_state
+        if pre is None:
+            self.scratch = self._new_scratch()
+            self._collector, self._restorer = Collector, Restorer
+            return False
+        from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
+
+        self.scratch = pre.scratch
+        self._collector = partial(PrecopyFinalCollector, cached=pre.cached)
+        self._restorer = PrecopyFinalRestorer
+        return True
+
+    def _restore(self, rbuf) -> "StateInfo":
+        with restore_errors("restore"):
+            return _restore_from(
+                self.source.program, rbuf, self.scratch, self._restorer
+            )
+
+    def _absorb_collect(self, cinfo: StateInfo, payload_bytes: int) -> None:
+        stats = self.stats
+        stats.collect = cinfo.stats
+        stats.payload_bytes = payload_bytes
+        stats.data_bytes = cinfo.stats.data_bytes
+        stats.n_blocks = cinfo.stats.n_blocks
+
+    def _book_compression(self, stored_bytes: int) -> None:
+        """*stored_bytes* went on the wire for ``payload_bytes``.  Codec
+        time is read off the span tree, so it covers the deflate and
+        inflate laps of *every* attempt, aborted ones included."""
+        stats = self.stats
+        stats.compressed = True
+        stats.compressed_bytes = stored_bytes
+        stats.compression_ratio = stats.payload_bytes / stored_bytes
+        stats.codec_time = self.obs.tracer.total_prefix("codec.")
+
+    # -- the paper's serial discipline -------------------------------------
+
+    def _monolithic(self, channel: Channel, attempt: int) -> None:
+        stats = self.stats
+        # the context names the attempt span as the remote parent: the
+        # restore side joins *this* attempt
+        ctx = propagate.outbound_context(attempt=attempt)
+        with obs.span("collect") as timed, collect_errors():
+            payload, cinfo = collect_state(self.source, self._collector)
+        stats.collect_time = timed.seconds
+        self._absorb_collect(cinfo, len(payload))
+
+        envelope = payload
+        if self.compress:
+            with obs.lap("codec.deflate"):
+                envelope = compress_payload(payload)
+        # the trace context rides ahead of the envelope, inside the
+        # end-to-end CRC (a bit-flipped context is transit damage too)
+        message = ctx.to_frame() + envelope
+        crc = zlib.crc32(message)
+        channel.send(message)
+        # the modeled Tx charges the paper's envelope, not the trace
+        # plumbing riding ahead of it
+        stats.tx_time = channel.link.transfer_time(len(envelope))
+        obs.record("tx", stats.tx_time, modeled=True)
+        received = channel.recv()
+        # the monolithic wire format carries no checksum (it predates the
+        # framed stream and must stay byte-identical), so integrity is
+        # verified end-to-end against the bytes the sender put on the wire
+        # (the compressed envelope carries its own raw-payload CRC too)
+        if len(received) != len(message) or zlib.crc32(received) != crc:
+            raise TransferError(
+                f"monolithic payload damaged in transit: sent "
+                f"{len(message)} bytes (crc {crc:#010x}), received "
+                f"{len(received)} bytes (crc {zlib.crc32(received):#010x})"
+            )
+        ctx_body, received = peel_context_frame(received)
+        if self.compress:
+            with obs.lap("codec.inflate"):
+                received = expand_payload(received)
+            self._book_compression(len(envelope))
+
+        rctx = propagate.TraceContext.from_bytes(ctx_body)
+        with propagate.restore_site(rctx), obs.span("restore") as timed:
+            rinfo = self._restore(ReadBuffer(received))
+        stats.restore_time = timed.seconds
+        stats.restore = rinfo.stats
+
+    # -- the overlapped discipline -----------------------------------------
+
+    def _streamed(self, channel: Channel, attempt: int) -> None:
+        stats = self.stats
+        ctx = propagate.outbound_context(attempt=attempt)
+        info_slot: list = []
+
+        def chunks():
+            with collect_errors():
+                yield from collect_state_chunks(
+                    self.source, self.chunk_size, info_slot, self._collector
+                )
+
+        collect_iter = _TimedIter(chunks(), "collect")
+        channel.compress_stream = self.compress
+        # the context opens the stream as a control frame (it consumes
+        # no chunk sequence number and no fault-plan send index), so
+        # the receive side can join the trace before the first chunk
+        channel.send_context(ctx.to_bytes())
+        rctx = propagate.TraceContext.from_bytes(channel.recv_context())
+        framed_before = channel.chunks.bytes_sent
+
+        def sends():
+            """The send side, one chunk per step (the terminator rides
+            the step after the last chunk)."""
+            for chunk in collect_iter:
+                channel.send_chunk(chunk)
+                obs.event(
+                    "chunk",
+                    seq=collect_iter.count - 1,
+                    collect_busy_s=round(collect_iter.last_seconds, 9),
+                )
+                yield
+            channel.end_stream()
+
+        def interleaved():
+            """Same-thread pipeline: the restorer's pull for the next
+            chunk collects it, sends it, and receives it — chunk-granular
+            interleaving of all three stages on one thread."""
+            for _ in sends():
+                yield channel.recv_chunk()
+            if channel.recv_chunk() is not None:  # pragma: no cover
+                raise MigrationError("stream terminator was not last on channel")
+
+        if channel.concurrent_stream:
+            # frame writes block until drained (the socket): collection +
+            # send run in a producer thread while this one restores
+            feeding = channel.feeding(
+                lambda: deque(sends(), maxlen=0),  # run the send side dry
+                "migration-collector",
+            )
+            feed = channel.iter_chunks()
+        else:
+            feeding, feed = nullcontext(), interleaved()
+
+        feed_timer = _TimedIter(feed, "feed")
+        with feeding, propagate.restore_site(rctx), obs.span("pipeline") as pipeline:
+            rinfo = self._restore(StreamReadBuffer(feed_timer))
+        restore_wall = pipeline.seconds
+
+        # feed time covers collection + channel hops; what is left of the
+        # restore driver's wall clock is pure restoration compute
+        stats.collect_time = collect_iter.seconds
+        stats.restore_time = max(restore_wall - feed_timer.seconds, 0.0)
+        stats.restore = rinfo.stats
+        stats.streamed = True
+        stats.n_chunks = collect_iter.count
+        cinfo = info_slot[0]
+        self._absorb_collect(cinfo, cinfo.stats.wire_bytes)
+
+        # what the stream put on the wire, headers and terminator included;
+        # back-to-back frames keep the pipe full, so latency is paid once
+        framed = channel.chunks.bytes_sent - framed_before
+        if self.compress:
+            self._book_compression(framed - (stats.n_chunks + 1) * CHUNK_HEADER_SIZE)
+        link = channel.link
+        stats.tx_time = link.transfer_time(framed)
+        obs.record("tx", stats.tx_time, modeled=True)
+        obs.record("restore", stats.restore_time, derived=True)
+        stats.finish_pipeline(latency_s=link.latency_s)
+
+        # measured overlap: the producer thread's collection busy-time as
+        # a fraction of the pipeline wall clock.  The same-thread
+        # generator pipeline interleaves but cannot overlap wall-clock,
+        # so it honestly reports 0.0.
+        occupancy = 0.0
+        if channel.concurrent_stream and restore_wall > 0:
+            occupancy = min(collect_iter.seconds / restore_wall, 1.0)
+        stats.pipeline_occupancy = occupancy
+        obs.event(
+            "pipeline",
+            wall_s=round(restore_wall, 9),
+            n_chunks=stats.n_chunks,
+            occupancy=round(occupancy, 9),
+            # the link latency is paid once, by the first frame; the
+            # critical-path analyzer needs it to place the fill bubble
+            latency_s=round(link.latency_s, 9),
+        )
+
+
 class MigrationEngine:
     """Performs migrations between hosts over a channel."""
 
@@ -374,7 +896,6 @@ class MigrationEngine:
         channel_factory: Optional[Callable[[], Channel]] = None,
         checkpoint_path=None,
         attribution: bool = False,
-        event_capacity: int = DEFAULT_EVENT_CAPACITY,
         adopt_trace=None,
         precopy: bool = False,
         precopy_policy=None,
@@ -435,27 +956,37 @@ class MigrationEngine:
         way, except that the source has executed a few more poll slices.
         """
         if waiting is not None:
-            if waiting.frames or waiting.exited:
-                raise MigrationError("waiting destination is already running")
-            if waiting.arch.name != dest_arch.name:
-                raise MigrationError(
-                    f"waiting process is on {waiting.arch.name}, "
-                    f"not {dest_arch.name}"
-                )
-            if waiting.program is not process.program:
-                raise MigrationError(
-                    "waiting process was invoked from a different program "
-                    "(the migratable source must be pre-distributed)"
-                )
+            _check_waiting(waiting, process, dest_arch)
         if channel_factory is None and channel is None:
             channel = Channel(self.link)
-        stats = MigrationStats(
-            source_arch=process.arch.name,
-            dest_arch=dest_arch.name,
-            n_frames=len(process.frames),
-        )
-        dest = waiting if waiting is not None else Process(
-            process.program, dest_arch, name=dest_name or f"{process.name}'"
+        if precopy and precopy_policy is None:
+            from repro.migration.precopy import PrecopyPolicy
+
+            precopy_policy = PrecopyPolicy()
+        run = _Run(
+            source=process,
+            dest=waiting if waiting is not None else Process(
+                process.program, dest_arch, name=dest_name or f"{process.name}'"
+            ),
+            channel=channel,
+            channel_factory=channel_factory,
+            streaming=streaming,
+            chunk_size=chunk_size,
+            compress=compress,
+            policy=retry or RetryPolicy(max_attempts=1),
+            precopy_policy=precopy_policy if precopy else None,
+            # adopt_trace chains this migration into a prior hop's trace:
+            # the observation's root is parented under the span the context
+            # names, so an A→B→C chain merges into one connected tree
+            # (DESIGN §11)
+            obs=MigrationObservation(
+                attribution=attribution,
+                adopt_from=(
+                    (adopt_trace.trace_id, adopt_trace.parent_span_id)
+                    if adopt_trace is not None
+                    else None
+                ),
+            ),
         )
         if checkpoint_path is not None:
             # belt-and-braces: even a crash of *this* host mid-migration
@@ -463,565 +994,12 @@ class MigrationEngine:
             from repro.migration.checkpoint import checkpoint_to_file
 
             checkpoint_to_file(process, checkpoint_path)
-
-        policy = retry or RetryPolicy(max_attempts=1)
-        use_streaming = streaming
-        failed_streaming = 0
-        scratch: Optional[Process] = None
-        # adopt_trace chains this migration into a prior hop's trace: the
-        # observation's root is parented under the span the context names,
-        # so an A→B→C chain merges into one connected tree (DESIGN §11)
-        obs_ = MigrationObservation(
-            attribution=attribution,
-            event_capacity=event_capacity,
-            adopt_from=(
-                (adopt_trace.trace_id, adopt_trace.parent_span_id)
-                if adopt_trace is not None
-                else None
-            ),
-        )
-        stats.obs = obs_
-        # per-migration lookup-cost deltas (the tables' counters are
-        # cumulative over the process/program lifetime)
-        msrlt0 = (process.msrlt.n_searches, process.msrlt.n_cache_hits,
-                  process.msrlt.n_registrations)
-        ti_tables = {id(process.ti): process.ti}
-        ti0 = {tid: (t.n_info_hits, t.n_info_misses)
-               for tid, t in ti_tables.items()}
-        with obs_.activate():
-            obs.event(
-                "migration_begin",
-                source_arch=stats.source_arch,
-                dest_arch=stats.dest_arch,
-                streaming=bool(streaming),
-                compress=bool(compress),
-                precopy=bool(precopy),
-            )
-
-            pre_state = None
-            if precopy:
-                from repro.migration.precopy import (
-                    PrecopyPolicy,
-                    PrecopySourceExitedError,
-                    run_precopy,
-                )
-
-                pp = precopy_policy or PrecopyPolicy()
-                ch0 = channel_factory() if channel_factory is not None else channel
-                if policy.attempt_timeout_s is not None and hasattr(
-                    ch0, "set_deadline"
-                ):
-                    ch0.set_deadline(policy.attempt_timeout_s)
-                pre_scratch = Process(
-                    process.program, dest_arch, name=dest.name
-                )
-                if id(pre_scratch.ti) not in ti_tables:
-                    ti_tables[id(pre_scratch.ti)] = pre_scratch.ti
-                    ti0[id(pre_scratch.ti)] = (pre_scratch.ti.n_info_hits,
-                                               pre_scratch.ti.n_info_misses)
-                try:
-                    with obs_.tracer.span("precopy"):
-                        if obs_.attribution is not None:
-                            # delta-round collect/restore cost must not
-                            # lump into the final attempt's partition
-                            with obs_.attribution.scoped("precopy"):
-                                pre_state = run_precopy(
-                                    process, pre_scratch, ch0, pp, stats,
-                                    chunk_size,
-                                )
-                        else:
-                            pre_state = run_precopy(
-                                process, pre_scratch, ch0, pp, stats,
-                                chunk_size,
-                            )
-                except PrecopySourceExitedError:
-                    # the source finished on its own; there is no process
-                    # left to migrate and no plain path to degrade to
-                    self._finish_observation(
-                        obs_, stats, process, ti_tables, msrlt0, ti0,
-                        scratch=None,
-                    )
-                    raise
-                except RETRYABLE_ERRORS as exc:
-                    # degrade: forget the half-built scratch and run the
-                    # ordinary stop-and-copy from the source's current
-                    # poll-point (the slices it executed are real progress)
-                    stats.precopy_degraded = True
-                    pre_state = None
-                    process.msrlt.drop_stack_blocks()
-                    obs.inc("engine.precopy_degraded")
-                    obs.event(
-                        "precopy_degraded",
-                        error_type=type(exc).__name__,
-                        error=str(exc),
-                    )
-
-            for attempt in range(policy.max_attempts):
-                ch = channel_factory() if channel_factory is not None else channel
-                if attempt > 0 and channel_factory is None and hasattr(ch, "reset"):
-                    ch.reset()
-                if policy.attempt_timeout_s is not None and hasattr(ch, "set_deadline"):
-                    ch.set_deadline(policy.attempt_timeout_s)
-                sent_before = ch.accepted_bytes
-                # transactional restore: build the new process off to the side
-                # and only graft it onto *dest* once everything validated.
-                # A surviving pre-copy hands over its pre-warmed scratch and
-                # the cached set the final collector elides.
-                use_pre = pre_state is not None
-                if use_pre:
-                    from repro.msr.delta import (
-                        PrecopyFinalCollector,
-                        PrecopyFinalRestorer,
-                    )
-
-                    scratch = pre_state.scratch
-                    coll_f = partial(
-                        PrecopyFinalCollector, cached=pre_state.cached
-                    )
-                    rest_f = PrecopyFinalRestorer
-                else:
-                    scratch = Process(process.program, dest_arch, name=dest.name)
-                    coll_f = Collector
-                    rest_f = Restorer
-                if id(scratch.ti) not in ti_tables:
-                    ti_tables[id(scratch.ti)] = scratch.ti
-                    ti0[id(scratch.ti)] = (scratch.ti.n_info_hits,
-                                           scratch.ti.n_info_misses)
-                obs.event(
-                    "attempt_begin", attempt=attempt + 1,
-                    streaming=use_streaming, precopy_final=use_pre,
-                )
-                try:
-                    with obs_.tracer.span("attempt", n=attempt + 1):
-                        # the context names the attempt span as the remote
-                        # parent: the restore side joins *this* attempt
-                        ctx = propagate.outbound_context(attempt=attempt + 1)
-                        if use_streaming:
-                            self._migrate_streaming(
-                                process, scratch, ch, chunk_size, stats,
-                                compress, ctx, coll_f, rest_f,
-                            )
-                        else:
-                            self._migrate_monolithic(
-                                process, scratch, ch, stats, compress, ctx,
-                                coll_f, rest_f,
-                            )
-                except RETRYABLE_ERRORS as exc:
-                    stats.attempts = attempt + 1
-                    stats.retries = attempt
-                    aborted = ch.accepted_bytes - sent_before
-                    stats.aborted_bytes += aborted
-                    obs.inc("engine.aborted_bytes", aborted)
-                    obs.event(
-                        "attempt_fail",
-                        attempt=attempt + 1,
-                        error_type=type(exc).__name__,
-                        error=str(exc),
-                    )
-                    # a half-driven collection leaves stack blocks registered;
-                    # drop them so the source stays cleanly runnable and the
-                    # next attempt re-registers from scratch
-                    process.msrlt.drop_stack_blocks()
-                    if use_pre:
-                        # the pre-warmed scratch is half-mutated by the failed
-                        # final pass; discard it and retry with a plain full
-                        # stop-and-copy
-                        stats.precopy_degraded = True
-                        pre_state = None
-                        obs.inc("engine.precopy_degraded")
-                        obs.event(
-                            "precopy_degraded",
-                            error_type=type(exc).__name__,
-                            error=str(exc),
-                        )
-                    if use_streaming:
-                        failed_streaming += 1
-                        if (
-                            policy.degrade_after is not None
-                            and failed_streaming >= policy.degrade_after
-                        ):
-                            use_streaming = False
-                            stats.degraded = True
-                            obs.inc("engine.degraded")
-                            obs.event(
-                                "degraded",
-                                after_failed_attempts=failed_streaming,
-                            )
-                    if attempt + 1 >= policy.max_attempts:
-                        self._finish_observation(
-                            obs_, stats, process, ti_tables, msrlt0, ti0,
-                            scratch=None,
-                        )
-                        raise MigrationAbortedError(
-                            f"migration aborted after {attempt + 1} attempt(s); "
-                            f"source still runnable, destination untouched "
-                            f"(last error: {exc})",
-                            attempts=attempt + 1,
-                            last_error=exc,
-                        ) from exc
-                    delay = policy.backoff_for(attempt)
-                    stats.time_in_backoff += delay
-                    obs.event(
-                        "backoff", attempt=attempt + 1, delay_s=round(delay, 9)
-                    )
-                    if delay > 0:
-                        policy.sleep(delay)
-                    continue
-                stats.attempts = attempt + 1
-                stats.retries = attempt
-                break
-
-            if compress:
-                # *all* attempts' deflate + inflate seconds, read off the
-                # span tree — the per-attempt channel-ledger delta used to
-                # lose an aborted attempt's codec time to the reset() fold
-                stats.codec_time = obs_.tracer.total_prefix("codec.")
-            if pre_state is not None:
-                # the successful final pass rode on the pre-copy: what the
-                # user experienced as downtime is only that final phase
-                stats.precopy = True
-                stats.precopy_downtime_s = stats.response_time
-                obs.record(
-                    "precopy.downtime_seconds",
-                    stats.precopy_downtime_s,
-                    derived=True,
-                )
-            obs.event(
-                "migration_end",
-                collect_s=round(stats.collect_time, 9),
-                tx_s=round(stats.tx_time, 9),
-                restore_s=round(stats.restore_time, 9),
-                attempts=stats.attempts,
-            )
-            self._finish_observation(
-                obs_, stats, process, ti_tables, msrlt0, ti0, scratch=scratch
-            )
-
-        self._adopt(dest, scratch)
-        if precopy:
-            # pre-copy slices ran the source past output it had not yet
-            # produced when migrate() was called; carry that output over so
-            # the destination's stream is the complete program output
-            dest._stdout[:0] = list(process._stdout)
-        # the migrating process terminates after successful transmission
-        process.frames.clear()
-        process.exited = True
-        process.migration_pending = False
-        return dest, stats
-
-    @staticmethod
-    def _finish_observation(
-        obs_, stats, process, ti_tables, msrlt0, ti0, scratch
-    ) -> None:
-        """Fold the migration's outcome counters and the lookup-table
-        deltas into the metrics registry, then close the span tree."""
-        m = obs_.metrics
-        m.inc("engine.attempts", stats.attempts)
-        m.inc("engine.retries", stats.retries)
-        m.inc("engine.payload_bytes", stats.payload_bytes)
-        m.inc("engine.blocks", stats.n_blocks)
-        if stats.streamed:
-            m.inc("engine.chunks", stats.n_chunks)
-        if stats.compressed:
-            m.inc(
-                "codec.bytes_saved",
-                max(stats.payload_bytes - stats.compressed_bytes, 0),
-            )
-        searches = process.msrlt.n_searches - msrlt0[0]
-        hits = process.msrlt.n_cache_hits - msrlt0[1]
-        regs = process.msrlt.n_registrations - msrlt0[2]
-        if scratch is not None:
-            # the restored side's MSRLT was born for this migration
-            searches += scratch.msrlt.n_searches
-            hits += scratch.msrlt.n_cache_hits
-            regs += scratch.msrlt.n_registrations
-        m.inc("msrlt.searches", searches)
-        m.inc("msrlt.cache_hits", hits)
-        m.inc("msrlt.registrations", regs)
-        info_hits = info_misses = 0
-        for tid, table in ti_tables.items():
-            h0, m0 = ti0[tid]
-            info_hits += table.n_info_hits - h0
-            info_misses += table.n_info_misses - m0
-        m.inc("ti.info_hits", info_hits)
-        m.inc("ti.info_misses", info_misses)
-        if obs_.events.dropped:
-            m.inc("events.dropped", obs_.events.dropped)
-        # latency distributions for the fleet roll-up: one observation
-        # per attempt span, plus whole-migration totals on success —
-        # downtime is the stop-and-copy pause under pre-copy, the whole
-        # response time otherwise (the scheduler merges these snapshots,
-        # which is where p50/p99 across migrations comes from)
-        for _path, sp in obs_.tracer.iter_spans():
-            if sp.name == "attempt":
-                m.observe("engine.attempt_seconds", sp.seconds)
-        if scratch is not None:
-            m.observe("engine.migration_seconds", stats.response_time)
-            m.observe(
-                "engine.downtime_seconds",
-                stats.precopy_downtime_s if stats.precopy
-                else stats.response_time,
-            )
-        # an aborted collection skips Collector.finish(); make sure no
-        # profiler reference outlives the migration it belonged to
-        process.msrlt.profiler = None
-        obs_.tracer.finish()
-
-    @staticmethod
-    def _adopt(dest: Process, scratch: Process) -> None:
-        """Graft the fully-restored scratch state onto the real
-        destination — the commit point of the transactional restore.
-        Everything else about *dest* (identity, image, layout, TI table)
-        is already correct because scratch shares its program and arch.
-        """
-        dest.memory = scratch.memory
-        dest.msrlt = scratch.msrlt
-        dest.frames = scratch.frames
-        dest._loaded = True
-        dest.exited = False
-        dest.exit_code = None
-
-    # -- the paper's serial discipline -------------------------------------
-
-    def _migrate_monolithic(
-        self, process, dest, channel, stats, compress=False, ctx=None,
-        collector_factory=Collector, restorer_factory=Restorer,
-    ) -> None:
-        with obs.span("collect") as timed:
-            payload, cinfo = collect_state(process, collector_factory)
-        stats.collect_time = timed.seconds
-        self._absorb_collect(stats, cinfo, len(payload))
-
-        wire_payload = payload
-        if compress:
-            with obs.lap("codec.deflate") as timed:
-                wire_payload = compress_payload(payload)
-            stats.codec_time = timed.seconds
-            stats.compressed = True
-            stats.compressed_bytes = len(wire_payload)
-            stats.compression_ratio = len(payload) / len(wire_payload)
-        envelope_len = len(wire_payload)
-        if ctx is not None:
-            # the trace context rides ahead of the envelope, inside the
-            # end-to-end CRC (a bit-flipped context is transit damage too)
-            wire_payload = ctx.to_frame() + wire_payload
-
-        crc = zlib.crc32(wire_payload)
-        stats.tx_time = channel.send(wire_payload)
-        if ctx is not None:
-            # the modeled Tx charges the paper's envelope, not the trace
-            # plumbing riding ahead of it
-            stats.tx_time = channel.link.transfer_time(envelope_len)
-        obs.record("tx", stats.tx_time, modeled=True)
-        received = channel.recv()
-        # the monolithic wire format carries no checksum (it predates the
-        # framed stream and must stay byte-identical), so integrity is
-        # verified end-to-end against the bytes the sender put on the wire
-        # (the compressed envelope carries its own raw-payload CRC too)
-        if len(received) != len(wire_payload) or zlib.crc32(received) != crc:
-            raise TransferError(
-                f"monolithic payload damaged in transit: sent "
-                f"{len(wire_payload)} bytes (crc {crc:#010x}), received "
-                f"{len(received)} bytes (crc {zlib.crc32(received):#010x})"
-            )
-        ctx_body, received = peel_context_frame(received)
-        rctx = (
-            propagate.TraceContext.from_bytes(ctx_body)
-            if ctx_body is not None
-            else None
-        )
-        if compress:
-            with obs.lap("codec.inflate") as timed:
-                received = expand_payload(received)
-            stats.codec_time += timed.seconds
-
-        with propagate.restore_site(rctx):
-            with obs.span("restore") as timed:
-                rinfo = self._validated_restore(
-                    process.program, ReadBuffer(received), dest, restorer_factory
-                )
-        stats.restore_time = timed.seconds
-        stats.restore = rinfo.stats
-
-    @staticmethod
-    def _validated_restore(program, rbuf, scratch, restorer_factory=Restorer) -> "RestoreInfo":
-        """Restore into the scratch process, converting any damage-induced
-        failure into a typed, retryable :class:`RestoreError` (channel and
-        frame errors already are typed — they pass through)."""
-        try:
-            return _restore_from(program, rbuf, scratch, restorer_factory)
-        except RETRYABLE_ERRORS:
-            raise
-        except Exception as exc:
-            raise RestoreError(
-                f"restore failed ({exc}); destination left untouched"
-            ) from exc
-
-    # -- the overlapped discipline -----------------------------------------
-
-    def _migrate_streaming(
-        self, process, dest, channel, chunk_size, stats, compress=False, ctx=None,
-        collector_factory=Collector, restorer_factory=Restorer,
-    ) -> None:
-        info_slot: list = []
-        collect_iter = _TimedIter(
-            collect_state_chunks(process, chunk_size, info_slot, collector_factory),
-            "collect",
-        )
-        if hasattr(channel, "compress_stream"):
-            channel.compress_stream = compress
-        rctx = None
-        if ctx is not None and hasattr(channel, "send_context"):
-            # the context opens the stream as a control frame (it consumes
-            # no chunk sequence number and no fault-plan send index), so
-            # the receive side can join the trace before the first chunk
-            channel.send_context(ctx.to_bytes())
-            body = channel.recv_context()
-            if body is not None:
-                rctx = propagate.TraceContext.from_bytes(body)
-        codec_before = getattr(channel, "total_codec_seconds", 0.0)
-        stored_before = getattr(channel, "stored_chunk_bytes", 0)
-
-        if getattr(channel, "concurrent_stream", False):
-            feed, producer, producer_error = self._threaded_feed(
-                channel, collect_iter
-            )
-        else:
-            feed, producer, producer_error = self._inline_feed(
-                channel, collect_iter
-            )
-
-        feed_timer = _TimedIter(feed, "feed")
-        with propagate.restore_site(rctx), obs.span("pipeline") as pipeline:
+        with run.obs.activate():
             try:
-                rinfo = self._validated_restore(
-                    process.program, StreamReadBuffer(feed_timer), dest,
-                    restorer_factory,
-                )
+                run.prepare()
+                run.precopy()
+                run.transfer()
+                run.adopt()
             finally:
-                if producer is not None:
-                    producer.join()
-        restore_wall = pipeline.seconds
-        if producer_error:
-            raise producer_error[0]
-
-        # feed time covers collection + channel hops; what is left of the
-        # restore driver's wall clock is pure restoration compute
-        stats.collect_time = collect_iter.seconds
-        stats.restore_time = max(restore_wall - feed_timer.seconds, 0.0)
-        stats.restore = rinfo.stats
-
-        cinfo = info_slot[0]
-        stats.streamed = True
-        stats.n_chunks = collect_iter.count
-        self._absorb_collect(stats, cinfo, cinfo.stats.wire_bytes)
-
-        wire_payload_bytes = stats.payload_bytes
-        if compress:
-            stats.compressed = True
-            stats.codec_time = (
-                getattr(channel, "total_codec_seconds", 0.0) - codec_before
-            )
-            stored = getattr(channel, "stored_chunk_bytes", 0) - stored_before
-            stats.compressed_bytes = stored or stats.payload_bytes
-            stats.compression_ratio = (
-                stats.payload_bytes / stats.compressed_bytes
-                if stats.compressed_bytes
-                else 1.0
-            )
-            wire_payload_bytes = stats.compressed_bytes
-
-        link = channel.link
-        framed_bytes = wire_payload_bytes + (stats.n_chunks + 1) * CHUNK_HEADER_SIZE
-        stats.tx_time = link.pipelined_transfer_time(framed_bytes, stats.n_chunks)
-        obs.record("tx", stats.tx_time, modeled=True)
-        obs.record("restore", stats.restore_time, derived=True)
-        stats.finish_pipeline(latency_s=link.latency_s)
-
-        # measured overlap: the producer thread's collection busy-time as
-        # a fraction of the pipeline wall clock.  The same-thread
-        # generator pipeline interleaves but cannot overlap wall-clock,
-        # so it honestly reports 0.0.
-        occupancy = 0.0
-        if producer is not None and restore_wall > 0:
-            occupancy = min(collect_iter.seconds / restore_wall, 1.0)
-        stats.pipeline_occupancy = occupancy
-        obs.event(
-            "pipeline",
-            wall_s=round(restore_wall, 9),
-            n_chunks=stats.n_chunks,
-            occupancy=round(occupancy, 9),
-            # the link latency is paid once, by the first frame; the
-            # critical-path analyzer needs it to place the fill bubble
-            latency_s=round(link.latency_s, 9),
-        )
-
-    @staticmethod
-    def _inline_feed(channel, collect_iter):
-        """Same-thread pipeline: the restorer's pull for the next chunk
-        collects it, sends it, and receives it — chunk-granular
-        interleaving of all three stages on one thread."""
-
-        def feed():
-            for chunk in collect_iter:
-                channel.send_chunk(chunk)
-                obs.event(
-                    "chunk",
-                    seq=collect_iter.count - 1,
-                    collect_busy_s=round(collect_iter.last_seconds, 9),
-                )
-                yield channel.recv_chunk()
-            channel.end_stream()
-            if channel.recv_chunk() is not None:  # pragma: no cover
-                raise MigrationError("stream terminator was not last on channel")
-
-        return feed(), None, []
-
-    @staticmethod
-    def _threaded_feed(channel, collect_iter):
-        """Producer/consumer pipeline for channels whose chunk writes
-        block until drained (the socket): collection + send run in a
-        producer thread while the caller restores from ``iter_chunks``.
-
-        The producer thread does not inherit the spawning context's
-        ContextVars, so the engine's observation is re-activated inside
-        it explicitly, rooting the thread's spans (the ``collect`` laps)
-        under the attempt span that spawned it.
-        """
-        error: list = []
-        obs_ = obs.current()
-        parent = obs_.tracer.current() if obs_ is not None else None
-
-        def pump():
-            for chunk in collect_iter:
-                channel.send_chunk(chunk)
-                obs.event(
-                    "chunk",
-                    seq=collect_iter.count - 1,
-                    collect_busy_s=round(collect_iter.last_seconds, 9),
-                )
-            channel.end_stream()
-
-        def produce():
-            try:
-                if obs_ is not None:
-                    with obs_.activate_in_thread(parent):
-                        pump()
-                else:
-                    pump()
-            except BaseException as exc:  # noqa: BLE001 - repropagated by caller
-                error.append(exc)
-                # unblock the consumer: an aborted tx side turns its next
-                # read into a typed TruncatedFrameError
-                channel.abort_stream()
-
-        producer = threading.Thread(target=produce, name="migration-collector")
-        producer.start()
-        return channel.iter_chunks(), producer, error
-
-    @staticmethod
-    def _absorb_collect(stats, cinfo, payload_bytes: int) -> None:
-        stats.collect = cinfo.stats
-        stats.payload_bytes = payload_bytes
-        stats.data_bytes = cinfo.stats.data_bytes
-        stats.n_blocks = cinfo.stats.n_blocks
+                run.finish()
+        return run.dest, run.stats

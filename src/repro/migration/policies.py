@@ -192,11 +192,7 @@ class LoadBalancer:
                         self.metrics.observe(
                             "balancer.migration_seconds", stats.response_time
                         )
-                        self.metrics.observe(
-                            "balancer.downtime_seconds",
-                            stats.precopy_downtime_s if stats.precopy
-                            else stats.response_time,
-                        )
+                        self.metrics.observe("balancer.downtime_seconds", stats.downtime)
                     self._procs[i] = new_proc
                     self._placement.pop(id(proc), None)
                     self._placement[id(new_proc)] = dest

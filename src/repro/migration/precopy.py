@@ -31,17 +31,16 @@ migrate — and surfaces as :class:`PrecopySourceExitedError`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro import obs
 # engine does NOT import this module at load time (migrate() imports it
 # lazily), so importing the engine names directly here is acyclic
 from repro.migration.engine import (
-    RETRYABLE_ERRORS,
     MigrationError,
-    RestoreError,
+    collect_errors,
     collect_state,
+    restore_errors,
     restore_state,
 )
 from repro.msr.delta import apply_round, build_round
@@ -75,20 +74,16 @@ class PrecopyPolicy:
             raise ValueError("slice_polls must be >= 1")
 
 
+@dataclass(frozen=True)
 class PrecopyState:
     """What a completed pre-copy phase hands the stop-and-copy attempt."""
 
-    __slots__ = ("scratch", "cached", "rounds")
-
-    def __init__(self, scratch, cached: frozenset, rounds: int) -> None:
-        #: the pre-warmed destination process (frames cleared, stack
-        #: pointer reset — ready for the ordinary restore path)
-        self.scratch = scratch
-        #: logical ids whose destination contents are byte-fresh; the
-        #: final collector elides them as TAG_CACHED stubs
-        self.cached = cached
-        #: delta rounds shipped (snapshot round included)
-        self.rounds = rounds
+    #: the pre-warmed destination process (frames cleared, stack
+    #: pointer reset — ready for the ordinary restore path)
+    scratch: object
+    #: logical ids whose destination contents are byte-fresh; the
+    #: final collector elides them as TAG_CACHED stubs
+    cached: frozenset
 
 
 class PrecopySourceExitedError(MigrationError):
@@ -98,42 +93,17 @@ class PrecopySourceExitedError(MigrationError):
 
 def _ship_round(channel, payload, chunk_size: int) -> tuple[bytes, int]:
     """Send *payload* as a train of MDLT frames and receive it back on
-    the far side; returns ``(received_payload, n_frames)``.
-
-    On channels whose frame writes block until drained (the socket), the
-    send side runs in a short-lived producer thread while this thread
-    consumes — the same discipline as the streaming chunk pipeline.
-    """
+    the far side; returns ``(received_payload, n_frames)``."""
     mv = memoryview(payload)
-    n_frames = max((len(mv) + chunk_size - 1) // chunk_size, 1)
 
     def send_all() -> None:
         for start in range(0, len(mv), chunk_size):
             channel.send_delta(mv[start : start + chunk_size])
         channel.end_delta_round()
 
-    producer = None
-    error: list = []
-    if getattr(channel, "concurrent_stream", False):
-        def produce() -> None:
-            try:
-                send_all()
-            except BaseException as exc:  # noqa: BLE001 - repropagated below
-                error.append(exc)
-                channel.abort_stream()
-
-        producer = threading.Thread(target=produce, name="precopy-round")
-        producer.start()
-    else:
-        send_all()
-    try:
+    with channel.feeding(send_all, "precopy-round"):
         received = b"".join(channel.iter_delta_round())
-    finally:
-        if producer is not None:
-            producer.join()
-    if error:
-        raise error[0]
-    return received, n_frames
+    return received, max((len(mv) + chunk_size - 1) // chunk_size, 1)
 
 
 def run_precopy(
@@ -158,23 +128,31 @@ def run_precopy(
         raise MigrationError("pre-copy is already active on this process")
     link = channel.link
 
-    def account(payload_len: int, n_frames: int, round_no: int,
-                n_dirty: int, n_deferred: int, n_freed: int) -> None:
-        framed = payload_len + (n_frames + 1) * CHUNK_HEADER_SIZE
-        tx = link.pipelined_transfer_time(framed, n_frames)
+    def ship(round_no: int, payload, **counts) -> None:
+        """Transmit one round, land what arrives on the scratch (round 0
+        is a full snapshot, every later one a delta), and book it."""
+        received, n_frames = _ship_round(channel, payload, chunk_size)
+        with obs.lap("precopy.restore") as timed, restore_errors(
+            f"pre-copy round {round_no}"
+        ):
+            if round_no == 0:
+                restore_state(process.program, received, scratch)
+            else:
+                apply_round(scratch, received, round_no)
+        stats.precopy_codec_time += timed.seconds
+        # a round's frames go back to back: the link latency is paid once
+        tx = link.transfer_time(len(payload) + (n_frames + 1) * CHUNK_HEADER_SIZE)
         stats.precopy_tx_time += tx
-        stats.precopy_bytes += payload_len
-        stats.precopy_round_bytes.append(payload_len)
+        stats.precopy_bytes += len(payload)
+        stats.precopy_round_bytes.append(len(payload))
         obs.record("precopy.tx", tx, modeled=True, round=round_no)
-        obs.inc("precopy.bytes", payload_len)
+        obs.inc("precopy.bytes", len(payload))
         obs.event(
             "precopy_round",
             round=round_no,
-            bytes=payload_len,
+            bytes=len(payload),
             tx_s=round(tx, 9),
-            dirty_blocks=n_dirty,
-            deferred=n_deferred,
-            freed=n_freed,
+            **counts,
         )
 
     obs.event(
@@ -186,21 +164,10 @@ def run_precopy(
 
     # -- round 0: the full snapshot ----------------------------------------
     with obs.span("precopy.round", n=0):
-        with obs.lap("precopy.collect") as timed:
+        with obs.lap("precopy.collect") as timed, collect_errors():
             payload, cinfo = collect_state(process)
         stats.precopy_codec_time += timed.seconds
-        received, n_frames = _ship_round(channel, payload, chunk_size)
-        with obs.lap("precopy.restore") as timed:
-            try:
-                restore_state(process.program, received, scratch)
-            except RETRYABLE_ERRORS:
-                raise
-            except Exception as exc:
-                raise RestoreError(
-                    f"pre-copy snapshot restore failed ({exc})"
-                ) from exc
-        stats.precopy_codec_time += timed.seconds
-        account(len(payload), n_frames, 0, cinfo.stats.n_blocks, 0, 0)
+        ship(0, payload, dirty_blocks=cinfo.stats.n_blocks, deferred=0, freed=0)
 
     # the scratch's MSRLT is the ledger of what the destination holds
     # (stack registrations were already dropped by the restore)
@@ -250,11 +217,13 @@ def run_precopy(
                 # destination does not keep blocks the source let go.
                 if freed:
                     rounds += 1
-                    rr = build_round(process, rounds, freed, [], [])
-                    received, n_frames = _ship_round(channel, rr.payload, chunk_size)
-                    _apply(scratch, received, rounds)
+                    with obs.span("precopy.round", n=rounds):
+                        rr = build_round(process, rounds, freed, [], [])
+                        ship(
+                            rounds, rr.payload,
+                            dirty_blocks=0, deferred=0, freed=len(freed),
+                        )
                     shipped.difference_update(freed)
-                    account(len(rr.payload), n_frames, rounds, 0, 0, len(freed))
                 break
 
             # -- ship one delta round --------------------------------------
@@ -267,13 +236,9 @@ def run_precopy(
                         known=known,
                     )
                 stats.precopy_codec_time += timed.seconds
-                received, n_frames = _ship_round(channel, rr.payload, chunk_size)
-                with obs.lap("precopy.restore") as timed:
-                    _apply(scratch, received, rounds)
-                stats.precopy_codec_time += timed.seconds
-                account(
-                    len(rr.payload), n_frames, rounds,
-                    len(dirty), len(rr.deferred), len(freed),
+                ship(
+                    rounds, rr.payload, dirty_blocks=len(dirty),
+                    deferred=len(rr.deferred), freed=len(freed),
                 )
             shipped.difference_update(freed)
             shipped.update(b.logical for b in new)
@@ -304,17 +269,4 @@ def run_precopy(
         cached_blocks=len(cached),
         bytes=stats.precopy_bytes,
     )
-    return PrecopyState(scratch=scratch, cached=cached, rounds=rounds + 1)
-
-
-def _apply(scratch, payload: bytes, round_no: int) -> None:
-    """Apply one received round, mapping failures into the engine's
-    retryable error family (mirrors ``_validated_restore``)."""
-    try:
-        apply_round(scratch, payload, round_no)
-    except RETRYABLE_ERRORS:
-        raise
-    except Exception as exc:
-        raise RestoreError(
-            f"delta round {round_no} failed ({exc}); pre-copy abandoned"
-        ) from exc
+    return PrecopyState(scratch=scratch, cached=cached)

@@ -193,11 +193,7 @@ class Scheduler:
                 self.metrics.observe(
                     "scheduler.migration_seconds", stats.response_time
                 )
-                self.metrics.observe(
-                    "scheduler.downtime_seconds",
-                    stats.precopy_downtime_s if stats.precopy
-                    else stats.response_time,
-                )
+                self.metrics.observe("scheduler.downtime_seconds", stats.downtime)
             # re-home bookkeeping and re-arm remaining requests
             self._requests[id(new_proc)] = self._requests.pop(id(current), [])
             self._homes.pop(id(current), None)

@@ -38,8 +38,9 @@ def pipelined_response_time(
     """Modeled response time of a 3-stage chunked pipeline.
 
     *collect_time*, *tx_time*, *restore_time* are whole-stage totals
-    (*tx_time* already latency-amortized, see
-    :meth:`Link.pipelined_transfer_time`); chunks are assumed uniform,
+    (*tx_time* already latency-amortized: the engine charges
+    ``Link.transfer_time`` of the whole framed train, so the latency is
+    in it once); chunks are assumed uniform,
     so per-chunk stage times are ``total / n_chunks``.  The standard
     pipeline model:
 
@@ -151,6 +152,13 @@ class MigrationStats:
         """What the user waits: the pipelined time when streamed, the
         serial sum otherwise."""
         return self.pipeline_time if self.streamed else self.migration_time
+
+    @property
+    def downtime(self) -> float:
+        """How long the program was stopped: the final stop-and-copy
+        pause when the migration rode on a pre-copy, else the whole
+        response time."""
+        return self.precopy_downtime_s if self.precopy else self.response_time
 
     def finish_pipeline(self, latency_s: float = 0.0) -> None:
         """Derive :attr:`pipeline_time` / :attr:`overlap_ratio` from the

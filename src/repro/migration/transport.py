@@ -14,16 +14,16 @@ clock — only the wire is modeled (see DESIGN.md §2).
 Streaming
 ---------
 
-All three channels additionally speak *chunk frames* (see
+Every channel (:class:`BaseChannel`) additionally speaks *frames* (see
 :mod:`repro.msr.wire`): ``send_chunk`` frames and enqueues one payload
 chunk, ``end_stream`` sends the terminator, and ``recv_chunk`` /
-``iter_chunks`` validate and unwrap on the far side.  A chunked stream
-sent back-to-back keeps the wire busy, so its modeled transfer time
-amortizes the link latency across the train
-(:meth:`Link.pipelined_transfer_time`) instead of paying it per chunk —
-and, more importantly, lets the engine overlap transfer with collection
-and restoration (the pipeline model lives in
-:mod:`repro.migration.stats`).
+``iter_chunks`` validate and unwrap on the far side; ``send_delta`` /
+``end_delta_round`` / ``iter_delta_round`` do the same for pre-copy
+rounds, and ``send_context`` / ``recv_context`` carry the trace context.
+A stream sent back-to-back keeps the wire busy, so the engine charges
+the link latency once per train (``Link.transfer_time`` of the framed
+bytes) and overlaps transfer with collection and restoration (the
+pipeline model lives in :mod:`repro.migration.stats`).
 
 Failure
 -------
@@ -37,33 +37,43 @@ Transport failure is a first-class, *typed* event (DESIGN.md §7):
 - :class:`FaultyChannel` wraps any channel and deterministically injects
   drops, truncations, bit-flips, stalls, and disconnects at chosen send
   indices per a :class:`FaultPlan`, so every failure scenario is
-  reproducible (CLI: ``repro migrate --fault``).
+  reproducible (CLI: ``repro migrate --fault``).  Which sends have an
+  index is decided by frame type, in one place
+  (:func:`repro.msr.wire.is_data_frame`): whole messages and data chunks
+  count, trace-context and pre-copy delta frames do not.
 """
 
 from __future__ import annotations
 
+import pathlib
 import random
+import socket
 import struct
+import threading
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from repro import obs
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
-    CONTEXT_MAGIC_BYTES,
+    FRAME_MAGICS,
     ChunkDecoder,
     DeltaDecoder,
+    FrameCorruptError,
     decode_context_frame,
     encode_chunk_parts,
     encode_context_frame,
     encode_delta_end,
     encode_delta_parts,
     encode_end_of_stream,
+    is_data_frame,
     TruncatedFrameError,
 )
 
 __all__ = [
     "Link",
+    "BaseChannel",
     "Channel",
     "FileChannel",
     "SocketChannel",
@@ -104,28 +114,9 @@ class Link:
     latency_s: float = 0.001
 
     def transfer_time(self, nbytes: int) -> float:
-        """Modeled one-way transfer time for *nbytes* of payload."""
-        return self.latency_s + (nbytes * 8.0) / self.bandwidth_bps
-
-    def pipelined_transfer_time(self, nbytes: int, n_chunks: int) -> float:
-        """Modeled transfer time for *nbytes* streamed as *n_chunks*
-        back-to-back frames.
-
-        The sender keeps the pipe full, so the propagation latency is
-        paid once — by the first frame filling the pipe — and every
-        later frame rides directly behind it:
-
-            latency + nbytes·8 / bandwidth
-
-        and **not** the naive per-chunk sum
-        ``n_chunks · (latency + chunk_bits/bandwidth)``, which would
-        charge the fill cost *n_chunks* times.  (*n_chunks* is accepted
-        for the signature's honesty — a zero-chunk stream still pays
-        nothing but latency — and for subclass models that do charge a
-        small per-frame cost.)
-        """
-        if n_chunks <= 1:
-            return self.transfer_time(nbytes)
+        """Modeled one-way transfer time for *nbytes* sent back to back
+        (one message, or a train of frames that keeps the pipe full: the
+        propagation latency is paid once, by the first byte)."""
         return self.latency_s + (nbytes * 8.0) / self.bandwidth_bps
 
 
@@ -137,70 +128,115 @@ GIGABIT = Link("gigabit", 1e9, latency_s=0.0005)
 LOOPBACK = Link("loopback", 1e12, latency_s=0.0)
 
 
-class _ChunkStreamMixin:
-    """Framed-chunk streaming on top of a channel's ``send``/``recv``.
+class _FrameStream:
+    """One framed stream riding a channel: the sender's sequence number,
+    the receiver's decoder, and what was sent.  Every channel carries
+    two — data chunks and pre-copy delta rounds — that differ only in
+    their codec functions."""
 
-    The default implementation rides the channel's whole-message
-    primitives: a frame is just one more message on the wire.  Channels
-    with a genuinely different streaming data path (the socket) override
-    ``send_chunk``/``recv_chunk`` but keep the same accounting.
+    def __init__(self, channel, metric, encode, encode_end, decoder) -> None:
+        self._channel = channel
+        self._metric = metric
+        self._encode = encode
+        self._encode_end = encode_end
+        self._decoder_type = decoder
+        #: frames sent, terminators excluded
+        self.frames_sent = 0
+        #: their framed bytes, terminators included
+        self.bytes_sent = 0
+        self.reset()
 
-    ``concurrent_stream`` tells the engine whether this channel needs a
-    producer thread (the stream blocks until someone consumes it) or can
-    be driven by a same-thread generator.
+    def reset(self) -> None:
+        """Abandon a half-spoken stream; the counters are cumulative."""
+        self._seq = 0
+        self._decoder = self._decoder_type()
+
+    def send(self, payload) -> float:
+        """Frame and transmit one payload (any buffer-protocol object —
+        the body is only joined to its header where the transport needs
+        one contiguous buffer); returns the modeled per-frame wire time."""
+        header, body = self._encode(self._seq, payload)
+        frame_len = len(header) + len(body)
+        self._seq += 1
+        self.frames_sent += 1
+        self._count(frame_len)
+        obs.inc(self._metric)
+        obs.inc("wire.framed_bytes_sent", frame_len)
+        return self._channel._send_frame_parts(header, body)
+
+    def end(self) -> float:
+        """Transmit the terminator and rewind the sender sequence so the
+        channel can carry another stream of this kind."""
+        frame = self._encode_end(self._seq)
+        self._seq = 0
+        self._count(len(frame))
+        return self._channel._send_frame(frame)
+
+    def _count(self, frame_len: int) -> None:
+        self.bytes_sent += frame_len
+        self._channel.framed_bytes_sent += frame_len
+
+    def recv(self):
+        """Receive, validate, and unwrap the next payload; ``None`` at the
+        terminator (the receiver state resets for the next stream).
+        Raises the typed :class:`~repro.msr.wire.WireFrameError` family
+        on damage."""
+        payload = self._decoder.decode(self._channel._recv_frame())
+        if payload is None:
+            self._decoder = self._decoder_type()
+        return payload
+
+
+class BaseChannel:
+    """What every channel is: whole messages (``send``/``recv``) over one
+    :class:`Link`, framed streams on top of them, and the lifecycle the
+    engine drives (``reset``, ``set_deadline``, ``abort_stream``,
+    ``close``).
+
+    A subclass supplies ``_deliver`` (put one message on its wire),
+    ``recv`` and ``pending``.  By default a frame is just one more
+    message; channels with a genuinely different streaming data path
+    (the socket) override ``_send_frame``/``_send_frame_parts``/
+    ``_recv_frame`` but keep the same accounting.
+
+    ``concurrent_stream`` says whether a stream's send side must run in
+    a producer thread (frame writes block until someone consumes them)
+    or can share the consumer's thread — :meth:`feeding` acts on it.
     """
 
     concurrent_stream = False
 
-    def _init_stream_state(self) -> None:
-        self._send_seq = 0
-        self._decoder = ChunkDecoder()
-        self.chunks_sent = 0
+    def __init__(self, link: Link, deadline: float | None = None) -> None:
+        self.link = link
+        self.bytes_sent = 0
+        self.messages_sent = 0
+        #: bytes of every frame built here, of every kind
         self.framed_bytes_sent = 0
-        #: stored (possibly compressed) chunk payload bytes, headers excluded
-        self.stored_chunk_bytes = 0
         #: opt-in per-chunk zlib compression (``migrate(..., compress=True)``)
         self.compress_stream = False
-        #: seconds spent compressing + decompressing chunk payloads
-        self.codec_seconds = 0.0
         self.deadline: float | None = None
-        #: latest trace-context body seen by the receive side (stashed
-        #: by ``recv_chunk`` when a control frame rides ahead of data)
-        self.received_context: bytes | None = None
-        # one frame read ahead of the chunk stream by recv_context()
-        self._pending_frame: bytes | None = None
-        # pre-copy delta rounds: per-round sequence space (MDLT frames)
-        self._delta_seq = 0
-        self._delta_decoder = DeltaDecoder()
-        self.delta_frames_sent = 0
-        self.delta_bytes_sent = 0
+        self.chunks = _FrameStream(
+            self, "wire.chunks_sent", self._encode_chunk, encode_end_of_stream,
+            ChunkDecoder,
+        )
+        self.deltas = _FrameStream(
+            self, "wire.delta_frames_sent", encode_delta_parts, encode_delta_end,
+            DeltaDecoder,
+        )
+        if deadline is not None:
+            self.set_deadline(deadline)
 
-    def _reset_stream_protocol(self) -> None:
-        """Abandon any half-spoken stream (sequence numbers, decoder);
-        cumulative byte/chunk counters are preserved for accounting.
+    # -- whole messages ----------------------------------------------------
 
-        The dying decoder's unfolded inflate seconds are folded into the
-        channel ledger here — exactly once, because ``recv_chunk``'s
-        end-of-stream path replaced the decoder with a fresh one after
-        its own fold, so a reset after a *completed* stream folds a
-        zero.  :attr:`total_codec_seconds` is invariant across both
-        folds, which is what the accounting tests pin.
-        """
-        self._send_seq = 0
-        self.codec_seconds += self._decoder.codec_seconds
-        self._decoder = ChunkDecoder()
-        self.received_context = None
-        self._pending_frame = None
-        self._delta_seq = 0
-        self._delta_decoder = DeltaDecoder()
-
-    @property
-    def total_codec_seconds(self) -> float:
-        """Codec seconds including the live decoder's not-yet-folded
-        share — the fold-order-independent read the engine and the
-        accounting tests use (an aborted stream's inflate time is in
-        the decoder until ``reset()`` folds it)."""
-        return self.codec_seconds + self._decoder.codec_seconds
+    def send(self, payload: bytes | bytearray | memoryview) -> float:
+        """Transmit *payload* (any buffer-protocol object); returns the
+        modeled wire time in seconds."""
+        self._deliver(payload)
+        self.bytes_sent += len(payload)
+        self.messages_sent += 1
+        obs.inc("wire.messages_sent")
+        obs.inc("wire.bytes_sent", len(payload))
+        return self.link.transfer_time(len(payload))
 
     @property
     def accepted_bytes(self) -> int:
@@ -209,6 +245,15 @@ class _ChunkStreamMixin:
         ``send()``, so ``bytes_sent`` already holds them all
         (``framed_bytes_sent`` is the frames' share, not an addend)."""
         return self.bytes_sent
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def reset(self) -> None:
+        """Fresh-connection semantics for a retry: abandon any half-spoken
+        stream (subclasses also discard undelivered bytes); cumulative
+        byte/frame counters are preserved for accounting."""
+        self.chunks.reset()
+        self.deltas.reset()
 
     def set_deadline(self, seconds: float | None) -> None:
         """Install a recv deadline.  The modeled channels cannot block, so
@@ -221,162 +266,119 @@ class _ChunkStreamMixin:
         consumer fails with a typed error instead of hanging (no-op on
         channels whose reads never block)."""
 
-    def send_chunk(self, payload: bytes | bytearray | memoryview) -> float:
-        """Frame and transmit one chunk; returns the modeled per-frame
-        wire time (the engine amortizes latency across the whole train
-        via :meth:`Link.pipelined_transfer_time`).
+    def close(self) -> None:
+        """Release what the channel holds open (nothing, by default)."""
 
-        *payload* may be any buffer-protocol object — the streaming
-        engine hands over ``WriteBuffer.drain``'s ``memoryview``s and
-        the frame CRC/compression run over the view; the header/body
-        pair only gets joined where the underlying transport needs one
-        contiguous buffer (see :meth:`_send_frame_parts`)."""
-        if self.compress_stream:
-            with obs.lap("codec.deflate") as timed:
-                header, body = encode_chunk_parts(
-                    self._send_seq, payload, compress=True
-                )
-            self.codec_seconds += timed.seconds
-        else:
-            header, body = encode_chunk_parts(self._send_seq, payload)
-        frame_len = len(header) + len(body)
-        self._send_seq += 1
-        self.chunks_sent += 1
-        self.framed_bytes_sent += frame_len
-        self.stored_chunk_bytes += frame_len - CHUNK_HEADER_SIZE
-        obs.inc("wire.chunks_sent")
-        obs.inc("wire.framed_bytes_sent", frame_len)
-        return self._send_frame_parts(header, body)
+    @contextmanager
+    def feeding(self, send_all, thread_name: str):
+        """Run *send_all* — the whole send side of one stream — for the
+        consumer in the ``with`` block: up front on a channel whose
+        writes never block, else in a producer thread (*thread_name*)
+        that the block's exit joins.
+
+        The thread does not inherit the caller's ContextVars, so the
+        active observation is re-activated inside it, rooting its spans
+        under the span that spawned it.  Whatever *send_all* raises there
+        is re-raised here (ahead of the consumer's own error, which it
+        caused: the aborted send side turns the consumer's next read into
+        a typed :class:`~repro.msr.wire.TruncatedFrameError`)."""
+        if not self.concurrent_stream:
+            send_all()
+            yield
+            return
+        error: list = []
+        obs_ = obs.current()
+        scope = nullcontext()
+        if obs_ is not None:
+            scope = obs_.activate_in_thread(obs_.tracer.current())
+
+        def produce() -> None:
+            try:
+                with scope:
+                    send_all()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the consumer
+                error.append(exc)
+                self.abort_stream()
+
+        producer = threading.Thread(target=produce, name=thread_name)
+        producer.start()
+        try:
+            yield
+        finally:
+            producer.join()
+            if error:
+                raise error[0]
+
+    # -- data chunks ('MCHK'/'MCHZ') ---------------------------------------
+
+    def _encode_chunk(self, seq: int, payload):
+        if not self.compress_stream:
+            return encode_chunk_parts(seq, payload)
+        with obs.lap("codec.deflate"):
+            return encode_chunk_parts(seq, payload, compress=True)
+
+    def send_chunk(self, payload: bytes | bytearray | memoryview) -> float:
+        """Frame and transmit one chunk of the payload stream."""
+        return self.chunks.send(payload)
 
     def end_stream(self) -> float:
-        """Transmit the end-of-stream terminator and reset the sender
-        sequence so the channel can carry another stream."""
-        frame = encode_end_of_stream(self._send_seq)
-        self._send_seq = 0
-        self.framed_bytes_sent += len(frame)
-        return self._send_frame(frame)
-
-    # -- trace-context control frames --------------------------------------
-
-    def send_context(self, body: bytes) -> float:
-        """Ship a trace-context body as a control frame.
-
-        Control frames ride the same wire but are *not* data sends:
-        they consume no chunk sequence number and — crucially — no
-        fault-plan send index, so adding tracing to a migration never
-        shifts which data send a deterministic fault fires on.
-        """
-        frame = encode_context_frame(body)
-        self.framed_bytes_sent += len(frame)
-        obs.inc("wire.context_frames_sent")
-        obs.inc("wire.framed_bytes_sent", len(frame))
-        return self._send_control(frame)
-
-    def recv_context(self) -> bytes | None:
-        """The trace-context body for the incoming stream, if any.
-
-        Returns a body already stashed by :meth:`recv_chunk`, else reads
-        one frame: a context frame is consumed and returned, anything
-        else is held for the chunk reader and ``None`` is returned (a
-        sender that never speaks tracing costs one read-ahead, no loss).
-        """
-        if self.received_context is not None:
-            body, self.received_context = self.received_context, None
-            return body
-        frame = self._next_frame()
-        if bytes(memoryview(frame)[:4]) == CONTEXT_MAGIC_BYTES:
-            return decode_context_frame(frame)
-        self._pending_frame = frame
-        return None
-
-    def _next_frame(self) -> bytes:
-        """The held read-ahead frame if any, else one off the wire."""
-        frame, self._pending_frame = self._pending_frame, None
-        if frame is None:
-            frame = self._recv_frame()
-        return frame
-
-    # -- pre-copy delta rounds (MDLT frames) -------------------------------
-
-    def send_delta(self, payload: bytes | bytearray | memoryview) -> float:
-        """Frame and transmit one delta-round chunk (raw, CRC over the
-        raw bytes, per-round sequence space — see :mod:`repro.msr.wire`)."""
-        header, body = encode_delta_parts(self._delta_seq, payload)
-        frame_len = len(header) + len(body)
-        self._delta_seq += 1
-        self.delta_frames_sent += 1
-        self.delta_bytes_sent += frame_len
-        self.framed_bytes_sent += frame_len
-        obs.inc("wire.delta_frames_sent")
-        obs.inc("wire.framed_bytes_sent", frame_len)
-        return self._send_delta_frame(b"".join((header, body)))
-
-    def end_delta_round(self) -> float:
-        """Transmit the round terminator and rewind the per-round
-        sequence so the next round starts at 0 again."""
-        frame = encode_delta_end(self._delta_seq)
-        self._delta_seq = 0
-        self.delta_bytes_sent += len(frame)
-        self.framed_bytes_sent += len(frame)
-        return self._send_delta_frame(frame)
-
-    def recv_delta(self) -> bytes | None:
-        """Receive, validate, and unwrap the next delta chunk payload;
-        ``None`` at end-of-round (receiver state resets for the next
-        round)."""
-        payload = self._delta_decoder.decode(self._next_frame())
-        if payload is None:
-            self._delta_decoder = DeltaDecoder()
-        return payload
-
-    def iter_delta_round(self):
-        """Yield the delta chunk payloads of one round until its end."""
-        while True:
-            payload = self.recv_delta()
-            if payload is None:
-                return
-            yield payload
-
-    def _send_delta_frame(self, frame: bytes) -> float:
-        """Transmit a delta frame.  Defaults to the data path; the fault
-        layer overrides this to route delta frames *around* its send
-        counter, like trace-context control frames (see
-        :meth:`FaultyChannel._send_delta_frame`)."""
-        return self._send_frame(frame)
+        """Transmit the end-of-stream terminator."""
+        return self.chunks.end()
 
     def recv_chunk(self) -> bytes | None:
-        """Receive, validate, and unwrap the next chunk payload.
-
-        Returns ``None`` at end-of-stream (and resets the receiver state
-        for the next stream).  Trace-context control frames encountered
-        mid-stream are stashed on :attr:`received_context` rather than
-        surfaced.  Raises the typed
-        :class:`~repro.msr.wire.WireFrameError` family on damage.
-        """
-        frame = self._next_frame()
-        while bytes(memoryview(frame)[:4]) == CONTEXT_MAGIC_BYTES:
-            self.received_context = decode_context_frame(frame)
-            frame = self._recv_frame()
-        payload = self._decoder.decode(frame)
-        if payload is None:
-            # end-of-stream: fold the finished decoder's inflate seconds
-            # and replace it, so a later reset() folds a fresh zero
-            # instead of double-counting this stream
-            self.codec_seconds += self._decoder.codec_seconds
-            self._decoder = ChunkDecoder()
-        else:
+        """The next chunk payload, ``None`` at end-of-stream."""
+        payload = self.chunks.recv()
+        if payload is not None:
             obs.inc("wire.chunks_received")
         return payload
 
     def iter_chunks(self):
         """Yield chunk payloads until end-of-stream."""
-        while True:
-            payload = self.recv_chunk()
-            if payload is None:
-                return
-            yield payload
+        return iter(self.recv_chunk, None)
 
-    # frame transport, overridable ----------------------------------------
+    @property
+    def chunks_sent(self) -> int:
+        return self.chunks.frames_sent
+
+    # -- pre-copy delta rounds ('MDLT': raw, per-round sequence space) -----
+
+    def send_delta(self, payload: bytes | bytearray | memoryview) -> float:
+        """Frame and transmit one chunk of a delta round."""
+        return self.deltas.send(payload)
+
+    def end_delta_round(self) -> float:
+        """Transmit the round terminator (the next round starts at 0)."""
+        return self.deltas.end()
+
+    def iter_delta_round(self):
+        """Yield the delta chunk payloads of one round until its end."""
+        return iter(self.deltas.recv, None)
+
+    @property
+    def delta_frames_sent(self) -> int:
+        return self.deltas.frames_sent
+
+    @property
+    def delta_bytes_sent(self) -> int:
+        return self.deltas.bytes_sent
+
+    # -- trace-context control frames ('MCTX') -----------------------------
+
+    def send_context(self, body: bytes) -> float:
+        """Ship a trace-context body as a control frame ahead of a chunk
+        stream (no sequence number; see :func:`~repro.msr.wire.is_data_frame`
+        for why the fault plan does not count it)."""
+        frame = encode_context_frame(body)
+        self.framed_bytes_sent += len(frame)
+        obs.inc("wire.context_frames_sent")
+        obs.inc("wire.framed_bytes_sent", len(frame))
+        return self._send_frame(frame)
+
+    def recv_context(self) -> bytes:
+        """Receive the trace-context body that opens the incoming stream."""
+        return decode_context_frame(self._recv_frame())
+
+    # -- frame transport, overridable ---------------------------------------
 
     def _send_frame(self, frame: bytes) -> float:
         return self.send(frame)
@@ -392,40 +394,20 @@ class _ChunkStreamMixin:
         """
         return self._send_frame(b"".join((header, body)))
 
-    def _send_control(self, frame: bytes) -> float:
-        """Transmit a control frame.  Defaults to the data path; the
-        fault layer overrides this to route control frames *around* its
-        send counter (they are protocol plumbing, not payload)."""
-        return self._send_frame(frame)
-
     def _recv_frame(self) -> bytes:
         return self.recv()
 
 
-class Channel(_ChunkStreamMixin):
-    """A reliable, ordered byte channel over one :class:`Link`.
+class Channel(BaseChannel):
+    """A reliable, ordered in-memory byte channel: ``send`` enqueues the
+    payload, ``recv`` dequeues in FIFO order."""
 
-    ``send`` enqueues the payload and returns the modeled transfer time;
-    ``recv`` dequeues in FIFO order.  ``bytes_sent`` accumulates for
-    reporting.
-    """
-
-    def __init__(self, link: Link) -> None:
-        self.link = link
+    def __init__(self, link: Link, deadline: float | None = None) -> None:
+        # payloads are queued as-is (any buffer-protocol object): senders
+        # hand over immutable bytes or detached WriteBuffer storage
         self._queue: deque[bytes] = deque()
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self._init_stream_state()
-
-    def send(self, payload: bytes | bytearray | memoryview) -> float:
-        """Transmit *payload* (any buffer-protocol object); returns the
-        modeled wire time in seconds."""
-        self._queue.append(payload)
-        self.bytes_sent += len(payload)
-        self.messages_sent += 1
-        obs.inc("wire.messages_sent")
-        obs.inc("wire.bytes_sent", len(payload))
-        return self.link.transfer_time(len(payload))
+        self._deliver = self._queue.append
+        super().__init__(link, deadline)
 
     def recv(self) -> bytes:
         """Receive the next payload (raises if none pending)."""
@@ -434,17 +416,15 @@ class Channel(_ChunkStreamMixin):
         return self._queue.popleft()
 
     def reset(self) -> None:
-        """Fresh-connection semantics for a retry: discard any undelivered
-        payloads and stream state from the failed attempt."""
         self._queue.clear()
-        self._reset_stream_protocol()
+        super().reset()
 
     @property
     def pending(self) -> int:
         return len(self._queue)
 
 
-class FileChannel(_ChunkStreamMixin):
+class FileChannel(BaseChannel):
     """Transfer via a shared file system (the paper's second layer-1
     option: "using either TCP protocol, shared file systems, or remote
     file transfer").  Each ``send`` writes one length-prefixed record to
@@ -452,36 +432,26 @@ class FileChannel(_ChunkStreamMixin):
     persistent read handle (re-reading the whole spool per record would
     be O(n²) bytes over a multi-message session)."""
 
-    def __init__(self, path, link: Link = ETHERNET_10M) -> None:
-        import pathlib
+    #: the persistent read handle, opened lazily (a class default, so
+    #: externally attached channel objects keep working)
+    _rfh = None
 
+    def __init__(self, path, link: Link = ETHERNET_10M) -> None:
+        super().__init__(link)
         self.path = pathlib.Path(path)
-        self.link = link
         self._read_offset = 0
-        self.bytes_sent = 0
-        self.messages_sent = 0
         self.path.write_bytes(b"")
-        self._init_stream_state()
 
     def _reader(self):
-        """The persistent read handle (created lazily so externally
-        attached channel objects keep working)."""
-        fh = getattr(self, "_rfh", None)
-        if fh is None or fh.closed:
-            fh = self.path.open("rb")
-            self._rfh = fh
-        return fh
+        if self._rfh is None or self._rfh.closed:
+            self._rfh = self.path.open("rb")
+        return self._rfh
 
-    def send(self, payload: bytes | bytearray | memoryview) -> float:
+    def _deliver(self, payload) -> None:
         # fh.write accepts any buffer-protocol object — no bytes() copy
         with self.path.open("ab") as fh:
             fh.write(_RECORD_LEN.pack(len(payload)))
             fh.write(payload)
-        self.bytes_sent += len(payload)
-        self.messages_sent += 1
-        obs.inc("wire.messages_sent")
-        obs.inc("wire.bytes_sent", len(payload))
-        return self.link.transfer_time(len(payload))
 
     def recv(self) -> bytes:
         fh = self._reader()
@@ -517,15 +487,14 @@ class FileChannel(_ChunkStreamMixin):
         self.close()
         self.path.write_bytes(b"")
         self._read_offset = 0
-        self._reset_stream_protocol()
+        super().reset()
 
     def close(self) -> None:
-        fh = getattr(self, "_rfh", None)
-        if fh is not None and not fh.closed:
-            fh.close()
+        if self._rfh is not None:
+            self._rfh.close()
 
 
-class SocketChannel(_ChunkStreamMixin):
+class SocketChannel(Channel):
     """Transfer over a real local socket pair (the paper's TCP option).
 
     The bytes genuinely cross a kernel socket; the *reported* time still
@@ -534,15 +503,16 @@ class SocketChannel(_ChunkStreamMixin):
     10 Mb/s Ethernet).
 
     Both endpoints live in one thread for whole-message transfers, so
-    ``send`` only queues the payload; ``recv`` pumps it through the
-    socket in chunks small enough never to fill the kernel buffer (an
-    8 MB matrix must not deadlock a single-threaded test).
+    ``send`` only queues the payload (the in-memory channel's queue);
+    ``recv`` pumps it through the socket in chunks small enough never to
+    fill the kernel buffer (an 8 MB matrix must not deadlock a
+    single-threaded test).
 
-    Streamed chunks are different: ``send_chunk`` writes the frame
-    straight into the socket and may block once the kernel buffer fills,
-    so the engine drives this channel with a producer thread
-    (``concurrent_stream = True``) while the consumer drains
-    ``recv_chunk`` — a real producer/consumer pipeline.
+    Streamed frames are different: they are written straight into the
+    socket and may block once the kernel buffer fills, so a stream's
+    send side runs in a producer thread (``concurrent_stream = True``)
+    while the consumer drains ``recv_chunk`` — a real producer/consumer
+    pipeline.
     """
 
     _CHUNK = 32768
@@ -550,16 +520,8 @@ class SocketChannel(_ChunkStreamMixin):
     concurrent_stream = True
 
     def __init__(self, link: Link = ETHERNET_10M, deadline: float | None = None) -> None:
-        import socket
-
-        self.link = link
         self._tx, self._rx = socket.socketpair()
-        self._outgoing: deque[bytes] = deque()
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self._init_stream_state()
-        if deadline is not None:
-            self.set_deadline(deadline)
+        super().__init__(link, deadline)
 
     def set_deadline(self, seconds: float | None) -> None:
         """Recv deadline, enforced by the kernel: a peer that connects and
@@ -568,21 +530,8 @@ class SocketChannel(_ChunkStreamMixin):
         self.deadline = seconds
         self._rx.settimeout(seconds)
 
-    def send(self, payload: bytes | bytearray | memoryview) -> float:
-        # queued as-is (buffer-protocol accepted): senders hand over
-        # either immutable bytes or detached WriteBuffer storage, so the
-        # defensive copy the queue used to take bought nothing
-        self._outgoing.append(payload)
-        self.bytes_sent += len(payload)
-        self.messages_sent += 1
-        obs.inc("wire.messages_sent")
-        obs.inc("wire.bytes_sent", len(payload))
-        return self.link.transfer_time(len(payload))
-
     def recv(self) -> bytes:
-        if not self._outgoing:
-            raise RuntimeError("socket channel empty: nothing was sent")
-        payload = self._outgoing.popleft()
+        payload = super().recv()
         out = bytearray()
         view = memoryview(payload)
         for start in range(0, len(view), self._CHUNK):
@@ -633,46 +582,26 @@ class SocketChannel(_ChunkStreamMixin):
         return bytes(out)
 
     def _recv_frame(self) -> bytes:
-        from repro.msr.wire import (
-            CHUNK_MAGIC,
-            CHUNK_MAGIC_Z,
-            CONTEXT_MAGIC,
-            DELTA_MAGIC,
-            FrameCorruptError,
-        )
-
         header = self._read_exact(CHUNK_HEADER_SIZE, "frame header")
-        (magic,) = _RECORD_LEN.unpack_from(header, 0)
-        if magic not in (CHUNK_MAGIC, CHUNK_MAGIC_Z, CONTEXT_MAGIC, DELTA_MAGIC):
+        if header[:4] not in FRAME_MAGICS:
             # a desynced stream must fail here, before a garbage length
             # field makes us block waiting for bytes that never come
-            raise FrameCorruptError(f"bad chunk frame magic {magic:#010x}")
+            raise FrameCorruptError(f"bad chunk frame magic {header[:4].hex()}")
         (length,) = _RECORD_LEN.unpack_from(header, 8)
         if length == 0:
             return header
         return header + self._read_exact(length, "frame payload")
 
-    @property
-    def pending(self) -> int:
-        return len(self._outgoing)
-
     def reset(self) -> None:
         """Fresh-connection semantics for a retry: tear down the failed
         socket pair (which may hold half a frame) and dial a new one."""
-        import socket
-
         self.close()
         self._tx, self._rx = socket.socketpair()
-        self._outgoing.clear()
-        self._reset_stream_protocol()
-        if self.deadline is not None:
-            self._rx.settimeout(self.deadline)
+        super().reset()
+        self._rx.settimeout(self.deadline)
 
     def abort_stream(self) -> None:
-        try:
-            self._tx.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        self._tx.close()
 
     def close(self) -> None:
         self._tx.close()
@@ -802,12 +731,17 @@ def _flip_bit(payload: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
-class FaultyChannel(_ChunkStreamMixin):
+class FaultyChannel(BaseChannel):
     """Deterministic fault injection on top of any channel.
 
-    Wraps an inner channel and applies the :class:`FaultPlan` on the
-    send path (both whole messages and chunk frames share one send
-    counter).  Fault semantics:
+    Wraps an inner channel and applies the :class:`FaultPlan` on the one
+    send path every message and frame takes.  Whole messages and data
+    chunk frames share one send counter; trace-context and pre-copy
+    delta frames have no index (:func:`~repro.msr.wire.is_data_frame`),
+    so a seeded plan fires on the same data send with tracing or
+    pre-copy on or off — whose frame count varies with convergence.
+    Every kind is added to ``bytes_sent`` and refused once the
+    connection is down.  Fault semantics:
 
     - ``drop``: the payload silently vanishes — the receiver sees a
       sequence gap (:class:`~repro.msr.wire.FrameOrderError`) or, when
@@ -825,23 +759,12 @@ class FaultyChannel(_ChunkStreamMixin):
     def __init__(self, inner, plan: FaultPlan, deadline: float | None = None) -> None:
         self.inner = inner
         self.plan = plan
-        self.bytes_sent = 0
-        self.messages_sent = 0
+        self.concurrent_stream = inner.concurrent_stream
         self.faults_fired: list[Fault] = []
         self._send_index = 0
         self._stalled = False
         self._closed = False
-        self._init_stream_state()
-        if deadline is not None:
-            self.set_deadline(deadline)
-
-    @property
-    def link(self) -> Link:
-        return self.inner.link
-
-    @property
-    def concurrent_stream(self) -> bool:
-        return getattr(self.inner, "concurrent_stream", False)
+        super().__init__(inner.link, deadline)
 
     @property
     def pending(self) -> int:
@@ -849,43 +772,64 @@ class FaultyChannel(_ChunkStreamMixin):
 
     def set_deadline(self, seconds: float | None) -> None:
         self.deadline = seconds
-        if hasattr(self.inner, "set_deadline"):
-            self.inner.set_deadline(seconds)
+        self.inner.set_deadline(seconds)
 
-    # -- fault application -------------------------------------------------
+    # -- the send path -----------------------------------------------------
 
-    def _apply_send(self, payload: bytes):
-        """Corrupt (or swallow) one outgoing payload per the plan.
-        Returns the bytes to forward, or ``None`` to forward nothing."""
+    def send(self, payload: bytes) -> float:
+        return self._forward(payload, self.inner.send, indexed=True)
+
+    def _send_frame(self, frame: bytes) -> float:
+        return self._forward(frame, self.inner._send_frame, is_data_frame(frame))
+
+    def _forward(self, payload: bytes, deliver, indexed: bool) -> float:
+        """Account one outgoing message or frame, apply the fault its
+        send index (if it has one) is scheduled for, and hand what is
+        left of it to *deliver*."""
         if self._closed:
             raise ChannelClosedError("send on a disconnected channel")
+        self.bytes_sent += len(payload)
+        if not indexed:
+            return deliver(payload)
         index = self._send_index
         self._send_index += 1
-        self.bytes_sent += len(payload)
         self.messages_sent += 1
         fault = self.plan.take(index)
         if fault is None:
-            return payload
+            return deliver(payload)
         self.faults_fired.append(fault)
         obs.inc("faults.injected")
         obs.inc(f"faults.{fault.kind}")
         obs.event("fault", kind=fault.kind, index=index)
-        if fault.kind == "drop":
-            return None
         if fault.kind == "truncate":
-            return payload[: max(len(payload) - max(fault.arg, 1), 0)]
+            return deliver(payload[: max(len(payload) - max(fault.arg, 1), 0)])
         if fault.kind == "bitflip":
-            return _flip_bit(payload, fault.arg)
+            return deliver(_flip_bit(payload, fault.arg))
+        if fault.kind == "disconnect":
+            self._closed = True
+            raise ChannelClosedError(
+                f"connection dropped at send #{index} (injected disconnect)"
+            )
+        # drop or stall: nothing is forwarded
         if fault.kind == "stall":
             self._stalled = True
-            return None
-        # disconnect
-        self._closed = True
-        raise ChannelClosedError(
-            f"connection dropped at send #{index} (injected disconnect)"
+        return self.link.transfer_time(len(payload))
+
+    # -- the receive path --------------------------------------------------
+
+    def recv(self) -> bytes:
+        return self._receive(
+            self.inner.recv, True, "nothing arrived (payload lost in transit)"
         )
 
-    def _pre_recv(self) -> None:
+    def _recv_frame(self) -> bytes:
+        # frames on the socket block for real, under the socket's own deadline
+        return self._receive(
+            self.inner._recv_frame, not self.concurrent_stream,
+            "expected chunk frame never arrived",
+        )
+
+    def _receive(self, read, queued: bool, lost: str) -> bytes:
         if self._closed:
             raise ChannelClosedError("recv on a disconnected channel")
         if self._stalled:
@@ -894,65 +838,11 @@ class FaultyChannel(_ChunkStreamMixin):
                 f"recv deadline ({self.deadline}s) expired: peer stalled "
                 f"mid-transfer (injected stall)"
             )
-
-    # -- whole messages ----------------------------------------------------
-
-    def send(self, payload: bytes) -> float:
-        forwarded = self._apply_send(payload)
-        if forwarded is None:
-            return self.link.transfer_time(len(payload))
-        return self.inner.send(forwarded)
-
-    def recv(self) -> bytes:
-        self._pre_recv()
-        if self.inner.pending == 0:
-            raise ChannelTimeoutError(
-                f"recv deadline ({self.deadline}s) expired: nothing arrived "
-                f"(payload lost in transit)"
-            )
-        return self.inner.recv()
-
-    # -- chunk frames ------------------------------------------------------
-
-    def _send_frame(self, frame: bytes) -> float:
-        forwarded = self._apply_send(frame)
-        if forwarded is None:
-            return self.link.transfer_time(len(frame))
-        return self.inner._send_frame(forwarded)
-
-    def _send_control(self, frame: bytes) -> float:
-        """Control frames bypass the fault plan's send counter entirely:
-        they are protocol plumbing, and counting them would shift every
-        existing deterministic fault schedule by one.  A disconnected
-        channel still refuses them."""
-        if self._closed:
-            raise ChannelClosedError("send on a disconnected channel")
-        self.bytes_sent += len(frame)
-        return self.inner._send_control(frame)
-
-    def _send_delta_frame(self, frame: bytes) -> float:
-        """Delta frames follow the MCTX precedent: they bypass the fault
-        plan's send counter, so a seeded fault spec fires on exactly the
-        same data send with pre-copy on or off (the round *count* varies
-        with convergence, and letting it shift the counter would make
-        ``--fault seed=N`` unreproducible across the two modes).  A
-        disconnected channel still refuses them."""
-        if self._closed:
-            raise ChannelClosedError("send on a disconnected channel")
-        self.bytes_sent += len(frame)
-        return self.inner._send_delta_frame(frame)
-
-    def _recv_frame(self) -> bytes:
-        self._pre_recv()
-        # message-queue channels cannot block; an empty queue after a
-        # dropped frame is the deadline firing.  The socket blocks for
-        # real and enforces its own deadline.
-        if not self.concurrent_stream and self.inner.pending == 0:
-            raise ChannelTimeoutError(
-                f"recv deadline ({self.deadline}s) expired: expected chunk "
-                f"frame never arrived"
-            )
-        return self.inner._recv_frame()
+        # a message queue cannot block: nothing pending after a dropped
+        # payload is the deadline firing
+        if queued and self.inner.pending == 0:
+            raise ChannelTimeoutError(f"recv deadline ({self.deadline}s) expired: {lost}")
+        return read()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -964,14 +854,11 @@ class FaultyChannel(_ChunkStreamMixin):
         self._send_index = 0
         self._stalled = False
         self._closed = False
-        self._reset_stream_protocol()
-        if hasattr(self.inner, "reset"):
-            self.inner.reset()
+        super().reset()
+        self.inner.reset()
 
     def abort_stream(self) -> None:
-        if hasattr(self.inner, "abort_stream"):
-            self.inner.abort_stream()
+        self.inner.abort_stream()
 
     def close(self) -> None:
-        if hasattr(self.inner, "close"):
-            self.inner.close()
+        self.inner.close()

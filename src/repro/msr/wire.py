@@ -51,9 +51,9 @@ A stream (and, prepended, a monolithic envelope) may additionally open
 with one *trace-context frame* under magic ``'MCTX'`` — same header
 layout, ``seq`` always 0, CRC over the body — carrying the sender's
 trace identity (see :mod:`repro.obs.propagate`).  It is a control
-frame, not data: it occupies no chunk sequence number, and a receiver
-that does not understand tracing can skip it by its self-delimiting
-length.
+frame, not data: it occupies no chunk sequence number and — like the
+pre-copy ``'MDLT'`` delta frames — no fault-plan send index
+(:func:`is_data_frame` is the one place that rule lives).
 
 Frames make mid-stream damage a *typed* failure instead of garbage
 reaching the restorer: a short read raises
@@ -115,6 +115,8 @@ __all__ = [
     "CONTEXT_MAGIC_BYTES",
     "DELTA_MAGIC",
     "DELTA_MAGIC_BYTES",
+    "FRAME_MAGICS",
+    "is_data_frame",
     "CHUNK_HEADER_SIZE",
     "encode_context_frame",
     "decode_context_frame",
@@ -339,16 +341,13 @@ class ChunkDecoder:
     def __init__(self) -> None:
         self.expected_seq = 0
         self.finished = False
-        #: seconds spent inflating compressed ('MCHZ') frames
-        self.codec_seconds = 0.0
 
     def decode(self, frame: bytes | bytearray | memoryview) -> bytes | None:
         if self.finished:
             raise FrameOrderError("chunk frame arrived after end-of-stream")
         if bytes(memoryview(frame)[:4]) == b"MCHZ":
-            with obs.lap("codec.inflate") as timed:
+            with obs.lap("codec.inflate"):
                 seq, payload = decode_chunk(frame)
-            self.codec_seconds += timed.seconds
         else:
             seq, payload = decode_chunk(frame)
         if seq != self.expected_seq:
@@ -515,6 +514,26 @@ class DeltaDecoder:
             self.finished = True
             return None
         return payload
+
+
+# -- frames by type -----------------------------------------------------------
+
+_DATA_FRAME_MAGICS = (b"MCHK", b"MCHZ")
+#: every magic a frame on a channel may open with
+FRAME_MAGICS = _DATA_FRAME_MAGICS + (CONTEXT_MAGIC_BYTES, DELTA_MAGIC_BYTES)
+
+
+def is_data_frame(frame: bytes | bytearray | memoryview) -> bool:
+    """Whether *frame* carries the migration payload stream (an
+    ``'MCHK'``/``'MCHZ'`` chunk or its terminator) rather than protocol
+    plumbing (``'MCTX'`` trace context, ``'MDLT'`` pre-copy delta).
+
+    This is the fault layer's rule for which sends have an index: data
+    frames and whole messages count, plumbing does not — turning tracing
+    or pre-copy on (whose frame count varies with convergence) must not
+    shift which data send a deterministic fault fires on.
+    """
+    return bytes(memoryview(frame)[:4]) in _DATA_FRAME_MAGICS
 
 
 # -- monolithic payload compression -------------------------------------------

@@ -22,8 +22,8 @@ module-level helpers (:func:`span`, :func:`lap`, :func:`record`,
 :func:`event`, :func:`inc`) which resolve the *current* observation via
 a ``contextvars.ContextVar``.  Outside an active observation the
 helpers are null objects whose span handles still measure ``.seconds``
-(channel-local ledgers like ``codec_seconds`` keep working in unit
-tests) but record nothing.
+(so the instrumented channels work unchanged in unit tests) but record
+nothing.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ Three ways to put time on the tree:
   the span tree sums to exactly what :class:`MigrationStats` reports.
 
 Every handle exposes ``.seconds`` for the interval just closed, so call
-sites that also keep their own ledgers (a channel's ``codec_seconds``)
-read the same measurement the tree recorded — one clock, two read-outs.
+sites that also fill a stats field (the engine's ``collect_time``) read
+the same measurement the tree recorded — one clock, two read-outs.
 
 :data:`NULL_TRACER` is the ambient default when no migration is being
 observed: its handles still *time* (call sites rely on ``.seconds``)

@@ -8,21 +8,28 @@ process still runnable — and with retries enabled, transient
 single-fault plans complete successfully.
 """
 
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20
 from repro.migration.checkpoint import restart_from_file
+from repro.migration import engine as engine_module
 from repro.migration.engine import (
+    RETRYABLE_ERRORS,
+    CollectError,
     MigrationAbortedError,
     MigrationEngine,
+    MigrationError,
     RestoreError,
     RetryPolicy,
     TransferError,
     collect_state,
 )
+from repro.migration.precopy import PrecopyPolicy
 from repro.migration.transport import (
     Channel,
     ChannelClosedError,
@@ -34,6 +41,14 @@ from repro.migration.transport import (
     FileChannel,
     LOOPBACK,
     SocketChannel,
+)
+from repro.msr.msrlt import BlockKind
+from repro.msr.wire import (
+    encode_chunk,
+    encode_context_frame,
+    encode_delta_end,
+    encode_delta_parts,
+    encode_end_of_stream,
 )
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -175,6 +190,60 @@ class TestFaultyChannelUnit:
         with pytest.raises(ChannelTimeoutError):
             ch.recv()
         assert [f.kind for f in ch.faults_fired] == ["stall"]
+
+    #: (what goes through the send path, whether the plan gives it an index)
+    FRAME_KINDS = {
+        "message": (lambda ch: ch.send(b"whole message"), True),
+        # a monolithic message may open with the trace context: still a message
+        "message+ctx": (lambda ch: ch.send(encode_context_frame(b"c") + b"MIGR"), True),
+        "MCHK": (lambda ch: ch._send_frame(encode_chunk(0, b"x" * 64)), True),
+        "MCHZ": (lambda ch: ch._send_frame(
+            encode_chunk(0, b"x" * 64, compress=True)), True),
+        "end-of-stream": (lambda ch: ch._send_frame(encode_end_of_stream(1)), True),
+        "MCTX": (lambda ch: ch._send_frame(encode_context_frame(b"ctx")), False),
+        "MDLT": (lambda ch: ch._send_frame(
+            b"".join(encode_delta_parts(0, b"delta"))), False),
+        "end-of-round": (lambda ch: ch._send_frame(encode_delta_end(1)), False),
+    }
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_send_index_is_decided_by_frame_type(self, kind):
+        """One send path: whole messages and data chunks advance the
+        plan's send index, trace-context and delta frames do not — and
+        every kind is accounted and refused on a dead connection."""
+        send, indexed = self.FRAME_KINDS[kind]
+        inner = Channel(LOOPBACK)
+        ch = FaultyChannel(inner, FaultPlan())
+        send(ch)
+        assert ch._send_index == (1 if indexed else 0)
+        assert ch.bytes_sent == inner.bytes_sent > 0
+        assert inner.pending == 1
+        if kind == "MCHZ":
+            assert bytes(inner.recv()[:4]) == b"MCHZ"  # compression engaged
+
+        # a fault scheduled for send 0 hits an indexed kind, and only that
+        ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@0"))
+        send(ch)
+        assert ch.inner.pending == (0 if indexed else 1)
+        assert len(ch.faults_fired) == (1 if indexed else 0)
+
+        dead = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("disconnect@0"))
+        with pytest.raises(ChannelClosedError):
+            dead.send(b"fires the disconnect")
+        with pytest.raises(ChannelClosedError):
+            send(dead)
+        assert dead.inner.pending == 0
+
+    def test_public_frame_senders_ride_the_one_send_path(self):
+        ch = FaultyChannel(Channel(LOOPBACK), FaultPlan())
+        ch.send_context(b"ctx")
+        ch.send_delta(b"d")
+        ch.end_delta_round()
+        assert ch._send_index == 0
+        ch.send_chunk(b"c")
+        ch.end_stream()
+        assert ch._send_index == 2
+        assert ch.bytes_sent == ch.framed_bytes_sent == ch.inner.bytes_sent
 
 
 class TestFaultMatrix:
@@ -525,3 +594,131 @@ class TestTransactionalRestore:
         ctx_body, envelope = peel_context_frame(received[0])
         assert ctx_body is not None
         assert envelope == reference
+
+
+# -- one fault, one typed error, in every mode ---------------------------------
+
+MODES = {
+    "monolithic": {},
+    "streaming": {"streaming": True, "chunk_size": 4096},
+    # the collector runs in the producer thread; its error must outrank
+    # the truncated read it causes on the consuming side
+    "streaming-socket": {
+        "streaming": True, "chunk_size": 4096,
+        "channel_factory": lambda: SocketChannel(LOOPBACK),
+    },
+    "attributed": {"attribution": True},
+    "precopy": {"precopy": True, "precopy_policy": PrecopyPolicy(max_rounds=2)},
+}
+
+
+@pytest.fixture
+def observations(monkeypatch):
+    """Every observation the engine builds (a failed ``migrate()``
+    returns no stats to reach it through)."""
+    built = []
+
+    class Recorded(engine_module.MigrationObservation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(engine_module, "MigrationObservation", Recorded)
+    return built
+
+
+def assert_source_untouched(proc, observation, expected_stdout):
+    """What every failed migration owes the source: no collection-time
+    registrations, no profiler, a closed trace, and a process that runs
+    on to the unmigrated output."""
+    assert not [b for b in proc.msrlt.blocks() if b.logical[0] == BlockKind.STACK]
+    assert proc.msrlt.profiler is None
+    assert observation.tracer.root.end_s is not None
+    assert proc.frames and not proc.exited
+    proc.migration_pending = False
+    assert proc.run().status == "exit"
+    assert proc.stdout == expected_stdout
+
+
+class TestCollectorFault:
+    """A 3 000-record irregular list overflows the recursive collector at
+    the default recursion limit.  Whatever the mode, that is a collector
+    fault: typed, named, not retried, and the source runs on."""
+
+    @pytest.fixture(scope="class")
+    def longlist(self):
+        template = Path(__file__).parents[1] / "benchmarks/suite/programs/longlist.c"
+        source = template.read_text().replace("%N%", "3000").replace("%SEED%", "7")
+        prog = compile_program(source, poll_strategy="user")
+        baseline = Process(prog, DEC5000)
+        baseline.run_to_completion()
+        return prog, baseline.stdout
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_collector_fault_is_one_typed_error(self, longlist, observations, mode):
+        prog, expected_stdout = longlist
+        proc = stopped(prog)
+        slept = []
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.raises(MigrationError, match="collection failed") as excinfo:
+                MigrationEngine().migrate(
+                    proc, SPARC20,
+                    retry=RetryPolicy(max_attempts=3, sleep=slept.append),
+                    **MODES[mode],
+                )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert type(excinfo.value) is CollectError
+        assert isinstance(excinfo.value.__cause__, RecursionError)
+        assert not isinstance(excinfo.value, RETRYABLE_ERRORS)
+        assert slept == []  # no retry or backoff was spent on it
+        (observation,) = observations
+        assert len(observation.tracer.find("attempt")) == (0 if mode == "precopy" else 1)
+        assert_source_untouched(proc, observation, expected_stdout)
+
+
+class TestRestorerFault:
+    """The restore-side net makes wire damage retryable — and nothing
+    else: a failure of the interpreter under the restorer fails fast."""
+
+    @staticmethod
+    def failing_restorer(exc):
+        class Failing(engine_module.Restorer):
+            def restore_variable(self, block):
+                raise exc
+
+        return Failing
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["mono", "stream"])
+    @pytest.mark.parametrize(
+        "exc", [RecursionError("deep"), MemoryError("big"), AssertionError("bug")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_interpreter_failures_are_not_retried(
+        self, prog, expected, observations, monkeypatch, exc, streaming
+    ):
+        monkeypatch.setattr(engine_module, "Restorer", self.failing_restorer(exc))
+        proc = stopped(prog)
+        slept = []
+        with pytest.raises(MigrationError, match="not retried") as excinfo:
+            MigrationEngine().migrate(
+                proc, SPARC20, streaming=streaming, chunk_size=64,
+                retry=RetryPolicy(max_attempts=3, sleep=slept.append),
+            )
+        assert type(excinfo.value) is MigrationError
+        assert excinfo.value.__cause__ is exc
+        assert slept == []
+        assert_source_untouched(proc, observations[0], expected)
+
+    def test_damage_shaped_failures_stay_retryable(self, prog, monkeypatch):
+        monkeypatch.setattr(
+            engine_module, "Restorer", self.failing_restorer(ValueError("garbage"))
+        )
+        with pytest.raises(MigrationAbortedError) as excinfo:
+            MigrationEngine().migrate(
+                stopped(prog), SPARC20, retry=RetryPolicy(max_attempts=2, **NO_SLEEP)
+            )
+        assert excinfo.value.attempts == 2
+        assert isinstance(excinfo.value.last_error, RestoreError)

@@ -388,7 +388,7 @@ class TestPrecopyEngine:
                 super().__init__(link)
                 self.delta_sends = 0
 
-            def _send_delta_frame(self, frame):
+            def send_delta(self, payload):
                 self.delta_sends += 1
                 raise ChannelError("delta path down")
 

@@ -27,6 +27,7 @@ from repro.migration.transport import (
     SocketChannel,
 )
 from repro.msr.wire import (
+    CHUNK_HEADER_SIZE,
     ChunkDecoder,
     FrameOrderError,
     encode_chunk,
@@ -195,17 +196,28 @@ class TestChunkedCollection:
 
 
 class TestPipelinedLinkModel:
-    def test_latency_amortized_not_summed(self):
-        link = Link("t", bandwidth_bps=1e6, latency_s=0.01)
-        nbytes, n_chunks = 100_000, 10
-        pipelined = link.pipelined_transfer_time(nbytes, n_chunks)
-        per_chunk_sum = n_chunks * link.transfer_time(nbytes // n_chunks)
-        assert pipelined == pytest.approx(link.latency_s + nbytes * 8 / 1e6)
-        assert pipelined < per_chunk_sum  # latency paid once, not 10 times
+    """The engine's modeled Tx for a chunk train: the frames go back to
+    back, so the link latency is in it once."""
 
-    def test_single_chunk_degenerates_to_transfer_time(self):
-        assert ETHERNET_10M.pipelined_transfer_time(5000, 1) == pytest.approx(
-            ETHERNET_10M.transfer_time(5000)
+    def test_latency_amortized_not_summed(self, prog):
+        link = Link("t", bandwidth_bps=1e6, latency_s=0.01)
+        _, stats = MigrationEngine().migrate(
+            stopped(prog), SPARC20, channel=Channel(link), streaming=True,
+            chunk_size=256,
+        )
+        assert stats.n_chunks >= 10
+        framed = stats.payload_bytes + (stats.n_chunks + 1) * CHUNK_HEADER_SIZE
+        assert stats.tx_time == pytest.approx(link.latency_s + framed * 8 / 1e6)
+        per_chunk_sum = stats.n_chunks * link.transfer_time(framed // stats.n_chunks)
+        assert stats.tx_time < per_chunk_sum  # latency paid once, not per chunk
+
+    def test_single_chunk_degenerates_to_transfer_time(self, prog):
+        _, stats = MigrationEngine().migrate(
+            stopped(prog), SPARC20, channel=Channel(ETHERNET_10M), streaming=True,
+        )
+        assert stats.n_chunks == 1
+        assert stats.tx_time == pytest.approx(
+            ETHERNET_10M.transfer_time(stats.payload_bytes + 2 * CHUNK_HEADER_SIZE)
         )
 
     def test_response_model_bounds(self):
