@@ -210,8 +210,8 @@ def _collect_records(
     Both the monolithic and the chunked collectors drive this one
     generator, which is what keeps their payload bytes identical.
     *collector_factory* swaps the record writer (the pre-copy final pass
-    uses one that elides already-delivered blocks); the stream structure
-    is unchanged.
+    uses one that was born knowing the already-delivered blocks and adds
+    a tail section, ``Collector.save_tail``, after the globals).
     """
     if not process.frames:
         raise MigrationError("process has no frames (not running?)")
@@ -249,6 +249,7 @@ def _collect_records(
         collector.save_variable(block)
         yield
 
+    collector.save_tail()
     stats = collector.finish()
     # the source process is about to terminate; its collection-time stack
     # registrations are dropped for hygiene (it may also be resumed locally
@@ -335,6 +336,7 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "S
         block = dest.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0))
         restorer.restore_variable(block)
 
+    restorer.restore_tail()
     if not rbuf.at_end():
         raise MigrationError(f"{rbuf.remaining} trailing bytes in migration payload")
 
@@ -564,9 +566,10 @@ class _Run:
         stats, source, dest, scratch = self.stats, self.source, self.dest, self.scratch
         if self.pre_state is not None:
             # the successful final pass rode on the pre-copy: what the
-            # user experienced as downtime is only that final phase
+            # user experienced as downtime is only the pause, from the
+            # last slice's return to the end of that pass
             stats.precopy = True
-            stats.precopy_downtime_s = stats.response_time
+            stats.precopy_downtime_s = self.pre_state.stopped_s + stats.response_time
             obs.record("precopy.downtime_seconds", stats.downtime, derived=True)
         obs.event(
             "migration_end",
@@ -691,8 +694,8 @@ class _Run:
         """Transactional restore: the attempt builds the new process off
         to the side, and only :meth:`adopt` grafts it onto the real
         destination.  A surviving pre-copy hands over its pre-warmed
-        scratch and the cached set the final collector elides; returns
-        whether it did."""
+        scratch and the cached set the final collector is born with;
+        returns whether it did."""
         pre = self.pre_state
         if pre is None:
             self.scratch = self._new_scratch()
@@ -948,9 +951,9 @@ class MigrationEngine:
         ships while the source keeps executing poll-point slices, then
         delta rounds of only-dirty blocks, until the dirty set converges
         (*precopy_policy*, a :class:`~repro.migration.precopy.PrecopyPolicy`).
-        The stop-and-copy then elides clean already-delivered blocks, so
-        the source's final pause — ``stats.precopy_downtime_s`` — covers
-        only the working set.  A retryable failure during pre-copy
+        The stop-and-copy then skips clean already-delivered blocks, so
+        the source's final pause — ``stats.precopy_downtime_s``, counted
+        from the last slice's return — covers only the working set.  A retryable failure during pre-copy
         degrades to the plain path (``stats.precopy_degraded``); the
         restored state and the resumed execution are identical either
         way, except that the source has executed a few more poll slices.

@@ -12,9 +12,12 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    :mod:`repro.msr.delta`);
 3. once the dirty set converges below a threshold (or a round cap hits),
    **stops** the source for good and ships only the small remainder —
-   the stop-and-copy stream is the ordinary full collection with clean
-   already-delivered blocks elided as ``TAG_CACHED`` stubs — cutting
-   downtime to O(working set).
+   the stop-and-copy stream is the ordinary full collection in which the
+   clean already-delivered blocks are born *visited* (one ``REF`` each,
+   nothing behind them walked; :mod:`repro.msr.delta`) — cutting
+   downtime to O(working set).  Downtime is counted from the moment the
+   last slice returns: the bookkeeping below runs with the source
+   already stopped.
 
 The tracker is installed *only while the interpreter runs a slice*:
 collection passes read through the same Memory entry points (and the
@@ -31,6 +34,7 @@ migrate — and surfaces as :class:`PrecopySourceExitedError`.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro import obs
@@ -82,8 +86,11 @@ class PrecopyState:
     #: pointer reset — ready for the ordinary restore path)
     scratch: object
     #: logical ids whose destination contents are byte-fresh; the
-    #: final collector elides them as TAG_CACHED stubs
+    #: final collector is born with them visited
     cached: frozenset
+    #: measured seconds between the last slice's return and the end of
+    #: the phase — the part of the pause that precedes the final stream
+    stopped_s: float
 
 
 class PrecopySourceExitedError(MigrationError):
@@ -118,7 +125,7 @@ def run_precopy(
 
     On return the source is stopped at its latest poll-point, *scratch*
     holds every shipped block, and the returned state's ``cached`` set
-    names the blocks the stop-and-copy stream may elide.  Raises the
+    names the blocks the stop-and-copy stream need not carry.  Raises the
     engine's retryable error family on transport/restore failures (the
     caller degrades to plain stop-and-copy) and
     :class:`PrecopySourceExitedError` when the source finishes first.
@@ -188,6 +195,7 @@ def run_precopy(
                 result = process.run()
             finally:
                 memory.dirty = None
+            stopped_at = time.perf_counter()  # the last one is the pause's start
             if result.status == "exit":
                 raise PrecopySourceExitedError(
                     f"source exited (code {result.exit_code}) during a "
@@ -218,7 +226,7 @@ def run_precopy(
                 if freed:
                     rounds += 1
                     with obs.span("precopy.round", n=rounds):
-                        rr = build_round(process, rounds, freed, [], [])
+                        rr = build_round(process, rounds, freed, [], [], set())
                         ship(
                             rounds, rr.payload,
                             dirty_blocks=0, deferred=0, freed=len(freed),
@@ -232,8 +240,7 @@ def run_precopy(
             with obs.span("precopy.round", n=rounds):
                 with obs.lap("precopy.collect") as timed:
                     rr = build_round(
-                        process, rounds, freed, new, list(dirty.values()),
-                        known=known,
+                        process, rounds, freed, new, list(dirty.values()), known
                     )
                 stats.precopy_codec_time += timed.seconds
                 ship(
@@ -269,4 +276,7 @@ def run_precopy(
         cached_blocks=len(cached),
         bytes=stats.precopy_bytes,
     )
-    return PrecopyState(scratch=scratch, cached=cached)
+    return PrecopyState(
+        scratch=scratch, cached=cached,
+        stopped_s=time.perf_counter() - stopped_at,
+    )

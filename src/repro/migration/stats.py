@@ -131,9 +131,11 @@ class MigrationStats:
     precopy_tx_time: float = 0.0
     #: codec/collect seconds of the pre-copy phase (rounds, not the final)
     precopy_codec_time: float = 0.0
-    #: the stop-and-copy downtime: collect + tx + restore of the *final*
-    #: delta once the source has genuinely paused — the number pre-copy
-    #: exists to shrink (the non-precopy downtime is migration_time)
+    #: the stop-and-copy downtime, from the moment the source stops: the
+    #: measured bookkeeping after the last slice (dirty resolution, the
+    #: freed-only stop round) + collect + tx + restore of the final
+    #: stream — the number pre-copy exists to shrink (the non-precopy
+    #: downtime is migration_time)
     precopy_downtime_s: float = 0.0
     #: pre-copy hit a retryable failure and fell back to plain
     #: stop-and-copy (the pre-copied scratch is discarded, never reused)

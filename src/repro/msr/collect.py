@@ -43,21 +43,12 @@ class CollectStats:
     #: blocks saved through a FlatPlan or PtrArrayPlan, plus every block
     #: a ChainPlan batch emitted
     n_plan_blocks: int = 0
-    #: blocks elided as pre-copy cached stubs (TAG_CACHED records)
-    n_cached_blocks: int = 0
     data_bytes: int = 0  # Σ Dᵢ over saved blocks (source-arch bytes)
     wire_bytes: int = 0
 
 
 class Collector:
     """One data-collection pass over a process's live state."""
-
-    #: whether plans that emit pointer records in bulk (a plan class
-    #: with ``emits_records``) may run.  The pre-copy delta/final
-    #: collectors override per-record tag decisions (REF-only, cached
-    #: stubs), which the bulk emitters would bypass — they subclass with
-    #: this set to False.  Plans for pointer-free contents stay enabled.
-    pointer_plans = True
 
     def __init__(self, process, buf: WriteBuffer) -> None:
         self.process = process
@@ -73,8 +64,6 @@ class Collector:
         if self._prof is not None:
             self.msrlt.profiler = self._prof
         self.plan_enabled = self.ti.plans_enabled
-        # read once per block: kept on the instance
-        self.record_plans = self.pointer_plans
         #: per-pass scratch owned by the plans (ChainPlan's backoff)
         self.plan_state = None
 
@@ -100,6 +89,11 @@ class Collector:
                 "migration-unsafe"
             ) from None
         self._save_target(block, off)
+
+    def save_tail(self) -> None:
+        """What the stream carries after the globals.  Nothing here: every
+        block a plain migration ships is reachable from a root.  (The
+        pre-copy final collector's tail roots go here.)"""
 
     # -- traversal ---------------------------------------------------------------------
 
@@ -154,11 +148,7 @@ class Collector:
         flat = info.flat_kind
         self.buf.write_u8(0 if flat is None else FLAG_FLAT)
         plan = self.ti.plan_for(info) if self.plan_enabled else None
-        if (
-            plan is not None
-            and (self.record_plans or not plan.emits_records)
-            and plan.save(self, block, info)
-        ):
+        if plan is not None and plan.save(self, block, info):
             return plan.engagement
         if flat is not None:
             # one vectorized encode for the whole block

@@ -1,4 +1,14 @@
-"""Pre-copy delta rounds: collect and restore only-dirty blocks.
+"""Pre-copy delta rounds and the stop-and-copy stream that follows them.
+
+One idea serves both: **a block the destination already holds is a
+visited block** (the paper's §3.1 rule, "visited memory blocks are marked
+so that they are not saved again", applied across passes).  The
+collectors here are the ordinary :class:`~repro.msr.collect.Collector`
+born with a non-empty visited set, the restorers the ordinary
+:class:`~repro.msr.restore.Restorer` born with the mapping of what the
+scratch process holds; every pointer to such a block is then an ordinary
+``REF``, the traversal stops there, and the compiled plans — which
+classify targets through those same two tables — run unmodified.
 
 One delta round carries the MSRLT-level diff of the source since the
 previous round: heap blocks freed, blocks newly registered, and the
@@ -14,17 +24,22 @@ contents of blocks the write barriers marked dirty.  The round payload
 collector's ``_save_contents`` emits: the flags byte, then the contents
 through the type's plan or the per-cell path); 1 means the block was
 *deferred* — one of its pointers could not be expressed as a ``REF``
-(dangling, or aimed at the stack, which never ships in rounds) — and
-will arrive in the final stop-and-copy stream instead.
+(dangling, or aimed at the stack, which is unregistered while the source
+runs) — and will arrive in the final stop-and-copy stream instead.
+Rounds carry no ``BLOCK`` record: the destination holds every shippable
+target (earlier rounds or this round's ``new`` section).
 
-Inside round contents every pointer is encoded as ``NULL`` or ``REF``:
-the destination already holds every shippable target (earlier rounds or
-this round's ``new`` section), so rounds never recurse.  The final
-stop-and-copy stream is the ordinary full collection, except blocks
-whose contents are already on the destination and clean ship as
-:data:`~repro.msr.wire.TAG_CACHED` stubs: logical id + ordinal + one
-record per pointer cell (so the depth-first traversal still reaches
-dirty or new blocks hiding behind clean ones) and no scalar contents.
+The final stop-and-copy stream is the ordinary full collection with the
+clean, already-delivered blocks (*cached*) born visited, so a clean
+global is one root ``REF`` and nothing behind a clean block is walked.
+What that walk used to find — a stale block reachable only through clean
+ones — travels in a **tail section** after the globals::
+
+    (u8 1, root record)*  u8 0
+
+one ordinary root record per live non-stack block that is neither cached
+nor visited by then, in logical-id order.  With nothing cached the
+stream is the plain stream plus the terminator byte.
 """
 
 from __future__ import annotations
@@ -35,13 +50,7 @@ from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.restore import RestoreError, Restorer
-from repro.msr.wire import (
-    TAG_CACHED,
-    TAG_NULL,
-    TAG_REF,
-    read_logical,
-    write_logical,
-)
+from repro.msr.wire import TAG_BLOCK, read_logical, write_logical
 
 __all__ = [
     "DeltaDefer",
@@ -61,177 +70,123 @@ class DeltaDefer(Exception):
 
 
 class DeltaCollector(Collector):
-    """Contents-only collector for delta rounds: REF/NULL pointers, no
-    traversal, no BLOCK records.
+    """Contents-only collector for delta rounds.
 
-    *known*, when given, is the set of logical ids the destination holds
-    (earlier rounds plus this round's ``new`` section).  A pointer whose
-    target falls outside it — a block that was unreachable at snapshot
-    time and surfaced since, without itself being written — cannot be
-    expressed as a ``REF``, so the block defers to the final stream.
+    *known* — the logical ids the destination holds (earlier rounds plus
+    this round's ``new`` section) — is the visited set from the first
+    record on, so every pointer into it is a ``REF``, from a plan or from
+    the per-cell loop, and nothing is traversed.  A pointer that cannot
+    be one (dangling, or aimed at a block outside *known*) defers its
+    block to the final stream; :meth:`_save_target` is where every path
+    that found a target ends up, so the rule lives there.
     """
 
-    pointer_plans = False
-
-    def __init__(self, process, buf: WriteBuffer, known=None) -> None:
+    def __init__(self, process, buf: WriteBuffer, known: set) -> None:
         super().__init__(process, buf)
-        self.known = known
+        self._visited = known  # never grows: no BLOCK record is emitted
 
     def save_pointer(self, value: int) -> None:
-        if value == 0:
-            self.buf.write_u8(TAG_NULL)
-            self.buf.count_tag("NULL")
-            self.stats.n_nulls += 1
-            return
         try:
-            block, off = self.msrlt.lookup_addr(value)
+            super().save_pointer(value)
         except MSRLTError:
             raise DeltaDefer(f"pointer {value:#x} has no shippable target") from None
-        if block.logical[0] == BlockKind.STACK:
-            # stack blocks never ship in rounds (they travel only in the
-            # final stream, after the source has genuinely stopped)
-            raise DeltaDefer(f"pointer {value:#x} aims at the stack")
-        if self.known is not None and block.logical not in self.known:
-            raise DeltaDefer(
-                f"pointer {value:#x} aims at {block.logical}, which the "
-                f"destination does not hold yet"
-            )
-        info = self.ti.info_for(block.elem_type)
-        self.buf.write_u8(TAG_REF)
-        self.buf.count_tag("REF")
-        write_logical(self.buf, block.logical)
-        self.buf.write_u32(info.byte_to_ordinal(off, block.count))
-        self.stats.n_refs += 1
-
-    def _save_target(self, block: MemoryBlock, byte_off: int) -> None:  # pragma: no cover
-        raise AssertionError("delta rounds never emit BLOCK records")
-
-
-class DeltaRestorer(Restorer):
-    """Contents-only restorer for delta rounds.
-
-    The destination MSRLT itself is the cross-round ledger: every REF
-    resolves through ``lookup_logical`` (blocks registered by earlier
-    rounds or by this round's ``new`` section), not the per-pass mapping.
-    """
-
-    pointer_plans = False
-
-    def _prefault_registered(self) -> None:
-        # rounds touch few blocks; the full-table prefault (and its
-        # arena rebuild) would cost more than it saves
-        return
-
-    def restore_pointer(self, expected: MemoryBlock | None = None) -> int:
-        tag = self.buf.read_u8()
-        if tag == TAG_NULL:
-            self.stats.n_nulls += 1
-            return 0
-        if tag != TAG_REF:
-            raise RestoreError(f"bad delta record tag {tag} (rounds carry NULL/REF only)")
-        logical = read_logical(self.buf)
-        ordinal = self.buf.read_u32()
-        try:
-            block = self.msrlt.lookup_logical(logical)
-        except MSRLTError:
-            raise RestoreError(f"delta REF to unknown block {logical}") from None
-        self.stats.n_refs += 1
-        info = self.ti.info_for(block.elem_type)
-        return block.addr + info.ordinal_to_byte(ordinal, block.count)
-
-
-class PrecopyFinalCollector(Collector):
-    """The stop-and-copy collector: a full collection pass that elides
-    the contents of blocks the delta rounds already delivered.
-
-    *cached* is the set of logical ids whose destination copy is known
-    byte-fresh (shipped in some round and not dirtied since).  A cached
-    block's first visit emits a :data:`TAG_CACHED` stub — logical id,
-    ordinal, then one record per pointer cell so the traversal continues
-    behind it — instead of a ``BLOCK`` record with contents.
-    """
-
-    pointer_plans = False
-
-    def __init__(self, process, buf: WriteBuffer, cached: Iterable[tuple] = ()) -> None:
-        super().__init__(process, buf)
-        self.cached = frozenset(cached)
 
     def _save_target(self, block: MemoryBlock, byte_off: int) -> None:
-        if block.logical in self.cached and block.logical not in self._visited:
-            info = self.ti.info_for(block.elem_type)
-            self._visited.add(block.logical)
-            self.buf.write_u8(TAG_CACHED)
-            self.buf.count_tag("CACHED")
-            write_logical(self.buf, block.logical)
-            self.buf.write_u32(info.byte_to_ordinal(byte_off, block.count))
-            self.stats.n_cached_blocks += 1
-            memory = self.memory
-            addr = block.addr
-            stride = info.unit_size
-            cells = info.cells
-            for unit in range(info.units_in(block.count)):
-                base = addr + unit * stride
-                for cell in cells:
-                    if cell.kind == "ptr":
-                        self.save_pointer(memory.load("ptr", base + cell.offset))
-            return
+        if block.logical not in self._visited:
+            raise DeltaDefer(
+                f"pointer aims at {block.logical}, which the destination "
+                f"does not hold"
+            )
         super()._save_target(block, byte_off)
 
 
-class PrecopyFinalRestorer(Restorer):
-    """The stop-and-copy restorer, applied to the pre-warmed scratch.
+class _PrewarmedRestorer(Restorer):
+    """A restorer of state that lands on what the scratch process already
+    holds: born with the mapping of every non-stack block registered
+    there, so a ``REF`` to a block no record of this payload defined
+    resolves.  (Build it once the blocks are registered.)"""
 
-    Two deviations from the plain restorer: ``TAG_CACHED`` stubs resolve
-    against the blocks the delta rounds already built (contents stay,
-    pointer cells are re-stored from the stub's records), and ``BLOCK``
-    records for heap blocks the scratch already holds restore *in place*
-    instead of allocating a duplicate.
-    """
+    def __init__(self, process, buf) -> None:
+        super().__init__(process, buf)
+        self._mapping = {
+            b.logical: b
+            for b in self.msrlt.blocks()
+            if b.logical[0] != BlockKind.STACK
+        }
 
-    pointer_plans = False
+    def _prefault_registered(self) -> None:
+        # the snapshot restore materialized the windows; walking the
+        # whole table again would cost more than the few blocks a round
+        # or the final stream touches
+        return
+
+
+class DeltaRestorer(_PrewarmedRestorer):
+    """Contents-only restorer for delta rounds: ``NULL``/``REF`` records
+    against the blocks of earlier rounds and this round's ``new``
+    section."""
 
     def restore_pointer(self, expected: MemoryBlock | None = None) -> int:
-        if self.buf.peek_u8() != TAG_CACHED:
-            return super().restore_pointer(expected)
-        self.buf.read_u8()
-        logical = read_logical(self.buf)
-        ordinal = self.buf.read_u32()
-        try:
-            block = self.msrlt.lookup_logical(logical)
-        except MSRLTError:
-            raise RestoreError(f"cached stub for unknown block {logical}") from None
-        if expected is not None and block.logical != expected.logical:
-            raise RestoreError(
-                f"cached stub for {logical} arrived where "
-                f"{expected.logical} was expected"
-            )
-        self._mapping[tuple(logical)] = block
-        self.stats.n_cached_blocks += 1
-        # mirror the collector's walk: one record per pointer cell.  The
-        # stored values equal what the rounds left there (pointers are
-        # logical-stable), so the re-store is idempotent by construction.
-        info = self.ti.info_for(block.elem_type)
-        memory = self.memory
-        stride = info.unit_size
-        cells = info.cells
-        for unit in range(info.units_in(block.count)):
-            base = block.addr + unit * stride
-            for cell in cells:
-                if cell.kind == "ptr":
-                    memory.store("ptr", base + cell.offset, self.restore_pointer())
-        return block.addr + info.ordinal_to_byte(ordinal, block.count)
+        if self.buf.peek_u8() == TAG_BLOCK:
+            raise RestoreError("BLOCK record in a delta round (rounds carry NULL/REF only)")
+        return super().restore_pointer(expected)
+
+
+class PrecopyFinalCollector(Collector):
+    """The stop-and-copy collector: a full collection pass in which the
+    blocks the delta rounds already delivered are born visited.
+
+    *cached* is the set of logical ids whose destination copy is known
+    byte-fresh (shipped in some round and not dirtied since).
+    """
+
+    def __init__(self, process, buf: WriteBuffer, cached: Iterable[tuple] = ()) -> None:
+        super().__init__(process, buf)
+        self._visited = set(cached)
+
+    def save_tail(self) -> None:
+        """Tail roots: the live non-stack blocks no root reached.  Behind
+        a clean block nothing is walked, so a stale block only clean ones
+        point to (or none: the rounds ship leaked blocks too) is a root
+        of its own."""
+        visited = self._visited
+        stale = [
+            b for b in self.msrlt.blocks()
+            if b.logical[0] != BlockKind.STACK and b.logical not in visited
+        ]
+        stale.sort(key=lambda b: b.logical)
+        for block in stale:
+            if block.logical not in visited:  # an earlier tail root may lead here
+                self.buf.write_u8(1)
+                self.save_variable(block)
+        self.buf.write_u8(0)
+
+
+class PrecopyFinalRestorer(_PrewarmedRestorer):
+    """The stop-and-copy restorer, applied to the pre-warmed scratch: a
+    ``BLOCK`` record for a heap block the scratch holds restores *in
+    place* instead of allocating a duplicate, and the tail section is
+    read after the globals."""
+
+    def restore_tail(self) -> None:
+        while True:
+            marker = self.buf.read_u8()
+            if marker == 0:
+                return
+            if marker != 1:
+                raise RestoreError(f"bad tail marker {marker}")
+            self.restore_pointer()
 
     def _resolve_block(self, logical: tuple, info, count: int) -> MemoryBlock:
-        if logical[0] == BlockKind.HEAP and self.msrlt.has_logical(logical):
-            block = self.msrlt.lookup_logical(logical)
-            if info.size * count != block.size:
-                raise RestoreError(
-                    f"record for {logical} claims {info.size * count} bytes "
-                    f"but the pre-copied block is {block.size} bytes"
-                )
-            return block
-        return super()._resolve_block(logical, info, count)
+        block = self._mapping.get(logical) if logical[0] == BlockKind.HEAP else None
+        if block is None:
+            return super()._resolve_block(logical, info, count)
+        if info.size * count != block.size:
+            raise RestoreError(
+                f"record for {logical} claims {info.size * count} bytes "
+                f"but the pre-copied block is {block.size} bytes"
+            )
+        return block
 
 
 class RoundResult:
@@ -252,7 +207,7 @@ def build_round(
     freed: Sequence[tuple],
     new_blocks: Sequence[MemoryBlock],
     dirty_blocks: Sequence[MemoryBlock],
-    known=None,
+    known: set,
 ) -> RoundResult:
     """Serialize one delta round on the source.
 
@@ -260,8 +215,9 @@ def build_round(
     since freed; *new_blocks* are blocks registered since the previous
     round (their registration must precede any contents that REF them);
     *dirty_blocks* are the blocks to (re)ship contents for — new blocks
-    are expected to appear here too.  *known* (optional) bounds the REF
-    targets to what the destination holds; see :class:`DeltaCollector`.
+    are expected to appear here too.  *known* is what the destination
+    holds once the ``new`` section is applied — the only blocks a ``REF``
+    may name; see :class:`DeltaCollector`.
     """
     out = WriteBuffer()
     out.write_u32(round_no)
@@ -280,7 +236,7 @@ def build_round(
     out.write_u32(len(dirty_blocks))
     shipped: list[tuple] = []
     deferred: list[tuple] = []
-    coll = DeltaCollector(process, WriteBuffer(), known=known)
+    coll = DeltaCollector(process, WriteBuffer(), known)
     for block in dirty_blocks:
         write_logical(out, block.logical)
         # each block gets its own buffer so a mid-contents DeltaDefer
@@ -313,7 +269,6 @@ def apply_round(process, payload, expected_round: int):
     retryable error family exactly like a full-stream restore failure.
     """
     buf = ReadBuffer(payload)
-    rest = DeltaRestorer(process, buf)
     msrlt = process.msrlt
     ti = process.ti
     round_no = buf.read_u32()
@@ -334,6 +289,7 @@ def apply_round(process, payload, expected_round: int):
         msrlt.unregister(block.addr)
         process.memory.heap_free(block.addr)
     n_new = buf.read_u32()
+    n_heap_allocs = 0
     for _ in range(n_new):
         logical = read_logical(buf)
         type_id = buf.read_u32()
@@ -343,7 +299,7 @@ def apply_round(process, payload, expected_round: int):
             if msrlt.has_logical(logical):
                 raise RestoreError(f"duplicate registration of {logical} in round")
             process.restore_heap_block(info.ctype, count, serial=logical[1])
-            rest.stats.n_heap_allocs += 1
+            n_heap_allocs += 1
         elif logical[0] == BlockKind.GLOBAL:
             # globals pre-exist on the destination; just validate
             block = msrlt.lookup_logical(logical)
@@ -355,6 +311,8 @@ def apply_round(process, payload, expected_round: int):
                 )
         else:
             raise RestoreError(f"stack block {logical} in a delta round")
+    rest = DeltaRestorer(process, buf)
+    rest.stats.n_heap_allocs = n_heap_allocs
     n_blocks = buf.read_u32()
     for _ in range(n_blocks):
         logical = read_logical(buf)
@@ -363,10 +321,9 @@ def apply_round(process, payload, expected_round: int):
             continue  # deferred: arrives in the stop-and-copy stream
         if state != 0:
             raise RestoreError(f"bad delta block state {state} for {logical}")
-        try:
-            block = msrlt.lookup_logical(logical)
-        except MSRLTError:
-            raise RestoreError(f"delta contents for unknown block {logical}") from None
+        block = rest._mapping.get(logical)
+        if block is None:
+            raise RestoreError(f"delta contents for unknown block {logical}")
         info = ti.info_for(block.elem_type)
         rest._restore_contents(block, info)
         rest.stats.n_blocks += 1

@@ -91,13 +91,6 @@ REF_DTYPE = np.dtype(
     [("tag", "u1"), ("lk", "u1"), ("la", ">u4"), ("lb", ">u4"), ("ord", ">u4")]
 )
 
-_DANGLING = (
-    "pointer {value:#x} does not refer to any live memory block; "
-    "the program stored a dangling or fabricated address, which is "
-    "migration-unsafe"
-)
-
-
 class SortedArena:
     """Immutable columnar snapshot of an MSRLT's sorted block arrays.
 
@@ -242,10 +235,6 @@ def _true_prefix(mask: np.ndarray) -> int:
 class FlatPlan:
     """Zero-copy bulk path for homogeneous dense primitive blocks."""
 
-    #: True on plans that write and read pointer *records* in bulk,
-    #: bypassing ``save_pointer`` / ``restore_pointer`` (see
-    #: ``Collector.pointer_plans``)
-    emits_records = False
     #: the attribution engagement class a block this plan took books
     engagement = "flat"
     __slots__ = ("kind", "host_dtype", "wire_dtype")
@@ -305,7 +294,6 @@ class StructPlan:
     the number of units — the same O(fields) shape the flat plan has.
     """
 
-    emits_records = False
     engagement = "codec"
     __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size")
 
@@ -361,7 +349,6 @@ class StructPlan:
 class PtrArrayPlan:
     """Run-batched save/restore for dense pointer-array blocks."""
 
-    emits_records = True
     engagement = "codec"
     __slots__ = ()
 
@@ -568,7 +555,6 @@ class ChainPlan:
     node's tail record.
     """
 
-    emits_records = True
     #: the block ``save`` / ``restore`` took went through the unit loop;
     #: the blocks of a batch book "codec" through ``book_batch``
     engagement = "percell"
@@ -681,7 +667,10 @@ class ChainPlan:
                     try:
                         target = collector.msrlt.lookup_addr(value)
                     except MSRLTError:
-                        raise MSRLTError(_DANGLING.format(value=value)) from None
+                        # dangling: the collector's own entry point raises
+                        # its error for it (a delta round defers instead)
+                        collector.save_pointer(value)
+                        raise
                     if cell is tail and not backoff.skip:
                         value = self._save_batch(collector, *target)
                         if value is not None:

@@ -43,18 +43,11 @@ class RestoreStats:
     n_refs: int = 0
     n_nulls: int = 0
     n_heap_allocs: int = 0
-    #: pre-copy cached stubs consumed (TAG_CACHED records)
-    n_cached_blocks: int = 0
     data_bytes: int = 0  # destination-arch bytes written
 
 
 class Restorer:
     """One data-restoration pass into a destination process."""
-
-    #: mirror of Collector.pointer_plans — the pre-copy restorers read
-    #: per-record tags the bulk record readers cannot see, so their
-    #: subclasses disable the ``emits_records`` plans symmetrically.
-    pointer_plans = True
 
     def __init__(self, process, buf: ReadBuffer) -> None:
         self.process = process
@@ -69,8 +62,6 @@ class Restorer:
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
         self.plan_enabled = self.ti.plans_enabled
-        # read once per block: kept on the instance
-        self.record_plans = self.pointer_plans
         #: per-pass scratch owned by the plans (ChainPlan's backoff)
         self.plan_state = None
         self._prefault_registered()
@@ -115,6 +106,10 @@ class Restorer:
             block = self._mapping.get(logical)
             if block is None:
                 raise RestoreError(f"REF to unseen block {logical}")
+            if expected is not None and block.logical != expected.logical:
+                raise RestoreError(
+                    f"REF to {logical} arrived where {expected.logical} was expected"
+                )
             self.stats.n_refs += 1
             info = self.ti.info_for(block.elem_type)
             return block.addr + info.ordinal_to_byte(ordinal, block.count)
@@ -155,6 +150,10 @@ class Restorer:
                 )
         return block.addr + info.ordinal_to_byte(ordinal, block.count)
 
+    def restore_tail(self) -> None:
+        """Mirror of :meth:`Collector.save_tail`: nothing follows the
+        globals in a plain stream."""
+
     # -- block resolution ------------------------------------------------------------------
 
     def _resolve_block(self, logical: tuple, info: TypeInfo, count: int) -> MemoryBlock:
@@ -192,11 +191,7 @@ class Restorer:
             # so a disagreeing flag is a corrupt or mismatched payload
             raise RestoreError(f"flat flag disagrees with type {info.label}")
         plan = self.ti.plan_for(info) if self.plan_enabled else None
-        if (
-            plan is not None
-            and (self.record_plans or not plan.emits_records)
-            and plan.restore(self, block, info)
-        ):
+        if plan is not None and plan.restore(self, block, info):
             return plan.engagement
         if flat is not None:
             # one vectorized decode for the whole block

@@ -102,7 +102,6 @@ __all__ = [
     "TAG_NULL",
     "TAG_REF",
     "TAG_BLOCK",
-    "TAG_CACHED",
     "FLAG_FLAT",
     "WireHeader",
     "write_header",
@@ -146,11 +145,6 @@ VERSION = 1
 TAG_NULL = 0
 TAG_REF = 1
 TAG_BLOCK = 2
-#: pre-copy stop-and-copy only: the block's contents already live on the
-#: destination (shipped by a delta round and clean since); the record
-#: carries the logical id + ordinal and then one record per pointer cell
-#: (so the DFS still reaches blocks behind it), but no scalar contents
-TAG_CACHED = 3
 
 FLAG_FLAT = 1
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -107,6 +109,47 @@ class TestMigrate:
     def test_migrate_past_exit_fails_cleanly(self, demo_c):
         with pytest.raises(SystemExit, match="exited"):
             main(["migrate", demo_c, "--after-polls", "99999"])
+
+
+CHAIN = """
+struct node { int v; struct node *next; };
+struct node *head;
+int main() {
+    int i; int s; struct node *n;
+    head = NULL;
+    for (i = 0; i < 5000; i++) {
+        n = (struct node *) malloc(sizeof(struct node));
+        n->v = i; n->next = head; head = n;
+    }
+    s = 0;
+    for (n = head; n != NULL; n = n->next) { s = s + n->v; n->v = s % 7; }
+    printf("sum=%d\\n", s);
+    return 0;
+}
+"""
+
+
+class TestMigratePrecopy:
+    def test_deep_even_chain_at_the_default_recursion_limit(self, tmp_path, capsys):
+        """The pre-copy final stream runs the plans like a plain one: a
+        5 000-node evenly spaced chain is flattened, not recursed into."""
+        path = tmp_path / "chain.c"
+        path.write_text(CHAIN)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            rc = main(
+                ["migrate", str(path), "--after-polls", "5003",
+                 "--precopy", "--max-rounds", "3"]
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == "sum=12497500\n"
+        assert "migration failed" not in captured.err
+        assert "[pre-copy: " in captured.err
+        assert "identical" in captured.err
 
 
 class TestMigrateFaults:

@@ -281,25 +281,69 @@ class _RecordingChannel(Channel):
         return super().send(payload)
 
 
+#: a 32-pointer array re-aimed by every slice (PtrArrayPlan territory:
+#: >= MIN_BULK_CELLS cells) next to list nodes the same slices churn
+HOT_ARRAY_SRC = """
+struct cell { double value; int row; };
+struct probe { struct cell *target; int strength; struct probe *next; };
+struct cell grid[64];
+struct cell *hot[32];
+struct probe *chain;
+
+int main() {
+    int r; int i; double acc;
+    struct probe *p;
+    for (i = 0; i < 64; i++) { grid[i].value = i * 0.5; grid[i].row = i; }
+    for (i = 0; i < 32; i++) hot[i] = &grid[i];
+    for (r = 0; r < 5; r++) {
+        migrate_here();
+        for (i = 0; i < 32; i++) {
+            if ((i + r) % 3 == 0) hot[i] = NULL;
+            else hot[i] = &grid[(i * 7 + r) % 64];
+        }
+        p = (struct probe *) malloc(sizeof(struct probe));
+        p->target = hot[1]; p->strength = r; p->next = chain; chain = p;
+    }
+    migrate_here();
+    acc = 0.0;
+    for (i = 0; i < 32; i++) if (hot[i] != NULL) acc = acc + hot[i]->value;
+    for (p = chain; p != NULL; p = p->next) acc = acc + p->strength;
+    printf("acc=%.3f\\n", acc);
+    return 0;
+}
+"""
+
 #: the corpus programs most likely to trip delta-round bookkeeping, and
 #: the pairs test_precopy.py replays them on
 CORPUS = {e.name: e for e in load_corpus()}
 PRECOPY_CORPUS = ("gen_churn", "gen_pastend", "gen_list_churn", "gen_mixed_churn")
+PRECOPY_SOURCES = {name: CORPUS[name].source for name in PRECOPY_CORPUS}
+PRECOPY_SOURCES["hot_ptr_array"] = HOT_ARRAY_SRC
 PRECOPY_PAIRS = (
     (DEC5000, ALPHA), (ALPHA, SPARC20), (SPARC20, X86_64), (X86_64, DEC5000),
 )
 
 
-@pytest.mark.parametrize("entry_name", PRECOPY_CORPUS)
+@pytest.mark.parametrize("entry_name", PRECOPY_SOURCES)
 @pytest.mark.parametrize(
     "pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
 )
-def test_precopy_wire_identical_plans_on_off(entry_name, pair):
-    """Pre-copy runs the pointer-free plans only (its collectors set
-    ``pointer_plans = False``): every delta frame and the final payload
-    must equal what the per-cell oracle sends."""
-    prog = compile_program(CORPUS[entry_name].source, poll_strategy="user")
+def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
+    """Pre-copy runs the same plans as a plain migration (its collectors
+    and restorers are the ordinary ones, born knowing what the
+    destination holds): every delta frame and the final payload must
+    equal what the per-cell oracle sends — with a pointer plan really
+    engaged in a round and in the final stream."""
+    prog = compile_program(PRECOPY_SOURCES[entry_name], poll_strategy="user")
     src_arch, dst_arch = pair
+    engaged = Counter()
+    for side in ("save", "restore"):
+        def spy(plan, worker, block, info, inner=getattr(PtrArrayPlan, side)):
+            took = inner(plan, worker, block, info)
+            engaged[type(worker).__name__] += took
+            return took
+
+        monkeypatch.setattr(PtrArrayPlan, side, spy)
 
     def migrate():
         proc = Process(prog, src_arch)
@@ -316,12 +360,19 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair):
         dest.run_to_completion()
         # trace-context control frames carry per-migration ids
         wire = [frame for frame in channel.sent if frame[:4] != b"MCTX"]
-        return wire, dest.stdout
+        return wire, dest.stdout, stats
 
-    planned = migrate()
+    *planned, stats = migrate()
+    if entry_name == "hot_ptr_array":
+        assert stats.collect.n_plan_blocks > 0
+        for worker in ("DeltaCollector", "DeltaRestorer",
+                       "PrecopyFinalCollector", "PrecopyFinalRestorer"):
+            assert engaged[worker] > 0, f"PtrArrayPlan never took a block for {worker}"
+    engaged.clear()
     probe = Process(prog, src_arch), Process(prog, dst_arch)
     with plans_off(*probe):
-        oracle = migrate()
+        *oracle, _ = migrate()
+    assert not engaged
     assert planned == oracle
 
 

@@ -16,9 +16,12 @@ from repro.difftest.corpus import load_corpus
 from repro.difftest.harness import run_baseline, _stop_at_poll
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.migration.engine import (
+    MigrationAbortedError,
     MigrationEngine,
+    RestoreError,
     RetryPolicy,
     collect_state,
+    restore_state,
 )
 from repro.migration.precopy import (
     PrecopyPolicy,
@@ -35,8 +38,9 @@ from repro.migration.transport import (
     FaultyChannel,
     SocketChannel,
 )
-from repro.msr.delta import PrecopyFinalCollector
+from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
 from repro.msr.msrlt import BlockKind
+from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
     DeltaDecoder,
@@ -327,13 +331,15 @@ class TestPrecopyEngine:
     def test_final_stream_elides_cached_blocks(self):
         prog = _compile(MUTATOR_SRC)
         plain = _stopped(prog, ULTRA5)
-        payload_plain, _ = collect_state(plain)
+        payload_plain, plain_info = collect_state(plain)
         _dest, stats = _precopy_migrate(prog, ULTRA5, SPARC20)
         # the stop-and-copy payload must be smaller than a full
-        # collection (clean blocks ship as TAG_CACHED stubs)
+        # collection: a clean block is born visited, so it costs one REF
+        # wherever it is pointed to and no BLOCK record anywhere
         assert stats.payload_bytes < len(payload_plain)
-        assert stats.restore is not None
-        assert stats.restore.n_cached_blocks > 0
+        assert 0 < stats.collect.n_blocks < plain_info.stats.n_blocks
+        assert stats.restore.n_blocks == stats.collect.n_blocks
+        assert stats.collect.n_refs > plain_info.stats.n_refs
 
     def test_streaming_final(self):
         prog = _compile(MUTATOR_SRC)
@@ -344,7 +350,9 @@ class TestPrecopyEngine:
         assert dest.run_to_completion() == baseline.exit_code
         assert dest.stdout == baseline.stdout
         assert stats.streamed and stats.precopy
-        assert stats.precopy_downtime_s == stats.pipeline_time
+        # the pause starts when the last slice returns, not when the
+        # final stream does
+        assert stats.precopy_downtime_s > stats.pipeline_time
 
     def test_socket_channel_rounds(self):
         prog = _compile(MUTATOR_SRC)
@@ -422,14 +430,20 @@ class TestPrecopyEngine:
 
 def test_final_collector_with_empty_cache_is_byte_identical():
     """PrecopyFinalCollector(cached=∅) must produce exactly the plain
-    collector's stream — TAG_CACHED elision is inert until earned."""
+    collector's stream plus the tail section's terminator byte — born
+    visited is inert until earned — and restore like it."""
     prog = _compile(MUTATOR_SRC)
     proc = _stopped(prog, ULTRA5)
     plain, _ = collect_state(proc)
     finalized, _ = collect_state(
         proc, lambda p, b: PrecopyFinalCollector(p, b, cached=())
     )
-    assert plain == finalized
+    assert finalized == plain + b"\x00"
+    dest = Process(prog, SPARC20)
+    restore_state(prog, finalized, dest, PrecopyFinalRestorer)
+    reference = Process(prog, SPARC20)
+    restore_state(prog, plain, reference)
+    assert collect_state(dest)[0] == collect_state(reference)[0]
 
 
 # -- satellite 2: fault-plan determinism ---------------------------------
@@ -554,6 +568,193 @@ def test_corpus_replays_through_precopy(entry_name, pair):
     assert fingerprint_diff(heap_fingerprint(dest), baseline.fingerprint) is None
     assert sum(stats.precopy_round_bytes) == stats.precopy_bytes
     assert stats.precopy and stats.precopy_rounds >= 2
+
+
+# -- born visited: what the stub walk used to do implicitly --------------
+
+# the last slice (r == 2 under max_rounds=2) writes a node only two clean
+# nodes lead to, and dirties a node and then drops the only pointer to it
+TAIL_SRC = """
+struct node { int v; struct node *next; };
+struct node *head;
+struct node *stash;
+int ticks;
+
+void push(int v) {
+    struct node *n;
+    n = (struct node *) malloc(sizeof(struct node));
+    n->v = v; n->next = head; head = n;
+}
+
+int main() {
+    int r;
+    push(3); push(2); push(1);
+    stash = (struct node *) malloc(sizeof(struct node));
+    stash->v = 7; stash->next = NULL;
+    for (r = 0; r < 6; r++) {
+        migrate_here();
+        ticks = ticks + 1;
+        if (r == 2) {
+            head->next->next->v = 99;
+            stash->v = 123;
+            stash = NULL;
+        }
+    }
+    migrate_here();
+    printf("%d %d %d %d\\n", head->v, head->next->v, head->next->next->v, ticks);
+    return 0;
+}
+"""
+
+# a clean heap block (bx) and chain-shaped nodes dirtied every slice both
+# hold &local of main; the snapshot is taken in main, the stop in deeper()
+STACK_REF_SRC = """
+struct box { int *p; int pad; };
+struct link { int *where; int v; struct link *next; };
+struct box *bx;
+struct link *links;
+int ticks;
+
+void deeper(int r) {
+    migrate_here();
+    ticks = ticks + r;
+}
+
+int main() {
+    int local; int r;
+    struct link *l;
+    local = 5;
+    bx = (struct box *) malloc(sizeof(struct box));
+    bx->p = &local; bx->pad = 1;
+    links = NULL;
+    for (r = 0; r < 6; r++) {
+        if (r % 2 == 1) deeper(r);
+        else { migrate_here(); ticks = ticks + 1; }
+        local = local + 10;
+        l = (struct link *) malloc(sizeof(struct link));
+        l->where = &local; l->v = r; l->next = links; links = l;
+    }
+    migrate_here();
+    printf("%d %d %d\\n", *bx->p, *links->where + links->v, ticks);
+    return 0;
+}
+"""
+
+TWO_ROUNDS = PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0)
+
+
+def _assert_like_unmigrated(dest, baseline):
+    assert dest.run_to_completion() == baseline.exit_code
+    assert dest.stdout == baseline.stdout
+    assert fingerprint_diff(heap_fingerprint(dest), baseline.fingerprint) is None
+
+
+@pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
+def test_tail_roots_carry_what_no_root_reaches(pair):
+    prog = _compile(TAIL_SRC)
+    src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
+    dest, stats = _precopy_migrate(
+        prog, src_arch, dst_arch, policy=TWO_ROUNDS, attribution=True
+    )
+    assert stats.precopy and stats.precopy_rounds == 3
+    # the leaked node arrived with its last write, next to the live ones
+    values = sorted(dest.memory.load("int", b.addr) for b in dest.msrlt.heap_blocks())
+    assert values == [1, 2, 99, 123]
+    # the tail markers are framing: rows + framing == payload, exactly
+    attr = stats.attribution
+    assert attr["payload_bytes"] == stats.payload_bytes
+    assert sum(r["bytes"] for r in attr["rows"]) == stats.payload_bytes
+    _assert_like_unmigrated(dest, run_baseline(prog, src_arch))
+
+
+@pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
+def test_clean_block_keeps_its_stack_pointer_across_call_depths(pair):
+    prog = _compile(STACK_REF_SRC)
+    src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
+    proc = _stopped(prog, src_arch)
+    assert len(proc.frames) == 1
+    dest, stats = ENGINE.migrate(
+        proc, dst_arch, precopy=True, precopy_policy=TWO_ROUNDS
+    )
+    assert stats.precopy and len(dest.frames) == 2
+    # a chain node holding &local cannot ship in a round (the stack is
+    # unregistered while the source runs): deferred, not a crash
+    rounds = stats.obs.events.of_type("precopy_round")
+    assert [e["deferred"] for e in rounds] == [0, 1, 1]
+    _assert_like_unmigrated(dest, run_baseline(prog, src_arch))
+
+
+class TestHostileFinalStream:
+    """Tag 3 is a bad tag again and the tail section has two markers:
+    anything else is a typed error, and the engine falls back to the
+    plain stop-and-copy or leaves the source runnable."""
+
+    @pytest.fixture
+    def final(self):
+        """(program, pre-warmed scratch, final payload with a tail root,
+        offset of the root record of the clean global ``head``)."""
+        prog = _compile(TAIL_SRC)
+        proc = _stopped(prog, ULTRA5)
+        scratch = Process(prog, SPARC20)
+        state = run_precopy(
+            proc, scratch, Channel(LOOPBACK), TWO_ROUNDS, MigrationStats(), 4096
+        )
+        head_at = []
+
+        class Noting(PrecopyFinalCollector):
+            def save_variable(self, block):
+                if block.logical == (BlockKind.GLOBAL, 0, 0):
+                    head_at.append(self.buf.nbytes)
+                super().save_variable(block)
+
+        payload, _ = collect_state(
+            proc, lambda p, b: Noting(p, b, cached=state.cached)
+        )
+        return prog, scratch, bytes(payload), head_at[0]
+
+    def test_pristine_final_payload_restores(self, final):
+        prog, scratch, payload, head_at = final
+        assert payload[head_at] == 1  # a clean global is one root REF
+        assert payload[-1] == 0  # the tail section's terminator
+        restore_state(prog, payload, scratch, PrecopyFinalRestorer)
+
+    def test_bad_tail_marker_is_typed(self, final):
+        prog, scratch, payload, _ = final
+        with pytest.raises(MsrRestoreError, match="bad tail marker 7"):
+            restore_state(prog, payload[:-1] + b"\x07", scratch, PrecopyFinalRestorer)
+
+    def test_tag_three_is_a_bad_tag(self, final):
+        prog, scratch, payload, head_at = final
+        forged = payload[:head_at] + b"\x03" + payload[head_at + 1 :]
+        with pytest.raises(MsrRestoreError, match="bad record tag 3"):
+            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+
+    @pytest.fixture
+    def forged_tail(self, monkeypatch):
+        def save_tail(self):
+            self.buf.write_u8(7)
+
+        monkeypatch.setattr(PrecopyFinalCollector, "save_tail", save_tail)
+
+    def test_engine_degrades_to_plain_stop_and_copy(self, forged_tail):
+        prog = _compile(TAIL_SRC)
+        dest, stats = _precopy_migrate(
+            prog, ULTRA5, SPARC20, policy=TWO_ROUNDS,
+            retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None),
+        )
+        assert stats.precopy_degraded and not stats.precopy
+        assert stats.attempts == 2 and stats.precopy_downtime_s == 0.0
+        _assert_like_unmigrated(dest, run_baseline(prog, ULTRA5))
+
+    def test_source_stays_resumable_without_retries(self, forged_tail):
+        prog = _compile(TAIL_SRC)
+        proc = _stopped(prog, ULTRA5)
+        with pytest.raises(MigrationAbortedError) as excinfo:
+            ENGINE.migrate(proc, SPARC20, precopy=True, precopy_policy=TWO_ROUNDS)
+        assert isinstance(excinfo.value.last_error, RestoreError)
+        proc.migration_pending = False
+        assert proc.run_to_completion() == 0
+        assert proc.stdout == run_baseline(prog, ULTRA5).stdout
 
 
 # -- run_precopy unit behavior ------------------------------------------

@@ -20,7 +20,8 @@ from repro.migration.engine import (
     restore_state,
     restore_state_stream,
 )
-from repro.msr.msrlt import MSRLTError
+from repro.msr.collect import Collector
+from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError
 from repro.msr.wire import (
     ChunkDecoder,
@@ -129,6 +130,27 @@ class TestCorruption:
         dest = _try_restore(_PAYLOAD)
         dest.run()
         assert dest.stdout == "15 7.5"
+
+
+    def test_root_ref_must_name_the_expected_block(self):
+        """A structurally valid payload whose record for global 1 is a
+        REF to global 0: accepted, it would leave `numbers` unrestored
+        without a word (root REFs are ordinary in a pre-copy final
+        stream, where every clean global is one)."""
+
+        class Misrouting(Collector):
+            def save_variable(self, block):
+                if block.logical == (BlockKind.GLOBAL, 1, 0):
+                    block = self.msrlt.lookup_logical((BlockKind.GLOBAL, 0, 0))
+                super().save_variable(block)
+
+        proc = Process(_PROG, DEC5000)
+        proc.start()
+        proc.migration_pending = True
+        assert proc.run().status == "poll"
+        forged, _ = collect_state(proc, Misrouting)
+        with pytest.raises(RestoreError, match="arrived where .* was expected"):
+            _try_restore(forged)
 
 
 # -- streamed chunk-frame corruption -----------------------------------------
