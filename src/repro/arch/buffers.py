@@ -16,7 +16,7 @@ partially-arrived payload without knowing it is partial.
 from __future__ import annotations
 
 import struct
-from collections import Counter
+from collections import Counter, deque
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -154,6 +154,14 @@ class WriteBuffer:
     # -- accessors ---------------------------------------------------------
 
     @property
+    def storage(self) -> bytearray:
+        """The live storage, for a writer that appends many small records
+        in one go (``storage += data`` is :meth:`write` without the
+        call).  Fetch it again after any :meth:`drain`/:meth:`flush`:
+        both detach it."""
+        return self._buf
+
+    @property
     def nbytes(self) -> int:
         """Total bytes written so far (including drained bytes)."""
         return self.bytes_drained + len(self._buf)
@@ -209,8 +217,27 @@ class ReadBuffer:
         dest[:] = self._view[self._pos : end]
         self._pos = end
 
+    def unpack(self, fmt) -> tuple:
+        """Consume ``fmt.size`` bytes and return ``fmt.unpack_from`` of
+        them — one call per fixed-layout record, no intermediate slice.
+        *fmt* is a :class:`struct.Struct` (or anything with its ``size``
+        and ``unpack_from``)."""
+        pos = self._pos
+        end = pos + fmt.size
+        if end > len(self._view):
+            raise EOFError(
+                f"wire buffer underrun: need {fmt.size} bytes at {pos}, "
+                f"have {len(self._view) - pos}"
+            )
+        self._pos = end
+        return fmt.unpack_from(self._view, pos)
+
     def read_u8(self) -> int:
-        return _U8.unpack_from(self._view, self._advance(1))[0]
+        pos = self._pos
+        if pos >= len(self._view):
+            raise EOFError(f"wire buffer underrun: need 1 bytes at {pos}, have 0")
+        self._pos = pos + 1
+        return self._view[pos]
 
     def read_u16(self) -> int:
         return _U16.unpack_from(self._view, self._advance(2))[0]
@@ -267,6 +294,12 @@ class ReadBuffer:
         """Whether the whole buffer has been consumed."""
         return self._pos == len(self._view)
 
+    def holds(self, n: int) -> bool:
+        """Whether *n* more bytes can be read.  A record that claims more
+        contents than that is refused before anything is allocated for
+        it."""
+        return n <= len(self._view) - self._pos
+
 
 class StreamReadBuffer(ReadBuffer):
     """A :class:`ReadBuffer` over an *iterator of chunks* instead of one
@@ -287,7 +320,7 @@ class StreamReadBuffer(ReadBuffer):
     like a truncated monolithic payload.
     """
 
-    __slots__ = ("_chunks", "_exhausted", "_base")
+    __slots__ = ("_chunks", "_exhausted", "_base", "_ahead", "_ahead_bytes")
 
     def __init__(self, chunks: Iterable[bytes]) -> None:
         super().__init__(b"")
@@ -295,6 +328,26 @@ class StreamReadBuffer(ReadBuffer):
         self._exhausted = False
         #: bytes discarded in front of the current window (for position)
         self._base = 0
+        #: chunks :meth:`holds` pulled to count them, not yet in the window
+        self._ahead: deque = deque()
+        self._ahead_bytes = 0
+
+    def _pull(self):
+        """One more chunk off the iterator, or ``None`` once it has ended."""
+        if not self._exhausted:
+            try:
+                return next(self._chunks)
+            except StopIteration:
+                self._exhausted = True
+        return None
+
+    def _next_chunk(self):
+        """The next chunk of the stream, or ``None`` past the last one."""
+        if self._ahead:
+            chunk = self._ahead.popleft()
+            self._ahead_bytes -= len(chunk)
+            return chunk
+        return self._pull()
 
     def _ensure(self, n: int) -> None:
         """Pull chunks until *n* bytes are readable or the stream ends.
@@ -309,16 +362,12 @@ class StreamReadBuffer(ReadBuffer):
             return
         parts = [self._view[self._pos :]]
         while have < n:
-            if self._exhausted:
+            chunk = self._next_chunk()
+            if chunk is None:
                 raise EOFError(
                     f"stream underrun: need {n} bytes at {self.position}, "
                     f"have {have} and no more chunks"
                 )
-            try:
-                chunk = next(self._chunks)
-            except StopIteration:
-                self._exhausted = True
-                continue
             parts.append(chunk)
             have += len(chunk)
         self._base += self._pos
@@ -356,16 +405,12 @@ class StreamReadBuffer(ReadBuffer):
         filled = avail
         leftover = None
         while filled < n:
-            if self._exhausted:
+            chunk = self._next_chunk()
+            if chunk is None:
                 raise EOFError(
                     f"stream underrun: need {n} bytes at {start}, "
                     f"have {filled} and no more chunks"
                 )
-            try:
-                chunk = next(self._chunks)
-            except StopIteration:
-                self._exhausted = True
-                continue
             mv = memoryview(chunk)
             take = min(len(mv), n - filled)
             dest[filled : filled + take] = mv[:take]
@@ -377,6 +422,10 @@ class StreamReadBuffer(ReadBuffer):
         self._base = start + n
         self._pos = 0
         self._view = leftover if leftover is not None else memoryview(b"")
+
+    def unpack(self, fmt) -> tuple:
+        self._ensure(fmt.size)
+        return super().unpack(fmt)
 
     def read_u8(self) -> int:
         self._ensure(1)
@@ -417,7 +466,7 @@ class StreamReadBuffer(ReadBuffer):
     def remaining(self) -> int:
         """Bytes available *without* pulling another chunk (a lower bound
         on the true remainder while the stream is still live)."""
-        return len(self._view) - self._pos
+        return len(self._view) - self._pos + self._ahead_bytes
 
     def at_end(self) -> bool:
         """Whether the whole stream has been consumed (pulls the iterator
@@ -429,3 +478,18 @@ class StreamReadBuffer(ReadBuffer):
         except EOFError:
             return True
         return False
+
+    def holds(self, n: int) -> bool:
+        """Pulls chunks until *n* bytes are in hand or the stream ends.
+        The chunks are set aside as they came — not joined into the
+        window — so a bulk ``readinto`` that follows still copies each
+        exactly once."""
+        have = len(self._view) - self._pos + self._ahead_bytes
+        while have < n:
+            chunk = self._pull()
+            if chunk is None:
+                return False
+            self._ahead.append(chunk)
+            self._ahead_bytes += len(chunk)
+            have += len(chunk)
+        return True

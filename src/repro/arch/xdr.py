@@ -52,6 +52,7 @@ __all__ = [
     "encode_array",
     "decode_array",
     "wire_dtype",
+    "wire_struct_code",
     "host_struct_code",
     "host_np_dtype",
 ]
@@ -145,6 +146,12 @@ def encode(kind: str, value: float | int) -> bytes:
 def decode(kind: str, data: bytes | memoryview, offset: int = 0) -> float | int:
     """Decode one primitive value from canonical wire bytes at *offset*."""
     return _PACKERS[kind].unpack_from(data, offset)[0]
+
+
+def wire_struct_code(kind: str) -> str:
+    """:mod:`struct` format character of *kind* on the wire (apply with
+    the ``>`` byte-order prefix)."""
+    return _STRUCT_FMT[kind]
 
 
 def wire_dtype(kind: str) -> np.dtype:

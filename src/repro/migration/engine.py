@@ -79,10 +79,10 @@ class MigrationError(Exception):
 
 
 class CollectError(MigrationError):
-    """The collector itself failed (today: the recursive traversal of a
-    deep list hitting the interpreter's recursion limit).  That is not
-    transport noise — every retry would repeat it — so the engine fails
-    fast; the source stays at its poll-point, runnable."""
+    """The collector itself failed (a dangling or fabricated pointer in
+    live state, a pointer into padding).  That is not transport noise —
+    every retry would repeat it — so the engine fails fast; the source
+    stays at its poll-point, runnable."""
 
 
 class TransferError(MigrationError):

@@ -11,7 +11,7 @@
 - :mod:`repro.msr.collect` — ``Save_pointer`` / ``Save_variable``:
   depth-first traversal of the MSR graph with visited-marking;
 - :mod:`repro.msr.restore` — ``Restore_pointer`` / ``Restore_variable``:
-  recursive reconstruction on the destination;
+  reconstruction on the destination, in the records' (DFS) order;
 - :mod:`repro.msr.model` — explicit MSR graph G=(V,E) snapshots for
   inspection, tests, and the paper's Figure 1 example.
 """

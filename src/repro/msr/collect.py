@@ -8,25 +8,42 @@ blocks are marked so that they are not saved again."
 
 The collector walks live pointers depth-first; the first visit of a
 block emits a ``BLOCK`` record (header, machine-independent id, type,
-then contents converted cell-by-cell or via the bulk XDR path), every
-later reference emits only a ``REF``.  Pointers inside block contents
-recurse, which reproduces exactly the traversal order the paper's §3.2
-example walks through (v11 → e8 → v6 → e6 → v10, backtrack …).
+then contents converted by the type's plan), every later reference emits
+only a ``REF``.  A pointer inside a block's contents is followed before
+the cells after it are written, which reproduces exactly the traversal
+order the paper's §3.2 example walks through (v11 → e8 → v6 → e6 → v10,
+backtrack …).
+
+The paper's ``Save_pointer`` is recursive.  Here the walk is one loop
+over an explicit work stack (:meth:`Collector._drive`): following a
+pointer into an unvisited block suspends the block being written as a
+*frame* — where it stands among its units and pointer cells — and
+finishing a block resumes the frame beneath it.  A frame is the
+continuation the recursion kept on the interpreter stack, so the records
+leave in the identical order, and the depth of the heap costs list
+entries, not Python frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
-from repro.arch import xdr
 from repro.arch.buffers import WriteBuffer
 from repro.msr.msrlt import MemoryBlock, MSRLTError
-from repro.msr.ti import TypeInfo
-from repro.msr.wire import FLAG_FLAT, TAG_BLOCK, TAG_NULL, TAG_REF, write_logical
+from repro.msr.wire import (
+    BLOCK_RECORD,
+    FLAG_FLAT,
+    REF_RECORD,
+    TAG_BLOCK,
+    TAG_NULL,
+    TAG_REF,
+)
 from repro.obs.attribution import block_class_of
 
 __all__ = ["CollectStats", "Collector", "Save_pointer", "Save_variable"]
+
+_NULL_RECORD = bytes([TAG_NULL])
 
 
 @dataclass(slots=True)
@@ -40,8 +57,8 @@ class CollectStats:
     n_flat_blocks: int = 0
     #: blocks saved through a StructPlan
     n_codec_blocks: int = 0
-    #: blocks saved through a FlatPlan or PtrArrayPlan, plus every block
-    #: a ChainPlan batch emitted
+    #: blocks saved through a FlatPlan, PtrArrayPlan or RecordPlan, plus
+    #: every block a ChainPlan batch emitted
     n_plan_blocks: int = 0
     data_bytes: int = 0  # Σ Dᵢ over saved blocks (source-arch bytes)
     wire_bytes: int = 0
@@ -63,7 +80,10 @@ class Collector:
         self._prof = obs.current_attribution()
         if self._prof is not None:
             self.msrlt.profiler = self._prof
-        self.plan_enabled = self.ti.plans_enabled
+        #: the oracle switch, read once per pass: every block's compiled
+        #: plan, or every block's per-cell reference
+        self._plans_on = self.ti.plans_enabled
+        self._plan_for = self.ti.plan_for if self._plans_on else self.ti.reference_for
         #: per-pass scratch owned by the plans (ChainPlan's backoff)
         self.plan_state = None
 
@@ -71,103 +91,189 @@ class Collector:
 
     def save_variable(self, block: MemoryBlock) -> None:
         """``Save_variable(&var)`` — collect the variable's own block."""
-        self._save_target(block, byte_off=0)
+        self._drive(block)
 
     def save_pointer(self, value: int) -> None:
         """``Save_pointer(p)`` — collect the target of pointer value *p*."""
-        if value == 0:
-            self.buf.write_u8(TAG_NULL)
-            self.buf.count_tag("NULL")
-            self.stats.n_nulls += 1
-            return
-        try:
-            block, off = self.msrlt.lookup_addr(value)
-        except MSRLTError:
-            raise MSRLTError(
-                f"pointer {value:#x} does not refer to any live memory block; "
-                "the program stored a dangling or fabricated address, which is "
-                "migration-unsafe"
-            ) from None
-        self._save_target(block, off)
+        self._drive(None, value)
+
+    def save_contents(self, block: MemoryBlock) -> None:
+        """What a ``BLOCK`` record carries after its header — the flags
+        byte, then the contents — for a block whose identity travels by
+        other means (a pre-copy round's dirty block)."""
+        self._drive(block, header=False)
 
     def save_tail(self) -> None:
         """What the stream carries after the globals.  Nothing here: every
         block a plain migration ships is reachable from a root.  (The
         pre-copy final collector's tail roots go here.)"""
 
+    # -- the two rules a subclass may change ------------------------------------------
+
+    def _first_visit(self, block: MemoryBlock) -> None:
+        """*block* is about to be saved.  Marked BEFORE its contents:
+        cycles degrade to REFs."""
+        self._visited.add(block.logical)
+
+    def _dangling(self, value: int) -> None:
+        raise MSRLTError(
+            f"pointer {value:#x} does not refer to any live memory block; "
+            "the program stored a dangling or fabricated address, which is "
+            "migration-unsafe"
+        )
+
     # -- traversal ---------------------------------------------------------------------
 
-    def _save_target(self, block: MemoryBlock, byte_off: int) -> None:
-        info = self.ti.info_for(block.elem_type)
-        ordinal = info.byte_to_ordinal(byte_off, block.count)
-        if block.logical in self._visited:
-            self.buf.write_u8(TAG_REF)
-            self.buf.count_tag("REF")
-            write_logical(self.buf, block.logical)
-            self.buf.write_u32(ordinal)
-            self.stats.n_refs += 1
-            return
+    def _drive(self, block, value=None, header=True) -> None:
+        """The depth-first walk: write the record of one pointer — to
+        *block*, or, with no block given, of pointer *value* — and of
+        everything first reached through it.
 
-        # mark BEFORE saving contents: cycles degrade to REFs
-        self._visited.add(block.logical)
+        Each turn of the loop handles one pointer: resolve it (``NULL``,
+        a chain batch, a ``REF``, or a ``BLOCK`` record whose contents
+        open a frame), then advance the open frame to its next pointer,
+        closing finished frames on the way.  The open frame lives in
+        locals; ``stack`` holds the suspended ones.  A frame is either a
+        record plan's walk (``slots``: the driver loads a unit's cells,
+        writes the scalar runs and takes the pointers in order) or a
+        plan's own iterator of pointer values (``walker``).
+        """
+        buf = self.buf
+        out = buf.storage  # not drained while a walk is under way
+        drained = buf.bytes_drained
+        memory = self.memory
+        visited = self._visited
+        lookup = self.msrlt.lookup_addr
+        info_for = self.ti.info_for
+        plan_for = self._plan_for
         prof = self._prof
-        if prof is not None:
-            prof.enter_block(
-                "collect", info.label, block_class_of(block.logical),
-                self.buf.nbytes,
-            )
-        self.buf.write_u8(TAG_BLOCK)
-        self.buf.count_tag("BLOCK")
-        write_logical(self.buf, block.logical)
-        self.buf.write_u32(info.type_id)
-        self.buf.write_u32(block.count)
-        self.buf.write_u32(ordinal)
-        self.stats.n_blocks += 1
-        self.stats.data_bytes += block.size
-        if prof is None:
-            self._save_contents(block, info)
-        else:
-            engagement = "percell"
-            try:
-                engagement = self._save_contents(block, info)
-            finally:
-                prof.exit_block(
-                    self.buf.nbytes, engagement,
-                    cells=info.cells_in(block.count),
-                )
-
-    def _save_contents(self, block: MemoryBlock, info: TypeInfo) -> str:
-        """Serialize one block's contents: flag byte, then the type's
-        compiled plan, else the reference path.  Returns which path
-        engaged (``"flat"`` / ``"codec"`` / ``"percell"``, for
-        attribution).
-
-        The reference path is the plans-off oracle.  It stays inline,
-        with few locals: this frame is on the stack once per pointer
-        hop, and both a second frame and a fat one cost measurably."""
-        flat = info.flat_kind
-        self.buf.write_u8(0 if flat is None else FLAG_FLAT)
-        plan = self.ti.plan_for(info) if self.plan_enabled else None
-        if plan is not None and plan.save(self, block, info):
-            return plan.engagement
-        if flat is not None:
-            # one vectorized encode for the whole block
-            n = info.cells_in(block.count)
-            data = self.ti.save_flat(self.memory, block.addr, flat, n)
-            self.buf.write(data)
-            self.stats.n_flat_blocks += 1
-            return "flat"
-        # the cell-by-cell saving function
-        load = self.memory.load
-        for unit in range(info.units_in(block.count)):
-            base = block.addr + unit * info.unit_size
-            for cell in info.cells:
-                if cell.kind == "ptr":
-                    self.save_pointer(load("ptr", base + cell.offset))
-                else:
-                    value = load(cell.kind, base + cell.offset)
-                    self.buf.write(xdr.encode(cell.kind, value))
-        return "percell"
+        open_frames = 0 if prof is None else prof.depth()
+        n_blocks = n_refs = n_nulls = n_walked = data_bytes = 0
+        stack = []
+        # the open frame; `plan is None` marks the bottom of the stack
+        walker = plan = opened = slots = values = None
+        at = addr = units = 0
+        chain = None  # the chain plan whose tail slot `value` sits in
+        try:
+            while True:
+                # -- one pointer: NULL, a chain batch, REF, or the BLOCK
+                # record of the block it is the first to reach
+                off = 0
+                if value is not None:
+                    if value == 0:
+                        out += _NULL_RECORD
+                        n_nulls += 1
+                        block = None
+                    else:
+                        try:
+                            block, off = lookup(value)
+                        except MSRLTError:
+                            self._dangling(value)
+                        if chain is not None:
+                            value = chain.save_batch(self, block, off)
+                            if value is not None:
+                                # a batch went out; its last node's tail
+                                # is the next record (maybe another batch)
+                                continue
+                if block is not None:
+                    logical = block.logical
+                    if header and logical in visited:
+                        ordinal = (
+                            info_for(block.elem_type).byte_to_ordinal(off, block.count)
+                            if off else 0
+                        )
+                        out += REF_RECORD.pack(TAG_REF, *logical, ordinal)
+                        n_refs += 1
+                    else:
+                        info = info_for(block.elem_type)
+                        flags = 0 if info.flat_kind is None else FLAG_FLAT
+                        if header:
+                            ordinal = info.byte_to_ordinal(off, block.count) if off else 0
+                            self._first_visit(block)
+                            if prof is not None:
+                                prof.enter_block(
+                                    "collect", info.label, block_class_of(logical),
+                                    drained + len(out),
+                                )
+                            out += BLOCK_RECORD.pack(
+                                TAG_BLOCK, *logical, info.type_id, block.count,
+                                ordinal, flags,
+                            )
+                        else:
+                            out.append(flags)
+                        n_blocks += 1
+                        data_bytes += block.size
+                        # its contents: written at once, or a new frame
+                        new = plan_for(info)
+                        steps = None if new is None else new.save_slots
+                        if steps is not None:
+                            pointers, n = None, block.count * info.repeat
+                        else:
+                            n = 0
+                            pointers = None if new is None else new.save(self, block, info)
+                        if n or pointers is not None:
+                            stack.append(
+                                (walker, plan, opened, slots, at, values, addr, units)
+                            )
+                            walker, plan, slots, units = pointers, new, steps, n
+                            opened = block if header else None
+                            if n:
+                                n_walked += 1
+                                addr = block.addr
+                                values = new.load(memory, addr)
+                                at = 0
+                        elif header and prof is not None:
+                            prof.exit_block(
+                                drained + len(out),
+                                "percell" if new is None else new.engagement,
+                                cells=info.cells_in(block.count),
+                            )
+                        header = True
+                # -- advance the open frame to its next pointer
+                while True:
+                    if walker is not None:
+                        value = next(walker, None)
+                        if value is not None:
+                            chain = None
+                            break
+                    elif units:
+                        pack, a, b, p, chain = slots[at]
+                        at += 1
+                        if pack is not None:
+                            out += pack(*values[a:b])
+                        if p >= 0:
+                            value = values[p]
+                            break
+                        units -= 1
+                        if units:
+                            addr += plan.unit_size
+                            values = plan.load(memory, addr)
+                            at = 0
+                            continue
+                    elif plan is None:
+                        stats = self.stats
+                        stats.n_blocks += n_blocks
+                        stats.n_refs += n_refs
+                        stats.n_nulls += n_nulls
+                        stats.data_bytes += data_bytes
+                        if self._plans_on:
+                            stats.n_plan_blocks += n_walked
+                        if buf.debug_tags:
+                            buf.tag_counts.update(
+                                BLOCK=n_blocks, REF=n_refs, NULL=n_nulls
+                            )
+                        return
+                    # the open frame is finished: resume the one beneath
+                    if opened is not None and prof is not None:
+                        prof.exit_block(
+                            drained + len(out), plan.engagement,
+                            cells=info_for(opened.elem_type).cells_in(opened.count),
+                        )
+                    walker, plan, opened, slots, at, values, addr, units = stack.pop()
+        except BaseException:
+            if prof is not None:
+                prof.unwind(open_frames, drained + len(out))
+            raise
 
     # -- bookkeeping --------------------------------------------------------------------
 

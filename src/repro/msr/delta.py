@@ -20,9 +20,9 @@ contents of blocks the write barriers marked dirty.  The round payload
     u32 n_new;    n_new    x  (logical, u32 type_id, u32 count)
     u32 n_blocks; n_blocks x  (logical, u8 state, [flags + contents])
 
-``state`` 0 means the block's contents follow (exactly what the full
-collector's ``_save_contents`` emits: the flags byte, then the contents
-through the type's plan or the per-cell path); 1 means the block was
+``state`` 0 means the block's contents follow (exactly what a ``BLOCK``
+record carries after its header, :meth:`Collector.save_contents`: the
+flags byte, then the contents through the type's plan); 1 means the block was
 *deferred* — one of its pointers could not be expressed as a ``REF``
 (dangling, or aimed at the stack, which is unregistered while the source
 runs) — and will arrive in the final stop-and-copy stream instead.
@@ -50,7 +50,7 @@ from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.restore import RestoreError, Restorer
-from repro.msr.wire import TAG_BLOCK, read_logical, write_logical
+from repro.msr.wire import read_logical, write_logical
 
 __all__ = [
     "DeltaDefer",
@@ -75,29 +75,23 @@ class DeltaCollector(Collector):
     *known* — the logical ids the destination holds (earlier rounds plus
     this round's ``new`` section) — is the visited set from the first
     record on, so every pointer into it is a ``REF``, from a plan or from
-    the per-cell loop, and nothing is traversed.  A pointer that cannot
-    be one (dangling, or aimed at a block outside *known*) defers its
-    block to the final stream; :meth:`_save_target` is where every path
-    that found a target ends up, so the rule lives there.
+    the traversal driver, and nothing is traversed.  A pointer that
+    cannot be one (dangling, or aimed at a block outside *known*) defers
+    its block to the final stream: the driver brings both cases to the
+    two rules below.
     """
 
     def __init__(self, process, buf: WriteBuffer, known: set) -> None:
         super().__init__(process, buf)
         self._visited = known  # never grows: no BLOCK record is emitted
 
-    def save_pointer(self, value: int) -> None:
-        try:
-            super().save_pointer(value)
-        except MSRLTError:
-            raise DeltaDefer(f"pointer {value:#x} has no shippable target") from None
+    def _dangling(self, value: int) -> None:
+        raise DeltaDefer(f"pointer {value:#x} has no shippable target") from None
 
-    def _save_target(self, block: MemoryBlock, byte_off: int) -> None:
-        if block.logical not in self._visited:
-            raise DeltaDefer(
-                f"pointer aims at {block.logical}, which the destination "
-                f"does not hold"
-            )
-        super()._save_target(block, byte_off)
+    def _first_visit(self, block: MemoryBlock) -> None:
+        raise DeltaDefer(
+            f"pointer aims at {block.logical}, which the destination does not hold"
+        )
 
 
 class _PrewarmedRestorer(Restorer):
@@ -126,10 +120,8 @@ class DeltaRestorer(_PrewarmedRestorer):
     against the blocks of earlier rounds and this round's ``new``
     section."""
 
-    def restore_pointer(self, expected: MemoryBlock | None = None) -> int:
-        if self.buf.peek_u8() == TAG_BLOCK:
-            raise RestoreError("BLOCK record in a delta round (rounds carry NULL/REF only)")
-        return super().restore_pointer(expected)
+    def _resolve_block(self, logical: tuple, info, count: int) -> MemoryBlock:
+        raise RestoreError("BLOCK record in a delta round (rounds carry NULL/REF only)")
 
 
 class PrecopyFinalCollector(Collector):
@@ -178,7 +170,7 @@ class PrecopyFinalRestorer(_PrewarmedRestorer):
             self.restore_pointer()
 
     def _resolve_block(self, logical: tuple, info, count: int) -> MemoryBlock:
-        block = self._mapping.get(logical) if logical[0] == BlockKind.HEAP else None
+        block = self._mapping.get(logical)
         if block is None:
             return super()._resolve_block(logical, info, count)
         if info.size * count != block.size:
@@ -242,9 +234,8 @@ def build_round(
         # each block gets its own buffer so a mid-contents DeltaDefer
         # leaves no partial bytes in the round payload
         coll.buf = WriteBuffer()
-        info = ti.info_for(block.elem_type)
         try:
-            coll._save_contents(block, info)
+            coll.save_contents(block)
         except DeltaDefer:
             out.write_u8(1)
             deferred.append(block.logical)
@@ -252,8 +243,6 @@ def build_round(
             out.write_u8(0)
             out.write(coll.buf.getvalue())
             shipped.append(block.logical)
-            coll.stats.n_blocks += 1
-            coll.stats.data_bytes += block.size
     stats = coll.finish()
     stats.wire_bytes = out.nbytes
     return RoundResult(out.getvalue(), shipped, deferred, stats)
@@ -298,7 +287,9 @@ def apply_round(process, payload, expected_round: int):
         if logical[0] == BlockKind.HEAP:
             if msrlt.has_logical(logical):
                 raise RestoreError(f"duplicate registration of {logical} in round")
-            process.restore_heap_block(info.ctype, count, serial=logical[1])
+            process.restore_heap_block(
+                info.ctype, count, serial=logical[1], size=info.size * count
+            )
             n_heap_allocs += 1
         elif logical[0] == BlockKind.GLOBAL:
             # globals pre-exist on the destination; just validate
@@ -324,10 +315,7 @@ def apply_round(process, payload, expected_round: int):
         block = rest._mapping.get(logical)
         if block is None:
             raise RestoreError(f"delta contents for unknown block {logical}")
-        info = ti.info_for(block.elem_type)
-        rest._restore_contents(block, info)
-        rest.stats.n_blocks += 1
-        rest.stats.data_bytes += block.size
+        rest.restore_contents(block)
     if not buf.at_end():
         raise RestoreError(f"{buf.remaining} trailing bytes in delta round")
     return rest.stats

@@ -3,39 +3,55 @@
 The paper's TI table holds one saving and one restoring function per
 type (§3.1).  Here that function is a *plan*, compiled once by
 :meth:`repro.msr.ti.TITable.plan_for` and cached on the ``TypeInfo``.
-Every plan has the same two entry points::
+A plan converts data; it never follows a pointer.  The traversal
+drivers (:meth:`repro.msr.collect.Collector._drive`,
+:meth:`repro.msr.restore.Restorer._drive`) own the depth-first walk and
+ask the plan of each block they open for one of three things:
 
-    save(collector, block, info) -> bool
-    restore(restorer, block, info) -> bool
+- nothing more — ``save`` / ``restore`` wrote (consumed) the whole
+  contents and returned ``None`` (:class:`FlatPlan`, :class:`StructPlan`:
+  blocks without pointers);
+- an iterator — ``save`` yields the pointer values the driver must
+  resolve itself, ``restore`` yields once per record it needs read and
+  is sent the destination address (:class:`PtrArrayPlan`: everything
+  else in the block went out, or came in, in bulk);
+- its *slots* — a :class:`RecordPlan` (and the per-cell oracle it is
+  checked against, :class:`CellRecord`) is walked by the driver itself:
+  per unit one ``load`` / ``store`` of all cells, one precompiled
+  ``struct.Struct`` per scalar run between two pointers, and the
+  pointer cells in order.
 
-``True`` means the plan wrote (consumed) the block's whole contents;
-``False`` means it declined *before a byte was written or consumed* and
-the caller runs the per-cell reference path instead.  There are four
-plan kinds, chosen by :func:`compile_plan` from the shape of the unit:
+There are five plan kinds, chosen by :func:`compile_plan` from the shape
+of the unit:
 
 - :class:`FlatPlan` — homogeneous dense primitives (``double[n]``): a
   host-dtype view over the segment window cast straight into the wire
-  buffer's storage, and the mirror on restore.  Never declines.
+  buffer's storage, and the mirror on restore.
 - :class:`StructPlan` — pointer-free units with mixed kinds or padding
   (``struct {int a; double b;}``): two NumPy structured dtypes, one
-  vectorized cast per field for the whole block.  Never declines.
+  vectorized cast per field for the whole block.
 - :class:`PtrArrayPlan` — dense pointer arrays (``cell *hot[64]``): all
   pointers translated with one ``searchsorted`` over a
-  :class:`SortedArena`, NULL/REF runs written as one structured array.
-  Declines below ``MIN_BULK_CELLS`` and on a dangling pointer.
-- :class:`ChainPlan` — units whose last cell is a pointer (list nodes):
-  runs the unit loop itself and, at each tail pointer, tries to emit a
-  whole stride-regular chain of nodes as one row array.  A tail that
-  does not batch continues through the reference traversal, and a
-  per-pass backoff stops the probing on data that never batches.
+  :class:`SortedArena`, NULL/REF runs written as one structured array;
+  only a pointer to a block not yet visited goes back to the driver.
+- :class:`RecordPlan` — every other pointer-bearing unit (list and tree
+  nodes, records owning strings, arrays of such structs).
+- :class:`ChainPlan` — not a plan of its own but the batching half of a
+  RecordPlan whose last cell is a pointer (list nodes): at that *tail*
+  slot the driver offers the pointer to :meth:`ChainPlan.save_batch` /
+  :meth:`ChainPlan.restore_batch`, which emit (rebuild) a whole
+  stride-regular chain of nodes as one row array, or decline having
+  touched nothing.  A per-pass backoff stops the probing on data that
+  never batches.
 
 Every plan produces and consumes bytes *identical* to the per-cell
-reference path: each decision point either batches or falls back to the
-reference functions mid-stream, never both for the same record, and
-eligibility (visited marks, address parity of the destination
-allocator, padding ordinals, dangling pointers) is checked before any
-byte is written.  ``TITable.plans_enabled = False`` (tests only) runs
-every block through the reference path — the oracle.
+reference: each decision point either batches or hands the record to the
+driver, never both for the same record, and eligibility (visited marks,
+address parity of the destination allocator, padding ordinals, dangling
+pointers) is checked before any byte is written.
+``TITable.plans_enabled = False`` (tests only) swaps every plan for its
+reference (:meth:`~repro.msr.ti.TITable.reference_for`) — the oracle —
+under the very same drivers.
 """
 
 from __future__ import annotations
@@ -46,13 +62,16 @@ from bisect import bisect_right
 import numpy as np
 
 from repro.arch import xdr
-from repro.msr.msrlt import BlockKind, MSRLTError
+from repro.msr.msrlt import BlockKind
+from repro.msr.wire import BLOCK_RECORD
 
 __all__ = [
     "SortedArena",
     "FlatPlan",
     "StructPlan",
     "PtrArrayPlan",
+    "CellRecord",
+    "RecordPlan",
     "ChainPlan",
     "compile_plan",
 ]
@@ -65,20 +84,21 @@ MIN_BULK_CELLS = 16
 #: scalar pre-walk in :meth:`ChainPlan._save_batch` must find this many
 #: linked nodes before anything is vectorized, so tree-shaped data
 #: (whose "chains" are 2-3 coincidentally adjacent allocations) stays
-#: on the cheap reference path.
+#: with the driver.
 MIN_CHAIN = 4
 #: smallest row run worth a batched restore.  Restore rows are
 #: self-describing (no speculation), so the overhead floor is lower.
 RESTORE_MIN_CHAIN = 2
 #: deterministic engagement backoff: after this many *consecutive*
 #: declined chain attempts the plan declines the next CHAIN_BACKOFF_SKIP
-#: chain-shaped blocks outright (tree-shaped and irregular data decline
-#: every time; without backoff the per-tail attempt cost adds up).  A miss is booked before the traversal descends into the tail's
-#: target, so a deep chain backs off after CHAIN_BACKOFF_MISSES nodes,
-#: not after the recursion unwinds.  Any committed batch resets the miss
-#: count, so a long list that follows a tree re-engages within
-#: ~CHAIN_BACKOFF_SKIP nodes.  Purely a timing choice — the
-#: emitted/consumed bytes never depend on engagement.
+#: tail slots outright (tree-shaped and irregular data decline every
+#: time; without backoff the per-tail attempt cost adds up).  A miss is
+#: booked before the traversal descends into the tail's target, so a
+#: deep chain backs off after CHAIN_BACKOFF_MISSES nodes, not after the
+#: walk comes back up.  Any committed batch resets the miss count, so a
+#: long list that follows a tree re-engages within ~CHAIN_BACKOFF_SKIP
+#: nodes.  Purely a timing choice — the emitted/consumed bytes never
+#: depend on engagement.
 CHAIN_BACKOFF_MISSES = 8
 CHAIN_BACKOFF_SKIP = 512
 
@@ -237,6 +257,8 @@ class FlatPlan:
 
     #: the attribution engagement class a block this plan took books
     engagement = "flat"
+    #: no slots: the traversal drivers do not walk this plan's blocks
+    save_slots = restore_slots = None
     __slots__ = ("kind", "host_dtype", "wire_dtype")
 
     def __init__(self, info, layout) -> None:
@@ -244,7 +266,7 @@ class FlatPlan:
         self.host_dtype = xdr.host_np_dtype(self.kind, layout.arch)
         self.wire_dtype = xdr.wire_dtype(self.kind)
 
-    def save(self, collector, block, info) -> bool:
+    def save(self, collector, block, info) -> None:
         n = info.cells_in(block.count)
         raw = collector.memory.view(block.addr, n * self.host_dtype.itemsize)
         if self.host_dtype == self.wire_dtype:
@@ -258,9 +280,8 @@ class FlatPlan:
             collector.buf.write_ndarray(src, self.wire_dtype)
             del src
         collector.stats.n_plan_blocks += 1
-        return True
 
-    def restore(self, restorer, block, info) -> bool:
+    def restore(self, restorer, block, info) -> None:
         n = info.cells_in(block.count)
         nbytes = n * self.wire_dtype.itemsize
         if self.host_dtype == self.wire_dtype:
@@ -270,7 +291,7 @@ class FlatPlan:
             # segment window — no intermediate join, one copy total
             dest = restorer.memory.write_view(block.addr, nbytes)
             restorer.buf.readinto(dest)
-            return True
+            return
         raw = restorer.buf.read(nbytes)
         src = np.frombuffer(raw, dtype=self.wire_dtype, count=n)
         # transient writable view over the segment window (materialized
@@ -278,7 +299,6 @@ class FlatPlan:
         dst = restorer.memory.array_view(self.kind, block.addr, n)
         dst[:] = src
         del dst
-        return True
 
 
 # -- pointer-free structs -----------------------------------------------------
@@ -295,6 +315,7 @@ class StructPlan:
     """
 
     engagement = "codec"
+    save_slots = restore_slots = None
     __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size")
 
     def __init__(self, info, layout) -> None:
@@ -318,7 +339,7 @@ class StructPlan:
             "itemsize": off,
         })
 
-    def save(self, collector, block, info) -> bool:
+    def save(self, collector, block, info) -> None:
         n = info.units_in(block.count)
         raw = collector.memory.view(block.addr, n * info.unit_size)
         src = np.frombuffer(raw, dtype=self.src_dtype, count=n)
@@ -329,9 +350,8 @@ class StructPlan:
             out[name] = src[name]
         collector.buf.write(out.tobytes())
         collector.stats.n_codec_blocks += 1
-        return True
 
-    def restore(self, restorer, block, info) -> bool:
+    def restore(self, restorer, block, info) -> None:
         n = info.units_in(block.count)
         raw = restorer.buf.read(n * self.wire_unit_size)
         wire = np.frombuffer(raw, dtype=self.wire_dtype, count=n)
@@ -340,16 +360,24 @@ class StructPlan:
         for name in self.names:
             out[name] = wire[name]
         restorer.memory.write_bytes(block.addr, out.tobytes())
-        return True
 
 
 # -- pointer arrays -----------------------------------------------------------
 
 
 class PtrArrayPlan:
-    """Run-batched save/restore for dense pointer-array blocks."""
+    """Run-batched save/restore for dense pointer-array blocks.
+
+    Runs of NULLs and of pointers to visited blocks go out (come in) as
+    one array each.  What is left — a pointer to a block not yet
+    visited, a dangling one, an array too short to be worth a NumPy
+    round-trip — is handed to the traversal driver one pointer at a
+    time: ``save`` and ``restore`` are generators, suspended on the
+    driver's work stack while it descends into the target.
+    """
 
     engagement = "codec"
+    save_slots = restore_slots = None
     __slots__ = ()
 
     def __init__(self, info, layout) -> None:
@@ -357,16 +385,21 @@ class PtrArrayPlan:
 
     # -- collect --------------------------------------------------------------
 
-    def save(self, collector, block, info) -> bool:
-        n = info.cells_in(block.count)
-        if n < MIN_BULK_CELLS:
-            return False
+    def save(self, collector, block, info):
+        """Yields the pointer values the driver must resolve itself."""
+        yield from self._pointers(collector, block, info.cells_in(block.count))
+        collector.stats.n_plan_blocks += 1
+
+    def _pointers(self, collector, block, n):
         memory = collector.memory
         msrlt = collector.msrlt
         host = memory.np_dtype("ptr")
         raw = memory.view(block.addr, n * host.itemsize)
         vals = np.frombuffer(raw, dtype=host, count=n).astype(np.int64)
         del raw
+        if n < MIN_BULK_CELLS:
+            yield from vals.tolist()
+            return
         arena = msrlt.arena()
         idx = np.full(n, -1, np.int64)
         offs = np.zeros(n, np.int64)
@@ -374,10 +407,11 @@ class PtrArrayPlan:
         if bool(nonnull.any()):
             i2, o2 = arena.lookup(vals[nonnull])
             if bool(np.any(i2 < 0)):
-                # a dangling pointer somewhere in the array: decline the
-                # whole block so the reference loop raises the canonical
-                # error at the right element (no searches counted here)
-                return False
+                # a dangling pointer somewhere in the array: the driver
+                # raises the canonical error at the right element (no
+                # searches counted here)
+                yield from vals.tolist()
+                return
             idx[nonnull] = i2
             offs[nonnull] = o2
         visited = collector._visited
@@ -398,12 +432,12 @@ class PtrArrayPlan:
             if c == 2:
                 blk = arena.blocks[int(idx[p])]
                 if blk.logical in visited:
-                    # became visited through an earlier element's recursion
+                    # became visited behind an earlier element
                     cls[p] = 1
                     continue
-                # unvisited target: the reference traversal must emit the
-                # BLOCK record and its contents (counts its own search)
-                collector.save_pointer(int(vals[p]))
+                # unvisited target: the driver emits the BLOCK record
+                # and its contents (and counts its own search)
+                yield int(vals[p])
                 p += 1
                 continue
             brk = np.flatnonzero(cls[p:] != c)
@@ -411,13 +445,17 @@ class PtrArrayPlan:
             if c == 0:
                 buf.write(bytes(q - p))  # a NULL record is one zero byte
                 stats.n_nulls += q - p
-            else:
-                self._emit_ref_run(collector, arena, vals, idx, offs, p, q)
+            elif not self._emit_ref_run(collector, arena, idx, offs, p, q):
+                # padding-offset pointer: the driver replays the run so
+                # its ValueError fires at the exact element (earlier
+                # elements emit identical REF bytes)
+                yield from vals[p:q].tolist()
             p = q
-        stats.n_plan_blocks += 1
-        return True
 
-    def _emit_ref_run(self, collector, arena, vals, idx, offs, p, q) -> None:
+    def _emit_ref_run(self, collector, arena, idx, offs, p, q) -> bool:
+        """Write elements ``p..q`` (all pointers to visited blocks) as
+        one array of REF records; ``False``, nothing written, when one of
+        them points into padding."""
         m = q - p
         run_idx = idx[p:q]
         run_off = offs[p:q]
@@ -429,12 +467,7 @@ class PtrArrayPlan:
             sel = inv == j
             o = vec_byte_to_ordinal(tinfo, run_off[sel], blk.count)
             if o is None:
-                # padding-offset pointer: replay the run through the
-                # reference path so its ValueError fires at the exact
-                # element (earlier elements emit identical REF bytes)
-                for v in vals[p:q]:
-                    collector.save_pointer(int(v))
-                return
+                return False
             ords[sel] = o
         rows = np.empty(m, REF_DTYPE)
         rows["tag"] = _TAG_REF
@@ -445,19 +478,21 @@ class PtrArrayPlan:
         collector.buf.write(rows.tobytes())
         collector.msrlt.count_searches(m)  # one per translated pointer
         collector.stats.n_refs += m
+        return True
 
     # -- restore --------------------------------------------------------------
 
-    def restore(self, restorer, block, info) -> bool:
+    def restore(self, restorer, block, info):
+        """Yields once per record the driver must read itself, and is
+        sent the destination address that record denotes."""
         n = info.cells_in(block.count)
-        if n < MIN_BULK_CELLS:
-            return False
+        bulk = n >= MIN_BULK_CELLS
         buf = restorer.buf
         stats = restorer.stats
         out = np.zeros(n, np.uint64)
         p = 0
         while p < n:
-            tag = buf.peek_u8()
+            tag = buf.peek_u8() if bulk else None
             if tag == _TAG_NULL:
                 window = buf.buffered()
                 v = np.frombuffer(window, np.uint8,
@@ -467,26 +502,29 @@ class PtrArrayPlan:
                 buf.read(run)
                 stats.n_nulls += run
                 p += run
-            elif tag == _TAG_REF:
-                p = self._restore_ref_run(restorer, out, p, n)
-            else:
-                # BLOCK (recurse through the reference path) or a bad
-                # tag (the reference path raises the canonical error)
-                out[p] = restorer.restore_pointer()
-                p += 1
+                continue
+            if tag == _TAG_REF:
+                q = self._restore_ref_run(restorer, out, p, n)
+                if q > p:
+                    p = q
+                    continue
+            # a BLOCK, a bad tag (the driver raises the canonical error),
+            # or a REF the batch could not take
+            out[p] = yield
+            p += 1
         dst = restorer.memory.array_view("ptr", block.addr, n)
         dst[:] = out
         del dst
-        return True
 
     def _restore_ref_run(self, restorer, out, p, n) -> int:
+        """Resolve the run of REF records at the read position into
+        ``out[p:]``; returns the index after the last one taken (*p*
+        itself when the first record is not for the batch)."""
         buf = restorer.buf
         window = buf.buffered()
         k = min(n - p, len(window) // REF_DTYPE.itemsize)
         if k == 0:
-            # record straddles a stream chunk boundary: scalar path pulls
-            out[p] = restorer.restore_pointer()
-            return p + 1
+            return p  # record straddles a stream chunk boundary
         rows = np.frombuffer(window, REF_DTYPE, count=k)
         m = _true_prefix(rows["tag"] == _TAG_REF)
         dests = np.zeros(m, np.uint64)
@@ -504,18 +542,17 @@ class PtrArrayPlan:
             tblock = restorer._mapping.get(key)
             if tblock is None:
                 # REF to a block this payload never defined: stop the
-                # batch before the first offender; the scalar path will
-                # raise the canonical RestoreError on it
+                # batch before the first offender; the driver raises the
+                # canonical RestoreError on it
                 m = min(m, int(np.flatnonzero(sel)[0]))
                 continue
             tinfo = restorer.ti.info_for(tblock.elem_type)
-            byte = vec_ordinal_to_byte(
-                tinfo, rows["ord"][: len(sel)][sel].astype(np.int64), tblock.count
-            )
-            dests[sel] = tblock.addr + byte
-        if m == 0:
-            out[p] = restorer.restore_pointer()
-            return p + 1
+            ords = rows["ord"][: len(sel)][sel].astype(np.int64)
+            outside = np.flatnonzero(ords > tinfo.cells_in(tblock.count))
+            if outside.size:
+                # an ordinal past the block's end: the driver's to refuse
+                m = min(m, int(np.flatnonzero(sel)[outside[0]]))
+            dests[sel] = tblock.addr + vec_ordinal_to_byte(tinfo, ords, tblock.count)
         out[p : p + m] = dests[:m]
         buf.read(m * REF_DTYPE.itemsize)
         restorer.stats.n_refs += m
@@ -532,43 +569,57 @@ class _Backoff:
 
     def __init__(self) -> None:
         self.misses = 0  # consecutive declined attempts
-        self.skip = 0  # chain-shaped blocks left to decline unprobed
+        self.skip = 0  # tail slots left to decline unprobed
 
-    def miss(self) -> None:
+    def book(self, committed: bool) -> None:
+        """The outcome of one probed tail slot."""
+        if committed:
+            self.misses = 0
+            return
         self.misses += 1
         if self.misses >= CHAIN_BACKOFF_MISSES:
             self.misses = 0
             self.skip = CHAIN_BACKOFF_SKIP
 
+    @classmethod
+    def probing(cls, worker):
+        """The backoff of *worker*'s pass if the tail slot it stands at
+        is to be probed, ``None`` if this one is skipped unprobed."""
+        backoff = worker.plan_state
+        if backoff is None:
+            backoff = worker.plan_state = cls()
+        elif backoff.skip:
+            backoff.skip -= 1
+            return None
+        return backoff
+
 
 class ChainPlan:
     """Stride-speculative batching for linked-list-shaped structs.
 
-    Compiled for per-cell unit types whose *last* cell is a pointer
-    (``struct probe {cell *target; int strength; probe *next}``).  The
-    plan runs the unit loop of the reference path itself; what it adds
-    happens at the tail pointer.  One wire row is the fixed-size image
-    of one chain node's BLOCK record: header + flag byte + each non-tail
-    cell (scalars in wire encoding, pointers as full REF records).  The
-    tail pointer of node *k* IS the record of node *k+1*, so ``m`` nodes
+    Compiled next to the :class:`RecordPlan` of a unit type whose *last*
+    cell is a pointer (``struct probe {cell *target; int strength; probe
+    *next}``).  The traversal driver walks such a block like any other
+    record; what this adds happens at the tail pointer, which the driver
+    offers to :meth:`save_batch` / :meth:`restore_batch` before it
+    resolves it itself.  One wire row is the fixed-size image of one
+    chain node's BLOCK record: header + flag byte + each non-tail cell
+    (scalars in wire encoding, pointers as full REF records).  The tail
+    pointer of node *k* IS the record of node *k+1*, so ``m`` nodes
     serialize as exactly ``m`` consecutive rows followed by the last
     node's tail record.
     """
 
-    #: the block ``save`` / ``restore`` took went through the unit loop;
-    #: the blocks of a batch book "codec" through ``book_batch``
-    engagement = "percell"
     __slots__ = (
-        "info", "head", "tail_off", "row_dtype", "row_size",
+        "info", "tail_off", "row_dtype", "row_size",
         "cols", "n_ptr_cols", "host_dtype_cache", "host_fields", "size",
-        "_hdr", "_ptr_tag_offs",
+        "_ptr_tag_offs",
     )
 
     def __init__(self, info, layout) -> None:
         arch = layout.arch
         self.info = info
         self.size = info.size
-        self.head = info.cells[:-1]
         self.tail_off = info.cells[-1].offset
         fields = [
             ("tag", "u1"), ("lk", "u1"), ("la", ">u4"), ("lb", ">u4"),
@@ -576,7 +627,7 @@ class ChainPlan:
         ]
         #: ("ptr"|"scalar", cell, wire field name(s) prefix)
         self.cols = []
-        for j, c in enumerate(self.head):
+        for j, c in enumerate(info.cells[:-1]):
             if c.kind == "ptr":
                 fields += [
                     (f"p{j}t", "u1"), (f"p{j}k", "u1"),
@@ -589,11 +640,9 @@ class ChainPlan:
         self.row_dtype = np.dtype(fields)
         self.row_size = self.row_dtype.itemsize
         self.n_ptr_cols = sum(1 for k, _, _ in self.cols if k == "ptr")
-        # scalar mirrors of the vectorized row validation, for the
-        # cheap pre-check in _restore_batch: the fixed header prefix
-        # (tag, logical kind/a/b, type id, count, ordinal, flag) plus
-        # the byte offset of every REF column's tag
-        self._hdr = struct.Struct(">BBIIIIIB")
+        # scalar mirror of the vectorized row validation, for the cheap
+        # pre-check in _restore_batch: the byte offset of every REF
+        # column's tag (the fixed header prefix is a BLOCK_RECORD)
         self._ptr_tag_offs = tuple(
             self.row_dtype.fields[f"{name}t"][1]
             for k, _, name in self.cols
@@ -638,54 +687,20 @@ class ChainPlan:
 
     # -- collect --------------------------------------------------------------
 
-    def save(self, collector, block, info) -> bool:
-        """The reference unit loop, with each tail pointer offered to
-        :meth:`_save_batch` first.  Emits exactly what the per-cell path
-        would.  Declines only while backed off.
-
-        This frame sits on the stack once per pointer hop, so it is kept
-        small (few locals), and pointer targets are looked up here and
-        handed straight to ``_save_target``: a hop through this plan
-        costs no more frames than one through ``save_pointer``."""
-        backoff = collector.plan_state
+    def save_batch(self, collector, block, off):
+        """The driver's offer of a tail pointer that resolved to
+        (*block*, *off*).  Emits a batch of node records starting there
+        and returns the last node's tail pointer value — the next record
+        is that pointer's — or returns ``None`` having written nothing
+        (declined, or backed off: the driver resolves the pointer)."""
+        backoff = _Backoff.probing(collector)
         if backoff is None:
-            backoff = collector.plan_state = _Backoff()
-        elif backoff.skip:
-            backoff.skip -= 1
-            return False
-        load = collector.memory.load
-        tail = info.cells[-1]
-        for unit in range(info.units_in(block.count)):
-            base = block.addr + unit * info.unit_size
-            for cell in info.cells:
-                if cell.kind != "ptr":
-                    value = load(cell.kind, base + cell.offset)
-                    collector.buf.write(xdr.encode(cell.kind, value))
-                    continue
-                value = load("ptr", base + cell.offset)
-                while value:
-                    try:
-                        target = collector.msrlt.lookup_addr(value)
-                    except MSRLTError:
-                        # dangling: the collector's own entry point raises
-                        # its error for it (a delta round defers instead)
-                        collector.save_pointer(value)
-                        raise
-                    if cell is tail and not backoff.skip:
-                        value = self._save_batch(collector, *target)
-                        if value is not None:
-                            # a batch went out; its last node's tail is
-                            # the next record (maybe another batch)
-                            backoff.misses = 0
-                            continue
-                        # booked BEFORE descending: on a deep chain the
-                        # call below returns only when the list ends
-                        backoff.miss()
-                    collector._save_target(*target)
-                    break
-                else:
-                    collector.save_pointer(0)
-        return True
+            return None
+        value = self._save_batch(collector, block, off)
+        # a miss is booked BEFORE the driver descends: on a deep chain it
+        # comes back to this frame only when the list ends
+        backoff.book(value is not None)
+        return value
 
     def _save_batch(self, collector, block, off):
         """One chain attempt starting at *block* (the tail's target).
@@ -853,7 +868,7 @@ class ChainPlan:
         """Vectorized row emission for *m* walked nodes; may shrink *m*
         when a non-tail pointer cell disqualifies an element (NULL, a
         not-yet-visited target, a padding ordinal — all cases the
-        reference path must handle itself)."""
+        driver must handle itself)."""
         info = self.info
         rows = np.zeros(m, self.row_dtype)
         rows["tag"] = _TAG_BLOCK
@@ -884,7 +899,7 @@ class ChainPlan:
                 idx, offs = idx[:m], offs[:m]
             # targets must already be visited (they arrive as REFs); an
             # unvisited or batch-internal-forward target needs the
-            # reference recursion, so it ends the batch
+            # driver to open it, so it ends the batch
             uniq, inv = _unique_inverse(idx)
             seen = np.fromiter(
                 (arena.blocks[int(i)].logical in visited for i in uniq),
@@ -923,42 +938,24 @@ class ChainPlan:
 
     # -- restore --------------------------------------------------------------
 
-    def restore(self, restorer, block, info) -> bool:
-        """Mirror of :meth:`save`: the reference unit loop, with each
-        tail record offered to :meth:`_restore_batch` first.  Declines
-        only while backed off."""
-        backoff = restorer.plan_state
+    def restore_batch(self, restorer):
+        """Mirror of :meth:`save_batch`, offered before the driver reads
+        the tail's record.  Returns ``(address of the first node, address
+        of the last node's tail cell)`` — the next record is that cell's
+        — or ``None`` having consumed nothing."""
+        backoff = _Backoff.probing(restorer)
         if backoff is None:
-            backoff = restorer.plan_state = _Backoff()
-        elif backoff.skip:
-            backoff.skip -= 1
-            return False
-        store = restorer.memory.store
-        for unit in range(info.units_in(block.count)):
-            base = block.addr + unit * info.unit_size
-            for cell in self.head:
-                if cell.kind == "ptr":
-                    store("ptr", base + cell.offset, restorer.restore_pointer())
-                else:
-                    raw = restorer.buf.read(xdr.wire_sizeof(cell.kind))
-                    store(cell.kind, base + cell.offset, xdr.decode(cell.kind, raw))
-            slot = base + self.tail_off
-            batch = None if backoff.skip else self._restore_batch(restorer, info)
-            if batch is not None:
-                backoff.misses = 0
-                # the record after the batch is its last node's tail
-                store("ptr", slot, batch[0])
-                slot = batch[1]
-            elif not backoff.skip:
-                backoff.miss()
-            store("ptr", slot, restorer.restore_pointer())
-        return True
+            return None
+        batch = self._restore_batch(restorer)
+        backoff.book(batch is not None)
+        return batch
 
-    def _restore_batch(self, restorer, info):
+    def _restore_batch(self, restorer):
         """Rebuild a run of ``>= RESTORE_MIN_CHAIN`` chain rows at the
         read position.  Returns ``(address of the first node, address of
         the last node's tail cell)``, or ``None`` having consumed
         nothing."""
+        info = self.info
         buf = restorer.buf
         try:
             tag = buf.peek_u8()
@@ -976,7 +973,7 @@ class ChainPlan:
             return None
         tid = info.type_id
         for off in range(0, RESTORE_MIN_CHAIN * row_size, row_size):
-            rtag, lk, _la, lb, rtid, cnt, order, flag = self._hdr.unpack_from(
+            rtag, lk, _la, lb, rtid, cnt, order, flag = BLOCK_RECORD.unpack_from(
                 window, off
             )
             if (
@@ -1022,7 +1019,7 @@ class ChainPlan:
         if m < RESTORE_MIN_CHAIN:
             return None
         # serials must be new to this payload (a duplicate BLOCK record
-        # is corrupt; the reference path raises on it)
+        # is corrupt; the driver raises on it)
         serials = rows["la"][:m].astype(np.int64)
         mapping = restorer._mapping
         seen_local = set()
@@ -1055,17 +1052,20 @@ class ChainPlan:
                     m = min(m, int(np.flatnonzero(sel)[0]))
                     continue
                 tinfo = restorer.ti.info_for(tblock.elem_type)
-                byte = vec_ordinal_to_byte(
-                    tinfo, rows[f"{name}o"][: len(sel)][sel].astype(np.int64),
-                    tblock.count,
+                ords = rows[f"{name}o"][: len(sel)][sel].astype(np.int64)
+                outside = np.flatnonzero(ords > tinfo.cells_in(tblock.count))
+                if outside.size:
+                    # an ordinal past the block's end: the driver's to refuse
+                    m = min(m, int(np.flatnonzero(sel)[outside[0]]))
+                dests[sel] = tblock.addr + vec_ordinal_to_byte(
+                    tinfo, ords, tblock.count
                 )
-                dests[sel] = tblock.addr + byte
             if m < RESTORE_MIN_CHAIN:
                 return None
             dest_cols[name] = dests
         serials = serials[:m]
         # one bulk carve + one bulk register — declined when the free
-        # list would change which addresses the reference path assigns
+        # list would change which addresses block-by-block allocation assigns
         alloc = memory.heap_alloc_bulk(self.size, m)
         if alloc is None:
             return None
@@ -1098,9 +1098,148 @@ class ChainPlan:
             # first row's header stays with the frame around the batch
             self._book_batch(
                 prof, "restore", m,
-                m * self.row_size - (self._hdr.size - 1), t0, buf.position,
+                m * self.row_size - (BLOCK_RECORD.size - 1), t0, buf.position,
             )
         return int(base), int(addrs[-1]) + self.tail_off
+
+
+# -- records: pointer-bearing units the drivers walk ---------------------------
+
+
+class _CellRun:
+    """The reference wire codec of one scalar run: one ``xdr.encode`` /
+    ``xdr.decode`` per cell.  Shaped like the :class:`struct.Struct` a
+    :class:`RecordPlan` compiles for the same run (``size``, ``pack``,
+    ``unpack_from``), so the drivers cannot tell them apart."""
+
+    __slots__ = ("kinds", "size")
+
+    def __init__(self, kinds) -> None:
+        self.kinds = kinds
+        self.size = sum(xdr.wire_sizeof(kind) for kind in kinds)
+
+    def pack(self, *values) -> bytes:
+        return b"".join(map(xdr.encode, self.kinds, values))
+
+    def unpack_from(self, data, offset: int) -> list:
+        values = []
+        for kind in self.kinds:
+            values.append(xdr.decode(kind, data, offset))
+            offset += xdr.wire_sizeof(kind)
+        return values
+
+
+class CellRecord:
+    """One per-cell unit type as the traversal drivers walk it, converted
+    one cell at a time: ``Memory.load`` / ``xdr.encode`` on collection,
+    ``xdr.decode`` / ``Memory.store`` on restoration.  This is the
+    plans-off oracle (:meth:`repro.msr.ti.TITable.reference_for`);
+    :class:`RecordPlan` is its compiled twin.
+
+    The driver's view of a unit is a sequence of *slots*, one per pointer
+    cell plus a closing one: ``(run, a, b, p, chain)`` — cells ``a..b``
+    are the scalars between the previous pointer and this one, *run*
+    their wire codec (``None`` for an empty run), *p* the pointer's cell
+    index (``-1`` in the closing slot, whose run is the scalars after
+    the last pointer), *chain* the :class:`ChainPlan` to offer the
+    pointer to first (tail slot of a compiled list node only).
+    ``save_slots`` carry ``run.pack``, ``restore_slots`` the run itself
+    (``ReadBuffer.unpack`` wants its size).
+    """
+
+    engagement = "percell"
+    __slots__ = ("info", "unit_size", "cell_count", "save_slots", "restore_slots")
+
+    def __init__(self, info, chain=None) -> None:
+        self.info = info
+        self.unit_size = info.unit_size
+        self.cell_count = info.cell_count
+        cells = info.cells
+        pointers = [i for i, cell in enumerate(cells) if cell.kind == "ptr"]
+        slots = []
+        a = 0
+        for p in [*pointers, -1]:
+            b = len(cells) if p < 0 else p
+            run = self._run(cells[a:b]) if b > a else None
+            at_tail = chain is not None and p == len(cells) - 1
+            slots.append((run, a, b, p, chain if at_tail else None))
+            a = b + 1
+        self.restore_slots = tuple(slots)
+        self.save_slots = tuple(
+            (None if run is None else run.pack, a, b, p, chain)
+            for run, a, b, p, chain in slots
+        )
+
+    def _run(self, cells):
+        return _CellRun(tuple(cell.kind for cell in cells))
+
+    def load(self, memory, addr: int) -> list:
+        """The values of all cells of the unit at *addr*."""
+        load = memory.load
+        return [load(cell.kind, addr + cell.offset) for cell in self.info.cells]
+
+    def store(self, memory, addr: int, values) -> None:
+        """Write all cells of the unit at *addr* (wire-decoded scalars,
+        destination addresses in the pointer cells)."""
+        store = memory.store
+        for cell, value in zip(self.info.cells, values):
+            store(cell.kind, addr + cell.offset, value)
+
+
+class RecordPlan(CellRecord):
+    """The compiled record: one host ``struct.Struct`` with the unit's
+    real cell offsets (``x`` padding between and after them) loads or
+    stores *all* cells in one call, and each scalar run is one wire
+    ``Struct``.
+
+    Host and wire disagree on exactly two things, and only these need
+    care (every other kind has one width and one signedness everywhere):
+
+    - plain ``char`` is signed on the wire whatever the host says, so the
+      host side reads and writes it as the *signed* byte — the same byte
+      ``xdr.encode`` / ``Memory.store`` wrap to, with no arithmetic;
+    - ``long`` / ``ulong`` are 8 bytes on the wire.  A 4-byte host widens
+      for free on collection; on restoration the value is narrowed modulo
+      2^32 (``narrow``: cell index, mask, sign bit) before the one
+      ``pack``, as ``Memory.store`` does per cell.
+
+    Padding bytes restore as zeros.
+    """
+
+    engagement = "codec"
+    __slots__ = ("host", "narrow")
+
+    def __init__(self, info, layout) -> None:
+        arch = layout.arch
+        fmt = "<" if arch.byteorder == "little" else ">"
+        end = 0
+        for cell in info.cells:
+            code = "b" if cell.kind == "char" else xdr.host_struct_code(cell.kind, arch)
+            fmt += f"{cell.offset - end}x{code}"
+            end = cell.offset + arch.sizeof(cell.kind)
+        self.host = struct.Struct(fmt + f"{info.unit_size - end}x")
+        self.narrow = tuple(
+            (i, 0xFFFFFFFF, 0x80000000 if cell.kind == "long" else 0)
+            for i, cell in enumerate(info.cells)
+            if cell.kind in ("long", "ulong") and arch.long_size == 4
+        )
+        chain_shaped = (
+            info.repeat == 1 and info.cell_count >= 2 and info.cells[-1].kind == "ptr"
+        )
+        super().__init__(info, ChainPlan(info, layout) if chain_shaped else None)
+
+    def _run(self, cells):
+        return struct.Struct(">" + "".join(xdr.wire_struct_code(c.kind) for c in cells))
+
+    def load(self, memory, addr: int) -> tuple:
+        seg = memory.segment_of(addr)
+        return self.host.unpack_from(seg.buf, seg.offset(addr, self.unit_size))
+
+    def store(self, memory, addr: int, values) -> None:
+        for i, mask, sign in self.narrow:
+            value = values[i] & mask
+            values[i] = value - mask - 1 if value & sign else value
+        memory.write_bytes(addr, self.host.pack(*values))
 
 
 # -- compilation --------------------------------------------------------------
@@ -1108,8 +1247,8 @@ class ChainPlan:
 
 def compile_plan(info, layout):
     """Compile the content plan for one (TypeInfo, architecture), or
-    ``None`` when no plan shape applies and the per-cell reference path
-    is the right tool.  Called only by ``TITable.plan_for``."""
+    ``None`` for a type without cells (nothing to convert).  Called only
+    by ``TITable.plan_for``."""
     if info.flat_kind is not None:
         return FlatPlan(info, layout)
     cells = info.cells
@@ -1123,6 +1262,4 @@ def compile_plan(info, layout):
         and info.unit_size == layout.arch.ptr_size
     ):
         return PtrArrayPlan(info, layout)
-    if info.repeat == 1 and info.cell_count >= 2 and cells[-1].kind == "ptr":
-        return ChainPlan(info, layout)
-    return None
+    return RecordPlan(info, layout)

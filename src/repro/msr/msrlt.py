@@ -179,28 +179,30 @@ class MSRLT:
         )
 
     def register_heap(
-        self, addr: int, elem_type: CType, count: int, serial: Optional[int] = None
+        self,
+        addr: int,
+        elem_type: CType,
+        count: int,
+        serial: Optional[int] = None,
+        size: Optional[int] = None,
     ) -> MemoryBlock:
         """Register one heap allocation (done inside ``malloc``).
 
         *serial* is normally assigned locally; the restorer passes the
         source host's serial through so that logical ids keep matching if
-        the restored process migrates again later.
+        the restored process migrates again later.  It also passes *size*
+        (``sizeof(elem_type) * count``, held in the type's ``TypeInfo``)
+        so the structural ``sizeof`` walk is not repeated per block.
         """
         if serial is None:
             serial = self._heap_serial
             self._heap_serial += 1
-        else:
-            self._heap_serial = max(self._heap_serial, serial + 1)
-        size = self.layout.sizeof(elem_type) * count
+        elif serial >= self._heap_serial:
+            self._heap_serial = serial + 1
+        if size is None:
+            size = self.layout.sizeof(elem_type) * count
         return self._insert(
-            MemoryBlock(
-                addr=addr,
-                elem_type=elem_type,
-                count=count,
-                size=size,
-                logical=(BlockKind.HEAP, serial, 0),
-            )
+            MemoryBlock(addr, elem_type, count, size, (BlockKind.HEAP, serial, 0))
         )
 
     def unregister(self, addr: int) -> None:
@@ -311,7 +313,7 @@ class MSRLT:
         i = bisect_right(self._starts, addr) - 1
         if i >= 0:
             block = self._blocks[i]
-            if block.contains(addr):
+            if addr <= block.addr + block.size:  # MemoryBlock.contains, inlined
                 self._last_hit = block
                 self._last_hit_gen = self.generation
                 return block, addr - block.addr

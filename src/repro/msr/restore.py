@@ -14,6 +14,13 @@ blocks the destination process already registered (same program, same
 logical ids); heap blocks are allocated on demand — this asymmetry is why
 restoration is O(n) in the number of blocks where collection's search is
 O(n log n) (§4.2, visible in Figure 2(b)).
+
+Like the collector's, the walk is one loop over an explicit work stack
+(:meth:`Restorer._drive`), not the paper's recursion: a ``BLOCK`` record
+met while a block's cells are being filled suspends that block as a
+*frame*, and the address the finished record denotes is handed to the
+frame beneath it.  Records are consumed in stream order either way; the
+heap's depth costs list entries, not Python frames.
 """
 
 from __future__ import annotations
@@ -21,11 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.arch import xdr
 from repro.arch.buffers import ReadBuffer
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
-from repro.msr.wire import FLAG_FLAT, TAG_BLOCK, TAG_NULL, TAG_REF, read_logical
+from repro.msr.wire import (
+    BLOCK_RECORD,
+    FLAG_FLAT,
+    REF_RECORD,
+    TAG_BLOCK,
+    TAG_NULL,
+    TAG_REF,
+)
 from repro.obs.attribution import block_class_of
 
 __all__ = ["RestoreStats", "Restorer", "Restore_pointer", "Restore_variable"]
@@ -61,7 +74,11 @@ class Restorer:
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
-        self.plan_enabled = self.ti.plans_enabled
+        #: the oracle switch, read once per pass: every block's compiled
+        #: plan, or every block's per-cell reference
+        self._plan_for = (
+            self.ti.plan_for if self.ti.plans_enabled else self.ti.reference_for
+        )
         #: per-pass scratch owned by the plans (ChainPlan's backoff)
         self.plan_state = None
         self._prefault_registered()
@@ -89,66 +106,17 @@ class Restorer:
 
     def restore_variable(self, block: MemoryBlock) -> None:
         """``Restore_variable(&var)`` — fill the variable's own block."""
-        addr = self.restore_pointer(expected=block)
-        del addr
+        self._drive(expected=block)
 
     def restore_pointer(self, expected: MemoryBlock | None = None) -> int:
         """``Restore_pointer()`` — read one record, rebuild its target if
         needed, and return the *destination* address it denotes."""
-        tag = self.buf.read_u8()
-        if tag == TAG_NULL:
-            self.stats.n_nulls += 1
-            return 0
+        return self._drive(expected=expected)
 
-        if tag == TAG_REF:
-            logical = read_logical(self.buf)
-            ordinal = self.buf.read_u32()
-            block = self._mapping.get(logical)
-            if block is None:
-                raise RestoreError(f"REF to unseen block {logical}")
-            if expected is not None and block.logical != expected.logical:
-                raise RestoreError(
-                    f"REF to {logical} arrived where {expected.logical} was expected"
-                )
-            self.stats.n_refs += 1
-            info = self.ti.info_for(block.elem_type)
-            return block.addr + info.ordinal_to_byte(ordinal, block.count)
-
-        if tag != TAG_BLOCK:
-            raise RestoreError(f"bad record tag {tag}")
-
-        logical = read_logical(self.buf)
-        type_id = self.buf.read_u32()
-        count = self.buf.read_u32()
-        ordinal = self.buf.read_u32()
-        info = self.ti.info(type_id)
-
-        block = self._resolve_block(logical, info, count)
-        if expected is not None and block.logical != expected.logical:
-            raise RestoreError(
-                f"record for {logical} arrived where {expected.logical} was expected"
-            )
-        # register the mapping BEFORE contents: cycles arrive as REFs
-        self._mapping[logical] = block
-        self.stats.n_blocks += 1
-        self.stats.data_bytes += block.size
-        prof = self._prof
-        if prof is None:
-            self._restore_contents(block, info)
-        else:
-            prof.enter_block(
-                "restore", info.label, block_class_of(logical),
-                self.buf.position,
-            )
-            engagement = "percell"
-            try:
-                engagement = self._restore_contents(block, info)
-            finally:
-                prof.exit_block(
-                    self.buf.position, engagement,
-                    cells=info.cells_in(block.count),
-                )
-        return block.addr + info.ordinal_to_byte(ordinal, block.count)
+    def restore_contents(self, block: MemoryBlock) -> None:
+        """Mirror of :meth:`Collector.save_contents`: read a flags byte
+        and contents into *block*, which the caller identified."""
+        self._drive(contents_of=block)
 
     def restore_tail(self) -> None:
         """Mirror of :meth:`Collector.save_tail`: nothing follows the
@@ -157,6 +125,9 @@ class Restorer:
     # -- block resolution ------------------------------------------------------------------
 
     def _resolve_block(self, logical: tuple, info: TypeInfo, count: int) -> MemoryBlock:
+        """The destination block a ``BLOCK`` record for *logical* fills."""
+        if logical in self._mapping:
+            raise RestoreError(f"second BLOCK record for {logical}")
         kind = logical[0]
         if kind in (BlockKind.GLOBAL, BlockKind.STACK):
             # structural identity: the destination process registered the
@@ -171,45 +142,220 @@ class Restorer:
                 )
             return block
         if kind == BlockKind.HEAP:
+            # nothing is allocated for contents the payload cannot hold
+            if count == 0 or not self.buf.holds(count * info.wire_floor):
+                raise RestoreError(
+                    f"record for {logical} claims {count} x {info.label}: "
+                    f"no block is empty, and the payload ends before the "
+                    f"contents of this one could"
+                )
             self.stats.n_heap_allocs += 1
-            return self.process.restore_heap_block(info.ctype, count, serial=logical[1])
+            return self.process.restore_heap_block(
+                info.ctype, count, serial=logical[1], size=info.size * count
+            )
         raise RestoreError(f"unknown block kind {kind}")
 
-    # -- contents -----------------------------------------------------------------------------
+    def _byte_of(self, block: MemoryBlock, ordinal: int) -> int:
+        """Byte offset of cell *ordinal* (nonzero) inside *block*."""
+        info = self.ti.info_for(block.elem_type)
+        if ordinal > info.cells_in(block.count):
+            raise RestoreError(
+                f"ordinal {ordinal} is outside {block.logical} "
+                f"({info.cells_in(block.count)} cells)"
+            )
+        return info.ordinal_to_byte(ordinal, block.count)
 
-    def _restore_contents(self, block: MemoryBlock, info: TypeInfo) -> str:
-        """Rebuild one block's contents: flag byte, then the type's
-        compiled plan, else the reference path.  Returns which path
-        engaged (``"flat"`` / ``"codec"`` / ``"percell"``, for
-        attribution).
+    # -- traversal ----------------------------------------------------------------------------
 
-        The reference path is the plans-off oracle, inline and with few
-        locals for the same reason as ``Collector._save_contents``."""
-        flat = info.flat_kind
-        if bool(self.buf.read_u8() & FLAG_FLAT) != (flat is not None):
-            # flatness is structural (same answer on every architecture),
-            # so a disagreeing flag is a corrupt or mismatched payload
-            raise RestoreError(f"flat flag disagrees with type {info.label}")
-        plan = self.ti.plan_for(info) if self.plan_enabled else None
-        if plan is not None and plan.restore(self, block, info):
-            return plan.engagement
-        if flat is not None:
-            # one vectorized decode for the whole block
-            n = info.cells_in(block.count)
-            raw = self.buf.read(n * xdr.wire_sizeof(flat))
-            self.ti.restore_flat(self.memory, block.addr, flat, n, raw)
-            return "flat"
-        # the cell-by-cell restoring function
-        store = self.memory.store
-        for unit in range(info.units_in(block.count)):
-            base = block.addr + unit * info.unit_size
-            for cell in info.cells:
-                if cell.kind == "ptr":
-                    store("ptr", base + cell.offset, self.restore_pointer())
+    def _drive(self, expected=None, contents_of=None) -> int:
+        """The depth-first walk: read one record — *expected*'s, when a
+        block is given — with everything nested in it, and return the
+        destination address it denotes.  With *contents_of*, read that
+        block's flags byte and contents instead (no record header).
+
+        Each turn of the loop reads one record: ``NULL`` and ``REF``
+        denote an address at once; a ``BLOCK`` resolves its destination
+        block, registers the mapping BEFORE the contents (cycles arrive
+        as REFs) and either fills it at once or opens a frame.  Then the
+        address is handed to the open frame, which advances to its next
+        pointer cell; a finished frame hands its own block's address to
+        the frame beneath.  The open frame lives in locals; ``stack``
+        holds the suspended ones.  A frame is either a record plan's walk
+        (``slots``: the driver decodes the scalar runs, collects a unit's
+        cell values and stores them in one go) or a plan's own generator
+        (``walker``: it yields per record it needs and is sent the
+        address).
+        """
+        buf = self.buf
+        peek = buf.peek_u8
+        unpack = buf.unpack
+        memory = self.memory
+        mapping = self._mapping
+        info_of = self.ti.info
+        plan_for = self._plan_for
+        prof = self._prof
+        open_frames = 0 if prof is None else prof.depth()
+        n_blocks = n_refs = n_nulls = data_bytes = 0
+        stack = []
+        # the open frame; `plan is None` marks the bottom of the stack.
+        # `result` is the address its record denotes, `patch` the memory
+        # cell (not `values`) the next address belongs in
+        walker = plan = opened = slots = values = None
+        result = at = addr = units = patch = 0
+        try:
+            while True:
+                # -- one record: an address, or a block to fill
+                if contents_of is not None:
+                    block, contents_of = contents_of, None
+                    info = self.ti.info_for(block.elem_type)
+                    flags = buf.read_u8()
+                    headed, address = False, block.addr
                 else:
-                    raw = self.buf.read(xdr.wire_sizeof(cell.kind))
-                    store(cell.kind, base + cell.offset, xdr.decode(cell.kind, raw))
-        return "percell"
+                    tag = peek()
+                    if tag == TAG_NULL:
+                        buf.read_u8()
+                        n_nulls += 1
+                        block, address = None, 0
+                    elif tag == TAG_REF:
+                        _, lk, la, lb, ordinal = unpack(REF_RECORD)
+                        block = mapping.get((lk, la, lb))
+                        if block is None:
+                            raise RestoreError(f"REF to unseen block {(lk, la, lb)}")
+                        if expected is not None:
+                            if block.logical != expected.logical:
+                                raise RestoreError(
+                                    f"REF to {(lk, la, lb)} arrived where "
+                                    f"{expected.logical} was expected"
+                                )
+                            expected = None
+                        n_refs += 1
+                        address = block.addr
+                        if ordinal:
+                            address += self._byte_of(block, ordinal)
+                        block = None
+                    elif tag == TAG_BLOCK:
+                        _, lk, la, lb, type_id, count, ordinal, flags = unpack(BLOCK_RECORD)
+                        logical = (lk, la, lb)
+                        if expected is not None:
+                            if logical != expected.logical:
+                                raise RestoreError(
+                                    f"record for {logical} arrived where "
+                                    f"{expected.logical} was expected"
+                                )
+                            expected = None
+                        try:
+                            info = info_of(type_id)
+                        except LookupError:
+                            raise RestoreError(
+                                f"record for {logical} names unknown type id {type_id}"
+                            ) from None
+                        block = self._resolve_block(logical, info, count)
+                        mapping[logical] = block
+                        headed, address = True, block.addr
+                        if ordinal:
+                            address += self._byte_of(block, ordinal)
+                        if prof is not None:
+                            # a restore frame opens after the header
+                            # proper, before the flags byte
+                            prof.enter_block(
+                                "restore", info.label, block_class_of(logical),
+                                buf.position - 1,
+                            )
+                    else:
+                        raise RestoreError(f"bad record tag {tag}")
+                if block is not None:
+                    n_blocks += 1
+                    data_bytes += block.size
+                    if bool(flags & FLAG_FLAT) != (info.flat_kind is not None):
+                        # flatness is structural (same answer on every
+                        # architecture), so a disagreeing flag is a
+                        # corrupt or mismatched payload
+                        raise RestoreError(f"flat flag disagrees with type {info.label}")
+                    # its contents: read at once, or a new frame
+                    new = plan_for(info)
+                    steps = None if new is None else new.restore_slots
+                    if steps is not None:
+                        records, n = None, block.count * info.repeat
+                    else:
+                        n = 0
+                        records = None if new is None else new.restore(self, block, info)
+                    if n or records is not None:
+                        stack.append(
+                            (walker, plan, opened, result, slots, at, values,
+                             addr, units, patch)
+                        )
+                        walker, plan, slots, units = records, new, steps, n
+                        opened = block if headed else None
+                        result, address, patch = address, None, 0
+                        if n:
+                            addr = block.addr
+                            values = [0] * new.cell_count
+                            at = 0
+                    elif headed and prof is not None:
+                        prof.exit_block(
+                            buf.position,
+                            "percell" if new is None else new.engagement,
+                            cells=info.cells_in(block.count),
+                        )
+                # -- hand the address to the open frame and advance it to
+                # its next pointer (a frame just opened has none to take)
+                while True:
+                    if walker is not None:
+                        try:
+                            walker.send(address)
+                        except StopIteration:
+                            pass
+                        else:
+                            break
+                    elif units:
+                        if address is not None:
+                            if patch:
+                                memory.store("ptr", patch, address)
+                                patch = 0
+                            else:
+                                values[slots[at - 1][3]] = address
+                            address = None
+                        run, a, b, p, chain = slots[at]
+                        at += 1
+                        if run is not None:
+                            values[a:b] = unpack(run)
+                        if p >= 0:
+                            if chain is not None:
+                                batch = chain.restore_batch(self)
+                                if batch is not None:
+                                    # the batch is this pointer's target;
+                                    # the record after it is its last
+                                    # node's tail
+                                    values[p], patch = batch
+                            break
+                        plan.store(memory, addr, values)
+                        units -= 1
+                        if units:
+                            addr += plan.unit_size
+                            values = [0] * plan.cell_count
+                            at = 0
+                            continue
+                    elif plan is None:
+                        stats = self.stats
+                        stats.n_blocks += n_blocks
+                        stats.n_refs += n_refs
+                        stats.n_nulls += n_nulls
+                        stats.data_bytes += data_bytes
+                        return address
+                    # the open frame is finished: its record's address
+                    # goes to the frame beneath
+                    if opened is not None and prof is not None:
+                        prof.exit_block(
+                            buf.position, plan.engagement,
+                            cells=self.ti.info_for(opened.elem_type).cells_in(opened.count),
+                        )
+                    address = result
+                    (walker, plan, opened, result, slots, at, values,
+                     addr, units, patch) = stack.pop()
+        except BaseException:
+            if prof is not None:
+                prof.unwind(open_frames, buf.position)
+            raise
 
 
 # -- paper-style free-function interface ---------------------------------------------

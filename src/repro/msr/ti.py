@@ -28,13 +28,18 @@ The paper's TI table holds one saving and one restoring function per
 type.  Here that pair is a *plan* object, compiled the first time a
 block of the type is saved or restored and cached on the
 :class:`TypeInfo`: :meth:`TITable.plan_for` is the only place a content
-strategy is chosen (the four plan kinds and the shapes they compile for
-are in :mod:`repro.msr.graphplan`; DESIGN.md §8).  Plans are
-per-(type, architecture), so the destination table compiles its own
-mirrors, and every plan produces bytes **identical** to the per-cell
-reference path.  Setting ``TITable.plans_enabled = False`` — tests only
-— runs every block through that reference path, the oracle the
-plans-on/off identity tests compare against.
+strategy is chosen (the five plan kinds and the shapes they compile for
+are in :mod:`repro.msr.graphplan`; DESIGN.md §8).  A plan converts a
+block's data and never follows a pointer: the depth-first walk belongs
+to the traversal drivers in :mod:`repro.msr.collect` and
+:mod:`repro.msr.restore`, which resolve the pointer cells a plan hands
+them.  Plans are per-(type, architecture), so the destination table
+compiles its own mirrors, and every plan produces bytes **identical** to
+its per-cell reference (:meth:`TITable.reference_for`: one
+``Memory.load`` + ``xdr.encode`` per cell, run by the same drivers).
+Setting ``TITable.plans_enabled = False`` — tests only — gives every
+block its reference instead of its plan: the oracle the plans-on/off
+identity tests compare against.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from repro.clang.ctypes import (
     StructType,
     TypeLayout,
 )
-from repro.msr.graphplan import compile_plan
+from repro.msr.graphplan import CellRecord, compile_plan
 
 __all__ = ["TypeInfo", "TITable", "flat_prim_kind", "unit_of"]
 
@@ -116,8 +121,14 @@ class TypeInfo:
     flat_kind: Optional[str]
     #: True when the unit contains at least one pointer cell
     has_pointers: bool
+    #: the fewest wire bytes one element's contents can occupy (every
+    #: scalar at its wire width, every pointer a one-byte ``NULL``): what
+    #: a restorer holds a record's claim against before it allocates
+    wire_floor: int
     #: the compiled content plan, owned by :meth:`TITable.plan_for`
     plan: object = field(default=_UNCOMPILED, repr=False, compare=False)
+    #: its per-cell reference, owned by :meth:`TITable.reference_for`
+    reference: object = field(default=_UNCOMPILED, repr=False, compare=False)
     #: cached human-readable label (the attribution table's row key);
     #: ``str(ctype)`` computed once instead of per block visit
     _label: Optional[str] = field(default=None, repr=False, compare=False)
@@ -207,6 +218,9 @@ class TITable:
                 cell_count=len(cells),
                 flat_kind=flat_prim_kind(ctype, self.layout),
                 has_pointers=any(c.kind == "ptr" for c in cells),
+                wire_floor=repeat * sum(
+                    1 if c.kind == "ptr" else xdr.wire_sizeof(c.kind) for c in cells
+                ),
             )
             self._infos[type_id] = ti
         return ti
@@ -214,9 +228,10 @@ class TITable:
     def info_for(self, ctype: CType) -> TypeInfo:
         """The TypeInfo record for *ctype* (must be registered).
 
-        Memoized by object identity: ``_save_target`` re-resolves the
-        same block types once per record, and recomputing the structural
-        type key each time was a measurable share of collection time.
+        Memoized by object identity: the collector re-resolves the same
+        block types once per ``BLOCK`` record, and recomputing the
+        structural type key each time was a measurable share of
+        collection time.
         """
         hit = self._by_identity.get(id(ctype))
         if hit is not None:
@@ -229,13 +244,26 @@ class TITable:
 
     def plan_for(self, info: TypeInfo):
         """The one saving/restoring function pair of *info*'s type on
-        this architecture: a compiled plan with ``save`` / ``restore``,
-        or ``None`` when the per-cell reference path is the right tool.
-        Compiled on first use, then cached on the record."""
+        this architecture: a compiled plan (``None`` for a type without
+        cells).  Compiled on first use, then cached on the record."""
         plan = info.plan
         if plan is _UNCOMPILED:
             plan = info.plan = compile_plan(info, self.layout)
         return plan
+
+    def reference_for(self, info: TypeInfo):
+        """The per-cell reference of :meth:`plan_for`'s answer, with the
+        same interface: the bulk XDR encode for a flat type, a
+        :class:`~repro.msr.graphplan.CellRecord` for any other.  What a
+        pass runs when ``plans_enabled`` is off."""
+        ref = info.reference
+        if ref is _UNCOMPILED:
+            if info.flat_kind is not None:
+                ref = _FlatReference(self)
+            else:
+                ref = CellRecord(info) if info.cells else None
+            info.reference = ref
+        return ref
 
     # -- the memory block saving/restoring functions ---------------------------------
 
@@ -252,3 +280,27 @@ class TITable:
         """Inverse of :meth:`save_flat`: decode and write *n* primitives."""
         values = xdr.decode_array(kind, data, n)
         memory.write_array(kind, block_addr, values)
+
+
+class _FlatReference:
+    """:meth:`TITable.save_flat` / :meth:`TITable.restore_flat` behind the
+    plan interface."""
+
+    engagement = "flat"
+    save_slots = restore_slots = None
+    __slots__ = ("ti",)
+
+    def __init__(self, ti: TITable) -> None:
+        self.ti = ti
+
+    def save(self, collector, block, info) -> None:
+        n = info.cells_in(block.count)
+        collector.buf.write(
+            self.ti.save_flat(collector.memory, block.addr, info.flat_kind, n)
+        )
+        collector.stats.n_flat_blocks += 1
+
+    def restore(self, restorer, block, info) -> None:
+        n = info.cells_in(block.count)
+        raw = restorer.buf.read(n * xdr.wire_sizeof(info.flat_kind))
+        self.ti.restore_flat(restorer.memory, block.addr, info.flat_kind, n, raw)

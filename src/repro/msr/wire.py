@@ -103,6 +103,8 @@ __all__ = [
     "TAG_REF",
     "TAG_BLOCK",
     "FLAG_FLAT",
+    "REF_RECORD",
+    "BLOCK_RECORD",
     "WireHeader",
     "write_header",
     "read_header",
@@ -147,6 +149,12 @@ TAG_REF = 1
 TAG_BLOCK = 2
 
 FLAG_FLAT = 1
+
+#: one whole ``REF`` record: tag, logical (kind, a, b), ordinal — 14 bytes
+REF_RECORD = struct.Struct(">BBIII")
+#: a ``BLOCK`` record up to its contents: tag, logical (kind, a, b),
+#: type id, count, ordinal, flags — 23 bytes
+BLOCK_RECORD = struct.Struct(">BBIIIIIB")
 
 
 @dataclass

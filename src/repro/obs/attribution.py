@@ -182,6 +182,18 @@ class AttributionProfiler:
             self._close(stack, pos, 0, "", 0)
         self._close(stack, pos, 1, engagement, cells)
 
+    def depth(self) -> int:
+        """How many frames this thread has open (see :meth:`unwind`)."""
+        return len(self._stack())
+
+    def unwind(self, depth: int, pos: int) -> None:
+        """Close every frame opened above *depth* at wire offset *pos* —
+        what a traversal that fails mid-walk owes the frames beneath it
+        (a pre-copy round defers the block and carries on)."""
+        stack = self._stack()
+        while len(stack) > depth:
+            self._close(stack, pos, int(stack[-1].counted), "percell", 0)
+
     def _close(self, stack: list, pos: int, blocks: int, engagement: str,
                cells: int) -> None:
         frame = stack.pop()

@@ -19,17 +19,19 @@ from __future__ import annotations
 
 __all__ = ["DirtyTracker"]
 
-#: coalesce the interval log once it grows past this many entries
+#: coalesce the interval log once it grows past this many entries (and,
+#: from then on, each time it doubles over what the last merge left)
 _COALESCE_THRESHOLD = 4096
 
 
 class DirtyTracker:
     """Accumulates written byte intervals ``[lo, hi)`` between drains."""
 
-    __slots__ = ("_intervals", "_skip_lo", "_skip_hi")
+    __slots__ = ("_intervals", "_limit", "_skip_lo", "_skip_hi")
 
     def __init__(self, skip_lo: int = 0, skip_hi: int = 0) -> None:
         self._intervals: list[tuple[int, int]] = []
+        self._limit = _COALESCE_THRESHOLD
         self._skip_lo = skip_lo
         self._skip_hi = skip_hi
 
@@ -38,13 +40,18 @@ class DirtyTracker:
         if n <= 0 or self._skip_lo <= addr < self._skip_hi:
             return
         self._intervals.append((addr, addr + n))
-        if len(self._intervals) > _COALESCE_THRESHOLD:
+        if len(self._intervals) > self._limit:
+            # a slice that dirties more than the threshold's worth of
+            # *disjoint* ranges must not re-merge them on every write:
+            # the next merge waits until the log has doubled
             self._intervals = _merge(self._intervals)
+            self._limit = max(_COALESCE_THRESHOLD, 2 * len(self._intervals))
 
     def take(self) -> list[tuple[int, int]]:
         """Drain the log: return merged, sorted intervals and clear."""
         merged = _merge(self._intervals)
         self._intervals = []
+        self._limit = _COALESCE_THRESHOLD
         return merged
 
     def __bool__(self) -> bool:

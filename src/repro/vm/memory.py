@@ -377,9 +377,10 @@ class Memory:
         else:
             addr = self._heap_brk
             end = addr + size
-            if end > self.heap_seg.limit:
+            seg = self.heap_seg
+            if end > seg.limit:
                 raise MemoryFault("simulated heap exhausted")
-            self.heap_seg.ensure(addr, size)
+            seg.offset(addr, size)  # materialize the span
             self._heap_brk = end
         self.heap_allocs[addr] = size
         return addr

@@ -216,12 +216,17 @@ class Process:
         self.typed_free(addr)
         return new_addr
 
-    def restore_heap_block(self, elem: CType, count: int, serial: int) -> MemoryBlock:
+    def restore_heap_block(
+        self, elem: CType, count: int, serial: int, size: Optional[int] = None
+    ) -> MemoryBlock:
         """Allocate + register a heap block during restoration, keeping the
-        source host's serial so logical ids stay stable across re-migration."""
-        size = self.layout.sizeof(elem) * count
+        source host's serial so logical ids stay stable across re-migration.
+        *size* is ``sizeof(elem) * count`` when the caller already holds it
+        (a restorer does, in the block's ``TypeInfo``)."""
+        if size is None:
+            size = self.layout.sizeof(elem) * count
         addr = self.memory.heap_alloc(size)
-        return self.msrlt.register_heap(addr, elem, count, serial=serial)
+        return self.msrlt.register_heap(addr, elem, count, serial=serial, size=size)
 
     # -- stack block registration (collection/restoration support) ----------------------------
 

@@ -367,16 +367,17 @@ class TestEngineAttribution:
     def test_engagement_classes(self, attributed, prog):
         """The engagement counters say what ran.  The flat bulk path
         carries the scalar array; the ring is one ChainPlan batch behind
-        its first node, which took the unit loop; with the plans off
-        every pointer-bearing block takes the per-cell loop."""
+        its first node, which the driver walked through its RecordPlan;
+        with the plans off every pointer-bearing block goes cell by
+        cell."""
         _, _, stats = attributed
         attr = stats.attribution
         table = row_of(attr, "double [300]")
         assert table["flat"] == 2 and table["percell"] == 0  # collect+restore
         node = row_of(attr, "struct node")
         assert node["flat"] == 0
-        assert node["codec"] == 2 * 39 and node["percell"] == 2
-        assert stats.collect.n_plan_blocks >= 39
+        assert node["codec"] == 2 * 40 and node["percell"] == 0
+        assert stats.collect.n_plan_blocks >= 40
 
         proc = stopped(prog)
         with plans_off(proc, Process(prog, SPARC20)):
@@ -387,13 +388,14 @@ class TestEngineAttribution:
         assert node["codec"] == 0
         assert node["percell"] == node["blocks"] + node["restore_blocks"] == 80
 
-    def test_unbatched_chain_blocks_book_percell(self):
-        """A ChainPlan block that ran its unit loop without committing a
-        batch went cell by cell: every bitonic tree node."""
+    def test_unbatched_record_blocks_book_codec(self):
+        """A record block whose tail never batched still went through
+        its compiled RecordPlan, one load or store per unit: every
+        bitonic tree node."""
         _, _, stats = attributed_migration(*PLAN_WORKLOADS["bitonic"])
         node = row_of(stats.attribution, "struct tnode")
-        assert node["blocks"] > 0 and node["codec"] == 0
-        assert node["percell"] == node["blocks"] + node["restore_blocks"]
+        assert node["blocks"] > 0 and node["percell"] == 0
+        assert node["codec"] == node["blocks"] + node["restore_blocks"]
 
     def test_engagement_counts_cover_every_visit(self, attributed):
         _, _, stats = attributed

@@ -370,9 +370,7 @@ class TestWireFormat:
         block = next(b for b in proc.msrlt.arena().blocks if is_flat(b) == flat)
         wrong_flag = bytes([0 if flat else FLAG_FLAT]) + bytes(64)
         with pytest.raises(RestoreError, match="flat flag"):
-            Restorer(proc, ReadBuffer(wrong_flag))._restore_contents(
-                block, proc.ti.info_for(block.elem_type)
-            )
+            Restorer(proc, ReadBuffer(wrong_flag)).restore_contents(block)
 
     def test_payload_smaller_than_data_for_dedup(self):
         """With heavy sharing the wire carries REFs, not copies."""
@@ -406,6 +404,48 @@ class TestWireFormat:
         assert s.wire_bytes == len(payload)
         assert s.n_blocks > 0
         assert s.data_bytes > 0
+
+
+class TestRestoredHeapBlockSizes:
+    """A restored heap block takes its size from the type record the
+    restorer already holds: ``TypeLayout.sizeof`` (a structural walk of
+    the type) runs per type while the records are read, not per block."""
+
+    def test_sizeof_is_per_type_not_per_block(self, monkeypatch):
+        from repro.clang.ctypes import TypeLayout
+
+        proc = stop_at_poll(LIST_OF_200)
+        payload, info = collect_state(proc)
+        assert info.stats.n_blocks > 200
+        dest = Process(proc.program, SPARC20)
+        # every type of the program, each size agreeing with the layout's
+        for type_id in range(len(proc.program.types)):
+            record = dest.ti.info(type_id)
+            assert record.size == dest.layout.sizeof(record.ctype)
+        walks = []
+        sizeof = TypeLayout.sizeof
+        monkeypatch.setattr(
+            TypeLayout, "sizeof", lambda self, ctype: walks.append(ctype) or sizeof(self, ctype)
+        )
+        restore_state(proc.program, payload, dest)
+        assert len(dest.msrlt.heap_blocks()) == 200
+        assert len(walks) < 20  # globals and locals registered at load time
+
+
+LIST_OF_200 = """
+struct item { int v; struct item *next; char tag; };
+struct item *items;
+int main() {
+    int i;
+    for (i = 0; i < 200; i++) {
+        struct item *e = (struct item *) malloc(sizeof(struct item));
+        e->v = i; e->tag = (char) (i % 100); e->next = items; items = e;
+        if (i % 7 == 0) malloc(3);
+    }
+    migrate_here();
+    return 0;
+}
+"""
 
 
 class TestFreedBlocks:

@@ -1,4 +1,4 @@
-"""Compiled content plans (DESIGN §8): one plan per type, four kinds.
+"""Compiled content plans (DESIGN §8): one plan per type, five kinds.
 
 Contracts under test:
 
@@ -10,7 +10,7 @@ Contracts under test:
 - **Byte identity** — plans never change a single wire byte: the
   plans-on payload equals the plans-off (per-cell oracle) payload on
   every workload × architecture pair, restores through either side,
-  and resumes to the unmigrated output; each of the four plan kinds
+  and resumes to the unmigrated output; each of the five plan kinds
   must actually engage, so a plan that silently stops compiling cannot
   pass (the corpus-wide version lives in test_difftest_corpus.py).
 - **Chain backoff** — a miss is booked before the traversal descends,
@@ -45,7 +45,13 @@ from repro.migration.engine import (
 from repro.migration.precopy import PrecopyPolicy
 from repro.migration.transport import LOOPBACK, Channel
 from repro.msr import graphplan
-from repro.msr.graphplan import ChainPlan, FlatPlan, PtrArrayPlan, StructPlan
+from repro.msr.graphplan import (
+    ChainPlan,
+    FlatPlan,
+    PtrArrayPlan,
+    RecordPlan,
+    StructPlan,
+)
 from repro.msr.msrlt import MSRLT, BlockKind, MSRLTError
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
@@ -58,7 +64,7 @@ from tests.conftest import (
     stopped_at,
 )
 
-PLAN_KINDS = (FlatPlan, StructPlan, PtrArrayPlan, ChainPlan)
+PLAN_KINDS = (FlatPlan, StructPlan, PtrArrayPlan, RecordPlan)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +206,13 @@ class TestRegisterHeapBulk:
 
 @pytest.fixture
 def engaged(monkeypatch):
-    """Count, per plan class and side, the ``save`` / ``restore`` calls
-    that took their block, plus the chain batches that committed (a
-    ChainPlan also takes blocks it only walks per cell).  ``counts[key,
+    """Count, per plan class and side, the blocks it converted (for a
+    RecordPlan, which the traversal driver walks: the units it loaded or
+    stored), plus the chain batches that committed.  ``counts[key,
     "calls"]`` is how often each was tried."""
     counts = Counter()
 
-    def counting(cls, name, key, took=bool):
+    def counting(cls, name, key, took=lambda result: True):
         inner = getattr(cls, name)
 
         def wrapper(self, *args):
@@ -218,9 +224,11 @@ def engaged(monkeypatch):
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    for cls in PLAN_KINDS:
+    for cls in (FlatPlan, StructPlan, PtrArrayPlan):
         counting(cls, "save", (cls, "save"))
         counting(cls, "restore", (cls, "restore"))
+    counting(RecordPlan, "load", (RecordPlan, "save"))
+    counting(RecordPlan, "store", (RecordPlan, "restore"))
     not_none = lambda result: result is not None  # noqa: E731
     counting(ChainPlan, "_save_batch", "save batches", not_none)
     counting(ChainPlan, "_restore_batch", "restore batches", not_none)
@@ -240,7 +248,9 @@ class TestPlanByteIdentity:
         """The identity matrix above proves nothing about a plan that no
         longer compiles (oracle == oracle).  structgrid has one shape
         per kind: scalars, a mixed pointer-free struct grid, a dense
-        pointer array, and a linked chain of probes."""
+        pointer array, and a linked chain of probes — whose head the
+        driver walks through its RecordPlan and whose body goes out as a
+        ChainPlan batch."""
         assert_plans_invisible(*WORKLOADS["structgrid"], DEC5000, SPARC20)
         for cls in PLAN_KINDS:
             assert engaged[cls, "save"] > 0, f"{cls.__name__} never saved a block"
@@ -253,9 +263,9 @@ class TestPlanByteIdentity:
         stats = info.stats
         assert stats.n_plan_blocks > 0 and stats.n_codec_blocks > 0
         # the probe chain batches, and its blocks are booked (suite
-        # finding 7): every block but the chain head's own is on a plan
+        # finding 7); with a plan for every shape, every block is on one
         fast = stats.n_flat_blocks + stats.n_codec_blocks + stats.n_plan_blocks
-        assert stats.n_flat_blocks == 0 and fast >= stats.n_blocks - 2
+        assert stats.n_flat_blocks == 0 and fast == stats.n_blocks
 
     def test_n_searches_identical_across_modes(self):
         """E5's complexity counters must not notice the plans: a bulk
@@ -316,7 +326,18 @@ int main() {
 #: the corpus programs most likely to trip delta-round bookkeeping, and
 #: the pairs test_precopy.py replays them on
 CORPUS = {e.name: e for e in load_corpus()}
-PRECOPY_CORPUS = ("gen_churn", "gen_pastend", "gen_list_churn", "gen_mixed_churn")
+#: what a fused unit codec can get wrong and the per-cell oracle gets
+#: right, one hand-written corpus program each: unsigned-char hosts,
+#: 8-byte wire longs on 4-byte hosts, padding between and after cells,
+#: several units per block with interior / one-past-end pointers, and
+#: records that point at themselves
+RECORD_EDGES = (
+    "hand_record_char_sign", "hand_record_long_narrow", "hand_record_padding",
+    "hand_record_array", "hand_record_selfcycle",
+)
+PRECOPY_CORPUS = (
+    "gen_churn", "gen_pastend", "gen_list_churn", "gen_mixed_churn", *RECORD_EDGES,
+)
 PRECOPY_SOURCES = {name: CORPUS[name].source for name in PRECOPY_CORPUS}
 PRECOPY_SOURCES["hot_ptr_array"] = HOT_ARRAY_SRC
 PRECOPY_PAIRS = (
@@ -339,9 +360,8 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
     engaged = Counter()
     for side in ("save", "restore"):
         def spy(plan, worker, block, info, inner=getattr(PtrArrayPlan, side)):
-            took = inner(plan, worker, block, info)
-            engaged[type(worker).__name__] += took
-            return took
+            engaged[type(worker).__name__] += 1
+            return inner(plan, worker, block, info)
 
         monkeypatch.setattr(PtrArrayPlan, side, spy)
 
@@ -374,6 +394,111 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
         *oracle, _ = migrate()
     assert not engaged
     assert planned == oracle
+
+
+#: alpha is the unsigned-char LP64 host; x86 aligns double to 4 bytes
+RECORD_PAIRS = [
+    (ALPHA, DEC5000), (SPARC20, ALPHA), (X86_64, X86), (X86, ULTRA5), *ARCH_PAIRS,
+]
+
+
+class TestRecordPlanEdges:
+    """RecordPlan's one-call unit codec against the per-cell oracle on
+    the shapes where the two could part ways (RECORD_EDGES)."""
+
+    @pytest.mark.parametrize("polls", [1, 2, 3])
+    @pytest.mark.parametrize("entry_name", RECORD_EDGES)
+    @pytest.mark.parametrize(
+        "pair", RECORD_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
+    )
+    def test_payload_and_resume_identical(self, entry_name, pair, polls, engaged):
+        assert_plans_invisible(CORPUS[entry_name].source, polls, *pair)
+        assert engaged[RecordPlan, "save"] > 0 and engaged[RecordPlan, "restore"] > 0
+
+    @pytest.mark.parametrize("chunk_size", [7, 23, 64])
+    @pytest.mark.parametrize("entry_name", RECORD_EDGES)
+    def test_record_headers_straddling_stream_chunks(self, entry_name, chunk_size):
+        """Chunks of 7 bytes cut every 23-byte BLOCK header and 14-byte
+        REF record in two or more; 23 and 64 put the cuts at shifting
+        places inside units.  Plans on and off read the same state."""
+        proc = stopped_at(CORPUS[entry_name].source, 3, ALPHA)
+        prog = proc.program
+        expected = Process(prog, ALPHA)
+        expected.run_to_completion()
+        payload, _ = collect_state(proc)
+        chunks = [bytes(c) for c in collect_state_chunks(proc, chunk_size=chunk_size)]
+        assert b"".join(chunks) == payload
+        for plans in (True, False):
+            dest = Process(prog, DEC5000)
+            dest.ti.plans_enabled = plans
+            try:
+                restore_state_stream(prog, iter(chunks), dest)
+            finally:
+                dest.ti.plans_enabled = True
+            assert dest.run().status == "exit"
+            assert dest.stdout == expected.stdout
+
+    @pytest.mark.parametrize("dst_arch", [DEC5000, X86, X86_64], ids=lambda a: a.name)
+    def test_padding_restores_as_zeros(self, dst_arch):
+        """One ``pack`` per unit writes the whole unit image: the bytes
+        no cell covers are zeros, as in memory the per-cell path never
+        touched."""
+        proc = stopped_at(CORPUS["hand_record_padding"].source, 4, SPARC20)
+        payload, _ = collect_state(proc)
+        dest = Process(proc.program, dst_arch)
+        restore_state(proc.program, payload, dest)
+        checked = 0
+        for block in dest.msrlt.blocks():
+            info = dest.ti.info_for(block.elem_type)
+            if info.label != "struct gappy" and not info.label.startswith("struct gappy ["):
+                continue
+            covered = set()
+            for unit in range(info.units_in(block.count)):
+                for cell in info.cells:
+                    start = unit * info.unit_size + cell.offset
+                    covered.update(range(start, start + dest.memory.sizeof(cell.kind)))
+            raw = dest.memory.read_bytes(block.addr, block.size)
+            assert len(covered) < block.size  # the type does have padding
+            assert all(raw[i] == 0 for i in range(block.size) if i not in covered)
+            checked += 1
+        assert checked >= 8  # seven ring nodes and the global array
+
+    def test_overflowing_long_narrows_like_the_oracle(self):
+        """A ``long`` past 32 bits leaves a 64-bit host and lands on a
+        32-bit one: the fused store wraps it modulo 2^32, bit for bit as
+        ``Memory.store`` does cell by cell (no resumed-output claim: the
+        program's own arithmetic differs on the narrower host)."""
+        source = """
+struct wide { long a; struct wide *next; unsigned long b; };
+struct wide *chain;
+int main() {
+    int i; long v; struct wide *w;
+    v = 1; for (i = 0; i < 40; i++) v = v * 2;
+    for (i = 0; i < 5; i++) {
+        w = (struct wide *) malloc(sizeof(struct wide));
+        w->a = -(v + 12345 * i); w->b = (unsigned long) (v * 3 + i); w->next = chain;
+        chain = w;
+    }
+    migrate_here();
+    return 0;
+}
+"""
+        proc = stopped_at(source, 1, ALPHA)
+        payload, _ = collect_state(proc)
+        images = []
+        for plans in (True, False):
+            dest = Process(proc.program, DEC5000)
+            dest.ti.plans_enabled = plans
+            try:
+                restore_state(proc.program, payload, dest)
+            finally:
+                dest.ti.plans_enabled = True
+            images.append([
+                dest.memory.read_bytes(b.addr, b.size) for b in dest.msrlt.heap_blocks()
+            ])
+        assert images[0] == images[1] and len(images[0]) == 5
+        first = proc.memory.load("long", proc.msrlt.heap_blocks()[0].addr)
+        assert abs(first) > 2**32  # the source value really did not fit
 
 
 def small_flat_source() -> str:
@@ -485,18 +610,8 @@ int main() {
 """.replace("%N%", str(n))
 
 
-@pytest.fixture
-def deep_stack():
-    """Room for the recursive traversal of a long list (one pointer hop
-    per record; the iterative traversal is a ROADMAP item)."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20_000)
-    yield
-    sys.setrecursionlimit(limit)
-
-
 class TestChainBackoff:
-    def test_deep_irregular_list_backs_off_preorder(self, engaged, deep_stack):
+    def test_deep_irregular_list_backs_off_preorder(self, engaged):
         """300 irregularly spaced records: every probe misses.  The miss
         is booked before the descent into the tail's target, so probing
         stops after CHAIN_BACKOFF_MISSES nodes — booked on the way back
@@ -513,12 +628,12 @@ class TestChainBackoff:
         assert 0 < engaged["save batches", "calls"] <= probes
         assert engaged["walks", "calls"] <= 2
         # the restore side books its miss when the row parse declines,
-        # which is before restore_pointer descends: same bound
+        # which is before the driver descends: same bound
         restore_state(proc.program, planned, Process(proc.program, X86_64))
         assert 0 < engaged["restore batches", "calls"] <= probes
         assert engaged["save batches"] == engaged["restore batches"] == 0
 
-    def test_even_chain_commits_in_one_batch(self, engaged, deep_stack):
+    def test_even_chain_commits_in_one_batch(self, engaged):
         proc = stopped_at(evenlist_source(1024), 1, DEC5000)
         with plans_off(proc):
             oracle, _ = collect_state(proc)

@@ -45,6 +45,17 @@ class TestRegistration:
         with pytest.raises(MSRLTError, match="duplicate"):
             msrlt.register_global(0, 0x2000, INT)
 
+    def test_caller_supplied_size_skips_the_sizeof_walk(self, msrlt, monkeypatch):
+        """The restorer holds ``sizeof(elem) * count`` in the block's
+        TypeInfo; passed through, ``register_heap`` must not derive it a
+        second time (a structural walk of the type, once per block)."""
+        walked = msrlt.register_heap(0x5000, INT, 3)
+        monkeypatch.setattr(
+            msrlt.layout, "sizeof", lambda ctype: pytest.fail("sizeof walked again")
+        )
+        given = msrlt.register_heap(0x6000, INT, 3, size=walked.size)
+        assert (given.size, given.count, given.elem_type) == (12, 3, INT)
+
     def test_unregister(self, msrlt):
         b = msrlt.register_heap(0x2000, INT, 4)
         msrlt.unregister(0x2000)

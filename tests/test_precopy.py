@@ -42,7 +42,9 @@ from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.msr.wire import (
+    BLOCK_RECORD,
     CHUNK_HEADER_SIZE,
+    TAG_BLOCK,
     DeltaDecoder,
     FrameCorruptError,
     FrameOrderError,
@@ -179,6 +181,23 @@ class TestDirtyTracker:
         t = DirtyTracker(0, 0)
         t.mark(10, 0)
         assert not t
+
+    def test_many_disjoint_ranges_merge_a_logarithmic_number_of_times(self, monkeypatch):
+        """A slice that writes 10^5 disjoint blocks (every node of a long
+        list) keeps more ranges than the coalescing threshold however
+        often they are merged; re-merging on every write made such a
+        slice quadratic."""
+        from repro.vm import dirty
+
+        merges = []
+        merge = dirty._merge
+        monkeypatch.setattr(dirty, "_merge", lambda iv: merges.append(len(iv)) or merge(iv))
+        t = DirtyTracker(0, 0)
+        for i in range(100_000):
+            t.mark(i * 16, 4)
+            t.mark(i * 16, 4)  # the rewrite of the same cell coalesces
+        assert len(merges) <= 16 and sum(merges) <= 4 * 200_000
+        assert len(t.take()) == 100_000
 
 
 class TestBlocksOverlapping:
@@ -727,6 +746,23 @@ class TestHostileFinalStream:
         prog, scratch, payload, head_at = final
         forged = payload[:head_at] + b"\x03" + payload[head_at + 1 :]
         with pytest.raises(MsrRestoreError, match="bad record tag 3"):
+            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+
+    def test_block_restored_in_place_must_keep_its_size(self, final):
+        """A BLOCK record for a heap block the scratch already holds is
+        restored in place — so a record that claims another element
+        count would write past it."""
+        prog, scratch, payload, _ = final
+        for block in scratch.msrlt.heap_blocks():
+            type_id = scratch.ti.info_for(block.elem_type).type_id
+            header = BLOCK_RECORD.pack(TAG_BLOCK, *block.logical, type_id, 1, 0, 0)
+            at = payload.find(header)
+            if at >= 0:
+                break
+        else:
+            pytest.fail("the final stream carries no BLOCK for a pre-copied heap block")
+        forged = payload[: at + 14] + (2).to_bytes(4, "big") + payload[at + 18 :]
+        with pytest.raises(MsrRestoreError, match="pre-copied block is"):
             restore_state(prog, forged, scratch, PrecopyFinalRestorer)
 
     @pytest.fixture

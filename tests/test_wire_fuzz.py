@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import DEC5000, SPARC20
+from repro.migration import engine as engine_module
 from repro.migration.engine import (
+    MigrationAbortedError,
+    MigrationEngine,
     MigrationError,
+    RetryPolicy,
     collect_state,
     restore_state,
     restore_state_stream,
@@ -24,12 +28,16 @@ from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError
 from repro.msr.wire import (
+    BLOCK_RECORD,
+    REF_RECORD,
+    TAG_BLOCK,
+    TAG_REF,
     ChunkDecoder,
     WireFrameError,
     encode_chunk,
     encode_end_of_stream,
 )
-from repro.vm.memory import MemoryFault
+from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -255,3 +263,187 @@ class TestStreamCorruption:
         dest = _try_stream_restore(_frames()[:-1])
         dest.run()
         assert dest.stdout == "15 7.5"
+
+
+# -- hostile records inside intact frames ---------------------------------------
+
+#: a ring of six nodes reached through ``ring``: the walk meets nested
+#: BLOCK records, REFs through a non-tail cell (``peer``), and ends in a
+#: REF back to the first node it wrote
+RING_PROGRAM = """
+struct link { int v; struct link *peer; struct link *next; };
+struct link *ring;
+int main() {
+    int i; int s;
+    struct link *e; struct link *first;
+    first = NULL;
+    for (i = 0; i < 6; i++) {
+        e = (struct link *) malloc(sizeof(struct link));
+        e->v = i; e->peer = first; e->next = ring; ring = e;
+        if (first == NULL) first = e;
+    }
+    first->next = ring;
+    migrate_here();
+    s = 0; e = ring;
+    for (i = 0; i < 6; i++) { s += e->v; e = e->next; }
+    printf("%d", s);
+    return 0;
+}
+"""
+
+_RING = compile_program(RING_PROGRAM, poll_strategy="user")
+
+
+def _ring_stopped() -> Process:
+    proc = Process(_RING, DEC5000)
+    proc.start()
+    proc.migration_pending = True
+    assert proc.run().status == "poll"
+    return proc
+
+
+_RING_PAYLOAD = bytes(collect_state(_ring_stopped())[0])
+_LINK_ID = next(
+    _ring_stopped().ti.info_for(b.elem_type).type_id
+    for b in _ring_stopped().msrlt.heap_blocks()
+)
+#: byte offsets inside a BLOCK record (tag, kind, a, b, type, count, ordinal, flags)
+_TYPE, _COUNT, _ORDINAL, _FLAGS = 10, 14, 18, 22
+
+
+def _node(serial: int) -> int:
+    """Payload offset of the BLOCK record of the node with *serial*."""
+    header = BLOCK_RECORD.pack(
+        TAG_BLOCK, BlockKind.HEAP, serial, 0, _LINK_ID, 1, 0, 0
+    )
+    at = _RING_PAYLOAD.find(header)
+    assert at >= 0 and _RING_PAYLOAD.count(header) == 1
+    return at
+
+
+def _ref(serial: int) -> int:
+    """Payload offset of the first REF record to the node with *serial*."""
+    at = _RING_PAYLOAD.find(REF_RECORD.pack(TAG_REF, BlockKind.HEAP, serial, 0, 0))
+    assert at >= 0
+    return at
+
+
+def _put_u32(offset: int, value: int):
+    def rewrite(payload: bytearray) -> None:
+        payload[offset : offset + 4] = value.to_bytes(4, "big")
+
+    return rewrite
+
+
+def _put_u8(offset: int, value: int):
+    def rewrite(payload: bytearray) -> None:
+        payload[offset] = value
+
+    return rewrite
+
+
+def _cut_at(offset: int):
+    def rewrite(payload: bytearray) -> None:
+        del payload[offset:]
+
+    return rewrite
+
+
+#: name -> (payload rewrite, what the restorer must say).  Node 5 is the
+#: first one written (``ring`` points at it), node 4 the one nested in
+#: its tail, node 0 the target of every ``peer``.
+HOSTILE = {
+    "count-zero": (_put_u32(_node(5) + _COUNT, 0), "no block is empty"),
+    "count-huge": (_put_u32(_node(5) + _COUNT, 2**32 - 1), "payload ends before"),
+    "count-unbacked": (_put_u32(_node(4) + _COUNT, 100_000), "payload ends before"),
+    "unknown-type": (_put_u32(_node(5) + _TYPE, 0x00FFFFFF), "unknown type id"),
+    "wrong-flat-flag": (_put_u8(_node(5) + _FLAGS, 1), "flat flag disagrees"),
+    "block-ordinal-outside": (_put_u32(_node(4) + _ORDINAL, 99), "ordinal 99 is outside"),
+    "ref-ordinal-outside": (_put_u32(_ref(0) + 10, 99), "ordinal 99 is outside"),
+    "second-block-for-a-mapped-id": (_put_u32(_node(4) + 2, 5), "second BLOCK record"),
+    "ref-to-unseen-block": (_put_u32(_ref(0) + 2, 999), "REF to unseen block"),
+    "bad-tag-mid-unit": (_put_u8(_ref(0), 9), "bad record tag 9"),
+    # past the wire floor (6 bytes), inside the REF after the int
+    "eof-mid-unit": (_cut_at(_node(4) + BLOCK_RECORD.size + 8), "underrun"),
+}
+
+
+def _hostile_collector(rewrite):
+    """A collector that lies: the finished payload passes through
+    *rewrite* before the engine frames it, so envelope, CRCs and chunk
+    framing are all intact around the forged records."""
+
+    class Hostile(Collector):
+        def save_tail(self):
+            super().save_tail()
+            rewrite(self.buf.storage)
+
+    return Hostile
+
+
+class TestHostileRecords:
+    """A sender that frames correctly and lies in the records.  Each lie
+    is one typed error from the restorer — a retryable ``RestoreError``
+    once the engine has it — raised before anything is allocated for
+    contents that cannot arrive; the waiting destination is never
+    touched and the source runs on."""
+
+    def test_the_forgeries_start_from_a_good_payload(self):
+        dest = Process(_RING, SPARC20)
+        restore_state(_RING, _RING_PAYLOAD, dest)
+        dest.run()
+        assert dest.stdout == "15"
+
+    @pytest.mark.parametrize("chunk", [None, 7, 64], ids=["mono", "chunks-7", "chunks-64"])
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_restorer_names_the_lie(self, case, plans, chunk):
+        rewrite, says = HOSTILE[case]
+        forged = bytearray(_RING_PAYLOAD)
+        rewrite(forged)
+        forged = bytes(forged)
+        dest = Process(_RING, SPARC20)
+        dest.ti.plans_enabled = plans
+        try:
+            with pytest.raises((RestoreError, EOFError), match=says):
+                if chunk is None:
+                    restore_state(_RING, forged, dest)
+                else:
+                    pieces = [forged[i : i + chunk] for i in range(0, len(forged), chunk)]
+                    restore_state_stream(_RING, iter(pieces), dest)
+        finally:
+            dest.ti.plans_enabled = True
+
+    # (the whole payload is one chunk at the default chunk size, so the
+    # collector's rewrite sees all of it before the first frame leaves)
+    @pytest.mark.parametrize("mode", [{}, {"streaming": True}], ids=["mono", "stream"])
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_migration_fails_typed_and_bounded(self, case, mode, monkeypatch):
+        rewrite, _says = HOSTILE[case]
+        monkeypatch.setattr(engine_module, "Collector", _hostile_collector(rewrite))
+        allocated = []
+        heap_alloc = Memory.heap_alloc
+
+        def counting(memory, size):
+            allocated.append(size)
+            return heap_alloc(memory, size)
+
+        monkeypatch.setattr(Memory, "heap_alloc", counting)
+        proc = _ring_stopped()
+        waiting = Process(_RING, SPARC20, name="the-waiter")
+        waiting.load()
+        with pytest.raises(MigrationAbortedError) as excinfo:
+            MigrationEngine().migrate(
+                proc, SPARC20, waiting=waiting,
+                retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None), **mode,
+            )
+        assert excinfo.value.attempts == 2
+        assert isinstance(excinfo.value.last_error, engine_module.RestoreError)
+        # both attempts together asked the heap for less than one payload
+        assert sum(allocated) <= len(_RING_PAYLOAD)
+        # never a partially adopted destination
+        assert not waiting.frames and not waiting.msrlt.heap_blocks()
+        # the source is still at its poll-point, and runs on
+        proc.migration_pending = False
+        assert proc.run_to_completion() == 0
+        assert proc.stdout == "15"
