@@ -40,8 +40,8 @@ from repro.migration.stats import MigrationStats
 from repro.obs import MigrationObservation, propagate
 from repro.migration.transport import Channel, ChannelError, LOOPBACK, Link
 from repro.msr.collect import Collector
-from repro.msr.msrlt import BlockKind
-from repro.msr.restore import Restorer
+from repro.msr.msrlt import BlockKind, MSRLTError
+from repro.msr.restore import RestoreError as MsrRestoreError, Restorer
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
     WireFrameError,
@@ -52,6 +52,7 @@ from repro.msr.wire import (
     read_header,
     write_header,
 )
+from repro.vm.memory import MemoryFault
 from repro.vm.process import Process
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "RestoreError",
     "MigrationAbortedError",
     "RETRYABLE_ERRORS",
+    "DAMAGE_ERRORS",
     "DEFAULT_CHUNK_SIZE",
 ]
 
@@ -112,9 +114,13 @@ class MigrationAbortedError(MigrationError):
 #: fails fast
 RETRYABLE_ERRORS = (ChannelError, WireFrameError, TransferError, RestoreError)
 
-#: failures of the interpreter under the restorer, not of the bytes it
-#: was fed: a retry repeats them, so they are never made retryable
-_NOT_DAMAGE = (RecursionError, MemoryError, AssertionError)
+#: what damaged or hostile bytes make the restore side raise: a record
+#: the restorer refuses, a logical id the destination does not have, a
+#: block the simulated heap cannot hold, a buffer underrun, a bad header
+#: (magic, version, an undecodable name).  Anything else under a restore
+#: is a bug in this program: a retry repeats it, so it is never made
+#: retryable
+DAMAGE_ERRORS = (MsrRestoreError, MSRLTError, MemoryFault, EOFError, ValueError)
 
 
 @contextmanager
@@ -139,24 +145,25 @@ def restore_errors(what: str):
     received bytes are turned into destination state (the final restore,
     the pre-copy snapshot restore, each delta round).
 
-    Whatever garbage on the wire makes the restorer raise becomes a
-    typed, retryable :class:`RestoreError` naming *what* failed.  Errors
-    that already are typed pass through, as does a :class:`CollectError`
-    (the inline streaming feed collects inside the restorer's pull), and
-    the :data:`_NOT_DAMAGE` family fails fast as a plain
-    :class:`MigrationError`.
+    What garbage on the wire makes the restorer raise — the
+    :data:`DAMAGE_ERRORS` family — becomes a typed, retryable
+    :class:`RestoreError` naming *what* failed.  Errors that already are
+    typed pass through, as does a :class:`CollectError` (the inline
+    streaming feed collects inside the restorer's pull); everything else
+    (``TypeError``, ``KeyError``, ``RecursionError``, …) fails fast as a
+    plain :class:`MigrationError`.
     """
     try:
         yield
-    except (CollectError, *RETRYABLE_ERRORS):
+    except (MigrationError, ChannelError, WireFrameError):
         raise
-    except _NOT_DAMAGE as exc:
-        raise MigrationError(
-            f"{what} failed with {type(exc).__name__} ({exc}); not retried"
-        ) from exc
-    except Exception as exc:
+    except DAMAGE_ERRORS as exc:
         raise RestoreError(
             f"{what} failed ({exc}); destination left untouched"
+        ) from exc
+    except Exception as exc:
+        raise MigrationError(
+            f"{what} failed with {type(exc).__name__} ({exc}); not retried"
         ) from exc
 
 
@@ -318,6 +325,11 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "S
     # rebuild activation records outermost-first, then register their
     # blocks so stack logical ids resolve during data restoration
     for func_idx, resume_pc in header.frames:
+        if func_idx >= len(program.functions):
+            raise RestoreError(
+                f"payload resumes function {func_idx}; the program has "
+                f"{len(program.functions)}"
+            )
         dest.create_restored_frame(func_idx, resume_pc)
     dest.register_stack_blocks()
 
@@ -338,7 +350,7 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "S
 
     restorer.restore_tail()
     if not rbuf.at_end():
-        raise MigrationError(f"{rbuf.remaining} trailing bytes in migration payload")
+        raise RestoreError(f"{rbuf.remaining} trailing bytes in migration payload")
 
     dest.msrlt.drop_stack_blocks()
     return StateInfo(stats=restorer.stats, header=header)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.arch.buffers import WriteBuffer
+from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import MemoryBlock, MSRLTError
 from repro.msr.wire import (
     BLOCK_RECORD,
@@ -84,8 +85,8 @@ class Collector:
         #: plan, or every block's per-cell reference
         self._plans_on = self.ti.plans_enabled
         self._plan_for = self.ti.plan_for if self._plans_on else self.ti.reference_for
-        #: per-pass scratch owned by the plans (ChainPlan's backoff)
-        self.plan_state = None
+        #: when chain tail slots are offered to their ChainPlan
+        self.chain_backoff = ChainBackoff()
 
     # -- public entry points (paper interface names) --------------------------------
 
@@ -148,6 +149,8 @@ class Collector:
         plan_for = self._plan_for
         prof = self._prof
         open_frames = 0 if prof is None else prof.depth()
+        backoff = self.chain_backoff
+        skip = backoff.skip  # tail slots left to pass over unoffered
         n_blocks = n_refs = n_nulls = n_walked = data_bytes = 0
         stack = []
         # the open frame; `plan is None` marks the bottom of the stack
@@ -170,11 +173,15 @@ class Collector:
                         except MSRLTError:
                             self._dangling(value)
                         if chain is not None:
-                            value = chain.save_batch(self, block, off)
-                            if value is not None:
-                                # a batch went out; its last node's tail
-                                # is the next record (maybe another batch)
-                                continue
+                            if skip:
+                                skip -= 1
+                            else:
+                                value = chain.save_batch(self, block, off)
+                                if value is not None:
+                                    # a batch went out; its last node's tail
+                                    # is the next record (maybe another batch)
+                                    continue
+                                skip = backoff.skip
                 if block is not None:
                     logical = block.logical
                     if header and logical in visited:
@@ -274,6 +281,8 @@ class Collector:
             if prof is not None:
                 prof.unwind(open_frames, drained + len(out))
             raise
+        finally:
+            backoff.skip = skip
 
     # -- bookkeeping --------------------------------------------------------------------
 

@@ -278,19 +278,25 @@ def apply_round(process, payload, expected_round: int):
         msrlt.unregister(block.addr)
         process.memory.heap_free(block.addr)
     n_new = buf.read_u32()
-    n_heap_allocs = 0
+    # carved as a restoration walk carves, registered in one go
+    new: dict[tuple, MemoryBlock] = {}
     for _ in range(n_new):
         logical = read_logical(buf)
         type_id = buf.read_u32()
         count = buf.read_u32()
-        info = ti.info(type_id)
+        try:
+            info = ti.info(type_id)
+        except LookupError:
+            raise RestoreError(
+                f"round registration for {logical} names unknown type id {type_id}"
+            ) from None
         if logical[0] == BlockKind.HEAP:
-            if msrlt.has_logical(logical):
+            if logical in new or msrlt.has_logical(logical):
                 raise RestoreError(f"duplicate registration of {logical} in round")
-            process.restore_heap_block(
-                info.ctype, count, serial=logical[1], size=info.size * count
+            size = info.size * count
+            new[logical] = MemoryBlock(
+                process.memory.heap_carve(size), info.ctype, count, size, logical
             )
-            n_heap_allocs += 1
         elif logical[0] == BlockKind.GLOBAL:
             # globals pre-exist on the destination; just validate
             block = msrlt.lookup_logical(logical)
@@ -302,8 +308,9 @@ def apply_round(process, payload, expected_round: int):
                 )
         else:
             raise RestoreError(f"stack block {logical} in a delta round")
+    msrlt.register_heap_bulk(list(new.values()))
     rest = DeltaRestorer(process, buf)
-    rest.stats.n_heap_allocs = n_heap_allocs
+    rest.stats.n_heap_allocs = len(new)
     n_blocks = buf.read_u32()
     for _ in range(n_blocks):
         logical = read_logical(buf)

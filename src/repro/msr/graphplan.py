@@ -62,7 +62,7 @@ from bisect import bisect_right
 import numpy as np
 
 from repro.arch import xdr
-from repro.msr.msrlt import BlockKind
+from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.wire import BLOCK_RECORD
 
 __all__ = [
@@ -562,17 +562,20 @@ class PtrArrayPlan:
 # -- linked chains ------------------------------------------------------------
 
 
-class _Backoff:
-    """Chain engagement backoff of one collect or restore pass."""
+class ChainBackoff:
+    """Chain engagement backoff of one collect or restore pass.  The
+    traversal driver counts ``skip`` down, one per tail slot it passes
+    over without offering it to the plan (it holds the count in a local
+    while a walk is under way); the plan books every offer's outcome."""
 
     __slots__ = ("misses", "skip")
 
     def __init__(self) -> None:
         self.misses = 0  # consecutive declined attempts
-        self.skip = 0  # tail slots left to decline unprobed
+        self.skip = 0  # tail slots left to pass over unoffered
 
     def book(self, committed: bool) -> None:
-        """The outcome of one probed tail slot."""
+        """The outcome of one offered tail slot."""
         if committed:
             self.misses = 0
             return
@@ -580,18 +583,6 @@ class _Backoff:
         if self.misses >= CHAIN_BACKOFF_MISSES:
             self.misses = 0
             self.skip = CHAIN_BACKOFF_SKIP
-
-    @classmethod
-    def probing(cls, worker):
-        """The backoff of *worker*'s pass if the tail slot it stands at
-        is to be probed, ``None`` if this one is skipped unprobed."""
-        backoff = worker.plan_state
-        if backoff is None:
-            backoff = worker.plan_state = cls()
-        elif backoff.skip:
-            backoff.skip -= 1
-            return None
-        return backoff
 
 
 class ChainPlan:
@@ -692,14 +683,11 @@ class ChainPlan:
         (*block*, *off*).  Emits a batch of node records starting there
         and returns the last node's tail pointer value — the next record
         is that pointer's — or returns ``None`` having written nothing
-        (declined, or backed off: the driver resolves the pointer)."""
-        backoff = _Backoff.probing(collector)
-        if backoff is None:
-            return None
+        (declined: the driver resolves the pointer)."""
         value = self._save_batch(collector, block, off)
         # a miss is booked BEFORE the driver descends: on a deep chain it
         # comes back to this frame only when the list ends
-        backoff.book(value is not None)
+        collector.chain_backoff.book(value is not None)
         return value
 
     def _save_batch(self, collector, block, off):
@@ -943,11 +931,8 @@ class ChainPlan:
         the tail's record.  Returns ``(address of the first node, address
         of the last node's tail cell)`` — the next record is that cell's
         — or ``None`` having consumed nothing."""
-        backoff = _Backoff.probing(restorer)
-        if backoff is None:
-            return None
         batch = self._restore_batch(restorer)
-        backoff.book(batch is not None)
+        restorer.chain_backoff.book(batch is not None)
         return batch
 
     def _restore_batch(self, restorer):
@@ -1063,18 +1048,18 @@ class ChainPlan:
             if m < RESTORE_MIN_CHAIN:
                 return None
             dest_cols[name] = dests
-        serials = serials[:m]
-        # one bulk carve + one bulk register — declined when the free
-        # list would change which addresses block-by-block allocation assigns
-        alloc = memory.heap_alloc_bulk(self.size, m)
-        if alloc is None:
+        # one carve for the batch — declined when the free list would
+        # change which addresses block-by-block allocation assigns
+        base = memory.heap_carve(self.size, m)
+        if base is None:
             return None
-        base, stride = alloc
-        blocks = restorer.msrlt.register_heap_bulk(
-            base, stride, info.ctype, 1, serials.tolist()
-        )
-        for b in blocks:
-            mapping[b.logical] = b
+        stride = memory.heap_size_of(base)
+        pending = restorer._pending
+        for k, serial in enumerate(serials[:m].tolist()):
+            logical = (BlockKind.HEAP, serial, 0)
+            block = MemoryBlock(base + k * stride, info.ctype, 1, self.size, logical)
+            mapping[logical] = block
+            pending.append(block)
         addrs = base + stride * np.arange(m, dtype=np.int64)
         host_dt = self._host_dtype(stride)
         out = np.zeros(m, host_dt)

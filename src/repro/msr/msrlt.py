@@ -20,18 +20,23 @@ independent :class:`LogicalId` is
 All three are identical on every architecture for the same program at
 the same execution point, which is what makes them transportable.
 
-Address→block search uses a sorted-address array per segment with binary
-search — O(log n) per pointer lookup, giving the paper's O(n·log n)
-total search complexity for collection (§4.2).  Heap registrations are
-typically in increasing address order (bump allocation), so the insort
-is amortized O(1); logical-id→block lookup is a dict, giving the O(n)
-total MSRLT *update* complexity of restoration.
+Address→block search uses one sorted-address array with binary search —
+O(log n) per pointer lookup, giving the paper's O(n·log n) total search
+complexity for collection (§4.2).  A single registration (``malloc``, a
+stack variable) is an insort into that array: an append only while
+nothing is registered above it, and the stack blocks of a collection or
+restoration sit above the whole heap.  A restoration pass therefore does
+not register its heap blocks one by one: it hands each walk's blocks to
+:meth:`MSRLT.register_heap_bulk`, one sorted merge, and translates
+through its own logical-id dict meanwhile — the O(n) total MSRLT
+*update* complexity of restoration (§4.2).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.clang.ctypes import CType, TypeLayout
@@ -83,6 +88,9 @@ class MemoryBlock:
         return f"<block {label} @{self.addr:#x} {self.elem_type} x{self.count}>"
 
 
+_ADDR = attrgetter("addr")
+
+
 class MSRLT:
     """Registry of memory blocks for one process on one architecture."""
 
@@ -92,6 +100,8 @@ class MSRLT:
         # sorted parallel arrays for address search
         self._starts: list[int] = []
         self._blocks: list[MemoryBlock] = []
+        #: the stack-kind blocks, so that dropping them need not scan the heap
+        self._stack: list[MemoryBlock] = []
         self._heap_serial = 0
         # last-hit lookup cache: pointer chains exhibit strong block
         # locality (an array of structs is traversed cell by cell), so
@@ -167,7 +177,7 @@ class MSRLT:
         """Register one local variable of the activation record at
         *frame_depth* (0 = outermost frame)."""
         size = self.layout.sizeof(ctype)
-        return self._insert(
+        block = self._insert(
             MemoryBlock(
                 addr=addr,
                 elem_type=ctype,
@@ -177,33 +187,55 @@ class MSRLT:
                 name=name,
             )
         )
+        self._stack.append(block)
+        return block
 
-    def register_heap(
-        self,
-        addr: int,
-        elem_type: CType,
-        count: int,
-        serial: Optional[int] = None,
-        size: Optional[int] = None,
-    ) -> MemoryBlock:
-        """Register one heap allocation (done inside ``malloc``).
-
-        *serial* is normally assigned locally; the restorer passes the
-        source host's serial through so that logical ids keep matching if
-        the restored process migrates again later.  It also passes *size*
-        (``sizeof(elem_type) * count``, held in the type's ``TypeInfo``)
-        so the structural ``sizeof`` walk is not repeated per block.
-        """
-        if serial is None:
-            serial = self._heap_serial
-            self._heap_serial += 1
-        elif serial >= self._heap_serial:
-            self._heap_serial = serial + 1
-        if size is None:
-            size = self.layout.sizeof(elem_type) * count
+    def register_heap(self, addr: int, elem_type: CType, count: int) -> MemoryBlock:
+        """Register one heap allocation (done inside ``malloc``) under
+        the next local serial."""
+        serial = self._heap_serial
+        self._heap_serial += 1
+        size = self.layout.sizeof(elem_type) * count
         return self._insert(
             MemoryBlock(addr, elem_type, count, size, (BlockKind.HEAP, serial, 0))
         )
+
+    def register_heap_bulk(self, blocks: Sequence[MemoryBlock]) -> None:
+        """Register prebuilt heap blocks — what one restoration walk
+        carved — in one merge into the sorted arrays.
+
+        The blocks carry the *source* host's serials (logical ids keep
+        matching if the restored process migrates again) and may come in
+        any address order; the table ends up exactly as after one
+        :meth:`register_heap`-style insort per block.  Nothing is
+        registered when any logical id is already taken.
+        """
+        if not blocks:
+            return
+        by_logical = self._by_logical
+        fresh = {b.logical: b for b in blocks}
+        if len(fresh) != len(blocks) or not by_logical.keys().isdisjoint(fresh):
+            taken = next(
+                b.logical for b in blocks
+                if b.logical in by_logical or fresh[b.logical] is not b
+            )
+            raise MSRLTError(f"duplicate registration of {taken}")
+        blocks = sorted(blocks, key=_ADDR)
+        starts = [b.addr for b in blocks]
+        i = bisect_right(self._starts, starts[0])
+        if i == bisect_right(self._starts, starts[-1]):
+            # one gap takes them all (always, for blocks fresh off the brk)
+            self._starts[i:i] = starts
+            self._blocks[i:i] = blocks
+        else:
+            # two ascending runs: the sort is a linear merge
+            self._blocks = sorted(self._blocks + blocks, key=_ADDR)
+            self._starts = [b.addr for b in self._blocks]
+        by_logical.update(fresh)
+        self._heap_serial = max(self._heap_serial, max(fresh)[1] + 1)
+        self.n_registrations += len(blocks)
+        self.generation += 1
+        self.heap_generation += 1
 
     def unregister(self, addr: int) -> None:
         """Remove the block starting exactly at *addr* (``free``)."""
@@ -217,69 +249,28 @@ class MSRLT:
         self.generation += 1
         if block.logical[0] == BlockKind.HEAP:
             self.heap_generation += 1
+        elif block.logical[0] == BlockKind.STACK:
+            self._stack.remove(block)
 
     def drop_stack_blocks(self) -> None:
         """Remove all stack-kind blocks (collection-time registrations)."""
+        stack, self._stack = self._stack, []
+        self._last_hit = None
+        self.generation += 1
+        if not stack:
+            return
+        i = bisect_left(self._starts, min(b.addr for b in stack))
+        if len(self._starts) - i == len(stack):
+            # the stack sits above everything else: a tail slice
+            del self._starts[i:]
+            del self._blocks[i:]
+            for block in stack:
+                del self._by_logical[block.logical]
+            return
         keep = [b for b in self._blocks if b.logical[0] != BlockKind.STACK]
         self._blocks = keep
         self._starts = [b.addr for b in keep]
         self._by_logical = {b.logical: b for b in keep}
-        self._last_hit = None
-        self.generation += 1
-
-    def register_heap_bulk(
-        self,
-        base: int,
-        stride: int,
-        elem_type: CType,
-        count: int,
-        serials: Sequence[int],
-    ) -> list[MemoryBlock]:
-        """Register ``len(serials)`` identical heap blocks at
-        ``base + k*stride`` with one slice-insert into the sorted arrays.
-
-        The whole address range must fall into a single gap between
-        already-registered blocks (always true for blocks carved fresh
-        off the heap brk) so the parallel arrays stay sorted without a
-        per-block insort.  Used by the graph plan's chain restore.
-        """
-        n = len(serials)
-        if n == 0:
-            return []
-        if stride <= 0:
-            raise MSRLTError("bulk registration requires ascending addresses")
-        size = self.layout.sizeof(elem_type) * count
-        by_logical = self._by_logical
-        blocks = []
-        append = blocks.append
-        heap = BlockKind.HEAP
-        addr = base
-        for serial in serials:
-            logical = (heap, int(serial), 0)
-            if logical in by_logical:
-                raise MSRLTError(f"duplicate registration of {logical}")
-            append(
-                MemoryBlock(
-                    addr=addr,
-                    elem_type=elem_type,
-                    count=count,
-                    size=size,
-                    logical=logical,
-                )
-            )
-            addr += stride
-        i = bisect_right(self._starts, base)
-        if i != bisect_right(self._starts, blocks[-1].addr):
-            raise MSRLTError("bulk registration range overlaps registered blocks")
-        self._starts[i:i] = [b.addr for b in blocks]
-        self._blocks[i:i] = blocks
-        for b in blocks:
-            by_logical[b.logical] = b
-        self._heap_serial = max(self._heap_serial, int(max(serials)) + 1)
-        self.n_registrations += n
-        self.generation += 1
-        self.heap_generation += 1
-        return blocks
 
     # -- lookup -----------------------------------------------------------------------
 

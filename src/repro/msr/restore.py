@@ -15,6 +15,14 @@ logical ids); heap blocks are allocated on demand — this asymmetry is why
 restoration is O(n) in the number of blocks where collection's search is
 O(n log n) (§4.2, visible in Figure 2(b)).
 
+Allocating on demand is a *carve* (``Memory.heap_carve``: the address
+``malloc`` would assign, no window yet) and a ``MemoryBlock`` the pass
+builds itself and keeps on a pending list; a walk's pending blocks enter
+the MSRLT in one merge when it returns or unwinds.  Nothing searches the
+destination table by address meanwhile — every translation goes through
+the mapping — so the table only has to be whole between walks, and the
+heap ledger and the table agree however a walk ends.
+
 Like the collector's, the walk is one loop over an explicit work stack
 (:meth:`Restorer._drive`), not the paper's recursion: a ``BLOCK`` record
 met while a block's cells are being filled suspends that block as a
@@ -29,6 +37,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.arch.buffers import ReadBuffer
+from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import (
@@ -79,8 +88,10 @@ class Restorer:
         self._plan_for = (
             self.ti.plan_for if self.ti.plans_enabled else self.ti.reference_for
         )
-        #: per-pass scratch owned by the plans (ChainPlan's backoff)
-        self.plan_state = None
+        #: when chain tail slots are offered to their ChainPlan
+        self.chain_backoff = ChainBackoff()
+        #: heap blocks carved by the walk under way, not yet in the MSRLT
+        self._pending: list[MemoryBlock] = []
         self._prefault_registered()
 
     def _prefault_registered(self) -> None:
@@ -150,9 +161,12 @@ class Restorer:
                     f"contents of this one could"
                 )
             self.stats.n_heap_allocs += 1
-            return self.process.restore_heap_block(
-                info.ctype, count, serial=logical[1], size=info.size * count
+            size = info.size * count
+            block = MemoryBlock(
+                self.memory.heap_carve(size), info.ctype, count, size, logical
             )
+            self._pending.append(block)
+            return block
         raise RestoreError(f"unknown block kind {kind}")
 
     def _byte_of(self, block: MemoryBlock, ordinal: int) -> int:
@@ -195,6 +209,8 @@ class Restorer:
         plan_for = self._plan_for
         prof = self._prof
         open_frames = 0 if prof is None else prof.depth()
+        backoff = self.chain_backoff
+        skip = backoff.skip  # tail slots left to pass over unoffered
         n_blocks = n_refs = n_nulls = data_bytes = 0
         stack = []
         # the open frame; `plan is None` marks the bottom of the stack.
@@ -321,12 +337,17 @@ class Restorer:
                             values[a:b] = unpack(run)
                         if p >= 0:
                             if chain is not None:
-                                batch = chain.restore_batch(self)
-                                if batch is not None:
-                                    # the batch is this pointer's target;
-                                    # the record after it is its last
-                                    # node's tail
-                                    values[p], patch = batch
+                                if skip:
+                                    skip -= 1
+                                else:
+                                    batch = chain.restore_batch(self)
+                                    if batch is not None:
+                                        # the batch is this pointer's
+                                        # target; the record after it is
+                                        # its last node's tail
+                                        values[p], patch = batch
+                                    else:
+                                        skip = backoff.skip
                             break
                         plan.store(memory, addr, values)
                         units -= 1
@@ -356,6 +377,13 @@ class Restorer:
             if prof is not None:
                 prof.unwind(open_frames, buf.position)
             raise
+        finally:
+            backoff.skip = skip
+            pending = self._pending
+            if pending:
+                # the table is whole again before anyone can search it
+                self._pending = []
+                self.msrlt.register_heap_bulk(pending)
 
 
 # -- paper-style free-function interface ---------------------------------------------

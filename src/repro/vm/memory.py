@@ -370,49 +370,43 @@ class Memory:
 
     def heap_alloc(self, size: int) -> int:
         """``malloc``: returns an 8-aligned address; size 0 behaves as 1."""
-        size = _align_up(max(size, 1), _HEAP_ALIGN)
-        bucket = self._free.get(size)
-        if bucket:
-            addr = bucket.pop()
-        else:
-            addr = self._heap_brk
-            end = addr + size
-            seg = self.heap_seg
-            if end > seg.limit:
-                raise MemoryFault("simulated heap exhausted")
-            seg.offset(addr, size)  # materialize the span
-            self._heap_brk = end
-        self.heap_allocs[addr] = size
+        addr = self.heap_carve(size)
+        self.heap_seg.offset(addr, self.heap_allocs[addr])  # materialize the span
         return addr
 
-    def heap_alloc_bulk(self, size: int, n: int) -> tuple[int, int] | None:
-        """``n`` identical ``malloc(size)`` calls carved contiguously off
-        the brk in one step; returns ``(base, stride)``.
+    def heap_carve(self, size: int, n: int = 1) -> int | None:
+        """The allocation decision of ``malloc`` without the window:
+        carve *n* blocks of *size* bytes and return the address of the
+        first (block *k* is at ``base + k * heap_size_of(base)``).
 
-        Returns ``None`` when the size-class free list is non-empty: the
-        per-allocation path would recycle those addresses first, and the
-        graph plan must produce *exactly* the addresses the reference
-        path would (address parity is what keeps re-collection after a
-        restore byte-identical), so it declines instead of guessing.
+        One block comes off the size-class free list when that holds
+        one, else off the brk.  *n* > 1 blocks are contiguous, which only
+        the brk can promise: ``None`` when the free list is non-empty,
+        because *n* single carves would recycle those addresses first
+        and restoration must assign exactly the addresses they would
+        (address parity keeps re-collection after a restore
+        byte-identical).  Materialization is left to the first write: a
+        restore that follows builds the window straight from its data
+        (:meth:`Segment.write`), where an eager ``ensure`` would memset
+        bytes about to be overwritten wholesale.
         """
-        stride = _align_up(max(size, 1), _HEAP_ALIGN)
-        if n <= 0:
-            raise ValueError(f"bulk allocation count must be positive, got {n}")
-        if self._free.get(stride):
-            return None
+        stride = (size + _HEAP_ALIGN - 1) & -_HEAP_ALIGN if size > 0 else _HEAP_ALIGN
+        allocs = self.heap_allocs
+        bucket = self._free.get(stride)
+        if bucket:
+            if n != 1:
+                return None
+            base = bucket.pop()
+            allocs[base] = stride
+            return base
         base = self._heap_brk
         end = base + stride * n
         if end > self.heap_seg.limit:
             raise MemoryFault("simulated heap exhausted")
-        # materialization is deferred to the first write: the bulk
-        # restore that follows builds the window straight from its data
-        # (Segment.write), so an eager ensure here would memset bytes
-        # that are about to be overwritten wholesale
         self._heap_brk = end
-        allocs = self.heap_allocs
-        for k in range(n):
-            allocs[base + k * stride] = stride
-        return base, stride
+        for addr in range(base, end, stride):
+            allocs[addr] = stride
+        return base
 
     def array_view(self, kind: str, addr: int, count: int) -> np.ndarray:
         """Writable zero-copy ndarray over *count* primitives at *addr*.

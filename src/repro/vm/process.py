@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.clang.ctypes import ArrayType, CType, UCHAR
-from repro.msr.msrlt import MSRLT, MemoryBlock
+from repro.msr.msrlt import MSRLT
 from repro.msr.ti import TITable
 from repro.vm.builtins import RAND_STATE_GLOBAL
 from repro.vm.compiler import kind_of
@@ -215,18 +215,6 @@ class Process:
         )
         self.typed_free(addr)
         return new_addr
-
-    def restore_heap_block(
-        self, elem: CType, count: int, serial: int, size: Optional[int] = None
-    ) -> MemoryBlock:
-        """Allocate + register a heap block during restoration, keeping the
-        source host's serial so logical ids stay stable across re-migration.
-        *size* is ``sizeof(elem) * count`` when the caller already holds it
-        (a restorer does, in the block's ``TypeInfo``)."""
-        if size is None:
-            size = self.layout.sizeof(elem) * count
-        addr = self.memory.heap_alloc(size)
-        return self.msrlt.register_heap(addr, elem, count, serial=serial, size=size)
 
     # -- stack block registration (collection/restoration support) ----------------------------
 

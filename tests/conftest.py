@@ -6,6 +6,9 @@ import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
 from repro.migration.engine import collect_state, restore_state
+from repro.msr.msrlt import BlockKind
+from repro.msr.restore import Restorer
+from repro.vm.memory import Memory
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.workloads import (
@@ -71,6 +74,64 @@ def plans_off(*procs):
             proc.ti.plans_enabled = True
 
 
+def table_state(table) -> tuple:
+    """What registrations leave behind in an MSRLT, for comparing two."""
+    return (
+        table._starts, table._blocks, table._by_logical,
+        table._heap_serial, table.n_registrations,
+    )
+
+
+def assert_table_whole(proc) -> None:
+    """The MSRLT's three indexes agree with each other and with the heap
+    ledger — what every restoration walk owes the table however it
+    ended, since its heap blocks are registered in bulk when it does."""
+    table = proc.msrlt
+    assert table._starts == [b.addr for b in table._blocks]
+    assert all(a < b for a, b in zip(table._starts, table._starts[1:]))
+    assert table._by_logical == {b.logical: b for b in table._blocks}
+    assert {b.addr for b in table.heap_blocks()} == set(proc.memory.heap_allocs)
+    assert sorted(map(id, table._stack)) == sorted(
+        id(b) for b in table._blocks if b.logical[0] == BlockKind.STACK
+    )
+
+
+def allocator_twin(memory) -> Memory:
+    """A fresh memory whose heap allocator stands where *memory*'s does
+    (brk and free lists): what ``heap_alloc`` would hand out next."""
+    twin = Memory(memory.arch)
+    twin._heap_brk = memory._heap_brk
+    twin._free = {size: list(addrs) for size, addrs in memory._free.items()}
+    twin.heap_allocs = dict(memory.heap_allocs)
+    return twin
+
+
+def restore_replayed(prog, payload, dest, restorer=Restorer):
+    """``restore_state`` under the allocation contract: every heap block
+    the pass creates sits at the address a replay of ``Memory.heap_alloc``
+    over the blocks in record order assigns (a restorer's mapping fills
+    in record order), and the table ends whole."""
+    replay = allocator_twin(dest.memory)
+    passes = []
+
+    def factory(process, buf):
+        rest = restorer(process, buf)
+        passes.append((rest, set(rest._mapping)))
+        return rest
+
+    info = restore_state(prog, payload, dest, factory)
+    ((rest, held),) = passes
+    created = [
+        block for logical, block in rest._mapping.items()
+        if logical[0] == BlockKind.HEAP and logical not in held
+    ]
+    assert len(created) == info.stats.n_heap_allocs
+    for block in created:
+        assert replay.heap_alloc(block.size) == block.addr, block
+    assert_table_whole(dest)
+    return info
+
+
 #: the plans-on/off identity matrix: name -> (source, poll to stop at)
 PLAN_WORKLOADS = {
     "structgrid": (structgrid_source(64, 24), 12),
@@ -89,8 +150,9 @@ PLAN_ARCH_PAIRS = [(ULTRA5, DEC5000), (SPARC20, ALPHA), (DEC5000, X86)]
 def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
     """THE plans-on vs plans-off identity check: the collected payload
     is byte-identical with the plans on and with every block on the
-    per-cell oracle; either payload restores through either restorer;
-    and the restored process resumes to the unmigrated output."""
+    per-cell oracle; either payload restores through either restorer,
+    to the heap addresses block-by-block ``malloc`` would assign; and
+    the restored process resumes to the unmigrated output."""
     proc = stopped_at(source, polls, src_arch)
     prog = proc.program
     expected = Process(prog, src_arch)
@@ -103,9 +165,12 @@ def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
 
     dest = Process(prog, dst_arch)
     with plans_off(dest):
-        restore_state(prog, planned, dest)  # plan-written, oracle-read
+        restore_replayed(prog, planned, dest)  # plan-written, oracle-read
     twin = Process(prog, dst_arch)
-    restore_state(prog, oracle, twin)  # oracle-written, plan-read
+    restore_replayed(prog, oracle, twin)  # oracle-written, plan-read
+    assert [(b.logical, b.addr) for b in twin.msrlt.blocks()] == [
+        (b.logical, b.addr) for b in dest.msrlt.blocks()
+    ]
     for restored in (dest, twin):
         assert restored.run().status == "exit"
         assert restored.stdout == expected.stdout

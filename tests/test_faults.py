@@ -40,7 +40,9 @@ from repro.migration.transport import (
     LOOPBACK,
     SocketChannel,
 )
+from repro.msr.graphplan import FlatPlan
 from repro.msr.msrlt import BlockKind, MSRLTError
+from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.msr.wire import (
     encode_chunk,
     encode_context_frame,
@@ -48,6 +50,7 @@ from repro.msr.wire import (
     encode_delta_parts,
     encode_end_of_stream,
 )
+from repro.vm.memory import MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -735,12 +738,51 @@ class TestRestorerFault:
         assert_source_untouched(proc, observations[0], expected)
 
     def test_damage_shaped_failures_stay_retryable(self, prog, monkeypatch):
-        monkeypatch.setattr(
-            engine_module, "Restorer", self.failing_restorer(ValueError("garbage"))
+        """The named family, one of each: a refused record, an id the
+        destination lacks (or a serial registered twice), the carve out
+        of heap, an underrun, a bad header."""
+        assert engine_module.DAMAGE_ERRORS == (
+            MsrRestoreError, MSRLTError, MemoryFault, EOFError, ValueError
         )
-        with pytest.raises(MigrationAbortedError) as excinfo:
-            MigrationEngine().migrate(
-                stopped(prog), SPARC20, retry=RetryPolicy(max_attempts=2, **NO_SLEEP)
+        for damage in engine_module.DAMAGE_ERRORS:
+            monkeypatch.setattr(
+                engine_module, "Restorer", self.failing_restorer(damage("garbage"))
             )
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.last_error, RestoreError)
+            with pytest.raises(MigrationAbortedError) as excinfo:
+                MigrationEngine().migrate(
+                    stopped(prog), SPARC20, retry=RetryPolicy(max_attempts=2, **NO_SLEEP)
+                )
+            assert excinfo.value.attempts == 2
+            assert isinstance(excinfo.value.last_error, RestoreError)
+            assert isinstance(excinfo.value.last_error.__cause__, damage)
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["mono", "stream"])
+    @pytest.mark.parametrize(
+        "bug", [TypeError("int + str"), AttributeError("no such"), KeyError("k"),
+                IndexError("i")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_a_bug_inside_a_plan_is_not_transport_noise(
+        self, prog, expected, observations, monkeypatch, bug, streaming
+    ):
+        """Nothing outside the damage family is retried: a plan that
+        raises like a programming error does fails the migration in its
+        first attempt, and the source runs on."""
+
+        def restore(self, restorer, block, info):
+            raise bug
+
+        monkeypatch.setattr(FlatPlan, "restore", restore)
+        proc = stopped(prog)
+        slept = []
+        with pytest.raises(MigrationError, match="not retried") as excinfo:
+            MigrationEngine().migrate(
+                proc, SPARC20, streaming=streaming, chunk_size=64,
+                retry=RetryPolicy(max_attempts=3, sleep=slept.append),
+            )
+        assert type(excinfo.value) is MigrationError
+        assert excinfo.value.__cause__ is bug
+        assert slept == []
+        (observation,) = observations
+        assert len(observation.tracer.find("attempt")) == 1
+        assert_source_untouched(proc, observation, expected)

@@ -52,7 +52,7 @@ from repro.msr.graphplan import (
     RecordPlan,
     StructPlan,
 )
-from repro.msr.msrlt import MSRLT, BlockKind, MSRLTError
+from repro.msr.msrlt import MSRLT, BlockKind, MemoryBlock, MSRLTError
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -62,6 +62,7 @@ from tests.conftest import (
     assert_plans_invisible,
     plans_off,
     stopped_at,
+    table_state,
 )
 
 PLAN_KINDS = (FlatPlan, StructPlan, PtrArrayPlan, RecordPlan)
@@ -173,10 +174,20 @@ class TestGenerationInvalidation:
         assert idx[0] == -1
 
 
+def _heap_blocks(addrs, serials):
+    """Prebuilt one-INT heap blocks, as a restoration walk hands them
+    to the table."""
+    return [
+        MemoryBlock(addr, INT, 1, 4, (BlockKind.HEAP, serial, 0))
+        for addr, serial in zip(addrs, serials)
+    ]
+
+
 class TestRegisterHeapBulk:
     def test_bulk_matches_serial_registration(self, table):
-        blocks = table.register_heap_bulk(0x2000, 0x10, INT, 1, [0, 1, 2])
-        assert [b.addr for b in blocks] == [0x2000, 0x2010, 0x2020]
+        blocks = _heap_blocks([0x2000, 0x2010, 0x2020], [0, 1, 2])
+        table.register_heap_bulk(blocks)
+        assert table._starts == [0x2000, 0x2010, 0x2020]
         for b in blocks:
             found, off = table.lookup_addr(b.addr)
             assert found is b and off == 0
@@ -184,19 +195,35 @@ class TestRegisterHeapBulk:
         assert table.register_heap(0x5000, INT, 1).logical[1] == 3
 
     def test_duplicate_serial_rejected(self, table):
-        table.register_heap(0x5000, INT, 1, serial=7)
-        with pytest.raises(MSRLTError, match="duplicate"):
-            table.register_heap_bulk(0x2000, 0x10, INT, 1, [6, 7])
+        table.register_heap_bulk(_heap_blocks([0x5000], [7]))
+        before = table_state(table)
+        with pytest.raises(MSRLTError, match=r"duplicate registration of \(2, 7, 0\)"):
+            table.register_heap_bulk(_heap_blocks([0x2000, 0x2010], [6, 7]))
+        with pytest.raises(MSRLTError, match=r"duplicate registration of \(2, 8, 0\)"):
+            table.register_heap_bulk(_heap_blocks([0x2000, 0x2010, 0x2020], [8, 9, 8]))
+        # all or nothing
+        assert table_state(table) == before and len(table) == 1
 
-    def test_overlapping_range_rejected(self, table):
-        table.register_heap(0x2010, INT, 1)
-        with pytest.raises(MSRLTError, match="overlaps"):
-            table.register_heap_bulk(0x2000, 0x10, INT, 1, [10, 11])
+    def test_interleaved_range_merges(self, table):
+        """Blocks that do not fall into one gap between registered ones
+        (a free list handed out recycled addresses, a stack block sits
+        above) merge in address order, unsorted input included."""
+        table.register_stack(0, 0, 0x7000, INT, name="s")
+        mid = table.register_heap(0x2010, INT, 1)
+        a, b, c = _heap_blocks([0x2000, 0x2008, 0x2020], [10, 11, 12])
+        table.register_heap_bulk([c, a, b])
+        assert table._starts == [0x2000, 0x2008, 0x2010, 0x2020, 0x7000]
+        assert table._blocks[:4] == [a, b, mid, c]
+        assert table.lookup_addr(0x2021) == (c, 1)
+        table.drop_stack_blocks()
+        assert table._blocks == [a, b, mid, c]
 
     def test_bulk_bumps_heap_generation(self, table):
-        before = table.heap_generation
-        table.register_heap_bulk(0x2000, 0x10, INT, 1, [0, 1])
-        assert table.heap_generation > before
+        before = table.heap_generation, table.generation
+        table.register_heap_bulk(_heap_blocks([0x2000, 0x2010], [0, 1]))
+        assert table.heap_generation > before[0] and table.generation > before[1]
+        table.register_heap_bulk([])  # nothing to register, nothing changes
+        assert table.n_registrations == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for the MSR Lookup Table."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import DEC5000, SPARC20
 from repro.clang.ctypes import ArrayType, DOUBLE, INT, PointerType, StructType, TypeLayout
-from repro.msr.msrlt import BlockKind, MSRLT, MSRLTError
+from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLT, MSRLTError
+from tests.conftest import table_state
 
 
 @pytest.fixture
@@ -34,8 +35,9 @@ class TestRegistration:
         assert b1.size == 40
 
     def test_heap_serial_passthrough(self, msrlt):
-        b = msrlt.register_heap(0x2000, INT, 1, serial=17)
-        assert b.logical == (BlockKind.HEAP, 17, 0)
+        b = MemoryBlock(0x2000, INT, 1, 4, (BlockKind.HEAP, 17, 0))
+        msrlt.register_heap_bulk([b])
+        assert msrlt.lookup_logical((BlockKind.HEAP, 17, 0)) is b
         # local serials continue above the imported one
         b2 = msrlt.register_heap(0x3000, INT, 1)
         assert b2.logical[1] == 18
@@ -47,14 +49,16 @@ class TestRegistration:
 
     def test_caller_supplied_size_skips_the_sizeof_walk(self, msrlt, monkeypatch):
         """The restorer holds ``sizeof(elem) * count`` in the block's
-        TypeInfo; passed through, ``register_heap`` must not derive it a
-        second time (a structural walk of the type, once per block)."""
+        TypeInfo and builds its blocks with it; registering them must
+        not derive it a second time (a structural walk of the type,
+        once per block)."""
         walked = msrlt.register_heap(0x5000, INT, 3)
         monkeypatch.setattr(
             msrlt.layout, "sizeof", lambda ctype: pytest.fail("sizeof walked again")
         )
-        given = msrlt.register_heap(0x6000, INT, 3, size=walked.size)
-        assert (given.size, given.count, given.elem_type) == (12, 3, INT)
+        given = MemoryBlock(0x6000, INT, 3, walked.size, (BlockKind.HEAP, 9, 0))
+        msrlt.register_heap_bulk([given])
+        assert msrlt.lookup_addr(0x6000 + 11) == (given, 11)
 
     def test_unregister(self, msrlt):
         b = msrlt.register_heap(0x2000, INT, 4)
@@ -261,6 +265,93 @@ class TestLastHitCache:
                 if slot not in live:
                     with pytest.raises(MSRLTError):
                         msrlt.lookup_addr(addr + 4)
+
+
+class TestBulkRegistration:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_shuffled_partition_equals_single_registrations(self, data):
+        """However N blocks are shuffled and cut into bulk registrations,
+        the table ends up as after N single insorts — around blocks the
+        table already holds: below, between and above."""
+        n = data.draw(st.integers(1, 24))
+        addrs = data.draw(
+            st.lists(st.integers(0x100, 0x400).map(lambda a: a * 8),
+                     min_size=n, max_size=n, unique=True)
+        )
+        resident = data.draw(st.lists(st.sampled_from(addrs), unique=True, max_size=n // 2))
+        order = data.draw(st.permutations([a for a in addrs if a not in resident]))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
+        singles, bulk = MSRLT(TypeLayout(SPARC20)), MSRLT(TypeLayout(SPARC20))
+        for table in (singles, bulk):
+            table.register_stack(0, 0, 0x7000, INT, name="s")
+            for a in resident:
+                table.register_heap(a, INT, 1)
+        serial = {a: 100 + 3 * i for i, a in enumerate(order)}
+
+        def block(a):
+            return MemoryBlock(a, INT, 2, 8, (BlockKind.HEAP, serial[a], 0))
+
+        for a in order:
+            singles._insert(block(a))
+        for lo, hi in zip([0, *cuts], [*cuts, len(order)]):
+            bulk.register_heap_bulk([block(a) for a in order[lo:hi]])
+        # _insert leaves the serial counter to its callers
+        singles._heap_serial = max([singles._heap_serial, *(s + 1 for s in serial.values())])
+        assert table_state(bulk) == table_state(singles)
+
+
+class TestDropStackBlocks:
+    """The stack blocks are tracked as they register; dropping them is a
+    tail slice when they sit above everything else and a rebuild when
+    they do not — the same table either way."""
+
+    @pytest.mark.parametrize(
+        "stack_addrs",
+        [(0x7000, 0x7010, 0x6ff0), (0x1800, 0x7000), (0x0800,)],
+        ids=["tail", "interleaved", "below"],
+    )
+    def test_equals_a_table_that_never_had_them(self, stack_addrs):
+        table, plain = MSRLT(TypeLayout(SPARC20)), MSRLT(TypeLayout(SPARC20))
+        for t in (table, plain):
+            t.register_global(0, 0x1000, INT)
+            t.register_heap(0x2000, INT, 4)
+        for i, addr in enumerate(stack_addrs):
+            table.register_stack(0, i, addr, INT)
+        for t in (table, plain):
+            t.register_heap(0x2010, INT, 1)
+        table.drop_stack_blocks()
+        assert table_state(table)[:4] == table_state(plain)[:4]
+        assert table._stack == []
+        # and again: the next collection registers and drops afresh
+        table.register_stack(0, 0, 0x7000, INT)
+        table.drop_stack_blocks()
+        assert table_state(table)[:4] == table_state(plain)[:4]
+
+    def test_an_unregistered_stack_block_is_forgotten(self, msrlt):
+        msrlt.register_heap(0x2000, INT, 1)
+        msrlt.register_stack(0, 0, 0x7000, INT)
+        msrlt.register_stack(0, 1, 0x7008, INT)
+        msrlt.unregister(0x7000)
+        above = msrlt.register_heap(0x7800, INT, 1)  # not the stack's tail any more
+        msrlt.drop_stack_blocks()
+        assert msrlt._starts == [0x2000, 0x7800] and msrlt._blocks[1] is above
+        assert set(msrlt._by_logical) == {(BlockKind.HEAP, 0, 0), (BlockKind.HEAP, 1, 0)}
+
+    def test_does_not_scan_the_heap(self, msrlt):
+        """Twice per migration, at any heap size: O(stack), not O(heap)."""
+
+        class NoScan(list):
+            def __iter__(self):
+                pytest.fail("drop_stack_blocks walked every block")
+
+        for i in range(50):
+            msrlt.register_heap(0x2000 + 16 * i, INT, 1)
+        msrlt.register_stack(0, 0, 0x7000, INT)
+        msrlt.register_stack(1, 0, 0x6ff0, INT)
+        msrlt._blocks = NoScan(msrlt._blocks)
+        msrlt.drop_stack_blocks()
+        assert len(msrlt) == 50 and not msrlt.has_logical((BlockKind.STACK, 0, 0))
 
 
 class TestLogicalIdsAcrossArchs:

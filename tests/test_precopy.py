@@ -12,6 +12,7 @@ that pre-copy machinery is inert when not requested.
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86_64
+from repro.arch.buffers import ReadBuffer
 from repro.difftest.corpus import load_corpus
 from repro.difftest.harness import run_baseline, _stop_at_poll
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
@@ -23,6 +24,7 @@ from repro.migration.engine import (
     collect_state,
     restore_state,
 )
+from repro.migration import precopy as precopy_module
 from repro.migration.precopy import (
     PrecopyPolicy,
     PrecopySourceExitedError,
@@ -38,7 +40,8 @@ from repro.migration.transport import (
     FaultyChannel,
     SocketChannel,
 )
-from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
+from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer, apply_round
+from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.msr.wire import (
@@ -51,10 +54,13 @@ from repro.msr.wire import (
     decode_delta_chunk,
     encode_delta_end,
     encode_delta_parts,
+    read_logical,
 )
 from repro.vm.dirty import DirtyTracker
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from repro.workloads import structgrid_source
+from tests.conftest import allocator_twin, assert_table_whole, restore_replayed
 
 
 ENGINE = MigrationEngine()
@@ -791,6 +797,178 @@ class TestHostileFinalStream:
         proc.migration_pending = False
         assert proc.run_to_completion() == 0
         assert proc.stdout == run_baseline(prog, ULTRA5).stdout
+
+
+# -- one allocation path: carve, pend, register once per walk -------------
+
+# round 1 ships three frees (the scratch's 16-byte free list fills); the
+# last slice pushes a list (its first nodes recycle those addresses, the
+# rest come evenly off the brk: a chain batch) and grows a tree (one
+# carve per record), and writes into blocks the scratch already holds
+LIST_THEN_TREE_SRC = """
+struct node { int v; struct node *next; };
+struct leaf { int key; struct leaf *l; struct leaf *r; };
+struct node *old;
+struct node *fresh;
+struct leaf *tree;
+int ticks;
+
+struct node *push(struct node *head, int v) {
+    struct node *n;
+    n = (struct node *) malloc(sizeof(struct node));
+    n->v = v; n->next = head;
+    return n;
+}
+
+struct leaf *grow(struct leaf *t, int key) {
+    if (t == NULL) {
+        t = (struct leaf *) malloc(sizeof(struct leaf));
+        t->key = key; t->l = NULL; t->r = NULL;
+        return t;
+    }
+    if (key < t->key) t->l = grow(t->l, key);
+    else t->r = grow(t->r, key);
+    return t;
+}
+
+int fold(struct leaf *t) {
+    if (t == NULL) return 1;
+    return (fold(t->l) * 31 + t->key + fold(t->r) * 7) % 10007;
+}
+
+int main() {
+    int r; int i; int acc; struct node *n;
+    for (i = 0; i < 8; i++) old = push(old, i);
+    for (r = 0; r < 6; r++) {
+        migrate_here();
+        ticks = ticks + 1;
+        if (r == 0) {
+            for (i = 0; i < 3; i++) { n = old; old = old->next; free(n); }
+            tree = grow(tree, 50);
+        }
+        if (r == 2) {
+            for (i = 0; i < 7; i++) fresh = push(fresh, 100 + i);
+            for (i = 0; i < 9; i++) tree = grow(tree, (i * 37) % 101);
+            old->v = 77;
+        }
+    }
+    migrate_here();
+    acc = fold(tree);
+    for (n = fresh; n != NULL; n = n->next) acc = (acc * 13 + n->v) % 10007;
+    for (n = old; n != NULL; n = n->next) acc = (acc * 13 + n->v) % 10007;
+    printf("%d %d\\n", acc, ticks);
+    return 0;
+}
+"""
+
+
+class TestOneAllocationPath:
+    """Restoration carves every heap block the same way — per record, per
+    chain batch, per ``new`` entry of a round — and registers a walk's
+    blocks in one merge.  The addresses are the ones ``malloc`` would
+    hand out block by block, warm free list or not, and the table is
+    whole after every round and every pass."""
+
+    @staticmethod
+    def prewarmed(prog, src_arch, dst_arch):
+        """(stopped source, pre-warmed scratch, final payload)."""
+        proc = _stopped(prog, src_arch)
+        scratch = Process(prog, dst_arch)
+        state = run_precopy(
+            proc, scratch, Channel(LOOPBACK), TWO_ROUNDS, MigrationStats(), 4096
+        )
+        payload, _ = collect_state(
+            proc, lambda p, b: PrecopyFinalCollector(p, b, cached=state.cached)
+        )
+        return proc, scratch, bytes(payload)
+
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    @pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
+    def test_final_pass_replays_malloc_over_a_warm_free_list(
+        self, pair, plans, monkeypatch
+    ):
+        prog = _compile(LIST_THEN_TREE_SRC)
+        src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
+        _proc, scratch, payload = self.prewarmed(prog, src_arch, dst_arch)
+        node_class = 8 if dst_arch.ptr_size == 4 else 16
+        assert len(scratch.memory._free[node_class]) == 3
+        held = {b.logical: b.addr for b in scratch.msrlt.heap_blocks()}
+        batches = []
+        restore_batch = ChainPlan._restore_batch
+
+        def spy(plan, restorer):
+            batch = restore_batch(plan, restorer)
+            batches.append((batch is not None, bool(restorer.memory._free[node_class])))
+            return batch
+
+        monkeypatch.setattr(ChainPlan, "_restore_batch", spy)
+        scratch.ti.plans_enabled = plans
+        try:
+            info = restore_replayed(prog, payload, scratch, PrecopyFinalRestorer)
+        finally:
+            scratch.ti.plans_enabled = True
+        # 7 list nodes + 9 leaves carved; the list's head, the tree's
+        # root and ``old``'s head restored where the rounds put them
+        assert info.stats.n_heap_allocs == 16
+        now = {b.logical: b.addr for b in scratch.msrlt.heap_blocks()}
+        assert now.items() >= held.items() and len(now) == len(held) + 16
+        assert not scratch.memory._free[node_class]
+        if plans:
+            # no batch while single carves would recycle addresses; one
+            # once the free list ran dry
+            assert all(not took for took, warm in batches if warm)
+            assert [took for took, _ in batches].count(True) == 1
+        else:
+            assert not batches
+        _assert_like_unmigrated(scratch, run_baseline(prog, src_arch))
+
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    def test_structgrid_final_pass_replays_malloc(self, plans):
+        """Every plan kind at once on the pre-warmed scratch: pending
+        blocks between chain batches and blocks restored in place."""
+        prog = _compile(structgrid_source(48, 24))
+        _proc, scratch, payload = self.prewarmed(prog, ULTRA5, X86_64)
+        scratch.ti.plans_enabled = plans
+        try:
+            info = restore_replayed(prog, payload, scratch, PrecopyFinalRestorer)
+        finally:
+            scratch.ti.plans_enabled = True
+        assert info.stats.n_heap_allocs > 0
+        _assert_like_unmigrated(scratch, run_baseline(prog, ULTRA5))
+
+    @pytest.mark.parametrize("source", ["mutator", "list-then-tree"])
+    def test_rounds_replay_free_then_malloc(self, source, monkeypatch):
+        """A round's ``freed`` and ``new`` sections, replayed on a twin
+        allocator in payload order, give the addresses the scratch holds;
+        the table is whole after every round."""
+        prog = _compile(MUTATOR_SRC if source == "mutator" else LIST_THEN_TREE_SRC)
+        rounds = []
+
+        def checked(process, payload, expected_round):
+            twin = allocator_twin(process.memory)
+            buf = ReadBuffer(payload)
+            buf.read_u32()
+            for _ in range(buf.read_u32()):
+                twin.heap_free(process.msrlt.lookup_logical(read_logical(buf)).addr)
+            expected = {}
+            for _ in range(buf.read_u32()):
+                logical, type_id, count = read_logical(buf), buf.read_u32(), buf.read_u32()
+                if logical[0] == BlockKind.HEAP:
+                    size = process.ti.info(type_id).size * count
+                    expected[logical] = twin.heap_alloc(size)
+            stats = apply_round(process, payload, expected_round)
+            assert stats.n_heap_allocs == len(expected)
+            for logical, addr in expected.items():
+                assert process.msrlt.lookup_logical(logical).addr == addr
+            assert_table_whole(process)
+            rounds.append(len(expected))
+            return stats
+
+        monkeypatch.setattr(precopy_module, "apply_round", checked)
+        dest, stats = _precopy_migrate(prog, ULTRA5, SPARC20, policy=TWO_ROUNDS)
+        assert stats.precopy and not stats.precopy_degraded
+        assert len(rounds) == 2 and sum(rounds) > 0
+        _assert_like_unmigrated(dest, run_baseline(prog, ULTRA5))
 
 
 # -- run_precopy unit behavior ------------------------------------------

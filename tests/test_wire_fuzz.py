@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.arch import DEC5000, SPARC20
 from repro.migration import engine as engine_module
 from repro.migration.engine import (
+    DAMAGE_ERRORS,
     MigrationAbortedError,
     MigrationEngine,
     MigrationError,
@@ -40,6 +41,7 @@ from repro.msr.wire import (
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import assert_table_whole
 
 PROGRAM = """
 struct link { int v; struct link *next; };
@@ -62,7 +64,13 @@ int main() {
 
 _PROG = compile_program(PROGRAM, poll_strategy="user")
 
-#: every exception class a malformed payload may legitimately raise
+#: how the restore side may reject a malformed payload: exactly the
+#: family the engine turns into a retryable ``RestoreError`` (anything
+#: else under a restore is a bug, and fails a migration fast)
+REJECTED = (MigrationError, *DAMAGE_ERRORS)
+
+#: every exception class a process restored from a payload that was
+#: accepted damaged may legitimately raise when it runs on
 CONTROLLED = (
     MigrationError,
     RestoreError,
@@ -106,7 +114,7 @@ class TestCorruption:
         data[pos] ^= xor
         try:
             dest = _try_restore(bytes(data))
-        except CONTROLLED:
+        except REJECTED:
             return  # rejected: good
         # accepted: the flip hit pure data (a tag value, a float byte…);
         # the process must still run to completion or fail controlled
@@ -118,19 +126,19 @@ class TestCorruption:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=len(_PAYLOAD) - 1))
     def test_truncation_is_controlled(self, cut):
-        with pytest.raises(CONTROLLED):
+        with pytest.raises(REJECTED):
             _try_restore(_PAYLOAD[:cut])
 
     @settings(max_examples=15, deadline=None)
     @given(st.binary(min_size=1, max_size=64))
     def test_appended_garbage_rejected(self, tail):
-        with pytest.raises(CONTROLLED):
+        with pytest.raises(REJECTED):
             _try_restore(_PAYLOAD + tail)
 
     @settings(max_examples=15, deadline=None)
     @given(st.binary(min_size=0, max_size=300))
     def test_random_bytes_rejected(self, blob):
-        with pytest.raises(CONTROLLED):
+        with pytest.raises(REJECTED):
             _try_restore(blob)
 
     def test_pristine_payload_still_works(self):
@@ -391,6 +399,7 @@ class TestHostileRecords:
     def test_the_forgeries_start_from_a_good_payload(self):
         dest = Process(_RING, SPARC20)
         restore_state(_RING, _RING_PAYLOAD, dest)
+        assert_table_whole(dest)
         dest.run()
         assert dest.stdout == "15"
 
@@ -413,6 +422,9 @@ class TestHostileRecords:
                     restore_state_stream(_RING, iter(pieces), dest)
         finally:
             dest.ti.plans_enabled = True
+        # the walk unwound through its bulk registration: what it carved
+        # before the lie is in the table, and nothing else
+        assert_table_whole(dest)
 
     # (the whole payload is one chunk at the default chunk size, so the
     # collector's rewrite sees all of it before the first frame leaves)
@@ -422,13 +434,13 @@ class TestHostileRecords:
         rewrite, _says = HOSTILE[case]
         monkeypatch.setattr(engine_module, "Collector", _hostile_collector(rewrite))
         allocated = []
-        heap_alloc = Memory.heap_alloc
+        heap_carve = Memory.heap_carve
 
-        def counting(memory, size):
-            allocated.append(size)
-            return heap_alloc(memory, size)
+        def counting(memory, size, n=1):
+            allocated.append(size * n)
+            return heap_carve(memory, size, n)
 
-        monkeypatch.setattr(Memory, "heap_alloc", counting)
+        monkeypatch.setattr(Memory, "heap_carve", counting)
         proc = _ring_stopped()
         waiting = Process(_RING, SPARC20, name="the-waiter")
         waiting.load()
@@ -441,6 +453,9 @@ class TestHostileRecords:
         assert isinstance(excinfo.value.last_error, engine_module.RestoreError)
         # both attempts together asked the heap for less than one payload
         assert sum(allocated) <= len(_RING_PAYLOAD)
+        # (and it was asked: only a lie in the first record's header is
+        # refused before any block is carved)
+        assert allocated or case in ("count-zero", "count-huge", "unknown-type")
         # never a partially adopted destination
         assert not waiting.frames and not waiting.msrlt.heap_blocks()
         # the source is still at its poll-point, and runs on
