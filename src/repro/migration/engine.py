@@ -961,7 +961,7 @@ class MigrationEngine:
         With ``precopy=True`` the engine runs the iterative pre-copy
         protocol first (:mod:`repro.migration.precopy`): a full snapshot
         ships while the source keeps executing poll-point slices, then
-        delta rounds of only-dirty blocks, until the dirty set converges
+        delta rounds of what each slice wrote, until the dirty set converges
         (*precopy_policy*, a :class:`~repro.migration.precopy.PrecopyPolicy`).
         The stop-and-copy then skips clean already-delivered blocks, so
         the source's final pause — ``stats.precopy_downtime_s``, counted

@@ -7,9 +7,14 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    here, the interpreter executes *poll-point slices* between rounds;
 2. installs write barriers (:class:`~repro.vm.dirty.DirtyTracker` on the
    :class:`~repro.vm.memory.Memory` store paths) that record which bytes
-   each slice mutates, resolves them to MSRLT blocks, and ships **delta
-   rounds** of only-dirty blocks (``MDLT`` frames,
-   :mod:`repro.msr.delta`);
+   each slice mutates, and a registration journal on the MSRLT
+   (``MSRLT.journal``) that records which blocks it allocates and frees,
+   and ships **delta rounds** (``MDLT`` frames, :mod:`repro.msr.delta`)
+   of what changed: the freed and the new blocks off the journal, and of
+   each block written the *unit runs* its byte intervals cover — provided
+   the destination's copy was byte-fresh before the slice (the ``fresh``
+   set below: shipped in some round, not written since).  A new block
+   and a block an earlier round had to defer ship whole;
 3. once the dirty set converges below a threshold (or a round cap hits),
    **stops** the source for good and ships only the small remainder —
    the stop-and-copy stream is the ordinary full collection in which the
@@ -19,11 +24,18 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    last slice returns: the bookkeeping below runs with the source
    already stopped.
 
-The tracker is installed *only while the interpreter runs a slice*:
-collection passes read through the same Memory entry points (and the
-bulk paths take writable views), so leaving the barrier armed during a
-collect would mark everything it read.  Since the interpreter and the
-engine share one thread, no write can slip between slice and drain.
+The tracker and the journal are installed *only while the interpreter
+runs a slice*: collection passes read through the same Memory entry
+points (and the bulk paths take writable views), so leaving the barrier
+armed during a collect would mark everything it read.  Since the
+interpreter and the engine share one thread, no write can slip between
+slice and drain.
+
+A round costs what the slice changed, not what the heap holds: the two
+ledgers of the destination's state (``held``: what it has; ``fresh``:
+what it has byte-identically) are read off the scratch once, after the
+snapshot, and then kept by each round's own ``freed`` / ``new`` /
+shipped lists; nothing between the snapshot and the stop walks a table.
 
 Failure semantics: a retryable transport/restore failure during
 pre-copy degrades the migration to the plain stop-and-copy path (the
@@ -48,7 +60,6 @@ from repro.migration.engine import (
     restore_state,
 )
 from repro.msr.delta import apply_round, build_round
-from repro.msr.msrlt import BlockKind
 from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.dirty import DirtyTracker
 
@@ -177,11 +188,17 @@ def run_precopy(
         ship(0, payload, dirty_blocks=cinfo.stats.n_blocks, deferred=0, freed=0)
 
     # the scratch's MSRLT is the ledger of what the destination holds
-    # (stack registrations were already dropped by the restore)
-    shipped = {b.logical for b in scratch.msrlt.blocks()}
-    fresh = set(shipped)
+    # (stack registrations were already dropped by the restore); from
+    # here on it is kept by what each round ships, not read again
+    held = {b.logical for b in scratch.msrlt.blocks()}
+    fresh = set(held)
 
+    msrlt = process.msrlt
     tracker = DirtyTracker(memory.stack_seg.base, memory.stack_seg.limit)
+    # every block whose registration changed since the destination last
+    # heard of the table: to begin with, the live blocks the snapshot did
+    # not carry (leaked ones — no root reaches them)
+    journal = [b for b in msrlt.blocks() if b.logical not in held]
     rounds = 0
     saved_at_poll = process.migrate_at_poll
     process.migrate_at_poll = None  # slices stop at *any* poll-point
@@ -189,12 +206,14 @@ def run_precopy(
         while True:
             # -- one execution slice at the source -------------------------
             memory.dirty = tracker
+            msrlt.journal = journal
             process.migration_pending = True
             process.migrate_after_polls = policy.slice_polls
             try:
                 result = process.run()
             finally:
                 memory.dirty = None
+                msrlt.journal = None
             stopped_at = time.perf_counter()  # the last one is the pause's start
             if result.status == "exit":
                 raise PrecopySourceExitedError(
@@ -202,21 +221,38 @@ def run_precopy(
                     f"pre-copy slice; nothing left to migrate"
                 )
 
-            # -- resolve the slice's writes to blocks ----------------------
+            # -- what the slice changed: registrations, then bytes ---------
+            # a journalled block the destination holds was unregistered;
+            # any other is new if it is (still) live
+            freed = sorted({b.logical for b in journal if b.logical in held})
+            new = {
+                b.logical: b for b in journal
+                if b.logical not in held and msrlt.has_logical(b.logical)
+            }
+            del journal[:]
+            # logical -> (block, the block-relative byte spans written).
+            # Only a block whose destination copy was byte-fresh before
+            # the slice may ship as runs of what the spans cover; a new
+            # block has no copy, and a block an earlier round deferred is
+            # stale from writes this slice's spans do not cover: no spans
+            # (None), they ship whole
             dirty: dict = {}
             for lo, hi in tracker.take():
-                for b in process.msrlt.blocks_overlapping(lo, hi):
-                    dirty[b.logical] = b
-            live = {b.logical: b for b in process.msrlt.blocks()}
-            freed = sorted(
-                l for l in shipped
-                if l not in live and l[0] == BlockKind.HEAP
-            )
-            new = [b for l, b in live.items() if l not in shipped]
-            for b in new:
-                dirty.setdefault(b.logical, b)
+                for b in msrlt.blocks_overlapping(lo, hi):
+                    entry = dirty.get(b.logical)
+                    if entry is None:
+                        entry = dirty[b.logical] = (
+                            b, [] if b.logical in fresh else None
+                        )
+                    if entry[1] is not None:
+                        entry[1].append(
+                            (max(lo, b.addr) - b.addr, min(hi, b.end) - b.addr)
+                        )
+            for logical, b in new.items():
+                dirty.setdefault(logical, (b, None))
             fresh.difference_update(dirty)
             fresh.difference_update(freed)
+            held.difference_update(freed)
 
             if rounds >= policy.max_rounds or len(dirty) <= policy.stop_dirty_blocks:
                 # converged (or round cap): the remaining dirty/new blocks
@@ -231,28 +267,27 @@ def run_precopy(
                             rounds, rr.payload,
                             dirty_blocks=0, deferred=0, freed=len(freed),
                         )
-                    shipped.difference_update(freed)
                 break
 
             # -- ship one delta round --------------------------------------
             rounds += 1
-            known = (shipped - set(freed)) | {b.logical for b in new}
+            held.update(new)
             with obs.span("precopy.round", n=rounds):
-                with obs.lap("precopy.collect") as timed:
+                with obs.lap("precopy.collect") as timed, collect_errors():
                     rr = build_round(
-                        process, rounds, freed, new, list(dirty.values()), known
+                        process, rounds, freed, list(new.values()),
+                        list(dirty.values()), held,
                     )
                 stats.precopy_codec_time += timed.seconds
                 ship(
                     rounds, rr.payload, dirty_blocks=len(dirty),
                     deferred=len(rr.deferred), freed=len(freed),
                 )
-            shipped.difference_update(freed)
-            shipped.update(b.logical for b in new)
             fresh.update(rr.shipped)
             stats.precopy_dirty_blocks += len(dirty)
     finally:
         memory.dirty = None
+        msrlt.journal = None
         process.migrate_at_poll = saved_at_poll
 
     # -- prepare the scratch for the ordinary stop-and-copy restore --------
@@ -263,8 +298,8 @@ def run_precopy(
     scratch.frames.clear()
     scratch.memory.sp = scratch.memory.stack_seg.limit
 
-    live_now = {b.logical for b in process.msrlt.blocks()}
-    cached = frozenset(fresh & live_now)
+    # a fresh block is a live one: every slice's frees left the set
+    cached = frozenset(fresh)
     stats.precopy_rounds = rounds + 1  # the snapshot round counts
     obs.inc("precopy.rounds", rounds + 1)
     obs.inc("precopy.dirty_blocks", stats.precopy_dirty_blocks)

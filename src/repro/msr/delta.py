@@ -11,21 +11,50 @@ scratch process holds; every pointer to such a block is then an ordinary
 classify targets through those same two tables — run unmodified.
 
 One delta round carries the MSRLT-level diff of the source since the
-previous round: heap blocks freed, blocks newly registered, and the
-contents of blocks the write barriers marked dirty.  The round payload
-(framed into ``MDLT`` chunks by the transport) is::
+previous round: heap blocks freed, blocks newly registered, and what the
+write barriers saw written.  The round payload (framed into ``MDLT``
+chunks by the transport) is::
 
     u32 round_no
     u32 n_freed;  n_freed  x  logical                      (HEAP only)
     u32 n_new;    n_new    x  (logical, u32 type_id, u32 count)
-    u32 n_blocks; n_blocks x  (logical, u8 state, [flags + contents])
+    u32 n_blocks; n_blocks x  (logical, u8 state, body)
 
-``state`` 0 means the block's contents follow (exactly what a ``BLOCK``
-record carries after its header, :meth:`Collector.save_contents`: the
-flags byte, then the contents through the type's plan); 1 means the block was
-*deferred* — one of its pointers could not be expressed as a ``REF``
-(dangling, or aimed at the stack, which is unregistered while the source
-runs) — and will arrive in the final stop-and-copy stream instead.
+``state`` says what *body* is:
+
+0. **whole** — the block's contents: exactly what a ``BLOCK`` record
+   carries after its header (:meth:`Collector.save_contents`: the flags
+   byte, then the contents through the type's plan).
+1. **deferred** — no body.  One of the block's pointers could not be
+   expressed as a ``REF`` (dangling, or aimed at the stack, which is
+   unregistered while the source runs); the block arrives in the final
+   stop-and-copy stream instead.
+2. **runs** — only the units the slice wrote::
+
+       u32 n_runs;  n_runs  x  (u32 first_unit, u32 n_units, contents)
+
+   A *unit* is the type's innermost non-array element
+   (:class:`~repro.msr.ti.TypeInfo`: ``unit``, ``unit_size``), so a run
+   never splits a struct and steps over its padding like any block
+   does.  The contents of a run are, on both sides, the contents of a
+   block of ``n_units`` x the unit type at ``addr + first_unit *
+   unit_size`` — the same flags byte, the same plan (or per-cell
+   reference), the same ``REF``-or-defer rule.  Runs ascend and do not
+   overlap; a deferred run defers its whole block.
+
+Which form a dirty block takes is the source's decision
+(:func:`unit_runs`), on two facts.  *Freshness*: only a block whose
+destination copy was byte-identical before the slice may ship as runs —
+its copy then differs from the source inside the slice's write intervals
+and nowhere else.  A new block, and a block an earlier round deferred
+(its destination copy is stale from older writes this slice's intervals
+do not cover, however little this slice wrote), ship whole.  *Size*: the
+run form spends 4 bytes on its count and 9 per run (the header and the
+run's own flags byte) where the whole form spends one flags byte, so a
+block takes it only when the units left out are sure to weigh more — a
+block whose runs cover every unit, or one written in many scattered
+places, keeps the whole form, and no round is larger for shipping runs.
+
 Rounds carry no ``BLOCK`` record: the destination holds every shippable
 target (earlier rounds or this round's ``new`` section).
 
@@ -44,7 +73,9 @@ stream is the plain stream plus the terminator byte.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import struct
+import sys
+from typing import Iterable, Optional, Sequence
 
 from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.msr.collect import Collector
@@ -59,9 +90,15 @@ __all__ = [
     "PrecopyFinalCollector",
     "PrecopyFinalRestorer",
     "RoundResult",
+    "unit_runs",
     "build_round",
     "apply_round",
 ]
+
+#: the ``state`` byte of a round's block entry
+_WHOLE, _DEFERRED, _RUNS = 0, 1, 2
+#: what precedes the contents of one run: ``first_unit``, ``n_units``
+_RUN_HEADER = struct.Struct(">II")
 
 
 class DeltaDefer(Exception):
@@ -102,11 +139,10 @@ class _PrewarmedRestorer(Restorer):
 
     def __init__(self, process, buf) -> None:
         super().__init__(process, buf)
-        self._mapping = {
-            b.logical: b
-            for b in self.msrlt.blocks()
-            if b.logical[0] != BlockKind.STACK
-        }
+        self._mapping = self._held()
+
+    def _held(self) -> dict:
+        return self.msrlt.non_stack_by_logical()
 
     def _prefault_registered(self) -> None:
         # the snapshot restore materialized the windows; walking the
@@ -118,7 +154,22 @@ class _PrewarmedRestorer(Restorer):
 class DeltaRestorer(_PrewarmedRestorer):
     """Contents-only restorer for delta rounds: ``NULL``/``REF`` records
     against the blocks of earlier rounds and this round's ``new``
-    section."""
+    section.
+
+    Its mapping is the scratch MSRLT's own logical-id index, not a copy
+    (between passes the scratch holds no stack block, so the index *is*
+    what a round may ``REF``): a round costs what it carries, whatever
+    the size of the table.  Nothing here may therefore write the
+    mapping.  A round defines no block — ``_resolve_block`` refuses — so
+    the one writer left is a chain batch, and no tail slot is ever
+    offered to one."""
+
+    def __init__(self, process, buf) -> None:
+        super().__init__(process, buf)
+        self.chain_backoff.skip = sys.maxsize
+
+    def _held(self) -> dict:
+        return self.msrlt.by_logical
 
     def _resolve_block(self, logical: tuple, info, count: int) -> MemoryBlock:
         raise RestoreError("BLOCK record in a delta round (rounds carry NULL/REF only)")
@@ -193,12 +244,42 @@ class RoundResult:
         self.stats = stats
 
 
+def unit_runs(info, count: int, spans) -> Optional[list[tuple[int, int]]]:
+    """The unit runs ``[(first_unit, n_units), ...]`` covering the byte
+    *spans* ``[(lo, hi), ...]`` (block-relative, ascending, disjoint)
+    written into a block of *count* elements of *info*'s type — or
+    ``None`` when the whole form is sure to be no larger (the size rule
+    of the module docstring)."""
+    floor = info.wire_floor // info.repeat  # fewest wire bytes of one unit
+    if not floor:
+        return None
+    size = info.unit_size
+    runs: list[list[int]] = []  # [first, stop), merged where they touch
+    for lo, hi in spans:
+        first, stop = lo // size, -(-hi // size)
+        if runs and first <= runs[-1][1]:
+            runs[-1][1] = max(stop, runs[-1][1])
+        else:
+            runs.append([first, stop])
+    left_out = info.units_in(count) - sum(stop - first for first, stop in runs)
+    if 3 + (_RUN_HEADER.size + 1) * len(runs) > left_out * floor:
+        return None
+    return [(first, stop - first) for first, stop in runs]
+
+
+def _unit_block(block: MemoryBlock, info, first: int, n: int) -> MemoryBlock:
+    """Units ``first .. first + n`` of *block* as a block of their own:
+    what a run's contents are the contents of."""
+    size = info.unit_size
+    return MemoryBlock(block.addr + first * size, info.unit, n, n * size, block.logical)
+
+
 def build_round(
     process,
     round_no: int,
     freed: Sequence[tuple],
     new_blocks: Sequence[MemoryBlock],
-    dirty_blocks: Sequence[MemoryBlock],
+    dirty: Sequence[tuple],
     known: set,
 ) -> RoundResult:
     """Serialize one delta round on the source.
@@ -206,10 +287,14 @@ def build_round(
     *freed* are HEAP logicals the destination holds that the source has
     since freed; *new_blocks* are blocks registered since the previous
     round (their registration must precede any contents that REF them);
-    *dirty_blocks* are the blocks to (re)ship contents for — new blocks
-    are expected to appear here too.  *known* is what the destination
-    holds once the ``new`` section is applied — the only blocks a ``REF``
-    may name; see :class:`DeltaCollector`.
+    *dirty* are the blocks to (re)ship contents for, as ``(block,
+    spans)`` — new blocks are expected to appear here too.  *spans* are
+    the block-relative byte intervals the slice wrote (ascending,
+    disjoint) when the destination's copy was byte-fresh before it, so
+    that the block may ship as unit runs; ``None`` ships it whole.
+    *known* is what the destination holds once the ``new`` section is
+    applied — the only blocks a ``REF`` may name; see
+    :class:`DeltaCollector`.
     """
     out = WriteBuffer()
     out.write_u32(round_no)
@@ -218,30 +303,40 @@ def build_round(
         if logical[0] != BlockKind.HEAP:
             raise MSRLTError(f"only heap blocks can be freed mid-migration: {logical}")
         write_logical(out, logical)
-    ti = process.ti
+    info_for = process.ti.info_for
     out.write_u32(len(new_blocks))
     for block in new_blocks:
         write_logical(out, block.logical)
-        info = ti.info_for(block.elem_type)
-        out.write_u32(info.type_id)
+        out.write_u32(info_for(block.elem_type).type_id)
         out.write_u32(block.count)
-    out.write_u32(len(dirty_blocks))
+    out.write_u32(len(dirty))
     shipped: list[tuple] = []
     deferred: list[tuple] = []
     coll = DeltaCollector(process, WriteBuffer(), known)
-    for block in dirty_blocks:
+    for block, spans in dirty:
         write_logical(out, block.logical)
+        runs = None
+        if spans is not None:
+            info = info_for(block.elem_type)
+            runs = unit_runs(info, block.count, spans)
         # each block gets its own buffer so a mid-contents DeltaDefer
         # leaves no partial bytes in the round payload
-        coll.buf = WriteBuffer()
+        body = coll.buf = WriteBuffer()
         try:
-            coll.save_contents(block)
+            if runs is None:
+                body.write_u8(_WHOLE)
+                coll.save_contents(block)
+            else:
+                body.write_u8(_RUNS)
+                body.write_u32(len(runs))
+                for first, n in runs:
+                    body.write(_RUN_HEADER.pack(first, n))
+                    coll.save_contents(_unit_block(block, info, first, n))
         except DeltaDefer:
-            out.write_u8(1)
+            out.write_u8(_DEFERRED)
             deferred.append(block.logical)
         else:
-            out.write_u8(0)
-            out.write(coll.buf.getvalue())
+            out.write(body.getvalue())
             shipped.append(block.logical)
     stats = coll.finish()
     stats.wire_bytes = out.nbytes
@@ -254,8 +349,10 @@ def apply_round(process, payload, expected_round: int):
     Returns the :class:`~repro.msr.restore.RestoreStats` of the round.
     Raises :class:`~repro.msr.restore.RestoreError` on any structural
     disagreement (wrong round number, REF to an unknown block, freed
-    logical the scratch does not hold) — the engine maps that to its
-    retryable error family exactly like a full-stream restore failure.
+    logical the scratch does not hold, a run outside its block) — the
+    engine maps that to its retryable error family exactly like a
+    full-stream restore failure.  However the round ends, the scratch's
+    heap ledger and its MSRLT agree.
     """
     buf = ReadBuffer(payload)
     msrlt = process.msrlt
@@ -278,51 +375,88 @@ def apply_round(process, payload, expected_round: int):
         msrlt.unregister(block.addr)
         process.memory.heap_free(block.addr)
     n_new = buf.read_u32()
-    # carved as a restoration walk carves, registered in one go
+    # carved as a restoration walk carves, and like a walk's registered
+    # in one go whether the section is read to its end or not
     new: dict[tuple, MemoryBlock] = {}
-    for _ in range(n_new):
-        logical = read_logical(buf)
-        type_id = buf.read_u32()
-        count = buf.read_u32()
-        try:
-            info = ti.info(type_id)
-        except LookupError:
-            raise RestoreError(
-                f"round registration for {logical} names unknown type id {type_id}"
-            ) from None
-        if logical[0] == BlockKind.HEAP:
-            if logical in new or msrlt.has_logical(logical):
-                raise RestoreError(f"duplicate registration of {logical} in round")
-            size = info.size * count
-            new[logical] = MemoryBlock(
-                process.memory.heap_carve(size), info.ctype, count, size, logical
-            )
-        elif logical[0] == BlockKind.GLOBAL:
-            # globals pre-exist on the destination; just validate
-            block = msrlt.lookup_logical(logical)
-            if info.size * count != block.size:
+    try:
+        for _ in range(n_new):
+            logical = read_logical(buf)
+            type_id = buf.read_u32()
+            count = buf.read_u32()
+            try:
+                info = ti.info(type_id)
+            except LookupError:
                 raise RestoreError(
-                    f"round registration for {logical} claims "
-                    f"{info.size * count} bytes, destination block is "
-                    f"{block.size} bytes"
+                    f"round registration for {logical} names unknown type id {type_id}"
+                ) from None
+            if logical[0] == BlockKind.HEAP:
+                if logical in new or msrlt.has_logical(logical):
+                    raise RestoreError(f"duplicate registration of {logical} in round")
+                size = info.size * count
+                new[logical] = MemoryBlock(
+                    process.memory.heap_carve(size), info.ctype, count, size, logical
                 )
-        else:
-            raise RestoreError(f"stack block {logical} in a delta round")
-    msrlt.register_heap_bulk(list(new.values()))
+            elif logical[0] == BlockKind.GLOBAL:
+                # globals pre-exist on the destination; just validate
+                block = msrlt.lookup_logical(logical)
+                if info.size * count != block.size:
+                    raise RestoreError(
+                        f"round registration for {logical} claims "
+                        f"{info.size * count} bytes, destination block is "
+                        f"{block.size} bytes"
+                    )
+            else:
+                raise RestoreError(f"stack block {logical} in a delta round")
+    finally:
+        msrlt.register_heap_bulk(list(new.values()))
     rest = DeltaRestorer(process, buf)
     rest.stats.n_heap_allocs = len(new)
+    held = rest._mapping
     n_blocks = buf.read_u32()
     for _ in range(n_blocks):
         logical = read_logical(buf)
         state = buf.read_u8()
-        if state == 1:
-            continue  # deferred: arrives in the stop-and-copy stream
-        if state != 0:
-            raise RestoreError(f"bad delta block state {state} for {logical}")
-        block = rest._mapping.get(logical)
+        if state == _DEFERRED:
+            continue  # arrives in the stop-and-copy stream
+        block = held.get(logical)
         if block is None:
             raise RestoreError(f"delta contents for unknown block {logical}")
-        rest.restore_contents(block)
+        if state == _WHOLE:
+            rest.restore_contents(block)
+        elif state == _RUNS:
+            if logical in new:
+                raise RestoreError(
+                    f"runs for {logical}, which this very round registered "
+                    f"(a new block ships whole)"
+                )
+            _restore_runs(rest, block)
+        else:
+            raise RestoreError(f"bad delta block state {state} for {logical}")
     if not buf.at_end():
         raise RestoreError(f"{buf.remaining} trailing bytes in delta round")
     return rest.stats
+
+
+def _restore_runs(rest: DeltaRestorer, block: MemoryBlock) -> None:
+    """The body of a block entry in run form."""
+    buf = rest.buf
+    n_runs = buf.read_u32()
+    # nothing is looped over that the payload cannot hold
+    if n_runs == 0 or not buf.holds(n_runs * (_RUN_HEADER.size + 1)):
+        raise RestoreError(
+            f"{n_runs} runs claimed for {block.logical}: a block in run form "
+            f"has at least one, and the payload ends before that many could"
+        )
+    info = rest.ti.info_for(block.elem_type)
+    total = info.units_in(block.count)
+    end = 0
+    for _ in range(n_runs):
+        first, n = buf.unpack(_RUN_HEADER)
+        if n == 0 or first < end or first + n > total:
+            raise RestoreError(
+                f"run of {n} units at unit {first} of {block.logical} "
+                f"({total} units, previous run ended at {end}): runs are not "
+                f"empty, ascend without overlap and stay inside their block"
+            )
+        end = first + n
+        rest.restore_contents(_unit_block(block, info, first, n))

@@ -80,6 +80,18 @@ __all__ = [
 #: scalar loop is faster; payload bytes are identical either way, so the
 #: threshold is purely a performance choice)
 MIN_BULK_CELLS = 16
+#: the collect-side bulk path searches a :class:`SortedArena`, and a
+#: stale one (any ``malloc`` / ``free`` since it was built: every pre-copy
+#: slice that allocates) is rebuilt over the *whole* table first.  Measured
+#: on the suite's struct grid (1 029 blocks): the rebuild costs ~0.29 µs
+#: per block of the table, a pointer the driver resolves one at a time
+#: ~1.2 µs more than one resolved in bulk — so a rebuild pays for itself
+#: when the array holds at least one pointer per this many blocks of the
+#: table.  Below that, and with no current arena to reuse, a pointer
+#: array goes to the driver like a short one: a 32-pointer dirty run of a
+#: pre-copy round must not cost a 600-block rebuild (332 µs → 55 µs).
+#: Purely a timing choice, like :data:`MIN_BULK_CELLS`.
+ARENA_REBUILD_BLOCKS_PER_POINTER = 4
 #: smallest chain batch worth the collect-side NumPy round-trip.  The
 #: scalar pre-walk in :meth:`ChainPlan._save_batch` must find this many
 #: linked nodes before anything is vectorized, so tree-shaped data
@@ -371,8 +383,8 @@ class PtrArrayPlan:
     Runs of NULLs and of pointers to visited blocks go out (come in) as
     one array each.  What is left — a pointer to a block not yet
     visited, a dangling one, an array too short to be worth a NumPy
-    round-trip — is handed to the traversal driver one pointer at a
-    time: ``save`` and ``restore`` are generators, suspended on the
+    round-trip or an arena rebuild — is handed to the traversal driver
+    one pointer at a time: ``save`` and ``restore`` are generators, suspended on the
     driver's work stack while it descends into the target.
     """
 
@@ -397,7 +409,10 @@ class PtrArrayPlan:
         raw = memory.view(block.addr, n * host.itemsize)
         vals = np.frombuffer(raw, dtype=host, count=n).astype(np.int64)
         del raw
-        if n < MIN_BULK_CELLS:
+        if n < MIN_BULK_CELLS or not (
+            msrlt.arena_is_current()
+            or n * ARENA_REBUILD_BLOCKS_PER_POINTER >= len(msrlt)
+        ):
             yield from vals.tolist()
             return
         arena = msrlt.arena()

@@ -126,6 +126,13 @@ class MSRLT:
         #: attribution profiler the active Collector installs for one
         #: pass (None when profiling is off — the common case)
         self.profiler = None
+        #: pre-copy registration journal: while a list is installed here
+        #: (for the length of one execution slice, like ``Memory.dirty``),
+        #: every block ``malloc`` / ``free`` / ``realloc`` registers or
+        #: unregisters is appended to it, so a delta round learns its
+        #: ``new`` and ``freed`` sections from what changed, not from a
+        #: diff of the whole table.  None (the default) logs nothing.
+        self.journal: Optional[list[MemoryBlock]] = None
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -153,6 +160,8 @@ class MSRLT:
         self.generation += 1
         if block.logical[0] == BlockKind.HEAP:
             self.heap_generation += 1
+        if self.journal is not None:
+            self.journal.append(block)
         return block
 
     def register_global(
@@ -251,6 +260,8 @@ class MSRLT:
             self.heap_generation += 1
         elif block.logical[0] == BlockKind.STACK:
             self._stack.remove(block)
+        if self.journal is not None:
+            self.journal.append(block)
 
     def drop_stack_blocks(self) -> None:
         """Remove all stack-kind blocks (collection-time registrations)."""
@@ -331,6 +342,12 @@ class MSRLT:
             a = self._arena = SortedArena(self._blocks, self.generation)
         return a
 
+    def arena_is_current(self) -> bool:
+        """Whether :meth:`arena` would return its cached snapshot, i.e.
+        nothing was registered or unregistered since it was built."""
+        a = self._arena
+        return a is not None and a.generation == self.generation
+
     def heap_arena(self):
         """Heap-blocks-only arena snapshot, gated on ``heap_generation``.
 
@@ -390,6 +407,23 @@ class MSRLT:
         if block is None:
             raise MSRLTError(f"no block with logical id {logical}")
         return block
+
+    @property
+    def by_logical(self) -> dict[LogicalId, MemoryBlock]:
+        """The logical-id index itself — live, not a copy, and read-only
+        by contract.  A pre-copy delta round translates every ``REF``
+        through the scratch table's own index (it holds no stack block
+        between passes), so applying a round never walks the table."""
+        return self._by_logical
+
+    def non_stack_by_logical(self) -> dict[LogicalId, MemoryBlock]:
+        """A copy of the logical-id index without the stack blocks: what
+        a pass that lands on a pre-warmed process may ``REF`` before any
+        record of its own payload defined it."""
+        held = dict(self._by_logical)
+        for block in self._stack:
+            del held[block.logical]
+        return held
 
     def has_logical(self, logical: LogicalId) -> bool:
         """Whether a block with this logical id is registered."""

@@ -2,8 +2,12 @@
 
 The tracker is a pure interval log: every mutating :class:`~repro.vm.memory.Memory`
 entry point calls :meth:`DirtyTracker.mark` with the written byte range, and
-the migration layer periodically drains the log with :meth:`take` and resolves
-the merged intervals to MSRLT blocks (``MSRLT.blocks_overlapping``).  Keeping
+the migration layer periodically drains the log with :meth:`take`, resolves
+the merged intervals to MSRLT blocks (``MSRLT.blocks_overlapping``) and ships
+the *unit runs* of each block the intervals cover (:mod:`repro.msr.delta`) —
+so the log must be exact to the byte: a changed byte outside every marked
+interval is silent corruption at the destination, where block granularity
+used to forgive it (over-marking only costs bytes).  Keeping
 the tracker block-agnostic means the barrier costs one attribute check plus an
 ``append`` on the hot store path and never touches the MSRLT — blocks may be
 registered, freed, or re-registered between marks without invalidating the log.

@@ -5,7 +5,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
-from repro.migration.engine import collect_state, restore_state
+from repro.migration.engine import MigrationEngine, collect_state, restore_state
+from repro.migration.transport import LOOPBACK, Channel
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import Restorer
 from repro.vm.memory import Memory
@@ -46,16 +47,21 @@ def expr_value(expr: str, decls: str = "", fmt: str = "%d", arch=DEC5000) -> str
     return out
 
 
-def stopped_at(source: str, polls: int, arch) -> Process:
-    """Compile *source* and run it on *arch* up to its *polls*-th
-    poll-point: a process ready to be collected."""
-    prog = compile_program(source, poll_strategy="user")
+def stopped(prog, arch, polls: int = 1) -> Process:
+    """Run compiled *prog* on *arch* up to its *polls*-th poll-point: a
+    process ready to be collected."""
     proc = Process(prog, arch)
     proc.start()
     proc.migration_pending = True
     proc.migrate_after_polls = polls
     assert proc.run().status == "poll"
     return proc
+
+
+def stopped_at(source: str, polls: int, arch) -> Process:
+    """Compile *source* and :func:`stopped` it at its *polls*-th
+    poll-point."""
+    return stopped(compile_program(source, poll_strategy="user"), arch, polls)
 
 
 @contextmanager
@@ -174,6 +180,34 @@ def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
     for restored in (dest, twin):
         assert restored.run().status == "exit"
         assert restored.stdout == expected.stdout
+
+
+class RecordingChannel(Channel):
+    """An in-memory channel that keeps a copy of everything sent."""
+
+    def __init__(self) -> None:
+        super().__init__(LOOPBACK)
+        self.sent = []
+
+    def send(self, payload) -> float:
+        self.sent.append(bytes(payload))
+        return super().send(payload)
+
+
+def precopy_wire(prog, src_arch, dst_arch, policy, polls: int = 1):
+    """One pre-copy migration of *prog* from its *polls*-th poll-point:
+    ``(every frame sent, the destination — not yet resumed —, stats)``.
+    Run it once with the plans on and once under :func:`plans_off` and
+    the frames — every delta round and the final stream — must be equal."""
+    channel = RecordingChannel()
+    dest, stats = MigrationEngine().migrate(
+        stopped(prog, src_arch, polls), dst_arch,
+        channel=channel, precopy=True, precopy_policy=policy,
+    )
+    assert stats.precopy and not stats.precopy_degraded
+    # trace-context control frames carry per-migration ids
+    wire = [frame for frame in channel.sent if frame[:4] != b"MCTX"]
+    return wire, dest, stats
 
 
 @pytest.fixture

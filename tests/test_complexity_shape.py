@@ -7,11 +7,21 @@ and MSRLT operation counters.
 
 import pytest
 
-from repro.arch import ULTRA5
-from repro.migration.engine import collect_state
+from repro.arch import SPARC20, ULTRA5
+from repro.migration.engine import MigrationEngine, collect_state
+from repro.migration.precopy import PrecopyPolicy, run_precopy
+from repro.migration.stats import MigrationStats
+from repro.migration.transport import LOOPBACK, Channel
+from repro.msr.graphplan import SortedArena
+from repro.msr.msrlt import MSRLT
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from repro.workloads import bitonic_source, linpack_source
+from repro.workloads import (
+    bitonic_source,
+    linpack_source,
+    matmul_source,
+    structgrid_source,
+)
 
 
 def stopped(src, after=1, arch=ULTRA5):
@@ -131,3 +141,129 @@ class TestDedupShape:
         assert s1.n_blocks == s16.n_blocks  # still one fat block
         per_alias = (w16 - w1) / 15
         assert per_alias < 32  # a REF record, not a 512-byte copy
+
+
+class TestPrecopyRoundShape:
+    """A pre-copy delta round costs what the slice wrote — in bytes, in
+    arena builds and in table entries walked — not what the heap holds."""
+
+    @staticmethod
+    def rounds_of(src, after, policy, arch=ULTRA5, dest=SPARC20):
+        """``stats.precopy_round_bytes`` of one pre-copy migration."""
+        _dest, stats = MigrationEngine().migrate(
+            stopped(src, after=after, arch=arch), dest,
+            precopy=True, precopy_policy=policy,
+        )
+        assert stats.precopy and not stats.precopy_degraded
+        return stats.precopy_round_bytes
+
+    def test_matmul_round_bytes_grow_with_the_row_not_the_matrix(self):
+        """Each slice writes one row of the N x N heap matrix ``c``: a
+        round is that row's N doubles (one run) plus constant framing,
+        where the whole block would be N² doubles."""
+        policy = PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0, slice_polls=1)
+        framing = set()
+        for n in (16, 32, 48):
+            snapshot, *deltas = self.rounds_of(matmul_source(n), 1, policy)
+            assert len(set(deltas)) == 1 and len(deltas) == 3
+            assert snapshot > 3 * n * n * 8  # three matrices
+            framing.add(deltas[0] - 8 * n)
+        assert len(framing) == 1 and framing.pop() < 64
+
+    def test_arena_builds_do_not_grow_with_the_rounds(self, monkeypatch):
+        """Every slice allocates, so every round finds the source's arena
+        stale; a 20-pointer dirty run of ``hot`` in a ~600-block table
+        is not worth rebuilding it (``ARENA_REBUILD_BLOCKS_PER_POINTER``)."""
+        builds = []
+        init = SortedArena.__init__
+
+        def counting(arena, blocks, generation):
+            builds.append(len(blocks))
+            init(arena, blocks, generation)
+
+        monkeypatch.setattr(SortedArena, "__init__", counting)
+        src = structgrid_source(256, 600)
+        per_rounds = []
+        for max_rounds in (2, 6):
+            del builds[:]
+            policy = PrecopyPolicy(
+                max_rounds=max_rounds, stop_dirty_blocks=0, slice_polls=20
+            )
+            assert len(self.rounds_of(src, 300, policy)) == max_rounds + 1
+            per_rounds.append(len(builds))
+        assert per_rounds[0] == per_rounds[1] > 0
+
+    def test_a_round_walks_what_changed_not_the_table(self, monkeypatch):
+        """The same slices (two cells of a global, one new node, one node
+        freed) next to 40 and next to 400 bystander heap blocks: between
+        the snapshot and the stop, neither side may read the table out
+        (``blocks()``, ``heap_blocks()``, an index copy, an arena build)
+        in proportion to its size, and the drivers visit only what the
+        rounds carry."""
+        src = """
+        struct node { int v; struct node *next; };
+        struct node *keep;
+        struct node *churn;
+        int cells[64];
+
+        int main() {
+            int i; struct node *n;
+            for (i = 0; i < %d; i++) {
+                n = (struct node *) malloc(sizeof(struct node));
+                n->v = i; n->next = keep; keep = n;
+            }
+            for (i = 0; i < 6; i++) {
+                migrate_here();
+                cells[i] = i + 1; cells[40 + i] = i;
+                n = (struct node *) malloc(sizeof(struct node));
+                n->v = i; n->next = NULL;
+                if (churn != NULL) free(churn);
+                churn = n;
+            }
+            migrate_here();
+            printf("%%d\\n", cells[3] + churn->v + keep->v);
+            return 0;
+        }
+        """
+        walked = []  # table entries read out wholesale, per call
+        for name in ("blocks", "heap_blocks", "non_stack_by_logical"):
+            def counting(table, inner=getattr(MSRLT, name)):
+                out = inner(table)
+                walked.append(len(out))
+                return out
+
+            monkeypatch.setattr(MSRLT, name, counting)
+        init = SortedArena.__init__
+
+        def counting_arena(arena, blocks, generation):
+            walked.append(len(blocks))
+            init(arena, blocks, generation)
+
+        monkeypatch.setattr(SortedArena, "__init__", counting_arena)
+        run = Process.run
+        slices = []
+
+        def slicing(process, *args):
+            if not slices:
+                del walked[:]  # the snapshot and the ledgers read off it are behind
+            slices.append(1)
+            return run(process, *args)
+
+        monkeypatch.setattr(Process, "run", slicing)
+
+        policy = PrecopyPolicy(max_rounds=4, stop_dirty_blocks=0, slice_polls=1)
+        costs = []
+        for bystanders in (40, 400):
+            proc = stopped(src % bystanders)
+            del slices[:]
+            stats = MigrationStats()
+            state = run_precopy(
+                proc, Process(proc.program, SPARC20), Channel(LOOPBACK), policy, stats, 4096
+            )
+            # the snapshot, four delta rounds, and the last slice's free
+            assert stats.precopy_rounds == 6 and len(state.cached) > bystanders
+            costs.append((sum(walked), stats.precopy_round_bytes[1:]))
+        # 4 rounds x (cells, churn, the new node) and one free each after the first
+        assert stats.precopy_dirty_blocks == 12
+        assert costs[0] == costs[1]
+        assert costs[0][0] <= 4 * stats.precopy_dirty_blocks

@@ -43,7 +43,6 @@ from repro.migration.engine import (
     restore_state_stream,
 )
 from repro.migration.precopy import PrecopyPolicy
-from repro.migration.transport import LOOPBACK, Channel
 from repro.msr import graphplan
 from repro.msr.graphplan import (
     ChainPlan,
@@ -61,6 +60,7 @@ from tests.conftest import (
     PLAN_WORKLOADS as WORKLOADS,
     assert_plans_invisible,
     plans_off,
+    precopy_wire,
     stopped_at,
     table_state,
 )
@@ -306,18 +306,6 @@ class TestPlanByteIdentity:
         assert proc.msrlt.n_searches - before - planned == planned
 
 
-class _RecordingChannel(Channel):
-    """An in-memory channel that keeps a copy of everything sent."""
-
-    def __init__(self) -> None:
-        super().__init__(LOOPBACK)
-        self.sent = []
-
-    def send(self, payload) -> float:
-        self.sent.append(bytes(payload))
-        return super().send(payload)
-
-
 #: a 32-pointer array re-aimed by every slice (PtrArrayPlan territory:
 #: >= MIN_BULK_CELLS cells) next to list nodes the same slices churn
 HOT_ARRAY_SRC = """
@@ -364,6 +352,7 @@ RECORD_EDGES = (
 )
 PRECOPY_CORPUS = (
     "gen_churn", "gen_pastend", "gen_list_churn", "gen_mixed_churn", *RECORD_EDGES,
+    "hand_precopy_runs",  # rounds that ship dirty unit runs, whole blocks and a deferral
 )
 PRECOPY_SOURCES = {name: CORPUS[name].source for name in PRECOPY_CORPUS}
 PRECOPY_SOURCES["hot_ptr_array"] = HOT_ARRAY_SRC
@@ -393,20 +382,11 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
         monkeypatch.setattr(PtrArrayPlan, side, spy)
 
     def migrate():
-        proc = Process(prog, src_arch)
-        proc.start()
-        proc.migration_pending = True
-        assert proc.run().status == "poll"
-        channel = _RecordingChannel()
-        dest, stats = MigrationEngine().migrate(
-            proc, dst_arch, channel=channel, precopy=True,
-            precopy_policy=PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0),
+        wire, dest, stats = precopy_wire(
+            prog, src_arch, dst_arch, PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0)
         )
-        assert stats.precopy and not stats.precopy_degraded
         assert stats.precopy_rounds >= 2
         dest.run_to_completion()
-        # trace-context control frames carry per-migration ids
-        wire = [frame for frame in channel.sent if frame[:4] != b"MCTX"]
         return wire, dest.stdout, stats
 
     *planned, stats = migrate()

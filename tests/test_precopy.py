@@ -9,14 +9,17 @@ four representative architecture pairs, and the default-path guarantee
 that pre-copy machinery is inert when not requested.
 """
 
+import struct
+
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86_64
-from repro.arch.buffers import ReadBuffer
+from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.difftest.corpus import load_corpus
 from repro.difftest.harness import run_baseline, _stop_at_poll
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.migration.engine import (
+    CollectError,
     MigrationAbortedError,
     MigrationEngine,
     RestoreError,
@@ -40,13 +43,19 @@ from repro.migration.transport import (
     FaultyChannel,
     SocketChannel,
 )
-from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer, apply_round
+from repro.msr.delta import (
+    PrecopyFinalCollector,
+    PrecopyFinalRestorer,
+    RoundResult,
+    apply_round,
+)
 from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.msr.wire import (
     BLOCK_RECORD,
     CHUNK_HEADER_SIZE,
+    FLAG_FLAT,
     TAG_BLOCK,
     DeltaDecoder,
     FrameCorruptError,
@@ -55,6 +64,7 @@ from repro.msr.wire import (
     encode_delta_end,
     encode_delta_parts,
     read_logical,
+    write_logical,
 )
 from repro.vm.dirty import DirtyTracker
 from repro.vm.process import Process
@@ -223,64 +233,126 @@ class TestBlocksOverlapping:
         assert proc.msrlt.blocks_overlapping(lo, lo) == []
 
 
-# -- satellite 1: barriers on every store entry point --------------------
+# -- barriers on every store entry point, to the byte ---------------------
+
+# every way a program writes memory between two polls: scalar stores,
+# struct assignment, memset / memcpy / strcpy, calloc, realloc growing
+# (malloc + copy + free) and shrinking in place, free + malloc handing
+# the same address out again, rand() (its state lives in a global)
+BARRIER_SRC = """
+struct pair { char tag; double w; int n; };
+int grid[32];
+int *slots[8];
+char tag[16];
+char copy[16];
+struct pair a; struct pair b;
+double *vec;
+int acc;
+
+int main() {
+    int i; int r; int *p;
+    for (i = 0; i < 8; i++) {
+        slots[i] = (int *) malloc(2 * sizeof(int));
+        slots[i][0] = i; slots[i][1] = i * 3;
+    }
+    vec = (double *) calloc(6, sizeof(double));
+    strcpy(tag, "precopy");
+    for (r = 0; r < 16; r++) {
+        migrate_here();
+        grid[r % 32] = r * 7;
+        slots[r % 8][0] = slots[r % 8][0] + r;
+        if (r % 5 == 0) {
+            free(slots[(r + 3) % 8]);
+            slots[(r + 3) % 8] = (int *) malloc(2 * sizeof(int));
+            slots[(r + 3) % 8][1] = r;
+        }
+        if (r == 3) { a.tag = (char) 65; a.w = 2.5; a.n = rand() % 50; b = a; }
+        if (r == 4) memcpy(copy, tag, 8);
+        if (r == 6) { free(vec); vec = (double *) calloc(6, sizeof(double)); vec[2] = 1.5; }
+        if (r == 8) {
+            p = (int *) realloc(slots[1], 6 * sizeof(int));
+            slots[1] = p; slots[1][4] = 44; slots[1][5] = 55;
+        }
+        if (r == 9) slots[1] = (int *) realloc(slots[1], 2 * sizeof(int));
+        if (r == 11) memset(tag, 90, 4);
+        if (r == 12) strcpy(copy, "barrier");
+    }
+    migrate_here();
+    for (i = 0; i < 8; i++) acc = (acc * 13 + slots[i][0]) % 100003;
+    printf("acc=%d t=%s c=%s\\n", acc, tag, copy);
+    return 0;
+}
+"""
 
 
-def _block_bytes(proc):
-    """logical -> current contents of every registered non-stack block."""
-    out = {}
-    for b in proc.msrlt.blocks():
-        if b.logical[0] == BlockKind.STACK:
-            continue
-        out[b.logical] = bytes(proc.memory.read_bytes(b.addr, b.size))
-    return out
+def _written_image(memory) -> dict:
+    """address -> byte of everything materialized outside the stack."""
+    image = {}
+    for seg in (memory.global_seg, memory.heap_seg):
+        image.update(zip(range(seg.window_start, seg.window_start + len(seg.buf)), seg.buf))
+    return image
+
+
+def _assert_marked(before: dict, memory, intervals) -> int:
+    """Every byte that differs from *before* lies inside one of the
+    marked *intervals*; returns how many differ.  (A byte materialized
+    since reads as zero before.)"""
+    after = _written_image(memory)
+    marked = set()
+    for lo, hi in intervals:
+        marked.update(range(lo, hi))
+    changed = {
+        addr for addr, byte in after.items() if before.get(addr, 0) != byte
+    }
+    missed = sorted(changed - marked)
+    assert not missed, f"writes slipped the barrier at {[hex(a) for a in missed[:8]]}"
+    return len(changed)
 
 
 def test_barriers_cover_every_store_entry_point():
-    """Run pre-copy slices and ground-truth the dirty set against the
-    byte diff of every registered block: every block whose bytes changed
-    across a slice MUST be in the resolved dirty set (conservative
-    over-marking is allowed; a miss means a write slipped the barrier).
-
-    The workload exercises all mutation paths between rounds: scalar
-    ``store``, builtin ``memset``/``strcpy`` (write_bytes), ``free`` +
-    ``malloc`` churn, and ``realloc``'s malloc-copy-free grow path.
-    """
-    prog = _compile(MUTATOR_SRC)
+    """Rounds ship only the unit runs the barrier marked, so a byte it
+    misses is silent corruption at the destination (block granularity
+    used to hide an under-reporting barrier: any marked byte shipped the
+    whole block).  Ground truth is a byte diff of the global and heap
+    segments across each slice — every byte that changed MUST lie inside
+    a marked interval (over-marking is allowed) — first over every way a
+    program writes, then over every mutating ``Memory`` entry point."""
+    prog = _compile(BARRIER_SRC)
     proc = _stopped(prog, ULTRA5)
     memory = proc.memory
     tracker = DirtyTracker(memory.stack_seg.base, memory.stack_seg.limit)
 
     slices_with_changes = 0
-    for _slice in range(14):
-        before = _block_bytes(proc)
+    for _slice in range(16):
+        before = _written_image(memory)
         memory.dirty = tracker
         proc.migration_pending = True
         proc.migrate_after_polls = 1
         result = proc.run()
         memory.dirty = None
         assert result.status == "poll"
-
-        dirty = set()
-        for lo, hi in tracker.take():
-            for b in proc.msrlt.blocks_overlapping(lo, hi):
-                dirty.add(b.logical)
-        after = _block_bytes(proc)
-        changed = {
-            logical
-            for logical, data in after.items()
-            if logical in before and before[logical] != data
-        }
-        new = set(after) - set(before)
-        missed = changed - dirty
-        assert not missed, f"writes slipped the barrier on blocks {missed}"
-        # every new block's initializing writes must also have been seen
-        # (its logical resolves from the same dirty intervals)
-        init_missed = {l for l in new if after[l].strip(b"\x00")} - dirty
-        assert not init_missed, f"new-block init writes missed: {init_missed}"
-        if changed or new:
+        if _assert_marked(before, memory, tracker.take()):
             slices_with_changes += 1
-    assert slices_with_changes >= 10  # the workload really was mutating
+    assert slices_with_changes == 16  # the workload really was mutating
+
+    heap = memory.heap_alloc(64)
+    glob = memory.global_alloc(64, 8)
+    writes = [
+        lambda at: memory.store("int", at + 4, 0x01020304),
+        lambda at: memory.store("double", at + 8, 2.75),
+        lambda at: memory.write_bytes(at + 3, b"\x11\x22\x33\x44\x55"),
+        lambda at: memory.write_view(at + 16, 6).__setitem__(slice(None), b"abcdef"),
+        lambda at: memory.array_view("short", at + 24, 5).__setitem__(slice(None), 7),
+        lambda at: memory.write_array("int", at + 40, [9, 8, 7]),
+        lambda at: memory.zero(at + 2, 30),
+    ]
+    for at in (heap, glob):
+        for write in writes:
+            before = _written_image(memory)
+            memory.dirty = tracker
+            write(at)
+            memory.dirty = None
+            assert _assert_marked(before, memory, tracker.take()) > 0
 
 
 def test_realloc_grow_fires_barrier():
@@ -451,6 +523,40 @@ class TestPrecopyEngine:
         # wire bytes identical to a plain collection (PR 8 invariant)
         assert stats.payload_bytes == len(payload_expected)
         assert dest.run_to_completion() == 0
+
+
+def test_collector_fault_in_a_round_is_typed():
+    """A slice stores a pointer into struct padding: collecting the dirty
+    block for the round fails exactly as a full collection would — a
+    ``CollectError``, not the collector's raw ``ValueError`` — and the
+    source stays where it stopped, runnable."""
+    src = """
+    struct pad { char c; double d; };
+    struct pad g;
+    char *p;
+    int t;
+    int main() {
+        int i;
+        for (i = 0; i < 4; i++) {
+            migrate_here();
+            t = t + 1;
+            if (i == 1) p = (char *) &g + 1;
+        }
+        migrate_here();
+        printf("%d\\n", t);
+        return 0;
+    }
+    """
+    prog = _compile(src)
+    proc = _stopped(prog, ULTRA5)
+    with pytest.raises(CollectError, match="pointer into padding"):
+        ENGINE.migrate(
+            proc, SPARC20, precopy=True,
+            precopy_policy=PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0),
+        )
+    assert proc.memory.dirty is None and proc.msrlt.journal is None
+    proc.migration_pending = False
+    assert proc.run_to_completion() == 0 and proc.stdout == "4\n"
 
 
 def test_final_collector_with_empty_cache_is_byte_identical():
@@ -794,6 +900,204 @@ class TestHostileFinalStream:
         with pytest.raises(MigrationAbortedError) as excinfo:
             ENGINE.migrate(proc, SPARC20, precopy=True, precopy_policy=TWO_ROUNDS)
         assert isinstance(excinfo.value.last_error, RestoreError)
+        proc.migration_pending = False
+        assert proc.run_to_completion() == 0
+        assert proc.stdout == run_baseline(prog, ULTRA5).stdout
+
+
+# -- hostile rounds: structurally valid MDLT payloads that lie ------------
+
+HOSTILE_SRC = """
+struct node { int v; struct node *next; };
+int cells[16];
+struct node *head;
+int ticks;
+
+int main() {
+    int i; struct node *n;
+    for (i = 0; i < 16; i++) cells[i] = i;
+    for (i = 0; i < 3; i++) {
+        n = (struct node *) malloc(sizeof(struct node));
+        n->v = i; n->next = head; head = n;
+    }
+    for (i = 0; i < 4; i++) { migrate_here(); cells[i] = 100 + i; ticks = ticks + 1; }
+    migrate_here();
+    for (i = 0; i < 16; i++) ticks = (ticks * 31 + cells[i]) % 10007;
+    for (n = head; n != NULL; n = n->next) ticks = ticks * 7 + n->v;
+    printf("%d\\n", ticks);
+    return 0;
+}
+"""
+
+
+def _round(entries=(), new=(), freed=(), round_no=1) -> bytes:
+    """A round payload: *entries* are ``(logical, state, body)``, *new*
+    ``(logical, type_id, count)``, *freed* logicals."""
+    out = WriteBuffer()
+    out.write_u32(round_no)
+    out.write_u32(len(freed))
+    for logical in freed:
+        write_logical(out, logical)
+    out.write_u32(len(new))
+    for logical, type_id, count in new:
+        write_logical(out, logical)
+        out.write_u32(type_id)
+        out.write_u32(count)
+    out.write_u32(len(entries))
+    for logical, state, body in entries:
+        write_logical(out, logical)
+        out.write_u8(state)
+        out.write(body)
+    return out.getvalue()
+
+
+def _runs(*runs, n_runs=None) -> bytes:
+    """The body of an entry in run form; *runs* are ``(first_unit,
+    n_units, contents)``."""
+    body = struct.pack(">I", len(runs) if n_runs is None else n_runs)
+    for first, n, contents in runs:
+        body += struct.pack(">II", first, n) + contents
+    return body
+
+
+def _ints(*values) -> bytes:
+    """The contents of a run of ``int`` units."""
+    return bytes([FLAG_FLAT]) + b"".join(struct.pack(">i", v) for v in values)
+
+
+class TestHostileRounds:
+    """A round that passed its CRC can still lie about the blocks it
+    names.  Every lie is a typed ``RestoreError`` that says which, costs
+    no more than the payload holds, and leaves the scratch's table and
+    heap ledger in agreement; through the engine it is the ordinary
+    degrade to a plain stop-and-copy."""
+
+    @pytest.fixture
+    def scratch(self):
+        """(pre-warmed scratch, logical of ``int cells[16]``)."""
+        prog = _compile(HOSTILE_SRC)
+        proc = _stopped(prog, ULTRA5)
+        scratch = Process(prog, SPARC20)
+        restore_state(prog, collect_state(proc)[0], scratch)
+        cells = next(b.logical for b in scratch.msrlt.blocks() if b.name == "cells")
+        return scratch, cells
+
+    @staticmethod
+    def int_id(scratch, cells) -> int:
+        """The wire type id of ``int``."""
+        return scratch.ti.info_for(scratch.msrlt.lookup_logical(cells).elem_type.elem).type_id
+
+    def test_pristine_run_round_lands_where_it_says(self, scratch):
+        scratch, cells = scratch
+        payload = _round([(cells, 2, _runs((2, 2, _ints(-7, 9)), (15, 1, _ints(4))))])
+        apply_round(scratch, payload, 1)
+        block = scratch.msrlt.lookup_logical(cells)
+        got = [scratch.memory.load("int", block.addr + 4 * i) for i in range(16)]
+        assert got == [0, 1, -7, 9, *range(4, 15), 4]
+        assert_table_whole(scratch)
+
+    @pytest.mark.parametrize("body, lie", [
+        (_runs((14, 4, _ints(1, 2, 3, 4))), "stay inside their block"),
+        (_runs((8, 2, _ints(1, 2)), (2, 2, _ints(3, 4))), "ascend without overlap"),
+        (_runs((2, 4, _ints(1, 2, 3, 4)), (4, 2, _ints(5, 6))), "ascend without overlap"),
+        (_runs((3, 0, _ints())), "runs are not empty"),
+        (_runs(n_runs=0), "has at least one"),
+        (_runs((0, 1, _ints(5)), n_runs=2**32 - 1), "payload ends before that many"),
+    ], ids=["past-end", "out-of-order", "overlapping", "zero-length", "no-runs", "count-2^32-1"])
+    def test_a_run_that_lies_is_typed(self, scratch, body, lie):
+        scratch, cells = scratch
+        with pytest.raises(MsrRestoreError, match=lie):
+            apply_round(scratch, _round([(cells, 2, body)]), 1)
+        assert_table_whole(scratch)
+
+    @pytest.mark.parametrize("logical", [
+        (BlockKind.HEAP, 999, 0), (BlockKind.STACK, 0, 0),
+    ], ids=["unknown-heap", "stack"])
+    def test_runs_for_a_block_the_scratch_does_not_hold(self, scratch, logical):
+        scratch, _ = scratch
+        payload = _round([(logical, 2, _runs((0, 1, _ints(1))))])
+        with pytest.raises(MsrRestoreError, match="unknown block"):
+            apply_round(scratch, payload, 1)
+        assert_table_whole(scratch)
+
+    def test_runs_for_a_block_this_round_registered(self, scratch):
+        scratch, cells = scratch
+        fresh = (BlockKind.HEAP, 50, 0)
+        payload = _round(
+            [(fresh, 2, _runs((0, 1, _ints(1))))],
+            new=[(fresh, self.int_id(scratch, cells), 4)],
+        )
+        with pytest.raises(MsrRestoreError, match="a new block ships whole"):
+            apply_round(scratch, payload, 1)
+        assert_table_whole(scratch)
+
+    def test_unknown_state_byte(self, scratch):
+        scratch, cells = scratch
+        with pytest.raises(MsrRestoreError, match="bad delta block state 7"):
+            apply_round(scratch, _round([(cells, 7, b"")]), 1)
+        assert_table_whole(scratch)
+
+    def test_unknown_type_after_a_valid_new_entry(self, scratch):
+        """The first entry is carved before the second is refused: the
+        carved block must not stay in the heap ledger unregistered."""
+        scratch, cells = scratch
+        new = [
+            ((BlockKind.HEAP, 50, 0), self.int_id(scratch, cells), 4),
+            ((BlockKind.HEAP, 51, 0), 9999, 1),
+        ]
+        with pytest.raises(MsrRestoreError, match="unknown type id 9999"):
+            apply_round(scratch, _round(new=new), 1)
+        assert_table_whole(scratch)
+        assert scratch.msrlt.has_logical((BlockKind.HEAP, 50, 0))
+
+    def test_block_rows_where_a_chain_batch_would_take_them(self, scratch):
+        """Rounds carry NULL/REF only.  The tail slot of a list node is
+        where a chain batch reads BLOCK rows without asking the driver;
+        in a round it is never offered any."""
+        scratch, _ = scratch
+        head = scratch.msrlt.heap_blocks()[0]
+        node_id = scratch.ti.info_for(head.elem_type).type_id
+        rows = b"".join(
+            BLOCK_RECORD.pack(TAG_BLOCK, BlockKind.HEAP, serial, 0, node_id, 1, 0, 0)
+            + struct.pack(">i", serial)
+            for serial in (900, 901)
+        )
+        contents = b"\x00" + struct.pack(">i", 5) + rows + b"\x00"
+        with pytest.raises(MsrRestoreError, match="BLOCK record in a delta round"):
+            apply_round(scratch, _round([(head.logical, 0, contents)]), 1)
+        assert_table_whole(scratch)
+        assert not scratch.msrlt.has_logical((BlockKind.HEAP, 900, 0))
+
+    @pytest.fixture
+    def lying_source(self, monkeypatch):
+        """Every delta round the source builds claims a run past the end
+        of ``cells``."""
+        build_round = precopy_module.build_round
+
+        def forged(process, round_no, *args):
+            rr = build_round(process, round_no, *args)
+            cells = next(b.logical for b in process.msrlt.blocks() if b.name == "cells")
+            payload = _round([(cells, 2, _runs((14, 4, _ints(1, 2, 3, 4))))], round_no=round_no)
+            return RoundResult(payload, rr.shipped, rr.deferred, rr.stats)
+
+        monkeypatch.setattr(precopy_module, "build_round", forged)
+
+    def test_engine_degrades_to_plain_stop_and_copy(self, lying_source):
+        prog = _compile(HOSTILE_SRC)
+        dest, stats = _precopy_migrate(prog, ULTRA5, SPARC20, policy=TWO_ROUNDS)
+        assert stats.precopy_degraded and not stats.precopy
+        degraded = stats.obs.events.of_type("precopy_degraded")
+        assert "stay inside their block" in degraded[0]["error"]
+        _assert_like_unmigrated(dest, run_baseline(prog, ULTRA5))
+
+    def test_source_stays_resumable_when_the_fallback_fails_too(self, lying_source):
+        prog = _compile(HOSTILE_SRC)
+        proc = _stopped(prog, ULTRA5)
+        down = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("disconnect@0!"))
+        with pytest.raises(MigrationAbortedError):
+            ENGINE.migrate(
+                proc, SPARC20, channel=down, precopy=True, precopy_policy=TWO_ROUNDS
+            )
         proc.migration_pending = False
         assert proc.run_to_completion() == 0
         assert proc.stdout == run_baseline(prog, ULTRA5).stdout
