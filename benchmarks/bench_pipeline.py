@@ -47,9 +47,10 @@ from benchmarks.results import update_bench_json  # noqa: E402
 LINPACK_SIZES = (128, 224, 320, 416, 512)
 BITONIC_SIZES = (1000, 2000, 4000, 8000)
 #: smoke sizes: the acceptance case (linpack N >= 200) plus one bitonic
-#: past the single-chunk crossover (see docs/INTERNALS.md §9)
+#: past the single-chunk crossover (see docs/INTERNALS.md §9): a tree
+#: node is 12 wire bytes, so a default chunk holds 5 461 of them
 SMOKE_LINPACK = (256,)
-SMOKE_BITONIC = (4000,)
+SMOKE_BITONIC = (8000,)
 
 
 def _stopped(workload: str, n: int) -> Process:

@@ -34,7 +34,11 @@ from pathlib import Path
 from repro.arch.machine import ARCH_PRESETS
 from repro.clang.parser import ParseError, parse
 from repro.clang.unsafe import MigrationSafetyError, check_migration_safety
-from repro.migration.checkpoint import checkpoint_to_file, restart_from_file
+from repro.migration.checkpoint import (
+    CheckpointError,
+    checkpoint_to_file,
+    restart_from_file,
+)
 from repro.migration.engine import (
     DEFAULT_CHUNK_SIZE,
     MigrationEngine,
@@ -551,7 +555,11 @@ def cmd_checkpoint(args) -> int:
 def cmd_restart(args) -> int:
     """`repro restart`: resume a checkpoint file on any architecture."""
     prog = _compile(args.file, args)
-    proc = restart_from_file(prog, args.checkpoint, _arch(args.arch))
+    try:
+        proc = restart_from_file(prog, args.checkpoint, _arch(args.arch))
+    except CheckpointError as exc:
+        print(f"restart failed: {exc}", file=sys.stderr)
+        return 1
     result = proc.run()
     sys.stdout.write(proc.stdout)
     return result.exit_code

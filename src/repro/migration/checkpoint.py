@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.migration.engine import MigrationError, collect_state, restore_state
+from repro.migration.engine import (
+    DAMAGE_ERRORS,
+    MigrationError,
+    RestoreError,
+    collect_state,
+    restore_state,
+)
 from repro.vm.process import Process
 
 __all__ = [
@@ -68,15 +74,19 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        """Parse a checkpoint file; raises CheckpointError on bad magic."""
+        """Parse a checkpoint file; raises CheckpointError on bad magic
+        or a header that ends early."""
         if data[: len(_FILE_MAGIC)] != _FILE_MAGIC:
             raise CheckpointError("not a checkpoint file (bad magic)")
         off = len(_FILE_MAGIC)
         fingerprint = data[off : off + 16]
         off += 16
-        (alen,) = struct.unpack(">H", data[off : off + 2])
-        off += 2
-        source_arch = data[off : off + alen].decode("utf-8")
+        try:
+            (alen,) = struct.unpack_from(">H", data, off)
+            off += 2
+            source_arch = data[off : off + alen].decode("utf-8")
+        except (struct.error, UnicodeDecodeError):
+            raise CheckpointError("checkpoint file header is cut short or damaged") from None
         off += alen
         return cls(payload=data[off:], fingerprint=fingerprint, source_arch=source_arch)
 
@@ -96,14 +106,23 @@ def checkpoint(process: Process) -> Checkpoint:
 
 
 def restart(program, ckpt: Checkpoint, arch, name: str = "restarted") -> Process:
-    """Rebuild a process from *ckpt* on *arch* (any supported one)."""
+    """Rebuild a process from *ckpt* on *arch* (any supported one).
+
+    Raises :class:`CheckpointError` for a checkpoint this build cannot
+    restore: another program's, or a payload that is damaged or was
+    written in another version of the wire format (there is one format
+    per build and no reader for any other).
+    """
     if ckpt.fingerprint != program_fingerprint(program):
         raise CheckpointError(
             "checkpoint was taken from a different program "
             "(source fingerprints do not match)"
         )
     proc = Process(program, arch, name=name)
-    restore_state(program, ckpt.payload, proc)
+    try:
+        restore_state(program, ckpt.payload, proc)
+    except (RestoreError, *DAMAGE_ERRORS) as exc:
+        raise CheckpointError(f"checkpoint payload cannot be restored: {exc}") from exc
     return proc
 
 

@@ -31,11 +31,12 @@ from dataclasses import dataclass
 from repro import obs
 from repro.arch.buffers import WriteBuffer
 from repro.msr.graphplan import ChainBackoff
-from repro.msr.msrlt import MemoryBlock, MSRLTError
+from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.wire import (
-    BLOCK_RECORD,
-    FLAG_FLAT,
-    REF_RECORD,
+    LEAD_COUNT,
+    LEAD_FLAT,
+    LEAD_ORDINAL,
+    RECORDS,
     TAG_BLOCK,
     TAG_NULL,
     TAG_REF,
@@ -45,6 +46,7 @@ from repro.obs.attribution import block_class_of
 __all__ = ["CollectStats", "Collector", "Save_pointer", "Save_variable"]
 
 _NULL_RECORD = bytes([TAG_NULL])
+_STACK = BlockKind.STACK
 
 
 @dataclass(slots=True)
@@ -99,9 +101,9 @@ class Collector:
         self._drive(None, value)
 
     def save_contents(self, block: MemoryBlock) -> None:
-        """What a ``BLOCK`` record carries after its header — the flags
-        byte, then the contents — for a block whose identity travels by
-        other means (a pre-copy round's dirty block)."""
+        """What a ``BLOCK`` record carries after its header — the
+        contents — for a block whose identity travels by other means (a
+        pre-copy round's dirty block)."""
         self._drive(block, header=False)
 
     def save_tail(self) -> None:
@@ -189,11 +191,15 @@ class Collector:
                             info_for(block.elem_type).byte_to_ordinal(off, block.count)
                             if off else 0
                         )
-                        out += REF_RECORD.pack(TAG_REF, *logical, ordinal)
+                        kind, la, lb = logical
+                        lead = TAG_REF | kind << 2  # wire.lead_byte, inlined
+                        if kind == _STACK:
+                            out += RECORDS[lead].pack(lead, la, lb, ordinal)
+                        else:
+                            out += RECORDS[lead].pack(lead, la, ordinal)
                         n_refs += 1
                     else:
                         info = info_for(block.elem_type)
-                        flags = 0 if info.flat_kind is None else FLAG_FLAT
                         if header:
                             ordinal = info.byte_to_ordinal(off, block.count) if off else 0
                             self._first_visit(block)
@@ -202,12 +208,23 @@ class Collector:
                                     "collect", info.label, block_class_of(logical),
                                     drained + len(out),
                                 )
-                            out += BLOCK_RECORD.pack(
-                                TAG_BLOCK, *logical, info.type_id, block.count,
-                                ordinal, flags,
+                            # the header: only the fields that do not
+                            # hold their constant travel
+                            kind, la, lb = logical
+                            lead = TAG_BLOCK | kind << 2
+                            if info.flat_kind is not None:
+                                lead |= LEAD_FLAT
+                            fields = (
+                                [la, lb, info.type_id] if kind == _STACK
+                                else [la, info.type_id]
                             )
-                        else:
-                            out.append(flags)
+                            if block.count != 1:
+                                lead |= LEAD_COUNT
+                                fields.append(block.count)
+                            if ordinal:
+                                lead |= LEAD_ORDINAL
+                                fields.append(ordinal)
+                            out += RECORDS[lead].pack(lead, *fields)
                         n_blocks += 1
                         data_bytes += block.size
                         # its contents: written at once, or a new frame

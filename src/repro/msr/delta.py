@@ -17,14 +17,17 @@ chunks by the transport) is::
 
     u32 round_no
     u32 n_freed;  n_freed  x  logical                      (HEAP only)
-    u32 n_new;    n_new    x  (logical, u32 type_id, u32 count)
+    u32 n_new;    n_new    x  (logical, u16 type_id, u32 count)
     u32 n_blocks; n_blocks x  (logical, u8 state, body)
 
-``state`` says what *body* is:
+``logical`` is :func:`~repro.msr.wire.write_logical`'s ``u8 kind, u32 a``
+(and ``u32 b`` for a stack id, which no round names): 5 bytes, so a
+``freed`` entry is 5 bytes, a ``new`` entry 11, and a block entry 6 plus
+its body.  ``state`` says what *body* is:
 
 0. **whole** — the block's contents: exactly what a ``BLOCK`` record
-   carries after its header (:meth:`Collector.save_contents`: the flags
-   byte, then the contents through the type's plan).
+   carries after its header (:meth:`Collector.save_contents`: the
+   contents through the type's plan, nothing before them).
 1. **deferred** — no body.  One of the block's pointers could not be
    expressed as a ``REF`` (dangling, or aimed at the stack, which is
    unregistered while the source runs); the block arrives in the final
@@ -38,8 +41,8 @@ chunks by the transport) is::
    never splits a struct and steps over its padding like any block
    does.  The contents of a run are, on both sides, the contents of a
    block of ``n_units`` x the unit type at ``addr + first_unit *
-   unit_size`` — the same flags byte, the same plan (or per-cell
-   reference), the same ``REF``-or-defer rule.  Runs ascend and do not
+   unit_size`` — the same plan (or per-cell reference), the same
+   ``REF``-or-defer rule.  Runs ascend and do not
    overlap; a deferred run defers its whole block.
 
 Which form a dirty block takes is the source's decision
@@ -49,8 +52,8 @@ its copy then differs from the source inside the slice's write intervals
 and nowhere else.  A new block, and a block an earlier round deferred
 (its destination copy is stale from older writes this slice's intervals
 do not cover, however little this slice wrote), ship whole.  *Size*: the
-run form spends 4 bytes on its count and 9 per run (the header and the
-run's own flags byte) where the whole form spends one flags byte, so a
+run form spends 4 bytes on its count and 8 on each run's header where
+the whole form spends nothing, so a
 block takes it only when the units left out are sure to weigh more — a
 block whose runs cover every unit, or one written in many scattered
 places, keeps the whole form, and no round is larger for shipping runs.
@@ -262,7 +265,7 @@ def unit_runs(info, count: int, spans) -> Optional[list[tuple[int, int]]]:
         else:
             runs.append([first, stop])
     left_out = info.units_in(count) - sum(stop - first for first, stop in runs)
-    if 3 + (_RUN_HEADER.size + 1) * len(runs) > left_out * floor:
+    if 4 + _RUN_HEADER.size * len(runs) > left_out * floor:
         return None
     return [(first, stop - first) for first, stop in runs]
 
@@ -307,7 +310,7 @@ def build_round(
     out.write_u32(len(new_blocks))
     for block in new_blocks:
         write_logical(out, block.logical)
-        out.write_u32(info_for(block.elem_type).type_id)
+        out.write_u16(info_for(block.elem_type).type_id)
         out.write_u32(block.count)
     out.write_u32(len(dirty))
     shipped: list[tuple] = []
@@ -381,7 +384,7 @@ def apply_round(process, payload, expected_round: int):
     try:
         for _ in range(n_new):
             logical = read_logical(buf)
-            type_id = buf.read_u32()
+            type_id = buf.read_u16()
             count = buf.read_u32()
             try:
                 info = ti.info(type_id)
@@ -406,7 +409,10 @@ def apply_round(process, payload, expected_round: int):
                         f"{block.size} bytes"
                     )
             else:
-                raise RestoreError(f"stack block {logical} in a delta round")
+                raise RestoreError(
+                    f"round registration for {logical}: a round registers heap "
+                    f"and global blocks, not kind {logical[0]}"
+                )
     finally:
         msrlt.register_heap_bulk(list(new.values()))
     rest = DeltaRestorer(process, buf)
@@ -442,7 +448,7 @@ def _restore_runs(rest: DeltaRestorer, block: MemoryBlock) -> None:
     buf = rest.buf
     n_runs = buf.read_u32()
     # nothing is looped over that the payload cannot hold
-    if n_runs == 0 or not buf.holds(n_runs * (_RUN_HEADER.size + 1)):
+    if n_runs == 0 or not buf.holds(n_runs * _RUN_HEADER.size):
         raise RestoreError(
             f"{n_runs} runs claimed for {block.logical}: a block in run form "
             f"has at least one, and the payload ends before that many could"

@@ -63,7 +63,15 @@ import numpy as np
 
 from repro.arch import xdr
 from repro.msr.msrlt import BlockKind, MemoryBlock
-from repro.msr.wire import BLOCK_RECORD
+from repro.msr.wire import (
+    RECORDS,
+    TAG_BLOCK,
+    TAG_NULL,
+    TAG_REF,
+    lead_byte,
+    lead_kind,
+    record_dtype,
+)
 
 __all__ = [
     "SortedArena",
@@ -114,14 +122,19 @@ RESTORE_MIN_CHAIN = 2
 CHAIN_BACKOFF_MISSES = 8
 CHAIN_BACKOFF_SKIP = 512
 
-_TAG_NULL = 0
-_TAG_REF = 1
-_TAG_BLOCK = 2
+# The records the plans batch are the fixed-stride ones (see
+# :mod:`repro.msr.wire`): a REF to a heap or global block — one row shape
+# under two leads; a REF to a stack block carries its ``b`` and is the
+# driver's — and the BLOCK header of one heap unit.  A batch ends at the
+# first row whose lead is not the one it was compiled for.
+_REF_HEAP = lead_byte(TAG_REF, BlockKind.HEAP)
+_REF_GLOBAL = lead_byte(TAG_REF, BlockKind.GLOBAL)
+_NODE = lead_byte(TAG_BLOCK, BlockKind.HEAP)
+_NODE_HEADER = RECORDS[_NODE]
+_REF_LEADS = (_REF_GLOBAL, _REF_HEAP)
+#: one REF row: lead, a, ordinal
+REF_DTYPE = np.dtype(record_dtype(_REF_HEAP))
 
-#: one wire REF record: tag, logical (kind,a,b), ordinal — 14 bytes
-REF_DTYPE = np.dtype(
-    [("tag", "u1"), ("lk", "u1"), ("la", ">u4"), ("lb", ">u4"), ("ord", ">u4")]
-)
 
 class SortedArena:
     """Immutable columnar snapshot of an MSRLT's sorted block arrays.
@@ -134,7 +147,7 @@ class SortedArena:
 
     __slots__ = (
         "generation", "blocks", "starts", "ends", "kinds",
-        "la", "lb", "tkeys", "counts",
+        "la", "tkeys", "counts",
         "starts_l", "kinds_l", "tkeys_l", "counts_l",
     )
 
@@ -157,7 +170,6 @@ class SortedArena:
         self.ends = None
         self.kinds = None
         self.la = None
-        self.lb = None
         self.tkeys = None
         self.counts = None
 
@@ -170,7 +182,6 @@ class SortedArena:
         )
         self.kinds = np.array(self.kinds_l, np.uint8)
         self.la = np.fromiter((b.logical[1] for b in blocks), np.int64, count=n)
-        self.lb = np.fromiter((b.logical[2] for b in blocks), np.int64, count=n)
         self.tkeys = np.array(self.tkeys_l, np.uint64)
         self.counts = np.array(self.counts_l, np.int64)
 
@@ -259,6 +270,37 @@ def _true_prefix(mask: np.ndarray) -> int:
     """Length of the leading all-True run of a boolean array."""
     bad = np.flatnonzero(~mask)
     return int(bad[0]) if bad.size else int(mask.size)
+
+
+def _is_ref_row(leads: np.ndarray) -> np.ndarray:
+    """Which of *leads* open a REF row."""
+    return (leads == _REF_HEAP) | (leads == _REF_GLOBAL)
+
+
+def _resolve_ref_rows(restorer, leads, serials, ords):
+    """Translate REF rows (columns *leads*, *serials* — their ``a`` —
+    and *ords*) through what the pass has restored so far.  Returns
+    ``(destination addresses, n)``: the first *n* rows resolved; row
+    *n*, if there is one, names a block this payload never defined or an
+    ordinal past its block's end, and is the driver's to refuse."""
+    n = len(leads)
+    dests = np.zeros(n, np.uint64)
+    pairs = np.stack(
+        [lead_kind(leads).astype(np.int64), serials.astype(np.int64)], axis=1
+    )
+    for u in _unique_rows(pairs):
+        sel = np.all(pairs == u, axis=1)
+        tblock = restorer._mapping.get((int(u[0]), int(u[1]), 0))
+        if tblock is None:
+            n = min(n, int(np.flatnonzero(sel)[0]))
+            continue
+        tinfo = restorer.ti.info_for(tblock.elem_type)
+        o = ords[sel].astype(np.int64)
+        outside = np.flatnonzero(o > tinfo.cells_in(tblock.count))
+        if outside.size:
+            n = min(n, int(np.flatnonzero(sel)[outside[0]]))
+        dests[sel] = tblock.addr + vec_ordinal_to_byte(tinfo, o, tblock.count)
+    return dests, n
 
 
 # -- flat blocks --------------------------------------------------------------
@@ -461,19 +503,22 @@ class PtrArrayPlan:
                 buf.write(bytes(q - p))  # a NULL record is one zero byte
                 stats.n_nulls += q - p
             elif not self._emit_ref_run(collector, arena, idx, offs, p, q):
-                # padding-offset pointer: the driver replays the run so
-                # its ValueError fires at the exact element (earlier
-                # elements emit identical REF bytes)
+                # the driver replays the run, emitting identical REF
+                # bytes: up to the exact element whose padding offset is
+                # a ValueError, or with the wider REFs stack targets take
                 yield from vals[p:q].tolist()
             p = q
 
     def _emit_ref_run(self, collector, arena, idx, offs, p, q) -> bool:
         """Write elements ``p..q`` (all pointers to visited blocks) as
-        one array of REF records; ``False``, nothing written, when one of
-        them points into padding."""
+        one array of REF rows; ``False``, nothing written, when one of
+        them points into padding or at a stack block."""
         m = q - p
         run_idx = idx[p:q]
         run_off = offs[p:q]
+        kinds = arena.kinds[run_idx]
+        if bool((kinds == BlockKind.STACK).any()):
+            return False
         uniq, inv = _unique_inverse(run_idx)
         ords = np.empty(m, np.int64)
         for j, bi in enumerate(uniq):
@@ -485,11 +530,9 @@ class PtrArrayPlan:
                 return False
             ords[sel] = o
         rows = np.empty(m, REF_DTYPE)
-        rows["tag"] = _TAG_REF
-        rows["lk"] = arena.kinds[run_idx]
-        rows["la"] = arena.la[run_idx]
-        rows["lb"] = arena.lb[run_idx]
-        rows["ord"] = ords
+        rows["lead"] = lead_byte(TAG_REF, kinds)
+        rows["a"] = arena.la[run_idx]
+        rows["ordinal"] = ords
         collector.buf.write(rows.tobytes())
         collector.msrlt.count_searches(m)  # one per translated pointer
         collector.stats.n_refs += m
@@ -507,8 +550,8 @@ class PtrArrayPlan:
         out = np.zeros(n, np.uint64)
         p = 0
         while p < n:
-            tag = buf.peek_u8() if bulk else None
-            if tag == _TAG_NULL:
+            lead = buf.peek_u8() if bulk else None
+            if lead == TAG_NULL:
                 window = buf.buffered()
                 v = np.frombuffer(window, np.uint8,
                                   count=min(n - p, len(window)))
@@ -518,13 +561,13 @@ class PtrArrayPlan:
                 stats.n_nulls += run
                 p += run
                 continue
-            if tag == _TAG_REF:
+            if lead in _REF_LEADS:
                 q = self._restore_ref_run(restorer, out, p, n)
                 if q > p:
                     p = q
                     continue
-            # a BLOCK, a bad tag (the driver raises the canonical error),
-            # or a REF the batch could not take
+            # a BLOCK, an undefined lead (the driver raises the canonical
+            # error), or a REF the batch could not take
             out[p] = yield
             p += 1
         dst = restorer.memory.array_view("ptr", block.addr, n)
@@ -541,33 +584,10 @@ class PtrArrayPlan:
         if k == 0:
             return p  # record straddles a stream chunk boundary
         rows = np.frombuffer(window, REF_DTYPE, count=k)
-        m = _true_prefix(rows["tag"] == _TAG_REF)
-        dests = np.zeros(m, np.uint64)
-        trip = np.stack(
-            [
-                rows["lk"][:m].astype(np.int64),
-                rows["la"][:m].astype(np.int64),
-                rows["lb"][:m].astype(np.int64),
-            ],
-            axis=1,
+        m = _true_prefix(_is_ref_row(rows["lead"]))
+        dests, m = _resolve_ref_rows(
+            restorer, rows["lead"][:m], rows["a"][:m], rows["ordinal"][:m]
         )
-        for u in _unique_rows(trip):
-            key = (int(u[0]), int(u[1]), int(u[2]))
-            sel = np.all(trip == u, axis=1)
-            tblock = restorer._mapping.get(key)
-            if tblock is None:
-                # REF to a block this payload never defined: stop the
-                # batch before the first offender; the driver raises the
-                # canonical RestoreError on it
-                m = min(m, int(np.flatnonzero(sel)[0]))
-                continue
-            tinfo = restorer.ti.info_for(tblock.elem_type)
-            ords = rows["ord"][: len(sel)][sel].astype(np.int64)
-            outside = np.flatnonzero(ords > tinfo.cells_in(tblock.count))
-            if outside.size:
-                # an ordinal past the block's end: the driver's to refuse
-                m = min(m, int(np.flatnonzero(sel)[outside[0]]))
-            dests[sel] = tblock.addr + vec_ordinal_to_byte(tinfo, ords, tblock.count)
         out[p : p + m] = dests[:m]
         buf.read(m * REF_DTYPE.itemsize)
         restorer.stats.n_refs += m
@@ -609,8 +629,8 @@ class ChainPlan:
     record; what this adds happens at the tail pointer, which the driver
     offers to :meth:`save_batch` / :meth:`restore_batch` before it
     resolves it itself.  One wire row is the fixed-size image of one
-    chain node's BLOCK record: header + flag byte + each non-tail cell
-    (scalars in wire encoding, pointers as full REF records).  The tail
+    chain node's BLOCK record: the header of a heap unit + each non-tail
+    cell (scalars in wire encoding, pointers as REF rows).  The tail
     pointer of node *k* IS the record of node *k+1*, so ``m`` nodes
     serialize as exactly ``m`` consecutive rows followed by the last
     node's tail record.
@@ -619,7 +639,7 @@ class ChainPlan:
     __slots__ = (
         "info", "tail_off", "row_dtype", "row_size",
         "cols", "n_ptr_cols", "host_dtype_cache", "host_fields", "size",
-        "_ptr_tag_offs",
+        "_ptr_lead_offs",
     )
 
     def __init__(self, info, layout) -> None:
@@ -627,18 +647,12 @@ class ChainPlan:
         self.info = info
         self.size = info.size
         self.tail_off = info.cells[-1].offset
-        fields = [
-            ("tag", "u1"), ("lk", "u1"), ("la", ">u4"), ("lb", ">u4"),
-            ("tid", ">u4"), ("cnt", ">u4"), ("ord", ">u4"), ("flag", "u1"),
-        ]
+        fields = record_dtype(_NODE)
         #: ("ptr"|"scalar", cell, wire field name(s) prefix)
         self.cols = []
         for j, c in enumerate(info.cells[:-1]):
             if c.kind == "ptr":
-                fields += [
-                    (f"p{j}t", "u1"), (f"p{j}k", "u1"),
-                    (f"p{j}a", ">u4"), (f"p{j}b", ">u4"), (f"p{j}o", ">u4"),
-                ]
+                fields += record_dtype(_REF_HEAP, f"p{j}")
                 self.cols.append(("ptr", c, f"p{j}"))
             else:
                 fields.append((f"c{j}", xdr.wire_dtype(c.kind)))
@@ -648,9 +662,9 @@ class ChainPlan:
         self.n_ptr_cols = sum(1 for k, _, _ in self.cols if k == "ptr")
         # scalar mirror of the vectorized row validation, for the cheap
         # pre-check in _restore_batch: the byte offset of every REF
-        # column's tag (the fixed header prefix is a BLOCK_RECORD)
-        self._ptr_tag_offs = tuple(
-            self.row_dtype.fields[f"{name}t"][1]
+        # column's lead
+        self._ptr_lead_offs = tuple(
+            self.row_dtype.fields[f"{name}lead"][1]
             for k, _, name in self.cols
             if k == "ptr"
         )
@@ -874,12 +888,9 @@ class ChainPlan:
         driver must handle itself)."""
         info = self.info
         rows = np.zeros(m, self.row_dtype)
-        rows["tag"] = _TAG_BLOCK
-        rows["lk"] = BlockKind.HEAP
-        rows["la"] = serials
-        rows["tid"] = info.type_id
-        rows["cnt"] = 1
-        # ord/flag/lb stay zero
+        rows["lead"] = _NODE
+        rows["a"] = serials
+        rows["type_id"] = info.type_id
         visited = collector._visited
         for j, (kind, cell, name) in enumerate(self.cols):
             hname = f"h{j}"
@@ -902,13 +913,14 @@ class ChainPlan:
                 idx, offs = idx[:m], offs[:m]
             # targets must already be visited (they arrive as REFs); an
             # unvisited or batch-internal-forward target needs the
-            # driver to open it, so it ends the batch
+            # driver to open it, so it ends the batch — as does a stack
+            # target, whose REF is wider than the column
             uniq, inv = _unique_inverse(idx)
             seen = np.fromiter(
                 (arena.blocks[int(i)].logical in visited for i in uniq),
                 np.bool_, count=len(uniq),
             )
-            okv = seen[inv]
+            okv = seen[inv] & (arena.kinds[idx] != BlockKind.STACK)
             if not bool(okv.all()):
                 m = min(m, _true_prefix(okv))
                 if m < MIN_CHAIN:
@@ -932,11 +944,9 @@ class ChainPlan:
                 if m < MIN_CHAIN:
                     return rows, m
                 idx, ords = idx[:m], ords[:m]
-            rows[f"{name}t"][:m] = _TAG_REF
-            rows[f"{name}k"][:m] = arena.kinds[idx]
+            rows[f"{name}lead"][:m] = lead_byte(TAG_REF, arena.kinds[idx])
             rows[f"{name}a"][:m] = arena.la[idx]
-            rows[f"{name}b"][:m] = arena.lb[idx]
-            rows[f"{name}o"][:m] = ords
+            rows[f"{name}ordinal"][:m] = ords
         return rows, m
 
     # -- restore --------------------------------------------------------------
@@ -958,10 +968,10 @@ class ChainPlan:
         info = self.info
         buf = restorer.buf
         try:
-            tag = buf.peek_u8()
+            lead = buf.peek_u8()
         except EOFError:
             return None
-        if tag != _TAG_BLOCK:
+        if lead != _NODE:
             return None
         # scalar pre-check: the batch only engages when the first
         # RESTORE_MIN_CHAIN records already look like chain rows, so a
@@ -973,21 +983,11 @@ class ChainPlan:
             return None
         tid = info.type_id
         for off in range(0, RESTORE_MIN_CHAIN * row_size, row_size):
-            rtag, lk, _la, lb, rtid, cnt, order, flag = BLOCK_RECORD.unpack_from(
-                window, off
-            )
-            if (
-                rtag != _TAG_BLOCK
-                or lk != BlockKind.HEAP
-                or lb != 0
-                or rtid != tid
-                or cnt != 1
-                or order != 0
-                or flag != 0
-            ):
+            lead, _serial, rtid = _NODE_HEADER.unpack_from(window, off)
+            if lead != _NODE or rtid != tid:
                 return None
-            for po in self._ptr_tag_offs:
-                if window[off + po] != _TAG_REF:
+            for po in self._ptr_lead_offs:
+                if window[off + po] not in _REF_LEADS:
                     return None
         prof = restorer._prof
         t0 = 0.0 if prof is None else prof.clock()
@@ -999,18 +999,10 @@ class ChainPlan:
             if k < RESTORE_MIN_CHAIN:
                 return None
             rows = np.frombuffer(window, self.row_dtype, count=k)
-            valid = (
-                (rows["tag"] == _TAG_BLOCK)
-                & (rows["lk"] == BlockKind.HEAP)
-                & (rows["lb"] == 0)
-                & (rows["tid"] == info.type_id)
-                & (rows["cnt"] == 1)
-                & (rows["ord"] == 0)
-                & (rows["flag"] == 0)
-            )
+            valid = (rows["lead"] == _NODE) & (rows["type_id"] == info.type_id)
             for kind, _cell, name in self.cols:
                 if kind == "ptr":
-                    valid &= rows[f"{name}t"] == _TAG_REF
+                    valid &= _is_ref_row(rows[f"{name}lead"])
             m = _true_prefix(valid)
             if m == k == cap and len(window) // self.row_size > k:
                 cap *= 4
@@ -1020,7 +1012,7 @@ class ChainPlan:
             return None
         # serials must be new to this payload (a duplicate BLOCK record
         # is corrupt; the driver raises on it)
-        serials = rows["la"][:m].astype(np.int64)
+        serials = rows["a"][:m].astype(np.int64)
         mapping = restorer._mapping
         seen_local = set()
         for j, s in enumerate(serials.tolist()):
@@ -1035,31 +1027,10 @@ class ChainPlan:
         for kind, _cell, name in self.cols:
             if kind != "ptr":
                 continue
-            trip = np.stack(
-                [
-                    rows[f"{name}k"][:m].astype(np.int64),
-                    rows[f"{name}a"][:m].astype(np.int64),
-                    rows[f"{name}b"][:m].astype(np.int64),
-                ],
-                axis=1,
+            dests, m = _resolve_ref_rows(
+                restorer, rows[f"{name}lead"][:m], rows[f"{name}a"][:m],
+                rows[f"{name}ordinal"][:m],
             )
-            dests = np.zeros(len(trip), np.uint64)
-            for u in _unique_rows(trip):
-                key = (int(u[0]), int(u[1]), int(u[2]))
-                sel = np.all(trip == u, axis=1)
-                tblock = mapping.get(key)
-                if tblock is None:
-                    m = min(m, int(np.flatnonzero(sel)[0]))
-                    continue
-                tinfo = restorer.ti.info_for(tblock.elem_type)
-                ords = rows[f"{name}o"][: len(sel)][sel].astype(np.int64)
-                outside = np.flatnonzero(ords > tinfo.cells_in(tblock.count))
-                if outside.size:
-                    # an ordinal past the block's end: the driver's to refuse
-                    m = min(m, int(np.flatnonzero(sel)[outside[0]]))
-                dests[sel] = tblock.addr + vec_ordinal_to_byte(
-                    tinfo, ords, tblock.count
-                )
             if m < RESTORE_MIN_CHAIN:
                 return None
             dest_cols[name] = dests
@@ -1098,7 +1069,7 @@ class ChainPlan:
             # first row's header stays with the frame around the batch
             self._book_batch(
                 prof, "restore", m,
-                m * self.row_size - (BLOCK_RECORD.size - 1), t0, buf.position,
+                m * self.row_size - _NODE_HEADER.size, t0, buf.position,
             )
         return int(base), int(addrs[-1]) + self.tail_off
 

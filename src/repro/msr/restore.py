@@ -41,16 +41,20 @@ from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import (
-    BLOCK_RECORD,
-    FLAG_FLAT,
-    REF_RECORD,
-    TAG_BLOCK,
-    TAG_NULL,
+    LEAD_COUNT,
+    LEAD_FLAT,
+    LEAD_ORDINAL,
+    RECORDS,
     TAG_REF,
+    lead_fault,
 )
 from repro.obs.attribution import block_class_of
 
 __all__ = ["RestoreStats", "Restorer", "Restore_pointer", "Restore_variable"]
+
+_STACK = BlockKind.STACK
+#: every state has one byte image: a field holding its constant is left out
+_NOT_CANONICAL = "record for {} spells out {}: the canonical form leaves that field out"
 
 
 class RestoreError(Exception):
@@ -125,8 +129,8 @@ class Restorer:
         return self._drive(expected=expected)
 
     def restore_contents(self, block: MemoryBlock) -> None:
-        """Mirror of :meth:`Collector.save_contents`: read a flags byte
-        and contents into *block*, which the caller identified."""
+        """Mirror of :meth:`Collector.save_contents`: read contents into
+        *block*, which the caller identified."""
         self._drive(contents_of=block)
 
     def restore_tail(self) -> None:
@@ -139,10 +143,10 @@ class Restorer:
         """The destination block a ``BLOCK`` record for *logical* fills."""
         if logical in self._mapping:
             raise RestoreError(f"second BLOCK record for {logical}")
-        kind = logical[0]
-        if kind in (BlockKind.GLOBAL, BlockKind.STACK):
-            # structural identity: the destination process registered the
-            # same block under the same machine-independent id
+        if logical[0] != BlockKind.HEAP:
+            # global or stack — structural identity: the destination
+            # process registered the same block under the same
+            # machine-independent id
             block = self.msrlt.lookup_logical(logical)
             # reject size disagreements (corrupt or mismatched payloads
             # must never overwrite memory adjacent to the block)
@@ -152,22 +156,20 @@ class Restorer:
                     f"but the destination block is {block.size} bytes"
                 )
             return block
-        if kind == BlockKind.HEAP:
-            # nothing is allocated for contents the payload cannot hold
-            if count == 0 or not self.buf.holds(count * info.wire_floor):
-                raise RestoreError(
-                    f"record for {logical} claims {count} x {info.label}: "
-                    f"no block is empty, and the payload ends before the "
-                    f"contents of this one could"
-                )
-            self.stats.n_heap_allocs += 1
-            size = info.size * count
-            block = MemoryBlock(
-                self.memory.heap_carve(size), info.ctype, count, size, logical
+        # nothing is allocated for contents the payload cannot hold
+        if count == 0 or not self.buf.holds(count * info.wire_floor):
+            raise RestoreError(
+                f"record for {logical} claims {count} x {info.label}: "
+                f"no block is empty, and the payload ends before the "
+                f"contents of this one could"
             )
-            self._pending.append(block)
-            return block
-        raise RestoreError(f"unknown block kind {kind}")
+        self.stats.n_heap_allocs += 1
+        size = info.size * count
+        block = MemoryBlock(
+            self.memory.heap_carve(size), info.ctype, count, size, logical
+        )
+        self._pending.append(block)
+        return block
 
     def _byte_of(self, block: MemoryBlock, ordinal: int) -> int:
         """Byte offset of cell *ordinal* (nonzero) inside *block*."""
@@ -185,9 +187,11 @@ class Restorer:
         """The depth-first walk: read one record — *expected*'s, when a
         block is given — with everything nested in it, and return the
         destination address it denotes.  With *contents_of*, read that
-        block's flags byte and contents instead (no record header).
+        block's contents instead (no record header).
 
-        Each turn of the loop reads one record: ``NULL`` and ``REF``
+        Each turn of the loop reads one record, told by its peeked lead
+        byte — which also says how wide the record is, so it is one
+        ``unpack`` whatever its shape: ``NULL`` and ``REF``
         denote an address at once; a ``BLOCK`` resolves its destination
         block, registers the mapping BEFORE the contents (cycles arrive
         as REFs) and either fills it at once or opens a frame.  Then the
@@ -224,69 +228,96 @@ class Restorer:
                 if contents_of is not None:
                     block, contents_of = contents_of, None
                     info = self.ti.info_for(block.elem_type)
-                    flags = buf.read_u8()
                     headed, address = False, block.addr
                 else:
-                    tag = peek()
-                    if tag == TAG_NULL:
+                    lead = peek()
+                    if not lead:
                         buf.read_u8()
                         n_nulls += 1
                         block, address = None, 0
-                    elif tag == TAG_REF:
-                        _, lk, la, lb, ordinal = unpack(REF_RECORD)
-                        block = mapping.get((lk, la, lb))
-                        if block is None:
-                            raise RestoreError(f"REF to unseen block {(lk, la, lb)}")
-                        if expected is not None:
-                            if block.logical != expected.logical:
-                                raise RestoreError(
-                                    f"REF to {(lk, la, lb)} arrived where "
-                                    f"{expected.logical} was expected"
-                                )
-                            expected = None
-                        n_refs += 1
-                        address = block.addr
-                        if ordinal:
-                            address += self._byte_of(block, ordinal)
-                        block = None
-                    elif tag == TAG_BLOCK:
-                        _, lk, la, lb, type_id, count, ordinal, flags = unpack(BLOCK_RECORD)
-                        logical = (lk, la, lb)
-                        if expected is not None:
-                            if logical != expected.logical:
-                                raise RestoreError(
-                                    f"record for {logical} arrived where "
-                                    f"{expected.logical} was expected"
-                                )
-                            expected = None
-                        try:
-                            info = info_of(type_id)
-                        except LookupError:
-                            raise RestoreError(
-                                f"record for {logical} names unknown type id {type_id}"
-                            ) from None
-                        block = self._resolve_block(logical, info, count)
-                        mapping[logical] = block
-                        headed, address = True, block.addr
-                        if ordinal:
-                            address += self._byte_of(block, ordinal)
-                        if prof is not None:
-                            # a restore frame opens after the header
-                            # proper, before the flags byte
-                            prof.enter_block(
-                                "restore", info.label, block_class_of(logical),
-                                buf.position - 1,
-                            )
                     else:
-                        raise RestoreError(f"bad record tag {tag}")
+                        shape = RECORDS[lead]
+                        if shape is None:
+                            raise RestoreError(lead_fault(lead))
+                        kind = lead >> 2 & 3  # wire.lead_kind, inlined
+                        if lead & 3 == TAG_REF:
+                            if kind == _STACK:
+                                _, la, lb, ordinal = unpack(shape)
+                            else:
+                                (_, la, ordinal), lb = unpack(shape), 0
+                            block = mapping.get((kind, la, lb))
+                            if block is None:
+                                raise RestoreError(
+                                    f"REF to unseen block {(kind, la, lb)}"
+                                )
+                            if expected is not None:
+                                if block.logical != expected.logical:
+                                    raise RestoreError(
+                                        f"REF to {(kind, la, lb)} arrived where "
+                                        f"{expected.logical} was expected"
+                                    )
+                                expected = None
+                            n_refs += 1
+                            address = block.addr
+                            if ordinal:
+                                address += self._byte_of(block, ordinal)
+                            block = None
+                        else:
+                            # a BLOCK header: the fields its lead says follow
+                            fields = unpack(shape)
+                            if kind == _STACK:
+                                logical, i = (kind, fields[1], fields[2]), 3
+                            else:
+                                logical, i = (kind, fields[1], 0), 2
+                            type_id = fields[i]
+                            count, ordinal = 1, 0
+                            if lead & LEAD_COUNT:
+                                i += 1
+                                count = fields[i]
+                                if count == 1:
+                                    raise RestoreError(
+                                        _NOT_CANONICAL.format(logical, "count 1")
+                                    )
+                            if lead & LEAD_ORDINAL:
+                                ordinal = fields[i + 1]
+                                if not ordinal:
+                                    raise RestoreError(
+                                        _NOT_CANONICAL.format(logical, "ordinal 0")
+                                    )
+                            if expected is not None:
+                                if logical != expected.logical:
+                                    raise RestoreError(
+                                        f"record for {logical} arrived where "
+                                        f"{expected.logical} was expected"
+                                    )
+                                expected = None
+                            try:
+                                info = info_of(type_id)
+                            except LookupError:
+                                raise RestoreError(
+                                    f"record for {logical} names unknown type id {type_id}"
+                                ) from None
+                            if bool(lead & LEAD_FLAT) != (info.flat_kind is not None):
+                                # flatness is structural (same answer on
+                                # every architecture), so a disagreeing
+                                # flag is a corrupt or mismatched payload
+                                raise RestoreError(
+                                    f"flat flag disagrees with type {info.label}"
+                                )
+                            block = self._resolve_block(logical, info, count)
+                            mapping[logical] = block
+                            headed, address = True, block.addr
+                            if ordinal:
+                                address += self._byte_of(block, ordinal)
+                            if prof is not None:
+                                # a restore frame opens after the header
+                                prof.enter_block(
+                                    "restore", info.label, block_class_of(logical),
+                                    buf.position,
+                                )
                 if block is not None:
                     n_blocks += 1
                     data_bytes += block.size
-                    if bool(flags & FLAG_FLAT) != (info.flat_kind is not None):
-                        # flatness is structural (same answer on every
-                        # architecture), so a disagreeing flag is a
-                        # corrupt or mismatched payload
-                        raise RestoreError(f"flat flag disagrees with type {info.label}")
                     # its contents: read at once, or a new frame
                     new = plan_for(info)
                     steps = None if new is None else new.restore_slots

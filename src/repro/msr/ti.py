@@ -59,7 +59,15 @@ from repro.clang.ctypes import (
 )
 from repro.msr.graphplan import CellRecord, compile_plan
 
-__all__ = ["TypeInfo", "TITable", "flat_prim_kind", "unit_of"]
+__all__ = ["TypeInfo", "TITable", "TypeIdError", "flat_prim_kind", "unit_of"]
+
+#: the largest type id the u16 field of a ``BLOCK`` record can name
+MAX_TYPE_ID = 0xFFFF
+
+
+class TypeIdError(Exception):
+    """The program has more types than the wire format can name."""
+
 
 #: ``TypeInfo.plan`` before :meth:`TITable.plan_for` first compiles it
 #: (``None`` is a compiled answer: no plan shape applies)
@@ -204,6 +212,12 @@ class TITable:
         """The (cached) TypeInfo record for wire type id *type_id*."""
         ti = self._infos.get(type_id)
         if ti is None:
+            if type_id > MAX_TYPE_ID:
+                raise TypeIdError(
+                    f"wire type id {type_id} does not fit a record's u16 type "
+                    f"field: a migratable program has at most "
+                    f"{MAX_TYPE_ID + 1} types"
+                )
             ctype = self.program.type_by_id(type_id)
             unit, repeat = unit_of(ctype)
             cells = self.layout.cells(unit)

@@ -16,21 +16,50 @@ Layout (all integers big-endian, strings u16-length-prefixed UTF-8):
         u32 n_globals, n_globals x (u32 global_index, record)
 
 A *record* describes one pointer target or variable (§3.2's "pointer
-header and offset" format):
+header and offset" format).  It opens with one *lead* byte that says
+what the record is and which of its fields travel:
 
 .. code-block:: text
 
-    record := NULL
-            | REF   logical ordinal
-            | BLOCK logical type_id count ordinal contents
-    logical := u8 kind, u32 a, u32 b        # the pointer header
-    ordinal := u32                          # element offset in the block
-    contents := u8 FLAG_FLAT, raw xdr bytes           # dense primitive runs
-              | u8 0, per-cell (xdr scalar | record)  # general blocks
+    record  := NULL | REF | BLOCK
+    lead    := u8   bits 0-1 tag (0 NULL, 1 REF, 2 BLOCK); bits 2-3 BlockKind;
+                    BLOCK only: bit 4 FLAT, bit 5 "count follows",
+                    bit 6 "ordinal follows"; all other bits 0
+    logical := (kind from lead) u32 a, u32 b iff kind == STACK
+    NULL    := the single byte 0x00
+    REF     := lead logical u32 ordinal
+    BLOCK   := lead logical u16 type_id [u32 count iff != 1]
+               [u32 ordinal iff != 0] contents
+    contents := raw xdr bytes                # FLAT: one dense primitive run
+              | per-cell (xdr scalar | record)
+
+``logical`` is the pointer header — the machine-independent block id
+``(kind, a, b)`` of :mod:`repro.msr.msrlt`; only a stack id has a ``b``
+(the variable's slot), so only a stack id ships one.  ``ordinal`` is the
+element offset inside the block.  The common records are 7 bytes (BLOCK
+of a heap or global unit) and 9 bytes (REF to heap or global); a field
+that would hold its constant (``b`` 0, ``count`` 1, ``ordinal`` 0) is
+left out, not sent.
+
+Encodings are canonical: a count field saying 1, an ordinal field saying
+0, tag 3, kind 3, BLOCK bits on a REF or bit 7 set is a corrupt payload
+(:func:`lead_fault` names which), so every state has exactly one byte
+image — the plans-on/off byte-identity oracle depends on it.
+
+Widths are fixed *per lead byte* on purpose, not varints: a record is
+still one ``struct`` call (:data:`RECORDS` holds the ``Struct`` of every
+defined lead), and a run of like records is a fixed-stride NumPy array
+(:func:`record_dtype`) — :mod:`repro.msr.graphplan` batches chain rows
+and REF runs that way, and simply ends a batch where a row's lead
+differs from the one it compiled for.
 
 A ``BLOCK`` appears for the first (depth-first) visit of each memory
 block; every later reference is a ``REF``.  Cycles are safe because the
 restorer registers the block mapping *before* reading its contents.
+
+Pre-copy rounds name blocks outside any record
+(:func:`write_logical` / :func:`read_logical`): ``u8 kind`` and the same
+``logical`` — 5 bytes for a heap or global id.
 
 Streaming chunk frames
 ----------------------
@@ -95,6 +124,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.arch.buffers import ReadBuffer, WriteBuffer
+from repro.msr.msrlt import BlockKind
 
 __all__ = [
     "MAGIC",
@@ -102,9 +132,15 @@ __all__ = [
     "TAG_NULL",
     "TAG_REF",
     "TAG_BLOCK",
-    "FLAG_FLAT",
-    "REF_RECORD",
-    "BLOCK_RECORD",
+    "LEAD_FLAT",
+    "LEAD_COUNT",
+    "LEAD_ORDINAL",
+    "lead_byte",
+    "lead_kind",
+    "lead_fault",
+    "record_fields",
+    "record_dtype",
+    "RECORDS",
     "WireHeader",
     "write_header",
     "read_header",
@@ -142,19 +178,92 @@ __all__ = [
 ]
 
 MAGIC = 0x4D494752  # 'MIGR'
-VERSION = 1
+VERSION = 2
 
 TAG_NULL = 0
 TAG_REF = 1
 TAG_BLOCK = 2
 
-FLAG_FLAT = 1
+#: lead bits of a ``BLOCK`` record: its contents are one dense primitive
+#: run; a count field (``!= 1``) follows; an ordinal field (``!= 0``) follows
+LEAD_FLAT = 0x10
+LEAD_COUNT = 0x20
+LEAD_ORDINAL = 0x40
 
-#: one whole ``REF`` record: tag, logical (kind, a, b), ordinal — 14 bytes
-REF_RECORD = struct.Struct(">BBIII")
-#: a ``BLOCK`` record up to its contents: tag, logical (kind, a, b),
-#: type id, count, ordinal, flags — 23 bytes
-BLOCK_RECORD = struct.Struct(">BBIIIIIB")
+#: field name -> (``struct`` code, NumPy dtype) — all big-endian
+_FIELD_CODES = {
+    "lead": ("B", "u1"),
+    "a": ("I", ">u4"),
+    "b": ("I", ">u4"),
+    "type_id": ("H", ">u2"),
+    "count": ("I", ">u4"),
+    "ordinal": ("I", ">u4"),
+}
+
+
+def lead_byte(tag: int, kind):
+    """The lead of a *tag* record for a block of *kind* (an ``int``, or a
+    NumPy array of kinds).  A ``BLOCK``'s flag and presence bits are
+    or-ed in by whoever knows its fields."""
+    return tag | kind << 2
+
+
+def lead_kind(lead):
+    """The BlockKind a ``REF`` or ``BLOCK`` lead names (an ``int``, or a
+    NumPy array of leads)."""
+    return lead >> 2 & 3
+
+
+def lead_fault(lead: int) -> str | None:
+    """What makes *lead* an undefined lead byte — the restorer's words
+    for a corrupt record — or ``None`` for a defined one."""
+    tag, kind = lead & 3, lead_kind(lead)
+    if tag == 3:
+        return "bad record tag 3"
+    if lead & 0x80:
+        return f"lead {lead:#04x} has the reserved bit 7 set"
+    if tag == TAG_NULL:
+        return f"lead {lead:#04x}: NULL is the single byte 0x00" if lead else None
+    if kind == 3:
+        return f"lead {lead:#04x} names unknown block kind 3"
+    if tag == TAG_REF and lead >> 4:
+        return f"lead {lead:#04x} carries BLOCK bits on a REF"
+    return None
+
+
+def record_fields(lead: int) -> tuple[str, ...]:
+    """The fixed-width fields the record opening with (defined) *lead*
+    consists of, in wire order: a whole ``NULL`` or ``REF`` record, a
+    ``BLOCK`` record up to its contents."""
+    tag, kind = lead & 3, lead_kind(lead)
+    if tag == TAG_NULL:
+        return ("lead",)
+    fields = ["lead", "a", "b"] if kind == BlockKind.STACK else ["lead", "a"]
+    if tag == TAG_REF:
+        return (*fields, "ordinal")
+    fields.append("type_id")
+    if lead & LEAD_COUNT:
+        fields.append("count")
+    if lead & LEAD_ORDINAL:
+        fields.append("ordinal")
+    return tuple(fields)
+
+
+def record_dtype(lead: int, prefix: str = "") -> list[tuple[str, str]]:
+    """:func:`record_fields` of *lead* as NumPy structured-dtype fields
+    (names prefixed with *prefix*): one element is one such record."""
+    return [(prefix + name, _FIELD_CODES[name][1]) for name in record_fields(lead)]
+
+
+#: per lead byte, the ``Struct`` of :func:`record_fields` — lead
+#: included, so ``pack(lead, ...)`` / ``unpack`` is the whole record in
+#: one call — or ``None`` where :func:`lead_fault` has something to say
+RECORDS = tuple(
+    None
+    if lead_fault(lead)
+    else struct.Struct(">" + "".join(_FIELD_CODES[f][0] for f in record_fields(lead)))
+    for lead in range(256)
+)
 
 
 @dataclass
@@ -185,7 +294,10 @@ def read_header(buf: ReadBuffer) -> WireHeader:
         raise ValueError(f"bad migration payload magic {magic:#x}")
     version = buf.read_u8()
     if version != VERSION:
-        raise ValueError(f"unsupported payload version {version}")
+        raise ValueError(
+            f"unsupported payload version {version}: this build reads and "
+            f"writes version {VERSION} only"
+        )
     source_arch = buf.read_str()
     n = buf.read_u16()
     frames = [(buf.read_u32(), buf.read_u32()) for _ in range(n)]
@@ -193,16 +305,21 @@ def read_header(buf: ReadBuffer) -> WireHeader:
 
 
 def write_logical(buf: WriteBuffer, logical: tuple) -> None:
-    """Serialize a machine-independent block id (the pointer header)."""
+    """Serialize a machine-independent block id outside any record (a
+    pre-copy round's entries): ``u8 kind``, ``u32 a`` and, for a stack
+    id only, ``u32 b``."""
     kind, a, b = logical
     buf.write_u8(kind)
     buf.write_u32(a)
-    buf.write_u32(b)
+    if kind == BlockKind.STACK:
+        buf.write_u32(b)
 
 
 def read_logical(buf: ReadBuffer) -> tuple:
-    """Parse a machine-independent block id."""
-    return (buf.read_u8(), buf.read_u32(), buf.read_u32())
+    """Parse a machine-independent block id.  The kind byte is not
+    judged here: whoever looks the id up refuses one it does not hold."""
+    kind, a = buf.read_u8(), buf.read_u32()
+    return (kind, a, buf.read_u32() if kind == BlockKind.STACK else 0)
 
 
 # -- streaming chunk frames ---------------------------------------------------

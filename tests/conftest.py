@@ -1,6 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import struct
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,18 @@ def expr_value(expr: str, decls: str = "", fmt: str = "%d", arch=DEC5000) -> str
     return out
 
 
+LONGLIST_C = (
+    Path(__file__).resolve().parent.parent
+    / "benchmarks" / "suite" / "programs" / "longlist.c"
+)
+
+
+def longlist_source(n: int, seed: int = 7) -> str:
+    """The suite's irregular chain: *n* records, each owning a heap
+    string of 1..13 characters allocated between two nodes."""
+    return LONGLIST_C.read_text().replace("%N%", str(n)).replace("%SEED%", str(seed))
+
+
 def stopped(prog, arch, polls: int = 1) -> Process:
     """Run compiled *prog* on *arch* up to its *polls*-th poll-point: a
     process ready to be collected."""
@@ -78,6 +92,42 @@ def plans_off(*procs):
     finally:
         for proc in procs:
             proc.ti.plans_enabled = True
+
+
+def ref_record(logical, ordinal: int = 0) -> bytes:
+    """A whole ``REF`` record, spelled out from the wire grammar (not
+    through the collector's tables): lead = tag 1 | kind << 2, ``a``,
+    ``b`` for a stack id only, ``ordinal``."""
+    kind, a, b = logical
+    ids = struct.pack(">II", a, b) if kind == BlockKind.STACK else struct.pack(">I", a)
+    return bytes([1 | kind << 2]) + ids + struct.pack(">I", ordinal)
+
+
+def block_header(logical, type_id: int, count: int = 1, ordinal: int = 0,
+                 flat: bool = False) -> bytes:
+    """A ``BLOCK`` record up to its contents, spelled out from the wire
+    grammar: lead = tag 2 | kind << 2 | FLAT 0x10 | "count follows" 0x20
+    | "ordinal follows" 0x40, ``a``, ``b`` for a stack id only, u16
+    ``type_id``, then the count unless it is 1 and the ordinal unless it
+    is 0."""
+    kind, a, b = logical
+    lead = 2 | kind << 2 | (0x10 if flat else 0)
+    out = struct.pack(">II", a, b) if kind == BlockKind.STACK else struct.pack(">I", a)
+    out += struct.pack(">H", type_id)
+    if count != 1:
+        lead |= 0x20
+        out += struct.pack(">I", count)
+    if ordinal:
+        lead |= 0x40
+        out += struct.pack(">I", ordinal)
+    return bytes([lead]) + out
+
+
+def spelled_out(header: bytes, bit: int, value: int) -> bytes:
+    """*header* (a canonical :func:`block_header`) forged to carry one
+    more u32 field behind it, its presence *bit* set in the lead: how a
+    record comes to spell out a count of 1 or an ordinal of 0."""
+    return bytes([header[0] | bit]) + header[1:] + value.to_bytes(4, "big")
 
 
 def table_state(table) -> tuple:

@@ -589,11 +589,14 @@ class TestPlansKeepTheTable:
         rows = {(r["type"], r["class"]): r for r in stats.attribution["rows"]}
         heap = rows[("struct node", "heap")]
         assert heap["blocks"] == heap["restore_blocks"] == chained + 1
-        # a head's own bytes: record header, flag, one int, nothing else
+        # a head's own bytes: record header and one int, nothing else
         head = rows[("struct node", "global")]["bytes"]
-        assert head == rows[("struct node", "stack")]["bytes"]
-        # ... ``heads`` has one int more, and each chain ends in a NULL
-        assert heap["bytes"] == chained * head + (head + 4) + 7
+        assert head == 7 + 4
+        # ... a stack id ships its ``b`` as well
+        assert rows[("struct node", "stack")]["bytes"] == head + 4
+        # ... ``heads`` has a count and one int more, and each chain ends
+        # in a NULL
+        assert heap["bytes"] == chained * head + (head + 4 + 4) + 7
 
     def test_precopy_scopes_partition_with_plans_on(self):
         """The snapshot round keeps its plans under attribution; each

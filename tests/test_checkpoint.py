@@ -106,6 +106,34 @@ class TestCheckpointRestart:
         with pytest.raises(CheckpointError, match="magic"):
             restart_from_file(prog, path, DEC5000)
 
+    def test_other_format_version_rejected(self, prog, tmp_path):
+        """A checkpoint written by a build with another wire format: one
+        typed error that names both versions, not the reader's
+        ``ValueError``."""
+        from repro.msr.wire import VERSION
+
+        ckpt = checkpoint(stopped(prog))
+        assert ckpt.payload[4] == VERSION
+        ckpt.payload = ckpt.payload[:4] + b"\x09" + ckpt.payload[5:]
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(ckpt.to_bytes())
+        with pytest.raises(
+            CheckpointError,
+            match=f"version 9: this build reads and writes version {VERSION} only",
+        ):
+            restart_from_file(prog, path, DEC5000)
+
+    @pytest.mark.parametrize("keep", [0.5, 0.95, 20, 10], ids=str)
+    def test_truncated_file_rejected(self, prog, tmp_path, keep):
+        """Cut in the payload (an ``EOFError`` from the reader) or in the
+        file header: a ``CheckpointError`` either way."""
+        data = checkpoint(stopped(prog)).to_bytes()
+        cut = int(len(data) * keep) if keep < 1 else keep
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(data[:cut])
+        with pytest.raises(CheckpointError):
+            restart_from_file(prog, path, DEC5000)
+
     def test_serialization_roundtrip(self, prog):
         proc = stopped(prog)
         ckpt = checkpoint(proc)

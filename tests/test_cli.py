@@ -220,6 +220,40 @@ class TestCheckpointRestartCLI:
         assert capsys.readouterr().out == "sum=45\n"
 
 
+    @pytest.mark.parametrize("damage", ["version", "truncated", "magic", "program"])
+    def test_restart_failure_is_one_line_and_exit_1(
+        self, damage, demo_c, tmp_path, capsys
+    ):
+        """A checkpoint that cannot be restored — written in another
+        format version (every file from before a version bump), cut
+        short, not a checkpoint, another program's — is reported, not
+        thrown at the user."""
+        snap = tmp_path / "s.ckpt"
+        assert main(["checkpoint", demo_c, "--after-polls", "5", "-o", str(snap)]) == 0
+        data = snap.read_bytes()
+        source = demo_c
+        if damage == "version":
+            at = data.index(b"MIGR") + 4
+            data = data[:at] + b"\x09" + data[at + 1 :]
+        elif damage == "truncated":
+            data = data[: len(data) * 2 // 3]
+        elif damage == "magic":
+            data = b"XXXX" + data[4:]
+        else:
+            other = tmp_path / "other.c"
+            other.write_text(DEMO.replace("i < 10", "i < 11"))
+            source = str(other)
+        snap.write_bytes(data)
+        capsys.readouterr()
+        assert main(["restart", source, str(snap)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("restart failed: ")
+        if damage == "version":
+            assert "version 9" in line
+
+
 class TestGraph:
     def test_graph_summary(self, demo_c, capsys):
         assert main(["graph", demo_c, "--after-polls", "8"]) == 0

@@ -359,18 +359,19 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "struct"])
     def test_flat_flag_must_agree_with_the_type(self, flat):
-        """Flatness is structural, so the flag byte carries no news: a
-        payload whose flag disagrees with the type is corrupt."""
+        """Flatness is structural, so the lead's FLAT bit carries no
+        news: a record whose bit disagrees with its type is corrupt."""
         from repro.arch.buffers import ReadBuffer
         from repro.msr.restore import RestoreError, Restorer
-        from repro.msr.wire import FLAG_FLAT
+        from tests.conftest import block_header
 
         proc = stop_at_poll(SHARED_GRAPH)
         is_flat = lambda b: proc.ti.info_for(b.elem_type).flat_kind is not None  # noqa: E731
         block = next(b for b in proc.msrlt.arena().blocks if is_flat(b) == flat)
-        wrong_flag = bytes([0 if flat else FLAG_FLAT]) + bytes(64)
+        type_id = proc.ti.info_for(block.elem_type).type_id
+        wrong_bit = block_header(block.logical, type_id, block.count, flat=not flat)
         with pytest.raises(RestoreError, match="flat flag"):
-            Restorer(proc, ReadBuffer(wrong_flag)).restore_contents(block)
+            Restorer(proc, ReadBuffer(wrong_bit + bytes(64))).restore_pointer()
 
     def test_payload_smaller_than_data_for_dedup(self):
         """With heavy sharing the wire carries REFs, not copies."""

@@ -7,13 +7,14 @@ and MSRLT operation counters.
 
 import pytest
 
-from repro.arch import SPARC20, ULTRA5
-from repro.migration.engine import MigrationEngine, collect_state
+from repro.arch import ALPHA, SPARC20, ULTRA5
+from repro.difftest.corpus import load_corpus
+from repro.migration.engine import MigrationEngine, collect_state, restore_state
 from repro.migration.precopy import PrecopyPolicy, run_precopy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import LOOPBACK, Channel
-from repro.msr.graphplan import SortedArena
-from repro.msr.msrlt import MSRLT
+from repro.msr.graphplan import ChainPlan, SortedArena
+from repro.msr.msrlt import MSRLT, BlockKind
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.workloads import (
@@ -22,6 +23,7 @@ from repro.workloads import (
     matmul_source,
     structgrid_source,
 )
+from tests.conftest import assert_plans_invisible, longlist_source, ref_record
 
 
 def stopped(src, after=1, arch=ULTRA5):
@@ -114,6 +116,72 @@ class TestBitonicShape:
         before = dest.msrlt.n_searches
         restore_state(proc.program, payload, dest)
         assert dest.msrlt.n_searches == before
+
+
+class TestWireShape:
+    """What a record costs on the wire, to the byte: a header carries the
+    fields that say something and nothing else, so payload size follows
+    the data with the smallest slope the grammar allows."""
+
+    @staticmethod
+    def payload_bytes(source, after=1):
+        return len(collect_state(stopped(source, after=after))[0])
+
+    def test_a_tree_node_is_twelve_bytes(self):
+        """7 header + 4 value + 1 NULL per node (each node is the target
+        of one pointer, and the N + 1 pointers left over are NULL)."""
+        fixed = {
+            self.payload_bytes(bitonic_source(n), after=n) - 12 * n
+            for n in (100, 200, 400)
+        }
+        assert len(fixed) == 1
+
+    def test_a_list_record_with_its_string(self):
+        """Record: 7 header + 4 id; its string: 7 header + 4 count +
+        the characters and their NUL; the next record is the tail's.
+        The lengths are a shuffle of {1 + i % 13}: 7 on average when N
+        is a multiple of 13, so 30 bytes a record — and 4 more for its
+        slot in ``lens``, the array on ``main``'s stack."""
+        fixed = {
+            self.payload_bytes(longlist_source(n)) - (30 + 4) * n
+            for n in (130, 260, 390)
+        }
+        assert len(fixed) == 1
+
+    def test_a_chain_batch_ends_at_the_row_with_a_stack_ref(self, monkeypatch):
+        """A REF to a stack block ships its ``b``: 13 bytes where a chain
+        row's pointer column has room for 9.  The batch ends in front of
+        that row and the next begins behind it — on both sides, with
+        bytes and addresses those of the per-cell oracle."""
+        entry = next(e for e in load_corpus() if e.name == "hand_chain_stackref")
+        saved, restored = [], []
+        build_rows, restore_batch = ChainPlan._build_rows, ChainPlan._restore_batch
+
+        def saving(plan, *args):
+            rows, m = build_rows(plan, *args)
+            saved.append(m)
+            return rows, m
+
+        def restoring(plan, restorer):
+            before = restorer.stats.n_blocks
+            batch = restore_batch(plan, restorer)
+            if batch is not None:
+                restored.append(restorer.stats.n_blocks - before)
+            return batch
+
+        monkeypatch.setattr(ChainPlan, "_build_rows", saving)
+        monkeypatch.setattr(ChainPlan, "_restore_batch", restoring)
+        proc = stopped(entry.source, after=2)
+        payload, _ = collect_state(proc)
+        # head -> 15 | 14..11 | 10 (main's local) | 9..5 | 4 (walk's) | 3..0
+        assert saved == [4, 0, 5, 0, 4]
+        assert payload.count(ref_record((BlockKind.STACK, 0, 0))) == 1
+        assert payload.count(ref_record((BlockKind.STACK, 1, 2))) == 1
+        restore_state(proc.program, payload, Process(proc.program, SPARC20))
+        assert restored == [4, 5, 4]
+        for polls in (1, 2, 3):
+            assert_plans_invisible(entry.source, polls, ULTRA5, SPARC20)
+            assert_plans_invisible(entry.source, polls, SPARC20, ALPHA)
 
 
 class TestDedupShape:

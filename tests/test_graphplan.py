@@ -26,7 +26,6 @@ Contracts under test:
 
 import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +58,7 @@ from tests.conftest import (
     PLAN_ARCH_PAIRS as ARCH_PAIRS,
     PLAN_WORKLOADS as WORKLOADS,
     assert_plans_invisible,
+    longlist_source,
     plans_off,
     precopy_wire,
     stopped_at,
@@ -425,9 +425,10 @@ class TestRecordPlanEdges:
     @pytest.mark.parametrize("chunk_size", [7, 23, 64])
     @pytest.mark.parametrize("entry_name", RECORD_EDGES)
     def test_record_headers_straddling_stream_chunks(self, entry_name, chunk_size):
-        """Chunks of 7 bytes cut every 23-byte BLOCK header and 14-byte
-        REF record in two or more; 23 and 64 put the cuts at shifting
-        places inside units.  Plans on and off read the same state."""
+        """Chunks of 7 bytes cut every BLOCK header that carries more
+        than a heap unit's 7 and every REF record (9 or 13 bytes) in two;
+        23 and 64 put the cuts at shifting places inside units.  Plans
+        on and off read the same state."""
         proc = stopped_at(CORPUS[entry_name].source, 3, ALPHA)
         prog = proc.program
         expected = Process(prog, ALPHA)
@@ -582,18 +583,6 @@ class TestSmallFlatBlocks:
 # ---------------------------------------------------------------------------
 # chain backoff
 # ---------------------------------------------------------------------------
-
-LONGLIST_C = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks" / "suite" / "programs" / "longlist.c"
-)
-
-
-def longlist_source(n: int, seed: int = 7) -> str:
-    """The suite's irregular chain: *n* records, each owning a heap
-    string of 1..13 characters allocated between two nodes."""
-    return LONGLIST_C.read_text().replace("%N%", str(n)).replace("%SEED%", str(seed))
-
 
 def evenlist_source(n: int) -> str:
     """*n* list nodes allocated back to back: one stride throughout."""

@@ -53,10 +53,7 @@ from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.msr.wire import (
-    BLOCK_RECORD,
     CHUNK_HEADER_SIZE,
-    FLAG_FLAT,
-    TAG_BLOCK,
     DeltaDecoder,
     FrameCorruptError,
     FrameOrderError,
@@ -70,7 +67,14 @@ from repro.vm.dirty import DirtyTracker
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.workloads import structgrid_source
-from tests.conftest import allocator_twin, assert_table_whole, restore_replayed
+from tests.conftest import (
+    allocator_twin,
+    assert_table_whole,
+    block_header,
+    ref_record,
+    restore_replayed,
+    spelled_out,
+)
 
 
 ENGINE = MigrationEngine()
@@ -860,20 +864,60 @@ class TestHostileFinalStream:
         with pytest.raises(MsrRestoreError, match="bad record tag 3"):
             restore_state(prog, forged, scratch, PrecopyFinalRestorer)
 
+    @pytest.mark.parametrize("lead, lie", [
+        (0x01 | 3 << 2, "unknown block kind 3"),
+        (0x01 | 0x10, "BLOCK bits on a REF"),
+        (0x01 | 0x40, "BLOCK bits on a REF"),
+        (0x01 | 0x80, "reserved bit 7"),
+        (0x02 << 2, "NULL is the single byte 0x00"),
+    ], ids=["kind-3", "flat-ref", "ordinal-follows-ref", "bit-7", "null-with-a-kind"])
+    def test_an_undefined_lead_is_typed(self, final, lead, lie):
+        """The root REF of the clean global, its lead swapped for one the
+        grammar does not define."""
+        prog, scratch, payload, head_at = final
+        forged = payload[:head_at] + bytes([lead]) + payload[head_at + 1 :]
+        with pytest.raises(MsrRestoreError, match=lie):
+            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+        assert_table_whole(scratch)
+
+    @staticmethod
+    def block_restored_in_place(scratch, payload):
+        """(offset, header, block) of a BLOCK record in the final
+        *payload* for a heap block the scratch already holds."""
+        for block in scratch.msrlt.heap_blocks():
+            type_id = scratch.ti.info_for(block.elem_type).type_id
+            header = block_header(block.logical, type_id)
+            at = payload.find(header)
+            if at >= 0:
+                return at, header, block
+        pytest.fail("the final stream carries no BLOCK for a pre-copied heap block")
+
+    @pytest.mark.parametrize("bit, field, lie", [
+        (0x20, 1, "spells out count 1"), (0x40, 0, "spells out ordinal 0"),
+    ], ids=["count-1", "ordinal-0"])
+    def test_a_field_spelling_out_its_constant_is_typed(self, final, bit, field, lie):
+        """Encodings are canonical: the BLOCK of a pre-copied heap block,
+        restored in place, with a field the record has no use for."""
+        prog, scratch, payload, _ = final
+        at, header, _ = self.block_restored_in_place(scratch, payload)
+        forged = (
+            payload[:at] + spelled_out(header, bit, field) + payload[at + len(header):]
+        )
+        with pytest.raises(MsrRestoreError, match=lie):
+            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+        assert_table_whole(scratch)
+
     def test_block_restored_in_place_must_keep_its_size(self, final):
         """A BLOCK record for a heap block the scratch already holds is
         restored in place — so a record that claims another element
         count would write past it."""
         prog, scratch, payload, _ = final
-        for block in scratch.msrlt.heap_blocks():
-            type_id = scratch.ti.info_for(block.elem_type).type_id
-            header = BLOCK_RECORD.pack(TAG_BLOCK, *block.logical, type_id, 1, 0, 0)
-            at = payload.find(header)
-            if at >= 0:
-                break
-        else:
-            pytest.fail("the final stream carries no BLOCK for a pre-copied heap block")
-        forged = payload[: at + 14] + (2).to_bytes(4, "big") + payload[at + 18 :]
+        at, header, block = self.block_restored_in_place(scratch, payload)
+        type_id = scratch.ti.info_for(block.elem_type).type_id
+        forged = (
+            payload[:at] + block_header(block.logical, type_id, count=2)
+            + payload[at + len(header):]
+        )
         with pytest.raises(MsrRestoreError, match="pre-copied block is"):
             restore_state(prog, forged, scratch, PrecopyFinalRestorer)
 
@@ -941,7 +985,7 @@ def _round(entries=(), new=(), freed=(), round_no=1) -> bytes:
     out.write_u32(len(new))
     for logical, type_id, count in new:
         write_logical(out, logical)
-        out.write_u32(type_id)
+        out.write_u16(type_id)
         out.write_u32(count)
     out.write_u32(len(entries))
     for logical, state, body in entries:
@@ -962,7 +1006,7 @@ def _runs(*runs, n_runs=None) -> bytes:
 
 def _ints(*values) -> bytes:
     """The contents of a run of ``int`` units."""
-    return bytes([FLAG_FLAT]) + b"".join(struct.pack(">i", v) for v in values)
+    return b"".join(struct.pack(">i", v) for v in values)
 
 
 class TestHostileRounds:
@@ -1050,6 +1094,51 @@ class TestHostileRounds:
         assert_table_whole(scratch)
         assert scratch.msrlt.has_logical((BlockKind.HEAP, 50, 0))
 
+    @pytest.mark.parametrize("section, lie", [
+        ("freed", r"freed record for non-heap block \(3, 7, 0\)"),
+        ("new", "not kind 3"),
+        ("entries", r"delta contents for unknown block \(3, 7, 0\)"),
+    ])
+    def test_a_logical_of_kind_three(self, scratch, section, lie):
+        """A round names blocks by ``u8 kind, u32 a``: a kind no block has
+        is refused by whichever section looks the id up."""
+        scratch, cells = scratch
+        held = len(scratch.msrlt.heap_blocks())
+        alien = (3, 7, 0)
+        payload = {
+            "freed": lambda: _round(freed=[alien]),
+            "new": lambda: _round(new=[(alien, self.int_id(scratch, cells), 4)]),
+            "entries": lambda: _round([(alien, 0, _ints(1))]),
+        }[section]()
+        with pytest.raises(MsrRestoreError, match=lie):
+            apply_round(scratch, payload, 1)
+        assert_table_whole(scratch)
+        assert len(scratch.msrlt.heap_blocks()) == held  # nothing carved
+
+    def test_a_b_on_a_global_id(self, scratch):
+        """Only a stack id ships a ``b``, and no round names a stack
+        block: four bytes after a global's ``a`` are read as its state
+        byte and the head of its contents, and the round comes out four
+        bytes long."""
+        scratch, cells = scratch
+        payload = _round([(cells, 0, _ints(*range(16)))])
+        at = payload.index(bytes([cells[0]]) + cells[1].to_bytes(4, "big")) + 5
+        forged = payload[:at] + bytes(4) + payload[at:]
+        with pytest.raises(MsrRestoreError, match="4 trailing bytes in delta round"):
+            apply_round(scratch, forged, 1)
+        assert_table_whole(scratch)
+
+    def test_an_undefined_lead_in_a_round(self, scratch):
+        """Round contents are NULL/REF records in the same grammar: a REF
+        lead with BLOCK bits is refused in the same words."""
+        scratch, _ = scratch
+        head, below = scratch.msrlt.heap_blocks()[:2]
+        ref = ref_record(below.logical)
+        contents = struct.pack(">i", 5) + bytes([ref[0] | 0x20]) + ref[1:]
+        with pytest.raises(MsrRestoreError, match="BLOCK bits on a REF"):
+            apply_round(scratch, _round([(head.logical, 0, contents)]), 1)
+        assert_table_whole(scratch)
+
     def test_block_rows_where_a_chain_batch_would_take_them(self, scratch):
         """Rounds carry NULL/REF only.  The tail slot of a list node is
         where a chain batch reads BLOCK rows without asking the driver;
@@ -1058,11 +1147,10 @@ class TestHostileRounds:
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
         rows = b"".join(
-            BLOCK_RECORD.pack(TAG_BLOCK, BlockKind.HEAP, serial, 0, node_id, 1, 0, 0)
-            + struct.pack(">i", serial)
+            block_header((BlockKind.HEAP, serial, 0), node_id) + struct.pack(">i", serial)
             for serial in (900, 901)
         )
-        contents = b"\x00" + struct.pack(">i", 5) + rows + b"\x00"
+        contents = struct.pack(">i", 5) + rows + b"\x00"
         with pytest.raises(MsrRestoreError, match="BLOCK record in a delta round"):
             apply_round(scratch, _round([(head.logical, 0, contents)]), 1)
         assert_table_whole(scratch)
@@ -1256,7 +1344,7 @@ class TestOneAllocationPath:
                 twin.heap_free(process.msrlt.lookup_logical(read_logical(buf)).addr)
             expected = {}
             for _ in range(buf.read_u32()):
-                logical, type_id, count = read_logical(buf), buf.read_u32(), buf.read_u32()
+                logical, type_id, count = read_logical(buf), buf.read_u16(), buf.read_u32()
                 if logical[0] == BlockKind.HEAP:
                     size = process.ti.info(type_id).size * count
                     expected[logical] = twin.heap_alloc(size)

@@ -12,7 +12,7 @@ from repro.clang.ctypes import (
     StructType,
     TypeLayout,
 )
-from repro.msr.ti import TITable, flat_prim_kind
+from repro.msr.ti import TITable, TypeIdError, flat_prim_kind
 from repro.vm.program import compile_program
 
 
@@ -130,6 +130,39 @@ class TestTypeInfo:
         prog = FakeProgram([INT])
         ti = TITable(prog, TypeLayout(SPARC20))
         assert ti.info(0) is ti.info(0)
+
+
+    def test_a_type_id_the_wire_cannot_name_is_refused(self):
+        """A BLOCK record names its type in a u16: the 65 537th type of a
+        program is refused where the table hands out its id, in so many
+        words, not by ``struct.error`` in the middle of a collection."""
+        prog = FakeProgram([INT, DOUBLE])
+        prog.type_id = lambda ctype: 0xFFFF if ctype is INT else 0x10000
+        prog.type_by_id = lambda type_id: INT if type_id == 0xFFFF else DOUBLE
+        ti = TITable(prog, TypeLayout(SPARC20))
+        assert ti.info_for(INT).type_id == 0xFFFF
+        with pytest.raises(TypeIdError, match="65536 types"):
+            ti.info_for(DOUBLE)
+
+    def test_the_refusal_is_a_collect_error_and_the_source_runs_on(self, monkeypatch):
+        from repro.migration.engine import CollectError, MigrationEngine
+        from repro.vm.process import Process
+
+        prog = compile_program(
+            "double d; int main() { d = 1.5; migrate_here(); printf(\"%.1f\", d); return 0; }",
+            poll_strategy="user",
+        )
+        proc = Process(prog, DEC5000)
+        proc.start()
+        proc.migration_pending = True
+        assert proc.run().status == "poll"
+        monkeypatch.setattr(prog, "type_id", lambda ctype: 0x10000)
+        proc.ti._by_identity.clear()
+        with pytest.raises(CollectError, match="u16 type field"):
+            MigrationEngine().migrate(proc, SPARC20)
+        proc.migration_pending = False
+        assert proc.run_to_completion() == 0
+        assert proc.stdout == "1.5"
 
 
 class TestBulkPath:

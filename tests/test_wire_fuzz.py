@@ -29,19 +29,17 @@ from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError
 from repro.msr.wire import (
-    BLOCK_RECORD,
-    REF_RECORD,
-    TAG_BLOCK,
-    TAG_REF,
+    RECORDS,
     ChunkDecoder,
     WireFrameError,
     encode_chunk,
     encode_end_of_stream,
+    lead_fault,
 )
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from tests.conftest import assert_table_whole
+from tests.conftest import assert_table_whole, block_header, ref_record, spelled_out
 
 PROGRAM = """
 struct link { int v; struct link *next; };
@@ -315,15 +313,15 @@ _LINK_ID = next(
     _ring_stopped().ti.info_for(b.elem_type).type_id
     for b in _ring_stopped().msrlt.heap_blocks()
 )
-#: byte offsets inside a BLOCK record (tag, kind, a, b, type, count, ordinal, flags)
-_TYPE, _COUNT, _ORDINAL, _FLAGS = 10, 14, 18, 22
+#: a node's BLOCK header — lead, serial, u16 type id — is 7 bytes, a REF
+#: to one — lead, serial, ordinal — 9
+_HEADER, _REF = 7, 9
 
 
 def _node(serial: int) -> int:
     """Payload offset of the BLOCK record of the node with *serial*."""
-    header = BLOCK_RECORD.pack(
-        TAG_BLOCK, BlockKind.HEAP, serial, 0, _LINK_ID, 1, 0, 0
-    )
+    header = block_header((BlockKind.HEAP, serial, 0), _LINK_ID)
+    assert len(header) == _HEADER
     at = _RING_PAYLOAD.find(header)
     assert at >= 0 and _RING_PAYLOAD.count(header) == 1
     return at
@@ -331,23 +329,36 @@ def _node(serial: int) -> int:
 
 def _ref(serial: int) -> int:
     """Payload offset of the first REF record to the node with *serial*."""
-    at = _RING_PAYLOAD.find(REF_RECORD.pack(TAG_REF, BlockKind.HEAP, serial, 0, 0))
+    record = ref_record((BlockKind.HEAP, serial, 0))
+    assert len(record) == _REF
+    at = _RING_PAYLOAD.find(record)
     assert at >= 0
     return at
 
 
-def _put_u32(offset: int, value: int):
+def _splice(offset: int, length: int, data: bytes):
+    """Replace *length* bytes at *offset* by *data* (of any length: a
+    field a record does not carry has to be put in, lead bit and all)."""
+
     def rewrite(payload: bytearray) -> None:
-        payload[offset : offset + 4] = value.to_bytes(4, "big")
+        payload[offset : offset + length] = data
 
     return rewrite
+
+
+def _header(serial: int, **fields):
+    """Give the node with *serial* another BLOCK header."""
+    logical = fields.pop("logical", (BlockKind.HEAP, serial, 0))
+    fields.setdefault("type_id", _LINK_ID)
+    return _splice(_node(serial), _HEADER, block_header(logical, **fields))
+
+
+def _put_u32(offset: int, value: int):
+    return _splice(offset, 4, value.to_bytes(4, "big"))
 
 
 def _put_u8(offset: int, value: int):
-    def rewrite(payload: bytearray) -> None:
-        payload[offset] = value
-
-    return rewrite
+    return _splice(offset, 1, bytes([value]))
 
 
 def _cut_at(offset: int):
@@ -357,23 +368,57 @@ def _cut_at(offset: int):
     return rewrite
 
 
+_NODE_LEAD = _RING_PAYLOAD[_node(4)]  # BLOCK | HEAP
+_REF_LEAD = _RING_PAYLOAD[_ref(0)]  # REF | HEAP
+#: node 0's ``peer``, right after its header and its int
+_A_NULL = _node(0) + _HEADER + 4
+assert _RING_PAYLOAD[_A_NULL] == 0
+
 #: name -> (payload rewrite, what the restorer must say).  Node 5 is the
-#: first one written (``ring`` points at it), node 4 the one nested in
-#: its tail, node 0 the target of every ``peer``.
+#: first one written (``ring`` points at it), node 0 — the target of
+#: every ``peer`` — is nested in its ``peer``, node 4 in its tail.
 HOSTILE = {
-    "count-zero": (_put_u32(_node(5) + _COUNT, 0), "no block is empty"),
-    "count-huge": (_put_u32(_node(5) + _COUNT, 2**32 - 1), "payload ends before"),
-    "count-unbacked": (_put_u32(_node(4) + _COUNT, 100_000), "payload ends before"),
-    "unknown-type": (_put_u32(_node(5) + _TYPE, 0x00FFFFFF), "unknown type id"),
-    "wrong-flat-flag": (_put_u8(_node(5) + _FLAGS, 1), "flat flag disagrees"),
-    "block-ordinal-outside": (_put_u32(_node(4) + _ORDINAL, 99), "ordinal 99 is outside"),
-    "ref-ordinal-outside": (_put_u32(_ref(0) + 10, 99), "ordinal 99 is outside"),
-    "second-block-for-a-mapped-id": (_put_u32(_node(4) + 2, 5), "second BLOCK record"),
-    "ref-to-unseen-block": (_put_u32(_ref(0) + 2, 999), "REF to unseen block"),
-    "bad-tag-mid-unit": (_put_u8(_ref(0), 9), "bad record tag 9"),
+    "count-zero": (_header(5, count=0), "no block is empty"),
+    "count-huge": (_header(5, count=2**32 - 1), "payload ends before"),
+    "count-unbacked": (_header(4, count=100_000), "payload ends before"),
+    "unknown-type": (_header(5, type_id=0xFFFF), "unknown type id"),
+    "wrong-flat-flag": (_header(5, flat=True), "flat flag disagrees"),
+    "block-ordinal-outside": (_header(4, ordinal=99), "ordinal 99 is outside"),
+    "ref-ordinal-outside": (_put_u32(_ref(0) + 5, 99), "ordinal 99 is outside"),
+    "second-block-for-a-mapped-id": (
+        _header(4, logical=(BlockKind.HEAP, 5, 0)), "second BLOCK record"
+    ),
+    "ref-to-unseen-block": (_put_u32(_ref(0) + 1, 999), "REF to unseen block"),
+    "bad-tag-mid-unit": (_put_u8(_ref(0), 3), "bad record tag 3"),
     # past the wire floor (6 bytes), inside the REF after the int
-    "eof-mid-unit": (_cut_at(_node(4) + BLOCK_RECORD.size + 8), "underrun"),
+    "eof-mid-unit": (_cut_at(_node(4) + _HEADER + 8), "underrun"),
+    # -- encodings that are not canonical, leads that are not defined
+    "count-spelled-one": (
+        _splice(_node(5), _HEADER,
+                spelled_out(block_header((BlockKind.HEAP, 5, 0), _LINK_ID), 0x20, 1)),
+        "spells out count 1",
+    ),
+    "ordinal-spelled-zero": (
+        _splice(_node(4), _HEADER,
+                spelled_out(block_header((BlockKind.HEAP, 4, 0), _LINK_ID), 0x40, 0)),
+        "spells out ordinal 0",
+    ),
+    "tag-three-on-a-block": (_put_u8(_node(4), _NODE_LEAD | 3), "bad record tag 3"),
+    "kind-three": (_put_u8(_ref(0), _REF_LEAD | 3 << 2), "unknown block kind 3"),
+    "block-bits-on-a-ref": (_put_u8(_ref(0), _REF_LEAD | 0x20), "BLOCK bits on a REF"),
+    "bit-seven": (_put_u8(_node(4), _NODE_LEAD | 0x80), "reserved bit 7"),
+    "null-with-a-kind": (_put_u8(_A_NULL, 2 << 2), "NULL is the single byte 0x00"),
+    "ref-to-a-dead-stack-slot": (
+        _splice(_ref(0), _REF, ref_record((BlockKind.STACK, 7, 1))),
+        r"REF to unseen block \(1, 7, 1\)",
+    ),
 }
+
+#: the lies told in the header of the first record met (node 5's): they
+#: are refused before anything is carved
+_REFUSED_AT_ONCE = (
+    "count-zero", "count-huge", "unknown-type", "wrong-flat-flag", "count-spelled-one",
+)
 
 
 def _hostile_collector(rewrite):
@@ -426,6 +471,82 @@ class TestHostileRecords:
         # before the lie is in the table, and nothing else
         assert_table_whole(dest)
 
+    #: the 28 lead bytes the grammar defines, written down from it:
+    #: NULL, a REF per kind, a BLOCK per kind and combination of its
+    #: three bits
+    DEFINED_LEADS = frozenset(
+        {0}
+        | {1 | kind << 2 for kind in range(3)}
+        | {2 | kind << 2 | bits << 4 for kind in range(3) for bits in range(8)}
+    )
+
+    def test_the_record_table_defines_the_grammar_and_nothing_else(self):
+        for lead in range(256):
+            assert (RECORDS[lead] is not None) == (lead in self.DEFINED_LEADS), hex(lead)
+            assert (lead_fault(lead) is None) == (lead in self.DEFINED_LEADS), hex(lead)
+        assert RECORDS[0].size == 1
+        # lead + a [+ b on the stack] + ordinal | + type id [+ count] [+ ordinal]
+        assert [RECORDS[1 | kind << 2].size for kind in range(3)] == [9, 13, 9]
+        for kind in range(3):
+            for bits in range(8):
+                size = (11 if kind == BlockKind.STACK else 7) + 4 * bin(bits >> 1).count("1")
+                assert RECORDS[2 | kind << 2 | bits << 4].size == size
+
+    @pytest.mark.parametrize("chunk", [None, 7, 64], ids=["mono", "chunks-7", "chunks-64"])
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    @pytest.mark.parametrize("at", [_node(4), _ref(0), _A_NULL], ids=["block", "ref", "null"])
+    def test_every_byte_is_one_record_or_a_typed_refusal(self, at, plans, chunk):
+        """All 256 values at a record position — a BLOCK at a chain tail,
+        a REF inside a chain row, a NULL.  An undefined lead is refused in
+        ``lead_fault``'s words; a defined one is read as the one record
+        it opens (with the bytes behind it for fields, so most are then
+        refused for what they claim); nothing else ever comes out."""
+        faults = {lead_fault(lead) for lead in range(256)} - {None}
+        for lead in range(256):
+            forged = bytearray(_RING_PAYLOAD)
+            forged[at] = lead
+            forged = bytes(forged)
+            dest = Process(_RING, SPARC20)
+            dest.ti.plans_enabled = plans
+            refusal = None
+            try:
+                if chunk is None:
+                    restore_state(_RING, forged, dest)
+                else:
+                    pieces = [forged[i : i + chunk] for i in range(0, len(forged), chunk)]
+                    restore_state_stream(_RING, iter(pieces), dest)
+            except (RestoreError, EOFError, MSRLTError) as exc:
+                # (MSRLTError: a GLOBAL or STACK id the destination does
+                # not have — a record the restorer did decode)
+                refusal = str(exc)
+            finally:
+                dest.ti.plans_enabled = True
+            assert_table_whole(dest)
+            if lead in self.DEFINED_LEADS:
+                assert refusal not in faults, hex(lead)
+            else:
+                assert refusal == lead_fault(lead), hex(lead)
+            if lead == _RING_PAYLOAD[at]:
+                assert refusal is None
+
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    def test_a_b_on_a_heap_id_has_no_place_in_the_grammar(self, plans):
+        """Only a stack id ships a ``b``.  Four bytes put in after a heap
+        id's ``a`` are read as the REF's ordinal and its own ordinal as
+        the four records after it: the walk comes out four bytes early
+        and what is left is not a payload — damage, of the family the
+        engine retries, with the table whole."""
+        forged = bytearray(_RING_PAYLOAD)
+        _splice(_ref(0) + 5, 0, bytes(4))(forged)
+        dest = Process(_RING, SPARC20)
+        dest.ti.plans_enabled = plans
+        try:
+            with pytest.raises(DAMAGE_ERRORS):
+                restore_state(_RING, bytes(forged), dest)
+        finally:
+            dest.ti.plans_enabled = True
+        assert_table_whole(dest)
+
     # (the whole payload is one chunk at the default chunk size, so the
     # collector's rewrite sees all of it before the first frame leaves)
     @pytest.mark.parametrize("mode", [{}, {"streaming": True}], ids=["mono", "stream"])
@@ -455,10 +576,33 @@ class TestHostileRecords:
         assert sum(allocated) <= len(_RING_PAYLOAD)
         # (and it was asked: only a lie in the first record's header is
         # refused before any block is carved)
-        assert allocated or case in ("count-zero", "count-huge", "unknown-type")
+        assert allocated or case in _REFUSED_AT_ONCE
         # never a partially adopted destination
         assert not waiting.frames and not waiting.msrlt.heap_blocks()
         # the source is still at its poll-point, and runs on
+        proc.migration_pending = False
+        assert proc.run_to_completion() == 0
+        assert proc.stdout == "15"
+
+    @pytest.mark.parametrize("mode", [{}, {"streaming": True}], ids=["mono", "stream"])
+    def test_a_peer_of_another_format_version_is_refused_typed(self, mode, monkeypatch):
+        """There is one record format per build.  A payload that says
+        version 1 is refused by the header reader, and that refusal is
+        damage like any other: a typed ``RestoreError`` out of
+        ``migrate()``, the waiting destination untouched, the source
+        running on to the unmigrated output."""
+        monkeypatch.setattr(engine_module, "Collector", _hostile_collector(_put_u8(4, 1)))
+        proc = _ring_stopped()
+        waiting = Process(_RING, SPARC20, name="the-waiter")
+        waiting.load()
+        with pytest.raises(MigrationAbortedError) as excinfo:
+            MigrationEngine().migrate(
+                proc, SPARC20, waiting=waiting,
+                retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None), **mode,
+            )
+        assert isinstance(excinfo.value.last_error, engine_module.RestoreError)
+        assert "unsupported payload version 1" in str(excinfo.value.last_error)
+        assert not waiting.frames and not waiting.msrlt.heap_blocks()
         proc.migration_pending = False
         assert proc.run_to_completion() == 0
         assert proc.stdout == "15"
