@@ -16,13 +16,6 @@ Usage (after ``pip install -e .`` the ``repro`` entry point exists; or use
     repro obs report trace.jsonl
     repro obs top trace.jsonl --by type
     repro obs diff baseline.jsonl current.jsonl
-    repro obs export trace.jsonl --prometheus
-    repro obs critical-path trace.jsonl
-    repro obs histo trace.jsonl
-    repro migrate prog.c --stream --profile out.folded
-    repro obs flame out.folded
-    repro obs serve trace.jsonl --probe
-    repro obs bench-trend
 """
 
 from __future__ import annotations
@@ -199,34 +192,7 @@ def cmd_migrate(args) -> int:
 
         precopy_policy = PrecopyPolicy(max_rounds=args.max_rounds)
 
-    profiler = None
-    if getattr(args, "profile", None):
-        from repro.obs.profiler import DEFAULT_INTERVAL_S, SamplingProfiler
-
-        interval = args.profile_interval
-        profiler = SamplingProfiler(
-            interval_s=DEFAULT_INTERVAL_S if interval is None else interval
-        )
-
-    def finish_profile():
-        if profiler is None:
-            return
-        profiler.stop()
-        profiler.write_folded(args.profile)
-        rollup = profiler.phase_rollup()
-        total = sum(rollup.values()) or 1
-        phases = ", ".join(
-            f"{phase} {n / total:.0%}" for phase, n in list(rollup.items())[:4]
-        )
-        print(
-            f"[profile: {profiler.n_samples} samples -> {args.profile}"
-            f"{' (' + phases + ')' if rollup else ''}]",
-            file=sys.stderr,
-        )
-
     try:
-        if profiler is not None:
-            profiler.start()
         dest, stats = engine.migrate(
             proc,
             dst_arch,
@@ -240,13 +206,15 @@ def cmd_migrate(args) -> int:
             precopy_policy=precopy_policy,
         )
     except MigrationError as exc:
-        finish_profile()
         print(f"[migration failed: {exc}]", file=sys.stderr)
         # all-or-nothing held: the source is still at its poll-point —
         # resume it locally and finish the run there
         proc.migration_pending = False
         result = proc.run()
         sys.stdout.write(proc.stdout)
+        # the trace of a failed migration is the one an investigation
+        # needs: the error carries the run's observation out
+        _write_observation(args, exc.stats)
         ok = (
             proc.stdout == baseline.stdout
             and result.exit_code == baseline.exit_code
@@ -258,23 +226,10 @@ def cmd_migrate(args) -> int:
         )
         return 0 if ok else 1
 
-    finish_profile()
     result = dest.run()
     sys.stdout.write(dest.stdout)
     print(f"[{stats}]", file=sys.stderr)
-    if getattr(args, "trace", None):
-        # failing loudly beats silently producing no file: a user who
-        # asked for a trace must never discover at analysis time that
-        # the migration ran unobserved
-        if stats.obs is None:
-            raise SystemExit(
-                f"--trace {args.trace}: this migration produced no "
-                f"observation (stats.obs is None), so there is no trace "
-                f"to write"
-            )
-        stats.obs.write_trace(args.trace)
-        print(f"[trace written to {args.trace}]", file=sys.stderr)
-    _emit_metrics(args, stats)
+    _write_observation(args, stats)
     if args.stream:
         print(
             f"[response time {stats.response_time * 1e3:.2f} ms pipelined "
@@ -298,41 +253,41 @@ def cmd_migrate(args) -> int:
     return 0 if ok else 1
 
 
-def _emit_metrics(args, stats) -> None:
-    """Write the metrics snapshot where the flags ask: ``--metrics-out
-    PATH`` (``-`` = stdout), with ``--metrics`` kept as the alias that
-    writes ``[metric]``-prefixed lines to stderr."""
-    want_alias = getattr(args, "metrics", False)
-    out_path = getattr(args, "metrics_out", None)
-    if not want_alias and out_path is None:
+def _write_observation(args, stats) -> None:
+    """Write what ``--trace PATH`` and ``--metrics-out PATH|-`` ask for,
+    on the successful exit and the failed one alike."""
+    trace, metrics_out = args.trace, args.metrics_out
+    if trace is None and metrics_out is None:
         return
-    if stats.obs is None:
+    if stats is None or stats.obs is None:
+        # failing loudly beats silently producing no file: a user who
+        # asked for a trace must never discover at analysis time that
+        # the migration ran unobserved
         raise SystemExit(
-            "--metrics/--metrics-out: this migration produced no "
-            "observation (stats.obs is None), so there are no metrics "
-            "to report"
+            "--trace/--metrics-out: this migration produced no observation "
+            "(stats.obs is None), so there is no trace and there are no "
+            "metrics to write"
         )
-    flat = list(stats.obs.metrics.iter_flat())
-    if want_alias:
-        for name, value in flat:
-            print(f"[metric] {name} = {value}", file=sys.stderr)
-    if out_path is not None:
-        text = "".join(f"{name} = {value}\n" for name, value in flat)
-        if out_path == "-":
+    if trace is not None:
+        stats.obs.write_trace(trace)
+        print(f"[trace written to {trace}]", file=sys.stderr)
+    if metrics_out is not None:
+        text = "".join(
+            f"{name} = {value}\n" for name, value in stats.obs.metrics.iter_flat()
+        )
+        if metrics_out == "-":
             sys.stdout.write(text)
         else:
-            Path(out_path).write_text(text)
-            print(f"[metrics written to {out_path}]", file=sys.stderr)
+            Path(metrics_out).write_text(text)
+            print(f"[metrics written to {metrics_out}]", file=sys.stderr)
 
 
 def cmd_obs(args) -> int:
     """`repro obs`: offline analysis of JSONL migration traces."""
     from repro.obs.report import (
         TraceReadError,
-        export_prometheus,
         load_trace,
         render_diff,
-        render_histograms,
         render_report,
         render_top,
     )
@@ -344,125 +299,10 @@ def cmd_obs(args) -> int:
             print(render_top(load_trace(args.trace), by=args.by, n=args.n))
         elif args.obs_command == "diff":
             print(render_diff(load_trace(args.a), load_trace(args.b)))
-        elif args.obs_command == "export":
-            # --prometheus is today's only format; the flag keeps the
-            # exposition opt-in explicit for when others arrive
-            sys.stdout.write(export_prometheus(load_trace(args.trace),
-                                               prefix=args.prefix))
-        elif args.obs_command == "critical-path":
-            from repro.obs.critical import (
-                CriticalPathError,
-                analyze_trace_document,
-                render_critical,
-            )
-
-            try:
-                print(render_critical(
-                    analyze_trace_document(load_trace(args.trace))
-                ))
-            except CriticalPathError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        elif args.obs_command == "histo":
-            print(render_histograms(load_trace(args.trace)))
-        elif args.obs_command == "flame":
-            from repro.obs.profiler import parse_folded, render_flame
-
-            try:
-                samples = parse_folded(Path(args.folded).read_text())
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            except ValueError as exc:
-                print(f"error: {args.folded}: {exc}", file=sys.stderr)
-                return 2
-            print(render_flame(samples, top=args.n))
-        elif args.obs_command == "serve":
-            return _obs_serve(args)
-        elif args.obs_command == "bench-trend":
-            return _obs_bench_trend(args)
     except TraceReadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _obs_serve(args) -> int:
-    """``repro obs serve TRACE``: expose the trace's metrics snapshot as
-    a live OpenMetrics endpoint (``--probe``: scrape yourself through a
-    real HTTP round-trip, strict-parse the body, exit — the CI smoke;
-    ``--textfile PATH``: write the exposition atomically and exit)."""
-    from repro.obs.exporter import (
-        MetricsExporter,
-        parse_openmetrics,
-        write_textfile,
-    )
-    from repro.obs.report import load_trace
-
-    doc = load_trace(args.trace)
-    snapshot = {
-        "counters": doc.metrics.get("counters", {}),
-        "gauges": doc.metrics.get("gauges", {}),
-        "histograms": doc.metrics.get("histograms", {}),
-    }
-    if args.textfile:
-        write_textfile(snapshot, args.textfile, prefix=args.prefix)
-        print(f"[exposition written to {args.textfile}]", file=sys.stderr)
-        return 0
-    with MetricsExporter(snapshot, host=args.host, port=args.port,
-                         prefix=args.prefix) as exporter:
-        if args.probe:
-            import urllib.request
-
-            with urllib.request.urlopen(exporter.url, timeout=10) as resp:
-                body = resp.read().decode("utf-8")
-                ctype = resp.headers.get("Content-Type", "")
-            families = parse_openmetrics(body)
-            n_hist = sum(1 for f in families.values()
-                         if f["type"] == "histogram")
-            print(
-                f"probe ok: {exporter.url} served {len(families)} families "
-                f"({n_hist} histograms) as {ctype.split(';')[0]}"
-            )
-            return 0
-        print(f"serving OpenMetrics at {exporter.url} (ctrl-C to stop)",
-              file=sys.stderr)
-        try:
-            import threading
-
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            print("\n[shutting down]", file=sys.stderr)
-        return 0
-
-
-def _obs_bench_trend(args) -> int:
-    """``repro obs bench-trend``: the cross-PR benchmark trajectory
-    table, delegating to ``benchmarks/results.py`` loaded by path (the
-    benchmarks tree is repo tooling, not part of the installed
-    package)."""
-    import importlib.util
-
-    root = Path(args.dir).resolve() if args.dir else None
-    candidates = [root] if root else [
-        Path.cwd(),
-        Path(__file__).resolve().parents[2],  # src/repro/cli.py -> repo root
-    ]
-    for base in candidates:
-        results_py = base / "benchmarks" / "results.py"
-        if results_py.exists():
-            spec = importlib.util.spec_from_file_location(
-                "_repro_bench_results", results_py
-            )
-            mod = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(mod)
-            print(mod.render_trend(base))
-            return 0
-    looked = ", ".join(str(b / "benchmarks" / "results.py")
-                       for b in candidates)
-    print(f"error: benchmarks/results.py not found (looked at: {looked})",
-          file=sys.stderr)
-    return 2
 
 
 def cmd_fuzz(args) -> int:
@@ -651,8 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write the migration's JSONL trace (spans + events "
                         "+ metrics) to PATH")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the migration's metrics snapshot to stderr")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the metrics snapshot to PATH ('-' = stdout)")
     p.add_argument("--attribution", action="store_true",
@@ -670,14 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=8,
                    help="pre-copy delta round cap before forcing "
                         "stop-and-copy (default 8)")
-    p.add_argument("--profile", default=None, metavar="PATH",
-                   help="sample the migration's wall-clock stacks and "
-                        "write folded-stack output to PATH "
-                        "(render with 'repro obs flame PATH')")
-    p.add_argument("--profile-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="sampling interval for --profile "
-                        "(default 0.002 s)")
     p.set_defaults(fn=cmd_migrate)
 
     p = sub.add_parser(
@@ -741,61 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = obs_sub.add_parser("diff", help="regression deltas between two traces")
     q.add_argument("a", help="baseline trace")
     q.add_argument("b", help="candidate trace")
-    q.set_defaults(fn=cmd_obs)
-
-    q = obs_sub.add_parser("export", help="export the metrics snapshot")
-    q.add_argument("trace")
-    q.add_argument("--prometheus", action="store_true", required=True,
-                   help="Prometheus text exposition format")
-    q.add_argument("--prefix", default="repro",
-                   help="metric name prefix (default: repro)")
-    q.set_defaults(fn=cmd_obs)
-
-    q = obs_sub.add_parser(
-        "critical-path",
-        help="pipeline critical path + stall attribution from a trace",
-    )
-    q.add_argument("trace", help="JSONL trace of a --stream migration")
-    q.set_defaults(fn=cmd_obs)
-
-    q = obs_sub.add_parser(
-        "histo", help="latency histogram quantiles from a trace"
-    )
-    q.add_argument("trace")
-    q.set_defaults(fn=cmd_obs)
-
-    q = obs_sub.add_parser(
-        "flame",
-        help="render folded-stack profiler output (repro migrate --profile)",
-    )
-    q.add_argument("folded", help="folded-stack file")
-    q.add_argument("-n", type=int, default=20, help="stacks to show")
-    q.set_defaults(fn=cmd_obs)
-
-    q = obs_sub.add_parser(
-        "serve", help="serve the trace's metrics as a live OpenMetrics endpoint"
-    )
-    q.add_argument("trace")
-    q.add_argument("--host", default="127.0.0.1")
-    q.add_argument("--port", type=int, default=0,
-                   help="listen port (default 0 = pick a free one)")
-    q.add_argument("--prefix", default="repro",
-                   help="metric name prefix (default: repro)")
-    q.add_argument("--probe", action="store_true",
-                   help="scrape the endpoint once over HTTP, strict-parse "
-                        "the OpenMetrics body, and exit (CI smoke)")
-    q.add_argument("--textfile", default=None, metavar="PATH",
-                   help="write the exposition atomically to PATH and exit "
-                        "(node-exporter textfile collector mode)")
-    q.set_defaults(fn=cmd_obs)
-
-    q = obs_sub.add_parser(
-        "bench-trend",
-        help="aggregate committed BENCH_*.json into one trajectory table",
-    )
-    q.add_argument("--dir", default=None,
-                   help="directory holding BENCH_*.json (default: the "
-                        "current directory, then the repo root)")
     q.set_defaults(fn=cmd_obs)
 
     return parser

@@ -79,6 +79,12 @@ DEFAULT_CHUNK_SIZE = 64 * 1024
 class MigrationError(Exception):
     """A migration could not be performed."""
 
+    #: the failed run's :class:`MigrationStats` (``.obs`` attached: the
+    #: events, spans and counters of every attempt made), set on whatever
+    #: leaves ``migrate()``; ``None`` only when the arguments were refused
+    #: before a run began
+    stats: Optional[MigrationStats] = None
+
 
 class CollectError(MigrationError):
     """The collector itself failed (a dangling or fabricated pointer in
@@ -627,16 +633,6 @@ class _Run:
             m.inc(name, now - self._lookups0[name])
         if self.obs.events.dropped:
             m.inc("events.dropped", self.obs.events.dropped)
-        # latency distributions for the fleet roll-up: one observation
-        # per attempt span, plus whole-migration totals on success (the
-        # scheduler merges these snapshots, which is where p50/p99
-        # across migrations comes from)
-        for _path, sp in self.obs.tracer.iter_spans():
-            if sp.name == "attempt":
-                m.observe("engine.attempt_seconds", sp.seconds)
-        if self.adopted:
-            m.observe("engine.migration_seconds", stats.response_time)
-            m.observe("engine.downtime_seconds", stats.downtime)
         # an aborted collection skips Collector.finish(); make sure no
         # profiler reference outlives the migration it belonged to
         self.source.msrlt.profiler = None
@@ -885,9 +881,6 @@ class _Run:
             wall_s=round(restore_wall, 9),
             n_chunks=stats.n_chunks,
             occupancy=round(occupancy, 9),
-            # the link latency is paid once, by the first frame; the
-            # critical-path analyzer needs it to place the fill bubble
-            latency_s=round(link.latency_s, 9),
         )
 
 
@@ -954,7 +947,9 @@ class MigrationEngine:
         past ``degrade_after`` failed streaming attempts — graceful
         degradation to one monolithic transfer.  When every attempt
         fails, :class:`MigrationAbortedError` carries the last typed
-        error.  *checkpoint_path* snapshots the source to disk before
+        error; it and every other :class:`MigrationError` raised here
+        carry the failed run's stats and observation as ``.stats``.
+        *checkpoint_path* snapshots the source to disk before
         the first attempt, so even a host crash mid-migration can
         resume from the checkpoint.
 
@@ -1009,12 +1004,18 @@ class MigrationEngine:
             from repro.migration.checkpoint import checkpoint_to_file
 
             checkpoint_to_file(process, checkpoint_path)
-        with run.obs.activate():
-            try:
-                run.prepare()
-                run.precopy()
-                run.transfer()
-                run.adopt()
-            finally:
-                run.finish()
+        try:
+            with run.obs.activate():
+                try:
+                    run.prepare()
+                    run.precopy()
+                    run.transfer()
+                    run.adopt()
+                finally:
+                    run.finish()
+        except MigrationError as exc:
+            # the story of a failed migration is the one a failure
+            # investigation reads: it leaves with the error
+            exc.stats = run.stats
+            raise
         return run.dest, run.stats

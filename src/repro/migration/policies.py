@@ -189,10 +189,6 @@ class LoadBalancer:
                     if stats.obs is not None:
                         self.metrics.inc("balancer.migrations")
                         self.metrics.merge(stats.obs.metrics.snapshot())
-                        self.metrics.observe(
-                            "balancer.migration_seconds", stats.response_time
-                        )
-                        self.metrics.observe("balancer.downtime_seconds", stats.downtime)
                     self._procs[i] = new_proc
                     self._placement.pop(id(proc), None)
                     self._placement[id(new_proc)] = dest

@@ -187,13 +187,6 @@ class Scheduler:
             if stats.obs is not None:
                 self.metrics.inc("scheduler.migrations")
                 self.metrics.merge(stats.obs.metrics.snapshot())
-                # fleet latency surface: total time, downtime, and the
-                # merged per-attempt histogram give the p50/p99 read-out
-                # migrationd will serve (`self.metrics.quantile(...)`)
-                self.metrics.observe(
-                    "scheduler.migration_seconds", stats.response_time
-                )
-                self.metrics.observe("scheduler.downtime_seconds", stats.downtime)
             # re-home bookkeeping and re-arm remaining requests
             self._requests[id(new_proc)] = self._requests.pop(id(current), [])
             self._homes.pop(id(current), None)

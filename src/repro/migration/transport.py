@@ -261,6 +261,14 @@ class BaseChannel:
         :class:`SocketChannel` enforces it with a real socket timeout."""
         self.deadline = seconds
 
+    def _timed_out(self, what: str) -> ChannelTimeoutError:
+        """The recv timeout, saying which it was: a modeled channel
+        cannot block, so for it "nothing pending" *is* the timeout,
+        whether or not a deadline was set."""
+        if self.deadline is None:
+            return ChannelTimeoutError(f"recv timed out (no deadline set): {what}")
+        return ChannelTimeoutError(f"recv deadline ({self.deadline}s) expired: {what}")
+
     def abort_stream(self) -> None:
         """Tear down the send side of an in-flight stream so a blocked
         consumer fails with a typed error instead of hanging (no-op on
@@ -570,9 +578,8 @@ class SocketChannel(Channel):
             try:
                 piece = self._rx.recv(n - len(out))
             except TimeoutError:
-                raise ChannelTimeoutError(
-                    f"recv deadline ({self.deadline}s) expired mid-{context}: "
-                    f"peer stalled after {len(out)} of {n} bytes"
+                raise self._timed_out(
+                    f"peer stalled mid-{context} after {len(out)} of {n} bytes"
                 ) from None
             if not piece:
                 raise TruncatedFrameError(
@@ -834,14 +841,11 @@ class FaultyChannel(BaseChannel):
             raise ChannelClosedError("recv on a disconnected channel")
         if self._stalled:
             self._stalled = False
-            raise ChannelTimeoutError(
-                f"recv deadline ({self.deadline}s) expired: peer stalled "
-                f"mid-transfer (injected stall)"
-            )
+            raise self._timed_out("peer stalled mid-transfer (injected stall)")
         # a message queue cannot block: nothing pending after a dropped
         # payload is the deadline firing
         if queued and self.inner.pending == 0:
-            raise ChannelTimeoutError(f"recv deadline ({self.deadline}s) expired: {lost}")
+            raise self._timed_out(lost)
         return read()
 
     # -- lifecycle ---------------------------------------------------------

@@ -8,9 +8,9 @@ per ``MigrationEngine.migrate()`` call and bundles:
 
 - a :class:`~repro.obs.spans.Tracer` — the nested, thread-safe span
   tree every stage emits into (``MigrationStats`` is a read-out of it);
-- a :class:`~repro.obs.metrics.MetricsRegistry` — deterministic
-  counters/gauges (``msrlt.cache_hits``, ``wire.chunks_sent``,
-  ``engine.retries``, ``codec.bytes_saved``, ...), aggregated
+- a :class:`~repro.obs.metrics.MetricsRegistry` — deterministic named
+  counters (``msrlt.searches``, ``wire.chunks_sent``,
+  ``engine.retries``, ``codec.bytes_saved``, ...), summed
   cluster-wide by ``Scheduler``/``LoadBalancer``;
 - an :class:`~repro.obs.events.EventLog` — structured events (attempts,
   observed faults, degradation, per-chunk pipeline occupancy) exported
@@ -59,7 +59,6 @@ __all__ = [
     "bind",
     "event",
     "inc",
-    "observe",
     "validate_trace_obj",
     "validate_trace_lines",
     "validate_trace_file",
@@ -121,9 +120,7 @@ class MigrationObservation:
         """The migration's full trace as decoded JSONL lines: header,
         events (with a drop marker if the ring buffer overflowed),
         flattened span tree with propagation ids, the attribution table
-        when profiling was on, one ``histogram`` snapshot line per
-        registry histogram (full mergeable state, schema v3), and the
-        metrics snapshot."""
+        when profiling was on, and the metrics snapshot."""
         self.tracer.finish()
         end_ts = round(self.tracer.root.end_s or 0.0, 9)
         lines: list[dict] = [{
@@ -167,18 +164,10 @@ class MigrationObservation:
             if "scopes" in summary:
                 attr_line["scopes"] = summary["scopes"]
             lines.append(attr_line)
-        snap = self.metrics.snapshot()
-        for hname, hstate in snap["histograms"].items():
-            lines.append({
-                "event": "histogram",
-                "ts": end_ts,
-                "name": hname,
-                **hstate,
-            })
         lines.append({
             "event": "metrics",
             "ts": end_ts,
-            **snap,
+            **self.metrics.snapshot(),
         })
         return lines
 
@@ -287,8 +276,3 @@ def event(name: str, **fields) -> dict:
 def inc(name: str, n: int = 1) -> None:
     """Increment a counter on the active metrics registry."""
     current_metrics().inc(name, n)
-
-
-def observe(name: str, value: float) -> None:
-    """Add a histogram observation on the active metrics registry."""
-    current_metrics().observe(name, value)

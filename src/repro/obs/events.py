@@ -5,39 +5,37 @@ degradation, backoff, per-chunk pipeline occupancy) to an in-memory
 :class:`EventLog`; ``repro migrate --trace out.jsonl`` exports the log
 plus the span tree and the metrics snapshot as JSON-lines.
 
-Trace file format (one JSON object per line, schema version 3):
+Trace file format (one JSON object per line, schema version 4 — the one
+version this build writes and reads; a trace of another version is
+re-recorded, not converted):
 
-- line 1 is always ``{"event": "trace_header", "schema": 3, ...}`` and
+- line 1 is always ``{"event": "trace_header", "schema": 4, ...}`` and
   carries the migration's ``trace_id`` (16 hex chars);
 - every line has an ``"event"`` string and a non-negative ``"ts"``
   number (seconds since the migration's observation began);
+- event lines come next, in emission order, each of a type registered
+  in :data:`EVENT_REQUIRED_FIELDS` (attempts, faults, backoff,
+  degradation, per-chunk pipeline occupancy, the pre-copy rounds); a
+  ``trace_context`` event records the propagated identity the restore
+  side received (and the clock-offset estimate, see
+  :mod:`repro.obs.propagate`); an ``events_dropped`` marker says the
+  ring buffer overflowed and how many events were lost;
 - ``span`` lines carry the flattened span tree (``path`` is the
   '/'-joined location in the tree, ``seconds``/``count``/``thread``
   the measurement, ``span_id``/``parent_id`` the propagation identity:
   a root has ``parent_id == -1`` unless it was adopted from a remote
   trace, in which case its ``attrs.remote_parent`` names the foreign
   parent span);
-- a ``trace_context`` event records the propagated identity the restore
-  side received (and the clock-offset estimate, see
-  :mod:`repro.obs.propagate`); an ``attribution`` event carries the
-  per-type cost table; an ``events_dropped`` marker says the ring
-  buffer overflowed and how many events were lost;
-- the final ``metrics`` line carries the registry snapshot.
+- an ``attribution`` line carries the per-type cost table when
+  profiling was on;
+- the final ``metrics`` line carries the registry snapshot,
+  ``{"counters": {name: int, ...}}``.
 
-Schema version 3 (this PR) adds the iterative pre-copy protocol's
-events (``precopy_begin`` / ``precopy_round`` / ``precopy_end`` /
-``precopy_degraded`` — emitted since the pre-copy PR but, embarrassingly,
-never registered, so every ``--precopy --trace`` run validated INVALID)
-and one ``histogram`` snapshot line per registry histogram, carrying the
-full mergeable state (count/total/min/max plus exact ``values`` or log
-``buckets``, see :mod:`repro.obs.histograms`) so cross-trace roll-ups
-can reconstruct quantiles without access to the live registry.
-
-Schema-version-3 validation adds *structural* checks on top of the
-per-line field checks: span ids must be unique, every ``parent_id``
-must resolve to a span in the document (or be ``-1`` / declared via
-``attrs.remote_parent``), the document must carry exactly one
-trace header, and at most one ``metrics`` line.
+On top of the per-line field checks the validator checks the document
+*structurally*: span ids must be unique, every ``parent_id`` must
+resolve to a span in the document (or be ``-1`` / declared via
+``attrs.remote_parent``), the document must carry exactly one trace
+header, and at most one ``metrics`` line.
 
 Validation (:func:`validate_trace_lines`) is stdlib-only — ``json`` +
 hand-rolled field checks — so the CI tier-1 job can assert schema
@@ -62,7 +60,7 @@ __all__ = [
     "validate_trace_file",
 ]
 
-TRACE_SCHEMA_VERSION = 3
+TRACE_SCHEMA_VERSION = 4
 
 #: default ring-buffer bound of an :class:`EventLog` — generous (a
 #: per-chunk event stream at 64 KiB chunks reaches this around a 2 GiB
@@ -101,9 +99,7 @@ EVENT_REQUIRED_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
     "precopy_end": (("rounds", int), ("dirty_blocks", int),
                     ("cached_blocks", int), ("bytes", int)),
     "precopy_degraded": (("error_type", str), ("error", str)),
-    "histogram": (("name", str), ("count", int), ("total", (int, float)),
-                  ("min", (int, float)), ("max", (int, float))),
-    "metrics": (("counters", dict), ("gauges", dict), ("histograms", dict)),
+    "metrics": (("counters", dict),),
 }
 
 
@@ -211,8 +207,8 @@ _MISSING = object()
 def validate_trace_lines(text: str) -> list[str]:
     """Schema errors for a whole JSONL trace document.
 
-    Beyond per-line field checks, schema version 2 validates the span
-    tree *structurally*: span ids unique, every ``parent_id`` resolving
+    Beyond per-line field checks the span tree is validated
+    *structurally*: span ids unique, every ``parent_id`` resolving
     within the document (or ``-1`` for a root, or declared foreign via
     ``attrs.remote_parent`` — the adopted-tracer case), and exactly one
     ``trace_header``.

@@ -1,183 +1,60 @@
-"""The metrics registry: counters, gauges, and histograms.
+"""The metrics registry: named counters.
 
-Counter values are deliberately *counts, bytes, and ratios* — never
-wall-clock seconds — which is what makes a snapshot deterministic: two
-migrations driven by the same fault plan over the same payload produce
-byte-identical ``snapshot()`` counter sections, a property the test
-suite pins.  Histograms are the sanctioned home for seconds: they carry
-latency *distributions* (per-attempt, per-migration, downtime), backed
-by :class:`~repro.obs.histograms.LogHistogram` so quantiles stay
-deterministic functions of the observation multiset and merge is
-order-invariant even though the observed durations themselves vary run
-to run.
+Counter values are deliberately *counts and bytes* — never wall-clock
+seconds — which is what makes a snapshot deterministic: two migrations
+driven by the same fault plan over the same payload produce identical
+``snapshot()`` documents, a property the test suite pins.  Seconds live
+in the span tree (``MigrationStats`` is its read-out); distributions
+over many migrations are the benchmark harness's job, computed from
+outside over its samples.
 
 A :class:`MetricsRegistry` is per-migration (one lives on each
 ``MigrationObservation``); :meth:`merge` folds one snapshot into
-another, which is how ``Scheduler`` and ``LoadBalancer`` aggregate
-cluster-level totals — and now fleet-level p50/p99 latency surfaces —
-across every migration they conducted.
+another, which is how ``Scheduler`` and ``LoadBalancer`` sum
+cluster-level totals across every migration they conducted.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .histograms import LogHistogram, cumulative_buckets
-
-__all__ = [
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "snapshot_to_prometheus",
-]
+__all__ = ["MetricsRegistry", "NullMetrics", "NULL_METRICS"]
 
 
 class MetricsRegistry:
-    """Thread-safe named counters / gauges / histograms."""
+    """Thread-safe named counters."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
-        self._hists: dict[str, LogHistogram] = {}
-
-    # -- instruments -------------------------------------------------------
 
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter *name* by *n* (created at 0)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge *name* (last write wins)."""
-        with self._lock:
-            self._gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Add one observation to histogram *name*."""
-        with self._lock:
-            h = self._hists.get(name)
-            if h is None:
-                h = self._hists[name] = LogHistogram()
-            h.observe(value)
-
     def counter(self, name: str) -> int:
         """Current value of counter *name* (0 if never incremented)."""
         with self._lock:
             return self._counters.get(name, 0)
 
-    def histogram(self, name: str) -> LogHistogram:
-        """The live histogram *name* (created empty on first access)."""
-        with self._lock:
-            h = self._hists.get(name)
-            if h is None:
-                h = self._hists[name] = LogHistogram()
-            return h
-
-    def quantile(self, name: str, q: float) -> float:
-        """Quantile *q* of histogram *name* (0.0 if absent/empty)."""
-        with self._lock:
-            h = self._hists.get(name)
-            return h.quantile(q) if h is not None else 0.0
-
-    # -- read-out / aggregation --------------------------------------------
-
     def snapshot(self) -> dict:
-        """A deterministic, sorted, copy-safe view of every instrument.
-        Histogram entries are full :meth:`LogHistogram.to_dict` payloads
-        (count/total/min/max plus ``values`` or ``buckets``)."""
+        """A deterministic, sorted, copy-safe view: ``{"counters": …}``
+        (the trace file's ``metrics`` line)."""
         with self._lock:
-            return {
-                "counters": dict(sorted(self._counters.items())),
-                "gauges": dict(sorted(self._gauges.items())),
-                "histograms": {
-                    k: v.to_dict() for k, v in sorted(self._hists.items())
-                },
-            }
+            return {"counters": dict(sorted(self._counters.items()))}
 
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` into this registry (cluster roll-up):
-        counters add, gauges take the incoming value, histograms merge
-        order-invariantly (legacy four-stat dicts degrade gracefully)."""
+        counters add."""
         with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
+            for name, value in snapshot["counters"].items():
                 self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                self._gauges[name] = value
-            for name, h in snapshot.get("histograms", {}).items():
-                mine = self._hists.get(name)
-                if mine is None:
-                    mine = self._hists[name] = LogHistogram()
-                mine.merge(h)
 
     def iter_flat(self):
-        """Yield ``(name, value)`` pairs in sorted order — the
-        ``repro migrate --metrics`` report format.  Histograms expand to
-        ``name.count`` / ``name.total`` / ``name.min`` / ``name.max`` /
-        ``name.p50`` / ``name.p99``."""
-        with self._lock:
-            hists = {k: (v.summary(), v.quantile(0.5), v.quantile(0.99))
-                     for k, v in self._hists.items()}
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-        flat: dict[str, float] = {}
-        flat.update(counters)
-        flat.update(gauges)
-        for name, (summ, p50, p99) in hists.items():
-            for stat in ("count", "total", "min", "max"):
-                flat[f"{name}.{stat}"] = summ[stat]
-            flat[f"{name}.p50"] = p50
-            flat[f"{name}.p99"] = p99
-        yield from sorted(flat.items())
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """This registry in the Prometheus text exposition format."""
-        return snapshot_to_prometheus(self.snapshot(), prefix=prefix)
-
-
-def _prom_name(name: str, prefix: str) -> str:
-    """A metric name sanitized to Prometheus' ``[a-zA-Z_][a-zA-Z0-9_]*``
-    (dots and any other separators become underscores)."""
-    out = []
-    for ch in f"{prefix}_{name}":
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    text = "".join(out)
-    if text[0].isdigit():
-        text = "_" + text
-    return text
-
-
-def snapshot_to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` (or the ``metrics``
-    line of a JSONL trace) in the Prometheus text exposition format.
-
-    Counters become ``counter`` samples, gauges ``gauge`` samples, and
-    histograms expand to real ``histogram`` families: cumulative
-    ``_bucket{le="..."}`` series over the log-bucket boundaries (always
-    ending in ``le="+Inf"``) plus ``_sum`` and ``_count``.  Legacy
-    four-stat dicts degrade to a single mean-mass bucket rather than
-    being dropped.  For the stricter OpenMetrics flavor (suffix rules,
-    ``# EOF``), see :mod:`repro.obs.exporter`.
-    """
-    out: list[str] = []
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        prom = _prom_name(name, prefix)
-        out.append(f"# TYPE {prom} counter")
-        out.append(f"{prom} {value}")
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        prom = _prom_name(name, prefix)
-        out.append(f"# TYPE {prom} gauge")
-        out.append(f"{prom} {value}")
-    for name, h in sorted(snapshot.get("histograms", {}).items()):
-        prom = _prom_name(name, prefix)
-        out.append(f"# TYPE {prom} histogram")
-        for upper, cum in cumulative_buckets(h):
-            le = "+Inf" if upper != upper or upper == float("inf") \
-                else repr(upper)
-            out.append(f'{prom}_bucket{{le="{le}"}} {cum}')
-        out.append(f"{prom}_sum {h.get('total', 0.0)}")
-        out.append(f"{prom}_count {h.get('count', 0)}")
-    return "\n".join(out) + ("\n" if out else "")
+        """Yield ``(name, value)`` pairs in sorted order — what
+        ``repro migrate --metrics-out`` prints."""
+        yield from self.snapshot()["counters"].items()
 
 
 class NullMetrics:
@@ -186,23 +63,11 @@ class NullMetrics:
     def inc(self, name: str, n: int = 1) -> None:
         return None
 
-    def set_gauge(self, name: str, value: float) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        return None
-
     def counter(self, name: str) -> int:
         return 0
 
-    def histogram(self, name: str) -> LogHistogram:
-        return LogHistogram()
-
-    def quantile(self, name: str, q: float) -> float:
-        return 0.0
-
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}}
 
     def merge(self, snapshot: dict) -> None:
         return None

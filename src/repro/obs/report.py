@@ -4,14 +4,12 @@ A trace file (written by ``repro migrate --trace``) is a self-contained
 record of one migration: header, events, the flattened span tree, the
 per-type attribution table when profiling was on, and the final metrics
 snapshot.  This module loads one into a :class:`TraceDocument` and
-renders the four analyses the CLI exposes:
+renders the three analyses the CLI exposes:
 
 - :func:`render_report` — per-phase timing breakdown plus the
   attribution table (the paper's Table 1 view of a single trace);
 - :func:`render_top` — the heaviest rows by type, block class, or phase;
-- :func:`render_diff` — A-vs-B regression deltas of phases and counters;
-- :func:`export_prometheus` — the metrics snapshot in the Prometheus
-  text exposition format.
+- :func:`render_diff` — A-vs-B regression deltas of phases and counters.
 
 Everything is stdlib-only and raises the typed :class:`TraceReadError`
 on malformed input — the CLI turns that into a clean exit-2 message,
@@ -24,8 +22,6 @@ import json
 from pathlib import Path
 
 from repro.obs.events import TRACE_SCHEMA_VERSION
-from repro.obs.histograms import LogHistogram
-from repro.obs.metrics import snapshot_to_prometheus
 
 __all__ = [
     "TraceReadError",
@@ -34,8 +30,6 @@ __all__ = [
     "render_report",
     "render_top",
     "render_diff",
-    "render_histograms",
-    "export_prometheus",
 ]
 
 #: phase spans the report reads out of the span lines (summed over
@@ -57,7 +51,7 @@ class TraceDocument:
         self.spans: list[dict] = []
         self.events: list[dict] = []
         self.attribution: dict | None = None
-        self.metrics: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+        self.metrics: dict = {"counters": {}}
         for obj in lines:
             kind = obj.get("event")
             if kind == "trace_header":
@@ -284,42 +278,6 @@ def _render_precopy(doc: TraceDocument) -> list[str]:
     return out
 
 
-def render_histograms(doc: TraceDocument) -> str:
-    """The ``repro obs histo`` read-out: every histogram snapshot line
-    with its deterministic quantiles (see
-    :mod:`repro.obs.histograms`)."""
-    hists = doc.events_of("histogram")
-    if not hists:
-        # pre-snapshot-line traces: fall back to the metrics section
-        hists = [
-            {"name": name, **state}
-            for name, state in sorted(
-                doc.metrics.get("histograms", {}).items()
-            )
-        ]
-    if not hists:
-        return "no histograms in trace"
-    rows = []
-    for h in hists:
-        lh = LogHistogram.from_dict(h)
-        rows.append([
-            str(h.get("name", "?")),
-            str(lh.count),
-            f"{lh.mean * 1e3:.3f}",
-            f"{lh.quantile(0.5) * 1e3:.3f}",
-            f"{lh.quantile(0.9) * 1e3:.3f}",
-            f"{lh.quantile(0.99) * 1e3:.3f}",
-            f"{(lh.min if lh.count else 0.0) * 1e3:.3f}",
-            f"{(lh.max if lh.count else 0.0) * 1e3:.3f}",
-            "exact" if lh.exact else "bucketed",
-        ])
-    return _table(
-        ["histogram", "count", "mean_ms", "p50_ms", "p90_ms", "p99_ms",
-         "min_ms", "max_ms", "basis"],
-        rows,
-    )
-
-
 def render_top(doc: TraceDocument, by: str = "type", n: int = 10) -> str:
     """The *n* heaviest cost centers, grouped *by* type | block | phase."""
     if by == "phase":
@@ -394,8 +352,3 @@ def render_diff(a: TraceDocument, b: TraceDocument) -> str:
     if len(out) == 1:
         out.append("traces are equivalent (no phase or counter deltas)")
     return "\n".join(out)
-
-
-def export_prometheus(doc: TraceDocument, prefix: str = "repro") -> str:
-    """The trace's metrics snapshot as Prometheus text exposition."""
-    return snapshot_to_prometheus(doc.metrics, prefix=prefix)

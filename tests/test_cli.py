@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 import sys
 
 import pytest
 
 from repro.cli import main
+from repro.obs import validate_trace_file
 
 DEMO = """
 struct node { int v; struct node *next; };
@@ -208,6 +210,50 @@ class TestMigrateFaults:
     def test_bad_fault_spec_rejected(self, demo_c):
         with pytest.raises(SystemExit, match="bad --fault"):
             main(["migrate", demo_c, "--fault", "meteor@1"])
+
+    # the persistent drop sits on each mode's first data send
+    @pytest.mark.parametrize(
+        "mode", [["--stream", "--fault", "drop@1!"], ["--fault", "drop@0!"]],
+        ids=["stream", "mono"],
+    )
+    def test_failed_migration_leaves_its_trace_and_metrics(
+        self, demo_c, tmp_path, capsys, mode
+    ):
+        """The trace a failure investigation reads is the failed run's:
+        ``--trace`` / ``--metrics-out`` are honoured on that exit too."""
+        trace, metrics = tmp_path / "fail.jsonl", tmp_path / "fail.txt"
+        rc = main(
+            ["migrate", demo_c, "--after-polls", "7", *mode, "--retries", "1",
+             "--trace", str(trace), "--metrics-out", str(metrics)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.out == "sum=45\n"
+        assert "aborted after 2 attempt(s)" in captured.err
+        assert "resumed on source" in captured.err
+        assert "Nones" not in captured.err
+        assert validate_trace_file(trace) == []
+        events = [json.loads(ln)["event"] for ln in trace.read_text().splitlines()]
+        assert events.count("attempt_fail") == 2
+        assert "migration_end" not in events and events[-1] == "metrics"
+        assert "engine.attempts = 2\n" in metrics.read_text()
+
+
+class TestRemovedCommands:
+    def test_fleet_instruments_are_argparse_errors(self, demo_c, capsys):
+        """PR 10's profiler / analyzer / endpoint / trend commands are
+        gone outright: no stub answers for them."""
+        for argv in (
+            ["migrate", demo_c, "--profile", "x"],
+            ["obs", "serve", "t.jsonl"],
+            ["obs", "histo", "t.jsonl"],
+            ["obs", "flame", "t.folded"],
+            ["obs", "critical-path", "t.jsonl"],
+            ["obs", "export", "t.jsonl"],
+            ["obs", "bench-trend"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
 
 class TestCheckpointRestartCLI:

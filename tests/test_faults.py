@@ -43,6 +43,7 @@ from repro.migration.transport import (
 from repro.msr.graphplan import FlatPlan
 from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError as MsrRestoreError
+from repro.obs import validate_trace_lines
 from repro.msr.wire import (
     encode_chunk,
     encode_context_frame,
@@ -163,6 +164,21 @@ class TestFaultyChannelUnit:
         with pytest.raises(ChannelTimeoutError):
             ch.recv()
 
+    @pytest.mark.parametrize("deadline,says", [
+        (None, "recv timed out (no deadline set): "),
+        (0.5, "recv deadline (0.5s) expired: "),
+    ])
+    @pytest.mark.parametrize("kind", ["drop", "stall"])
+    def test_timeout_says_whether_a_deadline_was_set(self, kind, deadline, says):
+        """A modeled channel cannot block: nothing pending *is* its
+        timeout, with or without a deadline — and the message says which."""
+        ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse(f"{kind}@0"),
+                           deadline=deadline)
+        ch.send(b"vanishes")
+        with pytest.raises(ChannelTimeoutError) as excinfo:
+            ch.recv()
+        assert str(excinfo.value).startswith(says)
+
     def test_disconnect_kills_channel_until_reset(self):
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("disconnect@0"))
         with pytest.raises(ChannelClosedError):
@@ -279,6 +295,29 @@ class TestFaultMatrix:
         proc.migration_pending = False
         assert proc.run().status == "exit"
         assert proc.stdout == expected
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["mono", "stream"])
+    def test_abort_carries_the_failed_runs_stats(self, prog, streaming):
+        """What a failure investigation reads — attempts, aborted bytes,
+        the fault / attempt_fail / backoff events — leaves ``migrate()``
+        with the error, closed and consistent."""
+        channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@0!"))
+        with pytest.raises(MigrationAbortedError) as excinfo:
+            MigrationEngine().migrate(
+                stopped(prog), SPARC20, channel=channel, streaming=streaming,
+                chunk_size=64, retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
+            )
+        stats = excinfo.value.stats
+        assert stats.attempts == excinfo.value.attempts == 2
+        assert stats.retries == 1
+        obs = stats.obs
+        assert stats.aborted_bytes == obs.metrics.counter("engine.aborted_bytes") > 0
+        assert obs.metrics.counter("engine.attempts") == 2
+        assert [e["attempt"] for e in obs.events.of_type("attempt_fail")] == [1, 2]
+        assert len(obs.events.of_type("backoff")) == 1
+        assert not obs.events.of_type("migration_end")
+        assert obs.tracer.root.end_s is not None
+        assert validate_trace_lines(obs.to_jsonl()) == []
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["mono", "stream"])
     @pytest.mark.parametrize("kind", FAULT_KINDS)
@@ -613,21 +652,6 @@ MODES = {
 }
 
 
-@pytest.fixture
-def observations(monkeypatch):
-    """Every observation the engine builds (a failed ``migrate()``
-    returns no stats to reach it through)."""
-    built = []
-
-    class Recorded(engine_module.MigrationObservation):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(engine_module, "MigrationObservation", Recorded)
-    return built
-
-
 def assert_source_untouched(proc, observation, expected_stdout):
     """What every failed migration owes the source: no collection-time
     registrations, no profiler, a closed trace, and a process that runs
@@ -684,7 +708,7 @@ class TestCollectorFault:
         return prog, baseline.stdout
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_collector_fault_is_one_typed_error(self, dangling, observations, mode):
+    def test_collector_fault_is_one_typed_error(self, dangling, mode):
         prog, expected_stdout = dangling
         proc = stopped(prog)
         slept = []
@@ -699,9 +723,11 @@ class TestCollectorFault:
         assert "dangling or fabricated" in str(excinfo.value)
         assert not isinstance(excinfo.value, RETRYABLE_ERRORS)
         assert slept == []  # no retry or backoff was spent on it
-        (observation,) = observations
-        assert len(observation.tracer.find("attempt")) == (0 if mode == "precopy" else 1)
-        assert_source_untouched(proc, observation, expected_stdout)
+        # the error carries the failed run's stats and observation out
+        stats = excinfo.value.stats
+        assert stats.retries == 0 and stats.payload_bytes == 0
+        assert len(stats.obs.tracer.find("attempt")) == (0 if mode == "precopy" else 1)
+        assert_source_untouched(proc, stats.obs, expected_stdout)
 
 
 class TestRestorerFault:
@@ -722,7 +748,7 @@ class TestRestorerFault:
         ids=lambda e: type(e).__name__,
     )
     def test_interpreter_failures_are_not_retried(
-        self, prog, expected, observations, monkeypatch, exc, streaming
+        self, prog, expected, monkeypatch, exc, streaming
     ):
         monkeypatch.setattr(engine_module, "Restorer", self.failing_restorer(exc))
         proc = stopped(prog)
@@ -735,7 +761,7 @@ class TestRestorerFault:
         assert type(excinfo.value) is MigrationError
         assert excinfo.value.__cause__ is exc
         assert slept == []
-        assert_source_untouched(proc, observations[0], expected)
+        assert_source_untouched(proc, excinfo.value.stats.obs, expected)
 
     def test_damage_shaped_failures_stay_retryable(self, prog, monkeypatch):
         """The named family, one of each: a refused record, an id the
@@ -763,7 +789,7 @@ class TestRestorerFault:
         ids=lambda e: type(e).__name__,
     )
     def test_a_bug_inside_a_plan_is_not_transport_noise(
-        self, prog, expected, observations, monkeypatch, bug, streaming
+        self, prog, expected, monkeypatch, bug, streaming
     ):
         """Nothing outside the damage family is retried: a plan that
         raises like a programming error does fails the migration in its
@@ -783,6 +809,6 @@ class TestRestorerFault:
         assert type(excinfo.value) is MigrationError
         assert excinfo.value.__cause__ is bug
         assert slept == []
-        (observation,) = observations
+        observation = excinfo.value.stats.obs
         assert len(observation.tracer.find("attempt")) == 1
         assert_source_untouched(proc, observation, expected)

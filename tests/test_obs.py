@@ -16,6 +16,7 @@ from repro.arch import DEC5000, SPARC20
 from repro.migration import Cluster, ETHERNET_100M, Scheduler
 from repro.migration.engine import MigrationEngine, RetryPolicy
 from repro.migration.policies import LoadBalancer
+from repro.migration.precopy import PrecopyPolicy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import (
     Channel,
@@ -33,7 +34,7 @@ from repro.obs import (
     validate_trace_obj,
 )
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -199,44 +200,33 @@ class TestMetricsRegistry:
         m = MetricsRegistry()
         m.inc("z")
         m.inc("a")
-        m.set_gauge("g", 0.5)
         snap = m.snapshot()
+        assert snap == {"counters": {"a": 1, "z": 1}}
         assert list(snap["counters"]) == ["a", "z"]
         snap["counters"]["a"] = 99
         assert m.counter("a") == 1
 
-    def test_histograms(self):
-        m = MetricsRegistry()
-        for v in (2.0, 1.0, 4.0):
-            m.observe("h", v)
-        h = m.snapshot()["histograms"]["h"]
-        # small histograms stay exact: the snapshot carries the raw values
-        assert h == {"count": 3, "total": 7.0, "min": 1.0, "max": 4.0,
-                     "values": [1.0, 2.0, 4.0]}
-        assert m.quantile("h", 0.5) == 2.0
-        assert m.quantile("h", 0.99) == 4.0
-
-    def test_merge_adds_counters_and_merges_histograms(self):
+    def test_merge_adds_counters(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("n", 2)
-        a.observe("h", 1.0)
         b.inc("n", 3)
         b.inc("only_b")
-        b.observe("h", 9.0)
         a.merge(b.snapshot())
         assert a.counter("n") == 5 and a.counter("only_b") == 1
-        h = a.snapshot()["histograms"]["h"]
-        assert h["count"] == 2 and h["min"] == 1.0 and h["max"] == 9.0
 
-    def test_iter_flat_expands_histograms(self):
+    def test_iter_flat_is_the_sorted_counters(self):
         m = MetricsRegistry()
-        m.inc("c", 7)
-        m.observe("h", 2.0)
-        flat = dict(m.iter_flat())
-        assert flat["c"] == 7
-        assert flat["h.count"] == 1 and flat["h.total"] == 2.0
-        assert flat["h.p50"] == 2.0 and flat["h.p99"] == 2.0
-        assert list(flat) == sorted(flat)
+        m.inc("z", 7)
+        m.inc("a")
+        assert list(m.iter_flat()) == [("a", 1), ("z", 7)]
+
+    def test_surface_is_counters_only(self):
+        """One instrument per question: the registry counts, nothing
+        else, and the ambient no-op mirrors it exactly."""
+        surface = {"inc", "counter", "snapshot", "merge", "iter_flat"}
+        for cls in (MetricsRegistry, NullMetrics):
+            assert {n for n in vars(cls) if not n.startswith("_")} == surface
+        assert NullMetrics().snapshot() == MetricsRegistry().snapshot()
 
 
 # -- event log + trace schema -------------------------------------------------
@@ -458,6 +448,10 @@ class TestMigrationObservability:
         span_paths = {ln["path"] for ln in lines if ln["event"] == "span"}
         assert "migration" in span_paths
         assert any(p.endswith("/collect") for p in span_paths)
+        # the snapshot's machine-readable form: one line, counters only
+        assert lines[-1] == {"event": "metrics", "ts": lines[-1]["ts"],
+                             **stats.obs.metrics.snapshot()}
+        assert set(lines[-1]) == {"event", "ts", "counters"}
         # file export validates identically
         out = tmp_path / "trace.jsonl"
         stats.obs.write_trace(out)
@@ -512,6 +506,164 @@ class TestSpanReconciliation:
         base.run_to_completion()
         dest.run()
         assert dest.stdout == base.stdout
+
+
+# -- the instruments that stay agree where they overlap -----------------------
+
+# the PROGRAM above with poll-points left to slice on: every pass of the
+# tail loop writes one table cell and the ring head, so a pre-copy with
+# stop_dirty_blocks=0 never converges and runs exactly max_rounds slices
+SLICED_PROGRAM = """
+struct node { double w; struct node *next; };
+struct node *ring;
+double table[300];
+int main() {
+    int i;
+    for (i = 0; i < 40; i++) {
+        struct node *e = (struct node *) malloc(sizeof(struct node));
+        e->w = i * 0.5; e->next = ring; ring = e;
+    }
+    for (i = 0; i < 300; i++) table[i] = i * 1.25;
+    for (i = 0; i < 6; i++) {
+        migrate_here();
+        table[i] = table[i] + 1.0; ring->w = ring->w + i;
+    }
+    { struct node *p; double s = 0.0;
+      for (p = ring; p != NULL; p = p->next) s += p->w;
+      for (i = 0; i < 300; i++) s += table[i];
+      printf("%d", (int) s); }
+    return 0;
+}
+"""
+
+STREAM = dict(streaming=True, chunk_size=512)
+ONE_DROP = [Fault("drop", 2)]
+
+#: mode -> (migrate() keywords, the transient faults its channel injects)
+MODES = {
+    "mono": ({}, []),
+    "stream": (STREAM, []),
+    "stream+compress": (dict(STREAM, compress=True), []),
+    "precopy": (dict(precopy=True, precopy_policy=PrecopyPolicy(
+        max_rounds=3, stop_dirty_blocks=0)), []),
+    "retried": (dict(STREAM, retry=RetryPolicy(max_attempts=3, **NO_SLEEP)),
+                ONE_DROP),
+    "degraded": (dict(STREAM, retry=RetryPolicy(
+        max_attempts=3, degrade_after=1, **NO_SLEEP)), ONE_DROP),
+}
+
+
+@pytest.fixture(scope="module")
+def sliced_prog():
+    return compile_program(SLICED_PROGRAM, poll_strategy="user")
+
+
+def migrate_in_mode(prog, mode, attribution):
+    """One migration of *prog* in *mode*; returns its stats, the bytes
+    its channel accepted and the program's output."""
+    kwargs, faults = MODES[mode]
+    channel = FaultyChannel(Channel(LOOPBACK), FaultPlan(list(faults)))
+    dest, stats = MigrationEngine().migrate(
+        stopped(prog), SPARC20, channel=channel, attribution=attribution,
+        **kwargs,
+    )
+    dest.run()
+    return stats, channel.accepted_bytes, dest.stdout
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+class TestInstrumentsAgree:
+    """Where two of the instruments that stay report the same quantity
+    (DESIGN §9's table), they report the same number — in every transfer
+    mode, failed attempts included."""
+
+    def test_same_numbers_everywhere(self, sliced_prog, mode):
+        stats, wire, stdout = migrate_in_mode(sliced_prog, mode, True)
+        obs = stats.obs
+        base = Process(sliced_prog, DEC5000)
+        base.run_to_completion()
+        assert stdout == base.stdout
+        assert stats.attempts == (2 if mode in ("retried", "degraded") else 1)
+        assert stats.degraded == (mode == "degraded")
+        assert stats.precopy == (mode == "precopy")
+
+        # MigrationStats == the engine.* counters
+        counter = obs.metrics.counter
+        assert counter("engine.attempts") == stats.attempts
+        assert counter("engine.retries") == stats.retries
+        assert counter("engine.payload_bytes") == stats.payload_bytes
+        assert counter("engine.blocks") == stats.n_blocks
+        assert counter("engine.chunks") == stats.n_chunks
+        assert counter("engine.aborted_bytes") == stats.aborted_bytes
+        assert counter("engine.degraded") == int(stats.degraded)
+        assert counter("engine.precopy_degraded") == int(stats.precopy_degraded)
+        assert (stats.aborted_bytes > 0) == (stats.attempts > 1)
+
+        # MigrationStats == the span tree: the phase times are the
+        # successful attempt's spans, codec time is every attempt's
+        last = subtree(obs.tracer.find("attempt")[-1])
+        totals = stats.span_totals()
+        for phase, reported in (("collect", stats.collect_time),
+                                ("tx", stats.tx_time),
+                                ("restore", stats.restore_time)):
+            in_last = sum(s.seconds for s in last if s.name == phase)
+            assert in_last == pytest.approx(reported, rel=0.01), phase
+            if stats.attempts == 1:
+                assert totals[phase] == in_last
+            else:
+                assert totals[phase] >= in_last
+        assert totals["codec"] == pytest.approx(
+            stats.codec_time, rel=1e-9, abs=1e-12)
+        assert (stats.codec_time > 0) == (mode == "stream+compress")
+
+        # MigrationStats == the event log == the counters
+        events = obs.events
+        assert len(events.of_type("attempt_begin")) == stats.attempts
+        assert len(events.of_type("attempt_fail")) == stats.retries
+        assert len(events.of_type("degraded")) == int(stats.degraded)
+        rounds = events.of_type("precopy_round")
+        assert len(rounds) == stats.precopy_rounds == counter("precopy.rounds")
+        assert (sum(r["bytes"] for r in rounds) == stats.precopy_bytes
+                == counter("precopy.bytes"))
+        assert len(rounds) == (4 if mode == "precopy" else 0)  # snapshot + 3 slices
+
+        # the attribution table == stats and counters: every scope's
+        # byte column partitions that scope's payload (a failed attempt's
+        # collect work really happened and stays booked, so retried rows
+        # sum past the one payload that arrived), and its lookups are the
+        # lookups the registry counts
+        attr = stats.attribution
+        assert attr["payload_bytes"] == stats.payload_bytes
+        tables = [attr, *attr.get("scopes", {}).values()]
+        for table in tables:
+            booked = sum(r["bytes"] for r in table["rows"])
+            if stats.attempts == 1:
+                assert booked == table["payload_bytes"]
+            else:
+                assert booked > table["payload_bytes"]
+        assert sum(
+            r["msrlt_searches"] for table in tables for r in table["rows"]
+        ) == counter("msrlt.searches")
+
+        # observation on or off, the same bytes cross the channel
+        plain, plain_wire, plain_stdout = migrate_in_mode(sliced_prog, mode, False)
+        assert plain.attribution is None
+        assert (plain_wire, plain_stdout) == (wire, stdout)
+
+
+@pytest.mark.parametrize("mode", ["mono", "stream"])
+def test_untraced_migrate_never_walks_its_span_tree(prog, mode, monkeypatch):
+    """Observation off is bookkeeping off: nothing in ``migrate()`` —
+    ``finish()`` included — iterates the spans it recorded; only a trace
+    export does."""
+    walks = []
+    walk = Tracer.iter_spans
+    monkeypatch.setattr(
+        Tracer, "iter_spans", lambda self: walks.append(1) or walk(self))
+    _, stats = MigrationEngine().migrate(stopped(prog), SPARC20, **MODES[mode][0])
+    assert walks == []
+    stats.obs.to_jsonl()
+    assert walks == [1]
 
 
 # -- cluster-level aggregation ------------------------------------------------
@@ -573,12 +725,12 @@ class TestCli:
         src_file.write_text(PROGRAM)
         trace = tmp_path / "trace.jsonl"
         rc = main(["migrate", str(src_file), "--stream", "--compress",
-                   "--trace", str(trace), "--metrics"])
+                   "--trace", str(trace), "--metrics-out", "-"])
         assert rc == 0
         assert validate_trace_file(trace) == []
-        err = capsys.readouterr().err
-        assert f"[trace written to {trace}]" in err
-        assert "[metric] engine.attempts = 1" in err
+        captured = capsys.readouterr()
+        assert f"[trace written to {trace}]" in captured.err
+        assert "engine.attempts = 1\n" in captured.out
 
     def test_validator_cli(self, tmp_path, capsys):
         from repro.obs.validate import main as validate_main

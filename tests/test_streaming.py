@@ -210,6 +210,12 @@ class TestPipelinedLinkModel:
         assert stats.tx_time == pytest.approx(link.latency_s + framed * 8 / 1e6)
         per_chunk_sum = stats.n_chunks * link.transfer_time(framed // stats.n_chunks)
         assert stats.tx_time < per_chunk_sum  # latency paid once, not per chunk
+        # and the reported response is the closed form over the stage
+        # totals, the link's latency in its fill term only
+        assert stats.response_time == pipelined_response_time(
+            stats.collect_time, stats.tx_time, stats.restore_time,
+            stats.n_chunks, latency_s=link.latency_s,
+        )
 
     def test_single_chunk_degenerates_to_transfer_time(self, prog):
         _, stats = MigrationEngine().migrate(
