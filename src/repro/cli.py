@@ -70,6 +70,34 @@ def _arch(name: str):
         )
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=``: an integer no smaller than *low*.  A value
+    out of range is a usage error (exit 2, one line), not a traceback
+    from whatever policy object it would have reached."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse ``type=``: a duration in seconds, above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
+    return value
+
+
 def _compile(path: str, args) -> object:
     source = Path(path).read_text()
     try:
@@ -474,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("migrate", help="run with one mid-execution migration"))
     p.add_argument("--from", dest="src", default="dec5000", choices=list(ARCH_PRESETS))
     p.add_argument("--to", dest="dst", default="sparc20", choices=list(ARCH_PRESETS))
-    p.add_argument("--after-polls", type=int, default=1)
+    p.add_argument("--after-polls", type=_int_at_least(1), default=1)
     p.add_argument("--link", default="10m", choices=list(_LINKS))
     p.add_argument("--stream", action="store_true",
                    help="overlap collect/tx/restore via the chunked pipeline")
@@ -483,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compress", action="store_true",
                    help="adaptively zlib-compress the wire payload "
                         "(kept per unit only when it shrinks >= 10%%)")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=_int_at_least(0), default=0,
                    help="retry a failed transfer up to N times (fresh "
                         "channel, exponential backoff)")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive_seconds, default=None,
                    help="per-attempt recv deadline in seconds")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write the migration's JSONL trace (spans + events "
@@ -505,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="iterative pre-copy live migration: snapshot + "
                         "dirty-block delta rounds while the source keeps "
                         "running, then a bounded stop-and-copy")
-    p.add_argument("--max-rounds", type=int, default=8,
+    p.add_argument("--max-rounds", type=_int_at_least(0), default=8,
                    help="pre-copy delta round cap before forcing "
                         "stop-and-copy (default 8)")
     p.set_defaults(fn=cmd_migrate)
@@ -540,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("checkpoint", help="snapshot a process to a file"))
     p.add_argument("--arch", default="dec5000", choices=list(ARCH_PRESETS))
-    p.add_argument("--after-polls", type=int, default=1)
+    p.add_argument("--after-polls", type=_int_at_least(1), default=1)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_checkpoint)
 
@@ -551,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("graph", help="print the MSR graph at a poll-point"))
     p.add_argument("--arch", default="dec5000", choices=list(ARCH_PRESETS))
-    p.add_argument("--after-polls", type=int, default=1)
+    p.add_argument("--after-polls", type=_int_at_least(1), default=1)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(fn=cmd_graph)
 

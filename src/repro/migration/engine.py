@@ -702,7 +702,9 @@ class _Run:
         """Transactional restore: the attempt builds the new process off
         to the side, and only :meth:`adopt` grafts it onto the real
         destination.  A surviving pre-copy hands over its pre-warmed
-        scratch and the cached set the final collector is born with;
+        scratch and its ledgers — the final collector and restorer are
+        born owning them, nothing is copied or re-derived from a table
+        (a failed final pass drops the lot: :meth:`_degrade_precopy`);
         returns whether it did."""
         pre = self.pre_state
         if pre is None:
@@ -712,8 +714,10 @@ class _Run:
         from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
 
         self.scratch = pre.scratch
-        self._collector = partial(PrecopyFinalCollector, cached=pre.cached)
-        self._restorer = PrecopyFinalRestorer
+        self._collector = partial(
+            PrecopyFinalCollector, fresh=pre.fresh, stale=pre.stale
+        )
+        self._restorer = partial(PrecopyFinalRestorer, held=pre.held)
         return True
 
     def _restore(self, rbuf) -> "StateInfo":

@@ -31,17 +31,32 @@ armed during a collect would mark everything it read.  Since the
 interpreter and the engine share one thread, no write can slip between
 slice and drain.
 
-A round costs what the slice changed, not what the heap holds: the two
-ledgers of the destination's state (``held``: what it has; ``fresh``:
-what it has byte-identically) are read off the scratch once, after the
+A round costs what the slice changed, not what the heap holds, and so
+does the stop.  Three ledgers are read off the scratch once, after the
 snapshot, and then kept by each round's own ``freed`` / ``new`` /
-shipped lists; nothing between the snapshot and the stop walks a table.
+dirty / shipped lists:
+
+- ``held`` — what the destination has, logical id -> its scratch block
+  (a round's ``new`` blocks enter, its ``freed`` ones leave);
+- ``fresh`` — what it has byte-identically (a shipped block enters; a
+  written, deferred or freed one leaves);
+- ``stale`` — every other live non-stack block of the source, the
+  complement of ``fresh`` (a block a slice writes, allocates or a round
+  defers enters; one a round ships or a slice frees leaves).
+
+Nothing between the snapshot and the destination's resumption walks a
+table: the final pass is *handed* the ledgers (:class:`PrecopyState` —
+ownership moves, nothing is copied).  Its collector is born with
+``fresh`` as its visited set and takes its tail roots from ``stale``;
+its restorer is born with ``held`` as its mapping.
 
 Failure semantics: a retryable transport/restore failure during
 pre-copy degrades the migration to the plain stop-and-copy path (the
 half-built scratch is discarded, never reused); the source *exiting*
 during a slice is not degradable — there is no longer a process to
-migrate — and surfaces as :class:`PrecopySourceExitedError`.
+migrate — and surfaces as :class:`PrecopySourceExitedError`; the source
+*faulting* during one surfaces as :class:`PrecopySourceFaultedError`,
+with the guest's fault as its cause.
 """
 
 from __future__ import annotations
@@ -60,13 +75,17 @@ from repro.migration.engine import (
     restore_state,
 )
 from repro.msr.delta import apply_round, build_round
+from repro.msr.msrlt import MSRLTError
 from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.dirty import DirtyTracker
+from repro.vm.interpreter import VMError
+from repro.vm.memory import MemoryFault
 
 __all__ = [
     "PrecopyPolicy",
     "PrecopyState",
     "PrecopySourceExitedError",
+    "PrecopySourceFaultedError",
     "run_precopy",
 ]
 
@@ -91,14 +110,24 @@ class PrecopyPolicy:
 
 @dataclass(frozen=True)
 class PrecopyState:
-    """What a completed pre-copy phase hands the stop-and-copy attempt."""
+    """What a completed pre-copy phase hands the stop-and-copy attempt.
+
+    The three ledgers (module docstring) change hands with it: the final
+    collector and restorer own and grow them, so a state serves one
+    attempt — a failed one drops it and degrades to the plain pass."""
 
     #: the pre-warmed destination process (frames cleared, stack
     #: pointer reset — ready for the ordinary restore path)
     scratch: object
     #: logical ids whose destination contents are byte-fresh; the
-    #: final collector is born with them visited
-    cached: frozenset
+    #: final collector's visited set from its first record on
+    fresh: set
+    #: the source's other live non-stack blocks: all the final stream
+    #: can carry, and its tail roots
+    stale: set
+    #: logical id -> scratch block of what the destination holds; the
+    #: final restorer's mapping
+    held: dict
     #: measured seconds between the last slice's return and the end of
     #: the phase — the part of the pause that precedes the final stream
     stopped_s: float
@@ -107,6 +136,14 @@ class PrecopyState:
 class PrecopySourceExitedError(MigrationError):
     """The source process ran to completion during a pre-copy slice:
     there is nothing left to migrate (not retryable, not degradable)."""
+
+
+class PrecopySourceFaultedError(MigrationError):
+    """The source program faulted (a wild store, a double ``free``, a
+    division by zero) during a pre-copy slice.  The guest's own fault is
+    the ``__cause__``; the process is left as the fault left it, and no
+    retry or degraded pass could migrate it (not retryable, not
+    degradable)."""
 
 
 def _ship_round(channel, payload, chunk_size: int) -> tuple[bytes, int]:
@@ -135,11 +172,12 @@ def run_precopy(
     """Drive the pre-copy phase: snapshot, slices, delta rounds.
 
     On return the source is stopped at its latest poll-point, *scratch*
-    holds every shipped block, and the returned state's ``cached`` set
+    holds every shipped block, and the returned state's ``fresh`` set
     names the blocks the stop-and-copy stream need not carry.  Raises the
     engine's retryable error family on transport/restore failures (the
-    caller degrades to plain stop-and-copy) and
-    :class:`PrecopySourceExitedError` when the source finishes first.
+    caller degrades to plain stop-and-copy),
+    :class:`PrecopySourceExitedError` when the source finishes first and
+    :class:`PrecopySourceFaultedError` when it faults.
     """
     memory = process.memory
     if memory.dirty is not None:
@@ -187,11 +225,14 @@ def run_precopy(
         stats.precopy_codec_time += timed.seconds
         ship(0, payload, dirty_blocks=cinfo.stats.n_blocks, deferred=0, freed=0)
 
-    # the scratch's MSRLT is the ledger of what the destination holds
-    # (stack registrations were already dropped by the restore); from
-    # here on it is kept by what each round ships, not read again
-    held = {b.logical for b in scratch.msrlt.blocks()}
+    # the three ledgers.  The scratch's index is what the destination
+    # holds (stack registrations were already dropped by the restore);
+    # it is read this once and from here on kept by what each round
+    # ships.  The snapshot left nothing stale but the leaked blocks, and
+    # those enter with the first slice's ``new``
+    held = dict(scratch.msrlt.by_logical)
     fresh = set(held)
+    stale: set = set()
 
     msrlt = process.msrlt
     tracker = DirtyTracker(memory.stack_seg.base, memory.stack_seg.limit)
@@ -211,6 +252,11 @@ def run_precopy(
             process.migrate_after_polls = policy.slice_polls
             try:
                 result = process.run()
+            except (MemoryFault, MSRLTError, VMError) as exc:
+                raise PrecopySourceFaultedError(
+                    f"source faulted during a pre-copy slice "
+                    f"({type(exc).__name__}: {exc}); nothing was migrated"
+                ) from exc
             finally:
                 memory.dirty = None
                 msrlt.journal = None
@@ -251,8 +297,11 @@ def run_precopy(
             for logical, b in new.items():
                 dirty.setdefault(logical, (b, None))
             fresh.difference_update(dirty)
-            fresh.difference_update(freed)
-            held.difference_update(freed)
+            stale.update(dirty)
+            for logical in freed:
+                fresh.discard(logical)
+                stale.discard(logical)
+                del held[logical]
 
             if rounds >= policy.max_rounds or len(dirty) <= policy.stop_dirty_blocks:
                 # converged (or round cap): the remaining dirty/new blocks
@@ -271,7 +320,9 @@ def run_precopy(
 
             # -- ship one delta round --------------------------------------
             rounds += 1
-            held.update(new)
+            # a REF may name a new block from this round on; its scratch
+            # block exists once the round has landed
+            held.update(dict.fromkeys(new))
             with obs.span("precopy.round", n=rounds):
                 with obs.lap("precopy.collect") as timed, collect_errors():
                     rr = build_round(
@@ -283,7 +334,11 @@ def run_precopy(
                     rounds, rr.payload, dirty_blocks=len(dirty),
                     deferred=len(rr.deferred), freed=len(freed),
                 )
+            landed = scratch.msrlt.by_logical
+            for logical in new:
+                held[logical] = landed[logical]
             fresh.update(rr.shipped)
+            stale.difference_update(rr.shipped)
             stats.precopy_dirty_blocks += len(dirty)
     finally:
         memory.dirty = None
@@ -298,20 +353,18 @@ def run_precopy(
     scratch.frames.clear()
     scratch.memory.sp = scratch.memory.stack_seg.limit
 
-    # a fresh block is a live one: every slice's frees left the set
-    cached = frozenset(fresh)
     stats.precopy_rounds = rounds + 1  # the snapshot round counts
     obs.inc("precopy.rounds", rounds + 1)
     obs.inc("precopy.dirty_blocks", stats.precopy_dirty_blocks)
-    obs.inc("precopy.cached_blocks", len(cached))
+    obs.inc("precopy.cached_blocks", len(fresh))
     obs.event(
         "precopy_end",
         rounds=rounds + 1,
         dirty_blocks=stats.precopy_dirty_blocks,
-        cached_blocks=len(cached),
+        cached_blocks=len(fresh),
         bytes=stats.precopy_bytes,
     )
     return PrecopyState(
-        scratch=scratch, cached=cached,
+        scratch=scratch, fresh=fresh, stale=stale, held=held,
         stopped_s=time.perf_counter() - stopped_at,
     )

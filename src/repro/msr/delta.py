@@ -62,26 +62,33 @@ Rounds carry no ``BLOCK`` record: the destination holds every shippable
 target (earlier rounds or this round's ``new`` section).
 
 The final stop-and-copy stream is the ordinary full collection with the
-clean, already-delivered blocks (*cached*) born visited, so a clean
+clean, already-delivered blocks (*fresh*) born visited, so a clean
 global is one root ``REF`` and nothing behind a clean block is walked.
 What that walk used to find — a stale block reachable only through clean
 ones — travels in a **tail section** after the globals::
 
     (u8 1, root record)*  u8 0
 
-one ordinary root record per live non-stack block that is neither cached
-nor visited by then, in logical-id order.  With nothing cached the
-stream is the plain stream plus the terminator byte.
+one ordinary root record per live non-stack block that is neither fresh
+nor visited by then, in logical-id order.  With nothing fresh and
+nothing leaked the stream is the plain stream plus the terminator byte.
+
+Neither side finds those sets by reading a table out at the stop: the
+pre-copy loop (:func:`repro.migration.precopy.run_precopy`) keeps them
+as ledgers, round by round, and the final collector and restorer are
+born owning them — the pause costs what is stale, whatever the heap
+holds.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.msr.collect import Collector
+from repro.msr.graphplan import ARENA_REBUILD_BLOCKS_PER_POINTER
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.restore import RestoreError, Restorer
 from repro.msr.wire import read_logical, write_logical
@@ -121,9 +128,11 @@ class DeltaCollector(Collector):
     two rules below.
     """
 
-    def __init__(self, process, buf: WriteBuffer, known: set) -> None:
+    def __init__(self, process, buf: WriteBuffer, known) -> None:
         super().__init__(process, buf)
-        self._visited = known  # never grows: no BLOCK record is emitted
+        # only ever asked ``in`` (a set, or a dict's keys): it never
+        # grows, no BLOCK record is emitted
+        self._visited = known
 
     def _dangling(self, value: int) -> None:
         raise DeltaDefer(f"pointer {value:#x} has no shippable target") from None
@@ -136,16 +145,13 @@ class DeltaCollector(Collector):
 
 class _PrewarmedRestorer(Restorer):
     """A restorer of state that lands on what the scratch process already
-    holds: born with the mapping of every non-stack block registered
-    there, so a ``REF`` to a block no record of this payload defined
-    resolves.  (Build it once the blocks are registered.)"""
+    holds: born with *held*, the mapping of every non-stack block
+    registered there, so a ``REF`` to a block no record of this payload
+    defined resolves."""
 
-    def __init__(self, process, buf) -> None:
+    def __init__(self, process, buf, held: dict) -> None:
         super().__init__(process, buf)
-        self._mapping = self._held()
-
-    def _held(self) -> dict:
-        return self.msrlt.non_stack_by_logical()
+        self._mapping = held
 
     def _prefault_registered(self) -> None:
         # the snapshot restore materialized the windows; walking the
@@ -168,11 +174,8 @@ class DeltaRestorer(_PrewarmedRestorer):
     offered to one."""
 
     def __init__(self, process, buf) -> None:
-        super().__init__(process, buf)
+        super().__init__(process, buf, process.msrlt.by_logical)
         self.chain_backoff.skip = sys.maxsize
-
-    def _held(self) -> dict:
-        return self.msrlt.by_logical
 
     def _resolve_block(self, logical: tuple, info, count: int) -> MemoryBlock:
         raise RestoreError("BLOCK record in a delta round (rounds carry NULL/REF only)")
@@ -182,13 +185,24 @@ class PrecopyFinalCollector(Collector):
     """The stop-and-copy collector: a full collection pass in which the
     blocks the delta rounds already delivered are born visited.
 
-    *cached* is the set of logical ids whose destination copy is known
-    byte-fresh (shipped in some round and not dirtied since).
+    *fresh* and *stale* are ``run_precopy``'s ledgers of the source's
+    live non-stack blocks, handed over, not copied: *fresh* — the
+    destination's copy is byte-identical (shipped in some round and not
+    written since) — IS the visited set from the first record on, and
+    *stale* is every other one, the only blocks this pass can emit a
+    ``BLOCK`` record for besides the stack's.
     """
 
-    def __init__(self, process, buf: WriteBuffer, cached: Iterable[tuple] = ()) -> None:
+    def __init__(self, process, buf: WriteBuffer, fresh: set, stale: set) -> None:
         super().__init__(process, buf)
-        self._visited = set(cached)
+        self._visited = fresh
+        self._stale = stale
+        # a chain batch searches an arena built over the whole table; at
+        # most len(stale) nodes can ride one, so tail slots are offered
+        # only when that many pointers would pay for the build — the
+        # test a pointer array applies to itself
+        if len(stale) * ARENA_REBUILD_BLOCKS_PER_POINTER < len(self.msrlt):
+            self.chain_backoff.skip = sys.maxsize
 
     def save_tail(self) -> None:
         """Tail roots: the live non-stack blocks no root reached.  Behind
@@ -196,23 +210,20 @@ class PrecopyFinalCollector(Collector):
         point to (or none: the rounds ship leaked blocks too) is a root
         of its own."""
         visited = self._visited
-        stale = [
-            b for b in self.msrlt.blocks()
-            if b.logical[0] != BlockKind.STACK and b.logical not in visited
-        ]
-        stale.sort(key=lambda b: b.logical)
-        for block in stale:
-            if block.logical not in visited:  # an earlier tail root may lead here
+        lookup = self.msrlt.lookup_logical
+        for logical in sorted(self._stale):
+            if logical not in visited:  # a root, or an earlier tail root, may lead here
                 self.buf.write_u8(1)
-                self.save_variable(block)
+                self.save_variable(lookup(logical))
         self.buf.write_u8(0)
 
 
 class PrecopyFinalRestorer(_PrewarmedRestorer):
     """The stop-and-copy restorer, applied to the pre-warmed scratch: a
-    ``BLOCK`` record for a heap block the scratch holds restores *in
-    place* instead of allocating a duplicate, and the tail section is
-    read after the globals."""
+    ``BLOCK`` record for a heap block the scratch holds (*held*,
+    ``run_precopy``'s ledger of it, handed over and grown by this pass)
+    restores *in place* instead of allocating a duplicate, and the tail
+    section is read after the globals."""
 
     def restore_tail(self) -> None:
         while True:
@@ -283,7 +294,7 @@ def build_round(
     freed: Sequence[tuple],
     new_blocks: Sequence[MemoryBlock],
     dirty: Sequence[tuple],
-    known: set,
+    known,
 ) -> RoundResult:
     """Serialize one delta round on the source.
 
@@ -295,9 +306,9 @@ def build_round(
     the block-relative byte intervals the slice wrote (ascending,
     disjoint) when the destination's copy was byte-fresh before it, so
     that the block may ship as unit runs; ``None`` ships it whole.
-    *known* is what the destination holds once the ``new`` section is
-    applied — the only blocks a ``REF`` may name; see
-    :class:`DeltaCollector`.
+    *known* (a set of logical ids, or a dict keyed by them) is what the
+    destination holds once the ``new`` section is applied — the only
+    blocks a ``REF`` may name; see :class:`DeltaCollector`.
     """
     out = WriteBuffer()
     out.write_u32(round_no)

@@ -139,51 +139,37 @@ REF_DTYPE = np.dtype(record_dtype(_REF_HEAP))
 class SortedArena:
     """Immutable columnar snapshot of an MSRLT's sorted block arrays.
 
-    Built lazily by :meth:`MSRLT.arena` and cached until the table's
-    generation moves; ``lookup`` is the vectorized twin of
-    ``MSRLT.lookup_addr`` (same start-preference and one-past-end
-    semantics — see INTERNALS §14 for the equivalence argument).
+    Built by :meth:`MSRLT.arena` and cached until the table's generation
+    moves; ``lookup`` is the vectorized twin of ``MSRLT.lookup_addr``
+    (same start-preference and one-past-end semantics — see INTERNALS
+    §14 for the equivalence argument).  The columns cost ~0.25 µs per
+    block of the table, so only a caller that has that many addresses
+    to search asks for one: a long pointer array
+    (:data:`ARENA_REBUILD_BLOCKS_PER_POINTER`), or a chain whose scalar
+    pre-walk already linked :data:`MIN_CHAIN` nodes.
     """
 
     __slots__ = (
         "generation", "blocks", "starts", "ends", "kinds",
         "la", "tkeys", "counts",
-        "starts_l", "kinds_l", "tkeys_l", "counts_l",
     )
 
     def __init__(self, blocks, generation: int) -> None:
         self.generation = generation
-        self.blocks = list(blocks)  # aligned with the columns below
-        # plain-list mirrors for the scalar pre-walk: per-call `bisect`
-        # on a list beats `np.searchsorted` on one address, and the
-        # pre-walk runs once per tail pointer that *might* start a chain
-        self.starts_l = [b.addr for b in blocks]
-        self.kinds_l = [int(b.logical[0]) for b in blocks]
-        #: elem_type identity per block — the MemoryBlock objects in
-        #: ``blocks`` keep the type objects alive, so ids cannot recycle
-        self.tkeys_l = [id(b.elem_type) for b in blocks]
-        self.counts_l = [b.count for b in blocks]
-        # the NumPy columns cost ~2µs/block to build; workloads whose
-        # chains never pass the scalar pre-walk must not pay for them,
-        # so they materialize on the first vectorized lookup
-        self.starts = None
-        self.ends = None
-        self.kinds = None
-        self.la = None
-        self.tkeys = None
-        self.counts = None
-
-    def _materialize(self) -> None:
-        blocks = self.blocks
+        self.blocks = blocks = list(blocks)  # aligned with the columns below
         n = len(blocks)
-        self.starts = np.array(self.starts_l, np.int64)
+        self.starts = np.fromiter((b.addr for b in blocks), np.int64, count=n)
         self.ends = self.starts + np.fromiter(
             (b.size for b in blocks), np.int64, count=n
         )
-        self.kinds = np.array(self.kinds_l, np.uint8)
+        self.kinds = np.fromiter((b.logical[0] for b in blocks), np.uint8, count=n)
         self.la = np.fromiter((b.logical[1] for b in blocks), np.int64, count=n)
-        self.tkeys = np.array(self.tkeys_l, np.uint64)
-        self.counts = np.array(self.counts_l, np.int64)
+        #: elem_type identity per block — the MemoryBlock objects in
+        #: ``blocks`` keep the type objects alive, so ids cannot recycle
+        self.tkeys = np.fromiter(
+            (id(b.elem_type) for b in blocks), np.uint64, count=n
+        )
+        self.counts = np.fromiter((b.count for b in blocks), np.int64, count=n)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -200,8 +186,6 @@ class SortedArena:
         an address that is both block *i*'s end and block *j*'s start
         indexes *j* directly (start preference for free).
         """
-        if self.starts is None:
-            self._materialize()
         if len(self.starts) == 0:
             # empty arena (e.g. bulk lookup after drop_stack_blocks on a
             # heap-free program): nothing resolves
@@ -740,19 +724,16 @@ class ChainPlan:
         stride = t0 - a0
         if t0 == 0 or stride == 0 or abs(stride) < self.size:
             return None
-        arena = msrlt.heap_arena()
-        tkey = id(block.elem_type)
-        # cheap scalar pre-walk: vectorize only when at least MIN_CHAIN
-        # equally-spaced eligible nodes actually link up.  Tree-shaped
-        # data (where a "chain" is 2-3 coincidentally adjacent
-        # allocations) fails here in a few list bisects instead of a
-        # NumPy round-trip per node.  ``a0``'s own tail IS ``t0``, so
-        # the link load is skipped for the first hop.
-        starts_l = arena.starts_l
-        kinds_l = arena.kinds_l
-        tkeys_l = arena.tkeys_l
-        counts_l = arena.counts_l
-        heap_kind = int(BlockKind.HEAP)
+        # cheap scalar pre-walk over the table's own sorted arrays:
+        # vectorize (and build the arena that takes) only when at least
+        # MIN_CHAIN equally-spaced eligible nodes actually link up.
+        # Tree-shaped data (where a "chain" is 2-3 coincidentally
+        # adjacent allocations) fails here in a few list bisects instead
+        # of a table-sized build and a NumPy round-trip per node.
+        # ``a0``'s own tail IS ``t0``, so the link load is skipped for
+        # the first hop.
+        starts, blocks = msrlt.sorted_index
+        elem_type = block.elem_type
         visited = collector._visited
         # the first node's other pointers must be REFs (non-NULL, target
         # visited) or _build_rows ends the batch at zero rows: a list
@@ -763,9 +744,9 @@ class ChainPlan:
             ptr = memory.load("ptr", a0 + cell.offset)
             if ptr == 0:
                 return None
-            i = bisect_right(starts_l, ptr) - 1
+            i = bisect_right(starts, ptr) - 1
             if i >= 0:
-                owner = arena.blocks[i]
+                owner = blocks[i]
                 if ptr < owner.end and owner.logical not in visited:
                     return None
         tail_off = self.tail_off
@@ -773,14 +754,16 @@ class ChainPlan:
         nxt = t0
         linked = 1
         while True:
-            i = bisect_right(starts_l, nxt) - 1
+            i = bisect_right(starts, nxt) - 1
+            if i < 0:
+                break
+            node = blocks[i]
             if (
-                i < 0
-                or starts_l[i] != nxt
-                or kinds_l[i] != heap_kind
-                or tkeys_l[i] != tkey
-                or counts_l[i] != 1
-                or arena.blocks[i].logical in visited
+                node.addr != nxt
+                or node.logical[0] != BlockKind.HEAP
+                or node.elem_type is not elem_type
+                or node.count != 1
+                or node.logical in visited
             ):
                 break
             linked += 1
@@ -807,16 +790,16 @@ class ChainPlan:
             kmax = (a0 - lo) // astride + 1
             if a0 + astride > hi:
                 kmax = 0  # topmost element's stride window would overrun
+        # the one arena: the stride walk searches it for the nodes, row
+        # emission for the non-tail pointers' targets (stack and global
+        # blocks among them).  Built at most once per generation
+        arena = msrlt.arena()
         m, hostarr, serials = self._walk(
-            arena, seg, a0, stride, kmax, tkey, collector._visited
+            arena, seg, a0, stride, kmax, id(elem_type), visited
         )
         if m < MIN_CHAIN:
             return None
-        # row emission translates the non-tail pointer columns, whose
-        # targets may be stack or global blocks — that needs the FULL
-        # arena (built at most once per generation, and only on passes
-        # where a chain actually engaged)
-        rows, m = self._build_rows(collector, msrlt.arena(), hostarr, serials, m)
+        rows, m = self._build_rows(collector, arena, hostarr, serials, m)
         if m < MIN_CHAIN:
             return None
         for s in serials[:m].tolist():

@@ -114,11 +114,6 @@ class MSRLT:
         self.generation = 0
         self._last_hit_gen = -1
         self._arena = None  # lazily built repro.msr.graphplan.SortedArena
-        #: heap-block mutation generation: bumped only when a HEAP block
-        #: is (un)registered, so the chain plan's heap-only arena survives
-        #: the per-collection stack registration churn
-        self.heap_generation = 0
-        self._heap_arena = None
         #: counters reported by the complexity benchmarks (E5)
         self.n_searches = 0
         self.n_cache_hits = 0
@@ -158,8 +153,6 @@ class MSRLT:
             self._blocks.insert(i, block)
         self.n_registrations += 1
         self.generation += 1
-        if block.logical[0] == BlockKind.HEAP:
-            self.heap_generation += 1
         if self.journal is not None:
             self.journal.append(block)
         return block
@@ -244,7 +237,6 @@ class MSRLT:
         self._heap_serial = max(self._heap_serial, max(fresh)[1] + 1)
         self.n_registrations += len(blocks)
         self.generation += 1
-        self.heap_generation += 1
 
     def unregister(self, addr: int) -> None:
         """Remove the block starting exactly at *addr* (``free``)."""
@@ -256,9 +248,7 @@ class MSRLT:
         del self._by_logical[block.logical]
         self._last_hit = None  # a stale hit must never resolve a freed block
         self.generation += 1
-        if block.logical[0] == BlockKind.HEAP:
-            self.heap_generation += 1
-        elif block.logical[0] == BlockKind.STACK:
+        if block.logical[0] == BlockKind.STACK:
             self._stack.remove(block)
         if self.journal is not None:
             self.journal.append(block)
@@ -348,24 +338,6 @@ class MSRLT:
         a = self._arena
         return a is not None and a.generation == self.generation
 
-    def heap_arena(self):
-        """Heap-blocks-only arena snapshot, gated on ``heap_generation``.
-
-        The chain plan only ever matches HEAP blocks, and collection
-        registers/drops *stack* blocks around every pass — gating on the
-        heap generation lets the snapshot survive that churn instead of
-        being rebuilt once per collection.  Safe because the stack and
-        heap segments are disjoint: a bisect over heap starts can never
-        mistake a stack address for a heap block start.
-        """
-        a = self._heap_arena
-        if a is None or a.generation != self.heap_generation:
-            from repro.msr.graphplan import SortedArena
-
-            heap = [b for b in self._blocks if b.logical[0] == BlockKind.HEAP]
-            a = self._heap_arena = SortedArena(heap, self.heap_generation)
-        return a
-
     def count_searches(self, n: int) -> None:
         """Book *n* searches a plan resolved in bulk through an arena and
         then committed to the wire: counted, and attributed to the block
@@ -416,10 +388,21 @@ class MSRLT:
         between passes), so applying a round never walks the table."""
         return self._by_logical
 
+    @property
+    def sorted_index(self) -> tuple[list[int], list[MemoryBlock]]:
+        """The address-sorted parallel arrays themselves, ``(starts,
+        blocks)`` — live, not copies, and read-only by contract; any
+        registration may replace them, so read them afresh per use.  A
+        scalar probe (a chain pre-walk of a few bisects) reads these
+        where a bulk search builds an :meth:`arena`."""
+        return self._starts, self._blocks
+
     def non_stack_by_logical(self) -> dict[LogicalId, MemoryBlock]:
         """A copy of the logical-id index without the stack blocks: what
         a pass that lands on a pre-warmed process may ``REF`` before any
-        record of its own payload defined it."""
+        record of its own payload defined it.  Pre-copy keeps that as a
+        ledger (``run_precopy``'s ``held``) instead of reading it out at
+        the stop; this scan is what the tests hold the ledger to."""
         held = dict(self._by_logical)
         for block in self._stack:
             del held[block.logical]

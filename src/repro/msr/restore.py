@@ -110,7 +110,7 @@ class Restorer:
         their windows grow with the usual slack amortization.
         """
         spans: dict[str, tuple] = {}
-        for block in self.msrlt.arena().blocks:
+        for block in self.msrlt.sorted_index[1]:
             seg = self.memory.segment_of(block.addr)
             lo, hi = spans.get(seg.name, (block.addr, block.end))
             spans[seg.name] = (min(lo, block.addr), max(hi, block.end))

@@ -9,6 +9,7 @@ import pytest
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
 from repro.migration.engine import MigrationEngine, collect_state, restore_state
 from repro.migration.transport import LOOPBACK, Channel
+from repro.msr.graphplan import SortedArena
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import Restorer
 from repro.vm.memory import Memory
@@ -258,6 +259,20 @@ def precopy_wire(prog, src_arch, dst_arch, policy, polls: int = 1):
     # trace-context control frames carry per-migration ids
     wire = [frame for frame in channel.sent if frame[:4] != b"MCTX"]
     return wire, dest, stats
+
+
+@pytest.fixture
+def arena_builds(monkeypatch):
+    """The block count of every ``SortedArena`` built, in build order."""
+    builds = []
+    init = SortedArena.__init__
+
+    def counting(arena, blocks, generation):
+        builds.append(len(blocks))
+        init(arena, blocks, generation)
+
+    monkeypatch.setattr(SortedArena, "__init__", counting)
+    return builds
 
 
 @pytest.fixture

@@ -256,6 +256,44 @@ class TestRemovedCommands:
             assert exc.value.code == 2, argv
 
 
+class TestOutOfRangeNumbers:
+    CASES = [
+        (["migrate", "--retries", "-1"], "--retries: must be >= 0, got -1"),
+        (["migrate", "--precopy", "--max-rounds", "-1"],
+         "--max-rounds: must be >= 0, got -1"),
+        (["migrate", "--after-polls", "-1"], "--after-polls: must be >= 1, got -1"),
+        (["migrate", "--after-polls", "0"], "--after-polls: must be >= 1, got 0"),
+        (["migrate", "--timeout", "-1"], "--timeout: must be > 0 seconds, got -1"),
+        (["migrate", "--timeout", "0"], "--timeout: must be > 0 seconds, got 0"),
+        (["migrate", "--retries", "two"], "--retries: invalid int value: 'two'"),
+        (["checkpoint", "-o", "/dev/null", "--after-polls", "0"],
+         "--after-polls: must be >= 1, got 0"),
+        (["graph", "--after-polls", "-3"], "--after-polls: must be >= 1, got -3"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, complaint", CASES, ids=[" ".join(argv) for argv, _ in CASES]
+    )
+    def test_a_number_out_of_range_is_a_usage_error(
+        self, argv, complaint, demo_c, capsys
+    ):
+        """Exit 2 and one line naming the flag — not a ``ValueError``
+        traceback out of a policy object, and not silent acceptance."""
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], demo_c, *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: argument {complaint}")
+        assert "Traceback" not in err
+
+    def test_the_bounds_themselves_are_accepted(self, demo_c, capsys):
+        assert main([
+            "migrate", demo_c, "--after-polls", "1", "--retries", "0",
+            "--timeout", "0.5", "--precopy", "--max-rounds", "0",
+        ]) == 0
+        assert "output identical" in capsys.readouterr().err
+
+
 class TestCheckpointRestartCLI:
     def test_checkpoint_then_restart(self, demo_c, tmp_path, capsys):
         snap = str(tmp_path / "s.ckpt")

@@ -13,7 +13,7 @@ from repro.migration.engine import MigrationEngine, collect_state, restore_state
 from repro.migration.precopy import PrecopyPolicy, run_precopy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import LOOPBACK, Channel
-from repro.msr.graphplan import ChainPlan, SortedArena
+from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import MSRLT, BlockKind
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -211,6 +211,50 @@ class TestDedupShape:
         assert per_alias < 32  # a REF record, not a 512-byte copy
 
 
+# every slice writes two cells of a global, allocates a node and frees the
+# one before it, next to %d bystander list nodes nothing ever writes
+CHURN_BESIDE_BYSTANDERS_SRC = """
+struct node { int v; struct node *next; };
+struct node *keep;
+struct node *churn;
+int cells[64];
+
+int main() {
+    int i; struct node *n;
+    for (i = 0; i < %d; i++) {
+        n = (struct node *) malloc(sizeof(struct node));
+        n->v = i; n->next = keep; keep = n;
+    }
+    for (i = 0; i < 6; i++) {
+        migrate_here();
+        cells[i] = i + 1; cells[40 + i] = i;
+        n = (struct node *) malloc(sizeof(struct node));
+        n->v = i; n->next = NULL;
+        if (churn != NULL) free(churn);
+        churn = n;
+    }
+    migrate_here();
+    printf("%%d\\n", cells[3] + churn->v + keep->v);
+    return 0;
+}
+"""
+
+
+@pytest.fixture
+def walked(arena_builds, monkeypatch):
+    """How many table entries each wholesale read-out took: a call of
+    ``MSRLT.blocks`` / ``heap_blocks`` / ``non_stack_by_logical`` appends
+    its length to the list the arena builds append theirs to."""
+    for name in ("blocks", "heap_blocks", "non_stack_by_logical"):
+        def counting(table, inner=getattr(MSRLT, name)):
+            out = inner(table)
+            arena_builds.append(len(out))
+            return out
+
+        monkeypatch.setattr(MSRLT, name, counting)
+    return arena_builds
+
+
 class TestPrecopyRoundShape:
     """A pre-copy delta round costs what the slice wrote — in bytes, in
     arena builds and in table entries walked — not what the heap holds."""
@@ -238,18 +282,11 @@ class TestPrecopyRoundShape:
             framing.add(deltas[0] - 8 * n)
         assert len(framing) == 1 and framing.pop() < 64
 
-    def test_arena_builds_do_not_grow_with_the_rounds(self, monkeypatch):
+    def test_arena_builds_do_not_grow_with_the_rounds(self, arena_builds):
         """Every slice allocates, so every round finds the source's arena
         stale; a 20-pointer dirty run of ``hot`` in a ~600-block table
         is not worth rebuilding it (``ARENA_REBUILD_BLOCKS_PER_POINTER``)."""
-        builds = []
-        init = SortedArena.__init__
-
-        def counting(arena, blocks, generation):
-            builds.append(len(blocks))
-            init(arena, blocks, generation)
-
-        monkeypatch.setattr(SortedArena, "__init__", counting)
+        builds = arena_builds
         src = structgrid_source(256, 600)
         per_rounds = []
         for max_rounds in (2, 6):
@@ -261,53 +298,13 @@ class TestPrecopyRoundShape:
             per_rounds.append(len(builds))
         assert per_rounds[0] == per_rounds[1] > 0
 
-    def test_a_round_walks_what_changed_not_the_table(self, monkeypatch):
+    def test_a_round_walks_what_changed_not_the_table(self, walked, monkeypatch):
         """The same slices (two cells of a global, one new node, one node
         freed) next to 40 and next to 400 bystander heap blocks: between
         the snapshot and the stop, neither side may read the table out
         (``blocks()``, ``heap_blocks()``, an index copy, an arena build)
         in proportion to its size, and the drivers visit only what the
         rounds carry."""
-        src = """
-        struct node { int v; struct node *next; };
-        struct node *keep;
-        struct node *churn;
-        int cells[64];
-
-        int main() {
-            int i; struct node *n;
-            for (i = 0; i < %d; i++) {
-                n = (struct node *) malloc(sizeof(struct node));
-                n->v = i; n->next = keep; keep = n;
-            }
-            for (i = 0; i < 6; i++) {
-                migrate_here();
-                cells[i] = i + 1; cells[40 + i] = i;
-                n = (struct node *) malloc(sizeof(struct node));
-                n->v = i; n->next = NULL;
-                if (churn != NULL) free(churn);
-                churn = n;
-            }
-            migrate_here();
-            printf("%%d\\n", cells[3] + churn->v + keep->v);
-            return 0;
-        }
-        """
-        walked = []  # table entries read out wholesale, per call
-        for name in ("blocks", "heap_blocks", "non_stack_by_logical"):
-            def counting(table, inner=getattr(MSRLT, name)):
-                out = inner(table)
-                walked.append(len(out))
-                return out
-
-            monkeypatch.setattr(MSRLT, name, counting)
-        init = SortedArena.__init__
-
-        def counting_arena(arena, blocks, generation):
-            walked.append(len(blocks))
-            init(arena, blocks, generation)
-
-        monkeypatch.setattr(SortedArena, "__init__", counting_arena)
         run = Process.run
         slices = []
 
@@ -322,16 +319,49 @@ class TestPrecopyRoundShape:
         policy = PrecopyPolicy(max_rounds=4, stop_dirty_blocks=0, slice_polls=1)
         costs = []
         for bystanders in (40, 400):
-            proc = stopped(src % bystanders)
+            proc = stopped(CHURN_BESIDE_BYSTANDERS_SRC % bystanders)
             del slices[:]
             stats = MigrationStats()
             state = run_precopy(
                 proc, Process(proc.program, SPARC20), Channel(LOOPBACK), policy, stats, 4096
             )
             # the snapshot, four delta rounds, and the last slice's free
-            assert stats.precopy_rounds == 6 and len(state.cached) > bystanders
+            assert stats.precopy_rounds == 6 and len(state.fresh) > bystanders
             costs.append((sum(walked), stats.precopy_round_bytes[1:]))
         # 4 rounds x (cells, churn, the new node) and one free each after the first
         assert stats.precopy_dirty_blocks == 12
         assert costs[0] == costs[1]
         assert costs[0][0] <= 4 * stats.precopy_dirty_blocks
+
+
+class TestPrecopyPauseShape:
+    """The pause — from the last slice's return to ``migrate()``'s — costs
+    what is stale, not what the heap holds: the final pass is handed the
+    ledgers the rounds kept, so neither side reads a table out, copies
+    an index or builds an arena no pass of it can use."""
+
+    def test_the_pause_walks_what_is_stale_not_the_table(self, walked, monkeypatch):
+        run = Process.run
+
+        def slicing(process, *args):
+            result = run(process, *args)
+            del walked[:]  # all that is behind the last slice's return
+            return result
+
+        monkeypatch.setattr(Process, "run", slicing)
+
+        policy = PrecopyPolicy(max_rounds=4, stop_dirty_blocks=0, slice_polls=1)
+        costs = []
+        for bystanders in (40, 400):
+            dest, stats = MigrationEngine().migrate(
+                stopped(CHURN_BESIDE_BYSTANDERS_SRC % bystanders), SPARC20,
+                precopy=True, precopy_policy=policy,
+            )
+            costs.append((list(walked), stats.n_blocks))
+            assert stats.precopy and not stats.precopy_degraded
+            assert len(dest.msrlt) > bystanders
+            assert dest.run().status == "exit"
+            assert dest.stdout == f"{4 + 5 + bystanders - 1}\n"
+        # the final stream is main's locals and what the last slice wrote
+        # (cells, churn, the new node), read off no table
+        assert costs[0] == costs[1] and costs[0][0] == []

@@ -26,6 +26,7 @@ Contracts under test:
 
 import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,8 +42,11 @@ from repro.migration.engine import (
     restore_state,
     restore_state_stream,
 )
-from repro.migration.precopy import PrecopyPolicy
+from repro.migration.precopy import PrecopyPolicy, run_precopy
+from repro.migration.stats import MigrationStats
+from repro.migration.transport import LOOPBACK, Channel
 from repro.msr import graphplan
+from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
 from repro.msr.graphplan import (
     ChainPlan,
     FlatPlan,
@@ -61,6 +65,7 @@ from tests.conftest import (
     longlist_source,
     plans_off,
     precopy_wire,
+    stopped,
     stopped_at,
     table_state,
 )
@@ -154,17 +159,6 @@ class TestGenerationInvalidation:
         a2 = table.arena()
         assert a2 is not a1 and len(a2.blocks) == 2
 
-    def test_heap_arena_survives_stack_churn(self, table):
-        """Collection registers/drops stack blocks around every pass;
-        the heap-gated arena must not be rebuilt by that churn."""
-        table.register_heap(0x2000, INT, 1)
-        h1 = table.heap_arena()
-        table.register_stack(0, 0, 0x7000, INT, name="s")
-        table.drop_stack_blocks()
-        assert table.heap_arena() is h1
-        table.unregister(0x2000)  # heap mutation DOES invalidate
-        assert table.heap_arena() is not h1
-
     def test_stale_arena_never_resolves_dropped_stack_blocks(self, table):
         table.register_stack(0, 0, 0x7000, INT, name="s")
         idx, _ = table.arena().lookup(np.asarray([0x7000], dtype=np.int64))
@@ -218,10 +212,10 @@ class TestRegisterHeapBulk:
         table.drop_stack_blocks()
         assert table._blocks == [a, b, mid, c]
 
-    def test_bulk_bumps_heap_generation(self, table):
-        before = table.heap_generation, table.generation
+    def test_bulk_bumps_generation(self, table):
+        stale = table.arena()
         table.register_heap_bulk(_heap_blocks([0x2000, 0x2010], [0, 1]))
-        assert table.heap_generation > before[0] and table.generation > before[1]
+        assert not table.arena_is_current() and table.arena() is not stale
         table.register_heap_bulk([])  # nothing to register, nothing changes
         assert table.n_registrations == 2
 
@@ -606,6 +600,34 @@ int main() {
 """.replace("%N%", str(n))
 
 
+# a table of bystanders the snapshot ships, then one slice that builds an
+# evenly spaced chain: all of it is in the final stream
+LATE_CHAIN_SRC = r"""
+struct node { int id; double weight; struct node *next; };
+struct node *keep;
+struct node *late;
+int main() {
+    int i, acc;
+    struct node *p;
+    for (i = 0; i < %d; i++) {
+        p = (struct node *) malloc(sizeof(struct node));
+        p->id = i; p->weight = i * 0.5; p->next = keep; keep = p;
+    }
+    migrate_here();
+    for (i = 0; i < %d; i++) {
+        p = (struct node *) malloc(sizeof(struct node));
+        p->id = i; p->weight = i * 0.25; p->next = late; late = p;
+    }
+    migrate_here();
+    acc = 0;
+    for (p = late; p != NULL; p = p->next) acc = (acc * 31 + p->id) %% 1000003;
+    for (p = keep; p != NULL; p = p->next) acc = (acc * 31 + p->id) %% 1000003;
+    printf("acc=%%d", acc);
+    return 0;
+}
+"""
+
+
 class TestChainBackoff:
     def test_deep_irregular_list_backs_off_preorder(self, engaged):
         """300 irregularly spaced records: every probe misses.  The miss
@@ -643,6 +665,59 @@ class TestChainBackoff:
         restore_state(proc.program, planned, dest)
         assert engaged["restore batches"] == 1
         assert dest.run().status == "exit"
+
+    @pytest.mark.parametrize("workload", [
+        (longlist_source(300), 1), WORKLOADS["bitonic"],
+    ], ids=["irregular-list", "tree"])
+    def test_a_declined_probe_builds_no_arena(self, workload, engaged, arena_builds):
+        """Data that never batches is told so by a few bisects over the
+        table's own sorted arrays; the table-sized arena is built only
+        once a pre-walk has linked ``MIN_CHAIN`` nodes."""
+        proc = stopped_at(*workload, SPARC20)
+        del arena_builds[:]
+        collect_state(proc)
+        assert engaged["save batches", "calls"] > 0
+        assert engaged["save batches"] == 0 and arena_builds == []
+
+    @pytest.mark.parametrize("nodes, batched", [(32, False), (300, True)])
+    def test_final_pass_offers_chains_only_when_stale_pays_for_the_arena(
+        self, nodes, batched, engaged, arena_builds
+    ):
+        """The pre-copy final collector can emit at most ``len(stale)``
+        nodes: a 32-node chain the last slice built in a 1 000-block
+        table is walked by the driver (no probe, no arena), a 300-node
+        one is batched — and both streams are the per-cell oracle's."""
+        prog = compile_program(
+            LATE_CHAIN_SRC % (1000 - nodes, nodes), poll_strategy="user"
+        )
+        expected = Process(prog, DEC5000)
+        expected.run_to_completion()
+        proc = stopped(prog, DEC5000)
+        scratch = Process(prog, SPARC20)
+        state = run_precopy(
+            proc, scratch, Channel(LOOPBACK), PrecopyPolicy(max_rounds=0),
+            MigrationStats(), 4096,
+        )
+        assert len(proc.msrlt) in range(1000, 1010) and nodes <= len(state.stale) < nodes + 4
+
+        def final(process, buf):
+            return PrecopyFinalCollector(process, buf, set(state.fresh), state.stale)
+
+        with plans_off(proc):
+            oracle, _ = collect_state(proc, final)
+        engaged.clear()
+        del arena_builds[:]
+        planned, info = collect_state(proc, final)
+        assert planned == oracle and info.stats.n_blocks >= nodes
+        if batched:
+            assert engaged["save batches"] >= 1 and len(arena_builds) == 1
+        else:
+            assert engaged["save batches", "calls"] == 0 and arena_builds == []
+        restore_state(
+            prog, planned, scratch, partial(PrecopyFinalRestorer, held=state.held)
+        )
+        assert scratch.run().status == "exit"
+        assert proc.stdout + scratch.stdout == expected.stdout
 
     def test_longlist_246_migrates_at_default_recursion_limit(self):
         """Frames per pointer hop must not grow: N = 246 was the longest

@@ -1,5 +1,7 @@
 """Tests for the VM interpreter and per-architecture specialization."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
@@ -108,9 +110,13 @@ class TestInterpreterMechanics:
         prog = compile_program(
             "int f(int n) { return f(n + 1); } int main() { return f(0); }"
         )
-        proc = Process(prog, ULTRA5)
+        # a 256 KiB stack overflows like the preset's 128 MiB one does,
+        # a few thousand frames in instead of a few million
+        small = dataclasses.replace(ULTRA5, segment_size=0x4_0000)
+        proc = Process(prog, small)
         with pytest.raises(MemoryFault, match="overflow"):
             proc.run_to_completion()
+        assert len(proc.frames) > 1000
 
     def test_frames_freed_on_return(self):
         prog = compile_program(

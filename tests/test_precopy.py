@@ -10,6 +10,7 @@ that pre-copy machinery is inert when not requested.
 """
 
 import struct
+from functools import partial
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.migration import precopy as precopy_module
 from repro.migration.precopy import (
     PrecopyPolicy,
     PrecopySourceExitedError,
+    PrecopySourceFaultedError,
     run_precopy,
 )
 from repro.migration.stats import MigrationStats
@@ -64,6 +66,7 @@ from repro.msr.wire import (
     write_logical,
 )
 from repro.vm.dirty import DirtyTracker
+from repro.vm.memory import MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.workloads import structgrid_source
@@ -491,6 +494,46 @@ class TestPrecopyEngine:
         # the source genuinely finished; its output is intact
         assert proc.exited and proc.stdout == "2\n"
 
+    def test_source_fault_during_slice_is_typed(self):
+        """The guest stores through a NULLed pointer two polls after the
+        stop: that is the program's fault, not wire damage — one typed
+        error with the guest's fault as its cause, no retry, no degraded
+        pass, the source left where the fault left it."""
+        src = """
+        int cells[64];
+        int *p;
+        int main() {
+            int r; int i;
+            p = &cells[0];
+            for (r = 0; r < 8; r++) {
+                migrate_here();
+                for (i = 0; i < 64; i++) cells[i] = r + i;
+                if (r == 2) p = NULL;
+                *p = r;
+            }
+            printf("%d\\n", cells[0]);
+            return 0;
+        }
+        """
+        proc = _stopped(_compile(src), ULTRA5)
+        with pytest.raises(PrecopySourceFaultedError, match="NULL pointer") as excinfo:
+            ENGINE.migrate(
+                proc, SPARC20, precopy=True,
+                retry=RetryPolicy(max_attempts=3, sleep=lambda _s: None),
+                precopy_policy=PrecopyPolicy(
+                    max_rounds=6, stop_dirty_blocks=0, slice_polls=1
+                ),
+            )
+        error = excinfo.value
+        assert isinstance(error.__cause__, MemoryFault)
+        stats = error.stats
+        assert stats.retries == 0 and not stats.precopy_degraded
+        # the snapshot and the two rounds before the fault did ship
+        assert len(stats.precopy_round_bytes) == 3
+        assert stats.obs.events.of_type("precopy_degraded") == []
+        assert not proc.exited and proc.frames and proc.polls == 3
+        assert proc.memory.dirty is None and proc.msrlt.journal is None
+
     def test_degrades_to_stop_and_copy_on_round_failure(self):
         class BrokenDeltaChannel(Channel):
             def __init__(self, link):
@@ -564,18 +607,18 @@ def test_collector_fault_in_a_round_is_typed():
 
 
 def test_final_collector_with_empty_cache_is_byte_identical():
-    """PrecopyFinalCollector(cached=∅) must produce exactly the plain
-    collector's stream plus the tail section's terminator byte — born
-    visited is inert until earned — and restore like it."""
+    """PrecopyFinalCollector with empty ledgers must produce exactly the
+    plain collector's stream plus the tail section's terminator byte —
+    born visited is inert until earned — and restore like it."""
     prog = _compile(MUTATOR_SRC)
     proc = _stopped(prog, ULTRA5)
     plain, _ = collect_state(proc)
     finalized, _ = collect_state(
-        proc, lambda p, b: PrecopyFinalCollector(p, b, cached=())
+        proc, lambda p, b: PrecopyFinalCollector(p, b, fresh=set(), stale=set())
     )
     assert finalized == plain + b"\x00"
     dest = Process(prog, SPARC20)
-    restore_state(prog, finalized, dest, PrecopyFinalRestorer)
+    restore_state(prog, finalized, dest, partial(PrecopyFinalRestorer, held={}))
     reference = Process(prog, SPARC20)
     restore_state(prog, plain, reference)
     assert collect_state(dest)[0] == collect_state(reference)[0]
@@ -843,26 +886,27 @@ class TestHostileFinalStream:
                 super().save_variable(block)
 
         payload, _ = collect_state(
-            proc, lambda p, b: Noting(p, b, cached=state.cached)
+            proc, lambda p, b: Noting(p, b, state.fresh, state.stale)
         )
+        self.restorer = partial(PrecopyFinalRestorer, held=state.held)
         return prog, scratch, bytes(payload), head_at[0]
 
     def test_pristine_final_payload_restores(self, final):
         prog, scratch, payload, head_at = final
         assert payload[head_at] == 1  # a clean global is one root REF
         assert payload[-1] == 0  # the tail section's terminator
-        restore_state(prog, payload, scratch, PrecopyFinalRestorer)
+        restore_state(prog, payload, scratch, self.restorer)
 
     def test_bad_tail_marker_is_typed(self, final):
         prog, scratch, payload, _ = final
         with pytest.raises(MsrRestoreError, match="bad tail marker 7"):
-            restore_state(prog, payload[:-1] + b"\x07", scratch, PrecopyFinalRestorer)
+            restore_state(prog, payload[:-1] + b"\x07", scratch, self.restorer)
 
     def test_tag_three_is_a_bad_tag(self, final):
         prog, scratch, payload, head_at = final
         forged = payload[:head_at] + b"\x03" + payload[head_at + 1 :]
         with pytest.raises(MsrRestoreError, match="bad record tag 3"):
-            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+            restore_state(prog, forged, scratch, self.restorer)
 
     @pytest.mark.parametrize("lead, lie", [
         (0x01 | 3 << 2, "unknown block kind 3"),
@@ -877,7 +921,7 @@ class TestHostileFinalStream:
         prog, scratch, payload, head_at = final
         forged = payload[:head_at] + bytes([lead]) + payload[head_at + 1 :]
         with pytest.raises(MsrRestoreError, match=lie):
-            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+            restore_state(prog, forged, scratch, self.restorer)
         assert_table_whole(scratch)
 
     @staticmethod
@@ -904,7 +948,7 @@ class TestHostileFinalStream:
             payload[:at] + spelled_out(header, bit, field) + payload[at + len(header):]
         )
         with pytest.raises(MsrRestoreError, match=lie):
-            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+            restore_state(prog, forged, scratch, self.restorer)
         assert_table_whole(scratch)
 
     def test_block_restored_in_place_must_keep_its_size(self, final):
@@ -919,7 +963,7 @@ class TestHostileFinalStream:
             + payload[at + len(header):]
         )
         with pytest.raises(MsrRestoreError, match="pre-copied block is"):
-            restore_state(prog, forged, scratch, PrecopyFinalRestorer)
+            restore_state(prog, forged, scratch, self.restorer)
 
     @pytest.fixture
     def forged_tail(self, monkeypatch):
@@ -928,7 +972,18 @@ class TestHostileFinalStream:
 
         monkeypatch.setattr(PrecopyFinalCollector, "save_tail", save_tail)
 
-    def test_engine_degrades_to_plain_stop_and_copy(self, forged_tail):
+    def test_engine_degrades_to_plain_stop_and_copy(self, forged_tail, monkeypatch):
+        """The failed final pass owned the ledgers and grew them (its
+        visited marks, its stack and new-block mappings); the plain pass
+        that follows starts from none of it."""
+        handed = []
+
+        def noting(*args):
+            state = run_precopy(*args)
+            handed.append((state, len(state.fresh), len(state.held)))
+            return state
+
+        monkeypatch.setattr(precopy_module, "run_precopy", noting)
         prog = _compile(TAIL_SRC)
         dest, stats = _precopy_migrate(
             prog, ULTRA5, SPARC20, policy=TWO_ROUNDS,
@@ -936,6 +991,8 @@ class TestHostileFinalStream:
         )
         assert stats.precopy_degraded and not stats.precopy
         assert stats.attempts == 2 and stats.precopy_downtime_s == 0.0
+        ((state, n_fresh, n_held),) = handed
+        assert len(state.fresh) > n_fresh and len(state.held) > n_held
         _assert_like_unmigrated(dest, run_baseline(prog, ULTRA5))
 
     def test_source_stays_resumable_without_retries(self, forged_tail):
@@ -1263,16 +1320,17 @@ class TestOneAllocationPath:
 
     @staticmethod
     def prewarmed(prog, src_arch, dst_arch):
-        """(stopped source, pre-warmed scratch, final payload)."""
+        """(pre-warmed scratch, final payload, the restorer born with
+        what the scratch holds)."""
         proc = _stopped(prog, src_arch)
         scratch = Process(prog, dst_arch)
         state = run_precopy(
             proc, scratch, Channel(LOOPBACK), TWO_ROUNDS, MigrationStats(), 4096
         )
         payload, _ = collect_state(
-            proc, lambda p, b: PrecopyFinalCollector(p, b, cached=state.cached)
+            proc, lambda p, b: PrecopyFinalCollector(p, b, state.fresh, state.stale)
         )
-        return proc, scratch, bytes(payload)
+        return scratch, bytes(payload), partial(PrecopyFinalRestorer, held=state.held)
 
     @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
     @pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
@@ -1281,7 +1339,7 @@ class TestOneAllocationPath:
     ):
         prog = _compile(LIST_THEN_TREE_SRC)
         src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
-        _proc, scratch, payload = self.prewarmed(prog, src_arch, dst_arch)
+        scratch, payload, restorer = self.prewarmed(prog, src_arch, dst_arch)
         node_class = 8 if dst_arch.ptr_size == 4 else 16
         assert len(scratch.memory._free[node_class]) == 3
         held = {b.logical: b.addr for b in scratch.msrlt.heap_blocks()}
@@ -1296,7 +1354,7 @@ class TestOneAllocationPath:
         monkeypatch.setattr(ChainPlan, "_restore_batch", spy)
         scratch.ti.plans_enabled = plans
         try:
-            info = restore_replayed(prog, payload, scratch, PrecopyFinalRestorer)
+            info = restore_replayed(prog, payload, scratch, restorer)
         finally:
             scratch.ti.plans_enabled = True
         # 7 list nodes + 9 leaves carved; the list's head, the tree's
@@ -1319,10 +1377,10 @@ class TestOneAllocationPath:
         """Every plan kind at once on the pre-warmed scratch: pending
         blocks between chain batches and blocks restored in place."""
         prog = _compile(structgrid_source(48, 24))
-        _proc, scratch, payload = self.prewarmed(prog, ULTRA5, X86_64)
+        scratch, payload, restorer = self.prewarmed(prog, ULTRA5, X86_64)
         scratch.ti.plans_enabled = plans
         try:
-            info = restore_replayed(prog, payload, scratch, PrecopyFinalRestorer)
+            info = restore_replayed(prog, payload, scratch, restorer)
         finally:
             scratch.ti.plans_enabled = True
         assert info.stats.n_heap_allocs > 0
@@ -1361,6 +1419,108 @@ class TestOneAllocationPath:
         assert stats.precopy and not stats.precopy_degraded
         assert len(rounds) == 2 and sum(rounds) > 0
         _assert_like_unmigrated(dest, run_baseline(prog, ULTRA5))
+
+
+class ScanningFinalCollector(PrecopyFinalCollector):
+    """The scan the ``stale`` ledger replaced: tail roots read out of the
+    whole table at the stop.  The oracle of the ledger's tail."""
+
+    def save_tail(self):
+        visited = self._visited
+        stale = [
+            b for b in self.msrlt.blocks()
+            if b.logical[0] != BlockKind.STACK and b.logical not in visited
+        ]
+        stale.sort(key=lambda b: b.logical)
+        for block in stale:
+            if block.logical not in visited:
+                self.buf.write_u8(1)
+                self.save_variable(block)
+        self.buf.write_u8(0)
+
+
+# every slice frees the node the round before had to defer (it holds
+# &local) and allocates the next one: a block leaves while still stale
+DEFER_THEN_FREE_SRC = """
+struct link { int *where; int v; struct link *next; };
+struct link *links;
+int ticks;
+
+int main() {
+    int local; int r;
+    struct link *l;
+    local = 5;
+    for (r = 0; r < 6; r++) {
+        migrate_here();
+        ticks = ticks + 1;
+        if (links != NULL) { l = links; links = l->next; free(l); }
+        l = (struct link *) malloc(sizeof(struct link));
+        l->where = &local; l->v = r; l->next = links; links = l;
+    }
+    migrate_here();
+    printf("%d %d\\n", *links->where + links->v, ticks);
+    return 0;
+}
+"""
+
+#: hand-written programs whose slices free, ``realloc``, leak, defer and
+#: hold ``&local`` in clean blocks, each under the policy its own test uses
+LEDGER_PROGRAMS = {
+    "defer-then-free": (DEFER_THEN_FREE_SRC, PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0)),
+    "mutator": (MUTATOR_SRC, PrecopyPolicy(max_rounds=4, stop_dirty_blocks=0)),
+    "tail": (TAIL_SRC, TWO_ROUNDS),
+    "stack-ref": (STACK_REF_SRC, TWO_ROUNDS),
+    "list-then-tree": (LIST_THEN_TREE_SRC, TWO_ROUNDS),
+    "structgrid": (
+        structgrid_source(48, 24),
+        PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0, slice_polls=4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [*LEDGER_PROGRAMS, *PRECOPY_CORPUS])
+@pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
+def test_ledgers_equal_the_scans_they_replace(name, pair):
+    """At the stop, ``run_precopy``'s ledgers are what reading both
+    tables out would find: ``fresh`` and ``stale`` partition the source's
+    live blocks, ``held`` is the scratch's non-stack index block for
+    block, the final passes are born owning them (no copy), and the
+    stream whose tail comes off ``stale`` is byte for byte the one whose
+    tail comes off a scan of the table."""
+    src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
+    if name in LEDGER_PROGRAMS:
+        source, policy = LEDGER_PROGRAMS[name]
+        prog = _compile(source)
+    else:
+        prog = _compile(CORPUS[name].source)
+        polls = run_baseline(prog, src_arch).total_polls
+        if polls < 4:
+            pytest.skip("program too short for delta rounds")
+        policy = PrecopyPolicy(max_rounds=min(3, polls - 2), stop_dirty_blocks=0)
+    proc = _stopped(prog, src_arch)
+    scratch = Process(prog, dst_arch)
+    state = run_precopy(proc, scratch, Channel(LOOPBACK), policy, MigrationStats(), 4096)
+
+    live = {b.logical for b in proc.msrlt.blocks()}  # no stack block between passes
+    assert state.fresh | state.stale == live and not state.fresh & state.stale
+    scan = scratch.msrlt.non_stack_by_logical()
+    assert state.held.keys() == scan.keys()
+    assert all(state.held[logical] is block for logical, block in scan.items())
+
+    scanned, _ = collect_state(
+        proc, lambda p, b: ScanningFinalCollector(p, b, set(state.fresh), state.stale)
+    )
+    born = []
+
+    def final(process, buf):
+        born.append(PrecopyFinalCollector(process, buf, state.fresh, state.stale))
+        return born[-1]
+
+    ledgered, _ = collect_state(proc, final)
+    assert born[0]._visited is state.fresh
+    assert ledgered == scanned
+    rest = PrecopyFinalRestorer(scratch, ReadBuffer(b""), held=state.held)
+    assert rest._mapping is state.held
 
 
 # -- run_precopy unit behavior ------------------------------------------
