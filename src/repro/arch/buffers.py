@@ -317,7 +317,7 @@ class StreamReadBuffer(ReadBuffer):
     the old window object) and never block the splice.
 
     An underrun past the final chunk raises :class:`EOFError`, exactly
-    like a truncated monolithic payload.
+    like a truncated contiguous payload.
     """
 
     __slots__ = ("_chunks", "_exhausted", "_base", "_ahead", "_ahead_bytes")

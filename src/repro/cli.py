@@ -21,6 +21,7 @@ Usage (after ``pip install -e .`` the ``repro`` entry point exists; or use
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -98,8 +99,21 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _usage_error(message: str):
+    """One line on stderr and exit 2, like argparse's own refusals."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_source(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        _usage_error(f"cannot read {path}: {exc.strerror}")
+
+
 def _compile(path: str, args) -> object:
-    source = Path(path).read_text()
+    source = _read_source(path)
     try:
         return compile_program(
             source,
@@ -141,7 +155,7 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     """`repro check`: print migration-safety findings; exit 1 if any."""
-    source = Path(args.file).read_text()
+    source = _read_source(args.file)
     try:
         unit = parse(source)
     except ParseError as exc:
@@ -180,6 +194,14 @@ def cmd_migrate(args) -> int:
     prog = _compile(args.file, args)
     src_arch = _arch(args.src)
     dst_arch = _arch(args.dst)
+    # an output that cannot be written is refused now, not after the
+    # migration it would have recorded
+    for flag, out in (("--trace", args.trace), ("--metrics-out", args.metrics_out)):
+        if out not in (None, "-"):
+            target = Path(out)
+            where = target if target.exists() else target.parent
+            if target.is_dir() or not os.access(where, os.W_OK):
+                _usage_error(f"{flag}: cannot write {out}")
 
     baseline = Process(prog, src_arch)
     baseline.run_to_completion()
@@ -505,12 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--after-polls", type=_int_at_least(1), default=1)
     p.add_argument("--link", default="10m", choices=list(_LINKS))
     p.add_argument("--stream", action="store_true",
-                   help="overlap collect/tx/restore via the chunked pipeline")
+                   help="pipelined schedule: cut the payload into chunks and "
+                        "overlap collect/tx/restore (default: serial, the "
+                        "same envelope with the payload as its one chunk)")
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                   help="streaming chunk payload size in bytes")
+                   help="--stream's chunk payload size in bytes")
     p.add_argument("--compress", action="store_true",
                    help="adaptively zlib-compress the wire payload "
-                        "(kept per unit only when it shrinks >= 10%%)")
+                        "(kept per chunk only when it shrinks >= 10%%)")
     p.add_argument("--retries", type=_int_at_least(0), default=0,
                    help="retry a failed transfer up to N times (fresh "
                         "channel, exponential backoff)")

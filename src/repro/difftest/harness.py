@@ -24,6 +24,7 @@ minimizes and :mod:`repro.difftest.corpus` commits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.arch.machine import MACHINES, ARCH_PRESETS
@@ -35,6 +36,7 @@ from repro.migration.engine import (
     MigrationError,
     RetryPolicy,
 )
+from repro.migration.precopy import PrecopySourceExitedError
 from repro.migration.transport import (
     LOOPBACK,
     Channel,
@@ -233,8 +235,11 @@ def sweep_pairs(
     baseline: Baseline,
     arches: Sequence,
     max_polls: Optional[int] = None,
+    mode: Optional[dict] = None,
 ) -> tuple[int, list[Mismatch]]:
-    """One migration at every poll across every ordered pair.
+    """One migration at every poll across every ordered pair, in the
+    transfer *mode* given as ``migrate()`` keywords (default: none — the
+    serial stop-and-copy).
 
     With *max_polls* set and fewer than ``total_polls`` poll points
     affordable, the polls are stride-sampled deterministically (always
@@ -252,25 +257,32 @@ def sweep_pairs(
                 if stopped is None:
                     break  # later polls don't exist either
                 route = f"{src.name}->{dst.name}@poll{k}"
+                ids = dict(src=src.name, dst=dst.name, poll=k)
+                failed = partial(
+                    Mismatch, seed=prog.seed, features=prog.config.features,
+                    route=route, **ids,
+                )
                 runs += 1
                 try:
-                    dest, _stats = MigrationEngine().migrate(stopped, dst)
-                except (MigrationError, MigrationAbortedError) as exc:
-                    mismatches.append(
-                        Mismatch(
-                            seed=prog.seed, features=prog.config.features,
-                            kind="error", route=route,
-                            detail=f"{type(exc).__name__}: {exc}",
-                            src=src.name, dst=dst.name, poll=k,
-                        )
+                    dest, _stats = MigrationEngine().migrate(
+                        stopped, dst, **(mode or {})
                     )
+                except PrecopySourceExitedError:
+                    # the pre-copy slices ran the source to its end:
+                    # nothing was left to move, and what it printed on
+                    # the way is the oracle's business all the same
+                    if stopped.stdout != baseline.stdout:
+                        mismatches.append(failed(
+                            kind="stdout",
+                            detail=f"{stopped.stdout!r} != {baseline.stdout!r}",
+                        ))
                     continue
-                mismatches.extend(
-                    _check_final(
-                        prog, dest, baseline, route,
-                        src=src.name, dst=dst.name, poll=k,
-                    )
-                )
+                except (MigrationError, MigrationAbortedError) as exc:
+                    mismatches.append(failed(
+                        kind="error", detail=f"{type(exc).__name__}: {exc}"
+                    ))
+                    continue
+                mismatches.extend(_check_final(prog, dest, baseline, route, **ids))
     return runs, mismatches
 
 
@@ -312,8 +324,8 @@ def run_chain(
     adopts the previous hop's trace context so the hops share one trace
     id.  Besides the end-state oracle, the chain asserts the
     observability contract: every hop joins the first hop's trace, and
-    each hop's attribution rows (plus framing) account for at least the
-    payload — exactly the payload on clean hops.
+    each hop's attribution rows (plus framing) account for exactly the
+    payload that arrived — a retried hop's failed attempt is set aside.
 
     Returns ``(hops_performed, mismatches)``.  A schedule whose poll
     offsets overrun the program's remaining polls is truncated, not an
@@ -373,16 +385,10 @@ def run_chain(
             summary = stats.attribution
             if summary is not None:
                 total = sum(r["bytes"] for r in summary["rows"])
-                if hop.fault is None and total != stats.payload_bytes:
+                if total != stats.payload_bytes:
                     mm(
                         "attribution",
                         f"hop {i}: rows sum {total} != payload "
-                        f"{stats.payload_bytes}",
-                    )
-                elif total < stats.payload_bytes:
-                    mm(
-                        "attribution",
-                        f"hop {i}: rows sum {total} < payload "
                         f"{stats.payload_bytes}",
                     )
         ctx = continuation_context(stats)
@@ -419,12 +425,14 @@ def run_seed(
     arches: Optional[Sequence] = None,
     hops: int = 2,
     max_polls: Optional[int] = None,
+    mode: Optional[dict] = None,
 ) -> CaseReport:
     """The full differential run for one seed.
 
     Generates, compiles, establishes the cross-architecture baseline,
-    sweeps every (pair, poll), then — with ``hops >= 2`` — runs the
-    multi-hop faulted chain.  *arches* defaults to all of
+    sweeps every (pair, poll) in transfer *mode* (``migrate()``
+    keywords, see :func:`sweep_pairs`), then — with ``hops >= 2`` —
+    runs the multi-hop faulted chain.  *arches* defaults to all of
     :data:`~repro.arch.machine.MACHINES`.
     """
     arch_list = list(arches) if arches else list(MACHINES)
@@ -445,7 +453,9 @@ def run_seed(
     if baseline is None or disagreements:
         return report  # generator bug: differential replay is meaningless
     report.total_polls = baseline.total_polls
-    runs, mismatches = sweep_pairs(prog, program, baseline, arch_list, max_polls)
+    runs, mismatches = sweep_pairs(
+        prog, program, baseline, arch_list, max_polls, mode
+    )
     report.runs += runs
     report.mismatches.extend(mismatches)
     if hops >= 1 and baseline.total_polls >= 2:

@@ -44,7 +44,6 @@ from repro.migration.engine import (
     MigrationError,
     RestoreError,
     RetryPolicy,
-    TransferError,
     collect_state,
     collect_state_chunks,
     restore_state,
@@ -64,7 +63,6 @@ __all__ = [
     "FaultyChannel",
     "MigrationError",
     "CollectError",
-    "TransferError",
     "RestoreError",
     "MigrationAbortedError",
     "RetryPolicy",

@@ -11,23 +11,24 @@ function first (``foo`` before ``main``), then the globals.  The frame
 *table* is written outermost-first so the restorer can rebuild activation
 records bottom-up before any data arrives.
 
-Two transfer disciplines share that record stream:
+Every transfer attempt crosses the channel in ONE envelope
+(:mod:`repro.msr.wire`: a trace-context frame, the payload as
+CRC-carrying chunk frames, a terminator), written and read by one
+attempt body (:meth:`_Run._attempt`), so damage is always the receiver's
+typed verdict on wire bytes.  ``streaming=`` picks only the *schedule*:
 
-- **monolithic** (the paper's prototype, and the default): the whole
-  payload is collected, sent in one message, then restored — response
-  time is Collect + Tx + Restore (Table 1's model);
-- **streaming** (``migrate(..., streaming=True)``): collection drains
-  into fixed-size chunks that are framed, transmitted, and restored
-  while later records are still being produced, so response time
-  approaches ``max(Collect, Tx, Restore)``.  The chunk payloads
-  concatenate to the *byte-identical* monolithic payload; only the
-  transfer discipline differs.
+- **serial** (the paper's prototype, and the default): the whole payload
+  is chunk 0, restored once the terminator is in — response time is
+  Collect + Tx + Restore (Table 1's model);
+- **pipelined** (``streaming=True``): ``chunk_size`` chunks are framed,
+  transmitted, and restored while later records are still being
+  collected, so response time approaches ``max(Collect, Tx, Restore)``.
+  The chunks concatenate to the *byte-identical* payload.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -46,9 +47,6 @@ from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
     WireFrameError,
     WireHeader,
-    compress_payload,
-    expand_payload,
-    peel_context_frame,
     read_header,
     write_header,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "restore_state_stream",
     "MigrationError",
     "CollectError",
-    "TransferError",
     "RestoreError",
     "MigrationAbortedError",
     "RETRYABLE_ERRORS",
@@ -93,11 +90,6 @@ class CollectError(MigrationError):
     stays at its poll-point, runnable."""
 
 
-class TransferError(MigrationError):
-    """The payload was damaged in transit (checksum/length mismatch) —
-    a transient wire failure, worth retrying."""
-
-
 class RestoreError(MigrationError):
     """The received payload failed validation or restoration.  The
     destination process was NOT touched (restoration is transactional:
@@ -115,10 +107,10 @@ class MigrationAbortedError(MigrationError):
         self.last_error = last_error
 
 
-#: transient failures a retry can cure (wire damage, stalls, drops);
-#: anything else — bad arguments, wrong program, a collector fault —
-#: fails fast
-RETRYABLE_ERRORS = (ChannelError, WireFrameError, TransferError, RestoreError)
+#: transient failures a retry can cure (wire damage — the receiver's
+#: :class:`~repro.msr.wire.WireFrameError` —, stalls, drops); anything
+#: else — bad arguments, wrong program, a collector fault — fails fast
+RETRYABLE_ERRORS = (ChannelError, WireFrameError, RestoreError)
 
 #: what damaged or hostile bytes make the restore side raise: a record
 #: the restorer refuses, a logical id the destination does not have, a
@@ -192,8 +184,10 @@ class RetryPolicy:
     jitter: Optional[Callable[[int, float], float]] = None
     #: per-attempt recv deadline installed on the channel (seconds)
     attempt_timeout_s: Optional[float] = None
-    #: after this many failed *streaming* attempts, fall back to one
-    #: monolithic transfer (graceful degradation); None = never degrade
+    #: after this many failed *pipelined* attempts, flip the schedule to
+    #: serial for the attempts that remain (graceful degradation: same
+    #: envelope, one chunk, nothing restored before the terminator is
+    #: in); None = never degrade
     degrade_after: Optional[int] = None
     sleep: Callable[[float], None] = time.sleep
 
@@ -220,8 +214,8 @@ def _collect_records(
     the :class:`StateInfo` is appended to *info_slot* (generators cannot
     hand a return value to a ``for`` loop).
 
-    Both the monolithic and the chunked collectors drive this one
-    generator, which is what keeps their payload bytes identical.
+    :func:`collect_state` and :func:`collect_state_chunks` both drive
+    this one generator, which is what keeps their payload bytes identical.
     *collector_factory* swaps the record writer (the pre-copy final pass
     uses one that was born knowing the already-delivered blocks and adds
     a tail section, ``Collector.save_tail``, after the globals).
@@ -276,32 +270,34 @@ def collect_state(
 ) -> tuple[bytes, "StateInfo"]:
     """Collect the execution + memory state of a process stopped at a
     poll-point.  Returns the machine-independent payload."""
-    buf, info_slot = WriteBuffer(), []
-    for _ in _collect_records(process, buf, collector_factory, info_slot):
-        pass
-    return buf.getvalue(), info_slot[0]
+    info_slot: list = []
+    (payload,) = collect_state_chunks(process, None, info_slot, collector_factory)
+    return bytes(payload), info_slot[0]
 
 
 def collect_state_chunks(
     process: Process,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
     info_slot: Optional[list] = None,
     collector_factory=Collector,
 ) -> Iterator[bytes]:
     """Collect *process* incrementally, yielding payload chunks of
-    *chunk_size* bytes (the final chunk may be shorter).
+    *chunk_size* bytes (the final chunk may be shorter); with
+    ``chunk_size=None`` the whole payload is the one chunk (the serial
+    schedule's).
 
     The concatenation of the chunks is byte-identical to
     :func:`collect_state`'s payload.  When the generator is exhausted,
     the :class:`StateInfo` is appended to *info_slot*.
     """
-    if chunk_size <= 0:
+    if chunk_size is not None and chunk_size <= 0:
         raise MigrationError(f"chunk_size must be positive, got {chunk_size}")
     buf = WriteBuffer()
     if info_slot is None:
         info_slot = []
     for _ in _collect_records(process, buf, collector_factory, info_slot):
-        yield from buf.drain(chunk_size)
+        if chunk_size is not None:
+            yield from buf.drain(chunk_size)
     tail = buf.flush()
     if tail:
         yield tail
@@ -452,6 +448,7 @@ class _Run:
     dest: Process
     channel: Optional[Channel]
     channel_factory: Optional[Callable[[], Channel]]
+    #: the schedule: pipelined, else serial (degradation flips it off)
     streaming: bool
     chunk_size: int
     compress: bool
@@ -522,9 +519,9 @@ class _Run:
         """The stop-and-copy: attempts of collect → transmit → restore
         under the retry policy (backoff, fresh channel per attempt,
         degradation of a failing pre-copy final pass to a plain one and
-        of failing streaming to one monolithic transfer)."""
+        of a failing pipelined schedule to the serial one)."""
         policy, stats = self.policy, self.stats
-        failed_streaming = 0
+        failed_pipelined = 0
         for attempt in range(policy.max_attempts):
             stats.attempts, stats.retries = attempt + 1, attempt
             channel = self._acquire(retry=attempt > 0)
@@ -534,10 +531,9 @@ class _Run:
                 "attempt_begin", attempt=attempt + 1,
                 streaming=self.streaming, precopy_final=use_pre,
             )
-            discipline = self._streamed if self.streaming else self._monolithic
             try:
                 self._guarded(
-                    "attempt", partial(discipline, channel, attempt + 1),
+                    "attempt", partial(self._attempt, channel, attempt + 1),
                     n=attempt + 1,
                 )
                 return
@@ -552,16 +548,20 @@ class _Run:
                 error_type=type(error).__name__,
                 error=str(error),
             )
+            if self.obs.attribution is not None:
+                # the collect work happened, but not for the payload that
+                # will arrive: out of the default table, kept on the side
+                self.obs.attribution.set_aside(f"attempt {attempt + 1}")
             if use_pre:
                 self._degrade_precopy(error)
             if self.streaming:
-                failed_streaming += 1
+                failed_pipelined += 1
                 after = policy.degrade_after
-                if after is not None and failed_streaming >= after:
+                if after is not None and failed_pipelined >= after:
                     self.streaming = False
                     stats.degraded = True
                     obs.inc("engine.degraded")
-                    obs.event("degraded", after_failed_attempts=failed_streaming)
+                    obs.event("degraded", after_failed_attempts=failed_pipelined)
             if attempt + 1 >= policy.max_attempts:
                 raise MigrationAbortedError(
                     f"migration aborted after {attempt + 1} attempt(s); "
@@ -622,8 +622,7 @@ class _Run:
         m.inc("engine.retries", stats.retries)
         m.inc("engine.payload_bytes", stats.payload_bytes)
         m.inc("engine.blocks", stats.n_blocks)
-        if stats.streamed:
-            m.inc("engine.chunks", stats.n_chunks)
+        m.inc("engine.chunks", stats.n_chunks)
         if stats.compressed:
             m.inc(
                 "codec.bytes_saved",
@@ -720,93 +719,31 @@ class _Run:
         self._restorer = partial(PrecopyFinalRestorer, held=pre.held)
         return True
 
-    def _restore(self, rbuf) -> "StateInfo":
-        with restore_errors("restore"):
-            return _restore_from(
-                self.source.program, rbuf, self.scratch, self._restorer
-            )
+    # -- one attempt: the envelope, filled on either schedule ---------------
 
-    def _absorb_collect(self, cinfo: StateInfo, payload_bytes: int) -> None:
-        stats = self.stats
-        stats.collect = cinfo.stats
-        stats.payload_bytes = payload_bytes
-        stats.data_bytes = cinfo.stats.data_bytes
-        stats.n_blocks = cinfo.stats.n_blocks
-
-    def _book_compression(self, stored_bytes: int) -> None:
-        """*stored_bytes* went on the wire for ``payload_bytes``.  Codec
-        time is read off the span tree, so it covers the deflate and
-        inflate laps of *every* attempt, aborted ones included."""
-        stats = self.stats
-        stats.compressed = True
-        stats.compressed_bytes = stored_bytes
-        stats.compression_ratio = stats.payload_bytes / stored_bytes
-        stats.codec_time = self.obs.tracer.total_prefix("codec.")
-
-    # -- the paper's serial discipline -------------------------------------
-
-    def _monolithic(self, channel: Channel, attempt: int) -> None:
-        stats = self.stats
+    def _attempt(self, channel: Channel, attempt: int) -> None:
+        """Collect → transmit → restore, once: ``MCTX``, the payload as
+        chunk frames, the terminator.  ``self.streaming`` picks the
+        schedule — serial: the whole payload is chunk 0, the feed is
+        drained to its terminator and restoration reads one contiguous
+        buffer; pipelined: ``chunk_size`` chunks, restored while later
+        ones are still being collected."""
+        stats, pipelined = self.stats, self.streaming
         # the context names the attempt span as the remote parent: the
         # restore side joins *this* attempt
-        ctx = propagate.outbound_context(attempt=attempt)
-        with obs.span("collect") as timed, collect_errors():
-            payload, cinfo = collect_state(self.source, self._collector)
-        stats.collect_time = timed.seconds
-        self._absorb_collect(cinfo, len(payload))
-
-        envelope = payload
-        if self.compress:
-            with obs.lap("codec.deflate"):
-                envelope = compress_payload(payload)
-        # the trace context rides ahead of the envelope, inside the
-        # end-to-end CRC (a bit-flipped context is transit damage too)
-        message = ctx.to_frame() + envelope
-        crc = zlib.crc32(message)
-        channel.send(message)
-        # the modeled Tx charges the paper's envelope, not the trace
-        # plumbing riding ahead of it
-        stats.tx_time = channel.link.transfer_time(len(envelope))
-        obs.record("tx", stats.tx_time, modeled=True)
-        received = channel.recv()
-        # the monolithic wire format carries no checksum (it predates the
-        # framed stream and must stay byte-identical), so integrity is
-        # verified end-to-end against the bytes the sender put on the wire
-        # (the compressed envelope carries its own raw-payload CRC too)
-        if len(received) != len(message) or zlib.crc32(received) != crc:
-            raise TransferError(
-                f"monolithic payload damaged in transit: sent "
-                f"{len(message)} bytes (crc {crc:#010x}), received "
-                f"{len(received)} bytes (crc {zlib.crc32(received):#010x})"
-            )
-        ctx_body, received = peel_context_frame(received)
-        if self.compress:
-            with obs.lap("codec.inflate"):
-                received = expand_payload(received)
-            self._book_compression(len(envelope))
-
-        rctx = propagate.TraceContext.from_bytes(ctx_body)
-        with propagate.restore_site(rctx), obs.span("restore") as timed:
-            rinfo = self._restore(ReadBuffer(received))
-        stats.restore_time = timed.seconds
-        stats.restore = rinfo.stats
-
-    # -- the overlapped discipline -----------------------------------------
-
-    def _streamed(self, channel: Channel, attempt: int) -> None:
-        stats = self.stats
         ctx = propagate.outbound_context(attempt=attempt)
         info_slot: list = []
 
         def chunks():
             with collect_errors():
                 yield from collect_state_chunks(
-                    self.source, self.chunk_size, info_slot, self._collector
+                    self.source, self.chunk_size if pipelined else None,
+                    info_slot, self._collector,
                 )
 
         collect_iter = _TimedIter(chunks(), "collect")
         channel.compress_stream = self.compress
-        # the context opens the stream as a control frame (it consumes
+        # the context opens the envelope as a control frame (it consumes
         # no chunk sequence number and no fault-plan send index), so
         # the receive side can join the trace before the first chunk
         channel.send_context(ctx.to_bytes())
@@ -818,74 +755,95 @@ class _Run:
             the step after the last chunk)."""
             for chunk in collect_iter:
                 channel.send_chunk(chunk)
-                obs.event(
-                    "chunk",
-                    seq=collect_iter.count - 1,
-                    collect_busy_s=round(collect_iter.last_seconds, 9),
-                )
+                if pipelined:
+                    obs.event(
+                        "chunk",
+                        seq=collect_iter.count - 1,
+                        collect_busy_s=round(collect_iter.last_seconds, 9),
+                    )
                 yield
             channel.end_stream()
 
+        #: the one place data frames are received
+        incoming = channel.iter_chunks()
+
         def interleaved():
-            """Same-thread pipeline: the restorer's pull for the next
-            chunk collects it, sends it, and receives it — chunk-granular
-            interleaving of all three stages on one thread."""
-            for _ in sends():
-                yield channel.recv_chunk()
-            if channel.recv_chunk() is not None:  # pragma: no cover
-                raise MigrationError("stream terminator was not last on channel")
+            """Same-thread feed: the consumer's pull for the next chunk
+            collects it, sends it, and receives it — on the pipelined
+            schedule, chunk-granular interleaving of all three stages."""
+            for _, chunk in zip(sends(), incoming):
+                yield chunk
+            yield from incoming  # nothing but the terminator is left
 
         if channel.concurrent_stream:
             # frame writes block until drained (the socket): collection +
-            # send run in a producer thread while this one restores
-            feeding = channel.feeding(
+            # send run in a producer thread while this one receives
+            feeding, feed = channel.feeding(
                 lambda: deque(sends(), maxlen=0),  # run the send side dry
                 "migration-collector",
-            )
-            feed = channel.iter_chunks()
+            ), incoming
         else:
             feeding, feed = nullcontext(), interleaved()
 
-        feed_timer = _TimedIter(feed, "feed")
-        with feeding, propagate.restore_site(rctx), obs.span("pipeline") as pipeline:
-            rinfo = self._restore(StreamReadBuffer(feed_timer))
-        restore_wall = pipeline.seconds
+        with feeding, propagate.restore_site(rctx):
+            if pipelined:
+                feed = _TimedIter(feed, "feed")
+                rbuf, span = StreamReadBuffer(feed), "pipeline"
+            else:
+                received = list(feed)
+                whole = received[0] if len(received) == 1 else b"".join(received)
+                rbuf, span = ReadBuffer(whole), "restore"
+            with obs.span(span) as wall, restore_errors("restore"):
+                rinfo = _restore_from(
+                    self.source.program, rbuf, self.scratch, self._restorer
+                )
+        stats.restore_time = wall.seconds
+        if pipelined:
+            # feed time covers collection + channel hops; what is left of
+            # the restore driver's wall clock is restoration compute
+            stats.restore_time = max(wall.seconds - feed.seconds, 0.0)
+            obs.record("restore", stats.restore_time, derived=True)
 
-        # feed time covers collection + channel hops; what is left of the
-        # restore driver's wall clock is pure restoration compute
-        stats.collect_time = collect_iter.seconds
-        stats.restore_time = max(restore_wall - feed_timer.seconds, 0.0)
-        stats.restore = rinfo.stats
-        stats.streamed = True
-        stats.n_chunks = collect_iter.count
         cinfo = info_slot[0]
-        self._absorb_collect(cinfo, cinfo.stats.wire_bytes)
+        stats.collect, stats.restore = cinfo.stats, rinfo.stats
+        stats.collect_time = collect_iter.seconds
+        stats.payload_bytes = cinfo.stats.wire_bytes
+        stats.data_bytes = cinfo.stats.data_bytes
+        stats.n_blocks = cinfo.stats.n_blocks
+        stats.streamed = pipelined
+        stats.n_chunks = collect_iter.count
 
-        # what the stream put on the wire, headers and terminator included;
-        # back-to-back frames keep the pipe full, so latency is paid once
+        # what the data frames put on the wire, headers and terminator
+        # included, the context frame not; back-to-back frames keep the
+        # pipe full, so latency is paid once
         framed = channel.chunks.bytes_sent - framed_before
         if self.compress:
-            self._book_compression(framed - (stats.n_chunks + 1) * CHUNK_HEADER_SIZE)
+            # codec time is read off the span tree, so it covers the
+            # deflate and inflate laps of *every* attempt, aborted ones too
+            stats.compressed = True
+            stats.compressed_bytes = framed - (stats.n_chunks + 1) * CHUNK_HEADER_SIZE
+            stats.compression_ratio = stats.payload_bytes / stats.compressed_bytes
+            stats.codec_time = self.obs.tracer.total_prefix("codec.")
         link = channel.link
         stats.tx_time = link.transfer_time(framed)
         obs.record("tx", stats.tx_time, modeled=True)
-        obs.record("restore", stats.restore_time, derived=True)
         stats.finish_pipeline(latency_s=link.latency_s)
 
-        # measured overlap: the producer thread's collection busy-time as
-        # a fraction of the pipeline wall clock.  The same-thread
-        # generator pipeline interleaves but cannot overlap wall-clock,
-        # so it honestly reports 0.0.
-        occupancy = 0.0
-        if channel.concurrent_stream and restore_wall > 0:
-            occupancy = min(collect_iter.seconds / restore_wall, 1.0)
-        stats.pipeline_occupancy = occupancy
-        obs.event(
-            "pipeline",
-            wall_s=round(restore_wall, 9),
-            n_chunks=stats.n_chunks,
-            occupancy=round(occupancy, 9),
-        )
+        if pipelined:
+            # measured overlap: the producer thread's collection busy-time
+            # as a fraction of the pipeline wall clock.  The same-thread
+            # generator pipeline interleaves but cannot overlap
+            # wall-clock, so it honestly reports 0.0.
+            occupancy = 0.0
+            if channel.concurrent_stream and wall.seconds > 0:
+                occupancy = min(collect_iter.seconds / wall.seconds, 1.0)
+            stats.pipeline_occupancy = occupancy
+            obs.event(
+                "pipeline",
+                wall_s=round(wall.seconds, 9),
+                n_chunks=stats.n_chunks,
+                occupancy=round(occupancy, 9),
+            )
 
 
 class MigrationEngine:
@@ -922,17 +880,21 @@ class MigrationEngine:
         execution and memory states of the migrating process"); it must
         be loaded but not started, and on the requested architecture.
 
-        With ``streaming=True`` the payload is cut into *chunk_size*
-        chunks that are collected, framed, transmitted, and restored in a
+        Every attempt crosses the channel in the one wire envelope
+        (:mod:`repro.msr.wire`) and *streaming* only picks the schedule.
+        Serial (the default, Table 1's discipline): the whole payload is
+        chunk 0, restored when the terminator is in; ``n_chunks`` is 1
+        and ``stats.response_time`` is Collect + Tx + Restore.  With
+        ``streaming=True`` the payload is cut into *chunk_size* chunks
+        that are collected, framed, transmitted, and restored in a
         pipeline (generator-driven on in-memory/file channels, a
-        producer thread on the socket channel); the stats then carry
-        ``pipeline_time``/``n_chunks``/``overlap_ratio`` and
-        ``stats.response_time`` reports the overlapped total.  The
-        restored process is identical either way.
+        producer thread on the socket channel) and
+        ``stats.response_time`` / ``overlap_ratio`` report the
+        overlapped total.  The restored process is identical either way.
 
-        With ``compress=True`` each transfer unit (the whole payload when
-        monolithic, each chunk when streaming) is zlib-deflated and the
-        compressed form kept only when it shrinks by ≥ 10% (see
+        With ``compress=True`` each chunk (the whole payload on the
+        serial schedule) is zlib-deflated and the compressed form kept,
+        as an ``'MCHZ'`` frame, only when it shrinks by ≥ 10% (see
         :mod:`repro.msr.wire`); the stats then carry
         ``compressed_bytes``/``compression_ratio``/``codec_time`` and the
         modeled Tx time charges the *stored* bytes.  The restored process
@@ -948,10 +910,12 @@ class MigrationEngine:
         transient faults: per-attempt recv deadlines, exponential
         backoff with a deterministic jitter hook, a fresh channel per
         attempt (*channel_factory*, or ``channel.reset()``), and —
-        past ``degrade_after`` failed streaming attempts — graceful
-        degradation to one monolithic transfer.  When every attempt
-        fails, :class:`MigrationAbortedError` carries the last typed
-        error; it and every other :class:`MigrationError` raised here
+        past ``degrade_after`` failed pipelined attempts — graceful
+        degradation to the serial schedule.  Wire damage is whatever
+        the receiving decoder says of the bytes it got (a
+        :class:`~repro.msr.wire.WireFrameError`), in either schedule.
+        When every attempt fails, :class:`MigrationAbortedError` carries
+        the last typed error; it and every other :class:`MigrationError` raised here
         carry the failed run's stats and observation as ``.stats``.
         *checkpoint_path* snapshots the source to disk before
         the first attempt, so even a host crash mid-migration can

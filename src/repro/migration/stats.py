@@ -4,8 +4,9 @@
 (Collect), transmission (Tx), and restoration (Restore) time." (§4.2)
 
 The paper's prototype serializes the three stages, so its response time
-is the *sum*.  The streaming engine overlaps them, and its modeled
-response time follows the classic pipeline formula
+is the *sum* — the engine's serial schedule, one chunk.  The pipelined
+schedule overlaps them, and the modeled response time follows the
+classic pipeline formula
 (:func:`pipelined_response_time`): the first chunk flows through all
 three stages (fill), then the remaining chunks emerge at the cadence of
 the slowest stage (bottleneck), so for a long stream the response
@@ -84,15 +85,16 @@ class MigrationStats:
     n_frames: int = 0
     collect: Optional[CollectStats] = None
     restore: Optional[RestoreStats] = None
-    #: whether this migration used the streaming pipeline
+    #: whether the successful attempt ran the pipelined schedule
     streamed: bool = False
-    #: number of chunk frames the payload was cut into (0 if monolithic)
+    #: number of chunk frames the payload crossed the wire in: always
+    #: >= 1 for a completed migration, exactly 1 on the serial schedule
     n_chunks: int = 0
-    #: modeled pipelined response time (seconds); equals
-    #: :attr:`migration_time` when the migration was monolithic
+    #: modeled response time (seconds) of the schedule that ran; equals
+    #: :attr:`migration_time` on the serial schedule (one chunk)
     pipeline_time: float = 0.0
     #: fraction of the serial Collect+Tx+Restore hidden by overlap:
-    #: ``1 − pipeline_time / migration_time`` (0.0 when monolithic)
+    #: ``1 − pipeline_time / migration_time`` (0.0 on the serial schedule)
     overlap_ratio: float = 0.0
     #: whether adaptive wire compression was requested
     compressed: bool = False
@@ -111,7 +113,7 @@ class MigrationStats:
     aborted_bytes: int = 0
     #: total intended backoff delay between attempts (seconds)
     time_in_backoff: float = 0.0
-    #: whether the engine fell back from streaming to monolithic
+    #: whether the engine fell back from the pipelined schedule to serial
     degraded: bool = False
     #: *measured* producer-thread busy fraction of the pipeline wall
     #: clock (socket pipeline only; the same-thread generator pipeline
@@ -151,9 +153,10 @@ class MigrationStats:
 
     @property
     def response_time(self) -> float:
-        """What the user waits: the pipelined time when streamed, the
-        serial sum otherwise."""
-        return self.pipeline_time if self.streamed else self.migration_time
+        """What the user waits: :attr:`pipeline_time` — one formula for
+        both schedules (``finish_pipeline``), which is the serial sum at
+        one chunk."""
+        return self.pipeline_time
 
     @property
     def downtime(self) -> float:
@@ -277,10 +280,10 @@ class MigrationStats:
                 f" [{self.attempts} attempts, {self.retries} retried, "
                 f"{self.aborted_bytes} bytes aborted, "
                 f"backoff {self.time_in_backoff * 1e3:.1f} ms"
-                f"{', degraded to monolithic' if self.degraded else ''}]"
+                f"{', degraded to serial' if self.degraded else ''}]"
             )
         elif self.degraded:
-            base += " [degraded to monolithic]"
+            base += " [degraded to serial]"
         if self.precopy:
             base += (
                 f" [precopy: {self.precopy_rounds} rounds, "

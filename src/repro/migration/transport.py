@@ -11,15 +11,17 @@ which is all a reliable bulk transfer contributes to migration time (the
 paper's Tx column).  Collection and restoration remain measured wall
 clock — only the wire is modeled (see DESIGN.md §2).
 
-Streaming
----------
+Frames
+------
 
-Every channel (:class:`BaseChannel`) additionally speaks *frames* (see
-:mod:`repro.msr.wire`): ``send_chunk`` frames and enqueues one payload
+Every channel (:class:`BaseChannel`) speaks *frames* (see
+:mod:`repro.msr.wire`) on top of its whole messages, and frames are all
+a migration puts on it: ``send_chunk`` frames and enqueues one payload
 chunk, ``end_stream`` sends the terminator, and ``recv_chunk`` /
 ``iter_chunks`` validate and unwrap on the far side; ``send_delta`` /
 ``end_delta_round`` / ``iter_delta_round`` do the same for pre-copy
-rounds, and ``send_context`` / ``recv_context`` carry the trace context.
+rounds (one :class:`_FrameStream` each, over the one codec), and
+``send_context`` / ``recv_context`` carry the trace context.
 A stream sent back-to-back keeps the wire busy, so the engine charges
 the link latency once per train (``Link.transfer_time`` of the framed
 bytes) and overlaps transfer with collection and restoration (the
@@ -57,15 +59,15 @@ from dataclasses import dataclass
 from repro import obs
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
+    CHUNK_MAGIC,
+    CHUNK_MAGIC_Z,
+    DELTA_MAGIC,
     FRAME_MAGICS,
     ChunkDecoder,
-    DeltaDecoder,
     FrameCorruptError,
     decode_context_frame,
     encode_chunk_parts,
     encode_context_frame,
-    encode_delta_end,
-    encode_delta_parts,
     encode_end_of_stream,
     is_data_frame,
     TruncatedFrameError,
@@ -132,14 +134,13 @@ class _FrameStream:
     """One framed stream riding a channel: the sender's sequence number,
     the receiver's decoder, and what was sent.  Every channel carries
     two — data chunks and pre-copy delta rounds — that differ only in
-    their codec functions."""
+    the *magics* they speak (the first is what a raw frame and the
+    terminator ship under)."""
 
-    def __init__(self, channel, metric, encode, encode_end, decoder) -> None:
+    def __init__(self, channel, metric: str, magics: tuple) -> None:
         self._channel = channel
         self._metric = metric
-        self._encode = encode
-        self._encode_end = encode_end
-        self._decoder_type = decoder
+        self._magics = magics
         #: frames sent, terminators excluded
         self.frames_sent = 0
         #: their framed bytes, terminators included
@@ -149,13 +150,18 @@ class _FrameStream:
     def reset(self) -> None:
         """Abandon a half-spoken stream; the counters are cumulative."""
         self._seq = 0
-        self._decoder = self._decoder_type()
+        self._decoder = ChunkDecoder(self._magics)
 
     def send(self, payload) -> float:
         """Frame and transmit one payload (any buffer-protocol object —
         the body is only joined to its header where the transport needs
         one contiguous buffer); returns the modeled per-frame wire time."""
-        header, body = self._encode(self._seq, payload)
+        magic = self._magics[0]
+        if self._channel.compress_stream and CHUNK_MAGIC_Z in self._magics:
+            with obs.lap("codec.deflate"):
+                header, body = encode_chunk_parts(self._seq, payload, True, magic)
+        else:
+            header, body = encode_chunk_parts(self._seq, payload, magic=magic)
         frame_len = len(header) + len(body)
         self._seq += 1
         self.frames_sent += 1
@@ -167,7 +173,7 @@ class _FrameStream:
     def end(self) -> float:
         """Transmit the terminator and rewind the sender sequence so the
         channel can carry another stream of this kind."""
-        frame = self._encode_end(self._seq)
+        frame = encode_end_of_stream(self._seq, self._magics[0])
         self._seq = 0
         self._count(len(frame))
         return self._channel._send_frame(frame)
@@ -183,7 +189,7 @@ class _FrameStream:
         on damage."""
         payload = self._decoder.decode(self._channel._recv_frame())
         if payload is None:
-            self._decoder = self._decoder_type()
+            self._decoder = ChunkDecoder(self._magics)
         return payload
 
 
@@ -216,13 +222,9 @@ class BaseChannel:
         self.compress_stream = False
         self.deadline: float | None = None
         self.chunks = _FrameStream(
-            self, "wire.chunks_sent", self._encode_chunk, encode_end_of_stream,
-            ChunkDecoder,
+            self, "wire.chunks_sent", (CHUNK_MAGIC, CHUNK_MAGIC_Z)
         )
-        self.deltas = _FrameStream(
-            self, "wire.delta_frames_sent", encode_delta_parts, encode_delta_end,
-            DeltaDecoder,
-        )
+        self.deltas = _FrameStream(self, "wire.delta_frames_sent", (DELTA_MAGIC,))
         if deadline is not None:
             self.set_deadline(deadline)
 
@@ -318,12 +320,6 @@ class BaseChannel:
                 raise error[0]
 
     # -- data chunks ('MCHK'/'MCHZ') ---------------------------------------
-
-    def _encode_chunk(self, seq: int, payload):
-        if not self.compress_stream:
-            return encode_chunk_parts(seq, payload)
-        with obs.lap("codec.deflate"):
-            return encode_chunk_parts(seq, payload, compress=True)
 
     def send_chunk(self, payload: bytes | bytearray | memoryview) -> float:
         """Frame and transmit one chunk of the payload stream."""
@@ -516,11 +512,11 @@ class SocketChannel(Channel):
     fill the kernel buffer (an 8 MB matrix must not deadlock a
     single-threaded test).
 
-    Streamed frames are different: they are written straight into the
-    socket and may block once the kernel buffer fills, so a stream's
-    send side runs in a producer thread (``concurrent_stream = True``)
-    while the consumer drains ``recv_chunk`` — a real producer/consumer
-    pipeline.
+    Frames — all a migration sends, default mode included — are
+    different: they are written straight into the socket and may block
+    once the kernel buffer fills, so a stream's send side runs in a
+    producer thread (``concurrent_stream = True``) while the consumer
+    drains ``recv_chunk`` — a real producer/consumer pipeline.
     """
 
     _CHUNK = 32768
@@ -755,8 +751,8 @@ class FaultyChannel(BaseChannel):
       nothing else is coming, a recv deadline expiry;
     - ``truncate``: the last *arg* bytes are cut off →
       :class:`~repro.msr.wire.TruncatedFrameError` / checksum mismatch;
-    - ``bitflip``: one payload bit flips → CRC/magic failure on frames,
-      the engine's whole-payload checksum on monolithic transfers;
+    - ``bitflip``: one payload bit flips → the receiving decoder's
+      CRC/magic failure (every transfer is framed);
     - ``stall``: the payload wedges in the pipe; the next receive raises
       :class:`ChannelTimeoutError` (the recv deadline firing);
     - ``disconnect``: the connection dies — this and every later

@@ -61,59 +61,68 @@ Pre-copy rounds name blocks outside any record
 (:func:`write_logical` / :func:`read_logical`): ``u8 kind`` and the same
 ``logical`` — 5 bytes for a heap or global id.
 
-Streaming chunk frames
-----------------------
+The wire envelope
+-----------------
 
-When a payload is *streamed* (engine ``streaming=True``), it is cut into
-chunks and each chunk ships inside a self-delimiting frame:
+A payload never travels bare.  Every transfer attempt, in every mode and
+on every channel, is one sequence of self-delimiting frames — and every
+byte on a channel belongs to one:
 
 .. code-block:: text
 
-    chunk frame:
-        u32  magic        'MCHK'
+    attempt := MCTX  MCHK|MCHZ seq 0 … seq n-1  terminator(seq n)
+
+    frame:
+        u32  magic        'MCHK' raw chunk · 'MCHZ' deflated chunk ·
+                          'MCTX' trace context · 'MDLT' pre-copy delta
         u32  seq          0-based, strictly consecutive per stream
         u32  payload_len  0 marks end-of-stream (no payload follows)
-        u32  crc32        zlib CRC-32 of the payload bytes
+        u32  crc32        zlib CRC-32 of the (raw) payload bytes
         payload_len bytes of payload
 
-A stream (and, prepended, a monolithic envelope) may additionally open
-with one *trace-context frame* under magic ``'MCTX'`` — same header
-layout, ``seq`` always 0, CRC over the body — carrying the sender's
-trace identity (see :mod:`repro.obs.propagate`).  It is a control
-frame, not data: it occupies no chunk sequence number and — like the
-pre-copy ``'MDLT'`` delta frames — no fault-plan send index
+The engine's ``streaming=`` flag only picks the *schedule* that fills
+the envelope.  Serial (the paper's Table 1 discipline, the default):
+the whole payload is chunk 0, so the attempt is three frames — context,
+one chunk, terminator — and restoration starts once the terminator is
+in.  Pipelined: the payload is cut into ``chunk_size`` chunks that are
+restored while later ones are still being collected.  The concatenated
+chunk payloads are the same bytes either way (``collect_state``'s), so
+everything above the framing layer cannot tell the schedules apart.
+
+The ``'MCTX'`` *trace-context frame* that opens an attempt (``seq``
+always 0) carries the sender's trace identity (see
+:mod:`repro.obs.propagate`).  It is a control frame, not data: it
+occupies no chunk sequence number and — like the pre-copy ``'MDLT'``
+delta frames, which are the same frame under another magic with a
+sequence space per round — no fault-plan send index
 (:func:`is_data_frame` is the one place that rule lives).
 
-Frames make mid-stream damage a *typed* failure instead of garbage
-reaching the restorer: a short read raises
-:class:`TruncatedFrameError`, a bad magic or CRC raises
-:class:`FrameCorruptError`, and a non-consecutive sequence number
-(reordered, duplicated, or dropped frame) raises
+There is ONE frame codec: :func:`encode_chunk_parts` writes a frame
+under the magic it is given, :func:`decode_chunk` validates one against
+the magics its caller accepts, and :class:`ChunkDecoder` adds the
+sequence rule; the channels instantiate it once per stream kind.
+Integrity is therefore the *receiver's* and decided from wire bytes
+alone: a short read raises :class:`TruncatedFrameError`, a bad magic or
+CRC raises :class:`FrameCorruptError`, and a non-consecutive sequence
+number (reordered, duplicated, or dropped frame) raises
 :class:`FrameOrderError` — all subclasses of :class:`WireFrameError`.
-The concatenated chunk payloads are byte-identical to the monolithic
-payload, so everything above the framing layer is unchanged.
 
 Adaptive compression
 --------------------
 
-Both framings have an opt-in compressed form (``migrate(...,
-compress=True)`` / ``repro migrate --compress``):
-
-- a chunk frame compressed with zlib ships under magic ``'MCHZ'``; its
-  ``payload_len`` counts the *stored* (compressed) bytes while its
-  ``crc32`` is computed over the **raw** payload, so end-to-end
-  integrity semantics are exactly those of PR 2's raw frames;
-- a monolithic payload ships inside a small ``'MIGZ'`` envelope
-  (raw length + raw CRC-32 + zlib bytes); a raw payload always starts
-  with the ``'MIGR'`` migration magic, so the two are self-describing.
+Data chunks have an opt-in compressed form (``migrate(...,
+compress=True)`` / ``repro migrate --compress``, either schedule): a
+chunk deflated with zlib ships under magic ``'MCHZ'``; its
+``payload_len`` counts the *stored* (compressed) bytes while its
+``crc32`` is computed over the **raw** payload, so end-to-end integrity
+is exactly that of a raw frame.
 
 Compression is *adaptive*: the sender keeps the compressed form only
-when it shrinks the payload by at least :data:`MIN_COMPRESSION_GAIN`
+when it shrinks the chunk by at least :data:`MIN_COMPRESSION_GAIN`
 (10%) — already-dense numeric data ships raw rather than paying
 decompression for nothing.  The receiver accepts both forms
-unconditionally (the frame magic is the negotiation), so a compressing
-sender interoperates with any PR 2-era stream consumer path.  With
-compression off the bytes are identical to PR 2.
+unconditionally (the frame magic is the negotiation).  With compression
+off the bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -149,15 +158,12 @@ __all__ = [
     "CHUNK_MAGIC",
     "CHUNK_MAGIC_Z",
     "CONTEXT_MAGIC",
-    "CONTEXT_MAGIC_BYTES",
     "DELTA_MAGIC",
-    "DELTA_MAGIC_BYTES",
     "FRAME_MAGICS",
     "is_data_frame",
     "CHUNK_HEADER_SIZE",
     "encode_context_frame",
     "decode_context_frame",
-    "peel_context_frame",
     "MIN_COMPRESSION_GAIN",
     "WireFrameError",
     "TruncatedFrameError",
@@ -168,10 +174,6 @@ __all__ = [
     "encode_end_of_stream",
     "decode_chunk",
     "ChunkDecoder",
-    "encode_delta_parts",
-    "encode_delta_end",
-    "decode_delta_chunk",
-    "DeltaDecoder",
     "PAYLOAD_MAGIC_Z",
     "compress_payload",
     "expand_payload",
@@ -322,19 +324,21 @@ def read_logical(buf: ReadBuffer) -> tuple:
     return (kind, a, buf.read_u32() if kind == BlockKind.STACK else 0)
 
 
-# -- streaming chunk frames ---------------------------------------------------
+# -- frames -------------------------------------------------------------------
 
-CHUNK_MAGIC = 0x4D43484B  # 'MCHK' — raw payload
-CHUNK_MAGIC_Z = 0x4D43485A  # 'MCHZ' — zlib-compressed payload
-_CHUNK_HEADER = struct.Struct(">IIII")  # magic, seq, payload_len, crc32
-CHUNK_HEADER_SIZE = _CHUNK_HEADER.size
+CHUNK_MAGIC = 0x4D43484B  # 'MCHK' — raw payload chunk
+CHUNK_MAGIC_Z = 0x4D43485A  # 'MCHZ' — zlib-compressed payload chunk
+CONTEXT_MAGIC = 0x4D435458  # 'MCTX' — trace-context control frame
+DELTA_MAGIC = 0x4D444C54  # 'MDLT' — pre-copy delta round chunk
+_FRAME_HEADER = struct.Struct(">IIII")  # magic, seq, payload_len, crc32
+CHUNK_HEADER_SIZE = _FRAME_HEADER.size
 
 #: a compressed form is kept only when it shrinks the payload this much
 MIN_COMPRESSION_GAIN = 0.10
 
 
 class WireFrameError(Exception):
-    """A streamed chunk frame is damaged or out of protocol."""
+    """A frame is damaged or out of protocol."""
 
 
 class TruncatedFrameError(WireFrameError):
@@ -355,31 +359,36 @@ class FrameOrderError(WireFrameError):
 
 
 def encode_chunk_parts(
-    seq: int, payload: bytes | bytearray | memoryview, compress: bool = False
+    seq: int,
+    payload: bytes | bytearray | memoryview,
+    compress: bool = False,
+    magic: int = CHUNK_MAGIC,
 ) -> tuple[bytes, bytes | bytearray | memoryview]:
-    """Frame one non-empty payload chunk as ``(header, body)``.
+    """Frame one non-empty payload as ``(header, body)`` under *magic* —
+    the one frame encoder (a data chunk by default; the channels pass
+    ``DELTA_MAGIC`` for a pre-copy round's chunks).
 
-    Zero-copy form of :func:`encode_chunk`: *payload* may be any
-    buffer-protocol object (``WriteBuffer.drain`` hands out
-    ``memoryview``s) and, unless compression engages, it is returned as
-    the body **unchanged** — the CRC is computed over the view and no
-    intermediate ``bytes`` is built.  Channels with vectored sends ship
-    the two parts back to back; others join them once at the syscall
-    boundary.
+    Zero-copy: *payload* may be any buffer-protocol object
+    (``WriteBuffer.drain`` hands out ``memoryview``s) and, unless
+    compression engages, it is returned as the body **unchanged** — the
+    CRC is computed over the view and no intermediate ``bytes`` is
+    built.  Channels with vectored sends ship the two parts back to
+    back; others join them once at the syscall boundary.
 
-    With *compress*, the payload is deflated and the compressed form is
-    kept only if it is at least :data:`MIN_COMPRESSION_GAIN` smaller
-    (adaptive skip — incompressible chunks ship raw under the ordinary
-    magic).  The CRC-32 always covers the **raw** payload.
+    With *compress* (data chunks only), the payload is deflated and the
+    compressed form is kept, under ``'MCHZ'``, only if it is at least
+    :data:`MIN_COMPRESSION_GAIN` smaller (adaptive skip — incompressible
+    chunks ship raw under the ordinary magic).  The CRC-32 always covers
+    the **raw** payload.
     """
     if not payload:
-        raise ValueError("empty chunk payload is reserved for end-of-stream")
+        raise ValueError("empty frame payload is reserved for end-of-stream")
     crc = zlib.crc32(payload)
     if compress:
         packed = zlib.compress(payload)
         if len(packed) <= len(payload) * (1.0 - MIN_COMPRESSION_GAIN):
-            return _CHUNK_HEADER.pack(CHUNK_MAGIC_Z, seq, len(packed), crc), packed
-    return _CHUNK_HEADER.pack(CHUNK_MAGIC, seq, len(payload), crc), payload
+            return _FRAME_HEADER.pack(CHUNK_MAGIC_Z, seq, len(packed), crc), packed
+    return _FRAME_HEADER.pack(magic, seq, len(payload), crc), payload
 
 
 def encode_chunk(
@@ -387,19 +396,20 @@ def encode_chunk(
 ) -> bytes:
     """Wrap one non-empty payload chunk in a single contiguous frame
     (join wrapper over :func:`encode_chunk_parts`)."""
-    header, body = encode_chunk_parts(seq, payload, compress)
-    return b"".join((header, body))
+    return b"".join(encode_chunk_parts(seq, payload, compress))
 
 
-def encode_end_of_stream(seq: int) -> bytes:
+def encode_end_of_stream(seq: int, magic: int = CHUNK_MAGIC) -> bytes:
     """The terminator frame: ``payload_len == 0``, no payload bytes."""
-    return _CHUNK_HEADER.pack(CHUNK_MAGIC, seq, 0, 0)
+    return _FRAME_HEADER.pack(magic, seq, 0, 0)
 
 
 def decode_chunk(
     frame: bytes | bytearray | memoryview,
+    magics: tuple = (CHUNK_MAGIC, CHUNK_MAGIC_Z),
 ) -> tuple[int, bytes | memoryview]:
-    """Validate and unwrap one complete frame.
+    """Validate and unwrap one complete frame whose magic is one of
+    *magics* — the one place a frame is checked.
 
     Returns ``(seq, payload)``; an end-of-stream frame yields
     ``(seq, b"")``.  For an uncompressed frame the payload is a
@@ -413,20 +423,18 @@ def decode_chunk(
     frame = memoryview(frame)
     if len(frame) < CHUNK_HEADER_SIZE:
         raise TruncatedFrameError(
-            f"chunk frame header truncated: {len(frame)} of "
-            f"{CHUNK_HEADER_SIZE} bytes"
+            f"frame header truncated: {len(frame)} of {CHUNK_HEADER_SIZE} bytes"
         )
-    magic, seq, length, crc = _CHUNK_HEADER.unpack_from(frame, 0)
-    if magic not in (CHUNK_MAGIC, CHUNK_MAGIC_Z):
-        raise FrameCorruptError(f"bad chunk frame magic {magic:#010x}")
-    body = frame[CHUNK_HEADER_SIZE:]
-    if len(body) != length:
+    magic, seq, length, crc = _FRAME_HEADER.unpack_from(frame, 0)
+    if magic not in magics:
+        raise FrameCorruptError(f"bad frame magic {magic:#010x}")
+    payload: bytes | memoryview = frame[CHUNK_HEADER_SIZE:]
+    if len(payload) != length:
         raise TruncatedFrameError(
-            f"chunk {seq} claims {length} payload bytes, frame carries {len(body)}"
+            f"frame {seq} claims {length} payload bytes, carries {len(payload)}"
         )
-    payload: bytes | memoryview = body
     if length == 0:
-        if magic != CHUNK_MAGIC:
+        if magic == CHUNK_MAGIC_Z:
             raise FrameCorruptError(
                 f"end-of-stream frame {seq} must use the raw chunk magic"
             )
@@ -438,18 +446,22 @@ def decode_chunk(
             payload = zlib.decompress(payload)
         except zlib.error as exc:
             raise FrameCorruptError(
-                f"chunk {seq} compressed payload is undecodable: {exc}"
+                f"frame {seq} compressed payload is undecodable: {exc}"
             ) from None
     actual = zlib.crc32(payload)
     if actual != crc:
         raise FrameCorruptError(
-            f"chunk {seq} CRC mismatch: header {crc:#010x}, payload {actual:#010x}"
+            f"frame {seq} CRC mismatch: header {crc:#010x}, payload {actual:#010x}"
         )
     return seq, payload
 
 
 class ChunkDecoder:
-    """Stream-side frame validation: decode + strict sequence checking.
+    """Stream-side frame validation: decode + strict sequence checking,
+    for one stream of frames under *magics* (data chunks by default; a
+    channel builds a second one over ``DELTA_MAGIC`` for pre-copy
+    rounds and replaces it at every terminator, so each stream — each
+    round — starts at sequence 0).
 
     Feed complete frames in arrival order via :meth:`decode`; it returns
     the payload, or ``None`` for the end-of-stream frame.  Any gap,
@@ -457,21 +469,22 @@ class ChunkDecoder:
     :class:`FrameOrderError`; frames after end-of-stream raise too.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, magics: tuple = (CHUNK_MAGIC, CHUNK_MAGIC_Z)) -> None:
+        self.magics = magics
         self.expected_seq = 0
         self.finished = False
 
     def decode(self, frame: bytes | bytearray | memoryview) -> bytes | None:
         if self.finished:
-            raise FrameOrderError("chunk frame arrived after end-of-stream")
+            raise FrameOrderError("frame arrived after end-of-stream")
         if bytes(memoryview(frame)[:4]) == b"MCHZ":
             with obs.lap("codec.inflate"):
-                seq, payload = decode_chunk(frame)
+                seq, payload = decode_chunk(frame, self.magics)
         else:
-            seq, payload = decode_chunk(frame)
+            seq, payload = decode_chunk(frame, self.magics)
         if seq != self.expected_seq:
             raise FrameOrderError(
-                f"chunk sequence break: expected {self.expected_seq}, got {seq}"
+                f"frame sequence break: expected {self.expected_seq}, got {seq}"
             )
         self.expected_seq += 1
         if not payload:
@@ -480,166 +493,22 @@ class ChunkDecoder:
         return payload
 
 
-# -- trace-context control frames ---------------------------------------------
-
-CONTEXT_MAGIC = 0x4D435458  # 'MCTX' — trace-context control frame
-CONTEXT_MAGIC_BYTES = b"MCTX"
-
-
 def encode_context_frame(body: bytes) -> bytes:
-    """Wrap a trace-context body in a control frame.
-
-    Same header layout as a chunk frame (so socket readers reuse their
-    fixed-size header read), but a *control* frame: ``seq`` is always 0
-    and it does not participate in chunk sequencing.
-    """
-    return _CHUNK_HEADER.pack(CONTEXT_MAGIC, 0, len(body), zlib.crc32(body)) + body
+    """Wrap a trace-context body in its control frame: ``seq`` is always
+    0 and it does not participate in chunk sequencing."""
+    return b"".join(encode_chunk_parts(0, body, magic=CONTEXT_MAGIC))
 
 
 def decode_context_frame(frame: bytes | bytearray | memoryview) -> bytes:
     """Validate and unwrap one trace-context frame; returns the body."""
-    frame = memoryview(frame)
-    if len(frame) < CHUNK_HEADER_SIZE:
-        raise TruncatedFrameError(
-            f"context frame header truncated: {len(frame)} of "
-            f"{CHUNK_HEADER_SIZE} bytes"
-        )
-    magic, _seq, length, crc = _CHUNK_HEADER.unpack_from(frame, 0)
-    if magic != CONTEXT_MAGIC:
-        raise FrameCorruptError(f"bad context frame magic {magic:#010x}")
-    body = frame[CHUNK_HEADER_SIZE:]
-    if len(body) != length:
-        raise TruncatedFrameError(
-            f"context frame claims {length} body bytes, frame carries {len(body)}"
-        )
-    body = bytes(body)
-    actual = zlib.crc32(body)
-    if actual != crc:
-        raise FrameCorruptError(
-            f"context frame CRC mismatch: header {crc:#010x}, body {actual:#010x}"
-        )
-    return body
-
-
-def peel_context_frame(data: bytes) -> tuple[bytes | None, bytes]:
-    """Split a monolithic message into ``(context_body, rest)``.
-
-    A message that does not *start* with the context magic peels to
-    ``(None, data)`` unchanged — raw ('MIGR') and compressed ('MIGZ')
-    payloads are self-describing by their own magics, so prepending the
-    context frame costs no negotiation.
-    """
-    if len(data) < CHUNK_HEADER_SIZE or data[:4] != CONTEXT_MAGIC_BYTES:
-        return None, data
-    _magic, _seq, length, _crc = _CHUNK_HEADER.unpack_from(data, 0)
-    end = CHUNK_HEADER_SIZE + length
-    if len(data) < end:
-        raise TruncatedFrameError(
-            f"context frame claims {length} body bytes, message carries "
-            f"{len(data) - CHUNK_HEADER_SIZE}"
-        )
-    return decode_context_frame(data[:end]), data[end:]
-
-
-# -- pre-copy delta chunk frames ----------------------------------------------
-
-DELTA_MAGIC = 0x4D444C54  # 'MDLT' — pre-copy delta round chunk
-DELTA_MAGIC_BYTES = b"MDLT"
-
-
-def encode_delta_parts(
-    seq: int, payload: bytes | bytearray | memoryview
-) -> tuple[bytes, bytes | bytearray | memoryview]:
-    """Frame one non-empty delta-round chunk as ``(header, body)``.
-
-    Same header layout as a data chunk frame (magic, seq, payload_len,
-    CRC-32 over the raw bytes) under the fresh ``'MDLT'`` magic, so the
-    socket reader reuses its fixed-size header read.  The sequence space
-    is *per round*: every round starts at 0 and is closed by
-    :func:`encode_delta_end`.  Delta frames are deliberately raw-only —
-    rounds are small (only-dirty blocks) and the adaptive-compression
-    negotiation would buy little while doubling the magic matrix.
-    """
-    if not payload:
-        raise ValueError("empty delta payload is reserved for end-of-round")
-    return _CHUNK_HEADER.pack(DELTA_MAGIC, seq, len(payload), zlib.crc32(payload)), payload
-
-
-def encode_delta_end(seq: int) -> bytes:
-    """The round terminator frame: ``payload_len == 0``, no payload."""
-    return _CHUNK_HEADER.pack(DELTA_MAGIC, seq, 0, 0)
-
-
-def decode_delta_chunk(
-    frame: bytes | bytearray | memoryview,
-) -> tuple[int, bytes | memoryview]:
-    """Validate and unwrap one delta frame; ``(seq, b"")`` at end-of-round.
-
-    The payload is a zero-copy ``memoryview`` into *frame* (the caller
-    owns the frame bytes).  Raises the same typed error family as
-    :func:`decode_chunk`.
-    """
-    frame = memoryview(frame)
-    if len(frame) < CHUNK_HEADER_SIZE:
-        raise TruncatedFrameError(
-            f"delta frame header truncated: {len(frame)} of "
-            f"{CHUNK_HEADER_SIZE} bytes"
-        )
-    magic, seq, length, crc = _CHUNK_HEADER.unpack_from(frame, 0)
-    if magic != DELTA_MAGIC:
-        raise FrameCorruptError(f"bad delta frame magic {magic:#010x}")
-    body = frame[CHUNK_HEADER_SIZE:]
-    if len(body) != length:
-        raise TruncatedFrameError(
-            f"delta chunk {seq} claims {length} payload bytes, "
-            f"frame carries {len(body)}"
-        )
-    if length == 0:
-        if crc != 0:
-            raise FrameCorruptError(f"end-of-round frame {seq} has nonzero CRC")
-        return seq, b""
-    actual = zlib.crc32(body)
-    if actual != crc:
-        raise FrameCorruptError(
-            f"delta chunk {seq} CRC mismatch: header {crc:#010x}, "
-            f"payload {actual:#010x}"
-        )
-    return seq, body
-
-
-class DeltaDecoder:
-    """Receive-side delta frame validation for one pre-copy round.
-
-    Mirrors :class:`ChunkDecoder`'s strict consecutive-sequence rule,
-    but over the per-round sequence space: the transport replaces the
-    decoder at every end-of-round, so each round independently starts
-    at sequence 0.
-    """
-
-    def __init__(self) -> None:
-        self.expected_seq = 0
-        self.finished = False
-
-    def decode(self, frame: bytes | bytearray | memoryview) -> bytes | None:
-        if self.finished:
-            raise FrameOrderError("delta frame arrived after end-of-round")
-        seq, payload = decode_delta_chunk(frame)
-        if seq != self.expected_seq:
-            raise FrameOrderError(
-                f"delta sequence break: expected {self.expected_seq}, got {seq}"
-            )
-        self.expected_seq += 1
-        if not payload:
-            self.finished = True
-            return None
-        return payload
+    return bytes(decode_chunk(frame, (CONTEXT_MAGIC,))[1])
 
 
 # -- frames by type -----------------------------------------------------------
 
 _DATA_FRAME_MAGICS = (b"MCHK", b"MCHZ")
 #: every magic a frame on a channel may open with
-FRAME_MAGICS = _DATA_FRAME_MAGICS + (CONTEXT_MAGIC_BYTES, DELTA_MAGIC_BYTES)
+FRAME_MAGICS = _DATA_FRAME_MAGICS + (b"MCTX", b"MDLT")
 
 
 def is_data_frame(frame: bytes | bytearray | memoryview) -> bool:
@@ -650,19 +519,23 @@ def is_data_frame(frame: bytes | bytearray | memoryview) -> bool:
     This is the fault layer's rule for which sends have an index: data
     frames and whole messages count, plumbing does not — turning tracing
     or pre-copy on (whose frame count varies with convergence) must not
-    shift which data send a deterministic fault fires on.
+    shift which data send a deterministic fault fires on.  A default-mode
+    attempt therefore has two indexed sends: chunk 0 and the terminator.
     """
     return bytes(memoryview(frame)[:4]) in _DATA_FRAME_MAGICS
 
 
-# -- monolithic payload compression -------------------------------------------
+# -- whole-payload compression ------------------------------------------------
+# No product path calls this pair any more (serial ``--compress`` ships an
+# 'MCHZ' chunk); it stays only because the frozen benchmark probe
+# ``benchmarks/suite/layers.py::probe_wire`` imports it (ROADMAP item 5b).
 
-PAYLOAD_MAGIC_Z = 0x4D49475A  # 'MIGZ' — compressed monolithic envelope
+PAYLOAD_MAGIC_Z = 0x4D49475A  # 'MIGZ' — compressed whole-payload envelope
 _PAYLOAD_Z_HEADER = struct.Struct(">III")  # magic, raw_len, crc32(raw)
 
 
 def compress_payload(payload: bytes) -> bytes:
-    """Adaptively compress a monolithic payload.
+    """Adaptively compress a whole payload.
 
     Returns a ``'MIGZ'`` envelope when zlib shrinks the payload by at
     least :data:`MIN_COMPRESSION_GAIN`, otherwise the payload unchanged.

@@ -161,8 +161,9 @@ class MigrationObservation:
                 "payload_bytes": summary["payload_bytes"],
                 "rows": summary["rows"],
             }
-            if "scopes" in summary:
-                attr_line["scopes"] = summary["scopes"]
+            for side in ("scopes", "abandoned"):
+                if side in summary:
+                    attr_line[side] = summary[side]
             lines.append(attr_line)
         lines.append({
             "event": "metrics",

@@ -36,7 +36,10 @@ of being lumped under the final attempt — without it, the (larger)
 snapshot payload overrode the final elided payload via
 :meth:`note_payload` and broke the exact byte partition.
 :meth:`summary` reports the default ``"final"`` scope in the original
-shape, with other scopes under a ``"scopes"`` key.
+shape, with other scopes under a ``"scopes"`` key.  A *failed* attempt's
+rows leave the default scope (:meth:`AttributionProfiler.set_aside`) and
+are reported under ``"abandoned"``, so the default rows partition the
+one payload that arrived however many attempts it took.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import threading
 import time
 from typing import Optional
 
-__all__ = ["AttributionProfiler", "BLOCK_CLASSES", "FRAMING_ROW"]
+__all__ = ["AttributionProfiler", "BLOCK_CLASSES", "FRAMING_ROW", "block_class_of"]
 
 #: block classes rows are keyed by (MSRLT logical-id kinds)
 BLOCK_CLASSES = ("global", "stack", "heap")
@@ -120,22 +123,30 @@ class AttributionProfiler:
         self._scopes: dict[str, dict[tuple, _Row]] = {
             self.DEFAULT_SCOPE: {},
         }
-        self._rows: dict[tuple, _Row] = self._scopes[self.DEFAULT_SCOPE]
+        #: attempt name -> (rows, payload bytes) of each failed attempt
+        self._abandoned: dict[str, tuple[dict, int]] = {}
         self._local = threading.local()
         self.scope = self.DEFAULT_SCOPE
         #: per-scope total payload bytes, when the collector reported
         #: them (lets :meth:`summary` emit the exact framing residual)
         self._payloads: dict[str, int] = {}
 
-    @property
-    def payload_bytes(self) -> int:
-        """The default scope's payload size (back-compat read-out)."""
-        return self._payloads.get(self.DEFAULT_SCOPE, 0)
-
     def scoped(self, scope: str):
         """Context manager routing cost into *scope* (the engine wraps
         the pre-copy phase in ``scoped("precopy")``)."""
         return _Scoped(self, scope)
+
+    def set_aside(self, name: str) -> None:
+        """Move what the default scope holds out of it, to be reported
+        as abandoned attempt *name*: a failed attempt's collect work
+        really happened, but not for the payload that arrives, so the
+        default table stays a partition of that one payload."""
+        with self._lock:
+            self._abandoned[name] = (
+                self._scopes[self.DEFAULT_SCOPE],
+                self._payloads.pop(self.DEFAULT_SCOPE, 0),
+            )
+            self._scopes[self.DEFAULT_SCOPE] = {}
 
     # -- frame stack -------------------------------------------------------
 
@@ -278,47 +289,40 @@ class AttributionProfiler:
             self._payloads[scope] = max(self._payloads.get(scope, 0), nbytes)
 
     @staticmethod
-    def _scope_table(rows_by_key: dict, payload: int) -> dict:
+    def _row_dict(key: tuple, r: _Row) -> dict:
+        return {
+            "type": key[0],
+            "class": key[1],
+            "collect_s": round(r.collect_s, 9),
+            "restore_s": round(r.restore_s, 9),
+            "bytes": r.bytes,
+            "restore_bytes": r.restore_bytes,
+            "blocks": r.blocks,
+            "restore_blocks": r.restore_blocks,
+            "cells": r.cells,
+            "flat": r.flat,
+            "codec": r.codec,
+            "percell": r.percell,
+            "msrlt_searches": r.msrlt_searches,
+            "msrlt_depth": r.msrlt_depth,
+            "msrlt_cache_hits": r.msrlt_cache_hits,
+        }
+
+    @classmethod
+    def _scope_table(cls, rows_by_key: dict, payload: int) -> dict:
         """One scope's JSON-ready table, framing residual included."""
-        rows = []
-        attributed = 0
-        for (type_label, block_class), r in rows_by_key.items():
-            attributed += r.bytes
-            rows.append({
-                "type": type_label,
-                "class": block_class,
-                "collect_s": round(r.collect_s, 9),
-                "restore_s": round(r.restore_s, 9),
-                "bytes": r.bytes,
-                "restore_bytes": r.restore_bytes,
-                "blocks": r.blocks,
-                "restore_blocks": r.restore_blocks,
-                "cells": r.cells,
-                "flat": r.flat,
-                "codec": r.codec,
-                "percell": r.percell,
-                "msrlt_searches": r.msrlt_searches,
-                "msrlt_depth": r.msrlt_depth,
-                "msrlt_cache_hits": r.msrlt_cache_hits,
-            })
-        if payload and payload > attributed:
-            framing = next(
-                (row for row in rows
-                 if (row["type"], row["class"]) == FRAMING_ROW), None)
-            if framing is None:
-                framing = {
-                    "type": FRAMING_ROW[0], "class": FRAMING_ROW[1],
-                    "collect_s": 0.0, "restore_s": 0.0,
-                    "bytes": 0, "restore_bytes": 0,
-                    "blocks": 0, "restore_blocks": 0, "cells": 0,
-                    "flat": 0, "codec": 0, "percell": 0,
-                    "msrlt_searches": 0, "msrlt_depth": 0,
-                    "msrlt_cache_hits": 0,
-                }
-                rows.append(framing)
+        rows = {key: cls._row_dict(key, r) for key, r in rows_by_key.items()}
+        attributed = sum(r.bytes for r in rows_by_key.values())
+        if payload > attributed:
+            framing = rows.setdefault(FRAMING_ROW, cls._row_dict(FRAMING_ROW, _Row()))
             framing["bytes"] += payload - attributed
-        rows.sort(key=lambda row: (-row["bytes"], row["type"], row["class"]))
-        return {"payload_bytes": payload, "rows": rows}
+        return {
+            "payload_bytes": payload,
+            "rows": sorted(
+                rows.values(),
+                key=lambda row: (-row["bytes"], row["type"], row["class"]),
+            ),
+        }
 
     def summary(self) -> dict:
         """The attribution table as plain data (JSON-ready).
@@ -327,9 +331,11 @@ class AttributionProfiler:
         collector reported its payload size, a synthetic framing row
         carries the residual so the ``bytes`` column sums to the payload
         exactly.  The top-level ``payload_bytes``/``rows`` are the
-        default (final-attempt) scope — byte-partition-exact on its own;
-        any other populated scope (``"precopy"``) appears under
-        ``"scopes"`` with the same table shape.
+        default scope, the successful attempt — byte-partition-exact on
+        its own; any other populated scope (``"precopy"``) appears under
+        ``"scopes"`` and every failed attempt (:meth:`set_aside`) under
+        ``"abandoned"``, with the same table shape (``payload_bytes`` 0
+        where the collector never got to its end).
         """
         with self._lock:
             tables = {
@@ -339,12 +345,17 @@ class AttributionProfiler:
                 for scope, rows in self._scopes.items()
                 if rows or self._payloads.get(scope, 0)
             }
+            abandoned = {
+                name: self._scope_table(rows, payload)
+                for name, (rows, payload) in self._abandoned.items()
+            }
         out = tables.pop(
             self.DEFAULT_SCOPE, {"payload_bytes": 0, "rows": []}
         )
         if tables:
-            out = dict(out)
             out["scopes"] = tables
+        if abandoned:
+            out["abandoned"] = abandoned
         return out
 
     def __bool__(self) -> bool:  # an empty profiler is still "on"
@@ -352,7 +363,7 @@ class AttributionProfiler:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._rows)
+            return len(self._scopes[self.DEFAULT_SCOPE])
 
 
 class _Scoped:
@@ -382,6 +393,3 @@ def block_class_of(logical: tuple) -> str:
         return BLOCK_CLASSES[kind]
     return "unknown"
 
-
-# re-exported for call sites that only need the label helper
-__all__.append("block_class_of")

@@ -13,8 +13,8 @@ source's trace as one coherent tree, the source ships a compact
         u32  attempt             (1-based attempt ordinal)
         f64  sent wall clock     (sender's time.time(), seconds)
 
-carried either as an ``'MCTX'`` control frame opening a chunk stream or
-prepended to a monolithic envelope (see :mod:`repro.msr.wire`).  The
+carried as the ``'MCTX'`` control frame that opens every transfer
+attempt's envelope (see :mod:`repro.msr.wire`).  The
 receiver resolves the parent span id against its own tracer
 (:meth:`~repro.obs.spans.Tracer.span_by_id`) when the trace id matches —
 the in-process case — or builds an adopted tracer
@@ -40,7 +40,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro import obs as _obs
-from repro.msr.wire import encode_context_frame
 from repro.obs.spans import Tracer
 
 __all__ = [
@@ -80,11 +79,6 @@ class TraceContext:
             attempt=attempt,
             sent_wall_s=wall,
         )
-
-    def to_frame(self) -> bytes:
-        """The body wrapped in an ``'MCTX'`` wire frame (the form a
-        monolithic envelope prepends; streams use ``send_context``)."""
-        return encode_context_frame(self.to_bytes())
 
 
 def outbound_context(attempt: int = 1, wall_clock=time.time) -> TraceContext | None:

@@ -12,6 +12,18 @@ from repro.migration.transport import LOOPBACK, Channel
 from repro.msr.graphplan import SortedArena
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import Restorer
+from repro.msr.wire import (
+    CHUNK_HEADER_SIZE,
+    CHUNK_MAGIC,
+    DELTA_MAGIC,
+    ChunkDecoder,
+    FrameCorruptError,
+    FrameOrderError,
+    TruncatedFrameError,
+    decode_chunk,
+    encode_chunk_parts,
+    encode_end_of_stream,
+)
 from repro.vm.memory import Memory
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -231,6 +243,99 @@ def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
     for restored in (dest, twin):
         assert restored.run().status == "exit"
         assert restored.stdout == expected.stdout
+
+
+class FrameCodecCases:
+    """The frame codec's damage matrix, written once and run per stream
+    kind: a subclass names the *magics* its stream speaks (the first is
+    the one raw frames and the terminator ship under) — data chunks in
+    ``test_streaming.py::TestChunkWire``, pre-copy delta rounds in
+    ``test_precopy.py::TestDeltaWire``.  One encoder, one validator and
+    one sequence-checking decoder serve both."""
+
+    magics: tuple
+
+    def frame(self, seq: int, payload: bytes) -> bytes:
+        return b"".join(encode_chunk_parts(seq, payload, magic=self.magics[0]))
+
+    def end(self, seq: int) -> bytes:
+        return encode_end_of_stream(seq, self.magics[0])
+
+    def test_roundtrip(self):
+        header, body = encode_chunk_parts(0, b"hello world", magic=self.magics[0])
+        assert len(header) == CHUNK_HEADER_SIZE
+        assert header[:4] == self.magics[0].to_bytes(4, "big")
+        seq, payload = decode_chunk(header + body, self.magics)
+        assert (seq, bytes(payload)) == (0, b"hello world")
+
+    def test_end_of_round_frame(self):
+        seq, payload = decode_chunk(self.end(3), self.magics)
+        assert seq == 3 and payload == b""
+        nonzero_crc = bytearray(self.end(3))
+        nonzero_crc[-1] = 1
+        with pytest.raises(FrameCorruptError):
+            decode_chunk(nonzero_crc, self.magics)
+
+    def test_crc_damage_detected(self):
+        frame = bytearray(self.frame(0, b"abcdef"))
+        for byte in (len(frame) - 1, CHUNK_HEADER_SIZE, CHUNK_HEADER_SIZE - 1):
+            flipped = bytearray(frame)
+            flipped[byte] ^= 0xFF
+            with pytest.raises(FrameCorruptError):
+                decode_chunk(bytes(flipped), self.magics)
+
+    def test_truncation_detected(self):
+        frame = self.frame(0, b"abcdef")
+        for cut in (1, 6, len(frame) - 3):
+            with pytest.raises(TruncatedFrameError):
+                decode_chunk(frame[:-cut], self.magics)
+
+    def test_empty_payload_rejected(self):
+        with pytest.raises(ValueError):
+            encode_chunk_parts(0, b"", magic=self.magics[0])
+
+    def test_decoder_orders_frames(self):
+        dec = ChunkDecoder(self.magics)
+        assert bytes(dec.decode(self.frame(0, b"one"))) == b"one"
+        # a sequence gap (a reordered or lost frame) is a typed protocol error
+        with pytest.raises(FrameOrderError, match="expected 1, got 2"):
+            dec.decode(self.frame(2, b"three"))
+
+    def test_duplicate_frame_rejected(self):
+        dec = ChunkDecoder(self.magics)
+        dec.decode(self.frame(0, b"one"))
+        with pytest.raises(FrameOrderError, match="expected 1, got 0"):
+            dec.decode(self.frame(0, b"one"))
+
+    def test_decoder_finishes_on_terminator(self):
+        dec = ChunkDecoder(self.magics)
+        dec.decode(self.frame(0, b"x"))
+        assert dec.decode(self.end(1)) is None
+        assert dec.finished
+        with pytest.raises(FrameOrderError, match="after end-of-stream"):
+            dec.decode(self.frame(0, b"y"))
+
+    def test_another_streams_frame_is_refused(self):
+        """The magics a decoder accepts are its argument: a chunk frame
+        is damage to the delta decoder and the other way round."""
+        other = DELTA_MAGIC if self.magics[0] != DELTA_MAGIC else CHUNK_MAGIC
+        foreign = b"".join(encode_chunk_parts(0, b"payload", magic=other))
+        with pytest.raises(FrameCorruptError, match="magic"):
+            ChunkDecoder(self.magics).decode(foreign)
+
+
+def tap_frames(channel) -> list:
+    """Record every frame *channel*'s receive side hands up, in order
+    (``_recv_frame`` is the one door all frame kinds come through, on
+    every channel)."""
+    frames, recv_frame = [], channel._recv_frame
+
+    def tap():
+        frames.append(recv_frame())
+        return frames[-1]
+
+    channel._recv_frame = tap
+    return frames
 
 
 class RecordingChannel(Channel):

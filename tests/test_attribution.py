@@ -459,8 +459,8 @@ class TestEngineAttribution:
 
     def test_multi_attempt_accounting_is_cumulative(self, prog, expected):
         """A faulted attempt's collect work really happened; attribution
-        keeps it (rows can sum past the payload), while payload_bytes
-        stays the single successful envelope."""
+        keeps it — beside the table, as an abandoned attempt — while the
+        default rows partition the single payload that arrived."""
         proc = stopped(prog)
         channel = FaultyChannel(
             Channel(LOOPBACK), FaultPlan.parse("bitflip@1:5"), deadline=1.0
@@ -475,7 +475,14 @@ class TestEngineAttribution:
         assert stats.retries == 1
         attr = stats.attribution
         assert attr["payload_bytes"] == stats.payload_bytes
-        assert sum(r["bytes"] for r in attr["rows"]) > attr["payload_bytes"]
+        assert sum(r["bytes"] for r in attr["rows"]) == attr["payload_bytes"]
+        (name, abandoned), = attr["abandoned"].items()
+        assert name == "attempt 1"
+        assert 0 < sum(r["bytes"] for r in abandoned["rows"]) <= stats.payload_bytes
+        (line,) = [
+            l for l in stats.obs.trace_lines() if l["event"] == "attribution"
+        ]
+        assert line["abandoned"] == attr["abandoned"]
 
     def test_attribution_in_trace_lines(self, attributed):
         _, _, stats = attributed

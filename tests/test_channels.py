@@ -6,6 +6,7 @@ import pytest
 from repro.arch import DEC5000, SPARC20
 from repro.migration.engine import MigrationEngine
 from repro.migration.transport import ETHERNET_10M, FileChannel, SocketChannel
+from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -66,8 +67,9 @@ class TestFileChannel:
         dest, stats = MigrationEngine().migrate(proc, SPARC20, channel=channel)
         dest.run()
         assert dest.stdout == expected
+        # Tx charges the data frames: payload, chunk header, terminator
         assert stats.tx_time == pytest.approx(
-            ETHERNET_10M.transfer_time(stats.payload_bytes)
+            ETHERNET_10M.transfer_time(stats.payload_bytes + 2 * CHUNK_HEADER_SIZE)
         )
         # the payload genuinely hit the file system
         assert (tmp_path / "mig.bin").stat().st_size > stats.payload_bytes

@@ -294,6 +294,37 @@ class TestOutOfRangeNumbers:
         assert "output identical" in capsys.readouterr().err
 
 
+class TestNoTracebacks:
+    """What a user can get wrong on the command line is one line on
+    stderr and exit 2 — before anything ran — never a traceback."""
+
+    #: (argv with ``{demo}`` / ``{tmp}`` filled in, what the line says)
+    CASES = [
+        *[([cmd, "{tmp}/nonexistent.c", *rest], "cannot read {tmp}/nonexistent.c")
+          for cmd, *rest in (["migrate"], ["run"], ["check"], ["annotate"],
+                             ["checkpoint", "-o", "{tmp}/out.ckpt"], ["graph"])],
+        (["migrate", "{demo}", "--trace", "{tmp}/no/such/dir/t.jsonl"],
+         "--trace: cannot write {tmp}/no/such/dir/t.jsonl"),
+        (["migrate", "{demo}", "--metrics-out", "{tmp}/no/such/dir/m.txt"],
+         "--metrics-out: cannot write {tmp}/no/such/dir/m.txt"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, complaint", CASES,
+        ids=[" ".join(a.split("/")[-1] for a in argv) for argv, _ in CASES],
+    )
+    def test_one_line_and_exit_2(self, argv, complaint, demo_c, tmp_path, capsys):
+        fill = dict(demo=demo_c, tmp=tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**fill) for arg in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # nothing ran
+        assert len(err.splitlines()) == 1
+        assert complaint.format(**fill) in err
+        assert "Traceback" not in err
+
+
 class TestCheckpointRestartCLI:
     def test_checkpoint_then_restart(self, demo_c, tmp_path, capsys):
         snap = str(tmp_path / "s.ckpt")

@@ -9,9 +9,11 @@ invariants, one reduced-scope differential run, and the shrinker's
 greedy loop against a synthetic predicate.
 """
 
+import itertools
+
 import pytest
 
-from repro.arch import ALPHA, DEC5000, SPARC20
+from repro.arch import ALPHA, DEC5000, SPARC20, X86_64
 from repro.difftest.generate import FEATURE_NAMES, GenConfig, generate
 from repro.difftest.harness import (
     ChainHop,
@@ -284,6 +286,70 @@ class TestCorpusFormat:
         )
         parsed = parse_entry(text)
         assert parsed.source == "int main() { return 0; }\n"
+
+
+#: the four orthogonal transfer-mode switches of ``migrate()``; every
+#: subset of them is a mode (a small fixed chunk size, so that streamed
+#: payloads really are cut)
+MODE_AXES = {
+    "stream": dict(streaming=True, chunk_size=64),
+    "compress": dict(compress=True),
+    "precopy": dict(precopy=True),
+    "attribution": dict(attribution=True),
+}
+MODE_PRODUCTS = {
+    "+".join(on) or "plain": {k: v for axis in on for k, v in MODE_AXES[axis].items()}
+    for n in range(len(MODE_AXES) + 1)
+    for on in itertools.combinations(MODE_AXES, n)
+}
+assert len(MODE_PRODUCTS) == 16
+
+
+def sweep_seed_in_every_mode(seed: int, arch_pairs, max_polls: int) -> list:
+    """Compile *seed*'s program once, then put it through the fingerprint
+    + stdout oracle in all 16 mode products; returns the mismatches,
+    each tagged with its mode."""
+    prog = generate(seed)
+    program = compile_program(prog.source, poll_strategy="user")
+    found = []
+    for arches in arch_pairs:
+        baseline, disagreements = check_baseline_agreement(prog, program, arches)
+        assert baseline is not None and not disagreements
+        for name, mode in MODE_PRODUCTS.items():
+            runs, mismatches = sweep_pairs(
+                prog, program, baseline, arches, max_polls=max_polls, mode=mode
+            )
+            assert runs > 0
+            found.extend(f"[{name}] {m}" for m in mismatches)
+    return found
+
+
+class TestEveryModeProduct:
+    """The safety net under the one-envelope engine: the same state
+    arrives whatever combination of {stream, compress, precopy,
+    attribution} carried it."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seed_is_clean_in_all_sixteen(self, seed):
+        # first, middle and last poll: the last is where pre-copy's slices
+        # run the source to its exit, the middle one where they do not
+        found = sweep_seed_in_every_mode(seed, [(DEC5000, SPARC20)], max_polls=3)
+        assert not found, "\n".join(found)
+
+    def test_run_seed_takes_the_mode_too(self):
+        rep = run_seed(
+            2, arches=(DEC5000, SPARC20), hops=0, max_polls=2,
+            mode=MODE_PRODUCTS["stream+compress+precopy+attribution"],
+        )
+        assert rep.ok and rep.runs > 0, "\n".join(str(m) for m in rep.mismatches)
+
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize("seed", range(25))
+    def test_seed_is_clean_in_all_sixteen_nightly(self, seed):
+        found = sweep_seed_in_every_mode(
+            seed, [(DEC5000, ALPHA), (SPARC20, X86_64)], max_polls=3
+        )
+        assert not found, "\n".join(found)
 
 
 @pytest.mark.fuzz

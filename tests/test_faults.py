@@ -1,7 +1,7 @@
 """Fault-injected transport and resilient migration.
 
 The acceptance matrix: for every fault kind (drop, truncate, bitflip,
-stall, disconnect) × both transfer modes (monolithic, streaming), the
+stall, disconnect) × both schedules (serial, pipelined), the
 engine either completes with a byte-identical restored state or raises a
 typed error with the destination process unmodified and the source
 process still runnable — and with retries enabled, transient
@@ -24,7 +24,6 @@ from repro.migration.engine import (
     MigrationError,
     RestoreError,
     RetryPolicy,
-    TransferError,
     collect_state,
 )
 from repro.migration.precopy import PrecopyPolicy
@@ -45,15 +44,20 @@ from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.obs import validate_trace_lines
 from repro.msr.wire import (
+    DELTA_MAGIC,
+    FrameCorruptError,
+    WireFrameError,
+    decode_chunk,
     encode_chunk,
+    encode_chunk_parts,
     encode_context_frame,
-    encode_delta_end,
-    encode_delta_parts,
     encode_end_of_stream,
+    is_data_frame,
 )
 from repro.vm.memory import MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import tap_frames
 
 PROGRAM = """
 struct node { double w; struct node *next; };
@@ -211,7 +215,7 @@ class TestFaultyChannelUnit:
     #: (what goes through the send path, whether the plan gives it an index)
     FRAME_KINDS = {
         "message": (lambda ch: ch.send(b"whole message"), True),
-        # a monolithic message may open with the trace context: still a message
+        # a whole message that opens with a context frame is still a message
         "message+ctx": (lambda ch: ch.send(encode_context_frame(b"c") + b"MIGR"), True),
         "MCHK": (lambda ch: ch._send_frame(encode_chunk(0, b"x" * 64)), True),
         "MCHZ": (lambda ch: ch._send_frame(
@@ -219,8 +223,9 @@ class TestFaultyChannelUnit:
         "end-of-stream": (lambda ch: ch._send_frame(encode_end_of_stream(1)), True),
         "MCTX": (lambda ch: ch._send_frame(encode_context_frame(b"ctx")), False),
         "MDLT": (lambda ch: ch._send_frame(
-            b"".join(encode_delta_parts(0, b"delta"))), False),
-        "end-of-round": (lambda ch: ch._send_frame(encode_delta_end(1)), False),
+            b"".join(encode_chunk_parts(0, b"delta", magic=DELTA_MAGIC))), False),
+        "end-of-round": (lambda ch: ch._send_frame(
+            encode_end_of_stream(1, DELTA_MAGIC)), False),
     }
 
     @pytest.mark.parametrize("kind", FRAME_KINDS)
@@ -284,7 +289,7 @@ class TestFaultMatrix:
         # the abort carries the typed underlying error
         assert isinstance(
             excinfo.value.last_error,
-            (ChannelError, TransferError, RestoreError, Exception),
+            (ChannelError, WireFrameError, RestoreError),
         )
         assert excinfo.value.attempts == 1
         # destination untouched: still a waiting, never-run process
@@ -384,15 +389,43 @@ class TestFaultMatrix:
         assert stats.attempts == 1 and stats.retries == 0
         assert stats.aborted_bytes == 0 and stats.time_in_backoff == 0.0
 
-    def test_monolithic_bitflip_caught_by_checksum(self, prog):
-        """The monolithic wire format has no frame CRCs; the engine's
-        end-to-end checksum must still turn a flipped bit into a typed
-        TransferError, never silent corruption."""
+    def test_default_mode_bitflip_is_refused_by_the_receiver(self, prog):
+        """Integrity is the receiver's: a bit flipped in a default-mode
+        transfer is a typed FrameCorruptError decided from the received
+        bytes alone — a decoder handed nothing but what came off the
+        channel refuses them too — never silent corruption."""
         proc = stopped(prog)
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("bitflip@0:999"))
+        arrived = tap_frames(channel.inner)  # as the fault left them
         with pytest.raises(MigrationAbortedError) as excinfo:
             MigrationEngine().migrate(proc, SPARC20, channel=channel)
-        assert isinstance(excinfo.value.last_error, TransferError)
+        assert isinstance(excinfo.value.last_error, FrameCorruptError)
+        damaged = [f for f in arrived if is_data_frame(f)]
+        assert len(damaged) == 1
+        with pytest.raises(FrameCorruptError):
+            decode_chunk(damaged[0])
+
+    def test_dropped_terminator_is_a_timeout_and_a_retry_cures_it(
+        self, prog, expected
+    ):
+        """``drop@1`` loses the default mode's second indexed send, the
+        terminator: a typed timeout, the source resumable — and the
+        retry arrives."""
+        proc = stopped(prog)
+        channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@1"))
+        with pytest.raises(MigrationAbortedError) as excinfo:
+            MigrationEngine().migrate(proc, SPARC20, channel=channel)
+        assert isinstance(excinfo.value.last_error, ChannelTimeoutError)
+        assert proc.frames and not proc.exited
+
+        channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@1"))
+        dest, stats = MigrationEngine().migrate(
+            proc, SPARC20, channel=channel,
+            retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
+        )
+        dest.run()
+        assert dest.stdout == expected
+        assert stats.attempts == 2 and stats.n_chunks == 1
 
     def test_two_faults_need_three_attempts(self, prog, expected):
         proc = stopped(prog)
@@ -458,9 +491,9 @@ class TestRetryPolicy:
 class TestGracefulDegradation:
     def test_streaming_falls_back_to_monolithic(self, prog, expected):
         """A link that persistently kills the third frame defeats every
-        streaming attempt; after ``degrade_after`` failures the engine
-        completes the migration with one monolithic transfer (whose only
-        send, index 0, the fault never touches)."""
+        pipelined attempt; after ``degrade_after`` failures the engine
+        completes the migration on the serial schedule (whose two indexed
+        sends, chunk 0 and the terminator, the fault never touches)."""
         proc = stopped(prog)
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("bitflip@2:7!"))
         dest, stats = MigrationEngine().migrate(
@@ -470,7 +503,8 @@ class TestGracefulDegradation:
         dest.run()
         assert dest.stdout == expected
         assert stats.degraded
-        assert not stats.streamed  # the successful attempt was monolithic
+        assert not stats.streamed  # the successful attempt was serial
+        assert stats.n_chunks == 1
         assert stats.attempts == 3 and stats.retries == 2
 
     def test_no_degradation_without_opt_in(self, prog):
@@ -626,14 +660,14 @@ class TestTransactionalRestore:
             retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
         )
         assert stats.retries == 1
-        # the delivered message is trace-context frame + envelope; the
-        # envelope must be byte-identical to a clean collection
-        from repro.msr.wire import peel_context_frame
-
-        assert len(received) == 1
-        ctx_body, envelope = peel_context_frame(received[0])
-        assert ctx_body is not None
-        assert envelope == reference
+        # of everything delivered (both attempts' context frames and
+        # terminators, attempt 1's chunk was dropped) exactly one frame
+        # carries payload, and it is byte-identical to a clean collection
+        chunks = [
+            payload for f in received if is_data_frame(f)
+            for _seq, payload in [decode_chunk(f)] if payload
+        ]
+        assert chunks == [reference]
 
 
 # -- one fault, one typed error, in every mode ---------------------------------

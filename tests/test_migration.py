@@ -19,6 +19,7 @@ from repro.migration import (
     Scheduler,
 )
 from repro.migration.engine import MigrationError, collect_state
+from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -117,7 +118,8 @@ class TestMigrationMechanics:
     def test_tx_time_matches_link_model(self):
         res = migrate_and_compare(WORK, DEC5000, SPARC20, after_polls=10)
         st = res.migrations[0]
-        expected = ETHERNET_10M.transfer_time(st.payload_bytes)
+        # the payload rides one chunk frame, closed by a terminator
+        expected = ETHERNET_10M.transfer_time(st.payload_bytes + 2 * CHUNK_HEADER_SIZE)
         assert st.tx_time == pytest.approx(expected)
 
     def test_migration_at_every_poll_index(self):

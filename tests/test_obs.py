@@ -309,7 +309,7 @@ class TestOverlapRatioCodecFold:
 
 class TestDegradedSurfacing:
     """row()/__str__ must report degradation unconditionally, not only
-    when retries > 0 (a degraded migration whose monolithic fallback
+    when retries > 0 (a degraded migration whose serial fallback
     succeeded first try used to vanish from both reports)."""
 
     def test_row_reports_degraded_without_retries(self):
@@ -319,12 +319,12 @@ class TestDegradedSurfacing:
 
     def test_str_reports_degraded_without_retries(self):
         s = MigrationStats(degraded=True)
-        assert "degraded to monolithic" in str(s)
+        assert "degraded to serial" in str(s)
 
     def test_row_reports_degraded_with_retries_too(self):
         s = MigrationStats(degraded=True, retries=2, attempts=3)
         assert s.row()["Degraded"] is True
-        assert "degraded to monolithic" in str(s)
+        assert "degraded to serial" in str(s)
 
     def test_clean_migration_has_no_degraded_key(self):
         assert "Degraded" not in MigrationStats().row()
@@ -586,6 +586,8 @@ class TestInstrumentsAgree:
         assert stats.attempts == (2 if mode in ("retried", "degraded") else 1)
         assert stats.degraded == (mode == "degraded")
         assert stats.precopy == (mode == "precopy")
+        if mode in ("mono", "degraded"):  # the serial schedule: one chunk
+            assert (stats.n_chunks, stats.streamed) == (1, False)
 
         # MigrationStats == the engine.* counters
         counter = obs.metrics.counter
@@ -629,20 +631,20 @@ class TestInstrumentsAgree:
 
         # the attribution table == stats and counters: every scope's
         # byte column partitions that scope's payload (a failed attempt's
-        # collect work really happened and stays booked, so retried rows
-        # sum past the one payload that arrived), and its lookups are the
-        # lookups the registry counts
+        # collect work really happened: it is reported beside the table,
+        # one abandoned attempt per retry), and the lookups of all of
+        # them are the lookups the registry counts
         attr = stats.attribution
         assert attr["payload_bytes"] == stats.payload_bytes
         tables = [attr, *attr.get("scopes", {}).values()]
         for table in tables:
             booked = sum(r["bytes"] for r in table["rows"])
-            if stats.attempts == 1:
-                assert booked == table["payload_bytes"]
-            else:
-                assert booked > table["payload_bytes"]
+            assert booked == table["payload_bytes"]
+        abandoned = attr.get("abandoned", {})
+        assert list(abandoned) == [f"attempt {n + 1}" for n in range(stats.retries)]
         assert sum(
-            r["msrlt_searches"] for table in tables for r in table["rows"]
+            r["msrlt_searches"]
+            for table in (*tables, *abandoned.values()) for r in table["rows"]
         ) == counter("msrlt.searches")
 
         # observation on or off, the same bytes cross the channel

@@ -114,14 +114,14 @@ class TestObsReport:
     def test_diff_of_different_traces_shows_counter_delta(
         self, workspace, trace_path, capsys
     ):
-        other = workspace / "mono.jsonl"
-        rc = main(["migrate", str(workspace / "prog.c"),
-                   "--trace", str(other)])
+        other = workspace / "chunked.jsonl"
+        rc = main(["migrate", str(workspace / "prog.c"), "--stream",
+                   "--chunk-size", "512", "--trace", str(other)])
         assert rc == 0
         capsys.readouterr()
         assert main(["obs", "diff", str(trace_path), str(other)]) == 0
         out = capsys.readouterr().out
-        assert "engine.chunks" in out  # streamed A vs monolithic B
+        assert "engine.chunks" in out  # one chunk in A, several in B
 
 
 class TestObsErrors:

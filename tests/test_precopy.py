@@ -55,13 +55,10 @@ from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.msr.wire import (
-    CHUNK_HEADER_SIZE,
-    DeltaDecoder,
+    DELTA_MAGIC,
     FrameCorruptError,
-    FrameOrderError,
-    decode_delta_chunk,
-    encode_delta_end,
-    encode_delta_parts,
+    decode_chunk,
+    encode_chunk,
     read_logical,
     write_logical,
 )
@@ -71,6 +68,7 @@ from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.workloads import structgrid_source
 from tests.conftest import (
+    FrameCodecCases,
     allocator_twin,
     assert_table_whole,
     block_header,
@@ -140,46 +138,20 @@ int main() {
 # -- wire frames ---------------------------------------------------------
 
 
-class TestDeltaWire:
-    def test_roundtrip(self):
-        header, body = encode_delta_parts(0, b"hello world")
-        assert len(header) == CHUNK_HEADER_SIZE
-        seq, payload = decode_delta_chunk(header + body)
-        assert (seq, bytes(payload)) == (0, b"hello world")
+class TestDeltaWire(FrameCodecCases):
+    """Delta frames are the chunk codec under another magic, raw only,
+    one sequence space per round: the shared damage matrix, over
+    ``'MDLT'``."""
 
-    def test_end_of_round_frame(self):
-        seq, payload = decode_delta_chunk(encode_delta_end(3))
-        assert seq == 3 and payload == b""
+    magics = (DELTA_MAGIC,)
 
-    def test_crc_damage_detected(self):
-        header, body = encode_delta_parts(0, b"abcdef")
-        frame = bytearray(header + body)
-        frame[-1] ^= 0xFF
+    def test_delta_frames_are_raw_only(self):
+        """No compressed form is negotiated for rounds: an ``'MCHZ'``
+        frame is foreign to a delta decoder."""
+        squeezed = encode_chunk(0, b"z" * 4096, compress=True)
+        assert squeezed[:4] == b"MCHZ"
         with pytest.raises(FrameCorruptError):
-            decode_delta_chunk(bytes(frame))
-
-    def test_empty_payload_rejected(self):
-        with pytest.raises(ValueError):
-            encode_delta_parts(0, b"")
-
-    def test_decoder_orders_frames(self):
-        dec = DeltaDecoder()
-        h0, b0 = encode_delta_parts(0, b"one")
-        assert bytes(dec.decode(h0 + b0)) == b"one"
-        # a sequence gap is a typed protocol error
-        h2, b2 = encode_delta_parts(2, b"three")
-        with pytest.raises(FrameOrderError):
-            dec.decode(h2 + b2)
-
-    def test_decoder_finishes_on_terminator(self):
-        dec = DeltaDecoder()
-        h0, b0 = encode_delta_parts(0, b"x")
-        dec.decode(h0 + b0)
-        assert dec.decode(encode_delta_end(1)) is None
-        assert dec.finished
-        h, b = encode_delta_parts(0, b"y")
-        with pytest.raises(FrameOrderError):
-            dec.decode(h + b)
+            decode_chunk(squeezed, self.magics)
 
 
 # -- dirty tracking ------------------------------------------------------

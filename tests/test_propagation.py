@@ -33,11 +33,12 @@ from repro.obs.propagate import (
 )
 from repro.obs.spans import Tracer, new_trace_id
 from repro.msr.wire import (
+    CHUNK_HEADER_SIZE,
     FrameCorruptError,
     TruncatedFrameError,
     decode_context_frame,
+    encode_chunk,
     encode_context_frame,
-    peel_context_frame,
 )
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -130,16 +131,21 @@ class TestContextFrame:
             decode_context_frame(frame[:-3])
 
     def test_peel_returns_rest_untouched(self):
-        rest = b"MIGR-envelope-bytes"
-        body, out = peel_context_frame(encode_context_frame(b"ctx") + rest)
-        assert body == b"ctx"
-        assert out == rest
+        """The context is a frame of its own ahead of the data frames:
+        taking it off the channel leaves the next frame as it was sent."""
+        channel = Channel(LOOPBACK)
+        channel.send_context(b"ctx")
+        channel.send_chunk(b"MIGR-payload-bytes")
+        assert channel.recv_context() == b"ctx"
+        assert bytes(channel.recv()) == encode_chunk(0, b"MIGR-payload-bytes")
 
     def test_peel_without_context_is_identity(self):
-        data = b"MIGRanything"
-        body, out = peel_context_frame(data)
-        assert body is None
-        assert out is data
+        """An envelope that does not open with the context frame is
+        damage to whoever expects one, not a payload to guess at."""
+        channel = Channel(LOOPBACK)
+        channel.send_chunk(b"MIGRanything")
+        with pytest.raises(FrameCorruptError, match="magic"):
+            channel.recv_context()
 
 
 class TestTraceContext:
@@ -373,15 +379,15 @@ class TestEnginePropagation:
         assert channel.faults_fired and channel.faults_fired[0].kind == "drop"
 
     def test_tx_time_excludes_context_plumbing(self, prog):
-        """The modeled Tx must stay the paper's: latency + envelope bits
-        over bandwidth, with the 44-byte context frame not charged."""
+        """The modeled Tx charges the data frames — the payload, its one
+        chunk header and the terminator — over latency + bits/bandwidth,
+        with the 44-byte context frame not charged."""
         proc = stopped(prog)
-        _, stats = MigrationEngine().migrate(
-            proc, SPARC20, channel=Channel(ETHERNET_10M)
-        )
-        assert stats.tx_time == pytest.approx(
-            ETHERNET_10M.transfer_time(stats.payload_bytes)
-        )
+        channel = Channel(ETHERNET_10M)
+        _, stats = MigrationEngine().migrate(proc, SPARC20, channel=channel)
+        framed = stats.payload_bytes + 2 * CHUNK_HEADER_SIZE
+        assert stats.tx_time == pytest.approx(ETHERNET_10M.transfer_time(framed))
+        assert channel.accepted_bytes == framed + CHUNK_HEADER_SIZE + 28
 
     def test_context_frame_metric_counted(self, prog):
         proc = stopped(prog)

@@ -1,6 +1,7 @@
-"""Tests for the chunked streaming pipeline (buffers → frames → channels
-→ engine): structural equality with the monolithic path across
-heterogeneous pairs, the pipelined cost model, and the chunk APIs."""
+"""Tests for the one wire envelope and its two schedules (buffers →
+frames → channels → engine): the default transfer is the one-chunk
+stream, the pipelined one restores the same state across heterogeneous
+pairs; the pipelined cost model, and the chunk APIs."""
 
 import pytest
 
@@ -28,11 +29,15 @@ from repro.migration.transport import (
 )
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
+    CHUNK_MAGIC,
+    CHUNK_MAGIC_Z,
     ChunkDecoder,
     FrameOrderError,
+    decode_chunk,
     encode_chunk,
     encode_end_of_stream,
 )
+from tests.conftest import FrameCodecCases, tap_frames
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -238,6 +243,13 @@ class TestPipelinedLinkModel:
         assert pipelined_response_time(0.1, 0.2, 0.3, 1) == pytest.approx(0.6)
 
 
+class TestChunkWire(FrameCodecCases):
+    """The shared frame-codec damage matrix over the data-chunk magics
+    (``test_precopy.py::TestDeltaWire`` runs it over ``'MDLT'``)."""
+
+    magics = (CHUNK_MAGIC, CHUNK_MAGIC_Z)
+
+
 class TestChannelChunkAPI:
     @pytest.mark.parametrize(
         "make",
@@ -305,6 +317,67 @@ class TestChannelChunkAPI:
             dec.decode(encode_chunk(1, b"late"))
 
 
+CHANNEL_KINDS = {
+    "memory": lambda tmp: Channel(LOOPBACK),
+    "file": lambda tmp: FileChannel(tmp / "spool.bin", link=LOOPBACK),
+    "socket": lambda tmp: SocketChannel(link=LOOPBACK),
+    "faulty": lambda tmp: FaultyChannel(Channel(LOOPBACK), FaultPlan([])),
+}
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+class TestOneEnvelope:
+    """Every attempt, in every mode and on every channel, is ``MCTX`` →
+    data frames ``0 … n−1`` → terminator; the default mode is that with
+    n = 1."""
+
+    def migrate(self, prog, tmp_path, kind, **mode):
+        channel = CHANNEL_KINDS[kind](tmp_path)
+        frames = tap_frames(channel)
+        try:
+            dest, stats = MigrationEngine().migrate(
+                stopped(prog), SPARC20, channel=channel, **mode
+            )
+        finally:
+            channel.close()
+        dest.run()
+        return frames, channel.accepted_bytes, stats, dest.stdout
+
+    def test_default_mode_is_the_one_chunk_stream(
+        self, prog, expected, tmp_path, kind
+    ):
+        payload, _ = collect_state(stopped(prog))
+        frames, accepted, stats, stdout = self.migrate(prog, tmp_path, kind)
+        assert stdout == expected
+        assert [bytes(f[:4]) for f in frames] == [b"MCTX", b"MCHK", b"MCHK"]
+        seq, chunk = decode_chunk(frames[1])
+        assert (seq, bytes(chunk)) == (0, payload)
+        assert decode_chunk(frames[2]) == (1, b"")
+        assert (stats.n_chunks, stats.streamed) == (1, False)
+        assert accepted == sum(len(f) for f in frames)
+
+        # the pipelined schedule ships the same bytes plus one header per
+        # extra chunk, and nothing else
+        _, streamed, sstats, stdout = self.migrate(
+            prog, tmp_path, kind, streaming=True, chunk_size=512
+        )
+        assert stdout == expected and sstats.n_chunks > 1
+        assert accepted == streamed - CHUNK_HEADER_SIZE * (sstats.n_chunks - 1)
+
+    def test_default_mode_compressed_ships_mchz(self, prog, expected, tmp_path, kind):
+        frames, accepted, stats, stdout = self.migrate(
+            prog, tmp_path, kind, compress=True
+        )
+        assert stdout == expected
+        assert [bytes(f[:4]) for f in frames] == [b"MCTX", b"MCHZ", b"MCHK"]
+        payload, _ = collect_state(stopped(prog))
+        assert bytes(decode_chunk(frames[1])[1]) == payload
+        assert stats.compressed and stats.n_chunks == 1
+        assert stats.compressed_bytes == len(frames[1]) - CHUNK_HEADER_SIZE
+        assert stats.compressed_bytes < stats.payload_bytes * 0.9
+        assert stats.codec_time > 0
+
+
 class TestStreamingMigration:
     @pytest.mark.parametrize(
         "make",
@@ -336,23 +409,18 @@ class TestStreamingMigration:
         assert stats.payload_bytes > 0
 
     def test_monolithic_remains_default_and_identical(self, prog):
-        """The default path must still send one message whose envelope
-        bytes (after the trace-context frame) equal the seed's payload
-        format (collect_state output)."""
-        from repro.msr.wire import peel_context_frame
-
+        """The default schedule is still the paper's serial one, and the
+        bytes it ships are still ``collect_state``'s — as the one chunk
+        of the one envelope, not as a bare message."""
         payload, _ = collect_state(stopped(prog))
-        proc = stopped(prog)
         channel = Channel(LOOPBACK)
-        sent = []
-        original_send = channel.send
-        channel.send = lambda p: (sent.append(p), original_send(p))[1]
-        dest, stats = MigrationEngine().migrate(proc, SPARC20, channel=channel)
-        assert not stats.streamed and stats.n_chunks == 0
-        assert len(sent) == 1
-        ctx_body, envelope = peel_context_frame(sent[0])
-        assert ctx_body is not None
-        assert envelope == payload
+        frames = tap_frames(channel)
+        dest, stats = MigrationEngine().migrate(stopped(prog), SPARC20, channel=channel)
+        assert not stats.streamed and stats.n_chunks == 1
+        assert stats.response_time == stats.migration_time
+        assert [bytes(f[:4]) for f in frames] == [b"MCTX", b"MCHK", b"MCHK"]
+        assert bytes(decode_chunk(frames[1])[1]) == payload
+        assert channel.messages_sent == 3  # nothing travels outside a frame
 
     def test_streamed_stats_consistent_with_monolithic(self, prog):
         payload, _ = collect_state(stopped(prog))
