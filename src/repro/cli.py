@@ -54,6 +54,11 @@ from repro.vm.program import compile_program
 
 __all__ = ["main"]
 
+#: what `repro migrate` exits with when it ran to the end but not to plan
+#: (0: arrived, output identical; 1: a failure of ours; 2: usage)
+EXIT_OUTPUT_DIFFERS = 3
+EXIT_MIGRATION_ABORTED = 4
+
 _LINKS = {
     "10m": ETHERNET_10M,
     "100m": ETHERNET_100M,
@@ -189,7 +194,10 @@ def cmd_migrate(args) -> int:
     (see :class:`repro.migration.transport.FaultPlan`); with
     ``--retries`` the engine fights through transient faults, and if
     every attempt fails the source process — untouched by the aborted
-    transfer — resumes locally, so the run still completes.
+    transfer — resumes locally, so the run still completes: exit
+    :data:`EXIT_MIGRATION_ABORTED`.  Output that differs from the
+    unmigrated run's, wherever it completed, is
+    :data:`EXIT_OUTPUT_DIFFERS`.
     """
     prog = _compile(args.file, args)
     src_arch = _arch(args.src)
@@ -274,7 +282,7 @@ def cmd_migrate(args) -> int:
             f"{'identical to' if ok else 'DIFFERS from'} an unmigrated run]",
             file=sys.stderr,
         )
-        return 0 if ok else 1
+        return EXIT_MIGRATION_ABORTED if ok else EXIT_OUTPUT_DIFFERS
 
     result = dest.run()
     sys.stdout.write(dest.stdout)
@@ -300,7 +308,7 @@ def cmd_migrate(args) -> int:
         f"[output {'identical to' if ok else 'DIFFERS from'} an unmigrated run]",
         file=sys.stderr,
     )
-    return 0 if ok else 1
+    return 0 if ok else EXIT_OUTPUT_DIFFERS
 
 
 def _write_observation(args, stats) -> None:

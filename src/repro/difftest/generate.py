@@ -20,6 +20,10 @@ deep       deep call chain with locals (incl. a struct local) live at
            poll points on the unwind
 churn      malloc/free churn with address reuse and a realloc
 stackref   self/cross-referential struct locals on main's stack
+layout     one-past-end pointers to blocks whose next neighbour — heap,
+           global and stack — would share that address if blocks could
+           abut; allocation order differs from declaration order and the
+           heap neighbour is freed or realloc'ed between polls
 ========== ==============================================================
 
 Generation is *compositional*: every feature draws from its own RNG
@@ -57,6 +61,7 @@ FEATURE_NAMES = (
     "deep",
     "churn",
     "stackref",
+    "layout",
 )
 
 #: features drawn per program when the config does not pin a set
@@ -460,6 +465,68 @@ def _emit_stackref(rng: random.Random, size: int) -> _Fragment:
     return f
 
 
+def _emit_layout(rng: random.Random, size: int) -> _Fragment:
+    # n ints fill whole 8-byte granules, k ints end half-way into one:
+    # the sizes at which a neighbour can start exactly at the end
+    n = 2 * (1 + rng.randrange(3)) * size
+    k = rng.choice((1, 3, 5))
+    grown = n + 2 * (1 + rng.randrange(3))
+    after_global, after_local = rng.sample(("double", "long"), 2)
+    # allocated lo, mid, hi — declared in any order but that one, so a
+    # restorer working in declaration order lays the heap out differently
+    order = rng.choice((
+        ("lo", "hi", "mid"), ("mid", "lo", "hi"), ("mid", "hi", "lo"),
+        ("hi", "lo", "mid"), ("hi", "mid", "lo"),
+    ))
+    if rng.random() < 0.5:
+        fate = f"""free(ly_mid);                          /* the neighbour goes */
+      ly_mid = NULL; ly_mid_end = NULL;
+      migrate_here();
+      ly_mid = (int *) malloc({grown} * sizeof(int));"""
+    else:
+        fate = f"ly_mid = (int *) realloc(ly_mid, {grown} * sizeof(int));   /* the neighbour moves */"
+    f = _Fragment()
+    f.globals_ += [f"int *ly_{name};" for name in order]
+    f.globals_ += [
+        "int *ly_new;", "int *ly_lo_end;", "int *ly_mid_end;",
+        f"int ly_g[{k}];", f"{after_global} ly_gn;", "int *ly_g_end;",
+        "int ly_acc;",
+    ]
+    f.main_locals += [f"int ly_s[{k}];", f"{after_local} ly_sn;", "int *ly_s_end;"]
+    f.build.append(f"""{{ int ly_i;
+      ly_lo = (int *) malloc({n} * sizeof(int));
+      ly_mid = (int *) malloc({n} * sizeof(int));
+      ly_hi = (int *) malloc({n} * sizeof(int));
+      for (ly_i = 0; ly_i < {n}; ly_i++) {{
+          ly_lo[ly_i] = 20 + ly_i; ly_mid[ly_i] = 40 + ly_i; ly_hi[ly_i] = 60 + ly_i;
+      }}
+      for (ly_i = 0; ly_i < {k}; ly_i++) {{ ly_g[ly_i] = rand() % 90; ly_s[ly_i] = rand() % 90; }}
+      ly_gn = 3; ly_sn = 5;
+      ly_lo_end = &ly_lo[{n}]; ly_mid_end = &ly_mid[{n}];
+      ly_g_end = &ly_g[{k}]; ly_s_end = &ly_s[{k}];
+      migrate_here();
+      {fate}
+      for (ly_i = 0; ly_i < {grown}; ly_i++) ly_mid[ly_i] = 80 + ly_i;
+      ly_mid_end = &ly_mid[{grown}];
+      migrate_here();
+      ly_new = (int *) malloc({n} * sizeof(int));     /* may take the hole */
+      for (ly_i = 0; ly_i < {n}; ly_i++) ly_new[ly_i] = rand() % 700;
+      migrate_here(); }}""")
+    # every walk is capped: a wrong end must print, not run off the segment
+    walks = "\n      ".join(
+        f"for (p = {a}; p != {a}_end && ly_n < {cap}; p = p + 1) "
+        f"{{ ly_acc = (ly_acc * 5 + *p) % 1000003; ly_n = ly_n + 1; }}"
+        for a, cap in (("ly_lo", 100), ("ly_mid", 200), ("ly_g", 300), ("ly_s", 400))
+    )
+    f.check.append(f"""{{ int *p; int ly_n; ly_n = 0;
+      {walks}
+      for (p = ly_hi; p != ly_hi + {n}; p = p + 1) ly_acc = (ly_acc * 5 + *p + ly_new[0]) % 1000003;
+      ly_acc = (ly_acc + ly_n + (int) (ly_lo_end - ly_lo) + (int) (ly_mid_end - ly_mid)
+                + (int) (ly_g_end - ly_g) + (int) (ly_s_end - ly_s) + (int) ly_gn + (int) ly_sn) % 1000003; }}""")
+    f.prints.append(("ly=%d", "ly_acc"))
+    return f
+
+
 _EMITTERS = {
     "list": _emit_list,
     "tree": _emit_tree,
@@ -471,6 +538,7 @@ _EMITTERS = {
     "deep": _emit_deep,
     "churn": _emit_churn,
     "stackref": _emit_stackref,
+    "layout": _emit_layout,
 }
 assert set(_EMITTERS) == set(FEATURE_NAMES)
 

@@ -14,9 +14,7 @@ host-specific may leak in:
   sorted order of their machine-independent logical ids, the very names
   the MSRLT exists to keep stable across migration (the restorer passes
   source heap serials through so logical ids keep matching) — never by
-  address.  Traversal order is deliberately NOT the canonical order:
-  which block a DFS discovers first through a boundary pointer depends
-  on whether allocations happen to abut, i.e. on layout;
+  address, and never by traversal order;
 - pointer values become ``(canonical index, normalized offset)`` where
   the offset is ``(unit ordinal, cell ordinal)`` rather than a byte
   count (struct padding differs per architecture); a one-past-end
@@ -29,18 +27,9 @@ host-specific may leak in:
   globals and reachable heap, because stdout already witnessed every
   stack-held value the program used.
 
-One ambiguity cannot be canonicalized per-run: an address that is
-simultaneously block *i*'s one-past-end and block *j*'s start (the two
-allocations abut).  The MSRLT resolves it with start-preference, but
-whether blocks abut is a property of the *layout*, and migration
-re-lays blocks out — so a one-past-end pointer legitimately fingerprints
-as ``(i, end)`` in one run and ``(j, start)`` in the other while both
-runs are address-level identical (the fuzzer's first real find, seed 6).
-Each block therefore records which reachable block starts exactly at
-its end (``abut``), and :func:`fingerprint_diff` accepts
-``(i, end) ≡ (j, start)`` precisely when the other run's layout shows
-*j* abutting *i*.  Compare fingerprints with :func:`fingerprint_diff`,
-not ``==``.
+An address names one block on every machine — no block starts where
+another ends (DESIGN §2) — so a one-past-end pointer is ``(i, end)`` in
+every run and two equivalent runs have *equal* fingerprints.
 """
 
 from __future__ import annotations
@@ -83,17 +72,9 @@ def _normalize_offset(block, info, off: int):
 def heap_fingerprint(process) -> list[tuple]:
     """The canonical fingerprint of *process*'s final reachable memory.
 
-    Returns a list of per-block tuples in canonical (DFS) order::
+    Returns a list of per-block tuples in canonical (logical id) order::
 
-        (idx, segment, name, count, (cell values...), abut)
-
-    where ``abut`` is the canonical index of the reachable block that
-    starts exactly at this block's one-past-end address (``None`` when
-    nothing does).  ``abut`` is layout, not state — migration re-packs
-    blocks, so it legitimately differs between runs.  Compare with
-    :func:`fingerprint_diff`, which uses each side's ``abut`` to equate
-    the two renderings of a boundary pointer; direct ``==`` is only
-    sound between runs on the same machine with the same history.
+        (idx, segment, name, count, (cell values...))
     """
     memory = process.memory
     msrlt = process.msrlt
@@ -101,8 +82,7 @@ def heap_fingerprint(process) -> list[tuple]:
 
     # pass 1: the reachable set.  Traversal order is irrelevant — the
     # canonical order is by logical id below — so a plain worklist
-    # suffices, and boundary-pointer resolution (which is layout-
-    # dependent) cannot perturb the numbering.
+    # suffices.
     seen: set[tuple] = set()
     blocks: list = []
     work = list(_global_roots(process))
@@ -139,7 +119,6 @@ def heap_fingerprint(process) -> list[tuple]:
     order = {tuple(b.logical): i for i, b in enumerate(blocks)}
 
     # pass 2: extract cell values with the complete canonical map
-    starts = {block.addr: idx for idx, block in enumerate(blocks)}
     out: list[tuple] = []
     for idx, block in enumerate(blocks):
         info = ti.info_for(block.elem_type)
@@ -172,45 +151,13 @@ def heap_fingerprint(process) -> list[tuple]:
                     values.append(memory.load(cell.kind, addr))
         segment = BlockKind.NAMES[block.logical[0]]
         name = block.name if segment == "global" else None
-        out.append(
-            (idx, segment, name, block.count, tuple(values),
-             starts.get(block.end))
-        )
+        out.append((idx, segment, name, block.count, tuple(values)))
     return out
-
-
-def _boundary_equivalent(x, y, fp_x, fp_y) -> bool:
-    """Whether pointer cells *x* and *y* denote the same address modulo
-    the one-past-end/start-of-next ambiguity.
-
-    ``x == (i, end)`` and ``y == (j, start)`` agree iff, in *y*'s
-    layout, block *j* starts exactly where block *i* ends — i.e.
-    ``fp_y``'s row *i* records ``abut == j``.  (In *x*'s layout nothing
-    can abut *i* there, or start-preference would have resolved *x* to
-    that block instead.)
-    """
-    if not (isinstance(x, tuple) and isinstance(y, tuple)):
-        return False
-    if len(x) != 2 or len(y) != 2:
-        return False
-    xi, xo = x
-    yi, yo = y
-    if xo == _END and yo == (0, 0) and xi < len(fp_y):
-        return fp_y[xi][5] == yi
-    if yo == _END and xo == (0, 0) and yi < len(fp_x):
-        return fp_x[yi][5] == xi
-    return False
 
 
 def fingerprint_diff(a: list[tuple], b: list[tuple]) -> str | None:
     """Human-readable first divergence between two fingerprints, or
-    ``None`` when they are structurally equal.
-
-    Block identity and cell values must match exactly; the per-block
-    ``abut`` layout field is never compared directly — it only feeds
-    :func:`_boundary_equivalent`, which equates ``(i, end)`` with
-    ``(j, start)`` when the other run's layout shows *j* abutting *i*.
-    """
+    ``None`` when they are equal."""
     if a == b:
         return None
     if len(a) != len(b):
@@ -218,18 +165,17 @@ def fingerprint_diff(a: list[tuple], b: list[tuple]) -> str | None:
             f"reachable block count differs: {len(a)} vs {len(b)} "
             f"(extra: {[t[:4] for t in (a if len(a) > len(b) else b)[min(len(a), len(b)):]]})"
         )
-    for (ia, sa, na, ca, va, _xa), (ib, sb, nb, cb, vb, _xb) in zip(a, b):
+    for (ia, sa, na, ca, va), (ib, sb, nb, cb, vb) in zip(a, b):
         head_a, head_b = (ia, sa, na, ca), (ib, sb, nb, cb)
         if head_a != head_b:
             return f"block #{ia} identity differs: {head_a} vs {head_b}"
         if va != vb:
             for cell_i, (x, y) in enumerate(zip(va, vb)):
-                if x == y or _boundary_equivalent(x, y, a, b):
-                    continue
-                return (
-                    f"block #{ia} ({sa} {na or ''} count={ca}) "
-                    f"cell {cell_i}: {x!r} vs {y!r}"
-                )
+                if x != y:
+                    return (
+                        f"block #{ia} ({sa} {na or ''} count={ca}) "
+                        f"cell {cell_i}: {x!r} vs {y!r}"
+                    )
             if len(va) != len(vb):
                 return (
                     f"block #{ia} cell count differs: "

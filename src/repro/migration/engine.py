@@ -688,7 +688,6 @@ class _Run:
         tis = {id(t): t for t in (self.source.ti, self.dest.ti)}.values()
         return {
             "msrlt.searches": sum(t.n_searches for t in msrlts),
-            "msrlt.cache_hits": sum(t.n_cache_hits for t in msrlts),
             "msrlt.registrations": sum(t.n_registrations for t in msrlts),
             "ti.info_hits": sum(t.n_info_hits for t in tis),
             "ti.info_misses": sum(t.n_info_misses for t in tis),

@@ -141,8 +141,7 @@ class SortedArena:
 
     Built by :meth:`MSRLT.arena` and cached until the table's generation
     moves; ``lookup`` is the vectorized twin of ``MSRLT.lookup_addr``
-    (same start-preference and one-past-end semantics — see INTERNALS
-    §14 for the equivalence argument).  The columns cost ~0.25 µs per
+    (one search, one containment test).  The columns cost ~0.25 µs per
     block of the table, so only a caller that has that many addresses
     to search asks for one: a long pointer array
     (:data:`ARENA_REBUILD_BLOCKS_PER_POINTER`), or a chain whose scalar
@@ -180,11 +179,9 @@ class SortedArena:
         Returns ``(indexes, offsets)`` into this arena; ``indexes[k] ==
         -1`` where ``addrs[k]`` resolves to no block (the scalar path
         raises there).  ``searchsorted(..., side="right") - 1`` lands on
-        the last block whose start is ≤ addr, which — because block
-        starts are unique and no block is zero-sized — is exactly the
-        block the scalar path's bisect + one-past-end fallback picks:
-        an address that is both block *i*'s end and block *j*'s start
-        indexes *j* directly (start preference for free).
+        the last block whose start is ≤ addr — the scalar path's bisect
+        — and since blocks never share an edge, that block is the only
+        one that can hold *addr*, one-past-the-end included.
         """
         if len(self.starts) == 0:
             # empty arena (e.g. bulk lookup after drop_stack_blocks on a

@@ -80,6 +80,7 @@ class MemoryBlock:
 
     def contains(self, addr: int) -> bool:
         # one-past-the-end addresses belong to this block (C pointer rules)
+        # and to no other: registered blocks never abut (DESIGN §2)
         return self.addr <= addr <= self.end
 
     def __str__(self) -> str:
@@ -103,20 +104,13 @@ class MSRLT:
         #: the stack-kind blocks, so that dropping them need not scan the heap
         self._stack: list[MemoryBlock] = []
         self._heap_serial = 0
-        # last-hit lookup cache: pointer chains exhibit strong block
-        # locality (an array of structs is traversed cell by cell), so
-        # one interval check often replaces the bisect
-        self._last_hit: Optional[MemoryBlock] = None
         #: mutation generation.  Every register/unregister/drop bumps it;
-        #: the scalar last-hit cache and the bulk searchsorted arena both
-        #: key their validity on it, so the two caches can never disagree
-        #: about which table state they reflect.
+        #: the bulk searchsorted arena keys its validity on it.
         self.generation = 0
-        self._last_hit_gen = -1
         self._arena = None  # lazily built repro.msr.graphplan.SortedArena
         #: counters reported by the complexity benchmarks (E5)
         self.n_searches = 0
-        self.n_cache_hits = 0
+        self.n_cache_hits = 0  # never incremented: benchmarks/suite/layers.py reads it
         self.n_registrations = 0
         #: attribution profiler the active Collector installs for one
         #: pass (None when profiling is off — the common case)
@@ -137,12 +131,6 @@ class MSRLT:
     def _insert(self, block: MemoryBlock) -> MemoryBlock:
         if block.logical in self._by_logical:
             raise MSRLTError(f"duplicate registration of {block.logical}")
-        # defensive: a registration over the cached interval (e.g. realloc
-        # reusing a just-freed address) must evict the cache — unregister
-        # already clears it, but no stale hit may survive either path
-        last = self._last_hit
-        if last is not None and block.addr < last.end and last.addr < block.end:
-            self._last_hit = None
         self._by_logical[block.logical] = block
         if self._starts and block.addr > self._starts[-1]:
             self._starts.append(block.addr)  # common fast path (bump allocator)
@@ -246,7 +234,6 @@ class MSRLT:
         block = self._blocks.pop(i)
         self._starts.pop(i)
         del self._by_logical[block.logical]
-        self._last_hit = None  # a stale hit must never resolve a freed block
         self.generation += 1
         if block.logical[0] == BlockKind.STACK:
             self._stack.remove(block)
@@ -256,7 +243,6 @@ class MSRLT:
     def drop_stack_blocks(self) -> None:
         """Remove all stack-kind blocks (collection-time registrations)."""
         stack, self._stack = self._stack, []
-        self._last_hit = None
         self.generation += 1
         if not stack:
             return
@@ -279,43 +265,21 @@ class MSRLT:
         """Map a machine address to ``(block, byte offset within block)``.
 
         This is the MSRLT *search* of the paper's collection complexity:
-        a binary search over registered block start addresses, short-cut
-        by a last-hit cache (one interval check) when consecutive
-        lookups land in the same block — the common case for pointer
-        chains into arrays of structs.  ``n_cache_hits``/``n_searches``
-        feed the E5 complexity benchmark's hit-rate report.
+        a binary search over registered block start addresses, then one
+        containment test.  Blocks never abut, so the last block starting
+        at or below *addr* is the only one that can hold it — its
+        one-past-the-end address included.  ``n_searches`` feeds the E5
+        complexity benchmark.
         """
         self.n_searches += 1
-        # the cache is only valid for the generation that populated it:
-        # unregister/drop paths clear it eagerly, but bulk registration
-        # does not — the generation check is the single invalidation
-        # rule shared with the searchsorted arena
-        last = self._last_hit if self._last_hit_gen == self.generation else None
-        # strict interior only: addr == last.end must re-run the search
-        # so a block starting exactly at that address wins (C's
-        # one-past-the-end rule, tested in test_msrlt.py)
-        if last is not None and last.addr <= addr < last.end:
-            self.n_cache_hits += 1
-            if self.profiler is not None:
-                self.profiler.msrlt_lookup(0, True)
-            return last, addr - last.addr
         if self.profiler is not None:
             # a binary search over n starts probes ~ceil(log2 n) entries
-            self.profiler.msrlt_lookup(len(self._starts).bit_length(), False)
+            self.profiler.msrlt_lookup(len(self._starts).bit_length())
         i = bisect_right(self._starts, addr) - 1
         if i >= 0:
             block = self._blocks[i]
             if addr <= block.addr + block.size:  # MemoryBlock.contains, inlined
-                self._last_hit = block
-                self._last_hit_gen = self.generation
                 return block, addr - block.addr
-            # one-past-end of the previous block when the next block starts
-            # immediately after: prefer the block that starts at addr
-            if i + 1 < len(self._starts) and self._starts[i + 1] == addr:
-                block = self._blocks[i + 1]
-                self._last_hit = block
-                self._last_hit_gen = self.generation
-                return block, 0
         raise MSRLTError(f"address {addr:#x} is not inside any registered block")
 
     def arena(self):
@@ -323,7 +287,7 @@ class MSRLT:
 
         Lazily (re)built whenever the table has mutated since the last
         snapshot; the generation stamp makes staleness impossible by
-        construction (same rule as the scalar last-hit cache).
+        construction.
         """
         a = self._arena
         if a is None or a.generation != self.generation:

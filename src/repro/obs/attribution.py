@@ -65,7 +65,7 @@ class _Row:
         "collect_s", "restore_s", "bytes", "restore_bytes",
         "blocks", "restore_blocks", "cells",
         "flat", "codec", "percell",
-        "msrlt_searches", "msrlt_depth", "msrlt_cache_hits",
+        "msrlt_searches", "msrlt_depth",
     )
 
     def __init__(self) -> None:
@@ -81,7 +81,6 @@ class _Row:
         self.percell = 0
         self.msrlt_searches = 0
         self.msrlt_depth = 0
-        self.msrlt_cache_hits = 0
 
 
 class _Frame:
@@ -256,13 +255,13 @@ class AttributionProfiler:
 
     # -- MSRLT search cost -------------------------------------------------
 
-    def msrlt_lookup(self, depth: int, cache_hit: bool) -> None:
-        """Account one address lookup: *depth* is the binary-search depth
-        (0 for a last-hit cache hit).  Attributed to the block being
-        visited when the lookup ran, else to the framing row."""
-        self.msrlt_lookups(1, depth, cache_hit)
+    def msrlt_lookup(self, depth: int) -> None:
+        """Account one address lookup: *depth* is the binary-search
+        depth.  Attributed to the block being visited when the lookup
+        ran, else to the framing row."""
+        self.msrlt_lookups(1, depth)
 
-    def msrlt_lookups(self, n: int, depth: int, cache_hit: bool = False) -> None:
+    def msrlt_lookups(self, n: int, depth: int) -> None:
         """Account *n* lookups of *depth* each in one call (a plan's
         bulk translation of a whole pointer run)."""
         stack = self._stack()
@@ -274,8 +273,6 @@ class AttributionProfiler:
             row = self._row(key, scope)
             row.msrlt_searches += n
             row.msrlt_depth += n * depth
-            if cache_hit:
-                row.msrlt_cache_hits += n
 
     # -- read-out ----------------------------------------------------------
 
@@ -305,7 +302,6 @@ class AttributionProfiler:
             "percell": r.percell,
             "msrlt_searches": r.msrlt_searches,
             "msrlt_depth": r.msrlt_depth,
-            "msrlt_cache_hits": r.msrlt_cache_hits,
         }
 
     @classmethod

@@ -190,7 +190,7 @@ def render_report(doc: TraceDocument) -> str:
         "engine.payload_bytes", "engine.blocks", "engine.attempts",
         "engine.retries", "engine.chunks", "codec.bytes_saved",
         "wire.chunks_sent", "wire.context_frames_sent",
-        "msrlt.searches", "msrlt.cache_hits", "events.dropped",
+        "msrlt.searches", "events.dropped",
     ]
     shown = [(k, counters[k]) for k in wire_keys if k in counters]
     if shown:
@@ -219,11 +219,10 @@ def render_report(doc: TraceDocument) -> str:
                 f"{(r.get('restore_s', 0.0)) * 1e3:.3f}",
                 eng,
                 str(r.get("msrlt_searches", 0)),
-                str(r.get("msrlt_cache_hits", 0)),
             ])
         out.append(_table(
             ["type", "class", "bytes", "blocks", "collect_ms",
-             "restore_ms", "path", "lookups", "cache_hits"],
+             "restore_ms", "path", "lookups"],
             table_rows,
         ))
     else:

@@ -390,7 +390,9 @@ class Memory:
         (:meth:`Segment.write`), where an eager ``ensure`` would memset
         bytes about to be overwritten wholesale.
         """
-        stride = (size + _HEAP_ALIGN - 1) & -_HEAP_ALIGN if size > 0 else _HEAP_ALIGN
+        # strictly more than *size*: the slack a chunk header takes in a
+        # real malloc, so the end of one block is never the start of another
+        stride = (size + _HEAP_ALIGN) & -_HEAP_ALIGN
         allocs = self.heap_allocs
         bucket = self._free.get(stride)
         if bucket:

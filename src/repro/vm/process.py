@@ -185,13 +185,13 @@ class Process:
         """``realloc`` with the pre-compiler's element-type annotation.
 
         C semantics: ``realloc(NULL, n)`` is ``malloc(n)``;
-        ``realloc(p, 0)`` frees and returns NULL.  When the padded
-        capacity of the existing allocation already covers *nbytes* the
-        block is resized in place (same address, re-registered in the
-        MSRLT with the new element count); otherwise the contents move
-        to a fresh allocation and the old one is freed — which may hand
-        the *same* address back through the allocator's free list, the
-        scenario the MSRLT's last-hit cache must survive.
+        ``realloc(p, 0)`` frees and returns NULL.  When *nbytes* fits
+        strictly inside the existing allocation's stride (a block never
+        reaches the next one's start) the block is resized in place
+        (same address, re-registered in the MSRLT with the new element
+        count); otherwise the contents move to a fresh allocation and
+        the old one is freed — which may hand the *same* address back
+        through the allocator's free list.
         """
         if addr == 0:
             return self.typed_malloc(nbytes, type_id)
@@ -203,7 +203,7 @@ class Process:
         esize = self.layout.sizeof(elem)
         if nbytes % esize != 0:
             elem, esize = UCHAR, 1
-        if nbytes <= old_size:
+        if nbytes < old_size:
             # in place: the padded capacity is retained, only the MSR
             # block's shape (element count) follows the new size
             self.msrlt.unregister(addr)

@@ -226,7 +226,8 @@ class CompiledProgram:
     def _specialize(self, arch) -> ArchImage:
         layout = TypeLayout(arch)
 
-        # global addresses: declaration order, aligned
+        # global addresses: declaration order, aligned, and one byte that
+        # belongs to no block after each (DESIGN §2: blocks never abut)
         addr = arch.global_base
         global_addrs: list[int] = []
         global_sizes: list[int] = []
@@ -236,7 +237,7 @@ class CompiledProgram:
             addr = _align_up(addr, align)
             global_addrs.append(addr)
             global_sizes.append(size)
-            addr += size
+            addr += size + 1
 
         funcs: list[FuncImage] = []
         for fir in self.functions:
@@ -250,7 +251,9 @@ class CompiledProgram:
         )
 
     def _specialize_func(self, fir: FuncIR, layout: TypeLayout, gaddrs, arch) -> FuncImage:
-        # frame layout: declaration order with natural alignment
+        # frame layout: declaration order with natural alignment; the byte
+        # after each local is nobody's, the one after the last included,
+        # so neither a local nor the caller's frame starts where one ends
         offsets: list[int] = []
         kinds: list[Optional[str]] = []
         off = 0
@@ -260,7 +263,7 @@ class CompiledProgram:
             off = _align_up(off, align)
             offsets.append(off)
             kinds.append(kind_of(var.ctype) if var.ctype.is_scalar else None)
-            off += size
+            off += size + 1
         frame_size = _align_up(off, 16) if off else 16
 
         def wrap(kind: str):

@@ -151,13 +151,21 @@ def table_state(table) -> tuple:
     )
 
 
+def assert_no_abut(table) -> None:
+    """No block of *table* starts where the one below it ends, let alone
+    before: an address names one block."""
+    _, blocks = table.sorted_index
+    for low, high in zip(blocks, blocks[1:]):
+        assert low.end < high.addr, f"{low} reaches {high}"
+
+
 def assert_table_whole(proc) -> None:
     """The MSRLT's three indexes agree with each other and with the heap
     ledger — what every restoration walk owes the table however it
     ended, since its heap blocks are registered in bulk when it does."""
     table = proc.msrlt
     assert table._starts == [b.addr for b in table._blocks]
-    assert all(a < b for a, b in zip(table._starts, table._starts[1:]))
+    assert_no_abut(table)
     assert table._by_logical == {b.logical: b for b in table._blocks}
     assert {b.addr for b in table.heap_blocks()} == set(proc.memory.heap_allocs)
     assert sorted(map(id, table._stack)) == sorted(
@@ -199,6 +207,17 @@ def restore_replayed(prog, payload, dest, restorer=Restorer):
         assert replay.heap_alloc(block.size) == block.addr, block
     assert_table_whole(dest)
     return info
+
+
+#: the four orthogonal transfer-mode switches of ``migrate()``; every
+#: subset of them is a mode (a small fixed chunk size, so that streamed
+#: payloads really are cut)
+MODE_AXES = {
+    "stream": dict(streaming=True, chunk_size=64),
+    "compress": dict(compress=True),
+    "precopy": dict(precopy=True),
+    "attribution": dict(attribution=True),
+}
 
 
 #: the plans-on/off identity matrix: name -> (source, poll to stop at)

@@ -205,16 +205,15 @@ class TestProfilerUnit:
     def test_msrlt_lookup_attributed_to_open_frame(self):
         prof = AttributionProfiler(clock=FakeClock())
         prof.enter_block("collect", "struct node", "heap", 0)
-        prof.msrlt_lookup(depth=5, cache_hit=False)
-        prof.msrlt_lookup(depth=0, cache_hit=True)
+        prof.msrlt_lookup(depth=5)
+        prof.msrlt_lookup(depth=4)
         prof.exit_block(8, "percell")
-        prof.msrlt_lookup(depth=3, cache_hit=False)  # no frame open
+        prof.msrlt_lookup(depth=3)  # no frame open
         summary = prof.summary()
         rows = {(r["type"], r["class"]): r for r in summary["rows"]}
         node = rows[("struct node", "heap")]
         assert node["msrlt_searches"] == 2
-        assert node["msrlt_depth"] == 5
-        assert node["msrlt_cache_hits"] == 1
+        assert node["msrlt_depth"] == 9
         assert rows[FRAMING_ROW]["msrlt_searches"] == 1
 
     def test_batch_is_child_cost_of_the_open_frame(self):
@@ -288,7 +287,7 @@ class TestProfilerUnit:
         prof.enter_block("restore", "char [4]", "heap", 72)
         prof.exit_block(pos=76, engagement="flat")
         prof.exit_block(pos=76, engagement="percell")
-        prof.msrlt_lookup(depth=1, cache_hit=False)  # no frame open now
+        prof.msrlt_lookup(depth=1)  # no frame open now
         rows = {(r["type"], r["class"]): r for r in prof.summary()["rows"]}
         assert rows[("char [4]", "heap")]["restore_bytes"] == 4
         assert rows[("struct node", "heap")]["restore_bytes"] == 22
@@ -420,12 +419,9 @@ class TestEngineAttribution:
         counters = stats.obs.metrics.snapshot()["counters"]
         rows = stats.attribution["rows"]
         assert sum(r["msrlt_searches"] for r in rows) == counters["msrlt.searches"]
-        assert sum(r["msrlt_cache_hits"] for r in rows) == counters.get(
-            "msrlt.cache_hits", 0
-        )
         node = row_of(stats.attribution, "struct node")
         assert node["msrlt_searches"] > 0  # pointer chasing pays the searches
-        assert node["msrlt_depth"] >= node["msrlt_searches"] - node["msrlt_cache_hits"]
+        assert node["msrlt_depth"] >= node["msrlt_searches"]
 
     def test_profiler_detached_after_migration(self, attributed):
         proc, dest, _ = attributed

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_MIGRATION_ABORTED, EXIT_OUTPUT_DIFFERS, main
 from repro.obs import validate_trace_file
 
 DEMO = """
@@ -163,7 +163,7 @@ class TestMigrateFaults:
              "--fault", "disconnect@0!"]
         )
         captured = capsys.readouterr()
-        assert rc == 0
+        assert rc == EXIT_MIGRATION_ABORTED
         assert captured.out == "sum=45\n"
         assert "migration failed" in captured.err
         assert "resumed on source" in captured.err
@@ -227,7 +227,7 @@ class TestMigrateFaults:
              "--trace", str(trace), "--metrics-out", str(metrics)]
         )
         captured = capsys.readouterr()
-        assert rc == 0 and captured.out == "sum=45\n"
+        assert rc == EXIT_MIGRATION_ABORTED and captured.out == "sum=45\n"
         assert "aborted after 2 attempt(s)" in captured.err
         assert "resumed on source" in captured.err
         assert "Nones" not in captured.err
@@ -296,7 +296,9 @@ class TestOutOfRangeNumbers:
 
 class TestNoTracebacks:
     """What a user can get wrong on the command line is one line on
-    stderr and exit 2 — before anything ran — never a traceback."""
+    stderr and exit 2 — before anything ran — never a traceback; and a
+    migration that ran to the end but not to plan says which way in its
+    exit code."""
 
     #: (argv with ``{demo}`` / ``{tmp}`` filled in, what the line says)
     CASES = [
@@ -323,6 +325,37 @@ class TestNoTracebacks:
         assert len(err.splitlines()) == 1
         assert complaint.format(**fill) in err
         assert "Traceback" not in err
+
+    #: (argv after ``migrate {demo}``, exit code, the line that explains it)
+    OFF_PLAN = [
+        # sizeof(long) is 8 where the run starts and 4 where it ends
+        (["--from", "x86_64", "--to", "sparc20"], EXIT_OUTPUT_DIFFERS,
+         "[output DIFFERS from an unmigrated run]"),
+        (["--fault", "disconnect@0!"], EXIT_MIGRATION_ABORTED,
+         "[resumed on source dec5000; output identical to an unmigrated run]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "flags, code, line", OFF_PLAN, ids=["output-differs", "aborted"]
+    )
+    def test_a_run_off_plan_has_its_own_exit_code(
+        self, flags, code, line, tmp_path, capsys
+    ):
+        """Neither is 1 (what a crash of ours exits with), 2 (usage) or
+        0: a script can tell a wrong answer from a migration that did
+        not happen from one that did."""
+        source = tmp_path / "width.c"
+        source.write_text(
+            "int main() { migrate_here(); "
+            'printf("%d\\n", (int) sizeof(long)); return 0; }\n'
+        )
+        argv = ["migrate", str(source), "--poll-strategy", "user", *flags]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert line in err.splitlines()
+        assert "Traceback" not in err
+        assert code not in (0, 1, 2)
+        assert EXIT_OUTPUT_DIFFERS != EXIT_MIGRATION_ABORTED
 
 
 class TestCheckpointRestartCLI:

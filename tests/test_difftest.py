@@ -28,8 +28,11 @@ from repro.difftest.harness import (
 )
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.difftest.corpus import CorpusEntry, parse_entry, render_entry
+from repro.migration.engine import MigrationEngine
+from repro.migration.precopy import PrecopyPolicy
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import MODE_AXES, stopped
 
 
 class TestGenerator:
@@ -106,29 +109,10 @@ class TestOracle:
         src = generate(11, GenConfig(features=("mixed",))).source
         a = heap_fingerprint(self._final(src, DEC5000))
         assert fingerprint_diff(a, a) is None
-        idx, seg, name, count, values, abut = a[0]
+        idx, seg, name, count, values = a[0]
         mutated = list(a)
-        mutated[0] = (idx, seg, name, count,
-                      ("clobbered",) + values[1:], abut)
+        mutated[0] = (idx, seg, name, count, ("clobbered",) + values[1:])
         msg = fingerprint_diff(a, mutated)
-        assert msg is not None and "cell 0" in msg
-
-    def test_boundary_pointer_ambiguity_is_equated(self):
-        """``(i, end)`` in one run vs ``(j, start)`` in the other names
-        the same address exactly when the second run's layout has block
-        j abutting block i (the fuzzer's seed-6 find).  Without the
-        abutment it stays a real divergence."""
-        def row(idx, cell=None, abut=None):
-            cells = (cell,) if cell is not None else ()
-            return (idx, "heap", None, 1, cells, abut)
-
-        a = [row(0, cell=(1, ("end",))), row(1), row(2)]
-        b = [row(0, cell=(2, (0, 0))), row(1, abut=2), row(2)]
-        assert fingerprint_diff(a, b) is None
-        assert fingerprint_diff(b, a) is None  # symmetric
-
-        b_no_abut = [row(0, cell=(2, (0, 0))), row(1), row(2)]
-        msg = fingerprint_diff(a, b_no_abut)
         assert msg is not None and "cell 0" in msg
 
     def test_pointer_cells_are_normalized(self):
@@ -194,6 +178,23 @@ class TestHarness:
         )
         assert 0 < hops <= len(schedule)
         assert not mismatches, "\n".join(str(m) for m in mismatches)
+
+    def test_seed_10_under_precopy_slices_of_three(self):
+        """The fuzzer's pinned find: ``pe_end`` is one past a block that a
+        different neighbour followed on each side of this migration, and
+        fingerprinted as the start of either.  It is one past its own
+        block on both."""
+        prog = generate(10, GenConfig(features=("tree", "cycle", "pastend", "churn")))
+        program = compile_program(prog.source, poll_strategy="user")
+        baseline = run_baseline(program, X86_64)
+        dest, stats = MigrationEngine().migrate(
+            stopped(program, X86_64, polls=2), SPARC20, precopy=True,
+            precopy_policy=PrecopyPolicy(max_rounds=3, slice_polls=3),
+        )
+        assert stats.precopy and not stats.precopy_degraded
+        assert dest.run().status == "exit"
+        assert dest.stdout == baseline.stdout
+        assert fingerprint_diff(heap_fingerprint(dest), baseline.fingerprint) is None
 
     def test_arch_by_name_tolerates_case(self):
         assert arch_by_name("DEC5000") is arch_by_name("dec5000")
@@ -288,15 +289,6 @@ class TestCorpusFormat:
         assert parsed.source == "int main() { return 0; }\n"
 
 
-#: the four orthogonal transfer-mode switches of ``migrate()``; every
-#: subset of them is a mode (a small fixed chunk size, so that streamed
-#: payloads really are cut)
-MODE_AXES = {
-    "stream": dict(streaming=True, chunk_size=64),
-    "compress": dict(compress=True),
-    "precopy": dict(precopy=True),
-    "attribution": dict(attribution=True),
-}
 MODE_PRODUCTS = {
     "+".join(on) or "plain": {k: v for axis in on for k, v in MODE_AXES[axis].items()}
     for n in range(len(MODE_AXES) + 1)

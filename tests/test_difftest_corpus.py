@@ -11,11 +11,12 @@ job; this suite is the fast, always-on floor under it.
 
 import pytest
 
-from repro.difftest.corpus import DEFAULT_CORPUS_DIR, load_corpus
+from repro.difftest.corpus import DEFAULT_CORPUS_DIR, REPLAY_PAIR_NAMES, load_corpus
 from repro.difftest.harness import arch_by_name
 from repro.migration.engine import MigrationEngine, collect_state
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import MODE_AXES
 
 ENTRIES = load_corpus()
 
@@ -89,6 +90,28 @@ def test_corpus_entry_plan_identity(entry):
     assert len(payloads_on) == len(payloads_off)
     for hop, (off, on) in enumerate(zip(payloads_off, payloads_on)):
         assert on == off, f"hop {hop}: plan-on payload differs from plan-off"
+
+
+#: the four ways a payload travels
+TRANSFER_MODES = {
+    "mono": {}, **{axis: MODE_AXES[axis] for axis in ("stream", "compress", "precopy")}
+}
+
+
+@pytest.mark.parametrize("mode", TRANSFER_MODES)
+@pytest.mark.parametrize(
+    "entry", [e for e in ENTRIES if e.name.startswith("hand_pastend_abut_")],
+    ids=lambda e: e.name,
+)
+def test_a_boundary_pointer_names_its_own_block_in_every_mode(entry, mode):
+    """``&a[n]`` where a neighbour used to start — heap, global, frame —
+    arrives as one past *a* however the payload travelled.  The x86 pair
+    is the one whose 4-byte ``double`` alignment the global and frame
+    programs were found on."""
+    mismatches = entry.replay(
+        (*REPLAY_PAIR_NAMES, ("x86", "sparc20")), mode=TRANSFER_MODES[mode]
+    )
+    assert not mismatches, "\n".join(str(m) for m in mismatches)
 
 
 def test_every_generated_feature_is_covered():

@@ -87,33 +87,24 @@ class TestArenaLookup:
     def _populated(self, table):
         table.register_global(0, 0x1000, INT, name="g")          # [0x1000, 0x1004)
         table.register_heap(0x2000, INT, 4)                       # [0x2000, 0x2010)
-        table.register_heap(0x2010, INT, 2)                       # adjacent successor
+        table.register_heap(0x2018, INT, 2)                       # the next carve
         table.register_stack(0, 0, 0x7000, INT, name="s")         # [0x7000, 0x7004)
         return table
 
     def test_bulk_matches_scalar_on_every_address_class(self, table):
         self._populated(table)
         arena = table.arena()
-        addrs = [0x1000, 0x2000, 0x2008, 0x2010, 0x7000, 0x7003]
+        addrs = [0x1000, 0x1004, 0x2000, 0x2008, 0x2010, 0x2018, 0x7000, 0x7003]
         idx, offs = arena.lookup(np.asarray(addrs, dtype=np.int64))
         for k, addr in enumerate(addrs):
             block, off = table.lookup_addr(addr)
             assert arena.blocks[idx[k]] is block, hex(addr)
             assert offs[k] == off, hex(addr)
 
-    def test_one_past_end_prefers_the_adjacent_start(self, table):
-        """C's one-past-the-end rule: 0x2010 ends block A and starts
-        block B — both paths must resolve it to B at offset 0."""
-        self._populated(table)
-        block, off = table.lookup_addr(0x2010)
-        assert block.addr == 0x2010 and off == 0
-        idx, offs = table.arena().lookup(np.asarray([0x2010], dtype=np.int64))
-        assert table.arena().blocks[idx[0]].addr == 0x2010 and offs[0] == 0
-
     def test_bulk_reports_misses_as_minus_one(self, table):
         self._populated(table)
         idx, _ = table.arena().lookup(
-            np.asarray([0x0500, 0x2020, 0x9999], dtype=np.int64)
+            np.asarray([0x0500, 0x2014, 0x9999], dtype=np.int64)  # 0x2014: the slack
         )
         assert list(idx) == [-1, -1, -1]
         with pytest.raises(MSRLTError):
@@ -121,24 +112,7 @@ class TestArenaLookup:
 
 
 class TestGenerationInvalidation:
-    """Satellite 1: every cache in the lookup path is generation-gated."""
-
-    def test_last_hit_cache_dies_with_its_block(self, table):
-        table.register_heap(0x2000, INT, 4)
-        table.lookup_addr(0x2004)  # primes the last-hit cache
-        table.unregister(0x2000)
-        with pytest.raises(MSRLTError):
-            table.lookup_addr(0x2004)
-
-    def test_last_hit_cache_survives_unrelated_mutation(self, table):
-        b = table.register_heap(0x2000, INT, 4)
-        table.lookup_addr(0x2004)
-        hits_before = table.n_cache_hits
-        table.register_heap(0x3000, INT, 1)  # bumps generation
-        block, off = table.lookup_addr(0x2004)
-        assert block is b and off == 4
-        # the mutation invalidated the cache, so this was a re-search
-        assert table.n_cache_hits == hits_before
+    """The arena snapshot is generation-gated."""
 
     def test_bulk_lookup_interleaved_with_unregister(self, table):
         table.register_heap(0x2000, INT, 4)

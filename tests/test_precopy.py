@@ -1222,13 +1222,14 @@ class TestHostileRounds:
 
 # -- one allocation path: carve, pend, register once per walk -------------
 
-# round 1 ships three frees (the scratch's 16-byte free list fills); the
+# round 1 ships three frees (the scratch's free list of the node stride
+# fills — a leaf is 8 bytes longer so that it never takes from it); the
 # last slice pushes a list (its first nodes recycle those addresses, the
 # rest come evenly off the brk: a chain batch) and grows a tree (one
 # carve per record), and writes into blocks the scratch already holds
 LIST_THEN_TREE_SRC = """
 struct node { int v; struct node *next; };
-struct leaf { int key; struct leaf *l; struct leaf *r; };
+struct leaf { int key; int rank; struct leaf *l; struct leaf *r; };
 struct node *old;
 struct node *fresh;
 struct leaf *tree;
@@ -1312,7 +1313,8 @@ class TestOneAllocationPath:
         prog = _compile(LIST_THEN_TREE_SRC)
         src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
         scratch, payload, restorer = self.prewarmed(prog, src_arch, dst_arch)
-        node_class = 8 if dst_arch.ptr_size == 4 else 16
+        # a node's stride: its 8 (ILP32) or 16 (LP64) bytes plus the slack
+        node_class = 16 if dst_arch.ptr_size == 4 else 24
         assert len(scratch.memory._free[node_class]) == 3
         held = {b.logical: b.addr for b in scratch.msrlt.heap_blocks()}
         batches = []
