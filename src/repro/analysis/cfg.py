@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.vm.ir import Instr, Op
 
-__all__ = ["successors", "BasicBlock", "build_blocks", "block_of"]
+__all__ = ["successors", "BasicBlock", "build_blocks"]
 
 
 def successors(code: list[Instr], pc: int) -> tuple[int, ...]:
@@ -67,16 +67,3 @@ def build_blocks(code: list[Instr]) -> dict[int, BasicBlock]:
         for s in block.succ:
             blocks[s].pred.append(block.start)
     return blocks
-
-
-def block_of(blocks: dict[int, BasicBlock], pc: int) -> BasicBlock:
-    """The block containing *pc*."""
-    # blocks is small; linear scan keyed on sorted starts
-    best = None
-    for start, block in blocks.items():
-        if start <= pc < block.end:
-            if best is None or start > best.start:
-                best = block
-    if best is None:
-        raise KeyError(f"pc {pc} not inside any block")
-    return best

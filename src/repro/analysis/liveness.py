@@ -46,10 +46,6 @@ class LivenessResult:
     #: keyed for every pc following a POLL or CALL instruction
     resume_live: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def live_at_resume(self, resume_pc: int) -> tuple[int, ...]:
-        """Ordered live set at *resume_pc* (a pc after a POLL/CALL)."""
-        return self.resume_live[resume_pc]
-
 
 def _use_def(instr: Instr) -> tuple[int | None, int | None]:
     """(use var, def var) of one instruction (at most one each)."""

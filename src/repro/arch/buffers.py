@@ -2,7 +2,7 @@
 
 The collection library serializes into a :class:`WriteBuffer` and the
 restoration library consumes a :class:`ReadBuffer`.  Both keep simple
-accounting (bytes, record tags) that the benchmark harness reports —
+byte accounting that the benchmark harness reports —
 Table 1's ``Tx`` column is computed from ``WriteBuffer.nbytes`` and the
 modeled link.
 
@@ -16,7 +16,7 @@ partially-arrived payload without knowing it is partial.
 from __future__ import annotations
 
 import struct
-from collections import Counter, deque
+from collections import deque
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -31,22 +31,16 @@ _I64 = struct.Struct(">q")
 
 
 class WriteBuffer:
-    """Append-only binary buffer with tag accounting.
+    """Append-only binary buffer.
 
     All multi-byte fields are big-endian (matching the XDR layer).
     Strings are length-prefixed UTF-8.
     """
 
-    __slots__ = ("_buf", "tag_counts", "bytes_drained", "debug_tags")
+    __slots__ = ("_buf", "bytes_drained")
 
-    def __init__(self, debug_tags: bool = False) -> None:
+    def __init__(self) -> None:
         self._buf = bytearray()
-        #: Whether :meth:`count_tag` records anything.  Off by default:
-        #: tag accounting is a diagnostic, and a Counter update per wire
-        #: record is measurable on large payloads.
-        self.debug_tags = debug_tags
-        #: Counter of record tags, filled by callers via :meth:`count_tag`.
-        self.tag_counts: Counter[str] = Counter()
         #: Bytes already removed from the front via :meth:`drain`/:meth:`flush`.
         self.bytes_drained = 0
 
@@ -98,12 +92,6 @@ class WriteBuffer:
         out = np.frombuffer(buf, dtype=dtype, count=n, offset=start)
         out[:] = src
         del out
-
-    def count_tag(self, tag: str) -> None:
-        """Record one occurrence of a wire record *tag* (diagnostic; a
-        no-op unless the buffer was built with ``debug_tags=True``)."""
-        if self.debug_tags:
-            self.tag_counts[tag] += 1
 
     # -- streaming ---------------------------------------------------------
 

@@ -189,10 +189,6 @@ class MachineArch:
             }
         )
 
-    def null_address(self) -> int:
-        """The NULL pointer value (always 0)."""
-        return 0
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         bits = 64 if self.ptr_size == 8 else 32
         return f"{self.name} ({bits}-bit, {self.endian.value}-endian)"

@@ -185,13 +185,6 @@ class StructType(CType):
                 return ftype
         raise KeyError(f"struct {self.tag} has no field {name!r}")
 
-    def field_index(self, name: str) -> int:
-        """Index of field *name* within the declaration order."""
-        for i, (fname, _) in enumerate(self.fields):
-            if fname == name:
-                return i
-        raise KeyError(f"struct {self.tag} has no field {name!r}")
-
     def __str__(self) -> str:
         return f"struct {self.tag}"
 

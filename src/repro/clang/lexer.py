@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = ["Token", "LexError", "tokenize", "KEYWORDS"]
 
@@ -193,8 +192,3 @@ def _scan(
         else:  # pragma: no cover - regex is exhaustive
             raise LexError(f"bad token {value!r}", line)
     return line
-
-
-def token_stream(source: str) -> Iterator[Token]:
-    """Convenience generator over :func:`tokenize`."""
-    yield from tokenize(source)

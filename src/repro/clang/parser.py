@@ -363,13 +363,19 @@ class Parser:
             self._pending_params = params
             return name, FuncType(ctype, tuple(p.ctype for p in params))
 
+        return name, self._parse_dims(ctype)
+
+    def _parse_dims(self, ctype: CType) -> CType:
+        """The ``[n]`` suffixes of a declarator or type-name, on *ctype*."""
         dims: list[int] = []
         while self.accept("punct", "["):
             dims.append(self._parse_const_int())
+            if dims[-1] <= 0:
+                raise self._err("array length must be positive")
             self.expect("punct", "]")
         for d in reversed(dims):
             ctype = ArrayType(ctype, d)
-        return name, ctype
+        return ctype
 
     def _parse_abstract_type(self) -> CType:
         """Parse a type-name (for casts and sizeof): base + ``*``s + dims."""
@@ -377,13 +383,7 @@ class Parser:
         ctype = base
         while self.accept("punct", "*"):
             ctype = PointerType(ctype)
-        dims: list[int] = []
-        while self.accept("punct", "["):
-            dims.append(self._parse_const_int())
-            self.expect("punct", "]")
-        for d in reversed(dims):
-            ctype = ArrayType(ctype, d)
-        return ctype
+        return self._parse_dims(ctype)
 
     def _parse_params(self) -> list[A.Param]:
         self.expect("punct", "(")

@@ -26,6 +26,8 @@ import sys
 from pathlib import Path
 
 from repro.arch.machine import ARCH_PRESETS
+from repro.clang.ctypes import LayoutError
+from repro.clang.lexer import LexError
 from repro.clang.parser import ParseError, parse
 from repro.clang.unsafe import MigrationSafetyError, check_migration_safety
 from repro.migration.checkpoint import (
@@ -48,9 +50,19 @@ from repro.migration.transport import (
     GIGABIT,
     LOOPBACK,
 )
+from repro.obs.report import (
+    TraceReadError,
+    load_trace,
+    render_diff,
+    render_report,
+    render_top,
+)
 from repro.transform.annotate import annotate_program
-from repro.vm.process import Process
+from repro.vm.compiler import CompileError
+from repro.vm.normalize import NormalizeError
+from repro.vm.process import GuestFault, Process
 from repro.vm.program import compile_program
+from repro.vm.typecheck import TypeCheckError
 
 __all__ = ["main"]
 
@@ -58,6 +70,18 @@ __all__ = ["main"]
 #: (0: arrived, output identical; 1: a failure of ours; 2: usage)
 EXIT_OUTPUT_DIFFERS = 3
 EXIT_MIGRATION_ABORTED = 4
+#: the program itself faulted (any subcommand that runs it)
+EXIT_GUEST_FAULT = 5
+
+
+class CliError(Exception):
+    """What a subcommand cannot go on from, as the one line and the exit
+    code :func:`main` turns it into."""
+
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
+
 
 _LINKS = {
     "10m": ETHERNET_10M,
@@ -65,15 +89,6 @@ _LINKS = {
     "gigabit": GIGABIT,
     "loopback": LOOPBACK,
 }
-
-
-def _arch(name: str):
-    try:
-        return ARCH_PRESETS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown architecture {name!r}; choose from: {', '.join(ARCH_PRESETS)}"
-        )
 
 
 def _int_at_least(low: int):
@@ -104,29 +119,36 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
-def _usage_error(message: str):
-    """One line on stderr and exit 2, like argparse's own refusals."""
-    print(f"repro: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
+def _fault_plan(text: str) -> FaultPlan:
+    """An argparse ``type=``: a ``--fault`` spec."""
+    try:
+        return FaultPlan.parse(text)
+    except (ValueError, KeyError) as exc:
+        raise argparse.ArgumentTypeError(f"bad fault spec {text!r}: {exc}") from None
+
+
+def _check_writable(flag: str, out: str) -> None:
+    """An output that cannot be written is refused before the run it
+    would have recorded, not after (a probe: nothing is created)."""
+    target = Path(out)
+    where = target if target.exists() else target.parent
+    if target.is_dir() or not os.access(where, os.W_OK):
+        raise CliError(f"{flag}: cannot write {out}", 2)
 
 
 def _read_source(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        _usage_error(f"cannot read {path}: {exc.strerror}")
+        raise CliError(f"cannot read {path}: {exc.strerror}", 2) from None
 
 
 def _compile(path: str, args) -> object:
-    source = _read_source(path)
-    try:
-        return compile_program(
-            source,
-            poll_strategy=getattr(args, "poll_strategy", "loops"),
-            strict_safety=not getattr(args, "no_strict", False),
-        )
-    except (ParseError, MigrationSafetyError) as exc:
-        raise SystemExit(f"{path}: {exc}")
+    return compile_program(
+        _read_source(path),
+        poll_strategy=getattr(args, "poll_strategy", "loops"),
+        strict_safety=not getattr(args, "no_strict", False),
+    )
 
 
 def _stop_at(prog, arch, after_polls: int) -> Process:
@@ -136,9 +158,9 @@ def _stop_at(prog, arch, after_polls: int) -> Process:
     proc.migrate_after_polls = after_polls
     result = proc.run()
     if result.status != "poll":
-        raise SystemExit(
+        raise CliError(
             f"process exited (code {result.exit_code}) before reaching "
-            f"poll #{after_polls}; it executed {proc.polls} poll-points"
+            f"poll #{after_polls}; it executed {proc.polls} poll-points", 1
         )
     return proc
 
@@ -146,9 +168,12 @@ def _stop_at(prog, arch, after_polls: int) -> Process:
 def cmd_run(args) -> int:
     """`repro run`: compile and execute, print the program stdout."""
     prog = _compile(args.file, args)
-    proc = Process(prog, _arch(args.arch))
-    code = proc.run_to_completion()
-    sys.stdout.write(proc.stdout)
+    proc = Process(prog, ARCH_PRESETS[args.arch])
+    try:
+        code = proc.run_to_completion()
+    finally:
+        # what it printed before a fault is still what it printed
+        sys.stdout.write(proc.stdout)
     if args.stats:
         print(
             f"[{proc.steps} instructions, {proc.polls} poll-points, "
@@ -200,16 +225,11 @@ def cmd_migrate(args) -> int:
     :data:`EXIT_OUTPUT_DIFFERS`.
     """
     prog = _compile(args.file, args)
-    src_arch = _arch(args.src)
-    dst_arch = _arch(args.dst)
-    # an output that cannot be written is refused now, not after the
-    # migration it would have recorded
+    src_arch = ARCH_PRESETS[args.src]
+    dst_arch = ARCH_PRESETS[args.dst]
     for flag, out in (("--trace", args.trace), ("--metrics-out", args.metrics_out)):
         if out not in (None, "-"):
-            target = Path(out)
-            where = target if target.exists() else target.parent
-            if target.is_dir() or not os.access(where, os.W_OK):
-                _usage_error(f"{flag}: cannot write {out}")
+            _check_writable(flag, out)
 
     baseline = Process(prog, src_arch)
     baseline.run_to_completion()
@@ -218,24 +238,16 @@ def cmd_migrate(args) -> int:
     engine = MigrationEngine()
     link = _LINKS[args.link]
 
-    plan = None
-    if args.fault:
-        try:
-            plan = FaultPlan.parse(args.fault)
-        except (ValueError, KeyError) as exc:
-            raise SystemExit(f"bad --fault spec {args.fault!r}: {exc}")
-        print(f"[fault plan: {plan}]", file=sys.stderr)
-
-    def make_channel():
-        inner = Channel(link)
-        return inner if plan is None else FaultyChannel(inner, plan)
+    channel = Channel(link)
+    if args.fault is not None:
+        print(f"[fault plan: {args.fault}]", file=sys.stderr)
+        channel = FaultyChannel(channel, args.fault)
 
     retry = None
     if args.retries or args.timeout is not None:
         retry = RetryPolicy(
             max_attempts=args.retries + 1,
             attempt_timeout_s=args.timeout,
-            degrade_after=2 if args.stream else None,
             sleep=lambda _s: None,  # don't wall-clock-wait in a CLI demo
         )
 
@@ -254,7 +266,7 @@ def cmd_migrate(args) -> int:
         dest, stats = engine.migrate(
             proc,
             dst_arch,
-            channel_factory=make_channel,
+            channel=channel,
             streaming=args.stream,
             chunk_size=args.chunk_size,
             compress=args.compress,
@@ -321,10 +333,10 @@ def _write_observation(args, stats) -> None:
         # failing loudly beats silently producing no file: a user who
         # asked for a trace must never discover at analysis time that
         # the migration ran unobserved
-        raise SystemExit(
+        raise CliError(
             "--trace/--metrics-out: this migration produced no observation "
             "(stats.obs is None), so there is no trace and there are no "
-            "metrics to write"
+            "metrics to write", 1
         )
     if trace is not None:
         stats.obs.write_trace(trace)
@@ -342,24 +354,12 @@ def _write_observation(args, stats) -> None:
 
 def cmd_obs(args) -> int:
     """`repro obs`: offline analysis of JSONL migration traces."""
-    from repro.obs.report import (
-        TraceReadError,
-        load_trace,
-        render_diff,
-        render_report,
-        render_top,
-    )
-
-    try:
-        if args.obs_command == "report":
-            print(render_report(load_trace(args.trace)))
-        elif args.obs_command == "top":
-            print(render_top(load_trace(args.trace), by=args.by, n=args.n))
-        elif args.obs_command == "diff":
-            print(render_diff(load_trace(args.a), load_trace(args.b)))
-    except TraceReadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.obs_command == "report":
+        print(render_report(load_trace(args.trace)))
+    elif args.obs_command == "top":
+        print(render_top(load_trace(args.trace), by=args.by, n=args.n))
+    elif args.obs_command == "diff":
+        print(render_diff(load_trace(args.a), load_trace(args.b)))
     return 0
 
 
@@ -384,9 +384,9 @@ def cmd_fuzz(args) -> int:
         try:
             arches = [arch_by_name(n) for n in args.arches.split(",") if n]
         except ValueError as exc:
-            raise SystemExit(str(exc))
+            raise CliError(str(exc), 2) from None
         if len(arches) < 2:
-            raise SystemExit("--arches needs at least two architectures")
+            raise CliError("--arches needs at least two architectures", 2)
     else:
         arches = None  # all of MACHINES
 
@@ -440,7 +440,8 @@ def cmd_fuzz(args) -> int:
 def cmd_checkpoint(args) -> int:
     """`repro checkpoint`: snapshot a process at a poll-point to a file."""
     prog = _compile(args.file, args)
-    proc = _stop_at(prog, _arch(args.arch), args.after_polls)
+    _check_writable("-o", args.output)
+    proc = _stop_at(prog, ARCH_PRESETS[args.arch], args.after_polls)
     ckpt = checkpoint_to_file(proc, args.output)
     print(
         f"checkpoint written to {args.output} "
@@ -453,11 +454,7 @@ def cmd_checkpoint(args) -> int:
 def cmd_restart(args) -> int:
     """`repro restart`: resume a checkpoint file on any architecture."""
     prog = _compile(args.file, args)
-    try:
-        proc = restart_from_file(prog, args.checkpoint, _arch(args.arch))
-    except CheckpointError as exc:
-        print(f"restart failed: {exc}", file=sys.stderr)
-        return 1
+    proc = restart_from_file(prog, args.checkpoint, ARCH_PRESETS[args.arch])
     result = proc.run()
     sys.stdout.write(proc.stdout)
     return result.exit_code
@@ -469,7 +466,7 @@ def cmd_graph(args) -> int:
     from repro.msr.msrlt import BlockKind
 
     prog = _compile(args.file, args)
-    proc = _stop_at(prog, _arch(args.arch), args.after_polls)
+    proc = _stop_at(prog, ARCH_PRESETS[args.arch], args.after_polls)
     proc.register_stack_blocks()
     roots = []
     for depth in range(len(proc.frames) - 1, -1, -1):
@@ -544,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adaptively zlib-compress the wire payload "
                         "(kept per chunk only when it shrinks >= 10%%)")
     p.add_argument("--retries", type=_int_at_least(0), default=0,
-                   help="retry a failed transfer up to N times (fresh "
+                   help="retry a failed transfer up to N times (reset "
                         "channel, exponential backoff)")
     p.add_argument("--timeout", type=_positive_seconds, default=None,
                    help="per-attempt recv deadline in seconds")
@@ -556,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribution", action="store_true",
                    help="profile per-type collect/restore cost attribution "
                         "(implied by --trace)")
-    p.add_argument("--fault", default=None, metavar="PLAN",
+    p.add_argument("--fault", type=_fault_plan, default=None, metavar="PLAN",
                    help="inject deterministic transport faults, e.g. "
                         "'bitflip@1:3,drop@2' or 'seed=42:count=2' "
                         "(kinds: drop, truncate, bitflip, stall, "
@@ -637,9 +634,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """CLI entry point (the `repro` console script)."""
+    """CLI entry point (the `repro` console script), and the one place
+    an exception becomes an exit code: whatever a subcommand cannot go
+    on from is one line on stderr, never a traceback."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CliError as exc:
+        line, code = f"error: {exc}", exc.code
+    except (OSError, TraceReadError) as exc:
+        line, code = f"error: {exc}", 2
+    except (LexError, ParseError, TypeCheckError, NormalizeError, CompileError,
+            LayoutError, MigrationSafetyError) as exc:
+        line, code = f"error: {args.file}: {exc}", 1
+    except CheckpointError as exc:
+        line, code = f"error: restart failed: {exc}", 1
+    except GuestFault as exc:
+        line, code = f"guest fault: {exc}", EXIT_GUEST_FAULT
+    print(f"repro: {line}", file=sys.stderr)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

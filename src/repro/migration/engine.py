@@ -184,11 +184,6 @@ class RetryPolicy:
     jitter: Optional[Callable[[int, float], float]] = None
     #: per-attempt recv deadline installed on the channel (seconds)
     attempt_timeout_s: Optional[float] = None
-    #: after this many failed *pipelined* attempts, flip the schedule to
-    #: serial for the attempts that remain (graceful degradation: same
-    #: envelope, one chunk, nothing restored before the terminator is
-    #: in); None = never degrade
-    degrade_after: Optional[int] = None
     sleep: Callable[[float], None] = time.sleep
 
     def __post_init__(self) -> None:
@@ -437,18 +432,18 @@ class _Run:
     ``precopy``, ``transfer`` (attempts of collect → transmit →
     restore), ``adopt`` — and ``finish`` on every exit (DESIGN §7).
 
-    Two private executors own what the steps have in common:
-    :meth:`_acquire` is the only place a channel is obtained, and
-    :meth:`_guarded` is the only place a failable step (the pre-copy
-    phase, one transfer attempt) is bracketed by its span and by the
-    source hygiene a failure needs.
+    One private executor owns what the failable steps (the pre-copy
+    phase, one transfer attempt) have in common: :meth:`_guarded`
+    brackets a step by its span and, however it fails, by the hygiene a
+    failure needs on the source and on the channel.
     """
 
     source: Process
     dest: Process
-    channel: Optional[Channel]
-    channel_factory: Optional[Callable[[], Channel]]
-    #: the schedule: pipelined, else serial (degradation flips it off)
+    #: the one channel every step speaks on (the caller's, or the
+    #: engine's default)
+    channel: Channel
+    #: the schedule: pipelined, else serial
     streaming: bool
     chunk_size: int
     compress: bool
@@ -474,11 +469,14 @@ class _Run:
     # -- the steps ---------------------------------------------------------
 
     def prepare(self) -> None:
-        """Open the books: the begin event, and baselines for the
-        per-migration lookup-cost deltas (the tables' counters are
-        cumulative over the process/program lifetime; every scratch
-        process shares the destination's per-(program, arch) TI table)."""
+        """Open the books: the recv deadline, the begin event, and
+        baselines for the per-migration lookup-cost deltas (the tables'
+        counters are cumulative over the process/program lifetime; every
+        scratch process shares the destination's per-(program, arch) TI
+        table)."""
         stats = self.stats
+        if self.policy.attempt_timeout_s is not None:
+            self.channel.set_deadline(self.policy.attempt_timeout_s)
         obs.event(
             "migration_begin",
             source_arch=stats.source_arch,
@@ -497,7 +495,6 @@ class _Run:
             return
         from repro.migration.precopy import run_precopy
 
-        channel = self._acquire(retry=False)
         scratch = self._new_scratch()
         prof = self.obs.attribution
 
@@ -506,7 +503,7 @@ class _Run:
             # final attempt's attribution partition
             with prof.scoped("precopy") if prof is not None else nullcontext():
                 return run_precopy(
-                    self.source, scratch, channel, self.precopy_policy,
+                    self.source, scratch, self.channel, self.precopy_policy,
                     self.stats, self.chunk_size,
                 )
 
@@ -517,14 +514,11 @@ class _Run:
 
     def transfer(self) -> None:
         """The stop-and-copy: attempts of collect → transmit → restore
-        under the retry policy (backoff, fresh channel per attempt,
-        degradation of a failing pre-copy final pass to a plain one and
-        of a failing pipelined schedule to the serial one)."""
-        policy, stats = self.policy, self.stats
-        failed_pipelined = 0
+        under the retry policy (backoff, degradation of a failing
+        pre-copy final pass to a plain one)."""
+        policy, stats, channel = self.policy, self.stats, self.channel
         for attempt in range(policy.max_attempts):
             stats.attempts, stats.retries = attempt + 1, attempt
-            channel = self._acquire(retry=attempt > 0)
             sent_before = channel.accepted_bytes
             use_pre = self._stage()
             obs.event(
@@ -533,8 +527,7 @@ class _Run:
             )
             try:
                 self._guarded(
-                    "attempt", partial(self._attempt, channel, attempt + 1),
-                    n=attempt + 1,
+                    "attempt", partial(self._attempt, attempt + 1), n=attempt + 1,
                 )
                 return
             except RETRYABLE_ERRORS as exc:
@@ -554,14 +547,6 @@ class _Run:
                 self.obs.attribution.set_aside(f"attempt {attempt + 1}")
             if use_pre:
                 self._degrade_precopy(error)
-            if self.streaming:
-                failed_pipelined += 1
-                after = policy.degrade_after
-                if after is not None and failed_pipelined >= after:
-                    self.streaming = False
-                    stats.degraded = True
-                    obs.inc("engine.degraded")
-                    obs.event("degraded", after_failed_attempts=failed_pipelined)
             if attempt + 1 >= policy.max_attempts:
                 raise MigrationAbortedError(
                     f"migration aborted after {attempt + 1} attempt(s); "
@@ -639,30 +624,19 @@ class _Run:
 
     # -- what the steps share ----------------------------------------------
 
-    def _acquire(self, retry: bool) -> Channel:
-        """The channel for the next step: a fresh one from the factory,
-        else the caller's (``reset()`` to fresh-connection state when it
-        already carried a failed attempt), with the recv deadline set."""
-        if self.channel_factory is not None:
-            channel = self.channel_factory()
-        else:
-            channel = self.channel
-            if retry:
-                channel.reset()
-        if self.policy.attempt_timeout_s is not None:
-            channel.set_deadline(self.policy.attempt_timeout_s)
-        return channel
-
     def _guarded(self, span: str, step, **attrs):
         """Run one failable *step* inside its span.  However it fails, a
         half-driven collection's stack registrations are dropped, so the
         source stays cleanly runnable and the next step registers from
-        scratch."""
+        scratch — and the channel is ``reset()`` to fresh-connection
+        state, so the next step (the plain pass after a failed pre-copy
+        phase, a retry) never reads a frame the failed one left queued."""
         try:
             with self.obs.tracer.span(span, **attrs):
                 return step()
         except BaseException:
             self.source.msrlt.drop_stack_blocks()
+            self.channel.reset()
             raise
 
     def _degrade_precopy(self, exc: Exception) -> None:
@@ -720,14 +694,14 @@ class _Run:
 
     # -- one attempt: the envelope, filled on either schedule ---------------
 
-    def _attempt(self, channel: Channel, attempt: int) -> None:
+    def _attempt(self, attempt: int) -> None:
         """Collect → transmit → restore, once: ``MCTX``, the payload as
         chunk frames, the terminator.  ``self.streaming`` picks the
         schedule — serial: the whole payload is chunk 0, the feed is
         drained to its terminator and restoration reads one contiguous
         buffer; pipelined: ``chunk_size`` chunks, restored while later
         ones are still being collected."""
-        stats, pipelined = self.stats, self.streaming
+        stats, channel, pipelined = self.stats, self.channel, self.streaming
         # the context names the attempt span as the remote parent: the
         # restore side joins *this* attempt
         ctx = propagate.outbound_context(attempt=attempt)
@@ -862,8 +836,6 @@ class MigrationEngine:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         compress: bool = False,
         retry: Optional[RetryPolicy] = None,
-        channel_factory: Optional[Callable[[], Channel]] = None,
-        checkpoint_path=None,
         attribution: bool = False,
         adopt_trace=None,
         precopy: bool = False,
@@ -907,18 +879,15 @@ class MigrationEngine:
         the destination untouched and the source still stopped at its
         poll-point, runnable.  A *retry* policy makes the engine fight
         transient faults: per-attempt recv deadlines, exponential
-        backoff with a deterministic jitter hook, a fresh channel per
-        attempt (*channel_factory*, or ``channel.reset()``), and —
-        past ``degrade_after`` failed pipelined attempts — graceful
-        degradation to the serial schedule.  Wire damage is whatever
+        backoff with a deterministic jitter hook, and a fresh connection
+        after every failed step — the one channel (*channel*, or the
+        engine's default) is ``reset()``, whether the pre-copy phase or
+        a transfer attempt failed on it.  Wire damage is whatever
         the receiving decoder says of the bytes it got (a
         :class:`~repro.msr.wire.WireFrameError`), in either schedule.
         When every attempt fails, :class:`MigrationAbortedError` carries
         the last typed error; it and every other :class:`MigrationError` raised here
         carry the failed run's stats and observation as ``.stats``.
-        *checkpoint_path* snapshots the source to disk before
-        the first attempt, so even a host crash mid-migration can
-        resume from the checkpoint.
 
         With ``precopy=True`` the engine runs the iterative pre-copy
         protocol first (:mod:`repro.migration.precopy`): a full snapshot
@@ -934,7 +903,7 @@ class MigrationEngine:
         """
         if waiting is not None:
             _check_waiting(waiting, process, dest_arch)
-        if channel_factory is None and channel is None:
+        if channel is None:
             channel = Channel(self.link)
         if precopy and precopy_policy is None:
             from repro.migration.precopy import PrecopyPolicy
@@ -946,7 +915,6 @@ class MigrationEngine:
                 process.program, dest_arch, name=dest_name or f"{process.name}'"
             ),
             channel=channel,
-            channel_factory=channel_factory,
             streaming=streaming,
             chunk_size=chunk_size,
             compress=compress,
@@ -965,12 +933,6 @@ class MigrationEngine:
                 ),
             ),
         )
-        if checkpoint_path is not None:
-            # belt-and-braces: even a crash of *this* host mid-migration
-            # can resume from disk (migration/checkpoint.py)
-            from repro.migration.checkpoint import checkpoint_to_file
-
-            checkpoint_to_file(process, checkpoint_path)
         try:
             with run.obs.activate():
                 try:

@@ -75,11 +75,9 @@ from repro.migration.engine import (
     restore_state,
 )
 from repro.msr.delta import apply_round, build_round
-from repro.msr.msrlt import MSRLTError
 from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.dirty import DirtyTracker
-from repro.vm.interpreter import VMError
-from repro.vm.memory import MemoryFault
+from repro.vm.process import GuestFault
 
 __all__ = [
     "PrecopyPolicy",
@@ -140,10 +138,10 @@ class PrecopySourceExitedError(MigrationError):
 
 class PrecopySourceFaultedError(MigrationError):
     """The source program faulted (a wild store, a double ``free``, a
-    division by zero) during a pre-copy slice.  The guest's own fault is
-    the ``__cause__``; the process is left as the fault left it, and no
-    retry or degraded pass could migrate it (not retryable, not
-    degradable)."""
+    division by zero) during a pre-copy slice.  The guest's own fault (a
+    :class:`~repro.vm.process.GuestFault`) is the ``__cause__``; the
+    process is left as the fault left it, and no retry or degraded pass
+    could migrate it (not retryable, not degradable)."""
 
 
 def _ship_round(channel, payload, chunk_size: int) -> tuple[bytes, int]:
@@ -252,10 +250,10 @@ def run_precopy(
             process.migrate_after_polls = policy.slice_polls
             try:
                 result = process.run()
-            except (MemoryFault, MSRLTError, VMError) as exc:
+            except GuestFault as exc:
                 raise PrecopySourceFaultedError(
-                    f"source faulted during a pre-copy slice "
-                    f"({type(exc).__name__}: {exc}); nothing was migrated"
+                    f"source faulted during a pre-copy slice ({exc}); "
+                    f"nothing was migrated"
                 ) from exc
             finally:
                 memory.dirty = None

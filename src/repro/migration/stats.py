@@ -113,8 +113,6 @@ class MigrationStats:
     aborted_bytes: int = 0
     #: total intended backoff delay between attempts (seconds)
     time_in_backoff: float = 0.0
-    #: whether the engine fell back from the pipelined schedule to serial
-    degraded: bool = False
     #: *measured* producer-thread busy fraction of the pipeline wall
     #: clock (socket pipeline only; the same-thread generator pipeline
     #: interleaves but cannot overlap wall-clock, so it reports 0.0)
@@ -242,10 +240,6 @@ class MigrationStats:
             out["Attempts"] = self.attempts
             out["AbortedBytes"] = self.aborted_bytes
             out["Backoff"] = self.time_in_backoff
-        # unconditional: a degraded migration must say so even when its
-        # post-degradation attempt succeeded without further retries
-        if self.degraded:
-            out["Degraded"] = True
         if self.precopy:
             out["PrecopyRounds"] = self.precopy_rounds
             out["PrecopyBytes"] = self.precopy_bytes
@@ -279,11 +273,8 @@ class MigrationStats:
             base += (
                 f" [{self.attempts} attempts, {self.retries} retried, "
                 f"{self.aborted_bytes} bytes aborted, "
-                f"backoff {self.time_in_backoff * 1e3:.1f} ms"
-                f"{', degraded to serial' if self.degraded else ''}]"
+                f"backoff {self.time_in_backoff * 1e3:.1f} ms]"
             )
-        elif self.degraded:
-            base += " [degraded to serial]"
         if self.precopy:
             base += (
                 f" [precopy: {self.precopy_rounds} rounds, "

@@ -282,10 +282,6 @@ class Collector:
                         stats.data_bytes += data_bytes
                         if self._plans_on:
                             stats.n_plan_blocks += n_walked
-                        if buf.debug_tags:
-                            buf.tag_counts.update(
-                                BLOCK=n_blocks, REF=n_refs, NULL=n_nulls
-                            )
                         return
                     # the open frame is finished: resume the one beneath
                     if opened is not None and prof is not None:

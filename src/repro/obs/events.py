@@ -1,21 +1,21 @@
 """The structured event log and the JSONL trace file format.
 
 Every migration appends typed events (attempts, observed faults,
-degradation, backoff, per-chunk pipeline occupancy) to an in-memory
+backoff, per-chunk pipeline occupancy) to an in-memory
 :class:`EventLog`; ``repro migrate --trace out.jsonl`` exports the log
 plus the span tree and the metrics snapshot as JSON-lines.
 
-Trace file format (one JSON object per line, schema version 4 — the one
+Trace file format (one JSON object per line, schema version 5 — the one
 version this build writes and reads; a trace of another version is
 re-recorded, not converted):
 
-- line 1 is always ``{"event": "trace_header", "schema": 4, ...}`` and
+- line 1 is always ``{"event": "trace_header", "schema": 5, ...}`` and
   carries the migration's ``trace_id`` (16 hex chars);
 - every line has an ``"event"`` string and a non-negative ``"ts"``
   number (seconds since the migration's observation began);
 - event lines come next, in emission order, each of a type registered
   in :data:`EVENT_REQUIRED_FIELDS` (attempts, faults, backoff,
-  degradation, per-chunk pipeline occupancy, the pre-copy rounds); a
+  per-chunk pipeline occupancy, the pre-copy rounds); a
   ``trace_context`` event records the propagated identity the restore
   side received (and the clock-offset estimate, see
   :mod:`repro.obs.propagate`); an ``events_dropped`` marker says the
@@ -60,7 +60,7 @@ __all__ = [
     "validate_trace_file",
 ]
 
-TRACE_SCHEMA_VERSION = 4
+TRACE_SCHEMA_VERSION = 5
 
 #: default ring-buffer bound of an :class:`EventLog` — generous (a
 #: per-chunk event stream at 64 KiB chunks reaches this around a 2 GiB
@@ -78,7 +78,6 @@ EVENT_REQUIRED_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
     "attempt_fail": (("attempt", int), ("error_type", str), ("error", str)),
     "fault": (("kind", str), ("index", int)),
     "backoff": (("attempt", int), ("delay_s", (int, float))),
-    "degraded": (("after_failed_attempts", int),),
     "chunk": (("seq", int), ("collect_busy_s", (int, float))),
     "pipeline": (("wall_s", (int, float)), ("n_chunks", int),
                  ("occupancy", (int, float))),

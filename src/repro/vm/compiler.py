@@ -10,6 +10,7 @@ been pre-distributed and compiled on all potential destinations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -78,14 +79,20 @@ class FuncIR:
     call_pcs: list[int] = field(default_factory=list)
     #: filled in by the program builder
     liveness: Optional[LivenessResult] = None
-    #: stmt_id -> first pc (for the annotator's labels)
-    stmt_pc: dict[int, int] = field(default_factory=dict)
+    #: (first pc, source line) of each statement, in pc order
+    stmt_lines: list[tuple[int, int]] = field(default_factory=list)
     #: stmt_id of each PollHint -> its program-wide poll id (annotator)
     poll_stmts: dict[int, int] = field(default_factory=dict)
 
     @property
     def nvars(self) -> int:
         return len(self.norm.variables)
+
+    def line_at(self, pc: int) -> int:
+        """Source line of the statement the instruction at *pc* belongs
+        to (what a guest fault is reported at)."""
+        i = bisect_right(self.stmt_lines, pc, key=lambda entry: entry[0])
+        return self.stmt_lines[i - 1][1] if i else 0
 
 
 class IRGen:
@@ -130,8 +137,7 @@ class IRGen:
     # -- statements -----------------------------------------------------------------
 
     def stmt(self, stmt: A.Stmt) -> None:
-        if stmt.stmt_id >= 0 and stmt.stmt_id not in self.fir.stmt_pc:
-            self.fir.stmt_pc[stmt.stmt_id] = self.here()
+        self.fir.stmt_lines.append((self.here(), stmt.line))
 
         if isinstance(stmt, A.Block):
             for s in stmt.body:
@@ -197,6 +203,8 @@ class IRGen:
             cond_top = self.here()
             for s in stmt.cond_pre:
                 self.stmt(s)
+            # the condition sits on its own line, after the body's last
+            self.fir.stmt_lines.append((self.here(), stmt.cond.line))
             self.rvalue(stmt.cond)
             self.emit(Op.JNZ, top, None)
             end = self.here()

@@ -101,253 +101,261 @@ class Interpreter:
         base = frame.base
         pc = frame.pc
 
-        while True:
-            if budget >= 0 and steps >= budget:
-                frame.pc = pc
-                proc.steps += steps
-                return RunResult(status="steps")
-            steps += 1
+        try:
+            while True:
+                if budget >= 0 and steps >= budget:
+                    frame.pc = pc
+                    proc.steps += steps
+                    return RunResult(status="steps")
+                steps += 1
 
-            op, a, b = code[pc]
-            pc += 1
+                op, a, b = code[pc]
+                pc += 1
 
-            if op == Op.LDL:
-                addr = base + a
-                up, size = unp[b]
-                off = addr - sseg.window_start
-                buf = sseg.buf
-                if 0 <= off and off + size <= len(buf):
-                    stack.append(up(buf, off)[0])
-                else:
-                    stack.append(load(b, addr))
-            elif op == Op.PTRADD:
-                i = stack.pop()
-                stack.append(stack.pop() + int(i) * a)
-            elif op == Op.ADD:
-                r = stack.pop()
-                l = stack.pop()
-                if a is None:
-                    stack.append(l + r)
-                else:
-                    v = (l + r) & a[0]
-                    stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.PUSH:
-                stack.append(a)
-            elif op == Op.LOAD:
-                addr = stack.pop()
-                if sbase <= addr < slimit:
-                    seg = sseg
-                elif hbase <= addr < hlimit:
-                    seg = hseg
-                else:
-                    seg = gseg
-                up, size = unp[a]
-                off = addr - seg.window_start
-                buf = seg.buf
-                if 0 <= off and off + size <= len(buf) and seg.base <= addr:
-                    stack.append(up(buf, off)[0])
-                else:
-                    stack.append(load(a, addr))
-            elif op == Op.STL:
-                addr = base + a
-                pk, size = pck[b]
-                off = addr - sseg.window_start
-                buf = sseg.buf
-                value = stack.pop()
-                if 0 <= off and off + size <= len(buf):
-                    try:
-                        pk(buf, off, value)
-                    except struct.error:
-                        # out-of-range value: delegate to the wrapping path
+                if op == Op.LDL:
+                    addr = base + a
+                    up, size = unp[b]
+                    off = addr - sseg.window_start
+                    buf = sseg.buf
+                    if 0 <= off and off + size <= len(buf):
+                        stack.append(up(buf, off)[0])
+                    else:
+                        stack.append(load(b, addr))
+                elif op == Op.PTRADD:
+                    i = stack.pop()
+                    stack.append(stack.pop() + int(i) * a)
+                elif op == Op.ADD:
+                    r = stack.pop()
+                    l = stack.pop()
+                    if a is None:
+                        stack.append(l + r)
+                    else:
+                        v = (l + r) & a[0]
+                        stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.PUSH:
+                    stack.append(a)
+                elif op == Op.LOAD:
+                    addr = stack.pop()
+                    if sbase <= addr < slimit:
+                        seg = sseg
+                    elif hbase <= addr < hlimit:
+                        seg = hseg
+                    else:
+                        seg = gseg
+                    up, size = unp[a]
+                    off = addr - seg.window_start
+                    buf = seg.buf
+                    if 0 <= off and off + size <= len(buf) and seg.base <= addr:
+                        stack.append(up(buf, off)[0])
+                    else:
+                        stack.append(load(a, addr))
+                elif op == Op.STL:
+                    addr = base + a
+                    pk, size = pck[b]
+                    off = addr - sseg.window_start
+                    buf = sseg.buf
+                    value = stack.pop()
+                    if 0 <= off and off + size <= len(buf):
+                        try:
+                            pk(buf, off, value)
+                        except struct.error:
+                            # out-of-range value: delegate to the wrapping path
+                            store(b, addr, value)
+                    else:
                         store(b, addr, value)
-                else:
-                    store(b, addr, value)
-            elif op == Op.MUL:
-                r = stack.pop()
-                l = stack.pop()
-                if a is None:
-                    stack.append(l * r)
-                else:
-                    v = (l * r) & a[0]
-                    stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.JZ:
-                if not stack.pop():
+                elif op == Op.MUL:
+                    r = stack.pop()
+                    l = stack.pop()
+                    if a is None:
+                        stack.append(l * r)
+                    else:
+                        v = (l * r) & a[0]
+                        stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.JZ:
+                    if not stack.pop():
+                        pc = a
+                elif op == Op.LT:
+                    r = stack.pop()
+                    stack.append(1 if stack.pop() < r else 0)
+                elif op == Op.JMP:
                     pc = a
-            elif op == Op.LT:
-                r = stack.pop()
-                stack.append(1 if stack.pop() < r else 0)
-            elif op == Op.JMP:
-                pc = a
-            elif op == Op.STORE:
-                addr = stack.pop()
-                store(a, addr, stack.pop())
-            elif op == Op.SUB:
-                r = stack.pop()
-                l = stack.pop()
-                if a is None:
-                    stack.append(l - r)
-                else:
-                    v = (l - r) & a[0]
-                    stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.LEA_L:
-                stack.append(base + a)
-            elif op == Op.LDG:
-                up, size = unp[b]
-                off = a - gseg.window_start
-                buf = gseg.buf
-                if 0 <= off and off + size <= len(buf):
-                    stack.append(up(buf, off)[0])
-                else:
-                    stack.append(load(b, a))
-            elif op == Op.STG:
-                store(b, a, stack.pop())
-            elif op == Op.PTRSUB:
-                i = stack.pop()
-                stack.append(stack.pop() - int(i) * a)
-            elif op == Op.PTRDIFF:
-                q = stack.pop()
-                p = stack.pop()
-                stack.append((p - q) // a)
-            elif op == Op.OFFSET:
-                stack.append(stack.pop() + a)
-            elif op == Op.DIV:
-                r = stack.pop()
-                l = stack.pop()
-                if a is None:
-                    stack.append(l / r if r != 0.0 else _float_div_zero(l, r))
-                else:
+                elif op == Op.STORE:
+                    addr = stack.pop()
+                    store(a, addr, stack.pop())
+                elif op == Op.SUB:
+                    r = stack.pop()
+                    l = stack.pop()
+                    if a is None:
+                        stack.append(l - r)
+                    else:
+                        v = (l - r) & a[0]
+                        stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.LEA_L:
+                    stack.append(base + a)
+                elif op == Op.LDG:
+                    up, size = unp[b]
+                    off = a - gseg.window_start
+                    buf = gseg.buf
+                    if 0 <= off and off + size <= len(buf):
+                        stack.append(up(buf, off)[0])
+                    else:
+                        stack.append(load(b, a))
+                elif op == Op.STG:
+                    store(b, a, stack.pop())
+                elif op == Op.PTRSUB:
+                    i = stack.pop()
+                    stack.append(stack.pop() - int(i) * a)
+                elif op == Op.PTRDIFF:
+                    q = stack.pop()
+                    p = stack.pop()
+                    stack.append((p - q) // a)
+                elif op == Op.OFFSET:
+                    stack.append(stack.pop() + a)
+                elif op == Op.DIV:
+                    r = stack.pop()
+                    l = stack.pop()
+                    if a is None:
+                        stack.append(l / r if r != 0.0 else _float_div_zero(l, r))
+                    else:
+                        if r == 0:
+                            raise VMError("integer division by zero")
+                        q = abs(l) // abs(r)
+                        if (l < 0) != (r < 0):
+                            q = -q
+                        v = q & a[0]
+                        stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.MOD:
+                    r = stack.pop()
+                    l = stack.pop()
                     if r == 0:
-                        raise VMError("integer division by zero")
+                        raise VMError("integer modulo by zero")
                     q = abs(l) // abs(r)
                     if (l < 0) != (r < 0):
                         q = -q
-                    v = q & a[0]
+                    v = (l - q * r) & a[0]
                     stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.MOD:
-                r = stack.pop()
-                l = stack.pop()
-                if r == 0:
-                    raise VMError("integer modulo by zero")
-                q = abs(l) // abs(r)
-                if (l < 0) != (r < 0):
-                    q = -q
-                v = (l - q * r) & a[0]
-                stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.EQ:
-                r = stack.pop()
-                stack.append(1 if stack.pop() == r else 0)
-            elif op == Op.NE:
-                r = stack.pop()
-                stack.append(1 if stack.pop() != r else 0)
-            elif op == Op.LE:
-                r = stack.pop()
-                stack.append(1 if stack.pop() <= r else 0)
-            elif op == Op.GT:
-                r = stack.pop()
-                stack.append(1 if stack.pop() > r else 0)
-            elif op == Op.GE:
-                r = stack.pop()
-                stack.append(1 if stack.pop() >= r else 0)
-            elif op == Op.LNOT:
-                stack.append(0 if stack.pop() else 1)
-            elif op == Op.NEG:
-                v = stack.pop()
-                if a is None:
-                    stack.append(-v)
-                else:
-                    v = (-v) & a[0]
+                elif op == Op.EQ:
+                    r = stack.pop()
+                    stack.append(1 if stack.pop() == r else 0)
+                elif op == Op.NE:
+                    r = stack.pop()
+                    stack.append(1 if stack.pop() != r else 0)
+                elif op == Op.LE:
+                    r = stack.pop()
+                    stack.append(1 if stack.pop() <= r else 0)
+                elif op == Op.GT:
+                    r = stack.pop()
+                    stack.append(1 if stack.pop() > r else 0)
+                elif op == Op.GE:
+                    r = stack.pop()
+                    stack.append(1 if stack.pop() >= r else 0)
+                elif op == Op.LNOT:
+                    stack.append(0 if stack.pop() else 1)
+                elif op == Op.NEG:
+                    v = stack.pop()
+                    if a is None:
+                        stack.append(-v)
+                    else:
+                        v = (-v) & a[0]
+                        stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.BAND:
+                    r = stack.pop()
+                    v = (stack.pop() & r) & a[0]
                     stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.BAND:
-                r = stack.pop()
-                v = (stack.pop() & r) & a[0]
-                stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.BOR:
-                r = stack.pop()
-                v = (stack.pop() | r) & a[0]
-                stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.BXOR:
-                r = stack.pop()
-                v = (stack.pop() ^ r) & a[0]
-                stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.BNOT:
-                v = (~stack.pop()) & a[0]
-                stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.SHL:
-                r = stack.pop()
-                v = (stack.pop() << (r & 63)) & a[0]
-                stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
-            elif op == Op.SHR:
-                r = stack.pop()
-                stack.append(stack.pop() >> (r & 63))
-            elif op == Op.CVT:
-                v = stack.pop()
-                if a[0] == "f":
-                    stack.append(float(v))
-                else:
-                    iv = int(v) & a[1]
-                    stack.append(iv - a[1] - 1 if a[2] and iv >= a[2] else iv)
-            elif op == Op.JNZ:
-                if stack.pop():
-                    pc = a
-            elif op == Op.CALL:
-                args = stack[len(stack) - b :] if b else []
-                if b:
-                    del stack[len(stack) - b :]
-                if stack:
-                    raise VMError(
-                        f"eval stack not empty at CALL in {frame.image.name} "
-                        f"(pc {pc - 1}) — normalization invariant broken"
-                    )
-                frame.pc = pc
-                frame = proc.push_frame(a, args)
-                code = frame.image.code
-                stack = frame.stack
-                base = frame.base
-                pc = 0
-            elif op == Op.CALLB:
-                nargs, extra = b
-                args = stack[len(stack) - nargs :] if nargs else []
-                if nargs:
-                    del stack[len(stack) - nargs :]
-                result = _BUILTIN_HANDLERS[a](proc, args, extra)
-                if _BUILTIN_HAS_RET[a]:
-                    stack.append(result)
-            elif op == Op.RET:
-                value = stack.pop() if a else None
-                memory.stack_restore(frame.saved_sp)
-                frames.pop()
-                if not frames:
-                    proc.steps += steps
-                    return RunResult(status="exit", exit_code=int(value or 0))
-                frame = frames[-1]
-                code = frame.image.code
-                stack = frame.stack
-                base = frame.base
-                pc = frame.pc
-                if a:
-                    stack.append(value)
-            elif op == Op.POLL:
-                proc.polls += 1
-                if stack:
-                    raise VMError(
-                        f"eval stack not empty at POLL in {frame.image.name}"
-                    )
-                if proc.migration_pending and proc.should_migrate_at(a):
-                    frame.pc = pc  # resume position: instruction after POLL
-                    proc.steps += steps
-                    return RunResult(status="poll", poll_id=a)
-            elif op == Op.COPYBLK:
-                dst = stack.pop()
-                src = stack.pop()
-                memory.write_bytes(dst, memory.read_bytes(src, a))
-            elif op == Op.POP:
-                stack.pop()
-            elif op == Op.DUP:
-                stack.append(stack[-1])
-            elif op == Op.NOP:
-                pass
-            else:  # pragma: no cover - defensive
-                raise VMError(f"bad opcode: {format_instr((op, a, b))}")
+                elif op == Op.BOR:
+                    r = stack.pop()
+                    v = (stack.pop() | r) & a[0]
+                    stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.BXOR:
+                    r = stack.pop()
+                    v = (stack.pop() ^ r) & a[0]
+                    stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.BNOT:
+                    v = (~stack.pop()) & a[0]
+                    stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.SHL:
+                    r = stack.pop()
+                    v = (stack.pop() << (r & 63)) & a[0]
+                    stack.append(v - a[0] - 1 if a[1] and v >= a[1] else v)
+                elif op == Op.SHR:
+                    r = stack.pop()
+                    stack.append(stack.pop() >> (r & 63))
+                elif op == Op.CVT:
+                    v = stack.pop()
+                    if a[0] == "f":
+                        stack.append(float(v))
+                    else:
+                        try:
+                            iv = int(v) & a[1]
+                        except (OverflowError, ValueError):  # inf, nan
+                            raise VMError(f"{v} converted to an integer") from None
+                        stack.append(iv - a[1] - 1 if a[2] and iv >= a[2] else iv)
+                elif op == Op.JNZ:
+                    if stack.pop():
+                        pc = a
+                elif op == Op.CALL:
+                    args = stack[len(stack) - b :] if b else []
+                    if b:
+                        del stack[len(stack) - b :]
+                    if stack:
+                        raise VMError(
+                            f"eval stack not empty at CALL in {frame.image.name} "
+                            f"(pc {pc - 1}) — normalization invariant broken"
+                        )
+                    frame.pc = pc
+                    frame = proc.push_frame(a, args)
+                    code = frame.image.code
+                    stack = frame.stack
+                    base = frame.base
+                    pc = 0
+                elif op == Op.CALLB:
+                    nargs, extra = b
+                    args = stack[len(stack) - nargs :] if nargs else []
+                    if nargs:
+                        del stack[len(stack) - nargs :]
+                    result = _BUILTIN_HANDLERS[a](proc, args, extra)
+                    if _BUILTIN_HAS_RET[a]:
+                        stack.append(result)
+                elif op == Op.RET:
+                    value = stack.pop() if a else None
+                    memory.stack_restore(frame.saved_sp)
+                    frames.pop()
+                    if not frames:
+                        proc.steps += steps
+                        return RunResult(status="exit", exit_code=int(value or 0))
+                    frame = frames[-1]
+                    code = frame.image.code
+                    stack = frame.stack
+                    base = frame.base
+                    pc = frame.pc
+                    if a:
+                        stack.append(value)
+                elif op == Op.POLL:
+                    proc.polls += 1
+                    if stack:
+                        raise VMError(
+                            f"eval stack not empty at POLL in {frame.image.name}"
+                        )
+                    if proc.migration_pending and proc.should_migrate_at(a):
+                        frame.pc = pc  # resume position: instruction after POLL
+                        proc.steps += steps
+                        return RunResult(status="poll", poll_id=a)
+                elif op == Op.COPYBLK:
+                    dst = stack.pop()
+                    src = stack.pop()
+                    memory.write_bytes(dst, memory.read_bytes(src, a))
+                elif op == Op.POP:
+                    stack.pop()
+                elif op == Op.DUP:
+                    stack.append(stack[-1])
+                elif op == Op.NOP:
+                    pass
+                else:  # pragma: no cover - defensive
+                    raise VMError(f"bad opcode: {format_instr((op, a, b))}")
+        except Exception:
+            # leave the faulting instruction where a report can name it
+            frame.pc = pc - 1
+            raise
 
 
 def _float_div_zero(l: float, r: float) -> float:

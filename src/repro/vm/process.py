@@ -12,14 +12,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.clang.ctypes import ArrayType, CType, UCHAR
-from repro.msr.msrlt import MSRLT
+from repro.msr.msrlt import MSRLT, MSRLTError
 from repro.msr.ti import TITable
 from repro.vm.builtins import RAND_STATE_GLOBAL
 from repro.vm.compiler import kind_of
 from repro.vm.interpreter import Frame, Interpreter, RunResult, VMError
-from repro.vm.memory import Memory
+from repro.vm.memory import Memory, MemoryFault
 
-__all__ = ["Process", "ProcessExit"]
+__all__ = ["GuestFault", "Process", "ProcessExit"]
 
 
 class ProcessExit(Exception):
@@ -28,6 +28,19 @@ class ProcessExit(Exception):
     def __init__(self, code: int) -> None:
         super().__init__(f"process exited with code {code}")
         self.code = code
+
+
+class GuestFault(Exception):
+    """The program itself faulted while it ran (a wild or NULL access, a
+    double ``free``, a division by zero, a stack overflow): its bug, not
+    this one's.  Carries where — function, *pc*, source *line* — and the
+    VM's own error as ``__cause__``."""
+
+    def __init__(self, cause: Exception, func: str, pc: int, line: int) -> None:
+        super().__init__(f"{cause} in {func}() at line {line} (pc {pc})")
+        self.func = func
+        self.pc = pc
+        self.line = line
 
 
 class Process:
@@ -102,6 +115,11 @@ class Process:
             result = self._interp.run(max_steps)
         except ProcessExit as exc:
             result = RunResult(status="exit", exit_code=exc.code)
+        except (MemoryFault, MSRLTError, VMError) as exc:
+            # the one place a fault of the guest's gets its name
+            frame = self.frames[-1]
+            fir = self.program.functions[frame.func_idx]
+            raise GuestFault(exc, fir.name, frame.pc, fir.line_at(frame.pc)) from exc
         if result.status == "exit":
             self.exited = True
             self.exit_code = result.exit_code

@@ -402,3 +402,17 @@ def arena_builds(monkeypatch):
 @pytest.fixture
 def compile_and_run():
     return run_c
+
+
+def cli_exit(argv, capsys) -> tuple:
+    """Run ``repro`` on *argv*, expecting it to refuse: returns the exit
+    code and the one stderr line (``main()`` is the only place an error
+    becomes either), and holds the no-traceback rule."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines() or [""]
+    return exc.value.code, line

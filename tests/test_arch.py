@@ -19,6 +19,8 @@ from repro.arch import (
     X86_64,
     xdr,
 )
+from repro.migration.engine import collect_state
+from tests.conftest import stopped_at
 
 
 class TestMachineArch:
@@ -165,16 +167,26 @@ class TestBuffers:
         assert r.remaining == 1
 
     def test_tag_accounting(self):
-        w = WriteBuffer(debug_tags=True)
-        w.count_tag("BLOCK")
-        w.count_tag("BLOCK")
-        w.count_tag("REF")
-        assert w.tag_counts == {"BLOCK": 2, "REF": 1}
+        """What was written per record tag is the collector's count
+        (``CollectStats``): the buffer holds bytes, not a census."""
+        proc = stopped_at(
+            "struct n { struct n *self; struct n *none; }; struct n *root;"
+            "int main() { root = (struct n *) malloc(sizeof(struct n));"
+            " root->self = root; root->none = NULL; migrate_here(); return 0; }",
+            1, DEC5000,
+        )
+        _, info = collect_state(proc)
+        # root, the node and the hidden PRNG cell; the self link; the
+        # NULL (main has no live locals)
+        stats = info.stats
+        assert (stats.n_blocks, stats.n_refs, stats.n_nulls) == (3, 1, 1)
 
     def test_tag_accounting_off_by_default(self):
+        """The buffer's whole accounting is two byte counts."""
         w = WriteBuffer()
-        w.count_tag("BLOCK")
-        assert not w.tag_counts
+        w.write_u32(7)
+        assert (w.nbytes, w.bytes_drained) == (4, 0)
+        assert not hasattr(w, "tag_counts")
 
     def test_nbytes_tracks_writes(self):
         w = WriteBuffer()

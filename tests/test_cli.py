@@ -5,8 +5,14 @@ import sys
 
 import pytest
 
-from repro.cli import EXIT_MIGRATION_ABORTED, EXIT_OUTPUT_DIFFERS, main
+from repro.cli import (
+    EXIT_GUEST_FAULT,
+    EXIT_MIGRATION_ABORTED,
+    EXIT_OUTPUT_DIFFERS,
+    main,
+)
 from repro.obs import validate_trace_file
+from tests.conftest import cli_exit
 
 DEMO = """
 struct node { int v; struct node *next; };
@@ -65,11 +71,11 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", demo_c, "--arch", "pdp11"])
 
-    def test_parse_error_reported(self, tmp_path):
+    def test_parse_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.c"
         bad.write_text("int main( {")
-        with pytest.raises(SystemExit, match="bad.c"):
-            main(["run", str(bad)])
+        code, line = cli_exit(["run", str(bad)], capsys)
+        assert code == 1 and line.startswith(f"repro: error: {bad}: line 1:")
 
 
 class TestCheck:
@@ -81,9 +87,13 @@ class TestCheck:
         assert main(["check", unsafe_c]) == 1
         assert "UNSAFE" in capsys.readouterr().out
 
-    def test_strict_compile_rejects_unsafe(self, unsafe_c):
-        with pytest.raises(SystemExit, match="unsafe"):
+    def test_strict_compile_rejects_unsafe(self, unsafe_c, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", unsafe_c])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err  # one line per finding
+        assert err.startswith(f"repro: error: {unsafe_c}: migration-unsafe")
+        assert "Traceback" not in err
 
     def test_no_strict_allows(self, unsafe_c, capsys):
         main(["run", unsafe_c, "--no-strict"])
@@ -108,9 +118,10 @@ class TestMigrate:
         assert captured.out == "sum=45\n"
         assert "identical" in captured.err
 
-    def test_migrate_past_exit_fails_cleanly(self, demo_c):
-        with pytest.raises(SystemExit, match="exited"):
-            main(["migrate", demo_c, "--after-polls", "99999"])
+    def test_migrate_past_exit_fails_cleanly(self, demo_c, capsys):
+        code, line = cli_exit(["migrate", demo_c, "--after-polls", "99999"], capsys)
+        assert code == 1
+        assert line.startswith("repro: error: process exited (code 0) before")
 
 
 CHAIN = """
@@ -207,9 +218,12 @@ class TestMigrateFaults:
         assert first[0] == 0 and first[1] == "sum=45\n"
         assert len(first[2]) == 1  # the plan was echoed, identically
 
-    def test_bad_fault_spec_rejected(self, demo_c):
-        with pytest.raises(SystemExit, match="bad --fault"):
+    def test_bad_fault_spec_rejected(self, demo_c, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["migrate", demo_c, "--fault", "meteor@1"])
+        assert exc.value.code == 2  # argparse's own refusal, usage first
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --fault: bad fault spec 'meteor@1'" in last
 
     # the persistent drop sits on each mode's first data send
     @pytest.mark.parametrize(
@@ -296,9 +310,10 @@ class TestOutOfRangeNumbers:
 
 class TestNoTracebacks:
     """What a user can get wrong on the command line is one line on
-    stderr and exit 2 — before anything ran — never a traceback; and a
-    migration that ran to the end but not to plan says which way in its
-    exit code."""
+    stderr and exit 2 — before anything ran — never a traceback; a
+    program the front end refuses is one line and exit 1, one that
+    faults when it runs one line and exit 5; and a migration that ran to
+    the end but not to plan says which way in its exit code."""
 
     #: (argv with ``{demo}`` / ``{tmp}`` filled in, what the line says)
     CASES = [
@@ -309,6 +324,11 @@ class TestNoTracebacks:
          "--trace: cannot write {tmp}/no/such/dir/t.jsonl"),
         (["migrate", "{demo}", "--metrics-out", "{tmp}/no/such/dir/m.txt"],
          "--metrics-out: cannot write {tmp}/no/such/dir/m.txt"),
+        # refused before the run, like --trace: not a FileNotFoundError after it
+        (["checkpoint", "{demo}", "-o", "{tmp}/no/such/dir/x.ckpt"],
+         "-o: cannot write {tmp}/no/such/dir/x.ckpt"),
+        (["restart", "{demo}", "{tmp}/nonexistent.ckpt"],
+         "No such file or directory: '{tmp}/nonexistent.ckpt'"),
     ]
 
     @pytest.mark.parametrize(
@@ -325,6 +345,102 @@ class TestNoTracebacks:
         assert len(err.splitlines()) == 1
         assert complaint.format(**fill) in err
         assert "Traceback" not in err
+
+    #: a program the front end refuses -> what it says (the parser's
+    #: refusals were one line before; the lexer's, the type checker's and
+    #: the layout's were tracebacks, a zero-length array a bare ValueError)
+    REFUSED = {
+        "lexer": ("int main() { return 1 @ 2; }", "line 1: unexpected character '@'"),
+        "parser": ("int main( {", "line 1: "),
+        "typechecker": ("int main() { return x; }",
+                        "line 1: undeclared identifier 'x'"),
+        "array-length": ("int main() { int a[0]; return 0; }",
+                         "line 1: array length must be positive"),
+        "layout": ("struct s; struct s x; int main() { return 0; }",
+                   "struct s is incomplete"),
+    }
+
+    @pytest.mark.parametrize("stage", list(REFUSED))
+    @pytest.mark.parametrize("cmd", ["run", "migrate", "graph"])
+    def test_a_refused_program_is_one_line_and_exit_1(
+        self, cmd, stage, tmp_path, capsys
+    ):
+        source, complaint = self.REFUSED[stage]
+        path = tmp_path / "refused.c"
+        path.write_text(source)
+        code, line = cli_exit([cmd, str(path)], capsys)
+        assert code == 1
+        assert line.startswith(f"repro: error: {path}: {complaint}")
+
+    #: a program that faults when it runs -> (source, what the VM says,
+    #: the source line it says it of)
+    GUEST_FAULTS = {
+        "null-store": (
+            "int main() {\n  int *p;\n  p = 0;\n  *p = 1;\n  return 0;\n}\n",
+            "NULL pointer dereference", 4),
+        "double-free": (
+            "int main() {\n  int *p;\n  p = (int *) malloc(16);\n"
+            "  free(p);\n  free(p);\n  return 0;\n}\n",
+            "no block registered at", 5),
+        "division-by-zero": (
+            "int z;\nint main() {\n  int r;\n  r = 5 / z;\n  return r;\n}\n",
+            "integer division by zero", 4),
+        "infinity-to-int": (
+            "double z;\nint main() {\n  int i;\n  i = (int) (5.0 / z);\n"
+            "  return i;\n}\n",
+            "inf converted to an integer", 4),
+    }
+
+    @pytest.mark.parametrize("fault", list(GUEST_FAULTS))
+    @pytest.mark.parametrize("cmd", ["run", "migrate", "checkpoint", "graph"])
+    def test_a_guest_fault_is_one_line_and_exit_5(
+        self, cmd, fault, tmp_path, capsys
+    ):
+        """The program's own fault is reported as the program's — by
+        function and source line — wherever it first runs (under
+        ``migrate``, in the reference run), not as a crash of ours."""
+        source, complaint, lineno = self.GUEST_FAULTS[fault]
+        path = tmp_path / "faulty.c"
+        path.write_text(source)
+        argv = [cmd, str(path), "--poll-strategy", "user"]
+        if cmd == "checkpoint":
+            argv += ["-o", str(tmp_path / "never.ckpt")]
+        code, line = cli_exit(argv, capsys)
+        assert code == EXIT_GUEST_FAULT == 5
+        assert line.startswith(f"repro: guest fault: {complaint}")
+        assert f" in main() at line {lineno} (pc " in line
+        assert not (tmp_path / "never.ckpt").exists()
+
+    def test_a_fault_on_the_destination_is_the_guests_too(self, tmp_path, capsys):
+        """``sizeof(long) - 8`` is zero only where the run ends: the
+        reference run and the hop succeed, the resumed program divides
+        by it."""
+        path = tmp_path / "late.c"
+        path.write_text(
+            "int main() {\n  int z;\n  migrate_here();\n"
+            "  z = (int) sizeof(long) - 8;\n  return 5 / z;\n}\n"
+        )
+        code, line = cli_exit(
+            ["migrate", str(path), "--poll-strategy", "user",
+             "--from", "sparc20", "--to", "x86_64"], capsys,
+        )
+        assert code == EXIT_GUEST_FAULT
+        assert line.startswith(
+            "repro: guest fault: integer division by zero in main() at line 5 (pc "
+        )
+
+    def test_what_it_printed_before_the_fault_is_still_printed(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "talks.c"
+        path.write_text(
+            'int main() { int *p; p = 0; printf("so far\\n"); *p = 1; return 0; }\n'
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path)])
+        assert exc.value.code == EXIT_GUEST_FAULT
+        out, err = capsys.readouterr()
+        assert out == "so far\n" and len(err.splitlines()) == 1
 
     #: (argv after ``migrate {demo}``, exit code, the line that explains it)
     OFF_PLAN = [
@@ -354,7 +470,7 @@ class TestNoTracebacks:
         err = capsys.readouterr().err
         assert line in err.splitlines()
         assert "Traceback" not in err
-        assert code not in (0, 1, 2)
+        assert code not in (0, 1, 2, EXIT_GUEST_FAULT)
         assert EXIT_OUTPUT_DIFFERS != EXIT_MIGRATION_ABORTED
 
 
@@ -393,11 +509,9 @@ class TestCheckpointRestartCLI:
             source = str(other)
         snap.write_bytes(data)
         capsys.readouterr()
-        assert main(["restart", source, str(snap)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("restart failed: ")
+        code, line = cli_exit(["restart", source, str(snap)], capsys)
+        assert code == 1
+        assert line.startswith("repro: error: restart failed: ")
         if damage == "version":
             assert "version 9" in line
 

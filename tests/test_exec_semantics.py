@@ -77,9 +77,11 @@ class TestArithmetic:
 
     def test_division_by_zero_faults(self):
         from repro.vm.interpreter import VMError
+        from repro.vm.process import GuestFault
 
-        with pytest.raises(VMError, match="division by zero"):
+        with pytest.raises(GuestFault, match="division by zero") as excinfo:
             run_main('int a = 1; int b = 0; printf("%d", a / b);')
+        assert isinstance(excinfo.value.__cause__, VMError)
 
     def test_long_width_differs_by_arch(self):
         src = 'unsigned long u = 0; u = u - 1; printf("%u", u);'
@@ -352,9 +354,11 @@ class TestPointersAndArrays:
 
     def test_null_deref_faults(self):
         from repro.vm.memory import MemoryFault
+        from repro.vm.process import GuestFault
 
-        with pytest.raises(MemoryFault, match="NULL"):
+        with pytest.raises(GuestFault, match="NULL") as excinfo:
             run_main('int *p = NULL; printf("%d", *p);')
+        assert isinstance(excinfo.value.__cause__, MemoryFault)
 
     def test_swap_through_pointers(self):
         src = """

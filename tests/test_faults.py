@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20
-from repro.migration.checkpoint import restart_from_file
+from repro.migration.checkpoint import checkpoint_to_file, restart_from_file
 from repro.migration import engine as engine_module
 from repro.migration.engine import (
     RETRYABLE_ERRORS,
@@ -489,25 +489,11 @@ class TestRetryPolicy:
 
 
 class TestGracefulDegradation:
-    def test_streaming_falls_back_to_monolithic(self, prog, expected):
-        """A link that persistently kills the third frame defeats every
-        pipelined attempt; after ``degrade_after`` failures the engine
-        completes the migration on the serial schedule (whose two indexed
-        sends, chunk 0 and the terminator, the fault never touches)."""
-        proc = stopped(prog)
-        channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("bitflip@2:7!"))
-        dest, stats = MigrationEngine().migrate(
-            proc, SPARC20, channel=channel, streaming=True, chunk_size=64,
-            retry=RetryPolicy(max_attempts=4, degrade_after=2, **NO_SLEEP),
-        )
-        dest.run()
-        assert dest.stdout == expected
-        assert stats.degraded
-        assert not stats.streamed  # the successful attempt was serial
-        assert stats.n_chunks == 1
-        assert stats.attempts == 3 and stats.retries == 2
-
     def test_no_degradation_without_opt_in(self, prog):
+        """A link that persistently kills the third frame defeats every
+        pipelined attempt, and there is no other schedule to fall back
+        on (serial is the same envelope with one chunk): the migration
+        aborts, typed, after ``max_attempts``."""
         proc = stopped(prog)
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("bitflip@2:7!"))
         with pytest.raises(MigrationAbortedError) as excinfo:
@@ -571,44 +557,42 @@ class TestSocketDeadline:
 
     def test_engine_retries_socket_migration(self, prog, expected):
         """A dropped frame mid-stream on a real socket: the consumer sees
-        a typed error, and the retry — on a fresh socket via the channel
-        factory — completes."""
-        plan = FaultPlan.parse("drop@1")
-        channels = []
-
-        def factory():
-            ch = FaultyChannel(SocketChannel(link=LOOPBACK), plan, deadline=2.0)
-            channels.append(ch)
-            return ch
-
+        a typed error, and the retry — on the same channel object, whose
+        ``reset()`` dialled a new socket pair — completes."""
+        sock = SocketChannel(link=LOOPBACK)
+        channel = FaultyChannel(sock, FaultPlan.parse("drop@1"), deadline=2.0)
+        first_pair = (sock._tx, sock._rx)
         proc = stopped(prog)
         dest, stats = MigrationEngine().migrate(
-            proc, SPARC20, channel_factory=factory, streaming=True,
+            proc, SPARC20, channel=channel, streaming=True,
             chunk_size=256, retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
         )
         dest.run()
-        for ch in channels:
-            ch.close()
         assert dest.stdout == expected
         assert stats.attempts == 2
-        assert len(channels) == 2  # one fresh channel per attempt
+        # one reset, one fresh connection: the failed pair is closed
+        assert sock._tx is not first_pair[0] and sock._rx is not first_pair[1]
+        assert all(s.fileno() == -1 for s in first_pair)
+        assert sock._rx.gettimeout() == 2.0  # the deadline followed
+        channel.close()
 
 
 class TestCheckpointBeforeMigrate:
     def test_aborted_migration_resumes_from_checkpoint(
         self, prog, expected, tmp_path
     ):
-        """checkpoint_path snapshots the source before the transfer; when
-        every attempt fails — or the source host later dies — the run
-        resumes from disk, even on a different architecture."""
+        """A checkpoint taken before the transfer: when every attempt
+        fails — or the source host later dies — the run resumes from
+        disk, even on a different architecture."""
         ckpt = tmp_path / "pre-migrate.ckpt"
         proc = stopped(prog)
+        checkpoint_to_file(proc, ckpt)
         channel = FaultyChannel(
             Channel(LOOPBACK), FaultPlan.parse("disconnect@0!")
         )
         with pytest.raises(MigrationAbortedError):
             MigrationEngine().migrate(
-                proc, SPARC20, channel=channel, checkpoint_path=ckpt,
+                proc, SPARC20, channel=channel,
                 retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
             )
         assert ckpt.exists()
@@ -619,7 +603,8 @@ class TestCheckpointBeforeMigrate:
     def test_checkpoint_written_even_on_success(self, prog, expected, tmp_path):
         ckpt = tmp_path / "pre-migrate.ckpt"
         proc = stopped(prog)
-        dest, _ = MigrationEngine().migrate(proc, SPARC20, checkpoint_path=ckpt)
+        checkpoint_to_file(proc, ckpt)
+        dest, _ = MigrationEngine().migrate(proc, SPARC20)
         dest.run()
         assert dest.stdout == expected
         assert ckpt.exists()
@@ -678,8 +663,7 @@ MODES = {
     # the collector runs in the producer thread; its error must outrank
     # the truncated read it causes on the consuming side
     "streaming-socket": {
-        "streaming": True, "chunk_size": 4096,
-        "channel_factory": lambda: SocketChannel(LOOPBACK),
+        "streaming": True, "chunk_size": 4096, "channel": SocketChannel,
     },
     "attributed": {"attribution": True},
     "precopy": {"precopy": True, "precopy_policy": PrecopyPolicy(max_rounds=2)},
@@ -746,11 +730,14 @@ class TestCollectorFault:
         prog, expected_stdout = dangling
         proc = stopped(prog)
         slept = []
+        kwargs = dict(MODES[mode])
+        if "channel" in kwargs:  # a kind of channel: one of its own per run
+            kwargs["channel"] = kwargs["channel"](LOOPBACK)
         with pytest.raises(MigrationError, match="collection failed") as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20,
                 retry=RetryPolicy(max_attempts=3, sleep=slept.append),
-                **MODES[mode],
+                **kwargs,
             )
         assert type(excinfo.value) is CollectError
         assert isinstance(excinfo.value.__cause__, MSRLTError)

@@ -7,7 +7,7 @@ import pytest
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
 from repro.vm.interpreter import VMError
 from repro.vm.ir import Op, format_instr
-from repro.vm.process import Process
+from repro.vm.process import GuestFault, Process
 from repro.vm.program import compile_program
 from repro.workloads import bitonic_source, linpack_source
 from repro.workloads import test_pointer_source as pointer_workload_source
@@ -114,8 +114,14 @@ class TestInterpreterMechanics:
         # a few thousand frames in instead of a few million
         small = dataclasses.replace(ULTRA5, segment_size=0x4_0000)
         proc = Process(prog, small)
-        with pytest.raises(MemoryFault, match="overflow"):
+        with pytest.raises(GuestFault, match="overflow") as excinfo:
             proc.run_to_completion()
+        fault = excinfo.value
+        assert isinstance(fault.__cause__, MemoryFault)
+        # where: the recursive call, by function, pc and source line
+        code = prog.functions[prog.func_index("f")].code
+        assert (fault.func, fault.line) == ("f", 1)
+        assert code[fault.pc][0] == Op.CALL
         assert len(proc.frames) > 1000
 
     def test_frames_freed_on_return(self):
@@ -150,8 +156,9 @@ class TestRuntimeDiagnostics:
             "int main() { int *p; return *p; }"  # p is zeroed -> NULL
         )
         proc = Process(prog, ULTRA5)
-        with pytest.raises(MemoryFault, match="NULL"):
+        with pytest.raises(GuestFault, match=r"NULL.* in main\(\) at line 1") as excinfo:
             proc.run_to_completion()
+        assert isinstance(excinfo.value.__cause__, MemoryFault)
 
     def test_out_of_bounds_heap_access_faults(self):
         from repro.vm.memory import MemoryFault
@@ -165,8 +172,20 @@ class TestRuntimeDiagnostics:
             """
         )
         proc = Process(prog, ULTRA5)
-        with pytest.raises(MemoryFault):
+        with pytest.raises(GuestFault, match="at line 4") as excinfo:
             proc.run_to_completion()
+        assert isinstance(excinfo.value.__cause__, MemoryFault)
+
+    def test_fault_names_the_line_of_a_loop_condition(self):
+        """A ``do`` body's last statement is not where its ``while``
+        condition sits: the line table has an entry of its own for it."""
+        prog = compile_program(
+            "int main() {\n  int *p; int n;\n  p = 0; n = 0;\n  do {\n"
+            "    n = n + 1;\n  } while (*p);\n  return n;\n}\n"
+        )
+        with pytest.raises(GuestFault, match="NULL") as excinfo:
+            Process(prog, ULTRA5).run_to_completion()
+        assert (excinfo.value.func, excinfo.value.line) == ("main", 6)
 
     def test_poll_counter_increments(self):
         prog = compile_program(

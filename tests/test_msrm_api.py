@@ -112,11 +112,10 @@ class TestPaperInterface:
         src_addr = src.memory.load(
             "ptr", src.image.global_addrs[src.program.global_index("first")]
         )
-        buf = WriteBuffer(debug_tags=True)
-        collector = Collector(src, buf)
+        collector = Collector(src, WriteBuffer())
         Save_pointer(collector, src_addr)
-        assert buf.tag_counts["BLOCK"] == 1
-        assert buf.tag_counts["REF"] == 1  # the self-link cycle
+        assert collector.stats.n_blocks == 1
+        assert collector.stats.n_refs == 1  # the self-link cycle
 
     def test_collector_stats_finish(self, pair):
         src, _ = pair

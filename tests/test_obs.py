@@ -261,8 +261,8 @@ class TestEventLogAndSchema:
         assert any("'ts'" in e for e in errs)
 
     def test_document_must_open_with_header(self):
-        doc = json.dumps({"event": "degraded", "ts": 0.0,
-                          "after_failed_attempts": 2})
+        doc = json.dumps({"event": "backoff", "ts": 0.0,
+                          "attempt": 1, "delay_s": 0.0})
         assert any("trace_header" in e for e in validate_trace_lines(doc))
 
     def test_schema_version_checked(self):
@@ -308,26 +308,29 @@ class TestOverlapRatioCodecFold:
 
 
 class TestDegradedSurfacing:
-    """row()/__str__ must report degradation unconditionally, not only
-    when retries > 0 (a degraded migration whose serial fallback
-    succeeded first try used to vanish from both reports)."""
+    """"Degraded" means one thing — a pre-copy that fell back to the
+    plain stop-and-copy — and row()/__str__ report it unconditionally,
+    not only when retries > 0 (a failed pre-copy *phase* is followed by
+    a first attempt, not by a retry)."""
 
     def test_row_reports_degraded_without_retries(self):
-        s = MigrationStats(degraded=True)
+        s = MigrationStats(precopy_degraded=True)
         assert s.retries == 0
-        assert s.row()["Degraded"] is True
+        assert s.row()["PrecopyDegraded"] is True
 
     def test_str_reports_degraded_without_retries(self):
-        s = MigrationStats(degraded=True)
-        assert "degraded to serial" in str(s)
+        s = MigrationStats(precopy_degraded=True)
+        assert "precopy degraded to stop-and-copy" in str(s)
 
     def test_row_reports_degraded_with_retries_too(self):
-        s = MigrationStats(degraded=True, retries=2, attempts=3)
-        assert s.row()["Degraded"] is True
-        assert "degraded to serial" in str(s)
+        s = MigrationStats(precopy_degraded=True, retries=2, attempts=3)
+        assert s.row()["PrecopyDegraded"] is True
+        assert "precopy degraded to stop-and-copy" in str(s)
 
     def test_clean_migration_has_no_degraded_key(self):
-        assert "Degraded" not in MigrationStats().row()
+        row = MigrationStats().row()
+        assert "PrecopyDegraded" not in row and "Degraded" not in row
+        assert "degraded" not in str(MigrationStats())
 
 
 class TestCodecAccounting:
@@ -548,8 +551,6 @@ MODES = {
         max_rounds=3, stop_dirty_blocks=0)), []),
     "retried": (dict(STREAM, retry=RetryPolicy(max_attempts=3, **NO_SLEEP)),
                 ONE_DROP),
-    "degraded": (dict(STREAM, retry=RetryPolicy(
-        max_attempts=3, degrade_after=1, **NO_SLEEP)), ONE_DROP),
 }
 
 
@@ -583,10 +584,9 @@ class TestInstrumentsAgree:
         base = Process(sliced_prog, DEC5000)
         base.run_to_completion()
         assert stdout == base.stdout
-        assert stats.attempts == (2 if mode in ("retried", "degraded") else 1)
-        assert stats.degraded == (mode == "degraded")
+        assert stats.attempts == (2 if mode == "retried" else 1)
         assert stats.precopy == (mode == "precopy")
-        if mode in ("mono", "degraded"):  # the serial schedule: one chunk
+        if mode == "mono":  # the serial schedule: one chunk
             assert (stats.n_chunks, stats.streamed) == (1, False)
 
         # MigrationStats == the engine.* counters
@@ -597,7 +597,6 @@ class TestInstrumentsAgree:
         assert counter("engine.blocks") == stats.n_blocks
         assert counter("engine.chunks") == stats.n_chunks
         assert counter("engine.aborted_bytes") == stats.aborted_bytes
-        assert counter("engine.degraded") == int(stats.degraded)
         assert counter("engine.precopy_degraded") == int(stats.precopy_degraded)
         assert (stats.aborted_bytes > 0) == (stats.attempts > 1)
 
@@ -622,7 +621,6 @@ class TestInstrumentsAgree:
         events = obs.events
         assert len(events.of_type("attempt_begin")) == stats.attempts
         assert len(events.of_type("attempt_fail")) == stats.retries
-        assert len(events.of_type("degraded")) == int(stats.degraded)
         rounds = events.of_type("precopy_round")
         assert len(rounds) == stats.precopy_rounds == counter("precopy.rounds")
         assert (sum(r["bytes"] for r in rounds) == stats.precopy_bytes

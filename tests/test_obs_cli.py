@@ -4,7 +4,7 @@
 The validator contract under fuzz: corrupted, truncated, reordered, or
 outright garbage input must come back as a *list of error strings* (or
 a clean pass) — never a traceback.  The CLI contract: analysis commands
-on malformed traces exit 2 with an ``error:`` line on stderr.
+on malformed traces exit 2 with one ``repro: error:`` line on stderr.
 """
 
 import functools
@@ -24,6 +24,7 @@ from repro.obs.report import (
     render_top,
 )
 from repro.obs.validate import main as validate_main
+from tests.conftest import cli_exit
 
 PROGRAM = """
 struct node { double w; struct node *next; };
@@ -126,17 +127,18 @@ class TestObsReport:
 
 class TestObsErrors:
     def test_missing_trace_exits_2(self, tmp_path, capsys):
-        rc = main(["obs", "report", str(tmp_path / "absent.jsonl")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "cannot read trace" in err
+        code, line = cli_exit(
+            ["obs", "report", str(tmp_path / "absent.jsonl")], capsys
+        )
+        assert code == 2
+        assert line.startswith("repro: error:")
+        assert "cannot read trace" in line
 
     def test_not_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
-        assert main(["obs", "report", str(bad)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        code, line = cli_exit(["obs", "report", str(bad)], capsys)
+        assert code == 2 and "not valid JSON" in line
 
     def test_wrong_schema_exits_2(self, tmp_path, capsys):
         old = tmp_path / "old.jsonl"
@@ -144,8 +146,8 @@ class TestObsErrors:
             {"event": "trace_header", "ts": 0.0, "schema": 1,
              "tool": "repro", "trace_id": "00" * 8}
         ) + "\n")
-        assert main(["obs", "report", str(old)]) == 2
-        assert "schema" in capsys.readouterr().err
+        code, line = cli_exit(["obs", "report", str(old)], capsys)
+        assert code == 2 and "schema" in line
 
     def test_load_trace_raises_typed_error_only(self, tmp_path):
         with pytest.raises(TraceReadError):
@@ -176,7 +178,7 @@ class TestMetricsFlags:
         assert f"[metrics written to {path}]" in capsys.readouterr().err
 
     def test_trace_fails_loudly_without_observation(
-        self, workspace, monkeypatch
+        self, workspace, monkeypatch, capsys
     ):
         """A user who asked for a trace must never silently get none."""
         import repro.cli as cli_mod
@@ -188,13 +190,15 @@ class TestMetricsFlags:
                 return dest, stats
 
         monkeypatch.setattr(cli_mod, "MigrationEngine", NoObsEngine)
-        with pytest.raises(SystemExit, match="no observation"):
+        with pytest.raises(SystemExit) as exc:
             main(["migrate", str(workspace / "prog.c"),
                   "--trace", str(workspace / "never.jsonl")])
+        assert exc.value.code == 1
+        assert "no observation" in capsys.readouterr().err.splitlines()[-1]
         assert not (workspace / "never.jsonl").exists()
 
     def test_metrics_fail_loudly_without_observation(
-        self, workspace, monkeypatch
+        self, workspace, monkeypatch, capsys
     ):
         import repro.cli as cli_mod
 
@@ -205,8 +209,10 @@ class TestMetricsFlags:
                 return dest, stats
 
         monkeypatch.setattr(cli_mod, "MigrationEngine", NoObsEngine)
-        with pytest.raises(SystemExit, match="no observation"):
+        with pytest.raises(SystemExit) as exc:
             main(["migrate", str(workspace / "prog.c"), "--metrics-out", "-"])
+        assert exc.value.code == 1
+        assert "no observation" in capsys.readouterr().err.splitlines()[-1]
 
 
 # -- validator fuzz -----------------------------------------------------------

@@ -64,7 +64,7 @@ from repro.msr.wire import (
 )
 from repro.vm.dirty import DirtyTracker
 from repro.vm.memory import MemoryFault
-from repro.vm.process import Process
+from repro.vm.process import GuestFault, Process
 from repro.vm.program import compile_program
 from repro.workloads import structgrid_source
 from tests.conftest import (
@@ -497,7 +497,8 @@ class TestPrecopyEngine:
                 ),
             )
         error = excinfo.value
-        assert isinstance(error.__cause__, MemoryFault)
+        assert isinstance(error.__cause__, GuestFault)
+        assert isinstance(error.__cause__.__cause__, MemoryFault)
         stats = error.stats
         assert stats.retries == 0 and not stats.precopy_degraded
         # the snapshot and the two rounds before the fault did ship
@@ -527,6 +528,46 @@ class TestPrecopyEngine:
         assert ch.delta_sends > 0
         assert stats.precopy_degraded and not stats.precopy
         assert stats.precopy_downtime_s == 0.0
+        assert dest.run_to_completion() == baseline.exit_code
+        assert dest.stdout == baseline.stdout
+
+    @pytest.mark.parametrize("kind", ["channel", "socket", "default"])
+    def test_round_damaged_mid_stream_degrades_on_every_channel(
+        self, kind, monkeypatch
+    ):
+        """One bit of the snapshot's second ``MDLT`` frame flips: the
+        receiver refuses the round with its terminator still queued, and
+        the plain pass that follows starts on a reset channel — the
+        caller's in-memory or socket one, or the engine's own — instead
+        of reading a stale delta frame as its context frame."""
+        from repro.migration import transport
+
+        real, seen = transport.encode_chunk_parts, []
+
+        def flipping(seq, payload, compress=False, magic=DELTA_MAGIC):
+            header, body = real(seq, payload, compress, magic)
+            if magic == DELTA_MAGIC:
+                seen.append(seq)
+                if len(seen) == 2:
+                    body = bytearray(body)
+                    body[0] ^= 1
+            return header, body
+
+        monkeypatch.setattr(transport, "encode_chunk_parts", flipping)
+        prog = _compile(structgrid_source())
+        baseline = run_baseline(prog, X86_64)
+        kwargs = {
+            "channel": {"channel": Channel(LOOPBACK)},
+            "socket": {"channel": SocketChannel(LOOPBACK)},
+            "default": {},
+        }[kind]
+        dest, stats = ENGINE.migrate(
+            _stopped(prog, X86_64), SPARC20, precopy=True, chunk_size=4096,
+            retry=RetryPolicy(max_attempts=1), **kwargs,
+        )
+        assert len(seen) >= 2  # the flip happened, in the snapshot round
+        assert stats.precopy_degraded and not stats.precopy
+        assert stats.attempts == 1
         assert dest.run_to_completion() == baseline.exit_code
         assert dest.stdout == baseline.stdout
 
@@ -627,7 +668,7 @@ class TestFaultDeterminism:
             proc = _stopped(prog, ULTRA5)
             dest, stats = ENGINE.migrate(
                 proc, SPARC20,
-                channel_factory=lambda: FaultyChannel(Channel(LOOPBACK), plan),
+                channel=FaultyChannel(Channel(LOOPBACK), plan),
                 streaming=True, chunk_size=256,
                 retry=RetryPolicy(max_attempts=3, sleep=lambda _s: None),
                 precopy=precopy,
