@@ -18,6 +18,7 @@ the whole segment).  A simple first-fit-by-size-class allocator backs
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Final
 
@@ -57,6 +58,38 @@ _NP_CODE: Final[dict[str, str]] = {
     "float": "f4",
     "double": "f8",
 }
+
+
+@functools.cache
+def _kind_tables(byteorder: str, char_signed: bool, long_size: int, ptr_size: int):
+    """Per-kind codecs of one data model, built once per model and shared
+    read-only by every :class:`Memory` of it: the ``struct`` packers, the
+    interpreter's inline-path pairs ``kind -> (bound unpack_from |
+    pack_into, size)``, and the NumPy dtypes."""
+    order = "<" if byteorder == "little" else ">"
+    codes = dict(_STRUCT_CODE)
+    codes["char"] = "b" if char_signed else "B"
+    codes["long"] = "q" if long_size == 8 else "i"
+    codes["ulong"] = "Q" if long_size == 8 else "I"
+    codes["ptr"] = "Q" if ptr_size == 8 else "I"
+    packers: dict[str, struct.Struct] = {
+        kind: struct.Struct(order + code) for kind, code in codes.items()
+    }
+    np_codes = dict(_NP_CODE)
+    np_codes["char"] = "i1" if char_signed else "u1"
+    np_codes["long"] = "i8" if long_size == 8 else "i4"
+    np_codes["ulong"] = "u8" if long_size == 8 else "u4"
+    np_codes["ptr"] = "u8" if ptr_size == 8 else "u4"
+    np_dtypes: dict[str, np.dtype] = {
+        kind: np.dtype(order + code) for kind, code in np_codes.items()
+    }
+    return (
+        packers,
+        {k: (p.unpack_from, p.size) for k, p in packers.items()},
+        {k: (p.pack_into, p.size) for k, p in packers.items()},
+        np_dtypes,
+    )
+
 
 #: heap allocation granularity / alignment
 _HEAP_ALIGN = 8
@@ -190,23 +223,9 @@ class Memory:
         # normally computes global addresses statically)
         self._global_brk = gbase
 
-        order = "<" if arch.byteorder == "little" else ">"
-        codes = dict(_STRUCT_CODE)
-        codes["char"] = "b" if arch.char_signed else "B"
-        codes["long"] = "q" if arch.long_size == 8 else "i"
-        codes["ulong"] = "Q" if arch.long_size == 8 else "I"
-        codes["ptr"] = "Q" if arch.ptr_size == 8 else "I"
-        self._packers: dict[str, struct.Struct] = {
-            kind: struct.Struct(order + code) for kind, code in codes.items()
-        }
-        np_codes = dict(_NP_CODE)
-        np_codes["char"] = "i1" if arch.char_signed else "u1"
-        np_codes["long"] = "i8" if arch.long_size == 8 else "i4"
-        np_codes["ulong"] = "u8" if arch.long_size == 8 else "u4"
-        np_codes["ptr"] = "u8" if arch.ptr_size == 8 else "u4"
-        self._np_dtypes: dict[str, np.dtype] = {
-            kind: np.dtype(order + code) for kind, code in np_codes.items()
-        }
+        self._packers, self._unpack, self._pack, self._np_dtypes = _kind_tables(
+            arch.byteorder, arch.char_signed, arch.long_size, arch.ptr_size
+        )
 
         #: pre-copy write barrier: when a DirtyTracker is installed here,
         #: every mutating entry point reports its written byte range.

@@ -56,6 +56,8 @@ class Process:
         self.msrlt = MSRLT(self.layout)
         # the TI table is immutable per (program, arch): share it
         self.ti = program.ti_table(arch)
+        # the hidden PRNG cell every compiled program has (rand/srand)
+        self._rand_addr = self.image.global_addrs[program.global_index(RAND_STATE_GLOBAL)]
         self.frames: list[Frame] = []
         self._interp = Interpreter(self)
         self._stdout: list[str] = []
@@ -101,7 +103,7 @@ class Process:
         self.load()
         if self.frames:
             raise VMError("process already started")
-        self.push_frame(self.program.main_index, [])
+        self.push_frame(self.program.main_index)
 
     # -- execution -----------------------------------------------------------------
 
@@ -133,17 +135,15 @@ class Process:
             raise VMError(f"process stopped with status {result.status!r}")
         return result.exit_code
 
-    def push_frame(self, func_idx: int, args: list) -> Frame:
-        """Create an activation record and make it the running frame."""
+    def push_frame(self, func_idx: int) -> Frame:
+        """Create an activation record, all zeros, and make it the running
+        frame (the interpreter's ``CALL`` stores the arguments into it)."""
         image = self.image.funcs[func_idx]
         saved_sp = self.memory.sp
         base = self.memory.stack_alloc(image.frame_size)
         # deterministic frames: uninitialized locals read as zero on every
         # host, so divergent garbage can never masquerade as working code
         self.memory.zero(base, image.frame_size)
-        for i, value in enumerate(args):
-            kind = image.var_kinds[i]
-            self.memory.store(kind, base + image.var_offsets[i], value)
         frame = Frame(func_idx, image, base, saved_sp)
         self.frames.append(frame)
         return frame
@@ -259,24 +259,19 @@ class Process:
     def create_restored_frame(self, func_idx: int, resume_pc: int) -> Frame:
         """Rebuild one activation record during restoration (outermost
         first); its locals are filled by the restorer afterwards."""
-        frame = self.push_frame(func_idx, [])
+        frame = self.push_frame(func_idx)
         frame.pc = resume_pc
         return frame
 
     # -- PRNG state (lives in simulated memory; migrates) ---------------------------------------
 
-    def _rand_addr(self) -> int:
-        idx = self.program.global_index(RAND_STATE_GLOBAL)
-        assert idx is not None
-        return self.image.global_addrs[idx]
-
     def get_rand_state(self) -> int:
         """Read the PRNG cell from simulated memory."""
-        return self.memory.load("uint", self._rand_addr())
+        return self.memory.load("uint", self._rand_addr)
 
     def set_rand_state(self, value: int) -> None:
         """Write the PRNG cell in simulated memory."""
-        self.memory.store("uint", self._rand_addr(), value)
+        self.memory.store("uint", self._rand_addr, value)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Process {self.name} on {self.arch.name}, {len(self.frames)} frames>"

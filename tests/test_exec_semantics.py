@@ -8,6 +8,10 @@ architecture, on several architectures.
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, X86_64
+from repro.vm.ir import Op
+from repro.vm.memory import Memory, MemoryFault
+from repro.vm.process import GuestFault, Process
+from repro.vm.program import compile_program
 from tests.conftest import ALL_ARCHS, expr_value, run_c, run_main
 
 
@@ -396,6 +400,111 @@ class TestPointersAndArrays:
         )
         expect = f"4 {arch.long_size} 8 {arch.ptr_size}"
         assert out == expect
+
+
+class TestStoreTargets:
+    """What the interpreter's inline ``STG`` and ``STORE`` paths branch
+    on: a value the cell's kind must convert, a window not materialized
+    yet, an address outside every segment.  Each case goes through
+    ``STG`` (``g = v``) and through ``STORE`` into each segment
+    (``*p = v``, *p* at a global, a heap block, a local)."""
+
+    TARGETS = {
+        "STG": ("", "g"),
+        "STORE-global": ("p = &g;", "*p"),
+        "STORE-heap": ("p = ({t} *) malloc(sizeof({t}));", "*p"),
+        "STORE-stack": ("p = &x;", "*p"),
+    }
+
+    @pytest.mark.parametrize("arch", [DEC5000, SPARC20], ids=lambda a: a.name)
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("ctype, value, fmt, want", [
+        ("char", "300", "%d", "44"),  # out of range: wraps
+        ("int", "big + 1", "%d", "-2147483648"),
+        ("unsigned int", "-5", "%u", "4294967291"),  # negative into unsigned
+        ("unsigned char", "-1", "%d", "255"),
+        ("int", "2.75", "%d", "2"),  # a double into an int cell
+        ("short", "d", "%d", "-3"),
+    ])
+    def test_values_convert_to_the_cell(self, ctype, value, fmt, want, target, arch):
+        aim, cell = self.TARGETS[target]
+        src = (
+            f"{ctype} g;\n"
+            f"int main() {{ int big = 2147483647; double d = -3.5; {ctype} x; {ctype} *p;\n"
+            f"  {aim.format(t=ctype)} {cell} = {value};\n"
+            f'  printf("{fmt}", {cell}); return 0; }}\n'
+        )
+        prog = compile_program(src)
+        want_op = Op.STG if target == "STG" else Op.STORE
+        assert want_op in {op for op, _, _ in prog.functions[prog.main_index].code}
+        proc = Process(prog, arch)
+        proc.run_to_completion()
+        assert proc.stdout == want
+
+    @pytest.mark.parametrize("arch", [DEC5000, SPARC20], ids=lambda a: a.name)
+    @pytest.mark.parametrize("kind", ["char", "int"])
+    @pytest.mark.parametrize("value", [300, -129, 2**40 + 5, -(2**31) - 1, 2.75])
+    def test_a_value_the_compiler_did_not_narrow_wraps(self, value, kind, arch):
+        """Compiled code converts a value to its cell's type before the
+        store, so the inline paths pack it as it is; one that still does
+        not fit (here: the conversions replaced by NOPs) lands as
+        ``Memory.store`` wraps it."""
+        prog = compile_program(
+            f"{kind} g; {kind} h;\n"
+            f"int main() {{ {kind} *p; p = &h; g = 1; *p = 1; return 0; }}"
+        )
+        code = prog.for_arch(arch).funcs[prog.main_index].code
+        code[:] = [
+            (Op.NOP, None, None) if op == Op.CVT
+            else (op, value, b) if (op, a) == (Op.PUSH, 1) else (op, a, b)
+            for op, a, b in code
+        ]
+        proc = Process(prog, arch)
+        proc.run_to_completion()
+        twin = Memory(arch)
+        twin.store(kind, twin.global_seg.base, value)
+        want = twin.load(kind, twin.global_seg.base)
+        for name in ("g", "h"):
+            addr = proc.image.global_addrs[prog.global_index(name)]
+            assert proc.memory.load(kind, addr) == want
+
+    @pytest.mark.parametrize("cell", ["g", "*p"], ids=["STG", "STORE"])
+    def test_first_store_into_an_unmaterialized_window(self, cell):
+        prog = compile_program(
+            f'int g; int main() {{ int *p; p = &g; {cell} = 7; printf("%d", g); return 0; }}'
+        )
+        proc = Process(prog, DEC5000)
+        proc.load()
+        addr = proc.image.global_addrs[prog.global_index("g")]
+        # loading materialized only the initialized PRNG cell, above g
+        assert addr < proc.memory.global_seg.window_start
+        proc.run_to_completion()
+        assert proc.stdout == "7"
+
+    @pytest.mark.parametrize("arch", [DEC5000, SPARC20], ids=lambda a: a.name)
+    @pytest.mark.parametrize("setup, store, where", [
+        ("int *p; p = NULL;", "*p = 1;", {
+            "dec5000": "NULL pointer dereference in main() at line 4 (pc 4)",
+            "sparc20": "NULL pointer dereference in main() at line 4 (pc 4)",
+        }),
+        ("int *p; p = (int *) malloc(4 * sizeof(int));", "p[2000000000] = 1;", {
+            "dec5000": "address 0x20cd65000 is outside every segment in main() at line 4 (pc 10)",
+            "sparc20": "address 0x1fcd65000 is outside every segment in main() at line 4 (pc 10)",
+        }),
+        # between the global segment's end and the heap's base
+        ("double *p; p = (double *) malloc(4 * sizeof(double));", "p[-40000000] = 1.5;", {
+            "dec5000": "address 0x1ced3000 is outside every segment in main() at line 4 (pc 11)",
+            "sparc20": "address 0xced3000 is outside every segment in main() at line 4 (pc 11)",
+        }),
+    ], ids=["null", "wild-high", "wild-between"])
+    def test_bad_store_faults_where_it_did(self, setup, store, where, arch):
+        """STG's address is a global's, compiled in; only STORE can aim
+        at NULL or at no segment."""
+        src = f"int main() {{\n  {setup}\n\n  {store}\n  return 0;\n}}\n"
+        with pytest.raises(GuestFault) as excinfo:
+            Process(compile_program(src), arch).run_to_completion()
+        assert str(excinfo.value) == where[arch.name]
+        assert isinstance(excinfo.value.__cause__, MemoryFault)
 
 
 class TestStructs:

@@ -5,13 +5,14 @@ import dataclasses
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
+from repro.difftest.corpus import load_corpus
 from repro.vm.interpreter import VMError
 from repro.vm.ir import Op, format_instr
 from repro.vm.process import GuestFault, Process
 from repro.vm.program import compile_program
-from repro.workloads import bitonic_source, linpack_source
+from repro.workloads import bitonic_source, linpack_source, structgrid_source
 from repro.workloads import test_pointer_source as pointer_workload_source
-from tests.conftest import ALL_ARCHS
+from tests.conftest import ALL_ARCHS, longlist_source
 
 
 class TestCodeShapeInvariance:
@@ -146,6 +147,73 @@ class TestInterpreterMechanics:
     def test_format_instr(self):
         assert "PUSH" in format_instr((Op.PUSH, 42, None))
         assert "42" in format_instr((Op.PUSH, 42, None))
+
+
+def single_stepped(prog, arch=ULTRA5) -> Process:
+    """*prog* run to its end one instruction per ``run()`` call."""
+    proc = Process(prog, arch)
+    proc.start()
+    while proc.run(max_steps=1).status == "steps":
+        pass
+    return proc
+
+
+class TestInstructionCount:
+    """``proc.steps`` counts every instruction executed, however the run
+    ends, and does not depend on how the run was cut into budgets."""
+
+    LOOP = "int main() { int i; int s = 0; for (i = 0; i < 1000; i++) s += i; %s }"
+
+    def test_exit_books_the_instructions_return_does(self):
+        counts = {}
+        for ending in ("return 3;", "exit(3);"):
+            prog = compile_program(self.LOOP % ending)
+            proc = Process(prog, ULTRA5)
+            assert proc.run_to_completion() == 3
+            assert proc.polls == 1000
+            assert proc.steps == single_stepped(prog).steps
+            counts[ending] = proc.steps
+        # the same instructions run, PUSH 3 and then RET or CALLB exit
+        assert counts["exit(3);"] == counts["return 3;"] > 14 * 1000
+
+    def test_a_fault_books_the_instructions_before_it(self):
+        prog = compile_program(self.LOOP % "int *p; p = 0; *p = s; return 0;")
+        whole = Process(prog, ULTRA5)
+        with pytest.raises(GuestFault, match="NULL"):
+            whole.run_to_completion()
+        stepped = Process(prog, ULTRA5)
+        stepped.start()
+        with pytest.raises(GuestFault, match="NULL"):
+            while stepped.run(max_steps=1).status == "steps":
+                pass
+        # the faulting STORE counts, as any instruction that began does
+        assert whole.steps == stepped.steps > 14 * 1000
+
+
+def _one_run_and_single_steps_agree(prog):
+    whole = Process(prog, ULTRA5)
+    code = whole.run_to_completion()
+    stepped = single_stepped(prog)
+    assert (stepped.exit_code, stepped.steps, stepped.polls, stepped.stdout) == (
+        code, whole.steps, whole.polls, whole.stdout
+    )
+
+
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda e: e.name)
+def test_one_run_and_single_steps_agree_on_the_corpus(entry):
+    """What the overhead benchmarks and the load balancer's quanta count:
+    a budget of one instruction at a time changes nothing."""
+    _one_run_and_single_steps_agree(compile_program(entry.source, poll_strategy="user"))
+
+
+@pytest.mark.parametrize("source", [
+    linpack_source(12),
+    bitonic_source(48, 7),
+    structgrid_source(64, 16, 7),
+    longlist_source(24),
+], ids=["linpack", "bitonic", "structgrid", "longlist"])
+def test_one_run_and_single_steps_agree_on_the_suite_programs(source):
+    _one_run_and_single_steps_agree(compile_program(source, poll_strategy="user"))
 
 
 class TestRuntimeDiagnostics:

@@ -12,6 +12,7 @@ that pre-copy machinery is inert when not requested.
 import struct
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86_64
@@ -264,28 +265,49 @@ int main() {
 """
 
 
-def _written_image(memory) -> dict:
-    """address -> byte of everything materialized outside the stack."""
-    image = {}
-    for seg in (memory.global_seg, memory.heap_seg):
-        image.update(zip(range(seg.window_start, seg.window_start + len(seg.buf)), seg.buf))
-    return image
+def _written_image(memory) -> list:
+    """(window start, bytes) of the global and the heap segment:
+    everything materialized outside the stack."""
+    return [(seg.window_start, bytes(seg.buf)) for seg in (memory.global_seg, memory.heap_seg)]
 
 
-def _assert_marked(before: dict, memory, intervals) -> int:
+def _assert_marked(before: list, memory, intervals) -> int:
     """Every byte that differs from *before* lies inside one of the
     marked *intervals*; returns how many differ.  (A byte materialized
-    since reads as zero before.)"""
-    after = _written_image(memory)
-    marked = set()
-    for lo, hi in intervals:
-        marked.update(range(lo, hi))
-    changed = {
-        addr for addr, byte in after.items() if before.get(addr, 0) != byte
-    }
-    missed = sorted(changed - marked)
-    assert not missed, f"writes slipped the barrier at {[hex(a) for a in missed[:8]]}"
-    return len(changed)
+    since reads as zero before; a window only ever grows.)"""
+    changed = 0
+    for (was_at, was), seg in zip(before, (memory.global_seg, memory.heap_seg)):
+        at, now = seg.window_start, np.frombuffer(bytes(seg.buf), np.uint8)
+        old = np.zeros_like(now)
+        old[was_at - at : was_at - at + len(was)] = np.frombuffer(was, np.uint8)
+        unmarked = now != old
+        changed += int(unmarked.sum())
+        for lo, hi in intervals:
+            unmarked[max(lo - at, 0) : max(hi - at, 0)] = False
+        missed = at + np.flatnonzero(unmarked)
+        assert not missed.size, f"writes slipped the barrier at {[hex(a) for a in missed[:8]]}"
+    return changed
+
+
+def _slices_are_marked(proc, tracker, slices=None) -> tuple[int, int]:
+    """Run *proc* one poll at a time under *tracker* (*slices* of them,
+    else to its exit), holding every slice's changed bytes to what the
+    barrier marked.  Returns (slices run, slices that changed a byte)."""
+    memory = proc.memory
+    ran = changed = 0
+    while slices is None or ran < slices:
+        before = _written_image(memory)
+        memory.dirty = tracker
+        proc.migration_pending = True
+        proc.migrate_after_polls = 1
+        result = proc.run()
+        memory.dirty = None
+        ran += 1
+        changed += _assert_marked(before, memory, tracker.take()) > 0
+        if result.status != "poll":
+            assert slices is None, result
+            break
+    return ran, changed
 
 
 def test_barriers_cover_every_store_entry_point():
@@ -301,18 +323,8 @@ def test_barriers_cover_every_store_entry_point():
     memory = proc.memory
     tracker = DirtyTracker(memory.stack_seg.base, memory.stack_seg.limit)
 
-    slices_with_changes = 0
-    for _slice in range(16):
-        before = _written_image(memory)
-        memory.dirty = tracker
-        proc.migration_pending = True
-        proc.migrate_after_polls = 1
-        result = proc.run()
-        memory.dirty = None
-        assert result.status == "poll"
-        if _assert_marked(before, memory, tracker.take()):
-            slices_with_changes += 1
-    assert slices_with_changes == 16  # the workload really was mutating
+    # the workload really was mutating: every slice changed a byte
+    assert _slices_are_marked(proc, tracker, slices=16) == (16, 16)
 
     heap = memory.heap_alloc(64)
     glob = memory.global_alloc(64, 8)
@@ -332,6 +344,20 @@ def test_barriers_cover_every_store_entry_point():
             write(at)
             memory.dirty = None
             assert _assert_marked(before, memory, tracker.take()) > 0
+
+
+@pytest.mark.parametrize("arch", [DEC5000, SPARC20], ids=lambda a: a.name)
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda e: e.name)
+def test_barriers_cover_every_slice_of_every_corpus_program(entry, arch):
+    """The slice half of the ground truth above over every corpus
+    program, at both ends of a little- to big-endian pair, from start
+    to exit: whatever store paths the interpreter takes, a byte no
+    barrier marked never changes."""
+    proc = Process(_compile(entry.source), arch)
+    proc.start()
+    tracker = DirtyTracker(proc.memory.stack_seg.base, proc.memory.stack_seg.limit)
+    ran, changed = _slices_are_marked(proc, tracker)
+    assert proc.exited and changed >= 1, (ran, changed)
 
 
 def test_realloc_grow_fires_barrier():
