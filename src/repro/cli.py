@@ -445,7 +445,7 @@ def cmd_checkpoint(args) -> int:
     ckpt = checkpoint_to_file(proc, args.output)
     print(
         f"checkpoint written to {args.output} "
-        f"({len(ckpt.payload)} payload bytes, taken on {ckpt.source_arch})",
+        f"({len(ckpt.payload)} payload bytes, taken on {proc.arch.name})",
         file=sys.stderr,
     )
     return 0

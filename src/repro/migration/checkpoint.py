@@ -14,15 +14,18 @@ packages that use case:
 - :func:`run_with_checkpoints` — convenience driver: run a program,
   snapshotting every *k* poll-points (periodic checkpointing).
 
-The file format prefixes the migration payload with a small header
-(magic, program fingerprint) so accidental cross-program restarts are
-rejected instead of producing corrupt processes.
+A checkpoint file is a migration at rest: a header (magic, program
+fingerprint — so accidental cross-program restarts are rejected instead
+of producing corrupt processes) followed by exactly the frames one
+serial transfer attempt sends (:mod:`repro.msr.wire`: the payload as
+one CRC-carrying chunk, then the terminator).  Restarting from a file is
+the receive half of a migration: the same :class:`ChunkDecoder` checks
+the frames, and damage it finds is a :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -33,6 +36,13 @@ from repro.migration.engine import (
     RestoreError,
     collect_state,
     restore_state,
+)
+from repro.msr.wire import (
+    CHUNK_HEADER_SIZE,
+    ChunkDecoder,
+    WireFrameError,
+    encode_chunk,
+    encode_end_of_stream,
 )
 from repro.vm.process import Process
 
@@ -46,7 +56,8 @@ __all__ = [
     "run_with_checkpoints",
 ]
 
-_FILE_MAGIC = b"MIGCKPT1"
+_FILE_MAGIC = b"MIGCKPT2"
+_FINGERPRINT_SIZE = 16
 
 
 class CheckpointError(Exception):
@@ -55,40 +66,39 @@ class CheckpointError(Exception):
 
 def program_fingerprint(program) -> bytes:
     """Stable digest identifying a compiled program (its source)."""
-    return hashlib.sha256(program.source.encode("utf-8")).digest()[:16]
+    return hashlib.sha256(program.source.encode("utf-8")).digest()[:_FINGERPRINT_SIZE]
 
 
 @dataclass
 class Checkpoint:
-    """One machine-independent process snapshot."""
+    """One machine-independent process snapshot (the payload's own
+    header names the architecture it was taken on)."""
 
     payload: bytes
     fingerprint: bytes
-    source_arch: str
 
-    def to_bytes(self) -> bytes:
-        """Serialize to the checkpoint file format (magic + fingerprint)."""
-        head = _FILE_MAGIC + self.fingerprint
-        arch = self.source_arch.encode("utf-8")
-        return head + struct.pack(">H", len(arch)) + arch + self.payload
+    def save(self, path: str | Path) -> None:
+        """Persist as a checkpoint file: the header, then the frames of
+        one serial attempt."""
+        Path(path).write_bytes(
+            _FILE_MAGIC + self.fingerprint
+            + encode_chunk(0, self.payload) + encode_end_of_stream(1)
+        )
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Checkpoint":
-        """Parse a checkpoint file; raises CheckpointError on bad magic
-        or a header that ends early."""
-        if data[: len(_FILE_MAGIC)] != _FILE_MAGIC:
-            raise CheckpointError("not a checkpoint file (bad magic)")
-        off = len(_FILE_MAGIC)
-        fingerprint = data[off : off + 16]
-        off += 16
-        try:
-            (alen,) = struct.unpack_from(">H", data, off)
-            off += 2
-            source_arch = data[off : off + alen].decode("utf-8")
-        except (struct.error, UnicodeDecodeError):
-            raise CheckpointError("checkpoint file header is cut short or damaged") from None
-        off += alen
-        return cls(payload=data[off:], fingerprint=fingerprint, source_arch=source_arch)
+
+def _received(body: memoryview) -> bytes:
+    """The payload a file body's chunk stream carries, each frame cut at
+    the length its header claims and checked by the receiver's decoder:
+    damage, a missing terminator or bytes after it raise the typed
+    :class:`~repro.msr.wire.WireFrameError` family."""
+    decoder, chunks, at = ChunkDecoder(), [], 0
+    while at < len(body) or not decoder.finished:
+        end = at + CHUNK_HEADER_SIZE + int.from_bytes(body[at + 8 : at + 12], "big")
+        chunk = decoder.decode(body[at:end])
+        if chunk is not None:
+            chunks.append(chunk)
+        at = end
+    return b"".join(chunks)
 
 
 def checkpoint(process: Process) -> Checkpoint:
@@ -98,11 +108,7 @@ def checkpoint(process: Process) -> Checkpoint:
     running after the snapshot (collection does not disturb it).
     """
     payload, _info = collect_state(process)
-    return Checkpoint(
-        payload=payload,
-        fingerprint=program_fingerprint(process.program),
-        source_arch=process.arch.name,
-    )
+    return Checkpoint(payload=payload, fingerprint=program_fingerprint(process.program))
 
 
 def restart(program, ckpt: Checkpoint, arch, name: str = "restarted") -> Process:
@@ -129,13 +135,22 @@ def restart(program, ckpt: Checkpoint, arch, name: str = "restarted") -> Process
 def checkpoint_to_file(process: Process, path: str | Path) -> Checkpoint:
     """Snapshot *process* and persist it at *path*."""
     ckpt = checkpoint(process)
-    Path(path).write_bytes(ckpt.to_bytes())
+    ckpt.save(path)
     return ckpt
 
 
 def restart_from_file(program, path: str | Path, arch, name: str = "restarted") -> Process:
-    """Rebuild a process from a checkpoint file."""
-    ckpt = Checkpoint.from_bytes(Path(path).read_bytes())
+    """Rebuild a process from a checkpoint file (see the module
+    docstring for its layout; there is one, and no reader for another)."""
+    data = memoryview(Path(path).read_bytes())
+    head = len(_FILE_MAGIC) + _FINGERPRINT_SIZE
+    if data[: len(_FILE_MAGIC)] != _FILE_MAGIC:
+        raise CheckpointError("not a checkpoint file (bad magic)")
+    try:
+        payload = _received(data[head:])
+    except WireFrameError as exc:
+        raise CheckpointError(f"checkpoint file is damaged: {exc}") from exc
+    ckpt = Checkpoint(payload=payload, fingerprint=bytes(data[len(_FILE_MAGIC) : head]))
     return restart(program, ckpt, arch, name=name)
 
 
@@ -153,9 +168,10 @@ def run_with_checkpoints(
 
     *on_checkpoint* is called as ``on_checkpoint(ckpt, i)`` right after
     the *i*-th snapshot (0-based) — the hook crash-safe checkpointing
-    hangs off: persist each snapshot to disk as it is taken, and a host
-    that dies mid-run restarts from the last file written (exceptions it
-    raises propagate, exactly like a host crash would).  *resume_from*
+    hangs off: persist each snapshot as it is taken (``ckpt.save(path)``,
+    the file :func:`checkpoint_to_file` writes), and a host that dies
+    mid-run restarts from the last file written (exceptions it raises
+    propagate, exactly like a host crash would).  *resume_from*
     continues an already-restored process (e.g. from
     :func:`restart_from_file`) under the same periodic regime instead of
     starting fresh.

@@ -327,6 +327,12 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "S
                 f"payload resumes function {func_idx}; the program has "
                 f"{len(program.functions)}"
             )
+        fir = program.functions[func_idx]
+        if resume_pc not in fir.liveness.resume_live:
+            raise RestoreError(
+                f"payload resumes {fir.name}() at pc {resume_pc}, where no "
+                f"poll-point or call returns"
+            )
         dest.create_restored_frame(func_idx, resume_pc)
     dest.register_stack_blocks()
 
@@ -469,14 +475,16 @@ class _Run:
     # -- the steps ---------------------------------------------------------
 
     def prepare(self) -> None:
-        """Open the books: the recv deadline, the begin event, and
-        baselines for the per-migration lookup-cost deltas (the tables'
-        counters are cumulative over the process/program lifetime; every
-        scratch process shares the destination's per-(program, arch) TI
-        table)."""
+        """Open the books: the recv deadline, the compression switch
+        (every chunk stream of the run — pre-copy rounds too — obeys
+        it), the begin event, and baselines for the per-migration
+        lookup-cost deltas (the tables' counters are cumulative over the
+        process/program lifetime; every scratch process shares the
+        destination's per-(program, arch) TI table)."""
         stats = self.stats
         if self.policy.attempt_timeout_s is not None:
             self.channel.set_deadline(self.policy.attempt_timeout_s)
+        self.channel.compress_stream = self.compress
         obs.event(
             "migration_begin",
             source_arch=stats.source_arch,
@@ -715,13 +723,12 @@ class _Run:
                 )
 
         collect_iter = _TimedIter(chunks(), "collect")
-        channel.compress_stream = self.compress
         # the context opens the envelope as a control frame (it consumes
         # no chunk sequence number and no fault-plan send index), so
         # the receive side can join the trace before the first chunk
         channel.send_context(ctx.to_bytes())
         rctx = propagate.TraceContext.from_bytes(channel.recv_context())
-        framed_before = channel.chunks.bytes_sent
+        framed_before = channel.framed_bytes_sent
 
         def sends():
             """The send side, one chunk per step (the terminator rides
@@ -789,7 +796,7 @@ class _Run:
         # what the data frames put on the wire, headers and terminator
         # included, the context frame not; back-to-back frames keep the
         # pipe full, so latency is paid once
-        framed = channel.chunks.bytes_sent - framed_before
+        framed = channel.framed_bytes_sent - framed_before
         if self.compress:
             # codec time is read off the span tree, so it covers the
             # deflate and inflate laps of *every* attempt, aborted ones too

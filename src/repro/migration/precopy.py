@@ -9,8 +9,8 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    :class:`~repro.vm.memory.Memory` store paths) that record which bytes
    each slice mutates, and a registration journal on the MSRLT
    (``MSRLT.journal``) that records which blocks it allocates and frees,
-   and ships **delta rounds** (``MDLT`` frames, :mod:`repro.msr.delta`)
-   of what changed: the freed and the new blocks off the journal, and of
+   and ships **delta rounds** (:mod:`repro.msr.delta`) of what changed:
+   the freed and the new blocks off the journal, and of
    each block written the *unit runs* its byte intervals cover — provided
    the destination's copy was byte-fresh before the slice (the ``fresh``
    set below: shipped in some round, not written since).  A new block
@@ -23,6 +23,13 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    downtime to O(working set).  Downtime is counted from the moment the
    last slice returns: the bookkeeping below runs with the source
    already stopped.
+
+Every round — the snapshot too — is one chunk stream on the migration's
+channel (:mod:`repro.msr.wire`: chunk frames, then the terminator), the
+envelope of a transfer attempt less its context frame.  So a fault plan
+numbers a round's sends like any others, ``compress=True`` deflates
+them, and the channel's ``delta_bytes_sent`` is simply what it accepted
+while the phase ran.
 
 The tracker and the journal are installed *only while the interpreter
 runs a slice*: collection passes read through the same Memory entry
@@ -75,7 +82,6 @@ from repro.migration.engine import (
     restore_state,
 )
 from repro.msr.delta import apply_round, build_round
-from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.dirty import DirtyTracker
 from repro.vm.process import GuestFault
 
@@ -144,19 +150,18 @@ class PrecopySourceFaultedError(MigrationError):
     could migrate it (not retryable, not degradable)."""
 
 
-def _ship_round(channel, payload, chunk_size: int) -> tuple[bytes, int]:
-    """Send *payload* as a train of MDLT frames and receive it back on
-    the far side; returns ``(received_payload, n_frames)``."""
+def _ship_round(channel, payload, chunk_size: int) -> bytes:
+    """Send *payload* as one chunk stream and receive it back on the far
+    side."""
     mv = memoryview(payload)
 
     def send_all() -> None:
         for start in range(0, len(mv), chunk_size):
-            channel.send_delta(mv[start : start + chunk_size])
-        channel.end_delta_round()
+            channel.send_chunk(mv[start : start + chunk_size])
+        channel.end_stream()
 
     with channel.feeding(send_all, "precopy-round"):
-        received = b"".join(channel.iter_delta_round())
-    return received, max((len(mv) + chunk_size - 1) // chunk_size, 1)
+        return b"".join(channel.iter_chunks())
 
 
 def run_precopy(
@@ -185,7 +190,14 @@ def run_precopy(
     def ship(round_no: int, payload, **counts) -> None:
         """Transmit one round, land what arrives on the scratch (round 0
         is a full snapshot, every later one a delta), and book it."""
-        received, n_frames = _ship_round(channel, payload, chunk_size)
+        sent = channel.accepted_bytes
+        try:
+            received = _ship_round(channel, payload, chunk_size)
+        finally:
+            # rounds are all the phase sends: what the channel accepted
+            # for this one, refused on arrival or not, is pre-copy wire
+            wire = channel.accepted_bytes - sent
+            channel.delta_bytes_sent += wire
         with obs.lap("precopy.restore") as timed, restore_errors(
             f"pre-copy round {round_no}"
         ):
@@ -195,7 +207,7 @@ def run_precopy(
                 apply_round(scratch, received, round_no)
         stats.precopy_codec_time += timed.seconds
         # a round's frames go back to back: the link latency is paid once
-        tx = link.transfer_time(len(payload) + (n_frames + 1) * CHUNK_HEADER_SIZE)
+        tx = link.transfer_time(wire)
         stats.precopy_tx_time += tx
         stats.precopy_bytes += len(payload)
         stats.precopy_round_bytes.append(len(payload))

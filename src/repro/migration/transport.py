@@ -18,10 +18,9 @@ Every channel (:class:`BaseChannel`) speaks *frames* (see
 :mod:`repro.msr.wire`) on top of its whole messages, and frames are all
 a migration puts on it: ``send_chunk`` frames and enqueues one payload
 chunk, ``end_stream`` sends the terminator, and ``recv_chunk`` /
-``iter_chunks`` validate and unwrap on the far side; ``send_delta`` /
-``end_delta_round`` / ``iter_delta_round`` do the same for pre-copy
-rounds (one :class:`_FrameStream` each, over the one codec), and
-``send_context`` / ``recv_context`` carry the trace context.
+``iter_chunks`` validate and unwrap on the far side — for a transfer
+attempt and a pre-copy round alike — and ``send_context`` /
+``recv_context`` carry the trace context.
 A stream sent back-to-back keeps the wire busy, so the engine charges
 the link latency once per train (``Link.transfer_time`` of the framed
 bytes) and overlaps transfer with collection and restoration (the
@@ -42,7 +41,7 @@ Transport failure is a first-class, *typed* event (DESIGN.md §7):
   reproducible (CLI: ``repro migrate --fault``).  Which sends have an
   index is decided by frame type, in one place
   (:func:`repro.msr.wire.is_data_frame`): whole messages and data chunks
-  count, trace-context and pre-copy delta frames do not.
+  (pre-copy rounds' included) count, trace-context frames do not.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
-    CHUNK_MAGIC,
-    CHUNK_MAGIC_Z,
-    DELTA_MAGIC,
     FRAME_MAGICS,
     ChunkDecoder,
     FrameCorruptError,
@@ -130,72 +126,9 @@ GIGABIT = Link("gigabit", 1e9, latency_s=0.0005)
 LOOPBACK = Link("loopback", 1e12, latency_s=0.0)
 
 
-class _FrameStream:
-    """One framed stream riding a channel: the sender's sequence number,
-    the receiver's decoder, and what was sent.  Every channel carries
-    two — data chunks and pre-copy delta rounds — that differ only in
-    the *magics* they speak (the first is what a raw frame and the
-    terminator ship under)."""
-
-    def __init__(self, channel, metric: str, magics: tuple) -> None:
-        self._channel = channel
-        self._metric = metric
-        self._magics = magics
-        #: frames sent, terminators excluded
-        self.frames_sent = 0
-        #: their framed bytes, terminators included
-        self.bytes_sent = 0
-        self.reset()
-
-    def reset(self) -> None:
-        """Abandon a half-spoken stream; the counters are cumulative."""
-        self._seq = 0
-        self._decoder = ChunkDecoder(self._magics)
-
-    def send(self, payload) -> float:
-        """Frame and transmit one payload (any buffer-protocol object —
-        the body is only joined to its header where the transport needs
-        one contiguous buffer); returns the modeled per-frame wire time."""
-        magic = self._magics[0]
-        if self._channel.compress_stream and CHUNK_MAGIC_Z in self._magics:
-            with obs.lap("codec.deflate"):
-                header, body = encode_chunk_parts(self._seq, payload, True, magic)
-        else:
-            header, body = encode_chunk_parts(self._seq, payload, magic=magic)
-        frame_len = len(header) + len(body)
-        self._seq += 1
-        self.frames_sent += 1
-        self._count(frame_len)
-        obs.inc(self._metric)
-        obs.inc("wire.framed_bytes_sent", frame_len)
-        return self._channel._send_frame_parts(header, body)
-
-    def end(self) -> float:
-        """Transmit the terminator and rewind the sender sequence so the
-        channel can carry another stream of this kind."""
-        frame = encode_end_of_stream(self._seq, self._magics[0])
-        self._seq = 0
-        self._count(len(frame))
-        return self._channel._send_frame(frame)
-
-    def _count(self, frame_len: int) -> None:
-        self.bytes_sent += frame_len
-        self._channel.framed_bytes_sent += frame_len
-
-    def recv(self):
-        """Receive, validate, and unwrap the next payload; ``None`` at the
-        terminator (the receiver state resets for the next stream).
-        Raises the typed :class:`~repro.msr.wire.WireFrameError` family
-        on damage."""
-        payload = self._decoder.decode(self._channel._recv_frame())
-        if payload is None:
-            self._decoder = ChunkDecoder(self._magics)
-        return payload
-
-
 class BaseChannel:
     """What every channel is: whole messages (``send``/``recv``) over one
-    :class:`Link`, framed streams on top of them, and the lifecycle the
+    :class:`Link`, chunk streams on top of them, and the lifecycle the
     engine drives (``reset``, ``set_deadline``, ``abort_stream``,
     ``close``).
 
@@ -218,13 +151,16 @@ class BaseChannel:
         self.messages_sent = 0
         #: bytes of every frame built here, of every kind
         self.framed_bytes_sent = 0
+        #: chunk frames sent, terminators excluded
+        self.chunks_sent = 0
+        #: bytes accepted while a pre-copy phase ran (booked by
+        #: :func:`~repro.migration.precopy.run_precopy`)
+        self.delta_bytes_sent = 0
         #: opt-in per-chunk zlib compression (``migrate(..., compress=True)``)
         self.compress_stream = False
         self.deadline: float | None = None
-        self.chunks = _FrameStream(
-            self, "wire.chunks_sent", (CHUNK_MAGIC, CHUNK_MAGIC_Z)
-        )
-        self.deltas = _FrameStream(self, "wire.delta_frames_sent", (DELTA_MAGIC,))
+        self._seq = 0
+        self._decoder = ChunkDecoder()
         if deadline is not None:
             self.set_deadline(deadline)
 
@@ -254,8 +190,8 @@ class BaseChannel:
         """Fresh-connection semantics for a retry: abandon any half-spoken
         stream (subclasses also discard undelivered bytes); cumulative
         byte/frame counters are preserved for accounting."""
-        self.chunks.reset()
-        self.deltas.reset()
+        self._seq = 0
+        self._decoder = ChunkDecoder()
 
     def set_deadline(self, seconds: float | None) -> None:
         """Install a recv deadline.  The modeled channels cannot block, so
@@ -291,7 +227,11 @@ class BaseChannel:
         under the span that spawned it.  Whatever *send_all* raises there
         is re-raised here (ahead of the consumer's own error, which it
         caused: the aborted send side turns the consumer's next read into
-        a typed :class:`~repro.msr.wire.TruncatedFrameError`)."""
+        a typed :class:`~repro.msr.wire.TruncatedFrameError`).  A
+        consumer that fails first — it refused a damaged frame — closes
+        the channel before joining: the producer may be blocked on a full
+        pipe that nobody will drain, and what the close makes it raise
+        is an echo of the consumer's error, not reported."""
         if not self.concurrent_stream:
             send_all()
             yield
@@ -312,59 +252,60 @@ class BaseChannel:
 
         producer = threading.Thread(target=produce, name=thread_name)
         producer.start()
+        consumer_first = False
         try:
             yield
+        except BaseException:
+            consumer_first = not error
+            if consumer_first:
+                self.close()
+            raise
         finally:
             producer.join()
-            if error:
+            if error and not consumer_first:
                 raise error[0]
 
-    # -- data chunks ('MCHK'/'MCHZ') ---------------------------------------
+    # -- chunk streams ('MCHK'/'MCHZ') -------------------------------------
 
     def send_chunk(self, payload: bytes | bytearray | memoryview) -> float:
-        """Frame and transmit one chunk of the payload stream."""
-        return self.chunks.send(payload)
+        """Frame and transmit one chunk of the current stream (any
+        buffer-protocol object — the body is only joined to its header
+        where the transport needs one contiguous buffer); returns the
+        modeled per-frame wire time."""
+        if self.compress_stream:
+            with obs.lap("codec.deflate"):
+                header, body = encode_chunk_parts(self._seq, payload, True)
+        else:
+            header, body = encode_chunk_parts(self._seq, payload)
+        frame_len = len(header) + len(body)
+        self._seq += 1
+        self.chunks_sent += 1
+        self.framed_bytes_sent += frame_len
+        obs.inc("wire.chunks_sent")
+        obs.inc("wire.framed_bytes_sent", frame_len)
+        return self._send_frame_parts(header, body)
 
     def end_stream(self) -> float:
-        """Transmit the end-of-stream terminator."""
-        return self.chunks.end()
+        """Transmit the terminator; the next chunk opens a new stream."""
+        frame = encode_end_of_stream(self._seq)
+        self._seq = 0
+        self.framed_bytes_sent += len(frame)
+        return self._send_frame(frame)
 
     def recv_chunk(self) -> bytes | None:
-        """The next chunk payload, ``None`` at end-of-stream."""
-        payload = self.chunks.recv()
-        if payload is not None:
+        """The next chunk payload, ``None`` at end-of-stream (the
+        receiver state resets for the next stream).  Raises the typed
+        :class:`~repro.msr.wire.WireFrameError` family on damage."""
+        payload = self._decoder.decode(self._recv_frame())
+        if payload is None:
+            self._decoder = ChunkDecoder()
+        else:
             obs.inc("wire.chunks_received")
         return payload
 
     def iter_chunks(self):
         """Yield chunk payloads until end-of-stream."""
         return iter(self.recv_chunk, None)
-
-    @property
-    def chunks_sent(self) -> int:
-        return self.chunks.frames_sent
-
-    # -- pre-copy delta rounds ('MDLT': raw, per-round sequence space) -----
-
-    def send_delta(self, payload: bytes | bytearray | memoryview) -> float:
-        """Frame and transmit one chunk of a delta round."""
-        return self.deltas.send(payload)
-
-    def end_delta_round(self) -> float:
-        """Transmit the round terminator (the next round starts at 0)."""
-        return self.deltas.end()
-
-    def iter_delta_round(self):
-        """Yield the delta chunk payloads of one round until its end."""
-        return iter(self.deltas.recv, None)
-
-    @property
-    def delta_frames_sent(self) -> int:
-        return self.deltas.frames_sent
-
-    @property
-    def delta_bytes_sent(self) -> int:
-        return self.deltas.bytes_sent
 
     # -- trace-context control frames ('MCTX') -----------------------------
 
@@ -739,11 +680,12 @@ class FaultyChannel(BaseChannel):
 
     Wraps an inner channel and applies the :class:`FaultPlan` on the one
     send path every message and frame takes.  Whole messages and data
-    chunk frames share one send counter; trace-context and pre-copy
-    delta frames have no index (:func:`~repro.msr.wire.is_data_frame`),
-    so a seeded plan fires on the same data send with tracing or
-    pre-copy on or off — whose frame count varies with convergence.
-    Every kind is added to ``bytes_sent`` and refused once the
+    chunk frames — a pre-copy round's among them — share one send
+    counter; trace-context frames have no index
+    (:func:`~repro.msr.wire.is_data_frame`), so a seeded plan fires on
+    the same data send with tracing on or off.  Pre-copy rounds come
+    first: with pre-copy on, the final stream's sends are numbered after
+    every round's.  Every kind is added to ``bytes_sent`` and refused once the
     connection is down.  Fault semantics:
 
     - ``drop``: the payload silently vanishes — the receiver sees a

@@ -12,8 +12,9 @@ classify targets through those same two tables — run unmodified.
 
 One delta round carries the MSRLT-level diff of the source since the
 previous round: heap blocks freed, blocks newly registered, and what the
-write barriers saw written.  The round payload (framed into ``MDLT``
-chunks by the transport) is::
+write barriers saw written.  The transport ships each round as a chunk
+stream of its own, in the frames of any transfer (:mod:`repro.msr.wire`);
+the round payload those frames carry is::
 
     u32 round_no
     u32 n_freed;  n_freed  x  logical                      (HEAP only)

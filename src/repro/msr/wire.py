@@ -64,17 +64,20 @@ Pre-copy rounds name blocks outside any record
 The wire envelope
 -----------------
 
-A payload never travels bare.  Every transfer attempt, in every mode and
-on every channel, is one sequence of self-delimiting frames — and every
-byte on a channel belongs to one:
+A payload never travels bare.  Every copy of the state — a transfer
+attempt, a pre-copy round, a checkpoint file — is one *chunk stream* of
+self-delimiting frames, and every byte on a channel belongs to one:
 
 .. code-block:: text
 
-    attempt := MCTX  MCHK|MCHZ seq 0 … seq n-1  terminator(seq n)
+    stream  := MCHK|MCHZ seq 0 … seq n-1  terminator(seq n)
+    attempt := MCTX  stream
+    round   := stream
+    file    := 'MIGCKPT2'  fingerprint  stream(one chunk)
 
     frame:
         u32  magic        'MCHK' raw chunk · 'MCHZ' deflated chunk ·
-                          'MCTX' trace context · 'MDLT' pre-copy delta
+                          'MCTX' trace context
         u32  seq          0-based, strictly consecutive per stream
         u32  payload_len  0 marks end-of-stream (no payload follows)
         u32  crc32        zlib CRC-32 of the (raw) payload bytes
@@ -89,18 +92,21 @@ restored while later ones are still being collected.  The concatenated
 chunk payloads are the same bytes either way (``collect_state``'s), so
 everything above the framing layer cannot tell the schedules apart.
 
+A pre-copy round (:mod:`repro.migration.precopy`) is a stream of its
+own, cut at the same chunk size; a checkpoint file
+(:mod:`repro.migration.checkpoint`) holds the frames of one serial
+attempt after its header.
+
 The ``'MCTX'`` *trace-context frame* that opens an attempt (``seq``
 always 0) carries the sender's trace identity (see
 :mod:`repro.obs.propagate`).  It is a control frame, not data: it
-occupies no chunk sequence number and — like the pre-copy ``'MDLT'``
-delta frames, which are the same frame under another magic with a
-sequence space per round — no fault-plan send index
+occupies no chunk sequence number and no fault-plan send index
 (:func:`is_data_frame` is the one place that rule lives).
 
 There is ONE frame codec: :func:`encode_chunk_parts` writes a frame
 under the magic it is given, :func:`decode_chunk` validates one against
 the magics its caller accepts, and :class:`ChunkDecoder` adds the
-sequence rule; the channels instantiate it once per stream kind.
+sequence rule for a chunk stream.
 Integrity is therefore the *receiver's* and decided from wire bytes
 alone: a short read raises :class:`TruncatedFrameError`, a bad magic or
 CRC raises :class:`FrameCorruptError`, and a non-consecutive sequence
@@ -158,7 +164,6 @@ __all__ = [
     "CHUNK_MAGIC",
     "CHUNK_MAGIC_Z",
     "CONTEXT_MAGIC",
-    "DELTA_MAGIC",
     "FRAME_MAGICS",
     "is_data_frame",
     "CHUNK_HEADER_SIZE",
@@ -329,7 +334,6 @@ def read_logical(buf: ReadBuffer) -> tuple:
 CHUNK_MAGIC = 0x4D43484B  # 'MCHK' — raw payload chunk
 CHUNK_MAGIC_Z = 0x4D43485A  # 'MCHZ' — zlib-compressed payload chunk
 CONTEXT_MAGIC = 0x4D435458  # 'MCTX' — trace-context control frame
-DELTA_MAGIC = 0x4D444C54  # 'MDLT' — pre-copy delta round chunk
 _FRAME_HEADER = struct.Struct(">IIII")  # magic, seq, payload_len, crc32
 CHUNK_HEADER_SIZE = _FRAME_HEADER.size
 
@@ -365,8 +369,8 @@ def encode_chunk_parts(
     magic: int = CHUNK_MAGIC,
 ) -> tuple[bytes, bytes | bytearray | memoryview]:
     """Frame one non-empty payload as ``(header, body)`` under *magic* —
-    the one frame encoder (a data chunk by default; the channels pass
-    ``DELTA_MAGIC`` for a pre-copy round's chunks).
+    the one frame encoder (a data chunk by default; the trace context
+    passes ``CONTEXT_MAGIC``).
 
     Zero-copy: *payload* may be any buffer-protocol object
     (``WriteBuffer.drain`` hands out ``memoryview``s) and, unless
@@ -399,9 +403,9 @@ def encode_chunk(
     return b"".join(encode_chunk_parts(seq, payload, compress))
 
 
-def encode_end_of_stream(seq: int, magic: int = CHUNK_MAGIC) -> bytes:
+def encode_end_of_stream(seq: int) -> bytes:
     """The terminator frame: ``payload_len == 0``, no payload bytes."""
-    return _FRAME_HEADER.pack(magic, seq, 0, 0)
+    return _FRAME_HEADER.pack(CHUNK_MAGIC, seq, 0, 0)
 
 
 def decode_chunk(
@@ -458,10 +462,8 @@ def decode_chunk(
 
 class ChunkDecoder:
     """Stream-side frame validation: decode + strict sequence checking,
-    for one stream of frames under *magics* (data chunks by default; a
-    channel builds a second one over ``DELTA_MAGIC`` for pre-copy
-    rounds and replaces it at every terminator, so each stream — each
-    round — starts at sequence 0).
+    for one chunk stream (a channel replaces it at every terminator, so
+    each stream starts at sequence 0).
 
     Feed complete frames in arrival order via :meth:`decode`; it returns
     the payload, or ``None`` for the end-of-stream frame.  Any gap,
@@ -469,8 +471,7 @@ class ChunkDecoder:
     :class:`FrameOrderError`; frames after end-of-stream raise too.
     """
 
-    def __init__(self, magics: tuple = (CHUNK_MAGIC, CHUNK_MAGIC_Z)) -> None:
-        self.magics = magics
+    def __init__(self) -> None:
         self.expected_seq = 0
         self.finished = False
 
@@ -479,9 +480,9 @@ class ChunkDecoder:
             raise FrameOrderError("frame arrived after end-of-stream")
         if bytes(memoryview(frame)[:4]) == b"MCHZ":
             with obs.lap("codec.inflate"):
-                seq, payload = decode_chunk(frame, self.magics)
+                seq, payload = decode_chunk(frame)
         else:
-            seq, payload = decode_chunk(frame, self.magics)
+            seq, payload = decode_chunk(frame)
         if seq != self.expected_seq:
             raise FrameOrderError(
                 f"frame sequence break: expected {self.expected_seq}, got {seq}"
@@ -508,19 +509,20 @@ def decode_context_frame(frame: bytes | bytearray | memoryview) -> bytes:
 
 _DATA_FRAME_MAGICS = (b"MCHK", b"MCHZ")
 #: every magic a frame on a channel may open with
-FRAME_MAGICS = _DATA_FRAME_MAGICS + (b"MCTX", b"MDLT")
+FRAME_MAGICS = _DATA_FRAME_MAGICS + (b"MCTX",)
 
 
 def is_data_frame(frame: bytes | bytearray | memoryview) -> bool:
-    """Whether *frame* carries the migration payload stream (an
-    ``'MCHK'``/``'MCHZ'`` chunk or its terminator) rather than protocol
-    plumbing (``'MCTX'`` trace context, ``'MDLT'`` pre-copy delta).
+    """Whether *frame* carries a chunk stream (an ``'MCHK'``/``'MCHZ'``
+    chunk or its terminator — of a transfer attempt or a pre-copy round)
+    rather than protocol plumbing (the ``'MCTX'`` trace context).
 
     This is the fault layer's rule for which sends have an index: data
     frames and whole messages count, plumbing does not — turning tracing
-    or pre-copy on (whose frame count varies with convergence) must not
-    shift which data send a deterministic fault fires on.  A default-mode
-    attempt therefore has two indexed sends: chunk 0 and the terminator.
+    on must not shift which data send a deterministic fault fires on.  A
+    default-mode attempt therefore has two indexed sends: chunk 0 and the
+    terminator.  Pre-copy rounds are data, so with pre-copy on they come
+    first and the final attempt's sends follow them.
     """
     return bytes(memoryview(frame)[:4]) in _DATA_FRAME_MAGICS
 

@@ -14,14 +14,14 @@ from repro.msr.msrlt import BlockKind
 from repro.msr.restore import Restorer
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
-    CHUNK_MAGIC,
-    DELTA_MAGIC,
     ChunkDecoder,
     FrameCorruptError,
     FrameOrderError,
     TruncatedFrameError,
     decode_chunk,
+    encode_chunk,
     encode_chunk_parts,
+    encode_context_frame,
     encode_end_of_stream,
 )
 from repro.vm.memory import Memory
@@ -265,82 +265,92 @@ def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
 
 
 class FrameCodecCases:
-    """The frame codec's damage matrix, written once and run per stream
-    kind: a subclass names the *magics* its stream speaks (the first is
-    the one raw frames and the terminator ship under) — data chunks in
-    ``test_streaming.py::TestChunkWire``, pre-copy delta rounds in
-    ``test_precopy.py::TestDeltaWire``.  One encoder, one validator and
-    one sequence-checking decoder serve both."""
+    """The chunk stream's damage matrix, written once and run per reader
+    of one: a subclass says how its stream is received (:meth:`read`,
+    frames in, the payload they carry out) and may say what a refusal
+    looks like there (:meth:`refused`) — the codec's own decoder in
+    ``test_streaming.py::TestChunkWire``, a socket that a pre-copy round
+    crosses in ``test_precopy.py::TestDeltaWire``, a checkpoint file in
+    ``test_checkpoint.py::TestCheckpointFile``.  One encoder, one
+    validator and one sequence-checking decoder serve all three."""
 
-    magics: tuple
+    #: what the stream carries (a reader that restores it needs a real
+    #: migration payload)
+    payload = b"hello, framed world"
 
-    def frame(self, seq: int, payload: bytes) -> bytes:
-        return b"".join(encode_chunk_parts(seq, payload, magic=self.magics[0]))
+    def read(self, frames: list) -> bytes:
+        raise NotImplementedError
 
-    def end(self, seq: int) -> bytes:
-        return encode_end_of_stream(seq, self.magics[0])
+    def refused(self, error, match=None):
+        """The context a damaged stream must fail in: the wire's typed
+        *error* itself, unless the reader answers with its own."""
+        return pytest.raises(error, match=match)
+
+    def halves(self) -> tuple:
+        cut = len(self.payload) // 2
+        return self.payload[:cut], self.payload[cut:]
 
     def test_roundtrip(self):
-        header, body = encode_chunk_parts(0, b"hello world", magic=self.magics[0])
-        assert len(header) == CHUNK_HEADER_SIZE
-        assert header[:4] == self.magics[0].to_bytes(4, "big")
-        seq, payload = decode_chunk(header + body, self.magics)
-        assert (seq, bytes(payload)) == (0, b"hello world")
+        header, _ = encode_chunk_parts(0, self.payload)
+        assert len(header) == CHUNK_HEADER_SIZE and header[:4] == b"MCHK"
+        head, tail = self.halves()
+        frames = [encode_chunk(0, head), encode_chunk(1, tail), encode_end_of_stream(2)]
+        assert self.read(frames) == self.payload
 
     def test_end_of_round_frame(self):
-        seq, payload = decode_chunk(self.end(3), self.magics)
+        seq, payload = decode_chunk(encode_end_of_stream(3))
         assert seq == 3 and payload == b""
-        nonzero_crc = bytearray(self.end(3))
+        nonzero_crc = bytearray(encode_end_of_stream(1))
         nonzero_crc[-1] = 1
-        with pytest.raises(FrameCorruptError):
-            decode_chunk(nonzero_crc, self.magics)
+        with self.refused(FrameCorruptError):
+            self.read([encode_chunk(0, self.payload), bytes(nonzero_crc)])
 
     def test_crc_damage_detected(self):
-        frame = bytearray(self.frame(0, b"abcdef"))
+        frame = encode_chunk(0, self.payload)
         for byte in (len(frame) - 1, CHUNK_HEADER_SIZE, CHUNK_HEADER_SIZE - 1):
             flipped = bytearray(frame)
             flipped[byte] ^= 0xFF
-            with pytest.raises(FrameCorruptError):
-                decode_chunk(bytes(flipped), self.magics)
+            with self.refused(FrameCorruptError):
+                self.read([bytes(flipped), encode_end_of_stream(1)])
 
     def test_truncation_detected(self):
-        frame = self.frame(0, b"abcdef")
+        frame = encode_chunk(0, self.payload)
         for cut in (1, 6, len(frame) - 3):
-            with pytest.raises(TruncatedFrameError):
-                decode_chunk(frame[:-cut], self.magics)
+            with self.refused(TruncatedFrameError):
+                self.read([frame[:-cut]])
 
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
-            encode_chunk_parts(0, b"", magic=self.magics[0])
+            encode_chunk_parts(0, b"")
 
     def test_decoder_orders_frames(self):
-        dec = ChunkDecoder(self.magics)
-        assert bytes(dec.decode(self.frame(0, b"one"))) == b"one"
+        head, tail = self.halves()
         # a sequence gap (a reordered or lost frame) is a typed protocol error
-        with pytest.raises(FrameOrderError, match="expected 1, got 2"):
-            dec.decode(self.frame(2, b"three"))
+        with self.refused(FrameOrderError, "expected 1, got 2"):
+            self.read([encode_chunk(0, head), encode_chunk(2, tail), encode_end_of_stream(3)])
 
     def test_duplicate_frame_rejected(self):
-        dec = ChunkDecoder(self.magics)
-        dec.decode(self.frame(0, b"one"))
-        with pytest.raises(FrameOrderError, match="expected 1, got 0"):
-            dec.decode(self.frame(0, b"one"))
+        head, _ = self.halves()
+        with self.refused(FrameOrderError, "expected 1, got 0"):
+            self.read([encode_chunk(0, head), encode_chunk(0, head), encode_end_of_stream(1)])
 
     def test_decoder_finishes_on_terminator(self):
-        dec = ChunkDecoder(self.magics)
-        dec.decode(self.frame(0, b"x"))
-        assert dec.decode(self.end(1)) is None
+        dec = ChunkDecoder()
+        dec.decode(encode_chunk(0, b"x"))
+        assert dec.decode(encode_end_of_stream(1)) is None
         assert dec.finished
         with pytest.raises(FrameOrderError, match="after end-of-stream"):
-            dec.decode(self.frame(0, b"y"))
+            dec.decode(encode_chunk(0, b"y"))
 
     def test_another_streams_frame_is_refused(self):
-        """The magics a decoder accepts are its argument: a chunk frame
-        is damage to the delta decoder and the other way round."""
-        other = DELTA_MAGIC if self.magics[0] != DELTA_MAGIC else CHUNK_MAGIC
-        foreign = b"".join(encode_chunk_parts(0, b"payload", magic=other))
-        with pytest.raises(FrameCorruptError, match="magic"):
-            ChunkDecoder(self.magics).decode(foreign)
+        """The trace context that opens a transfer attempt is a frame of
+        another kind: inside a chunk stream it is damage."""
+        with self.refused(FrameCorruptError, "magic"):
+            self.read([
+                encode_context_frame(b"ctx"),
+                encode_chunk(0, self.payload),
+                encode_end_of_stream(1),
+            ])
 
 
 def tap_frames(channel) -> list:

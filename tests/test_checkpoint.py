@@ -1,19 +1,30 @@
-"""Tests for heterogeneous checkpoint/restart (built on collect/restore)."""
+"""Tests for heterogeneous checkpoint/restart (built on collect/restore):
+a checkpoint file is a migration at rest, and restarting from one is
+the receive half of a migration."""
+
+from contextlib import contextmanager
+from functools import cache
 
 import pytest
 
-from repro.arch import ALPHA, DEC5000, SPARC20
+from repro.arch import ALPHA, DEC5000, SPARC20, X86_64
+from repro.arch.buffers import ReadBuffer, WriteBuffer
+from repro.difftest.corpus import load_corpus
 from repro.migration.checkpoint import (
     Checkpoint,
     CheckpointError,
     checkpoint,
     checkpoint_to_file,
+    program_fingerprint,
     restart,
     restart_from_file,
     run_with_checkpoints,
 )
+from repro.migration.engine import RestoreError, collect_state, restore_state
+from repro.msr.wire import read_header, write_header
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import FrameCodecCases, cli_exit
 
 COUNTER = """
 int main() {
@@ -116,7 +127,7 @@ class TestCheckpointRestart:
         assert ckpt.payload[4] == VERSION
         ckpt.payload = ckpt.payload[:4] + b"\x09" + ckpt.payload[5:]
         path = tmp_path / "old.ckpt"
-        path.write_bytes(ckpt.to_bytes())
+        ckpt.save(path)
         with pytest.raises(
             CheckpointError,
             match=f"version 9: this build reads and writes version {VERSION} only",
@@ -125,22 +136,27 @@ class TestCheckpointRestart:
 
     @pytest.mark.parametrize("keep", [0.5, 0.95, 20, 10], ids=str)
     def test_truncated_file_rejected(self, prog, tmp_path, keep):
-        """Cut in the payload (an ``EOFError`` from the reader) or in the
-        file header: a ``CheckpointError`` either way."""
-        data = checkpoint(stopped(prog)).to_bytes()
-        cut = int(len(data) * keep) if keep < 1 else keep
+        """Cut in the frames (a ``TruncatedFrameError`` from the
+        receiver) or in the file header: a ``CheckpointError`` either way."""
         path = tmp_path / "cut.ckpt"
+        checkpoint(stopped(prog)).save(path)
+        data = path.read_bytes()
+        cut = int(len(data) * keep) if keep < 1 else keep
         path.write_bytes(data[:cut])
         with pytest.raises(CheckpointError):
             restart_from_file(prog, path, DEC5000)
 
-    def test_serialization_roundtrip(self, prog):
-        proc = stopped(prog)
-        ckpt = checkpoint(proc)
-        back = Checkpoint.from_bytes(ckpt.to_bytes())
-        assert back.payload == ckpt.payload
-        assert back.fingerprint == ckpt.fingerprint
-        assert back.source_arch == ckpt.source_arch
+    def test_serialization_roundtrip(self, prog, tmp_path):
+        """The file is the header and the frames of one serial attempt,
+        and what a restart rebuilds from it collects to the same payload."""
+        ckpt = checkpoint(stopped(prog))
+        path = tmp_path / "snap.ckpt"
+        ckpt.save(path)
+        data = path.read_bytes()
+        assert data[:24] == b"MIGCKPT2" + ckpt.fingerprint
+        assert data[24:28] == b"MCHK" and data[-16:-12] == b"MCHK"
+        assert len(data) == 24 + 16 + len(ckpt.payload) + 16
+        assert collect_state(restart_from_file(prog, path, DEC5000))[0] == ckpt.payload
 
 
 class TestPeriodicCheckpointing:
@@ -171,7 +187,9 @@ class TestPeriodicCheckpointing:
         seen = []
         run_with_checkpoints(
             prog, DEC5000, every_polls=10,
-            on_checkpoint=lambda ckpt, i: seen.append((i, ckpt.source_arch)),
+            on_checkpoint=lambda ckpt, i: seen.append(
+                (i, read_header(ReadBuffer(ckpt.payload)).source_arch)
+            ),
         )
         assert seen == [(i, DEC5000.name) for i in range(4)]
 
@@ -190,7 +208,7 @@ class TestCrashResume:
         def persist_then_die(ckpt, i):
             # crash-safe discipline: write the snapshot durably *first*,
             # then (simulated) the host dies after the 2nd checkpoint
-            ckpt_file.write_bytes(ckpt.to_bytes())
+            ckpt.save(ckpt_file)
             if i == 1:
                 raise self.HostDied(f"killed after checkpoint {i}")
 
@@ -217,7 +235,7 @@ class TestCrashResume:
             ckpt_file = tmp_path / f"ckpt-{die_after}.bin"
 
             def persist(ckpt, i, _f=ckpt_file, _d=die_after):
-                _f.write_bytes(ckpt.to_bytes())
+                ckpt.save(_f)
                 if i == _d:
                     raise self.HostDied
 
@@ -266,3 +284,164 @@ class TestCrashResume:
         restored = restart(prog, checkpoint(proc), ALPHA)
         restored.run()
         assert restored.stdout == base.stdout
+
+
+# -- a checkpoint file is wire bytes at rest --------------------------------
+
+
+@cache
+def _snapshot() -> tuple:
+    """COUNTER compiled once, and a checkpoint of it at its tenth poll."""
+    prog = compile_program(COUNTER, poll_strategy="user")
+    return prog, checkpoint(stopped(prog))
+
+
+class TestCheckpointFile(FrameCodecCases):
+    """The shared damage matrix, read as ``restart_from_file`` reads a
+    file body: every kind of frame damage is one :class:`CheckpointError`
+    whose cause is the receiver's typed wire error."""
+
+    @pytest.fixture(autouse=True)
+    def _file(self, tmp_path):
+        self.path = tmp_path / "frames.ckpt"
+
+    @property
+    def payload(self):
+        return _snapshot()[1].payload
+
+    def read(self, frames):
+        prog, ckpt = _snapshot()
+        self.path.write_bytes(b"MIGCKPT2" + ckpt.fingerprint + b"".join(frames))
+        return collect_state(restart_from_file(prog, self.path, DEC5000))[0]
+
+    @contextmanager
+    def refused(self, error, match=None):
+        with pytest.raises(CheckpointError, match=match) as excinfo:
+            yield
+        assert isinstance(excinfo.value.__cause__, error)
+
+    def test_bytes_after_the_terminator_are_refused(self):
+        _snapshot()[1].save(self.path)
+        with self.path.open("ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(CheckpointError, match="after end-of-stream"):
+            restart_from_file(_snapshot()[0], self.path, DEC5000)
+
+
+#: the program of ROADMAP item 8: eight doubles, one poll, the doubles
+#: printed after it (a flipped mantissa bit prints a different number)
+HALVES = """double a[8];
+int main() {
+    int i;
+    for (i = 0; i < 8; i++) a[i] = i * 0.5;
+    migrate_here();
+    for (i = 0; i < 8; i++) printf("%.2f\\n", a[i]);
+    return 0;
+}
+"""
+
+
+def assert_every_flip_refused_or_harmless(prog, data: bytes, arch, expected, path):
+    """Flip each bit of checkpoint file *data* in turn: the restart is
+    refused with a :class:`CheckpointError` (``repro restart``: one line,
+    exit 1) or runs to *expected*.  Anything else — other output, a
+    guest fault, any other exception — fails the test."""
+    for bit in range(len(data) * 8):
+        damaged = bytearray(data)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(damaged)
+        try:
+            proc = restart_from_file(prog, path, arch)
+        except CheckpointError:
+            continue
+        assert proc.run().status == "exit", bit
+        assert proc.stdout == expected, bit
+
+
+def _forged(payload: bytes, pc: int) -> bytes:
+    """*payload* with its innermost frame's resume pc rewritten."""
+    rbuf = ReadBuffer(payload)
+    header = read_header(rbuf)
+    func_idx, _ = header.frames[-1]
+    header.frames[-1] = (func_idx, pc)
+    buf = WriteBuffer()
+    write_header(buf, header)
+    return buf.getvalue() + bytes(rbuf.buffered())
+
+
+class TestDamageIsCaught:
+    def test_every_bit_flip_of_a_checkpoint_file(self, tmp_path):
+        """Every single-bit flip of the file, header included: refused
+        or harmless, never a different answer and never a traceback."""
+        prog = compile_program(HALVES, poll_strategy="user")
+        path = tmp_path / "halves.ckpt"
+        checkpoint_to_file(stopped(prog, k=1, arch=X86_64), path)
+        expected = "".join(f"{i * 0.5:.2f}\n" for i in range(8))
+        restored = restart_from_file(prog, path, SPARC20)
+        restored.run()
+        assert restored.stdout == expected
+        assert_every_flip_refused_or_harmless(
+            prog, path.read_bytes(), SPARC20, expected, tmp_path / "flip.ckpt"
+        )
+
+    def test_a_file_of_the_retired_format_is_refused(self, tmp_path, capsys):
+        """The raw-payload format (magic, fingerprint, arch name, the
+        payload bare) has no reader: one line, exit 1."""
+        source = tmp_path / "halves.c"
+        source.write_text(HALVES)
+        prog = compile_program(HALVES, poll_strategy="user")
+        ckpt = checkpoint(stopped(prog, k=1))
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(
+            b"MIGCKPT1" + ckpt.fingerprint + b"\x00\x07dec5000" + ckpt.payload
+        )
+        code, line = cli_exit(
+            ["restart", str(source), str(old), "--poll-strategy", "user"], capsys
+        )
+        assert code == 1
+        assert line == "repro: error: restart failed: not a checkpoint file (bad magic)"
+
+    @pytest.mark.parametrize("where", ["start", "past-the-end"])
+    def test_a_forged_resume_pc_is_refused(self, where):
+        """A frame table naming a pc that no poll-point or call resumes
+        at is damage, however well the bytes are framed: a typed
+        ``RestoreError`` before the destination runs a single
+        instruction there (it used to restore cleanly and die in the
+        interpreter on ``code[pc]``)."""
+        prog = compile_program(HALVES, poll_strategy="user")
+        payload, _ = collect_state(stopped(prog, k=1))
+        main = prog.function("main")
+        pc = 0 if where == "start" else len(main.code) + 7
+        with pytest.raises(RestoreError, match=f"main\\(\\) at pc {pc}"):
+            restore_state(prog, _forged(payload, pc), Process(prog, SPARC20))
+
+    def test_restart_of_a_reframed_forged_pc_is_one_line(self, tmp_path, capsys):
+        """The same forgery behind a valid CRC — what any peer could
+        send — is ``repro restart``'s one line and exit 1."""
+        source = tmp_path / "halves.c"
+        source.write_text(HALVES)
+        prog = compile_program(HALVES, poll_strategy="user")
+        payload, _ = collect_state(stopped(prog, k=1))
+        path = tmp_path / "forged.ckpt"
+        Checkpoint(_forged(payload, 1 << 20), program_fingerprint(prog)).save(path)
+        code, line = cli_exit(
+            ["restart", str(source), str(path), "--poll-strategy", "user"], capsys
+        )
+        assert code == 1
+        assert line.startswith("repro: error: restart failed: ")
+        assert "pc 1048576" in line
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda e: e.name)
+def test_every_bit_flip_of_a_corpus_checkpoint(entry, tmp_path):
+    """Nightly: the bit-flip sweep over a checkpoint of every corpus
+    program at its first poll, restarted across an endianness flip."""
+    prog = compile_program(entry.source, poll_strategy="user")
+    path = tmp_path / "corpus.ckpt"
+    checkpoint_to_file(stopped(prog, k=1), path)
+    reference = restart_from_file(prog, path, SPARC20)
+    reference.run()
+    assert_every_flip_refused_or_harmless(
+        prog, path.read_bytes(), SPARC20, reference.stdout, tmp_path / "flip.ckpt"
+    )

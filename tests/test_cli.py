@@ -11,7 +11,11 @@ from repro.cli import (
     EXIT_OUTPUT_DIFFERS,
     main,
 )
+from repro.arch import DEC5000
+from repro.migration.checkpoint import checkpoint
 from repro.obs import validate_trace_file
+from repro.vm.process import Process
+from repro.vm.program import compile_program
 from tests.conftest import cli_exit
 
 DEMO = """
@@ -484,21 +488,34 @@ class TestCheckpointRestartCLI:
         assert capsys.readouterr().out == "sum=45\n"
 
 
-    @pytest.mark.parametrize("damage", ["version", "truncated", "magic", "program"])
+    @pytest.mark.parametrize(
+        "damage", ["version", "truncated", "magic", "program", "bitflip"]
+    )
     def test_restart_failure_is_one_line_and_exit_1(
         self, damage, demo_c, tmp_path, capsys
     ):
         """A checkpoint that cannot be restored — written in another
         format version (every file from before a version bump), cut
-        short, not a checkpoint, another program's — is reported, not
-        thrown at the user."""
+        short, not a checkpoint, another program's, one bit off — is
+        reported, not thrown at the user."""
         snap = tmp_path / "s.ckpt"
         assert main(["checkpoint", demo_c, "--after-polls", "5", "-o", str(snap)]) == 0
         data = snap.read_bytes()
         source = demo_c
         if damage == "version":
-            at = data.index(b"MIGR") + 4
-            data = data[:at] + b"\x09" + data[at + 1 :]
+            # re-framed around the edit, so the frame's CRC holds and the
+            # payload's own version byte is what the restart refuses
+            proc = Process(compile_program(DEMO), DEC5000)
+            proc.start()
+            proc.migration_pending, proc.migrate_after_polls = True, 5
+            assert proc.run().status == "poll"
+            ckpt = checkpoint(proc)
+            ckpt.payload = ckpt.payload[:4] + b"\x09" + ckpt.payload[5:]
+            ckpt.save(snap)
+            data = snap.read_bytes()
+        elif damage == "bitflip":
+            at = data.index(b"MIGR") + 40
+            data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
         elif damage == "truncated":
             data = data[: len(data) * 2 // 3]
         elif damage == "magic":
@@ -514,6 +531,8 @@ class TestCheckpointRestartCLI:
         assert line.startswith("repro: error: restart failed: ")
         if damage == "version":
             assert "version 9" in line
+        if damage == "bitflip":
+            assert "checkpoint file is damaged: frame 0 CRC mismatch" in line
 
 
 class TestGraph:

@@ -44,12 +44,10 @@ from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.obs import validate_trace_lines
 from repro.msr.wire import (
-    DELTA_MAGIC,
     FrameCorruptError,
     WireFrameError,
     decode_chunk,
     encode_chunk,
-    encode_chunk_parts,
     encode_context_frame,
     encode_end_of_stream,
     is_data_frame,
@@ -222,17 +220,17 @@ class TestFaultyChannelUnit:
             encode_chunk(0, b"x" * 64, compress=True)), True),
         "end-of-stream": (lambda ch: ch._send_frame(encode_end_of_stream(1)), True),
         "MCTX": (lambda ch: ch._send_frame(encode_context_frame(b"ctx")), False),
-        "MDLT": (lambda ch: ch._send_frame(
-            b"".join(encode_chunk_parts(0, b"delta", magic=DELTA_MAGIC))), False),
-        "end-of-round": (lambda ch: ch._send_frame(
-            encode_end_of_stream(1, DELTA_MAGIC)), False),
+        # a pre-copy round is a chunk stream: its frames are data
+        "round": (lambda ch: ch.send_chunk(b"delta"), True),
+        "end-of-round": (lambda ch: ch.end_stream(), True),
     }
 
     @pytest.mark.parametrize("kind", FRAME_KINDS)
     def test_send_index_is_decided_by_frame_type(self, kind):
-        """One send path: whole messages and data chunks advance the
-        plan's send index, trace-context and delta frames do not — and
-        every kind is accounted and refused on a dead connection."""
+        """One send path: whole messages and data chunks — a pre-copy
+        round's too — advance the plan's send index, trace-context
+        frames do not — and every kind is accounted and refused on a
+        dead connection."""
         send, indexed = self.FRAME_KINDS[kind]
         inner = Channel(LOOPBACK)
         ch = FaultyChannel(inner, FaultPlan())
@@ -257,14 +255,17 @@ class TestFaultyChannelUnit:
         assert dead.inner.pending == 0
 
     def test_public_frame_senders_ride_the_one_send_path(self):
+        """The trace context is the only unindexed frame: a round's
+        stream and the attempt's after it number on from each other."""
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan())
-        ch.send_context(b"ctx")
-        ch.send_delta(b"d")
-        ch.end_delta_round()
-        assert ch._send_index == 0
-        ch.send_chunk(b"c")
+        ch.send_chunk(b"d")  # a pre-copy round
         ch.end_stream()
         assert ch._send_index == 2
+        ch.send_context(b"ctx")
+        assert ch._send_index == 2
+        ch.send_chunk(b"c")
+        ch.end_stream()
+        assert ch._send_index == 4
         assert ch.bytes_sent == ch.framed_bytes_sent == ch.inner.bytes_sent
 
 

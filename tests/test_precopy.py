@@ -1,15 +1,16 @@
 """Iterative pre-copy live migration (PR 9).
 
-Covers the whole stack: the MDLT wire frames, the dirty-interval
+Covers the whole stack: rounds as chunk streams, the dirty-interval
 tracker and its MSRLT resolution, the write barriers on every Memory
 store entry point (ground-truthed against a byte diff), delta round
-build/apply, fault-plan determinism across pre-copy on/off, the
+build/apply, fault plans reaching every round, the
 overlap-ratio fold of round time, corpus replay through pre-copy on
 four representative architecture pairs, and the default-path guarantee
 that pre-copy machinery is inert when not requested.
 """
 
 import struct
+import threading
 from functools import partial
 
 import numpy as np
@@ -17,10 +18,12 @@ import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86_64
 from repro.arch.buffers import ReadBuffer, WriteBuffer
+from repro.cli import main as cli_main
 from repro.difftest.corpus import load_corpus
 from repro.difftest.harness import run_baseline, _stop_at_poll
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.migration.engine import (
+    RETRYABLE_ERRORS,
     CollectError,
     MigrationAbortedError,
     MigrationEngine,
@@ -42,6 +45,7 @@ from repro.migration.transport import (
     Channel,
     ChannelClosedError,
     ChannelError,
+    Fault,
     FaultPlan,
     FaultyChannel,
     SocketChannel,
@@ -55,14 +59,7 @@ from repro.msr.delta import (
 from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import RestoreError as MsrRestoreError
-from repro.msr.wire import (
-    DELTA_MAGIC,
-    FrameCorruptError,
-    decode_chunk,
-    encode_chunk,
-    read_logical,
-    write_logical,
-)
+from repro.msr.wire import decode_chunk, read_logical, write_logical
 from repro.vm.dirty import DirtyTracker
 from repro.vm.memory import MemoryFault
 from repro.vm.process import GuestFault, Process
@@ -70,6 +67,7 @@ from repro.vm.program import compile_program
 from repro.workloads import structgrid_source
 from tests.conftest import (
     FrameCodecCases,
+    RecordingChannel,
     allocator_twin,
     assert_table_whole,
     block_header,
@@ -140,19 +138,47 @@ int main() {
 
 
 class TestDeltaWire(FrameCodecCases):
-    """Delta frames are the chunk codec under another magic, raw only,
-    one sequence space per round: the shared damage matrix, over
-    ``'MDLT'``."""
+    """A delta round is a chunk stream on the migration's channel: the
+    shared damage matrix as a round arrives over a socket — each frame
+    cut out of the byte stream by the socket's reader, then checked by
+    the channel's decoder, which is what ``_ship_round`` receives
+    through."""
 
-    magics = (DELTA_MAGIC,)
+    def read(self, frames):
+        channel = SocketChannel(LOOPBACK)
+        try:
+            for frame in frames:
+                channel._tx.sendall(frame)
+            # the sender is done: reading past what it sent is a cut
+            # frame, not a hang
+            channel.abort_stream()
+            return b"".join(channel.iter_chunks())
+        finally:
+            channel.close()
 
-    def test_delta_frames_are_raw_only(self):
-        """No compressed form is negotiated for rounds: an ``'MCHZ'``
-        frame is foreign to a delta decoder."""
-        squeezed = encode_chunk(0, b"z" * 4096, compress=True)
-        assert squeezed[:4] == b"MCHZ"
-        with pytest.raises(FrameCorruptError):
-            decode_chunk(squeezed, self.magics)
+    def test_a_deflating_round_ships_mchz(self):
+        """``compress=True`` reaches the rounds: a round that deflates
+        ships as ``'MCHZ'``, the channel books what it accepted during
+        the phase, and the output is that of an unmigrated run."""
+        prog = _compile(MUTATOR_SRC)
+        baseline = run_baseline(prog, ULTRA5)
+        channel = RecordingChannel()
+        dest, stats = ENGINE.migrate(
+            _stopped(prog, ULTRA5), SPARC20, channel=channel, compress=True,
+            precopy=True,
+            precopy_policy=PrecopyPolicy(max_rounds=4, stop_dirty_blocks=0),
+        )
+        assert stats.precopy and not stats.precopy_degraded
+        opened = [frame[:4] for frame in channel.sent].index(b"MCTX")
+        rounds = channel.sent[:opened]
+        assert rounds[0][:4] == b"MCHZ"  # the snapshot deflates
+        assert bytes(decode_chunk(rounds[0])[1]) == collect_state(
+            _stopped(prog, ULTRA5)
+        )[0]
+        assert channel.delta_bytes_sent == sum(map(len, rounds))
+        assert channel.delta_bytes_sent < stats.precopy_bytes
+        assert dest.run_to_completion() == baseline.exit_code
+        assert dest.stdout == baseline.stdout
 
 
 # -- dirty tracking ------------------------------------------------------
@@ -534,24 +560,17 @@ class TestPrecopyEngine:
         assert proc.memory.dirty is None and proc.msrlt.journal is None
 
     def test_degrades_to_stop_and_copy_on_round_failure(self):
-        class BrokenDeltaChannel(Channel):
-            def __init__(self, link):
-                super().__init__(link)
-                self.delta_sends = 0
-
-            def send_delta(self, payload):
-                self.delta_sends += 1
-                raise ChannelError("delta path down")
-
+        """The connection drops on the snapshot round's first send: the
+        phase is off, and the plain pass arrives on the reset channel."""
         prog = _compile(MUTATOR_SRC)
         baseline = run_baseline(prog, ULTRA5)
-        ch = BrokenDeltaChannel(LOOPBACK)
+        ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("disconnect@0"))
         proc = _stopped(prog, ULTRA5)
         dest, stats = ENGINE.migrate(
             proc, SPARC20, channel=ch, precopy=True,
             precopy_policy=PrecopyPolicy(max_rounds=4, stop_dirty_blocks=0),
         )
-        assert ch.delta_sends > 0
+        assert [f.kind for f in ch.faults_fired] == ["disconnect"]
         assert stats.precopy_degraded and not stats.precopy
         assert stats.precopy_downtime_s == 0.0
         assert dest.run_to_completion() == baseline.exit_code
@@ -559,39 +578,41 @@ class TestPrecopyEngine:
 
     @pytest.mark.parametrize("kind", ["channel", "socket", "default"])
     def test_round_damaged_mid_stream_degrades_on_every_channel(
-        self, kind, monkeypatch
+        self, kind, tmp_path, capsys
     ):
-        """One bit of the snapshot's second ``MDLT`` frame flips: the
-        receiver refuses the round with its terminator still queued, and
-        the plain pass that follows starts on a reset channel — the
-        caller's in-memory or socket one, or the engine's own — instead
-        of reading a stale delta frame as its context frame."""
-        from repro.migration import transport
-
-        real, seen = transport.encode_chunk_parts, []
-
-        def flipping(seq, payload, compress=False, magic=DELTA_MAGIC):
-            header, body = real(seq, payload, compress, magic)
-            if magic == DELTA_MAGIC:
-                seen.append(seq)
-                if len(seen) == 2:
-                    body = bytearray(body)
-                    body[0] ^= 1
-            return header, body
-
-        monkeypatch.setattr(transport, "encode_chunk_parts", flipping)
-        prog = _compile(structgrid_source())
+        """``bitflip@1`` flips a bit of the snapshot round's second
+        frame: the receiver refuses the round with later frames still
+        queued, and the plain pass that follows starts on a reset
+        channel — the caller's in-memory or socket one, or the one
+        ``repro migrate --fault`` builds — instead of reading a stale
+        round frame as its context frame."""
+        spec = "bitflip@1:128"  # the low bit of the frame's first payload byte
+        source = structgrid_source()
+        if kind == "default":
+            path = tmp_path / "structgrid.c"
+            path.write_text(source)
+            assert cli_main([
+                "migrate", str(path), "--poll-strategy", "user",
+                "--from", "x86_64", "--to", "sparc20", "--precopy",
+                "--chunk-size", "4096", "--fault", spec,
+            ]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert "[pre-copy degraded to plain stop-and-copy]" in err
+            assert "[output identical to an unmigrated run]" in err
+            return
+        prog = _compile(source)
         baseline = run_baseline(prog, X86_64)
-        kwargs = {
-            "channel": {"channel": Channel(LOOPBACK)},
-            "socket": {"channel": SocketChannel(LOOPBACK)},
-            "default": {},
-        }[kind]
-        dest, stats = ENGINE.migrate(
-            _stopped(prog, X86_64), SPARC20, precopy=True, chunk_size=4096,
-            retry=RetryPolicy(max_attempts=1), **kwargs,
-        )
-        assert len(seen) >= 2  # the flip happened, in the snapshot round
+        inner = Channel(LOOPBACK) if kind == "channel" else SocketChannel(LOOPBACK)
+        channel = FaultyChannel(inner, FaultPlan.parse(spec))
+        try:
+            dest, stats = ENGINE.migrate(
+                _stopped(prog, X86_64), SPARC20, channel=channel, precopy=True,
+                chunk_size=4096, retry=RetryPolicy(max_attempts=1),
+            )
+        finally:
+            channel.close()
+        # the flip happened, in the snapshot round
+        assert [(f.kind, f.index) for f in channel.faults_fired] == [("bitflip", 1)]
         assert stats.precopy_degraded and not stats.precopy
         assert stats.attempts == 1
         assert dest.run_to_completion() == baseline.exit_code
@@ -605,7 +626,7 @@ class TestPrecopyEngine:
         dest, stats = ENGINE.migrate(proc, SPARC20, channel=ch)
         assert not stats.precopy and not stats.precopy_degraded
         assert stats.precopy_rounds == 0 and stats.precopy_bytes == 0
-        assert ch.delta_frames_sent == 0
+        assert ch.delta_bytes_sent == 0
         # wire bytes identical to a plain collection (PR 8 invariant)
         assert stats.payload_bytes == len(payload_expected)
         assert dest.run_to_completion() == 0
@@ -667,13 +688,12 @@ def test_final_collector_with_empty_cache_is_byte_identical():
 
 
 class TestFaultDeterminism:
-    def test_delta_frames_do_not_advance_send_index(self):
+    def test_delta_frames_advance_send_index(self):
+        """A round is a chunk stream: each of its frames and its
+        terminator take a fault-plan send index, like any data frame."""
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan())
-        ch.send_delta(b"payload")
-        ch.end_delta_round()
-        assert ch._send_index == 0
-        ch.send_chunk(b"data")
-        assert ch._send_index == 1
+        assert precopy_module._ship_round(ch, b"round payload", 4) == b"round payload"
+        assert ch._send_index == 5  # four chunks, then the terminator
 
     def test_closed_channel_refuses_delta_frames(self):
         plan = FaultPlan.parse("disconnect@0")
@@ -681,15 +701,16 @@ class TestFaultDeterminism:
         with pytest.raises(ChannelError):
             ch.send_chunk(b"x")  # fires the disconnect
         with pytest.raises(ChannelClosedError):
-            ch.send_delta(b"y")
+            precopy_module._ship_round(ch, b"round", 64)
 
-    def test_seeded_faults_fire_identically_precopy_on_and_off(self):
-        """The same seeded fault plan must hit the same *data* send with
-        pre-copy on or off: delta frames bypass the counter, so the
-        fault lands on the final stream's chunk in both modes."""
+    def test_seeded_faults_reach_precopy_rounds(self):
+        """The plan numbers every data send of a run, pre-copy rounds
+        first: the spec that costs a plain migration one attempt lands
+        in the snapshot round with pre-copy on, which degrades the phase
+        instead (DESIGN §7)."""
         prog = _compile(MUTATOR_SRC)
 
-        def attempt_count(precopy: bool) -> tuple[int, int]:
+        def run(precopy: bool):
             plan = FaultPlan.parse("bitflip@1:3")
             proc = _stopped(prog, ULTRA5)
             dest, stats = ENGINE.migrate(
@@ -704,12 +725,107 @@ class TestFaultDeterminism:
                 ),
             )
             assert dest.run_to_completion() == 0
-            return stats.attempts, plan.pending
+            assert plan.pending == 0
+            return stats.attempts, stats.precopy_degraded
 
-        attempts_off, pending_off = attempt_count(False)
-        attempts_on, pending_on = attempt_count(True)
-        assert attempts_off == attempts_on == 2  # fault fired, retry cured
-        assert pending_off == pending_on == 0
+        assert run(False) == (2, False)  # fault fired, retry cured
+        assert run(True) == (1, True)  # fault fired in a round, phase degraded
+
+
+#: the indexed sends of a clean run of the mutator under ``TWO_ROUNDS``,
+#: in order: the snapshot's and two delta rounds' one chunk and
+#: terminator each, then the final stream's
+ROUND_SENDS, FINAL_SENDS = 6, 2
+#: a plain attempt after a failure is one chunk and the terminator too
+PLAIN_SENDS = 2
+
+
+class TestFaultsReachRounds:
+    """Every fault kind at every send of a pre-copy migration, on the
+    in-memory and the socket channel."""
+
+    def migrate(self, wire: str, plan: FaultPlan):
+        """``(source, the FaultyChannel, what migrate() returned or
+        raised)`` for one pre-copy migration of the mutator under *plan*
+        (a recv deadline, so a lost frame on the socket cannot hang)."""
+        source = _stopped(_compile(MUTATOR_SRC), ULTRA5)
+        inner = Channel(LOOPBACK) if wire == "channel" else SocketChannel(LOOPBACK)
+        channel = FaultyChannel(inner, plan)
+        try:
+            return source, channel, ENGINE.migrate(
+                source, SPARC20, channel=channel, precopy=True,
+                precopy_policy=TWO_ROUNDS,
+                retry=RetryPolicy(max_attempts=2, attempt_timeout_s=0.1,
+                                  sleep=lambda _s: None),
+            )
+        except MigrationAbortedError as exc:
+            return source, channel, exc
+        finally:
+            channel.close()
+
+    @pytest.mark.parametrize("wire", ["channel", "socket"])
+    def test_a_clean_run_numbers_every_round(self, wire):
+        _, channel, (_, stats) = self.migrate(wire, FaultPlan())
+        assert stats.precopy_rounds == 3 and stats.precopy
+        assert channel._send_index == ROUND_SENDS + FINAL_SENDS
+
+    def test_a_refused_round_does_not_wait_for_a_blocked_sender(self):
+        """An 800 KB snapshot round over a socket, its second frame
+        flipped: the receiver refuses it while the sender still has more
+        than the kernel buffer holds to write.  The consumer breaks the
+        pipe instead of joining a producer that can never finish (it
+        used to hang here), the phase degrades, and the plain pass on
+        the reset socket arrives."""
+        prog = _compile("""
+        double big[100000];
+        int main() {
+            int r;
+            for (r = 0; r < 4; r++) { migrate_here(); big[r * 997] = r; }
+            printf("%g\\n", big[997] + big[2991]);
+            return 0;
+        }
+        """)
+        channel = FaultyChannel(SocketChannel(LOOPBACK), FaultPlan.parse("bitflip@1:200"))
+        outcome = []
+        migration = threading.Thread(target=lambda: outcome.append(ENGINE.migrate(
+            _stopped(prog, ULTRA5), SPARC20, channel=channel, precopy=True,
+            retry=RetryPolicy(attempt_timeout_s=10),
+        )))
+        migration.start()
+        migration.join(timeout=60)
+        channel.close()
+        assert not migration.is_alive(), "the refused round hung its sender"
+        ((dest, stats),) = outcome
+        assert stats.precopy_degraded and stats.attempts == 1
+        assert dest.run_to_completion() == 0 and dest.stdout == "4\n"
+
+    @pytest.mark.parametrize("persistent", [False, True], ids=["transient", "persistent"])
+    @pytest.mark.parametrize("kind", Fault.KINDS)
+    @pytest.mark.parametrize("wire", ["channel", "socket"])
+    def test_every_send_index(self, wire, kind, persistent):
+        """A transient fault anywhere ends in the unmigrated output: a
+        round's degrades the phase, the final pass's costs a retry (of a
+        plain pass) too.  A persistent one ends in a typed abort with the
+        source resumable wherever every attempt meets it — the first
+        sends of a plain pass; past those, the plain pass the phase
+        degrades to arrives."""
+        baseline = run_baseline(_compile(MUTATOR_SRC), ULTRA5)
+        for index in range(ROUND_SENDS + FINAL_SENDS):
+            plan = FaultPlan([Fault(kind, index, persistent=persistent)])
+            source, channel, outcome = self.migrate(wire, plan)
+            assert channel.faults_fired, index
+            if persistent and index < PLAIN_SENDS:
+                assert isinstance(outcome, MigrationAbortedError), index
+                assert isinstance(outcome.last_error, RETRYABLE_ERRORS)
+                source.migration_pending = False
+                assert source.run().status == "exit"
+                assert source.stdout == baseline.stdout
+                continue
+            dest, stats = outcome
+            assert stats.precopy_degraded and not stats.precopy, index
+            assert stats.retries == (index >= ROUND_SENDS), index
+            assert dest.run_to_completion() == baseline.exit_code
+            assert dest.stdout == baseline.stdout
 
 
 # -- satellite 3: overlap ratio folds round time -------------------------
@@ -1045,7 +1161,7 @@ class TestHostileFinalStream:
         assert proc.stdout == run_baseline(prog, ULTRA5).stdout
 
 
-# -- hostile rounds: structurally valid MDLT payloads that lie ------------
+# -- hostile rounds: structurally valid round payloads that lie -----------
 
 HOSTILE_SRC = """
 struct node { int v; struct node *next; };
