@@ -535,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pipelined schedule: cut the payload into chunks and "
                         "overlap collect/tx/restore (default: serial, the "
                         "same envelope with the payload as its one chunk)")
-    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                   help="--stream's chunk payload size in bytes")
+    p.add_argument("--chunk-size", type=_int_at_least(1), default=DEFAULT_CHUNK_SIZE,
+                   help="chunk payload size in bytes (--stream's chunks, "
+                        "--precopy's rounds)")
     p.add_argument("--compress", action="store_true",
                    help="adaptively zlib-compress the wire payload "
                         "(kept per chunk only when it shrinks >= 10%%)")

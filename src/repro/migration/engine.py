@@ -908,6 +908,10 @@ class MigrationEngine:
         restored state and the resumed execution are identical either
         way, except that the source has executed a few more poll slices.
         """
+        if chunk_size < 1:
+            # refused in every schedule, not only those that cut by it
+            # (the pipelined payload, pre-copy rounds)
+            raise MigrationError(f"chunk_size must be >= 1, got {chunk_size}")
         if waiting is not None:
             _check_waiting(waiting, process, dest_arch)
         if channel is None:

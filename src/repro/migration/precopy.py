@@ -9,20 +9,22 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    :class:`~repro.vm.memory.Memory` store paths) that record which bytes
    each slice mutates, and a registration journal on the MSRLT
    (``MSRLT.journal``) that records which blocks it allocates and frees,
-   and ships **delta rounds** (:mod:`repro.msr.delta`) of what changed:
-   the freed and the new blocks off the journal, and of
-   each block written the *unit runs* its byte intervals cover — provided
-   the destination's copy was byte-fresh before the slice (the ``fresh``
-   set below: shipped in some round, not written since).  A new block
-   and a block an earlier round had to defer ship whole;
+   and ships **delta rounds** of what changed: ``u32 round_no`` and the
+   final stream's tail section (:mod:`repro.msr.delta`) — a freed marker
+   per block off the journal the destination holds, the *unit runs* a
+   written block's byte intervals cover provided the destination's copy
+   was byte-fresh before the slice (the ``fresh`` set below: shipped in
+   some round, not written since), and a root record per other stale
+   block — a new block, one an earlier round had to defer — that no
+   earlier marker reached;
 3. once the dirty set converges below a threshold (or a round cap hits),
    **stops** the source for good and ships only the small remainder —
    the stop-and-copy stream is the ordinary full collection in which the
    clean already-delivered blocks are born *visited* (one ``REF`` each,
-   nothing behind them walked; :mod:`repro.msr.delta`) — cutting
-   downtime to O(working set).  Downtime is counted from the moment the
-   last slice returns: the bookkeeping below runs with the source
-   already stopped.
+   nothing behind them walked), with the same tail section's roots after
+   the globals — cutting downtime to O(working set).  Downtime is counted
+   from the moment the last slice returns: the bookkeeping below runs
+   with the source already stopped.
 
 Every round — the snapshot too — is one chunk stream on the migration's
 channel (:mod:`repro.msr.wire`: chunk frames, then the terminator), the
@@ -40,22 +42,22 @@ slice and drain.
 
 A round costs what the slice changed, not what the heap holds, and so
 does the stop.  Three ledgers are read off the scratch once, after the
-snapshot, and then kept by each round's own ``freed`` / ``new`` /
-dirty / shipped lists:
+snapshot, and then kept by the passes that own them:
 
 - ``held`` — what the destination has, logical id -> its scratch block
-  (a round's ``new`` blocks enter, its ``freed`` ones leave);
+  (a block enters as its ``BLOCK`` record lands, a freed one leaves);
 - ``fresh`` — what it has byte-identically (a shipped block enters; a
   written, deferred or freed one leaves);
 - ``stale`` — every other live non-stack block of the source, the
-  complement of ``fresh`` (a block a slice writes, allocates or a round
-  defers enters; one a round ships or a slice frees leaves).
+  complement of ``fresh`` (a block a slice writes or allocates enters;
+  one a round ships or a slice frees leaves).
 
 Nothing between the snapshot and the destination's resumption walks a
-table: the final pass is *handed* the ledgers (:class:`PrecopyState` —
-ownership moves, nothing is copied).  Its collector is born with
-``fresh`` as its visited set and takes its tail roots from ``stale``;
-its restorer is born with ``held`` as its mapping.
+table.  Every pass after the snapshot — each round and the final one —
+is the same pair born owning the ledgers (the final pass is *handed*
+them in a :class:`PrecopyState`: ownership moves, nothing is copied):
+the collector has ``fresh`` as its visited set and takes its roots from
+``stale``, the restorer has ``held`` as its mapping.
 
 Failure semantics: a retryable transport/restore failure during
 pre-copy degrades the migration to the plain stop-and-copy path (the
@@ -72,6 +74,7 @@ import time
 from dataclasses import dataclass
 
 from repro import obs
+from repro.arch.buffers import ReadBuffer, WriteBuffer
 # engine does NOT import this module at load time (migrate() imports it
 # lazily), so importing the engine names directly here is acyclic
 from repro.migration.engine import (
@@ -81,7 +84,8 @@ from repro.migration.engine import (
     restore_errors,
     restore_state,
 )
-from repro.msr.delta import apply_round, build_round
+from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
+from repro.msr.restore import RestoreError
 from repro.vm.dirty import DirtyTracker
 from repro.vm.process import GuestFault
 
@@ -164,6 +168,36 @@ def _ship_round(channel, payload, chunk_size: int) -> bytes:
         return b"".join(channel.iter_chunks())
 
 
+def _collect_round(process, round_no: int, freed, written, fresh: set, stale: set):
+    """One delta round on the source: ``u32 round_no`` and the tail
+    section of the collector born owning *fresh* and *stale* (which it
+    updates).  Returns the payload and the set of blocks it deferred."""
+    buf = WriteBuffer()
+    buf.write_u32(round_no)
+    collector = PrecopyFinalCollector(process, buf, fresh, stale, defer=True)
+    collector.save_tail(freed, written)
+    collector.finish()
+    return buf.getvalue(), collector.deferred
+
+
+def _restore_round(scratch, payload, round_no: int, held: dict):
+    """Land one delta round on the destination scratch through the
+    restorer born owning *held* (which it updates).  Returns the round's
+    :class:`~repro.msr.restore.RestoreStats`; a round that lies is a
+    :class:`~repro.msr.restore.RestoreError`."""
+    buf = ReadBuffer(payload)
+    got = buf.read_u32()
+    if got != round_no:
+        raise RestoreError(
+            f"pre-copy round {got} arrived where round {round_no} was expected"
+        )
+    restorer = PrecopyFinalRestorer(scratch, buf, held=held)
+    restorer.restore_tail()
+    if not buf.at_end():
+        raise RestoreError(f"{buf.remaining} trailing bytes in pre-copy round {round_no}")
+    return restorer.stats
+
+
 def run_precopy(
     process,
     scratch,
@@ -204,7 +238,7 @@ def run_precopy(
             if round_no == 0:
                 restore_state(process.program, received, scratch)
             else:
-                apply_round(scratch, received, round_no)
+                _restore_round(scratch, received, round_no, held)
         stats.precopy_codec_time += timed.seconds
         # a round's frames go back to back: the link latency is paid once
         tx = link.transfer_time(wire)
@@ -237,10 +271,10 @@ def run_precopy(
 
     # the three ledgers.  The scratch's index is what the destination
     # holds (stack registrations were already dropped by the restore);
-    # it is read this once and from here on kept by what each round
-    # ships.  The snapshot left nothing stale but the leaked blocks, and
-    # those enter with the first slice's ``new``
-    held = dict(scratch.msrlt.by_logical)
+    # it is read this once and from here on kept by the passes that own
+    # the ledgers.  The snapshot left nothing stale but the leaked
+    # blocks, and those enter with the first slice's new ones
+    held = scratch.msrlt.non_stack_by_logical()
     fresh = set(held)
     stale: set = set()
 
@@ -279,19 +313,24 @@ def run_precopy(
 
             # -- what the slice changed: registrations, then bytes ---------
             # a journalled block the destination holds was unregistered;
-            # any other is new if it is (still) live
+            # any other is new if it is (still) live, and if not it was
+            # born and freed without ever shipping: no freed marker, it
+            # just leaves the ledger
             freed = sorted({b.logical for b in journal if b.logical in held})
-            new = {
-                b.logical: b for b in journal
-                if b.logical not in held and msrlt.has_logical(b.logical)
-            }
+            new = {}
+            for b in journal:
+                if b.logical not in held:
+                    if msrlt.has_logical(b.logical):
+                        new[b.logical] = b
+                    else:
+                        stale.discard(b.logical)
             del journal[:]
             # logical -> (block, the block-relative byte spans written).
             # Only a block whose destination copy was byte-fresh before
             # the slice may ship as runs of what the spans cover; a new
             # block has no copy, and a block an earlier round deferred is
             # stale from writes this slice's spans do not cover: no spans
-            # (None), they ship whole
+            # (None), they ship as roots
             dirty: dict = {}
             for lo, hi in tracker.take():
                 for b in msrlt.blocks_overlapping(lo, hi):
@@ -311,44 +350,38 @@ def run_precopy(
             for logical in freed:
                 fresh.discard(logical)
                 stale.discard(logical)
-                del held[logical]
 
             if rounds >= policy.max_rounds or len(dirty) <= policy.stop_dirty_blocks:
                 # converged (or round cap): the remaining dirty/new blocks
                 # travel in the stop-and-copy stream.  Frees from the last
-                # slice still ship, in a freed-only stop round, so the
-                # destination does not keep blocks the source let go.
+                # slice still ship, in a freed-only stop round (no roots:
+                # nothing stale is handed to it), so the destination does
+                # not keep blocks the source let go.
                 if freed:
                     rounds += 1
                     with obs.span("precopy.round", n=rounds):
-                        rr = build_round(process, rounds, freed, [], [], set())
+                        payload, _ = _collect_round(
+                            process, rounds, freed, (), fresh, set()
+                        )
                         ship(
-                            rounds, rr.payload,
+                            rounds, payload,
                             dirty_blocks=0, deferred=0, freed=len(freed),
                         )
                 break
 
             # -- ship one delta round --------------------------------------
             rounds += 1
-            # a REF may name a new block from this round on; its scratch
-            # block exists once the round has landed
-            held.update(dict.fromkeys(new))
+            written = [entry for entry in dirty.values() if entry[1] is not None]
             with obs.span("precopy.round", n=rounds):
                 with obs.lap("precopy.collect") as timed, collect_errors():
-                    rr = build_round(
-                        process, rounds, freed, list(new.values()),
-                        list(dirty.values()), held,
+                    payload, deferred = _collect_round(
+                        process, rounds, freed, written, fresh, stale
                     )
                 stats.precopy_codec_time += timed.seconds
                 ship(
-                    rounds, rr.payload, dirty_blocks=len(dirty),
-                    deferred=len(rr.deferred), freed=len(freed),
+                    rounds, payload, dirty_blocks=len(dirty),
+                    deferred=len(deferred), freed=len(freed),
                 )
-            landed = scratch.msrlt.by_logical
-            for logical in new:
-                held[logical] = landed[logical]
-            fresh.update(rr.shipped)
-            stale.difference_update(rr.shipped)
             stats.precopy_dirty_blocks += len(dirty)
     finally:
         memory.dirty = None

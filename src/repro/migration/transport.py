@@ -623,7 +623,13 @@ class FaultPlan:
             params = {}
             for part in spec.split(":"):
                 key, _, value = part.partition("=")
-                params[key.strip()] = int(value)
+                key = key.strip()
+                if key not in ("seed", "count", "max"):
+                    raise ValueError(
+                        f"unknown key {key!r} in a seeded fault spec "
+                        f"(seed=N[:count=K][:max=M])"
+                    )
+                params[key] = int(value)
             return cls.seeded(
                 params["seed"],
                 n_faults=params.get("count", 1),

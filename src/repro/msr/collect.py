@@ -103,20 +103,24 @@ class Collector:
     def save_contents(self, block: MemoryBlock) -> None:
         """What a ``BLOCK`` record carries after its header — the
         contents — for a block whose identity travels by other means (a
-        pre-copy round's dirty block)."""
+        pre-copy runs marker's units)."""
         self._drive(block, header=False)
 
     def save_tail(self) -> None:
         """What the stream carries after the globals.  Nothing here: every
         block a plain migration ships is reachable from a root.  (The
-        pre-copy final collector's tail roots go here.)"""
+        pre-copy collector's tail section goes here.)"""
 
-    # -- the two rules a subclass may change ------------------------------------------
+    # -- the rules a subclass may change -----------------------------------------------
 
     def _first_visit(self, block: MemoryBlock) -> None:
         """*block* is about to be saved.  Marked BEFORE its contents:
         cycles degrade to REFs."""
         self._visited.add(block.logical)
+
+    def _first_visits(self, logicals: list) -> None:
+        """:meth:`_first_visit` for the nodes of one chain batch."""
+        self._visited.update(logicals)
 
     def _dangling(self, value: int) -> None:
         raise MSRLTError(
@@ -304,8 +308,8 @@ class Collector:
         self.stats.wire_bytes = self.buf.nbytes
         if self._prof is not None:
             self._prof.note_payload(self.buf.nbytes)
-            # the pass is over; stop feeding lookup costs to the profiler
-            self.msrlt.profiler = None
+        # the pass is over; stop feeding lookup costs to the profiler
+        self.msrlt.profiler = None
         return self.stats
 
 

@@ -1,39 +1,27 @@
-"""Pre-copy delta rounds and the stop-and-copy stream that follows them.
+"""Pre-copy rounds and the stop-and-copy stream that follows them.
 
-One idea serves both: **a block the destination already holds is a
-visited block** (the paper's §3.1 rule, "visited memory blocks are marked
-so that they are not saved again", applied across passes).  The
-collectors here are the ordinary :class:`~repro.msr.collect.Collector`
-born with a non-empty visited set, the restorers the ordinary
+One idea serves both: **a block the destination already holds
+byte-fresh is a visited block** (the paper's §3.1 rule, "visited memory
+blocks are marked so that they are not saved again", applied across
+passes).  The collector here is the ordinary
+:class:`~repro.msr.collect.Collector` born with that set — ``fresh`` —
+as its visited set, the restorer the ordinary
 :class:`~repro.msr.restore.Restorer` born with the mapping of what the
-scratch process holds; every pointer to such a block is then an ordinary
-``REF``, the traversal stops there, and the compiled plans — which
-classify targets through those same two tables — run unmodified.
+scratch process holds — ``held``; every pointer to such a block is then
+an ordinary ``REF``, the traversal stops there, and the compiled plans —
+which classify targets through those same two tables — run unmodified.
 
-One delta round carries the MSRLT-level diff of the source since the
-previous round: heap blocks freed, blocks newly registered, and what the
-write barriers saw written.  The transport ships each round as a chunk
-stream of its own, in the frames of any transfer (:mod:`repro.msr.wire`);
-the round payload those frames carry is::
+One collector writes, and one restorer reads, every pass after the
+snapshot: each delta round and the final stream.  What they carry beyond
+the ordinary records is one **tail section**::
 
-    u32 round_no
-    u32 n_freed;  n_freed  x  logical                      (HEAP only)
-    u32 n_new;    n_new    x  (logical, u16 type_id, u32 count)
-    u32 n_blocks; n_blocks x  (logical, u8 state, body)
+    (u8 marker, body)*  u8 0
 
-``logical`` is :func:`~repro.msr.wire.write_logical`'s ``u8 kind, u32 a``
-(and ``u32 b`` for a stack id, which no round names): 5 bytes, so a
-``freed`` entry is 5 bytes, a ``new`` entry 11, and a block entry 6 plus
-its body.  ``state`` says what *body* is:
-
-0. **whole** — the block's contents: exactly what a ``BLOCK`` record
-   carries after its header (:meth:`Collector.save_contents`: the
-   contents through the type's plan, nothing before them).
-1. **deferred** — no body.  One of the block's pointers could not be
-   expressed as a ``REF`` (dangling, or aimed at the stack, which is
-   unregistered while the source runs); the block arrives in the final
-   stop-and-copy stream instead.
-2. **runs** — only the units the slice wrote::
+1. **root** — an ordinary root record.  A ``BLOCK`` for a block the
+   scratch holds restores in place; any other carves a new block.  A
+   pointer to a block that has not shipped is that block's nested
+   ``BLOCK`` record, as in any stream.
+2. **runs** — ``logical``, then only the units a slice wrote::
 
        u32 n_runs;  n_runs  x  (u32 first_unit, u32 n_units, contents)
 
@@ -43,112 +31,205 @@ its body.  ``state`` says what *body* is:
    does.  The contents of a run are, on both sides, the contents of a
    block of ``n_units`` x the unit type at ``addr + first_unit *
    unit_size`` — the same plan (or per-cell reference), the same
-   ``REF``-or-defer rule.  Runs ascend and do not
-   overlap; a deferred run defers its whole block.
+   records.  Runs ascend and do not overlap.
+3. **freed** — ``logical``: a heap block the destination holds and the
+   source has freed.
 
-Which form a dirty block takes is the source's decision
+``logical`` is :func:`~repro.msr.wire.write_logical`'s ``u8 kind, u32
+a`` (and ``u32 b`` for a stack id): 5 bytes for a heap or global block.
+
+A round's payload is ``u32 round_no`` and a tail section
+(:mod:`repro.migration.precopy`): freed markers first, then runs, then
+one root per stale block no earlier marker reached, in logical-id
+order.  The final stream is the ordinary full collection with the tail
+section after the globals — its roots only — so a clean global is one
+root ``REF`` and nothing behind a clean block is walked.  With nothing
+fresh and nothing leaked it is the plain stream plus the terminator.
+
+Which dirty block takes the run form is the source's decision
 (:func:`unit_runs`), on two facts.  *Freshness*: only a block whose
-destination copy was byte-identical before the slice may ship as runs —
-its copy then differs from the source inside the slice's write intervals
-and nowhere else.  A new block, and a block an earlier round deferred
-(its destination copy is stale from older writes this slice's intervals
-do not cover, however little this slice wrote), ship whole.  *Size*: the
-run form spends 4 bytes on its count and 8 on each run's header where
-the whole form spends nothing, so a
-block takes it only when the units left out are sure to weigh more — a
-block whose runs cover every unit, or one written in many scattered
-places, keeps the whole form, and no round is larger for shipping runs.
+destination copy was byte-identical before the slice may — its copy
+then differs from the source inside the slice's write intervals and
+nowhere else.  A new block, and a block an earlier round deferred,
+ships as a root.  *Size*: the run form spends 4 bytes on its count and
+8 on each run's header where a whole block spends nothing, so a block
+takes it only when the units left out are sure to weigh more.  The
+blocks that take it are marked visited before any run is written (the
+destination holds each, and its runs bring it up to date), so a pointer
+to one is a ``REF``.
 
-Rounds carry no ``BLOCK`` record: the destination holds every shippable
-target (earlier rounds or this round's ``new`` section).
+**A deferred block is absent.**  While the source runs its stack is
+unregistered, so a pointer aimed there — or dangling — has no shippable
+target (:class:`DeltaDefer`).  A round cuts the marker whose walk met
+one back out of the payload, takes what it visited first back out of
+``fresh``, and the marker's block waits: for a later round or the final
+stream, where the stack is registered.  A block that points at a
+deferred block therefore waits too.
 
-The final stop-and-copy stream is the ordinary full collection with the
-clean, already-delivered blocks (*fresh*) born visited, so a clean
-global is one root ``REF`` and nothing behind a clean block is walked.
-What that walk used to find — a stale block reachable only through clean
-ones — travels in a **tail section** after the globals::
-
-    (u8 1, root record)*  u8 0
-
-one ordinary root record per live non-stack block that is neither fresh
-nor visited by then, in logical-id order.  With nothing fresh and
-nothing leaked the stream is the plain stream plus the terminator byte.
-
-Neither side finds those sets by reading a table out at the stop: the
-pre-copy loop (:func:`repro.migration.precopy.run_precopy`) keeps them
-as ledgers, round by round, and the final collector and restorer are
-born owning them — the pause costs what is stale, whatever the heap
-holds.
+Neither side finds the ledgers by reading a table out: the pre-copy
+loop (:func:`repro.migration.precopy.run_precopy`) keeps ``fresh``,
+``stale`` and ``held``, and every collector and restorer here is born
+owning them — a round costs what the slice changed, and the pause what
+is stale, whatever the heap holds.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.arch.buffers import ReadBuffer, WriteBuffer
+from repro.arch.buffers import WriteBuffer
 from repro.msr.collect import Collector
 from repro.msr.graphplan import ARENA_REBUILD_BLOCKS_PER_POINTER
-from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
+from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.restore import RestoreError, Restorer
 from repro.msr.wire import read_logical, write_logical
 
 __all__ = [
     "DeltaDefer",
-    "DeltaCollector",
-    "DeltaRestorer",
     "PrecopyFinalCollector",
     "PrecopyFinalRestorer",
-    "RoundResult",
     "unit_runs",
-    "build_round",
-    "apply_round",
 ]
 
-#: the ``state`` byte of a round's block entry
-_WHOLE, _DEFERRED, _RUNS = 0, 1, 2
+#: the tail section's markers
+_END, _ROOT, _RUNS, _FREED = 0, 1, 2, 3
 #: what precedes the contents of one run: ``first_unit``, ``n_units``
 _RUN_HEADER = struct.Struct(">II")
 
 
 class DeltaDefer(Exception):
-    """A dirty block cannot ship in this round (pointer without a
-    shippable REF target); it is deferred to the stop-and-copy stream."""
+    """A round's walk met a pointer with no shippable target (dangling,
+    or aimed at the stack, which is unregistered while the source runs):
+    the marker it was writing waits for a later pass."""
 
 
-class DeltaCollector(Collector):
-    """Contents-only collector for delta rounds.
+class PrecopyFinalCollector(Collector):
+    """The collector of every pre-copy pass after the snapshot.
 
-    *known* — the logical ids the destination holds (earlier rounds plus
-    this round's ``new`` section) — is the visited set from the first
-    record on, so every pointer into it is a ``REF``, from a plan or from
-    the traversal driver, and nothing is traversed.  A pointer that
-    cannot be one (dangling, or aimed at a block outside *known*) defers
-    its block to the final stream: the driver brings both cases to the
-    two rules below.
+    *fresh* and *stale* are ``run_precopy``'s ledgers of the source's
+    live non-stack blocks, handed over, not copied: *fresh* — the
+    destination's copy is byte-identical — IS the visited set from the
+    first record on, and *stale* is every other one: the tail section's
+    roots.  With *defer* (a round) a marker whose walk meets a pointer
+    without a target is cut back out (:class:`DeltaDefer`, collected in
+    :attr:`deferred`) and *stale* loses what shipped; without it (the
+    final stream) such a pointer is the ordinary collection error.
     """
 
-    def __init__(self, process, buf: WriteBuffer, known) -> None:
+    def __init__(
+        self, process, buf: WriteBuffer, fresh: set, stale: set, defer: bool = False
+    ) -> None:
         super().__init__(process, buf)
-        # only ever asked ``in`` (a set, or a dict's keys): it never
-        # grows, no BLOCK record is emitted
-        self._visited = known
-
-    def _dangling(self, value: int) -> None:
-        raise DeltaDefer(f"pointer {value:#x} has no shippable target") from None
+        self._visited = fresh
+        self._stale = stale
+        #: the blocks whose markers a round cut back out; a walk that
+        #: reaches one defers at once (``None``: the final stream)
+        self.deferred: Optional[set] = set() if defer else None
+        #: what a round visited first, in order: a deferred marker takes
+        #: its share back out of ``fresh``
+        self._visits: list = []
+        if defer:
+            # a deferred marker's bytes are cut after its walk would have
+            # booked them: a round's attribution is its lookups (the
+            # scope's framing row), not per-type bytes
+            self._prof = None
+        # a chain batch searches an arena built over the whole table; at
+        # most len(stale) nodes can ride one, so tail slots are offered
+        # only when that many pointers would pay for the build — the
+        # test a pointer array applies to itself
+        if len(stale) * ARENA_REBUILD_BLOCKS_PER_POINTER < len(self.msrlt):
+            self.chain_backoff.skip = sys.maxsize
 
     def _first_visit(self, block: MemoryBlock) -> None:
-        raise DeltaDefer(
-            f"pointer aims at {block.logical}, which the destination does not hold"
-        )
+        if self.deferred is not None:
+            if block.logical in self.deferred:
+                raise DeltaDefer(f"{block.logical} waits for a later pass")
+            self._visits.append(block.logical)
+        self._visited.add(block.logical)
+
+    def _first_visits(self, logicals: list) -> None:
+        if self.deferred is not None:
+            self._visits.extend(logicals)
+        self._visited.update(logicals)
+
+    def _dangling(self, value: int) -> None:
+        if self.deferred is None:
+            super()._dangling(value)
+        raise DeltaDefer(f"pointer {value:#x} has no shippable target") from None
+
+    def save_tail(self, freed=(), written=()) -> None:
+        """The tail section: a freed marker per heap logical in *freed*,
+        runs for the blocks of *written* — ``(block, byte spans the slice
+        wrote)`` — that take the run form, and a root per stale block
+        nothing reached.  Behind a clean block nothing is walked, so a
+        stale block only clean ones point to (or none: leaked blocks
+        ship too) is a root of its own."""
+        buf = self.buf
+        visited = self._visited
+        for logical in freed:
+            buf.write_u8(_FREED)
+            write_logical(buf, logical)
+        info_for = self.ti.info_for
+        patches = []
+        for block, spans in written:
+            info = info_for(block.elem_type)
+            runs = unit_runs(info, block.count, spans)
+            if runs is not None:
+                visited.add(block.logical)
+                patches.append((block, info, runs))
+        for block, info, runs in patches:
+            self._ship(block.logical, self._save_runs, block, info, runs)
+        lookup = self.msrlt.lookup_logical
+        deferred = () if self.deferred is None else self.deferred
+        for logical in sorted(self._stale):
+            # a root, or an earlier marker, may lead here
+            if logical not in visited and logical not in deferred:
+                self._ship(logical, self._save_root, lookup(logical))
+        buf.write_u8(_END)
+        if self.deferred is not None:
+            stale = self._stale
+            stale.difference_update([logical for logical in stale if logical in visited])
+
+    def _ship(self, logical: tuple, save, *args) -> None:
+        """One marker for *logical*'s block.  In a round, a marker whose
+        walk defers is cut back out with everything it visited first."""
+        if self.deferred is None:
+            save(*args)
+            return
+        out, visits = self.buf.storage, self._visits
+        at, seen = len(out), len(visits)
+        try:
+            save(*args)
+        except DeltaDefer:
+            del out[at:]
+            self._visited.difference_update(visits[seen:])
+            self._visited.discard(logical)
+            del visits[seen:]
+            self.deferred.add(logical)
+
+    def _save_root(self, block: MemoryBlock) -> None:
+        self.buf.write_u8(_ROOT)
+        self.save_variable(block)
+
+    def _save_runs(self, block: MemoryBlock, info, runs) -> None:
+        buf = self.buf
+        buf.write_u8(_RUNS)
+        write_logical(buf, block.logical)
+        buf.write_u32(len(runs))
+        for first, n in runs:
+            buf.write(_RUN_HEADER.pack(first, n))
+            self.save_contents(_unit_block(block, info, first, n))
 
 
-class _PrewarmedRestorer(Restorer):
-    """A restorer of state that lands on what the scratch process already
-    holds: born with *held*, the mapping of every non-stack block
-    registered there, so a ``REF`` to a block no record of this payload
-    defined resolves."""
+class PrecopyFinalRestorer(Restorer):
+    """The restorer of every pre-copy pass after the snapshot, applied to
+    the pre-warmed scratch: born with *held* — ``run_precopy``'s ledger
+    of what the scratch holds, handed over, not copied — as its mapping,
+    so a ``REF`` to a block no record of this payload defined resolves,
+    a ``BLOCK`` record for a held block restores *in place*, and what
+    lands or is freed keeps the ledger."""
 
     def __init__(self, process, buf, held: dict) -> None:
         super().__init__(process, buf)
@@ -160,80 +241,34 @@ class _PrewarmedRestorer(Restorer):
         # or the final stream touches
         return
 
-
-class DeltaRestorer(_PrewarmedRestorer):
-    """Contents-only restorer for delta rounds: ``NULL``/``REF`` records
-    against the blocks of earlier rounds and this round's ``new``
-    section.
-
-    Its mapping is the scratch MSRLT's own logical-id index, not a copy
-    (between passes the scratch holds no stack block, so the index *is*
-    what a round may ``REF``): a round costs what it carries, whatever
-    the size of the table.  Nothing here may therefore write the
-    mapping.  A round defines no block — ``_resolve_block`` refuses — so
-    the one writer left is a chain batch, and no tail slot is ever
-    offered to one."""
-
-    def __init__(self, process, buf) -> None:
-        super().__init__(process, buf, process.msrlt.by_logical)
-        self.chain_backoff.skip = sys.maxsize
-
-    def _resolve_block(self, logical: tuple, info, count: int) -> MemoryBlock:
-        raise RestoreError("BLOCK record in a delta round (rounds carry NULL/REF only)")
-
-
-class PrecopyFinalCollector(Collector):
-    """The stop-and-copy collector: a full collection pass in which the
-    blocks the delta rounds already delivered are born visited.
-
-    *fresh* and *stale* are ``run_precopy``'s ledgers of the source's
-    live non-stack blocks, handed over, not copied: *fresh* — the
-    destination's copy is byte-identical (shipped in some round and not
-    written since) — IS the visited set from the first record on, and
-    *stale* is every other one, the only blocks this pass can emit a
-    ``BLOCK`` record for besides the stack's.
-    """
-
-    def __init__(self, process, buf: WriteBuffer, fresh: set, stale: set) -> None:
-        super().__init__(process, buf)
-        self._visited = fresh
-        self._stale = stale
-        # a chain batch searches an arena built over the whole table; at
-        # most len(stale) nodes can ride one, so tail slots are offered
-        # only when that many pointers would pay for the build — the
-        # test a pointer array applies to itself
-        if len(stale) * ARENA_REBUILD_BLOCKS_PER_POINTER < len(self.msrlt):
-            self.chain_backoff.skip = sys.maxsize
-
-    def save_tail(self) -> None:
-        """Tail roots: the live non-stack blocks no root reached.  Behind
-        a clean block nothing is walked, so a stale block only clean ones
-        point to (or none: the rounds ship leaked blocks too) is a root
-        of its own."""
-        visited = self._visited
-        lookup = self.msrlt.lookup_logical
-        for logical in sorted(self._stale):
-            if logical not in visited:  # a root, or an earlier tail root, may lead here
-                self.buf.write_u8(1)
-                self.save_variable(lookup(logical))
-        self.buf.write_u8(0)
-
-
-class PrecopyFinalRestorer(_PrewarmedRestorer):
-    """The stop-and-copy restorer, applied to the pre-warmed scratch: a
-    ``BLOCK`` record for a heap block the scratch holds (*held*,
-    ``run_precopy``'s ledger of it, handed over and grown by this pass)
-    restores *in place* instead of allocating a duplicate, and the tail
-    section is read after the globals."""
-
     def restore_tail(self) -> None:
+        buf = self.buf
+        held = self._mapping
         while True:
-            marker = self.buf.read_u8()
-            if marker == 0:
+            marker = buf.read_u8()
+            if marker == _END:
                 return
-            if marker != 1:
+            if marker == _ROOT:
+                self.restore_pointer()
+            elif marker == _RUNS:
+                logical = read_logical(buf)
+                block = held.get(logical)
+                if block is None:
+                    raise RestoreError(
+                        f"runs for {logical}, a block the destination does not hold"
+                    )
+                _restore_runs(self, block)
+            elif marker == _FREED:
+                logical = read_logical(buf)
+                if logical[0] != BlockKind.HEAP or logical not in held:
+                    raise RestoreError(
+                        f"freed marker for {logical}, not a heap block the destination holds"
+                    )
+                block = held.pop(logical)
+                self.msrlt.unregister(block.addr)
+                self.memory.heap_free(block.addr)
+            else:
                 raise RestoreError(f"bad tail marker {marker}")
-            self.restore_pointer()
 
     def _resolve_block(self, logical: tuple, info, count: int) -> MemoryBlock:
         block = self._mapping.get(logical)
@@ -247,23 +282,11 @@ class PrecopyFinalRestorer(_PrewarmedRestorer):
         return block
 
 
-class RoundResult:
-    """What one :func:`build_round` produced."""
-
-    __slots__ = ("payload", "shipped", "deferred", "stats")
-
-    def __init__(self, payload, shipped, deferred, stats) -> None:
-        self.payload = payload
-        self.shipped = shipped  # logicals whose contents are in the payload
-        self.deferred = deferred  # logicals punted to the final stream
-        self.stats = stats
-
-
 def unit_runs(info, count: int, spans) -> Optional[list[tuple[int, int]]]:
     """The unit runs ``[(first_unit, n_units), ...]`` covering the byte
     *spans* ``[(lo, hi), ...]`` (block-relative, ascending, disjoint)
     written into a block of *count* elements of *info*'s type — or
-    ``None`` when the whole form is sure to be no larger (the size rule
+    ``None`` when the whole block is sure to be no larger (the size rule
     of the module docstring)."""
     floor = info.wire_floor // info.repeat  # fewest wire bytes of one unit
     if not floor:
@@ -289,180 +312,14 @@ def _unit_block(block: MemoryBlock, info, first: int, n: int) -> MemoryBlock:
     return MemoryBlock(block.addr + first * size, info.unit, n, n * size, block.logical)
 
 
-def build_round(
-    process,
-    round_no: int,
-    freed: Sequence[tuple],
-    new_blocks: Sequence[MemoryBlock],
-    dirty: Sequence[tuple],
-    known,
-) -> RoundResult:
-    """Serialize one delta round on the source.
-
-    *freed* are HEAP logicals the destination holds that the source has
-    since freed; *new_blocks* are blocks registered since the previous
-    round (their registration must precede any contents that REF them);
-    *dirty* are the blocks to (re)ship contents for, as ``(block,
-    spans)`` — new blocks are expected to appear here too.  *spans* are
-    the block-relative byte intervals the slice wrote (ascending,
-    disjoint) when the destination's copy was byte-fresh before it, so
-    that the block may ship as unit runs; ``None`` ships it whole.
-    *known* (a set of logical ids, or a dict keyed by them) is what the
-    destination holds once the ``new`` section is applied — the only
-    blocks a ``REF`` may name; see :class:`DeltaCollector`.
-    """
-    out = WriteBuffer()
-    out.write_u32(round_no)
-    out.write_u32(len(freed))
-    for logical in freed:
-        if logical[0] != BlockKind.HEAP:
-            raise MSRLTError(f"only heap blocks can be freed mid-migration: {logical}")
-        write_logical(out, logical)
-    info_for = process.ti.info_for
-    out.write_u32(len(new_blocks))
-    for block in new_blocks:
-        write_logical(out, block.logical)
-        out.write_u16(info_for(block.elem_type).type_id)
-        out.write_u32(block.count)
-    out.write_u32(len(dirty))
-    shipped: list[tuple] = []
-    deferred: list[tuple] = []
-    coll = DeltaCollector(process, WriteBuffer(), known)
-    for block, spans in dirty:
-        write_logical(out, block.logical)
-        runs = None
-        if spans is not None:
-            info = info_for(block.elem_type)
-            runs = unit_runs(info, block.count, spans)
-        # each block gets its own buffer so a mid-contents DeltaDefer
-        # leaves no partial bytes in the round payload
-        body = coll.buf = WriteBuffer()
-        try:
-            if runs is None:
-                body.write_u8(_WHOLE)
-                coll.save_contents(block)
-            else:
-                body.write_u8(_RUNS)
-                body.write_u32(len(runs))
-                for first, n in runs:
-                    body.write(_RUN_HEADER.pack(first, n))
-                    coll.save_contents(_unit_block(block, info, first, n))
-        except DeltaDefer:
-            out.write_u8(_DEFERRED)
-            deferred.append(block.logical)
-        else:
-            out.write(body.getvalue())
-            shipped.append(block.logical)
-    stats = coll.finish()
-    stats.wire_bytes = out.nbytes
-    return RoundResult(out.getvalue(), shipped, deferred, stats)
-
-
-def apply_round(process, payload, expected_round: int):
-    """Apply one delta round to the destination scratch process.
-
-    Returns the :class:`~repro.msr.restore.RestoreStats` of the round.
-    Raises :class:`~repro.msr.restore.RestoreError` on any structural
-    disagreement (wrong round number, REF to an unknown block, freed
-    logical the scratch does not hold, a run outside its block) — the
-    engine maps that to its retryable error family exactly like a
-    full-stream restore failure.  However the round ends, the scratch's
-    heap ledger and its MSRLT agree.
-    """
-    buf = ReadBuffer(payload)
-    msrlt = process.msrlt
-    ti = process.ti
-    round_no = buf.read_u32()
-    if round_no != expected_round:
-        raise RestoreError(
-            f"delta round {round_no} arrived where round {expected_round} "
-            f"was expected"
-        )
-    n_freed = buf.read_u32()
-    for _ in range(n_freed):
-        logical = read_logical(buf)
-        if logical[0] != BlockKind.HEAP:
-            raise RestoreError(f"freed record for non-heap block {logical}")
-        try:
-            block = msrlt.lookup_logical(logical)
-        except MSRLTError:
-            raise RestoreError(f"freed record for unknown block {logical}") from None
-        msrlt.unregister(block.addr)
-        process.memory.heap_free(block.addr)
-    n_new = buf.read_u32()
-    # carved as a restoration walk carves, and like a walk's registered
-    # in one go whether the section is read to its end or not
-    new: dict[tuple, MemoryBlock] = {}
-    try:
-        for _ in range(n_new):
-            logical = read_logical(buf)
-            type_id = buf.read_u16()
-            count = buf.read_u32()
-            try:
-                info = ti.info(type_id)
-            except LookupError:
-                raise RestoreError(
-                    f"round registration for {logical} names unknown type id {type_id}"
-                ) from None
-            if logical[0] == BlockKind.HEAP:
-                if logical in new or msrlt.has_logical(logical):
-                    raise RestoreError(f"duplicate registration of {logical} in round")
-                size = info.size * count
-                new[logical] = MemoryBlock(
-                    process.memory.heap_carve(size), info.ctype, count, size, logical
-                )
-            elif logical[0] == BlockKind.GLOBAL:
-                # globals pre-exist on the destination; just validate
-                block = msrlt.lookup_logical(logical)
-                if info.size * count != block.size:
-                    raise RestoreError(
-                        f"round registration for {logical} claims "
-                        f"{info.size * count} bytes, destination block is "
-                        f"{block.size} bytes"
-                    )
-            else:
-                raise RestoreError(
-                    f"round registration for {logical}: a round registers heap "
-                    f"and global blocks, not kind {logical[0]}"
-                )
-    finally:
-        msrlt.register_heap_bulk(list(new.values()))
-    rest = DeltaRestorer(process, buf)
-    rest.stats.n_heap_allocs = len(new)
-    held = rest._mapping
-    n_blocks = buf.read_u32()
-    for _ in range(n_blocks):
-        logical = read_logical(buf)
-        state = buf.read_u8()
-        if state == _DEFERRED:
-            continue  # arrives in the stop-and-copy stream
-        block = held.get(logical)
-        if block is None:
-            raise RestoreError(f"delta contents for unknown block {logical}")
-        if state == _WHOLE:
-            rest.restore_contents(block)
-        elif state == _RUNS:
-            if logical in new:
-                raise RestoreError(
-                    f"runs for {logical}, which this very round registered "
-                    f"(a new block ships whole)"
-                )
-            _restore_runs(rest, block)
-        else:
-            raise RestoreError(f"bad delta block state {state} for {logical}")
-    if not buf.at_end():
-        raise RestoreError(f"{buf.remaining} trailing bytes in delta round")
-    return rest.stats
-
-
-def _restore_runs(rest: DeltaRestorer, block: MemoryBlock) -> None:
-    """The body of a block entry in run form."""
+def _restore_runs(rest: PrecopyFinalRestorer, block: MemoryBlock) -> None:
+    """The body of a runs marker, after its logical."""
     buf = rest.buf
     n_runs = buf.read_u32()
     # nothing is looped over that the payload cannot hold
     if n_runs == 0 or not buf.holds(n_runs * _RUN_HEADER.size):
         raise RestoreError(
-            f"{n_runs} runs claimed for {block.logical}: a block in run form "
+            f"{n_runs} runs claimed for {block.logical}: a runs marker "
             f"has at least one, and the payload ends before that many could"
         )
     info = rest.ti.info_for(block.elem_type)

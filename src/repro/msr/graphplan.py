@@ -799,8 +799,7 @@ class ChainPlan:
         rows, m = self._build_rows(collector, arena, hostarr, serials, m)
         if m < MIN_CHAIN:
             return None
-        for s in serials[:m].tolist():
-            collector._visited.add((BlockKind.HEAP, s, 0))
+        collector._first_visits([(BlockKind.HEAP, s, 0) for s in serials[:m].tolist()])
         collector.buf.write(rows[:m].tobytes())
         stats = collector.stats
         stats.n_blocks += m

@@ -118,8 +118,8 @@ class MSRLT:
         #: pre-copy registration journal: while a list is installed here
         #: (for the length of one execution slice, like ``Memory.dirty``),
         #: every block ``malloc`` / ``free`` / ``realloc`` registers or
-        #: unregisters is appended to it, so a delta round learns its
-        #: ``new`` and ``freed`` sections from what changed, not from a
+        #: unregisters is appended to it, so a delta round learns which
+        #: blocks were born and which freed from what changed, not from a
         #: diff of the whole table.  None (the default) logs nothing.
         self.journal: Optional[list[MemoryBlock]] = None
 
@@ -345,14 +345,6 @@ class MSRLT:
         return block
 
     @property
-    def by_logical(self) -> dict[LogicalId, MemoryBlock]:
-        """The logical-id index itself — live, not a copy, and read-only
-        by contract.  A pre-copy delta round translates every ``REF``
-        through the scratch table's own index (it holds no stack block
-        between passes), so applying a round never walks the table."""
-        return self._by_logical
-
-    @property
     def sorted_index(self) -> tuple[list[int], list[MemoryBlock]]:
         """The address-sorted parallel arrays themselves, ``(starts,
         blocks)`` — live, not copies, and read-only by contract; any
@@ -364,9 +356,10 @@ class MSRLT:
     def non_stack_by_logical(self) -> dict[LogicalId, MemoryBlock]:
         """A copy of the logical-id index without the stack blocks: what
         a pass that lands on a pre-warmed process may ``REF`` before any
-        record of its own payload defined it.  Pre-copy keeps that as a
-        ledger (``run_precopy``'s ``held``) instead of reading it out at
-        the stop; this scan is what the tests hold the ledger to."""
+        record of its own payload defined it.  Pre-copy reads it once,
+        after the snapshot, and from then on keeps it as a ledger
+        (``run_precopy``'s ``held``) instead of reading it out at the
+        stop; this scan is what the tests hold the ledger to."""
         held = dict(self._by_logical)
         for block in self._stack:
             del held[block.logical]

@@ -57,9 +57,12 @@ A ``BLOCK`` appears for the first (depth-first) visit of each memory
 block; every later reference is a ``REF``.  Cycles are safe because the
 restorer registers the block mapping *before* reading its contents.
 
-Pre-copy rounds name blocks outside any record
-(:func:`write_logical` / :func:`read_logical`): ``u8 kind`` and the same
-``logical`` — 5 bytes for a heap or global id.
+The pre-copy tail section (:mod:`repro.msr.delta`: every delta round,
+and the final stream after its globals) is ``(u8 marker, body)*`` then
+``u8 0``, marker 1 a root record; its runs (2) and freed (3) markers
+name a block outside any record (:func:`write_logical` /
+:func:`read_logical`): ``u8 kind`` and the same ``logical`` — 5 bytes
+for a heap or global id.
 
 The wire envelope
 -----------------
@@ -312,9 +315,9 @@ def read_header(buf: ReadBuffer) -> WireHeader:
 
 
 def write_logical(buf: WriteBuffer, logical: tuple) -> None:
-    """Serialize a machine-independent block id outside any record (a
-    pre-copy round's entries): ``u8 kind``, ``u32 a`` and, for a stack
-    id only, ``u32 b``."""
+    """Serialize a machine-independent block id outside any record (the
+    runs and freed markers of a pre-copy tail section): ``u8 kind``,
+    ``u32 a`` and, for a stack id only, ``u32 b``."""
     kind, a, b = logical
     buf.write_u8(kind)
     buf.write_u32(a)

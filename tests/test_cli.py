@@ -229,6 +229,19 @@ class TestMigrateFaults:
         last = capsys.readouterr().err.splitlines()[-1]
         assert "argument --fault: bad fault spec 'meteor@1'" in last
 
+    def test_a_seeded_spec_with_an_unknown_key_is_refused(self, demo_c, capsys):
+        """``cnt`` is no key of a seeded spec: a usage error naming it,
+        not a run with the default one fault instead of three."""
+        with pytest.raises(SystemExit) as exc:
+            main(["migrate", demo_c, "--fault", "seed=1:cnt=3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            "argument --fault: bad fault spec 'seed=1:cnt=3': unknown key 'cnt' "
+            "in a seeded fault spec (seed=N[:count=K][:max=M])"
+        )
+        assert "Traceback" not in err
+
     # the persistent drop sits on each mode's first data send
     @pytest.mark.parametrize(
         "mode", [["--stream", "--fault", "drop@1!"], ["--fault", "drop@0!"]],
@@ -284,6 +297,10 @@ class TestOutOfRangeNumbers:
         (["migrate", "--timeout", "-1"], "--timeout: must be > 0 seconds, got -1"),
         (["migrate", "--timeout", "0"], "--timeout: must be > 0 seconds, got 0"),
         (["migrate", "--retries", "two"], "--retries: invalid int value: 'two'"),
+        (["migrate", "--chunk-size", "0"], "--chunk-size: must be >= 1, got 0"),
+        (["migrate", "--precopy", "--chunk-size", "0"], "--chunk-size: must be >= 1, got 0"),
+        (["migrate", "--precopy", "--chunk-size", "-5"],
+         "--chunk-size: must be >= 1, got -5"),
         (["checkpoint", "-o", "/dev/null", "--after-polls", "0"],
          "--after-polls: must be >= 1, got 0"),
         (["graph", "--after-polls", "-3"], "--after-polls: must be >= 1, got -3"),

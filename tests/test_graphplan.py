@@ -42,6 +42,7 @@ from repro.migration.engine import (
     restore_state,
     restore_state_stream,
 )
+from repro.migration import precopy as precopy_module
 from repro.migration.precopy import PrecopyPolicy, run_precopy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import LOOPBACK, Channel
@@ -334,17 +335,30 @@ PRECOPY_PAIRS = (
     "pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
 )
 def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
-    """Pre-copy runs the same plans as a plain migration (its collectors
-    and restorers are the ordinary ones, born knowing what the
+    """Pre-copy runs the same plans as a plain migration (its collector
+    and restorer are the ordinary ones, born knowing what the
     destination holds): every delta frame and the final payload must
     equal what the per-cell oracle sends — with a pointer plan really
     engaged in a round and in the final stream."""
     prog = compile_program(PRECOPY_SOURCES[entry_name], poll_strategy="user")
     src_arch, dst_arch = pair
     engaged = Counter()
+    phase = ["final"]
+
+    def in_round(run):
+        def spy(*args):
+            phase[0] = "round"
+            try:
+                return run(*args)
+            finally:
+                phase[0] = "final"
+        return spy
+
+    for name in ("_collect_round", "_restore_round"):
+        monkeypatch.setattr(precopy_module, name, in_round(getattr(precopy_module, name)))
     for side in ("save", "restore"):
         def spy(plan, worker, block, info, inner=getattr(PtrArrayPlan, side)):
-            engaged[type(worker).__name__] += 1
+            engaged[type(worker).__name__, phase[0]] += 1
             return inner(plan, worker, block, info)
 
         monkeypatch.setattr(PtrArrayPlan, side, spy)
@@ -360,9 +374,11 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
     *planned, stats = migrate()
     if entry_name == "hot_ptr_array":
         assert stats.collect.n_plan_blocks > 0
-        for worker in ("DeltaCollector", "DeltaRestorer",
-                       "PrecopyFinalCollector", "PrecopyFinalRestorer"):
-            assert engaged[worker] > 0, f"PtrArrayPlan never took a block for {worker}"
+        for worker in ("PrecopyFinalCollector", "PrecopyFinalRestorer"):
+            for when in ("round", "final"):
+                assert engaged[worker, when] > 0, (
+                    f"PtrArrayPlan never took a block for {worker} in the {when}"
+                )
     engaged.clear()
     probe = Process(prog, src_arch), Process(prog, dst_arch)
     with plans_off(*probe):

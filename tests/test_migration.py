@@ -250,6 +250,27 @@ class TestMigrationMechanics:
         assert len(res.migrations) == 3
         assert res.stdout == base.stdout
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    @pytest.mark.parametrize("mode", [
+        {}, {"streaming": True}, {"precopy": True},
+    ], ids=["serial", "stream", "precopy"])
+    def test_a_chunk_size_below_one_is_refused_before_a_run(self, mode, chunk_size):
+        """One rule in every schedule: refused up front (no run, so no
+        stats), not a ``range()`` traceback out of a pre-copy round, a
+        round that silently degrades, or a serial pass that ignores it.
+        The source is untouched."""
+        prog = compile_program(WORK)
+        proc = Process(prog, DEC5000)
+        proc.start()
+        proc.migration_pending = True
+        proc.migrate_after_polls = 5
+        proc.run()
+        refused = f"chunk_size must be >= 1, got {chunk_size}"
+        with pytest.raises(MigrationError, match=refused) as excinfo:
+            MigrationEngine().migrate(proc, SPARC20, chunk_size=chunk_size, **mode)
+        assert excinfo.value.stats is None
+        assert proc.polls == 5 and proc.frames
+
 
 class TestSchedulerBehaviour:
     def test_no_request_means_no_stop(self):

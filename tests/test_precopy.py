@@ -2,8 +2,9 @@
 
 Covers the whole stack: rounds as chunk streams, the dirty-interval
 tracker and its MSRLT resolution, the write barriers on every Memory
-store entry point (ground-truthed against a byte diff), delta round
-build/apply, fault plans reaching every round, the
+store entry point (ground-truthed against a byte diff), delta rounds
+in the final stream's tail-section grammar, fault plans reaching every
+round, the
 overlap-ratio fold of round time, corpus replay through pre-copy on
 four representative architecture pairs, and the default-path guarantee
 that pre-copy machinery is inert when not requested.
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86_64
-from repro.arch.buffers import ReadBuffer, WriteBuffer
+from repro.arch.buffers import ReadBuffer
 from repro.cli import main as cli_main
 from repro.difftest.corpus import load_corpus
 from repro.difftest.harness import run_baseline, _stop_at_poll
@@ -30,6 +31,7 @@ from repro.migration.engine import (
     RestoreError,
     RetryPolicy,
     collect_state,
+    restore_errors,
     restore_state,
 )
 from repro.migration import precopy as precopy_module
@@ -50,16 +52,11 @@ from repro.migration.transport import (
     FaultyChannel,
     SocketChannel,
 )
-from repro.msr.delta import (
-    PrecopyFinalCollector,
-    PrecopyFinalRestorer,
-    RoundResult,
-    apply_round,
-)
+from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
 from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import RestoreError as MsrRestoreError
-from repro.msr.wire import decode_chunk, read_logical, write_logical
+from repro.msr.wire import decode_chunk, read_logical
 from repro.vm.dirty import DirtyTracker
 from repro.vm.memory import MemoryFault
 from repro.vm.process import GuestFault, Process
@@ -1011,9 +1008,11 @@ def test_clean_block_keeps_its_stack_pointer_across_call_depths(pair):
     )
     assert stats.precopy and len(dest.frames) == 2
     # a chain node holding &local cannot ship in a round (the stack is
-    # unregistered while the source runs): deferred, not a crash
+    # unregistered while the source runs): deferred, not a crash — and
+    # so is ``links``, which points at the newest of them, and every
+    # older node, which points at a deferred one
     rounds = stats.obs.events.of_type("precopy_round")
-    assert [e["deferred"] for e in rounds] == [0, 1, 1]
+    assert [e["deferred"] for e in rounds] == [0, 2, 3]
     _assert_like_unmigrated(dest, run_baseline(prog, src_arch))
 
 
@@ -1122,8 +1121,15 @@ class TestHostileFinalStream:
 
     @pytest.fixture
     def forged_tail(self, monkeypatch):
-        def save_tail(self):
-            self.buf.write_u8(7)
+        """The final stream's tail section is one bad marker; the rounds'
+        are left alone."""
+        honest = PrecopyFinalCollector.save_tail
+
+        def save_tail(self, *round_markers):
+            if self.deferred is None:
+                self.buf.write_u8(7)
+            else:
+                honest(self, *round_markers)
 
         monkeypatch.setattr(PrecopyFinalCollector, "save_tail", save_tail)
 
@@ -1186,34 +1192,31 @@ int main() {
 """
 
 
-def _round(entries=(), new=(), freed=(), round_no=1) -> bytes:
-    """A round payload: *entries* are ``(logical, state, body)``, *new*
-    ``(logical, type_id, count)``, *freed* logicals."""
-    out = WriteBuffer()
-    out.write_u32(round_no)
-    out.write_u32(len(freed))
-    for logical in freed:
-        write_logical(out, logical)
-    out.write_u32(len(new))
-    for logical, type_id, count in new:
-        write_logical(out, logical)
-        out.write_u16(type_id)
-        out.write_u32(count)
-    out.write_u32(len(entries))
-    for logical, state, body in entries:
-        write_logical(out, logical)
-        out.write_u8(state)
-        out.write(body)
-    return out.getvalue()
+def _logical(logical) -> bytes:
+    """A block id outside any record, spelled out from the grammar:
+    ``u8 kind``, ``u32 a``, ``u32 b`` for a stack id only."""
+    kind, a, b = logical
+    ids = struct.pack(">II", a, b) if kind == BlockKind.STACK else struct.pack(">I", a)
+    return bytes([kind]) + ids
 
 
-def _runs(*runs, n_runs=None) -> bytes:
-    """The body of an entry in run form; *runs* are ``(first_unit,
-    n_units, contents)``."""
-    body = struct.pack(">I", len(runs) if n_runs is None else n_runs)
+def _round(*markers, round_no=1, end=b"\x00") -> bytes:
+    """A round payload: ``u32 round_no``, the tail section's *markers*
+    (each its marker byte and body), then *end* — the terminator."""
+    return struct.pack(">I", round_no) + b"".join(markers) + end
+
+
+def _runs(logical, *runs, n_runs=None) -> bytes:
+    """A runs marker; *runs* are ``(first_unit, n_units, contents)``."""
+    body = b"\x02" + _logical(logical)
+    body += struct.pack(">I", len(runs) if n_runs is None else n_runs)
     for first, n, contents in runs:
         body += struct.pack(">II", first, n) + contents
     return body
+
+
+def _freed(logical) -> bytes:
+    return b"\x03" + _logical(logical)
 
 
 def _ints(*values) -> bytes:
@@ -1230,13 +1233,25 @@ class TestHostileRounds:
 
     @pytest.fixture
     def scratch(self):
-        """(pre-warmed scratch, logical of ``int cells[16]``)."""
+        """(pre-warmed scratch, its ``held`` ledger, logical of ``int
+        cells[16]``)."""
         prog = _compile(HOSTILE_SRC)
         proc = _stopped(prog, ULTRA5)
         scratch = Process(prog, SPARC20)
         restore_state(prog, collect_state(proc)[0], scratch)
         cells = next(b.logical for b in scratch.msrlt.blocks() if b.name == "cells")
-        return scratch, cells
+        return scratch, scratch.msrlt.non_stack_by_logical(), cells
+
+    @staticmethod
+    def land(scratch, held, payload):
+        """What ``run_precopy`` does with round 1 as it arrives."""
+        with restore_errors("pre-copy round 1"):
+            return precopy_module._restore_round(scratch, payload, 1, held)
+
+    def refused(self, scratch, held, payload, lie):
+        with pytest.raises(RestoreError, match=lie):
+            self.land(scratch, held, payload)
+        assert_table_whole(scratch)
 
     @staticmethod
     def int_id(scratch, cells) -> int:
@@ -1244,143 +1259,171 @@ class TestHostileRounds:
         return scratch.ti.info_for(scratch.msrlt.lookup_logical(cells).elem_type.elem).type_id
 
     def test_pristine_run_round_lands_where_it_says(self, scratch):
-        scratch, cells = scratch
-        payload = _round([(cells, 2, _runs((2, 2, _ints(-7, 9)), (15, 1, _ints(4))))])
-        apply_round(scratch, payload, 1)
+        scratch, held, cells = scratch
+        runs = _runs(cells, (2, 2, _ints(-7, 9)), (15, 1, _ints(4)))
+        self.land(scratch, held, _round(runs))
         block = scratch.msrlt.lookup_logical(cells)
         got = [scratch.memory.load("int", block.addr + 4 * i) for i in range(16)]
         assert got == [0, 1, -7, 9, *range(4, 15), 4]
         assert_table_whole(scratch)
 
-    @pytest.mark.parametrize("body, lie", [
-        (_runs((14, 4, _ints(1, 2, 3, 4))), "stay inside their block"),
-        (_runs((8, 2, _ints(1, 2)), (2, 2, _ints(3, 4))), "ascend without overlap"),
-        (_runs((2, 4, _ints(1, 2, 3, 4)), (4, 2, _ints(5, 6))), "ascend without overlap"),
-        (_runs((3, 0, _ints())), "runs are not empty"),
-        (_runs(n_runs=0), "has at least one"),
-        (_runs((0, 1, _ints(5)), n_runs=2**32 - 1), "payload ends before that many"),
+    @pytest.mark.parametrize("runs, n_runs, lie", [
+        (((14, 4, _ints(1, 2, 3, 4)),), None, "stay inside their block"),
+        (((8, 2, _ints(1, 2)), (2, 2, _ints(3, 4))), None, "ascend without overlap"),
+        (((2, 4, _ints(1, 2, 3, 4)), (4, 2, _ints(5, 6))), None, "ascend without overlap"),
+        (((3, 0, _ints()),), None, "runs are not empty"),
+        (((0, 1, _ints(5)),), 0, "has at least one"),
+        (((0, 1, _ints(5)),), 2**32 - 1, "payload ends before that many"),
     ], ids=["past-end", "out-of-order", "overlapping", "zero-length", "no-runs", "count-2^32-1"])
-    def test_a_run_that_lies_is_typed(self, scratch, body, lie):
-        scratch, cells = scratch
-        with pytest.raises(MsrRestoreError, match=lie):
-            apply_round(scratch, _round([(cells, 2, body)]), 1)
-        assert_table_whole(scratch)
+    def test_a_run_that_lies_is_typed(self, scratch, runs, n_runs, lie):
+        scratch, held, cells = scratch
+        self.refused(scratch, held, _round(_runs(cells, *runs, n_runs=n_runs)), lie)
 
     @pytest.mark.parametrize("logical", [
         (BlockKind.HEAP, 999, 0), (BlockKind.STACK, 0, 0),
     ], ids=["unknown-heap", "stack"])
     def test_runs_for_a_block_the_scratch_does_not_hold(self, scratch, logical):
-        scratch, _ = scratch
-        payload = _round([(logical, 2, _runs((0, 1, _ints(1))))])
-        with pytest.raises(MsrRestoreError, match="unknown block"):
-            apply_round(scratch, payload, 1)
-        assert_table_whole(scratch)
+        scratch, held, _ = scratch
+        payload = _round(_runs(logical, (0, 1, _ints(1))))
+        self.refused(scratch, held, payload, "a block the destination does not hold")
 
     def test_runs_for_a_block_this_round_registered(self, scratch):
-        scratch, cells = scratch
+        """A root may carve a block and a later runs marker patch it: the
+        block is held from the moment its record landed."""
+        scratch, held, cells = scratch
         fresh = (BlockKind.HEAP, 50, 0)
-        payload = _round(
-            [(fresh, 2, _runs((0, 1, _ints(1))))],
-            new=[(fresh, self.int_id(scratch, cells), 4)],
-        )
-        with pytest.raises(MsrRestoreError, match="a new block ships whole"):
-            apply_round(scratch, payload, 1)
+        header = block_header(fresh, self.int_id(scratch, cells), count=4, flat=True)
+        payload = _round(b"\x01" + header + _ints(1, 2, 3, 4), _runs(fresh, (2, 1, _ints(9))))
+        self.land(scratch, held, payload)
+        block = held[fresh]
+        got = [scratch.memory.load("int", block.addr + 4 * i) for i in range(4)]
+        assert got == [1, 2, 9, 4]
         assert_table_whole(scratch)
 
-    def test_unknown_state_byte(self, scratch):
-        scratch, cells = scratch
-        with pytest.raises(MsrRestoreError, match="bad delta block state 7"):
-            apply_round(scratch, _round([(cells, 7, b"")]), 1)
+    @pytest.mark.parametrize("which", ["global", "unknown-heap"])
+    def test_freed_for_a_block_that_is_not_a_held_heap_block(self, scratch, which):
+        scratch, held, cells = scratch
+        logical = cells if which == "global" else (BlockKind.HEAP, 999, 0)
+        heap = len(scratch.msrlt.heap_blocks())
+        lie = "not a heap block the destination holds"
+        self.refused(scratch, held, _round(_freed(logical)), lie)
+        assert len(scratch.msrlt.heap_blocks()) == heap and cells in held
+
+    def test_a_freed_held_heap_block_leaves_both_tables(self, scratch):
+        scratch, held, _ = scratch
+        block = scratch.msrlt.heap_blocks()[0]
+        self.land(scratch, held, _round(_freed(block.logical)))
+        assert block.logical not in held and not scratch.msrlt.has_logical(block.logical)
+        assert block.addr not in scratch.memory.heap_allocs
         assert_table_whole(scratch)
+
+    def test_unknown_marker(self, scratch):
+        scratch, held, _ = scratch
+        self.refused(scratch, held, _round(b"\x07"), "bad tail marker 7")
+
+    def test_block_for_a_stack_id(self, scratch):
+        """The stack is not registered between passes: a root ``BLOCK``
+        for a stack id names a block the scratch does not have."""
+        scratch, held, cells = scratch
+        type_id = scratch.ti.info_for(scratch.msrlt.lookup_logical(cells).elem_type).type_id
+        root = b"\x01" + block_header((BlockKind.STACK, 0, 0), type_id, flat=True)
+        root += _ints(*range(16))
+        self.refused(scratch, held, _round(root), r"no block with logical id \(1, 0, 0\)")
+        assert (BlockKind.STACK, 0, 0) not in held
 
     def test_unknown_type_after_a_valid_new_entry(self, scratch):
-        """The first entry is carved before the second is refused: the
+        """The first root is carved before the second is refused: the
         carved block must not stay in the heap ledger unregistered."""
-        scratch, cells = scratch
-        new = [
-            ((BlockKind.HEAP, 50, 0), self.int_id(scratch, cells), 4),
-            ((BlockKind.HEAP, 51, 0), 9999, 1),
-        ]
-        with pytest.raises(MsrRestoreError, match="unknown type id 9999"):
-            apply_round(scratch, _round(new=new), 1)
-        assert_table_whole(scratch)
+        scratch, held, cells = scratch
+        int_id = self.int_id(scratch, cells)
+        first = block_header((BlockKind.HEAP, 50, 0), int_id, count=4, flat=True)
+        second = block_header((BlockKind.HEAP, 51, 0), 9999)
+        payload = _round(b"\x01" + first + _ints(1, 2, 3, 4), b"\x01" + second + _ints(5))
+        self.refused(scratch, held, payload, "unknown type id 9999")
         assert scratch.msrlt.has_logical((BlockKind.HEAP, 50, 0))
 
-    @pytest.mark.parametrize("section, lie", [
-        ("freed", r"freed record for non-heap block \(3, 7, 0\)"),
-        ("new", "not kind 3"),
-        ("entries", r"delta contents for unknown block \(3, 7, 0\)"),
-    ])
-    def test_a_logical_of_kind_three(self, scratch, section, lie):
-        """A round names blocks by ``u8 kind, u32 a``: a kind no block has
-        is refused by whichever section looks the id up."""
-        scratch, cells = scratch
-        held = len(scratch.msrlt.heap_blocks())
+    @pytest.mark.parametrize("marker", ["freed", "runs", "root"])
+    def test_a_logical_of_kind_three(self, scratch, marker):
+        """A kind no block has is refused by whichever marker names it."""
+        scratch, held, cells = scratch
+        heap = len(scratch.msrlt.heap_blocks())
         alien = (3, 7, 0)
-        payload = {
-            "freed": lambda: _round(freed=[alien]),
-            "new": lambda: _round(new=[(alien, self.int_id(scratch, cells), 4)]),
-            "entries": lambda: _round([(alien, 0, _ints(1))]),
-        }[section]()
-        with pytest.raises(MsrRestoreError, match=lie):
-            apply_round(scratch, payload, 1)
-        assert_table_whole(scratch)
-        assert len(scratch.msrlt.heap_blocks()) == held  # nothing carved
+        payload, lie = {
+            "freed": (_freed(alien), r"freed marker for \(3, 7, 0\)"),
+            "runs": (_runs(alien, (0, 1, _ints(1))), r"runs for \(3, 7, 0\)"),
+            "root": (b"\x01" + bytes([2 | 3 << 2]) + struct.pack(">IH", 7, 1), "kind 3"),
+        }[marker]
+        self.refused(scratch, held, _round(payload), lie)
+        assert len(scratch.msrlt.heap_blocks()) == heap  # nothing carved or freed
 
     def test_a_b_on_a_global_id(self, scratch):
-        """Only a stack id ships a ``b``, and no round names a stack
-        block: four bytes after a global's ``a`` are read as its state
-        byte and the head of its contents, and the round comes out four
-        bytes long."""
-        scratch, cells = scratch
-        payload = _round([(cells, 0, _ints(*range(16)))])
-        at = payload.index(bytes([cells[0]]) + cells[1].to_bytes(4, "big")) + 5
+        """Only a stack id ships a ``b``: four bytes after a global's
+        ``a`` are read as the runs marker's count."""
+        scratch, held, cells = scratch
+        payload = _round(_runs(cells, (0, 1, _ints(5))))
+        at = payload.index(_logical(cells)) + 5
         forged = payload[:at] + bytes(4) + payload[at:]
-        with pytest.raises(MsrRestoreError, match="4 trailing bytes in delta round"):
-            apply_round(scratch, forged, 1)
-        assert_table_whole(scratch)
+        self.refused(scratch, held, forged, "has at least one")
+
+    def test_wrong_round_number(self, scratch):
+        scratch, held, cells = scratch
+        payload = _round(_runs(cells, (0, 1, _ints(5))), round_no=2)
+        self.refused(scratch, held, payload, "round 2 arrived where round 1 was expected")
+
+    def test_missing_terminator(self, scratch):
+        scratch, held, cells = scratch
+        payload = _round(_runs(cells, (0, 1, _ints(5))), end=b"")
+        self.refused(scratch, held, payload, "underrun")
+
+    def test_bytes_after_the_terminator(self, scratch):
+        scratch, held, cells = scratch
+        payload = _round(_runs(cells, (0, 1, _ints(5))), end=b"\x00\x00\x00")
+        self.refused(scratch, held, payload, "2 trailing bytes in pre-copy round 1")
 
     def test_an_undefined_lead_in_a_round(self, scratch):
-        """Round contents are NULL/REF records in the same grammar: a REF
-        lead with BLOCK bits is refused in the same words."""
-        scratch, _ = scratch
+        """A root is an ordinary record: a REF lead with BLOCK bits inside
+        its contents is refused in the same words as anywhere else."""
+        scratch, held, _ = scratch
         head, below = scratch.msrlt.heap_blocks()[:2]
+        node_id = scratch.ti.info_for(head.elem_type).type_id
         ref = ref_record(below.logical)
-        contents = struct.pack(">i", 5) + bytes([ref[0] | 0x20]) + ref[1:]
-        with pytest.raises(MsrRestoreError, match="BLOCK bits on a REF"):
-            apply_round(scratch, _round([(head.logical, 0, contents)]), 1)
-        assert_table_whole(scratch)
+        root = b"\x01" + block_header(head.logical, node_id) + _ints(5)
+        root += bytes([ref[0] | 0x20]) + ref[1:]
+        self.refused(scratch, held, _round(root), "BLOCK bits on a REF")
 
     def test_block_rows_where_a_chain_batch_would_take_them(self, scratch):
-        """Rounds carry NULL/REF only.  The tail slot of a list node is
-        where a chain batch reads BLOCK rows without asking the driver;
-        in a round it is never offered any."""
-        scratch, _ = scratch
+        """A round is an ordinary tail section: the tail slot of a list
+        node restored in place is offered to its chain batch, and BLOCK
+        rows there are new nodes — carved, registered and held."""
+        scratch, held, _ = scratch
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
         rows = b"".join(
-            block_header((BlockKind.HEAP, serial, 0), node_id) + struct.pack(">i", serial)
+            block_header((BlockKind.HEAP, serial, 0), node_id) + _ints(serial)
             for serial in (900, 901)
         )
-        contents = struct.pack(">i", 5) + rows + b"\x00"
-        with pytest.raises(MsrRestoreError, match="BLOCK record in a delta round"):
-            apply_round(scratch, _round([(head.logical, 0, contents)]), 1)
+        root = b"\x01" + block_header(head.logical, node_id) + _ints(5) + rows + b"\x00"
+        assert self.land(scratch, held, _round(root)).n_heap_allocs == 2
         assert_table_whole(scratch)
-        assert not scratch.msrlt.has_logical((BlockKind.HEAP, 900, 0))
+        for serial in (900, 901):
+            node = scratch.msrlt.lookup_logical((BlockKind.HEAP, serial, 0))
+            assert held[node.logical] is node
+            assert scratch.memory.load("int", node.addr) == serial
+        assert scratch.memory.load("ptr", head.addr + 4) == held[(BlockKind.HEAP, 900, 0)].addr
 
     @pytest.fixture
     def lying_source(self, monkeypatch):
         """Every delta round the source builds claims a run past the end
         of ``cells``."""
-        build_round = precopy_module.build_round
+        collect_round = precopy_module._collect_round
 
         def forged(process, round_no, *args):
-            rr = build_round(process, round_no, *args)
+            _, deferred = collect_round(process, round_no, *args)
             cells = next(b.logical for b in process.msrlt.blocks() if b.name == "cells")
-            payload = _round([(cells, 2, _runs((14, 4, _ints(1, 2, 3, 4))))], round_no=round_no)
-            return RoundResult(payload, rr.shipped, rr.deferred, rr.stats)
+            payload = _round(_runs(cells, (14, 4, _ints(1, 2, 3, 4))), round_no=round_no)
+            return payload, deferred
 
-        monkeypatch.setattr(precopy_module, "build_round", forged)
+        monkeypatch.setattr(precopy_module, "_collect_round", forged)
 
     def test_engine_degrades_to_plain_stop_and_copy(self, lying_source):
         prog = _compile(HOSTILE_SRC)
@@ -1468,9 +1511,9 @@ int main() {
 
 
 class TestOneAllocationPath:
-    """Restoration carves every heap block the same way — per record, per
-    chain batch, per ``new`` entry of a round — and registers a walk's
-    blocks in one merge.  The addresses are the ones ``malloc`` would
+    """Restoration carves every heap block the same way — per record or
+    per chain batch, in a round as in the final pass — and registers a
+    walk's blocks in one merge.  The addresses are the ones ``malloc`` would
     hand out block by block, warm free list or not, and the table is
     whole after every round and every pass."""
 
@@ -1545,33 +1588,33 @@ class TestOneAllocationPath:
 
     @pytest.mark.parametrize("source", ["mutator", "list-then-tree"])
     def test_rounds_replay_free_then_malloc(self, source, monkeypatch):
-        """A round's ``freed`` and ``new`` sections, replayed on a twin
-        allocator in payload order, give the addresses the scratch holds;
-        the table is whole after every round."""
+        """A round's freed markers come first; replaying them, and then
+        ``heap_alloc`` over the blocks its records carved in record order
+        (the order they joined ``held``), on a twin allocator gives the
+        addresses the scratch holds; the table is whole after every
+        round."""
         prog = _compile(MUTATOR_SRC if source == "mutator" else LIST_THEN_TREE_SRC)
         rounds = []
+        restore_round = precopy_module._restore_round
 
-        def checked(process, payload, expected_round):
+        def checked(process, payload, round_no, held):
             twin = allocator_twin(process.memory)
+            before = set(held)
             buf = ReadBuffer(payload)
             buf.read_u32()
-            for _ in range(buf.read_u32()):
-                twin.heap_free(process.msrlt.lookup_logical(read_logical(buf)).addr)
-            expected = {}
-            for _ in range(buf.read_u32()):
-                logical, type_id, count = read_logical(buf), buf.read_u16(), buf.read_u32()
-                if logical[0] == BlockKind.HEAP:
-                    size = process.ti.info(type_id).size * count
-                    expected[logical] = twin.heap_alloc(size)
-            stats = apply_round(process, payload, expected_round)
-            assert stats.n_heap_allocs == len(expected)
-            for logical, addr in expected.items():
-                assert process.msrlt.lookup_logical(logical).addr == addr
+            while buf.peek_u8() == 3:  # the freed markers
+                buf.read_u8()
+                twin.heap_free(held[read_logical(buf)].addr)
+            stats = restore_round(process, payload, round_no, held)
+            carved = [block for logical, block in held.items() if logical not in before]
+            assert stats.n_heap_allocs == len(carved)
+            for block in carved:
+                assert twin.heap_alloc(block.size) == block.addr, block
             assert_table_whole(process)
-            rounds.append(len(expected))
+            rounds.append(len(carved))
             return stats
 
-        monkeypatch.setattr(precopy_module, "apply_round", checked)
+        monkeypatch.setattr(precopy_module, "_restore_round", checked)
         dest, stats = _precopy_migrate(prog, ULTRA5, SPARC20, policy=TWO_ROUNDS)
         assert stats.precopy and not stats.precopy_degraded
         assert len(rounds) == 2 and sum(rounds) > 0
@@ -1635,15 +1678,50 @@ LEDGER_PROGRAMS = {
 }
 
 
+def _assert_ledgers_are_the_scans(source, scratch, fresh, stale, held):
+    """``fresh`` and ``stale`` partition the source's live blocks, and
+    ``held`` is the scratch's non-stack index block for block."""
+    live = {b.logical for b in source.msrlt.blocks()}  # no stack block between passes
+    assert fresh | stale == live and not fresh & stale
+    scan = scratch.msrlt.non_stack_by_logical()
+    assert held.keys() == scan.keys()
+    assert all(held[logical] is block for logical, block in scan.items())
+
+
+def _checked_every_round(monkeypatch, source, scratch) -> list:
+    """Hold ``run_precopy``'s ledgers to the scans after every round that
+    lands; returns, per round, ``(freed logicals, deferred blocks)``."""
+    rounds, ledgers = [], {}
+    collect_round = precopy_module._collect_round
+    restore_round = precopy_module._restore_round
+
+    def collect(process, round_no, freed, written, fresh, stale):
+        if stale:  # a delta round; a freed-only stop round is handed none
+            ledgers.update(fresh=fresh, stale=stale)
+        payload, deferred = collect_round(process, round_no, freed, written, fresh, stale)
+        rounds.append((list(freed), set(deferred)))
+        return payload, deferred
+
+    def restore(process, payload, round_no, held):
+        stats = restore_round(process, payload, round_no, held)
+        if ledgers:
+            _assert_ledgers_are_the_scans(
+                source, scratch, ledgers["fresh"], ledgers["stale"], held
+            )
+        return stats
+
+    monkeypatch.setattr(precopy_module, "_collect_round", collect)
+    monkeypatch.setattr(precopy_module, "_restore_round", restore)
+    return rounds
+
+
 @pytest.mark.parametrize("name", [*LEDGER_PROGRAMS, *PRECOPY_CORPUS])
 @pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
-def test_ledgers_equal_the_scans_they_replace(name, pair):
-    """At the stop, ``run_precopy``'s ledgers are what reading both
-    tables out would find: ``fresh`` and ``stale`` partition the source's
-    live blocks, ``held`` is the scratch's non-stack index block for
-    block, the final passes are born owning them (no copy), and the
-    stream whose tail comes off ``stale`` is byte for byte the one whose
-    tail comes off a scan of the table."""
+def test_ledgers_equal_the_scans_they_replace(name, pair, monkeypatch):
+    """After every round and at the stop, ``run_precopy``'s ledgers are
+    what reading both tables out would find, the final passes are born
+    owning them (no copy), and the stream whose tail comes off ``stale``
+    is byte for byte the one whose tail comes off a scan of the table."""
     src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
     if name in LEDGER_PROGRAMS:
         source, policy = LEDGER_PROGRAMS[name]
@@ -1656,13 +1734,9 @@ def test_ledgers_equal_the_scans_they_replace(name, pair):
         policy = PrecopyPolicy(max_rounds=min(3, polls - 2), stop_dirty_blocks=0)
     proc = _stopped(prog, src_arch)
     scratch = Process(prog, dst_arch)
+    _checked_every_round(monkeypatch, proc, scratch)
     state = run_precopy(proc, scratch, Channel(LOOPBACK), policy, MigrationStats(), 4096)
-
-    live = {b.logical for b in proc.msrlt.blocks()}  # no stack block between passes
-    assert state.fresh | state.stale == live and not state.fresh & state.stale
-    scan = scratch.msrlt.non_stack_by_logical()
-    assert state.held.keys() == scan.keys()
-    assert all(state.held[logical] is block for logical, block in scan.items())
+    _assert_ledgers_are_the_scans(proc, scratch, state.fresh, state.stale, state.held)
 
     scanned, _ = collect_state(
         proc, lambda p, b: ScanningFinalCollector(p, b, set(state.fresh), state.stale)
@@ -1678,6 +1752,32 @@ def test_ledgers_equal_the_scans_they_replace(name, pair):
     assert ledgered == scanned
     rest = PrecopyFinalRestorer(scratch, ReadBuffer(b""), held=state.held)
     assert rest._mapping is state.held
+
+
+@pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
+def test_a_deferred_new_block_freed_unshipped_leaves_no_trace(pair, monkeypatch):
+    """Every slice of DEFER_THEN_FREE_SRC frees the node the round before
+    deferred (it holds ``&local``) and allocates the next.  A deferred
+    block is absent, so the destination never held the freed one: no
+    freed marker names it, and it leaves ``fresh`` and ``stale`` both —
+    with the ledgers equal to the scans after every round."""
+    src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
+    source, policy = LEDGER_PROGRAMS["defer-then-free"]
+    proc = _stopped(_compile(source), src_arch)
+    scratch = Process(proc.program, dst_arch)
+    rounds = _checked_every_round(monkeypatch, proc, scratch)
+    state = run_precopy(proc, scratch, Channel(LOOPBACK), policy, MigrationStats(), 4096)
+    assert len(rounds) == policy.max_rounds
+    links = next(b.logical for b in proc.msrlt.blocks() if b.name == "links")
+    nodes = []
+    for freed, deferred in rounds:
+        assert freed == []
+        # the new node, and ``links`` that points at it, wait
+        (node,) = deferred - {links}
+        assert links in deferred and node[0] == BlockKind.HEAP
+        nodes.append(node)
+    ledgers = state.fresh | state.stale | set(state.held)
+    assert not ledgers & set(nodes) and not scratch.msrlt.heap_blocks()
 
 
 # -- run_precopy unit behavior ------------------------------------------

@@ -23,7 +23,7 @@ from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.migration import precopy as precopy_module
 from repro.migration.engine import MigrationEngine, collect_state
 from repro.migration.precopy import PrecopyPolicy
-from repro.msr.delta import DeltaRestorer
+from repro.msr.delta import PrecopyFinalRestorer
 from repro.msr.msrlt import BlockKind
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -42,42 +42,51 @@ def _compile(src: str):
 def observed_rounds():
     """Every delta round of the pre-copy migrations run in the body, seen
     from both sides: its number, its size next to the size of the same
-    round with every block in whole form (never smaller — asserted here,
-    for every round observed), what the source deferred, and what the
-    destination restored, as ``logical -> [(byte offset in the block,
-    bytes), ...]``."""
+    round with no block in run form (never smaller, and deferring the
+    same blocks — asserted here, for every round observed), what the
+    source deferred, and what the destination restored, as ``logical ->
+    [(byte offset in the block, bytes), ...]``: ``(0, size)`` for a
+    ``BLOCK`` record, one entry per run for a runs marker."""
     seen = []
-    build_round, apply_round = precopy_module.build_round, precopy_module.apply_round
-    restore_contents = DeltaRestorer.restore_contents
+    collect_round = precopy_module._collect_round
+    restore_round = precopy_module._restore_round
+    resolve_block = PrecopyFinalRestorer._resolve_block
+    restore_contents = PrecopyFinalRestorer.restore_contents
 
-    def build(process, round_no, freed, new, dirty, known):
-        rr = build_round(process, round_no, freed, new, dirty, known)
-        whole = build_round(
-            process, round_no, freed, new, [(b, None) for b, _ in dirty], known
+    def collect(process, round_no, freed, written, fresh, stale):
+        whole, whole_deferred = collect_round(
+            process, round_no, freed, (), set(fresh), set(stale)
         )
-        assert len(rr.payload) <= len(whole.payload)
-        assert (rr.shipped, rr.deferred) == (whole.shipped, whole.deferred)
+        payload, deferred = collect_round(process, round_no, freed, written, fresh, stale)
+        assert len(payload) <= len(whole)
+        assert deferred == whole_deferred
         seen.append({
-            "no": round_no, "bytes": len(rr.payload), "whole_bytes": len(whole.payload),
-            "deferred": rr.deferred, "restored": {},
+            "no": round_no, "bytes": len(payload), "whole_bytes": len(whole),
+            "deferred": deferred, "restored": {},
         })
-        return rr
+        return payload, deferred
 
-    def apply(process, payload, expected_round):
+    def restore(scratch, payload, round_no, held):
         restored = seen[-1]["restored"]
 
-        def spy(rest, block):
-            home = process.msrlt.lookup_logical(block.logical)
+        def on_block(rest, logical, info, count):
+            block = resolve_block(rest, logical, info, count)
+            restored.setdefault(logical, []).append((0, block.size))
+            return block
+
+        def on_run(rest, block):
+            home = rest._mapping[block.logical]
             restored.setdefault(block.logical, []).append(
                 (block.addr - home.addr, block.size)
             )
             return restore_contents(rest, block)
 
-        with mock.patch.object(DeltaRestorer, "restore_contents", spy):
-            return apply_round(process, payload, expected_round)
+        with mock.patch.object(PrecopyFinalRestorer, "_resolve_block", on_block), \
+                mock.patch.object(PrecopyFinalRestorer, "restore_contents", on_run):
+            return restore_round(scratch, payload, round_no, held)
 
-    with mock.patch.object(precopy_module, "build_round", build), \
-            mock.patch.object(precopy_module, "apply_round", apply):
+    with mock.patch.object(precopy_module, "_collect_round", collect), \
+            mock.patch.object(precopy_module, "_restore_round", restore):
         yield seen
 
 
@@ -143,7 +152,7 @@ def test_hand_corpus_rounds_take_the_forms_they_must(pair, rounds):
     # slice 1: slots holds &local and defers; the merged interval over
     # left's last cell and right's first is one unit of each; one byte
     # into padded[3] ships that (padded) unit; one double of the heap row
-    assert first["deferred"] == [named["slots"].logical] and got(first, "slots") is None
+    assert first["deferred"] == {named["slots"].logical} and got(first, "slots") is None
     assert got(first, "left") == unit("left", 5)
     assert got(first, "right") == unit("right", 0)
     assert got(first, "padded") == unit("padded", 3)
@@ -154,7 +163,7 @@ def test_hand_corpus_rounds_take_the_forms_they_must(pair, rounds):
     # whole (reuse[2] = 99 went to the old block).  Every other cell of
     # sparse is eight runs, dearer than the block: whole
     reused = (BlockKind.HEAP, 2, 0)
-    assert second["deferred"] == []
+    assert second["deferred"] == set()
     assert got(second, "slots") == whole("slots")
     assert second["restored"][reused] == [(0, 8 * 4)]
     assert got(second, "sparse") == whole("sparse")

@@ -98,25 +98,30 @@ MODES = {
 
 
 class Deep:
-    """One compiled shape stopped at its first poll-point: the organic
-    (never migrated) process, a checkpoint to rebuild sources from, and
-    what an unmigrated run prints."""
+    """One compiled shape stopped at its first poll-point: the heap
+    fingerprint there, a checkpoint to rebuild stopped sources from, and
+    what an unmigrated run prints — the organic process's own output,
+    resumed to its exit once the other two were taken (it was never
+    migrated, so that is the oracle, at the cost of one run, not two)."""
 
     def __init__(self, source: str) -> None:
         self.program = compile_program(source, poll_strategy="user")
-        self.organic = Process(self.program, DEC5000)
-        self.organic.start()
-        self.organic.migration_pending = True
-        assert self.organic.run().status == "poll"
-        self.fingerprint = heap_fingerprint(self.organic)
-        self.checkpoint = checkpoint(self.organic)
-        never = Process(self.program, DEC5000)
-        never.run_to_completion()
-        self.expected_stdout = never.stdout
+        organic = Process(self.program, DEC5000)
+        organic.start()
+        organic.migration_pending = True
+        assert organic.run().status == "poll"
+        self.fingerprint = heap_fingerprint(organic)
+        self.checkpoint = checkpoint(organic)
+        organic.migration_pending = False
+        assert organic.run_to_completion() == 0
+        self.expected_stdout = organic.stdout
+
+    def stopped_source(self) -> Process:
+        """A process stopped where the organic one was."""
+        return restart(self.program, self.checkpoint, DEC5000)
 
     def migrate(self, dst_arch, **mode):
-        source = restart(self.program, self.checkpoint, DEC5000)
-        dest, stats = MigrationEngine().migrate(source, dst_arch, **mode)
+        dest, stats = MigrationEngine().migrate(self.stopped_source(), dst_arch, **mode)
         assert fingerprint_diff(self.fingerprint, heap_fingerprint(dest)) is None
         assert dest.run().status == "exit"
         assert dest.stdout == self.expected_stdout
@@ -161,13 +166,14 @@ def test_python_frame_depth_is_constant_in_heap_depth(shape):
     restoration of a 2 000-deep structure fit in 40 Python frames above
     the test's own, plans on or off."""
     deep = Deep(SHAPES[shape](2_000))
-    oracle = plans_off(deep.organic, Process(deep.program, X86_64))
+    source = deep.stopped_source()
+    oracle = plans_off(source, Process(deep.program, X86_64))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
         for switch in (nullcontext(), oracle):
             with switch:
-                payload, info = collect_state(deep.organic)
+                payload, info = collect_state(source)
                 assert info.stats.n_blocks >= 2_000
                 dest = Process(deep.program, X86_64)
                 restore_state(deep.program, payload, dest)
