@@ -573,20 +573,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing: generated programs, every pair, "
              "every poll, multi-hop faulted chains",
     )
-    p.add_argument("--seeds", type=int, default=20,
+    p.add_argument("--seeds", type=_int_at_least(1), default=20,
                    help="number of seeds to run (default 20)")
     p.add_argument("--start", type=int, default=0,
                    help="first seed (fuzz shards: --start 100 --seeds 100)")
-    p.add_argument("--hops", type=int, default=2,
+    p.add_argument("--hops", type=_int_at_least(0), default=2,
                    help="migrations in the faulted chain replay "
                         "(0 disables chains; default 2)")
     p.add_argument("--arches", default=None, metavar="A,B,...",
                    help="restrict to these architectures "
                         "(default: all presets)")
-    p.add_argument("--max-polls", type=int, default=None,
+    p.add_argument("--max-polls", type=_int_at_least(1), default=None,
                    help="cap poll points swept per pair "
                         "(stride-sampled; default: all)")
-    p.add_argument("--size", type=int, default=1,
+    p.add_argument("--size", type=_int_at_least(1), default=1,
                    help="program size multiplier (default 1)")
     p.add_argument("--out", default="fuzz-failures",
                    help="directory for shrunk failure artifacts")
@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = obs_sub.add_parser("top", help="heaviest cost centers")
     q.add_argument("trace")
     q.add_argument("--by", default="type", choices=["type", "block", "phase"])
-    q.add_argument("-n", type=int, default=10, help="rows to show")
+    q.add_argument("-n", type=_int_at_least(1), default=10, help="rows to show")
     q.set_defaults(fn=cmd_obs)
 
     q = obs_sub.add_parser("diff", help="regression deltas between two traces")

@@ -13,7 +13,7 @@ is a generator bug, not a collector bug).  Then it replays the program
   (e.g. DEC5000→ALPHA→SPARC20), each hop optionally migrating *under a
   transient transport fault* with the engine's retry policy curing it,
   and each hop adopting the previous hop's trace context
-  (:func:`repro.obs.propagate.continuation_context`) so the whole chain
+  (:func:`repro.obs.continuation_context`) so the whole chain
   exports one connected span tree.
 
 Every failure is a :class:`Mismatch` carrying the exact (seed, features,
@@ -43,7 +43,7 @@ from repro.migration.transport import (
     FaultPlan,
     FaultyChannel,
 )
-from repro.obs.propagate import continuation_context
+from repro.obs import continuation_context
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -291,6 +291,8 @@ def _sample_polls(total: int, cap: Optional[int]) -> list[int]:
         return []
     if cap is None or total <= cap:
         return list(range(1, total + 1))
+    if cap == 1:
+        return [1]
     # deterministic stride sample, endpoints included
     step = (total - 1) / (cap - 1)
     picked = sorted({1 + round(i * step) for i in range(cap)})

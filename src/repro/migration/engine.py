@@ -12,8 +12,8 @@ function first (``foo`` before ``main``), then the globals.  The frame
 records bottom-up before any data arrives.
 
 Every transfer attempt crosses the channel in ONE envelope
-(:mod:`repro.msr.wire`: a trace-context frame, the payload as
-CRC-carrying chunk frames, a terminator), written and read by one
+(:mod:`repro.msr.wire`: the payload as CRC-carrying chunk frames, then a
+terminator), written and read by one
 attempt body (:meth:`_Run._attempt`), so damage is always the receiver's
 typed verdict on wire bytes.  ``streaming=`` picks only the *schedule*:
 
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from repro import obs
 from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
 from repro.migration.stats import MigrationStats
-from repro.obs import MigrationObservation, propagate
+from repro.obs import MigrationObservation
 from repro.migration.transport import Channel, ChannelError, LOOPBACK, Link
 from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind, MSRLTError
@@ -534,9 +534,7 @@ class _Run:
                 streaming=self.streaming, precopy_final=use_pre,
             )
             try:
-                self._guarded(
-                    "attempt", partial(self._attempt, attempt + 1), n=attempt + 1,
-                )
+                self._guarded("attempt", self._attempt, n=attempt + 1)
                 return
             except RETRYABLE_ERRORS as exc:
                 error = exc
@@ -702,17 +700,16 @@ class _Run:
 
     # -- one attempt: the envelope, filled on either schedule ---------------
 
-    def _attempt(self, attempt: int) -> None:
-        """Collect → transmit → restore, once: ``MCTX``, the payload as
-        chunk frames, the terminator.  ``self.streaming`` picks the
+    def _attempt(self) -> None:
+        """Collect → transmit → restore, once: the payload as chunk
+        frames, then the terminator.  ``self.streaming`` picks the
         schedule — serial: the whole payload is chunk 0, the feed is
         drained to its terminator and restoration reads one contiguous
         buffer; pipelined: ``chunk_size`` chunks, restored while later
-        ones are still being collected."""
+        ones are still being collected.  The restore spans hang under
+        the ``attempt`` span this runs in (the socket's producer thread
+        is rooted there by ``channel.feeding``)."""
         stats, channel, pipelined = self.stats, self.channel, self.streaming
-        # the context names the attempt span as the remote parent: the
-        # restore side joins *this* attempt
-        ctx = propagate.outbound_context(attempt=attempt)
         info_slot: list = []
 
         def chunks():
@@ -723,11 +720,6 @@ class _Run:
                 )
 
         collect_iter = _TimedIter(chunks(), "collect")
-        # the context opens the envelope as a control frame (it consumes
-        # no chunk sequence number and no fault-plan send index), so
-        # the receive side can join the trace before the first chunk
-        channel.send_context(ctx.to_bytes())
-        rctx = propagate.TraceContext.from_bytes(channel.recv_context())
         framed_before = channel.framed_bytes_sent
 
         def sends():
@@ -765,7 +757,7 @@ class _Run:
         else:
             feeding, feed = nullcontext(), interleaved()
 
-        with feeding, propagate.restore_site(rctx):
+        with feeding:
             if pipelined:
                 feed = _TimedIter(feed, "feed")
                 rbuf, span = StreamReadBuffer(feed), "pipeline"
@@ -793,9 +785,9 @@ class _Run:
         stats.streamed = pipelined
         stats.n_chunks = collect_iter.count
 
-        # what the data frames put on the wire, headers and terminator
-        # included, the context frame not; back-to-back frames keep the
-        # pipe full, so latency is paid once
+        # what the frames put on the wire, headers and terminator
+        # included; back-to-back frames keep the pipe full, so latency is
+        # paid once
         framed = channel.framed_bytes_sent - framed_before
         if self.compress:
             # codec time is read off the span tree, so it covers the
@@ -934,15 +926,8 @@ class MigrationEngine:
             # adopt_trace chains this migration into a prior hop's trace:
             # the observation's root is parented under the span the context
             # names, so an A→B→C chain merges into one connected tree
-            # (DESIGN §11)
-            obs=MigrationObservation(
-                attribution=attribution,
-                adopt_from=(
-                    (adopt_trace.trace_id, adopt_trace.parent_span_id)
-                    if adopt_trace is not None
-                    else None
-                ),
-            ),
+            # (DESIGN §10)
+            obs=MigrationObservation(attribution=attribution, adopt_from=adopt_trace),
         )
         try:
             with run.obs.activate():

@@ -19,12 +19,11 @@ Every channel (:class:`BaseChannel`) speaks *frames* (see
 a migration puts on it: ``send_chunk`` frames and enqueues one payload
 chunk, ``end_stream`` sends the terminator, and ``recv_chunk`` /
 ``iter_chunks`` validate and unwrap on the far side — for a transfer
-attempt and a pre-copy round alike — and ``send_context`` /
-``recv_context`` carry the trace context.
-A stream sent back-to-back keeps the wire busy, so the engine charges
-the link latency once per train (``Link.transfer_time`` of the framed
-bytes) and overlaps transfer with collection and restoration (the
-pipeline model lives in :mod:`repro.migration.stats`).
+attempt and a pre-copy round alike.  A stream sent back-to-back keeps
+the wire busy, so the engine charges the link latency once per train
+(``Link.transfer_time`` of the framed bytes) and overlaps transfer with
+collection and restoration (the pipeline model lives in
+:mod:`repro.migration.stats`).
 
 Failure
 -------
@@ -38,10 +37,9 @@ Transport failure is a first-class, *typed* event (DESIGN.md §7):
 - :class:`FaultyChannel` wraps any channel and deterministically injects
   drops, truncations, bit-flips, stalls, and disconnects at chosen send
   indices per a :class:`FaultPlan`, so every failure scenario is
-  reproducible (CLI: ``repro migrate --fault``).  Which sends have an
-  index is decided by frame type, in one place
-  (:func:`repro.msr.wire.is_data_frame`): whole messages and data chunks
-  (pre-copy rounds' included) count, trace-context frames do not.
+  reproducible (CLI: ``repro migrate --fault``).  Every send has an
+  index: whole messages, chunk frames and terminators (pre-copy rounds'
+  included) share one counter.
 """
 
 from __future__ import annotations
@@ -61,11 +59,8 @@ from repro.msr.wire import (
     FRAME_MAGICS,
     ChunkDecoder,
     FrameCorruptError,
-    decode_context_frame,
     encode_chunk_parts,
-    encode_context_frame,
     encode_end_of_stream,
-    is_data_frame,
     TruncatedFrameError,
 )
 
@@ -149,7 +144,7 @@ class BaseChannel:
         self.link = link
         self.bytes_sent = 0
         self.messages_sent = 0
-        #: bytes of every frame built here, of every kind
+        #: bytes of every frame built here, terminators included
         self.framed_bytes_sent = 0
         #: chunk frames sent, terminators excluded
         self.chunks_sent = 0
@@ -178,8 +173,8 @@ class BaseChannel:
 
     @property
     def accepted_bytes(self) -> int:
-        """Every byte handed to the send side — whole messages and frames
-        of every kind — counted once.  By default a frame is one more
+        """Every byte handed to the send side, whole messages and frames
+        alike, counted once.  By default a frame is one more
         ``send()``, so ``bytes_sent`` already holds them all
         (``framed_bytes_sent`` is the frames' share, not an addend)."""
         return self.bytes_sent
@@ -306,22 +301,6 @@ class BaseChannel:
     def iter_chunks(self):
         """Yield chunk payloads until end-of-stream."""
         return iter(self.recv_chunk, None)
-
-    # -- trace-context control frames ('MCTX') -----------------------------
-
-    def send_context(self, body: bytes) -> float:
-        """Ship a trace-context body as a control frame ahead of a chunk
-        stream (no sequence number; see :func:`~repro.msr.wire.is_data_frame`
-        for why the fault plan does not count it)."""
-        frame = encode_context_frame(body)
-        self.framed_bytes_sent += len(frame)
-        obs.inc("wire.context_frames_sent")
-        obs.inc("wire.framed_bytes_sent", len(frame))
-        return self._send_frame(frame)
-
-    def recv_context(self) -> bytes:
-        """Receive the trace-context body that opens the incoming stream."""
-        return decode_context_frame(self._recv_frame())
 
     # -- frame transport, overridable ---------------------------------------
 
@@ -527,7 +506,7 @@ class SocketChannel(Channel):
 
     def _recv_frame(self) -> bytes:
         header = self._read_exact(CHUNK_HEADER_SIZE, "frame header")
-        if header[:4] not in FRAME_MAGICS:
+        if int.from_bytes(header[:4], "big") not in FRAME_MAGICS:
             # a desynced stream must fail here, before a garbage length
             # field makes us block waiting for bytes that never come
             raise FrameCorruptError(f"bad chunk frame magic {header[:4].hex()}")
@@ -685,13 +664,12 @@ class FaultyChannel(BaseChannel):
     """Deterministic fault injection on top of any channel.
 
     Wraps an inner channel and applies the :class:`FaultPlan` on the one
-    send path every message and frame takes.  Whole messages and data
-    chunk frames — a pre-copy round's among them — share one send
-    counter; trace-context frames have no index
-    (:func:`~repro.msr.wire.is_data_frame`), so a seeded plan fires on
-    the same data send with tracing on or off.  Pre-copy rounds come
-    first: with pre-copy on, the final stream's sends are numbered after
-    every round's.  Every kind is added to ``bytes_sent`` and refused once the
+    send path every message and frame takes.  Every send has an index:
+    whole messages, chunk frames and terminators — a pre-copy round's
+    among them — share one send counter, so a default-mode attempt has
+    two (chunk 0, the terminator).  Pre-copy rounds come first: with
+    pre-copy on, the final stream's sends are numbered after every
+    round's.  Every send is added to ``bytes_sent`` and refused once the
     connection is down.  Fault semantics:
 
     - ``drop``: the payload silently vanishes — the receiver sees a
@@ -728,20 +706,18 @@ class FaultyChannel(BaseChannel):
     # -- the send path -----------------------------------------------------
 
     def send(self, payload: bytes) -> float:
-        return self._forward(payload, self.inner.send, indexed=True)
+        return self._forward(payload, self.inner.send)
 
     def _send_frame(self, frame: bytes) -> float:
-        return self._forward(frame, self.inner._send_frame, is_data_frame(frame))
+        return self._forward(frame, self.inner._send_frame)
 
-    def _forward(self, payload: bytes, deliver, indexed: bool) -> float:
+    def _forward(self, payload: bytes, deliver) -> float:
         """Account one outgoing message or frame, apply the fault its
-        send index (if it has one) is scheduled for, and hand what is
-        left of it to *deliver*."""
+        send index is scheduled for, and hand what is left of it to
+        *deliver*."""
         if self._closed:
             raise ChannelClosedError("send on a disconnected channel")
         self.bytes_sent += len(payload)
-        if not indexed:
-            return deliver(payload)
         index = self._send_index
         self._send_index += 1
         self.messages_sent += 1

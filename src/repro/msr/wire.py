@@ -74,41 +74,36 @@ self-delimiting frames, and every byte on a channel belongs to one:
 .. code-block:: text
 
     stream  := MCHK|MCHZ seq 0 … seq n-1  terminator(seq n)
-    attempt := MCTX  stream
+    attempt := stream
     round   := stream
     file    := 'MIGCKPT2'  fingerprint  stream(one chunk)
 
     frame:
-        u32  magic        'MCHK' raw chunk · 'MCHZ' deflated chunk ·
-                          'MCTX' trace context
+        u32  magic        'MCHK' raw chunk · 'MCHZ' deflated chunk
         u32  seq          0-based, strictly consecutive per stream
         u32  payload_len  0 marks end-of-stream (no payload follows)
         u32  crc32        zlib CRC-32 of the (raw) payload bytes
         payload_len bytes of payload
 
+The wire carries state and nothing else: no frame names a sender, a
+trace or a clock, so the same state sends the same bytes every time.
+
 The engine's ``streaming=`` flag only picks the *schedule* that fills
 the envelope.  Serial (the paper's Table 1 discipline, the default):
-the whole payload is chunk 0, so the attempt is three frames — context,
-one chunk, terminator — and restoration starts once the terminator is
-in.  Pipelined: the payload is cut into ``chunk_size`` chunks that are
+the whole payload is chunk 0, so the attempt is two frames — one chunk,
+terminator — and restoration starts once the terminator is in.
+Pipelined: the payload is cut into ``chunk_size`` chunks that are
 restored while later ones are still being collected.  The concatenated
 chunk payloads are the same bytes either way (``collect_state``'s), so
 everything above the framing layer cannot tell the schedules apart.
 
 A pre-copy round (:mod:`repro.migration.precopy`) is a stream of its
 own, cut at the same chunk size; a checkpoint file
-(:mod:`repro.migration.checkpoint`) holds the frames of one serial
-attempt after its header.
+(:mod:`repro.migration.checkpoint`) is its header followed by exactly
+the bytes of one serial attempt.
 
-The ``'MCTX'`` *trace-context frame* that opens an attempt (``seq``
-always 0) carries the sender's trace identity (see
-:mod:`repro.obs.propagate`).  It is a control frame, not data: it
-occupies no chunk sequence number and no fault-plan send index
-(:func:`is_data_frame` is the one place that rule lives).
-
-There is ONE frame codec: :func:`encode_chunk_parts` writes a frame
-under the magic it is given, :func:`decode_chunk` validates one against
-the magics its caller accepts, and :class:`ChunkDecoder` adds the
+There is ONE frame codec: :func:`encode_chunk_parts` writes a frame,
+:func:`decode_chunk` validates one, and :class:`ChunkDecoder` adds the
 sequence rule for a chunk stream.
 Integrity is therefore the *receiver's* and decided from wire bytes
 alone: a short read raises :class:`TruncatedFrameError`, a bad magic or
@@ -166,12 +161,8 @@ __all__ = [
     "read_logical",
     "CHUNK_MAGIC",
     "CHUNK_MAGIC_Z",
-    "CONTEXT_MAGIC",
     "FRAME_MAGICS",
-    "is_data_frame",
     "CHUNK_HEADER_SIZE",
-    "encode_context_frame",
-    "decode_context_frame",
     "MIN_COMPRESSION_GAIN",
     "WireFrameError",
     "TruncatedFrameError",
@@ -336,7 +327,8 @@ def read_logical(buf: ReadBuffer) -> tuple:
 
 CHUNK_MAGIC = 0x4D43484B  # 'MCHK' — raw payload chunk
 CHUNK_MAGIC_Z = 0x4D43485A  # 'MCHZ' — zlib-compressed payload chunk
-CONTEXT_MAGIC = 0x4D435458  # 'MCTX' — trace-context control frame
+#: every magic a frame on a channel may open with
+FRAME_MAGICS = (CHUNK_MAGIC, CHUNK_MAGIC_Z)
 _FRAME_HEADER = struct.Struct(">IIII")  # magic, seq, payload_len, crc32
 CHUNK_HEADER_SIZE = _FRAME_HEADER.size
 
@@ -369,11 +361,9 @@ def encode_chunk_parts(
     seq: int,
     payload: bytes | bytearray | memoryview,
     compress: bool = False,
-    magic: int = CHUNK_MAGIC,
 ) -> tuple[bytes, bytes | bytearray | memoryview]:
-    """Frame one non-empty payload as ``(header, body)`` under *magic* —
-    the one frame encoder (a data chunk by default; the trace context
-    passes ``CONTEXT_MAGIC``).
+    """Frame one non-empty payload chunk as ``(header, body)`` — the one
+    frame encoder.
 
     Zero-copy: *payload* may be any buffer-protocol object
     (``WriteBuffer.drain`` hands out ``memoryview``s) and, unless
@@ -382,7 +372,7 @@ def encode_chunk_parts(
     built.  Channels with vectored sends ship the two parts back to
     back; others join them once at the syscall boundary.
 
-    With *compress* (data chunks only), the payload is deflated and the
+    With *compress*, the payload is deflated and the
     compressed form is kept, under ``'MCHZ'``, only if it is at least
     :data:`MIN_COMPRESSION_GAIN` smaller (adaptive skip — incompressible
     chunks ship raw under the ordinary magic).  The CRC-32 always covers
@@ -395,7 +385,7 @@ def encode_chunk_parts(
         packed = zlib.compress(payload)
         if len(packed) <= len(payload) * (1.0 - MIN_COMPRESSION_GAIN):
             return _FRAME_HEADER.pack(CHUNK_MAGIC_Z, seq, len(packed), crc), packed
-    return _FRAME_HEADER.pack(magic, seq, len(payload), crc), payload
+    return _FRAME_HEADER.pack(CHUNK_MAGIC, seq, len(payload), crc), payload
 
 
 def encode_chunk(
@@ -413,10 +403,9 @@ def encode_end_of_stream(seq: int) -> bytes:
 
 def decode_chunk(
     frame: bytes | bytearray | memoryview,
-    magics: tuple = (CHUNK_MAGIC, CHUNK_MAGIC_Z),
 ) -> tuple[int, bytes | memoryview]:
-    """Validate and unwrap one complete frame whose magic is one of
-    *magics* — the one place a frame is checked.
+    """Validate and unwrap one complete frame — the one place a frame is
+    checked.
 
     Returns ``(seq, payload)``; an end-of-stream frame yields
     ``(seq, b"")``.  For an uncompressed frame the payload is a
@@ -433,7 +422,7 @@ def decode_chunk(
             f"frame header truncated: {len(frame)} of {CHUNK_HEADER_SIZE} bytes"
         )
     magic, seq, length, crc = _FRAME_HEADER.unpack_from(frame, 0)
-    if magic not in magics:
+    if magic not in FRAME_MAGICS:
         raise FrameCorruptError(f"bad frame magic {magic:#010x}")
     payload: bytes | memoryview = frame[CHUNK_HEADER_SIZE:]
     if len(payload) != length:
@@ -495,39 +484,6 @@ class ChunkDecoder:
             self.finished = True
             return None
         return payload
-
-
-def encode_context_frame(body: bytes) -> bytes:
-    """Wrap a trace-context body in its control frame: ``seq`` is always
-    0 and it does not participate in chunk sequencing."""
-    return b"".join(encode_chunk_parts(0, body, magic=CONTEXT_MAGIC))
-
-
-def decode_context_frame(frame: bytes | bytearray | memoryview) -> bytes:
-    """Validate and unwrap one trace-context frame; returns the body."""
-    return bytes(decode_chunk(frame, (CONTEXT_MAGIC,))[1])
-
-
-# -- frames by type -----------------------------------------------------------
-
-_DATA_FRAME_MAGICS = (b"MCHK", b"MCHZ")
-#: every magic a frame on a channel may open with
-FRAME_MAGICS = _DATA_FRAME_MAGICS + (b"MCTX",)
-
-
-def is_data_frame(frame: bytes | bytearray | memoryview) -> bool:
-    """Whether *frame* carries a chunk stream (an ``'MCHK'``/``'MCHZ'``
-    chunk or its terminator — of a transfer attempt or a pre-copy round)
-    rather than protocol plumbing (the ``'MCTX'`` trace context).
-
-    This is the fault layer's rule for which sends have an index: data
-    frames and whole messages count, plumbing does not — turning tracing
-    on must not shift which data send a deterministic fault fires on.  A
-    default-mode attempt therefore has two indexed sends: chunk 0 and the
-    terminator.  Pre-copy rounds are data, so with pre-copy on they come
-    first and the final attempt's sends follow them.
-    """
-    return bytes(memoryview(frame)[:4]) in _DATA_FRAME_MAGICS
 
 
 # -- whole-payload compression ------------------------------------------------

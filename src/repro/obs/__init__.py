@@ -16,6 +16,13 @@ per ``MigrationEngine.migrate()`` call and bundles:
   observed faults, degradation, per-chunk pipeline occupancy) exported
   as JSON-lines by ``repro migrate --trace out.jsonl``.
 
+Observation never reaches the wire.  Within one migration the spans
+nest by call: the restore side's spans sit under the ``attempt`` span
+that ran it.  Across hops of a chain (A→B→C), :func:`continuation_context`
+names the attempt span that carried hop N, and the next hop's
+observation adopts it (``MigrationObservation(adopt_from=...)``), so
+the hops' JSONL traces merge by span id into one tree.
+
 Instrumented call sites (channels, the chunk decoder, the collector's
 loops) do not hold a reference to the observation: they call the
 module-level helpers (:func:`span`, :func:`lap`, :func:`record`,
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import json
 from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.attribution import AttributionProfiler
@@ -47,6 +55,8 @@ from repro.obs.spans import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "MigrationObservation",
+    "TraceContext",
+    "continuation_context",
     "TRACE_SCHEMA_VERSION",
     "DEFAULT_EVENT_CAPACITY",
     "current",
@@ -69,6 +79,31 @@ _CURRENT: ContextVar[Optional["MigrationObservation"]] = ContextVar(
 )
 
 
+@dataclass(frozen=True)
+class TraceContext:
+    """A span of another observation to continue a trace under."""
+
+    trace_id: str  # 16 lowercase hex chars
+    parent_span_id: int
+
+
+def continuation_context(stats) -> Optional[TraceContext]:
+    """The context a *later* hop adopts to continue this migration's trace.
+
+    Reads the completed migration's observation (``stats.obs``) and names
+    its final attempt span — the span that conducted the successful
+    transfer — as the parent, so passing the result to
+    ``MigrationEngine.migrate(..., adopt_trace=...)`` on the next hop
+    roots that hop's whole span tree underneath it.  Returns ``None``
+    when the migration ran unobserved."""
+    observation = getattr(stats, "obs", None)
+    if observation is None:
+        return None
+    attempts = observation.tracer.find("attempt")
+    parent = attempts[-1] if attempts else observation.tracer.root
+    return TraceContext(observation.tracer.trace_id, parent.span_id)
+
+
 class MigrationObservation:
     """Tracer + metrics + events for one migration, with activation.
 
@@ -79,9 +114,8 @@ class MigrationObservation:
     codec benchmarks hold the profiler to.
 
     ``adopt_from`` continues another observation's trace instead of
-    starting a fresh one: a ``(trace_id, parent_span_id)`` pair (the
-    identity a :class:`~repro.obs.propagate.TraceContext` carries) roots
-    this observation's tree under that remote span via
+    starting a fresh one: a :class:`TraceContext` roots this
+    observation's tree under that remote span via
     :meth:`Tracer.adopt_remote`, so a multi-hop migration chain
     (A→B→C→…) exports as *one* connected span tree when the hops'
     JSONL lines are merged by span id.
@@ -89,10 +123,11 @@ class MigrationObservation:
 
     def __init__(self, name: str = "migration", attribution: bool = False,
                  event_capacity: int = DEFAULT_EVENT_CAPACITY,
-                 adopt_from: Optional[tuple[str, int]] = None) -> None:
+                 adopt_from: Optional[TraceContext] = None) -> None:
         if adopt_from is not None:
-            trace_id, parent_span_id = adopt_from
-            self.tracer = Tracer.adopt_remote(name, trace_id, parent_span_id)
+            self.tracer = Tracer.adopt_remote(
+                name, adopt_from.trace_id, adopt_from.parent_span_id
+            )
         else:
             self.tracer = Tracer(name)
         self.metrics = MetricsRegistry()
@@ -119,7 +154,7 @@ class MigrationObservation:
     def trace_lines(self) -> list[dict]:
         """The migration's full trace as decoded JSONL lines: header,
         events (with a drop marker if the ring buffer overflowed),
-        flattened span tree with propagation ids, the attribution table
+        flattened span tree with its span ids, the attribution table
         when profiling was on, and the metrics snapshot."""
         self.tracer.finish()
         end_ts = round(self.tracer.root.end_s or 0.0, 9)

@@ -5,29 +5,27 @@ backoff, per-chunk pipeline occupancy) to an in-memory
 :class:`EventLog`; ``repro migrate --trace out.jsonl`` exports the log
 plus the span tree and the metrics snapshot as JSON-lines.
 
-Trace file format (one JSON object per line, schema version 5 — the one
+Trace file format (one JSON object per line, schema version 6 — the one
 version this build writes and reads; a trace of another version is
 re-recorded, not converted):
 
-- line 1 is always ``{"event": "trace_header", "schema": 5, ...}`` and
+- line 1 is always ``{"event": "trace_header", "schema": 6, ...}`` and
   carries the migration's ``trace_id`` (16 hex chars);
 - every line has an ``"event"`` string and a non-negative ``"ts"``
   number (seconds since the migration's observation began);
 - event lines come next, in emission order, each of a type registered
   in :data:`EVENT_REQUIRED_FIELDS` (attempts, faults, backoff,
-  per-chunk pipeline occupancy, the pre-copy rounds); a
-  ``trace_context`` event records the propagated identity the restore
-  side received (and the clock-offset estimate, see
-  :mod:`repro.obs.propagate`); an ``events_dropped`` marker says the
-  ring buffer overflowed and how many events were lost;
+  per-chunk pipeline occupancy, the pre-copy rounds); an
+  ``events_dropped`` marker says the ring buffer overflowed and how
+  many events were lost;
 - ``span`` lines carry the flattened span tree (``path`` is the
   '/'-joined location in the tree, ``seconds``/``count``/``thread``
-  the measurement, ``span_id``/``parent_id`` the propagation identity:
-  a root has ``parent_id == -1`` unless it was adopted from a remote
-  trace, in which case its ``attrs.remote_parent`` names the foreign
-  parent span);
+  the measurement, ``span_id``/``parent_id`` its place in the tree:
+  a root has ``parent_id == -1`` unless it was adopted from an earlier
+  hop's trace, in which case its ``attrs.remote_parent`` names the
+  foreign parent span);
 - an ``attribution`` line carries the per-type cost table when
-  profiling was on;
+  profiling was on, each row holding :data:`ATTRIBUTION_ROW_FIELDS`;
 - the final ``metrics`` line carries the registry snapshot,
   ``{"counters": {name: int, ...}}``.
 
@@ -35,7 +33,9 @@ On top of the per-line field checks the validator checks the document
 *structurally*: span ids must be unique, every ``parent_id`` must
 resolve to a span in the document (or be ``-1`` / declared via
 ``attrs.remote_parent``), the document must carry exactly one trace
-header, and at most one ``metrics`` line.
+header, and at most one ``metrics`` line.  What it accepts is what
+``repro obs`` reads: :func:`repro.obs.report.load_trace` refuses
+anything else.
 
 Validation (:func:`validate_trace_lines`) is stdlib-only — ``json`` +
 hand-rolled field checks — so the CI tier-1 job can assert schema
@@ -52,6 +52,7 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "DEFAULT_EVENT_CAPACITY",
     "EVENT_REQUIRED_FIELDS",
+    "ATTRIBUTION_ROW_FIELDS",
     "EventLog",
     "NullEventLog",
     "NULL_EVENTS",
@@ -60,7 +61,7 @@ __all__ = [
     "validate_trace_file",
 ]
 
-TRACE_SCHEMA_VERSION = 5
+TRACE_SCHEMA_VERSION = 6
 
 #: default ring-buffer bound of an :class:`EventLog` — generous (a
 #: per-chunk event stream at 64 KiB chunks reaches this around a 2 GiB
@@ -86,20 +87,25 @@ EVENT_REQUIRED_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
     "span": (("name", str), ("path", str), ("seconds", (int, float)),
              ("count", int), ("thread", str), ("span_id", int),
              ("parent_id", int)),
-    "trace_context": (("trace_id", str), ("parent_span_id", int),
-                      ("attempt", int), ("clock_offset_s", (int, float)),
-                      ("joined", bool)),
     "attribution": (("payload_bytes", int), ("rows", list)),
     "events_dropped": (("dropped", int), ("capacity", int)),
     "precopy_begin": (("max_rounds", int), ("stop_dirty_blocks", int),
                       ("slice_polls", int)),
-    "precopy_round": (("round", int), ("bytes", int), ("dirty_blocks", int),
-                      ("deferred", int), ("freed", int)),
+    "precopy_round": (("round", int), ("bytes", int), ("tx_s", (int, float)),
+                      ("dirty_blocks", int), ("deferred", int), ("freed", int)),
     "precopy_end": (("rounds", int), ("dirty_blocks", int),
                     ("cached_blocks", int), ("bytes", int)),
     "precopy_degraded": (("error_type", str), ("error", str)),
     "metrics": (("counters", dict),),
 }
+
+#: required (field, type) pairs of every row of an ``attribution`` line
+#: — the columns ``repro obs report`` / ``top`` compute with
+ATTRIBUTION_ROW_FIELDS: tuple[tuple[str, type], ...] = (
+    ("type", str), ("class", str), ("bytes", int), ("blocks", int),
+    ("collect_s", (int, float)), ("restore_s", (int, float)),
+    ("flat", int), ("codec", int), ("percell", int),
+)
 
 
 class EventLog:
@@ -186,16 +192,40 @@ def validate_trace_obj(obj, lineno: int = 0) -> list[str]:
     if required is None:
         errors.append(f"{where}unknown event type {event!r}")
         return errors
+    errors.extend(_field_errors(obj, required, f"{where}event {event!r}"))
+    if event == "attribution" and isinstance(obj.get("rows"), list):
+        for i, row in enumerate(obj["rows"]):
+            what = f"{where}attribution row {i}"
+            if isinstance(row, dict):
+                errors.extend(_field_errors(row, ATTRIBUTION_ROW_FIELDS, what))
+            else:
+                errors.append(f"{what}: not a JSON object")
+    if event == "metrics" and isinstance(obj.get("counters"), dict):
+        errors.extend(
+            f"{where}counter {name!r} is not an int"
+            for name, value in obj["counters"].items()
+            if not _is_a(value, int)
+        )
+    return errors
+
+
+def _is_a(value, ftype) -> bool:
+    """Whether *value* is of JSON field type *ftype* (a bool is no number)."""
+    return isinstance(value, ftype) and not (
+        isinstance(value, bool) and ftype in ((int, float), int)
+    )
+
+
+def _field_errors(obj: dict, required, what: str) -> list[str]:
+    """Schema errors of *obj*'s (field, type) pairs in *required*."""
+    errors = []
     for field, ftype in required:
         value = obj.get(field, _MISSING)
         if value is _MISSING:
-            errors.append(f"{where}event {event!r}: missing field {field!r}")
-        elif not isinstance(value, ftype) or (
-            isinstance(value, bool) and ftype in ((int, float), int)
-        ):
+            errors.append(f"{what}: missing field {field!r}")
+        elif not _is_a(value, ftype):
             errors.append(
-                f"{where}event {event!r}: field {field!r} has wrong type "
-                f"{type(value).__name__}"
+                f"{what}: field {field!r} has wrong type {type(value).__name__}"
             )
     return errors
 
@@ -226,11 +256,7 @@ def validate_trace_lines(text: str) -> list[str]:
         except json.JSONDecodeError as exc:
             errors.append(f"line {lineno}: not valid JSON ({exc})")
             continue
-        errors.extend(validate_trace_obj(obj, lineno))
-        if isinstance(obj, dict) and obj.get("event") == "trace_header":
-            n_headers += 1
-        if isinstance(obj, dict) and obj.get("event") == "metrics":
-            n_metrics += 1
+        # what the document is comes first: the rest reads in its light
         if lineno == 1:
             if not isinstance(obj, dict) or obj.get("event") != "trace_header":
                 errors.append("line 1: first line must be a trace_header event")
@@ -239,6 +265,11 @@ def validate_trace_lines(text: str) -> list[str]:
                     f"line 1: schema {obj.get('schema')!r} != "
                     f"{TRACE_SCHEMA_VERSION}"
                 )
+        errors.extend(validate_trace_obj(obj, lineno))
+        if isinstance(obj, dict) and obj.get("event") == "trace_header":
+            n_headers += 1
+        if isinstance(obj, dict) and obj.get("event") == "metrics":
+            n_metrics += 1
         if isinstance(obj, dict) and obj.get("event") == "span":
             sid = obj.get("span_id")
             if isinstance(sid, int) and not isinstance(sid, bool):

@@ -11,9 +11,11 @@ renders the three analyses the CLI exposes:
 - :func:`render_top` — the heaviest rows by type, block class, or phase;
 - :func:`render_diff` — A-vs-B regression deltas of phases and counters.
 
-Everything is stdlib-only and raises the typed :class:`TraceReadError`
-on malformed input — the CLI turns that into a clean exit-2 message,
-never a traceback.
+Everything is stdlib-only.  A trace is read only once the validator
+(:func:`~repro.obs.events.validate_trace_lines`) accepts it, so the
+renderers compute with the fields it checked; anything else is the
+typed :class:`TraceReadError` — the CLI turns that into a clean exit-2
+message, never a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.events import TRACE_SCHEMA_VERSION
+from repro.obs.events import validate_trace_lines
 
 __all__ = [
     "TraceReadError",
@@ -42,7 +44,7 @@ class TraceReadError(Exception):
 
 
 class TraceDocument:
-    """One parsed JSONL trace."""
+    """One parsed JSONL trace, as the validator accepted it."""
 
     def __init__(self, lines: list[dict], path: str = "<trace>") -> None:
         self.path = path
@@ -53,7 +55,7 @@ class TraceDocument:
         self.attribution: dict | None = None
         self.metrics: dict = {"counters": {}}
         for obj in lines:
-            kind = obj.get("event")
+            kind = obj["event"]
             if kind == "trace_header":
                 self.header = obj
             elif kind == "span":
@@ -64,12 +66,10 @@ class TraceDocument:
                 self.metrics = obj
             else:
                 self.events.append(obj)
-        if not self.header:
-            raise TraceReadError(f"{path}: no trace_header line — not a migration trace")
 
     @property
     def trace_id(self) -> str:
-        return self.header.get("trace_id", "?")
+        return self.header["trace_id"]
 
     def phase_seconds(self) -> dict[str, float]:
         """Summed seconds per phase span name (all attempts), plus the
@@ -77,52 +77,33 @@ class TraceDocument:
         out = {name: 0.0 for name in PHASES}
         out["codec"] = 0.0
         for sp in self.spans:
-            name = sp.get("name", "")
-            seconds = sp.get("seconds", 0.0)
-            if not isinstance(seconds, (int, float)):
-                continue
+            name = sp["name"]
             if name in out:
-                out[name] += seconds
-            elif isinstance(name, str) and name.startswith("codec."):
-                out["codec"] += seconds
+                out[name] += sp["seconds"]
+            elif name.startswith("codec."):
+                out["codec"] += sp["seconds"]
         return {k: v for k, v in out.items() if v > 0.0}
 
     def counter(self, name: str, default: int = 0) -> int:
-        value = self.metrics.get("counters", {}).get(name, default)
-        return value if isinstance(value, int) else default
+        return self.metrics["counters"].get(name, default)
 
     def events_of(self, kind: str) -> list[dict]:
-        return [e for e in self.events if e.get("event") == kind]
+        return [e for e in self.events if e["event"] == kind]
 
 
 def load_trace(path) -> TraceDocument:
-    """Parse the JSONL trace at *path* (typed errors, never a traceback)."""
-    p = Path(path)
+    """Parse the JSONL trace at *path*: one the validator accepts, or a
+    :class:`TraceReadError` naming the first thing it refused."""
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceReadError(f"{path}: cannot read trace ({exc})") from None
-    lines: list[dict] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise TraceReadError(f"{path}:{lineno}: not valid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise TraceReadError(f"{path}:{lineno}: line is not a JSON object")
-        lines.append(obj)
-    if not lines:
-        raise TraceReadError(f"{path}: trace is empty")
-    doc = TraceDocument(lines, path=str(path))
-    schema = doc.header.get("schema")
-    if schema != TRACE_SCHEMA_VERSION:
-        raise TraceReadError(
-            f"{path}: trace schema {schema!r} != {TRACE_SCHEMA_VERSION} "
-            f"(re-record the trace with this version of repro)"
-        )
-    return doc
+    errors = validate_trace_lines(text)
+    if errors:
+        more = f" (and {len(errors) - 1} more)" if len(errors) > 1 else ""
+        raise TraceReadError(f"{path}: {errors[0]}{more}")
+    lines = [json.loads(raw) for raw in text.splitlines() if raw.strip()]
+    return TraceDocument(lines, path=str(path))
 
 
 # -- rendering helpers ---------------------------------------------------------
@@ -145,32 +126,19 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _attribution_rows(doc: TraceDocument) -> list[dict]:
-    if doc.attribution is None:
-        return []
-    rows = doc.attribution.get("rows", [])
-    return [r for r in rows if isinstance(r, dict)]
+    return [] if doc.attribution is None else doc.attribution["rows"]
 
 
 def render_report(doc: TraceDocument) -> str:
     """The single-trace breakdown: identity, phases, wire, attribution."""
     out: list[str] = []
     out.append(f"trace {doc.trace_id}  ({doc.path})")
-    tcx = doc.events_of("trace_context")
-    if tcx:
-        joined = sum(1 for e in tcx if e.get("joined"))
-        offsets = [e.get("clock_offset_s") for e in tcx
-                   if isinstance(e.get("clock_offset_s"), (int, float))]
-        line = (f"propagation: {len(tcx)} context(s) received, "
-                f"{joined} joined")
-        if offsets:
-            line += f", clock offset <= {max(offsets) * 1e3:.3f} ms"
-        out.append(line)
     dropped = doc.events_of("events_dropped")
     if dropped:
         out.append(
             f"WARNING: event ring buffer overflowed — "
-            f"{dropped[0].get('dropped')} event(s) dropped "
-            f"(capacity {dropped[0].get('capacity')})"
+            f"{dropped[0]['dropped']} event(s) dropped "
+            f"(capacity {dropped[0]['capacity']})"
         )
 
     phases = doc.phase_seconds()
@@ -185,12 +153,11 @@ def render_report(doc: TraceDocument) -> str:
         out.append("")
         out.extend(precopy)
 
-    counters = doc.metrics.get("counters", {})
+    counters = doc.metrics["counters"]
     wire_keys = [
         "engine.payload_bytes", "engine.blocks", "engine.attempts",
         "engine.retries", "engine.chunks", "codec.bytes_saved",
-        "wire.chunks_sent", "wire.context_frames_sent",
-        "msrlt.searches", "events.dropped",
+        "wire.chunks_sent", "msrlt.searches", "events.dropped",
     ]
     shown = [(k, counters[k]) for k in wire_keys if k in counters]
     if shown:
@@ -202,21 +169,20 @@ def render_report(doc: TraceDocument) -> str:
     rows = _attribution_rows(doc)
     if rows:
         out.append("")
-        payload = doc.attribution.get("payload_bytes", 0)
-        total = sum(r.get("bytes", 0) for r in rows)
+        payload = doc.attribution["payload_bytes"]
+        total = sum(r["bytes"] for r in rows)
         out.append(f"attribution ({total} of {payload} payload bytes):")
         table_rows = []
-        for r in sorted(rows, key=lambda r: -r.get("bytes", 0)):
-            eng = max(
-                ("flat", "codec", "percell"), key=lambda k: r.get(k, 0)
-            ) if (r.get("flat", 0) + r.get("codec", 0) + r.get("percell", 0)) else "-"
+        for r in sorted(rows, key=lambda r: -r["bytes"]):
+            paths = ("flat", "codec", "percell")
+            eng = max(paths, key=r.get) if sum(r[k] for k in paths) else "-"
             table_rows.append([
-                str(r.get("type", "?")),
-                str(r.get("class", "?")),
-                str(r.get("bytes", 0)),
-                str(r.get("blocks", 0)),
-                f"{(r.get('collect_s', 0.0)) * 1e3:.3f}",
-                f"{(r.get('restore_s', 0.0)) * 1e3:.3f}",
+                r["type"],
+                r["class"],
+                str(r["bytes"]),
+                str(r["blocks"]),
+                f"{r['collect_s'] * 1e3:.3f}",
+                f"{r['restore_s'] * 1e3:.3f}",
                 eng,
                 str(r.get("msrlt_searches", 0)),
             ])
@@ -245,35 +211,32 @@ def _render_precopy(doc: TraceDocument) -> list[str]:
         out.append(_table(
             ["round", "bytes", "tx_ms", "dirty", "deferred", "freed"],
             [[
-                "snapshot" if r.get("round") == 0 else str(r.get("round")),
-                str(r.get("bytes", 0)),
-                f"{r.get('tx_s', 0.0) * 1e3:.3f}",
-                str(r.get("dirty_blocks", 0)),
-                str(r.get("deferred", 0)),
-                str(r.get("freed", 0)),
+                "snapshot" if r["round"] == 0 else str(r["round"]),
+                str(r["bytes"]),
+                f"{r['tx_s'] * 1e3:.3f}",
+                str(r["dirty_blocks"]),
+                str(r["deferred"]),
+                str(r["freed"]),
             ] for r in rounds],
         ))
     for end in doc.events_of("precopy_end"):
         out.append(
-            f"converged after {end.get('rounds')} round(s): "
-            f"{end.get('bytes')} round bytes, "
-            f"{end.get('dirty_blocks')} residual dirty block(s), "
-            f"{end.get('cached_blocks')} block(s) elided as cached"
+            f"converged after {end['rounds']} round(s): "
+            f"{end['bytes']} round bytes, "
+            f"{end['dirty_blocks']} residual dirty block(s), "
+            f"{end['cached_blocks']} block(s) elided as cached"
         )
     for deg in doc.events_of("precopy_degraded"):
         out.append(
             f"DEGRADED to plain stop-and-copy: "
-            f"{deg.get('error_type')}: {deg.get('error')}"
+            f"{deg['error_type']}: {deg['error']}"
         )
     downtime = [
-        sp for sp in doc.spans
-        if sp.get("name") == "precopy.downtime_seconds"
+        sp["seconds"] for sp in doc.spans
+        if sp["name"] == "precopy.downtime_seconds"
     ]
     if downtime:
-        out.append(
-            "stop-and-copy downtime: "
-            + _fmt_s(sum(sp.get("seconds", 0.0) for sp in downtime)).strip()
-        )
+        out.append("stop-and-copy downtime: " + _fmt_s(sum(downtime)).strip())
     return out
 
 
@@ -291,26 +254,16 @@ def render_top(doc: TraceDocument, by: str = "type", n: int = 10) -> str:
     if not rows:
         return ("no attribution table in trace "
                 "(run with --attribution / migrate(attribution=True))")
-    if by == "type":
-        groups: dict[str, dict] = {}
-        for r in rows:
-            key = str(r.get("type", "?"))
-            g = groups.setdefault(key, {"bytes": 0, "blocks": 0, "s": 0.0})
-            g["bytes"] += r.get("bytes", 0)
-            g["blocks"] += r.get("blocks", 0)
-            g["s"] += r.get("collect_s", 0.0) + r.get("restore_s", 0.0)
-        head = ["type", "bytes", "blocks", "collect+restore"]
-    elif by == "block":
-        groups = {}
-        for r in rows:
-            key = str(r.get("class", "?"))
-            g = groups.setdefault(key, {"bytes": 0, "blocks": 0, "s": 0.0})
-            g["bytes"] += r.get("bytes", 0)
-            g["blocks"] += r.get("blocks", 0)
-            g["s"] += r.get("collect_s", 0.0) + r.get("restore_s", 0.0)
-        head = ["class", "bytes", "blocks", "collect+restore"]
-    else:
+    column = {"type": "type", "block": "class"}.get(by)
+    if column is None:
         raise TraceReadError(f"unknown --by {by!r}; choose type, block, or phase")
+    groups: dict[str, dict] = {}
+    for r in rows:
+        g = groups.setdefault(r[column], {"bytes": 0, "blocks": 0, "s": 0.0})
+        g["bytes"] += r["bytes"]
+        g["blocks"] += r["blocks"]
+        g["s"] += r["collect_s"] + r["restore_s"]
+    head = [column, "bytes", "blocks", "collect+restore"]
     ordered = sorted(groups.items(), key=lambda kv: -kv[1]["bytes"])[:n]
     return _table(head, [
         [key, str(g["bytes"]), str(g["blocks"]), f"{g['s'] * 1e3:.3f} ms"]
@@ -338,12 +291,10 @@ def render_diff(a: TraceDocument, b: TraceDocument) -> str:
                 f"{delta * 1e3:+.3f}", pct,
             ])
         out.append(_table(["phase", "a_ms", "b_ms", "delta_ms", "delta"], rows))
-    ca = a.metrics.get("counters", {})
-    cb = b.metrics.get("counters", {})
     changed = []
-    for name in sorted(set(ca) | set(cb)):
-        va, vb = ca.get(name, 0), cb.get(name, 0)
-        if va != vb and isinstance(va, int) and isinstance(vb, int):
+    for name in sorted(set(a.metrics["counters"]) | set(b.metrics["counters"])):
+        va, vb = a.counter(name), b.counter(name)
+        if va != vb:
             changed.append([name, str(va), str(vb), f"{vb - va:+d}"])
     if changed:
         out.append("")

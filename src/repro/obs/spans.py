@@ -27,18 +27,15 @@ the same measurement the tree recorded — one clock, two read-outs.
 observed: its handles still *time* (call sites rely on ``.seconds``)
 but record nothing.
 
-Identity for propagation
-------------------------
+Identity
+--------
 
 Every tracer carries a ``trace_id`` (16 hex chars) and assigns each
 span a small integer ``span_id`` (the root is span 0) plus the
-``parent_id`` it hangs under.  These are what the wire-level
-trace-context frame (:mod:`repro.obs.propagate`) transports, so a
-destination-side restorer can attach its spans to the *exact* source
-span that sent the payload — :meth:`Tracer.span_by_id` resolves the
-propagated parent on the receiving side, and :meth:`Tracer.adopt_remote`
-builds a whole tracer whose root is parented in another process's
-trace (the true two-process case; the JSONL merge joins by id).
+``parent_id`` it hangs under.  :meth:`Tracer.adopt_remote` builds a
+tracer whose root is parented in *another* trace — the next hop of a
+migration chain continuing the previous hop's (see
+:func:`repro.obs.continuation_context`); the JSONL merge joins by id.
 """
 
 from __future__ import annotations
@@ -151,18 +148,13 @@ class Tracer:
                  trace_id: Optional[str] = None) -> None:
         self._clock = clock
         self.epoch = clock()
-        #: trace identity carried by the wire-level context frame
+        #: trace identity, shared by every hop of a migration chain
         self.trace_id = trace_id or new_trace_id()
-        #: when this tracer was adopted from a remote context, the
-        #: remote parent's span id its root hangs under (else None)
-        self.remote_parent_id: Optional[int] = None
         self._next_id = 0
         self.root = Span(name)
         self.root.start_s = 0.0
         self._lock = threading.Lock()
         self._local = threading.local()
-        # span_id -> span, for resolving propagated parent ids
-        self._by_id: dict[int, Span] = {}
         self._assign_id(self.root)
         # (id(parent), name) -> accumulating span, for lap()
         self._laps: dict[tuple[int, str], Span] = {}
@@ -172,27 +164,21 @@ class Tracer:
         root; every other call site already holds ``_lock``)."""
         span.span_id = self._next_id
         self._next_id += 1
-        self._by_id[span.span_id] = span
 
     @classmethod
     def adopt_remote(cls, name: str, trace_id: str, parent_span_id: int,
                      clock=time.perf_counter) -> "Tracer":
-        """A tracer whose root is parented in *another* process's trace:
-        it shares the propagated ``trace_id`` and remembers the remote
-        parent span id, so a by-id merge of the two JSONL traces yields
-        one connected tree.  This is the true cross-process half of
-        trace propagation; the in-process engine instead resolves the
-        parent directly via :meth:`span_by_id`."""
+        """A tracer whose root is parented in *another* trace: it shares
+        that ``trace_id`` and declares the remote parent span id as its
+        root's ``attrs.remote_parent``, so a by-id merge of the two JSONL
+        traces yields one connected tree."""
         tracer = cls(name, clock=clock, trace_id=trace_id)
         # draw span ids from a random high block so a by-id merge of the
         # two sides' JSONL files cannot collide with the source's small
         # ordinals (1 + 32 random bits, shifted past any plausible count)
-        base = (1 + int.from_bytes(os.urandom(4), "big")) << 32
-        del tracer._by_id[tracer.root.span_id]
-        tracer._next_id = base
+        tracer._next_id = (1 + int.from_bytes(os.urandom(4), "big")) << 32
         tracer._assign_id(tracer.root)
-        tracer.remote_parent_id = parent_span_id
-        tracer.root.attrs.setdefault("remote_parent", parent_span_id)
+        tracer.root.attrs["remote_parent"] = parent_span_id
         return tracer
 
     # -- thread-local span stack -------------------------------------------
@@ -266,12 +252,6 @@ class Tracer:
 
     # -- read-out ----------------------------------------------------------
 
-    def span_by_id(self, span_id: int) -> Optional[Span]:
-        """The span carrying *span_id*, or None — how a receiving side
-        resolves a propagated parent id back to a live span."""
-        with self._lock:
-            return self._by_id.get(span_id)
-
     def iter_spans(self):
         """Yield ``(path, span)`` depth-first; ``path`` is '/'-joined."""
         def walk(span: Span, prefix: str):
@@ -339,10 +319,6 @@ class NullTracer:
     """Drop-in tracer that keeps call sites timed but unrecorded."""
 
     trace_id = "0" * 16
-    remote_parent_id: Optional[int] = None
-
-    def span_by_id(self, span_id: int) -> None:
-        return None
 
     def span(self, name: str, **attrs) -> _NullHandle:
         return _NullHandle()

@@ -21,7 +21,6 @@ from repro.msr.wire import (
     decode_chunk,
     encode_chunk,
     encode_chunk_parts,
-    encode_context_frame,
     encode_end_of_stream,
 )
 from repro.vm.memory import Memory
@@ -342,15 +341,12 @@ class FrameCodecCases:
         with pytest.raises(FrameOrderError, match="after end-of-stream"):
             dec.decode(encode_chunk(0, b"y"))
 
-    def test_another_streams_frame_is_refused(self):
-        """The trace context that opens a transfer attempt is a frame of
-        another kind: inside a chunk stream it is damage."""
+    def test_unknown_magic_is_refused(self):
+        """Every frame is a chunk or a terminator: a frame under any other
+        magic (here the bare payload's ``'MIGR'``) is damage."""
+        foreign = b"MIGR" + encode_chunk(0, self.payload)[4:]
         with self.refused(FrameCorruptError, "magic"):
-            self.read([
-                encode_context_frame(b"ctx"),
-                encode_chunk(0, self.payload),
-                encode_end_of_stream(1),
-            ])
+            self.read([foreign, encode_end_of_stream(1)])
 
 
 def tap_frames(channel) -> list:
@@ -390,9 +386,7 @@ def precopy_wire(prog, src_arch, dst_arch, policy, polls: int = 1):
         channel=channel, precopy=True, precopy_policy=policy,
     )
     assert stats.precopy and not stats.precopy_degraded
-    # trace-context control frames carry per-migration ids
-    wire = [frame for frame in channel.sent if frame[:4] != b"MCTX"]
-    return wire, dest, stats
+    return channel.sent, dest, stats
 
 
 @pytest.fixture

@@ -20,11 +20,16 @@ from repro.migration.checkpoint import (
     restart_from_file,
     run_with_checkpoints,
 )
-from repro.migration.engine import RestoreError, collect_state, restore_state
+from repro.migration.engine import (
+    MigrationEngine,
+    RestoreError,
+    collect_state,
+    restore_state,
+)
 from repro.msr.wire import read_header, write_header
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from tests.conftest import FrameCodecCases, cli_exit
+from tests.conftest import FrameCodecCases, RecordingChannel, cli_exit
 
 COUNTER = """
 int main() {
@@ -326,6 +331,17 @@ class TestCheckpointFile(FrameCodecCases):
             fh.write(b"\x00")
         with pytest.raises(CheckpointError, match="after end-of-stream"):
             restart_from_file(_snapshot()[0], self.path, DEC5000)
+
+    def test_the_body_is_a_serial_attempt(self, prog):
+        """After its 24-byte header (magic, fingerprint) a checkpoint
+        file holds exactly the bytes a serial migration attempt of the
+        same state puts on its channel."""
+        proc = stopped(prog)
+        checkpoint_to_file(proc, self.path)
+        channel = RecordingChannel()
+        MigrationEngine().migrate(proc, SPARC20, channel=channel)
+        body = self.path.read_bytes()[len(b"MIGCKPT2") + 16 :]
+        assert body == b"".join(channel.sent)
 
 
 #: the program of ROADMAP item 8: eight doubles, one poll, the doubles

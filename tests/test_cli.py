@@ -321,6 +321,28 @@ class TestOutOfRangeNumbers:
         assert err.splitlines()[-1].endswith(f"error: argument {complaint}")
         assert "Traceback" not in err
 
+    #: ``repro fuzz`` takes no source file; each case ran (zero replays,
+    #: "0 failing") or ended in a traceback before its flag was checked
+    FUZZ_CASES = [
+        (["--seeds", "0"], "--seeds: must be >= 1, got 0"),
+        (["--seeds", "-3"], "--seeds: must be >= 1, got -3"),
+        (["--size", "0"], "--size: must be >= 1, got 0"),
+        (["--seeds", "1", "--max-polls", "0"], "--max-polls: must be >= 1, got 0"),
+        (["--seeds", "1", "--max-polls", "-2"], "--max-polls: must be >= 1, got -2"),
+        (["--seeds", "1", "--hops", "-1"], "--hops: must be >= 0, got -1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, complaint", FUZZ_CASES, ids=[" ".join(argv) for argv, _ in FUZZ_CASES]
+    )
+    def test_a_fuzz_number_out_of_range_is_a_usage_error(self, argv, complaint, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: argument {complaint}")
+        assert "Traceback" not in err
+
     def test_the_bounds_themselves_are_accepted(self, demo_c, capsys):
         assert main([
             "migrate", demo_c, "--after-polls", "1", "--retries", "0",

@@ -199,9 +199,8 @@ class TestCompressedMigration:
         assert stats.compression_ratio == 1.0
 
     def test_uncompressed_stream_frames_stay_raw(self, prog):
-        """Default streamed data frames are PR 2's raw 'MCHK' — never
-        'MCHZ' — with only the trace-context control frame ('MCTX')
-        alongside them."""
+        """Default streamed frames are raw 'MCHK' — never 'MCHZ' — and
+        nothing else travels alongside them."""
         proc = self._stopped(prog)
         channel = Channel(ETHERNET_10M)
         sent = []
@@ -216,5 +215,4 @@ class TestCompressedMigration:
             proc, SPARC20, channel=channel, streaming=True, chunk_size=2048
         )
         assert sent
-        assert all(f[:4] in (b"MCHK", b"MCTX") for f in sent)
-        assert any(f[:4] == b"MCHK" for f in sent)
+        assert all(f[:4] == b"MCHK" for f in sent)

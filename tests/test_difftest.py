@@ -28,11 +28,12 @@ from repro.difftest.harness import (
 )
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.difftest.corpus import CorpusEntry, parse_entry, render_entry
+from repro.migration.checkpoint import checkpoint, restart
 from repro.migration.engine import MigrationEngine
 from repro.migration.precopy import PrecopyPolicy
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from tests.conftest import MODE_AXES, stopped
+from tests.conftest import MODE_AXES, RecordingChannel, stopped
 
 
 class TestGenerator:
@@ -151,6 +152,18 @@ class TestHarness:
             prog, program, baseline, self.ARCHES[:2], max_polls=2
         )
         assert mismatches and all(m.kind == "stdout" for m in mismatches)
+
+    def test_a_one_poll_cap_sweeps_the_first_poll(self):
+        """``--max-polls 1`` sweeps poll 1 on every pair (the stride
+        sample divided by ``cap - 1``)."""
+        prog = generate(2, GenConfig(features=("list",)))
+        program = compile_program(prog.source, poll_strategy="user")
+        baseline, dis = check_baseline_agreement(prog, program, self.ARCHES[:2])
+        assert baseline.total_polls > 1 and not dis
+        runs, mismatches = sweep_pairs(
+            prog, program, baseline, self.ARCHES[:2], max_polls=1
+        )
+        assert runs == 2 and not mismatches
 
     def test_chain_is_fault_tolerant_and_clean(self):
         prog = generate(5, GenConfig(features=("list", "mixed")))
@@ -316,10 +329,53 @@ def sweep_seed_in_every_mode(seed: int, arch_pairs, max_polls: int) -> list:
     return found
 
 
+#: a list that grows one node per poll, for the wire-determinism products
+WIRE_SOURCE = """
+struct node { int v; double w; struct node *next; };
+struct node *head;
+int main() {
+    int i; struct node *n;
+    for (i = 0; i < 24; i++) {
+        n = (struct node *) malloc(sizeof(struct node));
+        n->v = i; n->w = i * 0.5; n->next = head; head = n;
+        migrate_here();
+    }
+    for (n = head; n != NULL; n = n->next) i = i + n->v;
+    printf("%d\\n", i);
+    return 0;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def wire_checkpoint():
+    """The list program and a checkpoint of it at its fourth poll."""
+    program = compile_program(WIRE_SOURCE, poll_strategy="user")
+    return program, checkpoint(stopped(program, DEC5000, 4))
+
+
 class TestEveryModeProduct:
     """The safety net under the one-envelope engine: the same state
     arrives whatever combination of {stream, compress, precopy,
     attribution} carried it."""
+
+    @pytest.mark.parametrize("mode", MODE_PRODUCTS)
+    def test_the_same_state_sends_the_same_bytes(self, mode, wire_checkpoint):
+        """The wire carries state and nothing else: two migrations of
+        one checkpoint send byte-identical frame lists, observation on
+        or off, in every product."""
+        program, ckpt = wire_checkpoint
+
+        def frames_sent() -> list:
+            channel = RecordingChannel()
+            MigrationEngine().migrate(
+                restart(program, ckpt, DEC5000), SPARC20, channel=channel,
+                **MODE_PRODUCTS[mode],
+            )
+            return channel.sent
+
+        first = frames_sent()
+        assert first and first == frames_sent()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seed_is_clean_in_all_sixteen(self, seed):

@@ -48,9 +48,7 @@ from repro.msr.wire import (
     WireFrameError,
     decode_chunk,
     encode_chunk,
-    encode_context_frame,
     encode_end_of_stream,
-    is_data_frame,
 )
 from repro.vm.memory import MemoryFault
 from repro.vm.process import Process
@@ -210,42 +208,37 @@ class TestFaultyChannelUnit:
             ch.recv()
         assert [f.kind for f in ch.faults_fired] == ["stall"]
 
-    #: (what goes through the send path, whether the plan gives it an index)
+    #: what goes through the send path
     FRAME_KINDS = {
-        "message": (lambda ch: ch.send(b"whole message"), True),
-        # a whole message that opens with a context frame is still a message
-        "message+ctx": (lambda ch: ch.send(encode_context_frame(b"c") + b"MIGR"), True),
-        "MCHK": (lambda ch: ch._send_frame(encode_chunk(0, b"x" * 64)), True),
-        "MCHZ": (lambda ch: ch._send_frame(
-            encode_chunk(0, b"x" * 64, compress=True)), True),
-        "end-of-stream": (lambda ch: ch._send_frame(encode_end_of_stream(1)), True),
-        "MCTX": (lambda ch: ch._send_frame(encode_context_frame(b"ctx")), False),
-        # a pre-copy round is a chunk stream: its frames are data
-        "round": (lambda ch: ch.send_chunk(b"delta"), True),
-        "end-of-round": (lambda ch: ch.end_stream(), True),
+        "message": lambda ch: ch.send(b"whole message"),
+        "MCHK": lambda ch: ch._send_frame(encode_chunk(0, b"x" * 64)),
+        "MCHZ": lambda ch: ch._send_frame(encode_chunk(0, b"x" * 64, compress=True)),
+        "end-of-stream": lambda ch: ch._send_frame(encode_end_of_stream(1)),
+        # a pre-copy round is a chunk stream like any other
+        "round": lambda ch: ch.send_chunk(b"delta"),
+        "end-of-round": lambda ch: ch.end_stream(),
     }
 
     @pytest.mark.parametrize("kind", FRAME_KINDS)
-    def test_send_index_is_decided_by_frame_type(self, kind):
-        """One send path: whole messages and data chunks — a pre-copy
-        round's too — advance the plan's send index, trace-context
-        frames do not — and every kind is accounted and refused on a
-        dead connection."""
-        send, indexed = self.FRAME_KINDS[kind]
+    def test_every_send_has_an_index(self, kind):
+        """One send path: whole messages, chunks and terminators — a
+        pre-copy round's too — each advance the plan's send index, a
+        fault scheduled for it fires, and every kind is accounted and
+        refused on a dead connection."""
+        send = self.FRAME_KINDS[kind]
         inner = Channel(LOOPBACK)
         ch = FaultyChannel(inner, FaultPlan())
         send(ch)
-        assert ch._send_index == (1 if indexed else 0)
+        assert ch._send_index == 1
         assert ch.bytes_sent == inner.bytes_sent > 0
         assert inner.pending == 1
         if kind == "MCHZ":
             assert bytes(inner.recv()[:4]) == b"MCHZ"  # compression engaged
 
-        # a fault scheduled for send 0 hits an indexed kind, and only that
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@0"))
         send(ch)
-        assert ch.inner.pending == (0 if indexed else 1)
-        assert len(ch.faults_fired) == (1 if indexed else 0)
+        assert ch.inner.pending == 0
+        assert len(ch.faults_fired) == 1
 
         dead = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("disconnect@0"))
         with pytest.raises(ChannelClosedError):
@@ -255,13 +248,11 @@ class TestFaultyChannelUnit:
         assert dead.inner.pending == 0
 
     def test_public_frame_senders_ride_the_one_send_path(self):
-        """The trace context is the only unindexed frame: a round's
-        stream and the attempt's after it number on from each other."""
+        """A round's stream and the attempt's after it number on from
+        each other."""
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan())
         ch.send_chunk(b"d")  # a pre-copy round
         ch.end_stream()
-        assert ch._send_index == 2
-        ch.send_context(b"ctx")
         assert ch._send_index == 2
         ch.send_chunk(b"c")
         ch.end_stream()
@@ -401,10 +392,9 @@ class TestFaultMatrix:
         with pytest.raises(MigrationAbortedError) as excinfo:
             MigrationEngine().migrate(proc, SPARC20, channel=channel)
         assert isinstance(excinfo.value.last_error, FrameCorruptError)
-        damaged = [f for f in arrived if is_data_frame(f)]
-        assert len(damaged) == 1
+        (damaged,) = arrived
         with pytest.raises(FrameCorruptError):
-            decode_chunk(damaged[0])
+            decode_chunk(damaged)
 
     def test_dropped_terminator_is_a_timeout_and_a_retry_cures_it(
         self, prog, expected
@@ -646,12 +636,11 @@ class TestTransactionalRestore:
             retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
         )
         assert stats.retries == 1
-        # of everything delivered (both attempts' context frames and
-        # terminators, attempt 1's chunk was dropped) exactly one frame
-        # carries payload, and it is byte-identical to a clean collection
+        # of everything delivered (both attempts' terminators, attempt
+        # 1's chunk was dropped) exactly one frame carries payload, and
+        # it is byte-identical to a clean collection
         chunks = [
-            payload for f in received if is_data_frame(f)
-            for _seq, payload in [decode_chunk(f)] if payload
+            payload for f in received for _seq, payload in [decode_chunk(f)] if payload
         ]
         assert chunks == [reference]
 

@@ -2,7 +2,7 @@
 
 A process migrating A→B→C produces one observation per hop.  With each
 hop adopting the previous hop's trace context
-(:func:`repro.obs.propagate.continuation_context` →
+(:func:`repro.obs.continuation_context` →
 ``MigrationEngine.migrate(..., adopt_trace=...)``), the hops share a
 single trace id and their merged JSONL lines form ONE connected span
 tree: hop N+1's root is parented (via ``attrs.remote_parent``) under
@@ -17,8 +17,7 @@ import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20
 from repro.migration.engine import MigrationEngine
-from repro.obs import validate_trace_lines
-from repro.obs.propagate import continuation_context
+from repro.obs import continuation_context, validate_trace_lines
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -134,14 +133,15 @@ class TestSingleTraceTree:
         assert all(climbs_to_root(s) for s in spans)
 
     def test_restore_joined_on_second_hop(self, chain):
-        """Hop 2's event log records the adopted context as joined=True:
-        the wire context named a span the hop's tracer could resolve."""
+        """Hop 2's restore span sits under hop 2's attempt span, in the
+        tree hop 2's adopted root opens: it joins the chain's trace."""
         hop2 = chain["hops"][1]
-        joins = [
-            e for e in hop2.obs.trace_lines()
-            if e["event"] == "trace_context"
-        ]
-        assert joins and all(e["joined"] for e in joins)
+        spans = _span_lines(hop2)
+        by_id = {s["span_id"]: s for s in spans}
+        (restore,) = [s for s in spans if s["name"] == "restore"]
+        attempt = by_id[restore["parent_id"]]
+        assert attempt["name"] == "attempt"
+        assert "remote_parent" in by_id[attempt["parent_id"]]["attrs"]
 
 
 class TestPerHopAttribution:

@@ -270,6 +270,38 @@ class TestEventLogAndSchema:
                           "schema": 999, "tool": "repro"})
         assert any("schema" in e for e in validate_trace_lines(doc))
 
+    def test_a_schema_5_trace_is_rejected(self):
+        """Version 5 wrote a ``trace_context`` event per attempt; the
+        event type is gone, and so is the version."""
+        doc = "\n".join(json.dumps(line) for line in (
+            {"event": "trace_header", "ts": 0.0, "schema": 5, "tool": "repro",
+             "trace_id": "00" * 8},
+            {"event": "trace_context", "ts": 0.0, "trace_id": "00" * 8,
+             "parent_span_id": 1, "attempt": 1, "clock_offset_s": 0.0,
+             "joined": True},
+        ))
+        errors = validate_trace_lines(doc)
+        assert any("schema 5 != 6" in e for e in errors)
+        assert any("unknown event type 'trace_context'" in e for e in errors)
+
+    @pytest.mark.parametrize("row,says", [
+        ("x", "attribution row 0: not a JSON object"),
+        ({"type": "int", "bytes": "x"}, "field 'bytes' has wrong type str"),
+        ({"type": 3}, "field 'type' has wrong type int"),
+        ({}, "missing field 'collect_s'"),
+    ])
+    def test_attribution_rows_are_checked(self, row, says):
+        errs = validate_trace_obj(
+            {"event": "attribution", "ts": 0, "payload_bytes": 1, "rows": [row]}
+        )
+        assert any(says in e for e in errs), errs
+
+    def test_counters_are_ints(self):
+        errs = validate_trace_obj(
+            {"event": "metrics", "ts": 0, "counters": {"a": 1, "b": [2]}}
+        )
+        assert errs == ["counter 'b' is not an int"]
+
     def test_garbage_lines_and_empty_docs_reported(self):
         assert validate_trace_lines("") == ["trace is empty"]
         assert any("not valid JSON" in e for e in validate_trace_lines("{nope"))

@@ -278,7 +278,6 @@ class TestChannelChunkAPI:
             "faulty": lambda: FaultyChannel(Channel(LOOPBACK), FaultPlan([])),
         }[kind]()
         ch.send(b"whole message")
-        ch.send_context(b"ctx")
         ch.send_chunk(b"x" * 100)
         ch.end_stream()
         ch.send_chunk(b"y" * 10)
@@ -328,9 +327,9 @@ CHANNEL_KINDS = {
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 class TestOneEnvelope:
-    """Every attempt, in every mode and on every channel, is ``MCTX`` →
-    data frames ``0 … n−1`` → terminator; the default mode is that with
-    n = 1."""
+    """Every attempt, in every mode and on every channel, is chunk frames
+    ``0 … n−1`` → terminator, and nothing else; the default mode is that
+    with n = 1."""
 
     def migrate(self, prog, tmp_path, kind, **mode):
         channel = CHANNEL_KINDS[kind](tmp_path)
@@ -350,10 +349,10 @@ class TestOneEnvelope:
         payload, _ = collect_state(stopped(prog))
         frames, accepted, stats, stdout = self.migrate(prog, tmp_path, kind)
         assert stdout == expected
-        assert [bytes(f[:4]) for f in frames] == [b"MCTX", b"MCHK", b"MCHK"]
-        seq, chunk = decode_chunk(frames[1])
+        assert [bytes(f[:4]) for f in frames] == [b"MCHK", b"MCHK"]
+        seq, chunk = decode_chunk(frames[0])
         assert (seq, bytes(chunk)) == (0, payload)
-        assert decode_chunk(frames[2]) == (1, b"")
+        assert decode_chunk(frames[1]) == (1, b"")
         assert (stats.n_chunks, stats.streamed) == (1, False)
         assert accepted == sum(len(f) for f in frames)
 
@@ -370,11 +369,11 @@ class TestOneEnvelope:
             prog, tmp_path, kind, compress=True
         )
         assert stdout == expected
-        assert [bytes(f[:4]) for f in frames] == [b"MCTX", b"MCHZ", b"MCHK"]
+        assert [bytes(f[:4]) for f in frames] == [b"MCHZ", b"MCHK"]
         payload, _ = collect_state(stopped(prog))
-        assert bytes(decode_chunk(frames[1])[1]) == payload
+        assert bytes(decode_chunk(frames[0])[1]) == payload
         assert stats.compressed and stats.n_chunks == 1
-        assert stats.compressed_bytes == len(frames[1]) - CHUNK_HEADER_SIZE
+        assert stats.compressed_bytes == len(frames[0]) - CHUNK_HEADER_SIZE
         assert stats.compressed_bytes < stats.payload_bytes * 0.9
         assert stats.codec_time > 0
 
@@ -419,9 +418,9 @@ class TestStreamingMigration:
         dest, stats = MigrationEngine().migrate(stopped(prog), SPARC20, channel=channel)
         assert not stats.streamed and stats.n_chunks == 1
         assert stats.response_time == stats.migration_time
-        assert [bytes(f[:4]) for f in frames] == [b"MCTX", b"MCHK", b"MCHK"]
-        assert bytes(decode_chunk(frames[1])[1]) == payload
-        assert channel.messages_sent == 3  # nothing travels outside a frame
+        assert [bytes(f[:4]) for f in frames] == [b"MCHK", b"MCHK"]
+        assert bytes(decode_chunk(frames[0])[1]) == payload
+        assert channel.messages_sent == 2  # nothing travels outside a frame
 
     def test_streamed_stats_consistent_with_monolithic(self, prog):
         payload, _ = collect_state(stopped(prog))
