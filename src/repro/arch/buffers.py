@@ -168,27 +168,56 @@ class WriteBuffer:
 
 
 class ReadBuffer:
-    """Sequential reader over bytes produced by :class:`WriteBuffer`."""
+    """Sequential reader over bytes produced by :class:`WriteBuffer`.
 
-    __slots__ = ("_view", "_pos")
+    The bytes in hand are ``window`` (a ``memoryview``) and the read
+    offset in it is ``cursor``.  Every reader below consumes from the
+    window and goes through :meth:`refill` only when the window runs out:
+    for a contiguous payload that is its end (``EOFError``); a
+    :class:`StreamReadBuffer` pulls more chunks there.
+
+    A hot loop may read the same way with its own copy of the two (the
+    restorer's record walk does): ``Struct.unpack_from(window, cursor)``
+    per record, :meth:`refill` at the window's end, and the cursor
+    handed back (``buf.cursor = cursor``) before it calls anything else
+    that reads the buffer — taking ``window`` and ``cursor`` up again
+    after.
+    """
+
+    __slots__ = ("window", "cursor")
 
     def __init__(self, data: bytes | bytearray | memoryview) -> None:
-        self._view = memoryview(data)
-        self._pos = 0
+        self.window = memoryview(data)
+        self.cursor = 0
+
+    def refill(self, cursor: int, n: int) -> tuple[memoryview, int]:
+        """Hand the read offset back at *cursor* of the window and make
+        *n* bytes readable from there; return ``(window, cursor)`` —
+        where they now are.  A contiguous payload has nothing to add:
+        asking for more than it holds is an underrun."""
+        self.cursor = cursor
+        have = len(self.window) - cursor
+        if n > have:
+            raise EOFError(
+                f"wire buffer underrun: need {n} bytes at {cursor}, have {have}"
+            )
+        return self.window, cursor
+
+    def _take(self, n: int) -> int:
+        """Consume *n* bytes; their offset in the (possibly refilled)
+        window.  Read ``self.window`` only after this returns."""
+        pos = self.cursor
+        if pos + n > len(self.window):
+            _, pos = self.refill(pos, n)
+        self.cursor = pos + n
+        return pos
 
     # -- readers ----------------------------------------------------------
 
     def read(self, n: int) -> memoryview:
         """Consume and return the next *n* raw bytes."""
-        end = self._pos + n
-        if end > len(self._view):
-            raise EOFError(
-                f"wire buffer underrun: need {n} bytes at {self._pos}, "
-                f"have {len(self._view) - self._pos}"
-            )
-        out = self._view[self._pos : end]
-        self._pos = end
-        return out
+        pos = self._take(n)
+        return self.window[pos : pos + n]
 
     def readinto(self, dest) -> None:
         """Consume ``len(dest)`` bytes straight into writable buffer
@@ -196,48 +225,32 @@ class ReadBuffer:
         restores that already know their destination memory."""
         dest = memoryview(dest)
         n = len(dest)
-        end = self._pos + n
-        if end > len(self._view):
-            raise EOFError(
-                f"wire buffer underrun: need {n} bytes at {self._pos}, "
-                f"have {len(self._view) - self._pos}"
-            )
-        dest[:] = self._view[self._pos : end]
-        self._pos = end
+        pos = self._take(n)
+        dest[:] = self.window[pos : pos + n]
 
     def unpack(self, fmt) -> tuple:
         """Consume ``fmt.size`` bytes and return ``fmt.unpack_from`` of
         them — one call per fixed-layout record, no intermediate slice.
         *fmt* is a :class:`struct.Struct` (or anything with its ``size``
         and ``unpack_from``)."""
-        pos = self._pos
-        end = pos + fmt.size
-        if end > len(self._view):
-            raise EOFError(
-                f"wire buffer underrun: need {fmt.size} bytes at {pos}, "
-                f"have {len(self._view) - pos}"
-            )
-        self._pos = end
-        return fmt.unpack_from(self._view, pos)
+        pos = self._take(fmt.size)
+        return fmt.unpack_from(self.window, pos)
 
     def read_u8(self) -> int:
-        pos = self._pos
-        if pos >= len(self._view):
-            raise EOFError(f"wire buffer underrun: need 1 bytes at {pos}, have 0")
-        self._pos = pos + 1
-        return self._view[pos]
+        pos = self._take(1)
+        return self.window[pos]
 
     def read_u16(self) -> int:
-        return _U16.unpack_from(self._view, self._advance(2))[0]
+        return self.unpack(_U16)[0]
 
     def read_u32(self) -> int:
-        return _U32.unpack_from(self._view, self._advance(4))[0]
+        return self.unpack(_U32)[0]
 
     def read_u64(self) -> int:
-        return _U64.unpack_from(self._view, self._advance(8))[0]
+        return self.unpack(_U64)[0]
 
     def read_i64(self) -> int:
-        return _I64.unpack_from(self._view, self._advance(8))[0]
+        return self.unpack(_I64)[0]
 
     def read_str(self) -> str:
         n = self.read_u16()
@@ -245,48 +258,39 @@ class ReadBuffer:
 
     def peek_u8(self) -> int:
         """Return the next u8 without consuming it."""
-        if self._pos >= len(self._view):
-            raise EOFError("wire buffer underrun while peeking")
-        return self._view[self._pos]
+        pos = self.cursor
+        if pos >= len(self.window):
+            _, pos = self.refill(pos, 1)
+        return self.window[pos]
 
     def buffered(self) -> memoryview:
         """Zero-copy view of the bytes available *without consuming them*
         (and, for a streamed buffer, without pulling more chunks — an
         opportunistic window, not the full remainder).  Bulk decoders
         parse speculatively from this view and commit via :meth:`read`."""
-        return self._view[self._pos :]
+        return self.window[self.cursor :]
 
     # -- state ------------------------------------------------------------
-
-    def _advance(self, n: int) -> int:
-        pos = self._pos
-        if pos + n > len(self._view):
-            raise EOFError(
-                f"wire buffer underrun: need {n} bytes at {pos}, "
-                f"have {len(self._view) - pos}"
-            )
-        self._pos = pos + n
-        return pos
 
     @property
     def position(self) -> int:
         """Current read offset."""
-        return self._pos
+        return self.cursor
 
     @property
     def remaining(self) -> int:
         """Bytes left to read."""
-        return len(self._view) - self._pos
+        return len(self.window) - self.cursor
 
     def at_end(self) -> bool:
         """Whether the whole buffer has been consumed."""
-        return self._pos == len(self._view)
+        return self.cursor == len(self.window)
 
     def holds(self, n: int) -> bool:
         """Whether *n* more bytes can be read.  A record that claims more
         contents than that is refused before anything is allocated for
         it."""
-        return n <= len(self._view) - self._pos
+        return n <= len(self.window) - self.cursor
 
 
 class StreamReadBuffer(ReadBuffer):
@@ -337,18 +341,21 @@ class StreamReadBuffer(ReadBuffer):
             return chunk
         return self._pull()
 
-    def _ensure(self, n: int) -> None:
-        """Pull chunks until *n* bytes are readable or the stream ends.
+    def refill(self, cursor: int, n: int) -> tuple[memoryview, int]:
+        """Pull chunks until *n* bytes are readable from *cursor* or the
+        stream ends.
 
         All chunks needed to satisfy the request are gathered first and
         joined in ONE pass — splicing the window per chunk would copy
         the growing window once per pull, turning a multi-MB bulk read
         (FlatPlan's single-record restore) quadratic in the chunk count.
         """
-        have = len(self._view) - self._pos
+        self.cursor = cursor
+        window = self.window
+        have = len(window) - cursor
         if have >= n:
-            return
-        parts = [self._view[self._pos :]]
+            return window, cursor
+        parts = [window[cursor:]]
         while have < n:
             chunk = self._next_chunk()
             if chunk is None:
@@ -358,21 +365,12 @@ class StreamReadBuffer(ReadBuffer):
                 )
             parts.append(chunk)
             have += len(chunk)
-        self._base += self._pos
+        self._base += cursor
         # one join, immutable: views handed out earlier pin the old
         # window object and stay valid across the splice
-        self._view = memoryview(b"".join(parts))
-        self._pos = 0
-
-    # -- refilling overrides ----------------------------------------------
-    # Each reader ensures its bytes are buffered BEFORE the base class
-    # touches self._view: the base readers evaluate self._view first and
-    # _advance() second, so a refill inside _advance would leave them
-    # unpacking from the stale (pre-splice) window.
-
-    def read(self, n: int) -> memoryview:
-        self._ensure(n)
-        return super().read(n)
+        self.window = memoryview(b"".join(parts))
+        self.cursor = 0
+        return self.window, 0
 
     def readinto(self, dest) -> None:
         """Fill *dest* straight from the stream — chunks are copied into
@@ -381,15 +379,16 @@ class StreamReadBuffer(ReadBuffer):
         channel chunk → destination segment, one copy total)."""
         dest = memoryview(dest)
         n = len(dest)
-        start = self._base + self._pos
-        view = self._view
-        avail = len(view) - self._pos
+        pos = self.cursor
+        start = self._base + pos
+        window = self.window
+        avail = len(window) - pos
         if avail >= n:
-            dest[:] = view[self._pos : self._pos + n]
-            self._pos += n
+            dest[:] = window[pos : pos + n]
+            self.cursor = pos + n
             return
         if avail:
-            dest[:avail] = view[self._pos :]
+            dest[:avail] = window[pos:]
         filled = avail
         leftover = None
         while filled < n:
@@ -408,61 +407,29 @@ class StreamReadBuffer(ReadBuffer):
                 # (the memoryview pins the chunk object)
                 leftover = mv[take:]
         self._base = start + n
-        self._pos = 0
-        self._view = leftover if leftover is not None else memoryview(b"")
-
-    def unpack(self, fmt) -> tuple:
-        self._ensure(fmt.size)
-        return super().unpack(fmt)
-
-    def read_u8(self) -> int:
-        self._ensure(1)
-        return super().read_u8()
-
-    def read_u16(self) -> int:
-        self._ensure(2)
-        return super().read_u16()
-
-    def read_u32(self) -> int:
-        self._ensure(4)
-        return super().read_u32()
-
-    def read_u64(self) -> int:
-        self._ensure(8)
-        return super().read_u64()
-
-    def read_i64(self) -> int:
-        self._ensure(8)
-        return super().read_i64()
-
-    def _advance(self, n: int) -> int:
-        self._ensure(n)
-        return super()._advance(n)
-
-    def peek_u8(self) -> int:
-        self._ensure(1)
-        return super().peek_u8()
+        self.cursor = 0
+        self.window = leftover if leftover is not None else memoryview(b"")
 
     # -- state -------------------------------------------------------------
 
     @property
     def position(self) -> int:
         """Absolute offset into the concatenated stream."""
-        return self._base + self._pos
+        return self._base + self.cursor
 
     @property
     def remaining(self) -> int:
         """Bytes available *without* pulling another chunk (a lower bound
         on the true remainder while the stream is still live)."""
-        return len(self._view) - self._pos + self._ahead_bytes
+        return len(self.window) - self.cursor + self._ahead_bytes
 
     def at_end(self) -> bool:
         """Whether the whole stream has been consumed (pulls the iterator
         to find out, so only call once the payload should be complete)."""
-        if len(self._view) - self._pos > 0:
+        if len(self.window) - self.cursor > 0:
             return False
         try:
-            self._ensure(1)
+            self.refill(self.cursor, 1)
         except EOFError:
             return True
         return False
@@ -472,7 +439,7 @@ class StreamReadBuffer(ReadBuffer):
         The chunks are set aside as they came — not joined into the
         window — so a bulk ``readinto`` that follows still copies each
         exactly once."""
-        have = len(self._view) - self._pos + self._ahead_bytes
+        have = len(self.window) - self.cursor + self._ahead_bytes
         while have < n:
             chunk = self._pull()
             if chunk is None:

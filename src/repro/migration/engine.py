@@ -336,18 +336,46 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "S
         dest.create_restored_frame(func_idx, resume_pc)
     dest.register_stack_blocks()
 
+    # every list is the one the collector must have written — a frame's
+    # live variables at its resume pc, every global — whole and in order:
+    # a variable left out would resume holding zeros
     restorer = restorer_factory(dest, rbuf)
-    n_frames = len(header.frames)
-    for depth in range(n_frames - 1, -1, -1):
+    for depth in range(len(header.frames) - 1, -1, -1):
+        func_idx, resume_pc = header.frames[depth]
+        fir = program.functions[func_idx]
+        variables = fir.norm.variables
+        live = program.live_at(func_idx, resume_pc)
         n_live = rbuf.read_u16()
-        for _ in range(n_live):
-            var_idx = rbuf.read_u16()
+        if n_live != len(live):
+            raise MsrRestoreError(
+                f"payload lists {n_live} live variables for {fir.name}() "
+                f"(frame {depth}), which resumes at pc {resume_pc} with "
+                f"{len(live)}: {', '.join(variables[i].name for i in live) or 'none'}"
+            )
+        for var_idx in live:
+            got = rbuf.read_u16()
+            if got != var_idx:
+                raise MsrRestoreError(
+                    f"payload restores variable {got} of {fir.name}() (frame "
+                    f"{depth}) where its live variable {var_idx} "
+                    f"({variables[var_idx].name}) comes"
+                )
             block = dest.msrlt.lookup_logical((BlockKind.STACK, depth, var_idx))
             restorer.restore_variable(block)
 
+    globals_ = program.globals
     n_globals = rbuf.read_u32()
-    for _ in range(n_globals):
-        idx = rbuf.read_u32()
+    if n_globals != len(globals_):
+        raise MsrRestoreError(
+            f"payload lists {n_globals} globals where the program has "
+            f"{len(globals_)}: {', '.join(var.name for var in globals_)}"
+        )
+    for idx, var in enumerate(globals_):
+        got = rbuf.read_u32()
+        if got != idx:
+            raise MsrRestoreError(
+                f"payload restores global {got} where global {idx} ({var.name}) comes"
+            )
         block = dest.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0))
         restorer.restore_variable(block)
 

@@ -274,11 +274,7 @@ class PrecopyFinalRestorer(Restorer):
         block = self._mapping.get(logical)
         if block is None:
             return super()._resolve_block(logical, info, count)
-        if info.size * count != block.size:
-            raise RestoreError(
-                f"record for {logical} claims {info.size * count} bytes "
-                f"but the pre-copied block is {block.size} bytes"
-            )
+        self._check_declared(logical, info, count, block, "the pre-copied block")
         return block
 
 

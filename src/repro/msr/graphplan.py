@@ -1094,10 +1094,13 @@ class CellRecord:
     the last pointer), *chain* the :class:`ChainPlan` to offer the
     pointer to first (tail slot of a compiled list node only).
     ``save_slots`` carry ``run.pack``, ``restore_slots`` the run itself
-    (``ReadBuffer.unpack`` wants its size).
+    (the restorer reads it with ``unpack_from`` at its cursor, and wants
+    its ``size``).
     """
 
     engagement = "percell"
+    #: no one-call unit store: the restorer calls :meth:`store`
+    store_into = None
     __slots__ = ("info", "unit_size", "cell_count", "save_slots", "restore_slots")
 
     def __init__(self, info, chain=None) -> None:
@@ -1154,10 +1157,15 @@ class RecordPlan(CellRecord):
       ``pack``, as ``Memory.store`` does per cell.
 
     Padding bytes restore as zeros.
+
+    ``store_into`` is ``host.pack_into`` when no cell needs narrowing:
+    the restorer then packs a unit straight into a segment window that
+    already covers it (and no write barrier watches), and calls
+    :meth:`store` otherwise.
     """
 
     engagement = "codec"
-    __slots__ = ("host", "narrow")
+    __slots__ = ("host", "narrow", "store_into")
 
     def __init__(self, info, layout) -> None:
         arch = layout.arch
@@ -1173,6 +1181,7 @@ class RecordPlan(CellRecord):
             for i, cell in enumerate(info.cells)
             if cell.kind in ("long", "ulong") and arch.long_size == 4
         )
+        self.store_into = None if self.narrow else self.host.pack_into
         chain_shaped = (
             info.repeat == 1 and info.cell_count >= 2 and info.cells[-1].kind == "ptr"
         )

@@ -28,7 +28,12 @@ Like the collector's, the walk is one loop over an explicit work stack
 met while a block's cells are being filled suspends that block as a
 *frame*, and the address the finished record denotes is handed to the
 frame beneath it.  Records are consumed in stream order either way; the
-heap's depth costs list entries, not Python frames.
+heap's depth costs list entries, not Python frames.  The walk reads
+through a cursor of its own over the buffer's window
+(:class:`~repro.arch.buffers.ReadBuffer` has the protocol), so a record
+is one ``unpack_from`` and a restored tree or list node costs two Python
+calls — its carve and its ``MemoryBlock`` — contiguous payload or chunk
+stream alike.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from repro.obs.attribution import block_class_of
 __all__ = ["RestoreStats", "Restorer", "Restore_pointer", "Restore_variable"]
 
 _STACK = BlockKind.STACK
+_HEAP = BlockKind.HEAP
 #: every state has one byte image: a field holding its constant is left out
 _NOT_CANONICAL = "record for {} spells out {}: the canonical form leaves that field out"
 
@@ -92,6 +98,8 @@ class Restorer:
         self._plan_for = (
             self.ti.plan_for if self.ti.plans_enabled else self.ti.reference_for
         )
+        #: wire type id -> :meth:`_type`'s answer, filled as types are met
+        self._types: dict[int, tuple] = {}
         #: when chain tail slots are offered to their ChainPlan
         self.chain_backoff = ChainBackoff()
         #: heap blocks carved by the walk under way, not yet in the MSRLT
@@ -139,37 +147,47 @@ class Restorer:
 
     # -- block resolution ------------------------------------------------------------------
 
+    def _type(self, type_id: int, logical: tuple) -> tuple:
+        """What a ``BLOCK`` record naming *type_id* is restored with —
+        ``(info, plan, its restore slots, the lead's flat bit)`` — looked
+        up on the type's first record of the pass and kept for the rest."""
+        try:
+            info = self.ti.info(type_id)
+        except LookupError:
+            raise RestoreError(
+                f"record for {logical} names unknown type id {type_id}"
+            ) from None
+        plan = self._plan_for(info)
+        entry = self._types[type_id] = (
+            info,
+            plan,
+            None if plan is None else plan.restore_slots,
+            0 if info.flat_kind is None else LEAD_FLAT,
+        )
+        return entry
+
     def _resolve_block(self, logical: tuple, info: TypeInfo, count: int) -> MemoryBlock:
-        """The destination block a ``BLOCK`` record for *logical* fills."""
+        """The destination block a ``BLOCK`` record for *logical* fills
+        when the walk does not carve one (it carves a heap block new to
+        the pass itself): the global's or local's block the destination
+        registered under the same machine-independent id.  A second
+        record for an id already mapped is refused here."""
         if logical in self._mapping:
             raise RestoreError(f"second BLOCK record for {logical}")
-        if logical[0] != BlockKind.HEAP:
-            # global or stack — structural identity: the destination
-            # process registered the same block under the same
-            # machine-independent id
-            block = self.msrlt.lookup_logical(logical)
-            # reject size disagreements (corrupt or mismatched payloads
-            # must never overwrite memory adjacent to the block)
-            if info.size * count != block.size:
-                raise RestoreError(
-                    f"record for {logical} claims {info.size * count} bytes "
-                    f"but the destination block is {block.size} bytes"
-                )
-            return block
-        # nothing is allocated for contents the payload cannot hold
-        if count == 0 or not self.buf.holds(count * info.wire_floor):
-            raise RestoreError(
-                f"record for {logical} claims {count} x {info.label}: "
-                f"no block is empty, and the payload ends before the "
-                f"contents of this one could"
-            )
-        self.stats.n_heap_allocs += 1
-        size = info.size * count
-        block = MemoryBlock(
-            self.memory.heap_carve(size), info.ctype, count, size, logical
-        )
-        self._pending.append(block)
+        block = self.msrlt.lookup_logical(logical)
+        self._check_declared(logical, info, count, block, "the destination block")
         return block
+
+    def _check_declared(self, logical, info, count, block, whose: str) -> None:
+        """Refuse a record for *block* whose type or count is not the
+        block's own: contents of another type written over it would
+        restore silently wrong even at the same size."""
+        declared = self.ti.info_for(block.elem_type)
+        if info is not declared or count != block.count:
+            raise RestoreError(
+                f"record for {logical} names {count} x {info.label}, but "
+                f"{whose} is {block.count} x {declared.label}"
+            )
 
     def _byte_of(self, block: MemoryBlock, ordinal: int) -> int:
         """Byte offset of cell *ordinal* (nonzero) inside *block*."""
@@ -189,38 +207,52 @@ class Restorer:
         destination address it denotes.  With *contents_of*, read that
         block's contents instead (no record header).
 
-        Each turn of the loop reads one record, told by its peeked lead
-        byte — which also says how wide the record is, so it is one
-        ``unpack`` whatever its shape: ``NULL`` and ``REF``
-        denote an address at once; a ``BLOCK`` resolves its destination
-        block, registers the mapping BEFORE the contents (cycles arrive
-        as REFs) and either fills it at once or opens a frame.  Then the
-        address is handed to the open frame, which advances to its next
-        pointer cell; a finished frame hands its own block's address to
-        the frame beneath.  The open frame lives in locals; ``stack``
-        holds the suspended ones.  A frame is either a record plan's walk
+        Each turn of the loop reads one record, told by its lead byte —
+        which also says how wide the record is, so it is one
+        ``unpack_from`` whatever its shape: ``NULL`` and ``REF`` denote an
+        address at once; a ``BLOCK`` resolves its destination block,
+        registers the mapping BEFORE the contents (cycles arrive as REFs)
+        and either fills it at once or opens a frame.  Then the address
+        is handed to the open frame, which advances to its next pointer
+        cell; a finished frame hands its own block's address to the frame
+        beneath.  The open frame lives in locals; ``stack`` holds the
+        suspended ones.  A frame is either a record plan's walk
         (``slots``: the driver decodes the scalar runs, collects a unit's
         cell values and stores them in one go) or a plan's own generator
         (``walker``: it yields per record it needs and is sent the
         address).
+
+        The walk reads through a cursor of its own over the buffer's
+        window (``view``, ``pos``; :class:`~repro.arch.buffers.ReadBuffer`
+        documents the protocol): records and scalar runs are unpacked in
+        place, the buffer is asked for more only at the window's end, and
+        the cursor is handed back around every call that reads the buffer
+        itself.  A heap ``BLOCK`` new to the pass is carved here, not in
+        :meth:`_resolve_block`, so that a tree or list node costs two
+        calls: ``heap_carve`` and its ``MemoryBlock``.
         """
         buf = self.buf
-        peek = buf.peek_u8
-        unpack = buf.unpack
+        refill = buf.refill
+        view, pos = buf.window, buf.cursor
+        end = len(view)
         memory = self.memory
+        heap = memory.heap_seg
+        carve = memory.heap_carve
+        barrier_free = memory.dirty is None
         mapping = self._mapping
-        info_of = self.ti.info
-        plan_for = self._plan_for
+        types = self._types
+        pending = self._pending
         prof = self._prof
         open_frames = 0 if prof is None else prof.depth()
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
-        n_blocks = n_refs = n_nulls = data_bytes = 0
+        n_blocks = n_refs = n_nulls = n_allocs = data_bytes = 0
         stack = []
         # the open frame; `plan is None` marks the bottom of the stack.
         # `result` is the address its record denotes, `patch` the memory
-        # cell (not `values`) the next address belongs in
-        walker = plan = opened = slots = values = None
+        # cell (not `values`) the next address belongs in, `into` the
+        # plan's in-place unit store (None: `plan.store`)
+        walker = plan = opened = slots = values = into = None
         result = at = addr = units = patch = 0
         try:
             while True:
@@ -228,23 +260,35 @@ class Restorer:
                 if contents_of is not None:
                     block, contents_of = contents_of, None
                     info = self.ti.info_for(block.elem_type)
+                    _, new, steps, _ = (
+                        types.get(info.type_id) or self._type(info.type_id, block.logical)
+                    )
                     headed, address = False, block.addr
                 else:
-                    lead = peek()
+                    if pos == end:
+                        view, pos = refill(pos, 1)
+                        end = len(view)
+                    lead = view[pos]
                     if not lead:
-                        buf.read_u8()
+                        pos += 1
                         n_nulls += 1
                         block, address = None, 0
                     else:
                         shape = RECORDS[lead]
                         if shape is None:
                             raise RestoreError(lead_fault(lead))
+                        size = shape.size
+                        if pos + size > end:
+                            view, pos = refill(pos, size)
+                            end = len(view)
+                        fields = shape.unpack_from(view, pos)
+                        pos += size
                         kind = lead >> 2 & 3  # wire.lead_kind, inlined
                         if lead & 3 == TAG_REF:
                             if kind == _STACK:
-                                _, la, lb, ordinal = unpack(shape)
+                                _, la, lb, ordinal = fields
                             else:
-                                (_, la, ordinal), lb = unpack(shape), 0
+                                (_, la, ordinal), lb = fields, 0
                             block = mapping.get((kind, la, lb))
                             if block is None:
                                 raise RestoreError(
@@ -264,7 +308,6 @@ class Restorer:
                             block = None
                         else:
                             # a BLOCK header: the fields its lead says follow
-                            fields = unpack(shape)
                             if kind == _STACK:
                                 logical, i = (kind, fields[1], fields[2]), 3
                             else:
@@ -291,26 +334,48 @@ class Restorer:
                                         f"{expected.logical} was expected"
                                     )
                                 expected = None
-                            try:
-                                info = info_of(type_id)
-                            except LookupError:
-                                raise RestoreError(
-                                    f"record for {logical} names unknown type id {type_id}"
-                                ) from None
-                            if bool(lead & LEAD_FLAT) != (info.flat_kind is not None):
+                            info, new, steps, flat = (
+                                types.get(type_id) or self._type(type_id, logical)
+                            )
+                            if (lead & LEAD_FLAT) != flat:
                                 # flatness is structural (same answer on
                                 # every architecture), so a disagreeing
                                 # flag is a corrupt or mismatched payload
                                 raise RestoreError(
                                     f"flat flag disagrees with type {info.label}"
                                 )
-                            block = self._resolve_block(logical, info, count)
+                            if kind == _HEAP and logical not in mapping:
+                                # carved where malloc would put it — and
+                                # nothing is, for contents the payload
+                                # cannot hold
+                                need = count * info.wire_floor
+                                if not count or need > end - pos:
+                                    buf.cursor = pos
+                                    if not count or not buf.holds(need):
+                                        raise RestoreError(
+                                            f"record for {logical} claims {count} x "
+                                            f"{info.label}: no block is empty, and the "
+                                            f"payload ends before the contents of this "
+                                            f"one could"
+                                        )
+                                nbytes = info.size * count
+                                block = MemoryBlock(
+                                    carve(nbytes), info.ctype, count, nbytes, logical
+                                )
+                                pending.append(block)
+                                n_allocs += 1
+                            else:
+                                buf.cursor = pos
+                                block = self._resolve_block(logical, info, count)
+                                view, pos = buf.window, buf.cursor
+                                end = len(view)
                             mapping[logical] = block
                             headed, address = True, block.addr
                             if ordinal:
                                 address += self._byte_of(block, ordinal)
                             if prof is not None:
                                 # a restore frame opens after the header
+                                buf.cursor = pos
                                 prof.enter_block(
                                     "restore", info.label, block_class_of(logical),
                                     buf.position,
@@ -319,17 +384,20 @@ class Restorer:
                     n_blocks += 1
                     data_bytes += block.size
                     # its contents: read at once, or a new frame
-                    new = plan_for(info)
-                    steps = None if new is None else new.restore_slots
                     if steps is not None:
                         records, n = None, block.count * info.repeat
                     else:
                         n = 0
-                        records = None if new is None else new.restore(self, block, info)
+                        records = None
+                        if new is not None:
+                            buf.cursor = pos
+                            records = new.restore(self, block, info)
+                            view, pos = buf.window, buf.cursor
+                            end = len(view)
                     if n or records is not None:
                         stack.append(
                             (walker, plan, opened, result, slots, at, values,
-                             addr, units, patch)
+                             addr, units, patch, into)
                         )
                         walker, plan, slots, units = records, new, steps, n
                         opened = block if headed else None
@@ -338,7 +406,9 @@ class Restorer:
                             addr = block.addr
                             values = [0] * new.cell_count
                             at = 0
+                            into = new.store_into if barrier_free else None
                     elif headed and prof is not None:
+                        buf.cursor = pos
                         prof.exit_block(
                             buf.position,
                             "percell" if new is None else new.engagement,
@@ -348,12 +418,16 @@ class Restorer:
                 # its next pointer (a frame just opened has none to take)
                 while True:
                     if walker is not None:
+                        buf.cursor = pos
                         try:
                             walker.send(address)
                         except StopIteration:
                             pass
                         else:
                             break
+                        finally:
+                            view, pos = buf.window, buf.cursor
+                            end = len(view)
                     elif units:
                         if address is not None:
                             if patch:
@@ -365,13 +439,21 @@ class Restorer:
                         run, a, b, p, chain = slots[at]
                         at += 1
                         if run is not None:
-                            values[a:b] = unpack(run)
+                            size = run.size
+                            if pos + size > end:
+                                view, pos = refill(pos, size)
+                                end = len(view)
+                            values[a:b] = run.unpack_from(view, pos)
+                            pos += size
                         if p >= 0:
                             if chain is not None:
                                 if skip:
                                     skip -= 1
                                 else:
+                                    buf.cursor = pos
                                     batch = chain.restore_batch(self)
+                                    view, pos = buf.window, buf.cursor
+                                    end = len(view)
                                     if batch is not None:
                                         # the batch is this pointer's
                                         # target; the record after it is
@@ -380,7 +462,14 @@ class Restorer:
                                     else:
                                         skip = backoff.skip
                             break
-                        plan.store(memory, addr, values)
+                        # the unit is whole: packed in place when the heap
+                        # window already covers it, else through the plan
+                        off = addr - heap.window_start
+                        window = heap.buf
+                        if into is not None and 0 <= off <= len(window) - plan.unit_size:
+                            into(window, off, *values)
+                        else:
+                            plan.store(memory, addr, values)
                         units -= 1
                         if units:
                             addr += plan.unit_size
@@ -388,34 +477,39 @@ class Restorer:
                             at = 0
                             continue
                     elif plan is None:
-                        stats = self.stats
-                        stats.n_blocks += n_blocks
-                        stats.n_refs += n_refs
-                        stats.n_nulls += n_nulls
-                        stats.data_bytes += data_bytes
+                        buf.cursor = pos
                         return address
                     # the open frame is finished: its record's address
                     # goes to the frame beneath
                     if opened is not None and prof is not None:
+                        buf.cursor = pos
                         prof.exit_block(
                             buf.position, plan.engagement,
                             cells=self.ti.info_for(opened.elem_type).cells_in(opened.count),
                         )
                     address = result
                     (walker, plan, opened, result, slots, at, values,
-                     addr, units, patch) = stack.pop()
+                     addr, units, patch, into) = stack.pop()
         except BaseException:
+            # the cursor is the walk's own unless a call that reads the
+            # buffer raised: then the buffer's is ahead, or on a new window
+            if view is buf.window and pos > buf.cursor:
+                buf.cursor = pos
             if prof is not None:
                 prof.unwind(open_frames, buf.position)
             raise
         finally:
             backoff.skip = skip
-            pending = self._pending
+            stats = self.stats
+            stats.n_blocks += n_blocks
+            stats.n_refs += n_refs
+            stats.n_nulls += n_nulls
+            stats.n_heap_allocs += n_allocs
+            stats.data_bytes += data_bytes
             if pending:
                 # the table is whole again before anyone can search it
                 self._pending = []
                 self.msrlt.register_heap_bulk(pending)
-
 
 # -- paper-style free-function interface ---------------------------------------------
 

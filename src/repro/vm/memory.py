@@ -425,8 +425,11 @@ class Memory:
         if end > self.heap_seg.limit:
             raise MemoryFault("simulated heap exhausted")
         self._heap_brk = end
-        for addr in range(base, end, stride):
-            allocs[addr] = stride
+        if n == 1:
+            allocs[base] = stride  # the restorer's per-node carve: no loop
+        else:
+            for addr in range(base, end, stride):
+                allocs[addr] = stride
         return base
 
     def array_view(self, kind: str, addr: int, count: int) -> np.ndarray:

@@ -5,11 +5,18 @@ same claims to quantities that cannot flake: block counts, wire bytes,
 and MSRLT operation counters.
 """
 
+import sys
+
 import pytest
 
 from repro.arch import ALPHA, SPARC20, ULTRA5
 from repro.difftest.corpus import load_corpus
-from repro.migration.engine import MigrationEngine, collect_state, restore_state
+from repro.migration.engine import (
+    MigrationEngine,
+    collect_state,
+    restore_state,
+    restore_state_stream,
+)
 from repro.migration.precopy import PrecopyPolicy, run_precopy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import LOOPBACK, Channel
@@ -116,6 +123,47 @@ class TestBitonicShape:
         before = dest.msrlt.n_searches
         restore_state(proc.program, payload, dest)
         assert dest.msrlt.n_searches == before
+
+    @staticmethod
+    def python_calls(restore) -> int:
+        """Python-level calls (profiler ``call`` events) *restore* makes."""
+        calls = 0
+
+        def count(_frame, event, _arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            restore()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("chunk, budget", [
+        (None, 3), (1 << 20, 3), (64, 4),
+    ], ids=["serial", "one-chunk-stream", "64-byte-chunks"])
+    def test_restoring_a_node_costs_two_calls(self, chunk, budget):
+        """The walk reads records through its own cursor and carves heap
+        blocks itself: an extra tree node costs its ``heap_carve`` and its
+        ``MemoryBlock``, on either schedule (64-byte chunks add a refill
+        every few nodes)."""
+        costs = []
+        for n in (200, 400):
+            proc = stopped(bitonic_source(n), after=n, arch=ALPHA)
+            payload, _ = collect_state(proc)
+            dest = Process(proc.program, SPARC20)
+            if chunk is None:
+                calls = self.python_calls(lambda: restore_state(proc.program, payload, dest))
+            else:
+                chunks = [payload[i : i + chunk] for i in range(0, len(payload), chunk)]
+                calls = self.python_calls(
+                    lambda: restore_state_stream(proc.program, iter(chunks), dest)
+                )
+            assert dest.run().status == "exit"
+            costs.append(calls)
+        per_node = (costs[1] - costs[0]) / 200
+        assert per_node <= budget, f"{per_node:.2f} Python calls per restored node"
 
 
 class TestWireShape:

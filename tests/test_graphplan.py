@@ -406,13 +406,15 @@ class TestRecordPlanEdges:
         assert_plans_invisible(CORPUS[entry_name].source, polls, *pair)
         assert engaged[RecordPlan, "save"] > 0 and engaged[RecordPlan, "restore"] > 0
 
-    @pytest.mark.parametrize("chunk_size", [7, 23, 64])
+    @pytest.mark.parametrize("chunk_size", [1, 2, 7, 23, 64])
     @pytest.mark.parametrize("entry_name", RECORD_EDGES)
     def test_record_headers_straddling_stream_chunks(self, entry_name, chunk_size):
-        """Chunks of 7 bytes cut every BLOCK header that carries more
-        than a heap unit's 7 and every REF record (9 or 13 bytes) in two;
-        23 and 64 put the cuts at shifting places inside units.  Plans
-        on and off read the same state."""
+        """Chunks of 1 and 2 bytes send the restorer's cursor back to the
+        buffer for a refill at every byte, or every other, of every record
+        and scalar run; 7 cuts every BLOCK header that carries more than a
+        heap unit's 7 and every REF record (9 or 13 bytes) in two; 23 and
+        64 put the cuts at shifting places inside units.  Plans on and off
+        read the same state."""
         proc = stopped_at(CORPUS[entry_name].source, 3, ALPHA)
         prog = proc.program
         expected = Process(prog, ALPHA)

@@ -81,9 +81,14 @@ def observed_rounds():
             )
             return restore_contents(rest, block)
 
+        before = set(held)
         with mock.patch.object(PrecopyFinalRestorer, "_resolve_block", on_block), \
                 mock.patch.object(PrecopyFinalRestorer, "restore_contents", on_run):
-            return restore_round(scratch, payload, round_no, held)
+            out = restore_round(scratch, payload, round_no, held)
+        # a heap block new to the destination is carved by the walk itself
+        for logical in held.keys() - before:
+            restored.setdefault(logical, []).append((0, held[logical].size))
+        return out
 
     with mock.patch.object(precopy_module, "_collect_round", collect), \
             mock.patch.object(precopy_module, "_restore_round", restore):

@@ -9,11 +9,14 @@ check the restorer either rejects the payload or produces a process
 whose observable behaviour is checked.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import DEC5000, SPARC20
+from repro.arch import DEC5000, SPARC20, X86
+from repro.arch.buffers import ReadBuffer
 from repro.migration import engine as engine_module
 from repro.migration.engine import (
     DAMAGE_ERRORS,
@@ -35,6 +38,7 @@ from repro.msr.wire import (
     encode_chunk,
     encode_end_of_stream,
     lead_fault,
+    read_header,
 )
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
@@ -448,7 +452,9 @@ class TestHostileRecords:
         dest.run()
         assert dest.stdout == "15"
 
-    @pytest.mark.parametrize("chunk", [None, 7, 64], ids=["mono", "chunks-7", "chunks-64"])
+    @pytest.mark.parametrize(
+        "chunk", [None, 1, 7, 64], ids=["mono", "chunks-1", "chunks-7", "chunks-64"]
+    )
     @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
     @pytest.mark.parametrize("case", HOSTILE)
     def test_restorer_names_the_lie(self, case, plans, chunk):
@@ -492,7 +498,9 @@ class TestHostileRecords:
                 size = (11 if kind == BlockKind.STACK else 7) + 4 * bin(bits >> 1).count("1")
                 assert RECORDS[2 | kind << 2 | bits << 4].size == size
 
-    @pytest.mark.parametrize("chunk", [None, 7, 64], ids=["mono", "chunks-7", "chunks-64"])
+    @pytest.mark.parametrize(
+        "chunk", [None, 1, 7, 64], ids=["mono", "chunks-1", "chunks-7", "chunks-64"]
+    )
     @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
     @pytest.mark.parametrize("at", [_node(4), _ref(0), _A_NULL], ids=["block", "ref", "null"])
     def test_every_byte_is_one_record_or_a_typed_refusal(self, at, plans, chunk):
@@ -606,3 +614,138 @@ class TestHostileRecords:
         proc.migration_pending = False
         assert proc.run_to_completion() == 0
         assert proc.stdout == "15"
+
+
+# -- hostile lists and roots: what every payload must carry, and as what -------
+
+#: two live locals and three globals, each holding a value no zero-filled
+#: variable would: a payload that leaves one out, or hands one contents
+#: of another type of the same size, must not resume
+ROOTS_PROGRAM = """
+int g; int h; char c[4];
+int main() {
+    int a; int b;
+    a = 7; b = 9; g = 258; h = 6; c[0] = 'x';
+    migrate_here();
+    printf("%d %d %d %d %c", a, b, g, h, c[0]);
+    return 0;
+}
+"""
+
+_ROOTS = compile_program(ROOTS_PROGRAM, poll_strategy="user")
+
+
+def _roots_stopped() -> Process:
+    proc = Process(_ROOTS, SPARC20)
+    proc.start()
+    proc.migration_pending = True
+    assert proc.run().status == "poll"
+    return proc
+
+
+_ROOTS_PAYLOAD = bytes(collect_state(_roots_stopped())[0])
+
+
+def _roots_layout():
+    """Where the lists start — main's live count, the globals count —
+    and the wire type ids of ``int`` and ``char [4]``."""
+    buf = ReadBuffer(_ROOTS_PAYLOAD)
+    read_header(buf)
+    proc = _roots_stopped()
+    type_of = {
+        name: proc.ti.info_for(proc.msrlt.lookup_logical((BlockKind.GLOBAL, i, 0)).elem_type)
+        for i, name in enumerate(("g", "h", "c"))
+    }
+    return buf.position, type_of["g"].type_id, type_of["c"].type_id
+
+
+_LIVE_AT, _INT_ID, _CHARS_ID = _roots_layout()
+
+
+def _root_entry(logical, type_id) -> bytes:
+    """A root list's entry for an ``int`` variable up to its value: the
+    index (u16 for a local, u32 for a global), then its record's header."""
+    kind, a, b = logical
+    index = struct.pack(">H", b) if kind == BlockKind.STACK else struct.pack(">I", a)
+    return index + block_header(logical, type_id, flat=True)
+
+
+def _left_out(count_at: int, width: int, logical):
+    """Take *logical*'s entry (an ``int``: its value is 4 bytes) out of
+    the list whose count is the *width*-byte field at *count_at*, and
+    lower the count to match: a list that is well formed and short."""
+
+    def rewrite(payload: bytearray) -> None:
+        entry = _root_entry(logical, _INT_ID)
+        at = payload.find(entry)
+        assert at > count_at and payload.count(entry) == 1
+        del payload[at : at + len(entry) + 4]
+        count = int.from_bytes(payload[count_at : count_at + width], "big")
+        payload[count_at : count_at + width] = (count - 1).to_bytes(width, "big")
+
+    return rewrite
+
+
+def _retyped(logical, type_id: int):
+    """Name another type in *logical*'s record (an ``int`` global)."""
+
+    def rewrite(payload: bytearray) -> None:
+        entry = _root_entry(logical, _INT_ID)
+        at = payload.find(entry)
+        assert at >= 0 and payload.count(entry) == 1
+        payload[at : at + len(entry)] = _root_entry(logical, type_id)
+
+    return rewrite
+
+
+def _globals_at() -> int:
+    """Offset of the globals count: behind main's two live ``int``s."""
+    return _LIVE_AT + 2 + 2 * (2 + 11 + 4)
+
+
+HOSTILE_ROOTS = {
+    "local-left-out": (
+        _left_out(_LIVE_AT, 2, (BlockKind.STACK, 0, 1)),
+        r"payload lists 1 live variables for main\(\) \(frame 0\).* with 2: a, b",
+    ),
+    "global-left-out": (
+        _left_out(_globals_at(), 4, (BlockKind.GLOBAL, 1, 0)),
+        f"payload lists {len(_ROOTS.globals) - 1} globals where the program has "
+        f"{len(_ROOTS.globals)}: g, h, c",
+    ),
+    "global-of-another-type": (
+        _retyped((BlockKind.GLOBAL, 0, 0), _CHARS_ID),
+        r"names 1 x char \[4\], but the destination block is 1 x int",
+    ),
+}
+
+
+class TestHostileRoots:
+    """A payload that frames and spells every record correctly, and lies
+    about the roots: leaves out a live local or a global (it would resume
+    holding zeros), or gives a global the contents of another type of the
+    same size.  Each is a typed refusal naming what is wrong."""
+
+    def test_the_forgeries_start_from_a_good_payload(self):
+        n_globals = _ROOTS_PAYLOAD[_globals_at() : _globals_at() + 4]
+        assert int.from_bytes(n_globals, "big") == len(_ROOTS.globals)
+        dest = Process(_ROOTS, X86)
+        restore_state(_ROOTS, _ROOTS_PAYLOAD, dest)
+        dest.run()
+        assert dest.stdout == "7 9 258 6 x"
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7], ids=["mono", "chunks-1", "chunks-7"])
+    @pytest.mark.parametrize("case", HOSTILE_ROOTS)
+    def test_restorer_names_the_lie(self, case, chunk):
+        rewrite, says = HOSTILE_ROOTS[case]
+        forged = bytearray(_ROOTS_PAYLOAD)
+        rewrite(forged)
+        forged = bytes(forged)
+        dest = Process(_ROOTS, X86)
+        with pytest.raises(RestoreError, match=says):
+            if chunk is None:
+                restore_state(_ROOTS, forged, dest)
+            else:
+                pieces = [forged[i : i + chunk] for i in range(0, len(forged), chunk)]
+                restore_state_stream(_ROOTS, iter(pieces), dest)
+        assert_table_whole(dest)
