@@ -621,11 +621,10 @@ class _Run:
         dest._loaded = True
         dest.exited = False
         dest.exit_code = None
-        if self.precopy_policy is not None:
-            # pre-copy slices ran the source past output it had not yet
-            # produced when migrate() was called; carry that output over so
-            # the destination's stream is the complete program output
-            dest._stdout[:0] = list(source._stdout)
+        # the destination's stdout continues the source's: what the program
+        # printed before the migration point (and, under pre-copy, during
+        # the slices) comes first, so its stream is the complete output
+        dest._stdout[:0] = list(source._stdout)
         # the migrating process terminates after successful transmission
         source.frames.clear()
         source.exited = True

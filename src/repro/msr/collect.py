@@ -26,6 +26,7 @@ entries, not Python frames.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro import obs
@@ -87,6 +88,8 @@ class Collector:
         #: plan, or every block's per-cell reference
         self._plans_on = self.ti.plans_enabled
         self._plan_for = self.ti.plan_for if self._plans_on else self.ti.reference_for
+        #: id(ctype) -> :meth:`_type`'s answer, filled as types are met
+        self._types: dict[int, tuple] = {}
         #: when chain tail slots are offered to their ChainPlan
         self.chain_backoff = ChainBackoff()
 
@@ -113,13 +116,16 @@ class Collector:
 
     # -- the rules a subclass may change -----------------------------------------------
 
-    def _first_visit(self, block: MemoryBlock) -> None:
-        """*block* is about to be saved.  Marked BEFORE its contents:
-        cycles degrade to REFs."""
-        self._visited.add(block.logical)
+    @property
+    def _first_visit(self):
+        """What the walk calls with a block's logical id when the block is
+        about to be saved — BEFORE its contents, so cycles degrade to
+        REFs.  Here the visited set's own ``add``: marking costs no
+        Python-level call."""
+        return self._visited.add
 
     def _first_visits(self, logicals: list) -> None:
-        """:meth:`_first_visit` for the nodes of one chain batch."""
+        """:attr:`_first_visit` for the nodes of one chain batch."""
         self._visited.update(logicals)
 
     def _dangling(self, value: int) -> None:
@@ -130,6 +136,19 @@ class Collector:
         )
 
     # -- traversal ---------------------------------------------------------------------
+
+    def _type(self, ctype) -> tuple:
+        """What a block of *ctype* is saved with — ``(ctype, info, plan,
+        its save slots, its unit loader)`` — looked up on the type's first
+        block of the pass and kept for the rest.  The entry holds the
+        type object, so the id it is keyed on cannot be recycled."""
+        info = self.ti.info_for(ctype)
+        plan = self._plan_for(info)
+        slots = None if plan is None else plan.save_slots
+        entry = self._types[id(ctype)] = (
+            ctype, info, plan, slots, None if slots is None else plan.load_from,
+        )
+        return entry
 
     def _drive(self, block, value=None, header=True) -> None:
         """The depth-first walk: write the record of one pointer — to
@@ -144,23 +163,35 @@ class Collector:
         record plan's walk (``slots``: the driver loads a unit's cells,
         writes the scalar runs and takes the pointers in order) or a
         plan's own iterator of pointer values (``walker``).
+
+        A tree or list node costs no Python-level call: the pointer is
+        resolved by one ``bisect_right`` over the table's sorted arrays
+        (``MSRLT.lookup_addr``, inlined, searches counted per walk), its
+        type by the pass's own dict, the visit is the visited set's
+        ``add``, a heap unit is one ``unpack_from`` on the heap window,
+        and a NULL cell is written without leaving the unit.
         """
         buf = self.buf
         out = buf.storage  # not drained while a walk is under way
         drained = buf.bytes_drained
         memory = self.memory
+        heap = memory.heap_seg
         visited = self._visited
-        lookup = self.msrlt.lookup_addr
-        info_for = self.ti.info_for
-        plan_for = self._plan_for
+        first_visit = self._first_visit
+        msrlt = self.msrlt
+        starts, blocks = msrlt.sorted_index  # the walk registers nothing
+        depth = len(starts).bit_length()  # what one search probes
+        searched = msrlt.profiler  # books every search, as lookup_addr does
+        types = self._types
         prof = self._prof
         open_frames = 0 if prof is None else prof.depth()
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
-        n_blocks = n_refs = n_nulls = n_walked = data_bytes = 0
+        n_blocks = n_refs = n_nulls = n_walked = n_searches = data_bytes = 0
         stack = []
-        # the open frame; `plan is None` marks the bottom of the stack
-        walker = plan = opened = slots = values = None
+        # the open frame; `plan is None` marks the bottom of the stack.
+        # `unpack` is the plan's one-call unit load (None: `plan.load`)
+        walker = plan = opened = slots = values = unpack = None
         at = addr = units = 0
         chain = None  # the chain plan whose tail slot `value` sits in
         try:
@@ -174,9 +205,16 @@ class Collector:
                         n_nulls += 1
                         block = None
                     else:
-                        try:
-                            block, off = lookup(value)
-                        except MSRLTError:
+                        # MSRLT.lookup_addr, inlined
+                        n_searches += 1
+                        if searched is not None:
+                            searched.msrlt_lookup(depth)
+                        i = bisect_right(starts, value) - 1
+                        if i < 0:
+                            self._dangling(value)
+                        block = blocks[i]
+                        off = value - block.addr
+                        if off > block.size:
                             self._dangling(value)
                         if chain is not None:
                             if skip:
@@ -191,10 +229,11 @@ class Collector:
                 if block is not None:
                     logical = block.logical
                     if header and logical in visited:
-                        ordinal = (
-                            info_for(block.elem_type).byte_to_ordinal(off, block.count)
-                            if off else 0
-                        )
+                        ordinal = 0
+                        if off:
+                            ctype = block.elem_type
+                            info = (types.get(id(ctype)) or self._type(ctype))[1]
+                            ordinal = info.byte_to_ordinal(off, block.count)
                         kind, la, lb = logical
                         lead = TAG_REF | kind << 2  # wire.lead_byte, inlined
                         if kind == _STACK:
@@ -203,10 +242,13 @@ class Collector:
                             out += RECORDS[lead].pack(lead, la, ordinal)
                         n_refs += 1
                     else:
-                        info = info_for(block.elem_type)
+                        ctype = block.elem_type
+                        _, info, new, steps, load = (
+                            types.get(id(ctype)) or self._type(ctype)
+                        )
                         if header:
                             ordinal = info.byte_to_ordinal(off, block.count) if off else 0
-                            self._first_visit(block)
+                            first_visit(logical)
                             if prof is not None:
                                 prof.enter_block(
                                     "collect", info.label, block_class_of(logical),
@@ -218,22 +260,25 @@ class Collector:
                             lead = TAG_BLOCK | kind << 2
                             if info.flat_kind is not None:
                                 lead |= LEAD_FLAT
-                            fields = (
-                                [la, lb, info.type_id] if kind == _STACK
-                                else [la, info.type_id]
-                            )
-                            if block.count != 1:
-                                lead |= LEAD_COUNT
-                                fields.append(block.count)
-                            if ordinal:
-                                lead |= LEAD_ORDINAL
-                                fields.append(ordinal)
-                            out += RECORDS[lead].pack(lead, *fields)
+                            count = block.count
+                            if kind != _STACK and count == 1 and not ordinal:
+                                # a heap or global node's header
+                                out += RECORDS[lead].pack(lead, la, info.type_id)
+                            else:
+                                fields = (
+                                    [la, lb, info.type_id] if kind == _STACK
+                                    else [la, info.type_id]
+                                )
+                                if count != 1:
+                                    lead |= LEAD_COUNT
+                                    fields.append(count)
+                                if ordinal:
+                                    lead |= LEAD_ORDINAL
+                                    fields.append(ordinal)
+                                out += RECORDS[lead].pack(lead, *fields)
                         n_blocks += 1
                         data_bytes += block.size
                         # its contents: written at once, or a new frame
-                        new = plan_for(info)
-                        steps = None if new is None else new.save_slots
                         if steps is not None:
                             pointers, n = None, block.count * info.repeat
                         else:
@@ -241,15 +286,24 @@ class Collector:
                             pointers = None if new is None else new.save(self, block, info)
                         if n or pointers is not None:
                             stack.append(
-                                (walker, plan, opened, slots, at, values, addr, units)
+                                (walker, plan, opened, slots, at, values, addr,
+                                 units, unpack)
                             )
                             walker, plan, slots, units = pointers, new, steps, n
                             opened = block if header else None
                             if n:
                                 n_walked += 1
                                 addr = block.addr
-                                values = new.load(memory, addr)
                                 at = 0
+                                unpack = load
+                                # the unit: unpacked in place when the heap
+                                # window already covers it, else by the plan
+                                woff = addr - heap.window_start
+                                window = heap.buf
+                                if load is not None and 0 <= woff <= len(window) - new.unit_size:
+                                    values = load(window, woff)
+                                else:
+                                    values = new.load(memory, addr)
                         elif header and prof is not None:
                             prof.exit_block(
                                 drained + len(out),
@@ -271,12 +325,21 @@ class Collector:
                             out += pack(*values[a:b])
                         if p >= 0:
                             value = values[p]
-                            break
+                            if value:
+                                break
+                            out += _NULL_RECORD
+                            n_nulls += 1
+                            continue
                         units -= 1
                         if units:
                             addr += plan.unit_size
-                            values = plan.load(memory, addr)
                             at = 0
+                            woff = addr - heap.window_start
+                            window = heap.buf
+                            if unpack is not None and 0 <= woff <= len(window) - plan.unit_size:
+                                values = unpack(window, woff)
+                            else:
+                                values = plan.load(memory, addr)
                             continue
                     elif plan is None:
                         stats = self.stats
@@ -289,17 +352,20 @@ class Collector:
                         return
                     # the open frame is finished: resume the one beneath
                     if opened is not None and prof is not None:
+                        ctype = opened.elem_type
                         prof.exit_block(
                             drained + len(out), plan.engagement,
-                            cells=info_for(opened.elem_type).cells_in(opened.count),
+                            cells=types[id(ctype)][1].cells_in(opened.count),
                         )
-                    walker, plan, opened, slots, at, values, addr, units = stack.pop()
+                    (walker, plan, opened, slots, at, values, addr,
+                     units, unpack) = stack.pop()
         except BaseException:
             if prof is not None:
                 prof.unwind(open_frames, drained + len(out))
             raise
         finally:
             backoff.skip = skip
+            msrlt.n_searches += n_searches
 
     # -- bookkeeping --------------------------------------------------------------------
 

@@ -142,12 +142,19 @@ class PrecopyFinalCollector(Collector):
         if len(stale) * ARENA_REBUILD_BLOCKS_PER_POINTER < len(self.msrlt):
             self.chain_backoff.skip = sys.maxsize
 
-    def _first_visit(self, block: MemoryBlock) -> None:
-        if self.deferred is not None:
-            if block.logical in self.deferred:
-                raise DeltaDefer(f"{block.logical} waits for a later pass")
-            self._visits.append(block.logical)
-        self._visited.add(block.logical)
+    @property
+    def _first_visit(self):
+        # only a round journals its visits; the final stream marks them
+        # as a plain collector does
+        if self.deferred is None:
+            return self._visited.add
+        return self._journal_visit
+
+    def _journal_visit(self, logical: tuple) -> None:
+        if logical in self.deferred:
+            raise DeltaDefer(f"{logical} waits for a later pass")
+        self._visits.append(logical)
+        self._visited.add(logical)
 
     def _first_visits(self, logicals: list) -> None:
         if self.deferred is not None:

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from itertools import repeat
 
 import numpy as np
 
@@ -251,6 +252,11 @@ def _true_prefix(mask: np.ndarray) -> int:
     """Length of the leading all-True run of a boolean array."""
     bad = np.flatnonzero(~mask)
     return int(bad[0]) if bad.size else int(mask.size)
+
+
+def _heap_logicals(serials: np.ndarray) -> list:
+    """The logical ids of the heap blocks with *serials*, built in C."""
+    return list(zip(repeat(BlockKind.HEAP), serials.tolist(), repeat(0)))
 
 
 def _is_ref_row(leads: np.ndarray) -> np.ndarray:
@@ -799,7 +805,7 @@ class ChainPlan:
         rows, m = self._build_rows(collector, arena, hostarr, serials, m)
         if m < MIN_CHAIN:
             return None
-        collector._first_visits([(BlockKind.HEAP, s, 0) for s in serials[:m].tolist()])
+        collector._first_visits(_heap_logicals(serials[:m]))
         collector.buf.write(rows[:m].tobytes())
         stats = collector.stats
         stats.n_blocks += m
@@ -840,11 +846,6 @@ class ChainPlan:
             p = _true_prefix(ok)
             if p == 0:
                 return 0, None, None
-            # already-visited nodes end the batch (they must arrive as REFs)
-            for j in range(1, p):
-                if (BlockKind.HEAP, int(arena.la[idx[j]]), 0) in visited:
-                    p = j
-                    break
             # gather host records for the prefix in one strided view
             base_min = int(addrs[0] if stride > 0 else addrs[p - 1])
             off0 = base_min - seg.window_start
@@ -858,7 +859,15 @@ class ChainPlan:
             if m == k == cap and cap < kmax:
                 cap *= 4
                 continue
-            return m, hostarr[:m], arena.la[idx[:m]]
+            break
+        # an already-visited node ends the batch (it must arrive as a
+        # REF): one probe of the visited set for the whole linked prefix.
+        # The first node is unvisited (the caller checked)
+        serials = arena.la[idx[:m]]
+        logicals = _heap_logicals(serials)
+        if not visited.isdisjoint(logicals):
+            m = list(map(visited.__contains__, logicals)).index(True)
+        return m, hostarr[:m], serials[:m]
 
     def _build_rows(self, collector, arena, hostarr, serials, m):
         """Vectorized row emission for *m* walked nodes; may shrink *m*
@@ -990,17 +999,19 @@ class ChainPlan:
         if m < RESTORE_MIN_CHAIN:
             return None
         # serials must be new to this payload (a duplicate BLOCK record
-        # is corrupt; the driver raises on it)
-        serials = rows["a"][:m].astype(np.int64)
+        # is corrupt; the driver raises on it) — or, in a pre-copy pass,
+        # to the scratch (a held block restores in place, by the driver)
+        logicals = _heap_logicals(rows["a"][:m])
         mapping = restorer._mapping
-        seen_local = set()
-        for j, s in enumerate(serials.tolist()):
-            if (BlockKind.HEAP, s, 0) in mapping or s in seen_local:
-                m = j
-                break
-            seen_local.add(s)
-        if m < RESTORE_MIN_CHAIN:
-            return None
+        if len(set(logicals)) < m or not mapping.keys().isdisjoint(logicals):
+            seen = set()
+            for j, logical in enumerate(logicals):
+                if logical in mapping or logical in seen:
+                    m = j
+                    break
+                seen.add(logical)
+            if m < RESTORE_MIN_CHAIN:
+                return None
         # resolve every REF column target against already-restored blocks
         dest_cols = {}
         for kind, _cell, name in self.cols:
@@ -1019,12 +1030,14 @@ class ChainPlan:
         if base is None:
             return None
         stride = memory.heap_size_of(base)
-        pending = restorer._pending
-        for k, serial in enumerate(serials[:m].tolist()):
-            logical = (BlockKind.HEAP, serial, 0)
-            block = MemoryBlock(base + k * stride, info.ctype, 1, self.size, logical)
-            mapping[logical] = block
-            pending.append(block)
+        ctype, size = info.ctype, self.size
+        logicals = logicals[:m]
+        blocks = [
+            MemoryBlock(addr, ctype, 1, size, logical)
+            for addr, logical in zip(range(base, base + m * stride, stride), logicals)
+        ]
+        mapping.update(zip(logicals, blocks))
+        restorer._pending.extend(blocks)
         addrs = base + stride * np.arange(m, dtype=np.int64)
         host_dt = self._host_dtype(stride)
         out = np.zeros(m, host_dt)
@@ -1099,8 +1112,9 @@ class CellRecord:
     """
 
     engagement = "percell"
-    #: no one-call unit store: the restorer calls :meth:`store`
-    store_into = None
+    #: no one-call unit load or store: the drivers call :meth:`load` /
+    #: :meth:`store`
+    load_from = store_into = None
     __slots__ = ("info", "unit_size", "cell_count", "save_slots", "restore_slots")
 
     def __init__(self, info, chain=None) -> None:
@@ -1158,14 +1172,16 @@ class RecordPlan(CellRecord):
 
     Padding bytes restore as zeros.
 
-    ``store_into`` is ``host.pack_into`` when no cell needs narrowing:
-    the restorer then packs a unit straight into a segment window that
-    already covers it (and no write barrier watches), and calls
-    :meth:`store` otherwise.
+    ``load_from`` is ``host.unpack_from``: the collector unpacks a unit
+    straight from a heap window that already covers it, and calls
+    :meth:`load` otherwise.  ``store_into`` is ``host.pack_into`` when no
+    cell needs narrowing: the restorer then packs a unit straight into a
+    segment window that already covers it (and no write barrier
+    watches), and calls :meth:`store` otherwise.
     """
 
     engagement = "codec"
-    __slots__ = ("host", "narrow", "store_into")
+    __slots__ = ("host", "narrow", "load_from", "store_into")
 
     def __init__(self, info, layout) -> None:
         arch = layout.arch
@@ -1181,6 +1197,7 @@ class RecordPlan(CellRecord):
             for i, cell in enumerate(info.cells)
             if cell.kind in ("long", "ulong") and arch.long_size == 4
         )
+        self.load_from = self.host.unpack_from
         self.store_into = None if self.narrow else self.host.pack_into
         chain_shaped = (
             info.repeat == 1 and info.cell_count >= 2 and info.cells[-1].kind == "ptr"

@@ -247,10 +247,13 @@ class MSRLT:
         if not stack:
             return
         i = bisect_left(self._starts, min(b.addr for b in stack))
-        if len(self._starts) - i == len(stack):
-            # the stack sits above everything else: a tail slice
-            del self._starts[i:]
-            del self._blocks[i:]
+        j = i + len(stack)
+        if bisect_right(self._starts, max(b.addr for b in stack)) == j:
+            # the stack blocks are one run of the sorted arrays, as their
+            # segment holds nothing else: a tail slice where the stack
+            # sits above everything, a head slice where it sits below
+            del self._starts[i:j]
+            del self._blocks[i:j]
             for block in stack:
                 del self._by_logical[block.logical]
             return

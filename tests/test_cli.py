@@ -127,6 +127,34 @@ class TestMigrate:
         assert code == 1
         assert line.startswith("repro: error: process exited (code 0) before")
 
+    @pytest.mark.parametrize("mode", [[], ["--stream"], ["--compress"]],
+                             ids=["plain", "stream", "compress"])
+    def test_output_printed_before_the_migration_point_is_kept(
+        self, tmp_path, capsys, mode
+    ):
+        """The destination's stdout continues the source's: the lines
+        printed before the poll that migrates come out, once, ahead of
+        the ones printed after it."""
+        path = tmp_path / "count.c"
+        path.write_text(COUNT)
+        rc = main(
+            ["migrate", str(path), "--poll-strategy", "user", "--after-polls", "2",
+             "--from", "alpha", "--to", "sparc20", *mode]
+        )
+        captured = capsys.readouterr()
+        assert captured.out == "0\n1\n2\n"
+        assert "[output identical to an unmigrated run]" in captured.err
+        assert rc == 0
+
+
+COUNT = """
+int main() {
+    int i;
+    for (i = 0; i < 3; i++) { printf("%d\\n", i); migrate_here(); }
+    return 0;
+}
+"""
+
 
 CHAIN = """
 struct node { int v; struct node *next; };

@@ -125,8 +125,8 @@ class TestBitonicShape:
         assert dest.msrlt.n_searches == before
 
     @staticmethod
-    def python_calls(restore) -> int:
-        """Python-level calls (profiler ``call`` events) *restore* makes."""
+    def python_calls(run) -> int:
+        """Python-level calls (profiler ``call`` events) *run* makes."""
         calls = 0
 
         def count(_frame, event, _arg):
@@ -135,10 +135,21 @@ class TestBitonicShape:
 
         sys.setprofile(count)
         try:
-            restore()
+            run()
         finally:
             sys.setprofile(None)
         return calls
+
+    def test_collecting_a_node_costs_no_call(self):
+        """The walk searches the table, looks the type up, marks the
+        visit and unpacks the node from the heap window inline: an extra
+        tree node costs no Python-level call."""
+        costs = []
+        for n in (200, 400):
+            proc = stopped(bitonic_source(n), after=n, arch=ALPHA)
+            costs.append(self.python_calls(lambda: collect_state(proc)))
+        per_node = (costs[1] - costs[0]) / 200
+        assert per_node <= 1, f"{per_node:.2f} Python calls per collected node"
 
     @pytest.mark.parametrize("chunk, budget", [
         (None, 3), (1 << 20, 3), (64, 4),

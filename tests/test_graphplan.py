@@ -204,27 +204,40 @@ class TestRegisterHeapBulk:
 def engaged(monkeypatch):
     """Count, per plan class and side, the blocks it converted (for a
     RecordPlan, which the traversal driver walks: the units it loaded or
-    stored), plus the chain batches that committed.  ``counts[key,
-    "calls"]`` is how often each was tried."""
+    stored, through the plan's methods or its one-call codec), plus the
+    chain batches that committed.  ``counts[key, "calls"]`` is how often
+    each was tried."""
     counts = Counter()
 
-    def counting(cls, name, key, took=lambda result: True):
-        inner = getattr(cls, name)
-
-        def wrapper(self, *args):
+    def counted(inner, key, took=lambda result: True):
+        def wrapper(*args):
             counts[key, "calls"] += 1
-            result = inner(self, *args)
+            result = inner(*args)
             if took(result):
                 counts[key] += 1
             return result
 
-        monkeypatch.setattr(cls, name, wrapper)
+        return wrapper
+
+    def counting(cls, name, key, took=lambda result: True):
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name), key, took))
 
     for cls in (FlatPlan, StructPlan, PtrArrayPlan):
         counting(cls, "save", (cls, "save"))
         counting(cls, "restore", (cls, "restore"))
     counting(RecordPlan, "load", (RecordPlan, "save"))
     counting(RecordPlan, "store", (RecordPlan, "restore"))
+    compile_record = RecordPlan.__init__
+
+    def compiling(plan, *args):
+        # a unit the heap window covers is unpacked (packed) by the
+        # drivers through the plan's one-call codec, not load (store)
+        compile_record(plan, *args)
+        plan.load_from = counted(plan.load_from, (RecordPlan, "save"))
+        if plan.store_into is not None:
+            plan.store_into = counted(plan.store_into, (RecordPlan, "restore"))
+
+    monkeypatch.setattr(RecordPlan, "__init__", compiling)
     not_none = lambda result: result is not None  # noqa: E731
     counting(ChainPlan, "_save_batch", "save batches", not_none)
     counting(ChainPlan, "_restore_batch", "restore batches", not_none)
@@ -657,6 +670,30 @@ class TestChainBackoff:
         restore_state(proc.program, planned, dest)
         assert engaged["restore batches"] == 1
         assert dest.run().status == "exit"
+
+    def test_a_batch_stops_at_a_visited_node(self, engaged):
+        """``mid``, saved before ``head``, reaches node 300: its batch
+        takes nodes 299..0.  ``head``'s batch then runs from node 1022
+        down to node 301 and stops in front of node 300, which arrives
+        as a REF — bytes and resumed output those of the oracle."""
+        source = evenlist_source(1024).replace(
+            "struct node *head;", "struct node *mid;\nstruct node *head;"
+        ).replace("head = p;\n", "head = p; if (i == 300) mid = p;\n")
+        assert "mid = p" in source
+        proc = stopped_at(source, 1, DEC5000)
+        prog = proc.program
+        expected = Process(prog, DEC5000)
+        expected.run_to_completion()
+        with plans_off(proc):
+            oracle, _ = collect_state(proc)
+        engaged.clear()
+        planned, _ = collect_state(proc)
+        assert planned == oracle
+        assert engaged["save batches"] == 2
+        dest = Process(prog, SPARC20)
+        restore_state(prog, planned, dest)
+        assert dest.run().status == "exit"
+        assert dest.stdout == expected.stdout
 
     @pytest.mark.parametrize("workload", [
         (longlist_source(300), 1), WORKLOADS["bitonic"],

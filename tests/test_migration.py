@@ -19,6 +19,7 @@ from repro.migration import (
     Scheduler,
 )
 from repro.migration.engine import MigrationError, collect_state
+from repro.migration.precopy import PrecopyPolicy
 from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -49,6 +50,14 @@ int main() {
         check += total();
     }
     printf("check=%.3f n=%d\\n", check, i);
+    return 0;
+}
+"""
+
+COUNTING = """
+int main() {
+    int i;
+    for (i = 0; i < 8; i++) { printf("%d\\n", i); migrate_here(); }
     return 0;
 }
 """
@@ -102,6 +111,27 @@ class TestMigrationMechanics:
         dest, stats = engine.migrate(proc, SPARC20)
         assert proc.exited and not proc.frames
         assert not dest.exited and dest.frames
+
+    @pytest.mark.parametrize("precopy", [False, True], ids=["stop-and-copy", "precopy"])
+    def test_destination_stdout_continues_the_source(self, precopy):
+        """What the source printed before the migration point — and,
+        under pre-copy, during the slices — is the head of the
+        destination's stdout."""
+        prog = compile_program(COUNTING, poll_strategy="user")
+        base = Process(prog, ALPHA)
+        base.run_to_completion()
+        proc = Process(prog, ALPHA)
+        proc.start()
+        proc.migration_pending = True
+        proc.migrate_after_polls = 2
+        assert proc.run().status == "poll" and proc.stdout == "0\n1\n"
+        dest, stats = MigrationEngine().migrate(
+            proc, SPARC20, precopy=precopy,
+            precopy_policy=PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0),
+        )
+        assert stats.precopy == precopy
+        dest.run_to_completion()
+        assert dest.stdout == base.stdout
 
     def test_stats_components(self):
         res = migrate_and_compare(WORK, DEC5000, SPARC20, after_polls=10)

@@ -263,8 +263,9 @@ class TestBulkRegistration:
 
 class TestDropStackBlocks:
     """The stack blocks are tracked as they register; dropping them is a
-    tail slice when they sit above everything else and a rebuild when
-    they do not — the same table either way."""
+    slice when they are one run of the sorted arrays — above everything
+    else, or below it (alpha's layout) — and a rebuild when they are
+    not: the same table either way."""
 
     @pytest.mark.parametrize(
         "stack_addrs",
@@ -298,20 +299,27 @@ class TestDropStackBlocks:
         assert msrlt._starts == [0x2000, 0x7800] and msrlt._blocks[1] is above
         assert set(msrlt._by_logical) == {(BlockKind.HEAP, 0, 0), (BlockKind.HEAP, 1, 0)}
 
-    def test_does_not_scan_the_heap(self, msrlt):
-        """Twice per migration, at any heap size: O(stack), not O(heap)."""
-
+    @staticmethod
+    def drop_without_a_scan(msrlt, base):
         class NoScan(list):
             def __iter__(self):
                 pytest.fail("drop_stack_blocks walked every block")
 
         for i in range(50):
             msrlt.register_heap(0x2000 + 16 * i, INT, 1)
-        msrlt.register_stack(0, 0, 0x7000, INT)
-        msrlt.register_stack(1, 0, 0x6ff0, INT)
+        msrlt.register_stack(0, 0, base, INT)
+        msrlt.register_stack(1, 0, base - 0x10, INT)
         msrlt._blocks = NoScan(msrlt._blocks)
         msrlt.drop_stack_blocks()
         assert len(msrlt) == 50 and not msrlt.has_logical((BlockKind.STACK, 0, 0))
+
+    def test_does_not_scan_the_heap(self, msrlt):
+        """Twice per migration, at any heap size: O(stack), not O(heap)."""
+        self.drop_without_a_scan(msrlt, 0x7000)
+
+    def test_does_not_scan_the_heap_above_the_stack(self, msrlt):
+        """Nor where the stack sits under the heap, as on alpha."""
+        self.drop_without_a_scan(msrlt, 0x1000)
 
 
 class TestLogicalIdsAcrossArchs:
