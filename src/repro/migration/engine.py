@@ -32,7 +32,6 @@ import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro import obs
@@ -202,7 +201,7 @@ class RetryPolicy:
 
 
 def _collect_records(
-    process: Process, buf: WriteBuffer, collector_factory, info_slot: list
+    process: Process, buf: WriteBuffer, info_slot: list, fresh=None, stale=None
 ):
     """Write the full migration payload into *buf*, yielding after every
     variable (a safe drain point for the streaming pipeline); once done,
@@ -211,9 +210,10 @@ def _collect_records(
 
     :func:`collect_state` and :func:`collect_state_chunks` both drive
     this one generator, which is what keeps their payload bytes identical.
-    *collector_factory* swaps the record writer (the pre-copy final pass
-    uses one that was born knowing the already-delivered blocks and adds
-    a tail section, ``Collector.save_tail``, after the globals).
+    The pre-copy final pass hands over its ledgers, *fresh* and *stale*
+    (:class:`~repro.msr.collect.Collector`): the blocks the destination
+    holds are born visited, and the stale ones nothing reached are the
+    tail section's roots.  Without them the tail section is empty.
     """
     if not process.frames:
         raise MigrationError("process has no frames (not running?)")
@@ -229,7 +229,7 @@ def _collect_records(
     )
     write_header(buf, header)
 
-    collector = collector_factory(process, buf)
+    collector = Collector(process, buf, fresh, stale)
 
     # frame live data: innermost first (paper §3.2: foo's, then main's)
     for depth in range(len(frames) - 1, -1, -1):
@@ -261,12 +261,12 @@ def _collect_records(
 
 
 def collect_state(
-    process: Process, collector_factory=Collector
+    process: Process, fresh=None, stale=None
 ) -> tuple[bytes, "StateInfo"]:
     """Collect the execution + memory state of a process stopped at a
     poll-point.  Returns the machine-independent payload."""
     info_slot: list = []
-    (payload,) = collect_state_chunks(process, None, info_slot, collector_factory)
+    (payload,) = collect_state_chunks(process, None, info_slot, fresh, stale)
     return bytes(payload), info_slot[0]
 
 
@@ -274,7 +274,8 @@ def collect_state_chunks(
     process: Process,
     chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
     info_slot: Optional[list] = None,
-    collector_factory=Collector,
+    fresh=None,
+    stale=None,
 ) -> Iterator[bytes]:
     """Collect *process* incrementally, yielding payload chunks of
     *chunk_size* bytes (the final chunk may be shorter); with
@@ -290,7 +291,7 @@ def collect_state_chunks(
     buf = WriteBuffer()
     if info_slot is None:
         info_slot = []
-    for _ in _collect_records(process, buf, collector_factory, info_slot):
+    for _ in _collect_records(process, buf, info_slot, fresh, stale):
         if chunk_size is not None:
             yield from buf.drain(chunk_size)
     tail = buf.flush()
@@ -306,9 +307,11 @@ class StateInfo(NamedTuple):
     header: WireHeader
 
 
-def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "StateInfo":
+def _restore_from(program, rbuf, dest: Process, held=None) -> "StateInfo":
     """Rebuild execution + memory state from any reader with the
-    :class:`ReadBuffer` interface (contiguous payload or chunk stream)."""
+    :class:`ReadBuffer` interface (contiguous payload or chunk stream).
+    The pre-copy final pass hands over *held*, what the pre-warmed
+    *dest* holds (:class:`~repro.msr.restore.Restorer`)."""
     if dest.frames:
         raise MigrationError("destination process already has frames")
     if dest.program is not program:
@@ -339,7 +342,7 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "S
     # every list is the one the collector must have written — a frame's
     # live variables at its resume pc, every global — whole and in order:
     # a variable left out would resume holding zeros
-    restorer = restorer_factory(dest, rbuf)
+    restorer = Restorer(dest, rbuf, held)
     for depth in range(len(header.frames) - 1, -1, -1):
         func_idx, resume_pc = header.frames[depth]
         fir = program.functions[func_idx]
@@ -380,31 +383,26 @@ def _restore_from(program, rbuf, dest: Process, restorer_factory=Restorer) -> "S
         restorer.restore_variable(block)
 
     restorer.restore_tail()
-    if not rbuf.at_end():
-        raise RestoreError(f"{rbuf.remaining} trailing bytes in migration payload")
 
     dest.msrlt.drop_stack_blocks()
     return StateInfo(stats=restorer.stats, header=header)
 
 
-def restore_state(
-    program, payload: bytes, dest: Process, restorer_factory=Restorer
-) -> "StateInfo":
-    """Rebuild execution + memory state inside a fresh destination process.
+def restore_state(program, payload: bytes, dest: Process, held=None) -> "StateInfo":
+    """Rebuild execution + memory state inside a fresh destination process
+    (or, with *held*, the pre-warmed scratch of a pre-copy).
 
     *program* must be the very program object *dest* was invoked from;
     the mismatch is rejected before any destination memory is written.
     """
-    return _restore_from(program, ReadBuffer(payload), dest, restorer_factory)
+    return _restore_from(program, ReadBuffer(payload), dest, held)
 
 
-def restore_state_stream(
-    program, chunks: Iterable[bytes], dest: Process, restorer_factory=Restorer
-) -> "StateInfo":
+def restore_state_stream(program, chunks: Iterable[bytes], dest: Process) -> "StateInfo":
     """Like :func:`restore_state`, but consuming an iterator of payload
     chunks (e.g. a channel's ``iter_chunks()``) as they arrive — the
     incremental-restore half of the streaming pipeline."""
-    return _restore_from(program, StreamReadBuffer(chunks), dest, restorer_factory)
+    return _restore_from(program, StreamReadBuffer(chunks), dest)
 
 
 class _TimedIter:
@@ -506,9 +504,8 @@ class _Run:
         """Open the books: the recv deadline, the compression switch
         (every chunk stream of the run — pre-copy rounds too — obeys
         it), the begin event, and baselines for the per-migration
-        lookup-cost deltas (the tables' counters are cumulative over the
-        process/program lifetime; every scratch process shares the
-        destination's per-(program, arch) TI table)."""
+        lookup-cost deltas (the MSRLT counters are cumulative over the
+        process lifetime)."""
         stats = self.stats
         if self.policy.attempt_timeout_s is not None:
             self.channel.set_deadline(self.policy.attempt_timeout_s)
@@ -687,17 +684,13 @@ class _Run:
     def _lookup_counters(self) -> dict:
         """Cumulative lookup counters of the tables this migration
         touches, by metric name: the source's MSRLT (plus, once adopted,
-        the restored side's, born for this migration) and the two
-        architectures' shared TI tables."""
+        the restored side's, born for this migration)."""
         msrlts = [self.source.msrlt]
         if self.adopted:
             msrlts.append(self.scratch.msrlt)
-        tis = {id(t): t for t in (self.source.ti, self.dest.ti)}.values()
         return {
             "msrlt.searches": sum(t.n_searches for t in msrlts),
             "msrlt.registrations": sum(t.n_registrations for t in msrlts),
-            "ti.info_hits": sum(t.n_info_hits for t in tis),
-            "ti.info_misses": sum(t.n_info_misses for t in tis),
         }
 
     def _new_scratch(self) -> Process:
@@ -707,23 +700,13 @@ class _Run:
         """Transactional restore: the attempt builds the new process off
         to the side, and only :meth:`adopt` grafts it onto the real
         destination.  A surviving pre-copy hands over its pre-warmed
-        scratch and its ledgers — the final collector and restorer are
-        born owning them, nothing is copied or re-derived from a table
-        (a failed final pass drops the lot: :meth:`_degrade_precopy`);
-        returns whether it did."""
+        scratch (and :meth:`_attempt` its ledgers: the final collector
+        and restorer are born owning them, nothing is copied or
+        re-derived from a table; a failed final pass drops the lot,
+        :meth:`_degrade_precopy`); returns whether it did."""
         pre = self.pre_state
-        if pre is None:
-            self.scratch = self._new_scratch()
-            self._collector, self._restorer = Collector, Restorer
-            return False
-        from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
-
-        self.scratch = pre.scratch
-        self._collector = partial(
-            PrecopyFinalCollector, fresh=pre.fresh, stale=pre.stale
-        )
-        self._restorer = partial(PrecopyFinalRestorer, held=pre.held)
-        return True
+        self.scratch = self._new_scratch() if pre is None else pre.scratch
+        return pre is not None
 
     # -- one attempt: the envelope, filled on either schedule ---------------
 
@@ -738,12 +721,15 @@ class _Run:
         is rooted there by ``channel.feeding``)."""
         stats, channel, pipelined = self.stats, self.channel, self.streaming
         info_slot: list = []
+        # the final pass of a pre-copy is born owning its ledgers
+        pre = self.pre_state
+        fresh, stale, held = (None,) * 3 if pre is None else (pre.fresh, pre.stale, pre.held)
 
         def chunks():
             with collect_errors():
                 yield from collect_state_chunks(
                     self.source, self.chunk_size if pipelined else None,
-                    info_slot, self._collector,
+                    info_slot, fresh, stale,
                 )
 
         collect_iter = _TimedIter(chunks(), "collect")
@@ -793,9 +779,7 @@ class _Run:
                 whole = received[0] if len(received) == 1 else b"".join(received)
                 rbuf, span = ReadBuffer(whole), "restore"
             with obs.span(span) as wall, restore_errors("restore"):
-                rinfo = _restore_from(
-                    self.source.program, rbuf, self.scratch, self._restorer
-                )
+                rinfo = _restore_from(self.source.program, rbuf, self.scratch, held)
         stats.restore_time = wall.seconds
         if pipelined:
             # feed time covers collection + channel hops; what is left of

@@ -10,7 +10,7 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    each slice mutates, and a registration journal on the MSRLT
    (``MSRLT.journal``) that records which blocks it allocates and frees,
    and ships **delta rounds** of what changed: ``u32 round_no`` and the
-   final stream's tail section (:mod:`repro.msr.delta`) — a freed marker
+   final stream's tail section (:mod:`repro.msr.wire`) — a freed marker
    per block off the journal the destination holds, the *unit runs* a
    written block's byte intervals cover provided the destination's copy
    was byte-fresh before the slice (the ``fresh`` set below: shipped in
@@ -53,10 +53,12 @@ snapshot, and then kept by the passes that own them:
   one a round ships or a slice frees leaves).
 
 Nothing between the snapshot and the destination's resumption walks a
-table.  Every pass after the snapshot — each round and the final one —
-is the same pair born owning the ledgers (the final pass is *handed*
-them in a :class:`PrecopyState`: ownership moves, nothing is copied):
-the collector has ``fresh`` as its visited set and takes its roots from
+table.  Every pass — the snapshot, each round and the final one — is the
+ordinary :class:`~repro.msr.collect.Collector` /
+:class:`~repro.msr.restore.Restorer` pair; every pass after the snapshot
+is born owning the ledgers (the final pass is *handed* them in a
+:class:`PrecopyState`: ownership moves, nothing is copied): the
+collector has ``fresh`` as its visited set and takes its roots from
 ``stale``, the restorer has ``held`` as its mapping.
 
 Failure semantics: a retryable transport/restore failure during
@@ -84,8 +86,8 @@ from repro.migration.engine import (
     restore_errors,
     restore_state,
 )
-from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
-from repro.msr.restore import RestoreError
+from repro.msr.collect import Collector
+from repro.msr.restore import RestoreError, Restorer
 from repro.vm.dirty import DirtyTracker
 from repro.vm.process import GuestFault
 
@@ -174,7 +176,7 @@ def _collect_round(process, round_no: int, freed, written, fresh: set, stale: se
     updates).  Returns the payload and the set of blocks it deferred."""
     buf = WriteBuffer()
     buf.write_u32(round_no)
-    collector = PrecopyFinalCollector(process, buf, fresh, stale, defer=True)
+    collector = Collector(process, buf, fresh, stale, defer=True)
     collector.save_tail(freed, written)
     collector.finish()
     return buf.getvalue(), collector.deferred
@@ -191,10 +193,8 @@ def _restore_round(scratch, payload, round_no: int, held: dict):
         raise RestoreError(
             f"pre-copy round {got} arrived where round {round_no} was expected"
         )
-    restorer = PrecopyFinalRestorer(scratch, buf, held=held)
+    restorer = Restorer(scratch, buf, held)
     restorer.restore_tail()
-    if not buf.at_end():
-        raise RestoreError(f"{buf.remaining} trailing bytes in pre-copy round {round_no}")
     return restorer.stats
 
 

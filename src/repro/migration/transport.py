@@ -167,8 +167,6 @@ class BaseChannel:
         self._deliver(payload)
         self.bytes_sent += len(payload)
         self.messages_sent += 1
-        obs.inc("wire.messages_sent")
-        obs.inc("wire.bytes_sent", len(payload))
         return self.link.transfer_time(len(payload))
 
     @property
@@ -277,7 +275,6 @@ class BaseChannel:
         self.chunks_sent += 1
         self.framed_bytes_sent += frame_len
         obs.inc("wire.chunks_sent")
-        obs.inc("wire.framed_bytes_sent", frame_len)
         return self._send_frame_parts(header, body)
 
     def end_stream(self) -> float:

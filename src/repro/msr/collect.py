@@ -22,29 +22,46 @@ finishing a block resumes the frame beneath it.  A frame is the
 continuation the recursion kept on the interpreter stack, so the records
 leave in the identical order, and the depth of the heap costs list
 entries, not Python frames.
+
+One collector writes every pass: a plain migration, the pre-copy
+snapshot, each delta round and the stop-and-copy stream.  A pass after
+the snapshot is born with ``run_precopy``'s ledgers
+(:mod:`repro.migration.precopy`): a block the destination already holds
+byte-fresh is a visited block, and the tail section
+(:mod:`repro.msr.wire`) carries what the globals do not reach.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs
 from repro.arch.buffers import WriteBuffer
-from repro.msr.graphplan import ChainBackoff
+from repro.msr.graphplan import ARENA_REBUILD_BLOCKS_PER_POINTER, ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.wire import (
     LEAD_COUNT,
     LEAD_FLAT,
     LEAD_ORDINAL,
     RECORDS,
+    RUN_HEADER,
     TAG_BLOCK,
     TAG_NULL,
     TAG_REF,
+    TAIL_FREED,
+    TAIL_ROOT,
+    TAIL_RUNS,
+    unit_block,
+    write_logical,
 )
 from repro.obs.attribution import block_class_of
 
-__all__ = ["CollectStats", "Collector", "Save_pointer", "Save_variable"]
+__all__ = [
+    "CollectStats", "Collector", "DeltaDefer", "Save_pointer", "Save_variable", "unit_runs",
+]
 
 _NULL_RECORD = bytes([TAG_NULL])
 _STACK = BlockKind.STACK
@@ -68,22 +85,59 @@ class CollectStats:
     wire_bytes: int = 0
 
 
-class Collector:
-    """One data-collection pass over a process's live state."""
+class DeltaDefer(Exception):
+    """A round's walk met a pointer with no shippable target (dangling,
+    or aimed at the stack, which is unregistered while the source runs):
+    the marker it was writing waits for a later pass."""
 
-    def __init__(self, process, buf: WriteBuffer) -> None:
+
+class Collector:
+    """One data-collection pass over a process's live state.
+
+    A pre-copy pass after the snapshot is born with ``run_precopy``'s
+    ledgers of the source's live non-stack blocks, handed over, not
+    copied: *fresh* — the destination's copy is byte-identical — IS the
+    visited set from the first record on, and *stale* is every other
+    one: the tail section's roots.  With *defer* (a round) a marker whose
+    walk meets a pointer without a target is cut back out
+    (:class:`DeltaDefer`, collected in :attr:`deferred`) and *stale*
+    loses what shipped; without it such a pointer is the ordinary
+    collection error.  Born with neither ledger, the pass's tail section
+    is empty.
+    """
+
+    def __init__(
+        self,
+        process,
+        buf: WriteBuffer,
+        fresh: Optional[set] = None,
+        stale: Optional[set] = None,
+        defer: bool = False,
+    ) -> None:
         self.process = process
         self.memory = process.memory
         self.msrlt = process.msrlt
         self.ti = process.ti
         self.buf = buf
-        self._visited: set[tuple] = set()
+        self._visited: set[tuple] = set() if fresh is None else fresh
+        self._stale = stale
+        #: the blocks whose markers a round cut back out; a walk that
+        #: reaches one defers at once (``None``: not a round)
+        self.deferred: Optional[set] = set() if defer else None
+        #: what a round visited first, in order: a deferred marker takes
+        #: its share back out of ``fresh``
+        self._visits: list = []
         self.stats = CollectStats()
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
         if self._prof is not None:
             self.msrlt.profiler = self._prof
+            if defer:
+                # a deferred marker's bytes are cut after its walk would
+                # have booked them: a round's attribution is its lookups
+                # (the scope's framing row), not per-type bytes
+                self._prof = None
         #: the oracle switch, read once per pass: every block's compiled
         #: plan, or every block's per-cell reference
         self._plans_on = self.ti.plans_enabled
@@ -92,6 +146,12 @@ class Collector:
         self._types: dict[int, tuple] = {}
         #: when chain tail slots are offered to their ChainPlan
         self.chain_backoff = ChainBackoff()
+        # a chain batch searches an arena built over the whole table; at
+        # most len(stale) nodes can ride one, so tail slots are offered
+        # only when that many pointers would pay for the build — the
+        # test a pointer array applies to itself
+        if stale is not None and len(stale) * ARENA_REBUILD_BLOCKS_PER_POINTER < len(self.msrlt):
+            self.chain_backoff.skip = sys.maxsize
 
     # -- public entry points (paper interface names) --------------------------------
 
@@ -106,29 +166,94 @@ class Collector:
     def save_contents(self, block: MemoryBlock) -> None:
         """What a ``BLOCK`` record carries after its header — the
         contents — for a block whose identity travels by other means (a
-        pre-copy runs marker's units)."""
+        runs marker's units)."""
         self._drive(block, header=False)
 
-    def save_tail(self) -> None:
-        """What the stream carries after the globals.  Nothing here: every
-        block a plain migration ships is reachable from a root.  (The
-        pre-copy collector's tail section goes here.)"""
+    def save_tail(self, freed=(), written=()) -> None:
+        """The tail section: a freed marker per heap logical in *freed*,
+        runs for the blocks of *written* — ``(block, byte spans the slice
+        wrote)`` — that take the run form, and a root per stale block
+        nothing reached.  Behind a clean block nothing is walked, so a
+        stale block only clean ones point to (or none: leaked blocks
+        ship too) is a root of its own."""
+        buf = self.buf
+        visited = self._visited
+        for logical in freed:
+            buf.write_u8(TAIL_FREED)
+            write_logical(buf, logical)
+        info_for = self.ti.info_for
+        patches = []
+        for block, spans in written:
+            info = info_for(block.elem_type)
+            runs = unit_runs(info, block.count, spans)
+            if runs is not None:
+                visited.add(block.logical)
+                patches.append((block, info, runs))
+        for block, info, runs in patches:
+            self._ship(block.logical, self._save_runs, block, info, runs)
+        stale = self._stale
+        if not stale:
+            return
+        lookup = self.msrlt.lookup_logical
+        deferred = () if self.deferred is None else self.deferred
+        for logical in sorted(stale):
+            # a root, or an earlier marker, may lead here
+            if logical not in visited and logical not in deferred:
+                self._ship(logical, self._save_root, lookup(logical))
+        if self.deferred is not None:
+            stale.difference_update([logical for logical in stale if logical in visited])
 
-    # -- the rules a subclass may change -----------------------------------------------
+    # -- the tail section's markers -------------------------------------------------
 
-    @property
-    def _first_visit(self):
-        """What the walk calls with a block's logical id when the block is
-        about to be saved — BEFORE its contents, so cycles degrade to
-        REFs.  Here the visited set's own ``add``: marking costs no
-        Python-level call."""
-        return self._visited.add
+    def _ship(self, logical: tuple, save, *args) -> None:
+        """One marker for *logical*'s block.  In a round, a marker whose
+        walk defers is cut back out with everything it visited first."""
+        if self.deferred is None:
+            save(*args)
+            return
+        out, visits = self.buf.storage, self._visits
+        at, seen = len(out), len(visits)
+        try:
+            save(*args)
+        except DeltaDefer:
+            del out[at:]
+            self._visited.difference_update(visits[seen:])
+            self._visited.discard(logical)
+            del visits[seen:]
+            self.deferred.add(logical)
+
+    def _save_root(self, block: MemoryBlock) -> None:
+        self.buf.write_u8(TAIL_ROOT)
+        self.save_variable(block)
+
+    def _save_runs(self, block: MemoryBlock, info, runs) -> None:
+        buf = self.buf
+        buf.write_u8(TAIL_RUNS)
+        write_logical(buf, block.logical)
+        buf.write_u32(len(runs))
+        for first, n in runs:
+            buf.write(RUN_HEADER.pack(first, n))
+            self.save_contents(unit_block(block, info, first, n))
+
+    # -- visits ------------------------------------------------------------------------
+
+    def _journal_visit(self, logical: tuple) -> None:
+        """A round's first visit: a block a marker was cut back for
+        defers the walk at once, and the rest are journalled."""
+        if logical in self.deferred:
+            raise DeltaDefer(f"{logical} waits for a later pass")
+        self._visits.append(logical)
+        self._visited.add(logical)
 
     def _first_visits(self, logicals: list) -> None:
-        """:attr:`_first_visit` for the nodes of one chain batch."""
+        """The first visits of one chain batch's nodes."""
+        if self.deferred is not None:
+            self._visits.extend(logicals)
         self._visited.update(logicals)
 
     def _dangling(self, value: int) -> None:
+        if self.deferred is not None:
+            raise DeltaDefer(f"pointer {value:#x} has no shippable target") from None
         raise MSRLTError(
             f"pointer {value:#x} does not refer to any live memory block; "
             "the program stored a dangling or fabricated address, which is "
@@ -177,7 +302,9 @@ class Collector:
         memory = self.memory
         heap = memory.heap_seg
         visited = self._visited
-        first_visit = self._first_visit
+        # marked BEFORE the contents, so cycles degrade to REFs; only a
+        # round journals its visits
+        first_visit = visited.add if self.deferred is None else self._journal_visit
         msrlt = self.msrlt
         starts, blocks = msrlt.sorted_index  # the walk registers nothing
         depth = len(starts).bit_length()  # what one search probes
@@ -390,3 +517,28 @@ def Save_variable(collector: Collector, block: MemoryBlock) -> None:
 def Save_pointer(collector: Collector, value: int) -> None:
     """Paper-style alias for :meth:`Collector.save_pointer`."""
     collector.save_pointer(value)
+
+
+def unit_runs(info, count: int, spans) -> Optional[list[tuple[int, int]]]:
+    """The unit runs ``[(first_unit, n_units), ...]`` covering the byte
+    *spans* ``[(lo, hi), ...]`` (block-relative, ascending, disjoint)
+    written into a block of *count* elements of *info*'s type — or
+    ``None`` when the whole block is sure to be no larger: the run form
+    spends 4 bytes on its count and 8 on each run's header where a whole
+    block spends nothing, so it pays only when the units left out weigh
+    more."""
+    floor = info.wire_floor // info.repeat  # fewest wire bytes of one unit
+    if not floor:
+        return None
+    size = info.unit_size
+    runs: list[list[int]] = []  # [first, stop), merged where they touch
+    for lo, hi in spans:
+        first, stop = lo // size, -(-hi // size)
+        if runs and first <= runs[-1][1]:
+            runs[-1][1] = max(stop, runs[-1][1])
+        else:
+            runs.append([first, stop])
+    left_out = info.units_in(count) - sum(stop - first for first, stop in runs)
+    if 4 + RUN_HEADER.size * len(runs) > left_out * floor:
+        return None
+    return [(first, stop - first) for first, stop in runs]

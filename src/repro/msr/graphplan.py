@@ -101,15 +101,12 @@ MIN_BULK_CELLS = 16
 #: pre-copy round must not cost a 600-block rebuild (332 µs → 55 µs).
 #: Purely a timing choice, like :data:`MIN_BULK_CELLS`.
 ARENA_REBUILD_BLOCKS_PER_POINTER = 4
-#: smallest chain batch worth the collect-side NumPy round-trip.  The
-#: scalar pre-walk in :meth:`ChainPlan._save_batch` must find this many
-#: linked nodes before anything is vectorized, so tree-shaped data
-#: (whose "chains" are 2-3 coincidentally adjacent allocations) stays
-#: with the driver.
+#: smallest chain batch worth the NumPy round-trip.  The scalar
+#: pre-walk in :meth:`ChainPlan._save_batch` must find this many linked
+#: nodes before anything is vectorized, so tree-shaped data (whose
+#: "chains" are 2-3 coincidentally adjacent allocations) stays with the
+#: driver; a restore batch takes a run of this many rows or none.
 MIN_CHAIN = 4
-#: smallest row run worth a batched restore.  Restore rows are
-#: self-describing (no speculation), so the overhead floor is lower.
-RESTORE_MIN_CHAIN = 2
 #: deterministic engagement backoff: after this many *consecutive*
 #: declined chain attempts the plan declines the next CHAIN_BACKOFF_SKIP
 #: tail slots outright (tree-shaped and irregular data decline every
@@ -949,7 +946,7 @@ class ChainPlan:
         return batch
 
     def _restore_batch(self, restorer):
-        """Rebuild a run of ``>= RESTORE_MIN_CHAIN`` chain rows at the
+        """Rebuild a run of ``>= MIN_CHAIN`` chain rows at the
         read position.  Returns ``(address of the first node, address of
         the last node's tail cell)``, or ``None`` having consumed
         nothing."""
@@ -962,15 +959,15 @@ class ChainPlan:
         if lead != _NODE:
             return None
         # scalar pre-check: the batch only engages when the first
-        # RESTORE_MIN_CHAIN records already look like chain rows, so a
+        # MIN_CHAIN records already look like chain rows, so a
         # lone BLOCK record (tree-shaped data arrives as one per tail)
         # declines in two struct unpacks instead of a vectorized parse
         window = buf.buffered()
         row_size = self.row_size
-        if len(window) < RESTORE_MIN_CHAIN * row_size:
+        if len(window) < MIN_CHAIN * row_size:
             return None
         tid = info.type_id
-        for off in range(0, RESTORE_MIN_CHAIN * row_size, row_size):
+        for off in range(0, MIN_CHAIN * row_size, row_size):
             lead, _serial, rtid = _NODE_HEADER.unpack_from(window, off)
             if lead != _NODE or rtid != tid:
                 return None
@@ -984,7 +981,7 @@ class ChainPlan:
         while True:
             window = buf.buffered()
             k = min(cap, len(window) // self.row_size)
-            if k < RESTORE_MIN_CHAIN:
+            if k < MIN_CHAIN:
                 return None
             rows = np.frombuffer(window, self.row_dtype, count=k)
             valid = (rows["lead"] == _NODE) & (rows["type_id"] == info.type_id)
@@ -996,7 +993,7 @@ class ChainPlan:
                 cap *= 4
                 continue
             break
-        if m < RESTORE_MIN_CHAIN:
+        if m < MIN_CHAIN:
             return None
         # serials must be new to this payload (a duplicate BLOCK record
         # is corrupt; the driver raises on it) — or, in a pre-copy pass,
@@ -1010,7 +1007,7 @@ class ChainPlan:
                     m = j
                     break
                 seen.add(logical)
-            if m < RESTORE_MIN_CHAIN:
+            if m < MIN_CHAIN:
                 return None
         # resolve every REF column target against already-restored blocks
         dest_cols = {}
@@ -1021,7 +1018,7 @@ class ChainPlan:
                 restorer, rows[f"{name}lead"][:m], rows[f"{name}a"][:m],
                 rows[f"{name}ordinal"][:m],
             )
-            if m < RESTORE_MIN_CHAIN:
+            if m < MIN_CHAIN:
                 return None
             dest_cols[name] = dests
         # one carve for the batch — declined when the free list would

@@ -34,11 +34,18 @@ through a cursor of its own over the buffer's window
 is one ``unpack_from`` and a restored tree or list node costs two Python
 calls — its carve and its ``MemoryBlock`` — contiguous payload or chunk
 stream alike.
+
+One restorer reads every pass.  A pre-copy pass after the snapshot is
+born with ``held`` — what the scratch process already holds — as its
+mapping: a ``REF`` to a held block resolves, a ``BLOCK`` record for one
+restores in place, and the tail section (:mod:`repro.msr.wire`) lands
+what the globals do not reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs
 from repro.arch.buffers import ReadBuffer
@@ -50,8 +57,14 @@ from repro.msr.wire import (
     LEAD_FLAT,
     LEAD_ORDINAL,
     RECORDS,
+    RUN_HEADER,
     TAG_REF,
+    TAIL_FREED,
+    TAIL_ROOT,
+    TAIL_RUNS,
     lead_fault,
+    read_logical,
+    unit_block,
 )
 from repro.obs.attribution import block_class_of
 
@@ -79,16 +92,25 @@ class RestoreStats:
 
 
 class Restorer:
-    """One data-restoration pass into a destination process."""
+    """One data-restoration pass into a destination process.
 
-    def __init__(self, process, buf: ReadBuffer) -> None:
+    A pre-copy pass after the snapshot is born with *held* —
+    ``run_precopy``'s ledger of what the scratch holds, handed over, not
+    copied — as its mapping, and what lands or is freed keeps the
+    ledger.  A ``BLOCK`` record for a held block restores in place, once
+    per pass."""
+
+    def __init__(self, process, buf: ReadBuffer, held: Optional[dict] = None) -> None:
         self.process = process
         self.memory = process.memory
         self.msrlt = process.msrlt
         self.ti = process.ti
         self.buf = buf
         #: source logical id -> destination block (the MSRLT update)
-        self._mapping: dict[tuple, MemoryBlock] = {}
+        self._mapping: dict[tuple, MemoryBlock] = {} if held is None else held
+        #: with *held*: the ids that landed in this pass, so a held
+        #: block takes one ``BLOCK`` record (``None``: all of the mapping)
+        self._landed: Optional[set] = None if held is None else set()
         self.stats = RestoreStats()
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
@@ -104,7 +126,11 @@ class Restorer:
         self.chain_backoff = ChainBackoff()
         #: heap blocks carved by the walk under way, not yet in the MSRLT
         self._pending: list[MemoryBlock] = []
-        self._prefault_registered()
+        if held is None:
+            # a pass born with held blocks lands on the windows the
+            # snapshot restore materialized: walking the whole table
+            # again would cost more than the few blocks it touches
+            self._prefault_registered()
 
     def _prefault_registered(self) -> None:
         """Materialize the windows spanning the destination's registered
@@ -142,8 +168,68 @@ class Restorer:
         self._drive(contents_of=block)
 
     def restore_tail(self) -> None:
-        """Mirror of :meth:`Collector.save_tail`: nothing follows the
-        globals in a plain stream."""
+        """Mirror of :meth:`Collector.save_tail`: the tail section's
+        markers, to the end of the payload.  A pass born without held
+        blocks reads a plain stream, whose tail is empty: its mapping is
+        only what the pass itself restored, which no marker may name."""
+        buf = self.buf
+        landed = self._landed
+        if landed is None:
+            if not buf.at_end():
+                raise RestoreError(f"{buf.remaining} trailing bytes in migration payload")
+            return
+        held = self._mapping
+        while not buf.at_end():
+            marker = buf.read_u8()
+            if marker == TAIL_ROOT:
+                self.restore_pointer()
+            elif marker == TAIL_RUNS:
+                logical = read_logical(buf)
+                block = held.get(logical)
+                if block is None:
+                    raise RestoreError(
+                        f"runs for {logical}, a block the destination does not hold"
+                    )
+                self._restore_runs(block)
+            elif marker == TAIL_FREED:
+                logical = read_logical(buf)
+                if logical[0] != BlockKind.HEAP or logical not in held:
+                    raise RestoreError(
+                        f"freed marker for {logical}, not a heap block the destination holds"
+                    )
+                if logical in landed:
+                    raise RestoreError(
+                        f"freed marker for {logical}, a block restored in this pass"
+                    )
+                block = held.pop(logical)
+                self.msrlt.unregister(block.addr)
+                self.memory.heap_free(block.addr)
+            else:
+                raise RestoreError(f"bad tail marker {marker}")
+
+    def _restore_runs(self, block: MemoryBlock) -> None:
+        """The body of a runs marker, after its logical."""
+        buf = self.buf
+        n_runs = buf.read_u32()
+        # nothing is looped over that the payload cannot hold
+        if n_runs == 0 or not buf.holds(n_runs * RUN_HEADER.size):
+            raise RestoreError(
+                f"{n_runs} runs claimed for {block.logical}: a runs marker "
+                f"has at least one, and the payload ends before that many could"
+            )
+        info = self.ti.info_for(block.elem_type)
+        total = info.units_in(block.count)
+        end = 0
+        for _ in range(n_runs):
+            first, n = buf.unpack(RUN_HEADER)
+            if n == 0 or first < end or first + n > total:
+                raise RestoreError(
+                    f"run of {n} units at unit {first} of {block.logical} "
+                    f"({total} units, previous run ended at {end}): runs are not "
+                    f"empty, ascend without overlap and stay inside their block"
+                )
+            end = first + n
+            self.restore_contents(unit_block(block, info, first, n))
 
     # -- block resolution ------------------------------------------------------------------
 
@@ -169,13 +255,23 @@ class Restorer:
     def _resolve_block(self, logical: tuple, info: TypeInfo, count: int) -> MemoryBlock:
         """The destination block a ``BLOCK`` record for *logical* fills
         when the walk does not carve one (it carves a heap block new to
-        the pass itself): the global's or local's block the destination
-        registered under the same machine-independent id.  A second
-        record for an id already mapped is refused here."""
-        if logical in self._mapping:
+        the pass itself): a held block, restored in place, or the
+        global's or local's block the destination registered under the
+        same machine-independent id.  A second record for a block that
+        already landed in this pass is refused here."""
+        block = self._mapping.get(logical)
+        landed = self._landed
+        if block is None:
+            block, whose = self.msrlt.lookup_logical(logical), "the destination block"
+        elif landed is None or logical in landed or not self.msrlt.has_logical(logical):
+            # it landed in this pass (a block this walk carved is not
+            # registered until the walk ends)
             raise RestoreError(f"second BLOCK record for {logical}")
-        block = self.msrlt.lookup_logical(logical)
-        self._check_declared(logical, info, count, block, "the destination block")
+        else:
+            whose = "the pre-copied block"
+        self._check_declared(logical, info, count, block, whose)
+        if landed is not None:
+            landed.add(logical)
         return block
 
     def _check_declared(self, logical, info, count, block, whose: str) -> None:
@@ -510,6 +606,8 @@ class Restorer:
                 # the table is whole again before anyone can search it
                 self._pending = []
                 self.msrlt.register_heap_bulk(pending)
+                if self._landed is not None:
+                    self._landed.update([block.logical for block in pending])
 
 # -- paper-style free-function interface ---------------------------------------------
 

@@ -203,10 +203,6 @@ class TITable:
         #: per-cell reference path, the oracle the plans are checked
         #: against.  Read once per pass, when a Collector/Restorer starts
         self.plans_enabled = True
-        #: info_for memo hit/miss counters (the engine reports the
-        #: per-migration delta as ``ti.info_hits`` / ``ti.info_misses``)
-        self.n_info_hits = 0
-        self.n_info_misses = 0
 
     def info(self, type_id: int) -> TypeInfo:
         """The (cached) TypeInfo record for wire type id *type_id*."""
@@ -249,9 +245,7 @@ class TITable:
         """
         hit = self._by_identity.get(id(ctype))
         if hit is not None:
-            self.n_info_hits += 1
             return hit[1]
-        self.n_info_misses += 1
         info = self.info(self.program.type_id(ctype))
         self._by_identity[id(ctype)] = (ctype, info)
         return info

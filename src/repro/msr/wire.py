@@ -14,6 +14,8 @@ Layout (all integers big-endian, strings u16-length-prefixed UTF-8):
         per frame: u16 n_live, n_live x (u16 var_index, record)
     globals:
         u32 n_globals, n_globals x (u32 global_index, record)
+    tail:
+        (u8 marker, body)*               # to the end of the payload
 
 A *record* describes one pointer target or variable (§3.2's "pointer
 header and offset" format).  It opens with one *lead* byte that says
@@ -57,12 +59,47 @@ A ``BLOCK`` appears for the first (depth-first) visit of each memory
 block; every later reference is a ``REF``.  Cycles are safe because the
 restorer registers the block mapping *before* reading its contents.
 
-The pre-copy tail section (:mod:`repro.msr.delta`: every delta round,
-and the final stream after its globals) is ``(u8 marker, body)*`` then
-``u8 0``, marker 1 a root record; its runs (2) and freed (3) markers
-name a block outside any record (:func:`write_logical` /
-:func:`read_logical`): ``u8 kind`` and the same ``logical`` — 5 bytes
-for a heap or global id.
+The tail section
+----------------
+
+A block the pre-copy destination already holds byte-fresh is not
+shipped again: it is a *visited* block (§3.1's rule applied across
+passes), so a pointer to it is a ``REF``.  What the globals do not
+reach travels in the tail section, which runs to the end of the
+payload: every pre-copy delta round is ``u32 round_no`` and a tail
+section, and every full stream ends in one — empty in a plain
+migration, so a plain stream is byte for byte a final stream with
+nothing held.  A pass born without held blocks reads no markers: any
+byte after its globals is refused as trailing, since a marker there
+could only name a block the same pass restored.
+
+.. code-block:: text
+
+    tail    := (u8 marker, body)*        # to the end of the payload
+    1 root  := record                    # BLOCK: in place if held, else carved
+    2 runs  := xlogical u32 n_runs  n_runs x (u32 first_unit, u32 n_units, contents)
+    3 freed := xlogical                  # a held heap block the source freed
+    xlogical := u8 kind, u32 a, u32 b iff kind == STACK
+
+A *unit* is the type's innermost non-array element
+(:class:`~repro.msr.ti.TypeInfo`: ``unit``, ``unit_size``), so a run
+never splits a struct.  The contents of a run are, on both sides, the
+contents of a block of ``n_units`` x the unit type at ``addr +
+first_unit * unit_size`` (:func:`unit_block`): the same plan, the same
+records.  Runs are not empty, ascend without overlap and stay inside
+their block.  ``xlogical`` (:func:`write_logical` /
+:func:`read_logical`) is 5 bytes for a heap or global id.
+
+A round writes freed markers first, then runs, then one root per stale
+block no earlier marker reached, in logical-id order; the final stream
+writes only roots.  Which dirty block takes the run form is the source's
+decision (:func:`repro.msr.collect.unit_runs`): only one whose
+destination copy was byte-fresh before the slice, and only when the
+units left out are sure to weigh more than the run headers.  A round
+cuts a marker whose walk met a pointer with no shippable target (the
+stack is unregistered while the source runs) back out: that block is
+*absent*, and waits for a later pass
+(:class:`repro.msr.collect.DeltaDefer`).
 
 The wire envelope
 -----------------
@@ -137,7 +174,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.arch.buffers import ReadBuffer, WriteBuffer
-from repro.msr.msrlt import BlockKind
+from repro.msr.msrlt import BlockKind, MemoryBlock
 
 __all__ = [
     "MAGIC",
@@ -159,6 +196,11 @@ __all__ = [
     "read_header",
     "write_logical",
     "read_logical",
+    "TAIL_ROOT",
+    "TAIL_RUNS",
+    "TAIL_FREED",
+    "RUN_HEADER",
+    "unit_block",
     "CHUNK_MAGIC",
     "CHUNK_MAGIC_Z",
     "FRAME_MAGICS",
@@ -321,6 +363,19 @@ def read_logical(buf: ReadBuffer) -> tuple:
     judged here: whoever looks the id up refuses one it does not hold."""
     kind, a = buf.read_u8(), buf.read_u32()
     return (kind, a, buf.read_u32() if kind == BlockKind.STACK else 0)
+
+
+#: the tail section's markers
+TAIL_ROOT, TAIL_RUNS, TAIL_FREED = 1, 2, 3
+#: what precedes the contents of one run: ``first_unit``, ``n_units``
+RUN_HEADER = struct.Struct(">II")
+
+
+def unit_block(block: MemoryBlock, info, first: int, n: int) -> MemoryBlock:
+    """Units ``first .. first + n`` of *block* as a block of their own:
+    what a run's contents are the contents of."""
+    size = info.unit_size
+    return MemoryBlock(block.addr + first * size, info.unit, n, n * size, block.logical)
 
 
 # -- frames -------------------------------------------------------------------

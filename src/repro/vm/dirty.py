@@ -4,7 +4,7 @@ The tracker is a pure interval log: every mutating :class:`~repro.vm.memory.Memo
 entry point calls :meth:`DirtyTracker.mark` with the written byte range, and
 the migration layer periodically drains the log with :meth:`take`, resolves
 the merged intervals to MSRLT blocks (``MSRLT.blocks_overlapping``) and ships
-the *unit runs* of each block the intervals cover (:mod:`repro.msr.delta`) —
+the *unit runs* of each block the intervals cover (:mod:`repro.msr.wire`) —
 so the log must be exact to the byte: a changed byte outside every marked
 interval is silent corruption at the destination, where block granularity
 used to forgive it (over-marking only costs bytes).  Keeping

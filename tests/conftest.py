@@ -3,10 +3,12 @@
 import struct
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
+from repro.migration import engine as engine_module
 from repro.migration.engine import MigrationEngine, collect_state, restore_state
 from repro.migration.transport import LOOPBACK, Channel
 from repro.msr.graphplan import SortedArena
@@ -182,20 +184,22 @@ def allocator_twin(memory) -> Memory:
     return twin
 
 
-def restore_replayed(prog, payload, dest, restorer=Restorer):
+def restore_replayed(prog, payload, dest, held=None):
     """``restore_state`` under the allocation contract: every heap block
     the pass creates sits at the address a replay of ``Memory.heap_alloc``
     over the blocks in record order assigns (a restorer's mapping fills
-    in record order), and the table ends whole."""
+    in record order), and the table ends whole.  *held*: what a
+    pre-warmed *dest* holds, the final pass's mapping."""
     replay = allocator_twin(dest.memory)
     passes = []
 
-    def factory(process, buf):
-        rest = restorer(process, buf)
-        passes.append((rest, set(rest._mapping)))
-        return rest
+    class Noted(Restorer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            passes.append((self, set(self._mapping)))
 
-    info = restore_state(prog, payload, dest, factory)
+    with mock.patch.object(engine_module, "Restorer", Noted):
+        info = restore_state(prog, payload, dest, held)
     ((rest, held),) = passes
     created = [
         block for logical, block in rest._mapping.items()

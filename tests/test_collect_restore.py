@@ -6,11 +6,15 @@ claims: no duplication under sharing, cycle safety, interior-pointer
 fidelity, byte-order conversion, and the REF/BLOCK record discipline.
 """
 
+import struct
+
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, X86
+from repro.arch.buffers import WriteBuffer
 from repro.migration.engine import collect_state, restore_state
 from repro.msr.msrlt import BlockKind
+from repro.msr.wire import write_logical
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -338,10 +342,28 @@ class TestWireFormat:
         proc = stop_at_poll(SHARED_GRAPH)
         payload, _ = collect_state(proc)
         dest = Process(proc.program, SPARC20)
-        from repro.migration.engine import MigrationError
+        from repro.msr.restore import RestoreError
 
-        with pytest.raises(MigrationError, match="trailing"):
+        with pytest.raises(RestoreError, match="2 trailing bytes"):
             restore_state(proc.program, payload + b"\x00\x00", dest)
+
+    @pytest.mark.parametrize("marker", [
+        b"\x03",  # freed: would free a block restored pointers aim at
+        b"\x02" + struct.pack(">III", 1, 0, 1) + struct.pack(">i", 5),  # runs: a second write
+    ], ids=["freed", "runs"])
+    def test_plain_stream_refuses_tail_markers(self, marker):
+        """A plain stream's tail is empty: a marker naming a heap block
+        the same pass restored is trailing bytes, not a marker."""
+        from repro.msr.restore import RestoreError
+
+        proc = stop_at_poll(SHARED_GRAPH)
+        payload, _ = collect_state(proc)
+        heap = next(b for b in proc.msrlt.blocks() if b.logical[0] == BlockKind.HEAP)
+        logical = WriteBuffer()
+        write_logical(logical, heap.logical)
+        dest = Process(proc.program, SPARC20)
+        with pytest.raises(RestoreError, match="trailing bytes"):
+            restore_state(proc.program, payload + marker[:1] + logical.getvalue() + marker[1:], dest)
 
     def test_truncated_payload_rejected(self):
         proc = stop_at_poll(SHARED_GRAPH)

@@ -26,7 +26,6 @@ Contracts under test:
 
 import sys
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -47,7 +46,6 @@ from repro.migration.precopy import PrecopyPolicy, run_precopy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import LOOPBACK, Channel
 from repro.msr import graphplan
-from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
 from repro.msr.graphplan import (
     ChainPlan,
     FlatPlan,
@@ -358,17 +356,20 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
     engaged = Counter()
     phase = ["final"]
 
-    def in_round(run):
+    def within(run, name):
         def spy(*args):
-            phase[0] = "round"
+            phase[0] = name
             try:
                 return run(*args)
             finally:
                 phase[0] = "final"
         return spy
 
-    for name in ("_collect_round", "_restore_round"):
-        monkeypatch.setattr(precopy_module, name, in_round(getattr(precopy_module, name)))
+    for name, when in (
+        ("_collect_round", "round"), ("_restore_round", "round"),
+        ("collect_state", "snapshot"), ("restore_state", "snapshot"),
+    ):
+        monkeypatch.setattr(precopy_module, name, within(getattr(precopy_module, name), when))
     for side in ("save", "restore"):
         def spy(plan, worker, block, info, inner=getattr(PtrArrayPlan, side)):
             engaged[type(worker).__name__, phase[0]] += 1
@@ -387,7 +388,7 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
     *planned, stats = migrate()
     if entry_name == "hot_ptr_array":
         assert stats.collect.n_plan_blocks > 0
-        for worker in ("PrecopyFinalCollector", "PrecopyFinalRestorer"):
+        for worker in ("Collector", "Restorer"):
             for when in ("round", "final"):
                 assert engaged[worker, when] > 0, (
                     f"PtrArrayPlan never took a block for {worker} in the {when}"
@@ -729,22 +730,17 @@ class TestChainBackoff:
         )
         assert len(proc.msrlt) in range(1000, 1010) and nodes <= len(state.stale) < nodes + 4
 
-        def final(process, buf):
-            return PrecopyFinalCollector(process, buf, set(state.fresh), state.stale)
-
         with plans_off(proc):
-            oracle, _ = collect_state(proc, final)
+            oracle, _ = collect_state(proc, set(state.fresh), state.stale)
         engaged.clear()
         del arena_builds[:]
-        planned, info = collect_state(proc, final)
+        planned, info = collect_state(proc, set(state.fresh), state.stale)
         assert planned == oracle and info.stats.n_blocks >= nodes
         if batched:
             assert engaged["save batches"] >= 1 and len(arena_builds) == 1
         else:
             assert engaged["save batches", "calls"] == 0 and arena_builds == []
-        restore_state(
-            prog, planned, scratch, partial(PrecopyFinalRestorer, held=state.held)
-        )
+        restore_state(prog, planned, scratch, state.held)
         assert scratch.run().status == "exit"
         assert proc.stdout + scratch.stdout == expected.stdout
 

@@ -12,7 +12,7 @@ that pre-copy machinery is inert when not requested.
 
 import struct
 import threading
-from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from repro.migration.engine import (
     restore_errors,
     restore_state,
 )
+from repro.migration import engine as engine_module
 from repro.migration import precopy as precopy_module
 from repro.migration.precopy import (
     PrecopyPolicy,
@@ -52,10 +53,10 @@ from repro.migration.transport import (
     FaultyChannel,
     SocketChannel,
 )
-from repro.msr.delta import PrecopyFinalCollector, PrecopyFinalRestorer
-from repro.msr.graphplan import ChainPlan
+from repro.msr.collect import Collector
+from repro.msr.graphplan import MIN_CHAIN, ChainPlan
 from repro.msr.msrlt import BlockKind
-from repro.msr.restore import RestoreError as MsrRestoreError
+from repro.msr.restore import RestoreError as MsrRestoreError, Restorer
 from repro.msr.wire import decode_chunk, read_logical
 from repro.vm.dirty import DirtyTracker
 from repro.vm.memory import MemoryFault
@@ -664,18 +665,16 @@ def test_collector_fault_in_a_round_is_typed():
 
 
 def test_final_collector_with_empty_cache_is_byte_identical():
-    """PrecopyFinalCollector with empty ledgers must produce exactly the
-    plain collector's stream plus the tail section's terminator byte —
-    born visited is inert until earned — and restore like it."""
+    """The collector born with empty ledgers writes exactly the plain
+    collector's stream, no trailing byte — a plain stream is a final
+    stream with nothing held — and it restores like it."""
     prog = _compile(MUTATOR_SRC)
     proc = _stopped(prog, ULTRA5)
     plain, _ = collect_state(proc)
-    finalized, _ = collect_state(
-        proc, lambda p, b: PrecopyFinalCollector(p, b, fresh=set(), stale=set())
-    )
-    assert finalized == plain + b"\x00"
+    finalized, _ = collect_state(proc, fresh=set(), stale=set())
+    assert finalized == plain
     dest = Process(prog, SPARC20)
-    restore_state(prog, finalized, dest, partial(PrecopyFinalRestorer, held={}))
+    restore_state(prog, finalized, dest, held={})
     reference = Process(prog, SPARC20)
     restore_state(prog, plain, reference)
     assert collect_state(dest)[0] == collect_state(reference)[0]
@@ -1024,7 +1023,8 @@ class TestHostileFinalStream:
     @pytest.fixture
     def final(self):
         """(program, pre-warmed scratch, final payload with a tail root,
-        offset of the root record of the clean global ``head``)."""
+        offset of the root record of the clean global ``head``); the
+        scratch's ``held`` ledger is ``self.held``."""
         prog = _compile(TAIL_SRC)
         proc = _stopped(prog, ULTRA5)
         scratch = Process(prog, SPARC20)
@@ -1033,34 +1033,32 @@ class TestHostileFinalStream:
         )
         head_at = []
 
-        class Noting(PrecopyFinalCollector):
+        class Noting(Collector):
             def save_variable(self, block):
                 if block.logical == (BlockKind.GLOBAL, 0, 0):
                     head_at.append(self.buf.nbytes)
                 super().save_variable(block)
 
-        payload, _ = collect_state(
-            proc, lambda p, b: Noting(p, b, state.fresh, state.stale)
-        )
-        self.restorer = partial(PrecopyFinalRestorer, held=state.held)
+        with mock.patch.object(engine_module, "Collector", Noting):
+            payload, _ = collect_state(proc, state.fresh, state.stale)
+        self.held = state.held
         return prog, scratch, bytes(payload), head_at[0]
 
     def test_pristine_final_payload_restores(self, final):
         prog, scratch, payload, head_at = final
         assert payload[head_at] == 1  # a clean global is one root REF
-        assert payload[-1] == 0  # the tail section's terminator
-        restore_state(prog, payload, scratch, self.restorer)
+        restore_state(prog, payload, scratch, self.held)
 
     def test_bad_tail_marker_is_typed(self, final):
         prog, scratch, payload, _ = final
         with pytest.raises(MsrRestoreError, match="bad tail marker 7"):
-            restore_state(prog, payload[:-1] + b"\x07", scratch, self.restorer)
+            restore_state(prog, payload + b"\x07", scratch, self.held)
 
     def test_tag_three_is_a_bad_tag(self, final):
         prog, scratch, payload, head_at = final
         forged = payload[:head_at] + b"\x03" + payload[head_at + 1 :]
         with pytest.raises(MsrRestoreError, match="bad record tag 3"):
-            restore_state(prog, forged, scratch, self.restorer)
+            restore_state(prog, forged, scratch, self.held)
 
     @pytest.mark.parametrize("lead, lie", [
         (0x01 | 3 << 2, "unknown block kind 3"),
@@ -1075,7 +1073,7 @@ class TestHostileFinalStream:
         prog, scratch, payload, head_at = final
         forged = payload[:head_at] + bytes([lead]) + payload[head_at + 1 :]
         with pytest.raises(MsrRestoreError, match=lie):
-            restore_state(prog, forged, scratch, self.restorer)
+            restore_state(prog, forged, scratch, self.held)
         assert_table_whole(scratch)
 
     @staticmethod
@@ -1102,7 +1100,7 @@ class TestHostileFinalStream:
             payload[:at] + spelled_out(header, bit, field) + payload[at + len(header):]
         )
         with pytest.raises(MsrRestoreError, match=lie):
-            restore_state(prog, forged, scratch, self.restorer)
+            restore_state(prog, forged, scratch, self.held)
         assert_table_whole(scratch)
 
     def test_block_restored_in_place_must_keep_its_size(self, final):
@@ -1117,21 +1115,21 @@ class TestHostileFinalStream:
             + payload[at + len(header):]
         )
         with pytest.raises(MsrRestoreError, match="pre-copied block is"):
-            restore_state(prog, forged, scratch, self.restorer)
+            restore_state(prog, forged, scratch, self.held)
 
     @pytest.fixture
     def forged_tail(self, monkeypatch):
-        """The final stream's tail section is one bad marker; the rounds'
-        are left alone."""
-        honest = PrecopyFinalCollector.save_tail
+        """The final stream's tail section is one bad marker; the
+        snapshot's, the rounds' and a plain pass's are left alone."""
+        honest = Collector.save_tail
 
         def save_tail(self, *round_markers):
-            if self.deferred is None:
+            if self.deferred is None and self._stale is not None:
                 self.buf.write_u8(7)
             else:
                 honest(self, *round_markers)
 
-        monkeypatch.setattr(PrecopyFinalCollector, "save_tail", save_tail)
+        monkeypatch.setattr(Collector, "save_tail", save_tail)
 
     def test_engine_degrades_to_plain_stop_and_copy(self, forged_tail, monkeypatch):
         """The failed final pass owned the ledgers and grew them (its
@@ -1200,10 +1198,10 @@ def _logical(logical) -> bytes:
     return bytes([kind]) + ids
 
 
-def _round(*markers, round_no=1, end=b"\x00") -> bytes:
-    """A round payload: ``u32 round_no``, the tail section's *markers*
-    (each its marker byte and body), then *end* — the terminator."""
-    return struct.pack(">I", round_no) + b"".join(markers) + end
+def _round(*markers, round_no=1) -> bytes:
+    """A round payload: ``u32 round_no`` and the tail section's *markers*
+    (each its marker byte and body), to the end of the payload."""
+    return struct.pack(">I", round_no) + b"".join(markers)
 
 
 def _runs(logical, *runs, n_runs=None) -> bytes:
@@ -1317,6 +1315,16 @@ class TestHostileRounds:
         assert block.addr not in scratch.memory.heap_allocs
         assert_table_whole(scratch)
 
+    def test_freed_for_a_block_this_round_registered(self, scratch):
+        """A block restored in this pass is one the source just reached:
+        freeing it behind the pointers that now aim at it is a lie."""
+        scratch, held, cells = scratch
+        fresh = (BlockKind.HEAP, 50, 0)
+        header = block_header(fresh, self.int_id(scratch, cells), count=4, flat=True)
+        payload = _round(b"\x01" + header + _ints(1, 2, 3, 4), _freed(fresh))
+        self.refused(scratch, held, payload, "a block restored in this pass")
+        assert fresh in held and scratch.msrlt.has_logical(fresh)
+
     def test_unknown_marker(self, scratch):
         scratch, held, _ = scratch
         self.refused(scratch, held, _round(b"\x07"), "bad tail marker 7")
@@ -1370,15 +1378,66 @@ class TestHostileRounds:
         payload = _round(_runs(cells, (0, 1, _ints(5))), round_no=2)
         self.refused(scratch, held, payload, "round 2 arrived where round 1 was expected")
 
-    def test_missing_terminator(self, scratch):
+    def test_a_marker_cut_short(self, scratch):
         scratch, held, cells = scratch
-        payload = _round(_runs(cells, (0, 1, _ints(5))), end=b"")
+        payload = _round(_runs(cells, (0, 1, _ints(5))))[:-1]
         self.refused(scratch, held, payload, "underrun")
 
-    def test_bytes_after_the_terminator(self, scratch):
+    def test_a_zero_where_a_marker_should_be(self, scratch):
+        """The tail section runs to the end of the payload: it has no end
+        marker, so a byte after the last marker is the next one."""
         scratch, held, cells = scratch
-        payload = _round(_runs(cells, (0, 1, _ints(5))), end=b"\x00\x00\x00")
-        self.refused(scratch, held, payload, "2 trailing bytes in pre-copy round 1")
+        payload = _round(_runs(cells, (0, 1, _ints(5)))) + b"\x00\x00\x00"
+        self.refused(scratch, held, payload, "bad tail marker 0")
+
+    @staticmethod
+    def twice(scratch, cells, which) -> tuple:
+        """Two root ``BLOCK`` records for one block, with other contents:
+        a heap block new to the scratch, or the held global ``cells``."""
+        if which == "new-heap":
+            int_id = TestHostileRounds.int_id(scratch, cells)
+            header = block_header((BlockKind.HEAP, 50, 0), int_id, count=4, flat=True)
+            first, second = _ints(1, 2, 3, 4), _ints(5, 6, 7, 8)
+        else:
+            type_id = scratch.ti.info_for(scratch.msrlt.lookup_logical(cells).elem_type).type_id
+            header = block_header(cells, type_id, flat=True)
+            first, second = _ints(*range(16)), _ints(*range(100, 116))
+        return b"\x01" + header + first, b"\x01" + header + second
+
+    @pytest.mark.parametrize("which", ["new-heap", "held-global"])
+    def test_a_second_block_record_in_one_round(self, scratch, which):
+        """A held block restores in place once per pass, and a block
+        carved by the pass is not carved again: the second record is
+        refused, as the plain restorer refuses it."""
+        scratch, held, cells = scratch
+        payload = _round(*self.twice(scratch, cells, which))
+        self.refused(scratch, held, payload, "second BLOCK record for")
+
+    @pytest.mark.parametrize("which", ["new-heap", "held-global"])
+    def test_a_second_block_record_in_the_final_stream(self, which):
+        """The same two roots behind an honest final stream's tail."""
+        prog = _compile(HOSTILE_SRC)
+        proc = _stopped(prog, ULTRA5)
+        scratch = Process(prog, SPARC20)
+        state = run_precopy(
+            proc, scratch, Channel(LOOPBACK), TWO_ROUNDS, MigrationStats(), 4096
+        )
+        payload, _ = collect_state(proc, state.fresh, state.stale)
+        cells = next(b.logical for b in scratch.msrlt.blocks() if b.name == "cells")
+        forged = payload + b"".join(self.twice(scratch, cells, which))
+        with pytest.raises(MsrRestoreError, match="second BLOCK record for"):
+            restore_state(prog, forged, scratch, state.held)
+
+    def test_a_block_record_nested_in_its_own_contents(self, scratch):
+        """A node carved by this walk and named again inside its own
+        contents (a cycle sent as BLOCK, not REF) is refused before the
+        walk ends, while the node is not registered yet."""
+        scratch, held, _ = scratch
+        head = scratch.msrlt.heap_blocks()[0]
+        node_id = scratch.ti.info_for(head.elem_type).type_id
+        header = block_header((BlockKind.HEAP, 60, 0), node_id)
+        root = b"\x01" + header + _ints(1) + header + _ints(2) + b"\x00"
+        self.refused(scratch, held, _round(root), "second BLOCK record for")
 
     def test_an_undefined_lead_in_a_round(self, scratch):
         """A root is an ordinary record: a REF lead with BLOCK bits inside
@@ -1398,14 +1457,15 @@ class TestHostileRounds:
         scratch, held, _ = scratch
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
+        serials = range(900, 900 + MIN_CHAIN)  # the shortest run a batch takes
         rows = b"".join(
             block_header((BlockKind.HEAP, serial, 0), node_id) + _ints(serial)
-            for serial in (900, 901)
+            for serial in serials
         )
         root = b"\x01" + block_header(head.logical, node_id) + _ints(5) + rows + b"\x00"
-        assert self.land(scratch, held, _round(root)).n_heap_allocs == 2
+        assert self.land(scratch, held, _round(root)).n_heap_allocs == MIN_CHAIN
         assert_table_whole(scratch)
-        for serial in (900, 901):
+        for serial in serials:
             node = scratch.msrlt.lookup_logical((BlockKind.HEAP, serial, 0))
             assert held[node.logical] is node
             assert scratch.memory.load("int", node.addr) == serial
@@ -1519,17 +1579,15 @@ class TestOneAllocationPath:
 
     @staticmethod
     def prewarmed(prog, src_arch, dst_arch):
-        """(pre-warmed scratch, final payload, the restorer born with
+        """(pre-warmed scratch, final payload, the ``held`` ledger of
         what the scratch holds)."""
         proc = _stopped(prog, src_arch)
         scratch = Process(prog, dst_arch)
         state = run_precopy(
             proc, scratch, Channel(LOOPBACK), TWO_ROUNDS, MigrationStats(), 4096
         )
-        payload, _ = collect_state(
-            proc, lambda p, b: PrecopyFinalCollector(p, b, state.fresh, state.stale)
-        )
-        return scratch, bytes(payload), partial(PrecopyFinalRestorer, held=state.held)
+        payload, _ = collect_state(proc, state.fresh, state.stale)
+        return scratch, bytes(payload), state.held
 
     @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
     @pytest.mark.parametrize("pair", PRECOPY_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
@@ -1538,7 +1596,7 @@ class TestOneAllocationPath:
     ):
         prog = _compile(LIST_THEN_TREE_SRC)
         src_arch, dst_arch = _ARCH[pair[0]], _ARCH[pair[1]]
-        scratch, payload, restorer = self.prewarmed(prog, src_arch, dst_arch)
+        scratch, payload, ledger = self.prewarmed(prog, src_arch, dst_arch)
         # a node's stride: its 8 (ILP32) or 16 (LP64) bytes plus the slack
         node_class = 16 if dst_arch.ptr_size == 4 else 24
         assert len(scratch.memory._free[node_class]) == 3
@@ -1554,7 +1612,7 @@ class TestOneAllocationPath:
         monkeypatch.setattr(ChainPlan, "_restore_batch", spy)
         scratch.ti.plans_enabled = plans
         try:
-            info = restore_replayed(prog, payload, scratch, restorer)
+            info = restore_replayed(prog, payload, scratch, ledger)
         finally:
             scratch.ti.plans_enabled = True
         # 7 list nodes + 9 leaves carved; the list's head, the tree's
@@ -1577,10 +1635,10 @@ class TestOneAllocationPath:
         """Every plan kind at once on the pre-warmed scratch: pending
         blocks between chain batches and blocks restored in place."""
         prog = _compile(structgrid_source(48, 24))
-        scratch, payload, restorer = self.prewarmed(prog, ULTRA5, X86_64)
+        scratch, payload, ledger = self.prewarmed(prog, ULTRA5, X86_64)
         scratch.ti.plans_enabled = plans
         try:
-            info = restore_replayed(prog, payload, scratch, restorer)
+            info = restore_replayed(prog, payload, scratch, ledger)
         finally:
             scratch.ti.plans_enabled = True
         assert info.stats.n_heap_allocs > 0
@@ -1621,7 +1679,7 @@ class TestOneAllocationPath:
         _assert_like_unmigrated(dest, run_baseline(prog, ULTRA5))
 
 
-class ScanningFinalCollector(PrecopyFinalCollector):
+class ScanningFinalCollector(Collector):
     """The scan the ``stale`` ledger replaced: tail roots read out of the
     whole table at the stop.  The oracle of the ledger's tail."""
 
@@ -1636,7 +1694,6 @@ class ScanningFinalCollector(PrecopyFinalCollector):
             if block.logical not in visited:
                 self.buf.write_u8(1)
                 self.save_variable(block)
-        self.buf.write_u8(0)
 
 
 # every slice frees the node the round before had to defer (it holds
@@ -1738,19 +1795,20 @@ def test_ledgers_equal_the_scans_they_replace(name, pair, monkeypatch):
     state = run_precopy(proc, scratch, Channel(LOOPBACK), policy, MigrationStats(), 4096)
     _assert_ledgers_are_the_scans(proc, scratch, state.fresh, state.stale, state.held)
 
-    scanned, _ = collect_state(
-        proc, lambda p, b: ScanningFinalCollector(p, b, set(state.fresh), state.stale)
-    )
+    with mock.patch.object(engine_module, "Collector", ScanningFinalCollector):
+        scanned, _ = collect_state(proc, set(state.fresh), state.stale)
     born = []
 
-    def final(process, buf):
-        born.append(PrecopyFinalCollector(process, buf, state.fresh, state.stale))
-        return born[-1]
+    class Born(Collector):
+        def __init__(self, *args):
+            super().__init__(*args)
+            born.append(self)
 
-    ledgered, _ = collect_state(proc, final)
+    with mock.patch.object(engine_module, "Collector", Born):
+        ledgered, _ = collect_state(proc, state.fresh, state.stale)
     assert born[0]._visited is state.fresh
     assert ledgered == scanned
-    rest = PrecopyFinalRestorer(scratch, ReadBuffer(b""), held=state.held)
+    rest = Restorer(scratch, ReadBuffer(b""), state.held)
     assert rest._mapping is state.held
 
 

@@ -23,7 +23,7 @@ from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.migration import precopy as precopy_module
 from repro.migration.engine import MigrationEngine, collect_state
 from repro.migration.precopy import PrecopyPolicy
-from repro.msr.delta import PrecopyFinalRestorer
+from repro.msr.restore import Restorer
 from repro.msr.msrlt import BlockKind
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -50,8 +50,8 @@ def observed_rounds():
     seen = []
     collect_round = precopy_module._collect_round
     restore_round = precopy_module._restore_round
-    resolve_block = PrecopyFinalRestorer._resolve_block
-    restore_contents = PrecopyFinalRestorer.restore_contents
+    resolve_block = Restorer._resolve_block
+    restore_contents = Restorer.restore_contents
 
     def collect(process, round_no, freed, written, fresh, stale):
         whole, whole_deferred = collect_round(
@@ -82,8 +82,8 @@ def observed_rounds():
             return restore_contents(rest, block)
 
         before = set(held)
-        with mock.patch.object(PrecopyFinalRestorer, "_resolve_block", on_block), \
-                mock.patch.object(PrecopyFinalRestorer, "restore_contents", on_run):
+        with mock.patch.object(Restorer, "_resolve_block", on_block), \
+                mock.patch.object(Restorer, "restore_contents", on_run):
             out = restore_round(scratch, payload, round_no, held)
         # a heap block new to the destination is carved by the walk itself
         for logical in held.keys() - before:

@@ -150,7 +150,7 @@ class TestCorruption:
         assert dest.stdout == "15 7.5"
 
 
-    def test_root_ref_must_name_the_expected_block(self):
+    def test_root_ref_must_name_the_expected_block(self, monkeypatch):
         """A structurally valid payload whose record for global 1 is a
         REF to global 0: accepted, it would leave `numbers` unrestored
         without a word (root REFs are ordinary in a pre-copy final
@@ -166,7 +166,8 @@ class TestCorruption:
         proc.start()
         proc.migration_pending = True
         assert proc.run().status == "poll"
-        forged, _ = collect_state(proc, Misrouting)
+        monkeypatch.setattr(engine_module, "Collector", Misrouting)
+        forged, _ = collect_state(proc)
         with pytest.raises(RestoreError, match="arrived where .* was expected"):
             _try_restore(forged)
 
