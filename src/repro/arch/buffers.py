@@ -301,8 +301,8 @@ class StreamReadBuffer(ReadBuffer):
     window of bytes at a time; when a read outruns the window, the next
     chunk is pulled from the iterator and spliced on.  This is what lets
     restoration start before collection has finished: the iterator is
-    typically a channel's ``iter_chunks()``, fed (same-thread or from a
-    producer thread) by a draining collector.
+    typically a channel's ``iter_chunks()``, fed on the same thread by a
+    draining collector.
 
     The window is rebuilt as an immutable ``bytes`` on each refill, so
     memoryviews handed out by earlier ``read`` calls stay valid (they pin

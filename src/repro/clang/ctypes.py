@@ -269,7 +269,6 @@ class TypeLayout:
         self._size: dict[tuple, int] = {}
         self._align: dict[tuple, int] = {}
         self._cells: dict[tuple, tuple[Cell, ...]] = {}
-        self._offsets: dict[tuple, tuple[int, ...]] = {}
         self._field_offsets: dict[tuple, dict[str, int]] = {}
         self._memo_guard: set[tuple] = set()
 
@@ -354,7 +353,6 @@ class TypeLayout:
         if out is None:
             out = tuple(self._iter_cells(ctype, 0))
             self._cells[key] = out
-            self._offsets[key] = tuple(c.offset for c in out)
         return out
 
     def _iter_cells(self, ctype: CType, base: int) -> Iterator[Cell]:
@@ -375,39 +373,6 @@ class TypeLayout:
                 yield from self._iter_cells(ftype, base + foff)
         else:
             raise LayoutError(f"type {ctype} has no cells")
-
-    def cell_count(self, ctype: CType) -> int:
-        """Number of primitive leaves in *ctype* (architecture-independent)."""
-        return len(self.cells(ctype))
-
-    def cell_offset(self, ctype: CType, ordinal: int) -> int:
-        """Byte offset of leaf *ordinal* (``ordinal == cell_count`` denotes
-        the one-past-the-end position, as C pointer arithmetic allows)."""
-        cells = self.cells(ctype)
-        if ordinal == len(cells):
-            return self.sizeof(ctype)
-        return cells[ordinal].offset
-
-    def ordinal_of_offset(self, ctype: CType, offset: int) -> int:
-        """Cell ordinal whose byte offset equals *offset*.
-
-        A pointer that refers to ``sizeof(ctype)`` (one past the end) maps
-        to ordinal ``cell_count``.  Raises :class:`LayoutError` for offsets
-        that do not land exactly on a leaf (such a pointer cannot be
-        migrated portably — e.g. into struct padding).
-        """
-        self.cells(ctype)  # populate offset table
-        offsets = self._offsets[type_key(ctype)]
-        if offset == self.sizeof(ctype):
-            return len(offsets)
-        import bisect
-
-        i = bisect.bisect_left(offsets, offset)
-        if i < len(offsets) and offsets[i] == offset:
-            return i
-        raise LayoutError(
-            f"byte offset {offset} in {ctype} does not address a primitive cell"
-        )
 
 
 def _align_up(value: int, align: int) -> int:

@@ -463,7 +463,7 @@ def cmd_restart(args) -> int:
 def cmd_graph(args) -> int:
     """`repro graph`: print the MSR graph G=(V,E) at a poll-point."""
     from repro.msr.model import build_msr_graph
-    from repro.msr.msrlt import BlockKind
+    from repro.msr.msrlt import BlockKind, MSRLTError
 
     prog = _compile(args.file, args)
     proc = _stop_at(prog, ARCH_PRESETS[args.arch], args.after_polls)
@@ -476,7 +476,11 @@ def cmd_graph(args) -> int:
     for idx, info in enumerate(prog.globals):
         if not info.is_string and not info.is_hidden:
             roots.append(proc.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0)))
-    graph = build_msr_graph(proc, roots)
+    try:
+        graph = build_msr_graph(proc, roots)
+    except MSRLTError as exc:
+        raise CliError(f"{args.file}: a live pointer dangles at poll "
+                       f"#{args.after_polls}: {exc}", 1)
     census = graph.segment_census()
     print(
         f"MSR graph at poll #{args.after_polls}: |V|={len(graph.vertices)} "

@@ -29,7 +29,6 @@ typed verdict on wire bytes.  ``streaming=`` picks only the *schedule*:
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -716,9 +715,9 @@ class _Run:
         schedule — serial: the whole payload is chunk 0, the feed is
         drained to its terminator and restoration reads one contiguous
         buffer; pipelined: ``chunk_size`` chunks, restored while later
-        ones are still being collected.  The restore spans hang under
-        the ``attempt`` span this runs in (the socket's producer thread
-        is rooted there by ``channel.feeding``)."""
+        ones are still being collected.  Everything runs on the calling
+        thread, so the restore spans hang under the ``attempt`` span
+        this runs in."""
         stats, channel, pipelined = self.stats, self.channel, self.streaming
         info_slot: list = []
         # the final pass of a pre-copy is born owning its ledgers
@@ -753,33 +752,23 @@ class _Run:
         incoming = channel.iter_chunks()
 
         def interleaved():
-            """Same-thread feed: the consumer's pull for the next chunk
-            collects it, sends it, and receives it — on the pipelined
-            schedule, chunk-granular interleaving of all three stages."""
+            """The feed: the consumer's pull for the next chunk collects
+            it, sends it, and receives it — on the pipelined schedule,
+            chunk-granular interleaving of all three stages."""
             for _, chunk in zip(sends(), incoming):
                 yield chunk
             yield from incoming  # nothing but the terminator is left
 
-        if channel.concurrent_stream:
-            # frame writes block until drained (the socket): collection +
-            # send run in a producer thread while this one receives
-            feeding, feed = channel.feeding(
-                lambda: deque(sends(), maxlen=0),  # run the send side dry
-                "migration-collector",
-            ), incoming
+        feed = interleaved()
+        if pipelined:
+            feed = _TimedIter(feed, "feed")
+            rbuf, span = StreamReadBuffer(feed), "pipeline"
         else:
-            feeding, feed = nullcontext(), interleaved()
-
-        with feeding:
-            if pipelined:
-                feed = _TimedIter(feed, "feed")
-                rbuf, span = StreamReadBuffer(feed), "pipeline"
-            else:
-                received = list(feed)
-                whole = received[0] if len(received) == 1 else b"".join(received)
-                rbuf, span = ReadBuffer(whole), "restore"
-            with obs.span(span) as wall, restore_errors("restore"):
-                rinfo = _restore_from(self.source.program, rbuf, self.scratch, held)
+            received = list(feed)
+            whole = received[0] if len(received) == 1 else b"".join(received)
+            rbuf, span = ReadBuffer(whole), "restore"
+        with obs.span(span) as wall, restore_errors("restore"):
+            rinfo = _restore_from(self.source.program, rbuf, self.scratch, held)
         stats.restore_time = wall.seconds
         if pipelined:
             # feed time covers collection + channel hops; what is left of
@@ -813,20 +802,7 @@ class _Run:
         stats.finish_pipeline(latency_s=link.latency_s)
 
         if pipelined:
-            # measured overlap: the producer thread's collection busy-time
-            # as a fraction of the pipeline wall clock.  The same-thread
-            # generator pipeline interleaves but cannot overlap
-            # wall-clock, so it honestly reports 0.0.
-            occupancy = 0.0
-            if channel.concurrent_stream and wall.seconds > 0:
-                occupancy = min(collect_iter.seconds / wall.seconds, 1.0)
-            stats.pipeline_occupancy = occupancy
-            obs.event(
-                "pipeline",
-                wall_s=round(wall.seconds, 9),
-                n_chunks=stats.n_chunks,
-                occupancy=round(occupancy, 9),
-            )
+            obs.event("pipeline", wall_s=round(wall.seconds, 9), n_chunks=stats.n_chunks)
 
 
 class MigrationEngine:
@@ -839,7 +815,6 @@ class MigrationEngine:
         self,
         process: Process,
         dest_arch,
-        dest_name: Optional[str] = None,
         channel: Optional[Channel] = None,
         waiting: Optional[Process] = None,
         streaming: bool = False,
@@ -868,9 +843,8 @@ class MigrationEngine:
         and ``stats.response_time`` is Collect + Tx + Restore.  With
         ``streaming=True`` the payload is cut into *chunk_size* chunks
         that are collected, framed, transmitted, and restored in a
-        pipeline (generator-driven on in-memory/file channels, a
-        producer thread on the socket channel) and
-        ``stats.response_time`` / ``overlap_ratio`` report the
+        generator-driven pipeline on the calling thread (every channel)
+        and ``stats.response_time`` / ``overlap_ratio`` report the
         overlapped total.  The restored process is identical either way.
 
         With ``compress=True`` each chunk (the whole payload on the
@@ -926,7 +900,7 @@ class MigrationEngine:
         run = _Run(
             source=process,
             dest=waiting if waiting is not None else Process(
-                process.program, dest_arch, name=dest_name or f"{process.name}'"
+                process.program, dest_arch, name=f"{process.name}'"
             ),
             channel=channel,
             streaming=streaming,

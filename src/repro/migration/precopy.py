@@ -28,10 +28,10 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
 
 Every round — the snapshot too — is one chunk stream on the migration's
 channel (:mod:`repro.msr.wire`: chunk frames, then the terminator), the
-envelope of a transfer attempt less its context frame.  So a fault plan
-numbers a round's sends like any others, ``compress=True`` deflates
-them, and the channel's ``delta_bytes_sent`` is simply what it accepted
-while the phase ran.
+envelope of a transfer attempt, sent whole and then received on the
+calling thread.  So a fault plan numbers a round's sends like any
+others, ``compress=True`` deflates them, and the channel's
+``delta_bytes_sent`` is simply what it accepted while the phase ran.
 
 The tracker and the journal are installed *only while the interpreter
 runs a slice*: collection passes read through the same Memory entry
@@ -160,14 +160,10 @@ def _ship_round(channel, payload, chunk_size: int) -> bytes:
     """Send *payload* as one chunk stream and receive it back on the far
     side."""
     mv = memoryview(payload)
-
-    def send_all() -> None:
-        for start in range(0, len(mv), chunk_size):
-            channel.send_chunk(mv[start : start + chunk_size])
-        channel.end_stream()
-
-    with channel.feeding(send_all, "precopy-round"):
-        return b"".join(channel.iter_chunks())
+    for start in range(0, len(mv), chunk_size):
+        channel.send_chunk(mv[start : start + chunk_size])
+    channel.end_stream()
+    return b"".join(channel.iter_chunks())
 
 
 def _collect_round(process, round_no: int, freed, written, fresh: set, stale: set):

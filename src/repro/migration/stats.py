@@ -113,10 +113,6 @@ class MigrationStats:
     aborted_bytes: int = 0
     #: total intended backoff delay between attempts (seconds)
     time_in_backoff: float = 0.0
-    #: *measured* producer-thread busy fraction of the pipeline wall
-    #: clock (socket pipeline only; the same-thread generator pipeline
-    #: interleaves but cannot overlap wall-clock, so it reports 0.0)
-    pipeline_occupancy: float = 0.0
     #: whether this migration ran the iterative pre-copy protocol
     precopy: bool = False
     #: delta rounds shipped before stop-and-copy (snapshot round included)

@@ -32,8 +32,9 @@ Transport failure is a first-class, *typed* event (DESIGN.md §7):
 
 - every channel has ``reset()`` (fresh-connection semantics for a retry)
   and ``set_deadline()`` (a recv deadline, so a silently stalled peer
-  raises :class:`ChannelTimeoutError` instead of hanging — enforced with
-  a real socket timeout on :class:`SocketChannel`);
+  raises :class:`ChannelTimeoutError` instead of hanging).  A stream is
+  sent and received on the caller's thread, so no read blocks: nothing
+  pending *is* the deadline firing;
 - :class:`FaultyChannel` wraps any channel and deterministically injects
   drops, truncations, bit-flips, stalls, and disconnects at chosen send
   indices per a :class:`FaultPlan`, so every failure scenario is
@@ -48,21 +49,11 @@ import pathlib
 import random
 import socket
 import struct
-import threading
 from collections import deque
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from repro import obs
-from repro.msr.wire import (
-    CHUNK_HEADER_SIZE,
-    FRAME_MAGICS,
-    ChunkDecoder,
-    FrameCorruptError,
-    encode_chunk_parts,
-    encode_end_of_stream,
-    TruncatedFrameError,
-)
+from repro.msr.wire import ChunkDecoder, encode_chunk_parts, encode_end_of_stream
 
 __all__ = [
     "Link",
@@ -124,20 +115,18 @@ LOOPBACK = Link("loopback", 1e12, latency_s=0.0)
 class BaseChannel:
     """What every channel is: whole messages (``send``/``recv``) over one
     :class:`Link`, chunk streams on top of them, and the lifecycle the
-    engine drives (``reset``, ``set_deadline``, ``abort_stream``,
-    ``close``).
+    engine drives (``reset``, ``set_deadline``, ``close``).
 
     A subclass supplies ``_deliver`` (put one message on its wire),
     ``recv`` and ``pending``.  By default a frame is just one more
-    message; channels with a genuinely different streaming data path
-    (the socket) override ``_send_frame``/``_send_frame_parts``/
-    ``_recv_frame`` but keep the same accounting.
-
-    ``concurrent_stream`` says whether a stream's send side must run in
-    a producer thread (frame writes block until someone consumes them)
-    or can share the consumer's thread — :meth:`feeding` acts on it.
+    message; a channel whose frames take another path (the socket's
+    bypass ``send()``) overrides ``_send_frame``.  Writes never block:
+    a stream's send side and its receive side share the caller's
+    thread.
     """
 
+    #: no channel needs its stream fed from another thread; only the
+    #: frozen benchmark suite's ``layers.ship_chunks`` still reads this
     concurrent_stream = False
 
     def __init__(self, link: Link, deadline: float | None = None) -> None:
@@ -187,9 +176,9 @@ class BaseChannel:
         self._decoder = ChunkDecoder()
 
     def set_deadline(self, seconds: float | None) -> None:
-        """Install a recv deadline.  The modeled channels cannot block, so
-        for them the deadline is bookkeeping the fault layer consults;
-        :class:`SocketChannel` enforces it with a real socket timeout."""
+        """Install a recv deadline.  No channel's reads block, so the
+        deadline is bookkeeping the fault layer consults (and names in
+        its timeout message)."""
         self.deadline = seconds
 
     def _timed_out(self, what: str) -> ChannelTimeoutError:
@@ -200,71 +189,15 @@ class BaseChannel:
             return ChannelTimeoutError(f"recv timed out (no deadline set): {what}")
         return ChannelTimeoutError(f"recv deadline ({self.deadline}s) expired: {what}")
 
-    def abort_stream(self) -> None:
-        """Tear down the send side of an in-flight stream so a blocked
-        consumer fails with a typed error instead of hanging (no-op on
-        channels whose reads never block)."""
-
     def close(self) -> None:
         """Release what the channel holds open (nothing, by default)."""
-
-    @contextmanager
-    def feeding(self, send_all, thread_name: str):
-        """Run *send_all* — the whole send side of one stream — for the
-        consumer in the ``with`` block: up front on a channel whose
-        writes never block, else in a producer thread (*thread_name*)
-        that the block's exit joins.
-
-        The thread does not inherit the caller's ContextVars, so the
-        active observation is re-activated inside it, rooting its spans
-        under the span that spawned it.  Whatever *send_all* raises there
-        is re-raised here (ahead of the consumer's own error, which it
-        caused: the aborted send side turns the consumer's next read into
-        a typed :class:`~repro.msr.wire.TruncatedFrameError`).  A
-        consumer that fails first — it refused a damaged frame — closes
-        the channel before joining: the producer may be blocked on a full
-        pipe that nobody will drain, and what the close makes it raise
-        is an echo of the consumer's error, not reported."""
-        if not self.concurrent_stream:
-            send_all()
-            yield
-            return
-        error: list = []
-        obs_ = obs.current()
-        scope = nullcontext()
-        if obs_ is not None:
-            scope = obs_.activate_in_thread(obs_.tracer.current())
-
-        def produce() -> None:
-            try:
-                with scope:
-                    send_all()
-            except BaseException as exc:  # noqa: BLE001 - re-raised by the consumer
-                error.append(exc)
-                self.abort_stream()
-
-        producer = threading.Thread(target=produce, name=thread_name)
-        producer.start()
-        consumer_first = False
-        try:
-            yield
-        except BaseException:
-            consumer_first = not error
-            if consumer_first:
-                self.close()
-            raise
-        finally:
-            producer.join()
-            if error and not consumer_first:
-                raise error[0]
 
     # -- chunk streams ('MCHK'/'MCHZ') -------------------------------------
 
     def send_chunk(self, payload: bytes | bytearray | memoryview) -> float:
         """Frame and transmit one chunk of the current stream (any
-        buffer-protocol object — the body is only joined to its header
-        where the transport needs one contiguous buffer); returns the
-        modeled per-frame wire time."""
+        buffer-protocol object); returns the modeled per-frame wire
+        time."""
         if self.compress_stream:
             with obs.lap("codec.deflate"):
                 header, body = encode_chunk_parts(self._seq, payload, True)
@@ -275,7 +208,9 @@ class BaseChannel:
         self.chunks_sent += 1
         self.framed_bytes_sent += frame_len
         obs.inc("wire.chunks_sent")
-        return self._send_frame_parts(header, body)
+        # one frame, joined once: the fault layer slices and bit-flips
+        # the complete frame
+        return self._send_frame(b"".join((header, body)))
 
     def end_stream(self) -> float:
         """Transmit the terminator; the next chunk opens a new stream."""
@@ -303,17 +238,6 @@ class BaseChannel:
 
     def _send_frame(self, frame: bytes) -> float:
         return self.send(frame)
-
-    def _send_frame_parts(self, header: bytes, body) -> float:
-        """Transmit one frame given as ``(header, body)`` parts.
-
-        The default joins once and rides the whole-frame path — this is
-        also what keeps the fault layer meaningful (faults slice and
-        bit-flip the complete frame, wherever its bytes came from).
-        Channels with a vectored wire (the socket) override this to ship
-        the parts back to back without the join.
-        """
-        return self._send_frame(b"".join((header, body)))
 
     def _recv_frame(self) -> bytes:
         return self.recv()
@@ -423,36 +347,22 @@ class SocketChannel(Channel):
     the in-memory channel (a loopback socket says nothing about a
     10 Mb/s Ethernet).
 
-    Both endpoints live in one thread for whole-message transfers, so
-    ``send`` only queues the payload (the in-memory channel's queue);
-    ``recv`` pumps it through the socket in chunks small enough never to
-    fill the kernel buffer (an 8 MB matrix must not deadlock a
-    single-threaded test).
-
-    Frames — all a migration sends, default mode included — are
-    different: they are written straight into the socket and may block
-    once the kernel buffer fills, so a stream's send side runs in a
-    producer thread (``concurrent_stream = True``) while the consumer
-    drains ``recv_chunk`` — a real producer/consumer pipeline.
+    Both endpoints live in the caller's thread, so a send only queues
+    (the in-memory channel's queue) and the receive pumps what it takes
+    off the queue through the socket in pieces small enough never to
+    fill the kernel buffer (an 8 MB matrix must not deadlock).  Whole
+    messages ride ``send()``; frames — all a migration sends — bypass
+    it, so ``bytes_sent`` and ``framed_bytes_sent`` are disjoint here.
     """
 
     _CHUNK = 32768
-
-    concurrent_stream = True
 
     def __init__(self, link: Link = ETHERNET_10M, deadline: float | None = None) -> None:
         self._tx, self._rx = socket.socketpair()
         super().__init__(link, deadline)
 
-    def set_deadline(self, seconds: float | None) -> None:
-        """Recv deadline, enforced by the kernel: a peer that connects and
-        then stalls raises :class:`ChannelTimeoutError` within *seconds*
-        instead of hanging the consumer forever."""
-        self.deadline = seconds
-        self._rx.settimeout(seconds)
-
-    def recv(self) -> bytes:
-        payload = super().recv()
+    def _pump(self, payload) -> bytes:
+        """Carry one queued message or frame through the socket pair."""
         out = bytearray()
         view = memoryview(payload)
         for start in range(0, len(view), self._CHUNK):
@@ -467,61 +377,31 @@ class SocketChannel(Channel):
                 got += len(piece)
         return bytes(out)
 
-    # -- streamed frames go through the socket for real -------------------
+    def recv(self) -> bytes:
+        return self._pump(super().recv())
+
+    def _recv_frame(self) -> bytes:
+        if not self._queue:
+            # the sender runs on this thread: what is not queued by now
+            # never comes
+            raise self._timed_out("peer stalled: no frame queued")
+        return self.recv()
 
     @property
     def accepted_bytes(self) -> int:
-        # frames go straight into the socket, past send()
+        # frames are queued past send()
         return self.bytes_sent + self.framed_bytes_sent
 
     def _send_frame(self, frame: bytes) -> float:
-        self._tx.sendall(frame)
+        self._deliver(frame)
         return self.link.transfer_time(len(frame))
-
-    def _send_frame_parts(self, header: bytes, body) -> float:
-        # vectored send: header and body go out back to back, no join —
-        # sendall accepts any buffer-protocol object
-        self._tx.sendall(header)
-        self._tx.sendall(body)
-        return self.link.transfer_time(len(header) + len(body))
-
-    def _read_exact(self, n: int, context: str) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            try:
-                piece = self._rx.recv(n - len(out))
-            except TimeoutError:
-                raise self._timed_out(
-                    f"peer stalled mid-{context} after {len(out)} of {n} bytes"
-                ) from None
-            if not piece:
-                raise TruncatedFrameError(
-                    f"socket closed mid-{context}: got {len(out)} of {n} bytes"
-                )
-            out += piece
-        return bytes(out)
-
-    def _recv_frame(self) -> bytes:
-        header = self._read_exact(CHUNK_HEADER_SIZE, "frame header")
-        if int.from_bytes(header[:4], "big") not in FRAME_MAGICS:
-            # a desynced stream must fail here, before a garbage length
-            # field makes us block waiting for bytes that never come
-            raise FrameCorruptError(f"bad chunk frame magic {header[:4].hex()}")
-        (length,) = _RECORD_LEN.unpack_from(header, 8)
-        if length == 0:
-            return header
-        return header + self._read_exact(length, "frame payload")
 
     def reset(self) -> None:
         """Fresh-connection semantics for a retry: tear down the failed
-        socket pair (which may hold half a frame) and dial a new one."""
+        socket pair and dial a new one."""
         self.close()
         self._tx, self._rx = socket.socketpair()
         super().reset()
-        self._rx.settimeout(self.deadline)
-
-    def abort_stream(self) -> None:
-        self._tx.close()
 
     def close(self) -> None:
         self._tx.close()
@@ -685,7 +565,6 @@ class FaultyChannel(BaseChannel):
     def __init__(self, inner, plan: FaultPlan, deadline: float | None = None) -> None:
         self.inner = inner
         self.plan = plan
-        self.concurrent_stream = inner.concurrent_stream
         self.faults_fired: list[Fault] = []
         self._send_index = 0
         self._stalled = False
@@ -742,26 +621,20 @@ class FaultyChannel(BaseChannel):
     # -- the receive path --------------------------------------------------
 
     def recv(self) -> bytes:
-        return self._receive(
-            self.inner.recv, True, "nothing arrived (payload lost in transit)"
-        )
+        return self._receive(self.inner.recv, "nothing arrived (payload lost in transit)")
 
     def _recv_frame(self) -> bytes:
-        # frames on the socket block for real, under the socket's own deadline
-        return self._receive(
-            self.inner._recv_frame, not self.concurrent_stream,
-            "expected chunk frame never arrived",
-        )
+        return self._receive(self.inner._recv_frame, "expected chunk frame never arrived")
 
-    def _receive(self, read, queued: bool, lost: str) -> bytes:
+    def _receive(self, read, lost: str) -> bytes:
         if self._closed:
             raise ChannelClosedError("recv on a disconnected channel")
         if self._stalled:
             self._stalled = False
             raise self._timed_out("peer stalled mid-transfer (injected stall)")
-        # a message queue cannot block: nothing pending after a dropped
-        # payload is the deadline firing
-        if queued and self.inner.pending == 0:
+        # a queue cannot block: nothing pending after a dropped payload
+        # is the deadline firing
+        if self.inner.pending == 0:
             raise self._timed_out(lost)
         return read()
 
@@ -777,9 +650,6 @@ class FaultyChannel(BaseChannel):
         self._closed = False
         super().reset()
         self.inner.reset()
-
-    def abort_stream(self) -> None:
-        self.inner.abort_stream()
 
     def close(self) -> None:
         self.inner.close()

@@ -91,14 +91,20 @@ def build_msr_graph(process, roots: list[MemoryBlock]) -> MSRGraph:
     msrlt = process.msrlt
     ti = process.ti
 
-    def visit(block: MemoryBlock) -> None:
+    def visit(block: MemoryBlock):
+        """Add *block* as a vertex; an iterator over its pointer targets
+        (recording each edge as it goes), empty when the block was seen
+        before or holds no pointer."""
         logical = tuple(block.logical)
         if logical in graph.vertices:
-            return
+            return iter(())
         graph.vertices[logical] = block
         info = ti.info_for(block.elem_type)
         if not info.has_pointers:
-            return
+            return iter(())
+        return targets(block, logical, info)
+
+    def targets(block: MemoryBlock, logical, info):
         for unit in range(info.units_in(block.count)):
             base = block.addr + unit * info.unit_size
             for ci, cell in enumerate(info.cells):
@@ -117,8 +123,16 @@ def build_msr_graph(process, roots: list[MemoryBlock]) -> MSRGraph:
                         dst_off=off,
                     )
                 )
-                visit(target)
+                yield target
 
+    # an explicit work stack, one open block per entry: a pointer chain
+    # as deep as the heap costs no Python recursion
     for root in roots:
-        visit(root)
+        stack = [visit(root)]
+        while stack:
+            target = next(stack[-1], None)
+            if target is None:
+                stack.pop()
+            else:
+                stack.append(visit(target))
     return graph

@@ -13,12 +13,13 @@ per ``MigrationEngine.migrate()`` call and bundles:
   ``engine.retries``, ``codec.bytes_saved``, ...), summed
   cluster-wide by ``Scheduler``/``LoadBalancer``;
 - an :class:`~repro.obs.events.EventLog` — structured events (attempts,
-  observed faults, degradation, per-chunk pipeline occupancy) exported
+  observed faults, degradation, the streamed pipeline) exported
   as JSON-lines by ``repro migrate --trace out.jsonl``.
 
 Observation never reaches the wire.  Within one migration the spans
-nest by call: the restore side's spans sit under the ``attempt`` span
-that ran it.  Across hops of a chain (A→B→C), :func:`continuation_context`
+nest by call — a migration runs on the thread that called ``migrate()``
+— so the restore side's spans sit under the ``attempt`` span that ran
+it.  Across hops of a chain (A→B→C), :func:`continuation_context`
 names the attempt span that carried hop N, and the next hop's
 observation adopts it (``MigrationObservation(adopt_from=...)``), so
 the hops' JSONL traces merge by span id into one tree.
@@ -42,7 +43,6 @@ from typing import Optional
 
 from repro.obs.attribution import AttributionProfiler
 from repro.obs.events import (
-    DEFAULT_EVENT_CAPACITY,
     EventLog,
     NULL_EVENTS,
     TRACE_SCHEMA_VERSION,
@@ -51,14 +51,13 @@ from repro.obs.events import (
     validate_trace_obj,
 )
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.spans import NULL_TRACER, Span, Tracer
+from repro.obs.spans import NULL_TRACER, Tracer
 
 __all__ = [
     "MigrationObservation",
     "TraceContext",
     "continuation_context",
     "TRACE_SCHEMA_VERSION",
-    "DEFAULT_EVENT_CAPACITY",
     "current",
     "current_tracer",
     "current_metrics",
@@ -66,7 +65,6 @@ __all__ = [
     "span",
     "lap",
     "record",
-    "bind",
     "event",
     "inc",
     "validate_trace_obj",
@@ -122,7 +120,6 @@ class MigrationObservation:
     """
 
     def __init__(self, name: str = "migration", attribution: bool = False,
-                 event_capacity: int = DEFAULT_EVENT_CAPACITY,
                  adopt_from: Optional[TraceContext] = None) -> None:
         if adopt_from is not None:
             self.tracer = Tracer.adopt_remote(
@@ -131,8 +128,7 @@ class MigrationObservation:
         else:
             self.tracer = Tracer(name)
         self.metrics = MetricsRegistry()
-        self.events = EventLog(clock=self.tracer._clock,
-                               capacity=event_capacity)
+        self.events = EventLog(clock=self.tracer._clock)
         self.attribution = AttributionProfiler() if attribution else None
 
     # -- activation --------------------------------------------------------
@@ -141,13 +137,6 @@ class MigrationObservation:
         """Context manager installing this observation as the ambient one
         (what the module-level helpers resolve)."""
         return _Activation(self)
-
-    def activate_in_thread(self, parent: Span) -> "_ThreadActivation":
-        """Activation for a worker thread the engine spawned: installs
-        the observation in that thread's context *and* roots the
-        thread's spans under *parent* (threads do not inherit the
-        spawning context's ContextVars)."""
-        return _ThreadActivation(self, parent)
 
     # -- export ------------------------------------------------------------
 
@@ -234,25 +223,6 @@ class _Activation:
         return False
 
 
-class _ThreadActivation:
-    __slots__ = ("_obs", "_parent", "_token", "_bind")
-
-    def __init__(self, obs: MigrationObservation, parent: Span) -> None:
-        self._obs = obs
-        self._parent = parent
-
-    def __enter__(self) -> MigrationObservation:
-        self._token = _CURRENT.set(self._obs)
-        self._bind = self._obs.tracer.bind(self._parent)
-        self._bind.__enter__()
-        return self._obs
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._bind.__exit__(exc_type, exc, tb)
-        _CURRENT.reset(self._token)
-        return False
-
-
 # -- ambient helpers (the API instrumented call sites use) --------------------
 
 
@@ -297,11 +267,6 @@ def lap(name: str, **attrs):
 def record(name: str, seconds: float, **attrs):
     """Record a span with an externally supplied (modeled) duration."""
     return current_tracer().record(name, seconds, **attrs)
-
-
-def bind(parent: Span):
-    """Root the current thread's spans under *parent*."""
-    return current_tracer().bind(parent)
 
 
 def event(name: str, **fields) -> dict:

@@ -25,9 +25,8 @@ whatever ran.
 Hot-path discipline: the collector and restorer fetch the profiler
 **once** per pass (`repro.obs.current_attribution()`); when attribution
 is off that is ``None`` and every per-block hook is a single
-``is not None`` test.  Frames live on per-thread stacks (the socket
-pipeline collects in a producer thread while the consumer restores), and
-rows are folded under one lock only at frame close.
+``is not None`` test.  Frames live on per-thread stacks, and rows are
+folded under one lock only at frame close.
 
 Rows are additionally partitioned by **scope**: the engine brackets the
 iterative pre-copy phase with :meth:`AttributionProfiler.scoped`, so

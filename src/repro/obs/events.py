@@ -1,21 +1,21 @@
 """The structured event log and the JSONL trace file format.
 
 Every migration appends typed events (attempts, observed faults,
-backoff, per-chunk pipeline occupancy) to an in-memory
+backoff, the streamed pipeline) to an in-memory
 :class:`EventLog`; ``repro migrate --trace out.jsonl`` exports the log
 plus the span tree and the metrics snapshot as JSON-lines.
 
-Trace file format (one JSON object per line, schema version 6 — the one
+Trace file format (one JSON object per line, schema version 7 — the one
 version this build writes and reads; a trace of another version is
 re-recorded, not converted):
 
-- line 1 is always ``{"event": "trace_header", "schema": 6, ...}`` and
+- line 1 is always ``{"event": "trace_header", "schema": 7, ...}`` and
   carries the migration's ``trace_id`` (16 hex chars);
 - every line has an ``"event"`` string and a non-negative ``"ts"``
   number (seconds since the migration's observation began);
 - event lines come next, in emission order, each of a type registered
   in :data:`EVENT_REQUIRED_FIELDS` (attempts, faults, backoff,
-  per-chunk pipeline occupancy, the pre-copy rounds); an
+  the streamed pipeline, the pre-copy rounds); an
   ``events_dropped`` marker says the ring buffer overflowed and how
   many events were lost;
 - ``span`` lines carry the flattened span tree (``path`` is the
@@ -61,7 +61,7 @@ __all__ = [
     "validate_trace_file",
 ]
 
-TRACE_SCHEMA_VERSION = 6
+TRACE_SCHEMA_VERSION = 7
 
 #: default ring-buffer bound of an :class:`EventLog` — generous (a
 #: per-chunk event stream at 64 KiB chunks reaches this around a 2 GiB
@@ -80,8 +80,7 @@ EVENT_REQUIRED_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
     "fault": (("kind", str), ("index", int)),
     "backoff": (("attempt", int), ("delay_s", (int, float))),
     "chunk": (("seq", int), ("collect_busy_s", (int, float))),
-    "pipeline": (("wall_s", (int, float)), ("n_chunks", int),
-                 ("occupancy", (int, float))),
+    "pipeline": (("wall_s", (int, float)), ("n_chunks", int)),
     "migration_end": (("collect_s", (int, float)), ("tx_s", (int, float)),
                       ("restore_s", (int, float)), ("attempts", int)),
     "span": (("name", str), ("path", str), ("seconds", (int, float)),

@@ -1,11 +1,11 @@
 """Trace spans: the one clock the migration pipeline tells time by.
 
 A :class:`Span` is a named, monotonic-clocked (``time.perf_counter``)
-timed region.  Spans nest: the tracer keeps a *per-thread* stack, so the
-engine's restore driver and the socket pipeline's producer thread each
-grow their own branch of one shared tree without locking each other out
-of it (children lists are appended under a single tracer lock, which is
-the only shared mutable state).
+timed region.  Spans nest: the tracer keeps a *per-thread* stack (a
+migration runs on one thread; a caller that observes from several
+threads gets one branch per thread of one shared tree), and children
+lists are appended under a single tracer lock, which is the only shared
+mutable state.
 
 Three ways to put time on the tree:
 
@@ -194,12 +194,6 @@ class Tracer:
         """The innermost open span on this thread (the root if none)."""
         return self._stack()[-1]
 
-    def bind(self, parent: Span):
-        """Context manager rooting *this thread's* spans under *parent* —
-        how the engine attaches the socket producer thread's collection
-        spans beneath the attempt span that spawned it."""
-        return _Bind(self, parent)
-
     # -- span creation -----------------------------------------------------
 
     def span(self, name: str, **attrs) -> SpanHandle:
@@ -279,26 +273,6 @@ class Tracer:
         return self.root.to_dict()
 
 
-class _Bind:
-    __slots__ = ("_tracer", "_parent", "_saved")
-
-    def __init__(self, tracer: Tracer, parent: Span) -> None:
-        self._tracer = tracer
-        self._parent = parent
-
-    def __enter__(self):
-        self._saved = getattr(self._tracer._local, "stack", None)
-        self._tracer._local.stack = [self._parent]
-        return self._parent
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._saved is None:
-            del self._tracer._local.stack
-        else:
-            self._tracer._local.stack = self._saved
-        return False
-
-
 class _NullHandle:
     """Times the interval (call sites read ``.seconds``) but records
     nothing — the ambient no-tracer behavior."""
@@ -329,24 +303,11 @@ class NullTracer:
     def record(self, name: str, seconds: float, **attrs) -> None:
         return None
 
-    def bind(self, parent):
-        return _NullBind()
-
     def total(self, name: str) -> float:
         return 0.0
 
     def total_prefix(self, prefix: str) -> float:
         return 0.0
-
-
-class _NullBind:
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
 
 
 NULL_TRACER = NullTracer()

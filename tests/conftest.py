@@ -8,12 +8,14 @@ from unittest import mock
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
+from repro.clang.ctypes import type_key
 from repro.migration import engine as engine_module
 from repro.migration.engine import MigrationEngine, collect_state, restore_state
 from repro.migration.transport import LOOPBACK, Channel
 from repro.msr.graphplan import SortedArena
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import Restorer
+from repro.msr.ti import TITable
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
     ChunkDecoder,
@@ -61,6 +63,27 @@ def expr_value(expr: str, decls: str = "", fmt: str = "%d", arch=DEC5000) -> str
     """Evaluate a C expression and return its printf rendering."""
     out = run_main(f'{decls} printf("{fmt}", {expr});', arch=arch)
     return out
+
+
+class FakeProgram:
+    """Minimal program stub exposing the type registry interface."""
+
+    def __init__(self, types):
+        self.types = list(types)
+        self._index = {type_key(t): i for i, t in enumerate(self.types)}
+
+    def type_by_id(self, i):
+        return self.types[i]
+
+    def type_id(self, t):
+        return self._index[type_key(t)]
+
+
+def type_info(ctype, layout):
+    """*ctype*'s :class:`~repro.msr.ti.TypeInfo` on *layout*'s
+    architecture: the record the wire turns cell ordinals into bytes
+    (and back) through."""
+    return TITable(FakeProgram([ctype]), layout).info_for(ctype)
 
 
 LONGLIST_C = (

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -16,7 +17,8 @@ from repro.migration.checkpoint import checkpoint
 from repro.obs import validate_trace_file
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from tests.conftest import cli_exit
+from tests.conftest import cli_exit, longlist_source
+from tests.test_faults import DANGLING_PROGRAM
 
 DEMO = """
 struct node { int v; struct node *next; };
@@ -612,3 +614,25 @@ class TestGraph:
         main(["graph", demo_c, "--after-polls", "8", "-v"])
         out = capsys.readouterr().out
         assert "->" in out  # edges listed
+
+    def test_a_deep_list_is_walked_without_recursion(self, tmp_path, capsys):
+        """3 000 records, one pointer hop each, at the interpreter's
+        default recursion limit: the graph is built, not a
+        ``RecursionError``."""
+        source = tmp_path / "longlist.c"
+        source.write_text(longlist_source(3000))
+        assert main(["graph", str(source), "--poll-strategy", "user"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "MSR graph at poll #1: |V|=6011 |E|=6002 nulls=1",
+            "segments: 1 global, 10 stack, 6000 heap; Σ D_i = 72025 bytes",
+        ]
+
+    def test_a_dangling_pointer_is_one_line_and_exit_1(self, tmp_path, capsys):
+        source = tmp_path / "dangling.c"
+        source.write_text(DANGLING_PROGRAM)
+        code, line = cli_exit(["graph", str(source), "--poll-strategy", "user"], capsys)
+        assert code == 1
+        assert line.startswith(f"repro: error: {source}: a live pointer dangles at poll #1: ")
+        assert re.search(r"address 0x[0-9a-f]+ is not inside any registered block$", line)

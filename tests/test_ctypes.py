@@ -19,6 +19,7 @@ from repro.clang.ctypes import (
     VOID,
     type_key,
 )
+from tests.conftest import type_info
 
 
 @pytest.fixture
@@ -111,7 +112,7 @@ class TestCells:
         k32 = [c.kind for c in l32.cells(s)]
         k64 = [c.kind for c in l64.cells(s)]
         assert k32 == k64 == ["char", "ptr", "short", "short", "short"]
-        assert l32.cell_count(s) == l64.cell_count(s) == 5
+        assert type_info(s, l32).cells_in(1) == type_info(s, l64).cells_in(1) == 5
 
     def test_array_of_struct_cells(self, l32):
         s = StructType("aos", [("x", INT), ("y", CHAR)])
@@ -122,27 +123,28 @@ class TestCells:
 
     def test_ordinal_offset_roundtrip(self, l32):
         s = StructType("ord", [("c", CHAR), ("d", DOUBLE), ("i", INT)])
-        for ordinal in range(l32.cell_count(s)):
-            off = l32.cell_offset(s, ordinal)
-            assert l32.ordinal_of_offset(s, off) == ordinal
+        info = type_info(s, l32)
+        for ordinal in range(info.cells_in(1)):
+            off = info.ordinal_to_byte(ordinal, 1)
+            assert info.byte_to_ordinal(off, 1) == ordinal
 
     def test_one_past_end_ordinal(self, l32):
-        arr = ArrayType(INT, 4)
-        assert l32.ordinal_of_offset(arr, 16) == 4
-        assert l32.cell_offset(arr, 4) == 16
+        info = type_info(ArrayType(INT, 4), l32)
+        assert info.byte_to_ordinal(16, 1) == 4
+        assert info.ordinal_to_byte(4, 1) == 16
 
     def test_offset_into_padding_rejected(self, l32):
         s = StructType("pad", [("c", CHAR), ("d", DOUBLE)])
-        with pytest.raises(LayoutError):
-            l32.ordinal_of_offset(s, 3)  # inside the padding hole
+        with pytest.raises(ValueError, match="padding"):
+            type_info(s, l32).byte_to_ordinal(3, 1)  # inside the padding hole
 
     def test_ordinal_differs_in_bytes_across_arch(self, l64):
         l32 = TypeLayout(DEC5000)
         s = StructType("xb")
         s.define([("p", PointerType(s)), ("v", INT)])
         # same ordinal, different byte offsets
-        assert l32.cell_offset(s, 1) == 4
-        assert l64.cell_offset(s, 1) == 8
+        assert type_info(s, l32).ordinal_to_byte(1, 1) == 4
+        assert type_info(s, l64).ordinal_to_byte(1, 1) == 8
 
 
 class TestTypeKey:

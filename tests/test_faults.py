@@ -45,6 +45,7 @@ from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.obs import validate_trace_lines
 from repro.msr.wire import (
     FrameCorruptError,
+    TruncatedFrameError,
     WireFrameError,
     decode_chunk,
     encode_chunk,
@@ -498,7 +499,9 @@ class TestGracefulDegradation:
 class TestSocketDeadline:
     def test_stalled_peer_times_out_not_hangs(self):
         """A peer that connects and then goes silent must raise
-        ChannelTimeoutError within the deadline — no hang."""
+        ChannelTimeoutError — no hang: the sender runs on the reader's
+        thread, so a frame not queued by the time it is read never
+        comes."""
         ch = SocketChannel(link=LOOPBACK, deadline=0.25)
         t0 = time.monotonic()
         with pytest.raises(ChannelTimeoutError, match="stalled"):
@@ -507,10 +510,13 @@ class TestSocketDeadline:
         ch.close()
 
     def test_mid_frame_stall_times_out(self):
-        """Even a peer that sends half a frame header then stalls is
-        caught by the deadline."""
+        """A peer that sends half a frame header then stalls: the half
+        header crosses the socket pair and is refused, typed, as a cut
+        frame; the read after it times out."""
         ch = SocketChannel(link=LOOPBACK, deadline=0.25)
-        ch._tx.sendall(b"\x4d\x43")  # 2 of the 16 header bytes
+        ch._send_frame(encode_chunk(0, b"x" * 64)[:2])  # 2 of the 16 header bytes
+        with pytest.raises(TruncatedFrameError):
+            ch.recv_chunk()
         with pytest.raises(ChannelTimeoutError):
             ch.recv_chunk()
         ch.close()
@@ -523,16 +529,10 @@ class TestSocketDeadline:
 
         fresh = SocketChannel(link=LOOPBACK, deadline=2.0)
         sent = [bytes([i]) * 400 for i in range(8)]
-
-        def produce():
-            for c in sent:
-                fresh.send_chunk(c)
-            fresh.end_stream()
-
-        t = threading.Thread(target=produce)
-        t.start()
+        for c in sent:
+            fresh.send_chunk(c)
+        fresh.end_stream()
         got = list(fresh.iter_chunks())
-        t.join()
         fresh.close()
         assert got == sent
 
@@ -564,8 +564,83 @@ class TestSocketDeadline:
         # one reset, one fresh connection: the failed pair is closed
         assert sock._tx is not first_pair[0] and sock._rx is not first_pair[1]
         assert all(s.fileno() == -1 for s in first_pair)
-        assert sock._rx.gettimeout() == 2.0  # the deadline followed
         channel.close()
+
+
+#: a ring grown one node per poll-point, so a pre-copy has slices to run
+POLLING_RING = """
+struct node { double w; struct node *next; };
+struct node *ring;
+int main() {
+    int i; struct node *p; double s;
+    for (i = 0; i < 40; i++) {
+        struct node *e = (struct node *) malloc(sizeof(struct node));
+        e->w = i * 0.5; e->next = ring; ring = e;
+        migrate_here();
+    }
+    s = 0.0;
+    for (p = ring; p != NULL; p = p->next) s += p->w;
+    printf("%d\\n", (int) s);
+    return 0;
+}
+"""
+
+#: the four ways a migration crosses a channel
+ONE_THREAD_MODES = {
+    "serial": {},
+    "streamed": {"streaming": True, "chunk_size": 256},
+    "precopy": {
+        "precopy": True,
+        "precopy_policy": PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0),
+    },
+    "drop@1-retried": {"retry": RetryPolicy(max_attempts=2, **NO_SLEEP)},
+}
+
+
+class TestOneThread:
+    @pytest.fixture(scope="class")
+    def ring(self):
+        return compile_program(POLLING_RING, poll_strategy="user")
+
+    @pytest.mark.parametrize("mode", ONE_THREAD_MODES)
+    def test_socket_migration_runs_on_the_calling_thread(self, ring, mode, monkeypatch):
+        """A migration over the socket starts no thread, in every mode:
+        it arrives with the unmigrated output, every span on the calling
+        thread, and the socket accepts the bytes the in-memory channel
+        does."""
+        baseline = Process(ring, DEC5000)
+        baseline.run_to_completion()
+
+        def refuse(thread):
+            raise AssertionError(f"a migration started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        wire = {}
+        for make in (Channel, SocketChannel):
+            channel = make(LOOPBACK)
+            if mode == "drop@1-retried":
+                channel = FaultyChannel(channel, FaultPlan.parse("drop@1"))
+            proc = Process(ring, DEC5000)
+            proc.start()
+            proc.migration_pending = True
+            proc.migrate_after_polls = 5
+            assert proc.run().status == "poll"
+            try:
+                dest, stats = MigrationEngine().migrate(
+                    proc, SPARC20, channel=channel, **ONE_THREAD_MODES[mode]
+                )
+            finally:
+                channel.close()
+            dest.run_to_completion()
+            assert dest.stdout == baseline.stdout
+            assert {sp.thread for _, sp in stats.obs.tracer.iter_spans()} == {
+                threading.current_thread().name
+            }
+            assert stats.attempts == (2 if mode == "drop@1-retried" else 1)
+            assert stats.precopy_rounds >= (2 if mode == "precopy" else 0)
+            assert not stats.precopy_degraded
+            wire[make] = channel.accepted_bytes
+        assert wire[SocketChannel] == wire[Channel]
 
 
 class TestCheckpointBeforeMigrate:
@@ -650,8 +725,8 @@ class TestTransactionalRestore:
 MODES = {
     "monolithic": {},
     "streaming": {"streaming": True, "chunk_size": 4096},
-    # the collector runs in the producer thread; its error must outrank
-    # the truncated read it causes on the consuming side
+    # the same pipeline over the socket: the collector's error reaches
+    # the caller as it was raised
     "streaming-socket": {
         "streaming": True, "chunk_size": 4096, "channel": SocketChannel,
     },

@@ -139,13 +139,16 @@ class TestObsErrors:
         assert code == 2 and "not valid JSON" in line
 
     def test_wrong_schema_exits_2(self, tmp_path, capsys):
-        old = tmp_path / "old.jsonl"
-        old.write_text(json.dumps(
-            {"event": "trace_header", "ts": 0.0, "schema": 1,
-             "tool": "repro", "trace_id": "00" * 8}
-        ) + "\n")
-        code, line = cli_exit(["obs", "report", str(old)], capsys)
-        assert code == 2 and "schema" in line
+        # 6 is the version before this one: its pipeline event still
+        # carried the socket producer thread's occupancy
+        for schema in (1, 6):
+            old = tmp_path / f"old{schema}.jsonl"
+            old.write_text(json.dumps(
+                {"event": "trace_header", "ts": 0.0, "schema": schema,
+                 "tool": "repro", "trace_id": "00" * 8}
+            ) + "\n")
+            code, line = cli_exit(["obs", "report", str(old)], capsys)
+            assert code == 2 and f"schema {schema} != 7" in line
 
     @pytest.mark.parametrize("command", [["report"], ["top"], ["top", "--by", "block"]])
     def test_a_trace_the_validator_refuses_is_refused(self, tmp_path, capsys, command):
@@ -154,7 +157,7 @@ class TestObsErrors:
         2, not a TypeError from the arithmetic on it."""
         bad = tmp_path / "bad_row.jsonl"
         bad.write_text("\n".join(json.dumps(line) for line in (
-            {"event": "trace_header", "ts": 0.0, "schema": 6, "tool": "repro",
+            {"event": "trace_header", "ts": 0.0, "schema": 7, "tool": "repro",
              "trace_id": "00" * 8},
             {"event": "attribution", "ts": 0, "payload_bytes": 1,
              "rows": [{"type": "int", "bytes": "x"}]},

@@ -138,18 +138,15 @@ int main() {
 class TestDeltaWire(FrameCodecCases):
     """A delta round is a chunk stream on the migration's channel: the
     shared damage matrix as a round arrives over a socket — each frame
-    cut out of the byte stream by the socket's reader, then checked by
-    the channel's decoder, which is what ``_ship_round`` receives
-    through."""
+    queued on the socket's frame path, pumped through the socket pair,
+    then checked by the channel's decoder, which is what ``_ship_round``
+    receives through."""
 
     def read(self, frames):
         channel = SocketChannel(LOOPBACK)
         try:
             for frame in frames:
-                channel._tx.sendall(frame)
-            # the sender is done: reading past what it sent is a cut
-            # frame, not a hang
-            channel.abort_stream()
+                channel._send_frame(frame)
             return b"".join(channel.iter_chunks())
         finally:
             channel.close()

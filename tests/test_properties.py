@@ -18,6 +18,7 @@ from repro.migration.engine import collect_state, restore_state
 from repro.msr.msrlt import BlockKind
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import type_info
 
 GRAPH_PROGRAM = """
 struct cell { int tag; struct cell *a; struct cell *b; };
@@ -184,9 +185,10 @@ class TestLayoutProperties:
         assert offsets[-1] + sizes[-1] <= lay.sizeof(stype)
         assert lay.sizeof(stype) % lay.alignof(stype) == 0
         # ordinal <-> byte roundtrip over every cell
-        for ordinal in range(lay.cell_count(stype)):
-            byte = lay.cell_offset(stype, ordinal)
-            assert lay.ordinal_of_offset(stype, byte) == ordinal
+        info = type_info(stype, lay)
+        for ordinal in range(info.cells_in(1)):
+            byte = info.ordinal_to_byte(ordinal, 1)
+            assert info.byte_to_ordinal(byte, 1) == ordinal
 
     @settings(max_examples=60, deadline=None)
     @given(types(), st.sampled_from([DEC5000, SPARC20, ALPHA, X86]))

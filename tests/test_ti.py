@@ -14,24 +14,7 @@ from repro.clang.ctypes import (
 )
 from repro.msr.ti import TITable, TypeIdError, flat_prim_kind
 from repro.vm.program import compile_program
-
-
-class FakeProgram:
-    """Minimal program stub exposing the type registry interface."""
-
-    def __init__(self, types):
-        from repro.clang.ctypes import type_key
-
-        self.types = list(types)
-        self._index = {type_key(t): i for i, t in enumerate(self.types)}
-
-    def type_by_id(self, i):
-        return self.types[i]
-
-    def type_id(self, t):
-        from repro.clang.ctypes import type_key
-
-        return self._index[type_key(t)]
+from tests.conftest import FakeProgram
 
 
 class TestFlatKind:
