@@ -180,12 +180,16 @@ class MSRLT:
         self._stack.append(block)
         return block
 
-    def register_heap(self, addr: int, elem_type: CType, count: int) -> MemoryBlock:
+    def register_heap(
+        self, addr: int, elem_type: CType, count: int, size: Optional[int] = None
+    ) -> MemoryBlock:
         """Register one heap allocation (done inside ``malloc``) under
-        the next local serial."""
+        the next local serial.  *size* is ``count`` elements' bytes on
+        this architecture, computed here when the caller has not."""
         serial = self._heap_serial
         self._heap_serial += 1
-        size = self.layout.sizeof(elem_type) * count
+        if size is None:
+            size = self.layout.sizeof(elem_type) * count
         return self._insert(
             MemoryBlock(addr, elem_type, count, size, (BlockKind.HEAP, serial, 0))
         )

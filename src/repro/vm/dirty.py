@@ -1,16 +1,19 @@
 """Write-barrier dirty tracking for iterative pre-copy migration.
 
 The tracker is a pure interval log: every mutating :class:`~repro.vm.memory.Memory`
-entry point calls :meth:`DirtyTracker.mark` with the written byte range, and
+entry point calls :meth:`DirtyTracker.mark` with the written byte range, as
+do the two writers whose fast path bypasses ``Memory`` — the interpreter's
+in-window ``STORE`` / ``STG`` and ``Process.set_rand_state`` — and
 the migration layer periodically drains the log with :meth:`take`, resolves
 the merged intervals to MSRLT blocks (``MSRLT.blocks_overlapping``) and ships
 the *unit runs* of each block the intervals cover (:mod:`repro.msr.wire`) —
 so the log must be exact to the byte: a changed byte outside every marked
 interval is silent corruption at the destination, where block granularity
 used to forgive it (over-marking only costs bytes).  Keeping
-the tracker block-agnostic means the barrier costs one attribute check plus an
-``append`` on the hot store path and never touches the MSRLT — blocks may be
-registered, freed, or re-registered between marks without invalidating the log.
+the tracker block-agnostic means the barrier costs one ``mark`` call (a range
+test and an ``append``) per non-stack store and never touches the MSRLT —
+blocks may be registered, freed, or re-registered between marks without
+invalidating the log.
 
 Stack writes are filtered out at mark time via the ``(skip_lo, skip_hi)``
 range: pre-copy delta rounds never ship stack blocks (the stack travels only

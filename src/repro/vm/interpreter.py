@@ -35,11 +35,12 @@ data model, not per run), falling back to
 or the address is outside every segment.  Semantics are identical to
 the Memory methods: the fast store path relies on eval-stack values
 already being wrapped to their kind (the compiler guarantees it) and
-falls back on ``struct.error``.  ``STG`` and ``STORE`` also fall back
-whenever a pre-copy write barrier (``Memory.dirty``) is installed, so
-the barrier has one implementation; it is installed and removed between
-runs, never during one.  (``STL`` and ``CALL`` need no such test: the
-barrier ignores the stack.)  Measured against the ``Op.X`` chain with
+falls back on ``struct.error``.  Under a pre-copy write barrier
+(``Memory.dirty``, read once per run: it is installed and removed
+between runs, never during one) ``STG`` and ``STORE`` keep the inline
+path and call the tracker's ``mark`` after the pack; the fallback marks
+inside ``Memory.store``.  (``STL`` and ``CALL`` never mark: the barrier
+ignores the stack.)  Measured against the ``Op.X`` chain with
 generic stores (interleaved, same host): ns per instruction to the stop
 poll, linpack 422 → 317, bitonic 1 024 → 485, structgrid 598 → 273,
 longlist 748 → 376.
@@ -124,7 +125,9 @@ class Interpreter:
         # plus the three segment objects for inline window access
         unp = memory._unpack
         pck = memory._pack
-        unbarred = memory.dirty is None
+        # the pre-copy write barrier: in-window STORE / STG mark here,
+        # everything else marks inside Memory
+        mark = None if memory.dirty is None else memory.dirty.mark
         sseg = memory.stack_seg
         hseg = memory.heap_seg
         gseg = memory.global_seg
@@ -174,12 +177,15 @@ class Interpreter:
                     pk, size = pck[a]
                     off = addr - seg.window_start
                     buf = seg.buf
-                    if unbarred and 0 <= off and off + size <= len(buf) and seg.base <= addr:
+                    if 0 <= off and off + size <= len(buf) and seg.base <= addr:
                         try:
                             pk(buf, off, value)
                         except struct.error:
                             # out-of-range value: delegate to the wrapping path
                             store(a, addr, value)
+                        else:
+                            if mark is not None:
+                                mark(addr, size)
                     else:
                         store(a, addr, value)
                 elif op == PTRADD:
@@ -338,11 +344,14 @@ class Interpreter:
                     off = a - gseg.window_start
                     buf = gseg.buf
                     value = stack.pop()
-                    if unbarred and 0 <= off and off + size <= len(buf):
+                    if 0 <= off and off + size <= len(buf):
                         try:
                             pk(buf, off, value)
                         except struct.error:
                             store(b, a, value)
+                        else:
+                            if mark is not None:
+                                mark(a, size)
                     else:
                         store(b, a, value)
                 elif op == LDG:

@@ -56,8 +56,15 @@ class Process:
         self.msrlt = MSRLT(self.layout)
         # the TI table is immutable per (program, arch): share it
         self.ti = program.ti_table(arch)
-        # the hidden PRNG cell every compiled program has (rand/srand)
+        # the hidden PRNG cell every compiled program has (rand/srand; a
+        # uint, 4 bytes on every data model) and its codec, so that both
+        # builtins read and write it in the segment window
         self._rand_addr = self.image.global_addrs[program.global_index(RAND_STATE_GLOBAL)]
+        self._rand_unpack = self.memory._unpack["uint"][0]
+        self._rand_pack = self.memory._pack["uint"][0]
+        #: malloc's annotation memo: type id -> (element type, its size
+        #: on this host).  Per process, as the size is per data model
+        self._elements: dict[Optional[int], tuple[CType, int]] = {}
         self.frames: list[Frame] = []
         self._interp = Interpreter(self)
         self._stdout: list[str] = []
@@ -177,19 +184,26 @@ class Process:
 
     # -- heap (typed allocation feeding the MSRLT) ------------------------------------------
 
+    def _heap_shape(self, nbytes: int, type_id: Optional[int]) -> tuple[CType, int, int]:
+        """The MSR block a *nbytes* allocation annotated *type_id* is:
+        ``(element type, count, size)``."""
+        entry = self._elements.get(type_id)
+        if entry is None:
+            elem = UCHAR if type_id is None else self.program.type_by_id(type_id)
+            entry = self._elements[type_id] = (elem, self.layout.sizeof(elem))
+        elem, esize = entry
+        if nbytes > 0 and nbytes % esize == 0:
+            return elem, nbytes // esize, nbytes
+        # size not a whole element multiple: fall back to a byte block
+        nbytes = max(nbytes, 1)
+        return UCHAR, nbytes, nbytes
+
     def typed_malloc(self, nbytes: int, type_id: Optional[int]) -> int:
         """``malloc`` with the pre-compiler's element-type annotation."""
         self.mallocs += 1
-        elem: CType = UCHAR if type_id is None else self.program.type_by_id(type_id)
-        esize = self.layout.sizeof(elem)
-        if nbytes > 0 and nbytes % esize == 0:
-            count = nbytes // esize
-        else:
-            # size not a whole element multiple: fall back to a byte block
-            elem = UCHAR
-            count = max(nbytes, 1)
-        addr = self.memory.heap_alloc(max(nbytes, 1))
-        self.msrlt.register_heap(addr, elem, count)
+        elem, count, size = self._heap_shape(nbytes, type_id)
+        addr = self.memory.heap_alloc(size)
+        self.msrlt.register_heap(addr, elem, count, size)
         return addr
 
     def typed_free(self, addr: int) -> None:
@@ -217,15 +231,11 @@ class Process:
             self.typed_free(addr)
             return 0
         old_size = self.memory.heap_size_of(addr)
-        elem: CType = UCHAR if type_id is None else self.program.type_by_id(type_id)
-        esize = self.layout.sizeof(elem)
-        if nbytes % esize != 0:
-            elem, esize = UCHAR, 1
         if nbytes < old_size:
             # in place: the padded capacity is retained, only the MSR
             # block's shape (element count) follows the new size
             self.msrlt.unregister(addr)
-            self.msrlt.register_heap(addr, elem, nbytes // esize)
+            self.msrlt.register_heap(addr, *self._heap_shape(nbytes, type_id))
             return addr
         new_addr = self.typed_malloc(nbytes, type_id)
         self.memory.write_bytes(
@@ -267,11 +277,26 @@ class Process:
 
     def get_rand_state(self) -> int:
         """Read the PRNG cell from simulated memory."""
-        return self.memory.load("uint", self._rand_addr)
+        addr = self._rand_addr
+        seg = self.memory.global_seg
+        off = addr - seg.window_start
+        if 0 <= off and off + 4 <= len(seg.buf):
+            return self._rand_unpack(seg.buf, off)[0]
+        return self.memory.load("uint", addr)
 
     def set_rand_state(self, value: int) -> None:
-        """Write the PRNG cell in simulated memory."""
-        self.memory.store("uint", self._rand_addr, value)
+        """Write the PRNG cell in simulated memory (marked for the
+        pre-copy write barrier when one is installed)."""
+        memory = self.memory
+        addr = self._rand_addr
+        seg = memory.global_seg
+        off = addr - seg.window_start
+        if 0 <= off and off + 4 <= len(seg.buf):
+            self._rand_pack(seg.buf, off, value)
+            if memory.dirty is not None:
+                memory.dirty.mark(addr, 4)
+        else:
+            memory.store("uint", addr, value)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Process {self.name} on {self.arch.name}, {len(self.frames)} frames>"

@@ -186,6 +186,48 @@ class TestMemory:
         dest.run()
         assert dest.stdout == base.stdout == "40.5"
 
+    # -- the annotation memo: malloc resolves a type id once per process,
+    # -- and the block it registers is still decided per call ------------
+
+    @staticmethod
+    def heap_shapes(proc):
+        """``(element type, count, size)`` of *proc*'s heap blocks."""
+        return [(b.elem_type, b.count, b.size) for b in proc.msrlt.heap_blocks()]
+
+    def test_a_ragged_size_does_not_poison_the_annotation(self):
+        from repro.clang.ctypes import INT, UCHAR
+        from repro.vm.process import Process
+        from repro.vm.program import compile_program
+
+        prog = compile_program(
+            "int main() { int *a = (int *) malloc(10);"
+            " int *b = (int *) malloc(8); return 0; }"
+        )
+        proc = Process(prog, DEC5000)
+        proc.run_to_completion()
+        assert self.heap_shapes(proc) == [(UCHAR, 10, 10), (INT, 2, 8)]
+
+    def test_one_program_sizes_its_types_per_data_model(self):
+        """One compiled program on LP64 and then on ILP32: the memo is the
+        process's, so each registers its own architecture's size."""
+        from repro.arch import ALPHA
+        from repro.vm.process import Process
+        from repro.vm.program import compile_program
+
+        prog = compile_program(
+            "struct pair { long a; char *p; };"
+            "int main() { struct pair *s ="
+            " (struct pair *) malloc(sizeof(struct pair)); return 0; }"
+        )
+        sizes = []
+        for arch in (ALPHA, SPARC20):
+            proc = Process(prog, arch)
+            proc.run_to_completion()
+            ((elem, count, size),) = self.heap_shapes(proc)
+            assert elem.tag == "pair" and count == 1
+            sizes.append(size)
+        assert sizes == [16, 8]
+
 
 class TestMath:
     def test_sqrt_pow_exp_log(self):

@@ -6,10 +6,12 @@ and MSRLT operation counters.
 """
 
 import sys
+from collections import Counter
 
 import pytest
 
-from repro.arch import ALPHA, SPARC20, ULTRA5
+from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5
+from repro.clang.ctypes import TypeLayout
 from repro.difftest.corpus import load_corpus
 from repro.migration.engine import (
     MigrationEngine,
@@ -22,6 +24,8 @@ from repro.migration.stats import MigrationStats
 from repro.migration.transport import LOOPBACK, Channel
 from repro.msr.graphplan import ChainPlan
 from repro.msr.msrlt import MSRLT, BlockKind
+from repro.vm.dirty import DirtyTracker
+from repro.vm.memory import Memory
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.workloads import (
@@ -424,3 +428,65 @@ class TestPrecopyPauseShape:
         # the final stream is main's locals and what the last slice wrote
         # (cells, churn, the new node), read off no table
         assert costs[0] == costs[1] and costs[0][0] == []
+
+
+class TestPrecopySliceShape:
+    """The source runs a pre-copy slice on the interpreter's fast path.
+    Under the write barrier, the 32 polls of the suite's structgrid
+    writer (per poll one ``malloc``, two ``rand`` calls and five heap
+    and global stores) reach neither ``Memory.store`` nor
+    ``Memory.load``, and ``malloc`` sizes an annotation once per type.
+    The log stays what the generic paths write."""
+
+    @staticmethod
+    def writer():
+        """The ``structgrid.precopy`` suite row's source, at its stop poll."""
+        return stopped(structgrid_source(4096, 1024, 7), after=416, arch=DEC5000)
+
+    @staticmethod
+    def barred_slice(proc, polls=32):
+        """Run *proc* for *polls* poll-points with a ``DirtyTracker``
+        installed, as a pre-copy slice does; the intervals it logged."""
+        memory = proc.memory
+        tracker = DirtyTracker(memory.stack_seg.base, memory.stack_seg.limit)
+        proc.migrate_at_poll = None
+        proc.migration_pending, proc.migrate_after_polls = True, polls
+        memory.dirty = tracker
+        try:
+            assert proc.run().status == "poll"
+        finally:
+            memory.dirty = None
+        return tracker.take()
+
+    def test_a_barred_slice_makes_no_generic_access(self, monkeypatch):
+        calls = Counter()
+        for cls, name in ((Memory, "store"), (Memory, "load"), (TypeLayout, "sizeof")):
+            def counting(*args, inner=getattr(cls, name), name=name):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+        proc = self.writer()
+        calls.clear()
+        intervals = self.barred_slice(proc)
+        assert calls["store"] == calls["load"] == 0 and calls["sizeof"] <= 1, calls
+        # 32 new nodes, ``chain``, the run of ``hot`` cells, the PRNG cell
+        assert len(intervals) == 35
+
+    def test_the_fast_path_logs_what_memory_store_logs(self, monkeypatch):
+        fast = self.barred_slice(self.writer())
+        proc = self.writer()
+        # the reference: a pack table whose sizes no window holds sends
+        # every interpreter store to Memory.store, and the PRNG cell goes
+        # through Memory.load / store
+        memory = proc.memory
+        monkeypatch.setattr(
+            memory, "_pack", {kind: (pk, 1 << 62) for kind, (pk, _) in memory._pack.items()}
+        )
+        monkeypatch.setattr(
+            Process, "get_rand_state", lambda p: p.memory.load("uint", p._rand_addr)
+        )
+        monkeypatch.setattr(
+            Process, "set_rand_state", lambda p, v: p.memory.store("uint", p._rand_addr, v)
+        )
+        assert self.barred_slice(proc) == fast and len(fast) == 35
