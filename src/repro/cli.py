@@ -39,7 +39,6 @@ from repro.migration.engine import (
     DEFAULT_CHUNK_SIZE,
     MigrationEngine,
     MigrationError,
-    RetryPolicy,
 )
 from repro.migration.transport import (
     Channel,
@@ -106,17 +105,6 @@ def _int_at_least(low: int):
         return value
 
     return parse
-
-
-def _positive_seconds(text: str) -> float:
-    """An argparse ``type=``: a duration in seconds, above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
-    return value
 
 
 def _fault_plan(text: str) -> FaultPlan:
@@ -243,14 +231,6 @@ def cmd_migrate(args) -> int:
         print(f"[fault plan: {args.fault}]", file=sys.stderr)
         channel = FaultyChannel(channel, args.fault)
 
-    retry = None
-    if args.retries or args.timeout is not None:
-        retry = RetryPolicy(
-            max_attempts=args.retries + 1,
-            attempt_timeout_s=args.timeout,
-            sleep=lambda _s: None,  # don't wall-clock-wait in a CLI demo
-        )
-
     # the attribution table is part of what a trace is *for*, so --trace
     # implies profiling unless it was explicitly configured
     attribution = bool(getattr(args, "attribution", False) or
@@ -270,7 +250,7 @@ def cmd_migrate(args) -> int:
             streaming=args.stream,
             chunk_size=args.chunk_size,
             compress=args.compress,
-            retry=retry,
+            max_attempts=args.retries + 1,
             attribution=attribution,
             precopy=precopy_policy is not None,
             precopy_policy=precopy_policy,
@@ -547,9 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(kept per chunk only when it shrinks >= 10%%)")
     p.add_argument("--retries", type=_int_at_least(0), default=0,
                    help="retry a failed transfer up to N times (reset "
-                        "channel, exponential backoff)")
-    p.add_argument("--timeout", type=_positive_seconds, default=None,
-                   help="per-attempt recv deadline in seconds")
+                        "channel, modeled exponential backoff)")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write the migration's JSONL trace (spans + events "
                         "+ metrics) to PATH")

@@ -34,7 +34,6 @@ from repro.migration.engine import (
     MigrationAbortedError,
     MigrationEngine,
     MigrationError,
-    RetryPolicy,
 )
 from repro.migration.precopy import PrecopySourceExitedError
 from repro.migration.transport import (
@@ -69,11 +68,6 @@ def arch_by_name(name: str):
         ) from None
 
 
-#: retry policy every faulted hop uses: enough attempts to cure one
-#: transient fault, no real sleeping (tests and fuzz runs stay fast)
-_CHAIN_RETRY = RetryPolicy(
-    max_attempts=3, backoff_base_s=0.0, sleep=lambda _s: None
-)
 #: the transient fault injected at each chain hop: one flipped byte in
 #: the first transfer unit of the first attempt
 DEFAULT_HOP_FAULT = "bitflip@0:9"
@@ -353,9 +347,7 @@ def run_chain(
         if proc is None:
             break  # program exited before this hop's poll: truncated chain
         if hop.fault:
-            channel = FaultyChannel(
-                Channel(LOOPBACK), FaultPlan.parse(hop.fault), deadline=1.0
-            )
+            channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse(hop.fault))
         else:
             channel = Channel(LOOPBACK)
         try:
@@ -365,7 +357,8 @@ def run_chain(
                 channel=channel,
                 streaming=True,
                 chunk_size=512,
-                retry=_CHAIN_RETRY,
+                # enough attempts to cure one transient fault
+                max_attempts=3,
                 attribution=True,
                 adopt_trace=ctx,
             )

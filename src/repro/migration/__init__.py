@@ -43,7 +43,6 @@ from repro.migration.engine import (
     MigrationEngine,
     MigrationError,
     RestoreError,
-    RetryPolicy,
     collect_state,
     collect_state_chunks,
     restore_state,
@@ -65,7 +64,6 @@ __all__ = [
     "CollectError",
     "RestoreError",
     "MigrationAbortedError",
-    "RetryPolicy",
     "Checkpoint",
     "checkpoint",
     "checkpoint_to_file",

@@ -28,10 +28,9 @@ typed verdict on wire bytes.  ``streaming=`` picks only the *schedule*:
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro import obs
 from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
@@ -53,7 +52,6 @@ from repro.vm.process import Process
 
 __all__ = [
     "MigrationEngine",
-    "RetryPolicy",
     "collect_state",
     "collect_state_chunks",
     "restore_state",
@@ -161,42 +159,6 @@ def restore_errors(what: str):
         raise MigrationError(
             f"{what} failed with {type(exc).__name__} ({exc}); not retried"
         ) from exc
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard the engine fights a flaky link.
-
-    Backoff before retry *k* (0-based) is
-    ``min(backoff_base_s · backoff_factor^k, backoff_max_s)``, optionally
-    reshaped by the *jitter* hook — a pure function ``(k, delay) → delay``
-    so that jittered schedules stay deterministic and testable.  *sleep*
-    is injectable for the same reason; the intended delay is recorded in
-    ``stats.time_in_backoff`` whether or not the clock really waits.
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.01
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 1.0
-    jitter: Optional[Callable[[int, float], float]] = None
-    #: per-attempt recv deadline installed on the channel (seconds)
-    attempt_timeout_s: Optional[float] = None
-    sleep: Callable[[float], None] = time.sleep
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-    def backoff_for(self, retry_index: int) -> float:
-        """Delay before the *retry_index*-th retry (0-based)."""
-        delay = min(
-            self.backoff_base_s * self.backoff_factor**retry_index,
-            self.backoff_max_s,
-        )
-        if self.jitter is not None:
-            delay = self.jitter(retry_index, delay)
-        return max(delay, 0.0)
 
 
 def _collect_records(
@@ -478,7 +440,7 @@ class _Run:
     streaming: bool
     chunk_size: int
     compress: bool
-    policy: RetryPolicy
+    max_attempts: int
     #: ``None`` = plain stop-and-copy
     precopy_policy: Optional[object]
     obs: MigrationObservation
@@ -500,14 +462,12 @@ class _Run:
     # -- the steps ---------------------------------------------------------
 
     def prepare(self) -> None:
-        """Open the books: the recv deadline, the compression switch
+        """Open the books: the compression switch
         (every chunk stream of the run — pre-copy rounds too — obeys
         it), the begin event, and baselines for the per-migration
         lookup-cost deltas (the MSRLT counters are cumulative over the
         process lifetime)."""
         stats = self.stats
-        if self.policy.attempt_timeout_s is not None:
-            self.channel.set_deadline(self.policy.attempt_timeout_s)
         self.channel.compress_stream = self.compress
         obs.event(
             "migration_begin",
@@ -546,10 +506,10 @@ class _Run:
 
     def transfer(self) -> None:
         """The stop-and-copy: attempts of collect → transmit → restore
-        under the retry policy (backoff, degradation of a failing
-        pre-copy final pass to a plain one)."""
-        policy, stats, channel = self.policy, self.stats, self.channel
-        for attempt in range(policy.max_attempts):
+        up to ``max_attempts`` of them (modeled backoff, degradation of
+        a failing pre-copy final pass to a plain one)."""
+        stats, channel = self.stats, self.channel
+        for attempt in range(self.max_attempts):
             stats.attempts, stats.retries = attempt + 1, attempt
             sent_before = channel.accepted_bytes
             use_pre = self._stage()
@@ -577,7 +537,7 @@ class _Run:
                 self.obs.attribution.set_aside(f"attempt {attempt + 1}")
             if use_pre:
                 self._degrade_precopy(error)
-            if attempt + 1 >= policy.max_attempts:
+            if attempt + 1 >= self.max_attempts:
                 raise MigrationAbortedError(
                     f"migration aborted after {attempt + 1} attempt(s); "
                     f"source still runnable, destination untouched "
@@ -585,11 +545,11 @@ class _Run:
                     attempts=attempt + 1,
                     last_error=error,
                 ) from error
-            delay = policy.backoff_for(attempt)
+            # modeled like Tx, never slept: 10 ms doubling, capped at 1 s
+            # (the exponent first: 2.0 ** 1024 overflows a float)
+            delay = min(0.01 * 2.0 ** min(attempt, 7), 1.0)
             stats.time_in_backoff += delay
             obs.event("backoff", attempt=attempt + 1, delay_s=round(delay, 9))
-            if delay > 0:
-                policy.sleep(delay)
 
     def adopt(self) -> None:
         """Commit: graft the fully-restored scratch state onto the real
@@ -820,7 +780,7 @@ class MigrationEngine:
         streaming: bool = False,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         compress: bool = False,
-        retry: Optional[RetryPolicy] = None,
+        max_attempts: int = 1,
         attribution: bool = False,
         adopt_trace=None,
         precopy: bool = False,
@@ -861,9 +821,10 @@ class MigrationEngine:
         destination (*waiting* included) is only mutated after the whole
         payload has validated and restored, so a failed attempt leaves
         the destination untouched and the source still stopped at its
-        poll-point, runnable.  A *retry* policy makes the engine fight
-        transient faults: per-attempt recv deadlines, exponential
-        backoff with a deterministic jitter hook, and a fresh connection
+        poll-point, runnable.  *max_attempts* above 1 makes the engine
+        fight transient faults: an exponential backoff (10 ms doubling,
+        capped at 1 s) booked as modeled time in
+        ``stats.time_in_backoff`` and never slept, and a fresh connection
         after every failed step — the one channel (*channel*, or the
         engine's default) is ``reset()``, whether the pre-copy phase or
         a transfer attempt failed on it.  Wire damage is whatever
@@ -889,6 +850,8 @@ class MigrationEngine:
             # refused in every schedule, not only those that cut by it
             # (the pipelined payload, pre-copy rounds)
             raise MigrationError(f"chunk_size must be >= 1, got {chunk_size}")
+        if max_attempts < 1:
+            raise MigrationError(f"max_attempts must be >= 1, got {max_attempts}")
         if waiting is not None:
             _check_waiting(waiting, process, dest_arch)
         if channel is None:
@@ -906,7 +869,7 @@ class MigrationEngine:
             streaming=streaming,
             chunk_size=chunk_size,
             compress=compress,
-            policy=retry or RetryPolicy(max_attempts=1),
+            max_attempts=max_attempts,
             precopy_policy=precopy_policy if precopy else None,
             # adopt_trace chains this migration into a prior hop's trace:
             # the observation's root is parented under the span the context

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.migration.engine import MigrationEngine, MigrationError, RetryPolicy
+from repro.migration.engine import MigrationEngine, MigrationError
 from repro.migration.scheduler import Cluster, Host
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import Channel, Link
@@ -79,17 +79,19 @@ class LoadBalancer:
         quantum: int = 20_000,
         imbalance_threshold: int = 2,
         engine: Optional[MigrationEngine] = None,
-        retry: Optional[RetryPolicy] = None,
+        max_attempts: int = 1,
         channel_factory: Optional[Callable[[Link], Channel]] = None,
     ) -> None:
         if imbalance_threshold < 1:
             raise ValueError("imbalance_threshold must be >= 1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         self.cluster = cluster
         self.quantum = quantum
         self.imbalance_threshold = imbalance_threshold
         self.engine = engine or MigrationEngine()
-        #: per-migration retry policy handed to the engine (None = one shot)
-        self.retry = retry
+        #: transfer attempts per migration, handed to the engine
+        self.max_attempts = max_attempts
         #: channel builder per link — the hook fault-injection tests use
         self.channel_factory = channel_factory or (lambda link: Channel(link))
         self._placement: dict[int, Host] = {}
@@ -166,7 +168,7 @@ class LoadBalancer:
                             proc,
                             dest.arch,
                             channel=self.channel_factory(link),
-                            retry=self.retry,
+                            max_attempts=self.max_attempts,
                         )
                     except MigrationError as exc:
                         # all-or-nothing: the process is untouched on its

@@ -111,7 +111,8 @@ class MigrationStats:
     retries: int = 0
     #: bytes sent on attempts that were later abandoned
     aborted_bytes: int = 0
-    #: total intended backoff delay between attempts (seconds)
+    #: total backoff between attempts (seconds): modeled, as Tx is, and
+    #: never slept
     time_in_backoff: float = 0.0
     #: whether this migration ran the iterative pre-copy protocol
     precopy: bool = False

@@ -30,11 +30,12 @@ Failure
 
 Transport failure is a first-class, *typed* event (DESIGN.md §7):
 
-- every channel has ``reset()`` (fresh-connection semantics for a retry)
-  and ``set_deadline()`` (a recv deadline, so a silently stalled peer
-  raises :class:`ChannelTimeoutError` instead of hanging).  A stream is
-  sent and received on the caller's thread, so no read blocks: nothing
-  pending *is* the deadline firing;
+- every channel has ``reset()`` (fresh-connection semantics for a
+  retry).  A stream is sent and received on the caller's thread, so no
+  read blocks: what is not queued by the time it is read never comes,
+  and every channel's ``recv`` raises :class:`ChannelTimeoutError` when
+  nothing is queued (a silently stalled peer is a typed error, never a
+  hang);
 - :class:`FaultyChannel` wraps any channel and deterministically injects
   drops, truncations, bit-flips, stalls, and disconnects at chosen send
   indices per a :class:`FaultPlan`, so every failure scenario is
@@ -81,7 +82,8 @@ class ChannelError(Exception):
 
 
 class ChannelTimeoutError(ChannelError):
-    """The recv deadline expired: the peer stalled or the data was lost."""
+    """Nothing was queued to receive: the peer stalled or the data was
+    lost."""
 
 
 class ChannelClosedError(ChannelError):
@@ -115,10 +117,11 @@ LOOPBACK = Link("loopback", 1e12, latency_s=0.0)
 class BaseChannel:
     """What every channel is: whole messages (``send``/``recv``) over one
     :class:`Link`, chunk streams on top of them, and the lifecycle the
-    engine drives (``reset``, ``set_deadline``, ``close``).
+    engine drives (``reset``, ``close``).
 
-    A subclass supplies ``_deliver`` (put one message on its wire),
-    ``recv`` and ``pending``.  By default a frame is just one more
+    A subclass supplies ``_deliver`` (put one message on its wire) and
+    ``recv`` (raising :class:`ChannelTimeoutError` when nothing is
+    queued).  By default a frame is just one more
     message; a channel whose frames take another path (the socket's
     bypass ``send()``) overrides ``_send_frame``.  Writes never block:
     a stream's send side and its receive side share the caller's
@@ -129,7 +132,7 @@ class BaseChannel:
     #: frozen benchmark suite's ``layers.ship_chunks`` still reads this
     concurrent_stream = False
 
-    def __init__(self, link: Link, deadline: float | None = None) -> None:
+    def __init__(self, link: Link) -> None:
         self.link = link
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -142,11 +145,8 @@ class BaseChannel:
         self.delta_bytes_sent = 0
         #: opt-in per-chunk zlib compression (``migrate(..., compress=True)``)
         self.compress_stream = False
-        self.deadline: float | None = None
         self._seq = 0
         self._decoder = ChunkDecoder()
-        if deadline is not None:
-            self.set_deadline(deadline)
 
     # -- whole messages ----------------------------------------------------
 
@@ -174,20 +174,6 @@ class BaseChannel:
         byte/frame counters are preserved for accounting."""
         self._seq = 0
         self._decoder = ChunkDecoder()
-
-    def set_deadline(self, seconds: float | None) -> None:
-        """Install a recv deadline.  No channel's reads block, so the
-        deadline is bookkeeping the fault layer consults (and names in
-        its timeout message)."""
-        self.deadline = seconds
-
-    def _timed_out(self, what: str) -> ChannelTimeoutError:
-        """The recv timeout, saying which it was: a modeled channel
-        cannot block, so for it "nothing pending" *is* the timeout,
-        whether or not a deadline was set."""
-        if self.deadline is None:
-            return ChannelTimeoutError(f"recv timed out (no deadline set): {what}")
-        return ChannelTimeoutError(f"recv deadline ({self.deadline}s) expired: {what}")
 
     def close(self) -> None:
         """Release what the channel holds open (nothing, by default)."""
@@ -223,7 +209,7 @@ class BaseChannel:
         """The next chunk payload, ``None`` at end-of-stream (the
         receiver state resets for the next stream).  Raises the typed
         :class:`~repro.msr.wire.WireFrameError` family on damage."""
-        payload = self._decoder.decode(self._recv_frame())
+        payload = self._decoder.decode(self.recv())
         if payload is None:
             self._decoder = ChunkDecoder()
         else:
@@ -239,34 +225,28 @@ class BaseChannel:
     def _send_frame(self, frame: bytes) -> float:
         return self.send(frame)
 
-    def _recv_frame(self) -> bytes:
-        return self.recv()
-
 
 class Channel(BaseChannel):
     """A reliable, ordered in-memory byte channel: ``send`` enqueues the
     payload, ``recv`` dequeues in FIFO order."""
 
-    def __init__(self, link: Link, deadline: float | None = None) -> None:
+    def __init__(self, link: Link) -> None:
         # payloads are queued as-is (any buffer-protocol object): senders
         # hand over immutable bytes or detached WriteBuffer storage
         self._queue: deque[bytes] = deque()
         self._deliver = self._queue.append
-        super().__init__(link, deadline)
+        super().__init__(link)
 
     def recv(self) -> bytes:
-        """Receive the next payload (raises if none pending)."""
+        """Receive the next payload.  The sender runs on this thread:
+        what is not queued by now never comes."""
         if not self._queue:
-            raise RuntimeError("channel empty: nothing was sent")
+            raise ChannelTimeoutError("recv timed out: peer stalled, channel empty")
         return self._queue.popleft()
 
     def reset(self) -> None:
         self._queue.clear()
         super().reset()
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
 
 
 class FileChannel(BaseChannel):
@@ -303,28 +283,13 @@ class FileChannel(BaseChannel):
         fh.seek(self._read_offset)
         header = fh.read(_RECORD_LEN.size)
         if len(header) < _RECORD_LEN.size:
-            raise RuntimeError("file channel empty: nothing was sent")
+            raise ChannelTimeoutError("recv timed out: peer stalled, spool empty")
         (n,) = _RECORD_LEN.unpack(header)
         payload = fh.read(n)
         if len(payload) < n:
             raise RuntimeError("file channel truncated")
         self._read_offset = fh.tell()
         return payload
-
-    @property
-    def pending(self) -> int:
-        # seek over record bodies instead of reading them: O(records)
-        fh = self._reader()
-        size = self.path.stat().st_size
-        off, count = self._read_offset, 0
-        while off + _RECORD_LEN.size <= size:
-            fh.seek(off)
-            (n,) = _RECORD_LEN.unpack(fh.read(_RECORD_LEN.size))
-            if off + _RECORD_LEN.size + n > size:
-                break  # partial record still being written
-            off += _RECORD_LEN.size + n
-            count += 1
-        return count
 
     def reset(self) -> None:
         """Fresh-spool semantics for a retry: truncate the spool file and
@@ -357,9 +322,9 @@ class SocketChannel(Channel):
 
     _CHUNK = 32768
 
-    def __init__(self, link: Link = ETHERNET_10M, deadline: float | None = None) -> None:
+    def __init__(self, link: Link = ETHERNET_10M) -> None:
         self._tx, self._rx = socket.socketpair()
-        super().__init__(link, deadline)
+        super().__init__(link)
 
     def _pump(self, payload) -> bytes:
         """Carry one queued message or frame through the socket pair."""
@@ -379,13 +344,6 @@ class SocketChannel(Channel):
 
     def recv(self) -> bytes:
         return self._pump(super().recv())
-
-    def _recv_frame(self) -> bytes:
-        if not self._queue:
-            # the sender runs on this thread: what is not queued by now
-            # never comes
-            raise self._timed_out("peer stalled: no frame queued")
-        return self.recv()
 
     @property
     def accepted_bytes(self) -> int:
@@ -549,35 +507,28 @@ class FaultyChannel(BaseChannel):
     round's.  Every send is added to ``bytes_sent`` and refused once the
     connection is down.  Fault semantics:
 
-    - ``drop``: the payload silently vanishes — the receiver sees a
-      sequence gap (:class:`~repro.msr.wire.FrameOrderError`) or, when
-      nothing else is coming, a recv deadline expiry;
+    - ``drop``: the payload silently vanishes — a receiver that reads
+      each frame as it is sent finds nothing queued, the inner
+      channel's own :class:`ChannelTimeoutError`; one further behind
+      sees a sequence gap (:class:`~repro.msr.wire.FrameOrderError`);
     - ``truncate``: the last *arg* bytes are cut off →
       :class:`~repro.msr.wire.TruncatedFrameError` / checksum mismatch;
     - ``bitflip``: one payload bit flips → the receiving decoder's
       CRC/magic failure (every transfer is framed);
     - ``stall``: the payload wedges in the pipe; the next receive raises
-      :class:`ChannelTimeoutError` (the recv deadline firing);
+      :class:`ChannelTimeoutError`;
     - ``disconnect``: the connection dies — this and every later
       operation raises :class:`ChannelClosedError` until ``reset()``.
     """
 
-    def __init__(self, inner, plan: FaultPlan, deadline: float | None = None) -> None:
+    def __init__(self, inner, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
         self.faults_fired: list[Fault] = []
         self._send_index = 0
         self._stalled = False
         self._closed = False
-        super().__init__(inner.link, deadline)
-
-    @property
-    def pending(self) -> int:
-        return self.inner.pending
-
-    def set_deadline(self, seconds: float | None) -> None:
-        self.deadline = seconds
-        self.inner.set_deadline(seconds)
+        super().__init__(inner.link)
 
     # -- the send path -----------------------------------------------------
 
@@ -621,22 +572,15 @@ class FaultyChannel(BaseChannel):
     # -- the receive path --------------------------------------------------
 
     def recv(self) -> bytes:
-        return self._receive(self.inner.recv, "nothing arrived (payload lost in transit)")
-
-    def _recv_frame(self) -> bytes:
-        return self._receive(self.inner._recv_frame, "expected chunk frame never arrived")
-
-    def _receive(self, read, lost: str) -> bytes:
         if self._closed:
             raise ChannelClosedError("recv on a disconnected channel")
         if self._stalled:
             self._stalled = False
-            raise self._timed_out("peer stalled mid-transfer (injected stall)")
-        # a queue cannot block: nothing pending after a dropped payload
-        # is the deadline firing
-        if self.inner.pending == 0:
-            raise self._timed_out(lost)
-        return read()
+            raise ChannelTimeoutError(
+                "recv timed out: peer stalled mid-transfer (injected stall)"
+            )
+        # a dropped payload is the inner channel's own timeout
+        return self.inner.recv()
 
     # -- lifecycle ---------------------------------------------------------
 

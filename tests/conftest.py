@@ -378,15 +378,15 @@ class FrameCodecCases:
 
 def tap_frames(channel) -> list:
     """Record every frame *channel*'s receive side hands up, in order
-    (``_recv_frame`` is the one door all frame kinds come through, on
-    every channel)."""
-    frames, recv_frame = [], channel._recv_frame
+    (``recv`` is the one door all frame kinds come through, on every
+    channel)."""
+    frames, recv = [], channel.recv
 
     def tap():
-        frames.append(recv_frame())
+        frames.append(recv())
         return frames[-1]
 
-    channel._recv_frame = tap
+    channel.recv = tap
     return frames
 
 

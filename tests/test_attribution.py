@@ -22,7 +22,7 @@ import pytest
 
 from repro.arch import DEC5000, SPARC20
 from repro.difftest.corpus import load_corpus
-from repro.migration.engine import MigrationEngine, RetryPolicy, collect_state
+from repro.migration.engine import MigrationEngine, collect_state
 from repro.migration.transport import (
     Channel,
     FaultPlan,
@@ -66,7 +66,6 @@ int main() {
 }
 """
 
-NO_SLEEP = dict(sleep=lambda _s: None)
 
 
 @pytest.fixture(scope="module")
@@ -459,12 +458,12 @@ class TestEngineAttribution:
         default rows partition the single payload that arrived."""
         proc = stopped(prog)
         channel = FaultyChannel(
-            Channel(LOOPBACK), FaultPlan.parse("bitflip@1:5"), deadline=1.0
+            Channel(LOOPBACK), FaultPlan.parse("bitflip@1:5")
         )
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=True, chunk_size=512,
             attribution=True,
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0, **NO_SLEEP),
+            max_attempts=3,
         )
         dest.run()
         assert dest.stdout == expected

@@ -5,7 +5,12 @@ import pytest
 
 from repro.arch import DEC5000, SPARC20
 from repro.migration.engine import MigrationEngine
-from repro.migration.transport import ETHERNET_10M, FileChannel, SocketChannel
+from repro.migration.transport import (
+    ChannelTimeoutError,
+    ETHERNET_10M,
+    FileChannel,
+    SocketChannel,
+)
 from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -51,14 +56,14 @@ class TestFileChannel:
         ch = FileChannel(tmp_path / "spool.bin")
         ch.send(b"alpha")
         ch.send(b"beta")
-        assert ch.pending == 2
         assert ch.recv() == b"alpha"
         assert ch.recv() == b"beta"
-        assert ch.pending == 0
+        with pytest.raises(ChannelTimeoutError):  # both records consumed
+            ch.recv()
 
     def test_empty_raises(self, tmp_path):
         ch = FileChannel(tmp_path / "spool.bin")
-        with pytest.raises(RuntimeError, match="empty"):
+        with pytest.raises(ChannelTimeoutError, match="empty"):
             ch.recv()
 
     def test_migration_over_shared_file(self, prog, expected, tmp_path):
@@ -107,7 +112,7 @@ class TestSocketChannel:
 
     def test_empty_raises(self):
         ch = SocketChannel()
-        with pytest.raises(RuntimeError, match="empty"):
+        with pytest.raises(ChannelTimeoutError, match="empty"):
             ch.recv()
         ch.close()
 

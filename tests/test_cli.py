@@ -229,7 +229,7 @@ class TestMigrateFaults:
         rc = main(
             ["migrate", demo_c, "--after-polls", "7", "--stream",
              "--chunk-size", "128", "--fault", "bitflip@1:3",
-             "--retries", "2", "--timeout", "5"]
+             "--retries", "2"]
         )
         captured = capsys.readouterr()
         assert rc == 0
@@ -302,9 +302,11 @@ class TestMigrateFaults:
 class TestRemovedCommands:
     def test_fleet_instruments_are_argparse_errors(self, demo_c, capsys):
         """PR 10's profiler / analyzer / endpoint / trend commands are
-        gone outright: no stub answers for them."""
+        gone outright: no stub answers for them.  Nor for ``--timeout``:
+        no channel read can block, so there is no deadline to set."""
         for argv in (
             ["migrate", demo_c, "--profile", "x"],
+            ["migrate", demo_c, "--timeout", "5"],
             ["obs", "serve", "t.jsonl"],
             ["obs", "histo", "t.jsonl"],
             ["obs", "flame", "t.folded"],
@@ -324,8 +326,6 @@ class TestOutOfRangeNumbers:
          "--max-rounds: must be >= 0, got -1"),
         (["migrate", "--after-polls", "-1"], "--after-polls: must be >= 1, got -1"),
         (["migrate", "--after-polls", "0"], "--after-polls: must be >= 1, got 0"),
-        (["migrate", "--timeout", "-1"], "--timeout: must be > 0 seconds, got -1"),
-        (["migrate", "--timeout", "0"], "--timeout: must be > 0 seconds, got 0"),
         (["migrate", "--retries", "two"], "--retries: invalid int value: 'two'"),
         (["migrate", "--chunk-size", "0"], "--chunk-size: must be >= 1, got 0"),
         (["migrate", "--precopy", "--chunk-size", "0"], "--chunk-size: must be >= 1, got 0"),
@@ -376,7 +376,7 @@ class TestOutOfRangeNumbers:
     def test_the_bounds_themselves_are_accepted(self, demo_c, capsys):
         assert main([
             "migrate", demo_c, "--after-polls", "1", "--retries", "0",
-            "--timeout", "0.5", "--precopy", "--max-rounds", "0",
+            "--precopy", "--max-rounds", "0",
         ]) == 0
         assert "output identical" in capsys.readouterr().err
 
@@ -545,6 +545,17 @@ class TestNoTracebacks:
         assert "Traceback" not in err
         assert code not in (0, 1, 2, EXIT_GUEST_FAULT)
         assert EXIT_OUTPUT_DIFFERS != EXIT_MIGRATION_ABORTED
+
+    def test_a_long_retry_budget_ends_on_the_source(self, demo_c, capsys):
+        """1100 attempts against a persistent drop: the modeled backoff
+        stays finite (it used to overflow a float), and the run aborts
+        and resumes on the source like any other."""
+        argv = ["migrate", demo_c, "--fault", "drop@0!", "--retries", "1100"]
+        assert main(argv) == EXIT_MIGRATION_ABORTED
+        out, err = capsys.readouterr()
+        assert out == "sum=45\n"
+        assert err.splitlines()[-1].startswith("[resumed on source")
+        assert "Traceback" not in err
 
 
 class TestCheckpointRestartCLI:

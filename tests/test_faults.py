@@ -23,7 +23,6 @@ from repro.migration.engine import (
     MigrationEngine,
     MigrationError,
     RestoreError,
-    RetryPolicy,
     collect_state,
 )
 from repro.migration.precopy import PrecopyPolicy
@@ -77,7 +76,6 @@ int main() {
 """
 
 FAULT_KINDS = ["drop", "truncate", "bitflip", "stall", "disconnect"]
-NO_SLEEP = dict(sleep=lambda _s: None)
 
 
 @pytest.fixture(scope="module")
@@ -165,20 +163,19 @@ class TestFaultyChannelUnit:
         with pytest.raises(ChannelTimeoutError):
             ch.recv()
 
-    @pytest.mark.parametrize("deadline,says", [
-        (None, "recv timed out (no deadline set): "),
-        (0.5, "recv deadline (0.5s) expired: "),
-    ])
-    @pytest.mark.parametrize("kind", ["drop", "stall"])
-    def test_timeout_says_whether_a_deadline_was_set(self, kind, deadline, says):
-        """A modeled channel cannot block: nothing pending *is* its
-        timeout, with or without a deadline — and the message says which."""
-        ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse(f"{kind}@0"),
-                           deadline=deadline)
+    @pytest.mark.parametrize("kind,says", [
+        # a dropped payload is the inner channel's own empty receive
+        ("drop", "recv timed out: peer stalled, channel empty"),
+        ("stall", "recv timed out: peer stalled mid-transfer (injected stall)"),
+    ], ids=["drop", "stall"])
+    def test_timeout_message_names_the_fault_kind(self, kind, says):
+        """A modeled channel cannot block: nothing queued *is* its
+        timeout, one message per fault kind."""
+        ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse(f"{kind}@0"))
         ch.send(b"vanishes")
         with pytest.raises(ChannelTimeoutError) as excinfo:
             ch.recv()
-        assert str(excinfo.value).startswith(says)
+        assert str(excinfo.value) == says
 
     def test_disconnect_kills_channel_until_reset(self):
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("disconnect@0"))
@@ -232,13 +229,16 @@ class TestFaultyChannelUnit:
         send(ch)
         assert ch._send_index == 1
         assert ch.bytes_sent == inner.bytes_sent > 0
-        assert inner.pending == 1
+        delivered = inner.recv()  # exactly one message queued
+        with pytest.raises(ChannelTimeoutError):
+            inner.recv()
         if kind == "MCHZ":
-            assert bytes(inner.recv()[:4]) == b"MCHZ"  # compression engaged
+            assert bytes(delivered[:4]) == b"MCHZ"  # compression engaged
 
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@0"))
         send(ch)
-        assert ch.inner.pending == 0
+        with pytest.raises(ChannelTimeoutError):  # nothing was queued
+            ch.inner.recv()
         assert len(ch.faults_fired) == 1
 
         dead = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("disconnect@0"))
@@ -246,7 +246,8 @@ class TestFaultyChannelUnit:
             dead.send(b"fires the disconnect")
         with pytest.raises(ChannelClosedError):
             send(dead)
-        assert dead.inner.pending == 0
+        with pytest.raises(ChannelTimeoutError):  # nothing was queued
+            dead.inner.recv()
 
     def test_public_frame_senders_ride_the_one_send_path(self):
         """A round's stream and the attempt's after it number on from
@@ -303,7 +304,7 @@ class TestFaultMatrix:
         with pytest.raises(MigrationAbortedError) as excinfo:
             MigrationEngine().migrate(
                 stopped(prog), SPARC20, channel=channel, streaming=streaming,
-                chunk_size=64, retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
+                chunk_size=64, max_attempts=2,
             )
         stats = excinfo.value.stats
         assert stats.attempts == excinfo.value.attempts == 2
@@ -326,7 +327,7 @@ class TestFaultMatrix:
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse(f"{kind}@0"))
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=streaming, chunk_size=64,
-            retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+            max_attempts=3,
         )
         dest.run()
         assert dest.stdout == expected
@@ -354,7 +355,7 @@ class TestFaultMatrix:
             try:
                 _dest, stats = MigrationEngine().migrate(
                     stopped(prog), SPARC20, channel=channel, streaming=True,
-                    chunk_size=64, retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+                    chunk_size=64, max_attempts=3,
                 )
             finally:
                 if kind == "socket":
@@ -375,7 +376,7 @@ class TestFaultMatrix:
     def test_fault_free_run_reports_single_attempt(self, prog, expected):
         proc = stopped(prog)
         dest, stats = MigrationEngine().migrate(
-            proc, SPARC20, retry=RetryPolicy(max_attempts=3, **NO_SLEEP)
+            proc, SPARC20, max_attempts=3
         )
         dest.run()
         assert dest.stdout == expected
@@ -413,7 +414,7 @@ class TestFaultMatrix:
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@1"))
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel,
-            retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
+            max_attempts=2,
         )
         dest.run()
         assert dest.stdout == expected
@@ -424,7 +425,7 @@ class TestFaultMatrix:
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@0,drop@0"))
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel,
-            retry=RetryPolicy(max_attempts=4, **NO_SLEEP),
+            max_attempts=4,
         )
         dest.run()
         assert dest.stdout == expected
@@ -438,7 +439,7 @@ class TestFaultMatrix:
         )
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=True, chunk_size=128,
-            retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
+            max_attempts=2,
         )
         dest.run()
         assert dest.stdout == expected
@@ -446,38 +447,52 @@ class TestFaultMatrix:
 
 
 class TestRetryPolicy:
-    def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(
-            max_attempts=8, backoff_base_s=0.1, backoff_factor=2.0,
-            backoff_max_s=0.5, **NO_SLEEP,
-        )
-        delays = [policy.backoff_for(k) for k in range(5)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
+    """A retry is a count: ``max_attempts``, and the engine's one backoff
+    schedule, booked as modeled time and never slept."""
 
-    def test_jitter_hook_is_deterministic(self):
-        policy = RetryPolicy(
-            max_attempts=3, backoff_base_s=0.1,
-            jitter=lambda k, d: d * (1 + 0.5 * k), **NO_SLEEP,
-        )
-        assert policy.backoff_for(0) == pytest.approx(0.1)
-        assert policy.backoff_for(1) == pytest.approx(0.3)
-        assert policy.backoff_for(1) == pytest.approx(0.3)  # pure function
+    @staticmethod
+    def abort(prog, max_attempts):
+        channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@0!"))
+        with pytest.raises(MigrationAbortedError) as excinfo:
+            MigrationEngine().migrate(
+                stopped(prog), SPARC20, channel=channel, max_attempts=max_attempts
+            )
+        return excinfo.value
 
-    def test_sleep_hook_receives_backoff(self, prog):
-        slept = []
-        proc = stopped(prog)
+    def test_backoff_is_exponential_and_capped(self, prog):
+        exc = self.abort(prog, 10)
+        delays = [e["delay_s"] for e in exc.stats.obs.events.of_type("backoff")]
+        assert delays == pytest.approx(
+            [0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0, 1.0]
+        )
+        assert exc.stats.time_in_backoff == pytest.approx(sum(delays))
+
+    def test_a_long_retry_budget_does_not_overflow(self, prog):
+        """1099 backoffs: the exponent is capped before the power is
+        taken (``2.0 ** 1024`` overflows a float)."""
+        exc = self.abort(prog, 1100)
+        assert exc.attempts == exc.stats.attempts == 1100
+        assert exc.stats.time_in_backoff == pytest.approx(1.27 + (1099 - 7) * 1.0)
+
+    def test_backoff_is_booked_not_slept(self, prog, monkeypatch):
+        def refuse(seconds):
+            raise AssertionError(f"a migration slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", refuse)
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("drop@0"))
         _, stats = MigrationEngine().migrate(
-            proc, SPARC20, channel=channel,
-            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.25,
-                              sleep=slept.append),
+            stopped(prog), SPARC20, channel=channel, max_attempts=2
         )
-        assert slept == [pytest.approx(0.25)]
-        assert stats.time_in_backoff == pytest.approx(0.25)
+        assert stats.time_in_backoff == pytest.approx(0.01)
+        (backoff,) = stats.obs.events.of_type("backoff")
+        assert backoff["delay_s"] == pytest.approx(0.01)
 
-    def test_zero_attempts_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+    def test_zero_attempts_rejected(self, prog):
+        proc = stopped(prog)
+        with pytest.raises(MigrationError, match="max_attempts must be >= 1") as excinfo:
+            MigrationEngine().migrate(proc, SPARC20, max_attempts=0)
+        assert excinfo.value.stats is None
+        assert proc.frames and not proc.exited
 
 
 class TestGracefulDegradation:
@@ -491,18 +506,18 @@ class TestGracefulDegradation:
         with pytest.raises(MigrationAbortedError) as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20, channel=channel, streaming=True, chunk_size=64,
-                retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+                max_attempts=3,
             )
         assert excinfo.value.attempts == 3
 
 
-class TestSocketDeadline:
+class TestSocketStall:
     def test_stalled_peer_times_out_not_hangs(self):
         """A peer that connects and then goes silent must raise
         ChannelTimeoutError — no hang: the sender runs on the reader's
         thread, so a frame not queued by the time it is read never
         comes."""
-        ch = SocketChannel(link=LOOPBACK, deadline=0.25)
+        ch = SocketChannel(link=LOOPBACK)
         t0 = time.monotonic()
         with pytest.raises(ChannelTimeoutError, match="stalled"):
             ch.recv_chunk()
@@ -513,7 +528,7 @@ class TestSocketDeadline:
         """A peer that sends half a frame header then stalls: the half
         header crosses the socket pair and is refused, typed, as a cut
         frame; the read after it times out."""
-        ch = SocketChannel(link=LOOPBACK, deadline=0.25)
+        ch = SocketChannel(link=LOOPBACK)
         ch._send_frame(encode_chunk(0, b"x" * 64)[:2])  # 2 of the 16 header bytes
         with pytest.raises(TruncatedFrameError):
             ch.recv_chunk()
@@ -522,12 +537,12 @@ class TestSocketDeadline:
         ch.close()
 
     def test_retry_on_fresh_channel_succeeds(self):
-        stalled = SocketChannel(link=LOOPBACK, deadline=0.2)
+        stalled = SocketChannel(link=LOOPBACK)
         with pytest.raises(ChannelTimeoutError):
             stalled.recv_chunk()
         stalled.close()
 
-        fresh = SocketChannel(link=LOOPBACK, deadline=2.0)
+        fresh = SocketChannel(link=LOOPBACK)
         sent = [bytes([i]) * 400 for i in range(8)]
         for c in sent:
             fresh.send_chunk(c)
@@ -537,7 +552,7 @@ class TestSocketDeadline:
         assert got == sent
 
     def test_reset_gives_working_channel_after_timeout(self):
-        ch = SocketChannel(link=LOOPBACK, deadline=0.2)
+        ch = SocketChannel(link=LOOPBACK)
         with pytest.raises(ChannelTimeoutError):
             ch.recv_chunk()
         ch.reset()
@@ -551,12 +566,12 @@ class TestSocketDeadline:
         a typed error, and the retry — on the same channel object, whose
         ``reset()`` dialled a new socket pair — completes."""
         sock = SocketChannel(link=LOOPBACK)
-        channel = FaultyChannel(sock, FaultPlan.parse("drop@1"), deadline=2.0)
+        channel = FaultyChannel(sock, FaultPlan.parse("drop@1"))
         first_pair = (sock._tx, sock._rx)
         proc = stopped(prog)
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=True,
-            chunk_size=256, retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+            chunk_size=256, max_attempts=3,
         )
         dest.run()
         assert dest.stdout == expected
@@ -593,7 +608,7 @@ ONE_THREAD_MODES = {
         "precopy": True,
         "precopy_policy": PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0),
     },
-    "drop@1-retried": {"retry": RetryPolicy(max_attempts=2, **NO_SLEEP)},
+    "drop@1-retried": {"max_attempts": 2},
 }
 
 
@@ -659,7 +674,7 @@ class TestCheckpointBeforeMigrate:
         with pytest.raises(MigrationAbortedError):
             MigrationEngine().migrate(
                 proc, SPARC20, channel=channel,
-                retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
+                max_attempts=2,
             )
         assert ckpt.exists()
         resumed = restart_from_file(prog, ckpt, ALPHA)
@@ -708,7 +723,7 @@ class TestTransactionalRestore:
         channel.inner.send = spy
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel,
-            retry=RetryPolicy(max_attempts=2, **NO_SLEEP),
+            max_attempts=2,
         )
         assert stats.retries == 1
         # of everything delivered (both attempts' terminators, attempt
@@ -794,21 +809,22 @@ class TestCollectorFault:
     def test_collector_fault_is_one_typed_error(self, dangling, mode):
         prog, expected_stdout = dangling
         proc = stopped(prog)
-        slept = []
         kwargs = dict(MODES[mode])
         if "channel" in kwargs:  # a kind of channel: one of its own per run
             kwargs["channel"] = kwargs["channel"](LOOPBACK)
         with pytest.raises(MigrationError, match="collection failed") as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20,
-                retry=RetryPolicy(max_attempts=3, sleep=slept.append),
+                max_attempts=3,
                 **kwargs,
             )
         assert type(excinfo.value) is CollectError
         assert isinstance(excinfo.value.__cause__, MSRLTError)
         assert "dangling or fabricated" in str(excinfo.value)
         assert not isinstance(excinfo.value, RETRYABLE_ERRORS)
-        assert slept == []  # no retry or backoff was spent on it
+        # no retry or backoff was spent on it
+        assert excinfo.value.stats.time_in_backoff == 0
+        assert not excinfo.value.stats.obs.events.of_type("backoff")
         # the error carries the failed run's stats and observation out
         stats = excinfo.value.stats
         assert stats.retries == 0 and stats.payload_bytes == 0
@@ -838,15 +854,15 @@ class TestRestorerFault:
     ):
         monkeypatch.setattr(engine_module, "Restorer", self.failing_restorer(exc))
         proc = stopped(prog)
-        slept = []
         with pytest.raises(MigrationError, match="not retried") as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20, streaming=streaming, chunk_size=64,
-                retry=RetryPolicy(max_attempts=3, sleep=slept.append),
+                max_attempts=3,
             )
         assert type(excinfo.value) is MigrationError
         assert excinfo.value.__cause__ is exc
-        assert slept == []
+        assert excinfo.value.stats.time_in_backoff == 0
+        assert not excinfo.value.stats.obs.events.of_type("backoff")
         assert_source_untouched(proc, excinfo.value.stats.obs, expected)
 
     def test_damage_shaped_failures_stay_retryable(self, prog, monkeypatch):
@@ -862,7 +878,7 @@ class TestRestorerFault:
             )
             with pytest.raises(MigrationAbortedError) as excinfo:
                 MigrationEngine().migrate(
-                    stopped(prog), SPARC20, retry=RetryPolicy(max_attempts=2, **NO_SLEEP)
+                    stopped(prog), SPARC20, max_attempts=2
                 )
             assert excinfo.value.attempts == 2
             assert isinstance(excinfo.value.last_error, RestoreError)
@@ -886,15 +902,15 @@ class TestRestorerFault:
 
         monkeypatch.setattr(FlatPlan, "restore", restore)
         proc = stopped(prog)
-        slept = []
         with pytest.raises(MigrationError, match="not retried") as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20, streaming=streaming, chunk_size=64,
-                retry=RetryPolicy(max_attempts=3, sleep=slept.append),
+                max_attempts=3,
             )
         assert type(excinfo.value) is MigrationError
         assert excinfo.value.__cause__ is bug
-        assert slept == []
+        assert excinfo.value.stats.time_in_backoff == 0
+        assert not excinfo.value.stats.obs.events.of_type("backoff")
         observation = excinfo.value.stats.obs
         assert len(observation.tracer.find("attempt")) == 1
         assert_source_untouched(proc, observation, expected)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.arch import DEC5000, SPARC20
 from repro.migration import Cluster, ETHERNET_100M, Scheduler
-from repro.migration.engine import MigrationEngine, RetryPolicy
+from repro.migration.engine import MigrationEngine
 from repro.migration.policies import LoadBalancer
 from repro.migration.precopy import PrecopyPolicy
 from repro.migration.stats import MigrationStats
@@ -63,7 +63,6 @@ int main() {
 }
 """
 
-NO_SLEEP = dict(sleep=lambda _s: None)
 
 
 @pytest.fixture(scope="module")
@@ -369,7 +368,7 @@ class TestCodecAccounting:
                                 FaultPlan([Fault("drop", 2)]))
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=True, chunk_size=512,
-            compress=True, retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+            compress=True, max_attempts=3,
         )
         assert stats.retries >= 1
         # the aborted first attempt really did codec work...
@@ -404,7 +403,7 @@ class TestMigrationObservability:
             _, stats = MigrationEngine().migrate(
                 proc, SPARC20, channel=channel, streaming=True,
                 chunk_size=512, compress=True,
-                retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+                max_attempts=3,
             )
             return stats.obs.metrics.snapshot()
 
@@ -424,7 +423,7 @@ class TestMigrationObservability:
                                 FaultPlan([Fault("drop", 2)]))
         _, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=True, chunk_size=512,
-            retry=RetryPolicy(max_attempts=3, **NO_SLEEP),
+            max_attempts=3,
         )
         events = stats.obs.events
         assert len(events.of_type("migration_begin")) == 1
@@ -552,7 +551,7 @@ MODES = {
     "stream+compress": (dict(STREAM, compress=True), []),
     "precopy": (dict(precopy=True, precopy_policy=PrecopyPolicy(
         max_rounds=3, stop_dirty_blocks=0)), []),
-    "retried": (dict(STREAM, retry=RetryPolicy(max_attempts=3, **NO_SLEEP)),
+    "retried": (dict(STREAM, max_attempts=3),
                 ONE_DROP),
 }
 

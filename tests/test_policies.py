@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20
-from repro.migration import Cluster, ETHERNET_100M, RetryPolicy
+from repro.migration import Cluster, ETHERNET_100M
 from repro.migration.policies import LoadBalancer
 from repro.migration.transport import Channel, FaultPlan, FaultyChannel
 from repro.vm.process import Process
@@ -139,7 +139,7 @@ class TestBalancerFaultContainment:
         balancer = LoadBalancer(
             cluster,
             quantum=2000,
-            retry=RetryPolicy(max_attempts=3, sleep=lambda _s: None),
+            max_attempts=3,
             channel_factory=lambda link: FaultyChannel(Channel(link), plan),
         )
         for i in range(6):

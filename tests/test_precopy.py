@@ -29,7 +29,6 @@ from repro.migration.engine import (
     MigrationAbortedError,
     MigrationEngine,
     RestoreError,
-    RetryPolicy,
     collect_state,
     restore_errors,
     restore_state,
@@ -538,7 +537,7 @@ class TestPrecopyEngine:
         with pytest.raises(PrecopySourceFaultedError, match="NULL pointer") as excinfo:
             ENGINE.migrate(
                 proc, SPARC20, precopy=True,
-                retry=RetryPolicy(max_attempts=3, sleep=lambda _s: None),
+                max_attempts=3,
                 precopy_policy=PrecopyPolicy(
                     max_rounds=6, stop_dirty_blocks=0, slice_polls=1
                 ),
@@ -602,7 +601,7 @@ class TestPrecopyEngine:
         try:
             dest, stats = ENGINE.migrate(
                 _stopped(prog, X86_64), SPARC20, channel=channel, precopy=True,
-                chunk_size=4096, retry=RetryPolicy(max_attempts=1),
+                chunk_size=4096, max_attempts=1,
             )
         finally:
             channel.close()
@@ -710,7 +709,7 @@ class TestFaultDeterminism:
                 proc, SPARC20,
                 channel=FaultyChannel(Channel(LOOPBACK), plan),
                 streaming=True, chunk_size=256,
-                retry=RetryPolicy(max_attempts=3, sleep=lambda _s: None),
+                max_attempts=3,
                 precopy=precopy,
                 precopy_policy=(
                     PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0)
@@ -740,7 +739,7 @@ class TestFaultsReachRounds:
     def migrate(self, wire: str, plan: FaultPlan):
         """``(source, the FaultyChannel, what migrate() returned or
         raised)`` for one pre-copy migration of the mutator under *plan*
-        (a recv deadline, so a lost frame on the socket cannot hang)."""
+        (a lost frame is a timeout at once, on the socket too)."""
         source = _stopped(_compile(MUTATOR_SRC), ULTRA5)
         inner = Channel(LOOPBACK) if wire == "channel" else SocketChannel(LOOPBACK)
         channel = FaultyChannel(inner, plan)
@@ -748,8 +747,7 @@ class TestFaultsReachRounds:
             return source, channel, ENGINE.migrate(
                 source, SPARC20, channel=channel, precopy=True,
                 precopy_policy=TWO_ROUNDS,
-                retry=RetryPolicy(max_attempts=2, attempt_timeout_s=0.1,
-                                  sleep=lambda _s: None),
+                max_attempts=2,
             )
         except MigrationAbortedError as exc:
             return source, channel, exc
@@ -782,7 +780,7 @@ class TestFaultsReachRounds:
         outcome = []
         migration = threading.Thread(target=lambda: outcome.append(ENGINE.migrate(
             _stopped(prog, ULTRA5), SPARC20, channel=channel, precopy=True,
-            retry=RetryPolicy(attempt_timeout_s=10),
+            max_attempts=3,
         )))
         migration.start()
         migration.join(timeout=60)
@@ -1143,7 +1141,7 @@ class TestHostileFinalStream:
         prog = _compile(TAIL_SRC)
         dest, stats = _precopy_migrate(
             prog, ULTRA5, SPARC20, policy=TWO_ROUNDS,
-            retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None),
+            max_attempts=2,
         )
         assert stats.precopy_degraded and not stats.precopy
         assert stats.attempts == 2 and stats.precopy_downtime_s == 0.0

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.arch import DEC5000, SPARC20
-from repro.migration.engine import MigrationEngine, RetryPolicy
+from repro.migration.engine import MigrationEngine
 from repro.migration.transport import (
     Channel,
     ETHERNET_10M,
@@ -50,7 +50,6 @@ int main() {
 }
 """
 
-NO_SLEEP = dict(sleep=lambda _s: None)
 
 
 @pytest.fixture(scope="module")
@@ -242,11 +241,10 @@ class TestEnginePropagation:
         channel = FaultyChannel(
             SocketChannel(ETHERNET_10M),
             FaultPlan.parse("bitflip@1:5"),
-            deadline=5.0,
         )
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=True, chunk_size=512,
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0, **NO_SLEEP),
+            max_attempts=3,
         )
         dest.run()
         assert dest.stdout == expected

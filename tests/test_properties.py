@@ -300,7 +300,7 @@ class TestFaultResilienceProperty:
     ):
         """Each failing attempt consumes at least one transient fault, so
         ``n_faults + 1`` attempts always suffice."""
-        from repro.migration.engine import MigrationEngine, RetryPolicy
+        from repro.migration.engine import MigrationEngine
         from repro.migration.transport import Channel, FaultPlan, FaultyChannel, LOOPBACK
 
         prog = self._random_program(values)
@@ -316,7 +316,7 @@ class TestFaultResilienceProperty:
         channel = FaultyChannel(Channel(LOOPBACK), plan)
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=streaming, chunk_size=96,
-            retry=RetryPolicy(max_attempts=n_faults + 1, sleep=lambda _s: None),
+            max_attempts=n_faults + 1,
         )
         dest.run()
         assert dest.stdout == base.stdout

@@ -4,11 +4,16 @@ import pytest
 
 from repro.migration.transport import (
     Channel,
+    ChannelTimeoutError,
     ETHERNET_10M,
     ETHERNET_100M,
+    FaultPlan,
+    FaultyChannel,
+    FileChannel,
     GIGABIT,
     Link,
     LOOPBACK,
+    SocketChannel,
 )
 
 
@@ -58,9 +63,37 @@ class TestChannel:
         ch.send(b"defg")
         assert ch.bytes_sent == 7
         assert ch.messages_sent == 2
-        assert ch.pending == 2
+        assert [ch.recv(), ch.recv()] == [b"abc", b"defg"]
+        with pytest.raises(ChannelTimeoutError):  # nothing else queued
+            ch.recv()
 
     def test_recv_empty_raises(self):
         ch = Channel(LOOPBACK)
-        with pytest.raises(RuntimeError, match="empty"):
+        with pytest.raises(ChannelTimeoutError, match="empty"):
             ch.recv()
+
+
+#: every channel kind, built on a fresh spool under *tmp_path*
+CHANNELS = {
+    "memory": lambda tmp_path: Channel(LOOPBACK),
+    "file": lambda tmp_path: FileChannel(tmp_path / "spool.bin", link=LOOPBACK),
+    "socket": lambda tmp_path: SocketChannel(LOOPBACK),
+}
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "faulty"])
+@pytest.mark.parametrize("kind", CHANNELS)
+def test_an_empty_receive_is_a_timeout(kind, wrapped, tmp_path):
+    """No read blocks, so nothing queued is a typed timeout on every
+    channel — bare or under a fault-free ``FaultyChannel`` — for a whole
+    message and for a chunk frame alike."""
+    ch = CHANNELS[kind](tmp_path)
+    if wrapped:
+        ch = FaultyChannel(ch, FaultPlan())
+    try:
+        with pytest.raises(ChannelTimeoutError, match="stalled"):
+            ch.recv()
+        with pytest.raises(ChannelTimeoutError, match="stalled"):
+            ch.recv_chunk()
+    finally:
+        ch.close()

@@ -23,7 +23,6 @@ from repro.migration.engine import (
     MigrationAbortedError,
     MigrationEngine,
     MigrationError,
-    RetryPolicy,
     collect_state,
     restore_state,
     restore_state_stream,
@@ -577,7 +576,7 @@ class TestHostileRecords:
         with pytest.raises(MigrationAbortedError) as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20, waiting=waiting,
-                retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None), **mode,
+                max_attempts=2, **mode,
             )
         assert excinfo.value.attempts == 2
         assert isinstance(excinfo.value.last_error, engine_module.RestoreError)
@@ -607,7 +606,7 @@ class TestHostileRecords:
         with pytest.raises(MigrationAbortedError) as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20, waiting=waiting,
-                retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None), **mode,
+                max_attempts=2, **mode,
             )
         assert isinstance(excinfo.value.last_error, engine_module.RestoreError)
         assert "unsupported payload version 1" in str(excinfo.value.last_error)
