@@ -5,7 +5,7 @@ into ``BENCH_PR1.json`` at the repo root, each under its own section
 key.  The performance record is ``benchmarks/suite`` result files
 compared with ``python -m benchmarks.suite compare``; this file and the
 JSON it writes go when the remaining pre-suite benchmarks are folded
-into the suite (ROADMAP item 4).
+into the suite (ROADMAP item 5(g)).
 """
 
 from __future__ import annotations

@@ -264,7 +264,7 @@ def cmd_migrate(args) -> int:
         sys.stdout.write(proc.stdout)
         # the trace of a failed migration is the one an investigation
         # needs: the error carries the run's observation out
-        _write_observation(args, exc.stats)
+        _write_observation(args, exc.stats, proc.stdout)
         ok = (
             proc.stdout == baseline.stdout
             and result.exit_code == baseline.exit_code
@@ -279,7 +279,7 @@ def cmd_migrate(args) -> int:
     result = dest.run()
     sys.stdout.write(dest.stdout)
     print(f"[{stats}]", file=sys.stderr)
-    _write_observation(args, stats)
+    _write_observation(args, stats, dest.stdout)
     if args.stream:
         print(
             f"[response time {stats.response_time * 1e3:.2f} ms pipelined "
@@ -303,9 +303,10 @@ def cmd_migrate(args) -> int:
     return 0 if ok else EXIT_OUTPUT_DIFFERS
 
 
-def _write_observation(args, stats) -> None:
+def _write_observation(args, stats, printed: str) -> None:
     """Write what ``--trace PATH`` and ``--metrics-out PATH|-`` ask for,
-    on the successful exit and the failed one alike."""
+    on the successful exit and the failed one alike (*printed*: the
+    program's output, already on stdout)."""
     trace, metrics_out = args.trace, args.metrics_out
     if trace is None and metrics_out is None:
         return
@@ -323,9 +324,11 @@ def _write_observation(args, stats) -> None:
         print(f"[trace written to {trace}]", file=sys.stderr)
     if metrics_out is not None:
         text = "".join(
-            f"{name} = {value}\n" for name, value in stats.obs.metrics.iter_flat()
+            f"{name} = {value}\n" for name, value in stats.counters().items()
         )
         if metrics_out == "-":
+            if printed and not printed.endswith("\n"):
+                text = "\n" + text  # the first counter starts a line
             sys.stdout.write(text)
         else:
             Path(metrics_out).write_text(text)
@@ -532,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the migration's JSONL trace (spans + events "
                         "+ metrics) to PATH")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the metrics snapshot to PATH ('-' = stdout)")
+                   help="write the migration's counters to PATH ('-' = stdout)")
     p.add_argument("--attribution", action="store_true",
                    help="profile per-type collect/restore cost attribution "
                         "(implied by --trace)")

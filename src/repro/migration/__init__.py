@@ -22,7 +22,6 @@ from repro.migration.transport import (
     Fault,
     FaultPlan,
     FaultyChannel,
-    FileChannel,
     GIGABIT,
     Link,
     SocketChannel,
@@ -52,7 +51,6 @@ from repro.migration.scheduler import Cluster, Host, Scheduler, SchedulerResult
 
 __all__ = [
     "Channel",
-    "FileChannel",
     "SocketChannel",
     "ChannelError",
     "ChannelTimeoutError",

@@ -458,6 +458,7 @@ class _Run:
             n_frames=len(self.source.frames),
             obs=self.obs,
         )
+        self.obs.stats = self.stats
 
     # -- the steps ---------------------------------------------------------
 
@@ -465,8 +466,7 @@ class _Run:
         """Open the books: the compression switch
         (every chunk stream of the run — pre-copy rounds too — obeys
         it), the begin event, and baselines for the per-migration
-        lookup-cost deltas (the MSRLT counters are cumulative over the
-        process lifetime)."""
+        deltas of the cumulative MSRLT and channel counters."""
         stats = self.stats
         self.channel.compress_stream = self.compress
         obs.event(
@@ -477,7 +477,8 @@ class _Run:
             compress=self.compress,
             precopy=self.precopy_policy is not None,
         )
-        self._lookups0 = self._lookup_counters()
+        self._tallies0 = self._tallies()
+        self._faults0 = len(getattr(self.channel, "faults_fired", ()))
 
     def precopy(self) -> None:
         """Iterative pre-copy, when asked for: snapshot + delta rounds
@@ -524,7 +525,6 @@ class _Run:
                 error = exc
             aborted = channel.accepted_bytes - sent_before
             stats.aborted_bytes += aborted
-            obs.inc("engine.aborted_bytes", aborted)
             obs.event(
                 "attempt_fail",
                 attempt=attempt + 1,
@@ -538,6 +538,7 @@ class _Run:
             if use_pre:
                 self._degrade_precopy(error)
             if attempt + 1 >= self.max_attempts:
+                stats.aborted = True
                 raise MigrationAbortedError(
                     f"migration aborted after {attempt + 1} attempt(s); "
                     f"source still runnable, destination untouched "
@@ -588,24 +589,13 @@ class _Run:
         self.adopted = True
 
     def finish(self) -> None:
-        """On every exit: fold the outcome counters and the lookup-table
-        deltas into the metrics registry, detach the profiler, close the
-        span tree."""
-        stats, m = self.stats, self.obs.metrics
-        m.inc("engine.attempts", stats.attempts)
-        m.inc("engine.retries", stats.retries)
-        m.inc("engine.payload_bytes", stats.payload_bytes)
-        m.inc("engine.blocks", stats.n_blocks)
-        m.inc("engine.chunks", stats.n_chunks)
-        if stats.compressed:
-            m.inc(
-                "codec.bytes_saved",
-                max(stats.payload_bytes - stats.compressed_bytes, 0),
-            )
-        for name, now in self._lookup_counters().items():
-            m.inc(name, now - self._lookups0[name])
-        if self.obs.events.dropped:
-            m.inc("events.dropped", self.obs.events.dropped)
+        """On every exit: book the counter deltas and the faults that
+        fired in the stats, detach the profiler, close the span tree."""
+        stats, now = self.stats, self._tallies()
+        for name, before in self._tallies0.items():
+            setattr(stats, name, now[name] - before)
+        for fault in getattr(self.channel, "faults_fired", ())[self._faults0:]:
+            stats.faults[fault.kind] = stats.faults.get(fault.kind, 0) + 1
         # an aborted collection skips Collector.finish(); make sure no
         # profiler reference outlives the migration it belonged to
         self.source.msrlt.profiler = None
@@ -635,21 +625,23 @@ class _Run:
         slices it executed are real progress."""
         self.stats.precopy_degraded = True
         self.pre_state = None
-        obs.inc("engine.precopy_degraded")
         obs.event(
             "precopy_degraded", error_type=type(exc).__name__, error=str(exc)
         )
 
-    def _lookup_counters(self) -> dict:
-        """Cumulative lookup counters of the tables this migration
-        touches, by metric name: the source's MSRLT (plus, once adopted,
-        the restored side's, born for this migration)."""
+    def _tallies(self) -> dict:
+        """The cumulative counters this migration books deltas of, by
+        stats field: lookups in the tables it touches (the source's
+        MSRLT, plus, once adopted, the restored side's, born for this
+        migration) and the channel's chunk frames."""
         msrlts = [self.source.msrlt]
         if self.adopted:
             msrlts.append(self.scratch.msrlt)
         return {
-            "msrlt.searches": sum(t.n_searches for t in msrlts),
-            "msrlt.registrations": sum(t.n_registrations for t in msrlts),
+            "msrlt_searches": sum(t.n_searches for t in msrlts),
+            "msrlt_registrations": sum(t.n_registrations for t in msrlts),
+            "chunks_sent": self.channel.chunks_sent,
+            "chunks_received": self.channel.chunks_received,
         }
 
     def _new_scratch(self) -> Process:

@@ -242,7 +242,6 @@ def run_precopy(
         stats.precopy_bytes += len(payload)
         stats.precopy_round_bytes.append(len(payload))
         obs.record("precopy.tx", tx, modeled=True, round=round_no)
-        obs.inc("precopy.bytes", len(payload))
         obs.event(
             "precopy_round",
             round=round_no,
@@ -393,9 +392,7 @@ def run_precopy(
     scratch.memory.sp = scratch.memory.stack_seg.limit
 
     stats.precopy_rounds = rounds + 1  # the snapshot round counts
-    obs.inc("precopy.rounds", rounds + 1)
-    obs.inc("precopy.dirty_blocks", stats.precopy_dirty_blocks)
-    obs.inc("precopy.cached_blocks", len(fresh))
+    stats.precopy_cached_blocks = len(fresh)
     obs.event(
         "precopy_end",
         rounds=rounds + 1,

@@ -21,7 +21,6 @@ from repro.arch.machine import MachineArch
 from repro.migration.engine import MigrationEngine, MigrationError
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import Channel, LOOPBACK, Link
-from repro.obs.metrics import MetricsRegistry
 from repro.vm.process import Process
 
 __all__ = ["Host", "Cluster", "Scheduler", "SchedulerResult"]
@@ -99,9 +98,9 @@ class SchedulerResult:
 
     process: Process
     exit_code: int
+    #: the record of every migration conducted, in order (a cluster
+    #: total is a sum over them)
     migrations: list[MigrationStats] = field(default_factory=list)
-    #: cluster-level metrics roll-up of every migration conducted
-    metrics: Optional[MetricsRegistry] = None
 
     @property
     def stdout(self) -> str:
@@ -117,9 +116,6 @@ class Scheduler:
         self.engine = engine or MigrationEngine()
         self._requests: dict[int, list[PendingRequest]] = {}
         self._homes: dict[int, Host] = {}
-        #: cluster-level aggregation: every migration this scheduler
-        #: conducts folds its per-migration metrics snapshot in here
-        self.metrics = MetricsRegistry()
 
     def register(self, process: Process, host: Host) -> None:
         """Record which host a process runs on (``Host.spawn`` callers that
@@ -166,7 +162,6 @@ class Scheduler:
                     process=current,
                     exit_code=result.exit_code,
                     migrations=migrations,
-                    metrics=self.metrics,
                 )
             if result.status == "steps":
                 raise MigrationError("step budget exhausted before completion")
@@ -184,9 +179,6 @@ class Scheduler:
                 current, req.dest.arch, channel=channel
             )
             migrations.append(stats)
-            if stats.obs is not None:
-                self.metrics.inc("scheduler.migrations")
-                self.metrics.merge(stats.obs.metrics.snapshot())
             # re-home bookkeeping and re-arm remaining requests
             self._requests[id(new_proc)] = self._requests.pop(id(current), [])
             self._homes.pop(id(current), None)

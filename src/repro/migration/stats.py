@@ -111,6 +111,9 @@ class MigrationStats:
     retries: int = 0
     #: bytes sent on attempts that were later abandoned
     aborted_bytes: int = 0
+    #: every attempt failed (``MigrationAbortedError``): the source kept
+    #: the process
+    aborted: bool = False
     #: total backoff between attempts (seconds): modeled, as Tx is, and
     #: never slept
     time_in_backoff: float = 0.0
@@ -134,10 +137,23 @@ class MigrationStats:
     #: stream — the number pre-copy exists to shrink (the non-precopy
     #: downtime is migration_time)
     precopy_downtime_s: float = 0.0
+    #: blocks a surviving pre-copy phase left clean at the destination,
+    #: which the stop-and-copy stream need not carry
+    precopy_cached_blocks: int = 0
     #: pre-copy hit a retryable failure and fell back to plain
     #: stop-and-copy (the pre-copied scratch is discarded, never reused)
     precopy_degraded: bool = False
-    #: the migration's observation (span tree + metrics + event log);
+    #: MSRLT searches and registrations made for this migration: the
+    #: source's table, plus the restored one once adopted
+    msrlt_searches: int = 0
+    msrlt_registrations: int = 0
+    #: chunk frames the channel sent and handed up, over every attempt
+    #: and pre-copy round (terminators excluded)
+    chunks_sent: int = 0
+    chunks_received: int = 0
+    #: injected transport faults that fired, by kind (``FaultyChannel``)
+    faults: dict = field(default_factory=dict)
+    #: the migration's observation (span tree + event log);
     #: set by the engine, ``None`` for hand-built stats
     obs: Optional[object] = field(default=None, repr=False, compare=False)
 
@@ -214,6 +230,47 @@ class MigrationStats:
         out = {name: tracer.total(name) for name in PHASE_SPANS}
         out["codec"] = tracer.total_prefix(CODEC_SPAN_PREFIX)
         return out
+
+    def counters(self) -> dict:
+        """This record's counts by name, sorted: the one rendering that
+        the trace's ``metrics`` line, ``repro migrate --metrics-out``
+        and ``repro obs report / top / diff`` read.  A counter shows only
+        on the migrations it describes: ``codec.bytes_saved`` when
+        compressed, ``engine.aborted_bytes`` once an attempt failed,
+        ``precopy.*`` once pre-copy shipped, ``faults.*`` once a fault
+        fired."""
+        out = {
+            "engine.attempts": self.attempts,
+            "engine.retries": self.retries,
+            "engine.payload_bytes": self.payload_bytes,
+            "engine.blocks": self.n_blocks,
+            "engine.chunks": self.n_chunks,
+            "msrlt.searches": self.msrlt_searches,
+            "msrlt.registrations": self.msrlt_registrations,
+        }
+        if self.chunks_sent:
+            out["wire.chunks_sent"] = self.chunks_sent
+        if self.chunks_received:
+            out["wire.chunks_received"] = self.chunks_received
+        if self.compressed:
+            out["codec.bytes_saved"] = max(self.payload_bytes - self.compressed_bytes, 0)
+        if self.retries or self.aborted:
+            out["engine.aborted_bytes"] = self.aborted_bytes
+        if self.precopy_degraded:
+            out["engine.precopy_degraded"] = 1
+        if self.precopy_round_bytes:
+            out["precopy.bytes"] = self.precopy_bytes
+        if self.precopy_rounds:  # the phase ran to its stop
+            out["precopy.rounds"] = self.precopy_rounds
+            out["precopy.dirty_blocks"] = self.precopy_dirty_blocks
+            out["precopy.cached_blocks"] = self.precopy_cached_blocks
+        if self.faults:
+            out["faults.injected"] = sum(self.faults.values())
+            out.update((f"faults.{kind}", n) for kind, n in self.faults.items())
+        dropped = self.obs.events.dropped if self.obs is not None else 0
+        if dropped:
+            out["events.dropped"] = dropped
+        return dict(sorted(out.items()))
 
     def row(self) -> dict:
         """A Table 1-shaped row."""

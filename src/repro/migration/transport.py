@@ -46,10 +46,8 @@ Transport failure is a first-class, *typed* event (DESIGN.md §7):
 
 from __future__ import annotations
 
-import pathlib
 import random
 import socket
-import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -60,7 +58,6 @@ __all__ = [
     "Link",
     "BaseChannel",
     "Channel",
-    "FileChannel",
     "SocketChannel",
     "ChannelError",
     "ChannelTimeoutError",
@@ -73,8 +70,6 @@ __all__ = [
     "GIGABIT",
     "LOOPBACK",
 ]
-
-_RECORD_LEN = struct.Struct(">I")
 
 
 class ChannelError(Exception):
@@ -138,8 +133,9 @@ class BaseChannel:
         self.messages_sent = 0
         #: bytes of every frame built here, terminators included
         self.framed_bytes_sent = 0
-        #: chunk frames sent, terminators excluded
+        #: chunk frames sent and handed up, terminators excluded
         self.chunks_sent = 0
+        self.chunks_received = 0
         #: bytes accepted while a pre-copy phase ran (booked by
         #: :func:`~repro.migration.precopy.run_precopy`)
         self.delta_bytes_sent = 0
@@ -193,7 +189,6 @@ class BaseChannel:
         self._seq += 1
         self.chunks_sent += 1
         self.framed_bytes_sent += frame_len
-        obs.inc("wire.chunks_sent")
         # one frame, joined once: the fault layer slices and bit-flips
         # the complete frame
         return self._send_frame(b"".join((header, body)))
@@ -213,7 +208,7 @@ class BaseChannel:
         if payload is None:
             self._decoder = ChunkDecoder()
         else:
-            obs.inc("wire.chunks_received")
+            self.chunks_received += 1
         return payload
 
     def iter_chunks(self):
@@ -247,61 +242,6 @@ class Channel(BaseChannel):
     def reset(self) -> None:
         self._queue.clear()
         super().reset()
-
-
-class FileChannel(BaseChannel):
-    """Transfer via a shared file system (the paper's second layer-1
-    option: "using either TCP protocol, shared file systems, or remote
-    file transfer").  Each ``send`` writes one length-prefixed record to
-    the spool file; ``recv`` consumes records in order through a
-    persistent read handle (re-reading the whole spool per record would
-    be O(n²) bytes over a multi-message session)."""
-
-    #: the persistent read handle, opened lazily (a class default, so
-    #: externally attached channel objects keep working)
-    _rfh = None
-
-    def __init__(self, path, link: Link = ETHERNET_10M) -> None:
-        super().__init__(link)
-        self.path = pathlib.Path(path)
-        self._read_offset = 0
-        self.path.write_bytes(b"")
-
-    def _reader(self):
-        if self._rfh is None or self._rfh.closed:
-            self._rfh = self.path.open("rb")
-        return self._rfh
-
-    def _deliver(self, payload) -> None:
-        # fh.write accepts any buffer-protocol object — no bytes() copy
-        with self.path.open("ab") as fh:
-            fh.write(_RECORD_LEN.pack(len(payload)))
-            fh.write(payload)
-
-    def recv(self) -> bytes:
-        fh = self._reader()
-        fh.seek(self._read_offset)
-        header = fh.read(_RECORD_LEN.size)
-        if len(header) < _RECORD_LEN.size:
-            raise ChannelTimeoutError("recv timed out: peer stalled, spool empty")
-        (n,) = _RECORD_LEN.unpack(header)
-        payload = fh.read(n)
-        if len(payload) < n:
-            raise RuntimeError("file channel truncated")
-        self._read_offset = fh.tell()
-        return payload
-
-    def reset(self) -> None:
-        """Fresh-spool semantics for a retry: truncate the spool file and
-        rewind the reader past the failed attempt's records."""
-        self.close()
-        self.path.write_bytes(b"")
-        self._read_offset = 0
-        super().reset()
-
-    def close(self) -> None:
-        if self._rfh is not None:
-            self._rfh.close()
 
 
 class SocketChannel(Channel):
@@ -552,8 +492,6 @@ class FaultyChannel(BaseChannel):
         if fault is None:
             return deliver(payload)
         self.faults_fired.append(fault)
-        obs.inc("faults.injected")
-        obs.inc(f"faults.{fault.kind}")
         obs.event("fault", kind=fault.kind, index=index)
         if fault.kind == "truncate":
             return deliver(payload[: max(len(payload) - max(fault.arg, 1), 0)])

@@ -74,6 +74,8 @@ _STACK = BlockKind.STACK
 _HEAP = BlockKind.HEAP
 #: every state has one byte image: a field holding its constant is left out
 _NOT_CANONICAL = "record for {} spells out {}: the canonical form leaves that field out"
+#: a root (a global, a live local) is its whole block, never a cell inside
+_ROOT_ORDINAL = "root record for {} carries ordinal {}: a root names its block's start"
 
 
 class RestoreError(Exception):
@@ -396,6 +398,10 @@ class Restorer:
                                         f"REF to {(kind, la, lb)} arrived where "
                                         f"{expected.logical} was expected"
                                     )
+                                if ordinal:
+                                    raise RestoreError(
+                                        _ROOT_ORDINAL.format(block.logical, ordinal)
+                                    )
                                 expected = None
                             n_refs += 1
                             address = block.addr
@@ -428,6 +434,10 @@ class Restorer:
                                     raise RestoreError(
                                         f"record for {logical} arrived where "
                                         f"{expected.logical} was expected"
+                                    )
+                                if ordinal:
+                                    raise RestoreError(
+                                        _ROOT_ORDINAL.format(logical, ordinal)
                                     )
                                 expected = None
                             info, new, steps, flat = (

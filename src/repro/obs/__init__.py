@@ -1,4 +1,4 @@
-"""Migration observability: trace spans, metrics, and the event log.
+"""Migration observability: trace spans, the event log, the trace export.
 
 The paper's whole evaluation (§4.2, Table 1) is a measurement story —
 per-phase Collect/Tx/Restore timings per workload per architecture
@@ -8,13 +8,14 @@ per ``MigrationEngine.migrate()`` call and bundles:
 
 - a :class:`~repro.obs.spans.Tracer` — the nested, thread-safe span
   tree every stage emits into (``MigrationStats`` is a read-out of it);
-- a :class:`~repro.obs.metrics.MetricsRegistry` — deterministic named
-  counters (``msrlt.searches``, ``wire.chunks_sent``,
-  ``engine.retries``, ``codec.bytes_saved``, ...), summed
-  cluster-wide by ``Scheduler``/``LoadBalancer``;
 - an :class:`~repro.obs.events.EventLog` — structured events (attempts,
   observed faults, degradation, the streamed pipeline) exported
   as JSON-lines by ``repro migrate --trace out.jsonl``.
+
+The counts of a migration (``msrlt.searches``, ``wire.chunks_sent``,
+``engine.retries``, ``codec.bytes_saved``, ...) are not kept here: they
+are fields of its ``MigrationStats``, and the trace's ``metrics`` line
+is ``MigrationStats.counters()``.
 
 Observation never reaches the wire.  Within one migration the spans
 nest by call — a migration runs on the thread that called ``migrate()``
@@ -27,7 +28,7 @@ the hops' JSONL traces merge by span id into one tree.
 Instrumented call sites (channels, the chunk decoder, the collector's
 loops) do not hold a reference to the observation: they call the
 module-level helpers (:func:`span`, :func:`lap`, :func:`record`,
-:func:`event`, :func:`inc`) which resolve the *current* observation via
+:func:`event`) which resolve the *current* observation via
 a ``contextvars.ContextVar``.  Outside an active observation the
 helpers are null objects whose span handles still measure ``.seconds``
 (so the instrumented channels work unchanged in unit tests) but record
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 from contextvars import ContextVar
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from repro.obs.attribution import AttributionProfiler
@@ -50,7 +52,6 @@ from repro.obs.events import (
     validate_trace_lines,
     validate_trace_obj,
 )
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.spans import NULL_TRACER, Tracer
 
 __all__ = [
@@ -60,13 +61,11 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "current",
     "current_tracer",
-    "current_metrics",
     "current_attribution",
     "span",
     "lap",
     "record",
     "event",
-    "inc",
     "validate_trace_obj",
     "validate_trace_lines",
     "validate_trace_file",
@@ -103,7 +102,7 @@ def continuation_context(stats) -> Optional[TraceContext]:
 
 
 class MigrationObservation:
-    """Tracer + metrics + events for one migration, with activation.
+    """Tracer + events for one migration, with activation.
 
     With ``attribution=True`` an :class:`AttributionProfiler` rides
     along and the collector/restorer hot paths feed it; off (the
@@ -127,9 +126,25 @@ class MigrationObservation:
             )
         else:
             self.tracer = Tracer(name)
-        self.metrics = MetricsRegistry()
         self.events = EventLog(clock=self.tracer._clock)
         self.attribution = AttributionProfiler() if attribution else None
+        #: the migration's ``MigrationStats`` (set by the engine): the
+        #: trace's ``metrics`` line renders its counters
+        self.stats = None
+
+    def _counters(self) -> dict:
+        """``MigrationStats.counters()``; empty for an observation no
+        migration filled."""
+        return self.stats.counters() if self.stats is not None else {}
+
+    @property
+    def metrics(self):
+        """Read-only ``metrics.counter(name)`` over the counters.
+        Only the frozen benchmark suite still reads it
+        (``precopy.cached_blocks``); ROADMAP 5-I(b) moves the suite to
+        ``MigrationStats.precopy_cached_blocks`` and deletes this."""
+        counters = self._counters()
+        return SimpleNamespace(counter=lambda name: counters.get(name, 0))
 
     # -- activation --------------------------------------------------------
 
@@ -144,7 +159,7 @@ class MigrationObservation:
         """The migration's full trace as decoded JSONL lines: header,
         events (with a drop marker if the ring buffer overflowed),
         flattened span tree with its span ids, the attribution table
-        when profiling was on, and the metrics snapshot."""
+        when profiling was on, and the counters."""
         self.tracer.finish()
         end_ts = round(self.tracer.root.end_s or 0.0, 9)
         lines: list[dict] = [{
@@ -189,11 +204,7 @@ class MigrationObservation:
                 if side in summary:
                     attr_line[side] = summary[side]
             lines.append(attr_line)
-        lines.append({
-            "event": "metrics",
-            "ts": end_ts,
-            **self.metrics.snapshot(),
-        })
+        lines.append({"event": "metrics", "ts": end_ts, "counters": self._counters()})
         return lines
 
     def to_jsonl(self) -> str:
@@ -236,11 +247,6 @@ def current_tracer():
     return obs.tracer if obs is not None else NULL_TRACER
 
 
-def current_metrics():
-    obs = _CURRENT.get()
-    return obs.metrics if obs is not None else NULL_METRICS
-
-
 def current_events():
     obs = _CURRENT.get()
     return obs.events if obs is not None else NULL_EVENTS
@@ -272,8 +278,3 @@ def record(name: str, seconds: float, **attrs):
 def event(name: str, **fields) -> dict:
     """Emit a structured event on the active log."""
     return current_events().emit(name, **fields)
-
-
-def inc(name: str, n: int = 1) -> None:
-    """Increment a counter on the active metrics registry."""
-    current_metrics().inc(name, n)

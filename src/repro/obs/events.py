@@ -3,7 +3,7 @@
 Every migration appends typed events (attempts, observed faults,
 backoff, the streamed pipeline) to an in-memory
 :class:`EventLog`; ``repro migrate --trace out.jsonl`` exports the log
-plus the span tree and the metrics snapshot as JSON-lines.
+plus the span tree and the migration's counters as JSON-lines.
 
 Trace file format (one JSON object per line, schema version 7 — the one
 version this build writes and reads; a trace of another version is
@@ -26,7 +26,7 @@ re-recorded, not converted):
   foreign parent span);
 - an ``attribution`` line carries the per-type cost table when
   profiling was on, each row holding :data:`ATTRIBUTION_ROW_FIELDS`;
-- the final ``metrics`` line carries the registry snapshot,
+- the final ``metrics`` line carries ``MigrationStats.counters()``,
   ``{"counters": {name: int, ...}}``.
 
 On top of the per-line field checks the validator checks the document

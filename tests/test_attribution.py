@@ -412,10 +412,10 @@ class TestEngineAttribution:
         assert 0 < restore_total <= stats.payload_bytes
 
     def test_msrlt_rows_agree_with_metrics(self, attributed):
-        """Row-attributed lookups are the *same* lookups the metrics
-        registry counts — one instrumentation, two read-outs."""
+        """Row-attributed lookups are the *same* lookups the counters
+        book — one instrumentation, two read-outs."""
         _, _, stats = attributed
-        counters = stats.obs.metrics.snapshot()["counters"]
+        counters = stats.counters()
         rows = stats.attribution["rows"]
         assert sum(r["msrlt_searches"] for r in rows) == counters["msrlt.searches"]
         node = row_of(stats.attribution, "struct node")

@@ -1,4 +1,4 @@
-"""Tests for the file and socket transport channels (paper layer 1:
+"""Tests for the in-memory and socket transport channels (paper layer 1:
 "either TCP protocol, shared file systems, or remote file transfer")."""
 
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from repro.arch import DEC5000, SPARC20
 from repro.migration.engine import MigrationEngine
 from repro.migration.transport import (
+    Channel,
     ChannelTimeoutError,
     ETHERNET_10M,
-    FileChannel,
     SocketChannel,
 )
 from repro.msr.wire import CHUNK_HEADER_SIZE
@@ -51,46 +51,18 @@ def stopped(prog, k=30):
     return proc
 
 
-class TestFileChannel:
-    def test_basic_roundtrip(self, tmp_path):
-        ch = FileChannel(tmp_path / "spool.bin")
-        ch.send(b"alpha")
-        ch.send(b"beta")
-        assert ch.recv() == b"alpha"
-        assert ch.recv() == b"beta"
-        with pytest.raises(ChannelTimeoutError):  # both records consumed
-            ch.recv()
-
-    def test_empty_raises(self, tmp_path):
-        ch = FileChannel(tmp_path / "spool.bin")
-        with pytest.raises(ChannelTimeoutError, match="empty"):
-            ch.recv()
-
-    def test_migration_over_shared_file(self, prog, expected, tmp_path):
+class TestChannel:
+    def test_migration_charges_the_data_frames(self, prog, expected):
         proc = stopped(prog)
-        channel = FileChannel(tmp_path / "mig.bin", link=ETHERNET_10M)
+        channel = Channel(ETHERNET_10M)
         dest, stats = MigrationEngine().migrate(proc, SPARC20, channel=channel)
         dest.run()
         assert dest.stdout == expected
-        # Tx charges the data frames: payload, chunk header, terminator
-        assert stats.tx_time == pytest.approx(
-            ETHERNET_10M.transfer_time(stats.payload_bytes + 2 * CHUNK_HEADER_SIZE)
-        )
-        # the payload genuinely hit the file system
-        assert (tmp_path / "mig.bin").stat().st_size > stats.payload_bytes
-
-    def test_bytes_survive_reopen(self, tmp_path):
-        """The spool is durable: a second channel object can drain it."""
-        path = tmp_path / "spool.bin"
-        ch1 = FileChannel(path)
-        ch1.send(b"persisted")
-        ch2 = FileChannel.__new__(FileChannel)  # attach without truncating
-        ch2.path = path
-        ch2.link = ETHERNET_10M
-        ch2._read_offset = 0
-        ch2.bytes_sent = 0
-        ch2.messages_sent = 0
-        assert ch2.recv() == b"persisted"
+        # the payload rides one chunk frame, closed by a terminator, and
+        # Tx charges exactly those frames
+        framed = stats.payload_bytes + 2 * CHUNK_HEADER_SIZE
+        assert channel.framed_bytes_sent == channel.accepted_bytes == framed
+        assert stats.tx_time == pytest.approx(ETHERNET_10M.transfer_time(framed))
 
 
 class TestSocketChannel:

@@ -34,7 +34,6 @@ from repro.migration.transport import (
     Fault,
     FaultPlan,
     FaultyChannel,
-    FileChannel,
     LOOPBACK,
     SocketChannel,
 )
@@ -310,8 +309,8 @@ class TestFaultMatrix:
         assert stats.attempts == excinfo.value.attempts == 2
         assert stats.retries == 1
         obs = stats.obs
-        assert stats.aborted_bytes == obs.metrics.counter("engine.aborted_bytes") > 0
-        assert obs.metrics.counter("engine.attempts") == 2
+        assert stats.aborted and stats.aborted_bytes > 0
+        assert stats.counters()["engine.aborted_bytes"] == stats.aborted_bytes
         assert [e["attempt"] for e in obs.events.of_type("attempt_fail")] == [1, 2]
         assert len(obs.events.of_type("backoff")) == 1
         assert not obs.events.of_type("migration_end")
@@ -336,8 +335,8 @@ class TestFaultMatrix:
         assert stats.aborted_bytes > 0
         assert stats.time_in_backoff > 0
 
-    @pytest.mark.parametrize("kind", ["memory", "file", "socket"])
-    def test_aborted_bytes_count_every_frame_once(self, prog, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["memory", "socket"])
+    def test_aborted_bytes_count_every_frame_once(self, prog, kind):
         """``aborted_bytes`` of a failed streamed attempt is what the
         channel accepted during it.  Wherever a frame rides ``send()``
         it is already in ``bytes_sent``; adding ``framed_bytes_sent`` on
@@ -347,8 +346,6 @@ class TestFaultMatrix:
         def make():
             if kind == "memory":
                 return Channel(LOOPBACK)
-            if kind == "file":
-                return FileChannel(tmp_path / f"spool-{time.monotonic_ns()}.bin")
             return SocketChannel(LOOPBACK)
 
         def migrate(channel):
@@ -430,20 +427,6 @@ class TestFaultMatrix:
         dest.run()
         assert dest.stdout == expected
         assert stats.attempts == 3 and stats.retries == 2
-
-    def test_file_channel_faults(self, prog, expected, tmp_path):
-        proc = stopped(prog)
-        channel = FaultyChannel(
-            FileChannel(tmp_path / "spool.bin", link=LOOPBACK),
-            FaultPlan.parse("truncate@0:64"),
-        )
-        dest, stats = MigrationEngine().migrate(
-            proc, SPARC20, channel=channel, streaming=True, chunk_size=128,
-            max_attempts=2,
-        )
-        dest.run()
-        assert dest.stdout == expected
-        assert stats.retries == 1
 
 
 class TestRetryPolicy:

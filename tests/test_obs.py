@@ -1,8 +1,8 @@
-"""Tests for the observability layer (spans, metrics, event log) and the
+"""Tests for the observability layer (spans, counters, event log) and the
 stats/cache bugfix sweep it landed with.
 
 Covers: span nesting (including under the threaded socket feeder),
-metrics snapshot determinism under retries, JSONL trace schema
+counter determinism under retries, JSONL trace schema
 round-trip, and regressions for the overlap-ratio codec fold, the
 unconditional Degraded surfacing, and aborted-attempt codec accounting.
 """
@@ -15,7 +15,6 @@ import pytest
 from repro.arch import DEC5000, SPARC20
 from repro.migration import Cluster, ETHERNET_100M, Scheduler
 from repro.migration.engine import MigrationEngine
-from repro.migration.policies import LoadBalancer
 from repro.migration.precopy import PrecopyPolicy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import (
@@ -33,7 +32,6 @@ from repro.obs import (
     validate_trace_obj,
 )
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -164,50 +162,6 @@ class TestTracer:
         assert timed.seconds >= 0.0
         assert NULL_TRACER.record("tx", 1.0) is None
         assert NULL_TRACER.total_prefix("codec.") == 0.0
-
-
-# -- metrics ------------------------------------------------------------------
-
-
-class TestMetricsRegistry:
-    def test_counters(self):
-        m = MetricsRegistry()
-        m.inc("a")
-        m.inc("a", 4)
-        assert m.counter("a") == 5
-        assert m.counter("never") == 0
-
-    def test_snapshot_is_sorted_and_detached(self):
-        m = MetricsRegistry()
-        m.inc("z")
-        m.inc("a")
-        snap = m.snapshot()
-        assert snap == {"counters": {"a": 1, "z": 1}}
-        assert list(snap["counters"]) == ["a", "z"]
-        snap["counters"]["a"] = 99
-        assert m.counter("a") == 1
-
-    def test_merge_adds_counters(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("n", 2)
-        b.inc("n", 3)
-        b.inc("only_b")
-        a.merge(b.snapshot())
-        assert a.counter("n") == 5 and a.counter("only_b") == 1
-
-    def test_iter_flat_is_the_sorted_counters(self):
-        m = MetricsRegistry()
-        m.inc("z", 7)
-        m.inc("a")
-        assert list(m.iter_flat()) == [("a", 1), ("z", 7)]
-
-    def test_surface_is_counters_only(self):
-        """One instrument per question: the registry counts, nothing
-        else, and the ambient no-op mirrors it exactly."""
-        surface = {"inc", "counter", "snapshot", "merge", "iter_flat"}
-        for cls in (MetricsRegistry, NullMetrics):
-            assert {n for n in vars(cls) if not n.startswith("_")} == surface
-        assert NullMetrics().snapshot() == MetricsRegistry().snapshot()
 
 
 # -- event log + trace schema -------------------------------------------------
@@ -394,7 +348,8 @@ class TestCodecAccounting:
 class TestMigrationObservability:
     def test_metrics_snapshot_deterministic_under_retries(self, prog):
         """Counters hold counts/bytes only — two migrations driven by the
-        same fault plan over the same payload snapshot identically."""
+        same fault plan over the same payload render identically, sorted
+        by name, and the rendering is a copy of the record."""
 
         def run_once():
             proc = stopped(prog)
@@ -405,17 +360,20 @@ class TestMigrationObservability:
                 chunk_size=512, compress=True,
                 max_attempts=3,
             )
-            return stats.obs.metrics.snapshot()
+            return stats
 
         first, second = run_once(), run_once()
-        assert first["counters"] == second["counters"]
-        c = first["counters"]
+        c = first.counters()
+        assert c == second.counters()
+        assert list(c) == sorted(c)
         assert c["engine.attempts"] == 2 and c["engine.retries"] == 1
         assert c["faults.injected"] == 1 and c["faults.drop"] == 1
         assert c["engine.aborted_bytes"] > 0
         assert c["wire.chunks_sent"] > c["wire.chunks_received"] > 0
         assert c["codec.bytes_saved"] > 0
         assert c["msrlt.searches"] > 0 and c["msrlt.registrations"] > 0
+        c["engine.attempts"] = 99
+        assert first.counters()["engine.attempts"] == 2
 
     def test_events_tell_the_retry_story(self, prog):
         proc = stopped(prog)
@@ -455,7 +413,7 @@ class TestMigrationObservability:
         assert any(p.endswith("/collect") for p in span_paths)
         # the snapshot's machine-readable form: one line, counters only
         assert lines[-1] == {"event": "metrics", "ts": lines[-1]["ts"],
-                             **stats.obs.metrics.snapshot()}
+                             "counters": stats.counters()}
         assert set(lines[-1]) == {"event", "ts", "counters"}
         # file export validates identically
         out = tmp_path / "trace.jsonl"
@@ -591,15 +549,7 @@ class TestInstrumentsAgree:
         if mode == "mono":  # the serial schedule: one chunk
             assert (stats.n_chunks, stats.streamed) == (1, False)
 
-        # MigrationStats == the engine.* counters
-        counter = obs.metrics.counter
-        assert counter("engine.attempts") == stats.attempts
-        assert counter("engine.retries") == stats.retries
-        assert counter("engine.payload_bytes") == stats.payload_bytes
-        assert counter("engine.blocks") == stats.n_blocks
-        assert counter("engine.chunks") == stats.n_chunks
-        assert counter("engine.aborted_bytes") == stats.aborted_bytes
-        assert counter("engine.precopy_degraded") == int(stats.precopy_degraded)
+        counters = stats.counters()
         assert (stats.aborted_bytes > 0) == (stats.attempts > 1)
 
         # MigrationStats == the span tree: the phase times are the
@@ -624,16 +574,16 @@ class TestInstrumentsAgree:
         assert len(events.of_type("attempt_begin")) == stats.attempts
         assert len(events.of_type("attempt_fail")) == stats.retries
         rounds = events.of_type("precopy_round")
-        assert len(rounds) == stats.precopy_rounds == counter("precopy.rounds")
+        assert len(rounds) == stats.precopy_rounds
         assert (sum(r["bytes"] for r in rounds) == stats.precopy_bytes
-                == counter("precopy.bytes"))
+                == counters.get("precopy.bytes", 0))
         assert len(rounds) == (4 if mode == "precopy" else 0)  # snapshot + 3 slices
 
         # the attribution table == stats and counters: every scope's
         # byte column partitions that scope's payload (a failed attempt's
         # collect work really happened: it is reported beside the table,
         # one abandoned attempt per retry), and the lookups of all of
-        # them are the lookups the registry counts
+        # them are the lookups the counters book
         attr = stats.attribution
         assert attr["payload_bytes"] == stats.payload_bytes
         tables = [attr, *attr.get("scopes", {}).values()]
@@ -645,7 +595,7 @@ class TestInstrumentsAgree:
         assert sum(
             r["msrlt_searches"]
             for table in (*tables, *abandoned.values()) for r in table["rows"]
-        ) == counter("msrlt.searches")
+        ) == counters["msrlt.searches"]
 
         # observation on or off, the same bytes cross the channel
         plain, plain_wire, plain_stdout = migrate_in_mode(sliced_prog, mode, False)
@@ -673,6 +623,8 @@ def test_untraced_migrate_never_walks_its_span_tree(prog, mode, monkeypatch):
 
 class TestClusterAggregation:
     def test_scheduler_rolls_up_metrics(self, prog, expected):
+        """The cluster total is a sum over the records the scheduler
+        returns, one per migration it conducted."""
         cluster = Cluster()
         a = cluster.add_host("a", DEC5000)
         b = cluster.add_host("b", SPARC20)
@@ -682,38 +634,9 @@ class TestClusterAggregation:
         sched.request_migration(proc, b)
         result = sched.run(proc)
         assert result.stdout == expected
-        assert result.metrics is sched.metrics
-        assert result.metrics.counter("scheduler.migrations") == 1
-        assert result.metrics.counter("engine.attempts") == 1
-        assert result.metrics.counter("engine.payload_bytes") > 0
-
-    def test_balancer_rolls_up_metrics(self):
-        worker = compile_program(
-            """
-            int main() {
-                int i; long acc = 0;
-                for (i = 0; i < 400; i++) { migrate_here(); acc = acc * 3 + i; }
-                printf("%d", (int) acc);
-                return 0;
-            }
-            """,
-            poll_strategy="user",
-        )
-        cluster = Cluster()
-        hot = cluster.add_host("hot", DEC5000)
-        cold = cluster.add_host("cold", SPARC20)
-        cluster.connect(hot, cold, ETHERNET_100M)
-        balancer = LoadBalancer(cluster, quantum=2000)
-        for i in range(4):
-            balancer.submit(worker, hot, name=f"w{i}")
-        result = balancer.run()
-        assert len(result.finished) == 4
-        assert result.migrations
-        assert result.metrics is balancer.metrics
-        assert (result.metrics.counter("balancer.migrations")
-                == len(result.migrations))
-        assert (result.metrics.counter("engine.attempts")
-                >= len(result.migrations))
+        (stats,) = result.migrations
+        assert stats.counters()["engine.attempts"] == 1
+        assert stats.counters()["engine.payload_bytes"] > 0
 
 
 # -- CLI ----------------------------------------------------------------------

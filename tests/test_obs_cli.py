@@ -203,6 +203,27 @@ class TestMetricsFlags:
         assert "engine.attempts = 1\n" in path.read_text()
         assert f"[metrics written to {path}]" in capsys.readouterr().err
 
+    def test_the_two_printers_agree(self, workspace, capsys):
+        """``--metrics-out -`` and the trace's ``metrics`` line render one
+        record: the same names and values, on a streamed, compressed and
+        retried run that shows the conditional counters too."""
+        trace = workspace / "agree.jsonl"
+        rc = main(["migrate", str(workspace / "prog.c"), "--after-polls", "345",
+                   "--stream", "--chunk-size", "512", "--compress",
+                   "--fault", "drop@2", "--retries", "2",
+                   "--trace", str(trace), "--metrics-out", "-"])
+        assert rc == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, sep, value = line.partition(" = ")
+            if sep:
+                printed[name] = int(value)
+        (last,) = [json.loads(ln) for ln in trace.read_text().splitlines()[-1:]]
+        assert last["event"] == "metrics"
+        assert printed == last["counters"]
+        assert {"codec.bytes_saved", "engine.aborted_bytes", "faults.drop"} <= set(printed)
+        assert printed["engine.attempts"] == 2
+
     def test_trace_fails_loudly_without_observation(
         self, workspace, monkeypatch, capsys
     ):

@@ -19,7 +19,6 @@ from repro.migration.transport import (
     ETHERNET_10M,
     FaultPlan,
     FaultyChannel,
-    FileChannel,
     LOOPBACK,
     SocketChannel,
 )
@@ -191,9 +190,8 @@ class TestAdoptedTracer:
 
 
 CHANNELS = {
-    "memory": lambda tmp: Channel(LOOPBACK),
-    "file": lambda tmp: FileChannel(tmp / "spool.bin", link=LOOPBACK),
-    "socket": lambda tmp: SocketChannel(link=LOOPBACK),
+    "memory": lambda: Channel(LOOPBACK),
+    "socket": lambda: SocketChannel(link=LOOPBACK),
 }
 
 
@@ -201,13 +199,13 @@ class TestEnginePropagation:
     @pytest.mark.parametrize("streaming", [False, True], ids=["serial", "pipelined"])
     @pytest.mark.parametrize("kind", CHANNELS)
     def test_restore_spans_sit_under_the_attempt(
-        self, prog, expected, tmp_path, kind, streaming
+        self, prog, expected, kind, streaming
     ):
         """No frame names the attempt, yet the restore side joins it: the
         restore (serial) or pipeline span is the attempt span's child on
         every channel, and collection — on the socket, a producer
         thread's — lies under the same attempt."""
-        channel = CHANNELS[kind](tmp_path)
+        channel = CHANNELS[kind]()
         try:
             dest, stats = MigrationEngine().migrate(
                 stopped(prog), SPARC20, channel=channel,

@@ -22,7 +22,6 @@ from repro.migration.transport import (
     ETHERNET_10M,
     FaultPlan,
     FaultyChannel,
-    FileChannel,
     LOOPBACK,
     Link,
     SocketChannel,
@@ -254,26 +253,22 @@ class TestChunkWire(FrameCodecCases):
 class TestChannelChunkAPI:
     @pytest.mark.parametrize(
         "make",
-        [
-            lambda tmp: Channel(LOOPBACK),
-            lambda tmp: FileChannel(tmp / "spool.bin", link=LOOPBACK),
-        ],
-        ids=["memory", "file"],
+        [lambda: Channel(LOOPBACK)],
+        ids=["memory"],
     )
-    def test_chunk_roundtrip_and_reuse(self, tmp_path, make):
-        ch = make(tmp_path)
+    def test_chunk_roundtrip_and_reuse(self, make):
+        ch = make()
         for stream in ([b"alpha", b"beta", b"gamma"], [b"second-stream"]):
             for c in stream:
                 ch.send_chunk(c)
             ch.end_stream()
             assert list(ch.iter_chunks()) == stream  # seq resets per stream
-        assert ch.chunks_sent == 4
+        assert ch.chunks_sent == ch.chunks_received == 4
 
-    @pytest.mark.parametrize("kind", ["memory", "file", "socket", "faulty"])
-    def test_accepted_bytes_counts_messages_and_frames_once(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["memory", "socket", "faulty"])
+    def test_accepted_bytes_counts_messages_and_frames_once(self, kind):
         ch = {
             "memory": lambda: Channel(LOOPBACK),
-            "file": lambda: FileChannel(tmp_path / "spool.bin", link=LOOPBACK),
             "socket": lambda: SocketChannel(link=LOOPBACK),
             "faulty": lambda: FaultyChannel(Channel(LOOPBACK), FaultPlan([])),
         }[kind]()
@@ -318,10 +313,9 @@ class TestChannelChunkAPI:
 
 
 CHANNEL_KINDS = {
-    "memory": lambda tmp: Channel(LOOPBACK),
-    "file": lambda tmp: FileChannel(tmp / "spool.bin", link=LOOPBACK),
-    "socket": lambda tmp: SocketChannel(link=LOOPBACK),
-    "faulty": lambda tmp: FaultyChannel(Channel(LOOPBACK), FaultPlan([])),
+    "memory": lambda: Channel(LOOPBACK),
+    "socket": lambda: SocketChannel(link=LOOPBACK),
+    "faulty": lambda: FaultyChannel(Channel(LOOPBACK), FaultPlan([])),
 }
 
 
@@ -331,8 +325,8 @@ class TestOneEnvelope:
     ``0 … n−1`` → terminator, and nothing else; the default mode is that
     with n = 1."""
 
-    def migrate(self, prog, tmp_path, kind, **mode):
-        channel = CHANNEL_KINDS[kind](tmp_path)
+    def migrate(self, prog, kind, **mode):
+        channel = CHANNEL_KINDS[kind]()
         frames = tap_frames(channel)
         try:
             dest, stats = MigrationEngine().migrate(
@@ -344,10 +338,10 @@ class TestOneEnvelope:
         return frames, channel.accepted_bytes, stats, dest.stdout
 
     def test_default_mode_is_the_one_chunk_stream(
-        self, prog, expected, tmp_path, kind
+        self, prog, expected, kind
     ):
         payload, _ = collect_state(stopped(prog))
-        frames, accepted, stats, stdout = self.migrate(prog, tmp_path, kind)
+        frames, accepted, stats, stdout = self.migrate(prog, kind)
         assert stdout == expected
         assert [bytes(f[:4]) for f in frames] == [b"MCHK", b"MCHK"]
         seq, chunk = decode_chunk(frames[0])
@@ -359,14 +353,14 @@ class TestOneEnvelope:
         # the pipelined schedule ships the same bytes plus one header per
         # extra chunk, and nothing else
         _, streamed, sstats, stdout = self.migrate(
-            prog, tmp_path, kind, streaming=True, chunk_size=512
+            prog, kind, streaming=True, chunk_size=512
         )
         assert stdout == expected and sstats.n_chunks > 1
         assert accepted == streamed - CHUNK_HEADER_SIZE * (sstats.n_chunks - 1)
 
-    def test_default_mode_compressed_ships_mchz(self, prog, expected, tmp_path, kind):
+    def test_default_mode_compressed_ships_mchz(self, prog, expected, kind):
         frames, accepted, stats, stdout = self.migrate(
-            prog, tmp_path, kind, compress=True
+            prog, kind, compress=True
         )
         assert stdout == expected
         assert [bytes(f[:4]) for f in frames] == [b"MCHZ", b"MCHK"]
@@ -382,17 +376,16 @@ class TestStreamingMigration:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda tmp: Channel(ETHERNET_10M),
-            lambda tmp: FileChannel(tmp / "mig.bin", link=ETHERNET_10M),
-            lambda tmp: SocketChannel(link=ETHERNET_10M),
+            lambda: Channel(ETHERNET_10M),
+            lambda: SocketChannel(link=ETHERNET_10M),
         ],
-        ids=["memory", "file", "socket"],
+        ids=["memory", "socket"],
     )
     def test_streamed_migration_matches_baseline(
-        self, prog, expected, tmp_path, make
+        self, prog, expected, make
     ):
         proc = stopped(prog)
-        channel = make(tmp_path)
+        channel = make()
         dest, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=channel, streaming=True, chunk_size=512
         )

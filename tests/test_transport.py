@@ -9,7 +9,6 @@ from repro.migration.transport import (
     ETHERNET_100M,
     FaultPlan,
     FaultyChannel,
-    FileChannel,
     GIGABIT,
     Link,
     LOOPBACK,
@@ -73,21 +72,20 @@ class TestChannel:
             ch.recv()
 
 
-#: every channel kind, built on a fresh spool under *tmp_path*
+#: every channel kind
 CHANNELS = {
-    "memory": lambda tmp_path: Channel(LOOPBACK),
-    "file": lambda tmp_path: FileChannel(tmp_path / "spool.bin", link=LOOPBACK),
-    "socket": lambda tmp_path: SocketChannel(LOOPBACK),
+    "memory": lambda: Channel(LOOPBACK),
+    "socket": lambda: SocketChannel(LOOPBACK),
 }
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "faulty"])
 @pytest.mark.parametrize("kind", CHANNELS)
-def test_an_empty_receive_is_a_timeout(kind, wrapped, tmp_path):
+def test_an_empty_receive_is_a_timeout(kind, wrapped):
     """No read blocks, so nothing queued is a typed timeout on every
     channel — bare or under a fault-free ``FaultyChannel`` — for a whole
     message and for a chunk frame alike."""
-    ch = CHANNELS[kind](tmp_path)
+    ch = CHANNELS[kind]()
     if wrapped:
         ch = FaultyChannel(ch, FaultPlan())
     try:

@@ -10,6 +10,7 @@ whose observable behaviour is checked.
 """
 
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -703,6 +704,66 @@ def _globals_at() -> int:
     return _LIVE_AT + 2 + 2 * (2 + 11 + 4)
 
 
+def _in_place(payload: bytes, entry: bytes, forged: bytes) -> bytes:
+    """*payload* with its one copy of *entry* replaced by *forged*."""
+    at = payload.find(entry)
+    assert at >= 0 and payload.count(entry) == 1
+    return payload[:at] + forged + payload[at + len(entry) :]
+
+
+def _root_ref_with_an_ordinal():
+    """``gen_strings.c``: ``st_msg`` reaches ``__str_0`` before the
+    globals list does, so the literal's root entry is a ``REF`` — here
+    naming a cell one byte into its block."""
+    program = compile_program(
+        (Path(__file__).parent / "corpus" / "gen_strings.c").read_text(),
+        poll_strategy="user",
+    )
+    proc = Process(program, SPARC20)
+    proc.start()
+    proc.migration_pending = True
+    assert proc.run().status == "poll"
+    i = [g.name for g in program.globals].index("__str_0")
+    index, logical = struct.pack(">I", i), (BlockKind.GLOBAL, i, 0)
+    forged = _in_place(
+        bytes(collect_state(proc)[0]),
+        index + ref_record(logical), index + ref_record(logical, ordinal=1),
+    )
+    return program, forged
+
+
+def _root_block_with_an_ordinal():
+    """The ``numbers`` global's root ``BLOCK`` (one ``double [8]``) with
+    an ordinal spelled out behind its type id."""
+    proc = Process(_PROG, DEC5000)
+    proc.start()
+    proc.migration_pending = True
+    assert proc.run().status == "poll"
+    logical = (BlockKind.GLOBAL, 1, 0)
+    header = block_header(
+        logical, proc.ti.info_for(proc.msrlt.lookup_logical(logical).elem_type).type_id,
+        flat=True,
+    )
+    index = struct.pack(">I", 1)
+    forged = _in_place(_PAYLOAD, index + header, index + spelled_out(header, 0x40, 3))
+    return _PROG, forged
+
+
+#: name -> (forgery, what the restorer must say): a root is its whole
+#: block, so a root record that names a cell inside it is refused (each
+#: restored and ran on as if pristine before)
+ROOT_ORDINALS = {
+    "root-ref-ordinal-1": (
+        _root_ref_with_an_ordinal,
+        r"root record for \(0, 5, 0\) carries ordinal 1",
+    ),
+    "root-block-ordinal-3": (
+        _root_block_with_an_ordinal,
+        r"root record for \(0, 1, 0\) carries ordinal 3",
+    ),
+}
+
+
 HOSTILE_ROOTS = {
     "local-left-out": (
         _left_out(_LIVE_AT, 2, (BlockKind.STACK, 0, 1)),
@@ -748,4 +809,18 @@ class TestHostileRoots:
             else:
                 pieces = [forged[i : i + chunk] for i in range(0, len(forged), chunk)]
                 restore_state_stream(_ROOTS, iter(pieces), dest)
+        assert_table_whole(dest)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7], ids=["mono", "chunks-1", "chunks-7"])
+    @pytest.mark.parametrize("case", ROOT_ORDINALS)
+    def test_a_root_names_no_cell(self, case, chunk):
+        forge, says = ROOT_ORDINALS[case]
+        program, forged = forge()
+        dest = Process(program, X86)
+        with pytest.raises(RestoreError, match=says):
+            if chunk is None:
+                restore_state(program, forged, dest)
+            else:
+                pieces = [forged[i : i + chunk] for i in range(0, len(forged), chunk)]
+                restore_state_stream(program, iter(pieces), dest)
         assert_table_whole(dest)
