@@ -114,6 +114,8 @@ class PrecopyPolicy:
     def __post_init__(self) -> None:
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
+        if self.stop_dirty_blocks < 0:
+            raise ValueError("stop_dirty_blocks must be >= 0")
         if self.slice_polls < 1:
             raise ValueError("slice_polls must be >= 1")
 

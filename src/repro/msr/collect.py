@@ -148,8 +148,7 @@ class Collector:
         self.chain_backoff = ChainBackoff()
         # a chain batch searches an arena built over the whole table; at
         # most len(stale) nodes can ride one, so tail slots are offered
-        # only when that many pointers would pay for the build — the
-        # test a pointer array applies to itself
+        # only when that many pointers would pay for the build
         if stale is not None and len(stale) * ARENA_REBUILD_BLOCKS_PER_POINTER < len(self.msrlt):
             self.chain_backoff.skip = sys.maxsize
 

@@ -30,10 +30,11 @@ of the unit:
 - :class:`StructPlan` — pointer-free units with mixed kinds or padding
   (``struct {int a; double b;}``): two NumPy structured dtypes, one
   vectorized cast per field for the whole block.
-- :class:`PtrArrayPlan` — dense pointer arrays (``cell *hot[64]``): all
-  pointers translated with one ``searchsorted`` over a
-  :class:`SortedArena`, NULL/REF runs written as one structured array;
-  only a pointer to a block not yet visited goes back to the driver.
+- :class:`PtrArrayPlan` — dense pointer arrays (``cell *hot[64]``): the
+  pointers resolved per distinct target block (one table search each,
+  never a pass over the table), NULL/REF runs written as one structured
+  array; only a pointer to a block not yet visited goes back to the
+  driver.
 - :class:`RecordPlan` — every other pointer-bearing unit (list and tree
   nodes, records owning strings, arrays of such structs).
 - :class:`ChainPlan` — not a plan of its own but the batching half of a
@@ -89,17 +90,17 @@ __all__ = [
 #: scalar loop is faster; payload bytes are identical either way, so the
 #: threshold is purely a performance choice)
 MIN_BULK_CELLS = 16
-#: the collect-side bulk path searches a :class:`SortedArena`, and a
-#: stale one (any ``malloc`` / ``free`` since it was built: every pre-copy
-#: slice that allocates) is rebuilt over the *whole* table first.  Measured
-#: on the suite's struct grid (1 029 blocks): the rebuild costs ~0.29 µs
-#: per block of the table, a pointer the driver resolves one at a time
-#: ~1.2 µs more than one resolved in bulk — so a rebuild pays for itself
-#: when the array holds at least one pointer per this many blocks of the
-#: table.  Below that, and with no current arena to reuse, a pointer
-#: array goes to the driver like a short one: a 32-pointer dirty run of a
-#: pre-copy round must not cost a 600-block rebuild (332 µs → 55 µs).
-#: Purely a timing choice, like :data:`MIN_BULK_CELLS`.
+#: a chain batch searches a :class:`SortedArena`, and a stale one (any
+#: ``malloc`` / ``free`` since it was built: every pre-copy slice that
+#: allocates) is rebuilt over the *whole* table first.  Measured on the
+#: suite's struct grid (1 029 blocks): the rebuild costs ~0.29 µs per
+#: block of the table, a pointer the driver resolves one at a time ~1.2 µs
+#: more than one resolved in bulk — so a rebuild pays for itself when the
+#: batch can take at least one pointer per this many blocks of the table.
+#: Its one reader is the final pre-copy pass, which offers its chain tail
+#: slots only when its stale blocks (all it can ship) reach that share
+#: (:class:`~repro.msr.collect.Collector`).  Purely a timing choice, like
+#: :data:`MIN_BULK_CELLS`.
 ARENA_REBUILD_BLOCKS_PER_POINTER = 4
 #: smallest chain batch worth the NumPy round-trip.  The scalar
 #: pre-walk in :meth:`ChainPlan._save_batch` must find this many linked
@@ -140,10 +141,11 @@ class SortedArena:
     Built by :meth:`MSRLT.arena` and cached until the table's generation
     moves; ``lookup`` is the vectorized twin of ``MSRLT.lookup_addr``
     (one search, one containment test).  The columns cost ~0.25 µs per
-    block of the table, so only a caller that has that many addresses
-    to search asks for one: a long pointer array
-    (:data:`ARENA_REBUILD_BLOCKS_PER_POINTER`), or a chain whose scalar
-    pre-walk already linked :data:`MIN_CHAIN` nodes.
+    block of the table, and :class:`ChainPlan` is their one reader: a
+    stride walk searches addresses it has not seen yet, so it needs the
+    whole table at hand, and asks only once its scalar pre-walk linked
+    :data:`MIN_CHAIN` nodes.  A pointer array knows its values up front
+    and resolves them per target block instead (:class:`PtrArrayPlan`).
     """
 
     __slots__ = (
@@ -212,25 +214,22 @@ def _unique_rows(trip: np.ndarray) -> np.ndarray:
     return np.unique(trip, axis=0)
 
 
-def vec_byte_to_ordinal(info, offs: np.ndarray, count: int):
-    """Vectorized ``TypeInfo.byte_to_ordinal`` — ``None`` if any offset
-    lands in padding (the scalar path raises ``ValueError`` there; the
-    caller falls back per-cell so the reference error surfaces)."""
-    total_units = info.units_in(count)
-    total_bytes = total_units * info.unit_size
-    pastend = offs == total_bytes
-    unit_idx = offs // info.unit_size
-    within = offs - unit_idx * info.unit_size
+def vec_byte_to_ordinal(info, offs: np.ndarray):
+    """Vectorized ``TypeInfo.byte_to_ordinal`` for offsets inside their
+    block, one past its end included — ``None`` if any offset lands in
+    padding (the scalar path raises ``ValueError`` there; the caller
+    falls back per-cell so the reference error surfaces).  One past the
+    end needs no case of its own: it is the first cell, at offset 0, of
+    the unit after the last, so its ordinal is ``cells_in(count)``.  An
+    offset past the last cell of its unit searches to ``cell_count`` and
+    is clamped onto a cell whose offset it is not."""
+    unit_idx, within = np.divmod(offs, info.unit_size)
     cell_offs = np.fromiter((c.offset for c in info.cells), np.int64,
                             count=info.cell_count)
     pos = np.searchsorted(cell_offs, within)
-    safe = np.minimum(pos, info.cell_count - 1)
-    ok = (pos < info.cell_count) & (cell_offs[safe] == within)
-    if not bool(np.all(ok | pastend)):
+    if not bool((cell_offs[np.minimum(pos, info.cell_count - 1)] == within).all()):
         return None
-    ords = unit_idx * info.cell_count + pos
-    ords[pastend] = info.cells_in(count)
-    return ords
+    return unit_idx * info.cell_count + pos
 
 
 def vec_ordinal_to_byte(info, ords: np.ndarray, count: int) -> np.ndarray:
@@ -403,14 +402,70 @@ class StructPlan:
 # -- pointer arrays -----------------------------------------------------------
 
 
+class _Targets:
+    """The blocks one pointer array points into, resolved per target
+    block, never per table: the values are sorted once, and each
+    distinct target costs one ``bisect_right`` over the table's sorted
+    starts (the scalar search) plus one search of the sorted values for
+    the first one past that block's end.  ``blocks`` come out in address
+    order, so one ``searchsorted`` over their starts maps every element
+    back to its target: ``tix[k]`` indexes ``blocks`` (-1: NULL).  The
+    columns hold each target's start, REF lead, ``a`` and type slot
+    (``ctypes[slot]``); ``stack`` marks the stack targets, or is None
+    when there are none."""
+
+    __slots__ = ("blocks", "tix", "addrs", "leads", "las", "types", "ctypes", "stack")
+
+    def __init__(self, blocks: list, vals: np.ndarray) -> None:
+        self.blocks = blocks
+        slots = {}  # id(elem_type) -> (slot, elem_type), in slot order
+        cols = np.array(
+            [
+                (b.addr, lead_byte(TAG_REF, b.logical[0]), b.logical[1],
+                 slots.setdefault(id(b.elem_type), (len(slots), b.elem_type))[0])
+                for b in blocks
+            ],
+            np.int64,
+        ).reshape(-1, 4)
+        self.addrs, self.leads, self.las, self.types = cols.T
+        self.ctypes = [ctype for _, ctype in slots.values()]
+        stack = [b.logical[0] == BlockKind.STACK for b in blocks]
+        self.stack = np.array(stack) if any(stack) else None
+        self.tix = np.searchsorted(self.addrs, vals, "right") - 1
+        self.tix[vals == 0] = -1
+
+    @classmethod
+    def of(cls, msrlt, vals: np.ndarray):
+        """Resolve *vals*; ``None`` when a non-NULL one lies in no block
+        (the driver raises at it)."""
+        starts, table = msrlt.sorted_index
+        svals = np.sort(vals)
+        if svals[0] < 0:
+            return None  # no block holds it
+        blocks = []
+        k, total = int(svals.searchsorted(0, "right")), len(svals)  # past the NULLs
+        while k < total:
+            v = int(svals[k])
+            i = bisect_right(starts, v) - 1
+            if i < 0:
+                return None
+            block = table[i]
+            end = block.addr + block.size
+            if v > end:  # MemoryBlock.contains: one past the end is in
+                return None
+            blocks.append(block)
+            k = int(svals.searchsorted(end, "right"))
+        return cls(blocks, vals)
+
+
 class PtrArrayPlan:
     """Run-batched save/restore for dense pointer-array blocks.
 
     Runs of NULLs and of pointers to visited blocks go out (come in) as
     one array each.  What is left — a pointer to a block not yet
     visited, a dangling one, an array too short to be worth a NumPy
-    round-trip or an arena rebuild — is handed to the traversal driver
-    one pointer at a time: ``save`` and ``restore`` are generators, suspended on the
+    round-trip — is handed to the traversal driver one pointer at a
+    time: ``save`` and ``restore`` are generators, suspended on the
     driver's work stack while it descends into the target.
     """
 
@@ -419,7 +474,7 @@ class PtrArrayPlan:
     __slots__ = ()
 
     def __init__(self, info, layout) -> None:
-        pass  # stateless: every block re-reads the arena
+        pass  # stateless: every block resolves its own targets
 
     # -- collect --------------------------------------------------------------
 
@@ -430,51 +485,35 @@ class PtrArrayPlan:
 
     def _pointers(self, collector, block, n):
         memory = collector.memory
-        msrlt = collector.msrlt
         host = memory.np_dtype("ptr")
         raw = memory.view(block.addr, n * host.itemsize)
         vals = np.frombuffer(raw, dtype=host, count=n).astype(np.int64)
         del raw
-        if n < MIN_BULK_CELLS or not (
-            msrlt.arena_is_current()
-            or n * ARENA_REBUILD_BLOCKS_PER_POINTER >= len(msrlt)
-        ):
+        targets = _Targets.of(collector.msrlt, vals) if n >= MIN_BULK_CELLS else None
+        if targets is None:
+            # a short array, or a dangling pointer somewhere in this one:
+            # the driver resolves every element, and raises the canonical
+            # error at the right one (no searches counted here)
             yield from vals.tolist()
             return
-        arena = msrlt.arena()
-        idx = np.full(n, -1, np.int64)
-        offs = np.zeros(n, np.int64)
-        nonnull = vals != 0
-        if bool(nonnull.any()):
-            i2, o2 = arena.lookup(vals[nonnull])
-            if bool(np.any(i2 < 0)):
-                # a dangling pointer somewhere in the array: the driver
-                # raises the canonical error at the right element (no
-                # searches counted here)
-                yield from vals.tolist()
-                return
-            idx[nonnull] = i2
-            offs[nonnull] = o2
+        tix = targets.tix
         visited = collector._visited
-        # classify: 0 = NULL, 1 = REF (target visited), 2 = BLOCK
-        cls = np.zeros(n, np.uint8)
-        if bool(nonnull.any()):
-            uniq, inv = _unique_inverse(idx[nonnull])
-            seen = np.fromiter(
-                (arena.blocks[i].logical in visited for i in uniq),
-                np.bool_, count=len(uniq),
-            )
-            cls[nonnull] = np.where(seen[inv], 1, 2)
+        # classify: 0 = NULL (a -1 reads the trailing 0), 1 = REF (target
+        # visited), 2 = BLOCK
+        cls = np.array(
+            [1 if b.logical in visited else 2 for b in targets.blocks] + [0]
+        )[tix]
         buf = collector.buf
         stats = collector.stats
         p = 0
         while p < n:
             c = int(cls[p])
             if c == 2:
-                blk = arena.blocks[int(idx[p])]
-                if blk.logical in visited:
-                    # became visited behind an earlier element
-                    cls[p] = 1
+                t = int(tix[p])
+                if targets.blocks[t].logical in visited:
+                    # visited behind an earlier element: every pointer
+                    # to it from here on is a REF
+                    cls[p:][tix[p:] == t] = 1
                     continue
                 # unvisited target: the driver emits the BLOCK record
                 # and its contents (and counts its own search)
@@ -486,36 +525,34 @@ class PtrArrayPlan:
             if c == 0:
                 buf.write(bytes(q - p))  # a NULL record is one zero byte
                 stats.n_nulls += q - p
-            elif not self._emit_ref_run(collector, arena, idx, offs, p, q):
+            elif not self._emit_ref_run(collector, targets, vals, p, q):
                 # the driver replays the run, emitting identical REF
                 # bytes: up to the exact element whose padding offset is
                 # a ValueError, or with the wider REFs stack targets take
                 yield from vals[p:q].tolist()
             p = q
 
-    def _emit_ref_run(self, collector, arena, idx, offs, p, q) -> bool:
+    def _emit_ref_run(self, collector, targets, vals, p, q) -> bool:
         """Write elements ``p..q`` (all pointers to visited blocks) as
         one array of REF rows; ``False``, nothing written, when one of
         them points into padding or at a stack block."""
         m = q - p
-        run_idx = idx[p:q]
-        run_off = offs[p:q]
-        kinds = arena.kinds[run_idx]
-        if bool((kinds == BlockKind.STACK).any()):
+        run = targets.tix[p:q]
+        if targets.stack is not None and bool(targets.stack[run].any()):
             return False
-        uniq, inv = _unique_inverse(run_idx)
+        offs = vals[p:q] - targets.addrs[run]
+        # one vectorized byte_to_ordinal per target type, not per target
+        types = targets.types[run] if len(targets.ctypes) > 1 else None
         ords = np.empty(m, np.int64)
-        for j, bi in enumerate(uniq):
-            blk = arena.blocks[int(bi)]
-            tinfo = collector.ti.info_for(blk.elem_type)
-            sel = inv == j
-            o = vec_byte_to_ordinal(tinfo, run_off[sel], blk.count)
+        for slot, ctype in enumerate(targets.ctypes):
+            sel = slice(None) if types is None else types == slot
+            o = vec_byte_to_ordinal(collector.ti.info_for(ctype), offs[sel])
             if o is None:
                 return False
             ords[sel] = o
         rows = np.empty(m, REF_DTYPE)
-        rows["lead"] = lead_byte(TAG_REF, kinds)
-        rows["a"] = arena.la[run_idx]
+        rows["lead"] = targets.leads[run]
+        rows["a"] = targets.las[run]
         rows["ordinal"] = ords
         collector.buf.write(rows.tobytes())
         collector.msrlt.count_searches(m)  # one per translated pointer
@@ -918,7 +955,7 @@ class ChainPlan:
                 blk = arena.blocks[int(uniq[u_j])]
                 tinfo = collector.ti.info_for(blk.elem_type)
                 sel = inv == u_j
-                o = vec_byte_to_ordinal(tinfo, offs[sel], blk.count)
+                o = vec_byte_to_ordinal(tinfo, offs[sel])
                 if o is None:
                     first = int(np.flatnonzero(sel)[0])
                     bad = first if bad is None else min(bad, first)

@@ -105,7 +105,7 @@ class MSRLT:
         self._stack: list[MemoryBlock] = []
         self._heap_serial = 0
         #: mutation generation.  Every register/unregister/drop bumps it;
-        #: the bulk searchsorted arena keys its validity on it.
+        #: the searchsorted arena (a chain batch's) keys its validity on it.
         self.generation = 0
         self._arena = None  # lazily built repro.msr.graphplan.SortedArena
         #: counters reported by the complexity benchmarks (E5)
@@ -303,19 +303,13 @@ class MSRLT:
             a = self._arena = SortedArena(self._blocks, self.generation)
         return a
 
-    def arena_is_current(self) -> bool:
-        """Whether :meth:`arena` would return its cached snapshot, i.e.
-        nothing was registered or unregistered since it was built."""
-        a = self._arena
-        return a is not None and a.generation == self.generation
-
     def count_searches(self, n: int) -> None:
-        """Book *n* searches a plan resolved in bulk through an arena and
-        then committed to the wire: counted, and attributed to the block
-        being visited, as *n* :meth:`lookup_addr` binary searches — so
-        E5's complexity counters and the attribution table read the same
-        whichever path ran.  The arena lookups themselves are free:
-        plans look up speculatively and count only what they emit."""
+        """Book *n* searches a plan resolved in bulk and then committed
+        to the wire: counted, and attributed to the block being visited,
+        as *n* :meth:`lookup_addr` binary searches — so E5's complexity
+        counters and the attribution table read the same whichever path
+        ran.  The bulk lookups themselves are free: plans look up
+        speculatively and count only what they emit."""
         self.n_searches += n
         if self.profiler is not None:
             self.profiler.msrlt_lookups(n, len(self._starts).bit_length())
@@ -356,8 +350,9 @@ class MSRLT:
         """The address-sorted parallel arrays themselves, ``(starts,
         blocks)`` — live, not copies, and read-only by contract; any
         registration may replace them, so read them afresh per use.  A
-        scalar probe (a chain pre-walk of a few bisects) reads these
-        where a bulk search builds an :meth:`arena`."""
+        scalar probe (a chain pre-walk of a few bisects) and a pointer
+        array (one bisect per distinct target) read these; only a chain
+        batch's stride walk builds an :meth:`arena`."""
         return self._starts, self._blocks
 
     def non_stack_by_logical(self) -> dict[LogicalId, MemoryBlock]:

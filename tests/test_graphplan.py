@@ -22,6 +22,10 @@ Contracts under test:
   fresh windows from the data itself.
 - **Complexity accounting** — ``n_searches`` is identical plans-on vs
   plans-off, so E5's complexity counters keep their meaning.
+- **Per-target resolution** — a pointer array is resolved against the
+  blocks it points into, never the table: on interior, one-past-the-end,
+  stack, padding, dangling, NULL-run and not-yet-visited targets it
+  sends, counts and refuses exactly what the per-cell oracle does.
 """
 
 import sys
@@ -188,7 +192,9 @@ class TestRegisterHeapBulk:
     def test_bulk_bumps_generation(self, table):
         stale = table.arena()
         table.register_heap_bulk(_heap_blocks([0x2000, 0x2010], [0, 1]))
-        assert not table.arena_is_current() and table.arena() is not stale
+        assert table.generation != stale.generation
+        fresh = table.arena()
+        assert fresh is not stale and fresh.generation == table.generation
         table.register_heap_bulk([])  # nothing to register, nothing changes
         assert table.n_registrations == 2
 
@@ -507,6 +513,221 @@ int main() {
         assert images[0] == images[1] and len(images[0]) == 5
         first = proc.memory.load("long", proc.msrlt.heap_blocks()[0].addr)
         assert abs(first) > 2**32  # the source value really did not fit
+
+
+#: one program per shape the per-target resolution of a pointer array
+#: must get right; every array holds at least MIN_BULK_CELLS pointers
+PTR_ARRAY_EDGES = {
+    # interior pointers, at unit starts and at a field: one target each
+    "one_target_interior": r"""
+struct cell { double value; int row; };
+struct cell grid[64];
+struct cell *hot[48];
+int *rows[40];
+int main() {
+    int i; double acc;
+    for (i = 0; i < 64; i++) { grid[i].value = i * 0.5; grid[i].row = i; }
+    for (i = 0; i < 48; i++) hot[i] = &grid[(i * 5) % 64];
+    for (i = 0; i < 40; i++) rows[i] = &grid[(i * 3) % 64].row;
+    migrate_here();
+    acc = 0.0;
+    for (i = 0; i < 48; i++) acc = acc + hot[i]->value;
+    for (i = 0; i < 40; i++) acc = acc + *rows[i];
+    printf("%.2f\n", acc);
+    return 0;
+}
+""",
+    # the first array opens 40 heap nodes, the second aliases them all:
+    # one REF run over 40 distinct visited targets
+    "distinct_visited_targets": r"""
+struct node { int v; struct node *next; };
+struct node *own[40];
+struct node *alias[40];
+int main() {
+    int i; int acc;
+    for (i = 0; i < 40; i++) {
+        own[i] = (struct node *) malloc(sizeof(struct node));
+        own[i]->v = i * i; own[i]->next = NULL;
+    }
+    for (i = 0; i < 40; i++) alias[i] = own[(i * 7) % 40];
+    migrate_here();
+    acc = 0;
+    for (i = 0; i < 40; i++) acc = acc + alias[i]->v * (i + 1);
+    printf("%d\n", acc);
+    return 0;
+}
+""",
+    # one past the end of a global array and of 20 distinct heap blocks
+    "one_past_the_end": r"""
+int arr[16];
+int *ends[32];
+int *bufs[20];
+int *bends[20];
+int main() {
+    int i; int acc;
+    for (i = 0; i < 16; i++) arr[i] = i + 100;
+    for (i = 0; i < 32; i++) {
+        if (i % 2) ends[i] = &arr[16]; else ends[i] = &arr[i % 15 + 1];
+    }
+    for (i = 0; i < 20; i++) {
+        bufs[i] = (int *) malloc(4 * sizeof(int));
+        bufs[i][3] = i * 3;
+    }
+    for (i = 0; i < 20; i++) bends[i] = bufs[(i * 3) % 20] + 4;
+    migrate_here();
+    acc = 0;
+    for (i = 0; i < 32; i++) acc = acc + *(ends[i] - 1);
+    for (i = 0; i < 20; i++) acc = acc + *(bends[i] - 1);
+    printf("%d\n", acc);
+    return 0;
+}
+""",
+    # a local of main's, pointed at from inside a run into the grid
+    "stack_target_in_a_run": r"""
+struct cell { double value; int row; };
+struct cell grid[32];
+struct cell *mix[32];
+int main() {
+    struct cell local; int i; double acc;
+    local.value = 7.25; local.row = -1;
+    for (i = 0; i < 32; i++) { grid[i].value = i * 1.5; grid[i].row = i; }
+    for (i = 0; i < 32; i++) {
+        if (i == 9 || i == 10 || i == 21) mix[i] = &local; else mix[i] = &grid[i];
+    }
+    migrate_here();
+    local.value = local.value + 1.0;
+    acc = 0.0;
+    for (i = 0; i < 32; i++) acc = acc + mix[i]->value;
+    printf("%.2f\n", acc);
+    return 0;
+}
+""",
+    # runs of NULLs: short ones between pointers, and a long tail
+    "null_runs": r"""
+struct cell { double value; int row; };
+struct cell grid[16];
+struct cell *hot[64];
+int main() {
+    int i; double acc;
+    for (i = 0; i < 16; i++) { grid[i].value = i * 0.25; grid[i].row = i; }
+    for (i = 0; i < 40; i++) {
+        if (i % 4 < 2) hot[i] = NULL; else hot[i] = &grid[i % 16];
+    }
+    migrate_here();
+    acc = 0.0;
+    for (i = 0; i < 64; i++) if (hot[i] != NULL) acc = acc + hot[i]->value;
+    printf("%.2f\n", acc);
+    return 0;
+}
+""",
+    # four unvisited heap nodes interleaved with a visited global and
+    # NULLs: each node's first pointer opens its BLOCK, the later ones
+    # become REFs
+    "unvisited_interleaved": r"""
+struct node { int v; struct node *next; };
+struct node pool[8];
+struct node *ring[48];
+int main() {
+    int i; int acc;
+    for (i = 0; i < 8; i++) pool[i].v = 1000 + i;
+    for (i = 0; i < 48; i++) {
+        if (i < 4) {
+            ring[i] = (struct node *) malloc(sizeof(struct node));
+            ring[i]->v = i + 1; ring[i]->next = &pool[i];
+        } else if (i % 7 == 6) ring[i] = NULL;
+        else if (i % 3 == 0) ring[i] = &pool[i % 8];
+        else ring[i] = ring[i % 4];
+    }
+    migrate_here();
+    acc = 0;
+    for (i = 0; i < 48; i++) if (ring[i] != NULL) acc = acc + ring[i]->v * i;
+    printf("%d\n", acc);
+    return 0;
+}
+""",
+}
+
+#: arrays no collection takes: the per-cell oracle raises at one element
+#: and the plan must raise the same error there
+PTR_ARRAY_REFUSED = {
+    # a char pointer one byte into a struct's padding
+    "into_padding": r"""
+struct pad { char c; double d; };
+struct pad pads[4];
+char *pp[32];
+int main() {
+    int i;
+    for (i = 0; i < 32; i++) pp[i] = &pads[i % 4].c;
+    pp[13] = &pads[2].c + 1;
+    migrate_here();
+    return 0;
+}
+""",
+    # a pointer two bytes past the end of a char array: a cell's width
+    # into the slack before the double that follows it
+    "into_the_gap": r"""
+char tag[3];
+double x[2];
+char *gp[32];
+int main() {
+    int i;
+    for (i = 0; i < 32; i++) { if (i % 2) gp[i] = &tag[i % 3]; else gp[i] = (char *) &x[i % 2]; }
+    gp[17] = &tag[3] + 2;
+    migrate_here();
+    return 0;
+}
+""",
+}
+#: an LP64 -> ILP32 pair of one byte order, and an endian-swapping one
+PTR_ARRAY_PAIRS = ((ALPHA, DEC5000), (DEC5000, SPARC20))
+
+
+def _collect_searches(proc, plans: bool):
+    """One collect of *proc*, with the plans on or on the per-cell
+    oracle: ``(payload or the error it raised, MSRLT searches it booked)``."""
+    before = proc.msrlt.n_searches
+    try:
+        if plans:
+            out, _ = collect_state(proc)
+        else:
+            with plans_off(proc):
+                out, _ = collect_state(proc)
+    except (MSRLTError, ValueError) as exc:  # a dangling / padding pointer
+        out = (type(exc), str(exc))
+    return out, proc.msrlt.n_searches - before
+
+
+class TestPtrArrayPlanEdges:
+    """The pointer-array plan resolves each array per distinct target
+    block; against the per-cell oracle on the shapes where that can part
+    ways with one search per element."""
+
+    @pytest.mark.parametrize("name", PTR_ARRAY_EDGES)
+    @pytest.mark.parametrize(
+        "pair", PTR_ARRAY_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
+    )
+    def test_payload_searches_and_resume_identical(self, name, pair, engaged):
+        source = PTR_ARRAY_EDGES[name]
+        assert_plans_invisible(source, 1, *pair)
+        assert engaged[PtrArrayPlan, "save"] > 0
+        proc = stopped_at(source, 1, pair[0])
+        assert _collect_searches(proc, True) == _collect_searches(proc, False)
+
+    @pytest.mark.parametrize("name", PTR_ARRAY_REFUSED)
+    @pytest.mark.parametrize(
+        "pair", PTR_ARRAY_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
+    )
+    def test_refused_at_the_oracles_element(self, name, pair):
+        proc = stopped_at(PTR_ARRAY_REFUSED[name], 1, pair[0])
+        planned = _collect_searches(proc, True)
+        oracle = _collect_searches(proc, False)
+        assert planned == oracle
+        (kind, message), _searches = oracle
+        if name == "into_the_gap":
+            gap = proc.msrlt.lookup_logical((BlockKind.GLOBAL, 0, 0)).end + 2
+            assert kind is MSRLTError and f"pointer {gap:#x} does not refer" in message
+        else:
+            assert kind is ValueError and "byte offset 33 in struct pad" in message
 
 
 def small_flat_source() -> str:

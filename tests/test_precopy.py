@@ -428,6 +428,17 @@ def _precopy_migrate(prog, src_arch, dst_arch, policy=None, **kw):
     return dest, stats
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_rounds", -1), ("stop_dirty_blocks", -1), ("slice_polls", 0),
+])
+def test_policy_refuses_a_threshold_no_slice_can_meet(field, value):
+    """A negative ``stop_dirty_blocks`` is never reached by a dirty
+    count: refused when the policy is built, like its two siblings."""
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        PrecopyPolicy(**{field: value})
+    assert getattr(PrecopyPolicy(**{field: value + 1}), field) == value + 1
+
+
 class TestPrecopyEngine:
     def test_end_to_end_matches_unmigrated_run(self):
         prog = _compile(MUTATOR_SRC)
