@@ -34,7 +34,6 @@ class WriteBuffer:
     """Append-only binary buffer.
 
     All multi-byte fields are big-endian (matching the XDR layer).
-    Strings are length-prefixed UTF-8.
     """
 
     __slots__ = ("_buf", "bytes_drained")
@@ -64,14 +63,6 @@ class WriteBuffer:
 
     def write_i64(self, value: int) -> None:
         self._buf += _I64.pack(value)
-
-    def write_str(self, text: str) -> None:
-        """Append a UTF-8 string with a u16 length prefix."""
-        raw = text.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise ValueError("string too long for wire format")
-        self.write_u16(len(raw))
-        self._buf += raw
 
     def write_ndarray(self, values: np.ndarray, dtype: np.dtype) -> None:
         """Append *values* converted to *dtype*, casting straight into the
@@ -251,10 +242,6 @@ class ReadBuffer:
 
     def read_i64(self) -> int:
         return self.unpack(_I64)[0]
-
-    def read_str(self) -> str:
-        n = self.read_u16()
-        return bytes(self.read(n)).decode("utf-8")
 
     def peek_u8(self) -> int:
         """Return the next u8 without consuming it."""

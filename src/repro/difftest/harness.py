@@ -8,13 +8,13 @@ is a generator bug, not a collector bug).  Then it replays the program
 - **pairwise** (:func:`sweep_pairs`): one migration injected at every
   user poll point, across every ordered architecture pair, asserting the
   final stdout, exit code, and canonical heap fingerprint
-  (:func:`repro.difftest.oracle.heap_fingerprint`) match the baseline;
+  (:func:`repro.difftest.oracle.heap_fingerprint`) match the baseline,
+  and that the restored process re-collects to exactly the payload it
+  was restored from (the wire is canonical);
 - **chained** (:func:`run_chain`): a multi-hop itinerary
   (e.g. DEC5000→ALPHA→SPARC20), each hop optionally migrating *under a
-  transient transport fault* with the engine's retry policy curing it,
-  and each hop adopting the previous hop's trace context
-  (:func:`repro.obs.continuation_context`) so the whole chain
-  exports one connected span tree.
+  transient transport fault* with the engine's retries curing it, and
+  each hop's attribution rows checked against its own payload.
 
 Every failure is a :class:`Mismatch` carrying the exact (seed, features,
 route) needed to replay it — the currency :mod:`repro.difftest.shrink`
@@ -34,6 +34,8 @@ from repro.migration.engine import (
     MigrationAbortedError,
     MigrationEngine,
     MigrationError,
+    collect_errors,
+    collect_state,
 )
 from repro.migration.precopy import PrecopySourceExitedError
 from repro.migration.transport import (
@@ -42,7 +44,6 @@ from repro.migration.transport import (
     FaultPlan,
     FaultyChannel,
 )
-from repro.obs import continuation_context
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -94,7 +95,7 @@ class Mismatch:
 
     seed: int
     features: tuple[str, ...]
-    kind: str  # "stdout" | "exit" | "fingerprint" | "error" | "baseline" | "trace" | "attribution"
+    kind: str  # "stdout" | "exit" | "fingerprint" | "canonical" | "error" | "baseline" | "attribution"
     route: str  # e.g. "DEC5000->ALPHA@poll3" or "DEC5000->ALPHA->SPARC20"
     detail: str
     src: Optional[str] = None
@@ -235,11 +236,18 @@ def sweep_pairs(
     transfer *mode* given as ``migrate()`` keywords (default: none — the
     serial stop-and-copy).
 
+    Every migration is also held to the wire's fixed point: the restored
+    process collects back to exactly the payload it was restored from
+    (a ``"canonical"`` mismatch otherwise).  A pre-copy source runs on
+    before it stops, so the poll's payload is not what it sends, and the
+    pre-copy mode skips this check.
+
     With *max_polls* set and fewer than ``total_polls`` poll points
     affordable, the polls are stride-sampled deterministically (always
     including the first and the last).  Returns ``(runs, mismatches)``.
     """
     polls = _sample_polls(baseline.total_polls, max_polls)
+    precopy = bool((mode or {}).get("precopy"))
     runs = 0
     mismatches: list[Mismatch] = []
     for src in arches:
@@ -257,7 +265,13 @@ def sweep_pairs(
                     route=route, **ids,
                 )
                 runs += 1
+                sent = None
                 try:
+                    if not precopy:
+                        # what the migration sends: collection is
+                        # deterministic and leaves the source as it was
+                        with collect_errors():
+                            sent = collect_state(stopped)[0]
                     dest, _stats = MigrationEngine().migrate(
                         stopped, dst, **(mode or {})
                     )
@@ -276,8 +290,31 @@ def sweep_pairs(
                         kind="error", detail=f"{type(exc).__name__}: {exc}"
                     ))
                     continue
+                drift = sent and _recollect_drift(sent, dest)
+                if drift:
+                    mismatches.append(failed(kind="canonical", detail=drift))
                 mismatches.extend(_check_final(prog, dest, baseline, route, **ids))
     return runs, mismatches
+
+
+def _recollect_drift(sent: bytes, dest: Process) -> Optional[str]:
+    """How *dest*, just restored from *sent*, fails to collect back to
+    exactly *sent*; ``None`` when it does."""
+    try:
+        with collect_errors():
+            back = collect_state(dest)[0]
+    except MigrationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if back == sent:
+        return None
+    at = next(
+        (i for i, (a, b) in enumerate(zip(sent, back)) if a != b),
+        min(len(sent), len(back)),
+    )
+    return (
+        f"restored from {len(sent)} B, re-collects to {len(back)} B; "
+        f"first difference at byte {at}"
+    )
 
 
 def _sample_polls(total: int, cap: Optional[int]) -> list[int]:
@@ -313,15 +350,13 @@ def run_chain(
     start: str,
     schedule: Sequence[ChainHop],
 ) -> tuple[int, list[Mismatch]]:
-    """Migrate through *schedule*, faulted and trace-chained.
+    """Migrate through *schedule*, faulted.
 
     Each hop runs over a :class:`FaultyChannel` carrying the hop's
-    (transient) fault plan, with the engine's retry curing it, and
-    adopts the previous hop's trace context so the hops share one trace
-    id.  Besides the end-state oracle, the chain asserts the
-    observability contract: every hop joins the first hop's trace, and
-    each hop's attribution rows (plus framing) account for exactly the
-    payload that arrived — a retried hop's failed attempt is set aside.
+    (transient) fault plan, with the engine's retry curing it.  Besides
+    the end-state oracle, the chain asserts the attribution contract:
+    each hop's rows (plus framing) account for exactly the payload that
+    arrived — a retried hop's failed attempt is set aside.
 
     Returns ``(hops_performed, mismatches)``.  A schedule whose poll
     offsets overrun the program's remaining polls is truncated, not an
@@ -341,8 +376,6 @@ def run_chain(
 
     proc = _stop_at_poll(program, arch_by_name(start), schedule[0].after_polls)
     hops = 0
-    ctx = None
-    trace_id = None
     for i, hop in enumerate(schedule):
         if proc is None:
             break  # program exited before this hop's poll: truncated chain
@@ -360,33 +393,17 @@ def run_chain(
                 # enough attempts to cure one transient fault
                 max_attempts=3,
                 attribution=True,
-                adopt_trace=ctx,
             )
         except (MigrationError, MigrationAbortedError) as exc:
             mm("error", f"hop {i} ({hop.dest}): {type(exc).__name__}: {exc}")
             return hops, mismatches
         hops += 1
-        # observability contract: one trace id across the whole chain
-        obs = getattr(stats, "obs", None)
-        if obs is not None:
-            if trace_id is None:
-                trace_id = obs.tracer.trace_id
-            elif obs.tracer.trace_id != trace_id:
-                mm(
-                    "trace",
-                    f"hop {i} opened trace {obs.tracer.trace_id}, "
-                    f"chain started {trace_id}",
-                )
-            summary = stats.attribution
-            if summary is not None:
-                total = sum(r["bytes"] for r in summary["rows"])
-                if total != stats.payload_bytes:
-                    mm(
-                        "attribution",
-                        f"hop {i}: rows sum {total} != payload "
-                        f"{stats.payload_bytes}",
-                    )
-        ctx = continuation_context(stats)
+        total = sum(r["bytes"] for r in stats.attribution["rows"])
+        if total != stats.payload_bytes:
+            mm(
+                "attribution",
+                f"hop {i}: rows sum {total} != payload {stats.payload_bytes}",
+            )
         if i + 1 < len(schedule):
             dest.migration_pending = True
             dest.migrate_after_polls = schedule[i + 1].after_polls

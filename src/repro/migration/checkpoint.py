@@ -71,8 +71,9 @@ def program_fingerprint(program) -> bytes:
 
 @dataclass
 class Checkpoint:
-    """One machine-independent process snapshot (the payload's own
-    header names the architecture it was taken on)."""
+    """One machine-independent process snapshot: the payload restores
+    on any architecture, and nothing in it names the one it was taken
+    on."""
 
     payload: bytes
     fingerprint: bytes

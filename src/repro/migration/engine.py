@@ -111,7 +111,7 @@ RETRYABLE_ERRORS = (ChannelError, WireFrameError, RestoreError)
 #: what damaged or hostile bytes make the restore side raise: a record
 #: the restorer refuses, a logical id the destination does not have, a
 #: block the simulated heap cannot hold, a buffer underrun, a bad header
-#: (magic, version, an undecodable name).  Anything else under a restore
+#: (magic, version).  Anything else under a restore
 #: is a bug in this program: a retry repeats it, so it is never made
 #: retryable
 DAMAGE_ERRORS = (MsrRestoreError, MSRLTError, MemoryFault, EOFError, ValueError)
@@ -184,10 +184,7 @@ def _collect_records(
 
     program = process.program
     frames = process.frames
-    header = WireHeader(
-        source_arch=process.arch.name,
-        frames=[(f.func_idx, f.pc) for f in frames],
-    )
+    header = WireHeader([(f.func_idx, f.pc) for f in frames])
     write_header(buf, header)
 
     collector = Collector(process, buf, fresh, stale)
@@ -774,7 +771,6 @@ class MigrationEngine:
         compress: bool = False,
         max_attempts: int = 1,
         attribution: bool = False,
-        adopt_trace=None,
         precopy: bool = False,
         precopy_policy=None,
     ) -> tuple[Process, MigrationStats]:
@@ -863,11 +859,7 @@ class MigrationEngine:
             compress=compress,
             max_attempts=max_attempts,
             precopy_policy=precopy_policy if precopy else None,
-            # adopt_trace chains this migration into a prior hop's trace:
-            # the observation's root is parented under the span the context
-            # names, so an A→B→C chain merges into one connected tree
-            # (DESIGN §10)
-            obs=MigrationObservation(attribution=attribution, adopt_from=adopt_trace),
+            obs=MigrationObservation(attribution=attribution),
         )
         try:
             with run.obs.activate():

@@ -417,6 +417,10 @@ class FaultPlan:
         persistent: bool = False,
     ) -> "FaultPlan":
         """A reproducible random schedule: same seed, same faults."""
+        if n_faults < 0:
+            raise ValueError(f"count must be >= 0, got {n_faults}")
+        if max_index < 1:
+            raise ValueError(f"max must be >= 1, got {max_index}")
         rng = random.Random(seed)
         return cls(
             Fault(rng.choice(list(kinds)), rng.randrange(max_index),

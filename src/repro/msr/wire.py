@@ -1,13 +1,12 @@
 """The machine-independent migration payload format.
 
-Layout (all integers big-endian, strings u16-length-prefixed UTF-8):
+Layout (all integers big-endian):
 
 .. code-block:: text
 
     header:
         u32  magic          'MIGR'
         u8   version
-        str  source arch name
         u16  n_frames
         n_frames x (u32 func_index, u32 resume_pc)   # outermost first
     frame data (innermost frame first, matching the paper's example):
@@ -45,8 +44,10 @@ left out, not sent.
 
 Encodings are canonical: a count field saying 1, an ordinal field saying
 0, tag 3, kind 3, BLOCK bits on a REF or bit 7 set is a corrupt payload
-(:func:`lead_fault` names which), so every state has exactly one byte
-image — the plans-on/off byte-identity oracle depends on it.
+(:func:`lead_fault` names which), and no field is read and dropped,
+so every state has exactly one byte image: a payload the restorer
+accepts re-collects to itself.  The plans-on/off byte-identity oracle
+depends on it.
 
 Widths are fixed *per lead byte* on purpose, not varints: a record is
 still one ``struct`` call (:data:`RECORDS` holds the ``Struct`` of every
@@ -221,7 +222,7 @@ __all__ = [
 ]
 
 MAGIC = 0x4D494752  # 'MIGR'
-VERSION = 2
+VERSION = 3
 
 TAG_NULL = 0
 TAG_REF = 1
@@ -311,19 +312,17 @@ RECORDS = tuple(
 
 @dataclass
 class WireHeader:
-    """Execution-state header of a migration payload."""
+    """Execution-state header of a migration payload: the frame table
+    (magic and version are the format's, not the state's)."""
 
-    source_arch: str
     #: (function index, resume pc) outermost frame first
     frames: list[tuple[int, int]]
-    version: int = VERSION
 
 
 def write_header(buf: WriteBuffer, header: WireHeader) -> None:
-    """Serialize the payload header (magic, arch, frame table)."""
+    """Serialize the payload header (magic, version, frame table)."""
     buf.write_u32(MAGIC)
-    buf.write_u8(header.version)
-    buf.write_str(header.source_arch)
+    buf.write_u8(VERSION)
     buf.write_u16(len(header.frames))
     for func_idx, resume_pc in header.frames:
         buf.write_u32(func_idx)
@@ -341,10 +340,8 @@ def read_header(buf: ReadBuffer) -> WireHeader:
             f"unsupported payload version {version}: this build reads and "
             f"writes version {VERSION} only"
         )
-    source_arch = buf.read_str()
     n = buf.read_u16()
-    frames = [(buf.read_u32(), buf.read_u32()) for _ in range(n)]
-    return WireHeader(source_arch=source_arch, frames=frames, version=version)
+    return WireHeader([(buf.read_u32(), buf.read_u32()) for _ in range(n)])
 
 
 def write_logical(buf: WriteBuffer, logical: tuple) -> None:

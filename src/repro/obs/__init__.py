@@ -20,10 +20,8 @@ is ``MigrationStats.counters()``.
 Observation never reaches the wire.  Within one migration the spans
 nest by call — a migration runs on the thread that called ``migrate()``
 — so the restore side's spans sit under the ``attempt`` span that ran
-it.  Across hops of a chain (A→B→C), :func:`continuation_context`
-names the attempt span that carried hop N, and the next hop's
-observation adopts it (``MigrationObservation(adopt_from=...)``), so
-the hops' JSONL traces merge by span id into one tree.
+it.  Each hop of a chain (A→B→C) is its own migration, so its own
+trace.
 
 Instrumented call sites (channels, the chunk decoder, the collector's
 loops) do not hold a reference to the observation: they call the
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import json
 from contextvars import ContextVar
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -56,8 +53,6 @@ from repro.obs.spans import NULL_TRACER, Tracer
 
 __all__ = [
     "MigrationObservation",
-    "TraceContext",
-    "continuation_context",
     "TRACE_SCHEMA_VERSION",
     "current",
     "current_tracer",
@@ -76,31 +71,6 @@ _CURRENT: ContextVar[Optional["MigrationObservation"]] = ContextVar(
 )
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """A span of another observation to continue a trace under."""
-
-    trace_id: str  # 16 lowercase hex chars
-    parent_span_id: int
-
-
-def continuation_context(stats) -> Optional[TraceContext]:
-    """The context a *later* hop adopts to continue this migration's trace.
-
-    Reads the completed migration's observation (``stats.obs``) and names
-    its final attempt span — the span that conducted the successful
-    transfer — as the parent, so passing the result to
-    ``MigrationEngine.migrate(..., adopt_trace=...)`` on the next hop
-    roots that hop's whole span tree underneath it.  Returns ``None``
-    when the migration ran unobserved."""
-    observation = getattr(stats, "obs", None)
-    if observation is None:
-        return None
-    attempts = observation.tracer.find("attempt")
-    parent = attempts[-1] if attempts else observation.tracer.root
-    return TraceContext(observation.tracer.trace_id, parent.span_id)
-
-
 class MigrationObservation:
     """Tracer + events for one migration, with activation.
 
@@ -109,23 +79,10 @@ class MigrationObservation:
     default) :attr:`attribution` is ``None`` and those hot paths pay one
     ``is not None`` test per block — the near-zero-overhead contract the
     codec benchmarks hold the profiler to.
-
-    ``adopt_from`` continues another observation's trace instead of
-    starting a fresh one: a :class:`TraceContext` roots this
-    observation's tree under that remote span via
-    :meth:`Tracer.adopt_remote`, so a multi-hop migration chain
-    (A→B→C→…) exports as *one* connected span tree when the hops'
-    JSONL lines are merged by span id.
     """
 
-    def __init__(self, name: str = "migration", attribution: bool = False,
-                 adopt_from: Optional[TraceContext] = None) -> None:
-        if adopt_from is not None:
-            self.tracer = Tracer.adopt_remote(
-                name, adopt_from.trace_id, adopt_from.parent_span_id
-            )
-        else:
-            self.tracer = Tracer(name)
+    def __init__(self, name: str = "migration", attribution: bool = False) -> None:
+        self.tracer = Tracer(name)
         self.events = EventLog(clock=self.tracer._clock)
         self.attribution = AttributionProfiler() if attribution else None
         #: the migration's ``MigrationStats`` (set by the engine): the

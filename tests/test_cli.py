@@ -272,6 +272,22 @@ class TestMigrateFaults:
         )
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, says", [
+        ("seed=1:count=-1", "count must be >= 0, got -1"),
+        ("seed=1:max=0", "max must be >= 1, got 0"),
+    ])
+    def test_a_seeded_spec_out_of_range_is_refused(self, demo_c, capsys, spec, says):
+        """A negative count would inject nothing and an empty index range
+        has no fault to draw: usage errors naming the key."""
+        with pytest.raises(SystemExit) as exc:
+            main(["migrate", demo_c, "--fault", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"argument --fault: bad fault spec {spec!r}: {says}"
+        )
+        assert "Traceback" not in err
+
     # the persistent drop sits on each mode's first data send
     @pytest.mark.parametrize(
         "mode", [["--stream", "--fault", "drop@1!"], ["--fault", "drop@0!"]],

@@ -29,7 +29,7 @@ from repro.difftest.harness import (
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.difftest.corpus import CorpusEntry, parse_entry, render_entry
 from repro.migration.checkpoint import checkpoint, restart
-from repro.migration.engine import MigrationEngine
+from repro.migration.engine import MigrationEngine, collect_state
 from repro.migration.precopy import PrecopyPolicy
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -152,6 +152,30 @@ class TestHarness:
             prog, program, baseline, self.ARCHES[:2], max_polls=2
         )
         assert mismatches and all(m.kind == "stdout" for m in mismatches)
+
+    def test_sweep_detects_a_state_that_recollects_differently(self, monkeypatch):
+        """The fixed-point self-check: a restored process that collects to
+        other bytes than it arrived as is a ``canonical`` mismatch —
+        verified by skewing what the harness re-collects, not the wire."""
+        from repro.difftest import harness
+
+        calls = itertools.count()
+
+        def skewed(proc):
+            payload, info = collect_state(proc)
+            # the harness collects the source, then the restored process
+            return (payload + b"\x00" if next(calls) % 2 else payload), info
+
+        monkeypatch.setattr(harness, "collect_state", skewed)
+        prog = generate(2, GenConfig(features=("list",)))
+        program = compile_program(prog.source, poll_strategy="user")
+        baseline, dis = check_baseline_agreement(prog, program, self.ARCHES[:2])
+        assert not dis
+        runs, mismatches = sweep_pairs(
+            prog, program, baseline, self.ARCHES[:2], max_polls=1
+        )
+        assert runs == 2 and [m.kind for m in mismatches] == ["canonical"] * 2
+        assert "first difference at byte" in mismatches[0].detail
 
     def test_a_one_poll_cap_sweeps_the_first_poll(self):
         """``--max-polls 1`` sweeps poll 1 on every pair (the stride

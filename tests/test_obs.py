@@ -1,10 +1,10 @@
 """Tests for the observability layer (spans, counters, event log) and the
 stats/cache bugfix sweep it landed with.
 
-Covers: span nesting (including under the threaded socket feeder),
-counter determinism under retries, JSONL trace schema
-round-trip, and regressions for the overlap-ratio codec fold, the
-unconditional Degraded surfacing, and aborted-attempt codec accounting.
+Covers: span nesting, counter determinism under retries, JSONL trace
+schema round-trip, and regressions for the overlap-ratio codec fold,
+the unconditional Degraded surfacing, and aborted-attempt codec
+accounting.
 """
 
 import json
@@ -230,6 +230,24 @@ class TestEventLogAndSchema:
              "occupancy": 0.0},
         ))
         assert any("schema 6 != 7" in e for e in validate_trace_lines(doc))
+
+    def test_a_root_naming_a_foreign_parent_is_dangling(self):
+        """A root parented in another document (what cross-hop trace
+        adoption wrote, with ``attrs.remote_parent``) is refused like
+        any ``parent_id`` the document does not resolve."""
+        span = {"event": "span", "ts": 0.0, "name": "migration",
+                "path": "migration", "seconds": 0.0, "count": 1,
+                "thread": "MainThread", "span_id": 1 << 32, "parent_id": 3,
+                "attrs": {"remote_parent": 3}}
+        doc = "\n".join(json.dumps(line) for line in (
+            {"event": "trace_header", "ts": 0.0, "schema": 7, "tool": "repro",
+             "trace_id": "00" * 8},
+            span,
+        ))
+        assert validate_trace_lines(doc) == [
+            f"line 2: span {1 << 32} has parent_id 3 which resolves to no "
+            f"span in this document"
+        ]
 
     @pytest.mark.parametrize("row,says", [
         ("x", "attribution row 0: not a JSON object"),

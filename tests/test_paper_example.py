@@ -278,9 +278,9 @@ class TestFigure1Payload:
         proc.migrate_after_polls = 5
         assert proc.run().status == "poll"
         payload, info = collect_state(proc)
-        # header: magic, version, arch name, frame table (main, then foo)
-        head = 4 + 1 + 2 + len("dec5000") + 2 + 8 * len(info.header.frames)
-        assert payload[:5] == b"MIGR\x02" and len(info.header.frames) == 2
+        # header: magic, version, frame table (main, then foo)
+        head = 4 + 1 + 2 + 8 * len(info.header.frames)
+        assert payload[:5] == b"MIGR\x03" and len(info.header.frames) == 2
         golden = self.golden({str(t): i for i, t in enumerate(prog.types)})
         assert payload[head:] == golden
         assert len(golden) == 316

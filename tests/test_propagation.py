@@ -3,9 +3,7 @@
 Covers: the span tree of one migration — the restore side's spans sit
 under the ``attempt`` span that ran them, on every channel and in both
 schedules, including across a real SocketChannel under fault-injected
-retries, with nothing about the trace on the wire — and the adopted
-tracer a later hop of a chain continues the trace with (the two-process
-merge, the validator's ``attrs.remote_parent`` escape).
+retries, with nothing about the trace on the wire.
 """
 
 import json
@@ -22,9 +20,7 @@ from repro.migration.transport import (
     LOOPBACK,
     SocketChannel,
 )
-from repro.obs import MigrationObservation, validate_trace_lines
-from repro.obs.events import TRACE_SCHEMA_VERSION
-from repro.obs.spans import Tracer, new_trace_id
+from repro.obs import validate_trace_lines
 from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -104,86 +100,6 @@ def assert_restore_under_attempt(spans, restore_name):
     for s in restores:
         assert byid[s["parent_id"]]["name"] == "attempt"
     return restores
-
-
-class TestAdoptedTracer:
-    def test_two_process_merge_is_one_connected_tree(self):
-        """A destination process restoring a foreign payload builds an
-        adopted tracer; merging both sides' span lines yields one
-        document the structural validator accepts."""
-        src = MigrationObservation("migration")
-        with src.activate():
-            with src.tracer.span("attempt") as attempt:
-                pass
-        src_lines = src.trace_lines()
-        parent = attempt.span.span_id
-
-        dst = Tracer.adopt_remote("restore", src.tracer.trace_id, parent)
-        assert dst.trace_id == src.tracer.trace_id
-        assert dst.root.attrs["remote_parent"] == parent
-        with dst.span("restore"):
-            pass
-        dst.finish()
-        # splice the destination's spans into the source document; a
-        # merge tool reparents the adopted root onto its declared
-        # remote parent (which the source side's lines resolve)
-        merged = list(src_lines)
-        for path, sp in dst.iter_spans():
-            merged.append({
-                "event": "span", "ts": 0.0, "name": sp.name, "path": path,
-                "seconds": round(sp.seconds, 9), "count": sp.count,
-                "thread": sp.thread, "span_id": sp.span_id,
-                "parent_id": parent if sp is dst.root else sp.parent_id,
-                **({"attrs": sp.attrs} if sp.attrs else {}),
-            })
-        text = "\n".join(json.dumps(l) for l in merged)
-        assert validate_trace_lines(text) == []
-        root_line = next(
-            l for l in merged
-            if l["event"] == "span" and l.get("attrs", {}).get("remote_parent")
-        )
-        assert root_line["parent_id"] == parent
-
-    def test_remote_parent_escape_validates_standalone(self):
-        """The destination's trace alone — where the root's parent lives
-        in *another* document — must still validate via the declared
-        ``attrs.remote_parent`` escape."""
-        dst = Tracer.adopt_remote("restore", new_trace_id(), 3)
-        with dst.span("restore"):
-            pass
-        dst.finish()
-        lines = [{
-            "event": "trace_header", "ts": 0.0,
-            "schema": TRACE_SCHEMA_VERSION,
-            "tool": "repro", "trace_id": dst.trace_id,
-        }]
-        for path, sp in dst.iter_spans():
-            lines.append({
-                "event": "span", "ts": 0.0, "name": sp.name, "path": path,
-                "seconds": round(sp.seconds, 9), "count": sp.count,
-                "thread": sp.thread, "span_id": sp.span_id,
-                "parent_id": 3 if sp is dst.root else sp.parent_id,
-                **({"attrs": sp.attrs} if sp.attrs else {}),
-            })
-        assert validate_trace_lines(
-            "\n".join(json.dumps(l) for l in lines)
-        ) == []
-
-    def test_adopted_ids_do_not_collide_with_source(self):
-        src = Tracer("m")
-        with src.span("attempt") as attempt:
-            pass
-        src.finish()
-        dst = Tracer.adopt_remote(
-            "restore", src.trace_id, attempt.span.span_id
-        )
-        with dst.span("restore") as r:
-            pass
-        dst.finish()
-        src_ids = {sp.span_id for _, sp in src.iter_spans()}
-        dst_ids = {sp.span_id for _, sp in dst.iter_spans()}
-        assert not (src_ids & dst_ids)
-        assert r.span.span_id > attempt.span.span_id
 
 
 # -- engine integration -------------------------------------------------------

@@ -115,7 +115,7 @@ class TestStreamReadBuffer:
     def _reference_payload(self):
         buf = WriteBuffer()
         buf.write_u32(0xDEADBEEF)
-        buf.write_str("stream me")
+        buf.write(b"\x00\x09stream me")
         buf.write_u16(7)
         buf.write_u64(1 << 60)
         buf.write_i64(-12345)
@@ -130,7 +130,7 @@ class TestStreamReadBuffer:
         ]
         mono, stream = ReadBuffer(payload), StreamReadBuffer(chunks)
         assert stream.read_u32() == mono.read_u32()
-        assert stream.read_str() == mono.read_str()
+        assert bytes(stream.read(11)) == bytes(mono.read(11))
         assert stream.peek_u8() == mono.peek_u8()
         assert stream.read_u16() == mono.read_u16()
         assert stream.read_u64() == mono.read_u64()

@@ -83,7 +83,6 @@ CONTROLLED = (
     KeyError,
     IndexError,
     OverflowError,
-    UnicodeDecodeError,
 )
 
 
@@ -99,8 +98,8 @@ def _payload() -> bytes:
 _PAYLOAD = _payload()
 
 
-def _try_restore(data: bytes):
-    dest = Process(_PROG, SPARC20)
+def _try_restore(data: bytes, arch=SPARC20):
+    dest = Process(_PROG, arch)
     restore_state(_PROG, data, dest)
     return dest
 
@@ -119,11 +118,33 @@ class TestCorruption:
         except REJECTED:
             return  # rejected: good
         # accepted: the flip hit pure data (a tag value, a float byte…);
-        # the process must still run to completion or fail controlled
+        # the wire is canonical, so the state it landed re-collects to
+        # exactly these bytes, and the process must still run to
+        # completion or fail controlled
+        assert collect_state(dest)[0] == bytes(data)
         try:
             dest.run(max_steps=200_000)
         except CONTROLLED:
             pass
+
+    @pytest.mark.parametrize("arch", [DEC5000, SPARC20], ids=lambda a: a.name)
+    def test_every_accepted_header_flip_recollects_to_itself(self, arch):
+        """Every single-bit flip of the header (magic, version, frame
+        table), restored on either byte order: refused, or the restored
+        process collects back to exactly the bytes accepted — the header
+        holds no field the restorer reads and drops.  The unflipped
+        payload is the first case."""
+        header = ReadBuffer(_PAYLOAD)
+        read_header(header)
+        for bit in range(-1, header.position * 8):
+            data = bytearray(_PAYLOAD)
+            if bit >= 0:
+                data[bit // 8] ^= 1 << (bit % 8)
+            try:
+                dest = _try_restore(bytes(data), arch)
+            except REJECTED:
+                continue
+            assert collect_state(dest)[0] == bytes(data), f"bit {bit}"
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=len(_PAYLOAD) - 1))
