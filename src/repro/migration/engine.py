@@ -370,18 +370,15 @@ class _TimedIter:
     Every pull is one lap on the *span_name* trace span — including the
     final StopIteration probe, whose wall time is real stage time even
     though it yields no item (``count`` tallies items only).
-    ``last_seconds`` holds the most recent pull's duration so per-chunk
-    events can report it.
     """
 
-    __slots__ = ("_it", "_span_name", "seconds", "count", "last_seconds")
+    __slots__ = ("_it", "_span_name", "seconds", "count")
 
     def __init__(self, iterable, span_name: str) -> None:
         self._it = iter(iterable)
         self._span_name = span_name
         self.seconds = 0.0
         self.count = 0
-        self.last_seconds = 0.0
 
     def __iter__(self):
         return self
@@ -393,7 +390,6 @@ class _TimedIter:
             item = next(self._it)
         finally:
             handle.__exit__(None, None, None)
-            self.last_seconds = handle.seconds
             self.seconds += handle.seconds
         self.count += 1
         return item
@@ -688,12 +684,6 @@ class _Run:
             the step after the last chunk)."""
             for chunk in collect_iter:
                 channel.send_chunk(chunk)
-                if pipelined:
-                    obs.event(
-                        "chunk",
-                        seq=collect_iter.count - 1,
-                        collect_busy_s=round(collect_iter.last_seconds, 9),
-                    )
                 yield
             channel.end_stream()
 
@@ -749,9 +739,6 @@ class _Run:
         stats.tx_time = link.transfer_time(framed)
         obs.record("tx", stats.tx_time, modeled=True)
         stats.finish_pipeline(latency_s=link.latency_s)
-
-        if pipelined:
-            obs.event("pipeline", wall_s=round(wall.seconds, 9), n_chunks=stats.n_chunks)
 
 
 class MigrationEngine:

@@ -267,9 +267,6 @@ class MigrationStats:
         if self.faults:
             out["faults.injected"] = sum(self.faults.values())
             out.update((f"faults.{kind}", n) for kind, n in self.faults.items())
-        dropped = self.obs.events.dropped if self.obs is not None else 0
-        if dropped:
-            out["events.dropped"] = dropped
         return dict(sorted(out.items()))
 
     def row(self) -> dict:

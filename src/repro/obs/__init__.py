@@ -6,31 +6,34 @@ pair — so timing is a first-class subsystem here, not ad-hoc
 ``perf_counter()`` deltas.  One :class:`MigrationObservation` is created
 per ``MigrationEngine.migrate()`` call and bundles:
 
-- a :class:`~repro.obs.spans.Tracer` — the nested, thread-safe span
-  tree every stage emits into (``MigrationStats`` is a read-out of it);
+- a :class:`~repro.obs.spans.Tracer` — the nested span tree every
+  stage emits into (``MigrationStats`` is a read-out of it);
 - an :class:`~repro.obs.events.EventLog` — structured events (attempts,
-  observed faults, degradation, the streamed pipeline) exported
-  as JSON-lines by ``repro migrate --trace out.jsonl``.
+  observed faults, backoff, the pre-copy rounds; none per chunk)
+  exported as JSON-lines by ``repro migrate --trace out.jsonl``.
 
 The counts of a migration (``msrlt.searches``, ``wire.chunks_sent``,
 ``engine.retries``, ``codec.bytes_saved``, ...) are not kept here: they
 are fields of its ``MigrationStats``, and the trace's ``metrics`` line
 is ``MigrationStats.counters()``.
 
-Observation never reaches the wire.  Within one migration the spans
-nest by call — a migration runs on the thread that called ``migrate()``
-— so the restore side's spans sit under the ``attempt`` span that ran
-it.  Each hop of a chain (A→B→C) is its own migration, so its own
-trace.
+Observation never reaches the wire.  An observation is the record of
+one thread's migration: a migration runs on the thread that called
+``migrate()``, and its observation is reachable only through the
+``ContextVar`` below, which a thread started elsewhere begins without —
+so nothing in this package locks or keeps per-thread state.  The spans
+nest by call, and the restore side's spans sit under the ``attempt``
+span that ran it.  Each hop of a chain (A→B→C) is its own migration,
+so its own trace.
 
 Instrumented call sites (channels, the chunk decoder, the collector's
 loops) do not hold a reference to the observation: they call the
 module-level helpers (:func:`span`, :func:`lap`, :func:`record`,
 :func:`event`) which resolve the *current* observation via
 a ``contextvars.ContextVar``.  Outside an active observation the
-helpers are null objects whose span handles still measure ``.seconds``
+span helpers hand out null handles that still measure ``.seconds``
 (so the instrumented channels work unchanged in unit tests) but record
-nothing.
+nothing, and :func:`event` records nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from typing import Optional
 from repro.obs.attribution import AttributionProfiler
 from repro.obs.events import (
     EventLog,
-    NULL_EVENTS,
     TRACE_SCHEMA_VERSION,
     validate_trace_file,
     validate_trace_lines,
@@ -54,7 +56,6 @@ from repro.obs.spans import NULL_TRACER, Tracer
 __all__ = [
     "MigrationObservation",
     "TRACE_SCHEMA_VERSION",
-    "current",
     "current_tracer",
     "current_attribution",
     "span",
@@ -114,9 +115,8 @@ class MigrationObservation:
 
     def trace_lines(self) -> list[dict]:
         """The migration's full trace as decoded JSONL lines: header,
-        events (with a drop marker if the ring buffer overflowed),
-        flattened span tree with its span ids, the attribution table
-        when profiling was on, and the counters."""
+        events, flattened span tree with its span ids, the attribution
+        table when profiling was on, and the counters."""
         self.tracer.finish()
         end_ts = round(self.tracer.root.end_s or 0.0, 9)
         lines: list[dict] = [{
@@ -126,13 +126,6 @@ class MigrationObservation:
             "tool": "repro",
             "trace_id": self.tracer.trace_id,
         }]
-        if self.events.dropped:
-            lines.append({
-                "event": "events_dropped",
-                "ts": end_ts,
-                "dropped": self.events.dropped,
-                "capacity": self.events.capacity,
-            })
         lines.extend(self.events.events)
         for path, sp in self.tracer.iter_spans():
             entry = {
@@ -142,7 +135,6 @@ class MigrationObservation:
                 "path": path,
                 "seconds": round(sp.seconds, 9),
                 "count": sp.count,
-                "thread": sp.thread,
                 "span_id": sp.span_id,
                 "parent_id": sp.parent_id,
             }
@@ -194,19 +186,9 @@ class _Activation:
 # -- ambient helpers (the API instrumented call sites use) --------------------
 
 
-def current() -> Optional[MigrationObservation]:
-    """The active observation, or ``None``."""
-    return _CURRENT.get()
-
-
 def current_tracer():
     obs = _CURRENT.get()
     return obs.tracer if obs is not None else NULL_TRACER
-
-
-def current_events():
-    obs = _CURRENT.get()
-    return obs.events if obs is not None else NULL_EVENTS
 
 
 def current_attribution() -> Optional[AttributionProfiler]:
@@ -232,6 +214,8 @@ def record(name: str, seconds: float, **attrs):
     return current_tracer().record(name, seconds, **attrs)
 
 
-def event(name: str, **fields) -> dict:
-    """Emit a structured event on the active log."""
-    return current_events().emit(name, **fields)
+def event(name: str, **fields) -> None:
+    """Emit a structured event on the active log (none: nothing)."""
+    obs = _CURRENT.get()
+    if obs is not None:
+        obs.events.emit(name, **fields)

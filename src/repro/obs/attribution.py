@@ -25,8 +25,9 @@ whatever ran.
 Hot-path discipline: the collector and restorer fetch the profiler
 **once** per pass (`repro.obs.current_attribution()`); when attribution
 is off that is ``None`` and every per-block hook is a single
-``is not None`` test.  Frames live on per-thread stacks, and rows are
-folded under one lock only at frame close.
+``is not None`` test.  A profiler belongs to one migration, run on one
+thread: its open frames are one plain stack, and rows are folded only
+at frame close.
 
 Rows are additionally partitioned by **scope**: the engine brackets the
 iterative pre-copy phase with :meth:`AttributionProfiler.scoped`, so
@@ -43,7 +44,6 @@ one payload that arrived however many attempts it took.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Optional
 
@@ -83,7 +83,7 @@ class _Row:
 
 
 class _Frame:
-    """One open block visit on a thread's frame stack."""
+    """One open block visit on the profiler's frame stack."""
 
     __slots__ = (
         "key", "phase", "scope", "t0", "pos0", "counted",
@@ -103,7 +103,7 @@ class _Frame:
 
 
 class AttributionProfiler:
-    """Thread-safe per-(type, block class) cost accumulator.
+    """Per-(type, block class) cost accumulator.
 
     ``enter_block``/``exit_block`` bracket one block visit; *pos* is the
     wire buffer offset (``WriteBuffer.nbytes`` on collection,
@@ -116,14 +116,14 @@ class AttributionProfiler:
 
     def __init__(self, clock=time.perf_counter) -> None:
         self.clock = clock
-        self._lock = threading.Lock()
         #: scope -> (type, class) -> row
         self._scopes: dict[str, dict[tuple, _Row]] = {
             self.DEFAULT_SCOPE: {},
         }
         #: attempt name -> (rows, payload bytes) of each failed attempt
         self._abandoned: dict[str, tuple[dict, int]] = {}
-        self._local = threading.local()
+        #: the open block visits, innermost last
+        self._stack: list[_Frame] = []
         self.scope = self.DEFAULT_SCOPE
         #: per-scope total payload bytes, when the collector reported
         #: them (lets :meth:`summary` emit the exact framing residual)
@@ -139,21 +139,13 @@ class AttributionProfiler:
         as abandoned attempt *name*: a failed attempt's collect work
         really happened, but not for the payload that arrives, so the
         default table stays a partition of that one payload."""
-        with self._lock:
-            self._abandoned[name] = (
-                self._scopes[self.DEFAULT_SCOPE],
-                self._payloads.pop(self.DEFAULT_SCOPE, 0),
-            )
-            self._scopes[self.DEFAULT_SCOPE] = {}
+        self._abandoned[name] = (
+            self._scopes[self.DEFAULT_SCOPE],
+            self._payloads.pop(self.DEFAULT_SCOPE, 0),
+        )
+        self._scopes[self.DEFAULT_SCOPE] = {}
 
     # -- frame stack -------------------------------------------------------
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     def _row(self, key: tuple, scope: str) -> _Row:
         rows = self._scopes.get(scope)
@@ -177,7 +169,7 @@ class AttributionProfiler:
         :meth:`book_batch` already counted: bytes, seconds and lookups
         inside it land in its row as usual, no visit is booked, and it
         closes with the block around it."""
-        self._stack().append(
+        self._stack.append(
             _Frame((type_label, block_class), phase, self.scope,
                    self.clock(), pos, counted)
         )
@@ -186,20 +178,20 @@ class AttributionProfiler:
         """Close the innermost block visit at wire offset *pos*, and the
         continuations opened inside it, folding each frame's *self* cost
         (total minus nested children) into its row."""
-        stack = self._stack()
+        stack = self._stack
         while not stack[-1].counted:
             self._close(stack, pos, 0, "", 0)
         self._close(stack, pos, 1, engagement, cells)
 
     def depth(self) -> int:
-        """How many frames this thread has open (see :meth:`unwind`)."""
-        return len(self._stack())
+        """How many frames are open (see :meth:`unwind`)."""
+        return len(self._stack)
 
     def unwind(self, depth: int, pos: int) -> None:
         """Close every frame opened above *depth* at wire offset *pos* —
         what a traversal that fails mid-walk owes the frames beneath it
         (a pre-copy round defers the block and carries on)."""
-        stack = self._stack()
+        stack = self._stack
         while len(stack) > depth:
             self._close(stack, pos, int(stack[-1].counted), "percell", 0)
 
@@ -225,7 +217,7 @@ class AttributionProfiler:
         type that together wrote (read) *nbytes* self bytes in *seconds*.
         The open frame is charged the batch as child cost, exactly as if
         each block had opened a frame of its own inside it."""
-        stack = self._stack()
+        stack = self._stack
         if stack:
             parent = stack[-1]
             parent.child_s += seconds
@@ -238,19 +230,18 @@ class AttributionProfiler:
 
     def _book(self, key: tuple, scope: str, phase: str, seconds: float,
               nbytes: int, blocks: int, engagement: str, cells: int) -> None:
-        with self._lock:
-            row = self._row(key, scope)
-            if phase == "collect":
-                row.collect_s += seconds
-                row.bytes += nbytes
-                row.blocks += blocks
-            else:
-                row.restore_s += seconds
-                row.restore_bytes += nbytes
-                row.restore_blocks += blocks
-            if blocks:
-                setattr(row, engagement, getattr(row, engagement) + blocks)
-            row.cells += cells
+        row = self._row(key, scope)
+        if phase == "collect":
+            row.collect_s += seconds
+            row.bytes += nbytes
+            row.blocks += blocks
+        else:
+            row.restore_s += seconds
+            row.restore_bytes += nbytes
+            row.restore_blocks += blocks
+        if blocks:
+            setattr(row, engagement, getattr(row, engagement) + blocks)
+        row.cells += cells
 
     # -- MSRLT search cost -------------------------------------------------
 
@@ -263,15 +254,14 @@ class AttributionProfiler:
     def msrlt_lookups(self, n: int, depth: int) -> None:
         """Account *n* lookups of *depth* each in one call (a plan's
         bulk translation of a whole pointer run)."""
-        stack = self._stack()
+        stack = self._stack
         if stack:
             key, scope = stack[-1].key, stack[-1].scope
         else:
             key, scope = FRAMING_ROW, self.scope
-        with self._lock:
-            row = self._row(key, scope)
-            row.msrlt_searches += n
-            row.msrlt_depth += n * depth
+        row = self._row(key, scope)
+        row.msrlt_searches += n
+        row.msrlt_depth += n * depth
 
     # -- read-out ----------------------------------------------------------
 
@@ -280,9 +270,8 @@ class AttributionProfiler:
         = *nbytes* − Σ attributed self bytes).  Scoped: the pre-copy
         snapshot's (larger) payload no longer overrides the final
         attempt's elided payload."""
-        with self._lock:
-            scope = self.scope
-            self._payloads[scope] = max(self._payloads.get(scope, 0), nbytes)
+        scope = self.scope
+        self._payloads[scope] = max(self._payloads.get(scope, 0), nbytes)
 
     @staticmethod
     def _row_dict(key: tuple, r: _Row) -> dict:
@@ -332,18 +321,15 @@ class AttributionProfiler:
         ``"abandoned"``, with the same table shape (``payload_bytes`` 0
         where the collector never got to its end).
         """
-        with self._lock:
-            tables = {
-                scope: self._scope_table(
-                    rows, self._payloads.get(scope, 0)
-                )
-                for scope, rows in self._scopes.items()
-                if rows or self._payloads.get(scope, 0)
-            }
-            abandoned = {
-                name: self._scope_table(rows, payload)
-                for name, (rows, payload) in self._abandoned.items()
-            }
+        tables = {
+            scope: self._scope_table(rows, self._payloads.get(scope, 0))
+            for scope, rows in self._scopes.items()
+            if rows or self._payloads.get(scope, 0)
+        }
+        abandoned = {
+            name: self._scope_table(rows, payload)
+            for name, (rows, payload) in self._abandoned.items()
+        }
         out = tables.pop(
             self.DEFAULT_SCOPE, {"payload_bytes": 0, "rows": []}
         )
@@ -352,13 +338,6 @@ class AttributionProfiler:
         if abandoned:
             out["abandoned"] = abandoned
         return out
-
-    def __bool__(self) -> bool:  # an empty profiler is still "on"
-        return True
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._scopes[self.DEFAULT_SCOPE])
 
 
 class _Scoped:

@@ -1,26 +1,26 @@
 """The structured event log and the JSONL trace file format.
 
 Every migration appends typed events (attempts, observed faults,
-backoff, the streamed pipeline) to an in-memory
-:class:`EventLog`; ``repro migrate --trace out.jsonl`` exports the log
-plus the span tree and the migration's counters as JSON-lines.
+backoff, the pre-copy rounds) to an in-memory :class:`EventLog`; what
+a migration did, not what its payload weighed, decides how many: the
+log grows with attempts, faults and rounds, never per chunk.  ``repro
+migrate --trace out.jsonl`` exports the log plus the span tree and the
+migration's counters as JSON-lines.
 
-Trace file format (one JSON object per line, schema version 7 — the one
+Trace file format (one JSON object per line, schema version 8 — the one
 version this build writes and reads; a trace of another version is
 re-recorded, not converted):
 
-- line 1 is always ``{"event": "trace_header", "schema": 7, ...}`` and
+- line 1 is always ``{"event": "trace_header", "schema": 8, ...}`` and
   carries the migration's ``trace_id`` (16 hex chars);
 - every line has an ``"event"`` string and a non-negative ``"ts"``
   number (seconds since the migration's observation began);
 - event lines come next, in emission order, each of a type registered
-  in :data:`EVENT_REQUIRED_FIELDS` (attempts, faults, backoff,
-  the streamed pipeline, the pre-copy rounds); an
-  ``events_dropped`` marker says the ring buffer overflowed and how
-  many events were lost;
+  in :data:`EVENT_REQUIRED_FIELDS` (attempts, faults, backoff, the
+  pre-copy rounds);
 - ``span`` lines carry the flattened span tree (``path`` is the
-  '/'-joined location in the tree, ``seconds``/``count``/``thread``
-  the measurement, ``span_id``/``parent_id`` its place in the tree:
+  '/'-joined location in the tree, ``seconds``/``count`` the
+  measurement, ``span_id``/``parent_id`` its place in the tree:
   the root has ``parent_id == -1``);
 - an ``attribution`` line carries the per-type cost table when
   profiling was on, each row holding :data:`ATTRIBUTION_ROW_FIELDS`;
@@ -43,29 +43,19 @@ validity without adding a jsonschema dependency.
 from __future__ import annotations
 
 import json
-import threading
 import time
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "DEFAULT_EVENT_CAPACITY",
     "EVENT_REQUIRED_FIELDS",
     "ATTRIBUTION_ROW_FIELDS",
     "EventLog",
-    "NullEventLog",
-    "NULL_EVENTS",
     "validate_trace_obj",
     "validate_trace_lines",
     "validate_trace_file",
 ]
 
-TRACE_SCHEMA_VERSION = 7
-
-#: default ring-buffer bound of an :class:`EventLog` — generous (a
-#: per-chunk event stream at 64 KiB chunks reaches this around a 2 GiB
-#: payload) but *bounded*, so a long streaming migration cannot grow
-#: memory without limit
-DEFAULT_EVENT_CAPACITY = 32768
+TRACE_SCHEMA_VERSION = 8
 
 #: required (field, type) pairs per event type; unknown event types are
 #: rejected so a typo'd emitter fails CI rather than shipping dark data
@@ -77,15 +67,11 @@ EVENT_REQUIRED_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
     "attempt_fail": (("attempt", int), ("error_type", str), ("error", str)),
     "fault": (("kind", str), ("index", int)),
     "backoff": (("attempt", int), ("delay_s", (int, float))),
-    "chunk": (("seq", int), ("collect_busy_s", (int, float))),
-    "pipeline": (("wall_s", (int, float)), ("n_chunks", int)),
     "migration_end": (("collect_s", (int, float)), ("tx_s", (int, float)),
                       ("restore_s", (int, float)), ("attempts", int)),
     "span": (("name", str), ("path", str), ("seconds", (int, float)),
-             ("count", int), ("thread", str), ("span_id", int),
-             ("parent_id", int)),
+             ("count", int), ("span_id", int), ("parent_id", int)),
     "attribution": (("payload_bytes", int), ("rows", list)),
-    "events_dropped": (("dropped", int), ("capacity", int)),
     "precopy_begin": (("max_rounds", int), ("stop_dirty_blocks", int),
                       ("slice_polls", int)),
     "precopy_round": (("round", int), ("bytes", int), ("tx_s", (int, float)),
@@ -106,68 +92,23 @@ ATTRIBUTION_ROW_FIELDS: tuple[tuple[str, type], ...] = (
 
 
 class EventLog:
-    """Thread-safe, monotonic-stamped structured events in a bounded
-    ring buffer.
+    """Monotonic-stamped structured events, in emission order."""
 
-    The bound (*capacity*, default :data:`DEFAULT_EVENT_CAPACITY`) keeps
-    a long streaming migration's per-chunk events from growing memory
-    without limit: past capacity the **oldest** events are evicted (the
-    recent tail is what debugging wants) and :attr:`dropped` counts the
-    loss, which the trace export surfaces as an ``events_dropped``
-    marker line and the engine as an ``events.dropped`` metric.
-    """
-
-    def __init__(self, clock=time.perf_counter,
-                 capacity: int = DEFAULT_EVENT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
         self._t0 = clock()
-        self._lock = threading.Lock()
-        self.capacity = capacity
         self.events: list[dict] = []
-        #: events evicted because the ring buffer was full
-        self.dropped = 0
 
     def emit(self, event: str, **fields) -> dict:
         """Record one event; ``ts`` is seconds since the log was opened."""
         entry = {"event": event, "ts": round(self._clock() - self._t0, 9)}
         entry.update(fields)
-        with self._lock:
-            self.events.append(entry)
-            overflow = len(self.events) - self.capacity
-            if overflow > 0:
-                del self.events[:overflow]
-                self.dropped += overflow
+        self.events.append(entry)
         return entry
 
     def of_type(self, event: str) -> list[dict]:
-        """All retained events of one type, in emission order."""
-        with self._lock:
-            return [e for e in self.events if e["event"] == event]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class NullEventLog:
-    """Drop-in no-op log (the ambient default outside a migration)."""
-
-    events: list[dict] = []
-    dropped = 0
-    capacity = 0
-
-    def emit(self, event: str, **fields) -> dict:
-        return {}
-
-    def of_type(self, event: str) -> list[dict]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_EVENTS = NullEventLog()
+        """All events of one type, in emission order."""
+        return [e for e in self.events if e["event"] == event]
 
 
 # -- stdlib-only schema validation --------------------------------------------

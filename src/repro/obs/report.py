@@ -131,15 +131,7 @@ def _attribution_rows(doc: TraceDocument) -> list[dict]:
 
 def render_report(doc: TraceDocument) -> str:
     """The single-trace breakdown: identity, phases, wire, attribution."""
-    out: list[str] = []
-    out.append(f"trace {doc.trace_id}  ({doc.path})")
-    dropped = doc.events_of("events_dropped")
-    if dropped:
-        out.append(
-            f"WARNING: event ring buffer overflowed — "
-            f"{dropped[0]['dropped']} event(s) dropped "
-            f"(capacity {dropped[0]['capacity']})"
-        )
+    out: list[str] = [f"trace {doc.trace_id}  ({doc.path})"]
 
     phases = doc.phase_seconds()
     if phases:
@@ -157,7 +149,7 @@ def render_report(doc: TraceDocument) -> str:
     wire_keys = [
         "engine.payload_bytes", "engine.blocks", "engine.attempts",
         "engine.retries", "engine.chunks", "codec.bytes_saved",
-        "wire.chunks_sent", "msrlt.searches", "events.dropped",
+        "wire.chunks_sent", "msrlt.searches",
     ]
     shown = [(k, counters[k]) for k in wire_keys if k in counters]
     if shown:

@@ -1,16 +1,16 @@
 """Trace spans: the one clock the migration pipeline tells time by.
 
 A :class:`Span` is a named, monotonic-clocked (``time.perf_counter``)
-timed region.  Spans nest: the tracer keeps a *per-thread* stack (a
-migration runs on one thread; a caller that observes from several
-threads gets one branch per thread of one shared tree), and children
-lists are appended under a single tracer lock, which is the only shared
-mutable state.
+timed region.  Spans nest by call: the tracer keeps one stack of open
+spans.  A tracer belongs to one ``migrate()`` call, which runs on the
+thread that made it, and is reachable only through its observation's
+``ContextVar`` — a thread started elsewhere begins without it — so
+nothing here is shared between threads and nothing is locked.
 
 Three ways to put time on the tree:
 
 - ``tracer.span(name)`` — a context manager that opens a fresh span
-  under the current thread's innermost open span (one span per entry);
+  under the innermost open span (one span per entry);
 - ``tracer.lap(name)`` — an *accumulating* span: every ``with`` entry
   adds one lap to a single span keyed by ``(parent, name)``.  This is
   what per-chunk hot paths use (a 128-chunk stream makes one
@@ -39,7 +39,6 @@ one trace: each hop of a chain has its own.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Optional
 
@@ -60,14 +59,13 @@ class Span:
     trace file's timeline starts at 0.
     """
 
-    __slots__ = ("name", "attrs", "children", "thread", "start_s", "end_s",
+    __slots__ = ("name", "attrs", "children", "start_s", "end_s",
                  "seconds", "count", "span_id", "parent_id")
 
     def __init__(self, name: str, attrs: Optional[dict] = None) -> None:
         self.name = name
         self.attrs = attrs or {}
         self.children: list[Span] = []
-        self.thread = threading.current_thread().name
         self.start_s: Optional[float] = None
         self.end_s: Optional[float] = None
         self.seconds = 0.0
@@ -76,25 +74,6 @@ class Span:
         self.span_id = -1
         #: span_id of the parent (-1 for a root)
         self.parent_id = -1
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "name": self.name,
-            "seconds": round(self.seconds, 9),
-            "count": self.count,
-            "thread": self.thread,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-        }
-        if self.start_s is not None:
-            out["start_s"] = round(self.start_s, 9)
-        if self.end_s is not None:
-            out["end_s"] = round(self.end_s, 9)
-        if self.attrs:
-            out["attrs"] = self.attrs
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"<span {self.name} {self.seconds * 1e3:.3f} ms "
@@ -114,7 +93,7 @@ class SpanHandle:
 
     def __enter__(self) -> "SpanHandle":
         if self._push:
-            self._tracer._stack().append(self.span)
+            self._tracer._stack.append(self.span)
         t = self._tracer._clock()
         if self.span.start_s is None:
             self.span.start_s = t - self._tracer.epoch
@@ -128,12 +107,12 @@ class SpanHandle:
         self.span.count += 1
         self.span.end_s = t - self._tracer.epoch
         if self._push:
-            self._tracer._stack().pop()
+            self._tracer._stack.pop()
         return False
 
 
 class Tracer:
-    """A per-migration trace-span tree, safe to grow from several threads."""
+    """A per-migration trace-span tree."""
 
     def __init__(self, name: str = "migration", clock=time.perf_counter) -> None:
         self._clock = clock
@@ -143,55 +122,35 @@ class Tracer:
         self._next_id = 0
         self.root = Span(name)
         self.root.start_s = 0.0
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._assign_id(self.root)
+        self._attach(self.root, None)
+        #: the open spans, innermost last
+        self._stack: list[Span] = [self.root]
         # (id(parent), name) -> accumulating span, for lap()
         self._laps: dict[tuple[int, str], Span] = {}
 
-    def _assign_id(self, span: Span) -> None:
-        """Give *span* the next ordinal (callers hold no lock for the
-        root; every other call site already holds ``_lock``)."""
+    def _attach(self, span: Span, parent: Optional[Span]) -> Span:
+        """Give *span* the next ordinal and hang it under *parent*."""
         span.span_id = self._next_id
         self._next_id += 1
-
-    # -- thread-local span stack -------------------------------------------
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = [self.root]
-            self._local.stack = stack
-        return stack
-
-    def current(self) -> Span:
-        """The innermost open span on this thread (the root if none)."""
-        return self._stack()[-1]
+        if parent is not None:
+            span.parent_id = parent.span_id
+            parent.children.append(span)
+        return span
 
     # -- span creation -----------------------------------------------------
 
     def span(self, name: str, **attrs) -> SpanHandle:
         """Open a fresh nested span (one per entry)."""
-        span = Span(name, attrs or None)
-        parent = self.current()
-        with self._lock:
-            self._assign_id(span)
-            span.parent_id = parent.span_id
-            parent.children.append(span)
+        span = self._attach(Span(name, attrs or None), self._stack[-1])
         return SpanHandle(self, span, push=True)
 
     def lap(self, name: str, **attrs) -> SpanHandle:
         """One lap on the accumulating span *name* under the current span."""
-        parent = self.current()
+        parent = self._stack[-1]
         key = (id(parent), name)
-        with self._lock:
-            span = self._laps.get(key)
-            if span is None:
-                span = Span(name, attrs or None)
-                self._assign_id(span)
-                span.parent_id = parent.span_id
-                self._laps[key] = span
-                parent.children.append(span)
+        span = self._laps.get(key)
+        if span is None:
+            span = self._laps[key] = self._attach(Span(name, attrs or None), parent)
         return SpanHandle(self, span, push=False)
 
     def record(self, name: str, seconds: float, **attrs) -> Span:
@@ -203,12 +162,7 @@ class Tracer:
         span.end_s = now
         span.seconds = seconds
         span.count = 1
-        parent = self.current()
-        with self._lock:
-            self._assign_id(span)
-            span.parent_id = parent.span_id
-            parent.children.append(span)
-        return span
+        return self._attach(span, self._stack[-1])
 
     def finish(self) -> Span:
         """Close the root span; returns it."""
@@ -225,7 +179,7 @@ class Tracer:
         def walk(span: Span, prefix: str):
             path = f"{prefix}/{span.name}" if prefix else span.name
             yield path, span
-            for child in list(span.children):
+            for child in span.children:
                 yield from walk(child, path)
         yield from walk(self.root, "")
 
@@ -243,16 +197,12 @@ class Tracer:
         """All spans named *name*, depth-first order."""
         return [s for _, s in self.iter_spans() if s.name == name]
 
-    def to_dict(self) -> dict:
-        return self.root.to_dict()
-
 
 class _NullHandle:
     """Times the interval (call sites read ``.seconds``) but records
     nothing — the ambient no-tracer behavior."""
 
     __slots__ = ("seconds", "_t0")
-    span = None
 
     def __enter__(self) -> "_NullHandle":
         self._t0 = time.perf_counter()
@@ -266,8 +216,6 @@ class _NullHandle:
 class NullTracer:
     """Drop-in tracer that keeps call sites timed but unrecorded."""
 
-    trace_id = "0" * 16
-
     def span(self, name: str, **attrs) -> _NullHandle:
         return _NullHandle()
 
@@ -276,12 +224,6 @@ class NullTracer:
 
     def record(self, name: str, seconds: float, **attrs) -> None:
         return None
-
-    def total(self, name: str) -> float:
-        return 0.0
-
-    def total_prefix(self, prefix: str) -> float:
-        return 0.0
 
 
 NULL_TRACER = NullTracer()

@@ -3,7 +3,8 @@
     python -m repro.obs.validate trace.jsonl [more.jsonl ...]
 
 Exits 0 when every file is schema-valid JSONL (printing a one-line
-summary per file), 1 otherwise (printing each schema error).
+summary per file), 1 otherwise (printing each schema error, or one
+``unreadable`` line for a file that cannot be read as UTF-8 text).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs.events import validate_trace_file
+from repro.obs.events import validate_trace_lines
 
 __all__ = ["main"]
 
@@ -26,24 +27,20 @@ def main(argv=None) -> int:
     status = 0
     for path in args:
         try:
-            errors = validate_trace_file(path)
-        except OSError as exc:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{path}: unreadable ({exc})", file=sys.stderr)
             status = 1
             continue
+        errors = validate_trace_lines(text)
         if errors:
             for err in errors:
                 print(f"{path}: {err}", file=sys.stderr)
             status = 1
         else:
-            n_lines = len([
-                ln for ln in Path(path).read_text().splitlines() if ln.strip()
-            ])
-            n_spans = sum(
-                1 for ln in Path(path).read_text().splitlines()
-                if ln.strip() and json.loads(ln).get("event") == "span"
-            )
-            print(f"{path}: schema-valid ({n_lines} lines, {n_spans} spans)")
+            lines = [json.loads(ln) for ln in text.splitlines() if ln.strip()]
+            n_spans = sum(1 for obj in lines if obj["event"] == "span")
+            print(f"{path}: schema-valid ({len(lines)} lines, {n_spans} spans)")
     return status
 
 

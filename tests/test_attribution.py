@@ -311,7 +311,7 @@ class TestProfilerUnit:
 
     def test_empty_profiler_is_truthy(self):
         assert AttributionProfiler()
-        assert len(AttributionProfiler()) == 0
+        assert AttributionProfiler().summary() == {"payload_bytes": 0, "rows": []}
 
     def test_block_class_of(self):
         assert [block_class_of((k, 0)) for k in range(3)] == list(BLOCK_CLASSES)

@@ -8,7 +8,6 @@ accounting.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -161,7 +160,6 @@ class TestTracer:
             sum(range(1000))
         assert timed.seconds >= 0.0
         assert NULL_TRACER.record("tx", 1.0) is None
-        assert NULL_TRACER.total_prefix("codec.") == 0.0
 
 
 # -- event log + trace schema -------------------------------------------------
@@ -180,14 +178,14 @@ class TestEventLogAndSchema:
         assert any("unknown event" in e for e in errs)
 
     def test_missing_field_rejected(self):
-        errs = validate_trace_obj({"event": "chunk", "ts": 0.0, "seq": 1})
-        assert any("collect_busy_s" in e for e in errs)
+        errs = validate_trace_obj({"event": "backoff", "ts": 0.0, "attempt": 1})
+        assert any("delay_s" in e for e in errs)
 
     def test_bool_is_not_a_number(self):
         errs = validate_trace_obj(
-            {"event": "chunk", "ts": 0.0, "seq": 1, "collect_busy_s": True}
+            {"event": "backoff", "ts": 0.0, "attempt": 1, "delay_s": True}
         )
-        assert any("wrong type" in e for e in errs)
+        assert errs == ["event 'backoff': field 'delay_s' has wrong type bool"]
 
     def test_negative_ts_rejected(self):
         errs = validate_trace_obj(
@@ -216,7 +214,7 @@ class TestEventLogAndSchema:
              "joined": True},
         ))
         errors = validate_trace_lines(doc)
-        assert any("schema 5 != 7" in e for e in errors)
+        assert any("schema 5 != 8" in e for e in errors)
         assert any("unknown event type 'trace_context'" in e for e in errors)
 
     def test_a_schema_6_trace_is_refused(self):
@@ -229,7 +227,28 @@ class TestEventLogAndSchema:
             {"event": "pipeline", "ts": 0.0, "wall_s": 0.001, "n_chunks": 2,
              "occupancy": 0.0},
         ))
-        assert any("schema 6 != 7" in e for e in validate_trace_lines(doc))
+        assert any("schema 6 != 8" in e for e in validate_trace_lines(doc))
+
+    def test_a_schema_7_trace_is_refused(self):
+        """Version 7 wrote a ``thread`` on every span line, a ``chunk``
+        event per chunk, the ``pipeline`` event and the ring buffer's
+        ``events_dropped`` marker; all four are gone, and so is the
+        version."""
+        doc = "\n".join(json.dumps(line) for line in (
+            {"event": "trace_header", "ts": 0.0, "schema": 7, "tool": "repro",
+             "trace_id": "00" * 8},
+            {"event": "events_dropped", "ts": 0.0, "dropped": 1, "capacity": 1},
+            {"event": "chunk", "ts": 0.0, "seq": 0, "collect_busy_s": 0.0},
+            {"event": "pipeline", "ts": 0.0, "wall_s": 0.001, "n_chunks": 1},
+            {"event": "span", "ts": 0.0, "name": "migration",
+             "path": "migration", "seconds": 0.0, "count": 1,
+             "thread": "MainThread", "span_id": 0, "parent_id": -1},
+        ))
+        errors = validate_trace_lines(doc)
+        assert errors[0] == "line 1: schema 7 != 8"
+        assert "line 2: unknown event type 'events_dropped'" in errors
+        assert "line 3: unknown event type 'chunk'" in errors
+        assert "line 4: unknown event type 'pipeline'" in errors
 
     def test_a_root_naming_a_foreign_parent_is_dangling(self):
         """A root parented in another document (what cross-hop trace
@@ -237,10 +256,10 @@ class TestEventLogAndSchema:
         any ``parent_id`` the document does not resolve."""
         span = {"event": "span", "ts": 0.0, "name": "migration",
                 "path": "migration", "seconds": 0.0, "count": 1,
-                "thread": "MainThread", "span_id": 1 << 32, "parent_id": 3,
+                "span_id": 1 << 32, "parent_id": 3,
                 "attrs": {"remote_parent": 3}}
         doc = "\n".join(json.dumps(line) for line in (
-            {"event": "trace_header", "ts": 0.0, "schema": 7, "tool": "repro",
+            {"event": "trace_header", "ts": 0.0, "schema": 8, "tool": "repro",
              "trace_id": "00" * 8},
             span,
         ))
@@ -402,16 +421,33 @@ class TestMigrationObservability:
             max_attempts=3,
         )
         events = stats.obs.events
-        assert len(events.of_type("migration_begin")) == 1
         assert [e["attempt"] for e in events.of_type("attempt_begin")] == [1, 2]
-        assert len(events.of_type("attempt_fail")) == 1
         assert events.of_type("fault")[0]["kind"] == "drop"
-        assert len(events.of_type("backoff")) == 1
-        chunks = events.of_type("chunk")
-        assert [c["seq"] for c in chunks[-stats.n_chunks:]] == list(
-            range(stats.n_chunks))
         (end,) = events.of_type("migration_end")
         assert end["attempts"] == 2
+        # the story is what the migration did: a multi-chunk stream adds
+        # no event per chunk
+        assert stats.n_chunks > 2
+        assert [e["event"] for e in events.events] == [
+            "migration_begin", "attempt_begin", "fault", "attempt_fail",
+            "backoff", "attempt_begin", "migration_end",
+        ]
+
+    def test_event_log_does_not_depend_on_chunk_size(self, prog):
+        """The same streamed migration emits the same sequence of events
+        at any chunk size: a 1-byte chunk adds laps to spans, not events.
+        Frame 1 exists at every size (at 64 KiB it is the terminator)."""
+        names = {}
+        for chunk_size in (1, 7, 65536):
+            channel = FaultyChannel(Channel(LOOPBACK),
+                                    FaultPlan([Fault("drop", 1)]))
+            _, stats = MigrationEngine().migrate(
+                stopped(prog), SPARC20, channel=channel, streaming=True,
+                chunk_size=chunk_size, max_attempts=2,
+            )
+            names[chunk_size] = [e["event"] for e in stats.obs.events.events]
+        assert names[1] == names[7] == names[65536]
+        assert "backoff" in names[1]
 
     def test_trace_jsonl_round_trips(self, prog, tmp_path):
         proc = stopped(prog)
@@ -424,8 +460,8 @@ class TestMigrationObservability:
         assert header["event"] == "trace_header"
         assert header["schema"] == TRACE_SCHEMA_VERSION
         kinds = {ln["event"] for ln in lines}
-        assert {"migration_begin", "attempt_begin", "pipeline",
-                "migration_end", "span", "metrics"} <= kinds
+        assert kinds == {"trace_header", "migration_begin", "attempt_begin",
+                         "migration_end", "span", "metrics"}
         span_paths = {ln["path"] for ln in lines if ln["event"] == "span"}
         assert "migration" in span_paths
         assert any(p.endswith("/collect") for p in span_paths)
@@ -690,52 +726,15 @@ class TestCli:
         assert validate_main([str(bad)]) == 1
         assert validate_main([]) == 2
 
+    def test_validator_cli_refuses_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        """Bytes that do not decode are an unreadable file: one line,
+        exit 1, as an ``OSError`` is — not a ``UnicodeDecodeError``
+        traceback."""
+        from repro.obs.validate import main as validate_main
 
-# -- ring-buffer eviction under concurrent writers (PR 10) --------------------
-
-
-class TestEventLogConcurrency:
-    def test_dropped_count_is_exact_under_threads(self):
-        """N threads hammering one bounded log: the retained tail plus
-        the dropped count must account for every emit exactly, and no
-        retained entry may be torn (interleaved fields)."""
-        capacity = 64
-        log = EventLog(capacity=capacity)
-        n_threads, per_thread = 8, 500
-        barrier = threading.Barrier(n_threads)
-
-        def feeder(tid):
-            barrier.wait()
-            for i in range(per_thread):
-                log.emit("feed", tid=tid, i=i, payload=tid * 1_000_000 + i)
-
-        threads = [threading.Thread(target=feeder, args=(t,))
-                   for t in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        total = n_threads * per_thread
-        assert len(log.events) == capacity
-        assert log.dropped == total - capacity
-        # no interleaving corruption: every retained event is internally
-        # consistent and attributable to exactly one (tid, i) emission
-        seen = set()
-        for e in log.events:
-            assert e["event"] == "feed"
-            assert e["payload"] == e["tid"] * 1_000_000 + e["i"]
-            key = (e["tid"], e["i"])
-            assert key not in seen
-            seen.add(key)
-        # timestamps are monotone non-decreasing in retention order
-        ts = [e["ts"] for e in log.events]
-        assert ts == sorted(ts)
-
-    def test_capacity_one_keeps_only_the_last(self):
-        log = EventLog(capacity=1)
-        for i in range(10):
-            log.emit("e", i=i)
-        assert len(log.events) == 1
-        assert log.events[0]["i"] == 9
-        assert log.dropped == 9
+        binary = tmp_path / "b.jsonl"
+        binary.write_bytes(b"\xff\xfe")
+        capsys.readouterr()
+        assert validate_main([str(binary)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{binary}: unreadable (")

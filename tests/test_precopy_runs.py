@@ -7,6 +7,8 @@ that partial shipping is *invisible*: whatever a slice writes, wherever,
 the pre-copied destination is the stop-and-copy destination; the plans
 and the per-cell oracle put the same bytes in every round; a stale or a
 new block never ships as runs; and no round is larger for shipping them.
+Byte for byte: the destination re-collects to what the source collects
+at its real stop point, on every corpus program.
 """
 
 from contextlib import contextmanager
@@ -16,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import ALPHA, DEC5000, SPARC20, X86_64
+from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
 from repro.difftest.corpus import load_corpus
-from repro.difftest.harness import run_baseline
+from repro.difftest.harness import _recollect_drift, _stop_at_poll, run_baseline
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.migration import precopy as precopy_module
-from repro.migration.engine import MigrationEngine, collect_state
-from repro.migration.precopy import PrecopyPolicy
+from repro.migration.engine import MigrationEngine, _Run, collect_state
+from repro.migration.precopy import PrecopyPolicy, PrecopySourceExitedError
 from repro.msr.restore import Restorer
 from repro.msr.msrlt import BlockKind
 from repro.vm.process import Process
@@ -318,3 +320,55 @@ def test_structgrid_rounds_ship_the_hot_run(rounds):
     for n, round_ in enumerate(rounds):
         assert round_["restored"][hot.logical] == [((8 + 4 * n) * 4, 4 * 4)]
         assert round_["bytes"] < round_["whole_bytes"]
+
+
+# -- the destination re-collects to the source's stop-point bytes -----------
+
+#: LE/32 -> LE/64, LE/64 -> BE/32 (the Alpha's and x86_64's), BE/32 -> LE/32
+LANDING_PAIRS = ((DEC5000, ALPHA), (ALPHA, SPARC20), (X86_64, ULTRA5), (SPARC20, X86))
+#: the default phase, and one that runs every round on short slices
+LANDING_POLICIES = (None, PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0, slice_polls=2))
+#: every corpus program, plus the suite's pre-copy shape in small
+LANDING_SOURCES = [e.source for e in load_corpus()] + [structgrid_source(64, 48)]
+
+
+def test_precopy_lands_byte_for_byte():
+    """A pre-copied destination re-collects, as a plain stream, to
+    exactly the bytes the source's plain collect gives at its real stop
+    point — taken as ``adopt`` begins, after the last slice and the
+    final pass, before the source's frames are cleared.  Every program
+    starts on every pair at polls 1-3; the two policies alternate over
+    pair and poll, so each meets every pair and every poll.  A source
+    that exits during a slice has nothing left to land."""
+    at_stop = []
+    adopt = _Run.adopt
+
+    def adopting(run):
+        at_stop.append(collect_state(run.source)[0])
+        adopt(run)
+
+    drift, landed = [], 0
+    for n, source in enumerate(LANDING_SOURCES):
+        prog = _compile(source)
+        for i, (src_arch, dst_arch) in enumerate(LANDING_PAIRS):
+            for poll in (1, 2, 3):
+                proc = _stop_at_poll(prog, src_arch, poll)
+                if proc is None:
+                    break
+                policy = LANDING_POLICIES[(i + poll) % 2]
+                try:
+                    with mock.patch.object(_Run, "adopt", adopting):
+                        dest, _ = MigrationEngine().migrate(
+                            proc, dst_arch, precopy=True, precopy_policy=policy
+                        )
+                except PrecopySourceExitedError:
+                    continue
+                landed += 1
+                problem = _recollect_drift(at_stop[-1], dest)
+                if problem:
+                    drift.append(
+                        f"program {n} {src_arch.name}->{dst_arch.name}"
+                        f"@poll{poll}: {problem}"
+                    )
+    assert drift == []
+    assert landed >= 2 * len(LANDING_SOURCES)
