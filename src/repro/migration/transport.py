@@ -433,7 +433,11 @@ class FaultPlan:
 
 
 def _flip_bit(payload: bytes, bit: int) -> bytes:
+    """*payload* with bit *bit* (modulo its length in bits) flipped; an empty
+    payload has no bit to flip and goes out as it came."""
     out = bytearray(payload)
+    if not out:
+        return b""
     bit %= len(out) * 8
     out[bit // 8] ^= 1 << (bit % 8)
     return bytes(out)

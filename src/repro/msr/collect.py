@@ -40,7 +40,7 @@ from typing import Optional
 
 from repro import obs
 from repro.arch.buffers import WriteBuffer
-from repro.msr.graphplan import ARENA_REBUILD_BLOCKS_PER_POINTER, ChainBackoff
+from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.wire import (
     LEAD_COUNT,
@@ -146,10 +146,11 @@ class Collector:
         self._types: dict[int, tuple] = {}
         #: when chain tail slots are offered to their ChainPlan
         self.chain_backoff = ChainBackoff()
-        # a chain batch searches an arena built over the whole table; at
-        # most len(stale) nodes can ride one, so tail slots are offered
-        # only when that many pointers would pay for the build
-        if stale is not None and len(stale) * ARENA_REBUILD_BLOCKS_PER_POINTER < len(self.msrlt):
+        # a pass born with the ledgers (a round, the final pass) ships
+        # what the slices changed — a few new nodes each — which the
+        # driver walks for less than a chain probe costs: it offers no
+        # tail slot
+        if stale is not None:
             self.chain_backoff.skip = sys.maxsize
 
     # -- public entry points (paper interface names) --------------------------------

@@ -76,7 +76,6 @@ from repro.msr.wire import (
 )
 
 __all__ = [
-    "SortedArena",
     "FlatPlan",
     "StructPlan",
     "PtrArrayPlan",
@@ -90,18 +89,6 @@ __all__ = [
 #: scalar loop is faster; payload bytes are identical either way, so the
 #: threshold is purely a performance choice)
 MIN_BULK_CELLS = 16
-#: a chain batch searches a :class:`SortedArena`, and a stale one (any
-#: ``malloc`` / ``free`` since it was built: every pre-copy slice that
-#: allocates) is rebuilt over the *whole* table first.  Measured on the
-#: suite's struct grid (1 029 blocks): the rebuild costs ~0.29 µs per
-#: block of the table, a pointer the driver resolves one at a time ~1.2 µs
-#: more than one resolved in bulk — so a rebuild pays for itself when the
-#: batch can take at least one pointer per this many blocks of the table.
-#: Its one reader is the final pre-copy pass, which offers its chain tail
-#: slots only when its stale blocks (all it can ship) reach that share
-#: (:class:`~repro.msr.collect.Collector`).  Purely a timing choice, like
-#: :data:`MIN_BULK_CELLS`.
-ARENA_REBUILD_BLOCKS_PER_POINTER = 4
 #: smallest chain batch worth the NumPy round-trip.  The scalar
 #: pre-walk in :meth:`ChainPlan._save_batch` must find this many linked
 #: nodes before anything is vectorized, so tree-shaped data (whose
@@ -133,76 +120,6 @@ _NODE_HEADER = RECORDS[_NODE]
 _REF_LEADS = (_REF_GLOBAL, _REF_HEAP)
 #: one REF row: lead, a, ordinal
 REF_DTYPE = np.dtype(record_dtype(_REF_HEAP))
-
-
-class SortedArena:
-    """Immutable columnar snapshot of an MSRLT's sorted block arrays.
-
-    Built by :meth:`MSRLT.arena` and cached until the table's generation
-    moves; ``lookup`` is the vectorized twin of ``MSRLT.lookup_addr``
-    (one search, one containment test).  The columns cost ~0.25 µs per
-    block of the table, and :class:`ChainPlan` is their one reader: a
-    stride walk searches addresses it has not seen yet, so it needs the
-    whole table at hand, and asks only once its scalar pre-walk linked
-    :data:`MIN_CHAIN` nodes.  A pointer array knows its values up front
-    and resolves them per target block instead (:class:`PtrArrayPlan`).
-    """
-
-    __slots__ = (
-        "generation", "blocks", "starts", "ends", "kinds",
-        "la", "tkeys", "counts",
-    )
-
-    def __init__(self, blocks, generation: int) -> None:
-        self.generation = generation
-        self.blocks = blocks = list(blocks)  # aligned with the columns below
-        n = len(blocks)
-        self.starts = np.fromiter((b.addr for b in blocks), np.int64, count=n)
-        self.ends = self.starts + np.fromiter(
-            (b.size for b in blocks), np.int64, count=n
-        )
-        self.kinds = np.fromiter((b.logical[0] for b in blocks), np.uint8, count=n)
-        self.la = np.fromiter((b.logical[1] for b in blocks), np.int64, count=n)
-        #: elem_type identity per block — the MemoryBlock objects in
-        #: ``blocks`` keep the type objects alive, so ids cannot recycle
-        self.tkeys = np.fromiter(
-            (id(b.elem_type) for b in blocks), np.uint64, count=n
-        )
-        self.counts = np.fromiter((b.count for b in blocks), np.int64, count=n)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def lookup(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized address→block search.
-
-        Returns ``(indexes, offsets)`` into this arena; ``indexes[k] ==
-        -1`` where ``addrs[k]`` resolves to no block (the scalar path
-        raises there).  ``searchsorted(..., side="right") - 1`` lands on
-        the last block whose start is ≤ addr — the scalar path's bisect
-        — and since blocks never share an edge, that block is the only
-        one that can hold *addr*, one-past-the-end included.
-        """
-        if len(self.starts) == 0:
-            # empty arena (e.g. bulk lookup after drop_stack_blocks on a
-            # heap-free program): nothing resolves
-            n = len(addrs)
-            return np.full(n, -1, np.intp), np.zeros(n, np.int64)
-        idx = np.searchsorted(self.starts, addrs, side="right") - 1
-        safe = np.maximum(idx, 0)
-        contained = (idx >= 0) & (addrs <= self.ends[safe])
-        idx = np.where(contained, idx, -1)
-        offs = np.where(contained, addrs - self.starts[safe], 0)
-        return idx, offs
-
-
-def _unique_inverse(a: np.ndarray):
-    """``np.unique(a, return_inverse=True)`` with a fast path for the
-    overwhelmingly common case of a single distinct value (a whole run
-    of pointers into one array) — skips the O(n log n) sort."""
-    if bool((a == a[0]).all()):
-        return a[:1], np.zeros(a.shape[0], np.intp)
-    return np.unique(a, return_inverse=True)
 
 
 def _unique_rows(trip: np.ndarray) -> np.ndarray:
@@ -457,6 +374,30 @@ class _Targets:
             k = int(svals.searchsorted(end, "right"))
         return cls(blocks, vals)
 
+    def ref_rows(self, ti, vals: np.ndarray, p: int, q: int):
+        """The REF rows (lead, ``a``, ordinal) of ``vals[p:q]``, pointers
+        into visited blocks; ``None`` when one of them points into
+        padding or at a stack block (the driver's: it raises there, or
+        writes the wider REF a stack target takes)."""
+        run = self.tix[p:q]
+        if self.stack is not None and bool(self.stack[run].any()):
+            return None
+        offs = vals[p:q] - self.addrs[run]
+        # one vectorized byte_to_ordinal per target type, not per target
+        types = self.types[run] if len(self.ctypes) > 1 else None
+        ords = np.empty(q - p, np.int64)
+        for slot, ctype in enumerate(self.ctypes):
+            sel = slice(None) if types is None else types == slot
+            o = vec_byte_to_ordinal(ti.info_for(ctype), offs[sel])
+            if o is None:
+                return None
+            ords[sel] = o
+        rows = np.empty(q - p, REF_DTYPE)
+        rows["lead"] = self.leads[run]
+        rows["a"] = self.las[run]
+        rows["ordinal"] = ords
+        return rows
+
 
 class PtrArrayPlan:
     """Run-batched save/restore for dense pointer-array blocks.
@@ -525,39 +466,19 @@ class PtrArrayPlan:
             if c == 0:
                 buf.write(bytes(q - p))  # a NULL record is one zero byte
                 stats.n_nulls += q - p
-            elif not self._emit_ref_run(collector, targets, vals, p, q):
+                p = q
+                continue
+            rows = targets.ref_rows(collector.ti, vals, p, q)
+            if rows is None:
                 # the driver replays the run, emitting identical REF
                 # bytes: up to the exact element whose padding offset is
                 # a ValueError, or with the wider REFs stack targets take
                 yield from vals[p:q].tolist()
+            else:
+                buf.write(rows.tobytes())
+                collector.msrlt.count_searches(q - p)  # one per translated pointer
+                stats.n_refs += q - p
             p = q
-
-    def _emit_ref_run(self, collector, targets, vals, p, q) -> bool:
-        """Write elements ``p..q`` (all pointers to visited blocks) as
-        one array of REF rows; ``False``, nothing written, when one of
-        them points into padding or at a stack block."""
-        m = q - p
-        run = targets.tix[p:q]
-        if targets.stack is not None and bool(targets.stack[run].any()):
-            return False
-        offs = vals[p:q] - targets.addrs[run]
-        # one vectorized byte_to_ordinal per target type, not per target
-        types = targets.types[run] if len(targets.ctypes) > 1 else None
-        ords = np.empty(m, np.int64)
-        for slot, ctype in enumerate(targets.ctypes):
-            sel = slice(None) if types is None else types == slot
-            o = vec_byte_to_ordinal(collector.ti.info_for(ctype), offs[sel])
-            if o is None:
-                return False
-            ords[sel] = o
-        rows = np.empty(m, REF_DTYPE)
-        rows["lead"] = targets.leads[run]
-        rows["a"] = targets.las[run]
-        rows["ordinal"] = ords
-        collector.buf.write(rows.tobytes())
-        collector.msrlt.count_searches(m)  # one per translated pointer
-        collector.stats.n_refs += m
-        return True
 
     # -- restore --------------------------------------------------------------
 
@@ -762,13 +683,12 @@ class ChainPlan:
         if t0 == 0 or stride == 0 or abs(stride) < self.size:
             return None
         # cheap scalar pre-walk over the table's own sorted arrays:
-        # vectorize (and build the arena that takes) only when at least
-        # MIN_CHAIN equally-spaced eligible nodes actually link up.
-        # Tree-shaped data (where a "chain" is 2-3 coincidentally
-        # adjacent allocations) fails here in a few list bisects instead
-        # of a table-sized build and a NumPy round-trip per node.
-        # ``a0``'s own tail IS ``t0``, so the link load is skipped for
-        # the first hop.
+        # vectorize only when at least MIN_CHAIN equally-spaced eligible
+        # nodes actually link up.  Tree-shaped data (where a "chain" is
+        # 2-3 coincidentally adjacent allocations) fails here in a few
+        # list bisects instead of a NumPy round-trip per node.  ``a0``'s
+        # own tail IS ``t0``, so the link load is skipped for the first
+        # hop.
         starts, blocks = msrlt.sorted_index
         elem_type = block.elem_type
         visited = collector._visited
@@ -827,16 +747,10 @@ class ChainPlan:
             kmax = (a0 - lo) // astride + 1
             if a0 + astride > hi:
                 kmax = 0  # topmost element's stride window would overrun
-        # the one arena: the stride walk searches it for the nodes, row
-        # emission for the non-tail pointers' targets (stack and global
-        # blocks among them).  Built at most once per generation
-        arena = msrlt.arena()
-        m, hostarr, serials = self._walk(
-            arena, seg, a0, stride, kmax, id(elem_type), visited
-        )
+        m, hostarr, serials = self._walk(msrlt, seg, block, stride, kmax, visited)
         if m < MIN_CHAIN:
             return None
-        rows, m = self._build_rows(collector, arena, hostarr, serials, m)
+        rows, m = self._build_rows(collector, hostarr, serials, m)
         if m < MIN_CHAIN:
             return None
         collector._first_visits(_heap_logicals(serials[:m]))
@@ -854,60 +768,64 @@ class ChainPlan:
         msrlt.count_searches((m - 1) + m * self.n_ptr_cols)
         return int(hostarr[self.host_fields[-1][0]][m - 1])
 
-    def _walk(self, arena, seg, a0, stride, kmax, tkey, visited):
-        """Speculative stride walk: the longest prefix of candidates
-        ``a0 + stride·k`` that are eligible chain nodes linked by their
-        tail pointers.  Geometric growth keeps failed speculation O(1).
-        Returns ``(m, host record array for m elements, serial array)``."""
+    def _walk(self, msrlt, seg, block, stride, kmax, visited):
+        """Speculative stride walk from *block*: the longest prefix of
+        candidates ``a0 + stride·k`` linked by their tail pointers, read
+        through one strided view of the heap window (geometric growth
+        keeps failed speculation O(1)), then cut in front of the first
+        that is not an unvisited node of this type — one search of the
+        table's sorted arrays per linked node, as the pre-walk makes.  A
+        visited node must arrive as a REF; the first one is unvisited
+        (the caller checked).  Returns ``(m, host record array for m
+        nodes, their serials)``."""
+        a0 = block.addr
         cap = 32
-        astride = abs(stride)
-        host_dt = self._host_dtype(astride)
+        host_dt = self._host_dtype(abs(stride))
         tail_name = self.host_fields[-1][0]
         while True:
             k = min(cap, kmax)
             if k <= 0:
                 return 0, None, None
-            addrs = a0 + stride * np.arange(k, dtype=np.int64)
-            idx, offs = arena.lookup(addrs)
-            safe = np.maximum(idx, 0)
-            ok = (
-                (idx >= 0)
-                & (offs == 0)
-                & (arena.kinds[safe] == BlockKind.HEAP)
-                & (arena.tkeys[safe] == tkey)
-                & (arena.counts[safe] == 1)
+            base = a0 if stride > 0 else a0 + stride * (k - 1)
+            hostarr = np.frombuffer(
+                seg.buf, host_dt, count=k, offset=base - seg.window_start
             )
-            p = _true_prefix(ok)
-            if p == 0:
-                return 0, None, None
-            # gather host records for the prefix in one strided view
-            base_min = int(addrs[0] if stride > 0 else addrs[p - 1])
-            off0 = base_min - seg.window_start
-            hostarr = np.frombuffer(seg.buf, host_dt, count=p, offset=off0)
             if stride < 0:
                 hostarr = hostarr[::-1]
-            tails = hostarr[tail_name].astype(np.int64)
-            linked = tails[: p - 1] == addrs[1:p]
-            mbrk = np.flatnonzero(~linked)
-            m = (int(mbrk[0]) + 1) if mbrk.size else p
+            tails = hostarr[tail_name][: k - 1].astype(np.int64)
+            nexts = a0 + stride * np.arange(1, k, dtype=np.int64)
+            m = _true_prefix(tails == nexts) + 1
             if m == k == cap and cap < kmax:
                 cap *= 4
                 continue
             break
-        # an already-visited node ends the batch (it must arrive as a
-        # REF): one probe of the visited set for the whole linked prefix.
-        # The first node is unvisited (the caller checked)
-        serials = arena.la[idx[:m]]
-        logicals = _heap_logicals(serials)
-        if not visited.isdisjoint(logicals):
-            m = list(map(visited.__contains__, logicals)).index(True)
-        return m, hostarr[:m], serials[:m]
+        starts, blocks = msrlt.sorted_index
+        elem_type = block.elem_type
+        serials = [block.logical[1]]
+        for addr in range(a0 + stride, a0 + stride * m, stride):
+            # an address below every start searches to -1, the highest
+            # block, which does not start there
+            node = blocks[bisect_right(starts, addr) - 1]
+            if (
+                node.addr != addr
+                or node.logical[0] != BlockKind.HEAP
+                or node.elem_type is not elem_type
+                or node.count != 1
+                or node.logical in visited
+            ):
+                break
+            serials.append(node.logical[1])
+        m = len(serials)
+        return m, hostarr[:m], np.array(serials, np.int64)
 
-    def _build_rows(self, collector, arena, hostarr, serials, m):
+    def _build_rows(self, collector, hostarr, serials, m):
         """Vectorized row emission for *m* walked nodes; may shrink *m*
         when a non-tail pointer cell disqualifies an element (NULL, a
-        not-yet-visited target, a padding ordinal — all cases the
-        driver must handle itself)."""
+        not-yet-visited target, a stack target — all cases the driver
+        must handle itself).  Each pointer column resolves per distinct
+        target block (:class:`_Targets`), never per table; a column the
+        driver refuses (a dangling pointer, a padding ordinal) declines
+        the batch."""
         info = self.info
         rows = np.zeros(m, self.row_dtype)
         rows["lead"] = _NODE
@@ -919,56 +837,30 @@ class ChainPlan:
             if kind == "scalar":
                 rows[name][:m] = hostarr[hname][:m]
                 continue
-            pvals = hostarr[hname][:m].astype(np.int64)
-            nz = pvals != 0
-            if not bool(nz.all()):
-                m = min(m, _true_prefix(nz))
-                if m < MIN_CHAIN:
-                    return rows, m
-                pvals = pvals[:m]
-            idx, offs = arena.lookup(pvals)
-            ok = idx >= 0
-            if not bool(ok.all()):
-                m = min(m, _true_prefix(ok))
-                if m < MIN_CHAIN:
-                    return rows, m
-                idx, offs = idx[:m], offs[:m]
+            vals = hostarr[hname][:m].astype(np.int64)
+            m = _true_prefix(vals != 0)
+            if m < MIN_CHAIN:
+                return rows, m
+            targets = _Targets.of(collector.msrlt, vals[:m])
+            if targets is None:
+                return rows, 0
             # targets must already be visited (they arrive as REFs); an
             # unvisited or batch-internal-forward target needs the
             # driver to open it, so it ends the batch — as does a stack
             # target, whose REF is wider than the column
-            uniq, inv = _unique_inverse(idx)
-            seen = np.fromiter(
-                (arena.blocks[int(i)].logical in visited for i in uniq),
-                np.bool_, count=len(uniq),
-            )
-            okv = seen[inv] & (arena.kinds[idx] != BlockKind.STACK)
-            if not bool(okv.all()):
-                m = min(m, _true_prefix(okv))
-                if m < MIN_CHAIN:
-                    return rows, m
-                idx, offs = idx[:m], offs[:m]
-                uniq, inv = _unique_inverse(idx)
-            ords = np.empty(m, np.int64)
-            bad = None
-            for u_j in range(len(uniq)):
-                blk = arena.blocks[int(uniq[u_j])]
-                tinfo = collector.ti.info_for(blk.elem_type)
-                sel = inv == u_j
-                o = vec_byte_to_ordinal(tinfo, offs[sel])
-                if o is None:
-                    first = int(np.flatnonzero(sel)[0])
-                    bad = first if bad is None else min(bad, first)
-                    continue
-                ords[sel] = o
-            if bad is not None:
-                m = min(m, bad)
-                if m < MIN_CHAIN:
-                    return rows, m
-                idx, ords = idx[:m], ords[:m]
-            rows[f"{name}lead"][:m] = lead_byte(TAG_REF, arena.kinds[idx])
-            rows[f"{name}a"][:m] = arena.la[idx]
-            rows[f"{name}ordinal"][:m] = ords
+            takes = np.array([
+                b.logical in visited and b.logical[0] != BlockKind.STACK
+                for b in targets.blocks
+            ])
+            m = _true_prefix(takes[targets.tix])
+            if m < MIN_CHAIN:
+                return rows, m
+            refs = targets.ref_rows(collector.ti, vals, 0, m)
+            if refs is None:
+                return rows, 0
+            rows[f"{name}lead"][:m] = refs["lead"]
+            rows[f"{name}a"][:m] = refs["a"]
+            rows[f"{name}ordinal"][:m] = refs["ordinal"]
         return rows, m
 
     # -- restore --------------------------------------------------------------

@@ -104,10 +104,6 @@ class MSRLT:
         #: the stack-kind blocks, so that dropping them need not scan the heap
         self._stack: list[MemoryBlock] = []
         self._heap_serial = 0
-        #: mutation generation.  Every register/unregister/drop bumps it;
-        #: the searchsorted arena (a chain batch's) keys its validity on it.
-        self.generation = 0
-        self._arena = None  # lazily built repro.msr.graphplan.SortedArena
         #: counters reported by the complexity benchmarks (E5)
         self.n_searches = 0
         self.n_cache_hits = 0  # never incremented: benchmarks/suite/layers.py reads it
@@ -140,7 +136,6 @@ class MSRLT:
             self._starts.insert(i, block.addr)
             self._blocks.insert(i, block)
         self.n_registrations += 1
-        self.generation += 1
         if self.journal is not None:
             self.journal.append(block)
         return block
@@ -228,7 +223,6 @@ class MSRLT:
         by_logical.update(fresh)
         self._heap_serial = max(self._heap_serial, max(fresh)[1] + 1)
         self.n_registrations += len(blocks)
-        self.generation += 1
 
     def unregister(self, addr: int) -> None:
         """Remove the block starting exactly at *addr* (``free``)."""
@@ -238,7 +232,6 @@ class MSRLT:
         block = self._blocks.pop(i)
         self._starts.pop(i)
         del self._by_logical[block.logical]
-        self.generation += 1
         if block.logical[0] == BlockKind.STACK:
             self._stack.remove(block)
         if self.journal is not None:
@@ -247,7 +240,6 @@ class MSRLT:
     def drop_stack_blocks(self) -> None:
         """Remove all stack-kind blocks (collection-time registrations)."""
         stack, self._stack = self._stack, []
-        self.generation += 1
         if not stack:
             return
         i = bisect_left(self._starts, min(b.addr for b in stack))
@@ -288,20 +280,6 @@ class MSRLT:
             if addr <= block.addr + block.size:  # MemoryBlock.contains, inlined
                 return block, addr - block.addr
         raise MSRLTError(f"address {addr:#x} is not inside any registered block")
-
-    def arena(self):
-        """The searchsorted arena snapshot for the current generation.
-
-        Lazily (re)built whenever the table has mutated since the last
-        snapshot; the generation stamp makes staleness impossible by
-        construction.
-        """
-        a = self._arena
-        if a is None or a.generation != self.generation:
-            from repro.msr.graphplan import SortedArena
-
-            a = self._arena = SortedArena(self._blocks, self.generation)
-        return a
 
     def count_searches(self, n: int) -> None:
         """Book *n* searches a plan resolved in bulk and then committed
@@ -349,10 +327,10 @@ class MSRLT:
     def sorted_index(self) -> tuple[list[int], list[MemoryBlock]]:
         """The address-sorted parallel arrays themselves, ``(starts,
         blocks)`` — live, not copies, and read-only by contract; any
-        registration may replace them, so read them afresh per use.  A
-        scalar probe (a chain pre-walk of a few bisects) and a pointer
-        array (one bisect per distinct target) read these; only a chain
-        batch's stride walk builds an :meth:`arena`."""
+        registration may replace them, so read them afresh per use.  The
+        plans search them as :meth:`lookup_addr` does: a chain batch with
+        one bisect per linked node, a pointer array with one per
+        distinct target block.  There is no other index of the table."""
         return self._starts, self._blocks
 
     def non_stack_by_logical(self) -> dict[LogicalId, MemoryBlock]:

@@ -591,8 +591,8 @@ def structgrid_source(n_cells: int = 256, n_probes: int = 64, seed: int = 7) -> 
     fast path, ideal for the compiled vectorized codec — plus a chain of
     pointer-bearing probe nodes, plus a global array of pointers whose
     targets all land inside the grid (the array is resolved against that
-    one block and the chain batches through the arena, both in bulk,
-    never through ``lookup_addr``).  The main loop is also the suite's
+    one block and the chain batches with one table search per node, both
+    in bulk, never through ``lookup_addr``).  The main loop is also the suite's
     pre-copy writer: each iteration allocates one node, rewrites
     ``chain`` and aims the next cell of ``hot``.
     """

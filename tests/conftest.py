@@ -12,7 +12,6 @@ from repro.clang.ctypes import type_key
 from repro.migration import engine as engine_module
 from repro.migration.engine import MigrationEngine, collect_state, restore_state
 from repro.migration.transport import LOOPBACK, Channel
-from repro.msr.graphplan import SortedArena
 from repro.msr.msrlt import BlockKind
 from repro.msr.restore import Restorer
 from repro.msr.ti import TITable
@@ -414,20 +413,6 @@ def precopy_wire(prog, src_arch, dst_arch, policy, polls: int = 1):
     )
     assert stats.precopy and not stats.precopy_degraded
     return channel.sent, dest, stats
-
-
-@pytest.fixture
-def arena_builds(monkeypatch):
-    """The block count of every ``SortedArena`` built, in build order."""
-    builds = []
-    init = SortedArena.__init__
-
-    def counting(arena, blocks, generation):
-        builds.append(len(blocks))
-        init(arena, blocks, generation)
-
-    monkeypatch.setattr(SortedArena, "__init__", counting)
-    return builds
 
 
 @pytest.fixture

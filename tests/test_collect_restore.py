@@ -389,7 +389,7 @@ class TestWireFormat:
 
         proc = stop_at_poll(SHARED_GRAPH)
         is_flat = lambda b: proc.ti.info_for(b.elem_type).flat_kind is not None  # noqa: E731
-        block = next(b for b in proc.msrlt.arena().blocks if is_flat(b) == flat)
+        block = next(b for b in proc.msrlt.blocks() if is_flat(b) == flat)
         type_id = proc.ti.info_for(block.elem_type).type_id
         wrong_bit = block_header(block.logical, type_id, block.count, flat=not flat)
         with pytest.raises(RestoreError, match="flat flag"):

@@ -342,23 +342,24 @@ int main() {
 
 
 @pytest.fixture
-def walked(arena_builds, monkeypatch):
+def walked(monkeypatch):
     """How many table entries each wholesale read-out took: a call of
     ``MSRLT.blocks`` / ``heap_blocks`` / ``non_stack_by_logical`` appends
-    its length to the list the arena builds append theirs to."""
+    its length to the list returned."""
+    reads = []
     for name in ("blocks", "heap_blocks", "non_stack_by_logical"):
         def counting(table, inner=getattr(MSRLT, name)):
             out = inner(table)
-            arena_builds.append(len(out))
+            reads.append(len(out))
             return out
 
         monkeypatch.setattr(MSRLT, name, counting)
-    return arena_builds
+    return reads
 
 
 class TestPrecopyRoundShape:
-    """A pre-copy delta round costs what the slice wrote — in bytes, in
-    arena builds and in table entries walked — not what the heap holds."""
+    """A pre-copy delta round costs what the slice wrote — in bytes and
+    in table entries walked — not what the heap holds."""
 
     @staticmethod
     def rounds_of(src, after, policy, arch=ULTRA5, dest=SPARC20):
@@ -383,31 +384,42 @@ class TestPrecopyRoundShape:
             framing.add(deltas[0] - 8 * n)
         assert len(framing) == 1 and framing.pop() < 64
 
-    def test_arena_builds_do_not_grow_with_the_rounds(self, arena_builds):
-        """Every slice allocates, so every round finds the source's arena
-        stale; a round's 20-pointer dirty run of ``hot`` resolves against
-        the one block it points into, and the pause ships no chain long
-        enough to pay for a rebuild (``ARENA_REBUILD_BLOCKS_PER_POINTER``):
-        the snapshot's chain batch builds the one arena of the migration."""
-        builds = arena_builds
+    def test_arena_builds_do_not_grow_with_the_rounds(self, walked, monkeypatch):
+        """Every slice allocates; a round's 20-pointer dirty run of
+        ``hot`` resolves against the one block it points into, and a
+        pass born with the ledgers offers no chain tail: once the
+        snapshot is behind, neither the rounds nor the pause read the
+        table out, at two rounds or at six."""
+        run = Process.run
+        slices = []
+
+        def slicing(process, *args):
+            if not slices:
+                del walked[:]  # the snapshot and the ledgers read off it are behind
+            slices.append(1)
+            return run(process, *args)
+
+        monkeypatch.setattr(Process, "run", slicing)
         src = structgrid_source(256, 600)
-        per_rounds = []
         for max_rounds in (2, 6):
-            del builds[:]
+            proc = stopped(src, after=300)
+            del slices[:]
             policy = PrecopyPolicy(
                 max_rounds=max_rounds, stop_dirty_blocks=0, slice_polls=20
             )
-            assert len(self.rounds_of(src, 300, policy)) == max_rounds + 1
-            per_rounds.append(len(builds))
-        assert per_rounds == [1, 1]
+            _dest, stats = MigrationEngine().migrate(
+                proc, SPARC20, precopy=True, precopy_policy=policy
+            )
+            assert stats.precopy and not stats.precopy_degraded
+            assert len(stats.precopy_round_bytes) == max_rounds + 1
+            assert walked == []
 
     def test_a_round_walks_what_changed_not_the_table(self, walked, monkeypatch):
         """The same slices (two cells of a global, one new node, one node
         freed) next to 40 and next to 400 bystander heap blocks: between
         the snapshot and the stop, neither side may read the table out
-        (``blocks()``, ``heap_blocks()``, an index copy, an arena build)
-        in proportion to its size, and the drivers visit only what the
-        rounds carry."""
+        (``blocks()``, ``heap_blocks()``, an index copy) in proportion
+        to its size, and the drivers visit only what the rounds carry."""
         run = Process.run
         slices = []
 
@@ -437,11 +449,58 @@ class TestPrecopyRoundShape:
         assert costs[0][0] <= 4 * stats.precopy_dirty_blocks
 
 
+#: a 300-node chain allocated back to back, behind 700 bystander blocks
+CHAIN_BESIDE_BYSTANDERS_SRC = """
+struct node { int id; double weight; struct node *next; };
+struct node *head;
+int *keep;
+
+int main() {
+    int i; struct node *p;
+    for (i = 0; i < 700; i++) { keep = (int *) malloc(sizeof(int)); *keep = i; }
+    for (i = 0; i < 300; i++) {
+        p = (struct node *) malloc(sizeof(struct node));
+        p->id = i; p->weight = i * 0.5; p->next = head; head = p;
+    }
+    migrate_here();
+    printf("%d\\n", head->id + *keep);
+    return 0;
+}
+"""
+
+
+class TestChainBatchShape:
+    def test_a_chain_batch_reads_nothing_out_of_the_table(self, walked, monkeypatch):
+        """A plain collect of a 300-node chain in a ~1 000-block table
+        commits a batch, searches the table once per node, and reads
+        nothing out of it."""
+        batches = []
+        save_batch = ChainPlan._save_batch
+
+        def counting(plan, *args):
+            value = save_batch(plan, *args)
+            batches.append(value is not None)
+            return value
+
+        monkeypatch.setattr(ChainPlan, "_save_batch", counting)
+        proc = stopped(CHAIN_BESIDE_BYSTANDERS_SRC)
+        assert len(proc.msrlt) in range(1000, 1010)
+        del walked[:]
+        planned, info = collect_state(proc)
+        searches = proc.msrlt.n_searches
+        assert batches == [True] and info.stats.n_plan_blocks >= 298
+        assert walked == []
+        with plans_off(proc):
+            oracle, _ = collect_state(proc)
+        assert planned == oracle
+        assert proc.msrlt.n_searches - searches == searches
+
+
 class TestPrecopyPauseShape:
     """The pause — from the last slice's return to ``migrate()``'s — costs
     what is stale, not what the heap holds: the final pass is handed the
-    ledgers the rounds kept, so neither side reads a table out, copies
-    an index or builds an arena no pass of it can use."""
+    ledgers the rounds kept, so neither side reads a table out or
+    copies an index."""
 
     def test_the_pause_walks_what_is_stale_not_the_table(self, walked, monkeypatch):
         run = Process.run
@@ -472,7 +531,7 @@ class TestPrecopyPauseShape:
     def test_a_dirty_pointer_array_resolves_per_target(self, walked, monkeypatch):
         """A pointer array the last slice re-aimed whole, at least four
         pointers per block of the table and all into one global: the
-        pause resolves it against that one block, not an arena over the
+        pause resolves it against that one block, not a pass over the
         table, and sends what the per-cell oracle sends."""
         run = Process.run
         bulk = []  # what the pause's bulk searches booked, call by call

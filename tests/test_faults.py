@@ -205,6 +205,15 @@ class TestFaultyChannelUnit:
             ch.recv()
         assert [f.kind for f in ch.faults_fired] == ["stall"]
 
+    @pytest.mark.parametrize("kind", ["bitflip", "truncate"])
+    def test_a_fault_on_an_empty_message_delivers_it_empty(self, kind):
+        """A bit flip or a cut scheduled on a zero-byte message fires,
+        is booked, and the message arrives as it was sent: empty."""
+        ch = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse(f"{kind}@0"))
+        ch.send(b"")
+        assert ch.recv() == b""
+        assert [f.kind for f in ch.faults_fired] == [kind]
+
     #: what goes through the send path
     FRAME_KINDS = {
         "message": lambda ch: ch.send(b"whole message"),

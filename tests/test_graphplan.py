@@ -2,11 +2,6 @@
 
 Contracts under test:
 
-- **Arena equivalence** — the searchsorted arena's bulk lookup agrees
-  with the scalar ``lookup_addr`` on every address class (start,
-  interior, one-past-end-with-adjacent-successor, miss), and both the
-  scalar last-hit cache and the cached arena snapshots are invalidated
-  by *every* mutation class (the generation-stamp regression tests).
 - **Byte identity** — plans never change a single wire byte: the
   plans-on payload equals the plans-off (per-cell oracle) payload on
   every workload × architecture pair, restores through either side,
@@ -25,7 +20,10 @@ Contracts under test:
 - **Per-target resolution** — a pointer array is resolved against the
   blocks it points into, never the table: on interior, one-past-the-end,
   stack, padding, dangling, NULL-run and not-yet-visited targets it
-  sends, counts and refuses exactly what the per-cell oracle does.
+  sends, counts and refuses exactly what the per-cell oracle does; a
+  chain batch searches the table once per linked node and resolves its
+  pointer columns the same way, on spaced nodes, two target types and a
+  stack target.
 """
 
 import sys
@@ -77,72 +75,13 @@ PLAN_KINDS = (FlatPlan, StructPlan, PtrArrayPlan, RecordPlan)
 
 
 # ---------------------------------------------------------------------------
-# arena vs scalar lookup
+# bulk registration
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def table():
     return MSRLT(TypeLayout(SPARC20))
-
-
-class TestArenaLookup:
-    def _populated(self, table):
-        table.register_global(0, 0x1000, INT, name="g")          # [0x1000, 0x1004)
-        table.register_heap(0x2000, INT, 4)                       # [0x2000, 0x2010)
-        table.register_heap(0x2018, INT, 2)                       # the next carve
-        table.register_stack(0, 0, 0x7000, INT, name="s")         # [0x7000, 0x7004)
-        return table
-
-    def test_bulk_matches_scalar_on_every_address_class(self, table):
-        self._populated(table)
-        arena = table.arena()
-        addrs = [0x1000, 0x1004, 0x2000, 0x2008, 0x2010, 0x2018, 0x7000, 0x7003]
-        idx, offs = arena.lookup(np.asarray(addrs, dtype=np.int64))
-        for k, addr in enumerate(addrs):
-            block, off = table.lookup_addr(addr)
-            assert arena.blocks[idx[k]] is block, hex(addr)
-            assert offs[k] == off, hex(addr)
-
-    def test_bulk_reports_misses_as_minus_one(self, table):
-        self._populated(table)
-        idx, _ = table.arena().lookup(
-            np.asarray([0x0500, 0x2014, 0x9999], dtype=np.int64)  # 0x2014: the slack
-        )
-        assert list(idx) == [-1, -1, -1]
-        with pytest.raises(MSRLTError):
-            table.lookup_addr(0x0500)
-
-
-class TestGenerationInvalidation:
-    """The arena snapshot is generation-gated."""
-
-    def test_bulk_lookup_interleaved_with_unregister(self, table):
-        table.register_heap(0x2000, INT, 4)
-        keep = table.register_heap(0x4000, INT, 4)
-        addrs = np.asarray([0x2000, 0x4000], dtype=np.int64)
-        idx, _ = table.arena().lookup(addrs)
-        assert -1 not in idx
-        table.unregister(0x2000)
-        idx, _ = table.arena().lookup(addrs)
-        assert idx[0] == -1
-        assert table.arena().blocks[idx[1]] is keep
-
-    def test_arena_snapshot_tracks_generation(self, table):
-        table.register_heap(0x2000, INT, 1)
-        a1 = table.arena()
-        assert table.arena() is a1  # cached while nothing mutates
-        table.register_heap(0x3000, INT, 1)
-        a2 = table.arena()
-        assert a2 is not a1 and len(a2.blocks) == 2
-
-    def test_stale_arena_never_resolves_dropped_stack_blocks(self, table):
-        table.register_stack(0, 0, 0x7000, INT, name="s")
-        idx, _ = table.arena().lookup(np.asarray([0x7000], dtype=np.int64))
-        assert idx[0] != -1
-        table.drop_stack_blocks()
-        idx, _ = table.arena().lookup(np.asarray([0x7000], dtype=np.int64))
-        assert idx[0] == -1
 
 
 def _heap_blocks(addrs, serials):
@@ -189,14 +128,11 @@ class TestRegisterHeapBulk:
         table.drop_stack_blocks()
         assert table._blocks == [a, b, mid, c]
 
-    def test_bulk_bumps_generation(self, table):
-        stale = table.arena()
+    def test_empty_bulk_registers_nothing(self, table):
         table.register_heap_bulk(_heap_blocks([0x2000, 0x2010], [0, 1]))
-        assert table.generation != stale.generation
-        fresh = table.arena()
-        assert fresh is not stale and fresh.generation == table.generation
+        before = table_state(table)
         table.register_heap_bulk([])  # nothing to register, nothing changes
-        assert table.n_registrations == 2
+        assert table.n_registrations == 2 and table_state(table) == before
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +666,59 @@ class TestPtrArrayPlanEdges:
             assert kind is ValueError and "byte offset 33 in struct pad" in message
 
 
+#: one corpus program per shape a chain batch's per-node and per-target
+#: resolution must get right, and whether a batch must commit on it
+CHAIN_EDGES = {
+    # nodes evenly spaced with a buffer between each two: never
+    # neighbours in the table
+    "hand_chain_spaced": True,
+    # one pointer column into two target types, one past an array's end
+    "hand_chain_two_targets": True,
+    # a pointer to a stack local: its REF is wider, the batch stops there
+    "hand_chain_stackref": False,
+}
+
+
+class TestChainPlanEdges:
+    """A chain batch searches the table once per linked node and
+    resolves each pointer column per distinct target block; against the
+    per-cell oracle on the shapes where that can part ways with the
+    driver's one search per pointer."""
+
+    @pytest.mark.parametrize("polls", [1, 3])
+    @pytest.mark.parametrize("name", CHAIN_EDGES)
+    @pytest.mark.parametrize(
+        "pair", PTR_ARRAY_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
+    )
+    def test_payload_searches_and_resume_identical(self, name, pair, polls, engaged):
+        source = CORPUS[name].source
+        assert_plans_invisible(source, polls, *pair)
+        if CHAIN_EDGES[name]:
+            assert engaged["save batches"] >= 1
+        proc = stopped_at(source, polls, pair[0])
+        assert _collect_searches(proc, True) == _collect_searches(proc, False)
+
+    @pytest.mark.parametrize(
+        "pair", PTR_ARRAY_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}"
+    )
+    def test_a_tail_into_a_freed_node_is_refused(self, pair):
+        """An evenly spaced list whose eighth link points at a freed node:
+        the stride walk links it (the tail holds the address), but no
+        block starts there, so the batch ends in front of it and the
+        driver raises the oracle's error at that pointer."""
+        source = evenlist_source(12).replace(
+            "head = p;\n", "head = p; if (i == 3) gone = p;\n"
+        ).replace("    migrate_here();", "    free(gone);\n    migrate_here();").replace(
+            "struct node *p;", "struct node *p; struct node *gone;"
+        )
+        assert "free(gone)" in source and "gone = p" in source
+        proc = stopped_at(source, 1, pair[0])
+        planned = _collect_searches(proc, True)
+        assert planned == _collect_searches(proc, False)
+        (kind, message), _searches = planned
+        assert kind is MSRLTError and "does not refer to any live memory block" in message
+
+
 def small_flat_source() -> str:
     """Flat blocks of 1-15 cells: a lone int, a 3-char string, short
     arrays — on the stack, in globals and on the heap."""
@@ -920,24 +909,20 @@ class TestChainBackoff:
     @pytest.mark.parametrize("workload", [
         (longlist_source(300), 1), WORKLOADS["bitonic"],
     ], ids=["irregular-list", "tree"])
-    def test_a_declined_probe_builds_no_arena(self, workload, engaged, arena_builds):
+    def test_a_declined_probe_builds_no_arena(self, workload, engaged):
         """Data that never batches is told so by a few bisects over the
-        table's own sorted arrays; the table-sized arena is built only
-        once a pre-walk has linked ``MIN_CHAIN`` nodes."""
+        table's own sorted arrays, before anything is vectorized."""
         proc = stopped_at(*workload, SPARC20)
-        del arena_builds[:]
         collect_state(proc)
         assert engaged["save batches", "calls"] > 0
-        assert engaged["save batches"] == 0 and arena_builds == []
+        assert engaged["save batches"] == 0 and engaged["walks", "calls"] == 0
 
-    @pytest.mark.parametrize("nodes, batched", [(32, False), (300, True)])
-    def test_final_pass_offers_chains_only_when_stale_pays_for_the_arena(
-        self, nodes, batched, engaged, arena_builds
-    ):
-        """The pre-copy final collector can emit at most ``len(stale)``
-        nodes: a 32-node chain the last slice built in a 1 000-block
-        table is walked by the driver (no probe, no arena), a 300-node
-        one is batched — and both streams are the per-cell oracle's."""
+    @pytest.mark.parametrize("nodes", [32, 300])
+    def test_a_pass_born_with_ledgers_offers_no_chain_tail(self, nodes, engaged):
+        """The pre-copy final collector ships what the slices changed:
+        a chain the last slice built in a 1 000-block table, of 32 nodes
+        or of 300, is walked by the driver (no probe), and the stream is
+        the per-cell oracle's."""
         prog = compile_program(
             LATE_CHAIN_SRC % (1000 - nodes, nodes), poll_strategy="user"
         )
@@ -954,13 +939,9 @@ class TestChainBackoff:
         with plans_off(proc):
             oracle, _ = collect_state(proc, set(state.fresh), state.stale)
         engaged.clear()
-        del arena_builds[:]
         planned, info = collect_state(proc, set(state.fresh), state.stale)
         assert planned == oracle and info.stats.n_blocks >= nodes
-        if batched:
-            assert engaged["save batches"] >= 1 and len(arena_builds) == 1
-        else:
-            assert engaged["save batches", "calls"] == 0 and arena_builds == []
+        assert engaged["save batches", "calls"] == 0
         restore_state(prog, planned, scratch, state.held)
         assert scratch.run().status == "exit"
         assert proc.stdout + scratch.stdout == expected.stdout
