@@ -26,8 +26,6 @@ __all__ = ["WriteBuffer", "ReadBuffer", "StreamReadBuffer"]
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_I64 = struct.Struct(">q")
 
 
 class WriteBuffer:
@@ -38,8 +36,10 @@ class WriteBuffer:
 
     __slots__ = ("_buf", "bytes_drained")
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
+    def __init__(self, storage: bytearray | None = None) -> None:
+        #: where the bytes go: a fresh bytearray, or the caller's empty
+        #: one (of a subclass :meth:`detach` is to hand back)
+        self._buf = bytearray() if storage is None else storage
         #: Bytes already removed from the front via :meth:`drain`/:meth:`flush`.
         self.bytes_drained = 0
 
@@ -58,31 +58,16 @@ class WriteBuffer:
     def write_u32(self, value: int) -> None:
         self._buf += _U32.pack(value)
 
-    def write_u64(self, value: int) -> None:
-        self._buf += _U64.pack(value)
-
-    def write_i64(self, value: int) -> None:
-        self._buf += _I64.pack(value)
-
     def write_ndarray(self, values: np.ndarray, dtype: np.dtype) -> None:
-        """Append *values* converted to *dtype*, casting straight into the
-        buffer's own storage (no intermediate ``tobytes`` copy).
+        """Append *values* converted to *dtype*: one casting pass into
+        fresh storage, then one append of it (no zero-filled placeholder
+        is appended first to cast over).
 
-        Conversion semantics match ``xdr.encode_array``: a NumPy
-        converting assignment casts C-style (narrowing wraps modulo
-        2^bits, widening sign-extends), which is exactly what
-        ``astype(..., casting="unsafe")`` does.
+        Conversion semantics match ``xdr.encode_array``: the cast is
+        C-style (narrowing wraps modulo 2^bits, widening sign-extends),
+        which is exactly what ``astype(..., casting="unsafe")`` does.
         """
-        src = np.asarray(values)
-        n = src.shape[0]
-        buf = self._buf
-        start = len(buf)
-        buf += bytes(n * dtype.itemsize)
-        # transient view: created, assigned, dropped — it must not outlive
-        # this call or the next append would hit BufferError on resize
-        out = np.frombuffer(buf, dtype=dtype, count=n, offset=start)
-        out[:] = src
-        del out
+        self._buf += np.asarray(values).astype(dtype, casting="unsafe").data
 
     # -- streaming ---------------------------------------------------------
 
@@ -120,15 +105,17 @@ class WriteBuffer:
         """Remove and return whatever remains in the buffer (the final,
         possibly short, chunk of a drained stream).  May be empty.
 
-        Zero-copy: the internal bytearray is detached and returned as a
-        ``memoryview`` (no intermediate ``bytes`` join), and the buffer
-        continues on fresh storage — so the view stays valid even if the
-        buffer is written to again.
+        Zero-copy: a ``memoryview`` of the :meth:`detach`-ed storage.
         """
+        return memoryview(self.detach())
+
+    def detach(self) -> bytearray:
+        """Remove and return the storage itself; the buffer continues on
+        fresh storage, so what was detached is never written again."""
         detached = self._buf
         self._buf = bytearray()
         self.bytes_drained += len(detached)
-        return memoryview(detached)
+        return detached
 
     # -- accessors ---------------------------------------------------------
 
@@ -236,12 +223,6 @@ class ReadBuffer:
 
     def read_u32(self) -> int:
         return self.unpack(_U32)[0]
-
-    def read_u64(self) -> int:
-        return self.unpack(_U64)[0]
-
-    def read_i64(self) -> int:
-        return self.unpack(_I64)[0]
 
     def peek_u8(self) -> int:
         """Return the next u8 without consuming it."""

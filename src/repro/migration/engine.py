@@ -42,6 +42,7 @@ from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError as MsrRestoreError, Restorer
 from repro.msr.wire import (
     CHUNK_HEADER_SIZE,
+    OwnedChunk,
     WireFrameError,
     WireHeader,
     read_header,
@@ -224,34 +225,42 @@ def collect_state(
     """Collect the execution + memory state of a process stopped at a
     poll-point.  Returns the machine-independent payload."""
     info_slot: list = []
-    (payload,) = collect_state_chunks(process, None, info_slot, fresh, stale)
+    payload = _collect_whole(process, info_slot, fresh, stale)
     return bytes(payload), info_slot[0]
+
+
+def _collect_whole(process: Process, info_slot: list, fresh=None, stale=None) -> OwnedChunk:
+    """The serial schedule's collection: the whole payload, written into
+    an :class:`~repro.msr.wire.OwnedChunk` — the storage its frame is
+    then built in."""
+    buf = WriteBuffer(OwnedChunk())
+    for _ in _collect_records(process, buf, info_slot, fresh, stale):
+        pass
+    return buf.detach()
 
 
 def collect_state_chunks(
     process: Process,
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     info_slot: Optional[list] = None,
     fresh=None,
     stale=None,
 ) -> Iterator[bytes]:
     """Collect *process* incrementally, yielding payload chunks of
-    *chunk_size* bytes (the final chunk may be shorter); with
-    ``chunk_size=None`` the whole payload is the one chunk (the serial
-    schedule's).
+    *chunk_size* bytes (the final chunk may be shorter) — the pipelined
+    schedule's.
 
     The concatenation of the chunks is byte-identical to
     :func:`collect_state`'s payload.  When the generator is exhausted,
     the :class:`StateInfo` is appended to *info_slot*.
     """
-    if chunk_size is not None and chunk_size <= 0:
+    if chunk_size <= 0:
         raise MigrationError(f"chunk_size must be positive, got {chunk_size}")
     buf = WriteBuffer()
     if info_slot is None:
         info_slot = []
     for _ in _collect_records(process, buf, info_slot, fresh, stale):
-        if chunk_size is not None:
-            yield from buf.drain(chunk_size)
+        yield from buf.drain(chunk_size)
     tail = buf.flush()
     if tail:
         yield tail
@@ -425,7 +434,11 @@ class _Run:
     """
 
     source: Process
-    dest: Process
+    #: the caller's pre-invoked destination; ``None``: the adopted
+    #: scratch becomes the destination
+    waiting: Optional[Process]
+    #: the architecture every scratch is built on (the waiting one's)
+    dest_arch: object
     #: the one channel every step speaks on (the caller's, or the
     #: engine's default)
     channel: Channel
@@ -442,12 +455,14 @@ class _Run:
     pre_state: Optional[object] = None
     #: the off-to-the-side process the current attempt restores into
     scratch: Optional[Process] = None
+    #: what ``migrate()`` returns, set by :meth:`adopt`
+    dest: Optional[Process] = None
     adopted: bool = False
 
     def __post_init__(self) -> None:
         self.stats = MigrationStats(
             source_arch=self.source.arch.name,
-            dest_arch=self.dest.arch.name,
+            dest_arch=self.dest_arch.name,
             n_frames=len(self.source.frames),
             obs=self.obs,
         )
@@ -546,11 +561,12 @@ class _Run:
             obs.event("backoff", attempt=attempt + 1, delay_s=round(delay, 9))
 
     def adopt(self) -> None:
-        """Commit: graft the fully-restored scratch state onto the real
-        destination (everything else about it — identity, image, layout,
-        TI table — is already right, scratch shares its program and
-        arch) and terminate the source."""
-        stats, source, dest, scratch = self.stats, self.source, self.dest, self.scratch
+        """Commit: the fully-restored scratch becomes the destination —
+        itself, or, when the caller pre-invoked one, grafted onto it
+        (everything else about a waiting process — identity, image,
+        layout, TI table — is already right, scratch shares its program
+        and arch) — and terminate the source."""
+        stats, source, scratch = self.stats, self.source, self.scratch
         if self.pre_state is not None:
             # the successful final pass rode on the pre-copy: what the
             # user experienced as downtime is only the pause, from the
@@ -565,12 +581,16 @@ class _Run:
             restore_s=round(stats.restore_time, 9),
             attempts=stats.attempts,
         )
-        dest.memory = scratch.memory
-        dest.msrlt = scratch.msrlt
-        dest.frames = scratch.frames
-        dest._loaded = True
-        dest.exited = False
-        dest.exit_code = None
+        dest = self.waiting
+        if dest is None:
+            dest = scratch
+        else:
+            dest.memory = scratch.memory
+            dest.msrlt = scratch.msrlt
+            dest.frames = scratch.frames
+            dest._loaded = True
+            dest.exited = False
+            dest.exit_code = None
         # the destination's stdout continues the source's: what the program
         # printed before the migration point (and, under pre-copy, during
         # the slices) comes first, so its stream is the complete output
@@ -579,6 +599,7 @@ class _Run:
         source.frames.clear()
         source.exited = True
         source.migration_pending = False
+        self.dest = dest
         self.adopted = True
 
     def finish(self) -> None:
@@ -638,7 +659,7 @@ class _Run:
         }
 
     def _new_scratch(self) -> Process:
-        return Process(self.source.program, self.dest.arch, name=self.dest.name)
+        return Process(self.source.program, self.dest_arch, name=f"{self.source.name}'")
 
     def _stage(self) -> bool:
         """Transactional restore: the attempt builds the new process off
@@ -654,57 +675,65 @@ class _Run:
 
     # -- one attempt: the envelope, filled on either schedule ---------------
 
+    def _pipeline(self, info_slot: list, fresh, stale):
+        """The pipelined schedule's feed: the restorer's pull for the
+        next chunk collects it, sends it, and receives it — chunk-granular
+        interleaving of all three stages.  Returns the reader over the
+        feed, the timed collection and the timed feed."""
+        channel = self.channel
+
+        def chunks():
+            with collect_errors():
+                yield from collect_state_chunks(
+                    self.source, self.chunk_size, info_slot, fresh, stale
+                )
+
+        collected = _TimedIter(chunks(), "collect")
+
+        def sends():
+            """The send side, one chunk per step (the terminator rides
+            the step after the last chunk)."""
+            for chunk in collected:
+                channel.send_chunk(chunk)
+                yield
+            channel.end_stream()
+
+        def interleaved():
+            incoming = channel.iter_chunks()
+            for _, chunk in zip(sends(), incoming):
+                yield chunk
+            yield from incoming  # nothing but the terminator is left
+
+        feed = _TimedIter(interleaved(), "feed")
+        return StreamReadBuffer(feed), collected, feed
+
     def _attempt(self) -> None:
         """Collect → transmit → restore, once: the payload as chunk
         frames, then the terminator.  ``self.streaming`` picks the
-        schedule — serial: the whole payload is chunk 0, the feed is
-        drained to its terminator and restoration reads one contiguous
-        buffer; pipelined: ``chunk_size`` chunks, restored while later
-        ones are still being collected.  Everything runs on the calling
-        thread, so the restore spans hang under the ``attempt`` span
-        this runs in."""
+        schedule — serial: the whole payload is chunk 0, collected into
+        the storage its frame is built in, received, and restored from a
+        view of that frame once the terminator is in; pipelined:
+        ``chunk_size`` chunks, restored while later ones are still being
+        collected.  Everything runs on the calling thread, so the
+        ``collect``, ``frame``, ``deframe`` and restore spans hang under
+        the ``attempt`` span this runs in."""
         stats, channel, pipelined = self.stats, self.channel, self.streaming
         info_slot: list = []
         # the final pass of a pre-copy is born owning its ledgers
         pre = self.pre_state
         fresh, stale, held = (None,) * 3 if pre is None else (pre.fresh, pre.stale, pre.held)
-
-        def chunks():
-            with collect_errors():
-                yield from collect_state_chunks(
-                    self.source, self.chunk_size if pipelined else None,
-                    info_slot, fresh, stale,
-                )
-
-        collect_iter = _TimedIter(chunks(), "collect")
         framed_before = channel.framed_bytes_sent
-
-        def sends():
-            """The send side, one chunk per step (the terminator rides
-            the step after the last chunk)."""
-            for chunk in collect_iter:
-                channel.send_chunk(chunk)
-                yield
-            channel.end_stream()
-
-        #: the one place data frames are received
-        incoming = channel.iter_chunks()
-
-        def interleaved():
-            """The feed: the consumer's pull for the next chunk collects
-            it, sends it, and receives it — on the pipelined schedule,
-            chunk-granular interleaving of all three stages."""
-            for _, chunk in zip(sends(), incoming):
-                yield chunk
-            yield from incoming  # nothing but the terminator is left
-
-        feed = interleaved()
         if pipelined:
-            feed = _TimedIter(feed, "feed")
-            rbuf, span = StreamReadBuffer(feed), "pipeline"
+            rbuf, collected, feed = self._pipeline(info_slot, fresh, stale)
+            span = "pipeline"
         else:
-            received = list(feed)
-            whole = received[0] if len(received) == 1 else b"".join(received)
+            with obs.lap("collect") as collected, collect_errors():
+                payload = _collect_whole(self.source, info_slot, fresh, stale)
+            channel.send_chunk(payload)
+            # a frame is received as it is sent, the terminator too
+            whole = channel.recv_chunk()
+            channel.end_stream()
+            channel.recv_chunk()
             rbuf, span = ReadBuffer(whole), "restore"
         with obs.span(span) as wall, restore_errors("restore"):
             rinfo = _restore_from(self.source.program, rbuf, self.scratch, held)
@@ -717,12 +746,12 @@ class _Run:
 
         cinfo = info_slot[0]
         stats.collect, stats.restore = cinfo.stats, rinfo.stats
-        stats.collect_time = collect_iter.seconds
+        stats.collect_time = collected.seconds
         stats.payload_bytes = cinfo.stats.wire_bytes
         stats.data_bytes = cinfo.stats.data_bytes
         stats.n_blocks = cinfo.stats.n_blocks
         stats.streamed = pipelined
-        stats.n_chunks = collect_iter.count
+        stats.n_chunks = collected.count if pipelined else 1
 
         # what the frames put on the wire, headers and terminator
         # included; back-to-back frames keep the pipe full, so latency is
@@ -837,9 +866,8 @@ class MigrationEngine:
             precopy_policy = PrecopyPolicy()
         run = _Run(
             source=process,
-            dest=waiting if waiting is not None else Process(
-                process.program, dest_arch, name=f"{process.name}'"
-            ),
+            waiting=waiting,
+            dest_arch=dest_arch if waiting is None else waiting.arch,
             channel=channel,
             streaming=streaming,
             chunk_size=chunk_size,

@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro import obs
-from repro.msr.wire import ChunkDecoder, encode_chunk_parts, encode_end_of_stream
+from repro.msr.wire import ChunkDecoder, encode_chunk, encode_end_of_stream
 
 __all__ = [
     "Link",
@@ -178,38 +178,43 @@ class BaseChannel:
 
     def send_chunk(self, payload: bytes | bytearray | memoryview) -> float:
         """Frame and transmit one chunk of the current stream (any
-        buffer-protocol object); returns the modeled per-frame wire
-        time."""
-        if self.compress_stream:
-            with obs.lap("codec.deflate"):
-                header, body = encode_chunk_parts(self._seq, payload, True)
-        else:
-            header, body = encode_chunk_parts(self._seq, payload)
-        frame_len = len(header) + len(body)
-        self._seq += 1
-        self.chunks_sent += 1
-        self.framed_bytes_sent += frame_len
-        # one frame, joined once: the fault layer slices and bit-flips
-        # the complete frame
-        return self._send_frame(b"".join((header, body)))
+        buffer-protocol object, copied once into its frame, or an
+        :class:`~repro.msr.wire.OwnedChunk`, framed in its own storage);
+        returns the modeled per-frame wire time.  The ``frame`` lap
+        covers header, CRC (and deflate, lapped on its own too) and the
+        enqueue."""
+        with obs.lap("frame"):
+            if self.compress_stream:
+                with obs.lap("codec.deflate"):
+                    frame = encode_chunk(self._seq, payload, True)
+            else:
+                frame = encode_chunk(self._seq, payload)
+            self._seq += 1
+            self.chunks_sent += 1
+            self.framed_bytes_sent += len(frame)
+            return self._send_frame(frame)
 
     def end_stream(self) -> float:
         """Transmit the terminator; the next chunk opens a new stream."""
-        frame = encode_end_of_stream(self._seq)
-        self._seq = 0
-        self.framed_bytes_sent += len(frame)
-        return self._send_frame(frame)
+        with obs.lap("frame"):
+            frame = encode_end_of_stream(self._seq)
+            self._seq = 0
+            self.framed_bytes_sent += len(frame)
+            return self._send_frame(frame)
 
     def recv_chunk(self) -> bytes | None:
         """The next chunk payload, ``None`` at end-of-stream (the
         receiver state resets for the next stream).  Raises the typed
-        :class:`~repro.msr.wire.WireFrameError` family on damage."""
-        payload = self._decoder.decode(self.recv())
-        if payload is None:
-            self._decoder = ChunkDecoder()
-        else:
-            self.chunks_received += 1
-        return payload
+        :class:`~repro.msr.wire.WireFrameError` family on damage.  The
+        ``deframe`` lap covers the dequeue, the CRC check and the
+        sequence check."""
+        with obs.lap("deframe"):
+            payload = self._decoder.decode(self.recv())
+            if payload is None:
+                self._decoder = ChunkDecoder()
+            else:
+                self.chunks_received += 1
+            return payload
 
     def iter_chunks(self):
         """Yield chunk payloads until end-of-stream."""

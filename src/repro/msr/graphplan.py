@@ -25,8 +25,8 @@ There are five plan kinds, chosen by :func:`compile_plan` from the shape
 of the unit:
 
 - :class:`FlatPlan` — homogeneous dense primitives (``double[n]``): a
-  host-dtype view over the segment window cast straight into the wire
-  buffer's storage, and the mirror on restore.
+  host-dtype view over the segment window cast in one pass and appended
+  to the wire buffer, and the mirror on restore.
 - :class:`StructPlan` — pointer-free units with mixed kinds or padding
   (``struct {int a; double b;}``): two NumPy structured dtypes, one
   vectorized cast per field for the whole block.
@@ -228,8 +228,7 @@ class FlatPlan:
             # same byte order): one memcpy into the wire storage
             collector.buf.write(raw)
         else:
-            # cast straight into the wire buffer's storage: the only copy
-            # is the conversion itself
+            # one casting pass, then one append of its result
             src = np.frombuffer(raw, dtype=self.host_dtype, count=n)
             collector.buf.write_ndarray(src, self.wire_dtype)
             del src

@@ -22,14 +22,15 @@ the same execution point, which is what makes them transportable.
 
 Address→block search uses one sorted-address array with binary search —
 O(log n) per pointer lookup, giving the paper's O(n·log n) total search
-complexity for collection (§4.2).  A single registration (``malloc``, a
-stack variable) is an insort into that array: an append only while
-nothing is registered above it, and the stack blocks of a collection or
-restoration sit above the whole heap.  A restoration pass therefore does
-not register its heap blocks one by one: it hands each walk's blocks to
-:meth:`MSRLT.register_heap_bulk`, one sorted merge, and translates
-through its own logical-id dict meanwhile — the O(n) total MSRLT
-*update* complexity of restoration (§4.2).
+complexity for collection (§4.2).  A single registration (``malloc``)
+is an insort into that array: an append only while nothing is
+registered above it, and the stack blocks of a collection or
+restoration sit above the whole heap.  Nothing else registers one block
+at a time: the stack blocks of every frame go in with
+:meth:`MSRLT.register_stack_bulk`, and a restoration pass hands each
+walk's heap blocks to :meth:`MSRLT.register_heap_bulk` — one sorted
+merge each — and translates through its own logical-id dict meanwhile:
+the O(n) total MSRLT *update* complexity of restoration (§4.2).
 """
 
 from __future__ import annotations
@@ -156,25 +157,6 @@ class MSRLT:
             )
         )
 
-    def register_stack(
-        self, frame_depth: int, var_index: int, addr: int, ctype: CType, name: str = ""
-    ) -> MemoryBlock:
-        """Register one local variable of the activation record at
-        *frame_depth* (0 = outermost frame)."""
-        size = self.layout.sizeof(ctype)
-        block = self._insert(
-            MemoryBlock(
-                addr=addr,
-                elem_type=ctype,
-                count=1,
-                size=size,
-                logical=(BlockKind.STACK, frame_depth, var_index),
-                name=name,
-            )
-        )
-        self._stack.append(block)
-        return block
-
     def register_heap(
         self, addr: int, elem_type: CType, count: int, size: Optional[int] = None
     ) -> MemoryBlock:
@@ -199,8 +181,25 @@ class MSRLT:
         :meth:`register_heap`-style insort per block.  Nothing is
         registered when any logical id is already taken.
         """
-        if not blocks:
-            return
+        if blocks:
+            fresh = self._merge(blocks)
+            self._heap_serial = max(self._heap_serial, max(fresh)[1] + 1)
+
+    def register_stack_bulk(self, blocks: Sequence[MemoryBlock]) -> None:
+        """Register the stack blocks of a collection or restoration —
+        every local of every frame, built by
+        :meth:`~repro.vm.process.Process.register_stack_blocks` — in one
+        merge, as :meth:`register_heap_bulk` does.  Nothing is registered
+        when any logical id is already taken."""
+        if blocks:
+            self._merge(blocks)
+            self._stack.extend(blocks)
+
+    def _merge(self, blocks: Sequence[MemoryBlock]) -> dict[LogicalId, MemoryBlock]:
+        """Insert *blocks*, in any address order, into the logical-id
+        index and the sorted arrays: a slice assignment where one gap
+        of the table takes them all, a linear merge of two ascending
+        runs otherwise.  Returns them by logical id."""
         by_logical = self._by_logical
         fresh = {b.logical: b for b in blocks}
         if len(fresh) != len(blocks) or not by_logical.keys().isdisjoint(fresh):
@@ -213,7 +212,8 @@ class MSRLT:
         starts = [b.addr for b in blocks]
         i = bisect_right(self._starts, starts[0])
         if i == bisect_right(self._starts, starts[-1]):
-            # one gap takes them all (always, for blocks fresh off the brk)
+            # one gap takes them all (always, for blocks fresh off the brk,
+            # and for a stack above or below everything else)
             self._starts[i:i] = starts
             self._blocks[i:i] = blocks
         else:
@@ -221,8 +221,8 @@ class MSRLT:
             self._blocks = sorted(self._blocks + blocks, key=_ADDR)
             self._starts = [b.addr for b in self._blocks]
         by_logical.update(fresh)
-        self._heap_serial = max(self._heap_serial, max(fresh)[1] + 1)
         self.n_registrations += len(blocks)
+        return fresh
 
     def unregister(self, addr: int) -> None:
         """Remove the block starting exactly at *addr* (``free``)."""

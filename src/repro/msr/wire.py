@@ -140,7 +140,9 @@ own, cut at the same chunk size; a checkpoint file
 (:mod:`repro.migration.checkpoint`) is its header followed by exactly
 the bytes of one serial attempt.
 
-There is ONE frame codec: :func:`encode_chunk_parts` writes a frame,
+There is ONE frame codec: :func:`encode_chunk` writes a frame (in the
+chunk's own storage when it is an :class:`OwnedChunk`, the serial
+schedule's whole payload; once copied behind the header otherwise),
 :func:`decode_chunk` validates one, and :class:`ChunkDecoder` adds the
 sequence rule for a chunk stream.
 Integrity is therefore the *receiver's* and decided from wire bytes
@@ -211,8 +213,8 @@ __all__ = [
     "TruncatedFrameError",
     "FrameCorruptError",
     "FrameOrderError",
+    "OwnedChunk",
     "encode_chunk",
-    "encode_chunk_parts",
     "encode_end_of_stream",
     "decode_chunk",
     "ChunkDecoder",
@@ -409,23 +411,26 @@ class FrameOrderError(WireFrameError):
     """Frames arrived out of sequence (reordered, duplicated, or lost)."""
 
 
-def encode_chunk_parts(
-    seq: int,
-    payload: bytes | bytearray | memoryview,
-    compress: bool = False,
-) -> tuple[bytes, bytes | bytearray | memoryview]:
-    """Frame one non-empty payload chunk as ``(header, body)`` — the one
-    frame encoder.
+class OwnedChunk(bytearray):
+    """A payload chunk whose storage is handed over with it: the frame
+    is built in that storage, not in a copy (the serial collector writes
+    the whole payload into one)."""
 
-    Zero-copy: *payload* may be any buffer-protocol object
-    (``WriteBuffer.drain`` hands out ``memoryview``s) and, unless
-    compression engages, it is returned as the body **unchanged** — the
-    CRC is computed over the view and no intermediate ``bytes`` is
-    built.  Channels with vectored sends ship the two parts back to
-    back; others join them once at the syscall boundary.
 
-    With *compress*, the payload is deflated and the
-    compressed form is kept, under ``'MCHZ'``, only if it is at least
+def encode_chunk(
+    seq: int, payload: bytes | bytearray | memoryview, compress: bool = False
+) -> bytearray:
+    """Frame one non-empty payload chunk — the one frame encoder.
+
+    The CRC is taken over the payload where it lies.  An
+    :class:`OwnedChunk` then becomes the frame itself: the header goes in
+    ahead of the payload in its own storage (a move within it, where a
+    second buffer would be a copy), so the chunk is consumed.  Any other
+    buffer-protocol object is copied once, behind the header, into a new
+    frame.
+
+    With *compress*, the payload is deflated and the compressed form is
+    kept, under ``'MCHZ'``, only if it is at least
     :data:`MIN_COMPRESSION_GAIN` smaller (adaptive skip — incompressible
     chunks ship raw under the ordinary magic).  The CRC-32 always covers
     the **raw** payload.
@@ -433,19 +438,18 @@ def encode_chunk_parts(
     if not payload:
         raise ValueError("empty frame payload is reserved for end-of-stream")
     crc = zlib.crc32(payload)
+    header = _FRAME_HEADER.pack(CHUNK_MAGIC, seq, len(payload), crc)
     if compress:
         packed = zlib.compress(payload)
         if len(packed) <= len(payload) * (1.0 - MIN_COMPRESSION_GAIN):
-            return _FRAME_HEADER.pack(CHUNK_MAGIC_Z, seq, len(packed), crc), packed
-    return _FRAME_HEADER.pack(CHUNK_MAGIC, seq, len(payload), crc), payload
-
-
-def encode_chunk(
-    seq: int, payload: bytes | bytearray | memoryview, compress: bool = False
-) -> bytes:
-    """Wrap one non-empty payload chunk in a single contiguous frame
-    (join wrapper over :func:`encode_chunk_parts`)."""
-    return b"".join(encode_chunk_parts(seq, payload, compress))
+            payload = packed
+            header = _FRAME_HEADER.pack(CHUNK_MAGIC_Z, seq, len(packed), crc)
+    if type(payload) is OwnedChunk:
+        payload[:0] = header
+        return payload
+    frame = bytearray(header)
+    frame += payload
+    return frame
 
 
 def encode_end_of_stream(seq: int) -> bytes:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.clang.ctypes import ArrayType, CType, UCHAR
-from repro.msr.msrlt import MSRLT, MSRLTError
+from repro.msr.msrlt import MSRLT, BlockKind, MemoryBlock, MSRLTError
 from repro.msr.ti import TITable
 from repro.vm.builtins import RAND_STATE_GLOBAL
 from repro.vm.compiler import kind_of
@@ -247,24 +247,27 @@ class Process:
     # -- stack block registration (collection/restoration support) ----------------------------
 
     def register_stack_blocks(self) -> int:
-        """Register every live local variable as an MSR block.
+        """Register every local variable of every frame as an MSR block,
+        in one merge (:meth:`~repro.msr.msrlt.MSRLT.register_stack_bulk`),
+        in place of whatever stack blocks a pass that failed left behind.
 
         Done lazily at migration time (not per call) so that ordinary
         execution pays no per-frame MSRLT cost — the design §4.3 argues
         for.  Returns the number of blocks registered.
         """
-        n = 0
+        functions = self.program.functions
+        blocks = []
         for depth, frame in enumerate(self.frames):
-            fir = self.program.functions[frame.func_idx]
-            offsets = frame.image.var_offsets
-            for var_idx, var in enumerate(fir.norm.variables):
-                if self.msrlt.has_logical((1, depth, var_idx)):  # idempotent
-                    continue
-                self.msrlt.register_stack(
-                    depth, var_idx, frame.base + offsets[var_idx], var.ctype, name=var.name
-                )
-                n += 1
-        return n
+            image, base = frame.image, frame.base
+            for var_idx, (var, offset, size) in enumerate(
+                zip(functions[frame.func_idx].norm.variables, image.var_offsets, image.var_sizes)
+            ):
+                blocks.append(MemoryBlock(
+                    base + offset, var.ctype, 1, size, (BlockKind.STACK, depth, var_idx), var.name
+                ))
+        self.msrlt.drop_stack_blocks()
+        self.msrlt.register_stack_bulk(blocks)
+        return len(blocks)
 
     def create_restored_frame(self, func_idx: int, resume_pc: int) -> Frame:
         """Rebuild one activation record during restoration (outermost

@@ -52,6 +52,8 @@ class FuncImage:
     code: list[Instr]
     frame_size: int
     var_offsets: list[int]
+    #: each local's byte size on this arch (its MSR block's size)
+    var_sizes: list[int]
     var_kinds: list[Optional[str]]  # scalar kind, or None for aggregates
     nparams: int
 
@@ -255,6 +257,7 @@ class CompiledProgram:
         # after each local is nobody's, the one after the last included,
         # so neither a local nor the caller's frame starts where one ends
         offsets: list[int] = []
+        sizes: list[int] = []
         kinds: list[Optional[str]] = []
         off = 0
         for var in fir.norm.variables:
@@ -262,6 +265,7 @@ class CompiledProgram:
             align = layout.alignof(var.ctype)
             off = _align_up(off, align)
             offsets.append(off)
+            sizes.append(size)
             kinds.append(kind_of(var.ctype) if var.ctype.is_scalar else None)
             off += size + 1
         frame_size = _align_up(off, 16) if off else 16
@@ -318,6 +322,7 @@ class CompiledProgram:
             code=code,
             frame_size=frame_size,
             var_offsets=offsets,
+            var_sizes=sizes,
             var_kinds=kinds,
             nparams=len(fir.norm.params),
         )

@@ -12,7 +12,7 @@ from repro.clang.ctypes import type_key
 from repro.migration import engine as engine_module
 from repro.migration.engine import MigrationEngine, collect_state, restore_state
 from repro.migration.transport import LOOPBACK, Channel
-from repro.msr.msrlt import BlockKind
+from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.restore import Restorer
 from repro.msr.ti import TITable
 from repro.msr.wire import (
@@ -23,7 +23,6 @@ from repro.msr.wire import (
     TruncatedFrameError,
     decode_chunk,
     encode_chunk,
-    encode_chunk_parts,
     encode_end_of_stream,
 )
 from repro.vm.memory import Memory
@@ -174,6 +173,17 @@ def table_state(table) -> tuple:
     )
 
 
+def register_stack(table, depth: int, var: int, addr: int, ctype, name: str = ""):
+    """One local registered as a collection registers every local (one
+    :meth:`~repro.msr.msrlt.MSRLT.register_stack_bulk` merge); the
+    block."""
+    block = MemoryBlock(
+        addr, ctype, 1, table.layout.sizeof(ctype), (BlockKind.STACK, depth, var), name
+    )
+    table.register_stack_bulk([block])
+    return block
+
+
 def assert_no_abut(table) -> None:
     """No block of *table* starts where the one below it ends, let alone
     before: an address names one block."""
@@ -316,8 +326,8 @@ class FrameCodecCases:
         return self.payload[:cut], self.payload[cut:]
 
     def test_roundtrip(self):
-        header, _ = encode_chunk_parts(0, self.payload)
-        assert len(header) == CHUNK_HEADER_SIZE and header[:4] == b"MCHK"
+        frame = encode_chunk(0, self.payload)
+        assert frame[:4] == b"MCHK" and frame[CHUNK_HEADER_SIZE:] == self.payload
         head, tail = self.halves()
         frames = [encode_chunk(0, head), encode_chunk(1, tail), encode_end_of_stream(2)]
         assert self.read(frames) == self.payload
@@ -346,7 +356,7 @@ class FrameCodecCases:
 
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
-            encode_chunk_parts(0, b"")
+            encode_chunk(0, b"")
 
     def test_decoder_orders_frames(self):
         head, tail = self.halves()

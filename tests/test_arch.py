@@ -141,16 +141,12 @@ class TestBuffers:
         w.write_u8(7)
         w.write_u16(0x1234)
         w.write_u32(0xDEADBEEF)
-        w.write_u64(2**63)
-        w.write_i64(-42)
         w.write(b"\x00\x06" + "héllo".encode())
         w.write(b"raw")
         r = ReadBuffer(w.getvalue())
         assert r.read_u8() == 7
         assert r.read_u16() == 0x1234
         assert r.read_u32() == 0xDEADBEEF
-        assert r.read_u64() == 2**63
-        assert r.read_i64() == -42
         assert bytes(r.read(8)) == b"\x00\x06h\xc3\xa9llo"
         assert bytes(r.read(3)) == b"raw"
         assert r.at_end()

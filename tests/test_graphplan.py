@@ -66,6 +66,7 @@ from tests.conftest import (
     longlist_source,
     plans_off,
     precopy_wire,
+    register_stack,
     stopped,
     stopped_at,
     table_state,
@@ -118,7 +119,7 @@ class TestRegisterHeapBulk:
         """Blocks that do not fall into one gap between registered ones
         (a free list handed out recycled addresses, a stack block sits
         above) merge in address order, unsorted input included."""
-        table.register_stack(0, 0, 0x7000, INT, name="s")
+        register_stack(table, 0, 0, 0x7000, INT, name="s")
         mid = table.register_heap(0x2010, INT, 1)
         a, b, c = _heap_blocks([0x2000, 0x2008, 0x2020], [10, 11, 12])
         table.register_heap_bulk([c, a, b])

@@ -7,7 +7,25 @@ from hypothesis import strategies as st
 from repro.arch import DEC5000, SPARC20
 from repro.clang.ctypes import ArrayType, DOUBLE, INT, PointerType, StructType, TypeLayout
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLT, MSRLTError
-from tests.conftest import table_state
+from tests.conftest import register_stack, stopped_at, table_state
+
+
+#: locals of several shapes in two frames: a struct with padding, an
+#: array, scalars of three widths
+LOCALS_PROGRAM = """
+struct pt { char c; double d; };
+int f(int n) {
+    struct pt p; long a[3]; short s;
+    p.c = 'x'; a[1] = n; s = 2;
+    migrate_here();
+    return n + s + p.c + a[1];
+}
+int main() {
+    int x; double y;
+    y = 1.5; x = f(2);
+    return x;
+}
+"""
 
 
 @pytest.fixture
@@ -23,9 +41,36 @@ class TestRegistration:
         assert msrlt.lookup_logical((BlockKind.GLOBAL, 0, 0)) is b
 
     def test_stack_block(self, msrlt):
-        b = msrlt.register_stack(2, 5, 0x7000, DOUBLE, name="acc")
-        assert b.logical == (BlockKind.STACK, 2, 5)
-        assert b.size == 8
+        """A frame's locals register in one merge, in any order: found by
+        id and by address, and refused whole when one id is taken."""
+        acc = MemoryBlock(0x7000, DOUBLE, 1, 8, (BlockKind.STACK, 2, 5), "acc")
+        i = MemoryBlock(0x7010, INT, 1, 4, (BlockKind.STACK, 2, 6), "i")
+        msrlt.register_stack_bulk([i, acc])
+        assert msrlt.lookup_logical((BlockKind.STACK, 2, 5)) is acc
+        assert msrlt.lookup_addr(0x7012) == (i, 2)
+        other = MemoryBlock(0x7100, INT, 1, 4, (BlockKind.STACK, 3, 0))
+        with pytest.raises(MSRLTError, match="duplicate"):
+            msrlt.register_stack_bulk([other, acc])
+        assert len(msrlt) == 2 and not msrlt.has_logical(other.logical)
+
+    def test_a_process_registers_every_local_at_its_layout_size(self):
+        """The sizes come from the function image, computed once at
+        specialization; registering again replaces what a pass that
+        failed left behind."""
+        proc = stopped_at(LOCALS_PROGRAM, 1, DEC5000)
+        n = proc.register_stack_blocks()
+        assert n == sum(
+            len(proc.program.functions[f.func_idx].norm.variables) for f in proc.frames
+        )
+        for depth, frame in enumerate(proc.frames):
+            variables = proc.program.functions[frame.func_idx].norm.variables
+            for var_idx, var in enumerate(variables):
+                block = proc.msrlt.lookup_logical((BlockKind.STACK, depth, var_idx))
+                assert block.addr == frame.base + frame.image.var_offsets[var_idx]
+                assert block.size == proc.layout.sizeof(var.ctype)
+        assert proc.register_stack_blocks() == n
+        proc.msrlt.drop_stack_blocks()
+        assert not proc.msrlt.has_logical((BlockKind.STACK, 0, 0))
 
     def test_heap_serials_increment(self, msrlt):
         b1 = msrlt.register_heap(0x2000, INT, 10)
@@ -73,7 +118,7 @@ class TestRegistration:
 
     def test_drop_stack_blocks(self, msrlt):
         msrlt.register_global(0, 0x1000, INT)
-        msrlt.register_stack(0, 0, 0x7000, INT)
+        register_stack(msrlt, 0, 0, 0x7000, INT)
         msrlt.register_heap(0x2000, INT, 1)
         msrlt.drop_stack_blocks()
         kinds = {b.logical[0] for b in msrlt.blocks()}
@@ -173,7 +218,7 @@ class TestLastHitCache:
         assert blk is fresh and off == 8
 
     def test_drop_stack_blocks_invalidates_cache(self, msrlt):
-        msrlt.register_stack(0, 0, 0x7000, INT)
+        register_stack(msrlt, 0, 0, 0x7000, INT)
         msrlt.lookup_addr(0x7000)
         msrlt.drop_stack_blocks()
         with pytest.raises(MSRLTError):
@@ -244,7 +289,7 @@ class TestBulkRegistration:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
         singles, bulk = MSRLT(TypeLayout(SPARC20)), MSRLT(TypeLayout(SPARC20))
         for table in (singles, bulk):
-            table.register_stack(0, 0, 0x7000, INT, name="s")
+            register_stack(table, 0, 0, 0x7000, INT, name="s")
             for a in resident:
                 table.register_heap(a, INT, 1)
         serial = {a: 100 + 3 * i for i, a in enumerate(order)}
@@ -278,21 +323,21 @@ class TestDropStackBlocks:
             t.register_global(0, 0x1000, INT)
             t.register_heap(0x2000, INT, 4)
         for i, addr in enumerate(stack_addrs):
-            table.register_stack(0, i, addr, INT)
+            register_stack(table, 0, i, addr, INT)
         for t in (table, plain):
             t.register_heap(0x2010, INT, 1)
         table.drop_stack_blocks()
         assert table_state(table)[:4] == table_state(plain)[:4]
         assert table._stack == []
         # and again: the next collection registers and drops afresh
-        table.register_stack(0, 0, 0x7000, INT)
+        register_stack(table, 0, 0, 0x7000, INT)
         table.drop_stack_blocks()
         assert table_state(table)[:4] == table_state(plain)[:4]
 
     def test_an_unregistered_stack_block_is_forgotten(self, msrlt):
         msrlt.register_heap(0x2000, INT, 1)
-        msrlt.register_stack(0, 0, 0x7000, INT)
-        msrlt.register_stack(0, 1, 0x7008, INT)
+        register_stack(msrlt, 0, 0, 0x7000, INT)
+        register_stack(msrlt, 0, 1, 0x7008, INT)
         msrlt.unregister(0x7000)
         above = msrlt.register_heap(0x7800, INT, 1)  # not the stack's tail any more
         msrlt.drop_stack_blocks()
@@ -307,8 +352,8 @@ class TestDropStackBlocks:
 
         for i in range(50):
             msrlt.register_heap(0x2000 + 16 * i, INT, 1)
-        msrlt.register_stack(0, 0, base, INT)
-        msrlt.register_stack(1, 0, base - 0x10, INT)
+        register_stack(msrlt, 0, 0, base, INT)
+        register_stack(msrlt, 1, 0, base - 0x10, INT)
         msrlt._blocks = NoScan(msrlt._blocks)
         msrlt.drop_stack_blocks()
         assert len(msrlt) == 50 and not msrlt.has_logical((BlockKind.STACK, 0, 0))
