@@ -1,11 +1,16 @@
-"""Benchmark: monolithic vs streamed (pipelined) migration response time.
+"""Benchmark: the pipeline model's response time against the serial sum.
 
 The paper's prototype serializes Collect → Tx → Restore, so its response
-time is the sum (Table 1).  The streaming engine overlaps the stages at
-chunk granularity; this benchmark measures both disciplines on the same
-stopped process for linpack and bitonic sweeps over the modeled
+time is the sum (Table 1), and so does the engine: a streamed attempt is
+the serial one with its payload cut into ``chunk_size`` frames.  What a
+chunked run reports on top is a *model* —
+``stats.pipelined_response_time``, the response the chunk train would
+have if the three stages overlapped.  This script reports that model
+against the serial sum for linpack and bitonic sweeps over the modeled
 10 Mb/s Ethernet (the paper's heterogeneous testbed link, where Tx
-dominates and overlap pays the most).
+dominates and overlap would pay the most), from one streamed migration's
+measured collect/restore and modeled tx.  It measures no overlap: on one
+thread there is none.
 
 Usage::
 

@@ -283,7 +283,7 @@ def cmd_migrate(args) -> int:
     if args.stream:
         print(
             f"[response time {stats.response_time * 1e3:.2f} ms pipelined "
-            f"vs {stats.migration_time * 1e3:.2f} ms serial]",
+            f"(modeled) vs {stats.migration_time * 1e3:.2f} ms serial]",
             file=sys.stderr,
         )
     if stats.precopy:
@@ -519,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--after-polls", type=_int_at_least(1), default=1)
     p.add_argument("--link", default="10m", choices=list(_LINKS))
     p.add_argument("--stream", action="store_true",
-                   help="pipelined schedule: cut the payload into chunks and "
-                        "overlap collect/tx/restore (default: serial, the "
+                   help="cut the payload into --chunk-size frames and report "
+                        "the pipeline model of that chunk train (default: the "
                         "same envelope with the payload as its one chunk)")
     p.add_argument("--chunk-size", type=_int_at_least(1), default=DEFAULT_CHUNK_SIZE,
                    help="chunk payload size in bytes (--stream's chunks, "

@@ -13,27 +13,28 @@ records bottom-up before any data arrives.
 
 Every transfer attempt crosses the channel in ONE envelope
 (:mod:`repro.msr.wire`: the payload as CRC-carrying chunk frames, then a
-terminator), written and read by one
-attempt body (:meth:`_Run._attempt`), so damage is always the receiver's
-typed verdict on wire bytes.  ``streaming=`` picks only the *schedule*:
-
-- **serial** (the paper's prototype, and the default): the whole payload
-  is chunk 0, restored once the terminator is in — response time is
-  Collect + Tx + Restore (Table 1's model);
-- **pipelined** (``streaming=True``): ``chunk_size`` chunks are framed,
-  transmitted, and restored while later records are still being
-  collected, so response time approaches ``max(Collect, Tx, Restore)``.
-  The chunks concatenate to the *byte-identical* payload.
+terminator), written and read by one attempt body
+(:meth:`_Run._attempt`), so damage is always the receiver's typed
+verdict on wire bytes.  There is one schedule, the paper's: the whole
+payload is collected, shipped (:func:`ship_stream`) and restored from
+one contiguous buffer once the terminator is in.  ``streaming=`` only
+says where the frames are cut — the serial default sends the payload as
+chunk 0, ``streaming=True`` as ``chunk_size`` chunks that concatenate
+to the same bytes.  For more than one chunk, ``stats.response_time`` /
+``overlap_ratio`` report the pipeline *model*
+(:func:`~repro.migration.stats.pipelined_response_time`): what the
+chunk train would take if collection, transfer and restoration
+overlapped, which on one thread they do not.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro import obs
-from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
+from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.migration.stats import MigrationStats
 from repro.obs import MigrationObservation
 from repro.migration.transport import Channel, ChannelError, LOOPBACK, Link
@@ -143,10 +144,8 @@ def restore_errors(what: str):
     What garbage on the wire makes the restorer raise — the
     :data:`DAMAGE_ERRORS` family — becomes a typed, retryable
     :class:`RestoreError` naming *what* failed.  Errors that already are
-    typed pass through, as does a :class:`CollectError` (the inline
-    streaming feed collects inside the restorer's pull); everything else
-    (``TypeError``, ``KeyError``, ``RecursionError``, …) fails fast as a
-    plain :class:`MigrationError`.
+    typed pass through; everything else (``TypeError``, ``KeyError``,
+    ``RecursionError``, …) fails fast as a plain :class:`MigrationError`.
     """
     try:
         yield
@@ -162,20 +161,17 @@ def restore_errors(what: str):
         ) from exc
 
 
-def _collect_records(
-    process: Process, buf: WriteBuffer, info_slot: list, fresh=None, stale=None
-):
-    """Write the full migration payload into *buf*, yielding after every
-    variable (a safe drain point for the streaming pipeline); once done,
-    the :class:`StateInfo` is appended to *info_slot* (generators cannot
-    hand a return value to a ``for`` loop).
+def _collect_records(process: Process, buf: WriteBuffer, fresh=None, stale=None) -> "StateInfo":
+    """Write the full migration payload into *buf*; return what the
+    pass saw and wrote (:class:`StateInfo`).
 
-    :func:`collect_state` and :func:`collect_state_chunks` both drive
-    this one generator, which is what keeps their payload bytes identical.
-    The pre-copy final pass hands over its ledgers, *fresh* and *stale*
-    (:class:`~repro.msr.collect.Collector`): the blocks the destination
-    holds are born visited, and the stale ones nothing reached are the
-    tail section's roots.  Without them the tail section is empty.
+    Every collection — :func:`collect_state`, an attempt, the pre-copy
+    snapshot — is this one pass, which is what keeps their payload bytes
+    identical.  The pre-copy final pass hands over its ledgers, *fresh*
+    and *stale* (:class:`~repro.msr.collect.Collector`): the blocks the
+    destination holds are born visited, and the stale ones nothing
+    reached are the tail section's roots.  Without them the tail section
+    is empty.
     """
     if not process.frames:
         raise MigrationError("process has no frames (not running?)")
@@ -199,7 +195,6 @@ def _collect_records(
             block = process.msrlt.lookup_logical((BlockKind.STACK, depth, var_idx))
             buf.write_u16(var_idx)
             collector.save_variable(block)
-            yield
 
     # globals: unconditionally part of the memory state
     globals_ = program.globals
@@ -208,7 +203,6 @@ def _collect_records(
         block = process.msrlt.lookup_logical((BlockKind.GLOBAL, idx, 0))
         buf.write_u32(idx)
         collector.save_variable(block)
-        yield
 
     collector.save_tail()
     stats = collector.finish()
@@ -216,7 +210,7 @@ def _collect_records(
     # registrations are dropped for hygiene (it may also be resumed locally
     # when a migration is cancelled)
     process.msrlt.drop_stack_blocks()
-    info_slot.append(StateInfo(stats=stats, header=header))
+    return StateInfo(stats=stats, header=header)
 
 
 def collect_state(
@@ -224,46 +218,61 @@ def collect_state(
 ) -> tuple[bytes, "StateInfo"]:
     """Collect the execution + memory state of a process stopped at a
     poll-point.  Returns the machine-independent payload."""
-    info_slot: list = []
-    payload = _collect_whole(process, info_slot, fresh, stale)
-    return bytes(payload), info_slot[0]
+    payload, info = _collect_whole(process, fresh, stale)
+    return bytes(payload), info
 
 
-def _collect_whole(process: Process, info_slot: list, fresh=None, stale=None) -> OwnedChunk:
-    """The serial schedule's collection: the whole payload, written into
-    an :class:`~repro.msr.wire.OwnedChunk` — the storage its frame is
-    then built in."""
+def _collect_whole(process: Process, fresh=None, stale=None) -> tuple[OwnedChunk, "StateInfo"]:
+    """Every shipped collection: the whole payload, written into an
+    :class:`~repro.msr.wire.OwnedChunk` — storage :func:`ship_stream`
+    takes over — and its :class:`StateInfo`."""
     buf = WriteBuffer(OwnedChunk())
-    for _ in _collect_records(process, buf, info_slot, fresh, stale):
-        pass
-    return buf.detach()
+    info = _collect_records(process, buf, fresh, stale)
+    return buf.detach(), info
 
 
 def collect_state_chunks(
-    process: Process,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    info_slot: Optional[list] = None,
-    fresh=None,
-    stale=None,
-) -> Iterator[bytes]:
-    """Collect *process* incrementally, yielding payload chunks of
-    *chunk_size* bytes (the final chunk may be shorter) — the pipelined
-    schedule's.
-
-    The concatenation of the chunks is byte-identical to
-    :func:`collect_state`'s payload.  When the generator is exhausted,
-    the :class:`StateInfo` is appended to *info_slot*.
-    """
+    process: Process, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> list[memoryview]:
+    """:func:`collect_state`'s payload cut into *chunk_size* views (the
+    final one may be shorter): the frames' payloads on the streamed
+    schedule.  Kept only because ``benchmarks/suite/layers.py`` and
+    tests call it; it goes once the suite stops (ROADMAP 5-I(b))."""
     if chunk_size <= 0:
         raise MigrationError(f"chunk_size must be positive, got {chunk_size}")
-    buf = WriteBuffer()
-    if info_slot is None:
-        info_slot = []
-    for _ in _collect_records(process, buf, info_slot, fresh, stale):
-        yield from buf.drain(chunk_size)
-    tail = buf.flush()
-    if tail:
-        yield tail
+    view = memoryview(_collect_whole(process)[0])
+    return [view[start : start + chunk_size] for start in range(0, len(view), chunk_size)]
+
+
+def ship_stream(channel: Channel, payload, chunk_size: int):
+    """Send *payload* as one chunk stream — frames of *chunk_size*
+    bytes, then the terminator — and return what arrived: the one
+    chunk's view, or the chunks joined once.
+
+    Each frame is received as soon as it is sent, so a damaged or lost
+    one stops the stream at that frame with the receiver's typed error.
+    A payload that fits one chunk is sent as it is: an
+    :class:`~repro.msr.wire.OwnedChunk` is framed in its own storage.
+    A larger one goes as views of it, and an ``OwnedChunk`` is then
+    emptied once its frames are out — its storage is this call's, as it
+    is the frame's on one chunk — so the join never sits beside it.
+    Every chunk stream of a migration (an attempt, a pre-copy round) is
+    this call; the serial schedule passes the whole payload's length.
+    """
+    if len(payload) <= chunk_size:
+        channel.send_chunk(payload)
+        chunks = [channel.recv_chunk()]
+    else:
+        chunks = []
+        with memoryview(payload) as view:
+            for start in range(0, len(view), chunk_size):
+                channel.send_chunk(view[start : start + chunk_size])
+                chunks.append(channel.recv_chunk())
+        if type(payload) is OwnedChunk:
+            payload.clear()
+    channel.end_stream()
+    channel.recv_chunk()
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 class StateInfo(NamedTuple):
@@ -275,8 +284,7 @@ class StateInfo(NamedTuple):
 
 
 def _restore_from(program, rbuf, dest: Process, held=None) -> "StateInfo":
-    """Rebuild execution + memory state from any reader with the
-    :class:`ReadBuffer` interface (contiguous payload or chunk stream).
+    """Rebuild execution + memory state from the payload *rbuf* reads.
     The pre-copy final pass hands over *held*, what the pre-warmed
     *dest* holds (:class:`~repro.msr.restore.Restorer`)."""
     if dest.frames:
@@ -366,42 +374,10 @@ def restore_state(program, payload: bytes, dest: Process, held=None) -> "StateIn
 
 
 def restore_state_stream(program, chunks: Iterable[bytes], dest: Process) -> "StateInfo":
-    """Like :func:`restore_state`, but consuming an iterator of payload
-    chunks (e.g. a channel's ``iter_chunks()``) as they arrive — the
-    incremental-restore half of the streaming pipeline."""
-    return _restore_from(program, StreamReadBuffer(chunks), dest)
-
-
-class _TimedIter:
-    """Iterator wrapper accumulating wall-clock time spent inside
-    ``__next__`` — how the engine attributes pipeline time to stages.
-
-    Every pull is one lap on the *span_name* trace span — including the
-    final StopIteration probe, whose wall time is real stage time even
-    though it yields no item (``count`` tallies items only).
-    """
-
-    __slots__ = ("_it", "_span_name", "seconds", "count")
-
-    def __init__(self, iterable, span_name: str) -> None:
-        self._it = iter(iterable)
-        self._span_name = span_name
-        self.seconds = 0.0
-        self.count = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        handle = obs.lap(self._span_name)
-        handle.__enter__()
-        try:
-            item = next(self._it)
-        finally:
-            handle.__exit__(None, None, None)
-            self.seconds += handle.seconds
-        self.count += 1
-        return item
+    """:func:`restore_state` over the concatenation of *chunks*, joined
+    once.  Kept only because ``benchmarks/suite/layers.py`` and tests
+    call it; it goes once the suite stops (ROADMAP 5-I(b))."""
+    return restore_state(program, b"".join(chunks), dest)
 
 
 def _check_waiting(waiting: Process, process: Process, dest_arch) -> None:
@@ -442,7 +418,7 @@ class _Run:
     #: the one channel every step speaks on (the caller's, or the
     #: engine's default)
     channel: Channel
-    #: the schedule: pipelined, else serial
+    #: whether the payload is cut into ``chunk_size`` frames
     streaming: bool
     chunk_size: int
     compress: bool
@@ -673,85 +649,39 @@ class _Run:
         self.scratch = self._new_scratch() if pre is None else pre.scratch
         return pre is not None
 
-    # -- one attempt: the envelope, filled on either schedule ---------------
-
-    def _pipeline(self, info_slot: list, fresh, stale):
-        """The pipelined schedule's feed: the restorer's pull for the
-        next chunk collects it, sends it, and receives it — chunk-granular
-        interleaving of all three stages.  Returns the reader over the
-        feed, the timed collection and the timed feed."""
-        channel = self.channel
-
-        def chunks():
-            with collect_errors():
-                yield from collect_state_chunks(
-                    self.source, self.chunk_size, info_slot, fresh, stale
-                )
-
-        collected = _TimedIter(chunks(), "collect")
-
-        def sends():
-            """The send side, one chunk per step (the terminator rides
-            the step after the last chunk)."""
-            for chunk in collected:
-                channel.send_chunk(chunk)
-                yield
-            channel.end_stream()
-
-        def interleaved():
-            incoming = channel.iter_chunks()
-            for _, chunk in zip(sends(), incoming):
-                yield chunk
-            yield from incoming  # nothing but the terminator is left
-
-        feed = _TimedIter(interleaved(), "feed")
-        return StreamReadBuffer(feed), collected, feed
+    # -- one attempt: collect, ship, restore -------------------------------
 
     def _attempt(self) -> None:
-        """Collect → transmit → restore, once: the payload as chunk
-        frames, then the terminator.  ``self.streaming`` picks the
-        schedule — serial: the whole payload is chunk 0, collected into
-        the storage its frame is built in, received, and restored from a
-        view of that frame once the terminator is in; pipelined:
-        ``chunk_size`` chunks, restored while later ones are still being
-        collected.  Everything runs on the calling thread, so the
-        ``collect``, ``frame``, ``deframe`` and restore spans hang under
-        the ``attempt`` span this runs in."""
-        stats, channel, pipelined = self.stats, self.channel, self.streaming
-        info_slot: list = []
+        """Collect → transmit → restore, once: the whole payload is
+        collected into the storage its frames are built from, shipped as
+        one chunk stream (:func:`ship_stream`: chunk 0 on the serial
+        schedule, ``chunk_size`` chunks when streaming) and restored
+        from one contiguous buffer once the terminator is in.
+        Everything runs on the calling thread, so the ``collect``,
+        ``frame``, ``deframe`` and ``restore`` spans hang under the
+        ``attempt`` span this runs in."""
+        stats, channel = self.stats, self.channel
         # the final pass of a pre-copy is born owning its ledgers
         pre = self.pre_state
         fresh, stale, held = (None,) * 3 if pre is None else (pre.fresh, pre.stale, pre.held)
         framed_before = channel.framed_bytes_sent
-        if pipelined:
-            rbuf, collected, feed = self._pipeline(info_slot, fresh, stale)
-            span = "pipeline"
-        else:
-            with obs.lap("collect") as collected, collect_errors():
-                payload = _collect_whole(self.source, info_slot, fresh, stale)
-            channel.send_chunk(payload)
-            # a frame is received as it is sent, the terminator too
-            whole = channel.recv_chunk()
-            channel.end_stream()
-            channel.recv_chunk()
-            rbuf, span = ReadBuffer(whole), "restore"
-        with obs.span(span) as wall, restore_errors("restore"):
-            rinfo = _restore_from(self.source.program, rbuf, self.scratch, held)
-        stats.restore_time = wall.seconds
-        if pipelined:
-            # feed time covers collection + channel hops; what is left of
-            # the restore driver's wall clock is restoration compute
-            stats.restore_time = max(wall.seconds - feed.seconds, 0.0)
-            obs.record("restore", stats.restore_time, derived=True)
+        with obs.lap("collect") as collected, collect_errors():
+            payload, cinfo = _collect_whole(self.source, fresh, stale)
+        size = len(payload)
+        cut = self.chunk_size if self.streaming else size
+        received = ship_stream(channel, payload, cut)
+        del payload  # what arrived is all the restore reads
+        with obs.span("restore") as wall, restore_errors("restore"):
+            rinfo = _restore_from(self.source.program, ReadBuffer(received), self.scratch, held)
 
-        cinfo = info_slot[0]
         stats.collect, stats.restore = cinfo.stats, rinfo.stats
         stats.collect_time = collected.seconds
+        stats.restore_time = wall.seconds
         stats.payload_bytes = cinfo.stats.wire_bytes
         stats.data_bytes = cinfo.stats.data_bytes
         stats.n_blocks = cinfo.stats.n_blocks
-        stats.streamed = pipelined
-        stats.n_chunks = collected.count if pipelined else 1
+        stats.streamed = self.streaming
+        stats.n_chunks = -(-size // cut)
 
         # what the frames put on the wire, headers and terminator
         # included; back-to-back frames keep the pipe full, so latency is
@@ -801,18 +731,19 @@ class MigrationEngine:
         be loaded but not started, and on the requested architecture.
 
         Every attempt crosses the channel in the one wire envelope
-        (:mod:`repro.msr.wire`) and *streaming* only picks the schedule.
-        Serial (the default, Table 1's discipline): the whole payload is
-        chunk 0, restored when the terminator is in; ``n_chunks`` is 1
-        and ``stats.response_time`` is Collect + Tx + Restore.  With
-        ``streaming=True`` the payload is cut into *chunk_size* chunks
-        that are collected, framed, transmitted, and restored in a
-        generator-driven pipeline on the calling thread (every channel)
-        and ``stats.response_time`` / ``overlap_ratio`` report the
-        overlapped total.  The restored process is identical either way.
+        (:mod:`repro.msr.wire`) on one schedule, Table 1's: the whole
+        payload is collected, sent, and restored once the terminator is
+        in.  *streaming* only says where the frames are cut.  By default
+        the payload is chunk 0, ``n_chunks`` is 1 and
+        ``stats.response_time`` is Collect + Tx + Restore.  With
+        ``streaming=True`` it goes as *chunk_size* chunks (``n_chunks``
+        frames) and ``stats.response_time`` / ``overlap_ratio`` report
+        the pipeline model of that chunk train — what overlapping the
+        three stages would give, which one thread does not do.  The
+        restored process is identical either way.
 
-        With ``compress=True`` each chunk (the whole payload on the
-        serial schedule) is zlib-deflated and the compressed form kept,
+        With ``compress=True`` each chunk (the whole payload by
+        default) is zlib-deflated and the compressed form kept,
         as an ``'MCHZ'`` frame, only when it shrinks by ≥ 10% (see
         :mod:`repro.msr.wire`); the stats then carry
         ``compressed_bytes``/``compression_ratio``/``codec_time`` and the
@@ -833,7 +764,7 @@ class MigrationEngine:
         engine's default) is ``reset()``, whether the pre-copy phase or
         a transfer attempt failed on it.  Wire damage is whatever
         the receiving decoder says of the bytes it got (a
-        :class:`~repro.msr.wire.WireFrameError`), in either schedule.
+        :class:`~repro.msr.wire.WireFrameError`), however the frames are cut.
         When every attempt fails, :class:`MigrationAbortedError` carries
         the last typed error; it and every other :class:`MigrationError` raised here
         carry the failed run's stats and observation as ``.stats``.
@@ -851,8 +782,8 @@ class MigrationEngine:
         way, except that the source has executed a few more poll slices.
         """
         if chunk_size < 1:
-            # refused in every schedule, not only those that cut by it
-            # (the pipelined payload, pre-copy rounds)
+            # refused whether or not it cuts anything (the streamed
+            # payload, pre-copy rounds)
             raise MigrationError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_attempts < 1:
             raise MigrationError(f"max_attempts must be >= 1, got {max_attempts}")

@@ -27,11 +27,13 @@ Restore of its memory, so downtime is O(memory).  Pre-copy instead:
    with the source already stopped.
 
 Every round — the snapshot too — is one chunk stream on the migration's
-channel (:mod:`repro.msr.wire`: chunk frames, then the terminator), the
-envelope of a transfer attempt, sent whole and then received on the
-calling thread.  So a fault plan numbers a round's sends like any
-others, ``compress=True`` deflates them, and the channel's
-``delta_bytes_sent`` is simply what it accepted while the phase ran.
+channel (:mod:`repro.msr.wire`: chunk frames, then the terminator),
+shipped by the transfer attempt's own helper
+(:func:`~repro.migration.engine.ship_stream`: each frame received as it
+is sent, on the calling thread).  So a fault plan numbers a round's
+sends like any others, ``compress=True`` deflates them, and the
+channel's ``delta_bytes_sent`` is simply what it accepted while the
+phase ran.
 
 The tracker and the journal are installed *only while the interpreter
 runs a slice*: collection passes read through the same Memory entry
@@ -81,13 +83,15 @@ from repro.arch.buffers import ReadBuffer, WriteBuffer
 # lazily), so importing the engine names directly here is acyclic
 from repro.migration.engine import (
     MigrationError,
+    _collect_whole,
     collect_errors,
-    collect_state,
     restore_errors,
     restore_state,
+    ship_stream,
 )
 from repro.msr.collect import Collector
 from repro.msr.restore import RestoreError, Restorer
+from repro.msr.wire import OwnedChunk
 from repro.vm.dirty import DirtyTracker
 from repro.vm.process import GuestFault
 
@@ -158,26 +162,18 @@ class PrecopySourceFaultedError(MigrationError):
     could migrate it (not retryable, not degradable)."""
 
 
-def _ship_round(channel, payload, chunk_size: int) -> bytes:
-    """Send *payload* as one chunk stream and receive it back on the far
-    side."""
-    mv = memoryview(payload)
-    for start in range(0, len(mv), chunk_size):
-        channel.send_chunk(mv[start : start + chunk_size])
-    channel.end_stream()
-    return b"".join(channel.iter_chunks())
-
-
 def _collect_round(process, round_no: int, freed, written, fresh: set, stale: set):
     """One delta round on the source: ``u32 round_no`` and the tail
     section of the collector born owning *fresh* and *stale* (which it
-    updates).  Returns the payload and the set of blocks it deferred."""
-    buf = WriteBuffer()
+    updates).  Returns the payload — an
+    :class:`~repro.msr.wire.OwnedChunk`, storage the ship takes over —
+    and the set of blocks it deferred."""
+    buf = WriteBuffer(OwnedChunk())
     buf.write_u32(round_no)
     collector = Collector(process, buf, fresh, stale, defer=True)
     collector.save_tail(freed, written)
     collector.finish()
-    return buf.getvalue(), collector.deferred
+    return buf.detach(), collector.deferred
 
 
 def _restore_round(scratch, payload, round_no: int, held: dict):
@@ -222,9 +218,11 @@ def run_precopy(
     def ship(round_no: int, payload, **counts) -> None:
         """Transmit one round, land what arrives on the scratch (round 0
         is a full snapshot, every later one a delta), and book it."""
+        # booked first: shipping takes the payload's storage over
+        nbytes = len(payload)
         sent = channel.accepted_bytes
         try:
-            received = _ship_round(channel, payload, chunk_size)
+            received = ship_stream(channel, payload, chunk_size)
         finally:
             # rounds are all the phase sends: what the channel accepted
             # for this one, refused on arrival or not, is pre-copy wire
@@ -241,13 +239,13 @@ def run_precopy(
         # a round's frames go back to back: the link latency is paid once
         tx = link.transfer_time(wire)
         stats.precopy_tx_time += tx
-        stats.precopy_bytes += len(payload)
-        stats.precopy_round_bytes.append(len(payload))
+        stats.precopy_bytes += nbytes
+        stats.precopy_round_bytes.append(nbytes)
         obs.record("precopy.tx", tx, modeled=True, round=round_no)
         obs.event(
             "precopy_round",
             round=round_no,
-            bytes=len(payload),
+            bytes=nbytes,
             tx_s=round(tx, 9),
             **counts,
         )
@@ -262,7 +260,7 @@ def run_precopy(
     # -- round 0: the full snapshot ----------------------------------------
     with obs.span("precopy.round", n=0):
         with obs.lap("precopy.collect") as timed, collect_errors():
-            payload, cinfo = collect_state(process)
+            payload, cinfo = _collect_whole(process)
         stats.precopy_codec_time += timed.seconds
         ship(0, payload, dirty_blocks=cinfo.stats.n_blocks, deferred=0, freed=0)
 

@@ -4,9 +4,9 @@
 (Collect), transmission (Tx), and restoration (Restore) time." (§4.2)
 
 The paper's prototype serializes the three stages, so its response time
-is the *sum* — the engine's serial schedule, one chunk.  The pipelined
-schedule overlaps them, and the modeled response time follows the
-classic pipeline formula
+is the *sum* — and so does the engine, whether the payload crosses as
+one chunk or as several.  For a chunk train the reported response time
+is a *model* of overlapping them, the classic pipeline formula
 (:func:`pipelined_response_time`): the first chunk flows through all
 three stages (fill), then the remaining chunks emerge at the cadence of
 the slowest stage (bottleneck), so for a long stream the response
@@ -85,16 +85,17 @@ class MigrationStats:
     n_frames: int = 0
     collect: Optional[CollectStats] = None
     restore: Optional[RestoreStats] = None
-    #: whether the successful attempt ran the pipelined schedule
+    #: whether the successful attempt cut the payload into
+    #: ``chunk_size`` frames
     streamed: bool = False
     #: number of chunk frames the payload crossed the wire in: always
-    #: >= 1 for a completed migration, exactly 1 on the serial schedule
+    #: >= 1 for a completed migration, exactly 1 unless streamed
     n_chunks: int = 0
-    #: modeled response time (seconds) of the schedule that ran; equals
-    #: :attr:`migration_time` on the serial schedule (one chunk)
+    #: modeled response time (seconds) of the chunk train that ran;
+    #: equals :attr:`migration_time` at one chunk
     pipeline_time: float = 0.0
-    #: fraction of the serial Collect+Tx+Restore hidden by overlap:
-    #: ``1 − pipeline_time / migration_time`` (0.0 on the serial schedule)
+    #: fraction of the serial Collect+Tx+Restore the model hides by
+    #: overlap: ``1 − pipeline_time / migration_time`` (0.0 at one chunk)
     overlap_ratio: float = 0.0
     #: whether adaptive wire compression was requested
     compressed: bool = False
@@ -164,9 +165,9 @@ class MigrationStats:
 
     @property
     def response_time(self) -> float:
-        """What the user waits: :attr:`pipeline_time` — one formula for
-        both schedules (``finish_pipeline``), which is the serial sum at
-        one chunk."""
+        """What the user waits: :attr:`pipeline_time` — one formula
+        however the payload is cut (``finish_pipeline``), which is the
+        serial sum at one chunk."""
         return self.pipeline_time
 
     @property

@@ -21,9 +21,9 @@ chunk, ``end_stream`` sends the terminator, and ``recv_chunk`` /
 ``iter_chunks`` validate and unwrap on the far side — for a transfer
 attempt and a pre-copy round alike.  A stream sent back-to-back keeps
 the wire busy, so the engine charges the link latency once per train
-(``Link.transfer_time`` of the framed bytes) and overlaps transfer with
-collection and restoration (the pipeline model lives in
-:mod:`repro.migration.stats`).
+(``Link.transfer_time`` of the framed bytes); what overlapping transfer
+with collection and restoration would give is a model
+(:mod:`repro.migration.stats`).
 
 Failure
 -------

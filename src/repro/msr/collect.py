@@ -297,8 +297,7 @@ class Collector:
         and a NULL cell is written without leaving the unit.
         """
         buf = self.buf
-        out = buf.storage  # not drained while a walk is under way
-        drained = buf.bytes_drained
+        out = buf.storage  # not detached while a walk is under way
         memory = self.memory
         heap = memory.heap_seg
         visited = self._visited
@@ -379,7 +378,7 @@ class Collector:
                             if prof is not None:
                                 prof.enter_block(
                                     "collect", info.label, block_class_of(logical),
-                                    drained + len(out),
+                                    len(out),
                                 )
                             # the header: only the fields that do not
                             # hold their constant travel
@@ -433,7 +432,7 @@ class Collector:
                                     values = new.load(memory, addr)
                         elif header and prof is not None:
                             prof.exit_block(
-                                drained + len(out),
+                                len(out),
                                 "percell" if new is None else new.engagement,
                                 cells=info.cells_in(block.count),
                             )
@@ -481,14 +480,14 @@ class Collector:
                     if opened is not None and prof is not None:
                         ctype = opened.elem_type
                         prof.exit_block(
-                            drained + len(out), plan.engagement,
+                            len(out), plan.engagement,
                             cells=types[id(ctype)][1].cells_in(opened.count),
                         )
                     (walker, plan, opened, slots, at, values, addr,
                      units, unpack) = stack.pop()
         except BaseException:
             if prof is not None:
-                prof.unwind(open_frames, drained + len(out))
+                prof.unwind(open_frames, len(out))
             raise
         finally:
             backoff.skip = skip

@@ -523,7 +523,7 @@ class PtrArrayPlan:
         window = buf.buffered()
         k = min(n - p, len(window) // REF_DTYPE.itemsize)
         if k == 0:
-            return p  # record straddles a stream chunk boundary
+            return p  # the payload ends inside this record: the walk raises the underrun
         rows = np.frombuffer(window, REF_DTYPE, count=k)
         m = _true_prefix(_is_ref_row(rows["lead"]))
         dests, m = _resolve_ref_rows(
@@ -905,19 +905,16 @@ class ChainPlan:
         prof = restorer._prof
         t0 = 0.0 if prof is None else prof.clock()
         memory = restorer.memory
-        cap = 64
+        cap = 64  # >= MIN_CHAIN, which the pre-check found in the window
         while True:
-            window = buf.buffered()
-            k = min(cap, len(window) // self.row_size)
-            if k < MIN_CHAIN:
-                return None
+            k = min(cap, len(window) // row_size)
             rows = np.frombuffer(window, self.row_dtype, count=k)
             valid = (rows["lead"] == _NODE) & (rows["type_id"] == info.type_id)
             for kind, _cell, name in self.cols:
                 if kind == "ptr":
                     valid &= _is_ref_row(rows[f"{name}lead"])
             m = _true_prefix(valid)
-            if m == k == cap and len(window) // self.row_size > k:
+            if m == k == cap and len(window) // row_size > k:
                 cap *= 4
                 continue
             break

@@ -29,11 +29,10 @@ met while a block's cells are being filled suspends that block as a
 *frame*, and the address the finished record denotes is handed to the
 frame beneath it.  Records are consumed in stream order either way; the
 heap's depth costs list entries, not Python frames.  The walk reads
-through a cursor of its own over the buffer's window
+through a cursor of its own over the payload
 (:class:`~repro.arch.buffers.ReadBuffer` has the protocol), so a record
 is one ``unpack_from`` and a restored tree or list node costs two Python
-calls — its carve and its ``MemoryBlock`` — contiguous payload or chunk
-stream alike.
+calls — its carve and its ``MemoryBlock``.
 
 One restorer reads every pass.  A pre-copy pass after the snapshot is
 born with ``held`` — what the scratch process already holds — as its
@@ -320,17 +319,17 @@ class Restorer:
         (``walker``: it yields per record it needs and is sent the
         address).
 
-        The walk reads through a cursor of its own over the buffer's
-        window (``view``, ``pos``; :class:`~repro.arch.buffers.ReadBuffer`
+        The walk reads through a cursor of its own over the payload
+        (``view``, ``pos``; :class:`~repro.arch.buffers.ReadBuffer`
         documents the protocol): records and scalar runs are unpacked in
-        place, the buffer is asked for more only at the window's end, and
-        the cursor is handed back around every call that reads the buffer
-        itself.  A heap ``BLOCK`` new to the pass is carved here, not in
+        place, the buffer is asked only where a read would pass the
+        payload's end (an underrun), and the cursor is handed back
+        around every call that reads the buffer itself.  A heap ``BLOCK`` new to the pass is carved here, not in
         :meth:`_resolve_block`, so that a tree or list node costs two
         calls: ``heap_carve`` and its ``MemoryBlock``.
         """
         buf = self.buf
-        refill = buf.refill
+        need = buf.need
         view, pos = buf.window, buf.cursor
         end = len(view)
         memory = self.memory
@@ -364,8 +363,7 @@ class Restorer:
                     headed, address = False, block.addr
                 else:
                     if pos == end:
-                        view, pos = refill(pos, 1)
-                        end = len(view)
+                        need(pos, 1)
                     lead = view[pos]
                     if not lead:
                         pos += 1
@@ -377,8 +375,7 @@ class Restorer:
                             raise RestoreError(lead_fault(lead))
                         size = shape.size
                         if pos + size > end:
-                            view, pos = refill(pos, size)
-                            end = len(view)
+                            need(pos, size)
                         fields = shape.unpack_from(view, pos)
                         pos += size
                         kind = lead >> 2 & 3  # wire.lead_kind, inlined
@@ -454,16 +451,13 @@ class Restorer:
                                 # carved where malloc would put it — and
                                 # nothing is, for contents the payload
                                 # cannot hold
-                                need = count * info.wire_floor
-                                if not count or need > end - pos:
-                                    buf.cursor = pos
-                                    if not count or not buf.holds(need):
-                                        raise RestoreError(
-                                            f"record for {logical} claims {count} x "
-                                            f"{info.label}: no block is empty, and the "
-                                            f"payload ends before the contents of this "
-                                            f"one could"
-                                        )
+                                if not count or count * info.wire_floor > end - pos:
+                                    raise RestoreError(
+                                        f"record for {logical} claims {count} x "
+                                        f"{info.label}: no block is empty, and the "
+                                        f"payload ends before the contents of this "
+                                        f"one could"
+                                    )
                                 nbytes = info.size * count
                                 block = MemoryBlock(
                                     carve(nbytes), info.ctype, count, nbytes, logical
@@ -473,8 +467,7 @@ class Restorer:
                             else:
                                 buf.cursor = pos
                                 block = self._resolve_block(logical, info, count)
-                                view, pos = buf.window, buf.cursor
-                                end = len(view)
+                                pos = buf.cursor
                             mapping[logical] = block
                             headed, address = True, block.addr
                             if ordinal:
@@ -498,8 +491,7 @@ class Restorer:
                         if new is not None:
                             buf.cursor = pos
                             records = new.restore(self, block, info)
-                            view, pos = buf.window, buf.cursor
-                            end = len(view)
+                            pos = buf.cursor
                     if n or records is not None:
                         stack.append(
                             (walker, plan, opened, result, slots, at, values,
@@ -532,8 +524,7 @@ class Restorer:
                         else:
                             break
                         finally:
-                            view, pos = buf.window, buf.cursor
-                            end = len(view)
+                            pos = buf.cursor
                     elif units:
                         if address is not None:
                             if patch:
@@ -547,8 +538,7 @@ class Restorer:
                         if run is not None:
                             size = run.size
                             if pos + size > end:
-                                view, pos = refill(pos, size)
-                                end = len(view)
+                                need(pos, size)
                             values[a:b] = run.unpack_from(view, pos)
                             pos += size
                         if p >= 0:
@@ -558,8 +548,7 @@ class Restorer:
                                 else:
                                     buf.cursor = pos
                                     batch = chain.restore_batch(self)
-                                    view, pos = buf.window, buf.cursor
-                                    end = len(view)
+                                    pos = buf.cursor
                                     if batch is not None:
                                         # the batch is this pointer's
                                         # target; the record after it is
@@ -598,8 +587,8 @@ class Restorer:
                      addr, units, patch, into) = stack.pop()
         except BaseException:
             # the cursor is the walk's own unless a call that reads the
-            # buffer raised: then the buffer's is ahead, or on a new window
-            if view is buf.window and pos > buf.cursor:
+            # buffer raised: then the buffer's is ahead
+            if pos > buf.cursor:
                 buf.cursor = pos
             if prof is not None:
                 prof.unwind(open_frames, buf.position)

@@ -126,14 +126,15 @@ self-delimiting frames, and every byte on a channel belongs to one:
 The wire carries state and nothing else: no frame names a sender, a
 trace or a clock, so the same state sends the same bytes every time.
 
-The engine's ``streaming=`` flag only picks the *schedule* that fills
-the envelope.  Serial (the paper's Table 1 discipline, the default):
-the whole payload is chunk 0, so the attempt is two frames — one chunk,
-terminator — and restoration starts once the terminator is in.
-Pipelined: the payload is cut into ``chunk_size`` chunks that are
-restored while later ones are still being collected.  The concatenated
-chunk payloads are the same bytes either way (``collect_state``'s), so
-everything above the framing layer cannot tell the schedules apart.
+There is one schedule, the paper's Table 1 discipline: the whole
+payload is collected, sent, and restored once the terminator is in.
+The engine's ``streaming=`` flag only says where the frames are cut.
+By default the whole payload is chunk 0, so the attempt is two frames —
+one chunk, terminator.  Streamed, it is cut into ``chunk_size`` chunks,
+each received as it is sent and joined once the terminator is in.  The
+concatenated chunk payloads are the same bytes either way
+(``collect_state``'s), so everything above the framing layer cannot
+tell the two apart.
 
 A pre-copy round (:mod:`repro.migration.precopy`) is a stream of its
 own, cut at the same chunk size; a checkpoint file
@@ -141,8 +142,8 @@ own, cut at the same chunk size; a checkpoint file
 the bytes of one serial attempt.
 
 There is ONE frame codec: :func:`encode_chunk` writes a frame (in the
-chunk's own storage when it is an :class:`OwnedChunk`, the serial
-schedule's whole payload; once copied behind the header otherwise),
+chunk's own storage when it is an :class:`OwnedChunk`, a collected
+payload sent as one chunk; once copied behind the header otherwise),
 :func:`decode_chunk` validates one, and :class:`ChunkDecoder` adds the
 sequence rule for a chunk stream.
 Integrity is therefore the *receiver's* and decided from wire bytes
@@ -155,7 +156,7 @@ Adaptive compression
 --------------------
 
 Data chunks have an opt-in compressed form (``migrate(...,
-compress=True)`` / ``repro migrate --compress``, either schedule): a
+compress=True)`` / ``repro migrate --compress``, streamed or not): a
 chunk deflated with zlib ships under magic ``'MCHZ'``; its
 ``payload_len`` counts the *stored* (compressed) bytes while its
 ``crc32`` is computed over the **raw** payload, so end-to-end integrity
@@ -397,9 +398,9 @@ class WireFrameError(Exception):
 class TruncatedFrameError(WireFrameError):
     """A frame (header or payload) was cut short mid-stream.
 
-    Deliberately NOT an :class:`EOFError`: a reader probing for a clean
-    end of stream (``StreamReadBuffer.at_end``) treats ``EOFError`` as
-    "stream over", and a truncated frame must never pass for that.
+    Deliberately NOT an :class:`EOFError`: that is a payload cut short
+    (a restore's underrun), while a truncated frame is damage on the
+    wire, told apart by the receiver before any restore reads.
     """
 
 
@@ -413,8 +414,8 @@ class FrameOrderError(WireFrameError):
 
 class OwnedChunk(bytearray):
     """A payload chunk whose storage is handed over with it: the frame
-    is built in that storage, not in a copy (the serial collector writes
-    the whole payload into one)."""
+    is built in that storage, not in a copy (every shipped collection
+    writes its whole payload into one)."""
 
 
 def encode_chunk(

@@ -36,7 +36,7 @@ __all__ = [
 
 #: phase spans the report reads out of the span lines (summed over
 #: attempts; ``codec.*`` spans are matched by prefix)
-PHASES = ("collect", "feed", "tx", "restore", "pipeline")
+PHASES = ("collect", "frame", "deframe", "tx", "restore")
 
 
 class TraceReadError(Exception):

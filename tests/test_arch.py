@@ -178,10 +178,10 @@ class TestBuffers:
         assert (stats.n_blocks, stats.n_refs, stats.n_nulls) == (3, 1, 1)
 
     def test_tag_accounting_off_by_default(self):
-        """The buffer's whole accounting is two byte counts."""
+        """The buffer's whole accounting is one byte count."""
         w = WriteBuffer()
         w.write_u32(7)
-        assert (w.nbytes, w.bytes_drained) == (4, 0)
+        assert w.nbytes == 4
         assert not hasattr(w, "tag_counts")
 
     def test_nbytes_tracks_writes(self):

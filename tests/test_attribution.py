@@ -436,7 +436,7 @@ class TestEngineAttribution:
         assert proc.msrlt.profiler is None
 
     def test_streaming_partition_exact_across_threads(self, prog, expected):
-        """Streamed over a socket, the pipeline collects and restores on
+        """Streamed over a socket, the attempt collects and restores on
         the one calling thread, and the partition stays exact through
         the socket's round trip."""
         proc = stopped(prog)

@@ -162,13 +162,13 @@ class TestBitonicShape:
         assert per_node <= 1, f"{per_node:.2f} Python calls per collected node"
 
     @pytest.mark.parametrize("chunk, budget", [
-        (None, 3), (1 << 20, 3), (64, 4),
+        (None, 3), (1 << 20, 3), (64, 3),
     ], ids=["serial", "one-chunk-stream", "64-byte-chunks"])
     def test_restoring_a_node_costs_two_calls(self, chunk, budget):
         """The walk reads records through its own cursor and carves heap
         blocks itself: an extra tree node costs its ``heap_carve`` and its
-        ``MemoryBlock``, on either schedule (64-byte chunks add a refill
-        every few nodes)."""
+        ``MemoryBlock``, however the payload was cut (chunks are joined
+        once before the walk)."""
         costs = []
         for n in (200, 400):
             proc = stopped(bitonic_source(n), after=n, arch=ALPHA)

@@ -1,7 +1,7 @@
 """Fault-injected transport and resilient migration.
 
 The acceptance matrix: for every fault kind (drop, truncate, bitflip,
-stall, disconnect) × both schedules (serial, pipelined), the
+stall, disconnect) × both cuts of the payload (one chunk, streamed), the
 engine either completes with a byte-identical restored state or raises a
 typed error with the destination process unmodified and the source
 process still runnable — and with retries enabled, transient
@@ -490,8 +490,8 @@ class TestRetryPolicy:
 class TestGracefulDegradation:
     def test_no_degradation_without_opt_in(self, prog):
         """A link that persistently kills the third frame defeats every
-        pipelined attempt, and there is no other schedule to fall back
-        on (serial is the same envelope with one chunk): the migration
+        streamed attempt, and there is no other schedule to fall back
+        on (the default is the same envelope with one chunk): the migration
         aborts, typed, after ``max_attempts``."""
         proc = stopped(prog)
         channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse("bitflip@2:7!"))
@@ -728,7 +728,7 @@ class TestTransactionalRestore:
 MODES = {
     "monolithic": {},
     "streaming": {"streaming": True, "chunk_size": 4096},
-    # the same pipeline over the socket: the collector's error reaches
+    # the same stream over the socket: the collector's error reaches
     # the caller as it was raised
     "streaming-socket": {
         "streaming": True, "chunk_size": 4096, "channel": SocketChannel,

@@ -11,10 +11,9 @@ Contracts under test:
 - **Chain backoff** — a miss is booked before the traversal descends,
   so a deep irregular list stops probing after ``CHAIN_BACKOFF_MISSES``
   nodes, while an evenly spaced chain still commits in one batch.
-- **Zero-copy plumbing** — WriteBuffer drain/flush detach storage
-  (views survive later writes), StreamReadBuffer.readinto fills a
-  destination straight from chunks, and Segment.write materializes
-  fresh windows from the data itself.
+- **Zero-copy plumbing** — ReadBuffer.readinto fills a destination
+  straight from the payload, and Segment.write materializes fresh
+  windows from the data itself.
 - **Complexity accounting** — ``n_searches`` is identical plans-on vs
   plans-off, so E5's complexity counters keep their meaning.
 - **Per-target resolution** — a pointer array is resolved against the
@@ -33,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
-from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
+from repro.arch.buffers import ReadBuffer
 from repro.clang.ctypes import INT, TypeLayout
 from repro.difftest.corpus import load_corpus
 from repro.migration.engine import (
@@ -310,7 +309,7 @@ def test_precopy_wire_identical_plans_on_off(entry_name, pair, monkeypatch):
 
     for name, when in (
         ("_collect_round", "round"), ("_restore_round", "round"),
-        ("collect_state", "snapshot"), ("restore_state", "snapshot"),
+        ("_collect_whole", "snapshot"), ("restore_state", "snapshot"),
     ):
         monkeypatch.setattr(precopy_module, name, within(getattr(precopy_module, name), when))
     for side in ("save", "restore"):
@@ -366,12 +365,12 @@ class TestRecordPlanEdges:
     @pytest.mark.parametrize("chunk_size", [1, 2, 7, 23, 64])
     @pytest.mark.parametrize("entry_name", RECORD_EDGES)
     def test_record_headers_straddling_stream_chunks(self, entry_name, chunk_size):
-        """Chunks of 1 and 2 bytes send the restorer's cursor back to the
-        buffer for a refill at every byte, or every other, of every record
-        and scalar run; 7 cuts every BLOCK header that carries more than a
-        heap unit's 7 and every REF record (9 or 13 bytes) in two; 23 and
-        64 put the cuts at shifting places inside units.  Plans on and off
-        read the same state."""
+        """Chunks of 1 and 2 bytes cut every record and scalar run at
+        every byte, or every other; 7 cuts every BLOCK header that
+        carries more than a heap unit's 7 and every REF record (9 or 13
+        bytes) in two; 23 and 64 put the cuts at shifting places inside
+        units.  Joined once the stream is in, plans on and off read the
+        same state."""
         proc = stopped_at(CORPUS[entry_name].source, 3, ALPHA)
         prog = proc.program
         expected = Process(prog, ALPHA)
@@ -773,9 +772,9 @@ class TestSmallFlatBlocks:
     ):
         """Chunks smaller than every block, so each flat block — the
         lone int, the 3-char string — straddles a chunk boundary on the
-        streamed path, through both FlatPlan.restore branches (cast on
-        the endianness flip, straight ``readinto`` on the same-layout
-        pair)."""
+        wire; joined, it restores through both FlatPlan.restore branches
+        (cast on the endianness flip, straight ``readinto`` on the
+        same-layout pair)."""
         src_arch, dst_arch = pair
         proc = stopped_at(small_flat_source(), 1, src_arch)
         prog = proc.program
@@ -965,33 +964,6 @@ class TestChainBackoff:
 # ---------------------------------------------------------------------------
 
 
-class TestWriteBufferZeroCopy:
-    def test_drain_views_survive_later_writes(self):
-        buf = WriteBuffer()
-        buf.write(bytes(range(100)))
-        chunks = buf.drain(64)
-        assert [len(c) for c in chunks] == [64]
-        assert isinstance(chunks[0], memoryview)
-        buf.write(bytes(200))  # would resize live storage if not detached
-        assert bytes(chunks[0]) == bytes(range(64))
-
-    def test_drain_flush_reassembles_exactly(self):
-        buf = WriteBuffer()
-        payload = bytes(range(256)) * 33  # 8448 bytes, not chunk-aligned
-        buf.write(payload)
-        parts = buf.drain(4096)
-        parts.append(buf.flush())
-        assert b"".join(bytes(p) for p in parts) == payload
-        assert buf.nbytes == len(payload)
-
-    def test_flush_view_is_detached(self):
-        buf = WriteBuffer()
-        buf.write(b"abc")
-        tail = buf.flush()
-        buf.write(b"xyz")
-        assert bytes(tail) == b"abc"
-
-
 class TestReadInto:
     def test_monolithic_readinto(self):
         buf = ReadBuffer(b"\x01" + bytes(range(64)))
@@ -1001,30 +973,6 @@ class TestReadInto:
         assert dest == bytearray(range(64))
         with pytest.raises(EOFError):
             buf.readinto(bytearray(1))
-
-    def test_stream_readinto_spans_chunks(self):
-        chunks = [bytes(range(50)), bytes(range(50, 100)), b"TAIL"]
-        buf = StreamReadBuffer(iter(chunks))
-        assert buf.read_u8() == 0
-        dest = bytearray(99)
-        buf.readinto(dest)  # crosses both chunk boundaries
-        assert dest == bytearray(range(1, 100))
-        assert buf.position == 100
-        # the leftover chunk tail must still be readable afterwards
-        assert bytes(buf.read(4)) == b"TAIL"
-
-    def test_stream_readinto_underrun(self):
-        buf = StreamReadBuffer(iter([b"abc"]))
-        with pytest.raises(EOFError):
-            buf.readinto(bytearray(4))
-
-    def test_stream_bulk_read_joins_once(self):
-        """A read far larger than the chunk size must return the exact
-        bytes (the single-join refill path)."""
-        payload = np.arange(65536, dtype=np.uint8).tobytes()
-        chunks = [payload[i : i + 4096] for i in range(0, len(payload), 4096)]
-        buf = StreamReadBuffer(iter(chunks))
-        assert bytes(buf.read(len(payload))) == payload
 
 
 class TestSegmentWrite:
@@ -1094,5 +1042,5 @@ class TestSegmentWrite:
         base = mem.heap_seg.base
         dest = mem.write_view(base + 32, 64)
         src = bytes(range(64))
-        StreamReadBuffer(iter([src[:40], src[40:]])).readinto(dest)
+        ReadBuffer(src).readinto(dest)
         assert mem.read_bytes(base + 32, 64) == src

@@ -73,7 +73,7 @@ class TestObsReport:
         doc = load_trace(trace_path)
         assert f"trace {doc.trace_id}" in out
         assert "phases (all attempts):" in out
-        assert "pipeline" in out
+        assert "frame" in out
         assert "counters:" in out
         assert "engine.payload_bytes" in out
 
@@ -92,7 +92,7 @@ class TestObsReport:
         for by, expect in (
             ("type", "double [300]"),
             ("block", "heap"),
-            ("phase", "pipeline"),
+            ("phase", "frame"),
         ):
             assert main(["obs", "top", str(trace_path), "--by", by]) == 0
             assert expect in capsys.readouterr().out

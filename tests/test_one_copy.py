@@ -1,8 +1,11 @@
 """One copy per side: a serial attempt frames its payload in the storage
-it was collected into and restores from a view of that frame, a
-migration builds one process per attempt, and the attempt's named spans
-account for its time."""
+it was collected into and restores from a view of that frame, so does
+every pre-copy round that fits one chunk, a streamed attempt peaks no
+higher than a serial one, a migration builds one process per attempt,
+and the attempt's named spans account for its time on both
+schedules."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -10,11 +13,12 @@ import pytest
 from repro.arch import DEC5000, SPARC20
 from repro.migration import engine as engine_module
 from repro.migration.engine import MigrationEngine, collect_state
+from repro.migration.precopy import PrecopyPolicy
 from repro.migration.transport import LOOPBACK, Channel, FaultPlan, FaultyChannel
 from repro.msr.wire import CHUNK_HEADER_SIZE
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from repro.workloads import linpack_source
+from repro.workloads import linpack_source, structgrid_source
 from tests.conftest import stopped
 
 #: what a send may allocate besides the payload: headers, a lap, a list slot
@@ -76,6 +80,51 @@ class TestSerialFrame:
         assert len(terminator) == CHUNK_HEADER_SIZE
         assert bytes(frame[CHUNK_HEADER_SIZE:]) == payload
 
+    def test_precopy_rounds_make_no_payload_sized_copy(self):
+        """A pre-copy round that fits one chunk — the snapshot and every
+        delta round — is framed where it was collected, as the final
+        attempt is: no send allocates the round again."""
+        prog = compile_program(structgrid_source(512, 64))
+        channel = TracedSends()
+        tracemalloc.start()
+        try:
+            _, stats = MigrationEngine().migrate(
+                stopped(prog, DEC5000), SPARC20, channel=channel, precopy=True,
+                precopy_policy=PrecopyPolicy(max_rounds=3, stop_dirty_blocks=0),
+            )
+        finally:
+            tracemalloc.stop()
+        assert stats.precopy and not stats.precopy_degraded
+        assert len(stats.precopy_round_bytes) == 4 and stats.n_chunks == 1
+        assert stats.precopy_round_bytes[0] > 2 * SEND_BUDGET  # the snapshot
+        assert len(channel.peaks) == 5  # four rounds, then the final attempt
+        assert max(channel.peaks) < SEND_BUDGET, channel.peaks
+
+
+def traced_peak(prog, **mode) -> int:
+    """The traced allocation peak of one warm migration of *prog*."""
+    MigrationEngine().migrate(stopped(prog, DEC5000), SPARC20, **mode)
+    proc = stopped(prog, DEC5000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        MigrationEngine().migrate(proc, SPARC20, **mode)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_streamed_migration_peaks_no_higher_than_a_serial_one():
+    """Cutting the payload into frames costs no memory: the sender's
+    storage is let go once its frames are out, so the join on the far
+    side never sits beside it, and the restore reads one exact-sized
+    payload where the serial one reads its frame (collection slack
+    included)."""
+    prog = compile_program(linpack_source(128), poll_strategy="user")
+    serial = traced_peak(prog)
+    streamed = traced_peak(prog, streaming=True, chunk_size=16384)
+    assert streamed <= serial, (streamed, serial)
+
 
 class TestOneProcessPerAttempt:
     @staticmethod
@@ -119,16 +168,30 @@ class TestOneProcessPerAttempt:
 NAMED = ("collect", "frame", "deframe", "restore")
 
 
-def test_the_attempts_named_spans_cover_it(linpack):
-    """Collect, frame (header, CRC, enqueue), deframe (dequeue, CRC,
-    sequence check) and restore are where a serial attempt's time goes:
-    together they cover at least 90 % of it (the best of three runs, so
-    that a descheduled moment between two spans does not decide)."""
+def named_cover(prog, **mode) -> float:
+    """The share of an attempt's time its named children cover: the
+    best of three runs, so that a descheduled moment between two spans
+    does not decide."""
     covers = []
     for _ in range(3):
-        _, stats = MigrationEngine().migrate(stopped(linpack, DEC5000), SPARC20)
+        _, stats = MigrationEngine().migrate(stopped(prog, DEC5000), SPARC20, **mode)
         (attempt,) = stats.obs.tracer.find("attempt")
         children = {span.name: span for span in attempt.children}
         assert set(NAMED) <= set(children)
         covers.append(sum(children[name].seconds for name in NAMED) / attempt.seconds)
-    assert max(covers) >= 0.9, covers
+    return max(covers)
+
+
+def test_the_attempts_named_spans_cover_it(linpack):
+    """Collect, frame (header, CRC, enqueue), deframe (dequeue, CRC,
+    sequence check) and restore are where a serial attempt's time goes:
+    together they cover at least 90 % of it."""
+    cover = named_cover(linpack)
+    assert cover >= 0.9, cover
+
+
+def test_the_streamed_attempts_named_spans_cover_it(linpack):
+    """A streamed attempt is the serial one cut into frames (three
+    here): the same four spans cover at least 90 % of it too."""
+    cover = named_cover(linpack, streaming=True, chunk_size=8192)
+    assert cover >= 0.9, cover

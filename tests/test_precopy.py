@@ -138,7 +138,7 @@ class TestDeltaWire(FrameCodecCases):
     """A delta round is a chunk stream on the migration's channel: the
     shared damage matrix as a round arrives over a socket — each frame
     queued on the socket's frame path, pumped through the socket pair,
-    then checked by the channel's decoder, which is what ``_ship_round``
+    then checked by the channel's decoder, which is what ``ship_stream``
     receives through."""
 
     def read(self, frames):
@@ -695,7 +695,7 @@ class TestFaultDeterminism:
         """A round is a chunk stream: each of its frames and its
         terminator take a fault-plan send index, like any data frame."""
         ch = FaultyChannel(Channel(LOOPBACK), FaultPlan())
-        assert precopy_module._ship_round(ch, b"round payload", 4) == b"round payload"
+        assert precopy_module.ship_stream(ch, b"round payload", 4) == b"round payload"
         assert ch._send_index == 5  # four chunks, then the terminator
 
     def test_closed_channel_refuses_delta_frames(self):
@@ -704,7 +704,7 @@ class TestFaultDeterminism:
         with pytest.raises(ChannelError):
             ch.send_chunk(b"x")  # fires the disconnect
         with pytest.raises(ChannelClosedError):
-            precopy_module._ship_round(ch, b"round", 64)
+            precopy_module.ship_stream(ch, b"round", 64)
 
     def test_seeded_faults_reach_precopy_rounds(self):
         """The plan numbers every data send of a run, pre-copy rounds

@@ -118,9 +118,9 @@ class TestEnginePropagation:
         self, prog, expected, kind, streaming
     ):
         """No frame names the attempt, yet the restore side joins it: the
-        restore (serial) or pipeline span is the attempt span's child on
-        every channel, and collection — on the socket, a producer
-        thread's — lies under the same attempt."""
+        restore span is the attempt span's child on every channel,
+        however the payload is cut, and collection lies under the same
+        attempt."""
         channel = CHANNELS[kind]()
         try:
             dest, stats = MigrationEngine().migrate(
@@ -132,7 +132,7 @@ class TestEnginePropagation:
         dest.run()
         assert dest.stdout == expected
         spans = assert_connected_tree(trace_of(stats))
-        assert_restore_under_attempt(spans, "pipeline" if streaming else "restore")
+        assert_restore_under_attempt(spans, "restore")
         byid = {s["span_id"]: s for s in spans}
 
         def under_attempt(span):
@@ -149,8 +149,9 @@ class TestEnginePropagation:
         self, prog, expected
     ):
         """The acceptance scenario: a real socket, fault-injected
-        retries, and the result is ONE schema-valid trace in which each
-        attempt's pipeline span is a child of that attempt's span."""
+        retries, and the result is ONE schema-valid trace in which the
+        restore span is a child of the attempt that arrived: the damaged
+        frame stopped the first attempt before anything was restored."""
         proc = stopped(prog)
         channel = FaultyChannel(
             SocketChannel(ETHERNET_10M),
@@ -167,11 +168,8 @@ class TestEnginePropagation:
         spans = assert_connected_tree(lines)
         attempts = [s for s in spans if s["name"] == "attempt"]
         assert len(attempts) == 2
-        pipelines = assert_restore_under_attempt(spans, "pipeline")
-        # one pipeline per attempt, each under its own
-        assert sorted(s["parent_id"] for s in pipelines) == sorted(
-            a["span_id"] for a in attempts
-        )
+        restores = assert_restore_under_attempt(spans, "restore")
+        assert [s["parent_id"] for s in restores] == [attempts[-1]["span_id"]]
 
     def test_tx_time_charges_every_frame(self, prog):
         """The modeled Tx charges everything the attempt put on the

@@ -1,12 +1,11 @@
-"""Tests for the one wire envelope and its two schedules (buffers →
-frames → channels → engine): the default transfer is the one-chunk
-stream, the pipelined one restores the same state across heterogeneous
-pairs; the pipelined cost model, and the chunk APIs."""
+"""Tests for the one wire envelope (frames → channels → engine): the
+default transfer is the one-chunk stream, a streamed one cuts the same
+payload into ``chunk_size`` frames and restores the same state across
+heterogeneous pairs; the pipeline cost model, and the chunk APIs."""
 
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20
-from repro.arch.buffers import ReadBuffer, StreamReadBuffer, WriteBuffer
 from repro.migration.engine import (
     DEFAULT_CHUNK_SIZE,
     MigrationEngine,
@@ -81,81 +80,13 @@ def stopped(prog, arch=DEC5000):
     return proc
 
 
-class TestWriteBufferDrain:
-    def test_drain_returns_full_chunks_only(self):
-        buf = WriteBuffer()
-        buf.write(b"x" * 10)
-        assert buf.drain(4) == [b"xxxx", b"xxxx"]
-        assert len(buf) == 2  # partial tail stays
-        assert buf.drain(4) == []
-        assert buf.flush() == b"xx"
-        assert buf.flush() == b""
-
-    def test_nbytes_counts_drained_bytes(self):
-        buf = WriteBuffer()
-        buf.write(b"a" * 7)
-        buf.drain(3)
-        buf.write(b"b" * 2)
-        assert buf.nbytes == 9
-        assert buf.bytes_drained == 6
-
-    def test_getvalue_after_drain_rejected(self):
-        buf = WriteBuffer()
-        buf.write(b"abcdef")
-        buf.drain(2)
-        with pytest.raises(ValueError, match="partial"):
-            buf.getvalue()
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            WriteBuffer().drain(0)
-
-
-class TestStreamReadBuffer:
-    def _reference_payload(self):
-        buf = WriteBuffer()
-        buf.write_u32(0xDEADBEEF)
-        buf.write(b"\x00\x09stream me")
-        buf.write_u16(7)
-        buf.write(b"tail-bytes")
-        return buf.getvalue()
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 16, 1024])
-    def test_reads_match_contiguous_reader(self, chunk_size):
-        payload = self._reference_payload()
-        chunks = [
-            payload[i : i + chunk_size] for i in range(0, len(payload), chunk_size)
-        ]
-        mono, stream = ReadBuffer(payload), StreamReadBuffer(chunks)
-        assert stream.read_u32() == mono.read_u32()
-        assert bytes(stream.read(11)) == bytes(mono.read(11))
-        assert stream.peek_u8() == mono.peek_u8()
-        assert stream.read_u16() == mono.read_u16()
-        assert bytes(stream.read(10)) == bytes(mono.read(10))
-        assert stream.position == mono.position
-        assert stream.at_end() and mono.at_end()
-
-    def test_underrun_raises_eof(self):
-        stream = StreamReadBuffer([b"ab"])
-        with pytest.raises(EOFError, match="underrun"):
-            stream.read_u32()
-
-    def test_earlier_views_survive_refills(self):
-        stream = StreamReadBuffer([b"abcd", b"efgh"])
-        first = stream.read(4)
-        stream.read(4)  # forces a window splice
-        assert bytes(first) == b"abcd"
-
-
 class TestChunkedCollection:
     @pytest.mark.parametrize("chunk_size", [64, 257, 4096, DEFAULT_CHUNK_SIZE])
     def test_chunks_concatenate_to_monolithic_payload(self, prog, chunk_size):
         payload, _ = collect_state(stopped(prog))
-        slot = []
-        chunks = list(collect_state_chunks(stopped(prog), chunk_size, slot))
+        chunks = collect_state_chunks(stopped(prog), chunk_size)
         assert b"".join(chunks) == payload
         assert all(len(c) == chunk_size for c in chunks[:-1])
-        assert slot and slot[0].stats.wire_bytes == len(payload)
 
     def test_bad_chunk_size_rejected(self, prog):
         with pytest.raises(MigrationError, match="chunk_size"):
@@ -346,7 +277,7 @@ class TestOneEnvelope:
         assert (stats.n_chunks, stats.streamed) == (1, False)
         assert accepted == sum(len(f) for f in frames)
 
-        # the pipelined schedule ships the same bytes plus one header per
+        # the streamed attempt ships the same bytes plus one header per
         # extra chunk, and nothing else
         _, streamed, sstats, stdout = self.migrate(
             prog, kind, streaming=True, chunk_size=512
