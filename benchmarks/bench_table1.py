@@ -25,7 +25,6 @@ from benchmarks.conftest import (
     TABLE1_LINPACK_N,
     collect_once,
     fresh_restore,
-    record_bench_row,
     stopped_bitonic,
     stopped_linpack,
 )
@@ -35,7 +34,7 @@ def _measure_row(benchmark, proc, phase: str, report, label: str):
     payload, cinfo = collect_once(proc)
 
     if phase == "collect":
-        result = benchmark(lambda: collect_once(proc))
+        benchmark(lambda: collect_once(proc))
     elif phase == "restore":
         benchmark.pedantic(
             lambda: fresh_restore(proc, payload), rounds=5, iterations=1
@@ -50,19 +49,6 @@ def _measure_row(benchmark, proc, phase: str, report, label: str):
     report(
         f"Table1/{label}/{phase}: payload={len(payload)}B "
         f"blocks={cinfo.stats.n_blocks} modeled_tx={tx * 1e3:.2f}ms"
-    )
-    record_bench_row(
-        "table1",
-        {
-            "label": label,
-            "phase": phase,
-            "payload_bytes": len(payload),
-            "n_blocks": cinfo.stats.n_blocks,
-            "modeled_tx_s": tx,
-            "measured_s": getattr(benchmark.stats, "stats", benchmark.stats).mean
-            if benchmark.stats is not None
-            else None,
-        },
     )
 
 

@@ -80,7 +80,6 @@ def fresh_restore(proc: Process, payload: bytes, dest_arch=ULTRA5):
 
 
 _REPORT_ROWS: list[str] = []
-_JSON_ROWS: dict[str, list[dict]] = {}
 
 
 @pytest.fixture(scope="session")
@@ -90,22 +89,7 @@ def report():
     return _REPORT_ROWS.append
 
 
-def record_bench_row(section: str, row: dict) -> None:
-    """Queue one machine-readable result row for ``BENCH_PR1.json``
-    (written in the terminal summary, see benchmarks/results.py)."""
-    _JSON_ROWS.setdefault(section, []).append(row)
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if _JSON_ROWS:
-        from benchmarks.results import update_bench_json
-
-        try:
-            for section, rows in _JSON_ROWS.items():
-                path = update_bench_json(section, rows)
-            terminalreporter.write_line(f"(JSON results merged into {path})")
-        except OSError:
-            pass
     if not _REPORT_ROWS:
         return
     terminalreporter.write_line("")

@@ -280,12 +280,6 @@ def cmd_migrate(args) -> int:
     sys.stdout.write(dest.stdout)
     print(f"[{stats}]", file=sys.stderr)
     _write_observation(args, stats, dest.stdout)
-    if args.stream:
-        print(
-            f"[response time {stats.response_time * 1e3:.2f} ms pipelined "
-            f"(modeled) vs {stats.migration_time * 1e3:.2f} ms serial]",
-            file=sys.stderr,
-        )
     if stats.precopy:
         print(
             f"[pre-copy: {stats.precopy_rounds} rounds, "
@@ -519,9 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--after-polls", type=_int_at_least(1), default=1)
     p.add_argument("--link", default="10m", choices=list(_LINKS))
     p.add_argument("--stream", action="store_true",
-                   help="cut the payload into --chunk-size frames and report "
-                        "the pipeline model of that chunk train (default: the "
-                        "same envelope with the payload as its one chunk)")
+                   help="cut the payload into --chunk-size frames (default: "
+                        "the same envelope with the payload as its one chunk)")
     p.add_argument("--chunk-size", type=_int_at_least(1), default=DEFAULT_CHUNK_SIZE,
                    help="chunk payload size in bytes (--stream's chunks, "
                         "--precopy's rounds)")

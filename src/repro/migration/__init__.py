@@ -34,7 +34,7 @@ from repro.migration.checkpoint import (
     restart_from_file,
     run_with_checkpoints,
 )
-from repro.migration.stats import MigrationStats, pipelined_response_time
+from repro.migration.stats import MigrationStats
 from repro.migration.engine import (
     CollectError,
     DEFAULT_CHUNK_SIZE,
@@ -73,7 +73,6 @@ __all__ = [
     "GIGABIT",
     "Link",
     "MigrationStats",
-    "pipelined_response_time",
     "MigrationEngine",
     "DEFAULT_CHUNK_SIZE",
     "collect_state",

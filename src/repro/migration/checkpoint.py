@@ -80,11 +80,11 @@ class Checkpoint:
 
     def save(self, path: str | Path) -> None:
         """Persist as a checkpoint file: the header, then the frames of
-        one serial attempt."""
-        Path(path).write_bytes(
-            _FILE_MAGIC + self.fingerprint
-            + encode_chunk(0, self.payload) + encode_end_of_stream(1)
-        )
+        one serial attempt, each written as it is built."""
+        with open(path, "wb") as fh:
+            fh.write(_FILE_MAGIC + self.fingerprint)
+            fh.write(encode_chunk(0, self.payload))
+            fh.write(encode_end_of_stream(1))
 
 
 def _received(body: memoryview) -> bytes:

@@ -20,11 +20,8 @@ payload is collected, shipped (:func:`ship_stream`) and restored from
 one contiguous buffer once the terminator is in.  ``streaming=`` only
 says where the frames are cut — the serial default sends the payload as
 chunk 0, ``streaming=True`` as ``chunk_size`` chunks that concatenate
-to the same bytes.  For more than one chunk, ``stats.response_time`` /
-``overlap_ratio`` report the pipeline *model*
-(:func:`~repro.migration.stats.pipelined_response_time`): what the
-chunk train would take if collection, transfer and restoration
-overlapped, which on one thread they do not.
+to the same bytes.  Either way the stats report the Collect + Tx +
+Restore that ran (``stats.migration_time``).
 """
 
 from __future__ import annotations
@@ -548,7 +545,7 @@ class _Run:
             # user experienced as downtime is only the pause, from the
             # last slice's return to the end of that pass
             stats.precopy = True
-            stats.precopy_downtime_s = self.pre_state.stopped_s + stats.response_time
+            stats.precopy_downtime_s = self.pre_state.stopped_s + stats.migration_time
             obs.record("precopy.downtime_seconds", stats.downtime, derived=True)
         obs.event(
             "migration_end",
@@ -694,10 +691,8 @@ class _Run:
             stats.compressed_bytes = framed - (stats.n_chunks + 1) * CHUNK_HEADER_SIZE
             stats.compression_ratio = stats.payload_bytes / stats.compressed_bytes
             stats.codec_time = self.obs.tracer.total_prefix("codec.")
-        link = channel.link
-        stats.tx_time = link.transfer_time(framed)
+        stats.tx_time = channel.link.transfer_time(framed)
         obs.record("tx", stats.tx_time, modeled=True)
-        stats.finish_pipeline(latency_s=link.latency_s)
 
 
 class MigrationEngine:
@@ -733,14 +728,11 @@ class MigrationEngine:
         Every attempt crosses the channel in the one wire envelope
         (:mod:`repro.msr.wire`) on one schedule, Table 1's: the whole
         payload is collected, sent, and restored once the terminator is
-        in.  *streaming* only says where the frames are cut.  By default
-        the payload is chunk 0, ``n_chunks`` is 1 and
-        ``stats.response_time`` is Collect + Tx + Restore.  With
+        in.  *streaming* only says where the frames are cut: by default
+        the payload is chunk 0 and ``n_chunks`` is 1; with
         ``streaming=True`` it goes as *chunk_size* chunks (``n_chunks``
-        frames) and ``stats.response_time`` / ``overlap_ratio`` report
-        the pipeline model of that chunk train — what overlapping the
-        three stages would give, which one thread does not do.  The
-        restored process is identical either way.
+        frames).  ``stats.migration_time`` is the Collect + Tx + Restore
+        that ran, and the restored process is identical either way.
 
         With ``compress=True`` each chunk (the whole payload by
         default) is zlib-deflated and the compressed form kept,

@@ -238,7 +238,6 @@ def run_precopy(
         stats.precopy_codec_time += timed.seconds
         # a round's frames go back to back: the link latency is paid once
         tx = link.transfer_time(wire)
-        stats.precopy_tx_time += tx
         stats.precopy_bytes += nbytes
         stats.precopy_round_bytes.append(nbytes)
         obs.record("precopy.tx", tx, modeled=True, round=round_no)

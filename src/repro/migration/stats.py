@@ -3,14 +3,11 @@
 "We define process migration time as the total of data collection
 (Collect), transmission (Tx), and restoration (Restore) time." (§4.2)
 
-The paper's prototype serializes the three stages, so its response time
-is the *sum* — and so does the engine, whether the payload crosses as
-one chunk or as several.  For a chunk train the reported response time
-is a *model* of overlapping them, the classic pipeline formula
-(:func:`pipelined_response_time`): the first chunk flows through all
-three stages (fill), then the remaining chunks emerge at the cadence of
-the slowest stage (bottleneck), so for a long stream the response
-approaches ``max(Collect, Tx, Restore)`` instead of their sum.
+The paper's prototype serializes the three stages, and so does the
+engine, whether the payload crosses as one chunk or as several: the
+response it reports is the serial sum that ran
+(:attr:`MigrationStats.migration_time`), and the downtime is that sum
+or, after a pre-copy, the stop-and-copy pause.
 """
 
 from __future__ import annotations
@@ -21,47 +18,12 @@ from typing import Optional
 from repro.msr.collect import CollectStats
 from repro.msr.restore import RestoreStats
 
-__all__ = ["MigrationStats", "pipelined_response_time"]
+__all__ = ["MigrationStats"]
 
 #: span names whose per-phase totals :meth:`MigrationStats.span_totals`
 #: reads out of the trace tree (codec spans are matched by prefix)
 PHASE_SPANS = ("collect", "tx", "restore")
 CODEC_SPAN_PREFIX = "codec."
-
-
-def pipelined_response_time(
-    collect_time: float,
-    tx_time: float,
-    restore_time: float,
-    n_chunks: int,
-    latency_s: float = 0.0,
-) -> float:
-    """Modeled response time of a 3-stage chunked pipeline.
-
-    *collect_time*, *tx_time*, *restore_time* are whole-stage totals
-    (*tx_time* already latency-amortized: the engine charges
-    ``Link.transfer_time`` of the whole framed train, so the latency is
-    in it once); chunks are assumed uniform,
-    so per-chunk stage times are ``total / n_chunks``.  The standard
-    pipeline model:
-
-        response = (c + x + r)          # fill: chunk 0 crosses all stages
-                 + (n - 1) · max(c, x, r)   # steady state at the bottleneck
-
-    where the link *latency* belongs to the fill term only (it is paid
-    once, by the first frame).  For ``n_chunks <= 1`` there is nothing to
-    overlap and the serial sum is returned.
-    """
-    serial = collect_time + tx_time + restore_time
-    if n_chunks <= 1:
-        return serial
-    per_c = collect_time / n_chunks
-    per_x = (tx_time - latency_s) / n_chunks
-    per_r = restore_time / n_chunks
-    fill = per_c + latency_s + per_x + per_r
-    steady = (n_chunks - 1) * max(per_c, per_x, per_r)
-    # overlap can only help; numeric noise must not report a pessimization
-    return min(serial, fill + steady)
 
 
 @dataclass
@@ -91,12 +53,6 @@ class MigrationStats:
     #: number of chunk frames the payload crossed the wire in: always
     #: >= 1 for a completed migration, exactly 1 unless streamed
     n_chunks: int = 0
-    #: modeled response time (seconds) of the chunk train that ran;
-    #: equals :attr:`migration_time` at one chunk
-    pipeline_time: float = 0.0
-    #: fraction of the serial Collect+Tx+Restore the model hides by
-    #: overlap: ``1 − pipeline_time / migration_time`` (0.0 at one chunk)
-    overlap_ratio: float = 0.0
     #: whether adaptive wire compression was requested
     compressed: bool = False
     #: bytes actually stored on the wire after (adaptive) compression;
@@ -128,8 +84,6 @@ class MigrationStats:
     precopy_bytes: int = 0
     #: per-round payload byte attribution: [snapshot, round 1, round 2, …]
     precopy_round_bytes: list = field(default_factory=list)
-    #: modeled wire seconds of the pre-copy phase (rounds, not the final)
-    precopy_tx_time: float = 0.0
     #: codec/collect seconds of the pre-copy phase (rounds, not the final)
     precopy_codec_time: float = 0.0
     #: the stop-and-copy downtime, from the moment the source stops: the
@@ -164,53 +118,11 @@ class MigrationStats:
         return self.collect_time + self.tx_time + self.restore_time
 
     @property
-    def response_time(self) -> float:
-        """What the user waits: :attr:`pipeline_time` — one formula
-        however the payload is cut (``finish_pipeline``), which is the
-        serial sum at one chunk."""
-        return self.pipeline_time
-
-    @property
     def downtime(self) -> float:
         """How long the program was stopped: the final stop-and-copy
         pause when the migration rode on a pre-copy, else the whole
-        response time."""
-        return self.precopy_downtime_s if self.precopy else self.response_time
-
-    def finish_pipeline(self, latency_s: float = 0.0) -> None:
-        """Derive :attr:`pipeline_time` / :attr:`overlap_ratio` from the
-        stage totals once they are all known.
-
-        The overlap ratio compares against the *full* serial baseline —
-        Collect + Tx + Restore **plus** codec time.  Codec work is real
-        serial work on a compressed stream, and the model does not
-        pipeline it away, so excluding it from the denominator (while
-        the numerator's pipeline model never saw it either) overstated
-        the overlap on every compressed migration.  Pre-copy delta-round
-        tx/codec seconds fold in the same way, on *both* sides: the
-        rounds are genuinely serial work the single streaming pass never
-        overlapped, and counting them only in the denominator would let
-        a 3-round pre-copy report an overlap its pipeline never achieved
-        (the pre-PR bug this fixes).  The ratio is clamped to ``[0, 1)``:
-        overlap can hide work, not create negative time.
-        """
-        self.pipeline_time = pipelined_response_time(
-            self.collect_time,
-            self.tx_time,
-            self.restore_time,
-            self.n_chunks,
-            latency_s=latency_s,
-        )
-        extra = self.codec_time + self.precopy_tx_time + self.precopy_codec_time
-        serial = self.migration_time + extra
-        if serial <= 0:
-            self.overlap_ratio = 0.0
-            return
-        pipelined = self.pipeline_time + extra
-        ratio = 1.0 - pipelined / serial
-        # a real pipelined transfer always has pipelined > 0, so the
-        # mathematical ratio is < 1; the clamp guards degenerate inputs
-        self.overlap_ratio = min(max(ratio, 0.0), 1.0 - 1e-12)
+        :attr:`migration_time`."""
+        return self.precopy_downtime_s if self.precopy else self.migration_time
 
     @property
     def attribution(self) -> Optional[dict]:
@@ -281,9 +193,7 @@ class MigrationStats:
             "Blocks": self.n_blocks,
         }
         if self.streamed:
-            out["Pipelined"] = self.pipeline_time
             out["Chunks"] = self.n_chunks
-            out["Overlap"] = self.overlap_ratio
         if self.compressed:
             out["Compressed"] = self.compressed_bytes
             out["Ratio"] = self.compression_ratio
@@ -310,11 +220,7 @@ class MigrationStats:
             f"{self.n_frames} frames)"
         )
         if self.streamed:
-            base += (
-                f" [streamed: {self.n_chunks} chunks, "
-                f"pipelined {self.pipeline_time * 1e3:.2f} ms, "
-                f"overlap {self.overlap_ratio:.0%}]"
-            )
+            base += f" [streamed: {self.n_chunks} chunks]"
         if self.compressed:
             base += (
                 f" [compressed: {self.compressed_bytes} wire bytes, "

@@ -148,6 +148,36 @@ class TestMigrate:
         assert "[output identical to an unmigrated run]" in captured.err
         assert rc == 0
 
+    def test_a_streamed_migration_reports_what_ran(self, tmp_path, capsys):
+        """``--stream`` cuts the frames and the stats line gives the
+        Collect + Tx + Restore that ran: no modeled response beside it."""
+        path = tmp_path / "array.c"
+        path.write_text(ARRAY)
+        rc = main(
+            ["migrate", str(path), "--poll-strategy", "user", "--stream",
+             "--chunk-size", "4096"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.out == "sum=1999000\n"
+        (line,) = [ln for ln in captured.err.splitlines() if ln.startswith("[migration ")]
+        chunks = int(re.search(r"\[streamed: (\d+) chunks\]", line).group(1))
+        assert chunks >= 3
+        assert "pipelined" not in captured.err
+
+
+ARRAY = """
+double a[2000];
+int main() {
+    int i; double s;
+    for (i = 0; i < 2000; i++) a[i] = i;
+    migrate_here();
+    s = 0;
+    for (i = 0; i < 2000; i++) s = s + a[i];
+    printf("sum=%d\\n", (int) s);
+    return 0;
+}
+"""
+
 
 COUNT = """
 int main() {

@@ -294,35 +294,6 @@ class TestEventLogAndSchema:
 # -- bugfix regressions -------------------------------------------------------
 
 
-class TestOverlapRatioCodecFold:
-    """finish_pipeline must fold codec time into the serial baseline
-    (pre-fix it compared pipeline_time against Collect+Tx+Restore only,
-    overstating the overlap of every compressed stream)."""
-
-    def test_codec_time_dampens_overlap_ratio(self):
-        s = MigrationStats(collect_time=1.0, tx_time=4.0, restore_time=1.0,
-                           n_chunks=10, codec_time=2.0, streamed=True)
-        s.finish_pipeline()
-        assert s.pipeline_time == pytest.approx(4.2)
-        # 1 - (4.2 + 2) / (6 + 2); the pre-fix value was 1 - 4.2/6 = 0.3
-        assert s.overlap_ratio == pytest.approx(0.225)
-
-    def test_without_codec_unchanged(self):
-        s = MigrationStats(collect_time=1.0, tx_time=4.0, restore_time=1.0,
-                           n_chunks=10, streamed=True)
-        s.finish_pipeline()
-        assert s.overlap_ratio == pytest.approx(0.3)
-
-    def test_clamped_to_unit_interval(self):
-        degenerate = MigrationStats(n_chunks=10)
-        degenerate.finish_pipeline()
-        assert degenerate.overlap_ratio == 0.0
-        single = MigrationStats(collect_time=1.0, tx_time=1.0,
-                                restore_time=1.0, n_chunks=1, codec_time=0.5)
-        single.finish_pipeline()  # nothing to overlap
-        assert 0.0 <= single.overlap_ratio < 1.0
-
-
 class TestDegradedSurfacing:
     """"Degraded" means one thing — a pre-copy that fell back to the
     plain stop-and-copy — and row()/__str__ report it unconditionally,

@@ -1,9 +1,9 @@
 """One copy per side: a serial attempt frames its payload in the storage
 it was collected into and restores from a view of that frame, so does
 every pre-copy round that fits one chunk, a streamed attempt peaks no
-higher than a serial one, a migration builds one process per attempt,
-and the attempt's named spans account for its time on both
-schedules."""
+higher than a serial one, a checkpoint file is written without its
+image, a migration builds one process per attempt, and the attempt's
+named spans account for its time on both schedules."""
 
 import gc
 import tracemalloc
@@ -12,6 +12,7 @@ import pytest
 
 from repro.arch import DEC5000, SPARC20
 from repro.migration import engine as engine_module
+from repro.migration.checkpoint import checkpoint_to_file
 from repro.migration.engine import MigrationEngine, collect_state
 from repro.migration.precopy import PrecopyPolicy
 from repro.migration.transport import LOOPBACK, Channel, FaultPlan, FaultyChannel
@@ -124,6 +125,23 @@ def test_a_streamed_migration_peaks_no_higher_than_a_serial_one():
     serial = traced_peak(prog)
     streamed = traced_peak(prog, streaming=True, chunk_size=16384)
     assert streamed <= serial, (streamed, serial)
+
+
+def test_a_checkpoint_file_is_written_piece_by_piece(tmp_path):
+    """A checkpoint file is the header, the one chunk frame and the
+    terminator, written in turn: the file's image is never built, so a
+    save holds the payload and its frame and not a third copy."""
+    proc = stopped(compile_program(linpack_source(128), poll_strategy="user"), DEC5000)
+    path = tmp_path / "linpack.ckpt"
+    size = len(checkpoint_to_file(proc, path).payload)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        checkpoint_to_file(proc, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * size, (peak, size)
 
 
 class TestOneProcessPerAttempt:
