@@ -17,7 +17,7 @@ import gc
 
 import pytest
 
-from benchmarks.conftest import LINPACK_SIZES, collect_once, fresh_restore, stopped_linpack
+from benchmarks.conftest import LINPACK_SIZES, collect_once, stopped_linpack, time_restore
 
 
 @pytest.mark.benchmark(group="fig2a-collect")
@@ -43,9 +43,7 @@ def test_fig2a_restore(benchmark, report, n):
     proc = stopped_linpack(n)
     payload, cinfo = collect_once(proc)
     gc.collect()  # suite-wide garbage would otherwise pollute the minima
-    benchmark.pedantic(
-        lambda: fresh_restore(proc, payload), rounds=5, iterations=1, warmup_rounds=1
-    )
+    time_restore(benchmark, proc, payload, rounds=5, warmup_rounds=1)
     benchmark.extra_info["data_bytes"] = cinfo.stats.data_bytes
     report(
         f"Fig2a/restore N={n}: data={cinfo.stats.data_bytes}B "

@@ -20,7 +20,13 @@ import gc
 
 import pytest
 
-from benchmarks.conftest import BITONIC_SIZES, collect_once, fresh_restore, stopped_bitonic
+from benchmarks.conftest import (
+    BITONIC_SIZES,
+    collect_once,
+    fresh_restore,
+    stopped_bitonic,
+    time_restore,
+)
 
 
 @pytest.mark.benchmark(group="fig2b-collect")
@@ -47,9 +53,7 @@ def test_fig2b_restore(benchmark, report, n):
     proc = stopped_bitonic(n)
     payload, cinfo = collect_once(proc)
     gc.collect()  # suite-wide garbage would otherwise pollute the minima
-    benchmark.pedantic(
-        lambda: fresh_restore(proc, payload), rounds=4, iterations=1, warmup_rounds=1
-    )
+    time_restore(benchmark, proc, payload, rounds=4, warmup_rounds=1)
     benchmark.extra_info["n_sorted"] = n
     report(
         f"Fig2b/restore n={n}: blocks={cinfo.stats.n_blocks} "

@@ -24,7 +24,7 @@ from benchmarks.conftest import (
     TABLE1_BITONIC_N,
     TABLE1_LINPACK_N,
     collect_once,
-    fresh_restore,
+    time_restore,
     stopped_bitonic,
     stopped_linpack,
 )
@@ -36,9 +36,7 @@ def _measure_row(benchmark, proc, phase: str, report, label: str):
     if phase == "collect":
         benchmark(lambda: collect_once(proc))
     elif phase == "restore":
-        benchmark.pedantic(
-            lambda: fresh_restore(proc, payload), rounds=5, iterations=1
-        )
+        time_restore(benchmark, proc, payload, rounds=5)
     else:  # tx — modeled, constant
         benchmark(lambda: ETHERNET_100M.transfer_time(len(payload)))
 

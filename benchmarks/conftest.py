@@ -79,6 +79,19 @@ def fresh_restore(proc: Process, payload: bytes, dest_arch=ULTRA5):
     return restore_state(proc.program, payload, dest)
 
 
+def time_restore(benchmark, proc: Process, payload: bytes, dest_arch=ULTRA5,
+                 **pedantic) -> None:
+    """Time Restore of *payload* alone: each round's destination is
+    built in ``setup``, outside the timed call, as the paper's
+    destination "is invoked before the migration and waits"."""
+    benchmark.pedantic(
+        lambda dest: restore_state(proc.program, payload, dest),
+        setup=lambda: ((Process(proc.program, dest_arch),), {}),
+        iterations=1,
+        **pedantic,
+    )
+
+
 _REPORT_ROWS: list[str] = []
 
 

@@ -530,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the migration's counters to PATH ('-' = stdout)")
     p.add_argument("--attribution", action="store_true",
-                   help="profile per-type collect/restore cost attribution "
-                        "(implied by --trace)")
+                   help="profile which types spend the collect/restore "
+                        "time of the attempt that arrived (implied by --trace)")
     p.add_argument("--fault", type=_fault_plan, default=None, metavar="PLAN",
                    help="inject deterministic transport faults, e.g. "
                         "'bitflip@1:3,drop@2' or 'seed=42:count=2' "
@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = obs_sub.add_parser("top", help="heaviest cost centers")
     q.add_argument("trace")
-    q.add_argument("--by", default="type", choices=["type", "block", "phase"])
+    q.add_argument("--by", default="type", choices=["type", "phase"])
     q.add_argument("-n", type=_int_at_least(1), default=10, help="rows to show")
     q.set_defaults(fn=cmd_obs)
 

@@ -26,7 +26,7 @@ Restore that ran (``stats.migration_time``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -34,6 +34,7 @@ from repro import obs
 from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.migration.stats import MigrationStats
 from repro.obs import MigrationObservation
+from repro.obs.attribution import AttributionProfiler
 from repro.migration.transport import Channel, ChannelError, LOOPBACK, Link
 from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind, MSRLTError
@@ -470,16 +471,12 @@ class _Run:
         from repro.migration.precopy import run_precopy
 
         scratch = self._new_scratch()
-        prof = self.obs.attribution
 
         def rounds():
-            # delta-round collect/restore cost must not lump into the
-            # final attempt's attribution partition
-            with prof.scoped("precopy") if prof is not None else nullcontext():
-                return run_precopy(
-                    self.source, scratch, self.channel, self.precopy_policy,
-                    self.stats, self.chunk_size,
-                )
+            return run_precopy(
+                self.source, scratch, self.channel, self.precopy_policy,
+                self.stats, self.chunk_size,
+            )
 
         try:
             self.pre_state = self._guarded("precopy", rounds)
@@ -499,6 +496,10 @@ class _Run:
                 "attempt_begin", attempt=attempt + 1,
                 streaming=self.streaming, precopy_final=use_pre,
             )
+            if self.obs.attribution is not None:
+                # the table is the attempt that arrives: a failed
+                # attempt's and the pre-copy rounds' work stays in spans
+                self.obs.attribution = AttributionProfiler()
             try:
                 self._guarded("attempt", self._attempt, n=attempt + 1)
                 return
@@ -512,10 +513,6 @@ class _Run:
                 error_type=type(error).__name__,
                 error=str(error),
             )
-            if self.obs.attribution is not None:
-                # the collect work happened, but not for the payload that
-                # will arrive: out of the default table, kept on the side
-                self.obs.attribution.set_aside(f"attempt {attempt + 1}")
             if use_pre:
                 self._degrade_precopy(error)
             if attempt + 1 >= self.max_attempts:
@@ -577,15 +574,12 @@ class _Run:
 
     def finish(self) -> None:
         """On every exit: book the counter deltas and the faults that
-        fired in the stats, detach the profiler, close the span tree."""
+        fired in the stats, close the span tree."""
         stats, now = self.stats, self._tallies()
         for name, before in self._tallies0.items():
             setattr(stats, name, now[name] - before)
         for fault in getattr(self.channel, "faults_fired", ())[self._faults0:]:
             stats.faults[fault.kind] = stats.faults.get(fault.kind, 0) + 1
-        # an aborted collection skips Collector.finish(); make sure no
-        # profiler reference outlives the migration it belonged to
-        self.source.msrlt.profiler = None
         self.obs.tracer.finish()
 
     # -- what the steps share ----------------------------------------------

@@ -126,9 +126,9 @@ class MigrationStats:
 
     @property
     def attribution(self) -> Optional[dict]:
-        """The per-type cost attribution summary (``payload_bytes`` +
-        ``rows``), or ``None`` when the migration ran without profiling
-        (``migrate(..., attribution=True)`` turns it on)."""
+        """The per-type cost attribution of the attempt that arrived
+        (``payload_bytes`` + ``rows``), or ``None`` when the migration ran
+        without profiling (``migrate(..., attribution=True)`` turns it on)."""
         if self.obs is None or getattr(self.obs, "attribution", None) is None:
             return None
         return self.obs.attribution.summary()

@@ -131,13 +131,6 @@ class Collector:
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
-        if self._prof is not None:
-            self.msrlt.profiler = self._prof
-            if defer:
-                # a deferred marker's bytes are cut after its walk would
-                # have booked them: a round's attribution is its lookups
-                # (the scope's framing row), not per-type bytes
-                self._prof = None
         #: the oracle switch, read once per pass: every block's compiled
         #: plan, or every block's per-cell reference
         self._plans_on = self.ti.plans_enabled
@@ -306,11 +299,8 @@ class Collector:
         first_visit = visited.add if self.deferred is None else self._journal_visit
         msrlt = self.msrlt
         starts, blocks = msrlt.sorted_index  # the walk registers nothing
-        depth = len(starts).bit_length()  # what one search probes
-        searched = msrlt.profiler  # books every search, as lookup_addr does
         types = self._types
         prof = self._prof
-        open_frames = 0 if prof is None else prof.depth()
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
         n_blocks = n_refs = n_nulls = n_walked = n_searches = data_bytes = 0
@@ -333,8 +323,6 @@ class Collector:
                     else:
                         # MSRLT.lookup_addr, inlined
                         n_searches += 1
-                        if searched is not None:
-                            searched.msrlt_lookup(depth)
                         i = bisect_right(starts, value) - 1
                         if i < 0:
                             self._dangling(value)
@@ -431,11 +419,7 @@ class Collector:
                                 else:
                                     values = new.load(memory, addr)
                         elif header and prof is not None:
-                            prof.exit_block(
-                                len(out),
-                                "percell" if new is None else new.engagement,
-                                cells=info.cells_in(block.count),
-                            )
+                            prof.exit_block(len(out))
                         header = True
                 # -- advance the open frame to its next pointer
                 while True:
@@ -478,17 +462,9 @@ class Collector:
                         return
                     # the open frame is finished: resume the one beneath
                     if opened is not None and prof is not None:
-                        ctype = opened.elem_type
-                        prof.exit_block(
-                            len(out), plan.engagement,
-                            cells=types[id(ctype)][1].cells_in(opened.count),
-                        )
+                        prof.exit_block(len(out))
                     (walker, plan, opened, slots, at, values, addr,
                      units, unpack) = stack.pop()
-        except BaseException:
-            if prof is not None:
-                prof.unwind(open_frames, len(out))
-            raise
         finally:
             backoff.skip = skip
             msrlt.n_searches += n_searches
@@ -500,8 +476,6 @@ class Collector:
         self.stats.wire_bytes = self.buf.nbytes
         if self._prof is not None:
             self._prof.note_payload(self.buf.nbytes)
-        # the pass is over; stop feeding lookup costs to the profiler
-        self.msrlt.profiler = None
         return self.stats
 
 

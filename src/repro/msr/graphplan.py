@@ -209,8 +209,6 @@ def _resolve_ref_rows(restorer, leads, serials, ords):
 class FlatPlan:
     """Zero-copy bulk path for homogeneous dense primitive blocks."""
 
-    #: the attribution engagement class a block this plan took books
-    engagement = "flat"
     #: no slots: the traversal drivers do not walk this plan's blocks
     save_slots = restore_slots = None
     __slots__ = ("kind", "host_dtype", "wire_dtype")
@@ -267,7 +265,6 @@ class StructPlan:
     the number of units — the same O(fields) shape the flat plan has.
     """
 
-    engagement = "codec"
     save_slots = restore_slots = None
     __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size")
 
@@ -409,7 +406,6 @@ class PtrArrayPlan:
     driver's work stack while it descends into the target.
     """
 
-    engagement = "codec"
     save_slots = restore_slots = None
     __slots__ = ()
 
@@ -633,17 +629,13 @@ class ChainPlan:
         """Attribution of a committed batch: *m* block visits of this
         type booked in one call.  The per-cell order nests each node in
         its predecessor, so what follows the batch inside the open block
-        (the batch's searches, the record after it: the last node's
-        tail) is a node's, not the open block's — it lands in a
-        continuation frame of the nodes' row, which closes with the open
-        block.  (Only a heap block of this very type has more units to
+        (the record after it: the last node's tail) is a node's, not
+        the open block's — it lands in a continuation frame of the
+        nodes' row, which closes with the open block.  (Only a heap block of this very type has more units to
         come, and those land in that same row.)"""
         label = self.info.label
         heap = BlockKind.NAMES[BlockKind.HEAP]
-        prof.book_batch(
-            phase, label, heap, m, nbytes, prof.clock() - t0,
-            m * self.info.cell_count,
-        )
+        prof.book_batch(phase, label, heap, m, nbytes, prof.clock() - t0)
         prof.enter_block(phase, label, heap, pos, counted=False)
 
     # -- collect --------------------------------------------------------------
@@ -1033,7 +1025,6 @@ class CellRecord:
     its ``size``).
     """
 
-    engagement = "percell"
     #: no one-call unit load or store: the drivers call :meth:`load` /
     #: :meth:`store`
     load_from = store_into = None
@@ -1102,7 +1093,6 @@ class RecordPlan(CellRecord):
     watches), and calls :meth:`store` otherwise.
     """
 
-    engagement = "codec"
     __slots__ = ("host", "narrow", "load_from", "store_into")
 
     def __init__(self, info, layout) -> None:

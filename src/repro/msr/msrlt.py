@@ -109,9 +109,6 @@ class MSRLT:
         self.n_searches = 0
         self.n_cache_hits = 0  # never incremented: benchmarks/suite/layers.py reads it
         self.n_registrations = 0
-        #: attribution profiler the active Collector installs for one
-        #: pass (None when profiling is off — the common case)
-        self.profiler = None
         #: pre-copy registration journal: while a list is installed here
         #: (for the length of one execution slice, like ``Memory.dirty``),
         #: every block ``malloc`` / ``free`` / ``realloc`` registers or
@@ -271,9 +268,6 @@ class MSRLT:
         complexity benchmark.
         """
         self.n_searches += 1
-        if self.profiler is not None:
-            # a binary search over n starts probes ~ceil(log2 n) entries
-            self.profiler.msrlt_lookup(len(self._starts).bit_length())
         i = bisect_right(self._starts, addr) - 1
         if i >= 0:
             block = self._blocks[i]
@@ -283,14 +277,11 @@ class MSRLT:
 
     def count_searches(self, n: int) -> None:
         """Book *n* searches a plan resolved in bulk and then committed
-        to the wire: counted, and attributed to the block being visited,
-        as *n* :meth:`lookup_addr` binary searches — so E5's complexity
-        counters and the attribution table read the same whichever path
-        ran.  The bulk lookups themselves are free: plans look up
+        to the wire, counted as *n* :meth:`lookup_addr` binary searches —
+        so E5's complexity counter reads the same whichever path ran.
+        The bulk lookups themselves are free: plans look up
         speculatively and count only what they emit."""
         self.n_searches += n
-        if self.profiler is not None:
-            self.profiler.msrlt_lookups(n, len(self._starts).bit_length())
 
     def blocks_overlapping(self, lo: int, hi: int) -> list[MemoryBlock]:
         """All registered blocks intersecting the byte range ``[lo, hi)``.

@@ -340,7 +340,6 @@ class Restorer:
         types = self._types
         pending = self._pending
         prof = self._prof
-        open_frames = 0 if prof is None else prof.depth()
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
         n_blocks = n_refs = n_nulls = n_allocs = data_bytes = 0
@@ -507,11 +506,7 @@ class Restorer:
                             into = new.store_into if barrier_free else None
                     elif headed and prof is not None:
                         buf.cursor = pos
-                        prof.exit_block(
-                            buf.position,
-                            "percell" if new is None else new.engagement,
-                            cells=info.cells_in(block.count),
-                        )
+                        prof.exit_block(buf.position)
                 # -- hand the address to the open frame and advance it to
                 # its next pointer (a frame just opened has none to take)
                 while True:
@@ -578,10 +573,7 @@ class Restorer:
                     # goes to the frame beneath
                     if opened is not None and prof is not None:
                         buf.cursor = pos
-                        prof.exit_block(
-                            buf.position, plan.engagement,
-                            cells=self.ti.info_for(opened.elem_type).cells_in(opened.count),
-                        )
+                        prof.exit_block(buf.position)
                     address = result
                     (walker, plan, opened, result, slots, at, values,
                      addr, units, patch, into) = stack.pop()
@@ -590,8 +582,6 @@ class Restorer:
             # buffer raised: then the buffer's is ahead
             if pos > buf.cursor:
                 buf.cursor = pos
-            if prof is not None:
-                prof.unwind(open_frames, buf.position)
             raise
         finally:
             backoff.skip = skip

@@ -294,7 +294,6 @@ class _FlatReference:
     """:meth:`TITable.save_flat` / :meth:`TITable.restore_flat` behind the
     plan interface."""
 
-    engagement = "flat"
     save_slots = restore_slots = None
     __slots__ = ("ti",)
 

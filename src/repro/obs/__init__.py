@@ -76,10 +76,10 @@ class MigrationObservation:
     """Tracer + events for one migration, with activation.
 
     With ``attribution=True`` an :class:`AttributionProfiler` rides
-    along and the collector/restorer hot paths feed it; off (the
-    default) :attr:`attribution` is ``None`` and those hot paths pay one
-    ``is not None`` test per block — the near-zero-overhead contract the
-    codec benchmarks hold the profiler to.
+    along and the collector/restorer hot paths feed it (the engine
+    replaces it when an attempt begins: the table is the attempt that
+    arrived); off (the default) :attr:`attribution` is ``None`` and
+    those hot paths pay one ``is not None`` test per block.
     """
 
     def __init__(self, name: str = "migration", attribution: bool = False) -> None:
@@ -142,17 +142,9 @@ class MigrationObservation:
                 entry["attrs"] = sp.attrs
             lines.append(entry)
         if self.attribution is not None:
-            summary = self.attribution.summary()
-            attr_line = {
-                "event": "attribution",
-                "ts": end_ts,
-                "payload_bytes": summary["payload_bytes"],
-                "rows": summary["rows"],
-            }
-            for side in ("scopes", "abandoned"):
-                if side in summary:
-                    attr_line[side] = summary[side]
-            lines.append(attr_line)
+            lines.append(
+                {"event": "attribution", "ts": end_ts, **self.attribution.summary()}
+            )
         lines.append({"event": "metrics", "ts": end_ts, "counters": self._counters()})
         return lines
 

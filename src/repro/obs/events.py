@@ -7,11 +7,11 @@ log grows with attempts, faults and rounds, never per chunk.  ``repro
 migrate --trace out.jsonl`` exports the log plus the span tree and the
 migration's counters as JSON-lines.
 
-Trace file format (one JSON object per line, schema version 8 — the one
+Trace file format (one JSON object per line, schema version 9 — the one
 version this build writes and reads; a trace of another version is
 re-recorded, not converted):
 
-- line 1 is always ``{"event": "trace_header", "schema": 8, ...}`` and
+- line 1 is always ``{"event": "trace_header", "schema": 9, ...}`` and
   carries the migration's ``trace_id`` (16 hex chars);
 - every line has an ``"event"`` string and a non-negative ``"ts"``
   number (seconds since the migration's observation began);
@@ -22,8 +22,9 @@ re-recorded, not converted):
   '/'-joined location in the tree, ``seconds``/``count`` the
   measurement, ``span_id``/``parent_id`` its place in the tree:
   the root has ``parent_id == -1``);
-- an ``attribution`` line carries the per-type cost table when
-  profiling was on, each row holding :data:`ATTRIBUTION_ROW_FIELDS`;
+- an ``attribution`` line carries the per-type cost table of the
+  attempt that arrived when profiling was on (``payload_bytes`` and
+  ``rows``), each row holding :data:`ATTRIBUTION_ROW_FIELDS`;
 - the final ``metrics`` line carries ``MigrationStats.counters()``,
   ``{"counters": {name: int, ...}}``.
 
@@ -55,7 +56,7 @@ __all__ = [
     "validate_trace_file",
 ]
 
-TRACE_SCHEMA_VERSION = 8
+TRACE_SCHEMA_VERSION = 9
 
 #: required (field, type) pairs per event type; unknown event types are
 #: rejected so a typo'd emitter fails CI rather than shipping dark data
@@ -83,11 +84,11 @@ EVENT_REQUIRED_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
 }
 
 #: required (field, type) pairs of every row of an ``attribution`` line
-#: — the columns ``repro obs report`` / ``top`` compute with
+#: — every column :meth:`AttributionProfiler.summary` writes
 ATTRIBUTION_ROW_FIELDS: tuple[tuple[str, type], ...] = (
     ("type", str), ("class", str), ("bytes", int), ("blocks", int),
     ("collect_s", (int, float)), ("restore_s", (int, float)),
-    ("flat", int), ("codec", int), ("percell", int),
+    ("restore_bytes", int), ("restore_blocks", int),
 )
 
 

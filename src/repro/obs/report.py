@@ -8,7 +8,7 @@ renders the three analyses the CLI exposes:
 
 - :func:`render_report` — per-phase timing breakdown plus the
   attribution table (the paper's Table 1 view of a single trace);
-- :func:`render_top` — the heaviest rows by type, block class, or phase;
+- :func:`render_top` — the heaviest rows by type, or the phases;
 - :func:`render_diff` — A-vs-B regression deltas of phases and counters.
 
 Everything is stdlib-only.  A trace is read only once the validator
@@ -164,24 +164,16 @@ def render_report(doc: TraceDocument) -> str:
         payload = doc.attribution["payload_bytes"]
         total = sum(r["bytes"] for r in rows)
         out.append(f"attribution ({total} of {payload} payload bytes):")
-        table_rows = []
-        for r in sorted(rows, key=lambda r: -r["bytes"]):
-            paths = ("flat", "codec", "percell")
-            eng = max(paths, key=r.get) if sum(r[k] for k in paths) else "-"
-            table_rows.append([
+        out.append(_table(
+            ["type", "class", "bytes", "blocks", "collect_ms", "restore_ms"],
+            [[
                 r["type"],
                 r["class"],
                 str(r["bytes"]),
                 str(r["blocks"]),
                 f"{r['collect_s'] * 1e3:.3f}",
                 f"{r['restore_s'] * 1e3:.3f}",
-                eng,
-                str(r.get("msrlt_searches", 0)),
-            ])
-        out.append(_table(
-            ["type", "class", "bytes", "blocks", "collect_ms",
-             "restore_ms", "path", "lookups"],
-            table_rows,
+            ] for r in sorted(rows, key=lambda r: -r["bytes"])],
         ))
     else:
         out.append("")
@@ -233,7 +225,7 @@ def _render_precopy(doc: TraceDocument) -> list[str]:
 
 
 def render_top(doc: TraceDocument, by: str = "type", n: int = 10) -> str:
-    """The *n* heaviest cost centers, grouped *by* type | block | phase."""
+    """The *n* heaviest cost centers, grouped *by* type | phase."""
     if by == "phase":
         phases = doc.phase_seconds()
         if not phases:
@@ -246,16 +238,13 @@ def render_top(doc: TraceDocument, by: str = "type", n: int = 10) -> str:
     if not rows:
         return ("no attribution table in trace "
                 "(run with --attribution / migrate(attribution=True))")
-    column = {"type": "type", "block": "class"}.get(by)
-    if column is None:
-        raise TraceReadError(f"unknown --by {by!r}; choose type, block, or phase")
     groups: dict[str, dict] = {}
     for r in rows:
-        g = groups.setdefault(r[column], {"bytes": 0, "blocks": 0, "s": 0.0})
+        g = groups.setdefault(r["type"], {"bytes": 0, "blocks": 0, "s": 0.0})
         g["bytes"] += r["bytes"]
         g["blocks"] += r["blocks"]
         g["s"] += r["collect_s"] + r["restore_s"]
-    head = [column, "bytes", "blocks", "collect+restore"]
+    head = ["type", "bytes", "blocks", "collect+restore"]
     ordered = sorted(groups.items(), key=lambda kv: -kv[1]["bytes"])[:n]
     return _table(head, [
         [key, str(g["bytes"]), str(g["blocks"]), f"{g['s'] * 1e3:.3f} ms"]

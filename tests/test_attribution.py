@@ -4,9 +4,10 @@ The profiler's core contract is a *partition*: per-row self wire bytes
 plus the framing residual sum to the payload size **exactly** — no byte
 is counted twice (nested blocks subtract their children) and none is
 lost (the residual row absorbs headers and record scaffolding).  These
-tests pin that, the codec-engagement and MSRLT-search accounting, the
-hot-path off-switch (``stats.attribution is None``, profiler detached
-from the MSRLT), and the engine integration in both transfer modes.
+tests pin that, the table's one shape (the attempt that arrived, rows of
+bytes, blocks and seconds per phase), the hot-path off-switch
+(``stats.attribution is None``; the MSRLT knows no profiler), and the
+engine integration in both transfer modes.
 
 The second contract is that observation does not change what runs: an
 attributed migration takes the same compiled plans as a plain one (same
@@ -123,11 +124,8 @@ def attributed_migration(source, polls, src=DEC5000, dst=SPARC20,
 
 
 #: the columns of the table that must not depend on which path ran
-#: (seconds do; engagement says which path ran)
-TABLE_COLUMNS = (
-    "bytes", "restore_bytes", "blocks", "restore_blocks", "cells",
-    "msrlt_searches",
-)
+#: (seconds do)
+TABLE_COLUMNS = ("bytes", "restore_bytes", "blocks", "restore_blocks")
 
 
 def table_of(stats):
@@ -176,9 +174,9 @@ class TestProfilerUnit:
         clock.t = 1.0
         prof.enter_block("collect", "double [8]", "heap", pos=10)
         clock.t = 3.0
-        prof.exit_block(pos=74, engagement="flat")  # child: 2 s, 64 B
+        prof.exit_block(pos=74)  # child: 2 s, 64 B
         clock.t = 4.0
-        prof.exit_block(pos=100, engagement="percell")  # total 4 s, 100 B
+        prof.exit_block(pos=100)  # total 4 s, 100 B
         prof.note_payload(120)
         summary = prof.summary()
         rows = {(r["type"], r["class"]): r for r in summary["rows"]}
@@ -189,31 +187,18 @@ class TestProfilerUnit:
         assert rows[FRAMING_ROW]["bytes"] == 20
         assert sum(r["bytes"] for r in summary["rows"]) == 120
 
-    def test_engagement_and_phase_counters(self):
+    def test_phase_counters(self):
         prof = AttributionProfiler(clock=FakeClock())
         prof.enter_block("collect", "int", "global", 0)
-        prof.exit_block(4, "flat", cells=1)
+        prof.exit_block(4)
         prof.enter_block("restore", "int", "global", 0)
-        prof.exit_block(4, "codec", cells=1)
+        prof.exit_block(4)
         (row,) = prof.summary()["rows"]
-        assert row["blocks"] == 1 and row["restore_blocks"] == 1
-        assert row["bytes"] == 4 and row["restore_bytes"] == 4
-        assert row["flat"] == 1 and row["codec"] == 1 and row["percell"] == 0
-        assert row["cells"] == 2
-
-    def test_msrlt_lookup_attributed_to_open_frame(self):
-        prof = AttributionProfiler(clock=FakeClock())
-        prof.enter_block("collect", "struct node", "heap", 0)
-        prof.msrlt_lookup(depth=5)
-        prof.msrlt_lookup(depth=4)
-        prof.exit_block(8, "percell")
-        prof.msrlt_lookup(depth=3)  # no frame open
-        summary = prof.summary()
-        rows = {(r["type"], r["class"]): r for r in summary["rows"]}
-        node = rows[("struct node", "heap")]
-        assert node["msrlt_searches"] == 2
-        assert node["msrlt_depth"] == 9
-        assert rows[FRAMING_ROW]["msrlt_searches"] == 1
+        assert row == {
+            "type": "int", "class": "global", "collect_s": 0.0,
+            "restore_s": 0.0, "bytes": 4, "restore_bytes": 4, "blocks": 1,
+            "restore_blocks": 1,
+        }
 
     def test_batch_is_child_cost_of_the_open_frame(self):
         """``book_batch`` books n visits in one call and charges the
@@ -223,58 +208,34 @@ class TestProfilerUnit:
         prof.enter_block("collect", "struct head", "global", pos=0)
         clock.t = 5.0
         prof.book_batch("collect", "struct node", "heap", blocks=8,
-                        nbytes=240, seconds=3.0, cells=16)
-        prof.exit_block(pos=270, engagement="percell", cells=2)
+                        nbytes=240, seconds=3.0)
+        prof.exit_block(pos=270)
         rows = {(r["type"], r["class"]): r for r in prof.summary()["rows"]}
         node = rows[("struct node", "heap")]
-        assert node["blocks"] == 8 and node["codec"] == 8
-        assert node["bytes"] == 240 and node["cells"] == 16
+        assert node["blocks"] == 8 and node["bytes"] == 240
         assert node["collect_s"] == pytest.approx(3.0)
         head = rows[("struct head", "global")]
         assert head["bytes"] == 30 and head["collect_s"] == pytest.approx(2.0)
-        assert head["blocks"] == 1 and head["percell"] == 1
-
-    def test_batch_scope_comes_from_the_open_frame(self):
-        prof = AttributionProfiler(clock=FakeClock())
-        with prof.scoped("precopy"):
-            prof.enter_block("restore", "struct head", "global", pos=0)
-        # the phase boundary moved while the frame was open
-        prof.book_batch("restore", "struct node", "heap", 4, 80, 0.0, 8)
-        prof.exit_block(pos=100, engagement="percell")
-        summary = prof.summary()
-        assert summary["rows"] == []
-        rows = {r["type"]: r for r in summary["scopes"]["precopy"]["rows"]}
-        assert rows["struct node"]["restore_blocks"] == 4
-        assert rows["struct node"]["restore_bytes"] == 80
-        assert rows["struct head"]["restore_bytes"] == 20
-
-    def test_batch_without_open_frame_uses_current_scope(self):
-        prof = AttributionProfiler(clock=FakeClock())
-        with prof.scoped("precopy"):
-            prof.book_batch("collect", "struct node", "heap", 2, 40, 0.0, 4)
-        prof.book_batch("collect", "struct node", "heap", 3, 60, 0.0, 6)
-        summary = prof.summary()
-        assert summary["rows"][0]["blocks"] == 3
-        assert summary["scopes"]["precopy"]["rows"][0]["blocks"] == 2
+        assert head["blocks"] == 1
 
     def test_continuation_books_cost_but_no_visit(self):
         """What follows a batch is its last block's record: bytes and
-        lookups inside the continuation frame land in the batch's row,
+        seconds inside the continuation frame land in the batch's row,
         not in the frame the plan ran in, and count no visit."""
-        prof = AttributionProfiler(clock=FakeClock())
+        clock = FakeClock()
+        prof = AttributionProfiler(clock=clock)
         prof.enter_block("collect", "struct node", "global", pos=0)
-        prof.book_batch("collect", "struct node", "heap", 4, 100, 0.0, 8)
+        prof.book_batch("collect", "struct node", "heap", 4, 100, 0.0)
         prof.enter_block("collect", "struct node", "heap", 120, counted=False)
-        prof.msrlt_lookups(7, depth=3)
-        prof.exit_block(pos=121, engagement="percell")  # after a NULL tail
+        clock.t = 2.0
+        prof.exit_block(pos=121)  # after a NULL tail
         rows = {(r["type"], r["class"]): r for r in prof.summary()["rows"]}
         heap = rows[("struct node", "heap")]
         assert heap["bytes"] == 101 and heap["blocks"] == 4
-        assert heap["msrlt_searches"] == 7 and heap["msrlt_depth"] == 21
-        assert heap["codec"] == 4 and heap["percell"] == 0
+        assert heap["collect_s"] == pytest.approx(2.0)
         head = rows[("struct node", "global")]
         assert head["bytes"] == 20 and head["blocks"] == 1
-        assert head["msrlt_searches"] == 0
+        assert head["collect_s"] == 0.0
 
     def test_block_exit_closes_the_continuations_inside_it(self):
         """Back-to-back batches nest their continuations; a block nested
@@ -284,28 +245,20 @@ class TestProfilerUnit:
         prof.enter_block("restore", "struct node", "heap", 50, counted=False)
         prof.enter_block("restore", "struct node", "heap", 50, counted=False)
         prof.enter_block("restore", "char [4]", "heap", 72)
-        prof.exit_block(pos=76, engagement="flat")
-        prof.exit_block(pos=76, engagement="percell")
-        prof.msrlt_lookup(depth=1)  # no frame open now
+        prof.exit_block(pos=76)
+        prof.exit_block(pos=76)
         rows = {(r["type"], r["class"]): r for r in prof.summary()["rows"]}
         assert rows[("char [4]", "heap")]["restore_bytes"] == 4
         assert rows[("struct node", "heap")]["restore_bytes"] == 22
         assert rows[("struct node", "heap")]["restore_blocks"] == 0
         assert rows[("struct node", "stack")]["restore_bytes"] == 50
-        assert rows[FRAMING_ROW]["msrlt_searches"] == 1
-
-    def test_note_payload_keeps_max(self):
-        prof = AttributionProfiler()
-        prof.note_payload(100)
-        prof.note_payload(60)  # a retried smaller attempt cannot shrink it
-        assert prof.summary()["payload_bytes"] == 100
 
     def test_rows_sorted_by_bytes_descending(self):
         clock = FakeClock()
         prof = AttributionProfiler(clock=clock)
         for label, nbytes in (("small", 10), ("big", 90), ("mid", 40)):
             prof.enter_block("collect", label, "global", 0)
-            prof.exit_block(nbytes, "flat")
+            prof.exit_block(nbytes)
         got = [r["type"] for r in prof.summary()["rows"]]
         assert got == ["big", "mid", "small"]
 
@@ -362,45 +315,6 @@ class TestEngineAttribution:
         classes = {r["class"] for r in attr["rows"]}
         assert classes <= set(BLOCK_CLASSES) | {"wire", "unknown"}
 
-    def test_engagement_classes(self, attributed, prog):
-        """The engagement counters say what ran.  The flat bulk path
-        carries the scalar array; the ring is one ChainPlan batch behind
-        its first node, which the driver walked through its RecordPlan;
-        with the plans off every pointer-bearing block goes cell by
-        cell."""
-        _, _, stats = attributed
-        attr = stats.attribution
-        table = row_of(attr, "double [300]")
-        assert table["flat"] == 2 and table["percell"] == 0  # collect+restore
-        node = row_of(attr, "struct node")
-        assert node["flat"] == 0
-        assert node["codec"] == 2 * 40 and node["percell"] == 0
-        assert stats.collect.n_plan_blocks >= 40
-
-        proc = stopped(prog)
-        with plans_off(proc, Process(prog, SPARC20)):
-            _, oracle = MigrationEngine().migrate(
-                proc, SPARC20, channel=Channel(LOOPBACK), attribution=True
-            )
-        node = row_of(oracle.attribution, "struct node")
-        assert node["codec"] == 0
-        assert node["percell"] == node["blocks"] + node["restore_blocks"] == 80
-
-    def test_unbatched_record_blocks_book_codec(self):
-        """A record block whose tail never batched still went through
-        its compiled RecordPlan, one load or store per unit: every
-        bitonic tree node."""
-        _, _, stats = attributed_migration(*PLAN_WORKLOADS["bitonic"])
-        node = row_of(stats.attribution, "struct tnode")
-        assert node["blocks"] > 0 and node["percell"] == 0
-        assert node["codec"] == node["blocks"] + node["restore_blocks"]
-
-    def test_engagement_counts_cover_every_visit(self, attributed):
-        _, _, stats = attributed
-        for r in stats.attribution["rows"]:
-            assert (r["flat"] + r["codec"] + r["percell"]
-                    == r["blocks"] + r["restore_blocks"])
-
     def test_restore_side_mirrors_collect(self, attributed):
         _, _, stats = attributed
         rows = stats.attribution["rows"]
@@ -411,21 +325,12 @@ class TestEngineAttribution:
         restore_total = sum(r["restore_bytes"] for r in rows)
         assert 0 < restore_total <= stats.payload_bytes
 
-    def test_msrlt_rows_agree_with_metrics(self, attributed):
-        """Row-attributed lookups are the *same* lookups the counters
-        book — one instrumentation, two read-outs."""
-        _, _, stats = attributed
-        counters = stats.counters()
-        rows = stats.attribution["rows"]
-        assert sum(r["msrlt_searches"] for r in rows) == counters["msrlt.searches"]
-        node = row_of(stats.attribution, "struct node")
-        assert node["msrlt_searches"] > 0  # pointer chasing pays the searches
-        assert node["msrlt_depth"] >= node["msrlt_searches"]
-
     def test_profiler_detached_after_migration(self, attributed):
+        """Neither table ever holds the profiler: the hooks are the
+        collector's and the restorer's, fetched once per pass."""
         proc, dest, _ = attributed
-        assert proc.msrlt.profiler is None
-        assert dest.msrlt.profiler is None
+        assert not hasattr(proc.msrlt, "profiler")
+        assert not hasattr(dest.msrlt, "profiler")
 
     def test_disabled_by_default(self, prog):
         proc = stopped(prog)
@@ -433,7 +338,6 @@ class TestEngineAttribution:
             proc, SPARC20, channel=Channel(LOOPBACK)
         )
         assert stats.attribution is None
-        assert proc.msrlt.profiler is None
 
     def test_streaming_partition_exact_across_threads(self, prog, expected):
         """Streamed over a socket, the attempt collects and restores on
@@ -452,10 +356,9 @@ class TestEngineAttribution:
         total = sum(r["bytes"] for r in attr["rows"])
         assert total == attr["payload_bytes"] == stats.payload_bytes
 
-    def test_multi_attempt_accounting_is_cumulative(self, prog, expected):
-        """A faulted attempt's collect work really happened; attribution
-        keeps it — beside the table, as an abandoned attempt — while the
-        default rows partition the single payload that arrived."""
+    def test_retried_table_is_the_attempt_that_arrived(self, prog, expected):
+        """A faulted attempt's work stays in its spans and events; the
+        table is the attempt that arrived, and partitions its payload."""
         proc = stopped(prog)
         channel = FaultyChannel(
             Channel(LOOPBACK), FaultPlan.parse("bitflip@1:5")
@@ -469,15 +372,17 @@ class TestEngineAttribution:
         assert dest.stdout == expected
         assert stats.retries == 1
         attr = stats.attribution
+        assert set(attr) == {"payload_bytes", "rows"}
         assert attr["payload_bytes"] == stats.payload_bytes
         assert sum(r["bytes"] for r in attr["rows"]) == attr["payload_bytes"]
-        (name, abandoned), = attr["abandoned"].items()
-        assert name == "attempt 1"
-        assert 0 < sum(r["bytes"] for r in abandoned["rows"]) <= stats.payload_bytes
+        # one visit per block of the one payload, on each side
+        node = row_of(attr, "struct node")
+        assert node["blocks"] == node["restore_blocks"] == 40
+        assert len(stats.obs.events.of_type("attempt_fail")) == 1
         (line,) = [
             l for l in stats.obs.trace_lines() if l["event"] == "attribution"
         ]
-        assert line["abandoned"] == attr["abandoned"]
+        assert set(line) == {"event", "ts", "payload_bytes", "rows"}
 
     def test_attribution_in_trace_lines(self, attributed):
         _, _, stats = attributed
@@ -600,20 +505,21 @@ class TestPlansKeepTheTable:
         # in a NULL
         assert heap["bytes"] == chained * head + (head + 4 + 4) + 7
 
-    def test_precopy_scopes_partition_with_plans_on(self):
-        """The snapshot round keeps its plans under attribution; each
-        scope's byte column still partitions that scope's payload."""
+    def test_precopy_final_table_partitions_with_plans_on(self):
+        """Under pre-copy the table is the final pass's: its byte column
+        partitions the (elided) final payload, not the snapshot's."""
         source, polls = PLAN_WORKLOADS["structgrid"]
         proc = stopped(compiled(source), polls=polls)
         _, stats = MigrationEngine().migrate(
             proc, SPARC20, channel=Channel(LOOPBACK), attribution=True,
             precopy=True,
         )
+        assert stats.precopy and stats.precopy_rounds > 0
+        assert stats.payload_bytes < stats.precopy_round_bytes[0]
         attr = stats.attribution
-        for table in (attr, *attr["scopes"].values()):
-            assert sum(r["bytes"] for r in table["rows"]) == table["payload_bytes"]
-        snapshot = attr["scopes"]["precopy"]
-        assert row_of(snapshot, "struct probe")["codec"] > 0
+        assert set(attr) == {"payload_bytes", "rows"}
+        assert attr["payload_bytes"] == stats.payload_bytes
+        assert sum(r["bytes"] for r in attr["rows"]) == stats.payload_bytes
 
     def test_deep_grid_migrates_at_default_recursion_limit(self):
         """An attributed migration must succeed wherever the plain one

@@ -214,7 +214,7 @@ class TestEventLogAndSchema:
              "joined": True},
         ))
         errors = validate_trace_lines(doc)
-        assert any("schema 5 != 8" in e for e in errors)
+        assert any("schema 5 != 9" in e for e in errors)
         assert any("unknown event type 'trace_context'" in e for e in errors)
 
     def test_a_schema_6_trace_is_refused(self):
@@ -227,7 +227,7 @@ class TestEventLogAndSchema:
             {"event": "pipeline", "ts": 0.0, "wall_s": 0.001, "n_chunks": 2,
              "occupancy": 0.0},
         ))
-        assert any("schema 6 != 8" in e for e in validate_trace_lines(doc))
+        assert any("schema 6 != 9" in e for e in validate_trace_lines(doc))
 
     def test_a_schema_7_trace_is_refused(self):
         """Version 7 wrote a ``thread`` on every span line, a ``chunk``
@@ -245,10 +245,40 @@ class TestEventLogAndSchema:
              "thread": "MainThread", "span_id": 0, "parent_id": -1},
         ))
         errors = validate_trace_lines(doc)
-        assert errors[0] == "line 1: schema 7 != 8"
+        assert errors[0] == "line 1: schema 7 != 9"
         assert "line 2: unknown event type 'events_dropped'" in errors
         assert "line 3: unknown event type 'chunk'" in errors
         assert "line 4: unknown event type 'pipeline'" in errors
+
+    def test_a_schema_8_trace_is_refused_in_one_line(self):
+        """Version 8 wrote engagement (``flat`` / ``codec`` /
+        ``percell``), ``cells`` and MSRLT lookup columns on every
+        attribution row, and the pre-copy scope and abandoned attempts
+        beside the table; the columns are gone, and so is the version."""
+        doc = "\n".join(json.dumps(line) for line in (
+            {"event": "trace_header", "ts": 0.0, "schema": 8, "tool": "repro",
+             "trace_id": "00" * 8},
+            {"event": "attribution", "ts": 0.0, "payload_bytes": 4,
+             "rows": [dict(KEPT_ROW, cells=1, flat=1, codec=0, percell=0,
+                           msrlt_searches=0, msrlt_depth=0)],
+             "scopes": {}, "abandoned": {}},
+        ))
+        assert validate_trace_lines(doc) == ["line 1: schema 8 != 9"]
+
+    def test_a_schema_9_row_is_the_kept_columns(self):
+        doc = "\n".join(json.dumps(line) for line in (
+            {"event": "trace_header", "ts": 0.0, "schema": 9, "tool": "repro",
+             "trace_id": "00" * 8},
+            {"event": "attribution", "ts": 0.0, "payload_bytes": 4,
+             "rows": [KEPT_ROW]},
+        ))
+        assert validate_trace_lines(doc) == []
+        for field in KEPT_ROW:
+            row = {k: v for k, v in KEPT_ROW.items() if k != field}
+            errs = validate_trace_obj(
+                {"event": "attribution", "ts": 0, "payload_bytes": 4, "rows": [row]}
+            )
+            assert errs == [f"attribution row 0: missing field {field!r}"]
 
     def test_a_root_naming_a_foreign_parent_is_dangling(self):
         """A root parented in another document (what cross-hop trace
@@ -259,7 +289,7 @@ class TestEventLogAndSchema:
                 "span_id": 1 << 32, "parent_id": 3,
                 "attrs": {"remote_parent": 3}}
         doc = "\n".join(json.dumps(line) for line in (
-            {"event": "trace_header", "ts": 0.0, "schema": 8, "tool": "repro",
+            {"event": "trace_header", "ts": 0.0, "schema": 9, "tool": "repro",
              "trace_id": "00" * 8},
             span,
         ))
@@ -289,6 +319,14 @@ class TestEventLogAndSchema:
     def test_garbage_lines_and_empty_docs_reported(self):
         assert validate_trace_lines("") == ["trace is empty"]
         assert any("not valid JSON" in e for e in validate_trace_lines("{nope"))
+
+
+#: one schema-9 attribution row: every column it has, no other
+KEPT_ROW = {
+    "type": "int", "class": "global", "bytes": 4, "blocks": 1,
+    "collect_s": 0.0, "restore_s": 0.0, "restore_bytes": 4,
+    "restore_blocks": 1,
+}
 
 
 # -- bugfix regressions -------------------------------------------------------
@@ -557,6 +595,14 @@ def migrate_in_mode(prog, mode, attribution):
     return stats, channel.accepted_bytes, dest.stdout
 
 
+#: the columns of an attribution row: bytes, blocks and seconds per
+#: phase, keyed by (type, class)
+ATTRIBUTION_ROW_KEYS = {
+    "type", "class", "bytes", "blocks", "collect_s", "restore_s",
+    "restore_bytes", "restore_blocks",
+}
+
+
 @pytest.mark.parametrize("mode", list(MODES))
 class TestInstrumentsAgree:
     """Where two of the instruments that stay report the same quantity
@@ -604,23 +650,16 @@ class TestInstrumentsAgree:
                 == counters.get("precopy.bytes", 0))
         assert len(rounds) == (4 if mode == "precopy" else 0)  # snapshot + 3 slices
 
-        # the attribution table == stats and counters: every scope's
-        # byte column partitions that scope's payload (a failed attempt's
-        # collect work really happened: it is reported beside the table,
-        # one abandoned attempt per retry), and the lookups of all of
-        # them are the lookups the counters book
+        # the attribution table is the attempt that arrived, one table
+        # in every mode (a failed attempt and the pre-copy rounds are in
+        # the spans and events above): its byte column partitions the
+        # payload the stats report, and each row is the kept columns
         attr = stats.attribution
+        assert set(attr) == {"payload_bytes", "rows"}
         assert attr["payload_bytes"] == stats.payload_bytes
-        tables = [attr, *attr.get("scopes", {}).values()]
-        for table in tables:
-            booked = sum(r["bytes"] for r in table["rows"])
-            assert booked == table["payload_bytes"]
-        abandoned = attr.get("abandoned", {})
-        assert list(abandoned) == [f"attempt {n + 1}" for n in range(stats.retries)]
-        assert sum(
-            r["msrlt_searches"]
-            for table in (*tables, *abandoned.values()) for r in table["rows"]
-        ) == counters["msrlt.searches"]
+        assert sum(r["bytes"] for r in attr["rows"]) == stats.payload_bytes
+        for row in attr["rows"]:
+            assert set(row) == ATTRIBUTION_ROW_KEYS, row
 
         # observation on or off, the same bytes cross the channel
         plain, plain_wire, plain_stdout = migrate_in_mode(sliced_prog, mode, False)

@@ -91,11 +91,17 @@ class TestObsReport:
     def test_top_by_each_dimension(self, trace_path, capsys):
         for by, expect in (
             ("type", "double [300]"),
-            ("block", "heap"),
             ("phase", "frame"),
         ):
             assert main(["obs", "top", str(trace_path), "--by", by]) == 0
             assert expect in capsys.readouterr().out
+
+    def test_top_by_block_is_a_usage_error(self, trace_path, capsys):
+        """Grouping by block class is gone: ``--by`` is type or phase."""
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "top", str(trace_path), "--by", "block"])
+        assert exc.value.code == 2
+        assert "argument --by: invalid choice: 'block'" in capsys.readouterr().err
 
     def test_top_respects_n(self, trace_path, capsys):
         assert main(["obs", "top", str(trace_path), "--by", "type", "-n", "1"]) == 0
@@ -139,25 +145,25 @@ class TestObsErrors:
         assert code == 2 and "not valid JSON" in line
 
     def test_wrong_schema_exits_2(self, tmp_path, capsys):
-        # 7 is the version before this one: its span lines carried a
-        # thread name and it logged an event per chunk
-        for schema in (1, 7):
+        # 8 is the version before this one: its attribution rows carried
+        # engagement, cells and lookup columns
+        for schema in (1, 8):
             old = tmp_path / f"old{schema}.jsonl"
             old.write_text(json.dumps(
                 {"event": "trace_header", "ts": 0.0, "schema": schema,
                  "tool": "repro", "trace_id": "00" * 8}
             ) + "\n")
             code, line = cli_exit(["obs", "report", str(old)], capsys)
-            assert code == 2 and f"schema {schema} != 8" in line
+            assert code == 2 and f"schema {schema} != 9" in line
 
-    @pytest.mark.parametrize("command", [["report"], ["top"], ["top", "--by", "block"]])
+    @pytest.mark.parametrize("command", [["report"], ["top"], ["top", "--by", "phase"]])
     def test_a_trace_the_validator_refuses_is_refused(self, tmp_path, capsys, command):
         """What the report reads is exactly what the validator accepts:
         an attribution row whose bytes are a string is one line and exit
         2, not a TypeError from the arithmetic on it."""
         bad = tmp_path / "bad_row.jsonl"
         bad.write_text("\n".join(json.dumps(line) for line in (
-            {"event": "trace_header", "ts": 0.0, "schema": 8, "tool": "repro",
+            {"event": "trace_header", "ts": 0.0, "schema": 9, "tool": "repro",
              "trace_id": "00" * 8},
             {"event": "attribution", "ts": 0, "payload_bytes": 1,
              "rows": [{"type": "int", "bytes": "x"}]},

@@ -1832,28 +1832,3 @@ def test_run_precopy_rejects_nested_activation():
             MigrationStats(), 4096,
         )
     proc.memory.dirty = None
-
-
-# -- attribution scopes under pre-copy (PR 10) ---------------------------
-
-
-class TestPrecopyAttributionScopes:
-    def test_precopy_scope_and_exact_final_partition(self):
-        prog = _compile(MUTATOR_SRC)
-        _dest, stats = _precopy_migrate(prog, ULTRA5, SPARC20,
-                                        attribution=True)
-        attr = stats.attribution
-        assert attr is not None
-        # the snapshot/delta rounds landed in their own scope...
-        assert "precopy" in attr.get("scopes", {})
-        pre = attr["scopes"]["precopy"]
-        assert pre["rows"], "pre-copy scope attributed no rows"
-        assert sum(r["bytes"] for r in pre["rows"]) > 0
-        # ...so the final attempt's byte partition stays exact: the
-        # snapshot's (larger) payload must not override the elided final
-        # payload, and the row bytes still sum to it exactly
-        assert attr["payload_bytes"] == stats.payload_bytes
-        assert sum(r["bytes"] for r in attr["rows"]) == attr["payload_bytes"]
-        # the final stream really is the elided one: smaller than the
-        # pre-copy snapshot round
-        assert stats.payload_bytes < stats.precopy_round_bytes[0]
