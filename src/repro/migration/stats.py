@@ -84,7 +84,7 @@ class MigrationStats:
     precopy_bytes: int = 0
     #: per-round payload byte attribution: [snapshot, round 1, round 2, …]
     precopy_round_bytes: list = field(default_factory=list)
-    #: codec/collect seconds of the pre-copy phase (rounds, not the final)
+    #: collect + restore seconds of the pre-copy rounds (not the final)
     precopy_codec_time: float = 0.0
     #: the stop-and-copy downtime, from the moment the source stops: the
     #: measured bookkeeping after the last slice (dirty resolution, the
