@@ -348,8 +348,8 @@ def cmd_fuzz(args) -> int:
     every poll point across every ordered architecture pair and through
     a multi-hop faulted chain.  Failures are minimized by the shrinker
     and written to ``--out`` as replayable artifacts (the minimized
-    ``.c`` plus a ``.json`` recipe).  Exit status is the failing-seed
-    count.
+    ``.c`` plus a ``.json`` recipe).  Exit status is 1 when any seed
+    fails (the summary line counts them), 0 otherwise.
     """
     import json
 
@@ -411,7 +411,7 @@ def cmd_fuzz(args) -> int:
         f"{failing} failing]",
         file=sys.stderr,
     )
-    return failing
+    return 1 if failing else 0
 
 
 def cmd_checkpoint(args) -> int:

@@ -16,10 +16,12 @@ widens the slice mechanically:
   canonicalized so it compares across architectures;
 - :mod:`repro.difftest.harness` — replays each program with migration
   injected at every poll point across every ordered pair drawn from
-  :data:`repro.arch.machine.MACHINES`, and through multi-hop chains
-  with a transient transport fault injected at each hop;
-- :mod:`repro.difftest.shrink` — minimizes a failing (seed, features,
-  schedule) triple to a replayable regression case;
+  :data:`repro.arch.machine.MACHINES` (one :func:`check_migration`
+  each), and through multi-hop chains with a transient transport fault
+  injected at each hop;
+- :mod:`repro.difftest.shrink` — minimizes a failing case, replaying
+  each candidate through the check that found it, to a replayable
+  regression case;
 - :mod:`repro.difftest.corpus` — the committed ``tests/corpus/*.c``
   format: minimized programs replayed deterministically in tier-1.
 
@@ -36,6 +38,7 @@ from repro.difftest.harness import (
     CaseReport,
     ChainHop,
     Mismatch,
+    check_migration,
     default_chain,
     run_chain,
     run_seed,
@@ -58,6 +61,7 @@ __all__ = [
     "CaseReport",
     "ChainHop",
     "Mismatch",
+    "check_migration",
     "default_chain",
     "run_chain",
     "run_seed",

@@ -6,32 +6,31 @@ bit-for-bit (the generator's portability contract; a disagreement here
 is a generator bug, not a collector bug).  Then it replays the program
 
 - **pairwise** (:func:`sweep_pairs`): one migration injected at every
-  user poll point, across every ordered architecture pair, asserting the
-  final stdout, exit code, and canonical heap fingerprint
-  (:func:`repro.difftest.oracle.heap_fingerprint`) match the baseline,
-  and that the restored process re-collects to exactly the payload it
-  was restored from (the wire is canonical);
+  user poll point, across every ordered architecture pair, each checked
+  by :func:`check_migration`: the final stdout, exit code, and canonical
+  heap fingerprint (:func:`repro.difftest.oracle.heap_fingerprint`)
+  match the baseline, and the restored process re-collects to exactly
+  the payload it was restored from (the wire is canonical);
 - **chained** (:func:`run_chain`): a multi-hop itinerary
   (e.g. DEC5000→ALPHA→SPARC20), each hop optionally migrating *under a
   transient transport fault* with the engine's retries curing it, and
   each hop's attribution rows checked against its own payload.
 
-Every failure is a :class:`Mismatch` carrying the exact (seed, features,
-route) needed to replay it — the currency :mod:`repro.difftest.shrink`
-minimizes and :mod:`repro.difftest.corpus` commits.
+Every failure is a :class:`Mismatch` carrying the exact inputs of the
+check that found it — the currency :mod:`repro.difftest.shrink` replays
+through that same check, and :mod:`repro.difftest.corpus` commits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import permutations
 from typing import Optional, Sequence
 
 from repro.arch.machine import MACHINES, ARCH_PRESETS
 from repro.difftest.generate import GenConfig, GeneratedProgram, generate
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.migration.engine import (
-    MigrationAbortedError,
     MigrationEngine,
     MigrationError,
     collect_errors,
@@ -52,6 +51,7 @@ __all__ = [
     "CaseReport",
     "ChainHop",
     "Mismatch",
+    "check_migration",
     "default_chain",
     "run_chain",
     "run_seed",
@@ -91,17 +91,32 @@ class ChainHop:
 
 @dataclass(frozen=True)
 class Mismatch:
-    """One divergence from the un-migrated oracle, fully replayable."""
+    """One divergence from the un-migrated oracle, carrying what its
+    replay needs: the program (``seed``, ``features``, ``size``) and the
+    check that found it — a pairwise migration (``src``, ``dst``,
+    ``poll``, and ``mode``, its ``migrate()`` keywords) or a chain
+    (``src`` is where it starts, ``schedule`` its hops)."""
 
     seed: int
     features: tuple[str, ...]
     kind: str  # "stdout" | "exit" | "fingerprint" | "canonical" | "error" | "baseline" | "attribution"
     route: str  # e.g. "DEC5000->ALPHA@poll3" or "DEC5000->ALPHA->SPARC20"
     detail: str
+    size: int = 1
     src: Optional[str] = None
     dst: Optional[str] = None
     poll: Optional[int] = None
+    mode: Optional[dict] = None
     schedule: Optional[tuple[ChainHop, ...]] = None
+
+    @classmethod
+    def of(cls, prog: GeneratedProgram, kind: str, detail: str, route: str,
+           **check) -> "Mismatch":
+        """A mismatch *prog* showed under the check described by *check*."""
+        return cls(
+            seed=prog.seed, features=prog.config.features, kind=kind,
+            route=route, detail=detail, size=prog.config.size, **check,
+        )
 
     def __str__(self) -> str:
         return (
@@ -135,9 +150,8 @@ class CaseReport:
         return not self.mismatches
 
 
-def run_baseline(program, arch) -> Baseline:
-    """Run the compiled *program* on *arch* without ever migrating."""
-    proc = Process(program, arch)
+def _run_out(proc: Process) -> Baseline:
+    """Run *proc* to completion and record how it ended."""
     code = proc.run_to_completion()
     return Baseline(
         stdout=proc.stdout,
@@ -145,6 +159,29 @@ def run_baseline(program, arch) -> Baseline:
         total_polls=proc.polls,
         fingerprint=heap_fingerprint(proc),
     )
+
+
+def run_baseline(program, arch) -> Baseline:
+    """Run the compiled *program* on *arch* without ever migrating."""
+    return _run_out(Process(program, arch))
+
+
+def _differences(proc: Process, want: Baseline) -> list[tuple[str, str]]:
+    """Run *proc* to completion; each way its end differs from *want*,
+    as a ``(kind, detail)`` pair."""
+    try:
+        got = _run_out(proc)
+    except Exception as exc:  # a VM crash is a finding too
+        return [("error", f"{type(exc).__name__}: {exc}")]
+    found = []
+    if got.stdout != want.stdout:
+        found.append(("stdout", f"{got.stdout!r} != {want.stdout!r}"))
+    if got.exit_code != want.exit_code:
+        found.append(("exit", f"{got.exit_code} != {want.exit_code}"))
+    diff = fingerprint_diff(got.fingerprint, want.fingerprint)
+    if diff is not None:
+        found.append(("fingerprint", diff))
+    return found
 
 
 def _stop_at_poll(program, arch, after_polls: int) -> Optional[Process]:
@@ -160,68 +197,75 @@ def _stop_at_poll(program, arch, after_polls: int) -> Optional[Process]:
     return proc
 
 
-def _check_final(
-    prog: GeneratedProgram,
-    dest: Process,
-    baseline: Baseline,
-    route: str,
-    **ids,
-) -> list[Mismatch]:
-    """Run *dest* to completion and compare against *baseline*."""
-    out: list[Mismatch] = []
-
-    def mm(kind: str, detail: str) -> None:
-        out.append(
-            Mismatch(
-                seed=prog.seed, features=prog.config.features,
-                kind=kind, route=route, detail=detail, **ids,
-            )
-        )
-
-    try:
-        code = dest.run_to_completion()
-    except Exception as exc:  # VM crash after restore is a finding too
-        mm("error", f"{type(exc).__name__}: {exc}")
-        return out
-    if dest.stdout != baseline.stdout:
-        mm("stdout", f"{dest.stdout!r} != {baseline.stdout!r}")
-    if code != baseline.exit_code:
-        mm("exit", f"{code} != {baseline.exit_code}")
-    diff = fingerprint_diff(heap_fingerprint(dest), baseline.fingerprint)
-    if diff is not None:
-        mm("fingerprint", diff)
-    return out
-
-
 def check_baseline_agreement(
     prog: GeneratedProgram, program, arches: Sequence
-) -> tuple[Optional[Baseline], list[Mismatch]]:
+) -> tuple[Baseline, list[Mismatch]]:
     """Baselines on every architecture must agree with the first one."""
-    mismatches: list[Mismatch] = []
-    reference: Optional[Baseline] = None
-    for arch in arches:
-        base = run_baseline(program, arch)
-        if reference is None:
-            reference = base
-            ref_name = arch.name
-            continue
-        problems = []
-        if base.stdout != reference.stdout:
-            problems.append(f"stdout {base.stdout!r} != {reference.stdout!r}")
-        if base.exit_code != reference.exit_code:
-            problems.append(f"exit {base.exit_code} != {reference.exit_code}")
-        diff = fingerprint_diff(base.fingerprint, reference.fingerprint)
-        if diff is not None:
-            problems.append(f"fingerprint: {diff}")
-        for p in problems:
-            mismatches.append(
-                Mismatch(
-                    seed=prog.seed, features=prog.config.features,
-                    kind="baseline", route=f"{ref_name} vs {arch.name}",
-                    detail=p,
-                )
-            )
-    return reference, mismatches
+    first, *others = arches
+    reference = run_baseline(program, first)
+    return reference, [
+        Mismatch.of(
+            prog, "baseline", f"{kind}: {detail}", f"{first.name} vs {arch.name}"
+        )
+        for arch in others
+        for kind, detail in _differences(Process(program, arch), reference)
+    ]
+
+
+def check_migration(
+    prog: GeneratedProgram,
+    program,
+    baseline: Baseline,
+    src,
+    dst,
+    poll: int,
+    mode: Optional[dict] = None,
+) -> Optional[list[Mismatch]]:
+    """Migrate *program* from *src* to *dst* at its *poll*-th user poll,
+    in the transfer *mode* given as ``migrate()`` keywords (default:
+    none — the serial stop-and-copy), and return its mismatches:
+    ``error``, ``canonical``, then ``stdout``, ``exit`` and
+    ``fingerprint`` against *baseline*.  ``None`` when the program exits
+    before that poll.
+
+    The migration is also held to the wire's fixed point: the restored
+    process collects back to exactly the payload it was restored from
+    (a ``"canonical"`` mismatch otherwise).  A pre-copy source runs on
+    before it stops, so the poll's payload is not what it sends, and the
+    pre-copy mode skips this check.
+    """
+    stopped = _stop_at_poll(program, src, poll)
+    if stopped is None:
+        return None
+    found: list[tuple[str, str]] = []
+    sent = None
+    try:
+        if not (mode or {}).get("precopy"):
+            # what the migration sends: collection is deterministic and
+            # leaves the source as it was
+            with collect_errors():
+                sent = collect_state(stopped)[0]
+        dest, _stats = MigrationEngine().migrate(stopped, dst, **(mode or {}))
+    except PrecopySourceExitedError:
+        # the pre-copy slices ran the source to its end: nothing was
+        # left to move, and what it printed on the way is the oracle's
+        # business all the same
+        if stopped.stdout != baseline.stdout:
+            found.append(("stdout", f"{stopped.stdout!r} != {baseline.stdout!r}"))
+    except MigrationError as exc:
+        found.append(("error", f"{type(exc).__name__}: {exc}"))
+    else:
+        drift = sent and _recollect_drift(sent, dest)
+        if drift:
+            found.append(("canonical", drift))
+        found += _differences(dest, baseline)
+    return [
+        Mismatch.of(
+            prog, kind, detail, f"{src.name}->{dst.name}@poll{poll}",
+            src=src.name, dst=dst.name, poll=poll, mode=mode,
+        )
+        for kind, detail in found
+    ]
 
 
 def sweep_pairs(
@@ -232,68 +276,23 @@ def sweep_pairs(
     max_polls: Optional[int] = None,
     mode: Optional[dict] = None,
 ) -> tuple[int, list[Mismatch]]:
-    """One migration at every poll across every ordered pair, in the
-    transfer *mode* given as ``migrate()`` keywords (default: none — the
-    serial stop-and-copy).
-
-    Every migration is also held to the wire's fixed point: the restored
-    process collects back to exactly the payload it was restored from
-    (a ``"canonical"`` mismatch otherwise).  A pre-copy source runs on
-    before it stops, so the poll's payload is not what it sends, and the
-    pre-copy mode skips this check.
+    """:func:`check_migration` at every poll across every ordered pair,
+    in transfer *mode*.
 
     With *max_polls* set and fewer than ``total_polls`` poll points
     affordable, the polls are stride-sampled deterministically (always
     including the first and the last).  Returns ``(runs, mismatches)``.
     """
     polls = _sample_polls(baseline.total_polls, max_polls)
-    precopy = bool((mode or {}).get("precopy"))
     runs = 0
     mismatches: list[Mismatch] = []
-    for src in arches:
-        for dst in arches:
-            if src.name == dst.name:
-                continue
-            for k in polls:
-                stopped = _stop_at_poll(program, src, k)
-                if stopped is None:
-                    break  # later polls don't exist either
-                route = f"{src.name}->{dst.name}@poll{k}"
-                ids = dict(src=src.name, dst=dst.name, poll=k)
-                failed = partial(
-                    Mismatch, seed=prog.seed, features=prog.config.features,
-                    route=route, **ids,
-                )
-                runs += 1
-                sent = None
-                try:
-                    if not precopy:
-                        # what the migration sends: collection is
-                        # deterministic and leaves the source as it was
-                        with collect_errors():
-                            sent = collect_state(stopped)[0]
-                    dest, _stats = MigrationEngine().migrate(
-                        stopped, dst, **(mode or {})
-                    )
-                except PrecopySourceExitedError:
-                    # the pre-copy slices ran the source to its end:
-                    # nothing was left to move, and what it printed on
-                    # the way is the oracle's business all the same
-                    if stopped.stdout != baseline.stdout:
-                        mismatches.append(failed(
-                            kind="stdout",
-                            detail=f"{stopped.stdout!r} != {baseline.stdout!r}",
-                        ))
-                    continue
-                except (MigrationError, MigrationAbortedError) as exc:
-                    mismatches.append(failed(
-                        kind="error", detail=f"{type(exc).__name__}: {exc}"
-                    ))
-                    continue
-                drift = sent and _recollect_drift(sent, dest)
-                if drift:
-                    mismatches.append(failed(kind="canonical", detail=drift))
-                mismatches.extend(_check_final(prog, dest, baseline, route, **ids))
+    for src, dst in permutations(arches, 2):
+        for k in polls:
+            found = check_migration(prog, program, baseline, src, dst, k, mode)
+            if found is None:
+                break  # later polls don't exist either
+            runs += 1
+            mismatches += found
     return runs, mismatches
 
 
@@ -356,35 +355,22 @@ def run_chain(
     (transient) fault plan, with the engine's retry curing it.  Besides
     the end-state oracle, the chain asserts the attribution contract:
     each hop's rows (plus framing) account for exactly the payload that
-    arrived — a retried hop's failed attempt is set aside.
+    arrived.
 
     Returns ``(hops_performed, mismatches)``.  A schedule whose poll
     offsets overrun the program's remaining polls is truncated, not an
     error (short programs simply make shorter chains).
     """
-    route = "->".join([start] + [h.dest for h in schedule])
-    mismatches: list[Mismatch] = []
-
-    def mm(kind: str, detail: str) -> None:
-        mismatches.append(
-            Mismatch(
-                seed=prog.seed, features=prog.config.features,
-                kind=kind, route=route, detail=detail,
-                schedule=tuple(schedule),
-            )
-        )
-
+    found: list[tuple[str, str]] = []
     proc = _stop_at_poll(program, arch_by_name(start), schedule[0].after_polls)
     hops = 0
-    for i, hop in enumerate(schedule):
-        if proc is None:
-            break  # program exited before this hop's poll: truncated chain
+    while proc is not None and hops < len(schedule):
+        hop = schedule[hops]
+        channel = Channel(LOOPBACK)
         if hop.fault:
-            channel = FaultyChannel(Channel(LOOPBACK), FaultPlan.parse(hop.fault))
-        else:
-            channel = Channel(LOOPBACK)
+            channel = FaultyChannel(channel, FaultPlan.parse(hop.fault))
         try:
-            dest, stats = MigrationEngine().migrate(
+            proc, stats = MigrationEngine().migrate(
                 proc,
                 arch_by_name(hop.dest),
                 channel=channel,
@@ -394,40 +380,32 @@ def run_chain(
                 max_attempts=3,
                 attribution=True,
             )
-        except (MigrationError, MigrationAbortedError) as exc:
-            mm("error", f"hop {i} ({hop.dest}): {type(exc).__name__}: {exc}")
-            return hops, mismatches
-        hops += 1
+        except MigrationError as exc:
+            found.append(
+                ("error", f"hop {hops} ({hop.dest}): {type(exc).__name__}: {exc}")
+            )
+            proc = None
+            break
         total = sum(r["bytes"] for r in stats.attribution["rows"])
         if total != stats.payload_bytes:
-            mm(
+            found.append((
                 "attribution",
-                f"hop {i}: rows sum {total} != payload {stats.payload_bytes}",
-            )
-        if i + 1 < len(schedule):
-            dest.migration_pending = True
-            dest.migrate_after_polls = schedule[i + 1].after_polls
-            result = dest.run()
-            proc = dest if result.status == "poll" else None
-            if proc is None:
-                # exited before the next hop: final-state check now
-                mismatches.extend(_final_chain_check(prog, dest, baseline, route, schedule))
-                return hops, mismatches
-        else:
-            proc = dest
+                f"hop {hops}: rows sum {total} != payload {stats.payload_bytes}",
+            ))
+        hops += 1
+        if hops < len(schedule):
+            proc.migration_pending = True
+            proc.migrate_after_polls = schedule[hops].after_polls
+            if proc.run().status != "poll":
+                break  # exited before the next hop: the chain ends here
     if proc is not None and hops:
-        mismatches.extend(_final_chain_check(prog, proc, baseline, route, schedule))
-    return hops, mismatches
-
-
-def _final_chain_check(prog, dest, baseline, route, schedule):
-    found = _check_final(prog, dest, baseline, route)
-    return [
-        Mismatch(
-            seed=m.seed, features=m.features, kind=m.kind, route=m.route,
-            detail=m.detail, schedule=tuple(schedule),
+        found += _differences(proc, baseline)
+    route = "->".join([start] + [h.dest for h in schedule])
+    return hops, [
+        Mismatch.of(
+            prog, kind, detail, route, src=start, schedule=tuple(schedule)
         )
-        for m in found
+        for kind, detail in found
     ]
 
 
@@ -443,7 +421,7 @@ def run_seed(
 
     Generates, compiles, establishes the cross-architecture baseline,
     sweeps every (pair, poll) in transfer *mode* (``migrate()``
-    keywords, see :func:`sweep_pairs`), then — with ``hops >= 2`` —
+    keywords, see :func:`check_migration`), then — with ``hops >= 1`` —
     runs the multi-hop faulted chain.  *arches* defaults to all of
     :data:`~repro.arch.machine.MACHINES`.
     """
@@ -454,15 +432,12 @@ def run_seed(
         program = compile_program(prog.source, poll_strategy="user")
     except Exception as exc:
         report.mismatches.append(
-            Mismatch(
-                seed=seed, features=prog.config.features, kind="error",
-                route="compile", detail=f"{type(exc).__name__}: {exc}",
-            )
+            Mismatch.of(prog, "error", f"{type(exc).__name__}: {exc}", "compile")
         )
         return report
     baseline, disagreements = check_baseline_agreement(prog, program, arch_list)
     report.mismatches.extend(disagreements)
-    if baseline is None or disagreements:
+    if disagreements:
         return report  # generator bug: differential replay is meaningless
     report.total_polls = baseline.total_polls
     runs, mismatches = sweep_pairs(

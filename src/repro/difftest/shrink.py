@@ -1,41 +1,42 @@
 """Greedy minimization of failing differential cases.
 
-A raw fuzz failure is a (seed, features, route) triple whose generated
-program may interleave five features across a hundred lines.  The
-shrinker reduces it to the smallest case that *still fails the same
-way*, in three greedy passes run to fixpoint:
+A raw fuzz failure is a :class:`Mismatch` whose generated program may
+interleave five features across a hundred lines.  The shrinker reduces
+it to the smallest case that *still fails the same way*, in three greedy
+passes run to fixpoint:
 
 1. **feature subsets** — drop one enabled feature at a time.  The
    generator draws every feature from its own RNG stream, so removing
    one leaves the others' code byte-identical — each drop is a strict
    simplification, never a reshuffle;
-2. **size** — lower ``GenConfig.size`` toward 1 (shorter loops, smaller
-   structures);
-3. **route** — for a chain failure, drop trailing then leading hops and
-   clear per-hop faults; for a pairwise failure, try earlier poll
-   indices (1, then successive halvings toward the failing index).
+2. **size** — lower ``GenConfig.size`` from the failure's own size
+   toward 1 (shorter loops, smaller structures);
+3. **route** — for a chain failure, drop trailing hops and clear
+   per-hop faults; for a pairwise failure, try earlier poll indices
+   (1, then successive halvings toward the failing index).
 
-Every candidate is re-run through the real harness; a candidate is
-accepted only if it reproduces a mismatch of the *same kind* on the
-same route shape.  The result carries the minimized source and a
-replay recipe — exactly what :mod:`repro.difftest.corpus` commits as a
-regression case and what the CLI writes as a failure artifact.
+Every candidate is replayed through the check that found the failure
+(:func:`~repro.difftest.harness.check_migration` in the failure's own
+transfer mode, :func:`~repro.difftest.harness.run_chain`, or the
+baseline agreement); a candidate is accepted only if it reproduces a
+mismatch of the *same kind*.  The result carries the minimized source
+and a replay recipe — exactly what :mod:`repro.difftest.corpus` commits
+as a regression case and what the CLI writes as a failure artifact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.arch.machine import MACHINES
 from repro.difftest.generate import GenConfig, generate
 from repro.difftest.harness import (
     arch_by_name,
-    ChainHop,
     Mismatch,
     check_baseline_agreement,
+    check_migration,
     run_chain,
-    sweep_pairs,
 )
 from repro.vm.program import compile_program
 
@@ -57,14 +58,15 @@ class ShrinkResult:
         m = self.minimized
         return {
             "seed": m.seed,
-            "features": list(self.config.features),
-            "size": self.config.size,
+            "features": list(m.features),
+            "size": m.size,
             "kind": m.kind,
             "route": m.route,
             "detail": m.detail,
             "src": m.src,
             "dst": m.dst,
             "poll": m.poll,
+            "mode": m.mode,
             "schedule": [
                 {"dest": h.dest, "after_polls": h.after_polls, "fault": h.fault}
                 for h in (m.schedule or ())
@@ -73,131 +75,89 @@ class ShrinkResult:
         }
 
 
-def _replay(
-    seed: int, config: GenConfig, template: Mismatch
-) -> Optional[Mismatch]:
-    """Re-run the route *template* describes against a (possibly
-    reduced) program; return a same-kind mismatch or ``None``."""
-    prog = generate(seed, config)
+def _replay(template: Mismatch) -> Optional[Mismatch]:
+    """Re-run the check that found *template* on the program its seed,
+    features and size generate; return a same-kind mismatch or ``None``."""
+    prog = generate(template.seed, GenConfig(template.features, template.size))
     try:
         program = compile_program(prog.source, poll_strategy="user")
     except Exception:
         return None  # reduced program must stay well-formed
-    if template.kind == "baseline":
-        _, disagreements = check_baseline_agreement(prog, program, MACHINES)
-        return disagreements[0] if disagreements else None
-    if template.src and template.dst:
+    if template.dst is not None:
         arches = [arch_by_name(template.src), arch_by_name(template.dst)]
     else:
         arches = list(MACHINES)
-    baseline, disagreements = check_baseline_agreement(prog, program, arches)
-    if baseline is None or disagreements:
-        return None  # the reduction broke portability, not the collector
-    if template.schedule is not None:
-        start = template.route.split("->", 1)[0]
-        _, found = run_chain(prog, program, baseline, start, template.schedule)
-    elif template.src and template.dst and template.poll:
-        found = _replay_pair(
-            prog, program, baseline, template.src, template.dst, template.poll
-        )
-    else:
-        _, found = sweep_pairs(prog, program, baseline, arches)
-    for m in found:
-        if m.kind == template.kind:
-            return m
-    return None
-
-
-def _replay_pair(prog, program, baseline, src, dst, poll):
-    from repro.difftest import harness as h
-
-    stopped = h._stop_at_poll(program, arch_by_name(src), poll)
-    if stopped is None:
-        return []
-    route = f"{src}->{dst}@poll{poll}"
-    try:
-        from repro.migration.engine import MigrationEngine
-
-        dest, _stats = MigrationEngine().migrate(stopped, arch_by_name(dst))
-    except Exception as exc:
-        return [
-            Mismatch(
-                seed=prog.seed, features=prog.config.features, kind="error",
-                route=route, detail=f"{type(exc).__name__}: {exc}",
-                src=src, dst=dst, poll=poll,
+    baseline, found = check_baseline_agreement(prog, program, arches)
+    if template.kind != "baseline":
+        if found:
+            return None  # the reduction broke portability, not the collector
+        if template.schedule is not None:
+            _, found = run_chain(
+                prog, program, baseline, template.src, template.schedule
             )
-        ]
-    return h._check_final(
-        prog, dest, baseline, route, src=src, dst=dst, poll=poll
-    )
+        elif template.poll is not None:
+            found = check_migration(
+                prog, program, baseline, *arches, template.poll, template.mode
+            ) or []
+    return next((m for m in found if m.kind == template.kind), None)
 
 
 def shrink_case(failure: Mismatch, max_rounds: int = 8) -> ShrinkResult:
     """Minimize *failure* greedily to fixpoint (bounded by *max_rounds*)."""
-    seed = failure.seed
-    config = GenConfig(features=failure.features)
     current = failure
     tried = 0
 
-    def attempt(cand_config: GenConfig, cand_template: Mismatch):
-        nonlocal tried
+    def attempt(**changes) -> bool:
+        """Replay *current* with *changes*; keep what reproduces."""
+        nonlocal current, tried
         tried += 1
-        return _replay(seed, cand_config, cand_template)
+        found = _replay(replace(current, **changes))
+        if found is not None:
+            current = found
+        return found is not None
 
     for _round in range(max_rounds):
         progressed = False
 
         # 1. drop features
-        for feat in list(config.features):
-            if len(config.features) == 1:
-                break
-            cand = config.without(feat)
-            found = attempt(cand, current)
-            if found is not None:
-                config, current, progressed = cand, found, True
+        for feat in current.features:
+            if len(current.features) > 1:
+                progressed |= attempt(
+                    features=tuple(f for f in current.features if f != feat)
+                )
 
         # 2. lower size
-        while config.size > 1:
-            cand = GenConfig(features=config.features, size=config.size - 1)
-            found = attempt(cand, current)
-            if found is None:
-                break
-            config, current, progressed = cand, found, True
+        while current.size > 1 and attempt(size=current.size - 1):
+            progressed = True
 
         # 3a. shorten a chain schedule, then clear its faults
-        while current.schedule is not None and len(current.schedule) > 1:
-            cand_t = _with_schedule(current, current.schedule[:-1])
-            found = attempt(config, cand_t)
-            if found is None:
-                break
-            current, progressed = found, True
+        while (
+            current.schedule is not None and len(current.schedule) > 1
+            and attempt(schedule=current.schedule[:-1])
+        ):
+            progressed = True
         if current.schedule is not None and any(
             h.fault for h in current.schedule
         ):
-            clean = tuple(
-                ChainHop(h.dest, h.after_polls, None) for h in current.schedule
-            )
-            found = attempt(config, _with_schedule(current, clean))
-            if found is not None:
-                current, progressed = found, True
+            progressed |= attempt(schedule=tuple(
+                replace(h, fault=None) for h in current.schedule
+            ))
 
         # 3b. earlier poll index for a pairwise failure
         if current.poll is not None and current.poll > 1:
-            for cand_poll in _poll_candidates(current.poll):
-                cand_t = _with_poll(current, cand_poll)
-                found = attempt(config, cand_t)
-                if found is not None:
-                    current, progressed = found, True
-                    break
+            progressed |= any(
+                attempt(poll=p) for p in _poll_candidates(current.poll)
+            )
 
         if not progressed:
             break
 
+    config = GenConfig(features=current.features, size=current.size)
     return ShrinkResult(
         original=failure,
         minimized=current,
         config=config,
-        source=generate(seed, config).source,
+        source=generate(failure.seed, config).source,
         candidates_tried=tried,
     )
 
@@ -210,18 +170,3 @@ def _poll_candidates(poll: int) -> list[int]:
         out.add(k)
         k //= 2
     return sorted(p for p in out if p < poll)
-
-
-def _with_schedule(m: Mismatch, schedule) -> Mismatch:
-    return Mismatch(
-        seed=m.seed, features=m.features, kind=m.kind, route=m.route,
-        detail=m.detail, src=m.src, dst=m.dst, poll=m.poll,
-        schedule=tuple(schedule),
-    )
-
-
-def _with_poll(m: Mismatch, poll: int) -> Mismatch:
-    return Mismatch(
-        seed=m.seed, features=m.features, kind=m.kind, route=m.route,
-        detail=m.detail, src=m.src, dst=m.dst, poll=poll, schedule=m.schedule,
-    )

@@ -207,7 +207,7 @@ def _render_precopy(doc: TraceDocument) -> list[str]:
         out.append(
             f"converged after {end['rounds']} round(s): "
             f"{end['bytes']} round bytes, "
-            f"{end['dirty_blocks']} residual dirty block(s), "
+            f"{end['dirty_blocks']} dirty block(s) shipped in delta rounds, "
             f"{end['cached_blocks']} block(s) elided as cached"
         )
     for deg in doc.events_of("precopy_degraded"):

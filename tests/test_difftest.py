@@ -10,16 +10,19 @@ greedy loop against a synthetic predicate.
 """
 
 import itertools
+import json
 
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, X86_64
 from repro.difftest.generate import FEATURE_NAMES, GenConfig, generate
 from repro.difftest.harness import (
+    CaseReport,
     ChainHop,
     Mismatch,
     arch_by_name,
     check_baseline_agreement,
+    check_migration,
     default_chain,
     run_baseline,
     run_chain,
@@ -29,7 +32,7 @@ from repro.difftest.harness import (
 from repro.difftest.oracle import fingerprint_diff, heap_fingerprint
 from repro.difftest.corpus import CorpusEntry, parse_entry, render_entry
 from repro.migration.checkpoint import checkpoint, restart
-from repro.migration.engine import MigrationEngine, collect_state
+from repro.migration.engine import MigrationEngine, MigrationError, collect_state
 from repro.migration.precopy import PrecopyPolicy
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -262,10 +265,8 @@ class TestShrinker:
         index down to 1."""
         from repro.difftest import shrink as shrink_mod
 
-        def fake_replay(seed, config, template):
-            if "cycle" not in config.features:
-                return None
-            return shrink_mod._with_poll(template, template.poll or 1)
+        def fake_replay(template):
+            return template if "cycle" in template.features else None
 
         monkeypatch.setattr(shrink_mod, "_replay", fake_replay)
         result = shrink_mod.shrink_case(self._failure())
@@ -296,9 +297,115 @@ class TestShrinker:
         art = shrink_case(failure, max_rounds=1).to_artifact()
         assert art["seed"] == 2 and art["features"] == ["list"]
         assert "int main()" in art["source"]
-        import json
-
         json.dumps(art)  # must be JSON-serializable as committed
+
+    def test_a_canonical_failure_shrinks(self, monkeypatch):
+        """A ``canonical`` failure replays through the re-collect check
+        that found it, so dropping features keeps reproducing it."""
+        from repro.difftest import harness
+        from repro.difftest.shrink import shrink_case
+
+        monkeypatch.setattr(harness, "_recollect_drift", lambda sent, dest: "drift")
+        rep = run_seed(3, arches=(DEC5000, SPARC20), hops=0, max_polls=1)
+        failure = rep.mismatches[0]
+        assert failure.kind == "canonical" and len(failure.features) > 1
+        result = shrink_case(failure)
+        assert result.minimized.kind == "canonical"
+        assert len(result.config.features) < len(failure.features)
+
+    def test_a_failure_found_in_a_mode_is_replayed_in_it(self, monkeypatch):
+        """A mismatch names the ``migrate()`` keywords it ran with, and the
+        shrinker replays every candidate with them — here a planted fault
+        of compressed transfers, which the plain mode would not show."""
+        from repro.difftest.shrink import shrink_case
+
+        migrate, seen = MigrationEngine.migrate, []
+
+        def compressed_fails(self, process, dest, **mode):
+            seen.append(mode)
+            if mode.get("compress"):
+                raise MigrationError("planted: compressed transfers fail")
+            return migrate(self, process, dest, **mode)
+
+        monkeypatch.setattr(MigrationEngine, "migrate", compressed_fails)
+        mode = MODE_AXES["compress"]
+        rep = run_seed(3, arches=(DEC5000, SPARC20), hops=0, max_polls=1, mode=mode)
+        failure = rep.mismatches[0]
+        assert (failure.kind, failure.mode) == ("error", mode)
+        seen.clear()
+        result = shrink_case(failure)
+        assert result.minimized.mode == mode
+        assert len(result.config.features) < len(failure.features)
+        assert seen and all(m == mode for m in seen)
+
+
+def replay_artifact(art: dict) -> list:
+    """Replay a pairwise failure artifact from its JSON recipe alone."""
+    prog = generate(art["seed"], GenConfig(tuple(art["features"]), art["size"]))
+    program = compile_program(prog.source, poll_strategy="user")
+    arches = [arch_by_name(art["src"]), arch_by_name(art["dst"])]
+    baseline, disagreements = check_baseline_agreement(prog, program, arches)
+    assert not disagreements
+    return check_migration(
+        prog, program, baseline, *arches, art["poll"], art["mode"]
+    )
+
+
+class TestFuzzCli:
+    """``repro fuzz`` end to end: sweep, shrink, write the artifact."""
+
+    ARGS = ["--seeds", "1", "--hops", "0", "--arches", "dec5000,sparc20"]
+
+    def _fuzz(self, tmp_path, *argv) -> tuple[int, dict, str]:
+        from repro.cli import main
+
+        out = tmp_path / "failures"
+        rc = main(["fuzz", *self.ARGS, *argv, "--out", str(out)])
+        (recipe,) = out.glob("*.json")
+        return rc, json.loads(recipe.read_text()), recipe.with_suffix(".c").read_text()
+
+    def test_the_artifact_regenerates_and_fails_again(self, tmp_path, monkeypatch):
+        from repro.difftest import harness
+
+        monkeypatch.setattr(harness, "_recollect_drift", lambda sent, dest: "drift")
+        rc, art, source = self._fuzz(tmp_path, "--size", "2", "--max-polls", "1")
+        assert rc == 1
+        config = GenConfig(tuple(art["features"]), art["size"])
+        assert generate(art["seed"], config).source == source == art["source"]
+        assert art["kind"] in [m.kind for m in replay_artifact(art)]
+
+    def test_a_size_three_failure_shrinks_to_a_size_three_program(
+        self, tmp_path, monkeypatch
+    ):
+        """A fault that shows only on payloads above 1 100 B: seed 3
+        sends at most 1 059 B at size 2 and up to 1 233 B at size 3, so
+        the shrinker starts at the failure's size and stays there."""
+        from repro.difftest import harness
+
+        monkeypatch.setattr(
+            harness, "_recollect_drift",
+            lambda sent, dest: "drift" if len(sent) > 1100 else None,
+        )
+        rc, art, _source = self._fuzz(tmp_path, "--start", "3", "--size", "3")
+        assert rc == 1 and art["size"] == 3
+        assert art["kind"] in [m.kind for m in replay_artifact(art)]
+
+    def test_any_failing_seed_exits_1(self, tmp_path, monkeypatch, capsys):
+        """The exit status says whether a seed failed, not how many: 256
+        failures must not wrap to 0, nor 2 or 5 read as another code."""
+        from repro.cli import main
+        from repro.difftest import harness
+
+        def failing(seed, **_kw):
+            report = CaseReport(seed=seed, config=GenConfig())
+            report.mismatches.append(
+                Mismatch(seed=seed, features=(), kind="stdout", route="x", detail="x")
+            )
+            return report
+
+        monkeypatch.setattr(harness, "run_seed", failing)
+        assert main(["fuzz", "--seeds", "256", "--no-shrink"]) == 1
+        assert "256 failing]" in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestCorpusFormat:

@@ -667,6 +667,27 @@ class TestInstrumentsAgree:
         assert (plain_wire, plain_stdout) == (wire, stdout)
 
 
+def test_report_counts_the_dirty_blocks_the_delta_rounds_shipped(
+    sliced_prog, tmp_path
+):
+    """``obs report``'s pre-copy summary counts the dirty blocks the
+    delta rounds shipped — ``stats.precopy_dirty_blocks`` — not what the
+    stop-and-copy carried after them."""
+    from repro.obs.report import load_trace, render_report
+
+    stats, _wire, _stdout = migrate_in_mode(sliced_prog, "precopy", False)
+    assert stats.precopy_dirty_blocks > 0
+    stats.obs.write_trace(tmp_path / "trace.jsonl")
+    (line,) = [
+        ln for ln in render_report(load_trace(tmp_path / "trace.jsonl")).splitlines()
+        if ln.startswith("converged after")
+    ]
+    assert (
+        f", {stats.precopy_dirty_blocks} dirty block(s) shipped in delta rounds, "
+        in line
+    )
+
+
 @pytest.mark.parametrize("mode", ["mono", "stream"])
 def test_untraced_migrate_never_walks_its_span_tree(prog, mode, monkeypatch):
     """Observation off is bookkeeping off: nothing in ``migrate()`` —
