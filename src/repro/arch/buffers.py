@@ -136,15 +136,6 @@ class ReadBuffer:
         pos = self._take(n)
         return self.window[pos : pos + n]
 
-    def readinto(self, dest) -> None:
-        """Consume ``len(dest)`` bytes straight into writable buffer
-        *dest* — the zero-intermediate twin of :meth:`read` for bulk
-        restores that already know their destination memory."""
-        dest = memoryview(dest)
-        n = len(dest)
-        pos = self._take(n)
-        dest[:] = self.window[pos : pos + n]
-
     def unpack(self, fmt) -> tuple:
         """Consume ``fmt.size`` bytes and return ``fmt.unpack_from`` of
         them — one call per fixed-layout record, no intermediate slice.

@@ -199,10 +199,18 @@ def _stop_at_poll(program, arch, after_polls: int) -> Optional[Process]:
 
 def check_baseline_agreement(
     prog: GeneratedProgram, program, arches: Sequence
-) -> tuple[Baseline, list[Mismatch]]:
-    """Baselines on every architecture must agree with the first one."""
+) -> tuple[Optional[Baseline], list[Mismatch]]:
+    """Baselines on every architecture must agree with the first one.  A
+    baseline run that faults is a ``baseline`` mismatch on whichever
+    architecture it faults; on the first there is then no reference, and
+    the baseline returned is ``None``."""
     first, *others = arches
-    reference = run_baseline(program, first)
+    try:
+        reference = run_baseline(program, first)
+    except Exception as exc:  # a VM crash is a finding too
+        return None, [Mismatch.of(
+            prog, "baseline", f"error: {type(exc).__name__}: {exc}", first.name
+        )]
     return reference, [
         Mismatch.of(
             prog, "baseline", f"{kind}: {detail}", f"{first.name} vs {arch.name}"

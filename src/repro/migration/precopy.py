@@ -345,7 +345,8 @@ def run_precopy(
                 fresh.discard(logical)
                 stale.discard(logical)
 
-            if rounds >= policy.max_rounds or len(dirty) <= policy.stop_dirty_blocks:
+            converged = len(dirty) <= policy.stop_dirty_blocks
+            if converged or rounds >= policy.max_rounds:
                 # converged (or round cap): the remaining dirty/new blocks
                 # travel in the stop-and-copy stream.  Frees from the last
                 # slice still ship, in a freed-only stop round (no roots:
@@ -398,6 +399,7 @@ def run_precopy(
         dirty_blocks=stats.precopy_dirty_blocks,
         cached_blocks=len(fresh),
         bytes=stats.precopy_bytes,
+        converged=converged,
     )
     return PrecopyState(
         scratch=scratch, fresh=fresh, stale=stale, held=held,

@@ -257,14 +257,16 @@ class Collector:
 
     def _type(self, ctype) -> tuple:
         """What a block of *ctype* is saved with — ``(ctype, info, plan,
-        its save slots, its unit loader)`` — looked up on the type's first
-        block of the pass and kept for the rest.  The entry holds the
-        type object, so the id it is keyed on cannot be recycled."""
+        its save slots, its unit loader, whether the driver copies it)`` —
+        looked up on the type's first block of the pass and kept for the
+        rest.  The entry holds the type object, so the id it is keyed on
+        cannot be recycled."""
         info = self.ti.info_for(ctype)
         plan = self._plan_for(info)
         slots = None if plan is None else plan.save_slots
         entry = self._types[id(ctype)] = (
             ctype, info, plan, slots, None if slots is None else plan.load_from,
+            plan is not None and plan.raw,
         )
         return entry
 
@@ -287,7 +289,9 @@ class Collector:
         (``MSRLT.lookup_addr``, inlined, searches counted per walk), its
         type by the pass's own dict, the visit is the visited set's
         ``add``, a heap unit is one ``unpack_from`` on the heap window,
-        and a NULL cell is written without leaving the unit.
+        and a NULL cell is written without leaving the unit.  Neither
+        does a block whose plan is ``raw`` (its host image is its wire
+        image): its bytes are copied out of the heap window as they are.
         """
         buf = self.buf
         out = buf.storage  # not detached while a walk is under way
@@ -303,7 +307,9 @@ class Collector:
         prof = self._prof
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
-        n_blocks = n_refs = n_nulls = n_walked = n_searches = data_bytes = 0
+        n_blocks = n_refs = n_nulls = n_searches = data_bytes = 0
+        # the blocks a plan walked or copied: n_plan_blocks, n_codec_blocks
+        n_planned = n_codec = 0
         stack = []
         # the open frame; `plan is None` marks the bottom of the stack.
         # `unpack` is the plan's one-call unit load (None: `plan.load`)
@@ -357,7 +363,7 @@ class Collector:
                         n_refs += 1
                     else:
                         ctype = block.elem_type
-                        _, info, new, steps, load = (
+                        _, info, new, steps, load, copy = (
                             types.get(id(ctype)) or self._type(ctype)
                         )
                         if header:
@@ -392,9 +398,24 @@ class Collector:
                                 out += RECORDS[lead].pack(lead, *fields)
                         n_blocks += 1
                         data_bytes += block.size
-                        # its contents: written at once, or a new frame
+                        # its contents: copied, written at once, or a new
+                        # frame
                         if steps is not None:
                             pointers, n = None, block.count * info.repeat
+                        elif copy:
+                            # out of the heap window when it covers them
+                            pointers, n = None, 0
+                            size = block.size
+                            woff = block.addr - heap.window_start
+                            window = heap.buf
+                            if 0 <= woff <= len(window) - size:
+                                out += memoryview(window)[woff : woff + size]
+                            else:
+                                out += memory.view(block.addr, size)
+                            if info.flat_kind is None:
+                                n_codec += 1
+                            else:
+                                n_planned += 1
                         else:
                             n = 0
                             pointers = None if new is None else new.save(self, block, info)
@@ -406,7 +427,7 @@ class Collector:
                             walker, plan, slots, units = pointers, new, steps, n
                             opened = block if header else None
                             if n:
-                                n_walked += 1
+                                n_planned += 1
                                 addr = block.addr
                                 at = 0
                                 unpack = load
@@ -458,7 +479,8 @@ class Collector:
                         stats.n_nulls += n_nulls
                         stats.data_bytes += data_bytes
                         if self._plans_on:
-                            stats.n_plan_blocks += n_walked
+                            stats.n_plan_blocks += n_planned
+                            stats.n_codec_blocks += n_codec
                         return
                     # the open frame is finished: resume the one beneath
                     if opened is not None and prof is not None:

@@ -5,8 +5,11 @@ type (§3.1).  Here that function is a *plan*, compiled once by
 :meth:`repro.msr.ti.TITable.plan_for` and cached on the ``TypeInfo``.
 A plan converts data; it never follows a pointer.  The traversal
 drivers (:meth:`repro.msr.collect.Collector._drive`,
-:meth:`repro.msr.restore.Restorer._drive`) own the depth-first walk and
-ask the plan of each block they open for one of three things:
+:meth:`repro.msr.restore.Restorer._drive`) own the depth-first walk.  A
+block whose plan is ``raw`` — a :class:`FlatPlan` or :class:`StructPlan`
+whose host image is its wire image, decided once at compile time — they
+copy themselves, ``block.size`` bytes with no plan call; of the plan of
+any other block they open they ask for one of three things:
 
 - nothing more — ``save`` / ``restore`` wrote (consumed) the whole
   contents and returned ``None`` (:class:`FlatPlan`, :class:`StructPlan`:
@@ -26,10 +29,13 @@ of the unit:
 
 - :class:`FlatPlan` — homogeneous dense primitives (``double[n]``): a
   host-dtype view over the segment window cast in one pass and appended
-  to the wire buffer, and the mirror on restore.
+  to the wire buffer, and the mirror on restore; ``raw`` where the host
+  dtype is the wire dtype (or both are one byte wide: ``char[]``
+  everywhere).
 - :class:`StructPlan` — pointer-free units with mixed kinds or padding
   (``struct {int a; double b;}``): two NumPy structured dtypes, one
-  vectorized cast per field for the whole block.
+  vectorized cast per field for the whole block; ``raw`` where the two
+  dtypes hold the same bytes (no padding, every field its wire image).
 - :class:`PtrArrayPlan` — dense pointer arrays (``cell *hot[64]``): the
   pointers resolved per distinct target block (one table search each,
   never a pass over the table), NULL/REF runs written as one structured
@@ -203,48 +209,50 @@ def _resolve_ref_rows(restorer, leads, serials, ords):
     return dests, n
 
 
+def _wire_image(host: np.dtype, wire: np.dtype) -> bool:
+    """Whether every value's *host* bytes are its *wire* bytes — what a
+    plan's ``raw`` says: one dtype, or both one byte wide (plain
+    ``char`` is unsigned on some hosts and signed on the wire, and keeps
+    its bits either way); for a struct, the same itemsize and every
+    field at its wire offset, so no padding inside or after the fields."""
+    if host.names is None:
+        return host == wire or host.itemsize == wire.itemsize == 1
+    return host.itemsize == wire.itemsize and all(
+        host.fields[name][1] == wire.fields[name][1]
+        and _wire_image(host.fields[name][0], wire.fields[name][0])
+        for name in host.names
+    )
+
+
 # -- flat blocks --------------------------------------------------------------
 
 
 class FlatPlan:
-    """Zero-copy bulk path for homogeneous dense primitive blocks."""
+    """One vectorized cast for homogeneous dense primitive blocks."""
 
     #: no slots: the traversal drivers do not walk this plan's blocks
     save_slots = restore_slots = None
-    __slots__ = ("kind", "host_dtype", "wire_dtype")
+    __slots__ = ("kind", "host_dtype", "wire_dtype", "raw")
 
     def __init__(self, info, layout) -> None:
         self.kind = info.flat_kind
         self.host_dtype = xdr.host_np_dtype(self.kind, layout.arch)
         self.wire_dtype = xdr.wire_dtype(self.kind)
+        self.raw = _wire_image(self.host_dtype, self.wire_dtype)
 
     def save(self, collector, block, info) -> None:
         n = info.cells_in(block.count)
-        raw = collector.memory.view(block.addr, n * self.host_dtype.itemsize)
-        if self.host_dtype == self.wire_dtype:
-            # host representation IS the wire representation (same width,
-            # same byte order): one memcpy into the wire storage
-            collector.buf.write(raw)
-        else:
-            # one casting pass, then one append of its result
-            src = np.frombuffer(raw, dtype=self.host_dtype, count=n)
-            collector.buf.write_ndarray(src, self.wire_dtype)
-            del src
+        image = collector.memory.view(block.addr, n * self.host_dtype.itemsize)
+        # one casting pass, then one append of its result
+        src = np.frombuffer(image, dtype=self.host_dtype, count=n)
+        collector.buf.write_ndarray(src, self.wire_dtype)
+        del src
         collector.stats.n_plan_blocks += 1
 
     def restore(self, restorer, block, info) -> None:
         n = info.cells_in(block.count)
-        nbytes = n * self.wire_dtype.itemsize
-        if self.host_dtype == self.wire_dtype:
-            # host representation IS the wire representation: fill the
-            # destination span straight from the wire.  On a streamed
-            # restore this copies each arriving chunk directly into the
-            # segment window — no intermediate join, one copy total
-            dest = restorer.memory.write_view(block.addr, nbytes)
-            restorer.buf.readinto(dest)
-            return
-        raw = restorer.buf.read(nbytes)
-        src = np.frombuffer(raw, dtype=self.wire_dtype, count=n)
+        data = restorer.buf.read(n * self.wire_dtype.itemsize)
+        src = np.frombuffer(data, dtype=self.wire_dtype, count=n)
         # transient writable view over the segment window (materialized
         # first, so no resize can happen while the view is alive)
         dst = restorer.memory.array_view(self.kind, block.addr, n)
@@ -266,7 +274,7 @@ class StructPlan:
     """
 
     save_slots = restore_slots = None
-    __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size")
+    __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size", "raw")
 
     def __init__(self, info, layout) -> None:
         cells, arch = info.cells, layout.arch
@@ -288,11 +296,13 @@ class StructPlan:
             "offsets": wire_offsets,
             "itemsize": off,
         })
+        # no padding and every field at its wire width and byte order
+        self.raw = _wire_image(self.src_dtype, self.wire_dtype)
 
     def save(self, collector, block, info) -> None:
         n = info.units_in(block.count)
-        raw = collector.memory.view(block.addr, n * info.unit_size)
-        src = np.frombuffer(raw, dtype=self.src_dtype, count=n)
+        image = collector.memory.view(block.addr, n * info.unit_size)
+        src = np.frombuffer(image, dtype=self.src_dtype, count=n)
         out = np.zeros(n, dtype=self.wire_dtype)
         for name in self.names:
             # field assignment casts C-style: narrowing wraps modulo
@@ -303,8 +313,8 @@ class StructPlan:
 
     def restore(self, restorer, block, info) -> None:
         n = info.units_in(block.count)
-        raw = restorer.buf.read(n * self.wire_unit_size)
-        wire = np.frombuffer(raw, dtype=self.wire_dtype, count=n)
+        data = restorer.buf.read(n * self.wire_unit_size)
+        wire = np.frombuffer(data, dtype=self.wire_dtype, count=n)
         # zeros, not empty: struct padding must restore deterministically
         out = np.zeros(n, dtype=self.src_dtype)
         for name in self.names:
@@ -407,6 +417,7 @@ class PtrArrayPlan:
     """
 
     save_slots = restore_slots = None
+    raw = False
     __slots__ = ()
 
     def __init__(self, info, layout) -> None:
@@ -1028,6 +1039,7 @@ class CellRecord:
     #: no one-call unit load or store: the drivers call :meth:`load` /
     #: :meth:`store`
     load_from = store_into = None
+    raw = False
     __slots__ = ("info", "unit_size", "cell_count", "save_slots", "restore_slots")
 
     def __init__(self, info, chain=None) -> None:

@@ -236,8 +236,9 @@ class Restorer:
 
     def _type(self, type_id: int, logical: tuple) -> tuple:
         """What a ``BLOCK`` record naming *type_id* is restored with —
-        ``(info, plan, its restore slots, the lead's flat bit)`` — looked
-        up on the type's first record of the pass and kept for the rest."""
+        ``(info, plan, its restore slots, the lead's flat bit, whether
+        the driver copies it)`` — looked up on the type's first record of
+        the pass and kept for the rest."""
         try:
             info = self.ti.info(type_id)
         except LookupError:
@@ -250,6 +251,7 @@ class Restorer:
             plan,
             None if plan is None else plan.restore_slots,
             0 if info.flat_kind is None else LEAD_FLAT,
+            plan is not None and plan.raw,
         )
         return entry
 
@@ -326,7 +328,10 @@ class Restorer:
         payload's end (an underrun), and the cursor is handed back
         around every call that reads the buffer itself.  A heap ``BLOCK`` new to the pass is carved here, not in
         :meth:`_resolve_block`, so that a tree or list node costs two
-        calls: ``heap_carve`` and its ``MemoryBlock``.
+        calls: ``heap_carve`` and its ``MemoryBlock``.  A block whose
+        plan is ``raw`` (its host image is its wire image) costs none
+        beyond those: its bytes are copied into the heap window as they
+        are.
         """
         buf = self.buf
         need = buf.need
@@ -356,7 +361,7 @@ class Restorer:
                 if contents_of is not None:
                     block, contents_of = contents_of, None
                     info = self.ti.info_for(block.elem_type)
-                    _, new, steps, _ = (
+                    _, new, steps, _, copy = (
                         types.get(info.type_id) or self._type(info.type_id, block.logical)
                     )
                     headed, address = False, block.addr
@@ -436,7 +441,7 @@ class Restorer:
                                         _ROOT_ORDINAL.format(logical, ordinal)
                                     )
                                 expected = None
-                            info, new, steps, flat = (
+                            info, new, steps, flat, copy = (
                                 types.get(type_id) or self._type(type_id, logical)
                             )
                             if (lead & LEAD_FLAT) != flat:
@@ -481,9 +486,25 @@ class Restorer:
                 if block is not None:
                     n_blocks += 1
                     data_bytes += block.size
-                    # its contents: read at once, or a new frame
+                    # its contents: copied, read at once, or a new frame
                     if steps is not None:
                         records, n = None, block.count * info.repeat
+                    elif copy:
+                        # into the heap window when it covers them (and
+                        # no write barrier watches), else through a
+                        # writable view; a memoryview assignment, as a
+                        # bytearray slice assignment is twice as slow
+                        records, n = None, 0
+                        size = block.size
+                        if pos + size > end:
+                            need(pos, size)
+                        woff = block.addr - heap.window_start
+                        window = heap.buf
+                        if barrier_free and 0 <= woff <= len(window) - size:
+                            memoryview(window)[woff : woff + size] = view[pos : pos + size]
+                        else:
+                            memory.write_view(block.addr, size)[:] = view[pos : pos + size]
+                        pos += size
                     else:
                         n = 0
                         records = None

@@ -295,6 +295,7 @@ class _FlatReference:
     plan interface."""
 
     save_slots = restore_slots = None
+    raw = False
     __slots__ = ("ti",)
 
     def __init__(self, ti: TITable) -> None:

@@ -7,11 +7,11 @@ log grows with attempts, faults and rounds, never per chunk.  ``repro
 migrate --trace out.jsonl`` exports the log plus the span tree and the
 migration's counters as JSON-lines.
 
-Trace file format (one JSON object per line, schema version 9 — the one
+Trace file format (one JSON object per line, schema version 10 — the one
 version this build writes and reads; a trace of another version is
 re-recorded, not converted):
 
-- line 1 is always ``{"event": "trace_header", "schema": 9, ...}`` and
+- line 1 is always ``{"event": "trace_header", "schema": 10, ...}`` and
   carries the migration's ``trace_id`` (16 hex chars);
 - every line has an ``"event"`` string and a non-negative ``"ts"``
   number (seconds since the migration's observation began);
@@ -56,7 +56,7 @@ __all__ = [
     "validate_trace_file",
 ]
 
-TRACE_SCHEMA_VERSION = 9
+TRACE_SCHEMA_VERSION = 10
 
 #: required (field, type) pairs per event type; unknown event types are
 #: rejected so a typo'd emitter fails CI rather than shipping dark data
@@ -78,7 +78,7 @@ EVENT_REQUIRED_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
     "precopy_round": (("round", int), ("bytes", int), ("tx_s", (int, float)),
                       ("dirty_blocks", int), ("deferred", int), ("freed", int)),
     "precopy_end": (("rounds", int), ("dirty_blocks", int),
-                    ("cached_blocks", int), ("bytes", int)),
+                    ("cached_blocks", int), ("bytes", int), ("converged", bool)),
     "precopy_degraded": (("error_type", str), ("error", str)),
     "metrics": (("counters", dict),),
 }

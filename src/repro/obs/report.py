@@ -204,8 +204,9 @@ def _render_precopy(doc: TraceDocument) -> list[str]:
             ] for r in rounds],
         ))
     for end in doc.events_of("precopy_end"):
+        outcome = "converged after" if end["converged"] else "stopped at the round cap,"
         out.append(
-            f"converged after {end['rounds']} round(s): "
+            f"{outcome} {end['rounds']} round(s): "
             f"{end['bytes']} round bytes, "
             f"{end['dirty_blocks']} dirty block(s) shipped in delta rounds, "
             f"{end['cached_blocks']} block(s) elided as cached"

@@ -248,6 +248,24 @@ class TestHarness:
         assert base.total_polls >= 2
         assert base.exit_code == 0
 
+    @pytest.mark.parametrize("zero,routes", [
+        ("0", ["dec5000"]),  # the first architecture's run faults
+        ("(int) sizeof(long) - 8", ["dec5000 vs alpha", "dec5000 vs x86_64"]),
+    ], ids=["first", "lp64"])
+    def test_a_faulting_baseline_is_a_mismatch_on_any_architecture(self, zero, routes):
+        """One rule: a baseline run that faults is a ``baseline``
+        mismatch naming where it faulted, not an exception out of the
+        replay — on the first architecture as on any other."""
+        entry = CorpusEntry(name="x", source=(
+            f"int main() {{ int z; z = {zero}; migrate_here(); "
+            f'printf("%d\\n", 5 / z); return 0; }}'
+        ))
+        found = entry.replay()
+        assert [m.route for m in found] == routes
+        for m in found:
+            assert m.kind == "baseline"
+            assert m.detail.startswith("error: GuestFault: integer division by zero")
+
 
 class TestShrinker:
     def _failure(self, **kw):

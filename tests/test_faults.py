@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.arch import ALPHA, DEC5000, SPARC20
+from repro.arch import ALPHA, DEC5000, SPARC20, X86_64
 from repro.migration.checkpoint import checkpoint_to_file, restart_from_file
 from repro.migration import engine as engine_module
 from repro.migration.engine import (
@@ -882,7 +882,9 @@ class TestRestorerFault:
     ):
         """Nothing outside the damage family is retried: a plan that
         raises like a programming error does fails the migration in its
-        first attempt, and the source runs on."""
+        first attempt, and the source runs on.  The destination is
+        little-endian LP64, where ``double table[120]`` converts through
+        FlatPlan.restore (a big-endian ILP32 one copies it instead)."""
 
         def restore(self, restorer, block, info):
             raise bug
@@ -891,7 +893,7 @@ class TestRestorerFault:
         proc = stopped(prog)
         with pytest.raises(MigrationError, match="not retried") as excinfo:
             MigrationEngine().migrate(
-                proc, SPARC20, streaming=streaming, chunk_size=64,
+                proc, X86_64, streaming=streaming, chunk_size=64,
                 max_attempts=3,
             )
         assert type(excinfo.value) is MigrationError

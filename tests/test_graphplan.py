@@ -11,9 +11,9 @@ Contracts under test:
 - **Chain backoff** — a miss is booked before the traversal descends,
   so a deep irregular list stops probing after ``CHAIN_BACKOFF_MISSES``
   nodes, while an evenly spaced chain still commits in one batch.
-- **Zero-copy plumbing** — ReadBuffer.readinto fills a destination
-  straight from the payload, and Segment.write materializes fresh
-  windows from the data itself.
+- **Zero-copy plumbing** — Memory.write_view takes a payload slice
+  with one copy, and Segment.write materializes fresh windows from the
+  data itself.
 - **Complexity accounting** — ``n_searches`` is identical plans-on vs
   plans-off, so E5's complexity counters keep their meaning.
 - **Per-target resolution** — a pointer array is resolved against the
@@ -25,6 +25,7 @@ Contracts under test:
   stack target.
 """
 
+import itertools
 import sys
 from collections import Counter
 
@@ -47,6 +48,7 @@ from repro.migration.precopy import PrecopyPolicy, run_precopy
 from repro.migration.stats import MigrationStats
 from repro.migration.transport import LOOPBACK, Channel
 from repro.msr import graphplan
+from repro.msr.collect import Collector
 from repro.msr.graphplan import (
     ChainPlan,
     FlatPlan,
@@ -55,10 +57,12 @@ from repro.msr.graphplan import (
     StructPlan,
 )
 from repro.msr.msrlt import MSRLT, BlockKind, MemoryBlock, MSRLTError
+from repro.msr.restore import Restorer
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from tests.conftest import (
+    ALL_ARCHS,
     PLAN_ARCH_PAIRS as ARCH_PAIRS,
     PLAN_WORKLOADS as WORKLOADS,
     assert_plans_invisible,
@@ -144,9 +148,11 @@ class TestRegisterHeapBulk:
 def engaged(monkeypatch):
     """Count, per plan class and side, the blocks it converted (for a
     RecordPlan, which the traversal driver walks: the units it loaded or
-    stored, through the plan's methods or its one-call codec), plus the
-    chain batches that committed.  ``counts[key, "calls"]`` is how often
-    each was tried."""
+    stored, through the plan's methods or its one-call codec) or the
+    driver copied (a ``raw`` FlatPlan or StructPlan: every block of its
+    type the pass collected or restored, counted when the pass ends),
+    plus the chain batches that committed.  ``counts[key, "calls"]`` is
+    how often each was tried."""
     counts = Counter()
 
     def counted(inner, key, took=lambda result: True):
@@ -182,6 +188,25 @@ def engaged(monkeypatch):
     counting(ChainPlan, "_save_batch", "save batches", not_none)
     counting(ChainPlan, "_restore_batch", "restore batches", not_none)
     counting(ChainPlan, "_walk", "walks", not_none)
+
+    def copies(cls, name, side, blocks_of):
+        inner = getattr(cls, name)
+
+        def wrapper(worker, *args):
+            result = inner(worker, *args)
+            for block in blocks_of(worker):
+                plan = worker._plan_for(worker.ti.info_for(block.elem_type))
+                if plan is not None and plan.raw:
+                    counts[type(plan), side] += 1
+            return result
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    # the pass's last call: its visited set (its mapping) is every block
+    # it collected (restored)
+    copies(Collector, "finish", "save",
+           lambda c: map(c.msrlt.lookup_logical, c._visited))
+    copies(Restorer, "restore_tail", "restore", lambda r: r._mapping.values())
     return counts
 
 
@@ -199,8 +224,11 @@ class TestPlanByteIdentity:
         per kind: scalars, a mixed pointer-free struct grid, a dense
         pointer array, and a linked chain of probes — whose head the
         driver walks through its RecordPlan and whose body goes out as a
-        ChainPlan batch."""
+        ChainPlan batch.  On the big-endian ILP32 destination the
+        scalars and the grid are ``raw``: the driver copies them, and
+        the copies count."""
         assert_plans_invisible(*WORKLOADS["structgrid"], DEC5000, SPARC20)
+        assert engaged[(FlatPlan, "restore"), "calls"] == 0  # every one a copy
         for cls in PLAN_KINDS:
             assert engaged[cls, "save"] > 0, f"{cls.__name__} never saved a block"
             assert engaged[cls, "restore"] > 0, f"{cls.__name__} never restored one"
@@ -772,9 +800,10 @@ class TestSmallFlatBlocks:
     ):
         """Chunks smaller than every block, so each flat block — the
         lone int, the 3-char string — straddles a chunk boundary on the
-        wire; joined, it restores through both FlatPlan.restore branches
-        (cast on the endianness flip, straight ``readinto`` on the
-        same-layout pair)."""
+        wire; joined, it restores through FlatPlan.restore's cast (the
+        ``long`` array, 8 wire bytes to 4 host bytes) or as the driver's
+        copy (every other flat type: the big-endian ILP32 destination's
+        host image is its wire image).  Copies count as engagements."""
         src_arch, dst_arch = pair
         proc = stopped_at(small_flat_source(), 1, src_arch)
         prog = proc.program
@@ -788,6 +817,115 @@ class TestSmallFlatBlocks:
         assert engaged[FlatPlan, "restore"] >= 8
         assert dest.run().status == "exit"
         assert dest.stdout == expected.stdout
+
+
+#: one global of each unit shape the copy rule tells apart, the first
+#: three kinds also on the heap and the stack, printed whole after the poll.
+#: The numbers and the heap letters end in non-zero bytes, so a copy cut
+#: short shows
+COPIED_UNITS_SRC = r"""
+struct mixed { double d; int i; int j; double e; };
+struct inner { char c; int i; };
+struct tail { int i; char c; };
+struct owner { int id; char *name; };
+char text[12];
+int counts[5];
+double weights[3];
+struct mixed grid[2];
+long wide[3];
+struct inner inners[2];
+struct tail tails[2];
+struct owner owners[2];
+char *names[2];
+
+int main() {
+    int i;
+    char word[6];
+    double *heapd;
+    struct mixed *heapm;
+    char *letters;
+    heapd = (double *) malloc(4 * sizeof(double));
+    heapm = (struct mixed *) malloc(3 * sizeof(struct mixed));
+    letters = (char *) malloc(8);
+    for (i = 0; i < 8; i++) letters[i] = (char) (75 + i);
+    for (i = 0; i < 11; i++) text[i] = (char) (97 + i);
+    text[11] = (char) 0;
+    for (i = 0; i < 5; i++) word[i] = (char) (65 + i);
+    word[5] = (char) 0;
+    for (i = 0; i < 5; i++) counts[i] = i * -70001 + 3;
+    for (i = 0; i < 3; i++) weights[i] = i * 0.75 - 1.0e200;
+    for (i = 0; i < 4; i++) heapd[i] = i * -2.5 + 0.1;
+    for (i = 0; i < 2; i++) {
+        grid[i].d = i + 0.1; grid[i].i = -i - 1; grid[i].j = i * 1000 + 7;
+        grid[i].e = -0.3 * (i + 1);
+        inners[i].c = (char) (120 + i); inners[i].i = i * 7;
+        tails[i].i = i * -9; tails[i].c = (char) (110 + i);
+        owners[i].id = i;
+        owners[i].name = (char *) malloc(4);
+        owners[i].name[0] = (char) (112 + i); owners[i].name[1] = (char) 0;
+        names[i] = owners[i].name;
+    }
+    for (i = 0; i < 3; i++) {
+        wide[i] = (long) i * -65537;
+        heapm[i].d = i * 1.5 + 0.3; heapm[i].i = i + 1; heapm[i].j = -i - 1;
+        heapm[i].e = i * 0.25 + 0.7;
+    }
+    migrate_here();
+    printf("%s %s", text, word);
+    for (i = 0; i < 5; i++) printf(" %d", counts[i]);
+    for (i = 0; i < 3; i++) printf(" %.17g %d", weights[i], (int) wide[i]);
+    for (i = 0; i < 4; i++) printf(" %.17g", heapd[i]);
+    for (i = 0; i < 8; i++) printf("%c", letters[i]);
+    for (i = 0; i < 2; i++)
+        printf(" %.17g %d %d %.17g %d %d %d %d %s %s", grid[i].d, grid[i].i, grid[i].j,
+               grid[i].e, (int) inners[i].c, inners[i].i, tails[i].i, (int) tails[i].c,
+               owners[i].name, names[i]);
+    for (i = 0; i < 3; i++)
+        printf(" %.17g %d %d %.17g", heapm[i].d, heapm[i].i, heapm[i].j, heapm[i].e);
+    return 0;
+}
+"""
+
+#: the big-endian ILP32 presets: XDR is the host image of their char,
+#: int and double, and of any padding-free struct of those
+BIG_ILP32 = (SPARC20, ULTRA5)
+#: global -> the presets on which its plan is ``raw`` (the drivers copy it)
+COPIED_ON = {
+    "text": ALL_ARCHS,  # a byte is its wire byte everywhere
+    "counts": BIG_ILP32,
+    "weights": BIG_ILP32,
+    "grid": BIG_ILP32,
+    "wide": (),  # 4 host bytes where ILP32, 8 on the wire
+    "inners": (),  # interior padding
+    "tails": (),  # tail padding
+    "owners": (),  # pointer-bearing
+    "names": (),  # a pointer array
+}
+
+
+class TestCopiedUnits:
+    """Which units the traversal drivers copy — a plan is ``raw`` when
+    its host image is its wire image — and that copying them changes no
+    byte the per-cell oracle writes or reads, on any pair of presets."""
+
+    @pytest.mark.parametrize("arch", ALL_ARCHS, ids=lambda a: a.name)
+    def test_which_units_are_copied(self, arch):
+        probe = Process(compile_program(COPIED_UNITS_SRC, poll_strategy="user"), arch)
+        probe.load()
+        ti = probe.ti
+        raw = {
+            block.name: ti.plan_for(ti.info_for(block.elem_type)).raw
+            for block in probe.msrlt.blocks()
+            if block.name in COPIED_ON  # not the string literals or the PRNG state
+        }
+        assert raw == {name: arch in on for name, on in COPIED_ON.items()}
+
+    @pytest.mark.parametrize(
+        "pair", list(itertools.permutations(ALL_ARCHS, 2)),
+        ids=lambda p: f"{p[0].name}-{p[1].name}",
+    )
+    def test_copies_are_invisible(self, pair):
+        assert_plans_invisible(COPIED_UNITS_SRC, 1, *pair)
 
 
 # ---------------------------------------------------------------------------
@@ -964,17 +1102,6 @@ class TestChainBackoff:
 # ---------------------------------------------------------------------------
 
 
-class TestReadInto:
-    def test_monolithic_readinto(self):
-        buf = ReadBuffer(b"\x01" + bytes(range(64)))
-        assert buf.read_u8() == 1
-        dest = bytearray(64)
-        buf.readinto(dest)
-        assert dest == bytearray(range(64))
-        with pytest.raises(EOFError):
-            buf.readinto(bytearray(1))
-
-
 class TestSegmentWrite:
     def _memory(self):
         return Memory(SPARC20)
@@ -1040,7 +1167,6 @@ class TestSegmentWrite:
     def test_write_view_roundtrip(self):
         mem = self._memory()
         base = mem.heap_seg.base
-        dest = mem.write_view(base + 32, 64)
         src = bytes(range(64))
-        ReadBuffer(src).readinto(dest)
+        mem.write_view(base + 32, 64)[:] = ReadBuffer(src).read(64)
         assert mem.read_bytes(base + 32, 64) == src

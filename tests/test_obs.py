@@ -214,7 +214,7 @@ class TestEventLogAndSchema:
              "joined": True},
         ))
         errors = validate_trace_lines(doc)
-        assert any("schema 5 != 9" in e for e in errors)
+        assert any("schema 5 != 10" in e for e in errors)
         assert any("unknown event type 'trace_context'" in e for e in errors)
 
     def test_a_schema_6_trace_is_refused(self):
@@ -227,7 +227,7 @@ class TestEventLogAndSchema:
             {"event": "pipeline", "ts": 0.0, "wall_s": 0.001, "n_chunks": 2,
              "occupancy": 0.0},
         ))
-        assert any("schema 6 != 9" in e for e in validate_trace_lines(doc))
+        assert any("schema 6 != 10" in e for e in validate_trace_lines(doc))
 
     def test_a_schema_7_trace_is_refused(self):
         """Version 7 wrote a ``thread`` on every span line, a ``chunk``
@@ -245,7 +245,7 @@ class TestEventLogAndSchema:
              "thread": "MainThread", "span_id": 0, "parent_id": -1},
         ))
         errors = validate_trace_lines(doc)
-        assert errors[0] == "line 1: schema 7 != 9"
+        assert errors[0] == "line 1: schema 7 != 10"
         assert "line 2: unknown event type 'events_dropped'" in errors
         assert "line 3: unknown event type 'chunk'" in errors
         assert "line 4: unknown event type 'pipeline'" in errors
@@ -263,11 +263,26 @@ class TestEventLogAndSchema:
                            msrlt_searches=0, msrlt_depth=0)],
              "scopes": {}, "abandoned": {}},
         ))
-        assert validate_trace_lines(doc) == ["line 1: schema 8 != 9"]
+        assert validate_trace_lines(doc) == ["line 1: schema 8 != 10"]
 
-    def test_a_schema_9_row_is_the_kept_columns(self):
+    def test_a_schema_9_precopy_end_is_refused(self):
+        """Version 9's ``precopy_end`` did not say whether the pre-copy
+        converged or stopped at its round cap; the field is required
+        now, and the version is gone."""
         doc = "\n".join(json.dumps(line) for line in (
             {"event": "trace_header", "ts": 0.0, "schema": 9, "tool": "repro",
+             "trace_id": "00" * 8},
+            {"event": "precopy_end", "ts": 0.0, "rounds": 2, "dirty_blocks": 1,
+             "cached_blocks": 3, "bytes": 40},
+        ))
+        assert validate_trace_lines(doc) == [
+            "line 1: schema 9 != 10",
+            "line 2: event 'precopy_end': missing field 'converged'",
+        ]
+
+    def test_an_attribution_row_is_the_kept_columns(self):
+        doc = "\n".join(json.dumps(line) for line in (
+            {"event": "trace_header", "ts": 0.0, "schema": 10, "tool": "repro",
              "trace_id": "00" * 8},
             {"event": "attribution", "ts": 0.0, "payload_bytes": 4,
              "rows": [KEPT_ROW]},
@@ -289,7 +304,7 @@ class TestEventLogAndSchema:
                 "span_id": 1 << 32, "parent_id": 3,
                 "attrs": {"remote_parent": 3}}
         doc = "\n".join(json.dumps(line) for line in (
-            {"event": "trace_header", "ts": 0.0, "schema": 9, "tool": "repro",
+            {"event": "trace_header", "ts": 0.0, "schema": 10, "tool": "repro",
              "trace_id": "00" * 8},
             span,
         ))
@@ -678,14 +693,39 @@ def test_report_counts_the_dirty_blocks_the_delta_rounds_shipped(
     stats, _wire, _stdout = migrate_in_mode(sliced_prog, "precopy", False)
     assert stats.precopy_dirty_blocks > 0
     stats.obs.write_trace(tmp_path / "trace.jsonl")
+    # the mode's policy never converges (stop_dirty_blocks=0)
     (line,) = [
         ln for ln in render_report(load_trace(tmp_path / "trace.jsonl")).splitlines()
-        if ln.startswith("converged after")
+        if ln.startswith("stopped at the round cap")
     ]
     assert (
         f", {stats.precopy_dirty_blocks} dirty block(s) shipped in delta rounds, "
         in line
     )
+
+
+@pytest.mark.parametrize("stop_dirty_blocks,says", [
+    (0, "stopped at the round cap, 4 round(s): "),
+    (2, "converged after 1 round(s): "),
+], ids=["capped", "converged"])
+def test_report_says_whether_the_precopy_converged(
+    sliced_prog, tmp_path, stop_dirty_blocks, says
+):
+    """Each slice dirties two blocks (a ``table`` cell and the ring's
+    head): a policy that stops at two converges after the snapshot, one
+    that stops at none runs its three delta rounds and stops at the cap.
+    ``obs report`` says which."""
+    from repro.obs.report import load_trace, render_report
+
+    _dest, stats = MigrationEngine().migrate(
+        stopped(sliced_prog), SPARC20, precopy=True,
+        precopy_policy=PrecopyPolicy(max_rounds=3, stop_dirty_blocks=stop_dirty_blocks),
+    )
+    stats.obs.write_trace(tmp_path / "trace.jsonl")
+    (end,) = stats.obs.events.of_type("precopy_end")
+    assert end["converged"] is (stop_dirty_blocks == 2)
+    lines = render_report(load_trace(tmp_path / "trace.jsonl")).splitlines()
+    assert [ln for ln in lines if ln.startswith(says)]
 
 
 @pytest.mark.parametrize("mode", ["mono", "stream"])

@@ -145,16 +145,16 @@ class TestObsErrors:
         assert code == 2 and "not valid JSON" in line
 
     def test_wrong_schema_exits_2(self, tmp_path, capsys):
-        # 8 is the version before this one: its attribution rows carried
-        # engagement, cells and lookup columns
-        for schema in (1, 8):
+        # 9 is the version before this one: its precopy_end did not say
+        # whether the pre-copy converged
+        for schema in (1, 9):
             old = tmp_path / f"old{schema}.jsonl"
             old.write_text(json.dumps(
                 {"event": "trace_header", "ts": 0.0, "schema": schema,
                  "tool": "repro", "trace_id": "00" * 8}
             ) + "\n")
             code, line = cli_exit(["obs", "report", str(old)], capsys)
-            assert code == 2 and f"schema {schema} != 9" in line
+            assert code == 2 and f"schema {schema} != 10" in line
 
     @pytest.mark.parametrize("command", [["report"], ["top"], ["top", "--by", "phase"]])
     def test_a_trace_the_validator_refuses_is_refused(self, tmp_path, capsys, command):
@@ -163,7 +163,7 @@ class TestObsErrors:
         2, not a TypeError from the arithmetic on it."""
         bad = tmp_path / "bad_row.jsonl"
         bad.write_text("\n".join(json.dumps(line) for line in (
-            {"event": "trace_header", "ts": 0.0, "schema": 9, "tool": "repro",
+            {"event": "trace_header", "ts": 0.0, "schema": 10, "tool": "repro",
              "trace_id": "00" * 8},
             {"event": "attribution", "ts": 0, "payload_bytes": 1,
              "rows": [{"type": "int", "bytes": "x"}]},

@@ -184,6 +184,61 @@ def test_hand_corpus_rounds_take_the_forms_they_must(pair, rounds):
     assert third["restored"][row] == [(0, 8)]
 
 
+# -- a copied char[] shipped as runs -----------------------------------------
+
+#: a global and a heap string; each of the first three slices rewrites
+#: one char of both, the fourth neither: what the rounds landed is what
+#: the destination resumes with
+COPIED_TEXT_SRC = r"""
+char banner[256];
+int main() {
+    int r, i;
+    char *note;
+    note = (char *) malloc(200);
+    for (i = 0; i < 255; i++) banner[i] = (char) (97 + i % 26);
+    for (i = 0; i < 199; i++) note[i] = (char) (65 + i % 26);
+    banner[255] = (char) 0;
+    note[199] = (char) 0;
+    for (r = 0; r < 6; r++) {
+        migrate_here();
+        if (r < 3) {
+            banner[100 + r] = (char) (48 + r);
+            note[50 + 3 * r] = (char) (48 + r);
+        }
+    }
+    printf("%s %s", banner, note);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "pair", [(SPARC20, X86_64), (DEC5000, ULTRA5)], ids=lambda p: f"{p[0].name}->{p[1].name}"
+)
+def test_a_copied_char_array_ships_one_char_runs(pair, rounds):
+    """``char[]`` is ``raw`` on every architecture, so the traversal
+    drivers copy it — a runs marker's units too, through
+    ``save_contents`` / ``restore_contents``.  A slice that rewrites one
+    char of a global and of a heap string ships a one-char run of each,
+    and the migration lands like a stop-and-copy, the plans on and off
+    putting the same bytes in every frame."""
+    src_arch, dst_arch = pair
+    prog = _compile(COPIED_TEXT_SRC)
+    probe = Process(prog, src_arch)
+    probe.load()
+    (banner,) = [b for b in probe.msrlt.blocks() if b.name == "banner"]
+    for arch in pair:
+        ti = Process(prog, arch).ti
+        assert ti.plan_for(ti.info_for(banner.elem_type)).raw
+    _assert_lands_like_stop_and_copy(prog, src_arch, dst_arch, THREE_ROUNDS, last_poll=5)
+    note = (BlockKind.HEAP, 0, 0)
+    for k, round_ in enumerate(rounds[:3]):
+        assert round_["restored"] == {banner.logical: [(100 + k, 1)], note: [(50 + 3 * k, 1)]}
+        assert round_["bytes"] < round_["whole_bytes"]
+    # the oracle's rounds restored the same
+    assert [r["restored"] for r in rounds[3:]] == [r["restored"] for r in rounds[:3]]
+
+
 # -- random write schedules over five array shapes, heap and global ---------
 
 N = 20  # long enough for the pointer arrays to take PtrArrayPlan's bulk path
