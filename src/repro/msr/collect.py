@@ -7,10 +7,11 @@ functions to save their contents.  During the traversal, visited memory
 blocks are marked so that they are not saved again."
 
 The collector walks live pointers depth-first; the first visit of a
-block emits a ``BLOCK`` record (header, machine-independent id, type,
-then contents converted by the type's plan), every later reference emits
-only a ``REF``.  A pointer inside a block's contents is followed before
-the cells after it are written, which reproduces exactly the traversal
+block emits a ``BLOCK`` record (header, machine-independent id, the type
+unless the pointer's declared type implies it, then contents converted
+by the type's plan), every later reference emits only a ``REF``.  A
+pointer inside a block's contents is followed before the cells after it
+are written, which reproduces exactly the traversal
 order the paper's §3.2 example walks through (v11 → e8 → v6 → e6 → v10,
 backtrack …).
 
@@ -44,8 +45,8 @@ from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.wire import (
     LEAD_COUNT,
-    LEAD_FLAT,
     LEAD_ORDINAL,
+    LEAD_TYPE,
     RECORDS,
     RUN_HEADER,
     TAG_BLOCK,
@@ -149,11 +150,13 @@ class Collector:
     # -- public entry points (paper interface names) --------------------------------
 
     def save_variable(self, block: MemoryBlock) -> None:
-        """``Save_variable(&var)`` — collect the variable's own block."""
-        self._drive(block)
+        """``Save_variable(&var)`` — collect the variable's own block, a
+        root: its declared type is implied, so the record leaves it out."""
+        self._drive(block, implied=self.ti.info_for(block.elem_type).type_id)
 
     def save_pointer(self, value: int) -> None:
-        """``Save_pointer(p)`` — collect the target of pointer value *p*."""
+        """``Save_pointer(p)`` — collect the target of pointer value *p*,
+        whose type nothing implies: a ``BLOCK`` record carries it."""
         self._drive(None, value)
 
     def save_contents(self, block: MemoryBlock) -> None:
@@ -216,8 +219,9 @@ class Collector:
             self.deferred.add(logical)
 
     def _save_root(self, block: MemoryBlock) -> None:
+        # the restorer reads a tail root with nothing to imply its type
         self.buf.write_u8(TAIL_ROOT)
-        self.save_variable(block)
+        self._drive(block)
 
     def _save_runs(self, block: MemoryBlock, info, runs) -> None:
         buf = self.buf
@@ -270,10 +274,14 @@ class Collector:
         )
         return entry
 
-    def _drive(self, block, value=None, header=True) -> None:
+    def _drive(self, block, value=None, header=True, implied=None) -> None:
         """The depth-first walk: write the record of one pointer — to
         *block*, or, with no block given, of pointer *value* — and of
-        everything first reached through it.
+        everything first reached through it.  *implied* is the type id
+        the first record's context implies (``None``: none); a record
+        reached through a pointer cell takes its slot's (or its pointer
+        array's) implied id, and a ``BLOCK`` carries its type only when
+        it is not that one.
 
         Each turn of the loop handles one pointer: resolve it (``NULL``,
         a chain batch, a ``REF``, or a ``BLOCK`` record whose contents
@@ -378,17 +386,18 @@ class Collector:
                             # hold their constant travel
                             kind, la, lb = logical
                             lead = TAG_BLOCK | kind << 2
-                            if info.flat_kind is not None:
-                                lead |= LEAD_FLAT
                             count = block.count
-                            if kind != _STACK and count == 1 and not ordinal:
+                            if (
+                                kind != _STACK and count == 1 and not ordinal
+                                and info.type_id == implied
+                            ):
                                 # a heap or global node's header
-                                out += RECORDS[lead].pack(lead, la, info.type_id)
+                                out += RECORDS[lead].pack(lead, la)
                             else:
-                                fields = (
-                                    [la, lb, info.type_id] if kind == _STACK
-                                    else [la, info.type_id]
-                                )
+                                fields = [la, lb] if kind == _STACK else [la]
+                                if info.type_id != implied:
+                                    lead |= LEAD_TYPE
+                                    fields.append(info.type_id)
                                 if count != 1:
                                     lead |= LEAD_COUNT
                                     fields.append(count)
@@ -448,9 +457,10 @@ class Collector:
                         value = next(walker, None)
                         if value is not None:
                             chain = None
+                            implied = plan.implied
                             break
                     elif units:
-                        pack, a, b, p, chain = slots[at]
+                        pack, a, b, p, chain, implied = slots[at]
                         at += 1
                         if pack is not None:
                             out += pack(*values[a:b])

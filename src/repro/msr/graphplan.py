@@ -44,11 +44,11 @@ of the unit:
 - :class:`RecordPlan` — every other pointer-bearing unit (list and tree
   nodes, records owning strings, arrays of such structs).
 - :class:`ChainPlan` — not a plan of its own but the batching half of a
-  RecordPlan whose last cell is a pointer (list nodes): at that *tail*
-  slot the driver offers the pointer to :meth:`ChainPlan.save_batch` /
-  :meth:`ChainPlan.restore_batch`, which emit (rebuild) a whole
-  stride-regular chain of nodes as one row array, or decline having
-  touched nothing.  A per-pass backoff stops the probing on data that
+  RecordPlan whose last cell points to its own type (list nodes): at
+  that *tail* slot the driver offers the pointer to
+  :meth:`ChainPlan.save_batch` / :meth:`ChainPlan.restore_batch`, which
+  emit (rebuild) a whole stride-regular chain of nodes as one row array,
+  or decline having touched nothing.  A per-pass backoff stops the probing on data that
   never batches.
 
 Every plan produces and consumes bytes *identical* to the per-cell
@@ -319,7 +319,9 @@ class StructPlan:
         out = np.zeros(n, dtype=self.src_dtype)
         for name in self.names:
             out[name] = wire[name]
-        restorer.memory.write_bytes(block.addr, out.tobytes())
+        # one copy, through a writable view (a bytearray slice
+        # assignment takes twice as long on a large block)
+        restorer.memory.write_view(block.addr, out.nbytes)[:] = memoryview(out).cast("B")
 
 
 # -- pointer arrays -----------------------------------------------------------
@@ -413,15 +415,18 @@ class PtrArrayPlan:
     visited, a dangling one, an array too short to be worth a NumPy
     round-trip — is handed to the traversal driver one pointer at a
     time: ``save`` and ``restore`` are generators, suspended on the
-    driver's work stack while it descends into the target.
+    driver's work stack while it descends into the target.  ``implied``
+    is the type id every element's declared target implies for the
+    records the driver writes (reads) there.
     """
 
     save_slots = restore_slots = None
     raw = False
-    __slots__ = ()
+    __slots__ = ("implied",)
 
     def __init__(self, info, layout) -> None:
-        pass  # stateless: every block resolves its own targets
+        # otherwise stateless: every block resolves its own targets
+        self.implied = info.implied[0]
 
     # -- collect --------------------------------------------------------------
 
@@ -572,16 +577,17 @@ class ChainPlan:
     """Stride-speculative batching for linked-list-shaped structs.
 
     Compiled next to the :class:`RecordPlan` of a unit type whose *last*
-    cell is a pointer (``struct probe {cell *target; int strength; probe
-    *next}``).  The traversal driver walks such a block like any other
-    record; what this adds happens at the tail pointer, which the driver
-    offers to :meth:`save_batch` / :meth:`restore_batch` before it
-    resolves it itself.  One wire row is the fixed-size image of one
-    chain node's BLOCK record: the header of a heap unit + each non-tail
-    cell (scalars in wire encoding, pointers as REF rows).  The tail
-    pointer of node *k* IS the record of node *k+1*, so ``m`` nodes
-    serialize as exactly ``m`` consecutive rows followed by the last
-    node's tail record.
+    cell is a pointer to the unit type (``struct probe {cell *target; int
+    strength; probe *next}``).  The traversal driver walks such a block
+    like any other record; what this adds happens at the tail pointer,
+    which the driver offers to :meth:`save_batch` / :meth:`restore_batch`
+    before it resolves it itself.  One wire row is the fixed-size image of one
+    chain node's BLOCK record: the header of a heap unit (lead, ``a``:
+    the tail's declared target is the node type, so the type is implied
+    and does not travel) + each non-tail cell (scalars in wire encoding,
+    pointers as REF rows).  The tail pointer of node *k* IS the record of
+    node *k+1*, so ``m`` nodes serialize as exactly ``m`` consecutive
+    rows followed by the last node's tail record.
     """
 
     __slots__ = (
@@ -828,11 +834,9 @@ class ChainPlan:
         target block (:class:`_Targets`), never per table; a column the
         driver refuses (a dangling pointer, a padding ordinal) declines
         the batch."""
-        info = self.info
         rows = np.zeros(m, self.row_dtype)
         rows["lead"] = _NODE
         rows["a"] = serials
-        rows["type_id"] = info.type_id
         visited = collector._visited
         for j, (kind, cell, name) in enumerate(self.cols):
             hname = f"h{j}"
@@ -897,10 +901,8 @@ class ChainPlan:
         row_size = self.row_size
         if len(window) < MIN_CHAIN * row_size:
             return None
-        tid = info.type_id
         for off in range(0, MIN_CHAIN * row_size, row_size):
-            lead, _serial, rtid = _NODE_HEADER.unpack_from(window, off)
-            if lead != _NODE or rtid != tid:
+            if window[off] != _NODE:
                 return None
             for po in self._ptr_lead_offs:
                 if window[off + po] not in _REF_LEADS:
@@ -912,7 +914,7 @@ class ChainPlan:
         while True:
             k = min(cap, len(window) // row_size)
             rows = np.frombuffer(window, self.row_dtype, count=k)
-            valid = (rows["lead"] == _NODE) & (rows["type_id"] == info.type_id)
+            valid = rows["lead"] == _NODE
             for kind, _cell, name in self.cols:
                 if kind == "ptr":
                     valid &= _is_ref_row(rows[f"{name}lead"])
@@ -974,7 +976,7 @@ class ChainPlan:
                 out[hname] = dest_cols[name][:m]
         tail_h = self.host_fields[-1][0]
         out[tail_h][: m - 1] = addrs[1:]
-        memory.write_bytes(base, out.tobytes())
+        memory.write_view(base, out.nbytes)[:] = memoryview(out).cast("B")
         buf.read(m * self.row_size)
         stats = restorer.stats
         stats.n_blocks += m
@@ -1025,12 +1027,14 @@ class CellRecord:
     :class:`RecordPlan` is its compiled twin.
 
     The driver's view of a unit is a sequence of *slots*, one per pointer
-    cell plus a closing one: ``(run, a, b, p, chain)`` — cells ``a..b``
-    are the scalars between the previous pointer and this one, *run*
-    their wire codec (``None`` for an empty run), *p* the pointer's cell
-    index (``-1`` in the closing slot, whose run is the scalars after
-    the last pointer), *chain* the :class:`ChainPlan` to offer the
-    pointer to first (tail slot of a compiled list node only).
+    cell plus a closing one: ``(run, a, b, p, chain, implied)`` — cells
+    ``a..b`` are the scalars between the previous pointer and this one,
+    *run* their wire codec (``None`` for an empty run), *p* the pointer's
+    cell index (``-1`` in the closing slot, whose run is the scalars
+    after the last pointer), *chain* the :class:`ChainPlan` to offer the
+    pointer to first (tail slot of a compiled list node only), *implied*
+    the type id the pointer's declared target implies for the record the
+    driver writes (reads) there (``TypeInfo.implied``).
     ``save_slots`` carry ``run.pack``, ``restore_slots`` the run itself
     (the restorer reads it with ``unpack_from`` at its cursor, and wants
     its ``size``).
@@ -1054,12 +1058,12 @@ class CellRecord:
             b = len(cells) if p < 0 else p
             run = self._run(cells[a:b]) if b > a else None
             at_tail = chain is not None and p == len(cells) - 1
-            slots.append((run, a, b, p, chain if at_tail else None))
+            implied = None if p < 0 else info.implied[p]
+            slots.append((run, a, b, p, chain if at_tail else None, implied))
             a = b + 1
         self.restore_slots = tuple(slots)
         self.save_slots = tuple(
-            (None if run is None else run.pack, a, b, p, chain)
-            for run, a, b, p, chain in slots
+            (None if run is None else run.pack, *rest) for run, *rest in slots
         )
 
     def _run(self, cells):
@@ -1123,8 +1127,13 @@ class RecordPlan(CellRecord):
         )
         self.load_from = self.host.unpack_from
         self.store_into = None if self.narrow else self.host.pack_into
+        # a list node: its last cell points to its own type, so every
+        # node of a batch is reached through a pointer implying its type
         chain_shaped = (
-            info.repeat == 1 and info.cell_count >= 2 and info.cells[-1].kind == "ptr"
+            info.repeat == 1
+            and info.cell_count >= 2
+            and info.cells[-1].kind == "ptr"
+            and info.implied[-1] == info.type_id
         )
         super().__init__(info, ChainPlan(info, layout) if chain_shaped else None)
 

@@ -53,8 +53,8 @@ from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import (
     LEAD_COUNT,
-    LEAD_FLAT,
     LEAD_ORDINAL,
+    LEAD_TYPE,
     RECORDS,
     RUN_HEADER,
     TAG_REF,
@@ -75,6 +75,15 @@ _HEAP = BlockKind.HEAP
 _NOT_CANONICAL = "record for {} spells out {}: the canonical form leaves that field out"
 #: a root (a global, a live local) is its whole block, never a cell inside
 _ROOT_ORDINAL = "root record for {} carries ordinal {}: a root names its block's start"
+#: the type travels only where the record's context does not imply it
+_IMPLIED_TYPE = (
+    "record for {} spells out type id {}, the type its context implies: "
+    "the canonical form leaves it out"
+)
+_NO_TYPE = (
+    "record for {} leaves its type out where nothing implies one (a tail "
+    "root, a bare Restore_pointer)"
+)
 
 
 class RestoreError(Exception):
@@ -155,13 +164,15 @@ class Restorer:
     # -- public entry points (paper interface names) ------------------------------------
 
     def restore_variable(self, block: MemoryBlock) -> None:
-        """``Restore_variable(&var)`` — fill the variable's own block."""
+        """``Restore_variable(&var)`` — fill the variable's own block, a
+        root: its record leaves out the declared type it implies."""
         self._drive(expected=block)
 
-    def restore_pointer(self, expected: MemoryBlock | None = None) -> int:
+    def restore_pointer(self) -> int:
         """``Restore_pointer()`` — read one record, rebuild its target if
-        needed, and return the *destination* address it denotes."""
-        return self._drive(expected=expected)
+        needed, and return the *destination* address it denotes.  Nothing
+        implies the type: a ``BLOCK`` record carries it."""
+        return self._drive()
 
     def restore_contents(self, block: MemoryBlock) -> None:
         """Mirror of :meth:`Collector.save_contents`: read contents into
@@ -235,10 +246,10 @@ class Restorer:
     # -- block resolution ------------------------------------------------------------------
 
     def _type(self, type_id: int, logical: tuple) -> tuple:
-        """What a ``BLOCK`` record naming *type_id* is restored with —
-        ``(info, plan, its restore slots, the lead's flat bit, whether
-        the driver copies it)`` — looked up on the type's first record of
-        the pass and kept for the rest."""
+        """What a ``BLOCK`` record of type *type_id* is restored with —
+        ``(info, plan, its restore slots, whether the driver copies it)``
+        — looked up on the type's first record of the pass and kept for
+        the rest."""
         try:
             info = self.ti.info(type_id)
         except LookupError:
@@ -250,7 +261,6 @@ class Restorer:
             info,
             plan,
             None if plan is None else plan.restore_slots,
-            0 if info.flat_kind is None else LEAD_FLAT,
             plan is not None and plan.raw,
         )
         return entry
@@ -278,13 +288,14 @@ class Restorer:
         return block
 
     def _check_declared(self, logical, info, count, block, whose: str) -> None:
-        """Refuse a record for *block* whose type or count is not the
-        block's own: contents of another type written over it would
-        restore silently wrong even at the same size."""
+        """Refuse a record for *block* whose type — spelled out, or
+        implied by its pointer — or count is not the block's own:
+        contents of another type written over it would restore silently
+        wrong even at the same size."""
         declared = self.ti.info_for(block.elem_type)
         if info is not declared or count != block.count:
             raise RestoreError(
-                f"record for {logical} names {count} x {info.label}, but "
+                f"record for {logical} holds {count} x {info.label}, but "
                 f"{whose} is {block.count} x {declared.label}"
             )
 
@@ -305,6 +316,12 @@ class Restorer:
         block is given — with everything nested in it, and return the
         destination address it denotes.  With *contents_of*, read that
         block's contents instead (no record header).
+
+        A ``BLOCK`` record leaves its type out where its context implies
+        one: *expected*'s declared type for the first record, the slot's
+        (or the pointer array's) implied id for one read at a pointer
+        cell.  It spells the type out only where the context implies none
+        or another.
 
         Each turn of the loop reads one record, told by its lead byte —
         which also says how wide the record is, so it is one
@@ -355,13 +372,17 @@ class Restorer:
         # plan's in-place unit store (None: `plan.store`)
         walker = plan = opened = slots = values = into = None
         result = at = addr = units = patch = 0
+        # the type id the next record's context implies: a root's own
+        implied = None
+        if expected is not None:
+            implied = self.ti.info_for(expected.elem_type).type_id
         try:
             while True:
                 # -- one record: an address, or a block to fill
                 if contents_of is not None:
                     block, contents_of = contents_of, None
                     info = self.ti.info_for(block.elem_type)
-                    _, new, steps, _, copy = (
+                    _, new, steps, copy = (
                         types.get(info.type_id) or self._type(info.type_id, block.logical)
                     )
                     headed, address = False, block.addr
@@ -415,17 +436,27 @@ class Restorer:
                                 logical, i = (kind, fields[1], fields[2]), 3
                             else:
                                 logical, i = (kind, fields[1], 0), 2
-                            type_id = fields[i]
+                            if lead & LEAD_TYPE:
+                                type_id = fields[i]
+                                i += 1
+                                if type_id == implied:
+                                    raise RestoreError(
+                                        _IMPLIED_TYPE.format(logical, type_id)
+                                    )
+                            elif implied is None:
+                                raise RestoreError(_NO_TYPE.format(logical))
+                            else:
+                                type_id = implied
                             count, ordinal = 1, 0
                             if lead & LEAD_COUNT:
-                                i += 1
                                 count = fields[i]
+                                i += 1
                                 if count == 1:
                                     raise RestoreError(
                                         _NOT_CANONICAL.format(logical, "count 1")
                                     )
                             if lead & LEAD_ORDINAL:
-                                ordinal = fields[i + 1]
+                                ordinal = fields[i]
                                 if not ordinal:
                                     raise RestoreError(
                                         _NOT_CANONICAL.format(logical, "ordinal 0")
@@ -441,16 +472,9 @@ class Restorer:
                                         _ROOT_ORDINAL.format(logical, ordinal)
                                     )
                                 expected = None
-                            info, new, steps, flat, copy = (
+                            info, new, steps, copy = (
                                 types.get(type_id) or self._type(type_id, logical)
                             )
-                            if (lead & LEAD_FLAT) != flat:
-                                # flatness is structural (same answer on
-                                # every architecture), so a disagreeing
-                                # flag is a corrupt or mismatched payload
-                                raise RestoreError(
-                                    f"flat flag disagrees with type {info.label}"
-                                )
                             if kind == _HEAP and logical not in mapping:
                                 # carved where malloc would put it — and
                                 # nothing is, for contents the payload
@@ -538,6 +562,7 @@ class Restorer:
                         except StopIteration:
                             pass
                         else:
+                            implied = plan.implied
                             break
                         finally:
                             pos = buf.cursor
@@ -549,7 +574,7 @@ class Restorer:
                             else:
                                 values[slots[at - 1][3]] = address
                             address = None
-                        run, a, b, p, chain = slots[at]
+                        run, a, b, p, chain, implied = slots[at]
                         at += 1
                         if run is not None:
                             size = run.size

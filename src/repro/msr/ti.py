@@ -133,6 +133,11 @@ class TypeInfo:
     #: scalar at its wire width, every pointer a one-byte ``NULL``): what
     #: a restorer holds a record's claim against before it allocates
     wire_floor: int
+    #: per cell of ONE unit, the wire type id a pointer cell's declared
+    #: target implies for the block a ``BLOCK`` record reached through it
+    #: describes (``None``: a scalar cell, or a target no block can have,
+    #: ``void`` — such a record always carries its type)
+    implied: tuple[Optional[int], ...]
     #: the compiled content plan, owned by :meth:`TITable.plan_for`
     plan: object = field(default=_UNCOMPILED, repr=False, compare=False)
     #: its per-cell reference, owned by :meth:`TITable.reference_for`
@@ -231,9 +236,21 @@ class TITable:
                 wire_floor=repeat * sum(
                     1 if c.kind == "ptr" else xdr.wire_sizeof(c.kind) for c in cells
                 ),
+                implied=tuple(
+                    None if c.target is None else self._registered_id(c.target)
+                    for c in cells
+                ),
             )
             self._infos[type_id] = ti
         return ti
+
+    def _registered_id(self, ctype: CType) -> Optional[int]:
+        """The wire type id of *ctype*, or ``None`` when the program
+        registered none (``void``: no block has that type)."""
+        try:
+            return self.program.type_id(ctype)
+        except KeyError:
+            return None
 
     def info_for(self, ctype: CType) -> TypeInfo:
         """The TypeInfo record for *ctype* (must be registered).

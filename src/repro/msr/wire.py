@@ -24,30 +24,42 @@ what the record is and which of its fields travel:
 
     record  := NULL | REF | BLOCK
     lead    := u8   bits 0-1 tag (0 NULL, 1 REF, 2 BLOCK); bits 2-3 BlockKind;
-                    BLOCK only: bit 4 FLAT, bit 5 "count follows",
-                    bit 6 "ordinal follows"; all other bits 0
+                    BLOCK only: bit 5 "count follows", bit 6 "ordinal
+                    follows", bit 7 TYPE "type_id follows"; bit 4 and all
+                    other bits 0
     logical := (kind from lead) u32 a, u32 b iff kind == STACK
     NULL    := the single byte 0x00
     REF     := lead logical u32 ordinal
-    BLOCK   := lead logical u16 type_id [u32 count iff != 1]
+    BLOCK   := lead logical [u16 type_id iff TYPE] [u32 count iff != 1]
                [u32 ordinal iff != 0] contents
-    contents := raw xdr bytes                # FLAT: one dense primitive run
+    contents := raw xdr bytes                # a flat type: one dense primitive run
               | per-cell (xdr scalar | record)
 
 ``logical`` is the pointer header — the machine-independent block id
 ``(kind, a, b)`` of :mod:`repro.msr.msrlt`; only a stack id has a ``b``
 (the variable's slot), so only a stack id ships one.  ``ordinal`` is the
-element offset inside the block.  The common records are 7 bytes (BLOCK
-of a heap or global unit) and 9 bytes (REF to heap or global); a field
-that would hold its constant (``b`` 0, ``count`` 1, ``ordinal`` 0) is
-left out, not sent.
+element offset inside the block.  The common records are 5 bytes (BLOCK
+of a heap or global unit of its pointer's type) and 9 bytes (REF to heap
+or global); a field that would hold its constant (``b`` 0, ``count`` 1,
+``ordinal`` 0) is left out, not sent.
+
+The type a ``BLOCK`` travels with is left out, too, where its context
+*implies* it (§3.1: ``Save_pointer`` / ``Restore_pointer`` pick the
+type's function from the pointer's declared type, so both ends know it):
+a root — a live local or a global — implies its own declared type, and a
+pointer cell implies its declared target (``TypeInfo.implied``).  A
+tail-section root and a bare ``Save_pointer(value)`` imply nothing.  The
+``type_id`` travels, with ``TYPE`` set, only when the block's type is not
+the implied one: a cast (``char *`` at an ``int``, ``int *`` into an
+``int[8]``), a ``void *``, a tail root.
 
 Encodings are canonical: a count field saying 1, an ordinal field saying
-0, tag 3, kind 3, BLOCK bits on a REF or bit 7 set is a corrupt payload
-(:func:`lead_fault` names which), and no field is read and dropped,
-so every state has exactly one byte image: a payload the restorer
-accepts re-collects to itself.  The plans-on/off byte-identity oracle
-depends on it.
+0, a ``type_id`` the context implies, no ``type_id`` where nothing
+implies one, tag 3, kind 3, BLOCK bits on a REF or bit 4 set is a
+corrupt payload (:func:`lead_fault` names the lead's faults, the
+restorer the rest), and no field is read and dropped, so every state
+has exactly one byte image: a payload the restorer accepts re-collects
+to itself.  The plans-on/off byte-identity oracle depends on it.
 
 Widths are fixed *per lead byte* on purpose, not varints: a record is
 still one ``struct`` call (:data:`RECORDS` holds the ``Struct`` of every
@@ -186,9 +198,9 @@ __all__ = [
     "TAG_NULL",
     "TAG_REF",
     "TAG_BLOCK",
-    "LEAD_FLAT",
     "LEAD_COUNT",
     "LEAD_ORDINAL",
+    "LEAD_TYPE",
     "lead_byte",
     "lead_kind",
     "lead_fault",
@@ -225,17 +237,18 @@ __all__ = [
 ]
 
 MAGIC = 0x4D494752  # 'MIGR'
-VERSION = 3
+VERSION = 4
 
 TAG_NULL = 0
 TAG_REF = 1
 TAG_BLOCK = 2
 
-#: lead bits of a ``BLOCK`` record: its contents are one dense primitive
-#: run; a count field (``!= 1``) follows; an ordinal field (``!= 0``) follows
-LEAD_FLAT = 0x10
+#: lead bits of a ``BLOCK`` record: a count field (``!= 1``) follows; an
+#: ordinal field (``!= 0``) follows; a type_id field (not the type its
+#: context implies) follows
 LEAD_COUNT = 0x20
 LEAD_ORDINAL = 0x40
+LEAD_TYPE = 0x80
 
 #: field name -> (``struct`` code, NumPy dtype) — all big-endian
 _FIELD_CODES = {
@@ -267,14 +280,14 @@ def lead_fault(lead: int) -> str | None:
     tag, kind = lead & 3, lead_kind(lead)
     if tag == 3:
         return "bad record tag 3"
-    if lead & 0x80:
-        return f"lead {lead:#04x} has the reserved bit 7 set"
     if tag == TAG_NULL:
         return f"lead {lead:#04x}: NULL is the single byte 0x00" if lead else None
     if kind == 3:
         return f"lead {lead:#04x} names unknown block kind 3"
     if tag == TAG_REF and lead >> 4:
         return f"lead {lead:#04x} carries BLOCK bits on a REF"
+    if lead & 0x10:
+        return f"lead {lead:#04x} has the reserved bit 4 set"
     return None
 
 
@@ -288,7 +301,8 @@ def record_fields(lead: int) -> tuple[str, ...]:
     fields = ["lead", "a", "b"] if kind == BlockKind.STACK else ["lead", "a"]
     if tag == TAG_REF:
         return (*fields, "ordinal")
-    fields.append("type_id")
+    if lead & LEAD_TYPE:
+        fields.append("type_id")
     if lead & LEAD_COUNT:
         fields.append("count")
     if lead & LEAD_ORDINAL:

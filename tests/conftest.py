@@ -3,6 +3,7 @@
 import struct
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -138,17 +139,20 @@ def ref_record(logical, ordinal: int = 0) -> bytes:
     return bytes([1 | kind << 2]) + ids + struct.pack(">I", ordinal)
 
 
-def block_header(logical, type_id: int, count: int = 1, ordinal: int = 0,
-                 flat: bool = False) -> bytes:
+def block_header(logical, type_id: Optional[int] = None, count: int = 1,
+                 ordinal: int = 0) -> bytes:
     """A ``BLOCK`` record up to its contents, spelled out from the wire
-    grammar: lead = tag 2 | kind << 2 | FLAT 0x10 | "count follows" 0x20
-    | "ordinal follows" 0x40, ``a``, ``b`` for a stack id only, u16
-    ``type_id``, then the count unless it is 1 and the ordinal unless it
-    is 0."""
+    grammar: lead = tag 2 | kind << 2 | "count follows" 0x20 | "ordinal
+    follows" 0x40 | "type_id follows" 0x80, ``a``, ``b`` for a stack id
+    only, the u16 ``type_id`` unless it is ``None`` (the type the
+    record's context implies), then the count unless it is 1 and the
+    ordinal unless it is 0."""
     kind, a, b = logical
-    lead = 2 | kind << 2 | (0x10 if flat else 0)
+    lead = 2 | kind << 2
     out = struct.pack(">II", a, b) if kind == BlockKind.STACK else struct.pack(">I", a)
-    out += struct.pack(">H", type_id)
+    if type_id is not None:
+        lead |= 0x80
+        out += struct.pack(">H", type_id)
     if count != 1:
         lead |= 0x20
         out += struct.pack(">I", count)

@@ -496,9 +496,10 @@ class TestPlansKeepTheTable:
         rows = {(r["type"], r["class"]): r for r in stats.attribution["rows"]}
         heap = rows[("struct node", "heap")]
         assert heap["blocks"] == heap["restore_blocks"] == chained + 1
-        # a head's own bytes: record header and one int, nothing else
+        # a head's own bytes: record header (lead and ``a``: a root's
+        # type is implied) and one int, nothing else
         head = rows[("struct node", "global")]["bytes"]
-        assert head == 7 + 4
+        assert head == 5 + 4
         # ... a stack id ships its ``b`` as well
         assert rows[("struct node", "stack")]["bytes"] == head + 4
         # ... ``heads`` has a count and one int more, and each chain ends

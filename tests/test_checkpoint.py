@@ -123,21 +123,24 @@ class TestCheckpointRestart:
             restart_from_file(prog, path, DEC5000)
 
     def test_other_format_version_rejected(self, prog, tmp_path):
-        """A checkpoint written by a build with another wire format: one
-        typed error that names both versions, not the reader's
-        ``ValueError``."""
+        """A checkpoint written by a build with another wire format — 3,
+        whose every BLOCK record carried its type, or one not yet
+        written: one typed one-line error that names both versions, not
+        the reader's ``ValueError``."""
         from repro.msr.wire import VERSION
 
-        ckpt = checkpoint(stopped(prog))
-        assert ckpt.payload[4] == VERSION
-        ckpt.payload = ckpt.payload[:4] + b"\x09" + ckpt.payload[5:]
-        path = tmp_path / "old.ckpt"
-        ckpt.save(path)
-        with pytest.raises(
-            CheckpointError,
-            match=f"version 9: this build reads and writes version {VERSION} only",
-        ):
-            restart_from_file(prog, path, DEC5000)
+        for version in (3, 9):
+            ckpt = checkpoint(stopped(prog))
+            assert ckpt.payload[4] == VERSION
+            ckpt.payload = ckpt.payload[:4] + bytes([version]) + ckpt.payload[5:]
+            path = tmp_path / f"v{version}.ckpt"
+            ckpt.save(path)
+            with pytest.raises(
+                CheckpointError,
+                match=f"version {version}: this build reads and writes version {VERSION} only",
+            ) as excinfo:
+                restart_from_file(prog, path, DEC5000)
+            assert "\n" not in str(excinfo.value)
 
     @pytest.mark.parametrize("keep", [0.5, 0.95, 20, 10], ids=str)
     def test_truncated_file_rejected(self, prog, tmp_path, keep):

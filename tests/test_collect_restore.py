@@ -6,6 +6,7 @@ claims: no duplication under sharing, cycle safety, interior-pointer
 fidelity, byte-order conversion, and the REF/BLOCK record discipline.
 """
 
+import itertools
 import struct
 
 import pytest
@@ -17,6 +18,7 @@ from repro.msr.msrlt import BlockKind
 from repro.msr.wire import write_logical
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import ALL_ARCHS, assert_plans_invisible, block_header
 
 
 def stop_at_poll(source: str, arch=DEC5000, after_polls: int = 1, **kwargs) -> Process:
@@ -380,9 +382,11 @@ class TestWireFormat:
             restore_state(proc.program, b"XXXX" + payload[4:], dest)
 
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "struct"])
-    def test_flat_flag_must_agree_with_the_type(self, flat):
-        """Flatness is structural, so the lead's FLAT bit carries no
-        news: a record whose bit disagrees with its type is corrupt."""
+    def test_the_retired_flat_bit_is_refused(self, flat):
+        """Flatness is structural — a function of the type, implied or
+        spelled out — so the lead's bit 4, once a FLAT flag saying it
+        again, is reserved: a record with it set is corrupt, flat type
+        or not."""
         from repro.arch.buffers import ReadBuffer
         from repro.msr.restore import RestoreError, Restorer
         from tests.conftest import block_header
@@ -391,9 +395,23 @@ class TestWireFormat:
         is_flat = lambda b: proc.ti.info_for(b.elem_type).flat_kind is not None  # noqa: E731
         block = next(b for b in proc.msrlt.blocks() if is_flat(b) == flat)
         type_id = proc.ti.info_for(block.elem_type).type_id
-        wrong_bit = block_header(block.logical, type_id, block.count, flat=not flat)
-        with pytest.raises(RestoreError, match="flat flag"):
-            Restorer(proc, ReadBuffer(wrong_bit + bytes(64))).restore_pointer()
+        header = block_header(block.logical, type_id, block.count)
+        bit_four = bytes([header[0] | 0x10]) + header[1:]
+        with pytest.raises(RestoreError, match="reserved bit 4"):
+            Restorer(proc, ReadBuffer(bit_four + bytes(64))).restore_pointer()
+
+    def test_a_bare_restore_pointer_reads_the_type(self):
+        """Nothing implies the type of the record a bare
+        ``Restore_pointer()`` reads: a ``BLOCK`` without one is refused."""
+        from repro.arch.buffers import ReadBuffer
+        from repro.msr.restore import RestoreError, Restorer
+        from tests.conftest import assert_table_whole, block_header
+
+        proc = stop_at_poll(SHARED_GRAPH)
+        typeless = block_header((BlockKind.HEAP, 77, 0))
+        with pytest.raises(RestoreError, match="leaves its type out where nothing implies"):
+            Restorer(proc, ReadBuffer(typeless + bytes(64))).restore_pointer()
+        assert_table_whole(proc)
 
     def test_payload_smaller_than_data_for_dedup(self):
         """With heavy sharing the wire carries REFs, not copies."""
@@ -513,3 +531,69 @@ class TestFreedBlocks:
 
         with pytest.raises(MSRLTError, match="dangling|not inside"):
             collect_state(proc)
+
+
+#: three pointers whose declared target is not the type of the block they
+#: reach, each the first to reach it (the pointer globals come first)
+CAST_POINTERS = """
+char *cp;
+void *vp;
+int *ip;
+int n;
+double d;
+int eight[8];
+int main() {
+    int i;
+    n = 66051; d = 2.5;
+    for (i = 0; i < 8; i++) eight[i] = i * 11;
+    cp = (char *) &n;
+    vp = (void *) &d;
+    ip = &eight[3];
+    migrate_here();
+    printf("%d %.1f %d %d", *(int *) cp, *(double *) vp, *ip, ip[-3] + ip[4]);
+    return 0;
+}
+"""
+
+
+class TestTypesTheContextDoesNotImply:
+    """A ``BLOCK`` carries its type where the pointer that first reaches
+    it declares another target: a ``char *`` at an ``int``, a ``void *``
+    at a ``double``, an ``int *`` into an ``int [8]`` at ordinal 3."""
+
+    def test_the_cast_targets_spell_out_their_types(self):
+        proc = stop_at_poll(CAST_POINTERS)
+        payload, _ = collect_state(proc)
+        index = {g.name: i for i, g in enumerate(proc.program.globals)}
+        for name, ordinal in (("n", 0), ("d", 0), ("eight", 3)):
+            block = proc.msrlt.lookup_logical((BlockKind.GLOBAL, index[name], 0))
+            type_id = proc.ti.info_for(block.elem_type).type_id
+            spelled = block_header(block.logical, type_id, ordinal=ordinal)
+            assert payload.count(spelled) == 1, name
+            assert payload.count(block_header(block.logical, ordinal=ordinal)) == 0, name
+
+    def test_a_cast_target_read_as_its_pointers_type_is_refused(self):
+        """The ``int *`` into ``eight`` forged to leave the type out: the
+        restorer takes the implied ``int`` and refuses it for a block
+        that is an ``int [8]``."""
+        from repro.msr.restore import RestoreError
+
+        proc = stop_at_poll(CAST_POINTERS)
+        payload, _ = collect_state(proc)
+        index = [g.name for g in proc.program.globals].index("eight")
+        eight = proc.msrlt.lookup_logical((BlockKind.GLOBAL, index, 0))
+        type_id = proc.ti.info_for(eight.elem_type).type_id
+        spelled = block_header(eight.logical, type_id, ordinal=3)
+        forged = payload.replace(spelled, block_header(eight.logical, ordinal=3))
+        dest = Process(proc.program, SPARC20)
+        with pytest.raises(
+            RestoreError, match=r"holds 1 x int, but the destination block is 1 x int \[8\]"
+        ):
+            restore_state(proc.program, bytes(forged), dest)
+
+    @pytest.mark.parametrize(
+        "pair", list(itertools.permutations(ALL_ARCHS, 2)),
+        ids=lambda p: f"{p[0].name}-{p[1].name}",
+    )
+    def test_casts_round_trip_with_plans_on_and_off(self, pair):
+        assert_plans_invisible(CAST_POINTERS, 1, *pair)

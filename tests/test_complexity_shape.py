@@ -196,23 +196,25 @@ class TestWireShape:
     def payload_bytes(source, after=1):
         return len(collect_state(stopped(source, after=after))[0])
 
-    def test_a_tree_node_is_twelve_bytes(self):
-        """7 header + 4 value + 1 NULL per node (each node is the target
-        of one pointer, and the N + 1 pointers left over are NULL)."""
+    def test_a_tree_node_is_ten_bytes(self):
+        """5 header + 4 value + 1 NULL per node (each node is the target
+        of one ``struct tnode *``, which implies its type, and the N + 1
+        pointers left over are NULL)."""
         fixed = {
-            self.payload_bytes(bitonic_source(n), after=n) - 12 * n
+            self.payload_bytes(bitonic_source(n), after=n) - 10 * n
             for n in (100, 200, 400)
         }
         assert len(fixed) == 1
 
     def test_a_list_record_with_its_string(self):
-        """Record: 7 header + 4 id; its string: 7 header + 4 count +
-        the characters and their NUL; the next record is the tail's.
-        The lengths are a shuffle of {1 + i % 13}: 7 on average when N
-        is a multiple of 13, so 30 bytes a record — and 4 more for its
-        slot in ``lens``, the array on ``main``'s stack."""
+        """Record: 5 header + 4 id; its string: 5 header + 4 count +
+        the characters and their NUL (the pointers' declared targets
+        imply both types); the next record is the tail's.  The lengths
+        are a shuffle of {1 + i % 13}: 7 on average when N is a multiple
+        of 13, so 26 bytes a record — and 4 more for its slot in
+        ``lens``, the array on ``main``'s stack."""
         fixed = {
-            self.payload_bytes(longlist_source(n)) - (30 + 4) * n
+            self.payload_bytes(longlist_source(n)) - (26 + 4) * n
             for n in (130, 260, 390)
         }
         assert len(fixed) == 1

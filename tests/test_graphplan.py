@@ -58,6 +58,7 @@ from repro.msr.graphplan import (
 )
 from repro.msr.msrlt import MSRLT, BlockKind, MemoryBlock, MSRLTError
 from repro.msr.restore import Restorer
+from repro.vm.dirty import DirtyTracker
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
@@ -926,6 +927,31 @@ class TestCopiedUnits:
     )
     def test_copies_are_invisible(self, pair):
         assert_plans_invisible(COPIED_UNITS_SRC, 1, *pair)
+
+    @pytest.mark.parametrize("name", ["grid", "heapm"])
+    def test_a_converting_struct_restore_marks_its_whole_span(self, name):
+        """A StructPlan that converts (a big-endian struct landing on a
+        little-endian destination) writes its block through one writable
+        view: under a pre-copy write barrier that marks every byte of the
+        block, a global's and a heap block's alike."""
+        prog = compile_program(COPIED_UNITS_SRC, poll_strategy="user")
+        dest = Process(prog, DEC5000)
+        memory = dest.memory
+        tracker = DirtyTracker(memory.stack_seg.base, memory.stack_seg.limit)
+        memory.dirty = tracker
+        try:
+            restore_state(prog, collect_state(stopped(prog, SPARC20))[0], dest)
+        finally:
+            memory.dirty = None
+        if name == "grid":
+            block = next(b for b in dest.msrlt.blocks() if b.name == "grid")
+        else:  # the one heap block of ``struct mixed``
+            (block,) = [
+                b for b in dest.msrlt.heap_blocks() if str(b.elem_type) == "struct mixed"
+            ]
+        plan = dest.ti.plan_for(dest.ti.info_for(block.elem_type))
+        assert isinstance(plan, StructPlan) and not plan.raw
+        assert any(lo <= block.addr and block.end <= hi for lo, hi in tracker.take())
 
 
 # ---------------------------------------------------------------------------

@@ -218,15 +218,17 @@ class TestFigure1Payload:
         to its wire id (the one thing the program's compiler decides).
 
         Leads: tag 1 REF / 2 BLOCK, | kind << 2 (0 global, 1 stack, 2
-        heap), | 0x10 FLAT, | 0x20 count follows, | 0x40 ordinal follows.
-        A stack id is (depth, variable): ``main`` is depth 0 with i, a, b,
-        parray = 0..3; ``foo`` is depth 1 with p, q = 0, 1."""
+        heap), | 0x20 count follows, | 0x40 ordinal follows, | 0x80 type
+        id follows.  The type travels only where the record's context
+        does not imply it: a root implies its own declared type, a
+        pointer its declared target.  A stack id is (depth, variable):
+        ``main`` is depth 0 with i, a, b, parray = 0..3; ``foo`` is depth
+        1 with p, q = 0, 1."""
         u16, u32 = struct.Struct(">H").pack, struct.Struct(">I").pack
         ten = struct.pack(">f", 10.0)
-        node = u16(type_id["struct node"])
 
-        def heap_node(serial):  # BLOCK | heap: 7 bytes
-            return b"\x0a" + u32(serial) + node + ten
+        def heap_node(serial):  # BLOCK | heap, a ``struct node *``'s target: 5 bytes
+            return b"\x0a" + u32(serial) + ten
 
         def heap_ref(serial):  # REF | heap, ordinal 0: 9 bytes
             return b"\x09" + u32(serial) + u32(0)
@@ -237,34 +239,38 @@ class TestFigure1Payload:
         return b"".join([
             # -- foo's frame (innermost first): two live variables
             u16(2),
-            # p: BLOCK | stack (1, 0), a ``struct node **`` ...
-            u16(0), b"\x06", u32(1), u32(0), u16(type_id["struct node * *"]),
-            # ... aimed at parray[4]: BLOCK | stack | ordinal (0, 3), ordinal 4
-            b"\x46", u32(0), u32(3), u16(type_id["struct node * [10]"]), u32(4),
+            # p: BLOCK | stack (1, 0), a root: its ``struct node **`` is
+            # implied ...
+            u16(0), b"\x06", u32(1), u32(0),
+            # ... aimed at parray[4]: BLOCK | stack | ordinal | type (0,
+            # 3), a ``struct node * [10]`` where ``struct node *`` is
+            # implied, ordinal 4
+            b"\xc6", u32(0), u32(3), u16(type_id["struct node * [10]"]), u32(4),
             # parray[0] -> addr1, whose link is last (addr4), then down the
             # links addr3, addr2, and back to addr1: a REF closes the cycle
             heap_node(0), heap_node(3), heap_node(2), heap_node(1), heap_ref(0),
             # parray[1..3]: visited by now; parray[4..9]: not yet assigned
             heap_ref(1), heap_ref(2), heap_ref(3), bytes(6),
             # q: BLOCK | stack (1, 1) -> b: BLOCK | stack (0, 2) -> a:
-            # BLOCK | stack | FLAT (0, 1), the int 5
-            u16(1), b"\x06", u32(1), u32(1), u16(type_id["int * *"]),
-            b"\x06", u32(0), u32(2), u16(type_id["int *"]),
-            b"\x16", u32(0), u32(1), u16(type_id["int"]), u32(5),
+            # BLOCK | stack (0, 1), the int 5; each the type its pointer
+            # declares
+            u16(1), b"\x06", u32(1), u32(1),
+            b"\x06", u32(0), u32(2),
+            b"\x06", u32(0), u32(1), u32(5),
             # -- main's frame: i is new, the other three are REFs
             u16(4),
-            u16(0), b"\x16", u32(0), u32(0), u16(type_id["int"]), u32(4),
+            u16(0), b"\x06", u32(0), u32(0), u32(4),
             u16(1), main_ref(1),
             u16(2), main_ref(2),
             u16(3), main_ref(3),
             # -- globals: first -> addr1, last -> addr4, both visited
             u32(4),
-            u32(0), b"\x02", u32(0), u16(type_id["struct node *"]), heap_ref(0),
-            u32(1), b"\x02", u32(1), u16(type_id["struct node *"]), heap_ref(3),
+            u32(0), b"\x02", u32(0), heap_ref(0),
+            u32(1), b"\x02", u32(1), heap_ref(3),
             # the runtime's rand() state and the format string: BLOCK |
-            # global | FLAT (a char [27] is one element: no count field)
-            u32(2), b"\x12", u32(2), u16(type_id["unsigned int"]), u32(1),
-            u32(3), b"\x12", u32(3), u16(type_id["char [27]"]),
+            # global (a char [27] is one element: no count field)
+            u32(2), b"\x02", u32(2), u32(1),
+            u32(3), b"\x02", u32(3),
             b"a=%d first=%.1f last=%.1f\n\x00",
         ])
 
@@ -280,10 +286,11 @@ class TestFigure1Payload:
         payload, info = collect_state(proc)
         # header: magic, version, frame table (main, then foo)
         head = 4 + 1 + 2 + 8 * len(info.header.frames)
-        assert payload[:5] == b"MIGR\x03" and len(info.header.frames) == 2
+        assert payload[:5] == b"MIGR\x04" and len(info.header.frames) == 2
         golden = self.golden({str(t): i for i, t in enumerate(prog.types)})
         assert payload[head:] == golden
-        assert len(golden) == 316
+        # 316 while every BLOCK spelled out its type: 13 of the 14 imply it
+        assert len(golden) == 290
         dest = Process(prog, SPARC20)
         restore_state(prog, payload[:head] + golden, dest)
         dest.run()

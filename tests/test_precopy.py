@@ -1042,7 +1042,7 @@ class TestHostileFinalStream:
         (0x01 | 3 << 2, "unknown block kind 3"),
         (0x01 | 0x10, "BLOCK bits on a REF"),
         (0x01 | 0x40, "BLOCK bits on a REF"),
-        (0x01 | 0x80, "reserved bit 7"),
+        (0x01 | 0x80, "BLOCK bits on a REF"),
         (0x02 << 2, "NULL is the single byte 0x00"),
     ], ids=["kind-3", "flat-ref", "ordinal-follows-ref", "bit-7", "null-with-a-kind"])
     def test_an_undefined_lead_is_typed(self, final, lead, lie):
@@ -1268,7 +1268,7 @@ class TestHostileRounds:
         block is held from the moment its record landed."""
         scratch, held, cells = scratch
         fresh = (BlockKind.HEAP, 50, 0)
-        header = block_header(fresh, self.int_id(scratch, cells), count=4, flat=True)
+        header = block_header(fresh, self.int_id(scratch, cells), count=4)
         payload = _round(b"\x01" + header + _ints(1, 2, 3, 4), _runs(fresh, (2, 1, _ints(9))))
         self.land(scratch, held, payload)
         block = held[fresh]
@@ -1298,7 +1298,7 @@ class TestHostileRounds:
         freeing it behind the pointers that now aim at it is a lie."""
         scratch, held, cells = scratch
         fresh = (BlockKind.HEAP, 50, 0)
-        header = block_header(fresh, self.int_id(scratch, cells), count=4, flat=True)
+        header = block_header(fresh, self.int_id(scratch, cells), count=4)
         payload = _round(b"\x01" + header + _ints(1, 2, 3, 4), _freed(fresh))
         self.refused(scratch, held, payload, "a block restored in this pass")
         assert fresh in held and scratch.msrlt.has_logical(fresh)
@@ -1312,17 +1312,26 @@ class TestHostileRounds:
         for a stack id names a block the scratch does not have."""
         scratch, held, cells = scratch
         type_id = scratch.ti.info_for(scratch.msrlt.lookup_logical(cells).elem_type).type_id
-        root = b"\x01" + block_header((BlockKind.STACK, 0, 0), type_id, flat=True)
+        root = b"\x01" + block_header((BlockKind.STACK, 0, 0), type_id)
         root += _ints(*range(16))
         self.refused(scratch, held, _round(root), r"no block with logical id \(1, 0, 0\)")
         assert (BlockKind.STACK, 0, 0) not in held
+
+    def test_a_root_without_its_type(self, scratch):
+        """Nothing implies the type of a tail root: a root ``BLOCK`` that
+        leaves it out is refused before anything is carved."""
+        scratch, held, _ = scratch
+        heap = len(scratch.msrlt.heap_blocks())
+        root = b"\x01" + block_header((BlockKind.HEAP, 50, 0), count=4) + _ints(1, 2, 3, 4)
+        self.refused(scratch, held, _round(root), "leaves its type out where nothing implies")
+        assert len(scratch.msrlt.heap_blocks()) == heap
 
     def test_unknown_type_after_a_valid_new_entry(self, scratch):
         """The first root is carved before the second is refused: the
         carved block must not stay in the heap ledger unregistered."""
         scratch, held, cells = scratch
         int_id = self.int_id(scratch, cells)
-        first = block_header((BlockKind.HEAP, 50, 0), int_id, count=4, flat=True)
+        first = block_header((BlockKind.HEAP, 50, 0), int_id, count=4)
         second = block_header((BlockKind.HEAP, 51, 0), 9999)
         payload = _round(b"\x01" + first + _ints(1, 2, 3, 4), b"\x01" + second + _ints(5))
         self.refused(scratch, held, payload, "unknown type id 9999")
@@ -1374,11 +1383,11 @@ class TestHostileRounds:
         a heap block new to the scratch, or the held global ``cells``."""
         if which == "new-heap":
             int_id = TestHostileRounds.int_id(scratch, cells)
-            header = block_header((BlockKind.HEAP, 50, 0), int_id, count=4, flat=True)
+            header = block_header((BlockKind.HEAP, 50, 0), int_id, count=4)
             first, second = _ints(1, 2, 3, 4), _ints(5, 6, 7, 8)
         else:
             type_id = scratch.ti.info_for(scratch.msrlt.lookup_logical(cells).elem_type).type_id
-            header = block_header(cells, type_id, flat=True)
+            header = block_header(cells, type_id)
             first, second = _ints(*range(16)), _ints(*range(100, 116))
         return b"\x01" + header + first, b"\x01" + header + second
 
@@ -1413,8 +1422,10 @@ class TestHostileRounds:
         scratch, held, _ = scratch
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
-        header = block_header((BlockKind.HEAP, 60, 0), node_id)
-        root = b"\x01" + header + _ints(1) + header + _ints(2) + b"\x00"
+        logical = (BlockKind.HEAP, 60, 0)
+        # a tail root carries its type; the node its tail reaches, not
+        root = b"\x01" + block_header(logical, node_id) + _ints(1)
+        root += block_header(logical) + _ints(2) + b"\x00"
         self.refused(scratch, held, _round(root), "second BLOCK record for")
 
     def test_an_undefined_lead_in_a_round(self, scratch):
@@ -1436,8 +1447,9 @@ class TestHostileRounds:
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
         serials = range(900, 900 + MIN_CHAIN)  # the shortest run a batch takes
+        # a row's type is the tail's target, implied
         rows = b"".join(
-            block_header((BlockKind.HEAP, serial, 0), node_id) + _ints(serial)
+            block_header((BlockKind.HEAP, serial, 0)) + _ints(serial)
             for serial in serials
         )
         root = b"\x01" + block_header(head.logical, node_id) + _ints(5) + rows + b"\x00"
@@ -1670,8 +1682,7 @@ class ScanningFinalCollector(Collector):
         stale.sort(key=lambda b: b.logical)
         for block in stale:
             if block.logical not in visited:
-                self.buf.write_u8(1)
-                self.save_variable(block)
+                self._save_root(block)
 
 
 # every slice frees the node the round before had to defer (it holds

@@ -13,6 +13,7 @@ from repro.clang.ctypes import (
     TypeLayout,
 )
 from repro.msr.ti import TITable, TypeIdError, flat_prim_kind
+from repro.msr.wire import RECORDS, TAG_BLOCK, lead_fault
 from repro.vm.program import compile_program
 from tests.conftest import FakeProgram
 
@@ -50,7 +51,9 @@ class TestFlatKind:
         assert flat_prim_kind(s, layout) is None
 
     def test_flatness_agrees_across_archs(self):
-        """The wire writes a flat flag; every arch must agree on it."""
+        """Flatness is a function of the type, the same on every arch,
+        so no wire bit says it again: bit 4 of a ``BLOCK`` lead, once a
+        FLAT flag, is reserved and refused."""
         types = [
             DOUBLE,
             ArrayType(DOUBLE, 10),
@@ -68,6 +71,10 @@ class TestFlatKind:
                 for arch in (DEC5000, SPARC20, ALPHA, X86)
             }
             assert len(set(flags.values())) == 1, (t, flags)
+        for kind in range(3):
+            lead = TAG_BLOCK | kind << 2 | 0x10
+            assert RECORDS[lead] is None
+            assert lead_fault(lead) == f"lead {lead:#04x} has the reserved bit 4 set"
 
 
 class TestTypeInfo:

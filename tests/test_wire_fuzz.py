@@ -339,14 +339,15 @@ _LINK_ID = next(
     _ring_stopped().ti.info_for(b.elem_type).type_id
     for b in _ring_stopped().msrlt.heap_blocks()
 )
-#: a node's BLOCK header — lead, serial, u16 type id — is 7 bytes, a REF
-#: to one — lead, serial, ordinal — 9
-_HEADER, _REF = 7, 9
+#: a node's BLOCK header — lead, serial; every node is reached through a
+#: ``struct link *``, so its type is implied — is 5 bytes, a REF to one —
+#: lead, serial, ordinal — 9
+_HEADER, _REF = 5, 9
 
 
 def _node(serial: int) -> int:
     """Payload offset of the BLOCK record of the node with *serial*."""
-    header = block_header((BlockKind.HEAP, serial, 0), _LINK_ID)
+    header = block_header((BlockKind.HEAP, serial, 0))
     assert len(header) == _HEADER
     at = _RING_PAYLOAD.find(header)
     assert at >= 0 and _RING_PAYLOAD.count(header) == 1
@@ -375,7 +376,6 @@ def _splice(offset: int, length: int, data: bytes):
 def _header(serial: int, **fields):
     """Give the node with *serial* another BLOCK header."""
     logical = fields.pop("logical", (BlockKind.HEAP, serial, 0))
-    fields.setdefault("type_id", _LINK_ID)
     return _splice(_node(serial), _HEADER, block_header(logical, **fields))
 
 
@@ -408,7 +408,7 @@ HOSTILE = {
     "count-huge": (_header(5, count=2**32 - 1), "payload ends before"),
     "count-unbacked": (_header(4, count=100_000), "payload ends before"),
     "unknown-type": (_header(5, type_id=0xFFFF), "unknown type id"),
-    "wrong-flat-flag": (_header(5, flat=True), "flat flag disagrees"),
+    "type-spelled-out": (_header(5, type_id=_LINK_ID), "spells out type id"),
     "block-ordinal-outside": (_header(4, ordinal=99), "ordinal 99 is outside"),
     "ref-ordinal-outside": (_put_u32(_ref(0) + 5, 99), "ordinal 99 is outside"),
     "second-block-for-a-mapped-id": (
@@ -421,19 +421,22 @@ HOSTILE = {
     # -- encodings that are not canonical, leads that are not defined
     "count-spelled-one": (
         _splice(_node(5), _HEADER,
-                spelled_out(block_header((BlockKind.HEAP, 5, 0), _LINK_ID), 0x20, 1)),
+                spelled_out(block_header((BlockKind.HEAP, 5, 0)), 0x20, 1)),
         "spells out count 1",
     ),
     "ordinal-spelled-zero": (
         _splice(_node(4), _HEADER,
-                spelled_out(block_header((BlockKind.HEAP, 4, 0), _LINK_ID), 0x40, 0)),
+                spelled_out(block_header((BlockKind.HEAP, 4, 0)), 0x40, 0)),
         "spells out ordinal 0",
     ),
     "tag-three-on-a-block": (_put_u8(_node(4), _NODE_LEAD | 3), "bad record tag 3"),
     "kind-three": (_put_u8(_ref(0), _REF_LEAD | 3 << 2), "unknown block kind 3"),
     "block-bits-on-a-ref": (_put_u8(_ref(0), _REF_LEAD | 0x20), "BLOCK bits on a REF"),
-    "bit-seven": (_put_u8(_node(4), _NODE_LEAD | 0x80), "reserved bit 7"),
+    "bit-seven": (_put_u8(_ref(0), _REF_LEAD | 0x80), "BLOCK bits on a REF"),
+    # bit 4, the retired FLAT flag, is reserved
+    "wrong-flat-flag": (_put_u8(_node(5), _NODE_LEAD | 0x10), "reserved bit 4"),
     "null-with-a-kind": (_put_u8(_A_NULL, 2 << 2), "NULL is the single byte 0x00"),
+    "bit-seven-on-a-null": (_put_u8(_A_NULL, 0x80), "NULL is the single byte 0x00"),
     "ref-to-a-dead-stack-slot": (
         _splice(_ref(0), _REF, ref_record((BlockKind.STACK, 7, 1))),
         r"REF to unseen block \(1, 7, 1\)",
@@ -443,7 +446,8 @@ HOSTILE = {
 #: the lies told in the header of the first record met (node 5's): they
 #: are refused before anything is carved
 _REFUSED_AT_ONCE = (
-    "count-zero", "count-huge", "unknown-type", "wrong-flat-flag", "count-spelled-one",
+    "count-zero", "count-huge", "unknown-type", "type-spelled-out", "wrong-flat-flag",
+    "count-spelled-one",
 )
 
 
@@ -501,11 +505,11 @@ class TestHostileRecords:
 
     #: the 28 lead bytes the grammar defines, written down from it:
     #: NULL, a REF per kind, a BLOCK per kind and combination of its
-    #: three bits
+    #: three bits (5 count, 6 ordinal, 7 type; bit 4 is reserved)
     DEFINED_LEADS = frozenset(
         {0}
         | {1 | kind << 2 for kind in range(3)}
-        | {2 | kind << 2 | bits << 4 for kind in range(3) for bits in range(8)}
+        | {2 | kind << 2 | bits << 5 for kind in range(3) for bits in range(8)}
     )
 
     def test_the_record_table_defines_the_grammar_and_nothing_else(self):
@@ -513,12 +517,13 @@ class TestHostileRecords:
             assert (RECORDS[lead] is not None) == (lead in self.DEFINED_LEADS), hex(lead)
             assert (lead_fault(lead) is None) == (lead in self.DEFINED_LEADS), hex(lead)
         assert RECORDS[0].size == 1
-        # lead + a [+ b on the stack] + ordinal | + type id [+ count] [+ ordinal]
+        # lead + a [+ b on the stack] + ordinal | [+ type id] [+ count] [+ ordinal]
         assert [RECORDS[1 | kind << 2].size for kind in range(3)] == [9, 13, 9]
         for kind in range(3):
             for bits in range(8):
-                size = (11 if kind == BlockKind.STACK else 7) + 4 * bin(bits >> 1).count("1")
-                assert RECORDS[2 | kind << 2 | bits << 4].size == size
+                size = (9 if kind == BlockKind.STACK else 5) + 4 * bin(bits & 3).count("1")
+                size += 2 if bits & 4 else 0
+                assert RECORDS[2 | kind << 2 | bits << 5].size == size
 
     @pytest.mark.parametrize(
         "chunk", [None, 1, 7, 64], ids=["mono", "chunks-1", "chunks-7", "chunks-64"]
@@ -530,34 +535,46 @@ class TestHostileRecords:
         a REF inside a chain row, a NULL.  An undefined lead is refused in
         ``lead_fault``'s words; a defined one is read as the one record
         it opens (with the bytes behind it for fields, so most are then
-        refused for what they claim); nothing else ever comes out."""
+        refused for what they claim); nothing else ever comes out.  That
+        a defined lead is read is seen on the payload cut right behind
+        the record's fields: the walk runs out of payload, or refuses
+        what the fields claim, and never refuses a lead (in the whole
+        payload a misread field can land the walk on a later byte that
+        is no lead)."""
         faults = {lead_fault(lead) for lead in range(256)} - {None}
         for lead in range(256):
             forged = bytearray(_RING_PAYLOAD)
             forged[at] = lead
             forged = bytes(forged)
-            dest = Process(_RING, SPARC20)
-            dest.ti.plans_enabled = plans
-            refusal = None
-            try:
-                if chunk is None:
-                    restore_state(_RING, forged, dest)
-                else:
-                    pieces = [forged[i : i + chunk] for i in range(0, len(forged), chunk)]
-                    restore_state_stream(_RING, iter(pieces), dest)
-            except (RestoreError, EOFError, MSRLTError) as exc:
-                # (MSRLTError: a GLOBAL or STACK id the destination does
-                # not have — a record the restorer did decode)
-                refusal = str(exc)
-            finally:
-                dest.ti.plans_enabled = True
-            assert_table_whole(dest)
+            refusal = self._refusal(forged, plans, chunk)
             if lead in self.DEFINED_LEADS:
-                assert refusal not in faults, hex(lead)
+                cut = forged[: at + RECORDS[lead].size]
+                assert self._refusal(cut, plans, chunk) not in faults, hex(lead)
             else:
                 assert refusal == lead_fault(lead), hex(lead)
             if lead == _RING_PAYLOAD[at]:
                 assert refusal is None
+
+    @staticmethod
+    def _refusal(forged: bytes, plans: bool, chunk) -> str | None:
+        """What the restorer says to *forged* (``None``: it restores),
+        the table whole either way."""
+        dest = Process(_RING, SPARC20)
+        dest.ti.plans_enabled = plans
+        try:
+            if chunk is None:
+                restore_state(_RING, forged, dest)
+            else:
+                pieces = [forged[i : i + chunk] for i in range(0, len(forged), chunk)]
+                restore_state_stream(_RING, iter(pieces), dest)
+        except (RestoreError, EOFError, MSRLTError) as exc:
+            # (MSRLTError: a GLOBAL or STACK id the destination does
+            # not have — a record the restorer did decode)
+            return str(exc)
+        finally:
+            dest.ti.plans_enabled = True
+            assert_table_whole(dest)
+        return None
 
     @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
     def test_a_b_on_a_heap_id_has_no_place_in_the_grammar(self, plans):
@@ -617,25 +634,31 @@ class TestHostileRecords:
     @pytest.mark.parametrize("mode", [{}, {"streaming": True}], ids=["mono", "stream"])
     def test_a_peer_of_another_format_version_is_refused_typed(self, mode, monkeypatch):
         """There is one record format per build.  A payload that says
-        version 1 is refused by the header reader, and that refusal is
-        damage like any other: a typed ``RestoreError`` out of
-        ``migrate()``, the waiting destination untouched, the source
-        running on to the unmigrated output."""
-        monkeypatch.setattr(engine_module, "Collector", _hostile_collector(_put_u8(4, 1)))
-        proc = _ring_stopped()
-        waiting = Process(_RING, SPARC20, name="the-waiter")
-        waiting.load()
-        with pytest.raises(MigrationAbortedError) as excinfo:
-            MigrationEngine().migrate(
-                proc, SPARC20, waiting=waiting,
-                max_attempts=2, **mode,
+        version 1, or 3 (every BLOCK record carried its type), is refused
+        by the header reader in one line, and that refusal is damage like
+        any other: a typed ``RestoreError`` out of ``migrate()``, the
+        waiting destination untouched, the source running on to the
+        unmigrated output."""
+        for version in (1, 3):
+            monkeypatch.setattr(
+                engine_module, "Collector", _hostile_collector(_put_u8(4, version))
             )
-        assert isinstance(excinfo.value.last_error, engine_module.RestoreError)
-        assert "unsupported payload version 1" in str(excinfo.value.last_error)
-        assert not waiting.frames and not waiting.msrlt.heap_blocks()
-        proc.migration_pending = False
-        assert proc.run_to_completion() == 0
-        assert proc.stdout == "15"
+            proc = _ring_stopped()
+            waiting = Process(_RING, SPARC20, name="the-waiter")
+            waiting.load()
+            with pytest.raises(MigrationAbortedError) as excinfo:
+                MigrationEngine().migrate(
+                    proc, SPARC20, waiting=waiting,
+                    max_attempts=2, **mode,
+                )
+            error = excinfo.value.last_error
+            assert isinstance(error, engine_module.RestoreError)
+            assert f"unsupported payload version {version}" in str(error)
+            assert "\n" not in str(error)
+            assert not waiting.frames and not waiting.msrlt.heap_blocks()
+            proc.migration_pending = False
+            assert proc.run_to_completion() == 0
+            assert proc.stdout == "15"
 
 
 # -- hostile lists and roots: what every payload must carry, and as what -------
@@ -670,26 +693,25 @@ _ROOTS_PAYLOAD = bytes(collect_state(_roots_stopped())[0])
 
 def _roots_layout():
     """Where the lists start — main's live count, the globals count —
-    and the wire type ids of ``int`` and ``char [4]``."""
+    and the wire type id of ``char [4]`` (a root's own type travels
+    only in a forgery)."""
     buf = ReadBuffer(_ROOTS_PAYLOAD)
     read_header(buf)
     proc = _roots_stopped()
-    type_of = {
-        name: proc.ti.info_for(proc.msrlt.lookup_logical((BlockKind.GLOBAL, i, 0)).elem_type)
-        for i, name in enumerate(("g", "h", "c"))
-    }
-    return buf.position, type_of["g"].type_id, type_of["c"].type_id
+    chars = proc.msrlt.lookup_logical((BlockKind.GLOBAL, 2, 0)).elem_type
+    return buf.position, proc.ti.info_for(chars).type_id
 
 
-_LIVE_AT, _INT_ID, _CHARS_ID = _roots_layout()
+_LIVE_AT, _CHARS_ID = _roots_layout()
 
 
-def _root_entry(logical, type_id) -> bytes:
+def _root_entry(logical, type_id=None) -> bytes:
     """A root list's entry for an ``int`` variable up to its value: the
-    index (u16 for a local, u32 for a global), then its record's header."""
+    index (u16 for a local, u32 for a global), then its record's header
+    (a root's declared type is implied: spelled out only as *type_id*)."""
     kind, a, b = logical
     index = struct.pack(">H", b) if kind == BlockKind.STACK else struct.pack(">I", a)
-    return index + block_header(logical, type_id, flat=True)
+    return index + block_header(logical, type_id)
 
 
 def _left_out(count_at: int, width: int, logical):
@@ -698,7 +720,7 @@ def _left_out(count_at: int, width: int, logical):
     lower the count to match: a list that is well formed and short."""
 
     def rewrite(payload: bytearray) -> None:
-        entry = _root_entry(logical, _INT_ID)
+        entry = _root_entry(logical)
         at = payload.find(entry)
         assert at > count_at and payload.count(entry) == 1
         del payload[at : at + len(entry) + 4]
@@ -712,7 +734,7 @@ def _retyped(logical, type_id: int):
     """Name another type in *logical*'s record (an ``int`` global)."""
 
     def rewrite(payload: bytearray) -> None:
-        entry = _root_entry(logical, _INT_ID)
+        entry = _root_entry(logical)
         at = payload.find(entry)
         assert at >= 0 and payload.count(entry) == 1
         payload[at : at + len(entry)] = _root_entry(logical, type_id)
@@ -722,7 +744,7 @@ def _retyped(logical, type_id: int):
 
 def _globals_at() -> int:
     """Offset of the globals count: behind main's two live ``int``s."""
-    return _LIVE_AT + 2 + 2 * (2 + 11 + 4)
+    return _LIVE_AT + 2 + 2 * (2 + 9 + 4)
 
 
 def _in_place(payload: bytes, entry: bytes, forged: bytes) -> bytes:
@@ -755,16 +777,9 @@ def _root_ref_with_an_ordinal():
 
 def _root_block_with_an_ordinal():
     """The ``numbers`` global's root ``BLOCK`` (one ``double [8]``) with
-    an ordinal spelled out behind its type id."""
-    proc = Process(_PROG, DEC5000)
-    proc.start()
-    proc.migration_pending = True
-    assert proc.run().status == "poll"
+    an ordinal spelled out behind its logical id."""
     logical = (BlockKind.GLOBAL, 1, 0)
-    header = block_header(
-        logical, proc.ti.info_for(proc.msrlt.lookup_logical(logical).elem_type).type_id,
-        flat=True,
-    )
+    header = block_header(logical)
     index = struct.pack(">I", 1)
     forged = _in_place(_PAYLOAD, index + header, index + spelled_out(header, 0x40, 3))
     return _PROG, forged
@@ -797,7 +812,7 @@ HOSTILE_ROOTS = {
     ),
     "global-of-another-type": (
         _retyped((BlockKind.GLOBAL, 0, 0), _CHARS_ID),
-        r"names 1 x char \[4\], but the destination block is 1 x int",
+        r"holds 1 x char \[4\], but the destination block is 1 x int",
     ),
 }
 
