@@ -93,13 +93,28 @@ def time_restore(benchmark, proc: Process, payload: bytes, dest_arch=ULTRA5,
 
 
 _REPORT_ROWS: list[str] = []
+#: the committed record of a full run, which a partial run leaves alone
+ROWS_PATH = os.path.join(os.path.dirname(__file__), "paper_rows.txt")
+#: every bench module of the harness: a run is full when each had a
+#: test pass
+BENCH_MODULES = frozenset(
+    name for name in os.listdir(os.path.dirname(__file__))
+    if name.startswith("bench_") and name.endswith(".py")
+)
+#: the bench modules that had a test pass in this session
+_PASSED_MODULES: set[str] = set()
 
 
 @pytest.fixture(scope="session")
 def report():
-    """Accumulates paper-style rows; printed in the terminal summary and
-    persisted to ``benchmarks/paper_rows.txt``."""
+    """Accumulates paper-style rows; printed in the terminal summary and,
+    after a full run, persisted to ``benchmarks/paper_rows.txt``."""
     return _REPORT_ROWS.append
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call" and report.passed:
+        _PASSED_MODULES.add(os.path.basename(report.nodeid.split("::")[0]))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -111,10 +126,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line("=" * 72)
     for line in _REPORT_ROWS:
         terminalreporter.write_line(line)
+    missing = sorted(BENCH_MODULES - _PASSED_MODULES)
+    if missing:
+        # a subset's rows would replace the whole record
+        terminalreporter.write_line(
+            f"(partial run, rows not saved to {ROWS_PATH}: nothing passed in "
+            f"{', '.join(missing)})"
+        )
+        return
     try:
-        path = os.path.join(os.path.dirname(__file__), "paper_rows.txt")
-        with open(path, "w") as fh:
+        with open(ROWS_PATH, "w") as fh:
             fh.write("\n".join(_REPORT_ROWS) + "\n")
-        terminalreporter.write_line(f"(rows saved to {path})")
+        terminalreporter.write_line(f"(rows saved to {ROWS_PATH})")
     except OSError:
         pass

@@ -7,7 +7,8 @@ functions to save their contents.  During the traversal, visited memory
 blocks are marked so that they are not saved again."
 
 The collector walks live pointers depth-first; the first visit of a
-block emits a ``BLOCK`` record (header, machine-independent id, the type
+block emits a ``BLOCK`` record (header, machine-independent id — a heap
+serial only where the walk's stride does not imply it —, the type
 unless the pointer's declared type implies it, then contents converted
 by the type's plan), every later reference emits only a ``REF``.  A
 pointer inside a block's contents is followed before the cells after it
@@ -44,8 +45,10 @@ from repro.arch.buffers import WriteBuffer
 from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.wire import (
+    HEAP_UNIT,
     LEAD_COUNT,
     LEAD_ORDINAL,
+    LEAD_SERIAL,
     LEAD_TYPE,
     RECORDS,
     RUN_HEADER,
@@ -65,7 +68,13 @@ __all__ = [
 ]
 
 _NULL_RECORD = bytes([TAG_NULL])
+#: the header of a heap unit of its implied type: the lead alone where
+#: the walk implies its serial, else lead and serial
+_HEAP_UNIT_RECORD = bytes([HEAP_UNIT])
+_SERIAL_UNIT = HEAP_UNIT | LEAD_SERIAL
+_SERIAL_UNIT_RECORD = RECORDS[_SERIAL_UNIT]
 _STACK = BlockKind.STACK
+_HEAP = BlockKind.HEAP
 
 
 @dataclass(slots=True)
@@ -129,6 +138,10 @@ class Collector:
         #: its share back out of ``fresh``
         self._visits: list = []
         self.stats = CollectStats()
+        #: the last heap serial written and the step to it from the one
+        #: before (:mod:`repro.msr.wire`): the serial a heap BLOCK leaves
+        #: out is ``_last + _stride``
+        self._last, self._stride = -1, 1
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
@@ -203,16 +216,19 @@ class Collector:
 
     def _ship(self, logical: tuple, save, *args) -> None:
         """One marker for *logical*'s block.  In a round, a marker whose
-        walk defers is cut back out with everything it visited first."""
+        walk defers is cut back out with everything it visited first, and
+        the serial stride with its bytes."""
         if self.deferred is None:
             save(*args)
             return
         out, visits = self.buf.storage, self._visits
         at, seen = len(out), len(visits)
+        serial = self._last, self._stride
         try:
             save(*args)
         except DeltaDefer:
             del out[at:]
+            self._last, self._stride = serial
             self._visited.difference_update(visits[seen:])
             self._visited.discard(logical)
             del visits[seen:]
@@ -281,7 +297,10 @@ class Collector:
         the first record's context implies (``None``: none); a record
         reached through a pointer cell takes its slot's (or its pointer
         array's) implied id, and a ``BLOCK`` carries its type only when
-        it is not that one.
+        it is not that one.  A heap ``BLOCK`` carries its serial only
+        when it is not the one the pass's ``(last, stride)`` implies;
+        the pair lives in locals while the walk is under way and on the
+        pass between walks and around a chain batch.
 
         Each turn of the loop handles one pointer: resolve it (``NULL``,
         a chain batch, a ``REF``, or a ``BLOCK`` record whose contents
@@ -318,6 +337,7 @@ class Collector:
         n_blocks = n_refs = n_nulls = n_searches = data_bytes = 0
         # the blocks a plan walked or copied: n_plan_blocks, n_codec_blocks
         n_planned = n_codec = 0
+        last, stride = self._last, self._stride
         stack = []
         # the open frame; `plan is None` marks the bottom of the stack.
         # `unpack` is the plan's one-call unit load (None: `plan.load`)
@@ -348,10 +368,12 @@ class Collector:
                             if skip:
                                 skip -= 1
                             else:
+                                self._last, self._stride = last, stride
                                 value = chain.save_batch(self, block, off)
                                 if value is not None:
                                     # a batch went out; its last node's tail
                                     # is the next record (maybe another batch)
+                                    last = self._last
                                     continue
                                 skip = backoff.skip
                 if block is not None:
@@ -387,14 +409,29 @@ class Collector:
                             kind, la, lb = logical
                             lead = TAG_BLOCK | kind << 2
                             count = block.count
-                            if (
-                                kind != _STACK and count == 1 and not ordinal
-                                and info.type_id == implied
-                            ):
-                                # a heap or global node's header
-                                out += RECORDS[lead].pack(lead, la)
+                            if kind == _HEAP:
+                                step = la - last
+                                last = la
+                                if (
+                                    count == 1 and not ordinal
+                                    and info.type_id == implied
+                                ):
+                                    # a list or tree node's header
+                                    if step == stride:
+                                        out += _HEAP_UNIT_RECORD
+                                    else:
+                                        stride = step
+                                        out += _SERIAL_UNIT_RECORD.pack(_SERIAL_UNIT, la)
+                                    fields = None
+                                elif step != stride:
+                                    stride = step
+                                    lead |= LEAD_SERIAL
+                                    fields = [la]
+                                else:
+                                    fields = []
                             else:
                                 fields = [la, lb] if kind == _STACK else [la]
+                            if fields is not None:
                                 if info.type_id != implied:
                                     lead |= LEAD_TYPE
                                     fields.append(info.type_id)
@@ -499,6 +536,7 @@ class Collector:
                      units, unpack) = stack.pop()
         finally:
             backoff.skip = skip
+            self._last, self._stride = last, stride
             msrlt.n_searches += n_searches
 
     # -- bookkeeping --------------------------------------------------------------------

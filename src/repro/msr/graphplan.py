@@ -72,8 +72,7 @@ import numpy as np
 from repro.arch import xdr
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.wire import (
-    RECORDS,
-    TAG_BLOCK,
+    HEAP_UNIT,
     TAG_NULL,
     TAG_REF,
     lead_byte,
@@ -117,12 +116,12 @@ CHAIN_BACKOFF_SKIP = 512
 # The records the plans batch are the fixed-stride ones (see
 # :mod:`repro.msr.wire`): a REF to a heap or global block — one row shape
 # under two leads; a REF to a stack block carries its ``b`` and is the
-# driver's — and the BLOCK header of one heap unit.  A batch ends at the
-# first row whose lead is not the one it was compiled for.
+# driver's — and the BLOCK header of one heap unit whose serial the walk
+# implies: its lead alone.  A batch ends at the first row whose lead is
+# not the one it was compiled for.
 _REF_HEAP = lead_byte(TAG_REF, BlockKind.HEAP)
 _REF_GLOBAL = lead_byte(TAG_REF, BlockKind.GLOBAL)
-_NODE = lead_byte(TAG_BLOCK, BlockKind.HEAP)
-_NODE_HEADER = RECORDS[_NODE]
+_NODE = HEAP_UNIT
 _REF_LEADS = (_REF_GLOBAL, _REF_HEAP)
 #: one REF row: lead, a, ordinal
 REF_DTYPE = np.dtype(record_dtype(_REF_HEAP))
@@ -582,12 +581,13 @@ class ChainPlan:
     like any other record; what this adds happens at the tail pointer,
     which the driver offers to :meth:`save_batch` / :meth:`restore_batch`
     before it resolves it itself.  One wire row is the fixed-size image of one
-    chain node's BLOCK record: the header of a heap unit (lead, ``a``:
-    the tail's declared target is the node type, so the type is implied
-    and does not travel) + each non-tail cell (scalars in wire encoding,
-    pointers as REF rows).  The tail pointer of node *k* IS the record of
-    node *k+1*, so ``m`` nodes serialize as exactly ``m`` consecutive
-    rows followed by the last node's tail record.
+    chain node's BLOCK record: the header of a heap unit (its lead alone:
+    the tail's declared target is the node type, so the type is implied,
+    and a batch takes only nodes whose serials continue the walk's
+    stride, so the serial is implied too) + each non-tail cell (scalars
+    in wire encoding, pointers as REF rows).  The tail pointer of node *k*
+    IS the record of node *k+1*, so ``m`` nodes serialize as exactly
+    ``m`` consecutive rows followed by the last node's tail record.
     """
 
     __slots__ = (
@@ -676,10 +676,14 @@ class ChainPlan:
         written nothing."""
         msrlt = collector.msrlt
         info = self.info
+        # every row's serial is the one the walk implies: the batch
+        # starts where the pass's serial stride goes on
+        step = collector._stride
         if (
             off != 0
             or block.count != 1
             or block.logical[0] != BlockKind.HEAP
+            or block.logical[1] != collector._last + step
             or block.logical in collector._visited
             or collector.ti.info_for(block.elem_type) is not info
         ):
@@ -718,14 +722,17 @@ class ChainPlan:
         addr = a0
         nxt = t0
         linked = 1
+        serial = block.logical[1]
         while True:
             i = bisect_right(starts, nxt) - 1
             if i < 0:
                 break
             node = blocks[i]
+            serial += step
             if (
                 node.addr != nxt
                 or node.logical[0] != BlockKind.HEAP
+                or node.logical[1] != serial
                 or node.elem_type is not elem_type
                 or node.count != 1
                 or node.logical in visited
@@ -755,13 +762,16 @@ class ChainPlan:
             kmax = (a0 - lo) // astride + 1
             if a0 + astride > hi:
                 kmax = 0  # topmost element's stride window would overrun
-        m, hostarr, serials = self._walk(msrlt, seg, block, stride, kmax, visited)
+        m, hostarr, serials = self._walk(
+            msrlt, seg, block, stride, kmax, visited, step
+        )
         if m < MIN_CHAIN:
             return None
-        rows, m = self._build_rows(collector, hostarr, serials, m)
+        rows, m = self._build_rows(collector, hostarr, m)
         if m < MIN_CHAIN:
             return None
         collector._first_visits(_heap_logicals(serials[:m]))
+        collector._last = int(serials[m - 1])
         collector.buf.write(rows[:m].tobytes())
         stats = collector.stats
         stats.n_blocks += m
@@ -776,15 +786,16 @@ class ChainPlan:
         msrlt.count_searches((m - 1) + m * self.n_ptr_cols)
         return int(hostarr[self.host_fields[-1][0]][m - 1])
 
-    def _walk(self, msrlt, seg, block, stride, kmax, visited):
+    def _walk(self, msrlt, seg, block, stride, kmax, visited, step):
         """Speculative stride walk from *block*: the longest prefix of
         candidates ``a0 + stride·k`` linked by their tail pointers, read
         through one strided view of the heap window (geometric growth
         keeps failed speculation O(1)), then cut in front of the first
-        that is not an unvisited node of this type — one search of the
-        table's sorted arrays per linked node, as the pre-walk makes.  A
-        visited node must arrive as a REF; the first one is unvisited
-        (the caller checked).  Returns ``(m, host record array for m
+        that is not an unvisited node of this type whose serial is
+        *block*'s plus ``step·k`` — one search of the table's sorted
+        arrays per linked node, as the pre-walk makes.  A visited node
+        must arrive as a REF; the first one is unvisited (the caller
+        checked).  Returns ``(m, host record array for m
         nodes, their serials)``."""
         a0 = block.addr
         cap = 32
@@ -809,14 +820,17 @@ class ChainPlan:
             break
         starts, blocks = msrlt.sorted_index
         elem_type = block.elem_type
-        serials = [block.logical[1]]
+        serial = block.logical[1]
+        serials = [serial]
         for addr in range(a0 + stride, a0 + stride * m, stride):
             # an address below every start searches to -1, the highest
             # block, which does not start there
             node = blocks[bisect_right(starts, addr) - 1]
+            serial += step
             if (
                 node.addr != addr
                 or node.logical[0] != BlockKind.HEAP
+                or node.logical[1] != serial
                 or node.elem_type is not elem_type
                 or node.count != 1
                 or node.logical in visited
@@ -826,7 +840,7 @@ class ChainPlan:
         m = len(serials)
         return m, hostarr[:m], np.array(serials, np.int64)
 
-    def _build_rows(self, collector, hostarr, serials, m):
+    def _build_rows(self, collector, hostarr, m):
         """Vectorized row emission for *m* walked nodes; may shrink *m*
         when a non-tail pointer cell disqualifies an element (NULL, a
         not-yet-visited target, a stack target — all cases the driver
@@ -836,7 +850,6 @@ class ChainPlan:
         the batch."""
         rows = np.zeros(m, self.row_dtype)
         rows["lead"] = _NODE
-        rows["a"] = serials
         visited = collector._visited
         for j, (kind, cell, name) in enumerate(self.cols):
             hname = f"h{j}"
@@ -925,10 +938,17 @@ class ChainPlan:
             break
         if m < MIN_CHAIN:
             return None
-        # serials must be new to this payload (a duplicate BLOCK record
-        # is corrupt; the driver raises on it) — or, in a pre-copy pass,
-        # to the scratch (a held block restores in place, by the driver)
-        logicals = _heap_logicals(rows["a"][:m])
+        # the rows' serials are the ones the walk implies, inside u32
+        # (the driver refuses the first outside), and must be new to this
+        # payload (a duplicate BLOCK record is corrupt; the driver raises
+        # on it) — or, in a pre-copy pass, to the scratch (a held block
+        # restores in place, by the driver)
+        steps = np.arange(1, m + 1, dtype=np.int64)
+        serials = restorer._last + restorer._stride * steps
+        m = _true_prefix((serials >= 0) & (serials <= 0xFFFFFFFF))
+        if m < MIN_CHAIN:
+            return None
+        logicals = _heap_logicals(serials[:m])
         mapping = restorer._mapping
         if len(set(logicals)) < m or not mapping.keys().isdisjoint(logicals):
             seen = set()
@@ -965,6 +985,7 @@ class ChainPlan:
         ]
         mapping.update(zip(logicals, blocks))
         restorer._pending.extend(blocks)
+        restorer._last = logicals[-1][1]
         addrs = base + stride * np.arange(m, dtype=np.int64)
         host_dt = self._host_dtype(stride)
         out = np.zeros(m, host_dt)
@@ -988,7 +1009,7 @@ class ChainPlan:
             # first row's header stays with the frame around the batch
             self._book_batch(
                 prof, "restore", m,
-                m * self.row_size - _NODE_HEADER.size, t0, buf.position,
+                m * self.row_size - 1, t0, buf.position,
             )
         return int(base), int(addrs[-1]) + self.tail_off
 

@@ -52,8 +52,10 @@ from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import (
+    HEAP_UNIT,
     LEAD_COUNT,
     LEAD_ORDINAL,
+    LEAD_SERIAL,
     LEAD_TYPE,
     RECORDS,
     RUN_HEADER,
@@ -84,6 +86,16 @@ _NO_TYPE = (
     "record for {} leaves its type out where nothing implies one (a tail "
     "root, a bare Restore_pointer)"
 )
+#: a heap serial travels only where the walk's stride does not imply it
+_IMPLIED_SERIAL = (
+    "record for {} spells out serial {}, the serial its walk implies: "
+    "the canonical form leaves it out"
+)
+_U32 = 0xFFFFFFFF
+#: a heap unit's header with its serial spelled out: lead, u32 serial
+_SERIAL_UNIT = HEAP_UNIT | LEAD_SERIAL
+_SERIAL_UNIT_RECORD = RECORDS[_SERIAL_UNIT]
+_SERIAL_RANGE = "heap BLOCK leaves out serial {}, which the walk implies, outside u32"
 
 
 class RestoreError(Exception):
@@ -122,6 +134,10 @@ class Restorer:
         #: block takes one ``BLOCK`` record (``None``: all of the mapping)
         self._landed: Optional[set] = None if held is None else set()
         self.stats = RestoreStats()
+        #: the last heap serial read and the step to it from the one
+        #: before, as the collector keeps them: the serial a heap BLOCK
+        #: leaves out is ``_last + _stride``
+        self._last, self._stride = -1, 1
         # attribution is resolved ONCE per pass; when off (None) every
         # per-block hook below is a single `is not None` test
         self._prof = obs.current_attribution()
@@ -321,7 +337,10 @@ class Restorer:
         one: *expected*'s declared type for the first record, the slot's
         (or the pointer array's) implied id for one read at a pointer
         cell.  It spells the type out only where the context implies none
-        or another.
+        or another.  A heap ``BLOCK`` leaves its serial out where the
+        pass's ``(last, stride)`` implies it; the pair lives in locals
+        while the walk is under way and on the pass between walks and
+        around a chain batch.
 
         Each turn of the loop reads one record, told by its lead byte —
         which also says how wide the record is, so it is one
@@ -365,6 +384,7 @@ class Restorer:
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
         n_blocks = n_refs = n_nulls = n_allocs = data_bytes = 0
+        last, stride = self._last, self._stride
         stack = []
         # the open frame; `plan is None` marks the bottom of the stack.
         # `result` is the address its record denotes, `patch` the memory
@@ -394,7 +414,7 @@ class Restorer:
                         pos += 1
                         n_nulls += 1
                         block, address = None, 0
-                    else:
+                    elif lead & 3 == TAG_REF:
                         shape = RECORDS[lead]
                         if shape is None:
                             raise RestoreError(lead_fault(lead))
@@ -404,38 +424,84 @@ class Restorer:
                         fields = shape.unpack_from(view, pos)
                         pos += size
                         kind = lead >> 2 & 3  # wire.lead_kind, inlined
-                        if lead & 3 == TAG_REF:
-                            if kind == _STACK:
-                                _, la, lb, ordinal = fields
-                            else:
-                                (_, la, ordinal), lb = fields, 0
-                            block = mapping.get((kind, la, lb))
-                            if block is None:
+                        if kind == _STACK:
+                            _, la, lb, ordinal = fields
+                        else:
+                            (_, la, ordinal), lb = fields, 0
+                        block = mapping.get((kind, la, lb))
+                        if block is None:
+                            raise RestoreError(f"REF to unseen block {(kind, la, lb)}")
+                        if expected is not None:
+                            if block.logical != expected.logical:
                                 raise RestoreError(
-                                    f"REF to unseen block {(kind, la, lb)}"
+                                    f"REF to {(kind, la, lb)} arrived where "
+                                    f"{expected.logical} was expected"
                                 )
-                            if expected is not None:
-                                if block.logical != expected.logical:
-                                    raise RestoreError(
-                                        f"REF to {(kind, la, lb)} arrived where "
-                                        f"{expected.logical} was expected"
-                                    )
-                                if ordinal:
-                                    raise RestoreError(
-                                        _ROOT_ORDINAL.format(block.logical, ordinal)
-                                    )
-                                expected = None
-                            n_refs += 1
-                            address = block.addr
                             if ordinal:
-                                address += self._byte_of(block, ordinal)
-                            block = None
+                                raise RestoreError(
+                                    _ROOT_ORDINAL.format(block.logical, ordinal)
+                                )
+                            expected = None
+                        n_refs += 1
+                        address = block.addr
+                        if ordinal:
+                            address += self._byte_of(block, ordinal)
+                        block = None
+                    else:
+                        if lead == HEAP_UNIT or lead == _SERIAL_UNIT:
+                            # a list or tree node's header: the lead, and
+                            # the serial where the walk does not imply it
+                            kind = _HEAP
+                            if lead == HEAP_UNIT:
+                                pos += 1
+                                la = last + stride
+                                if la > _U32 or la < 0:
+                                    raise RestoreError(_SERIAL_RANGE.format(la))
+                            else:
+                                if pos + 5 > end:
+                                    need(pos, 5)
+                                la = _SERIAL_UNIT_RECORD.unpack_from(view, pos)[1]
+                                pos += 5
+                                if la == last + stride:
+                                    raise RestoreError(
+                                        _IMPLIED_SERIAL.format((kind, la, 0), la)
+                                    )
+                                stride = la - last
+                            last = la
+                            logical = (kind, la, 0)
+                            if implied is None:
+                                raise RestoreError(_NO_TYPE.format(logical))
+                            type_id, count, ordinal = implied, 1, 0
                         else:
                             # a BLOCK header: the fields its lead says follow
+                            shape = RECORDS[lead]
+                            if shape is None:
+                                raise RestoreError(lead_fault(lead))
+                            size = shape.size
+                            if pos + size > end:
+                                need(pos, size)
+                            fields = shape.unpack_from(view, pos)
+                            pos += size
+                            kind = lead >> 2 & 3
                             if kind == _STACK:
                                 logical, i = (kind, fields[1], fields[2]), 3
-                            else:
+                            elif kind != _HEAP:
                                 logical, i = (kind, fields[1], 0), 2
+                            elif lead & LEAD_SERIAL:
+                                la = fields[1]
+                                if la == last + stride:
+                                    raise RestoreError(
+                                        _IMPLIED_SERIAL.format((kind, la, 0), la)
+                                    )
+                                stride = la - last
+                                last = la
+                                logical, i = (kind, la, 0), 2
+                            else:
+                                la = last + stride
+                                if la > _U32 or la < 0:
+                                    raise RestoreError(_SERIAL_RANGE.format(la))
+                                last = la
+                                logical, i = (kind, la, 0), 1
                             if lead & LEAD_TYPE:
                                 type_id = fields[i]
                                 i += 1
@@ -461,52 +527,50 @@ class Restorer:
                                     raise RestoreError(
                                         _NOT_CANONICAL.format(logical, "ordinal 0")
                                     )
-                            if expected is not None:
-                                if logical != expected.logical:
-                                    raise RestoreError(
-                                        f"record for {logical} arrived where "
-                                        f"{expected.logical} was expected"
-                                    )
-                                if ordinal:
-                                    raise RestoreError(
-                                        _ROOT_ORDINAL.format(logical, ordinal)
-                                    )
-                                expected = None
-                            info, new, steps, copy = (
-                                types.get(type_id) or self._type(type_id, logical)
-                            )
-                            if kind == _HEAP and logical not in mapping:
-                                # carved where malloc would put it — and
-                                # nothing is, for contents the payload
-                                # cannot hold
-                                if not count or count * info.wire_floor > end - pos:
-                                    raise RestoreError(
-                                        f"record for {logical} claims {count} x "
-                                        f"{info.label}: no block is empty, and the "
-                                        f"payload ends before the contents of this "
-                                        f"one could"
-                                    )
-                                nbytes = info.size * count
-                                block = MemoryBlock(
-                                    carve(nbytes), info.ctype, count, nbytes, logical
+                        if expected is not None:
+                            if logical != expected.logical:
+                                raise RestoreError(
+                                    f"record for {logical} arrived where "
+                                    f"{expected.logical} was expected"
                                 )
-                                pending.append(block)
-                                n_allocs += 1
-                            else:
-                                buf.cursor = pos
-                                block = self._resolve_block(logical, info, count)
-                                pos = buf.cursor
-                            mapping[logical] = block
-                            headed, address = True, block.addr
                             if ordinal:
-                                address += self._byte_of(block, ordinal)
-                            if prof is not None:
-                                # a restore frame opens after the header
-                                buf.cursor = pos
-                                prof.enter_block(
-                                    "restore", info.label, block_class_of(logical),
-                                    buf.position,
+                                raise RestoreError(_ROOT_ORDINAL.format(logical, ordinal))
+                            expected = None
+                        info, new, steps, copy = (
+                            types.get(type_id) or self._type(type_id, logical)
+                        )
+                        if kind == _HEAP and logical not in mapping:
+                            # carved where malloc would put it — and
+                            # nothing is, for contents the payload
+                            # cannot hold
+                            if not count or count * info.wire_floor > end - pos:
+                                raise RestoreError(
+                                    f"record for {logical} claims {count} x "
+                                    f"{info.label}: no block is empty, and the "
+                                    f"payload ends before the contents of this "
+                                    f"one could"
                                 )
+                            nbytes = info.size * count
+                            block = MemoryBlock(
+                                carve(nbytes), info.ctype, count, nbytes, logical
+                            )
+                            pending.append(block)
+                            n_allocs += 1
+                        else:
+                            buf.cursor = pos
+                            block = self._resolve_block(logical, info, count)
+                            pos = buf.cursor
+                        mapping[logical] = block
+                        headed, address = True, block.addr
+                        if ordinal:
+                            address += self._byte_of(block, ordinal)
+                        if prof is not None:
+                            # a restore frame opens after the header
+                            buf.cursor = pos
+                            prof.enter_block(
+                                "restore", info.label, block_class_of(logical),
+                                buf.position,
+                            )
                 if block is not None:
                     n_blocks += 1
                     data_bytes += block.size
@@ -588,6 +652,7 @@ class Restorer:
                                     skip -= 1
                                 else:
                                     buf.cursor = pos
+                                    self._last, self._stride = last, stride
                                     batch = chain.restore_batch(self)
                                     pos = buf.cursor
                                     if batch is not None:
@@ -595,6 +660,7 @@ class Restorer:
                                         # target; the record after it is
                                         # its last node's tail
                                         values[p], patch = batch
+                                        last = self._last
                                     else:
                                         skip = backoff.skip
                             break
@@ -631,6 +697,7 @@ class Restorer:
             raise
         finally:
             backoff.skip = skip
+            self._last, self._stride = last, stride
             stats = self.stats
             stats.n_blocks += n_blocks
             stats.n_refs += n_refs

@@ -24,24 +24,39 @@ what the record is and which of its fields travel:
 
     record  := NULL | REF | BLOCK
     lead    := u8   bits 0-1 tag (0 NULL, 1 REF, 2 BLOCK); bits 2-3 BlockKind;
-                    BLOCK only: bit 5 "count follows", bit 6 "ordinal
-                    follows", bit 7 TYPE "type_id follows"; bit 4 and all
+                    BLOCK only: bit 4 SERIAL "the heap serial follows"
+                    (heap kind only), bit 5 "count follows", bit 6
+                    "ordinal follows", bit 7 TYPE "type_id follows"; all
                     other bits 0
     logical := (kind from lead) u32 a, u32 b iff kind == STACK
     NULL    := the single byte 0x00
     REF     := lead logical u32 ordinal
-    BLOCK   := lead logical [u16 type_id iff TYPE] [u32 count iff != 1]
+    BLOCK   := lead hlogical [u16 type_id iff TYPE] [u32 count iff != 1]
                [u32 ordinal iff != 0] contents
+    hlogical := logical, but for a heap id: u32 a iff SERIAL
     contents := raw xdr bytes                # a flat type: one dense primitive run
               | per-cell (xdr scalar | record)
 
 ``logical`` is the pointer header — the machine-independent block id
 ``(kind, a, b)`` of :mod:`repro.msr.msrlt`; only a stack id has a ``b``
 (the variable's slot), so only a stack id ships one.  ``ordinal`` is the
-element offset inside the block.  The common records are 5 bytes (BLOCK
-of a heap or global unit of its pointer's type) and 9 bytes (REF to heap
-or global); a field that would hold its constant (``b`` 0, ``count`` 1,
-``ordinal`` 0) is left out, not sent.
+element offset inside the block.  The common records are 1 byte (BLOCK
+of a heap unit of its pointer's type whose serial the walk implies), 5
+bytes (the same for a global) and 9 bytes (REF to heap or global); a
+field that would hold its constant (``b`` 0, ``count`` 1, ``ordinal`` 0)
+is left out, not sent.
+
+The serial ``a`` of a heap ``BLOCK`` is left out where the walk implies
+it.  The depth-first walk (§3.1) reaches linked data in allocation order
+or its reverse, so a heap serial usually continues the step between the
+two heap ``BLOCK`` records before it.  Both ends keep ``(last, stride)``
+over the whole payload — every root, the tail section included —
+starting at ``(-1, 1)``; the implied serial is ``last + stride``, and
+every heap ``BLOCK``, implied or spelled out with ``SERIAL``, sets
+``stride = serial - last, last = serial``.  A ``REF`` and a tail
+marker's ``xlogical`` always spell their ids out and leave the pair as
+it is.  An implied heap unit's header is the single lead byte
+:data:`HEAP_UNIT` (``0x0a``).
 
 The type a ``BLOCK`` travels with is left out, too, where its context
 *implies* it (§3.1: ``Save_pointer`` / ``Restore_pointer`` pick the
@@ -55,8 +70,9 @@ the implied one: a cast (``char *`` at an ``int``, ``int *`` into an
 
 Encodings are canonical: a count field saying 1, an ordinal field saying
 0, a ``type_id`` the context implies, no ``type_id`` where nothing
-implies one, tag 3, kind 3, BLOCK bits on a REF or bit 4 set is a
-corrupt payload (:func:`lead_fault` names the lead's faults, the
+implies one, a spelled-out serial equal to the implied one, an implied
+serial outside u32, tag 3, kind 3, BLOCK bits on a REF or ``SERIAL`` on
+a global or stack ``BLOCK`` is a corrupt payload (:func:`lead_fault` names the lead's faults, the
 restorer the rest), and no field is read and dropped, so every state
 has exactly one byte image: a payload the restorer accepts re-collects
 to itself.  The plans-on/off byte-identity oracle depends on it.
@@ -198,9 +214,11 @@ __all__ = [
     "TAG_NULL",
     "TAG_REF",
     "TAG_BLOCK",
+    "LEAD_SERIAL",
     "LEAD_COUNT",
     "LEAD_ORDINAL",
     "LEAD_TYPE",
+    "HEAP_UNIT",
     "lead_byte",
     "lead_kind",
     "lead_fault",
@@ -237,18 +255,22 @@ __all__ = [
 ]
 
 MAGIC = 0x4D494752  # 'MIGR'
-VERSION = 4
+VERSION = 5
 
 TAG_NULL = 0
 TAG_REF = 1
 TAG_BLOCK = 2
 
-#: lead bits of a ``BLOCK`` record: a count field (``!= 1``) follows; an
-#: ordinal field (``!= 0``) follows; a type_id field (not the type its
-#: context implies) follows
+#: lead bits of a ``BLOCK`` record: a heap serial (not the one the walk
+#: implies) follows; a count field (``!= 1``) follows; an ordinal field
+#: (``!= 0``) follows; a type_id field (not the type its context
+#: implies) follows
+LEAD_SERIAL = 0x10
 LEAD_COUNT = 0x20
 LEAD_ORDINAL = 0x40
 LEAD_TYPE = 0x80
+#: the whole header of a heap unit of its implied type and serial
+HEAP_UNIT = TAG_BLOCK | BlockKind.HEAP << 2
 
 #: field name -> (``struct`` code, NumPy dtype) — all big-endian
 _FIELD_CODES = {
@@ -286,8 +308,8 @@ def lead_fault(lead: int) -> str | None:
         return f"lead {lead:#04x} names unknown block kind 3"
     if tag == TAG_REF and lead >> 4:
         return f"lead {lead:#04x} carries BLOCK bits on a REF"
-    if lead & 0x10:
-        return f"lead {lead:#04x} has the reserved bit 4 set"
+    if lead & LEAD_SERIAL and kind != BlockKind.HEAP:
+        return f"lead {lead:#04x} spells out a heap serial on a non-heap BLOCK"
     return None
 
 
@@ -301,6 +323,8 @@ def record_fields(lead: int) -> tuple[str, ...]:
     fields = ["lead", "a", "b"] if kind == BlockKind.STACK else ["lead", "a"]
     if tag == TAG_REF:
         return (*fields, "ordinal")
+    if kind == BlockKind.HEAP and not lead & LEAD_SERIAL:
+        fields.pop()
     if lead & LEAD_TYPE:
         fields.append("type_id")
     if lead & LEAD_COUNT:

@@ -140,16 +140,23 @@ def ref_record(logical, ordinal: int = 0) -> bytes:
 
 
 def block_header(logical, type_id: Optional[int] = None, count: int = 1,
-                 ordinal: int = 0) -> bytes:
+                 ordinal: int = 0, serial: bool = True) -> bytes:
     """A ``BLOCK`` record up to its contents, spelled out from the wire
-    grammar: lead = tag 2 | kind << 2 | "count follows" 0x20 | "ordinal
-    follows" 0x40 | "type_id follows" 0x80, ``a``, ``b`` for a stack id
-    only, the u16 ``type_id`` unless it is ``None`` (the type the
-    record's context implies), then the count unless it is 1 and the
-    ordinal unless it is 0."""
+    grammar: lead = tag 2 | kind << 2 | "heap serial follows" 0x10 |
+    "count follows" 0x20 | "ordinal follows" 0x40 | "type_id follows"
+    0x80, ``a`` (for a heap id only with *serial*: without it, the
+    serial is the one the walk implies), ``b`` for a stack id only, the
+    u16 ``type_id`` unless it is ``None`` (the type the record's context
+    implies), then the count unless it is 1 and the ordinal unless it
+    is 0."""
     kind, a, b = logical
     lead = 2 | kind << 2
     out = struct.pack(">II", a, b) if kind == BlockKind.STACK else struct.pack(">I", a)
+    if kind == BlockKind.HEAP:
+        if serial:
+            lead |= 0x10
+        else:
+            out = b""
     if type_id is not None:
         lead |= 0x80
         out += struct.pack(">H", type_id)

@@ -502,9 +502,15 @@ class TestPlansKeepTheTable:
         assert head == 5 + 4
         # ... a stack id ships its ``b`` as well
         assert rows[("struct node", "stack")]["bytes"] == head + 4
-        # ... ``heads`` has a count and one int more, and each chain ends
-        # in a NULL
-        assert heap["bytes"] == chained * head + (head + 4 + 4) + 7
+        # a chain node's header is its lead alone where its serial
+        # continues the walk's stride: each chain is walked in the reverse
+        # of its allocation, so its first node spells out the serial it
+        # jumps to and its second the step −1; ``ghead``'s, walked right
+        # after ``shead``'s, continues it.  ``heads`` spells out its
+        # serial and its count and holds two ints, and each chain ends in
+        # a NULL
+        spelled = 2 * (1 + 3 + 2)
+        assert heap["bytes"] == chained * (1 + 4) + 4 * spelled + (5 + 4 + 8) + 7
 
     def test_precopy_final_table_partitions_with_plans_on(self):
         """Under pre-copy the table is the final pass's: its byte column

@@ -124,12 +124,13 @@ class TestCheckpointRestart:
 
     def test_other_format_version_rejected(self, prog, tmp_path):
         """A checkpoint written by a build with another wire format — 3,
-        whose every BLOCK record carried its type, or one not yet
-        written: one typed one-line error that names both versions, not
-        the reader's ``ValueError``."""
+        whose every BLOCK record carried its type, 4, whose every heap
+        BLOCK record carried its serial, or one not yet written: one
+        typed one-line error that names both versions, not the reader's
+        ``ValueError``."""
         from repro.msr.wire import VERSION
 
-        for version in (3, 9):
+        for version in (3, 4, 9):
             ckpt = checkpoint(stopped(prog))
             assert ckpt.payload[4] == VERSION
             ckpt.payload = ckpt.payload[:4] + bytes([version]) + ckpt.payload[5:]

@@ -384,20 +384,23 @@ class TestWireFormat:
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "struct"])
     def test_the_retired_flat_bit_is_refused(self, flat):
         """Flatness is structural — a function of the type, implied or
-        spelled out — so the lead's bit 4, once a FLAT flag saying it
-        again, is reserved: a record with it set is corrupt, flat type
-        or not."""
+        spelled out — so the lead's bit 4 no longer says it: it says a
+        heap serial follows, and on a global or stack record it is
+        corrupt, flat type or not."""
         from repro.arch.buffers import ReadBuffer
         from repro.msr.restore import RestoreError, Restorer
         from tests.conftest import block_header
 
         proc = stop_at_poll(SHARED_GRAPH)
         is_flat = lambda b: proc.ti.info_for(b.elem_type).flat_kind is not None  # noqa: E731
-        block = next(b for b in proc.msrlt.blocks() if is_flat(b) == flat)
+        block = next(
+            b for b in proc.msrlt.blocks()
+            if is_flat(b) == flat and b.logical[0] != BlockKind.HEAP
+        )
         type_id = proc.ti.info_for(block.elem_type).type_id
         header = block_header(block.logical, type_id, block.count)
         bit_four = bytes([header[0] | 0x10]) + header[1:]
-        with pytest.raises(RestoreError, match="reserved bit 4"):
+        with pytest.raises(RestoreError, match="heap serial on a non-heap BLOCK"):
             Restorer(proc, ReadBuffer(bit_four + bytes(64))).restore_pointer()
 
     def test_a_bare_restore_pointer_reads_the_type(self):

@@ -193,31 +193,101 @@ class TestWireShape:
     the data with the smallest slope the grammar allows."""
 
     @staticmethod
-    def payload_bytes(source, after=1):
-        return len(collect_state(stopped(source, after=after))[0])
+    def spelled(serials) -> int:
+        """How many of the heap *serials*, in record order, travel: those
+        that do not continue the stride from the two before them, with
+        ``(last, stride)`` starting at ``(-1, 1)`` (:mod:`repro.msr.wire`)."""
+        last, stride, n = -1, 1, 0
+        for serial in serials:
+            n += serial - last != stride
+            stride, last = serial - last, serial
+        return n
+
+    @staticmethod
+    def walk(proc, name, cells):
+        """The heap serials the depth-first walk from global *name* (a
+        node pointer) reaches, in record order: a node, then what its
+        pointer *cells* (indexes into the node type's cells, in cell
+        order) reach: a tree or a list, so each is reached once."""
+        table, load = proc.msrlt, proc.memory.load
+        (root,) = [b for b in table.blocks() if b.name == name]
+        node = root.elem_type.target
+        offsets = [proc.ti.info_for(node).cells[c].offset for c in cells]
+        serials, todo = [], [load("ptr", root.addr)]
+        while todo:
+            value = todo.pop()
+            if value:
+                block, _ = table.lookup_addr(value)
+                serials.append(block.logical[1])
+                if block.elem_type == node:
+                    todo += reversed([load("ptr", value + off) for off in offsets])
+        return serials
 
     def test_a_tree_node_is_ten_bytes(self):
-        """5 header + 4 value + 1 NULL per node (each node is the target
-        of one ``struct tnode *``, which implies its type, and the N + 1
-        pointers left over are NULL)."""
-        fixed = {
-            self.payload_bytes(bitonic_source(n), after=n) - 10 * n
-            for n in (100, 200, 400)
-        }
+        """A header whose serial travels (lead + u32: 5) or the lead alone
+        where the walk's stride implies it (1), + 4 key + 1 NULL per node
+        (each node is the target of one ``struct tnode *``, which implies
+        its type, and the N + 1 pointers left over are NULL): 10 or 6
+        bytes.  Which random keys continue a stride is counted from the
+        tree itself."""
+        fixed = set()
+        for n in (100, 200, 400):
+            proc = stopped(bitonic_source(n), after=n)
+            serials = self.walk(proc, "root", (1, 2))
+            assert sorted(serials) == list(range(n))
+            spelled = self.spelled(serials)
+            assert 0 < spelled < n
+            fixed.add(len(collect_state(proc)[0]) - 10 * spelled - 6 * (n - spelled))
         assert len(fixed) == 1
 
     def test_a_list_record_with_its_string(self):
-        """Record: 5 header + 4 id; its string: 5 header + 4 count +
-        the characters and their NUL (the pointers' declared targets
-        imply both types); the next record is the tail's.  The lengths
-        are a shuffle of {1 + i % 13}: 7 on average when N is a multiple
-        of 13, so 26 bytes a record — and 4 more for its slot in
-        ``lens``, the array on ``main``'s stack."""
-        fixed = {
-            self.payload_bytes(longlist_source(n)) - (26 + 4) * n
-            for n in (130, 260, 390)
-        }
+        """Record: 1 lead + 4 id; its string: 1 lead + 4 count + the
+        characters and their NUL (the pointers' declared targets imply
+        both types, and the walk reaches record and string in the
+        reverse of their allocation, so every serial but the first two
+        continues the stride −1); the next record is the tail's.  The
+        lengths are a shuffle of {1 + i % 13}: 7 on average when N is a
+        multiple of 13, so 18 bytes a record — and 4 more for its slot
+        in ``lens``, the array on ``main``'s stack."""
+        fixed = set()
+        for n in (130, 260, 390):
+            proc = stopped(longlist_source(n))
+            serials = self.walk(proc, "head", (1, 2))
+            assert serials == list(range(2 * n - 1, -1, -1))
+            assert self.spelled(serials) == 2
+            fixed.add(len(collect_state(proc)[0]) - (18 + 4) * n)
         assert len(fixed) == 1
+
+    def test_a_chain_row_is_its_lead_and_cells(self):
+        """A batched list node is its lead alone (the tail's declared
+        target implies the type, the stride the serial) + its cells: one
+        ``int``, 5 bytes a node, as the per-cell oracle writes it."""
+        src = """
+        struct node { int v; struct node *next; };
+        struct node *head;
+        int main() {
+            int i; struct node *n;
+            for (i = 0; i < %d; i++) {
+                n = (struct node *) malloc(sizeof(struct node));
+                n->v = i; n->next = head; head = n;
+            }
+            migrate_here();
+            return head->v;
+        }
+        """
+        fixed = set()
+        for n in (100, 200, 400):
+            proc = stopped(src % n)
+            payload, info = collect_state(proc)
+            assert info.stats.n_plan_blocks >= n - 2
+            with plans_off(proc):
+                assert collect_state(proc)[0] == payload
+            fixed.add(len(payload) - 5 * n)
+        assert len(fixed) == 1
+        (node,) = {b.elem_type for b in proc.msrlt.heap_blocks()}
+        plan = proc.ti.plan_for(proc.ti.info_for(node))
+        (chain,) = [slot[4] for slot in plan.save_slots if slot[4] is not None]
+        assert chain.row_dtype.names == ("lead", "c0") and chain.row_size == 5
 
     def test_a_chain_batch_ends_at_the_row_with_a_stack_ref(self, monkeypatch):
         """A REF to a stack block ships its ``b``: 13 bytes where a chain
@@ -244,12 +314,15 @@ class TestWireShape:
         monkeypatch.setattr(ChainPlan, "_restore_batch", restoring)
         proc = stopped(entry.source, after=2)
         payload, _ = collect_state(proc)
-        # head -> 15 | 14..11 | 10 (main's local) | 9..5 | 4 (walk's) | 3..0
-        assert saved == [4, 0, 5, 0, 4]
+        # head -> 15 | 14 | 13..11 | 10 (main's local) | 9..5 | 4 (walk's)
+        # | 3..0: 15 and 14 spell their serials out (14 sets the stride
+        # -1), so the rows in front of 10 are three, 13..11, two, 12..11,
+        # and one, too few for a batch each
+        assert saved == [3, 2, 1, 0, 5, 0, 4]
         assert payload.count(ref_record((BlockKind.STACK, 0, 0))) == 1
         assert payload.count(ref_record((BlockKind.STACK, 1, 2))) == 1
         restore_state(proc.program, payload, Process(proc.program, SPARC20))
-        assert restored == [4, 5, 4]
+        assert restored == [5, 4]
         for polls in (1, 2, 3):
             assert_plans_invisible(entry.source, polls, ULTRA5, SPARC20)
             assert_plans_invisible(entry.source, polls, SPARC20, ALPHA)
@@ -475,7 +548,8 @@ class TestChainBatchShape:
     def test_a_chain_batch_reads_nothing_out_of_the_table(self, walked, monkeypatch):
         """A plain collect of a 300-node chain in a ~1 000-block table
         commits a batch, searches the table once per node, and reads
-        nothing out of it."""
+        nothing out of it.  The first offer, of the second node, declines
+        at once: its serial sets the stride −1 the batch continues."""
         batches = []
         save_batch = ChainPlan._save_batch
 
@@ -490,7 +564,7 @@ class TestChainBatchShape:
         del walked[:]
         planned, info = collect_state(proc)
         searches = proc.msrlt.n_searches
-        assert batches == [True] and info.stats.n_plan_blocks >= 298
+        assert batches == [False, True] and info.stats.n_plan_blocks >= 298
         assert walked == []
         with plans_off(proc):
             oracle, _ = collect_state(proc)

@@ -395,14 +395,14 @@ class TestFuzzCli:
     def test_a_size_three_failure_shrinks_to_a_size_three_program(
         self, tmp_path, monkeypatch
     ):
-        """A fault that shows only on payloads above 1 100 B: seed 3
-        sends at most 1 059 B at size 2 and up to 1 233 B at size 3, so
+        """A fault that shows only on payloads above 1 000 B: seed 3
+        sends at most 941 B at size 2 and up to 1 097 B at size 3, so
         the shrinker starts at the failure's size and stays there."""
         from repro.difftest import harness
 
         monkeypatch.setattr(
             harness, "_recollect_drift",
-            lambda sent, dest: "drift" if len(sent) > 1100 else None,
+            lambda sent, dest: "drift" if len(sent) > 1000 else None,
         )
         rc, art, _source = self._fuzz(tmp_path, "--start", "3", "--size", "3")
         assert rc == 1 and art["size"] == 3

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86_64
-from repro.arch.buffers import ReadBuffer
+from repro.arch.buffers import ReadBuffer, WriteBuffer
 from repro.cli import main as cli_main
 from repro.difftest.corpus import load_corpus
 from repro.difftest.harness import run_baseline, _stop_at_poll
@@ -1446,14 +1446,16 @@ class TestHostileRounds:
         scratch, held, _ = scratch
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
-        serials = range(900, 900 + MIN_CHAIN)  # the shortest run a batch takes
+        # 900 and 901 spell their serials out (901 sets the stride 1);
+        # behind them, the shortest run a batch takes, serials implied
+        serials = range(900, 902 + MIN_CHAIN)
         # a row's type is the tail's target, implied
         rows = b"".join(
-            block_header((BlockKind.HEAP, serial, 0)) + _ints(serial)
+            block_header((BlockKind.HEAP, serial, 0), serial=serial < 902) + _ints(serial)
             for serial in serials
         )
         root = b"\x01" + block_header(head.logical, node_id) + _ints(5) + rows + b"\x00"
-        assert self.land(scratch, held, _round(root)).n_heap_allocs == MIN_CHAIN
+        assert self.land(scratch, held, _round(root)).n_heap_allocs == MIN_CHAIN + 2
         assert_table_whole(scratch)
         for serial in serials:
             node = scratch.msrlt.lookup_logical((BlockKind.HEAP, serial, 0))
@@ -1828,6 +1830,61 @@ def test_a_deferred_new_block_freed_unshipped_leaves_no_trace(pair, monkeypatch)
 
 
 # -- run_precopy unit behavior ------------------------------------------
+
+
+# serials 1, 2 and 5 are list nodes: 1 holds &local, 2 a global's
+# address and a link to 5, which ends the list
+DEFER_MID_STRIDE_SRC = """
+struct link { int *where; int v; struct link *next; };
+struct link *nodes[6];
+int g;
+
+int main() {
+    int local; int i;
+    local = 5;
+    for (i = 0; i < 6; i++) {
+        nodes[i] = (struct link *) malloc(sizeof(struct link));
+        nodes[i]->where = &g; nodes[i]->v = i; nodes[i]->next = NULL;
+    }
+    nodes[1]->where = &local;
+    nodes[2]->next = nodes[5];
+    migrate_here();
+    printf("%d\\n", *nodes[1]->where + nodes[2]->next->v);
+    return 0;
+}
+"""
+
+
+def test_a_deferred_marker_takes_its_serial_stride_back():
+    """A round cuts a marker whose walk defers back out, and with its
+    bytes the heap serial stride its records moved: the round is byte
+    for byte the round that never tried the marker.  Node 1's marker
+    writes node 1's header — serial 1, stride 2 — before ``&local``
+    defers it; node 2's then ships node 2 (spelled out, from ``(-1, 1)``:
+    stride 3) and node 5, whose serial 2 + 3 is implied only where the
+    stride went back."""
+    proc = _stopped(_compile(DEFER_MID_STRIDE_SRC), DEC5000)
+    proc.msrlt.drop_stack_blocks()  # as while the source runs
+    heap = {b.logical[1]: b.logical for b in proc.msrlt.heap_blocks()}
+    live = {b.logical for b in proc.msrlt.blocks()}
+    stale = {heap[1], heap[2]}
+
+    def round_of(deferred):
+        buf = WriteBuffer()
+        collector = Collector(proc, buf, live - stale - {heap[5]}, set(stale), defer=True)
+        collector.deferred.update(deferred)
+        collector.save_tail()
+        return bytes(buf.storage), collector.deferred
+
+    tried, deferred = round_of(())
+    assert deferred == {heap[1]}
+    untried, _ = round_of(deferred)
+    assert tried == untried
+    # node 2 a tail root (its type travels) with its serial spelled out
+    # and, behind its ``where`` REF and its int, node 5's header: the lead
+    link_id = proc.ti.info_for(proc.msrlt.lookup_logical(heap[2]).elem_type).type_id
+    node2 = b"\x01" + block_header(heap[2], link_id)
+    assert tried.startswith(node2) and tried[len(node2) + 9 + 4] == 0x0A
 
 
 def test_run_precopy_rejects_nested_activation():

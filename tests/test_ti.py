@@ -12,6 +12,7 @@ from repro.clang.ctypes import (
     StructType,
     TypeLayout,
 )
+from repro.msr.msrlt import BlockKind
 from repro.msr.ti import TITable, TypeIdError, flat_prim_kind
 from repro.msr.wire import RECORDS, TAG_BLOCK, lead_fault
 from repro.vm.program import compile_program
@@ -53,7 +54,8 @@ class TestFlatKind:
     def test_flatness_agrees_across_archs(self):
         """Flatness is a function of the type, the same on every arch,
         so no wire bit says it again: bit 4 of a ``BLOCK`` lead, once a
-        FLAT flag, is reserved and refused."""
+        FLAT flag, now says a heap serial follows and is refused on a
+        global or stack record."""
         types = [
             DOUBLE,
             ArrayType(DOUBLE, 10),
@@ -71,10 +73,15 @@ class TestFlatKind:
                 for arch in (DEC5000, SPARC20, ALPHA, X86)
             }
             assert len(set(flags.values())) == 1, (t, flags)
-        for kind in range(3):
+        for kind in (BlockKind.GLOBAL, BlockKind.STACK):
             lead = TAG_BLOCK | kind << 2 | 0x10
             assert RECORDS[lead] is None
-            assert lead_fault(lead) == f"lead {lead:#04x} has the reserved bit 4 set"
+            assert lead_fault(lead) == (
+                f"lead {lead:#04x} spells out a heap serial on a non-heap BLOCK"
+            )
+        # on a heap record the bit says the serial follows
+        lead = TAG_BLOCK | BlockKind.HEAP << 2 | 0x10
+        assert lead_fault(lead) is None and RECORDS[lead].format == ">BI"
 
 
 class TestTypeInfo:

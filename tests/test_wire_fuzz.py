@@ -341,12 +341,16 @@ _LINK_ID = next(
 )
 #: a node's BLOCK header — lead, serial; every node is reached through a
 #: ``struct link *``, so its type is implied — is 5 bytes, a REF to one —
-#: lead, serial, ordinal — 9
+#: lead, serial, ordinal — 9.  The walk meets the serials 5, 0, 4, 3, 2,
+#: 1: the first four spell theirs out (``(last, stride)`` goes (5, 6),
+#: (0, -5), (4, 4), (3, -1)), and 2 and 1 continue the stride -1, so
+#: their headers are the lead alone
 _HEADER, _REF = 5, 9
 
 
 def _node(serial: int) -> int:
-    """Payload offset of the BLOCK record of the node with *serial*."""
+    """Payload offset of the BLOCK record of the node with *serial*, one
+    whose serial travels."""
     header = block_header((BlockKind.HEAP, serial, 0))
     assert len(header) == _HEADER
     at = _RING_PAYLOAD.find(header)
@@ -379,6 +383,17 @@ def _header(serial: int, **fields):
     return _splice(_node(serial), _HEADER, block_header(logical, **fields))
 
 
+def _both(*rewrites):
+    """*rewrites* in turn (each spliced at an offset of the untouched
+    payload: the later offset goes first)."""
+
+    def rewrite(payload: bytearray) -> None:
+        for each in rewrites:
+            each(payload)
+
+    return rewrite
+
+
 def _put_u32(offset: int, value: int):
     return _splice(offset, 4, value.to_bytes(4, "big"))
 
@@ -394,8 +409,12 @@ def _cut_at(offset: int):
     return rewrite
 
 
-_NODE_LEAD = _RING_PAYLOAD[_node(4)]  # BLOCK | HEAP
+_NODE_LEAD = _RING_PAYLOAD[_node(4)]  # BLOCK | HEAP | SERIAL
 _REF_LEAD = _RING_PAYLOAD[_ref(0)]  # REF | HEAP
+#: the ``ring`` global's root record — BLOCK | GLOBAL, its index — and
+#: behind it the record of its pointer's target, node 5
+_RING_ROOT = _node(5) - 5
+assert _RING_PAYLOAD[_RING_ROOT : _node(5)] == block_header((BlockKind.GLOBAL, 0, 0))
 #: node 0's ``peer``, right after its header and its int
 _A_NULL = _node(0) + _HEADER + 4
 assert _RING_PAYLOAD[_A_NULL] == 0
@@ -433,8 +452,29 @@ HOSTILE = {
     "kind-three": (_put_u8(_ref(0), _REF_LEAD | 3 << 2), "unknown block kind 3"),
     "block-bits-on-a-ref": (_put_u8(_ref(0), _REF_LEAD | 0x20), "BLOCK bits on a REF"),
     "bit-seven": (_put_u8(_ref(0), _REF_LEAD | 0x80), "BLOCK bits on a REF"),
-    # bit 4, the retired FLAT flag, is reserved
-    "wrong-flat-flag": (_put_u8(_node(5), _NODE_LEAD | 0x10), "reserved bit 4"),
+    # bit 4, the retired FLAT flag, says a heap serial follows: a heap
+    # BLOCK's alone
+    "bit-four-on-a-ref": (_put_u8(_ref(0), _REF_LEAD | 0x10), "BLOCK bits on a REF"),
+    "wrong-flat-flag": (
+        _put_u8(_RING_ROOT, 0x12), "spells out a heap serial on a non-heap BLOCK"
+    ),
+    # node 0's serial made 11 = 5 + 6, the one the walk implies there
+    "serial-spelled-out": (
+        _put_u32(_node(0) + 1, 11), r"spells out serial 11, the serial its walk implies"
+    ),
+    # node 4's serial left out: 0 - 5
+    "implied-serial-below-zero": (
+        _splice(_node(4), _HEADER, block_header((BlockKind.HEAP, 4, 0), serial=False)),
+        "leaves out serial -5, which the walk implies, outside u32",
+    ),
+    # node 5's serial 2**32 - 1, then node 0's left out: 2**32 - 1 + 2**32
+    "implied-serial-above-u32": (
+        _both(
+            _splice(_node(0), _HEADER, block_header((BlockKind.HEAP, 0, 0), serial=False)),
+            _put_u32(_node(5) + 1, 2**32 - 1),
+        ),
+        "leaves out serial 8589934591, which the walk implies, outside u32",
+    ),
     "null-with-a-kind": (_put_u8(_A_NULL, 2 << 2), "NULL is the single byte 0x00"),
     "bit-seven-on-a-null": (_put_u8(_A_NULL, 0x80), "NULL is the single byte 0x00"),
     "ref-to-a-dead-stack-slot": (
@@ -503,13 +543,15 @@ class TestHostileRecords:
         # before the lie is in the table, and nothing else
         assert_table_whole(dest)
 
-    #: the 28 lead bytes the grammar defines, written down from it:
+    #: the 36 lead bytes the grammar defines, written down from it:
     #: NULL, a REF per kind, a BLOCK per kind and combination of its
-    #: three bits (5 count, 6 ordinal, 7 type; bit 4 is reserved)
+    #: three bits (5 count, 6 ordinal, 7 type), and a heap BLOCK with
+    #: bit 4 (serial) too
     DEFINED_LEADS = frozenset(
         {0}
         | {1 | kind << 2 for kind in range(3)}
         | {2 | kind << 2 | bits << 5 for kind in range(3) for bits in range(8)}
+        | {2 | BlockKind.HEAP << 2 | 0x10 | bits << 5 for bits in range(8)}
     )
 
     def test_the_record_table_defines_the_grammar_and_nothing_else(self):
@@ -519,11 +561,14 @@ class TestHostileRecords:
         assert RECORDS[0].size == 1
         # lead + a [+ b on the stack] + ordinal | [+ type id] [+ count] [+ ordinal]
         assert [RECORDS[1 | kind << 2].size for kind in range(3)] == [9, 13, 9]
-        for kind in range(3):
+        # a BLOCK: lead [+ a, a heap id's only with bit 4] [+ b on the
+        # stack] [+ type id] [+ count] [+ ordinal]
+        ids = {BlockKind.GLOBAL: 4, BlockKind.STACK: 8, BlockKind.HEAP: 0}
+        for kind, serial in [(kind, 0) for kind in ids] + [(BlockKind.HEAP, 0x10)]:
             for bits in range(8):
-                size = (9 if kind == BlockKind.STACK else 5) + 4 * bin(bits & 3).count("1")
-                size += 2 if bits & 4 else 0
-                assert RECORDS[2 | kind << 2 | bits << 5].size == size
+                size = 1 + ids[kind] + (4 if serial else 0)
+                size += 4 * bin(bits & 3).count("1") + (2 if bits & 4 else 0)
+                assert RECORDS[2 | kind << 2 | serial | bits << 5].size == size
 
     @pytest.mark.parametrize(
         "chunk", [None, 1, 7, 64], ids=["mono", "chunks-1", "chunks-7", "chunks-64"]
@@ -634,12 +679,13 @@ class TestHostileRecords:
     @pytest.mark.parametrize("mode", [{}, {"streaming": True}], ids=["mono", "stream"])
     def test_a_peer_of_another_format_version_is_refused_typed(self, mode, monkeypatch):
         """There is one record format per build.  A payload that says
-        version 1, or 3 (every BLOCK record carried its type), is refused
-        by the header reader in one line, and that refusal is damage like
-        any other: a typed ``RestoreError`` out of ``migrate()``, the
-        waiting destination untouched, the source running on to the
-        unmigrated output."""
-        for version in (1, 3):
+        version 1, 3 (every BLOCK record carried its type) or 4 (every
+        heap BLOCK record carried its serial) is refused by the header
+        reader in one line, and that refusal is damage like any other: a
+        typed ``RestoreError`` out of ``migrate()``, the waiting
+        destination untouched, the source running on to the unmigrated
+        output."""
+        for version in (1, 3, 4):
             monkeypatch.setattr(
                 engine_module, "Collector", _hostile_collector(_put_u8(4, version))
             )
