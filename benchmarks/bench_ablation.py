@@ -117,8 +117,9 @@ def test_bulk_vs_general_block_path(benchmark, report, n):
     proc = stopped(prog, after=1)
     benchmark(lambda: collect_state(proc))
     payload, cinfo = collect_state(proc)
-    # a flat block is saved by its FlatPlan, which books n_plan_blocks
-    # (n_flat_blocks is the plans-off oracle's counter)
+    # a flat block is cast by its CastPlan (or copied by the driver where
+    # its host bytes are its wire bytes), booked in n_plan_blocks either
+    # way; n_flat_blocks is never incremented
     report(
         f"Ablation/bulk-xdr n={n * 64} doubles: plan_blocks="
         f"{cinfo.stats.n_plan_blocks} wire={len(payload)}B"

@@ -5,17 +5,22 @@
   naive linear scan a table-less design would need.
 - ``MSRLT_update`` (restoration): dict insert per block — O(1) per
   block, O(n) total.
-- ``Encode_and_Copy``: the bulk XDR path — O(Σ Dᵢ), independent of n.
+- ``Encode_and_Copy``: one flat block through its cast plan — O(Σ Dᵢ),
+  independent of n.
 """
 
 import random
 
 import pytest
 
-from repro.arch import ULTRA5, xdr
+from repro.arch import DEC5000, ULTRA5, WriteBuffer, xdr
 from repro.clang.ctypes import DOUBLE, INT, TypeLayout
+from repro.msr.collect import Collector
+from repro.msr.graphplan import CastPlan
 from repro.msr.msrlt import MSRLT
 from repro.vm.memory import Memory
+from repro.vm.process import Process
+from repro.vm.program import compile_program
 
 SIZES = (1_000, 10_000, 50_000)
 
@@ -85,19 +90,29 @@ def test_update_registration(benchmark, n):
 @pytest.mark.benchmark(group="encode-copy")
 @pytest.mark.parametrize("nbytes", (80_000, 800_000, 8_000_000))
 def test_encode_and_copy(benchmark, nbytes):
-    """O(Σ Dᵢ): the vectorized XDR encode of one big double block
-    (8 MB is Figure 2(a)'s top size)."""
-    mem = Memory(ULTRA5)
-    n = nbytes // 8
-    addr = mem.heap_alloc(nbytes)
+    """O(Σ Dᵢ): collecting one big ``double`` block, which its CastPlan
+    converts little- to big-endian in one NumPy cast (8 MB is Figure
+    2(a)'s top size)."""
     import numpy as np
 
-    mem.write_array("double", addr, np.linspace(0, 1, n))
+    n = nbytes // 8
+    prog = compile_program(
+        f"double data[{n}];\nint main() {{ migrate_here(); return 0; }}\n",
+        poll_strategy="user",
+    )
+    proc = Process(prog, DEC5000)
+    proc.load()
+    (block,) = [b for b in proc.msrlt.blocks() if b.name == "data"]
+    proc.memory.write_array("double", block.addr, np.linspace(0, 1, n))
+    plan = proc.ti.plan_for(proc.ti.info_for(block.elem_type))
+    assert isinstance(plan, CastPlan) and not plan.raw
 
     def encode():
-        return xdr.encode_array("double", mem.read_array("double", addr, n))
+        buf = WriteBuffer()
+        Collector(proc, buf).save_variable(block)
+        return buf
 
-    benchmark(encode)
+    assert benchmark(encode).nbytes > nbytes
     benchmark.extra_info["bytes"] = nbytes
 
 

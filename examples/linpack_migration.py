@@ -43,8 +43,10 @@ def main() -> None:
           f"{st.restore_time:8.4f}")
     print(f"  {st.n_blocks} MSR nodes carried {st.data_bytes} data bytes "
           f"({st.payload_bytes} on the wire) — few nodes, each large (§4.2)")
-    print(f"  bulk-encoded blocks: {st.collect.n_flat_blocks} "
-          f"(vectorized XDR fast path)")
+    planned = st.collect.n_plan_blocks + st.collect.n_codec_blocks
+    print(f"  blocks on a compiled plan: {planned} of {st.n_blocks} "
+          f"(a dense array is one NumPy cast, or a copy where its host "
+          f"bytes are its wire bytes)")
 
     print()
     print("the residual digits are identical before and after migration —")

@@ -54,7 +54,7 @@ class WriteBuffer:
         fresh storage, then one append of it (no zero-filled placeholder
         is appended first to cast over).
 
-        Conversion semantics match ``xdr.encode_array``: the cast is
+        Conversion semantics match ``xdr.encode`` per value: the cast is
         C-style (narrowing wraps modulo 2^bits, widening sign-extends),
         which is exactly what ``astype(..., casting="unsafe")`` does.
         """

@@ -30,11 +30,10 @@ double     8             IEEE 754 double BE
 Pointers never pass through this module: the collection library encodes
 them as *(pointer header, offset)* pairs (see :mod:`repro.msr.collect`).
 
-Two code paths are provided, per the HPC guides' "vectorize the hot loop"
-advice: scalar :func:`encode`/:func:`decode` built on :mod:`struct`, and
-bulk :func:`encode_array`/:func:`decode_array` built on NumPy views, used
-by the TI table's fast path for large pointer-free arrays (this is what
-makes collecting an 8 MB linpack matrix cheap).
+Scalar :func:`encode` / :func:`decode` (built on :mod:`struct`) are the
+per-cell reference every compiled plan is checked against; the plans in
+:mod:`repro.msr.graphplan` convert whole blocks through the same
+representation as NumPy dtypes (:func:`wire_dtype`).
 """
 
 from __future__ import annotations
@@ -49,31 +48,12 @@ __all__ = [
     "wire_sizeof",
     "encode",
     "decode",
-    "encode_array",
-    "decode_array",
     "wire_dtype",
     "wire_struct_code",
-    "host_struct_code",
-    "host_np_dtype",
 ]
 
-#: Canonical on-the-wire byte width of every primitive kind.
-WIRE_SIZES: Final[dict[str, int]] = {
-    "char": 1,
-    "uchar": 1,
-    "short": 2,
-    "ushort": 2,
-    "int": 4,
-    "uint": 4,
-    "long": 8,
-    "ulong": 8,
-    "llong": 8,
-    "ullong": 8,
-    "float": 4,
-    "double": 8,
-}
-
-# struct format char per kind (big-endian applied at pack time).
+# struct format char per kind (big-endian applied at pack time): the one
+# table the wire representation is derived from
 _STRUCT_FMT: Final[dict[str, str]] = {
     "char": "b",
     "uchar": "B",
@@ -89,24 +69,16 @@ _STRUCT_FMT: Final[dict[str, str]] = {
     "double": "d",
 }
 
-# Big-endian numpy dtype per kind for the bulk path.
-_NP_DTYPE: Final[dict[str, np.dtype]] = {
-    "char": np.dtype(">i1"),
-    "uchar": np.dtype(">u1"),
-    "short": np.dtype(">i2"),
-    "ushort": np.dtype(">u2"),
-    "int": np.dtype(">i4"),
-    "uint": np.dtype(">u4"),
-    "long": np.dtype(">i8"),
-    "ulong": np.dtype(">u8"),
-    "llong": np.dtype(">i8"),
-    "ullong": np.dtype(">u8"),
-    "float": np.dtype(">f4"),
-    "double": np.dtype(">f8"),
-}
-
 _PACKERS: Final[dict[str, struct.Struct]] = {
     kind: struct.Struct(">" + fmt) for kind, fmt in _STRUCT_FMT.items()
+}
+
+#: Canonical on-the-wire byte width of every primitive kind.
+WIRE_SIZES: Final[dict[str, int]] = {kind: p.size for kind, p in _PACKERS.items()}
+
+# Big-endian NumPy dtype per kind (the compiled plans' casts).
+_NP_DTYPE: Final[dict[str, np.dtype]] = {
+    kind: np.dtype(">" + fmt) for kind, fmt in _STRUCT_FMT.items()
 }
 
 _INT_MASKS: Final[dict[str, tuple[int, int, bool]]] = {
@@ -157,77 +129,3 @@ def wire_struct_code(kind: str) -> str:
 def wire_dtype(kind: str) -> np.dtype:
     """Big-endian NumPy dtype matching the wire representation of *kind*."""
     return _NP_DTYPE[kind]
-
-
-def encode_array(kind: str, values: np.ndarray) -> bytes:
-    """Encode a 1-D array of primitives into canonical wire bytes (bulk path).
-
-    *values* may be any NumPy array of a compatible numeric dtype; it is
-    cast (with C-conversion semantics for integers) to the wire dtype and
-    serialized big-endian in one vectorized operation.
-    """
-    wire = _NP_DTYPE[kind]
-    arr = np.asarray(values)
-    if arr.dtype != wire:
-        # astype with the same-width int dtype wraps modulo 2^bits, which is
-        # exactly C narrowing; widening sign-extends for signed kinds.
-        arr = arr.astype(wire, casting="unsafe")
-    return arr.tobytes()
-
-
-def decode_array(kind: str, data: bytes | memoryview, count: int, offset: int = 0) -> np.ndarray:
-    """Decode *count* primitives of *kind* from wire bytes (bulk path).
-
-    One copy total: ``frombuffer`` is a zero-copy view directly into
-    *data* at *offset* (no intermediate slice copy) and the single
-    ``.copy()`` detaches the result so callers get a writable array that
-    does not pin the wire buffer.  This is the bulk-restore hot path —
-    every linpack matrix passes through here.
-    """
-    wire = _NP_DTYPE[kind]
-    return np.frombuffer(data, dtype=wire, count=count, offset=offset).copy()
-
-
-# -- host-side format tables (compiled plan support) ----------------------------
-#
-# The compiled plans in :mod:`repro.msr.graphplan` fuse many per-cell
-# encode/decode calls into one NumPy (structured-)dtype cast.  That
-# requires the *host* representation of each primitive kind — which,
-# unlike the wire side, depends on the architecture (byte order,
-# ``long``/pointer width, ``char`` signedness).
-
-_HOST_CODE_FIXED: Final[dict[str, str]] = {
-    "uchar": "B",
-    "short": "h",
-    "ushort": "H",
-    "int": "i",
-    "uint": "I",
-    "llong": "q",
-    "ullong": "Q",
-    "float": "f",
-    "double": "d",
-}
-
-
-def host_struct_code(kind: str, arch) -> str:
-    """Host :mod:`struct` format character of *kind* on *arch* (apply with
-    the architecture's byte-order prefix)."""
-    if kind == "char":
-        return "b" if arch.char_signed else "B"
-    if kind == "long":
-        return "q" if arch.long_size == 8 else "i"
-    if kind == "ulong":
-        return "Q" if arch.long_size == 8 else "I"
-    if kind == "ptr":
-        return "Q" if arch.ptr_size == 8 else "I"
-    return _HOST_CODE_FIXED[kind]
-
-
-def host_np_dtype(kind: str, arch) -> np.dtype:
-    """Host-byte-order NumPy dtype of primitive *kind* on *arch* (matches
-    :meth:`repro.vm.memory.Memory.np_dtype` without needing a Memory)."""
-    code = host_struct_code(kind, arch)
-    np_code = {"b": "i1", "B": "u1", "h": "i2", "H": "u2", "i": "i4",
-               "I": "u4", "q": "i8", "Q": "u8", "f": "f4", "d": "f8"}[code]
-    order = "<" if arch.byteorder == "little" else ">"
-    return np.dtype(order + np_code)

@@ -84,12 +84,13 @@ class CollectStats:
     n_blocks: int = 0
     n_refs: int = 0
     n_nulls: int = 0
-    #: flat blocks saved through the reference bulk encode (plans off)
+    #: never incremented: kept for readers of the field (ROADMAP 5-I(b))
     n_flat_blocks: int = 0
-    #: blocks saved through a StructPlan
+    #: pointer-free blocks of a non-flat unit saved through a CastPlan
     n_codec_blocks: int = 0
-    #: blocks saved through a FlatPlan, PtrArrayPlan or RecordPlan, plus
-    #: every block a ChainPlan batch emitted
+    #: flat blocks saved through a CastPlan, blocks saved through a
+    #: PtrArrayPlan or RecordPlan, plus every block a ChainPlan batch
+    #: emitted
     n_plan_blocks: int = 0
     data_bytes: int = 0  # Σ Dᵢ over saved blocks (source-arch bytes)
     wire_bytes: int = 0

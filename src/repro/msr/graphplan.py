@@ -6,14 +6,14 @@ type (§3.1).  Here that function is a *plan*, compiled once by
 A plan converts data; it never follows a pointer.  The traversal
 drivers (:meth:`repro.msr.collect.Collector._drive`,
 :meth:`repro.msr.restore.Restorer._drive`) own the depth-first walk.  A
-block whose plan is ``raw`` — a :class:`FlatPlan` or :class:`StructPlan`
-whose host image is its wire image, decided once at compile time — they
-copy themselves, ``block.size`` bytes with no plan call; of the plan of
-any other block they open they ask for one of three things:
+block whose plan is ``raw`` — a :class:`CastPlan` whose host image is
+its wire image, decided once at compile time — they copy themselves,
+``block.size`` bytes with no plan call; of the plan of any other block
+they open they ask for one of three things:
 
 - nothing more — ``save`` / ``restore`` wrote (consumed) the whole
-  contents and returned ``None`` (:class:`FlatPlan`, :class:`StructPlan`:
-  blocks without pointers);
+  contents and returned ``None`` (:class:`CastPlan`: blocks without
+  pointers);
 - an iterator — ``save`` yields the pointer values the driver must
   resolve itself, ``restore`` yields once per record it needs read and
   is sent the destination address (:class:`PtrArrayPlan`: everything
@@ -24,18 +24,15 @@ any other block they open they ask for one of three things:
   ``struct.Struct`` per scalar run between two pointers, and the
   pointer cells in order.
 
-There are five plan kinds, chosen by :func:`compile_plan` from the shape
+There are four plan kinds, chosen by :func:`compile_plan` from the shape
 of the unit:
 
-- :class:`FlatPlan` — homogeneous dense primitives (``double[n]``): a
-  host-dtype view over the segment window cast in one pass and appended
-  to the wire buffer, and the mirror on restore; ``raw`` where the host
-  dtype is the wire dtype (or both are one byte wide: ``char[]``
-  everywhere).
-- :class:`StructPlan` — pointer-free units with mixed kinds or padding
-  (``struct {int a; double b;}``): two NumPy structured dtypes, one
-  vectorized cast per field for the whole block; ``raw`` where the two
-  dtypes hold the same bytes (no padding, every field its wire image).
+- :class:`CastPlan` — every pointer-free unit, flat (``double[n]``) or
+  not (``struct {int a; double b;}``): a host-dtype view over the
+  segment window cast in one pass into the wire buffer, and one cast of
+  the wire bytes into a writable view on restore; ``raw`` where the two
+  dtypes hold the same bytes (``char[]`` everywhere; no padding and
+  every cell its wire image).
 - :class:`PtrArrayPlan` — dense pointer arrays (``cell *hot[64]``): the
   pointers resolved per distinct target block (one table search each,
   never a pass over the table), NULL/REF runs written as one structured
@@ -79,10 +76,10 @@ from repro.msr.wire import (
     lead_kind,
     record_dtype,
 )
+from repro.vm.memory import host_kinds
 
 __all__ = [
-    "FlatPlan",
-    "StructPlan",
+    "CastPlan",
     "PtrArrayPlan",
     "CellRecord",
     "RecordPlan",
@@ -223,104 +220,69 @@ def _wire_image(host: np.dtype, wire: np.dtype) -> bool:
     )
 
 
-# -- flat blocks --------------------------------------------------------------
+# -- pointer-free units -------------------------------------------------------
 
 
-class FlatPlan:
-    """One vectorized cast for homogeneous dense primitive blocks."""
+class CastPlan:
+    """One NumPy cast for every pointer-free unit.
+
+    The host dtype is the kind's own for a flat unit (``double[n]``,
+    ``struct {int a, b;}``: one item per cell), else a structured dtype
+    with the cells at their real offsets and the unit's itemsize (one
+    item per unit: padding is stepped over); the wire dtype is the packed
+    big-endian image.  The cast is C-style, as ``xdr.encode`` and
+    ``Memory.store`` convert one cell: narrowing wraps modulo 2^bits,
+    widening sign-extends.  ``per_unit`` is the items per unit.
+    """
 
     #: no slots: the traversal drivers do not walk this plan's blocks
     save_slots = restore_slots = None
-    __slots__ = ("kind", "host_dtype", "wire_dtype", "raw")
+    __slots__ = ("host", "wire", "per_unit", "padded", "raw")
 
     def __init__(self, info, layout) -> None:
-        self.kind = info.flat_kind
-        self.host_dtype = xdr.host_np_dtype(self.kind, layout.arch)
-        self.wire_dtype = xdr.wire_dtype(self.kind)
-        self.raw = _wire_image(self.host_dtype, self.wire_dtype)
+        dtypes = host_kinds(layout.arch).dtypes
+        if info.flat_kind is not None:
+            self.host = dtypes[info.flat_kind]
+            self.wire = xdr.wire_dtype(info.flat_kind)
+            self.per_unit = info.cell_count
+        else:
+            cells = info.cells
+            names = [f"c{i}" for i in range(len(cells))]
+            self.host = np.dtype({
+                "names": names,
+                "formats": [dtypes[c.kind] for c in cells],
+                "offsets": [c.offset for c in cells],
+                "itemsize": info.unit_size,
+            })
+            self.wire = np.dtype({
+                "names": names, "formats": [xdr.wire_dtype(c.kind) for c in cells],
+            })
+            self.per_unit = 1
+        #: bytes no cell covers, which a restore must zero
+        self.padded = self.host.itemsize * self.per_unit != sum(
+            dtypes[c.kind].itemsize for c in info.cells
+        )
+        self.raw = _wire_image(self.host, self.wire)
 
     def save(self, collector, block, info) -> None:
-        n = info.cells_in(block.count)
-        image = collector.memory.view(block.addr, n * self.host_dtype.itemsize)
-        # one casting pass, then one append of its result
-        src = np.frombuffer(image, dtype=self.host_dtype, count=n)
-        collector.buf.write_ndarray(src, self.wire_dtype)
-        del src
-        collector.stats.n_plan_blocks += 1
+        n = info.units_in(block.count) * self.per_unit
+        image = collector.memory.view(block.addr, n * self.host.itemsize)
+        collector.buf.write_ndarray(np.frombuffer(image, self.host, n), self.wire)
+        if info.flat_kind is None:
+            collector.stats.n_codec_blocks += 1
+        else:
+            collector.stats.n_plan_blocks += 1
 
     def restore(self, restorer, block, info) -> None:
-        n = info.cells_in(block.count)
-        data = restorer.buf.read(n * self.wire_dtype.itemsize)
-        src = np.frombuffer(data, dtype=self.wire_dtype, count=n)
-        # transient writable view over the segment window (materialized
-        # first, so no resize can happen while the view is alive)
-        dst = restorer.memory.array_view(self.kind, block.addr, n)
-        dst[:] = src
-        del dst
-
-
-# -- pointer-free structs -----------------------------------------------------
-
-
-class StructPlan:
-    """Whole-block vectorized codec for pointer-free, non-flat units.
-
-    The host side is a NumPy structured dtype with the unit's real field
-    offsets and itemsize (so struct padding is stepped over for free);
-    the wire side is the packed big-endian image.  Encoding an entire
-    block is then ``len(cells)`` vectorized field casts, independent of
-    the number of units — the same O(fields) shape the flat plan has.
-    """
-
-    save_slots = restore_slots = None
-    __slots__ = ("src_dtype", "wire_dtype", "names", "wire_unit_size", "raw")
-
-    def __init__(self, info, layout) -> None:
-        cells, arch = info.cells, layout.arch
-        self.names = tuple(f"c{i}" for i in range(len(cells)))
-        self.src_dtype = np.dtype({
-            "names": list(self.names),
-            "formats": [xdr.host_np_dtype(c.kind, arch) for c in cells],
-            "offsets": [c.offset for c in cells],
-            "itemsize": info.unit_size,
-        })
-        wire_offsets, off = [], 0
-        for c in cells:
-            wire_offsets.append(off)
-            off += xdr.wire_sizeof(c.kind)
-        self.wire_unit_size = off
-        self.wire_dtype = np.dtype({
-            "names": list(self.names),
-            "formats": [xdr.wire_dtype(c.kind) for c in cells],
-            "offsets": wire_offsets,
-            "itemsize": off,
-        })
-        # no padding and every field at its wire width and byte order
-        self.raw = _wire_image(self.src_dtype, self.wire_dtype)
-
-    def save(self, collector, block, info) -> None:
-        n = info.units_in(block.count)
-        image = collector.memory.view(block.addr, n * info.unit_size)
-        src = np.frombuffer(image, dtype=self.src_dtype, count=n)
-        out = np.zeros(n, dtype=self.wire_dtype)
-        for name in self.names:
-            # field assignment casts C-style: narrowing wraps modulo
-            # 2^bits, widening sign-extends — same as xdr.encode
-            out[name] = src[name]
-        collector.buf.write(out.tobytes())
-        collector.stats.n_codec_blocks += 1
-
-    def restore(self, restorer, block, info) -> None:
-        n = info.units_in(block.count)
-        data = restorer.buf.read(n * self.wire_unit_size)
-        wire = np.frombuffer(data, dtype=self.wire_dtype, count=n)
-        # zeros, not empty: struct padding must restore deterministically
-        out = np.zeros(n, dtype=self.src_dtype)
-        for name in self.names:
-            out[name] = wire[name]
-        # one copy, through a writable view (a bytearray slice
-        # assignment takes twice as long on a large block)
-        restorer.memory.write_view(block.addr, out.nbytes)[:] = memoryview(out).cast("B")
+        n = info.units_in(block.count) * self.per_unit
+        memory = restorer.memory
+        data = restorer.buf.read(n * self.wire.itemsize)
+        if self.padded:
+            memory.zero(block.addr, n * self.host.itemsize)
+        # one cast into a transient writable view over the segment window
+        # (materialized first, so no resize can happen while it is alive)
+        dst = memory.write_view(block.addr, n * self.host.itemsize)
+        np.frombuffer(dst, self.host, n)[...] = np.frombuffer(data, self.wire, n)
 
 
 # -- pointer arrays -----------------------------------------------------------
@@ -597,7 +559,6 @@ class ChainPlan:
     )
 
     def __init__(self, info, layout) -> None:
-        arch = layout.arch
         self.info = info
         self.size = info.size
         self.tail_off = info.cells[-1].offset
@@ -625,9 +586,9 @@ class ChainPlan:
         #: host structured dtypes (all cells at their real offsets, one
         #: field per cell plus the tail) keyed by element stride
         self.host_dtype_cache: dict[int, np.dtype] = {}
+        dtypes = host_kinds(layout.arch).dtypes
         self.host_fields = tuple(
-            (f"h{j}", xdr.host_np_dtype(c.kind, arch), c.offset)
-            for j, c in enumerate(info.cells)
+            (f"h{j}", dtypes[c.kind], c.offset) for j, c in enumerate(info.cells)
         )
 
     def _host_dtype(self, stride: int) -> np.dtype:
@@ -1134,10 +1095,11 @@ class RecordPlan(CellRecord):
 
     def __init__(self, info, layout) -> None:
         arch = layout.arch
+        codes = host_kinds(arch).codes
         fmt = "<" if arch.byteorder == "little" else ">"
         end = 0
         for cell in info.cells:
-            code = "b" if cell.kind == "char" else xdr.host_struct_code(cell.kind, arch)
+            code = "b" if cell.kind == "char" else codes[cell.kind]
             fmt += f"{cell.offset - end}x{code}"
             end = cell.offset + arch.sizeof(cell.kind)
         self.host = struct.Struct(fmt + f"{info.unit_size - end}x")
@@ -1179,13 +1141,11 @@ def compile_plan(info, layout):
     """Compile the content plan for one (TypeInfo, architecture), or
     ``None`` for a type without cells (nothing to convert).  Called only
     by ``TITable.plan_for``."""
-    if info.flat_kind is not None:
-        return FlatPlan(info, layout)
     cells = info.cells
     if not cells:
         return None
     if not info.has_pointers:
-        return StructPlan(info, layout)
+        return CastPlan(info, layout)
     if (
         info.cell_count == 1
         and cells[0].offset == 0

@@ -12,11 +12,10 @@ so the record stays O(sizeof(unit)) even for an 8 MB matrix: a block of
 
 The performance-critical classification is the *flat primitive kind*:
 when a type is a homogeneous dense run of one primitive (``double[n]``,
-``int``, ``struct {int a; int b;}``) its blocks take the **bulk path** —
-a single vectorized NumPy read/byteswap instead of a per-cell Python
-loop.  This keeps collecting an 8 MB linpack matrix at memory-bandwidth
-speed (Figure 2(a)'s linear regime); pointer-bearing blocks go through
-the general cell-by-cell saving function.
+``int``, ``struct {int a; int b;}``) its plan casts the block as an
+array of that kind — a single vectorized NumPy read/byteswap instead of
+a per-cell Python loop.  This keeps collecting an 8 MB linpack matrix at
+memory-bandwidth speed (Figure 2(a)'s linear regime).
 
 One TI table is shared by every process of a program on one architecture
 (it is a pure cache over the type graph).
@@ -28,7 +27,7 @@ The paper's TI table holds one saving and one restoring function per
 type.  Here that pair is a *plan* object, compiled the first time a
 block of the type is saved or restored and cached on the
 :class:`TypeInfo`: :meth:`TITable.plan_for` is the only place a content
-strategy is chosen (the five plan kinds and the shapes they compile for
+strategy is chosen (the four plan kinds and the shapes they compile for
 are in :mod:`repro.msr.graphplan`; DESIGN.md §8).  A plan converts a
 block's data and never follows a pointer: the depth-first walk belongs
 to the traversal drivers in :mod:`repro.msr.collect` and
@@ -89,8 +88,9 @@ def flat_prim_kind(ctype: CType, layout: TypeLayout) -> Optional[str]:
 
     Returns e.g. ``"double"`` for ``double`` or ``double[100]``, or
     ``None`` when the type contains pointers, mixed kinds, or padding
-    (then the general cell path must be used).  Computed structurally on
-    the *unit* type, so it is O(unit fields) even for huge arrays.
+    (then a plan converts whole units, or walks them).  Computed
+    structurally on the *unit* type, so it is O(unit fields) even for
+    huge arrays.
     """
     unit, _repeat = unit_of(ctype)
     if isinstance(unit, PrimType):
@@ -125,7 +125,7 @@ class TypeInfo:
     repeat: int  # units per single ctype value
     cells: tuple[Cell, ...]  # cells of ONE unit
     cell_count: int  # len(cells)
-    #: homogeneous dense primitive kind (bulk path) or None (cell path)
+    #: homogeneous dense primitive kind (cast as an array of it) or None
     flat_kind: Optional[str]
     #: True when the unit contains at least one pointer cell
     has_pointers: bool
@@ -278,54 +278,12 @@ class TITable:
 
     def reference_for(self, info: TypeInfo):
         """The per-cell reference of :meth:`plan_for`'s answer, with the
-        same interface: the bulk XDR encode for a flat type, a
-        :class:`~repro.msr.graphplan.CellRecord` for any other.  What a
-        pass runs when ``plans_enabled`` is off."""
+        same interface: a :class:`~repro.msr.graphplan.CellRecord`, one
+        ``Memory.load`` + ``xdr.encode`` (``xdr.decode`` +
+        ``Memory.store``) per cell, whatever the type's shape (``None``
+        for a type without cells).  What a pass runs when
+        ``plans_enabled`` is off."""
         ref = info.reference
         if ref is _UNCOMPILED:
-            if info.flat_kind is not None:
-                ref = _FlatReference(self)
-            else:
-                ref = CellRecord(info) if info.cells else None
-            info.reference = ref
+            ref = info.reference = CellRecord(info) if info.cells else None
         return ref
-
-    # -- the memory block saving/restoring functions ---------------------------------
-
-    # The reference encoding of flat blocks (the plans-off oracle for
-    # FlatPlan): read-copy, then encode-copy.
-
-    def save_flat(self, memory, block_addr: int, kind: str, n: int) -> bytes:
-        """Encode *n* primitives of *kind* at *block_addr* into the
-        machine-independent format in one vectorized operation."""
-        values = memory.read_array(kind, block_addr, n)
-        return xdr.encode_array(kind, values)
-
-    def restore_flat(self, memory, block_addr: int, kind: str, n: int, data) -> None:
-        """Inverse of :meth:`save_flat`: decode and write *n* primitives."""
-        values = xdr.decode_array(kind, data, n)
-        memory.write_array(kind, block_addr, values)
-
-
-class _FlatReference:
-    """:meth:`TITable.save_flat` / :meth:`TITable.restore_flat` behind the
-    plan interface."""
-
-    save_slots = restore_slots = None
-    raw = False
-    __slots__ = ("ti",)
-
-    def __init__(self, ti: TITable) -> None:
-        self.ti = ti
-
-    def save(self, collector, block, info) -> None:
-        n = info.cells_in(block.count)
-        collector.buf.write(
-            self.ti.save_flat(collector.memory, block.addr, info.flat_kind, n)
-        )
-        collector.stats.n_flat_blocks += 1
-
-    def restore(self, restorer, block, info) -> None:
-        n = info.cells_in(block.count)
-        raw = restorer.buf.read(n * xdr.wire_sizeof(info.flat_kind))
-        self.ti.restore_flat(restorer.memory, block.addr, info.flat_kind, n, raw)

@@ -20,21 +20,22 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import Final
+from typing import Final, NamedTuple
 
 import numpy as np
 
 from repro.arch.machine import MachineArch
 
-__all__ = ["Memory", "MemoryFault", "Segment"]
+__all__ = ["HostKinds", "Memory", "MemoryFault", "Segment", "host_kinds"]
 
 
 class MemoryFault(Exception):
     """Invalid simulated memory access (the equivalent of SIGSEGV)."""
 
 
+#: host struct code per kind; plain ``char``, ``long``, ``ulong`` and
+#: ``ptr`` are the data model's (:func:`host_kinds`)
 _STRUCT_CODE: Final[dict[str, str]] = {
-    "char": "b",  # signedness of plain char fixed up per arch in __init__
     "uchar": "B",
     "short": "h",
     "ushort": "H",
@@ -46,49 +47,48 @@ _STRUCT_CODE: Final[dict[str, str]] = {
     "double": "d",
 }
 
-_NP_CODE: Final[dict[str, str]] = {
-    "char": "i1",
-    "uchar": "u1",
-    "short": "i2",
-    "ushort": "u2",
-    "int": "i4",
-    "uint": "u4",
-    "llong": "i8",
-    "ullong": "u8",
-    "float": "f4",
-    "double": "f8",
-}
+
+class HostKinds(NamedTuple):
+    """The host representation of every primitive kind in one data model
+    (byte order, plain ``char`` signedness, ``long`` and pointer width)."""
+
+    #: ``struct`` format character (apply with the byte-order prefix)
+    codes: dict[str, str]
+    packers: dict[str, struct.Struct]
+    #: the interpreter's inline-path pairs ``kind -> (bound unpack_from
+    #: | pack_into, size)``
+    unpack: dict[str, tuple]
+    pack: dict[str, tuple]
+    #: NumPy dtype, byte order included
+    dtypes: dict[str, np.dtype]
 
 
 @functools.cache
-def _kind_tables(byteorder: str, char_signed: bool, long_size: int, ptr_size: int):
-    """Per-kind codecs of one data model, built once per model and shared
-    read-only by every :class:`Memory` of it: the ``struct`` packers, the
-    interpreter's inline-path pairs ``kind -> (bound unpack_from |
-    pack_into, size)``, and the NumPy dtypes."""
+def _host_kinds(byteorder: str, char_signed: bool, long_size: int, ptr_size: int) -> HostKinds:
     order = "<" if byteorder == "little" else ">"
-    codes = dict(_STRUCT_CODE)
-    codes["char"] = "b" if char_signed else "B"
-    codes["long"] = "q" if long_size == 8 else "i"
-    codes["ulong"] = "Q" if long_size == 8 else "I"
-    codes["ptr"] = "Q" if ptr_size == 8 else "I"
-    packers: dict[str, struct.Struct] = {
-        kind: struct.Struct(order + code) for kind, code in codes.items()
-    }
-    np_codes = dict(_NP_CODE)
-    np_codes["char"] = "i1" if char_signed else "u1"
-    np_codes["long"] = "i8" if long_size == 8 else "i4"
-    np_codes["ulong"] = "u8" if long_size == 8 else "u4"
-    np_codes["ptr"] = "u8" if ptr_size == 8 else "u4"
-    np_dtypes: dict[str, np.dtype] = {
-        kind: np.dtype(order + code) for kind, code in np_codes.items()
-    }
-    return (
+    codes = dict(
+        _STRUCT_CODE,
+        char="b" if char_signed else "B",
+        long="q" if long_size == 8 else "i",
+        ulong="Q" if long_size == 8 else "I",
+        ptr="Q" if ptr_size == 8 else "I",
+    )
+    packers = {kind: struct.Struct(order + code) for kind, code in codes.items()}
+    return HostKinds(
+        codes,
         packers,
         {k: (p.unpack_from, p.size) for k, p in packers.items()},
         {k: (p.pack_into, p.size) for k, p in packers.items()},
-        np_dtypes,
+        # numpy reads the struct codes as its own type characters
+        {kind: np.dtype(order + code) for kind, code in codes.items()},
     )
+
+
+def host_kinds(arch: MachineArch) -> HostKinds:
+    """The per-kind codecs of *arch*'s data model, built once per model
+    and shared read-only by every :class:`Memory` of it and by the
+    compiled content plans."""
+    return _host_kinds(arch.byteorder, arch.char_signed, arch.long_size, arch.ptr_size)
 
 
 #: heap allocation granularity / alignment
@@ -223,9 +223,9 @@ class Memory:
         # normally computes global addresses statically)
         self._global_brk = gbase
 
-        self._packers, self._unpack, self._pack, self._np_dtypes = _kind_tables(
-            arch.byteorder, arch.char_signed, arch.long_size, arch.ptr_size
-        )
+        kinds = host_kinds(arch)
+        self._packers, self._unpack, self._pack = kinds.packers, kinds.unpack, kinds.pack
+        self._np_dtypes = kinds.dtypes
 
         #: pre-copy write barrier: when a DirtyTracker is installed here,
         #: every mutating entry point reports its written byte range.

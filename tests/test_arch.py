@@ -108,19 +108,16 @@ class TestXDR:
         assert xdr.decode("char", xdr.encode("char", 257)) == 1
         assert xdr.decode("uchar", xdr.encode("uchar", -1)) == 255
 
-    def test_bulk_roundtrip_matches_scalar(self):
-        values = np.array([0.0, -1.25, 3.5e300, 1e-300], dtype="<f8")
-        data = xdr.encode_array("double", values)
-        scalar = b"".join(xdr.encode("double", float(v)) for v in values)
-        assert data == scalar
-        back = xdr.decode_array("double", data, len(values))
-        np.testing.assert_array_equal(back, values)
-
-    def test_bulk_int_narrowing(self):
-        values = np.array([1, 2**31, -1], dtype="<i8")
-        data = xdr.encode_array("int", values)
-        back = xdr.decode_array("int", data, 3)
-        assert list(back) == [1, -(2**31), -1]
+    @pytest.mark.parametrize("kind", sorted(xdr.WIRE_SIZES))
+    def test_wire_dtype_is_the_scalar_encoding(self, kind):
+        """The dtype the plans cast to holds exactly the bytes
+        ``xdr.encode`` writes, value by value, at ``wire_sizeof``."""
+        values = [0, 1, -1, 127, -128] if kind not in ("float", "double") else [
+            0.0, -0.0, -1.25, 3.0e38, 1e-45, float("inf")]
+        dtype = xdr.wire_dtype(kind)
+        assert dtype.itemsize == xdr.wire_sizeof(kind)
+        cast = np.array(values).astype(dtype, casting="unsafe").tobytes()
+        assert cast == b"".join(xdr.encode(kind, v) for v in values)
 
     @given(st.integers(min_value=-(2**31), max_value=2**31 - 1))
     def test_int_roundtrip_property(self, value):

@@ -1,5 +1,6 @@
 """Every example script must run clean (deliverable b stays green)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,11 @@ def test_example_runs(script):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "example produced no output"
+    if script.name == "linpack_migration.py":
+        # the matrix and vectors go out through the cast plan, and every
+        # block it converted or copied is booked
+        booked = re.search(r"blocks on a compiled plan: (\d+) of (\d+)", result.stdout)
+        assert booked and 0 < int(booked.group(1)) == int(booked.group(2)), result.stdout
 
 
 def test_examples_exist():

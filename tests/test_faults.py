@@ -37,7 +37,7 @@ from repro.migration.transport import (
     LOOPBACK,
     SocketChannel,
 )
-from repro.msr.graphplan import FlatPlan
+from repro.msr.graphplan import CastPlan
 from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError as MsrRestoreError
 from repro.obs import validate_trace_lines
@@ -884,12 +884,12 @@ class TestRestorerFault:
         raises like a programming error does fails the migration in its
         first attempt, and the source runs on.  The destination is
         little-endian LP64, where ``double table[120]`` converts through
-        FlatPlan.restore (a big-endian ILP32 one copies it instead)."""
+        CastPlan.restore (a big-endian ILP32 one copies it instead)."""
 
         def restore(self, restorer, block, info):
             raise bug
 
-        monkeypatch.setattr(FlatPlan, "restore", restore)
+        monkeypatch.setattr(CastPlan, "restore", restore)
         proc = stopped(prog)
         with pytest.raises(MigrationError, match="not retried") as excinfo:
             MigrationEngine().migrate(

@@ -1,11 +1,11 @@
-"""Compiled content plans (DESIGN §8): one plan per type, five kinds.
+"""Compiled content plans (DESIGN §8): one plan per type, four kinds.
 
 Contracts under test:
 
 - **Byte identity** — plans never change a single wire byte: the
   plans-on payload equals the plans-off (per-cell oracle) payload on
   every workload × architecture pair, restores through either side,
-  and resumes to the unmigrated output; each of the five plan kinds
+  and resumes to the unmigrated output; each of the four plan kinds
   must actually engage, so a plan that silently stops compiling cannot
   pass (the corpus-wide version lives in test_difftest_corpus.py).
 - **Chain backoff** — a miss is booked before the traversal descends,
@@ -50,11 +50,10 @@ from repro.migration.transport import LOOPBACK, Channel
 from repro.msr import graphplan
 from repro.msr.collect import Collector
 from repro.msr.graphplan import (
+    CastPlan,
     ChainPlan,
-    FlatPlan,
     PtrArrayPlan,
     RecordPlan,
-    StructPlan,
 )
 from repro.msr.msrlt import MSRLT, BlockKind, MemoryBlock, MSRLTError
 from repro.msr.restore import Restorer
@@ -76,7 +75,7 @@ from tests.conftest import (
     table_state,
 )
 
-PLAN_KINDS = (FlatPlan, StructPlan, PtrArrayPlan, RecordPlan)
+PLAN_KINDS = (CastPlan, PtrArrayPlan, RecordPlan)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def engaged(monkeypatch):
     """Count, per plan class and side, the blocks it converted (for a
     RecordPlan, which the traversal driver walks: the units it loaded or
     stored, through the plan's methods or its one-call codec) or the
-    driver copied (a ``raw`` FlatPlan or StructPlan: every block of its
+    driver copied (a ``raw`` CastPlan: every block of its
     type the pass collected or restored, counted when the pass ends),
     plus the chain batches that committed.  ``counts[key, "calls"]`` is
     how often each was tried."""
@@ -169,7 +168,7 @@ def engaged(monkeypatch):
     def counting(cls, name, key, took=lambda result: True):
         monkeypatch.setattr(cls, name, counted(getattr(cls, name), key, took))
 
-    for cls in (FlatPlan, StructPlan, PtrArrayPlan):
+    for cls in (CastPlan, PtrArrayPlan):
         counting(cls, "save", (cls, "save"))
         counting(cls, "restore", (cls, "restore"))
     counting(RecordPlan, "load", (RecordPlan, "save"))
@@ -229,7 +228,7 @@ class TestPlanByteIdentity:
         scalars and the grid are ``raw``: the driver copies them, and
         the copies count."""
         assert_plans_invisible(*WORKLOADS["structgrid"], DEC5000, SPARC20)
-        assert engaged[(FlatPlan, "restore"), "calls"] == 0  # every one a copy
+        assert engaged[(CastPlan, "restore"), "calls"] == 0  # every one a copy
         for cls in PLAN_KINDS:
             assert engaged[cls, "save"] > 0, f"{cls.__name__} never saved a block"
             assert engaged[cls, "restore"] > 0, f"{cls.__name__} never restored one"
@@ -781,7 +780,7 @@ int main() {
 
 
 class TestSmallFlatBlocks:
-    """FlatPlan takes flat blocks of every size (the ``MIN_BULK_CELLS``
+    """CastPlan takes flat blocks of every size (the ``MIN_BULK_CELLS``
     decline that used to route 1-15 cell blocks around it is gone)."""
 
     @pytest.mark.parametrize(
@@ -801,7 +800,7 @@ class TestSmallFlatBlocks:
     ):
         """Chunks smaller than every block, so each flat block — the
         lone int, the 3-char string — straddles a chunk boundary on the
-        wire; joined, it restores through FlatPlan.restore's cast (the
+        wire; joined, it restores through CastPlan.restore's cast (the
         ``long`` array, 8 wire bytes to 4 host bytes) or as the driver's
         copy (every other flat type: the big-endian ILP32 destination's
         host image is its wire image).  Copies count as engagements."""
@@ -815,7 +814,7 @@ class TestSmallFlatBlocks:
         assert b"".join(bytes(c) for c in chunks) == payload
         dest = Process(prog, dst_arch)
         restore_state_stream(prog, iter(chunks), dest)
-        assert engaged[FlatPlan, "restore"] >= 8
+        assert engaged[CastPlan, "restore"] >= 8
         assert dest.run().status == "exit"
         assert dest.stdout == expected.stdout
 
@@ -930,7 +929,7 @@ class TestCopiedUnits:
 
     @pytest.mark.parametrize("name", ["grid", "heapm"])
     def test_a_converting_struct_restore_marks_its_whole_span(self, name):
-        """A StructPlan that converts (a big-endian struct landing on a
+        """A CastPlan that converts (a big-endian struct landing on a
         little-endian destination) writes its block through one writable
         view: under a pre-copy write barrier that marks every byte of the
         block, a global's and a heap block's alike."""
@@ -950,8 +949,139 @@ class TestCopiedUnits:
                 b for b in dest.msrlt.heap_blocks() if str(b.elem_type) == "struct mixed"
             ]
         plan = dest.ti.plan_for(dest.ti.info_for(block.elem_type))
-        assert isinstance(plan, StructPlan) and not plan.raw
+        assert isinstance(plan, CastPlan) and plan.host.names and not plan.raw
         assert any(lo <= block.addr and block.end <= hi for lo, hi in tracker.take())
+
+
+#: per primitive kind, its C type, the edge values an array of it holds
+#: and how one element prints the same on every preset: a ``long`` of
+#: 2^40 + 5 narrows modulo 2^32 from LP64 to ILP32 and prints its low
+#: word, plain ``char`` 0x80 is 128 on alpha and -128 elsewhere and
+#: prints its byte, and a NaN's payload prints through the integer of
+#: its width (one host byte order, so the same digits everywhere)
+EDGE_KINDS = {
+    "char": ("char", ["(char) 128", "(char) 127"], "%d", "{} & 255"),
+    "uchar": ("unsigned char", ["(unsigned char) 255", "(unsigned char) 0"], "%d", "{}"),
+    "short": ("short", ["(short) -32768", "(short) 32767"], "%d", "{}"),
+    "ushort": ("unsigned short", ["(unsigned short) 65535", "(unsigned short) 1"],
+               "%d", "{}"),
+    "int": ("int", ["-2147483647 - 1", "2147483647"], "%d", "{}"),
+    "uint": ("unsigned int", ["(unsigned int) -1", "(unsigned int) 2147483648"],
+             "%u", "{}"),
+    "long": ("long", ["big", "-big"], "%d", "(int) {}"),
+    "ulong": ("unsigned long", ["(unsigned long) -1", "(unsigned long) big"],
+              "%u", "(unsigned int) {}"),
+    "llong": ("long long", ["(long long) big * -256", "(long long) -1"], "%d", "{}"),
+    "ullong": ("unsigned long long", ["(unsigned long long) -1", "(unsigned long long) big"],
+               "%u", "{}"),
+    "float": ("float", ["-0.0f", "1.0f / fzero", "-1.0f / fzero", "1.0e-40f", "0.0f"],
+              "%g", "{}"),
+    "double": ("double", ["-0.0", "1.0 / zero", "-1.0 / zero", "4.9e-324", "0.0"],
+               "%g", "{}"),
+}
+
+
+def edge_values_source() -> str:
+    """A global, a local and a heap array of every primitive kind, each
+    holding :data:`EDGE_KINDS`' values; the last ``float`` and ``double``
+    of each array is then overwritten with a quiet NaN carrying a
+    payload."""
+    globals_, locals_, fills, prints = [], [], [], []
+    for kind, (ctype, values, conv, show) in EDGE_KINDS.items():
+        n = len(values)
+        globals_.append(f"{ctype} g_{kind}[{n}];")
+        locals_.append(f"    {ctype} s_{kind}[{n}]; {ctype} *h_{kind};")
+        fills.append(f"    h_{kind} = ({ctype} *) malloc({n} * sizeof({ctype}));")
+        for where in ("g", "s", "h"):
+            fills += [f"    {where}_{kind}[{i}] = {value};" for i, value in enumerate(values)]
+            prints.append(f'    printf("{kind}:");')
+            prints += [f'    printf(" {conv}", {show.format(f"{where}_{kind}[{i}]")});'
+                       for i in range(n)]
+    for where in ("g", "s", "h"):
+        fills += [
+            f"    fbits = (unsigned int *) &{where}_float[4];",
+            "    *fbits = 2143289635;  /* 0x7fc00123 */",
+            f"    dbits = (unsigned long long *) &{where}_double[4];",
+            "    *dbits = 9221120237041090851ULL;  /* 0x7ff8000000000123 */",
+        ]
+        prints += [
+            f"    fbits = (unsigned int *) &{where}_float[4];",
+            f"    dbits = (unsigned long long *) &{where}_double[4];",
+            '    printf(" nan %u %u\\n", *fbits, *dbits);',
+        ]
+    return "\n".join([
+        *globals_,
+        "int main() {",
+        "    long big; int i; float fzero; double zero;",
+        "    unsigned int *fbits; unsigned long long *dbits;",
+        *locals_,
+        "    big = 1; for (i = 0; i < 40; i++) big = big * 2;",
+        "    big = big + 5; fzero = 0.0f; zero = 0.0;",
+        *fills,
+        "    migrate_here();",
+        *prints,
+        "    return 0;",
+        "}",
+    ])
+
+
+#: a padded pointer-free struct the cast plan converts on every preset
+PADDED_HEAP_SRC = r"""
+struct gap { char c; double d; };
+struct gap *cells;
+int main() {
+    int i;
+    cells = (struct gap *) malloc(6 * sizeof(struct gap));
+    for (i = 0; i < 6; i++) { cells[i].c = (char) (65 + i); cells[i].d = i * -1.5; }
+    migrate_here();
+    for (i = 0; i < 6; i++) printf("%c%g ", cells[i].c, cells[i].d);
+    return 0;
+}
+"""
+
+ALL_PAIRS = list(itertools.permutations(ALL_ARCHS, 2))
+
+
+class TestCastEdges:
+    """The cast against the per-cell oracle where conversions break, and
+    the padding a cast restore owes over reused memory."""
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}")
+    def test_edge_values_of_every_kind(self, pair):
+        assert_plans_invisible(edge_values_source(), 1, *pair)
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}")
+    def test_padding_restores_as_zeros_over_a_recycled_block(self, pair):
+        """The destination's free list holds a 0xff-filled block of the
+        array's size class: the restore recycles it, as ``malloc``
+        would, and the cast leaves no byte of it in the padding."""
+        src_arch, dst_arch = pair
+        proc = stopped_at(PADDED_HEAP_SRC, 1, src_arch)
+        prog = proc.program
+        expected = Process(prog, src_arch)
+        expected.run_to_completion()
+        payload, _ = collect_state(proc)
+        dest = Process(prog, dst_arch)
+        (ctype,) = {b.elem_type for b in proc.msrlt.heap_blocks()}
+        info = dest.ti.info_for(ctype)
+        size = 6 * info.size
+        dirty = dest.memory.heap_alloc(size)
+        dest.memory.write_bytes(dirty, b"\xff" * size)
+        dest.memory.heap_free(dirty)
+        restore_state(prog, payload, dest)
+        (block,) = dest.msrlt.heap_blocks()
+        assert block.addr == dirty and block.size == size
+        plan = dest.ti.plan_for(info)
+        assert isinstance(plan, CastPlan) and plan.padded
+        raw = dest.memory.read_bytes(block.addr, size)
+        c_end = info.cells[0].offset + 1
+        for unit in range(6):
+            base = unit * info.unit_size
+            assert raw[base + c_end : base + info.cells[1].offset] == bytes(
+                info.cells[1].offset - c_end
+            )
+        assert dest.run().status == "exit"
+        assert dest.stdout == expected.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.clang.ctypes import (
     StructType,
     TypeLayout,
 )
+from repro.msr.graphplan import CellRecord
 from repro.msr.msrlt import BlockKind
 from repro.msr.ti import TITable, TypeIdError, flat_prim_kind
 from repro.msr.wire import RECORDS, TAG_BLOCK, lead_fault
@@ -162,26 +163,20 @@ class TestTypeInfo:
         assert proc.stdout == "1.5"
 
 
-class TestBulkPath:
-    def test_save_restore_flat_cross_endian(self):
-        """Bulk encode on little-endian, bulk decode on big-endian."""
-        import numpy as np
-
-        from repro.vm.memory import Memory
-
-        prog = FakeProgram([ArrayType(DOUBLE, 64)])
-        src_mem = Memory(DEC5000)
-        dst_mem = Memory(SPARC20)
-        ti_src = TITable(prog, TypeLayout(DEC5000))
-        ti_dst = TITable(prog, TypeLayout(SPARC20))
-
-        a = src_mem.heap_alloc(512)
-        values = np.linspace(-1.0, 1.0, 64)
-        src_mem.write_array("double", a, values)
-
-        wire = ti_src.save_flat(src_mem, a, "double", 64)
-        b = dst_mem.heap_alloc(512)
-        ti_dst.restore_flat(dst_mem, b, "double", 64, wire)
-
-        back = dst_mem.read_array("double", b, 64)
-        np.testing.assert_array_equal(back.astype("<f8"), values)
+class TestReference:
+    @pytest.mark.parametrize(
+        "ctype",
+        [DOUBLE, ArrayType(DOUBLE, 64), StructType("pair", [("a", INT), ("b", INT)]),
+         StructType("gap", [("c", CHAR), ("d", DOUBLE)]),
+         ArrayType(PointerType(INT), 4)],
+        ids=["double", "double[64]", "flat struct", "padded struct", "int *[4]"],
+    )
+    def test_every_reference_converts_cell_by_cell(self, ctype):
+        """The plans-off oracle has no bulk case: a flat block is
+        ``Memory.load`` + ``xdr.encode`` per cell like any other, so the
+        plans-on/off identity checks the cast of every pointer-free unit."""
+        ti = TITable(FakeProgram([ctype]), TypeLayout(DEC5000))
+        info = ti.info_for(ctype)
+        ref = ti.reference_for(info)
+        assert type(ref) is CellRecord and ref.info is info
+        assert type(ti.plan_for(info)) is not CellRecord

@@ -653,10 +653,11 @@ class TestHostileRecords:
             allocated.append(size * n)
             return heap_carve(memory, size, n)
 
-        monkeypatch.setattr(Memory, "heap_carve", counting)
         proc = _ring_stopped()
         waiting = Process(_RING, SPARC20, name="the-waiter")
         waiting.load()
+        # counted from here: the source's own mallocs are not the restorer's
+        monkeypatch.setattr(Memory, "heap_carve", counting)
         with pytest.raises(MigrationAbortedError) as excinfo:
             MigrationEngine().migrate(
                 proc, SPARC20, waiting=waiting,
@@ -664,7 +665,8 @@ class TestHostileRecords:
             )
         assert excinfo.value.attempts == 2
         assert isinstance(excinfo.value.last_error, engine_module.RestoreError)
-        # both attempts together asked the heap for less than one payload
+        # both restore attempts together asked the heap for less than one
+        # payload
         assert sum(allocated) <= len(_RING_PAYLOAD)
         # (and it was asked: only a lie in the first record's header is
         # refused before any block is carved)
