@@ -118,10 +118,10 @@ def test_bulk_vs_general_block_path(benchmark, report, n):
     benchmark(lambda: collect_state(proc))
     payload, cinfo = collect_state(proc)
     # a flat block is cast by its CastPlan (or copied by the driver where
-    # its host bytes are its wire bytes), booked in n_plan_blocks either
+    # its host bytes are its wire bytes), booked in n_codec_blocks either
     # way; n_flat_blocks is never incremented
     report(
-        f"Ablation/bulk-xdr n={n * 64} doubles: plan_blocks="
-        f"{cinfo.stats.n_plan_blocks} wire={len(payload)}B"
+        f"Ablation/bulk-xdr n={n * 64} doubles: codec_blocks="
+        f"{cinfo.stats.n_codec_blocks} wire={len(payload)}B"
     )
-    assert cinfo.stats.n_plan_blocks >= 1
+    assert cinfo.stats.n_codec_blocks >= 1

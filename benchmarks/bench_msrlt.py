@@ -18,7 +18,7 @@ from repro.clang.ctypes import DOUBLE, INT, TypeLayout
 from repro.msr.collect import Collector
 from repro.msr.graphplan import CastPlan
 from repro.msr.msrlt import MSRLT
-from repro.vm.memory import Memory
+from repro.vm.memory import Memory, host_kinds
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 
@@ -103,7 +103,8 @@ def test_encode_and_copy(benchmark, nbytes):
     proc = Process(prog, DEC5000)
     proc.load()
     (block,) = [b for b in proc.msrlt.blocks() if b.name == "data"]
-    proc.memory.write_array("double", block.addr, np.linspace(0, 1, n))
+    host = host_kinds(DEC5000).dtypes["double"]
+    np.frombuffer(proc.memory.write_view(block.addr, block.size), host)[...] = np.linspace(0, 1, n)
     plan = proc.ti.plan_for(proc.ti.info_for(block.elem_type))
     assert isinstance(plan, CastPlan) and not plan.raw
 

@@ -43,10 +43,9 @@ def main() -> None:
           f"{st.restore_time:8.4f}")
     print(f"  {st.n_blocks} MSR nodes carried {st.data_bytes} data bytes "
           f"({st.payload_bytes} on the wire) — few nodes, each large (§4.2)")
-    planned = st.collect.n_plan_blocks + st.collect.n_codec_blocks
-    print(f"  blocks on a compiled plan: {planned} of {st.n_blocks} "
-          f"(a dense array is one NumPy cast, or a copy where its host "
-          f"bytes are its wire bytes)")
+    print(f"  of {st.n_blocks} blocks, {st.collect.n_codec_blocks} pointer-free "
+          f"(one NumPy cast each, or a copy where the host bytes are the "
+          f"wire bytes) and {st.collect.n_plan_blocks} walked by a pointer plan")
 
     print()
     print("the residual digits are identical before and after migration —")

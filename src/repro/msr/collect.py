@@ -86,11 +86,10 @@ class CollectStats:
     n_nulls: int = 0
     #: never incremented: kept for readers of the field (ROADMAP 5-I(b))
     n_flat_blocks: int = 0
-    #: pointer-free blocks of a non-flat unit saved through a CastPlan
+    #: pointer-free blocks: converted by a CastPlan or copied ``raw``
     n_codec_blocks: int = 0
-    #: flat blocks saved through a CastPlan, blocks saved through a
-    #: PtrArrayPlan or RecordPlan, plus every block a ChainPlan batch
-    #: emitted
+    #: blocks saved through a PtrArrayPlan or RecordPlan, plus every
+    #: block a ChainPlan batch emitted
     n_plan_blocks: int = 0
     data_bytes: int = 0  # Σ Dᵢ over saved blocks (source-arch bytes)
     wire_bytes: int = 0
@@ -336,7 +335,8 @@ class Collector:
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
         n_blocks = n_refs = n_nulls = n_searches = data_bytes = 0
-        # the blocks a plan walked or copied: n_plan_blocks, n_codec_blocks
+        # the blocks a record plan walked (n_plan_blocks) and the raw
+        # blocks copied (n_codec_blocks)
         n_planned = n_codec = 0
         last, stride = self._last, self._stride
         stack = []
@@ -459,10 +459,7 @@ class Collector:
                                 out += memoryview(window)[woff : woff + size]
                             else:
                                 out += memory.view(block.addr, size)
-                            if info.flat_kind is None:
-                                n_codec += 1
-                            else:
-                                n_planned += 1
+                            n_codec += 1
                         else:
                             n = 0
                             pointers = None if new is None else new.save(self, block, info)

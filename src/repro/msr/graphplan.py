@@ -268,10 +268,7 @@ class CastPlan:
         n = info.units_in(block.count) * self.per_unit
         image = collector.memory.view(block.addr, n * self.host.itemsize)
         collector.buf.write_ndarray(np.frombuffer(image, self.host, n), self.wire)
-        if info.flat_kind is None:
-            collector.stats.n_codec_blocks += 1
-        else:
-            collector.stats.n_plan_blocks += 1
+        collector.stats.n_codec_blocks += 1
 
     def restore(self, restorer, block, info) -> None:
         n = info.units_in(block.count) * self.per_unit
@@ -337,7 +334,7 @@ class _Targets:
                 return None
             block = table[i]
             end = block.addr + block.size
-            if v > end:  # MemoryBlock.contains: one past the end is in
+            if v > end:  # one past the end is in (C pointer rules)
                 return None
             blocks.append(block)
             k = int(svals.searchsorted(end, "right"))
@@ -378,16 +375,18 @@ class PtrArrayPlan:
     time: ``save`` and ``restore`` are generators, suspended on the
     driver's work stack while it descends into the target.  ``implied``
     is the type id every element's declared target implies for the
-    records the driver writes (reads) there.
+    records the driver writes (reads) there; ``host`` the host pointer
+    dtype.
     """
 
     save_slots = restore_slots = None
     raw = False
-    __slots__ = ("implied",)
+    __slots__ = ("implied", "host")
 
     def __init__(self, info, layout) -> None:
         # otherwise stateless: every block resolves its own targets
         self.implied = info.implied[0]
+        self.host = host_kinds(layout.arch).dtypes["ptr"]
 
     # -- collect --------------------------------------------------------------
 
@@ -397,9 +396,8 @@ class PtrArrayPlan:
         collector.stats.n_plan_blocks += 1
 
     def _pointers(self, collector, block, n):
-        memory = collector.memory
-        host = memory.np_dtype("ptr")
-        raw = memory.view(block.addr, n * host.itemsize)
+        host = self.host
+        raw = collector.memory.view(block.addr, n * host.itemsize)
         vals = np.frombuffer(raw, dtype=host, count=n).astype(np.int64)
         del raw
         targets = _Targets.of(collector.msrlt, vals) if n >= MIN_BULK_CELLS else None
@@ -484,9 +482,8 @@ class PtrArrayPlan:
             # error), or a REF the batch could not take
             out[p] = yield
             p += 1
-        dst = restorer.memory.array_view("ptr", block.addr, n)
-        dst[:] = out
-        del dst
+        dst = restorer.memory.write_view(block.addr, n * self.host.itemsize)
+        np.frombuffer(dst, self.host, n)[...] = out
 
     def _restore_ref_run(self, restorer, out, p, n) -> int:
         """Resolve the run of REF records at the read position into
@@ -1058,7 +1055,9 @@ class CellRecord:
 
     def store(self, memory, addr: int, values) -> None:
         """Write all cells of the unit at *addr* (wire-decoded scalars,
-        destination addresses in the pointer cells)."""
+        destination addresses in the pointer cells) over a zeroed unit,
+        so its padding restores as zeros, as every compiled plan's does."""
+        memory.zero(addr, self.unit_size)
         store = memory.store
         for cell, value in zip(self.info.cells, values):
             store(cell.kind, addr + cell.offset, value)

@@ -79,11 +79,6 @@ class MemoryBlock:
     def end(self) -> int:
         return self.addr + self.size
 
-    def contains(self, addr: int) -> bool:
-        # one-past-the-end addresses belong to this block (C pointer rules)
-        # and to no other: registered blocks never abut (DESIGN §2)
-        return self.addr <= addr <= self.end
-
     def __str__(self) -> str:
         kind = BlockKind.NAMES[self.logical[0]]
         label = self.name or f"{kind}{self.logical[1:]}"
@@ -271,7 +266,7 @@ class MSRLT:
         i = bisect_right(self._starts, addr) - 1
         if i >= 0:
             block = self._blocks[i]
-            if addr <= block.addr + block.size:  # MemoryBlock.contains, inlined
+            if addr <= block.addr + block.size:  # one past the end is in
                 return block, addr - block.addr
         raise MSRLTError(f"address {addr:#x} is not inside any registered block")
 

@@ -12,8 +12,9 @@ the problem the paper's XDR/TI machinery solves.
 Segments are *windowed*: only the touched address range is materialized
 (a stack that lives at the top of a 128 MiB segment costs kilobytes, not
 the whole segment).  A simple first-fit-by-size-class allocator backs
-``malloc``/``free``.  Bulk array access is exposed through NumPy views
-(vectorized hot path for large matrices, per the HPC guides).
+``malloc``/``free``.  Bulk access is a byte view over a window
+(:meth:`Memory.view` / :meth:`Memory.write_view`), which the content
+plans read and fill through NumPy in one pass.
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ class Segment:
     """One address range, backed by a window over the touched sub-range.
 
     ``window_start`` is the absolute address of ``buf[0]``.  The window
-    grows in either direction on demand (stacks grow down, heaps up).
+    grows in either direction on demand (stacks grow down, heaps up),
+    and only through :meth:`ensure`: every entry point of
+    :class:`Memory` that reads or writes bytes reaches it through
+    :meth:`offset` (``zero`` wipes only what is already materialized).
     """
 
     __slots__ = ("name", "base", "limit", "window_start", "buf")
@@ -113,11 +117,14 @@ class Segment:
         self.window_start = base
         self.buf = bytearray()
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.limit
-
     def ensure(self, addr: int, n: int) -> int:
-        """Materialize ``[addr, addr+n)``; return the buffer offset of *addr*."""
+        """Materialize ``[addr, addr+n)``; return the buffer offset of *addr*.
+
+        The one growth rule: a first touch opens the window at *addr*
+        (a stack's reaches ``_SLACK`` below it) and ``_SLACK`` past the
+        span; growing up at least doubles the window, plus ``_SLACK``;
+        growing down reaches ``_SLACK`` below *addr*.  New bytes are
+        zeros, and the window never leaves the segment."""
         end = addr + n
         if addr < self.base or end > self.limit:
             raise MemoryFault(
@@ -149,54 +156,6 @@ class Segment:
             return off
         return self.ensure(addr, n)
 
-    def write(self, addr: int, data) -> None:
-        """Write *data* at *addr*, materializing the window from the data
-        itself when the span isn't covered yet: only the gap around the
-        write is zero-filled, never the span — a bulk restore into fresh
-        memory costs one copy instead of memset-then-copy."""
-        n = len(data)
-        buf = self.buf
-        off = addr - self.window_start
-        if 0 <= off and off + n <= len(buf):
-            buf[off : off + n] = data
-            return
-        end = addr + n
-        if addr < self.base or end > self.limit:
-            raise MemoryFault(
-                f"access [{addr:#x}, {end:#x}) outside segment {self.name} "
-                f"[{self.base:#x}, {self.limit:#x})"
-            )
-        if not buf:
-            # build the window by concatenation: zero-fill only the slack
-            # below the write, then append the data itself.  This touches
-            # the data span exactly once (presize-then-splice memsets the
-            # whole span first, doubling memory traffic for a multi-MB
-            # bulk restore); later growth goes through the append branch,
-            # which resizes once per write
-            start = max(self.base, addr - _SLACK if self.name == "stack" else addr)
-            new = bytearray(addr - start)
-            new += data
-            self.window_start = start
-            self.buf = new
-            return
-        ws = self.window_start
-        if addr < ws:
-            start = max(self.base, addr - _SLACK)
-            buf[:0] = bytes(ws - start)
-            self.window_start = ws = start
-        we = ws + len(buf)
-        if end <= we:
-            buf[addr - ws : addr - ws + n] = data
-        elif addr >= we:
-            # one resize (gap + data + slack), then splice the data in
-            stop = min(self.limit, end + _SLACK)
-            buf += bytes(stop - we)
-            buf[addr - ws : addr - ws + n] = data
-        else:
-            head = we - addr  # overlapped prefix inside the window
-            buf[addr - ws :] = data[:head]
-            buf += data[head:]
-
 
 class Memory:
     """The simulated address space of one process on one architecture."""
@@ -219,13 +178,9 @@ class Memory:
         self._free: dict[int, list[int]] = {}
         #: live heap allocations: addr -> padded size
         self.heap_allocs: dict[int, int] = {}
-        # global segment bump pointer (used by ad-hoc tests; the loader
-        # normally computes global addresses statically)
-        self._global_brk = gbase
 
         kinds = host_kinds(arch)
         self._packers, self._unpack, self._pack = kinds.packers, kinds.unpack, kinds.pack
-        self._np_dtypes = kinds.dtypes
 
         #: pre-copy write barrier: when a DirtyTracker is installed here,
         #: every mutating entry point reports its written byte range.
@@ -242,10 +197,6 @@ class Memory:
         if addr == 0:
             raise MemoryFault("NULL pointer dereference")
         raise MemoryFault(f"address {addr:#x} is outside every segment")
-
-    def segment_name(self, addr: int) -> str:
-        """Name of the segment containing *addr*."""
-        return self.segment_of(addr).name
 
     # -- scalar access ----------------------------------------------------------
 
@@ -272,10 +223,6 @@ class Memory:
         else:
             packer.pack_into(seg.buf, off, value)
 
-    def sizeof(self, kind: str) -> int:
-        """Host size of primitive *kind* (convenience forwarding)."""
-        return self._packers[kind].size
-
     # -- bulk access -------------------------------------------------------------
 
     def read_bytes(self, addr: int, n: int) -> bytes:
@@ -285,11 +232,14 @@ class Memory:
         return bytes(seg.buf[off : off + n])
 
     def write_bytes(self, addr: int, data: bytes | bytearray | memoryview) -> None:
-        """Write raw bytes at *addr* (materializes from the data itself
-        when the span is fresh — see :meth:`Segment.write`)."""
+        """Write raw bytes at *addr*, materializing the span first as
+        every entry point does (:meth:`Segment.ensure`)."""
+        n = len(data)
+        seg = self.segment_of(addr)
+        off = seg.offset(addr, n)
         if self.dirty is not None:
-            self.dirty.mark(addr, len(data))
-        self.segment_of(addr).write(addr, data)
+            self.dirty.mark(addr, n)
+        seg.buf[off : off + n] = data
 
     def view(self, addr: int, n: int) -> memoryview:
         """Zero-copy view of *n* bytes at *addr* (valid until the segment
@@ -307,24 +257,6 @@ class Memory:
         if self.dirty is not None:
             self.dirty.mark(addr, n)
         return memoryview(seg.buf)[off : off + n]
-
-    def read_array(self, kind: str, addr: int, count: int) -> np.ndarray:
-        """Vectorized read of *count* primitives of *kind* starting at *addr*."""
-        dtype = self._np_dtypes[kind]
-        raw = self.view(addr, count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
-
-    def write_array(self, kind: str, addr: int, values: np.ndarray) -> None:
-        """Vectorized write of primitives of *kind* starting at *addr*."""
-        dtype = self._np_dtypes[kind]
-        arr = np.asarray(values)
-        if arr.dtype != dtype:
-            arr = arr.astype(dtype, casting="unsafe")
-        self.write_bytes(addr, arr.tobytes())
-
-    def np_dtype(self, kind: str) -> np.dtype:
-        """Host-byte-order NumPy dtype for primitive *kind*."""
-        return self._np_dtypes[kind]
 
     def zero(self, addr: int, n: int) -> None:
         """Zero *n* bytes at *addr*.
@@ -354,15 +286,6 @@ class Memory:
         if lo < hi:
             off = lo - seg.window_start
             seg.buf[off : off + (hi - lo)] = bytes(hi - lo)
-
-    # -- global segment loader --------------------------------------------------
-
-    def global_alloc(self, size: int, align: int = 1) -> int:
-        """Reserve *size* bytes in the global segment (ad-hoc use)."""
-        addr = _align_up(self._global_brk, align)
-        self.global_seg.ensure(addr, size)
-        self._global_brk = addr + size
-        return addr
 
     # -- stack -------------------------------------------------------------------
 
@@ -404,10 +327,9 @@ class Memory:
         because *n* single carves would recycle those addresses first
         and restoration must assign exactly the addresses they would
         (address parity keeps re-collection after a restore
-        byte-identical).  Materialization is left to the first write: a
-        restore that follows builds the window straight from its data
-        (:meth:`Segment.write`), where an eager ``ensure`` would memset
-        bytes about to be overwritten wholesale.
+        byte-identical).  Materialization is left to the first access
+        (:meth:`Segment.ensure`), so a batch of *n* carves grows the
+        window once, when the restore writes it.
         """
         # strictly more than *size*: the slack a chunk header takes in a
         # real malloc, so the end of one block is never the start of another
@@ -432,23 +354,6 @@ class Memory:
                 allocs[addr] = stride
         return base
 
-    def array_view(self, kind: str, addr: int, count: int) -> np.ndarray:
-        """Writable zero-copy ndarray over *count* primitives at *addr*.
-
-        The view pins the segment's backing ``bytearray``: hold it only
-        transiently (create, read/assign, drop) — any segment window
-        growth while a view is alive raises ``BufferError``.
-        """
-        dtype = self._np_dtypes[kind]
-        seg = self.segment_of(addr)
-        nbytes = count * dtype.itemsize
-        off = seg.offset(addr, nbytes)
-        if self.dirty is not None:
-            # the view is writable, so conservatively treat the whole
-            # span as dirtied (read-only callers over-mark a little)
-            self.dirty.mark(addr, nbytes)
-        return np.frombuffer(seg.buf, dtype=dtype, count=count, offset=off)
-
     def heap_free(self, addr: int) -> None:
         """``free``: recycle an allocation (NULL is a no-op, as in C)."""
         if addr == 0:
@@ -464,17 +369,3 @@ class Memory:
             return self.heap_allocs[addr]
         except KeyError:
             raise MemoryFault(f"{addr:#x} is not a live heap allocation") from None
-
-    # -- statistics ----------------------------------------------------------------
-
-    def footprint(self) -> dict[str, int]:
-        """Materialized window bytes per segment (for reporting)."""
-        return {
-            "global": len(self.global_seg.buf),
-            "heap": len(self.heap_seg.buf),
-            "stack": len(self.stack_seg.buf),
-        }
-
-
-def _align_up(value: int, align: int) -> int:
-    return (value + align - 1) & ~(align - 1)

@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Optional
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20, ULTRA5, X86, X86_64
@@ -26,7 +27,7 @@ from repro.msr.wire import (
     encode_chunk,
     encode_end_of_stream,
 )
-from repro.vm.memory import Memory
+from repro.vm.memory import Memory, host_kinds
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.workloads import (
@@ -76,6 +77,14 @@ class FakeProgram:
 
     def type_id(self, t):
         return self._index[type_key(t)]
+
+
+def float_bits(proc, kind, gidx, count) -> list:
+    """The bit patterns of the first *count* floats of *kind* in global
+    *gidx* of *proc*, whatever its byte order."""
+    dtype = host_kinds(proc.memory.arch).dtypes[kind]
+    raw = proc.memory.view(proc.image.global_addrs[gidx], count * dtype.itemsize)
+    return np.frombuffer(raw, dtype.str.replace("f", "u")).tolist()
 
 
 def type_info(ctype, layout):
@@ -285,8 +294,10 @@ def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
     """THE plans-on vs plans-off identity check: the collected payload
     is byte-identical with the plans on and with every block on the
     per-cell oracle; either payload restores through either restorer,
-    to the heap addresses block-by-block ``malloc`` would assign; and
-    the restored process resumes to the unmigrated output."""
+    to the heap addresses block-by-block ``malloc`` would assign, and
+    leaves the same bytes in every block (a restored pointer included:
+    both destinations hand out the same addresses); and the restored
+    process resumes to the unmigrated output."""
     proc = stopped_at(source, polls, src_arch)
     prog = proc.program
     expected = Process(prog, src_arch)
@@ -305,6 +316,9 @@ def assert_plans_invisible(source: str, polls: int, src_arch, dst_arch) -> None:
     assert [(b.logical, b.addr) for b in twin.msrlt.blocks()] == [
         (b.logical, b.addr) for b in dest.msrlt.blocks()
     ]
+    for block in dest.msrlt.blocks():
+        image = dest.memory.read_bytes(block.addr, block.size)
+        assert twin.memory.read_bytes(block.addr, block.size) == image, block
     for restored in (dest, twin):
         assert restored.run().status == "exit"
         assert restored.stdout == expected.stdout

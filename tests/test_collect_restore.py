@@ -18,7 +18,7 @@ from repro.msr.msrlt import BlockKind
 from repro.msr.wire import write_logical
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from tests.conftest import ALL_ARCHS, assert_plans_invisible, block_header
+from tests.conftest import ALL_ARCHS, assert_plans_invisible, block_header, float_bits
 
 
 def stop_at_poll(source: str, arch=DEC5000, after_polls: int = 1, **kwargs) -> Process:
@@ -303,18 +303,9 @@ class TestEndianAndWidthConversion:
         """
         proc = stop_at_poll(src)
         gidx = proc.program.global_index("vals")
-        src_vals = proc.memory.read_array(
-            "double", proc.image.global_addrs[gidx], 6
-        )
+        src_bits = float_bits(proc, "double", gidx, 6)
         dest, *_ = roundtrip(proc)
-        dst_vals = dest.memory.read_array(
-            "double", dest.image.global_addrs[gidx], 6
-        )
-        import numpy as np
-
-        assert np.array_equal(
-            src_vals.astype("<f8").view("<u8"), dst_vals.astype("<f8").view("<u8")
-        )
+        assert float_bits(dest, "double", gidx, 6) == src_bits
 
     def test_addresses_actually_differ(self):
         """Pointers must be translated, not copied: the same block lands

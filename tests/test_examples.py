@@ -28,9 +28,13 @@ def test_example_runs(script):
     assert result.stdout.strip(), "example produced no output"
     if script.name == "linpack_migration.py":
         # the matrix and vectors go out through the cast plan, and every
-        # block it converted or copied is booked
-        booked = re.search(r"blocks on a compiled plan: (\d+) of (\d+)", result.stdout)
-        assert booked and 0 < int(booked.group(1)) == int(booked.group(2)), result.stdout
+        # block is booked on the plan that ran it
+        booked = re.search(
+            r"of (\d+) blocks, (\d+) pointer-free .* and (\d+) walked", result.stdout
+        )
+        assert booked, result.stdout
+        total, cast, walked = map(int, booked.groups())
+        assert 0 < cast and cast + walked == total, result.stdout
 
 
 def test_examples_exist():

@@ -14,7 +14,7 @@ from repro.arch import ALPHA, DEC5000, SPARC20, X86
 from repro.migration.engine import collect_state, restore_state
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from tests.conftest import run_c, run_main
+from tests.conftest import float_bits, run_c, run_main
 
 
 class TestFloatSemantics:
@@ -83,26 +83,15 @@ class TestFloatMigration:
         assert proc.run().status == "poll"
 
         gidx = prog.global_index("specials")
-        src_bits = proc.memory.read_array(
-            "double", proc.image.global_addrs[gidx], 7
-        ).astype("<f8").view("<u8")
+        src_bits = float_bits(proc, "double", gidx, 7)
 
         payload, _ = collect_state(proc)
         dst = Process(prog, dest)
         restore_state(prog, payload, dst)
-        dst_bits = dst.memory.read_array(
-            "double", dst.image.global_addrs[gidx], 7
-        ).astype("<f8").view("<u8")
-        assert list(src_bits) == list(dst_bits)
+        assert float_bits(dst, "double", gidx, 7) == src_bits
 
         sgidx = prog.global_index("singles")
-        src_f = proc.memory.read_array(
-            "float", proc.image.global_addrs[sgidx], 3
-        ).astype("<f4").view("<u4")
-        dst_f = dst.memory.read_array(
-            "float", dst.image.global_addrs[sgidx], 3
-        ).astype("<f4").view("<u4")
-        assert list(src_f) == list(dst_f)
+        assert float_bits(dst, "float", sgidx, 3) == float_bits(proc, "float", sgidx, 3)
 
     def test_nan_payload_preserved(self):
         """Even a non-default NaN bit pattern survives the roundtrip

@@ -12,8 +12,8 @@ Contracts under test:
   so a deep irregular list stops probing after ``CHAIN_BACKOFF_MISSES``
   nodes, while an evenly spaced chain still commits in one batch.
 - **Zero-copy plumbing** — Memory.write_view takes a payload slice
-  with one copy, and Segment.write materializes fresh windows from the
-  data itself.
+  with one copy, and Memory.write_bytes grows a window by the same one
+  rule (Segment.ensure).
 - **Complexity accounting** — ``n_searches`` is identical plans-on vs
   plans-off, so E5's complexity counters keep their meaning.
 - **Per-target resolution** — a pointer array is resolved against the
@@ -61,6 +61,7 @@ from repro.vm.dirty import DirtyTracker
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from repro.workloads import linpack_source
 from tests.conftest import (
     ALL_ARCHS,
     PLAN_ARCH_PAIRS as ARCH_PAIRS,
@@ -243,6 +244,15 @@ class TestPlanByteIdentity:
         # finding 7); with a plan for every shape, every block is on one
         fast = stats.n_flat_blocks + stats.n_codec_blocks + stats.n_plan_blocks
         assert stats.n_flat_blocks == 0 and fast == stats.n_blocks
+
+    def test_block_counters_say_which_plan_ran(self):
+        """A pointer-free block is a codec block, converted by its cast
+        or copied ``raw``, flat or not; a block a pointer plan walked is
+        a plan block.  linpack(40) on DEC5000 at its first poll: eleven
+        pointer-free blocks, and dgefa's ``double *a`` and ``int *ipvt``."""
+        proc = stopped_at(linpack_source(40), 1, DEC5000)
+        stats = collect_state(proc)[1].stats
+        assert (stats.n_codec_blocks, stats.n_plan_blocks, stats.n_blocks) == (11, 2, 13)
 
     def test_n_searches_identical_across_modes(self):
         """E5's complexity counters must not notice the plans: a bulk
@@ -434,7 +444,7 @@ class TestRecordPlanEdges:
             for unit in range(info.units_in(block.count)):
                 for cell in info.cells:
                     start = unit * info.unit_size + cell.offset
-                    covered.update(range(start, start + dest.memory.sizeof(cell.kind)))
+                    covered.update(range(start, start + dst_arch.sizeof(cell.kind)))
             raw = dest.memory.read_bytes(block.addr, block.size)
             assert len(covered) < block.size  # the type does have padding
             assert all(raw[i] == 0 for i in range(block.size) if i not in covered)
@@ -1055,7 +1065,26 @@ class TestCastEdges:
         """The destination's free list holds a 0xff-filled block of the
         array's size class: the restore recycles it, as ``malloc``
         would, and the cast leaves no byte of it in the padding."""
-        src_arch, dst_arch = pair
+        dest, info, _ = self._restored_over_a_recycled_block(*pair)
+        plan = dest.ti.plan_for(info)
+        assert isinstance(plan, CastPlan) and plan.padded
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p[0].name}-{p[1].name}")
+    def test_oracle_restores_padding_as_zeros_over_a_recycled_block(self, pair):
+        """The per-cell oracle owes the recycled block the same zeros:
+        it wipes each unit before its cell stores, so a plans-off
+        restore writes the bytes the cast does."""
+        planned, oracle = (
+            self._restored_over_a_recycled_block(*pair, plans=plans)[2]
+            for plans in (True, False)
+        )
+        assert oracle == planned
+
+    def _restored_over_a_recycled_block(self, src_arch, dst_arch, plans=True):
+        """PADDED_HEAP_SRC migrated onto a destination whose free list
+        recycles a 0xff-filled block: asserts the padding came back as
+        zeros and the program resumes to its unmigrated output; returns
+        the destination, the array's type info and its restored bytes."""
         proc = stopped_at(PADDED_HEAP_SRC, 1, src_arch)
         prog = proc.program
         expected = Process(prog, src_arch)
@@ -1068,11 +1097,13 @@ class TestCastEdges:
         dirty = dest.memory.heap_alloc(size)
         dest.memory.write_bytes(dirty, b"\xff" * size)
         dest.memory.heap_free(dirty)
-        restore_state(prog, payload, dest)
+        if plans:
+            restore_state(prog, payload, dest)
+        else:
+            with plans_off(dest):
+                restore_state(prog, payload, dest)
         (block,) = dest.msrlt.heap_blocks()
         assert block.addr == dirty and block.size == size
-        plan = dest.ti.plan_for(info)
-        assert isinstance(plan, CastPlan) and plan.padded
         raw = dest.memory.read_bytes(block.addr, size)
         c_end = info.cells[0].offset + 1
         for unit in range(6):
@@ -1082,6 +1113,7 @@ class TestCastEdges:
             )
         assert dest.run().status == "exit"
         assert dest.stdout == expected.stdout
+        return dest, info, raw
 
 
 # ---------------------------------------------------------------------------
@@ -1301,7 +1333,7 @@ class TestSegmentWrite:
     def test_out_of_segment_write_faults(self):
         mem = self._memory()
         with pytest.raises(MemoryFault, match="outside"):
-            mem.heap_seg.write(mem.heap_seg.limit - 4, bytes(8))
+            mem.write_bytes(mem.heap_seg.limit - 4, bytes(8))
 
     def test_zero_does_not_materialize(self):
         mem = self._memory()

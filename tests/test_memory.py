@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arch import ALPHA, DEC5000, SPARC20
-from repro.vm.memory import Memory, MemoryFault
+from repro.vm.memory import Memory, MemoryFault, host_kinds
 
 
 @pytest.fixture
@@ -49,9 +49,10 @@ class TestScalarAccess:
         m64 = Memory(ALPHA)
         a32 = m32.heap_alloc(8)
         a64 = m64.heap_alloc(8)
-        m32.store("long", a32, 1)
-        m64.store("long", a64, 1)
-        assert m32.sizeof("long") == 4 and m64.sizeof("long") == 8
+        m32.store("long", a32, -1)
+        m64.store("long", a64, -1)
+        assert m32.read_bytes(a32, 8) == b"\xff" * 4 + bytes(4)
+        assert m64.read_bytes(a64, 8) == b"\xff" * 8
 
     def test_char_signedness_by_arch(self):
         signed = Memory(DEC5000)   # char_signed=True
@@ -75,16 +76,17 @@ class TestScalarAccess:
 class TestBulkAccess:
     def test_array_roundtrip(self, mem):
         addr = mem.heap_alloc(800)
+        dtype = host_kinds(mem.arch).dtypes["double"]
         values = np.arange(100, dtype=">f8") * 1.5
-        mem.write_array("double", addr, values)
-        back = mem.read_array("double", addr, 100)
+        np.frombuffer(mem.write_view(addr, 800), dtype)[...] = values
+        back = np.frombuffer(mem.view(addr, 800), dtype)
         np.testing.assert_array_equal(back, values.astype(back.dtype))
 
     def test_bulk_matches_scalar(self, mem):
         addr = mem.heap_alloc(40)
         for i in range(10):
             mem.store("int", addr + 4 * i, i * 7 - 3)
-        arr = mem.read_array("int", addr, 10)
+        arr = np.frombuffer(mem.view(addr, 40), host_kinds(mem.arch).dtypes["int"])
         assert list(arr) == [i * 7 - 3 for i in range(10)]
 
     def test_read_write_bytes(self, mem):
@@ -167,10 +169,9 @@ class TestHeap:
         for n in (1, 3, 9, 17):
             assert mem.heap_alloc(n) % 8 == 0
 
-    def test_footprint_reporting(self, mem):
+    def test_alloc_materializes_its_span(self, mem):
         mem.heap_alloc(1000)
-        fp = mem.footprint()
-        assert fp["heap"] >= 1000
+        assert len(mem.heap_seg.buf) >= 1000
 
     @given(st.lists(st.integers(min_value=1, max_value=512), min_size=1, max_size=60))
     def test_alloc_pattern_property(self, sizes):
@@ -192,9 +193,9 @@ class TestSegments:
     def test_segment_names(self, mem):
         heap = mem.heap_alloc(8)
         stack = mem.stack_alloc(8)
-        assert mem.segment_name(heap) == "heap"
-        assert mem.segment_name(stack) == "stack"
-        assert mem.segment_name(mem.global_seg.base) == "global"
+        assert mem.segment_of(heap).name == "heap"
+        assert mem.segment_of(stack).name == "stack"
+        assert mem.segment_of(mem.global_seg.base).name == "global"
 
     def test_cross_segment_isolation(self):
         m = Memory(DEC5000)
@@ -204,3 +205,33 @@ class TestSegments:
         m.store("int", s, 222)
         assert m.load("int", h) == 111
         assert m.load("int", s) == 222
+
+
+class TestOneGrowthRule:
+    """Every entry point grows a window through ``Segment.ensure``: a
+    ``write_bytes`` and a ``write_view`` of the same span, on the same
+    window, leave the same window behind."""
+
+    @pytest.mark.parametrize("segment", ["global", "heap", "stack"])
+    @pytest.mark.parametrize("prior", [None, "below", "above", "straddle"])
+    def test_write_bytes_grows_as_write_view_does(self, segment, prior):
+        windows = []
+        for write in (
+            lambda mem, at, n: mem.write_bytes(at, b"\x5a" * n),
+            lambda mem, at, n: mem.write_view(at, n).__setitem__(slice(None), b"\x5a" * n),
+        ):
+            mem = Memory(SPARC20)
+            seg = getattr(mem, f"{segment}_seg")
+            mid = seg.base + (seg.limit - seg.base) // 2
+            if prior is not None:
+                mem.write_view(mid, 4096)[:] = bytes(range(256)) * 16
+            at = {
+                None: mid,
+                "below": mid - 300_000,
+                "above": mid + 300_000,
+                "straddle": seg.window_start + len(seg.buf) - 8,
+            }[prior]
+            write(mem, at, 200)
+            assert mem.read_bytes(at, 200) == b"\x5a" * 200
+            windows.append((seg.window_start, len(seg.buf)))
+        assert windows[0] == windows[1]

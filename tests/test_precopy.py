@@ -347,14 +347,12 @@ def test_barriers_cover_every_store_entry_point():
     assert _slices_are_marked(proc, tracker, slices=16) == (16, 16)
 
     heap = memory.heap_alloc(64)
-    glob = memory.global_alloc(64, 8)
+    glob = memory.global_seg.base
     writes = [
         lambda at: memory.store("int", at + 4, 0x01020304),
         lambda at: memory.store("double", at + 8, 2.75),
         lambda at: memory.write_bytes(at + 3, b"\x11\x22\x33\x44\x55"),
         lambda at: memory.write_view(at + 16, 6).__setitem__(slice(None), b"abcdef"),
-        lambda at: memory.array_view("short", at + 24, 5).__setitem__(slice(None), 7),
-        lambda at: memory.write_array("int", at + 40, [9, 8, 7]),
         lambda at: memory.zero(at + 2, 30),
     ]
     for at in (heap, glob):
