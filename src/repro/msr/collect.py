@@ -8,11 +8,11 @@ blocks are marked so that they are not saved again."
 
 The collector walks live pointers depth-first; the first visit of a
 block emits a ``BLOCK`` record (header, machine-independent id — a heap
-serial only where the walk's stride does not imply it —, the type
-unless the pointer's declared type implies it, then contents converted
-by the type's plan), every later reference emits only a ``REF``.  A
-pointer inside a block's contents is followed before the cells after it
-are written, which reproduces exactly the traversal
+serial, as its step from the last, only where the walk's stride does not
+imply it —, the type unless the pointer's declared type implies it, then
+contents converted by the type's plan), every later reference emits only
+a ``REF``.  A pointer inside a block's contents is followed before the
+cells after it are written, which reproduces exactly the traversal
 order the paper's §3.2 example walks through (v11 → e8 → v6 → e6 → v10,
 backtrack …).
 
@@ -35,6 +35,7 @@ byte-fresh is a visited block, and the tail section
 
 from __future__ import annotations
 
+import struct
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from repro.arch.buffers import WriteBuffer
 from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock, MSRLTError
 from repro.msr.wire import (
+    ESCAPED,
     HEAP_UNIT,
     LEAD_COUNT,
     LEAD_ORDINAL,
@@ -69,10 +71,12 @@ __all__ = [
 
 _NULL_RECORD = bytes([TAG_NULL])
 #: the header of a heap unit of its implied type: the lead alone where
-#: the walk implies its serial, else lead and serial
+#: the walk implies its serial, else lead and step — or lead, the escape
+#: and the serial, where the step does not fit an i16
 _HEAP_UNIT_RECORD = bytes([HEAP_UNIT])
 _SERIAL_UNIT = HEAP_UNIT | LEAD_SERIAL
-_SERIAL_UNIT_RECORD = RECORDS[_SERIAL_UNIT]
+_PACK_STEP = RECORDS[_SERIAL_UNIT].pack
+_PACK_ESCAPED = ESCAPED[_SERIAL_UNIT].pack
 _STACK = BlockKind.STACK
 _HEAP = BlockKind.HEAP
 
@@ -298,9 +302,10 @@ class Collector:
         reached through a pointer cell takes its slot's (or its pointer
         array's) implied id, and a ``BLOCK`` carries its type only when
         it is not that one.  A heap ``BLOCK`` carries its serial only
-        when it is not the one the pass's ``(last, stride)`` implies;
-        the pair lives in locals while the walk is under way and on the
-        pass between walks and around a chain batch.
+        when it is not the one the pass's ``(last, stride)`` implies, as
+        the step from ``last`` (the escape and the serial where the step
+        does not fit an i16); the pair lives in locals while the walk is
+        under way and on the pass between walks and around a chain batch.
 
         Each turn of the loop handles one pointer: resolve it (``NULL``,
         a chain batch, a ``REF``, or a ``BLOCK`` record whose contents
@@ -422,12 +427,15 @@ class Collector:
                                         out += _HEAP_UNIT_RECORD
                                     else:
                                         stride = step
-                                        out += _SERIAL_UNIT_RECORD.pack(_SERIAL_UNIT, la)
+                                        try:
+                                            out += _PACK_STEP(_SERIAL_UNIT, step)
+                                        except struct.error:  # outside i16
+                                            out += _PACK_ESCAPED(_SERIAL_UNIT, 0, la)
                                     fields = None
                                 elif step != stride:
                                     stride = step
                                     lead |= LEAD_SERIAL
-                                    fields = [la]
+                                    fields = [step]
                                 else:
                                     fields = []
                             else:
@@ -442,7 +450,15 @@ class Collector:
                                 if ordinal:
                                     lead |= LEAD_ORDINAL
                                     fields.append(ordinal)
-                                out += RECORDS[lead].pack(lead, *fields)
+                                try:
+                                    out += RECORDS[lead].pack(lead, *fields)
+                                except struct.error:
+                                    if not lead & LEAD_SERIAL:
+                                        raise
+                                    # a step outside i16: the escape 0
+                                    # and the serial behind it
+                                    fields[:1] = 0, la
+                                    out += ESCAPED[lead].pack(lead, *fields)
                         n_blocks += 1
                         data_bytes += block.size
                         # its contents: copied, written at once, or a new

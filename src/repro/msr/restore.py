@@ -52,6 +52,7 @@ from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import (
+    ESCAPED,
     HEAP_UNIT,
     LEAD_COUNT,
     LEAD_ORDINAL,
@@ -59,6 +60,8 @@ from repro.msr.wire import (
     LEAD_TYPE,
     RECORDS,
     RUN_HEADER,
+    STEP_MAX,
+    STEP_MIN,
     TAG_REF,
     TAIL_FREED,
     TAIL_ROOT,
@@ -91,15 +94,36 @@ _IMPLIED_SERIAL = (
     "record for {} spells out serial {}, the serial its walk implies: "
     "the canonical form leaves it out"
 )
-_U32 = 0xFFFFFFFF
-#: a heap unit's header with its serial spelled out: lead, u32 serial
+#: the bits a serial outside u32 sets (below 0 or above 0xFFFFFFFF)
+_NOT_U32 = ~0xFFFFFFFF
+#: a heap unit's header with its serial spelled out: lead, i16 step
 _SERIAL_UNIT = HEAP_UNIT | LEAD_SERIAL
-_SERIAL_UNIT_RECORD = RECORDS[_SERIAL_UNIT]
+_UNPACK_STEP = RECORDS[_SERIAL_UNIT].unpack_from
 _SERIAL_RANGE = "heap BLOCK leaves out serial {}, which the walk implies, outside u32"
+_STEP_RANGE = "heap BLOCK steps {} from serial {} to {}, outside u32"
+#: the escape (step 0, then the u32 serial) is for a step outside i16 only
+_NARROW_ESCAPE = (
+    "record for {} escapes its serial at step {}, which fits an i16: the "
+    "canonical form spells the step out"
+)
+_IMPLIED_ESCAPE = (
+    "record for {} escapes serial {}, the serial its walk implies: the "
+    "canonical form leaves it out"
+)
+_CUT_ESCAPE = "heap BLOCK escapes its serial, and the payload ends {} of 4 bytes into it"
 
 
 class RestoreError(Exception):
     """Malformed or inconsistent migration payload."""
+
+
+def _refuse_step(last: int, step: int, stride: int):
+    """Refuse a spelled-out *step* from *last* that the walk's *stride*
+    implies, or that leads outside u32."""
+    la = last + step
+    if step == stride:
+        raise RestoreError(_IMPLIED_SERIAL.format((_HEAP, la, 0), la))
+    raise RestoreError(_STEP_RANGE.format(step, last, la))
 
 
 @dataclass(slots=True)
@@ -325,6 +349,27 @@ class Restorer:
             )
         return info.ordinal_to_byte(ordinal, block.count)
 
+    def _escaped(self, lead: int, pos: int, last: int, stride: int) -> tuple:
+        """The fields of the ``SERIAL`` record at *pos* whose step reads
+        0, the escape: the u32 serial behind it, which only a step wider
+        than an i16 — and not the stride — may reach."""
+        shape = ESCAPED[lead]
+        buf = self.buf
+        have = len(buf.window) - pos
+        if have < shape.size:
+            if have < 7:  # lead, step, serial
+                buf.cursor = pos
+                raise RestoreError(_CUT_ESCAPE.format(have - 3))
+            buf.need(pos, shape.size)
+        fields = shape.unpack_from(buf.window, pos)
+        la = fields[2]
+        step = la - last
+        if STEP_MIN <= step <= STEP_MAX:
+            raise RestoreError(_NARROW_ESCAPE.format((_HEAP, la, 0), step))
+        if step == stride:
+            raise RestoreError(_IMPLIED_ESCAPE.format((_HEAP, la, 0), la))
+        return fields
+
     # -- traversal ----------------------------------------------------------------------------
 
     def _drive(self, expected=None, contents_of=None) -> int:
@@ -338,9 +383,10 @@ class Restorer:
         (or the pointer array's) implied id for one read at a pointer
         cell.  It spells the type out only where the context implies none
         or another.  A heap ``BLOCK`` leaves its serial out where the
-        pass's ``(last, stride)`` implies it; the pair lives in locals
-        while the walk is under way and on the pass between walks and
-        around a chain batch.
+        pass's ``(last, stride)`` implies it, and carries its step from
+        ``last`` otherwise (:meth:`_escaped` reads a serial whose step is
+        wider than an i16); the pair lives in locals while the walk is
+        under way and on the pass between walks and around a chain batch.
 
         Each turn of the loop reads one record, told by its lead byte —
         which also says how wide the record is, so it is one
@@ -450,23 +496,28 @@ class Restorer:
                     else:
                         if lead == HEAP_UNIT or lead == _SERIAL_UNIT:
                             # a list or tree node's header: the lead, and
-                            # the serial where the walk does not imply it
+                            # the step to the serial where the walk does not
+                            # imply it (or the escape and the serial)
                             kind = _HEAP
                             if lead == HEAP_UNIT:
                                 pos += 1
                                 la = last + stride
-                                if la > _U32 or la < 0:
+                                if la & _NOT_U32:
                                     raise RestoreError(_SERIAL_RANGE.format(la))
                             else:
-                                if pos + 5 > end:
-                                    need(pos, 5)
-                                la = _SERIAL_UNIT_RECORD.unpack_from(view, pos)[1]
-                                pos += 5
-                                if la == last + stride:
-                                    raise RestoreError(
-                                        _IMPLIED_SERIAL.format((kind, la, 0), la)
-                                    )
-                                stride = la - last
+                                if pos + 3 > end:
+                                    need(pos, 3)
+                                step = _UNPACK_STEP(view, pos)[1]
+                                if step:
+                                    pos += 3
+                                    la = last + step
+                                    if step == stride or la & _NOT_U32:
+                                        _refuse_step(last, step, stride)
+                                    stride = step
+                                else:
+                                    la = self._escaped(lead, pos, last, stride)[2]
+                                    pos += 7
+                                    stride = la - last
                             last = la
                             logical = (kind, la, 0)
                             if implied is None:
@@ -488,17 +539,21 @@ class Restorer:
                             elif kind != _HEAP:
                                 logical, i = (kind, fields[1], 0), 2
                             elif lead & LEAD_SERIAL:
-                                la = fields[1]
-                                if la == last + stride:
-                                    raise RestoreError(
-                                        _IMPLIED_SERIAL.format((kind, la, 0), la)
-                                    )
+                                step, i = fields[1], 2
+                                if step:
+                                    la = last + step
+                                    if step == stride or la & _NOT_U32:
+                                        _refuse_step(last, step, stride)
+                                else:
+                                    fields = self._escaped(lead, pos - size, last, stride)
+                                    pos += 4
+                                    la, i = fields[2], 3
                                 stride = la - last
                                 last = la
-                                logical, i = (kind, la, 0), 2
+                                logical = (kind, la, 0)
                             else:
                                 la = last + stride
-                                if la > _U32 or la < 0:
+                                if la & _NOT_U32:
                                     raise RestoreError(_SERIAL_RANGE.format(la))
                                 last = la
                                 logical, i = (kind, la, 0), 1

@@ -24,16 +24,17 @@ what the record is and which of its fields travel:
 
     record  := NULL | REF | BLOCK
     lead    := u8   bits 0-1 tag (0 NULL, 1 REF, 2 BLOCK); bits 2-3 BlockKind;
-                    BLOCK only: bit 4 SERIAL "the heap serial follows"
-                    (heap kind only), bit 5 "count follows", bit 6
-                    "ordinal follows", bit 7 TYPE "type_id follows"; all
-                    other bits 0
+                    BLOCK only: bit 4 SERIAL "the heap serial's step
+                    follows" (heap kind only), bit 5 "count follows",
+                    bit 6 "ordinal follows", bit 7 TYPE "type_id
+                    follows"; all other bits 0
     logical := (kind from lead) u32 a, u32 b iff kind == STACK
     NULL    := the single byte 0x00
     REF     := lead logical u32 ordinal
     BLOCK   := lead hlogical [u16 type_id iff TYPE] [u32 count iff != 1]
                [u32 ordinal iff != 0] contents
-    hlogical := logical, but for a heap id: u32 a iff SERIAL
+    hlogical := logical, but for a heap id: [i16 step, u32 a iff step == 0]
+                iff SERIAL
     contents := raw xdr bytes                # a flat type: one dense primitive run
               | per-cell (xdr scalar | record)
 
@@ -41,10 +42,11 @@ what the record is and which of its fields travel:
 ``(kind, a, b)`` of :mod:`repro.msr.msrlt`; only a stack id has a ``b``
 (the variable's slot), so only a stack id ships one.  ``ordinal`` is the
 element offset inside the block.  The common records are 1 byte (BLOCK
-of a heap unit of its pointer's type whose serial the walk implies), 5
-bytes (the same for a global) and 9 bytes (REF to heap or global); a
-field that would hold its constant (``b`` 0, ``count`` 1, ``ordinal`` 0)
-is left out, not sent.
+of a heap unit of its pointer's type whose serial the walk implies), 3
+bytes (the same with its serial's step spelled out), 5 bytes (BLOCK of a
+global of its implied type) and 9 bytes (REF to heap or global); a field
+that would hold its constant (``b`` 0, ``count`` 1, ``ordinal`` 0) is
+left out, not sent.
 
 The serial ``a`` of a heap ``BLOCK`` is left out where the walk implies
 it.  The depth-first walk (§3.1) reaches linked data in allocation order
@@ -58,6 +60,14 @@ marker's ``xlogical`` always spell their ids out and leave the pair as
 it is.  An implied heap unit's header is the single lead byte
 :data:`HEAP_UNIT` (``0x0a``).
 
+A serial the walk does not imply travels as its *step* ``serial -
+last`` — the new stride — in a big-endian i16: serials are allocation
+counts, and the walk's neighbours are allocated close together, so a
+spelled-out heap unit's header is 3 bytes.  A step of 0 cannot occur
+(``last`` is a block this payload already shipped), so 0 is the
+*escape*: the u32 serial follows, and only where the step does not fit
+an i16 — 7 bytes for a heap unit.
+
 The type a ``BLOCK`` travels with is left out, too, where its context
 *implies* it (§3.1: ``Save_pointer`` / ``Restore_pointer`` pick the
 type's function from the pointer's declared type, so both ends know it):
@@ -70,19 +80,24 @@ the implied one: a cast (``char *`` at an ``int``, ``int *`` into an
 
 Encodings are canonical: a count field saying 1, an ordinal field saying
 0, a ``type_id`` the context implies, no ``type_id`` where nothing
-implies one, a spelled-out serial equal to the implied one, an implied
-serial outside u32, tag 3, kind 3, BLOCK bits on a REF or ``SERIAL`` on
-a global or stack ``BLOCK`` is a corrupt payload (:func:`lead_fault` names the lead's faults, the
-restorer the rest), and no field is read and dropped, so every state
-has exactly one byte image: a payload the restorer accepts re-collects
-to itself.  The plans-on/off byte-identity oracle depends on it.
+implies one, a spelled-out step equal to the stride, an escape whose
+step fits an i16 (0 included) or that carries the implied serial, a step
+or an implied serial leading outside u32, tag 3, kind 3, BLOCK bits on a
+REF or ``SERIAL`` on a global or stack ``BLOCK`` is a corrupt payload
+(:func:`lead_fault` names the lead's faults, the restorer the rest), and
+no field is read and dropped, so every state has exactly one byte image:
+a payload the restorer accepts re-collects to itself.  The plans-on/off
+byte-identity oracle depends on it.
 
 Widths are fixed *per lead byte* on purpose, not varints: a record is
 still one ``struct`` call (:data:`RECORDS` holds the ``Struct`` of every
 defined lead), and a run of like records is a fixed-stride NumPy array
 (:func:`record_dtype`) — :mod:`repro.msr.graphplan` batches chain rows
 and REF runs that way, and simply ends a batch where a row's lead
-differs from the one it compiled for.
+differs from the one it compiled for.  The escape is the one exception:
+where a ``SERIAL`` record's step reads 0, :data:`ESCAPED` holds the
+``Struct`` of the same record with the u32 serial behind the step, a
+second read.
 
 A ``BLOCK`` appears for the first (depth-first) visit of each memory
 block; every later reference is a ``REF``.  Cycles are safe because the
@@ -222,9 +237,12 @@ __all__ = [
     "lead_byte",
     "lead_kind",
     "lead_fault",
+    "STEP_MIN",
+    "STEP_MAX",
     "record_fields",
     "record_dtype",
     "RECORDS",
+    "ESCAPED",
     "WireHeader",
     "write_header",
     "read_header",
@@ -255,14 +273,14 @@ __all__ = [
 ]
 
 MAGIC = 0x4D494752  # 'MIGR'
-VERSION = 5
+VERSION = 6
 
 TAG_NULL = 0
 TAG_REF = 1
 TAG_BLOCK = 2
 
-#: lead bits of a ``BLOCK`` record: a heap serial (not the one the walk
-#: implies) follows; a count field (``!= 1``) follows; an ordinal field
+#: lead bits of a ``BLOCK`` record: a heap serial's step (the serial is
+#: not the one the walk implies) follows; a count field (``!= 1``) follows; an ordinal field
 #: (``!= 0``) follows; a type_id field (not the type its context
 #: implies) follows
 LEAD_SERIAL = 0x10
@@ -271,11 +289,14 @@ LEAD_ORDINAL = 0x40
 LEAD_TYPE = 0x80
 #: the whole header of a heap unit of its implied type and serial
 HEAP_UNIT = TAG_BLOCK | BlockKind.HEAP << 2
+#: the steps a ``SERIAL`` record's i16 spells out (0 is the escape)
+STEP_MIN, STEP_MAX = -0x8000, 0x7FFF
 
 #: field name -> (``struct`` code, NumPy dtype) — all big-endian
 _FIELD_CODES = {
     "lead": ("B", "u1"),
     "a": ("I", ">u4"),
+    "step": ("h", ">i2"),
     "b": ("I", ">u4"),
     "type_id": ("H", ">u2"),
     "count": ("I", ">u4"),
@@ -313,18 +334,24 @@ def lead_fault(lead: int) -> str | None:
     return None
 
 
-def record_fields(lead: int) -> tuple[str, ...]:
+def record_fields(lead: int, escaped: bool = False) -> tuple[str, ...]:
     """The fixed-width fields the record opening with (defined) *lead*
     consists of, in wire order: a whole ``NULL`` or ``REF`` record, a
-    ``BLOCK`` record up to its contents."""
+    ``BLOCK`` record up to its contents — with *escaped*, a ``SERIAL``
+    record whose step is the escape 0, its u32 serial behind it."""
     tag, kind = lead & 3, lead_kind(lead)
     if tag == TAG_NULL:
         return ("lead",)
     fields = ["lead", "a", "b"] if kind == BlockKind.STACK else ["lead", "a"]
     if tag == TAG_REF:
         return (*fields, "ordinal")
-    if kind == BlockKind.HEAP and not lead & LEAD_SERIAL:
-        fields.pop()
+    if kind == BlockKind.HEAP:
+        if not lead & LEAD_SERIAL:
+            fields.pop()
+        elif escaped:
+            fields.insert(1, "step")
+        else:
+            fields[1] = "step"
     if lead & LEAD_TYPE:
         fields.append("type_id")
     if lead & LEAD_COUNT:
@@ -340,13 +367,23 @@ def record_dtype(lead: int, prefix: str = "") -> list[tuple[str, str]]:
     return [(prefix + name, _FIELD_CODES[name][1]) for name in record_fields(lead)]
 
 
+def _record_struct(fields) -> struct.Struct:
+    return struct.Struct(">" + "".join(_FIELD_CODES[f][0] for f in fields))
+
+
 #: per lead byte, the ``Struct`` of :func:`record_fields` — lead
 #: included, so ``pack(lead, ...)`` / ``unpack`` is the whole record in
 #: one call — or ``None`` where :func:`lead_fault` has something to say
 RECORDS = tuple(
-    None
-    if lead_fault(lead)
-    else struct.Struct(">" + "".join(_FIELD_CODES[f][0] for f in record_fields(lead)))
+    None if lead_fault(lead) else _record_struct(record_fields(lead))
+    for lead in range(256)
+)
+#: per ``SERIAL`` lead byte, the ``Struct`` of its record escaped (step
+#: 0, then the u32 serial); ``None`` for every other lead
+ESCAPED = tuple(
+    _record_struct(record_fields(lead, escaped=True))
+    if RECORDS[lead] is not None and lead & LEAD_SERIAL
+    else None
     for lead in range(256)
 )
 

@@ -149,23 +149,34 @@ def ref_record(logical, ordinal: int = 0) -> bytes:
 
 
 def block_header(logical, type_id: Optional[int] = None, count: int = 1,
-                 ordinal: int = 0, serial: bool = True) -> bytes:
+                 ordinal: int = 0, last: Optional[int] = -1,
+                 escape: bool = False) -> bytes:
     """A ``BLOCK`` record up to its contents, spelled out from the wire
-    grammar: lead = tag 2 | kind << 2 | "heap serial follows" 0x10 |
-    "count follows" 0x20 | "ordinal follows" 0x40 | "type_id follows"
-    0x80, ``a`` (for a heap id only with *serial*: without it, the
-    serial is the one the walk implies), ``b`` for a stack id only, the
-    u16 ``type_id`` unless it is ``None`` (the type the record's context
-    implies), then the count unless it is 1 and the ordinal unless it
-    is 0."""
+    grammar: lead = tag 2 | kind << 2 | "heap serial's step follows" 0x10
+    | "count follows" 0x20 | "ordinal follows" 0x40 | "type_id follows"
+    0x80; the u32 ``a`` of a global or stack id and the u32 ``b`` of a
+    stack id.  A heap id's serial ``a`` travels as its i16 step from
+    *last* — the serial of the heap BLOCK before it in the payload, -1
+    for the first — or, where the step does not fit an i16 or with
+    *escape*, as the step 0 and the u32 serial; with *last* ``None`` it
+    is left out (the serial is the one the walk implies).  Then the u16
+    ``type_id`` unless it is ``None`` (the type the record's context
+    implies), the count unless it is 1 and the ordinal unless it is 0."""
     kind, a, b = logical
     lead = 2 | kind << 2
-    out = struct.pack(">II", a, b) if kind == BlockKind.STACK else struct.pack(">I", a)
-    if kind == BlockKind.HEAP:
-        if serial:
-            lead |= 0x10
+    if kind == BlockKind.STACK:
+        out = struct.pack(">II", a, b)
+    elif kind != BlockKind.HEAP:
+        out = struct.pack(">I", a)
+    elif last is None:
+        out = b""
+    else:
+        lead |= 0x10
+        step = a - last
+        if escape or not -0x8000 <= step <= 0x7FFF:
+            out = struct.pack(">hI", 0, a)
         else:
-            out = b""
+            out = struct.pack(">h", step)
     if type_id is not None:
         lead |= 0x80
         out += struct.pack(">H", type_id)

@@ -504,13 +504,13 @@ class TestPlansKeepTheTable:
         assert rows[("struct node", "stack")]["bytes"] == head + 4
         # a chain node's header is its lead alone where its serial
         # continues the walk's stride: each chain is walked in the reverse
-        # of its allocation, so its first node spells out the serial it
-        # jumps to and its second the step −1; ``ghead``'s, walked right
-        # after ``shead``'s, continues it.  ``heads`` spells out its
-        # serial and its count and holds two ints, and each chain ends in
-        # a NULL
+        # of its allocation, so its first node spells out the step to the
+        # serial it jumps to and its second the step −1 (an i16 each);
+        # ``ghead``'s, walked right after ``shead``'s, continues it.
+        # ``heads`` spells out its step and its count and holds two ints,
+        # and each chain ends in a NULL
         spelled = 2 * (1 + 3 + 2)
-        assert heap["bytes"] == chained * (1 + 4) + 4 * spelled + (5 + 4 + 8) + 7
+        assert heap["bytes"] == chained * (1 + 4) + 2 * spelled + (3 + 4 + 8) + 7
 
     def test_precopy_final_table_partitions_with_plans_on(self):
         """Under pre-copy the table is the final pass's: its byte column

@@ -223,11 +223,12 @@ class TestWireShape:
                     todo += reversed([load("ptr", value + off) for off in offsets])
         return serials
 
-    def test_a_tree_node_is_ten_bytes(self):
-        """A header whose serial travels (lead + u32: 5) or the lead alone
+    def test_a_tree_node_is_eight_bytes(self):
+        """A header whose serial travels (lead + its i16 step from the
+        last: 3 — a tree of N nodes steps less than N) or the lead alone
         where the walk's stride implies it (1), + 4 key + 1 NULL per node
         (each node is the target of one ``struct tnode *``, which implies
-        its type, and the N + 1 pointers left over are NULL): 10 or 6
+        its type, and the N + 1 pointers left over are NULL): 8 or 6
         bytes.  Which random keys continue a stride is counted from the
         tree itself."""
         fixed = set()
@@ -237,7 +238,7 @@ class TestWireShape:
             assert sorted(serials) == list(range(n))
             spelled = self.spelled(serials)
             assert 0 < spelled < n
-            fixed.add(len(collect_state(proc)[0]) - 10 * spelled - 6 * (n - spelled))
+            fixed.add(len(collect_state(proc)[0]) - 8 * spelled - 6 * (n - spelled))
         assert len(fixed) == 1
 
     def test_a_list_record_with_its_string(self):

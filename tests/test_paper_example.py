@@ -218,21 +218,23 @@ class TestFigure1Payload:
         to its wire id (the one thing the program's compiler decides).
 
         Leads: tag 1 REF / 2 BLOCK, | kind << 2 (0 global, 1 stack, 2
-        heap), | 0x10 heap serial follows, | 0x20 count follows, | 0x40
-        ordinal follows, | 0x80 type id follows.  The type travels only
-        where the record's context does not imply it: a root implies its
-        own declared type, a pointer its declared target.  A heap serial
-        travels only where it is not ``last + stride`` of the heap
-        ``BLOCK`` records before it, ``(-1, 1)`` before the first.  A
+        heap), | 0x10 heap serial's step follows, | 0x20 count follows, |
+        0x40 ordinal follows, | 0x80 type id follows.  The type travels
+        only where the record's context does not imply it: a root implies
+        its own declared type, a pointer its declared target.  A heap
+        serial travels only where it is not ``last + stride`` of the heap
+        ``BLOCK`` records before it, ``(-1, 1)`` before the first, and
+        then as its i16 step ``serial - last``, the new stride.  A
         stack id is (depth, variable): ``main`` is depth 0 with i, a, b,
         parray = 0..3; ``foo`` is depth 1 with p, q = 0, 1."""
         u16, u32 = struct.Struct(">H").pack, struct.Struct(">I").pack
+        i16 = struct.Struct(">h").pack
         ten = struct.pack(">f", 10.0)
 
-        def heap_node(serial=None):  # BLOCK | heap, a ``struct node *``'s target
-            if serial is None:  # the serial the walk implies: 1 byte
+        def heap_node(step=None):  # BLOCK | heap, a ``struct node *``'s target
+            if step is None:  # the serial the walk implies: 1 byte
                 return b"\x0a" + ten
-            return b"\x1a" + u32(serial) + ten  # 5 bytes
+            return b"\x1a" + i16(step) + ten  # 3 bytes
 
         def heap_ref(serial):  # REF | heap, ordinal 0: 9 bytes
             return b"\x09" + u32(serial) + u32(0)
@@ -252,9 +254,9 @@ class TestFigure1Payload:
             b"\xc6", u32(0), u32(3), u16(type_id["struct node * [10]"]), u32(4),
             # parray[0] -> addr1, whose link is last (addr4), then down the
             # links addr3, addr2, and back to addr1: a REF closes the cycle.
-            # Serials 0 (-1 + 1: implied), 3 (stride 3), 2 (stride -1), 1
+            # Serials 0 (-1 + 1: implied), 3 (step 3), 2 (step -1), 1
             # (2 - 1: implied)
-            heap_node(), heap_node(3), heap_node(2), heap_node(), heap_ref(0),
+            heap_node(), heap_node(3), heap_node(-1), heap_node(), heap_ref(0),
             # parray[1..3]: visited by now; parray[4..9]: not yet assigned
             heap_ref(1), heap_ref(2), heap_ref(3), bytes(6),
             # q: BLOCK | stack (1, 1) -> b: BLOCK | stack (0, 2) -> a:
@@ -292,13 +294,13 @@ class TestFigure1Payload:
         payload, info = collect_state(proc)
         # header: magic, version, frame table (main, then foo)
         head = 4 + 1 + 2 + 8 * len(info.header.frames)
-        assert payload[:5] == b"MIGR\x05" and len(info.header.frames) == 2
+        assert payload[:5] == b"MIGR\x06" and len(info.header.frames) == 2
         golden = self.golden({str(t): i for i, t in enumerate(prog.types)})
         assert payload[head:] == golden
         # 316 while every BLOCK spelled out its type: 13 of the 14 imply
         # it; 290 while every heap BLOCK spelled out its serial: 2 of the
-        # 4 continue the stride
-        assert len(golden) == 282
+        # 4 continue the stride; 282 while the other 2 spelled it as a u32
+        assert len(golden) == 278
         dest = Process(prog, SPARC20)
         restore_state(prog, payload[:head] + golden, dest)
         dest.run()

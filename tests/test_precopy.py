@@ -1330,7 +1330,7 @@ class TestHostileRounds:
         scratch, held, cells = scratch
         int_id = self.int_id(scratch, cells)
         first = block_header((BlockKind.HEAP, 50, 0), int_id, count=4)
-        second = block_header((BlockKind.HEAP, 51, 0), 9999)
+        second = block_header((BlockKind.HEAP, 51, 0), 9999, last=50)
         payload = _round(b"\x01" + first + _ints(1, 2, 3, 4), b"\x01" + second + _ints(5))
         self.refused(scratch, held, payload, "unknown type id 9999")
         assert scratch.msrlt.has_logical((BlockKind.HEAP, 50, 0))
@@ -1378,11 +1378,19 @@ class TestHostileRounds:
     @staticmethod
     def twice(scratch, cells, which) -> tuple:
         """Two root ``BLOCK`` records for one block, with other contents:
-        a heap block new to the scratch, or the held global ``cells``."""
+        a heap block new to the scratch, or the held global ``cells``.
+        A heap serial cannot step 0 to itself, so the second heap root
+        steps back to it from another new block: serial 100 000 escapes
+        (its step from anything a payload of this program ships first is
+        wider than an i16), 100 001 steps 1 from it, and the second
+        record for 100 000 steps -1."""
         if which == "new-heap":
             int_id = TestHostileRounds.int_id(scratch, cells)
-            header = block_header((BlockKind.HEAP, 50, 0), int_id, count=4)
-            first, second = _ints(1, 2, 3, 4), _ints(5, 6, 7, 8)
+            far, near = (BlockKind.HEAP, 100_000, 0), (BlockKind.HEAP, 100_001, 0)
+            between = block_header(near, int_id, last=100_000) + _ints(9)
+            first = block_header(far, int_id, count=4) + _ints(1, 2, 3, 4)
+            second = block_header(far, int_id, count=4, last=100_001) + _ints(5, 6, 7, 8)
+            return b"\x01" + first, b"\x01" + between + b"\x01" + second
         else:
             type_id = scratch.ti.info_for(scratch.msrlt.lookup_logical(cells).elem_type).type_id
             header = block_header(cells, type_id)
@@ -1420,10 +1428,12 @@ class TestHostileRounds:
         scratch, held, _ = scratch
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
-        logical = (BlockKind.HEAP, 60, 0)
-        # a tail root carries its type; the node its tail reaches, not
-        root = b"\x01" + block_header(logical, node_id) + _ints(1)
-        root += block_header(logical) + _ints(2) + b"\x00"
+        # a tail root carries its type; the nodes its tails reach, not.
+        # 60's tail reaches 61, and 61's steps back to 60 (a serial
+        # cannot step 0 to itself)
+        root = b"\x01" + block_header((BlockKind.HEAP, 60, 0), node_id) + _ints(1)
+        root += block_header((BlockKind.HEAP, 61, 0), last=60) + _ints(2)
+        root += block_header((BlockKind.HEAP, 60, 0), last=61) + _ints(3) + b"\x00"
         self.refused(scratch, held, _round(root), "second BLOCK record for")
 
     def test_an_undefined_lead_in_a_round(self, scratch):
@@ -1444,12 +1454,13 @@ class TestHostileRounds:
         scratch, held, _ = scratch
         head = scratch.msrlt.heap_blocks()[0]
         node_id = scratch.ti.info_for(head.elem_type).type_id
-        # 900 and 901 spell their serials out (901 sets the stride 1);
-        # behind them, the shortest run a batch takes, serials implied
+        # 900 and 901 spell their serials' steps out (901 sets the stride
+        # 1); behind them, the shortest run a batch takes, serials implied
         serials = range(900, 902 + MIN_CHAIN)
+        last = {900: head.logical[1], 901: 900}
         # a row's type is the tail's target, implied
         rows = b"".join(
-            block_header((BlockKind.HEAP, serial, 0), serial=serial < 902) + _ints(serial)
+            block_header((BlockKind.HEAP, serial, 0), last=last.get(serial)) + _ints(serial)
             for serial in serials
         )
         root = b"\x01" + block_header(head.logical, node_id) + _ints(5) + rows + b"\x00"

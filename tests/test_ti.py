@@ -80,9 +80,9 @@ class TestFlatKind:
             assert lead_fault(lead) == (
                 f"lead {lead:#04x} spells out a heap serial on a non-heap BLOCK"
             )
-        # on a heap record the bit says the serial follows
+        # on a heap record the bit says the serial's i16 step follows
         lead = TAG_BLOCK | BlockKind.HEAP << 2 | 0x10
-        assert lead_fault(lead) is None and RECORDS[lead].format == ">BI"
+        assert lead_fault(lead) is None and RECORDS[lead].format == ">Bh"
 
 
 class TestTypeInfo:

@@ -10,13 +10,14 @@ whose observable behaviour is checked.
 """
 
 import struct
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import DEC5000, SPARC20, X86
+from repro.arch import ALPHA, DEC5000, SPARC20, X86
 from repro.arch.buffers import ReadBuffer
 from repro.migration import engine as engine_module
 from repro.migration.engine import (
@@ -32,6 +33,7 @@ from repro.msr.collect import Collector
 from repro.msr.msrlt import BlockKind, MSRLTError
 from repro.msr.restore import RestoreError
 from repro.msr.wire import (
+    ESCAPED,
     RECORDS,
     ChunkDecoder,
     WireFrameError,
@@ -43,7 +45,14 @@ from repro.msr.wire import (
 from repro.vm.memory import Memory, MemoryFault
 from repro.vm.process import Process
 from repro.vm.program import compile_program
-from tests.conftest import assert_table_whole, block_header, ref_record, spelled_out
+from tests.conftest import (
+    assert_table_whole,
+    block_header,
+    plans_off,
+    ref_record,
+    spelled_out,
+    stopped_at,
+)
 
 PROGRAM = """
 struct link { int v; struct link *next; };
@@ -339,19 +348,21 @@ _LINK_ID = next(
     _ring_stopped().ti.info_for(b.elem_type).type_id
     for b in _ring_stopped().msrlt.heap_blocks()
 )
-#: a node's BLOCK header — lead, serial; every node is reached through a
-#: ``struct link *``, so its type is implied — is 5 bytes, a REF to one —
-#: lead, serial, ordinal — 9.  The walk meets the serials 5, 0, 4, 3, 2,
-#: 1: the first four spell theirs out (``(last, stride)`` goes (5, 6),
-#: (0, -5), (4, 4), (3, -1)), and 2 and 1 continue the stride -1, so
-#: their headers are the lead alone
-_HEADER, _REF = 5, 9
+#: a node's BLOCK header — lead, i16 step to its serial; every node is
+#: reached through a ``struct link *``, so its type is implied — is 3
+#: bytes, a REF to one — lead, serial, ordinal — 9.  The walk meets the
+#: serials 5, 0, 4, 3, 2, 1: the first four spell theirs out
+#: (``(last, stride)`` goes (5, 6), (0, -5), (4, 4), (3, -1)), and 2 and
+#: 1 continue the stride -1, so their headers are the lead alone
+_HEADER, _REF = 3, 9
+#: the serial of the heap BLOCK before each one whose serial travels
+_LAST = {5: -1, 0: 5, 4: 0, 3: 4}
 
 
 def _node(serial: int) -> int:
     """Payload offset of the BLOCK record of the node with *serial*, one
     whose serial travels."""
-    header = block_header((BlockKind.HEAP, serial, 0))
+    header = block_header((BlockKind.HEAP, serial, 0), last=_LAST[serial])
     assert len(header) == _HEADER
     at = _RING_PAYLOAD.find(header)
     assert at >= 0 and _RING_PAYLOAD.count(header) == 1
@@ -380,6 +391,7 @@ def _splice(offset: int, length: int, data: bytes):
 def _header(serial: int, **fields):
     """Give the node with *serial* another BLOCK header."""
     logical = fields.pop("logical", (BlockKind.HEAP, serial, 0))
+    fields.setdefault("last", _LAST[serial])
     return _splice(_node(serial), _HEADER, block_header(logical, **fields))
 
 
@@ -396,6 +408,10 @@ def _both(*rewrites):
 
 def _put_u32(offset: int, value: int):
     return _splice(offset, 4, value.to_bytes(4, "big"))
+
+
+def _put_i16(offset: int, value: int):
+    return _splice(offset, 2, value.to_bytes(2, "big", signed=True))
 
 
 def _put_u8(offset: int, value: int):
@@ -445,7 +461,7 @@ HOSTILE = {
     ),
     "ordinal-spelled-zero": (
         _splice(_node(4), _HEADER,
-                spelled_out(block_header((BlockKind.HEAP, 4, 0)), 0x40, 0)),
+                spelled_out(block_header((BlockKind.HEAP, 4, 0), last=0), 0x40, 0)),
         "spells out ordinal 0",
     ),
     "tag-three-on-a-block": (_put_u8(_node(4), _NODE_LEAD | 3), "bad record tag 3"),
@@ -458,22 +474,52 @@ HOSTILE = {
     "wrong-flat-flag": (
         _put_u8(_RING_ROOT, 0x12), "spells out a heap serial on a non-heap BLOCK"
     ),
-    # node 0's serial made 11 = 5 + 6, the one the walk implies there
+    # node 0's step made 6, the stride: serial 11 = 5 + 6, the one the
+    # walk implies there
     "serial-spelled-out": (
-        _put_u32(_node(0) + 1, 11), r"spells out serial 11, the serial its walk implies"
+        _put_i16(_node(0) + 1, 6), r"spells out serial 11, the serial its walk implies"
+    ),
+    # node 4's step made -10: 0 - 10
+    "step-below-zero": (
+        _put_i16(_node(4) + 1, -10), "steps -10 from serial 0 to -10, outside u32"
     ),
     # node 4's serial left out: 0 - 5
     "implied-serial-below-zero": (
-        _splice(_node(4), _HEADER, block_header((BlockKind.HEAP, 4, 0), serial=False)),
+        _header(4, last=None),
         "leaves out serial -5, which the walk implies, outside u32",
     ),
-    # node 5's serial 2**32 - 1, then node 0's left out: 2**32 - 1 + 2**32
+    # node 5's serial 2**32 - 1 (escaped), then node 0's left out:
+    # 2**32 - 1 + 2**32
     "implied-serial-above-u32": (
-        _both(
-            _splice(_node(0), _HEADER, block_header((BlockKind.HEAP, 0, 0), serial=False)),
-            _put_u32(_node(5) + 1, 2**32 - 1),
-        ),
+        _both(_header(0, last=None), _header(5, logical=(BlockKind.HEAP, 2**32 - 1, 0))),
         "leaves out serial 8589934591, which the walk implies, outside u32",
+    ),
+    # -- the escape: step 0, then the u32 serial of a step wider than i16
+    # node 5's serial 5 escaped, where its step 6 travels
+    "escape-of-a-narrow-step": (
+        _header(5, escape=True), r"escapes its serial at step 6, which fits an i16"
+    ),
+    # node 0's serial escaped as 5, the last serial: step 0
+    "escape-at-step-zero": (
+        _header(0, logical=(BlockKind.HEAP, 5, 0), escape=True),
+        r"escapes its serial at step 0, which fits an i16",
+    ),
+    # node 5 escaped to 40 000 (stride 40 001), then node 0 to 80 001, the
+    # serial that stride implies
+    "escape-of-the-implied-serial": (
+        _both(
+            _header(0, logical=(BlockKind.HEAP, 80_001, 0), last=40_000),
+            _header(5, logical=(BlockKind.HEAP, 40_000, 0)),
+        ),
+        r"escapes serial 80001, the serial its walk implies",
+    ),
+    # node 5 escaped to 40 000, the payload cut 2 bytes into the serial
+    "escape-cut-in-its-serial": (
+        _both(
+            _cut_at(_node(5) + _HEADER),
+            _splice(_node(5), _HEADER, block_header((BlockKind.HEAP, 40_000, 0))[:5]),
+        ),
+        "escapes its serial, and the payload ends 2 of 4 bytes into it",
     ),
     "null-with-a-kind": (_put_u8(_A_NULL, 2 << 2), "NULL is the single byte 0x00"),
     "bit-seven-on-a-null": (_put_u8(_A_NULL, 0x80), "NULL is the single byte 0x00"),
@@ -487,7 +533,7 @@ HOSTILE = {
 #: are refused before anything is carved
 _REFUSED_AT_ONCE = (
     "count-zero", "count-huge", "unknown-type", "type-spelled-out", "wrong-flat-flag",
-    "count-spelled-one",
+    "count-spelled-one", "escape-of-a-narrow-step", "escape-cut-in-its-serial",
 )
 
 
@@ -561,14 +607,19 @@ class TestHostileRecords:
         assert RECORDS[0].size == 1
         # lead + a [+ b on the stack] + ordinal | [+ type id] [+ count] [+ ordinal]
         assert [RECORDS[1 | kind << 2].size for kind in range(3)] == [9, 13, 9]
-        # a BLOCK: lead [+ a, a heap id's only with bit 4] [+ b on the
-        # stack] [+ type id] [+ count] [+ ordinal]
+        # a BLOCK: lead [+ a, for a heap id only with bit 4 and as an
+        # i16 step] [+ b on the stack] [+ type id] [+ count] [+ ordinal];
+        # escaped, a bit 4 record's step is followed by a u32 serial
         ids = {BlockKind.GLOBAL: 4, BlockKind.STACK: 8, BlockKind.HEAP: 0}
         for kind, serial in [(kind, 0) for kind in ids] + [(BlockKind.HEAP, 0x10)]:
             for bits in range(8):
-                size = 1 + ids[kind] + (4 if serial else 0)
+                lead = 2 | kind << 2 | serial | bits << 5
+                size = 1 + ids[kind] + (2 if serial else 0)
                 size += 4 * bin(bits & 3).count("1") + (2 if bits & 4 else 0)
-                assert RECORDS[2 | kind << 2 | serial | bits << 5].size == size
+                assert RECORDS[lead].size == size
+                escaped = ESCAPED[lead]
+                assert escaped.size == size + 4 if serial else escaped is None
+        assert sum(shape is not None for shape in ESCAPED) == 8
 
     @pytest.mark.parametrize(
         "chunk", [None, 1, 7, 64], ids=["mono", "chunks-1", "chunks-7", "chunks-64"]
@@ -681,13 +732,14 @@ class TestHostileRecords:
     @pytest.mark.parametrize("mode", [{}, {"streaming": True}], ids=["mono", "stream"])
     def test_a_peer_of_another_format_version_is_refused_typed(self, mode, monkeypatch):
         """There is one record format per build.  A payload that says
-        version 1, 3 (every BLOCK record carried its type) or 4 (every
-        heap BLOCK record carried its serial) is refused by the header
+        version 1, 3 (every BLOCK record carried its type), 4 (every
+        heap BLOCK record carried its serial) or 5 (a heap serial that
+        travelled was a u32, not a step) is refused by the header
         reader in one line, and that refusal is damage like any other: a
         typed ``RestoreError`` out of ``migrate()``, the waiting
         destination untouched, the source running on to the unmigrated
         output."""
-        for version in (1, 3, 4):
+        for version in (1, 3, 4, 5):
             monkeypatch.setattr(
                 engine_module, "Collector", _hostile_collector(_put_u8(4, version))
             )
@@ -707,6 +759,104 @@ class TestHostileRecords:
             proc.migration_pending = False
             assert proc.run_to_completion() == 0
             assert proc.stdout == "15"
+
+
+# -- wide steps: a heap serial whose step from the last does not fit an i16 -----
+
+#: one node, 33 000 allocations freed at once, the node its ``next``
+#: holds, 34 000 more, then an array of three: the walk steps from serial
+#: 0 to 33 001 (a node's header) and on to 67 002 (an array's, which
+#: spells out its count)
+WIDE_STEP_PROGRAM = """
+struct node { int v; struct node *next; };
+struct node *head;
+int *vals;
+int main() {
+    int i;
+    head = (struct node *) malloc(sizeof(struct node));
+    head->v = 1;
+    for (i = 0; i < %d; i++) free(malloc(8));
+    head->next = (struct node *) malloc(sizeof(struct node));
+    head->next->v = 2;
+    for (i = 0; i < %d; i++) free(malloc(8));
+    vals = (int *) malloc(3 * sizeof(int));
+    vals[2] = 4;
+    migrate_here();
+    printf("%%d", head->v + head->next->v + vals[2]);
+    return 0;
+}
+"""
+
+
+def _wide_ring() -> bytes:
+    """The ring payload with node 0 renumbered 40 005, 40 000 past node
+    5, the first heap serial: node 0's step and node 4's behind it (-40
+    001) are wider than an i16, so both escape, and every REF to node 0
+    names its new serial."""
+    forged = bytearray(_RING_PAYLOAD)
+    far = (BlockKind.HEAP, 40_005, 0)
+    _header(4, last=40_005)(forged)
+    _header(0, logical=far)(forged)
+    old, new = ref_record((BlockKind.HEAP, 0, 0)), ref_record(far)
+    assert forged.count(old) == 5  # four peers, and node 1's next
+    return bytes(forged.replace(old, new))
+
+
+class TestWideSteps:
+    """The escape on the wire: step 0, then the u32 serial.  What an
+    escaped record restores re-collects to itself, like every record."""
+
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    def test_a_hand_built_escape_restores_and_recollects_to_itself(self, plans):
+        forged = _wide_ring()
+        assert len(forged) == len(_RING_PAYLOAD) + 2 * 4
+        assert forged.count(block_header((BlockKind.HEAP, 40_005, 0), last=5)) == 1
+        dest = Process(_RING, SPARC20)
+        with plans_off(dest) if not plans else nullcontext():
+            restore_state(_RING, forged, dest)
+            assert collect_state(dest)[0] == forged
+        assert_table_whole(dest)
+        assert dest.msrlt.has_logical((BlockKind.HEAP, 40_005, 0))
+        dest.run()
+        assert dest.stdout == "15"
+
+    def test_a_real_walk_that_steps_past_i16(self):
+        """ALPHA (LE64) to SPARC20 (BE32) and back: plans on and off ship
+        the same bytes, each escape costs its 1 + 2 + 4 bytes of lead,
+        step and serial — 4 more than the step a narrower gap takes —
+        and the state that comes back re-collects to the payload that
+        left."""
+        proc = stopped_at(WIDE_STEP_PROGRAM % (33_000, 34_000), 1, ALPHA)
+        prog = proc.program
+        payload, info = collect_state(proc)
+        with plans_off(proc):
+            assert collect_state(proc)[0] == payload
+        assert info.stats.wire_bytes == len(payload)
+        node = block_header((BlockKind.HEAP, 33_001, 0), last=0)
+        assert node == b"\x1a\x00\x00" + (33_001).to_bytes(4, "big")
+        array = block_header((BlockKind.HEAP, 67_002, 0), count=3, last=33_001)
+        assert array == b"\x3a\x00\x00" + (67_002).to_bytes(4, "big") + (3).to_bytes(4, "big")
+        assert payload.count(node) == payload.count(array) == 1
+        narrow, _ = collect_state(stopped_at(WIDE_STEP_PROGRAM % (100, 200), 1, ALPHA))
+        stepped = (
+            block_header((BlockKind.HEAP, 101, 0), last=0),
+            block_header((BlockKind.HEAP, 302, 0), count=3, last=101),
+        )
+        assert [len(h) for h in stepped] == [3, 7]
+        assert all(narrow.count(h) == 1 for h in stepped)
+        assert len(payload) - len(narrow) == 2 * 4
+        dest = Process(prog, SPARC20)
+        restore_state(prog, payload, dest)
+        there, _ = collect_state(dest)
+        with plans_off(dest):
+            assert collect_state(dest)[0] == there
+        assert there == payload
+        back = Process(prog, ALPHA)
+        restore_state(prog, there, back)
+        assert collect_state(back)[0] == payload
+        for arrived in (dest, back):
+            arrived.run()
+            assert arrived.stdout == "7"
 
 
 # -- hostile lists and roots: what every payload must carry, and as what -------
