@@ -97,7 +97,7 @@ def main() -> None:
     dest.run()
     print()
     print(f"migrated at the snapshot ({len(payload)} wire bytes, "
-          f"{cinfo.stats.n_blocks} blocks, {cinfo.stats.n_refs} shared refs);")
+          f"{cinfo.stats.n_blocks} blocks);")
     print("resumed on the SPARC:", dest.stdout.strip())
 
 

@@ -24,6 +24,7 @@ is supported (enumerators become ``int`` constants).
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from repro.clang import cast as A
@@ -51,7 +52,7 @@ from repro.clang.ctypes import (
 )
 from repro.clang.lexer import Token, tokenize
 
-__all__ = ["ParseError", "Parser", "parse"]
+__all__ = ["ParseError", "Parser", "const_value", "parse"]
 
 
 class ParseError(Exception):
@@ -430,10 +431,10 @@ class Parser:
 
     def _parse_const_int(self) -> int:
         expr = self._parse_ternary()
-        value = _const_eval(expr)
-        if value is None:
+        value = const_value(expr)
+        if not isinstance(value, int):
             raise ParseError("expected integer constant expression", expr.line)
-        return int(value)
+        return value
 
     def _parse_init_list(self) -> list[A.Expr]:
         self.expect("punct", "{")
@@ -747,44 +748,77 @@ class Parser:
         raise self._err(f"unexpected token {t.value!r}")
 
 
-def _const_eval(expr: A.Expr) -> Optional[int]:
-    """Evaluate an integer constant expression (for array dims and cases)."""
-    if isinstance(expr, A.IntLit):
-        return expr.value
-    if isinstance(expr, A.CharLit):
-        return expr.value
-    if isinstance(expr, A.Unary) and expr.op == "-":
-        v = _const_eval(expr.operand)
-        return None if v is None else -v
-    if isinstance(expr, A.Unary) and expr.op == "~":
-        v = _const_eval(expr.operand)
-        return None if v is None else ~v
-    if isinstance(expr, A.Binary):
-        lv = _const_eval(expr.left)
-        rv = _const_eval(expr.right)
-        if lv is None or rv is None:
-            return None
-        ops = {
-            "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
-            "*": lambda a, b: a * b,
-            "/": lambda a, b: _c_div(a, b),
-            "%": lambda a, b: a - _c_div(a, b) * b,
-            "<<": lambda a, b: a << b,
-            ">>": lambda a, b: a >> b,
-            "&": lambda a, b: a & b,
-            "|": lambda a, b: a | b,
-            "^": lambda a, b: a ^ b,
-        }
-        fn = ops.get(expr.op)
-        return None if fn is None else fn(lv, rv)
-    return None
-
-
 def _c_div(a: int, b: int) -> int:
     """C integer division (truncation toward zero)."""
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+_INT_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _c_div,
+    "%": lambda a, b: a - _c_div(a, b) * b,
+    "<<": operator.lshift,
+    ">>": operator.rshift,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+}
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+#: (bits, signed) of the integer kinds every architecture sizes alike: a
+#: cast to one wraps as C's does (``long`` and plain ``char`` vary, and
+#: wrap where the value is stored)
+_CAST_BITS = {
+    "uchar": (8, False), "short": (16, True), "ushort": (16, False),
+    "int": (32, True), "uint": (32, False), "llong": (64, True), "ullong": (64, False),
+}
+
+
+def const_value(expr: A.Expr) -> Optional[int | float]:
+    """The value of a constant expression — an array length, a case
+    label, a global initializer — or ``None`` if *expr* is not one.
+    Integer arithmetic is C's (division truncates toward zero), a float
+    operand makes it floating, ``NULL`` is 0, and a cast converts: to a
+    floating type a float, to any other type an int."""
+    if isinstance(expr, (A.IntLit, A.CharLit, A.FloatLit)):
+        return expr.value
+    if isinstance(expr, A.Null):
+        return 0
+    if isinstance(expr, A.Cast):
+        v = const_value(expr.operand)
+        if v is None:
+            return None
+        if isinstance(expr.to, PrimType) and expr.to.is_float:
+            return float(v)
+        v = int(v)
+        bits, signed = _CAST_BITS.get(getattr(expr.to, "kind", None), (0, False))
+        if bits:
+            v &= (1 << bits) - 1
+            if signed and v >> (bits - 1):
+                v -= 1 << bits
+        return v
+    if isinstance(expr, A.Unary):
+        v = const_value(expr.operand)
+        if v is None:
+            return None
+        if expr.op == "-":
+            return -v
+        if expr.op == "~" and isinstance(v, int):
+            return ~v
+        return None
+    if isinstance(expr, A.Binary):
+        a, b = const_value(expr.left), const_value(expr.right)
+        if a is None or b is None:
+            return None
+        floating = isinstance(a, float) or isinstance(b, float)
+        fn = (_FLOAT_OPS if floating else _INT_OPS).get(expr.op)
+        try:
+            return None if fn is None else fn(a, b)
+        except (ZeroDivisionError, ValueError):  # x / 0, a negative shift
+            return None
+    return None
 
 
 def parse(source: str) -> A.TranslationUnit:

@@ -759,7 +759,8 @@ class MigrationEngine:
         protocol first (:mod:`repro.migration.precopy`): a full snapshot
         ships while the source keeps executing poll-point slices, then
         delta rounds of what each slice wrote, until the dirty set converges
-        (*precopy_policy*, a :class:`~repro.migration.precopy.PrecopyPolicy`).
+        (*precopy_policy*, a :class:`~repro.migration.precopy.PrecopyPolicy`;
+        refused without ``precopy=True``, which it would not switch on).
         The stop-and-copy then skips clean already-delivered blocks, so
         the source's final pause — ``stats.precopy_downtime_s``, counted
         from the last slice's return — covers only the working set.  A retryable failure during pre-copy
@@ -773,6 +774,9 @@ class MigrationEngine:
             raise MigrationError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_attempts < 1:
             raise MigrationError(f"max_attempts must be >= 1, got {max_attempts}")
+        if precopy_policy is not None and not precopy:
+            # a policy a stop-and-copy would drop on the floor
+            raise MigrationError("precopy_policy is given, but precopy is off")
         if waiting is not None:
             _check_waiting(waiting, process, dest_arch)
         if channel is None:
@@ -790,7 +794,7 @@ class MigrationEngine:
             chunk_size=chunk_size,
             compress=compress,
             max_attempts=max_attempts,
-            precopy_policy=precopy_policy if precopy else None,
+            precopy_policy=precopy_policy,
             obs=MigrationObservation(attribution=attribution),
         )
         try:

@@ -129,7 +129,6 @@ class BaseChannel:
     def __init__(self, link: Link) -> None:
         self.link = link
         self.bytes_sent = 0
-        self.messages_sent = 0
         #: bytes of every frame built here, terminators included
         self.framed_bytes_sent = 0
         #: chunk frames sent and handed up, terminators excluded
@@ -150,7 +149,6 @@ class BaseChannel:
         modeled wire time in seconds."""
         self._deliver(payload)
         self.bytes_sent += len(payload)
-        self.messages_sent += 1
         return self.link.transfer_time(len(payload))
 
     @property
@@ -499,7 +497,6 @@ class FaultyChannel(BaseChannel):
         self.bytes_sent += len(payload)
         index = self._send_index
         self._send_index += 1
-        self.messages_sent += 1
         fault = self.plan.take(index)
         if fault is None:
             return deliver(payload)

@@ -86,8 +86,6 @@ class CollectStats:
     """Accounting for one collection run (feeds Table 1 / Figure 2)."""
 
     n_blocks: int = 0
-    n_refs: int = 0
-    n_nulls: int = 0
     #: never incremented: kept for readers of the field (ROADMAP 5-I(b))
     n_flat_blocks: int = 0
     #: pointer-free blocks: converted by a CastPlan or copied ``raw``
@@ -339,9 +337,9 @@ class Collector:
         prof = self._prof
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
-        n_blocks = n_refs = n_nulls = n_searches = data_bytes = 0
-        # the blocks a record plan walked (n_plan_blocks) and the raw
-        # blocks copied (n_codec_blocks)
+        n_blocks = n_searches = data_bytes = 0
+        # the blocks a PtrArrayPlan or RecordPlan walked (n_plan_blocks)
+        # and the pointer-free ones, cast or copied raw (n_codec_blocks)
         n_planned = n_codec = 0
         last, stride = self._last, self._stride
         stack = []
@@ -358,7 +356,6 @@ class Collector:
                 if value is not None:
                     if value == 0:
                         out += _NULL_RECORD
-                        n_nulls += 1
                         block = None
                     else:
                         # MSRLT.lookup_addr, inlined
@@ -396,7 +393,6 @@ class Collector:
                             out += RECORDS[lead].pack(lead, la, lb, ordinal)
                         else:
                             out += RECORDS[lead].pack(lead, la, ordinal)
-                        n_refs += 1
                     else:
                         ctype = block.elem_type
                         _, info, new, steps, load, copy = (
@@ -478,8 +474,13 @@ class Collector:
                             n_codec += 1
                         else:
                             n = 0
-                            pointers = None if new is None else new.save(self, block, info)
+                            pointers = None
+                            if new is not None:
+                                pointers = new.save(self, block, info)
+                                if pointers is None:  # a CastPlan wrote it all
+                                    n_codec += 1
                         if n or pointers is not None:
+                            n_planned += 1
                             stack.append(
                                 (walker, plan, opened, slots, at, values, addr,
                                  units, unpack)
@@ -487,7 +488,6 @@ class Collector:
                             walker, plan, slots, units = pointers, new, steps, n
                             opened = block if header else None
                             if n:
-                                n_planned += 1
                                 addr = block.addr
                                 at = 0
                                 unpack = load
@@ -520,7 +520,6 @@ class Collector:
                             if value:
                                 break
                             out += _NULL_RECORD
-                            n_nulls += 1
                             continue
                         units -= 1
                         if units:
@@ -536,8 +535,6 @@ class Collector:
                     elif plan is None:
                         stats = self.stats
                         stats.n_blocks += n_blocks
-                        stats.n_refs += n_refs
-                        stats.n_nulls += n_nulls
                         stats.data_bytes += data_bytes
                         if self._plans_on:
                             stats.n_plan_blocks += n_planned

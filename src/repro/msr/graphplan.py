@@ -268,7 +268,6 @@ class CastPlan:
         n = info.units_in(block.count) * self.per_unit
         image = collector.memory.view(block.addr, n * self.host.itemsize)
         collector.buf.write_ndarray(np.frombuffer(image, self.host, n), self.wire)
-        collector.stats.n_codec_blocks += 1
 
     def restore(self, restorer, block, info) -> None:
         n = info.units_in(block.count) * self.per_unit
@@ -392,10 +391,7 @@ class PtrArrayPlan:
 
     def save(self, collector, block, info):
         """Yields the pointer values the driver must resolve itself."""
-        yield from self._pointers(collector, block, info.cells_in(block.count))
-        collector.stats.n_plan_blocks += 1
-
-    def _pointers(self, collector, block, n):
+        n = info.cells_in(block.count)
         host = self.host
         raw = collector.memory.view(block.addr, n * host.itemsize)
         vals = np.frombuffer(raw, dtype=host, count=n).astype(np.int64)
@@ -415,7 +411,6 @@ class PtrArrayPlan:
             [1 if b.logical in visited else 2 for b in targets.blocks] + [0]
         )[tix]
         buf = collector.buf
-        stats = collector.stats
         p = 0
         while p < n:
             c = int(cls[p])
@@ -435,7 +430,6 @@ class PtrArrayPlan:
             q = p + (int(brk[0]) if brk.size else n - p)
             if c == 0:
                 buf.write(bytes(q - p))  # a NULL record is one zero byte
-                stats.n_nulls += q - p
                 p = q
                 continue
             rows = targets.ref_rows(collector.ti, vals, p, q)
@@ -447,7 +441,6 @@ class PtrArrayPlan:
             else:
                 buf.write(rows.tobytes())
                 collector.msrlt.count_searches(q - p)  # one per translated pointer
-                stats.n_refs += q - p
             p = q
 
     # -- restore --------------------------------------------------------------
@@ -458,7 +451,6 @@ class PtrArrayPlan:
         n = info.cells_in(block.count)
         bulk = n >= MIN_BULK_CELLS
         buf = restorer.buf
-        stats = restorer.stats
         out = np.zeros(n, np.uint64)
         p = 0
         while p < n:
@@ -470,7 +462,6 @@ class PtrArrayPlan:
                 nz = np.flatnonzero(v)
                 run = int(nz[0]) if nz.size else len(v)
                 buf.read(run)
-                stats.n_nulls += run
                 p += run
                 continue
             if lead in _REF_LEADS:
@@ -501,7 +492,6 @@ class PtrArrayPlan:
         )
         out[p : p + m] = dests[:m]
         buf.read(m * REF_DTYPE.itemsize)
-        restorer.stats.n_refs += m
         return p + m
 
 
@@ -735,7 +725,6 @@ class ChainPlan:
         stats.n_blocks += m
         stats.n_plan_blocks += m
         stats.data_bytes += m * self.size
-        stats.n_refs += m * self.n_ptr_cols
         if prof is not None:
             self._book_batch(
                 prof, "collect", m, m * self.row_size, t0, collector.buf.nbytes
@@ -960,8 +949,6 @@ class ChainPlan:
         stats = restorer.stats
         stats.n_blocks += m
         stats.n_heap_allocs += m
-        stats.n_refs += m * self.n_ptr_cols
-        stats.data_bytes += m * self.size
         if prof is not None:
             # a restore frame opens after its record's header, so the
             # first row's header stays with the frame around the batch

@@ -43,6 +43,7 @@ what the globals do not reach.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,7 +53,7 @@ from repro.msr.graphplan import ChainBackoff
 from repro.msr.msrlt import BlockKind, MemoryBlock
 from repro.msr.ti import TypeInfo
 from repro.msr.wire import (
-    ESCAPED,
+    FLAGGED,
     HEAP_UNIT,
     LEAD_COUNT,
     LEAD_ORDINAL,
@@ -62,6 +63,7 @@ from repro.msr.wire import (
     RUN_HEADER,
     STEP_MAX,
     STEP_MIN,
+    TAG_BLOCK,
     TAG_REF,
     TAIL_FREED,
     TAIL_ROOT,
@@ -96,9 +98,10 @@ _IMPLIED_SERIAL = (
 )
 #: the bits a serial outside u32 sets (below 0 or above 0xFFFFFFFF)
 _NOT_U32 = ~0xFFFFFFFF
-#: a heap unit's header with its serial spelled out: lead, i16 step
-_SERIAL_UNIT = HEAP_UNIT | LEAD_SERIAL
-_UNPACK_STEP = RECORDS[_SERIAL_UNIT].unpack_from
+#: a heap unit's header with its serial spelled out: lead, i16 step —
+#: and behind the escape, the u32 serial
+_UNPACK_STEP = RECORDS[HEAP_UNIT | LEAD_SERIAL].unpack_from
+_UNPACK_SERIAL = struct.Struct(">I").unpack_from
 _SERIAL_RANGE = "heap BLOCK leaves out serial {}, which the walk implies, outside u32"
 _STEP_RANGE = "heap BLOCK steps {} from serial {} to {}, outside u32"
 #: the escape (step 0, then the u32 serial) is for a step outside i16 only
@@ -131,10 +134,7 @@ class RestoreStats:
     """Accounting for one restoration run."""
 
     n_blocks: int = 0
-    n_refs: int = 0
-    n_nulls: int = 0
     n_heap_allocs: int = 0
-    data_bytes: int = 0  # destination-arch bytes written
 
 
 class Restorer:
@@ -349,27 +349,6 @@ class Restorer:
             )
         return info.ordinal_to_byte(ordinal, block.count)
 
-    def _escaped(self, lead: int, pos: int, last: int, stride: int) -> tuple:
-        """The fields of the ``SERIAL`` record at *pos* whose step reads
-        0, the escape: the u32 serial behind it, which only a step wider
-        than an i16 — and not the stride — may reach."""
-        shape = ESCAPED[lead]
-        buf = self.buf
-        have = len(buf.window) - pos
-        if have < shape.size:
-            if have < 7:  # lead, step, serial
-                buf.cursor = pos
-                raise RestoreError(_CUT_ESCAPE.format(have - 3))
-            buf.need(pos, shape.size)
-        fields = shape.unpack_from(buf.window, pos)
-        la = fields[2]
-        step = la - last
-        if STEP_MIN <= step <= STEP_MAX:
-            raise RestoreError(_NARROW_ESCAPE.format((_HEAP, la, 0), step))
-        if step == stride:
-            raise RestoreError(_IMPLIED_ESCAPE.format((_HEAP, la, 0), la))
-        return fields
-
     # -- traversal ----------------------------------------------------------------------------
 
     def _drive(self, expected=None, contents_of=None) -> int:
@@ -384,14 +363,17 @@ class Restorer:
         cell.  It spells the type out only where the context implies none
         or another.  A heap ``BLOCK`` leaves its serial out where the
         pass's ``(last, stride)`` implies it, and carries its step from
-        ``last`` otherwise (:meth:`_escaped` reads a serial whose step is
-        wider than an i16); the pair lives in locals while the walk is
+        ``last`` otherwise (the escape and the u32 serial where the step
+        is wider than an i16); the pair lives in locals while the walk is
         under way and on the pass between walks and around a chain batch.
 
         Each turn of the loop reads one record, told by its lead byte —
-        which also says how wide the record is, so it is one
-        ``unpack_from`` whatever its shape: ``NULL`` and ``REF`` denote an
-        address at once; a ``BLOCK`` resolves its destination block,
+        which also says how wide the record is: ``NULL`` and ``REF``
+        denote an address at once (a ``REF`` is one ``unpack_from``); a
+        ``BLOCK`` reads its id — a heap serial, whichever way it travels,
+        is decoded in one place — then the fields its flag bits name
+        (:data:`~repro.msr.wire.FLAGGED`, nothing for a list or tree
+        node), resolves its destination block,
         registers the mapping BEFORE the contents (cycles arrive as REFs)
         and either fills it at once or opens a frame.  Then the address
         is handed to the open frame, which advances to its next pointer
@@ -429,7 +411,7 @@ class Restorer:
         prof = self._prof
         backoff = self.chain_backoff
         skip = backoff.skip  # tail slots left to pass over unoffered
-        n_blocks = n_refs = n_nulls = n_allocs = data_bytes = 0
+        n_blocks = n_allocs = 0
         last, stride = self._last, self._stride
         stack = []
         # the open frame; `plan is None` marks the bottom of the stack.
@@ -458,7 +440,6 @@ class Restorer:
                     lead = view[pos]
                     if not lead:
                         pos += 1
-                        n_nulls += 1
                         block, address = None, 0
                     elif lead & 3 == TAG_REF:
                         shape = RECORDS[lead]
@@ -488,87 +469,78 @@ class Restorer:
                                     _ROOT_ORDINAL.format(block.logical, ordinal)
                                 )
                             expected = None
-                        n_refs += 1
                         address = block.addr
                         if ordinal:
                             address += self._byte_of(block, ordinal)
                         block = None
                     else:
-                        if lead == HEAP_UNIT or lead == _SERIAL_UNIT:
-                            # a list or tree node's header: the lead, and
-                            # the step to the serial where the walk does not
-                            # imply it (or the escape and the serial)
+                        # a BLOCK header: its id — a heap serial implied,
+                        # stepped or escaped, or a global's or stack's id
+                        if lead & 0x0F == HEAP_UNIT:
                             kind = _HEAP
-                            if lead == HEAP_UNIT:
+                            if lead & LEAD_SERIAL:
+                                if pos + 3 > end:
+                                    need(pos, 3)
+                                step = _UNPACK_STEP(view, pos)[1]
+                                pos += 3
+                                if step:
+                                    la = last + step
+                                    if step == stride or la & _NOT_U32:
+                                        _refuse_step(last, step, stride)
+                                else:
+                                    # the escape: the u32 serial follows,
+                                    # for a step wider than an i16 only
+                                    if pos + 4 > end:
+                                        raise RestoreError(_CUT_ESCAPE.format(end - pos))
+                                    la = _UNPACK_SERIAL(view, pos)[0]
+                                    pos += 4
+                                    step = la - last
+                                    if STEP_MIN <= step <= STEP_MAX:
+                                        raise RestoreError(
+                                            _NARROW_ESCAPE.format((_HEAP, la, 0), step)
+                                        )
+                                    if step == stride:
+                                        raise RestoreError(
+                                            _IMPLIED_ESCAPE.format((_HEAP, la, 0), la)
+                                        )
+                                stride = step
+                            else:
                                 pos += 1
                                 la = last + stride
                                 if la & _NOT_U32:
                                     raise RestoreError(_SERIAL_RANGE.format(la))
-                            else:
-                                if pos + 3 > end:
-                                    need(pos, 3)
-                                step = _UNPACK_STEP(view, pos)[1]
-                                if step:
-                                    pos += 3
-                                    la = last + step
-                                    if step == stride or la & _NOT_U32:
-                                        _refuse_step(last, step, stride)
-                                    stride = step
-                                else:
-                                    la = self._escaped(lead, pos, last, stride)[2]
-                                    pos += 7
-                                    stride = la - last
                             last = la
-                            logical = (kind, la, 0)
-                            if implied is None:
-                                raise RestoreError(_NO_TYPE.format(logical))
-                            type_id, count, ordinal = implied, 1, 0
+                            logical = (_HEAP, la, 0)
                         else:
-                            # a BLOCK header: the fields its lead says follow
-                            shape = RECORDS[lead]
-                            if shape is None:
+                            shape = RECORDS[lead & 0x0F]
+                            if shape is None or lead & (LEAD_SERIAL | 3) != TAG_BLOCK:
                                 raise RestoreError(lead_fault(lead))
+                            size = shape.size
+                            if pos + size > end:
+                                need(pos, size)
+                            kind = lead >> 2 & 3
+                            if kind == _STACK:
+                                _, la, lb = shape.unpack_from(view, pos)
+                            else:
+                                (_, la), lb = shape.unpack_from(view, pos), 0
+                            pos += size
+                            logical = (kind, la, lb)
+                        # then the fields its flag bits name
+                        type_id, count, ordinal = implied, 1, 0
+                        if lead >> 5:
+                            shape = FLAGGED[lead >> 5]
                             size = shape.size
                             if pos + size > end:
                                 need(pos, size)
                             fields = shape.unpack_from(view, pos)
                             pos += size
-                            kind = lead >> 2 & 3
-                            if kind == _STACK:
-                                logical, i = (kind, fields[1], fields[2]), 3
-                            elif kind != _HEAP:
-                                logical, i = (kind, fields[1], 0), 2
-                            elif lead & LEAD_SERIAL:
-                                step, i = fields[1], 2
-                                if step:
-                                    la = last + step
-                                    if step == stride or la & _NOT_U32:
-                                        _refuse_step(last, step, stride)
-                                else:
-                                    fields = self._escaped(lead, pos - size, last, stride)
-                                    pos += 4
-                                    la, i = fields[2], 3
-                                stride = la - last
-                                last = la
-                                logical = (kind, la, 0)
-                            else:
-                                la = last + stride
-                                if la & _NOT_U32:
-                                    raise RestoreError(_SERIAL_RANGE.format(la))
-                                last = la
-                                logical, i = (kind, la, 0), 1
+                            i = 0
                             if lead & LEAD_TYPE:
-                                type_id = fields[i]
-                                i += 1
+                                type_id, i = fields[0], 1
                                 if type_id == implied:
                                     raise RestoreError(
                                         _IMPLIED_TYPE.format(logical, type_id)
                                     )
-                            elif implied is None:
-                                raise RestoreError(_NO_TYPE.format(logical))
-                            else:
-                                type_id = implied
-                            count, ordinal = 1, 0
                             if lead & LEAD_COUNT:
                                 count = fields[i]
                                 i += 1
@@ -582,6 +554,8 @@ class Restorer:
                                     raise RestoreError(
                                         _NOT_CANONICAL.format(logical, "ordinal 0")
                                     )
+                        if type_id is None:
+                            raise RestoreError(_NO_TYPE.format(logical))
                         if expected is not None:
                             if logical != expected.logical:
                                 raise RestoreError(
@@ -628,7 +602,6 @@ class Restorer:
                             )
                 if block is not None:
                     n_blocks += 1
-                    data_bytes += block.size
                     # its contents: copied, read at once, or a new frame
                     if steps is not None:
                         records, n = None, block.count * info.repeat
@@ -755,10 +728,7 @@ class Restorer:
             self._last, self._stride = last, stride
             stats = self.stats
             stats.n_blocks += n_blocks
-            stats.n_refs += n_refs
-            stats.n_nulls += n_nulls
             stats.n_heap_allocs += n_allocs
-            stats.data_bytes += data_bytes
             if pending:
                 # the table is whole again before anyone can search it
                 self._pending = []

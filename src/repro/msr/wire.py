@@ -90,14 +90,16 @@ a payload the restorer accepts re-collects to itself.  The plans-on/off
 byte-identity oracle depends on it.
 
 Widths are fixed *per lead byte* on purpose, not varints: a record is
-still one ``struct`` call (:data:`RECORDS` holds the ``Struct`` of every
-defined lead), and a run of like records is a fixed-stride NumPy array
+still one ``struct`` call to write (:data:`RECORDS` holds the ``Struct``
+of every defined lead, :data:`ESCAPED` that of a ``SERIAL`` record
+escaped), and a run of like records is a fixed-stride NumPy array
 (:func:`record_dtype`) — :mod:`repro.msr.graphplan` batches chain rows
 and REF runs that way, and simply ends a batch where a row's lead
-differs from the one it compiled for.  The escape is the one exception:
-where a ``SERIAL`` record's step reads 0, :data:`ESCAPED` holds the
-``Struct`` of the same record with the u32 serial behind the step, a
-second read.
+differs from the one it compiled for.  The restorer reads a ``BLOCK``
+header in two steps: its id — a heap serial implied, stepped or escaped,
+decoded in one place, or a global's or stack's id — then the fields its
+``TYPE``, ``COUNT`` and ``ORDINAL`` bits name, one ``Struct`` per
+combination (:data:`FLAGGED`).
 
 A ``BLOCK`` appears for the first (depth-first) visit of each memory
 block; every later reference is a ``REF``.  Cycles are safe because the
@@ -243,6 +245,7 @@ __all__ = [
     "record_dtype",
     "RECORDS",
     "ESCAPED",
+    "FLAGGED",
     "WireHeader",
     "write_header",
     "read_header",
@@ -385,6 +388,12 @@ ESCAPED = tuple(
     if RECORDS[lead] is not None and lead & LEAD_SERIAL
     else None
     for lead in range(256)
+)
+#: per ``lead >> 5`` of a ``BLOCK`` — its ``TYPE``, ``COUNT`` and
+#: ``ORDINAL`` bits — the ``Struct`` of the fields they name, in wire
+#: order: what follows the block's id
+FLAGGED = tuple(
+    _record_struct(record_fields(TAG_BLOCK | flags << 5)[2:]) for flags in range(8)
 )
 
 

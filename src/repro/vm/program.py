@@ -27,13 +27,12 @@ from repro.clang.ctypes import (
     CHAR,
     CType,
     PointerType,
-    PrimType,
     TypeLayout,
     UINT,
     VoidType,
     type_key,
 )
-from repro.clang.parser import parse
+from repro.clang.parser import const_value, parse
 from repro.clang.unsafe import check_migration_safety
 from repro.vm.builtins import BUILTIN_INDEX, BUILTIN_SIGS, BUILTINS, RAND_STATE_GLOBAL
 from repro.vm.compiler import CompileError, FuncIR, GlobalInfo, IRGen, kind_of
@@ -366,9 +365,9 @@ def compile_program(
         init = None
         init_list = None
         if gvar.init is not None:
-            init = _const_of(gvar.init)
+            init = const_value(gvar.init)
         if gvar.init_list is not None:
-            init_list = [_const_of(e) for e in gvar.init_list]
+            init_list = [const_value(e) for e in gvar.init_list]
         prog._add_global(
             GlobalInfo(name=gvar.name, ctype=gvar.ctype, init=init, init_list=init_list)
         )
@@ -393,25 +392,6 @@ def compile_program(
         fir.liveness = compute_liveness(fir.code, fir.nvars, save_all=save_all_liveness)
 
     return prog
-
-
-def _const_of(expr: A.Expr) -> float | int:
-    if isinstance(expr, A.IntLit):
-        return expr.value
-    if isinstance(expr, A.FloatLit):
-        return expr.value
-    if isinstance(expr, A.CharLit):
-        return expr.value
-    if isinstance(expr, A.Null):
-        return 0
-    if isinstance(expr, A.Unary) and expr.op == "-":
-        return -_const_of(expr.operand)
-    if isinstance(expr, A.Cast):
-        inner = _const_of(expr.operand)
-        if isinstance(expr.to, PrimType) and expr.to.is_integer:
-            return int(inner)
-        return float(inner)
-    raise CompileError("global initializer must be a constant")
 
 
 def _align_up(value: int, align: int) -> int:

@@ -36,6 +36,7 @@ from repro.clang.ctypes import (
     VoidType,
     type_key,
 )
+from repro.clang.parser import const_value
 
 __all__ = ["TypeCheckError", "BuiltinSig", "TypeChecker", "arith_result", "is_null_ptr"]
 
@@ -174,7 +175,7 @@ class TypeChecker:
     def _check_global_init(self, gvar: A.GlobalVar) -> None:
         ctype = self.rvalue(gvar.init)
         gvar.init = self._convert(gvar.init, gvar.ctype, gvar.line)
-        if _const_value(gvar.init) is None:
+        if const_value(gvar.init) is None:
             raise TypeCheckError(
                 f"global initializer of {gvar.name!r} must be constant", gvar.line
             )
@@ -190,7 +191,7 @@ class TypeChecker:
         for item in gvar.init_list:
             self.rvalue(item)
             item = self._convert(item, elem, gvar.line)
-            if _const_value(item) is None:
+            if const_value(item) is None:
                 raise TypeCheckError("global initializers must be constant", gvar.line)
             new_items.append(item)
         gvar.init_list[:] = new_items
@@ -607,21 +608,3 @@ class TypeChecker:
         if isinstance(to, VoidType):
             return expr
         raise TypeCheckError(f"cannot convert {frm} to {to}", line)
-
-
-def _const_value(expr: A.Expr) -> Optional[float | int]:
-    """Constant value of a (possibly implicitly cast) literal, else None."""
-    if isinstance(expr, A.IntLit):
-        return expr.value
-    if isinstance(expr, A.FloatLit):
-        return expr.value
-    if isinstance(expr, A.CharLit):
-        return expr.value
-    if isinstance(expr, A.Null):
-        return 0
-    if isinstance(expr, A.Unary) and expr.op == "-":
-        v = _const_value(expr.operand)
-        return None if v is None else -v
-    if isinstance(expr, A.Cast):
-        return _const_value(expr.operand)
-    return None

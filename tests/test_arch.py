@@ -20,7 +20,8 @@ from repro.arch import (
     xdr,
 )
 from repro.migration.engine import collect_state
-from tests.conftest import stopped_at
+from repro.msr.msrlt import BlockKind
+from tests.conftest import block_header, ref_record, stopped_at
 
 
 class TestMachineArch:
@@ -160,19 +161,23 @@ class TestBuffers:
         assert r.remaining == 1
 
     def test_tag_accounting(self):
-        """What was written per record tag is the collector's count
-        (``CollectStats``): the buffer holds bytes, not a census."""
+        """What was written per record tag is read off the payload: the
+        buffer holds bytes, not a census, and the collector counts
+        blocks only."""
         proc = stopped_at(
             "struct n { struct n *self; struct n *none; }; struct n *root;"
             "int main() { root = (struct n *) malloc(sizeof(struct n));"
             " root->self = root; root->none = NULL; migrate_here(); return 0; }",
             1, DEC5000,
         )
-        _, info = collect_state(proc)
-        # root, the node and the hidden PRNG cell; the self link; the
-        # NULL (main has no live locals)
-        stats = info.stats
-        assert (stats.n_blocks, stats.n_refs, stats.n_nulls) == (3, 1, 1)
+        payload, info = collect_state(proc)
+        # root, the node and the hidden PRNG cell (main has no live
+        # locals): root's record holds the node's, whose self link is a
+        # REF and whose other link the one NULL byte
+        node = (BlockKind.HEAP, 0, 0)
+        records = block_header((BlockKind.GLOBAL, 0, 0)) + block_header(node, last=None)
+        assert payload.count(records + ref_record(node) + bytes(1)) == 1
+        assert info.stats.n_blocks == 3
 
     def test_tag_accounting_off_by_default(self):
         """The buffer's whole accounting is one byte count."""

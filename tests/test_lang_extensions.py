@@ -1,11 +1,15 @@
-"""Tests for language features beyond the paper's minimum: enums and
-struct assignment by value — plus their interaction with migration."""
+"""Tests for language features beyond the paper's minimum: enums,
+struct assignment by value and constant global initializers — plus
+their interaction with migration."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.arch import ALPHA, DEC5000, SPARC20
+from repro.arch.machine import Endian
 from repro.clang.parser import ParseError, parse
-from repro.migration import Cluster, Scheduler
+from repro.migration import Cluster, MigrationEngine, Scheduler
 from repro.vm.process import Process
 from repro.vm.program import compile_program
 from repro.vm.typecheck import TypeCheckError
@@ -242,3 +246,69 @@ class TestStaticLocalRejected:
     def test_static_local(self):
         with pytest.raises(ParseError, match="static local"):
             parse("int f() { static int count = 0; return count++; }")
+
+
+#: a big-endian LP64 host: no preset is one
+BE64 = replace(ALPHA, name="be64", endian=Endian.BIG)
+
+#: constant global initializers: (declaration of ``{g}``, printf format,
+#: argument, the value C gives it)
+CONSTANT_INITIALIZERS = [
+    ("int {g} = 2 * 3;", "%d", "{g}", "6"),
+    ("int {g} = ~0;", "%d", "{g}", "-1"),
+    ("char {g} = 'a' + 1;", "%d", "{g}", "98"),
+    ("int {g} = 'a' * 2 - 'b';", "%d", "{g}", "96"),
+    ("int {g} = -7 / 2;", "%d", "{g}", "-3"),
+    ("int {g} = -7 % 2;", "%d", "{g}", "-1"),
+    ("int {g} = 1 << 4 | 3;", "%d", "{g}", "19"),
+    ("unsigned {g} = ~0;", "%u", "{g}", "4294967295"),
+    ("unsigned {g} = (unsigned) -2 / 2;", "%u", "{g}", "2147483647"),
+    ("int {g} = (short) 70000 / 2;", "%d", "{g}", "2232"),
+    ("unsigned char {g} = 300;", "%d", "{g}", "44"),
+    ("long {g} = 3 * 1000 * 1000;", "%ld", "{g}", "3000000"),
+    ("int {g} = 7.9;", "%d", "{g}", "7"),
+    ("int {g} = (int) -7.9;", "%d", "{g}", "-7"),
+    ("double {g} = 1 / 2;", "%.2f", "{g}", "0.00"),
+    ("double {g} = 1 / 2.0 - 0.25;", "%.2f", "{g}", "0.25"),
+    ("int *{g} = NULL;", "%d", "{g} == NULL", "1"),
+]
+
+
+class TestConstantInitializers:
+    """One constant evaluator serves array lengths, case labels and
+    global initializers: an initializer C folds to a constant compiles
+    to C's value, on either byte order and word size, and migrates as
+    that value."""
+
+    @pytest.mark.parametrize("arch", [DEC5000, BE64], ids=["le32", "be64"])
+    @pytest.mark.parametrize(
+        "decl, fmt, arg, value", CONSTANT_INITIALIZERS,
+        ids=[case[0].format(g="g") for case in CONSTANT_INITIALIZERS],
+    )
+    def test_an_initializer_is_c_value(self, decl, fmt, arg, value, arch):
+        out = run_main(f'printf("{fmt}", {arg.format(g="g")});', arch, decl.format(g="g"))
+        assert out == value
+
+    def test_the_initializers_migrate_as_their_values(self):
+        names = [f"g{i}" for i in range(len(CONSTANT_INITIALIZERS))]
+        decls = "".join(d.format(g=g) for g, (d, *_) in zip(names, CONSTANT_INITIALIZERS))
+        fmt = " ".join(f for _, f, _, _ in CONSTANT_INITIALIZERS)
+        args = ", ".join(a.format(g=g) for g, (_, _, a, _) in zip(names, CONSTANT_INITIALIZERS))
+        prog = compile_program(
+            f'{decls}\nint main() {{ migrate_here(); printf("{fmt}", {args}); return 0; }}',
+            poll_strategy="user",
+        )
+        proc = Process(prog, DEC5000)
+        proc.start()
+        proc.migration_pending = True
+        proc.migrate_after_polls = 1
+        assert proc.run().status == "poll"
+        dest, _ = MigrationEngine().migrate(proc, BE64)
+        dest.run_to_completion()
+        assert dest.stdout == " ".join(value for *_, value in CONSTANT_INITIALIZERS)
+
+    def test_an_array_length_is_an_integer_constant(self):
+        assert run_main('printf("%d", (int) (sizeof(a) / sizeof(a[0])));',
+                        prelude="int a[2 * 3 - 1];") == "5"
+        with pytest.raises(ParseError, match="expected integer constant expression"):
+            parse("int a[2.5];")

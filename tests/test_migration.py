@@ -125,9 +125,9 @@ class TestMigrationMechanics:
         proc.migration_pending = True
         proc.migrate_after_polls = 2
         assert proc.run().status == "poll" and proc.stdout == "0\n1\n"
+        policy = PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0) if precopy else None
         dest, stats = MigrationEngine().migrate(
-            proc, SPARC20, precopy=precopy,
-            precopy_policy=PrecopyPolicy(max_rounds=2, stop_dirty_blocks=0),
+            proc, SPARC20, precopy=precopy, precopy_policy=policy,
         )
         assert stats.precopy == precopy
         dest.run_to_completion()
@@ -298,6 +298,24 @@ class TestMigrationMechanics:
         refused = f"chunk_size must be >= 1, got {chunk_size}"
         with pytest.raises(MigrationError, match=refused) as excinfo:
             MigrationEngine().migrate(proc, SPARC20, chunk_size=chunk_size, **mode)
+        assert excinfo.value.stats is None
+        assert proc.polls == 5 and proc.frames
+
+    @pytest.mark.parametrize("mode", [{}, {"streaming": True}], ids=["serial", "stream"])
+    def test_a_precopy_policy_without_precopy_is_refused_before_a_run(self, mode):
+        """A policy says how pre-copy runs, not that it runs: without
+        ``precopy=True`` it is refused up front (no run, no stats), not
+        dropped for a plain stop-and-copy.  The source is untouched."""
+        prog = compile_program(WORK)
+        proc = Process(prog, DEC5000)
+        proc.start()
+        proc.migration_pending = True
+        proc.migrate_after_polls = 5
+        proc.run()
+        with pytest.raises(MigrationError, match="precopy_policy is given") as excinfo:
+            MigrationEngine().migrate(
+                proc, SPARC20, precopy_policy=PrecopyPolicy(max_rounds=2), **mode
+            )
         assert excinfo.value.stats is None
         assert proc.polls == 5 and proc.frames
 

@@ -16,6 +16,7 @@ from repro.msr.msrlt import BlockKind
 from repro.msr.restore import Restore_pointer, Restore_variable, Restorer
 from repro.vm.process import Process
 from repro.vm.program import compile_program
+from tests.conftest import ref_record
 
 PROGRAM = """
 struct node { float data; struct node *link; };
@@ -97,10 +98,14 @@ class TestPaperInterface:
         Save_pointer(collector, src_addr)
         after_first = buf.nbytes
         Save_pointer(collector, src_addr)
-        assert buf.nbytes - after_first < 20  # a REF, not another BLOCK
-        # two REFs total: the self-link cycle inside the first save,
-        # plus the entire second save
-        assert collector.stats.n_refs == 2
+        # the entire second save is a REF, not another BLOCK, and the
+        # same REF as the one that closed the self-link cycle inside the
+        # first save
+        ref = ref_record(src.msrlt.lookup_addr(src_addr)[0].logical)
+        payload = buf.getvalue()
+        assert payload[after_first:] == ref
+        assert payload[:after_first].endswith(ref)
+        assert collector.stats.n_blocks == 1
 
         restorer = Restorer(dst, ReadBuffer(buf.getvalue()))
         a1 = Restore_pointer(restorer)
@@ -112,10 +117,13 @@ class TestPaperInterface:
         src_addr = src.memory.load(
             "ptr", src.image.global_addrs[src.program.global_index("first")]
         )
-        collector = Collector(src, WriteBuffer())
+        buf = WriteBuffer()
+        collector = Collector(src, buf)
         Save_pointer(collector, src_addr)
         assert collector.stats.n_blocks == 1
-        assert collector.stats.n_refs == 1  # the self-link cycle
+        # the node's record ends in its self link, the one REF there is
+        ref = ref_record(src.msrlt.lookup_addr(src_addr)[0].logical)
+        assert buf.getvalue().endswith(ref) and buf.getvalue().count(ref) == 1
 
     def test_collector_stats_finish(self, pair):
         src, _ = pair

@@ -197,12 +197,15 @@ class TestFigure1Migration:
         proc.migrate_after_polls = 5
         proc.run()
         payload, cinfo = collect_state(proc)
+        # global 0, `first`: its own BLOCK record, holding a REF to addr1
+        # (heap serial 0)
+        first = struct.pack(">IBI", 0, 0x02, 0) + b"\x09" + bytes(8)
+        assert payload.count(first) == 1
         dest = Process(prog, SPARC20)
         rinfo = restore_state(prog, payload, dest)
         # exactly 4 heap allocations on the destination — no duplication
         # despite first/last/parray/link all reaching the same nodes
         assert rinfo.stats.n_heap_allocs == 4
-        assert rinfo.stats.n_refs > 0
 
 
 class TestFigure1Payload:

@@ -61,9 +61,9 @@ class TestChannel:
         ch.send(b"abc")
         ch.send(b"defg")
         assert ch.bytes_sent == 7
-        assert ch.messages_sent == 2
+        # two messages, whole and in order, and nothing else queued
         assert [ch.recv(), ch.recv()] == [b"abc", b"defg"]
-        with pytest.raises(ChannelTimeoutError):  # nothing else queued
+        with pytest.raises(ChannelTimeoutError):
             ch.recv()
 
     def test_recv_empty_raises(self):

@@ -864,6 +864,67 @@ class TestWideSteps:
 #: two live locals and three globals, each holding a value no zero-filled
 #: variable would: a payload that leaves one out, or hands one contents
 #: of another type of the same size, must not resume
+LEADS_PROGRAM = """
+int *target;
+double decoy;
+int main() { migrate_here(); return 0; }
+"""
+_LEADS = compile_program(LEADS_PROGRAM, poll_strategy="user")
+_LEADS_PAYLOAD = bytes(collect_state(stopped_at(LEADS_PROGRAM, 1, DEC5000))[0])
+#: ``target``'s record: BLOCK | global 0, then its contents, a NULL
+_TARGET = block_header((BlockKind.GLOBAL, 0, 0)) + bytes(1)
+assert _LEADS_PAYLOAD.count(_TARGET) == 1
+_TYPE_IDS = {str(t): i for i, t in enumerate(_LEADS.types)}
+
+#: how a heap BLOCK's serial travels -> (serial, its header's ``last``):
+#: the first heap serial of a pass continues ``(-1, 1)`` at 0; 5 is a
+#: step of 6; 40 000 a step wider than an i16
+_SERIALS = {"implied": (0, None), "stepped": (5, -1), "escaped": (40_000, -1)}
+
+
+def _heap_lead_payload(serial: str, typed: bool, counted: bool, ordinal: bool) -> bytes:
+    """The leads program's payload with ``target`` aimed at a heap block
+    whose BLOCK header carries the fields asked for: a ``double`` where
+    ``int`` is implied (TYPE), three elements (COUNT), the pointer at
+    element 1 (ORDINAL: one past the end of a single element)."""
+    number, last = _SERIALS[serial]
+    kind = "double" if typed else "int"
+    count = 3 if counted else 1
+    header = block_header(
+        (BlockKind.HEAP, number, 0), last=last, count=count, ordinal=int(ordinal),
+        type_id=_TYPE_IDS[kind] if typed else None,
+    )
+    contents = b"".join(
+        struct.pack(">d", 1.5 * k) if typed else struct.pack(">i", -k) for k in range(count)
+    )
+    aimed = _TARGET[:-1] + header + contents
+    return _LEADS_PAYLOAD.replace(_TARGET, aimed)
+
+
+class TestEveryHeapLead:
+    """Each of the 16 heap BLOCK leads — SERIAL x TYPE x COUNT x ORDINAL,
+    a SERIAL lead with its step spelled out and escaped — is read by the
+    restorer's one decode of the header and restores to a state that
+    re-collects to the same bytes, plans on and off."""
+
+    @pytest.mark.parametrize("plans", [True, False], ids=["plans", "oracle"])
+    @pytest.mark.parametrize("ordinal", [False, True], ids=["", "ordinal"])
+    @pytest.mark.parametrize("counted", [False, True], ids=["", "count"])
+    @pytest.mark.parametrize("typed", [False, True], ids=["", "type"])
+    @pytest.mark.parametrize("serial", list(_SERIALS))
+    def test_the_lead_restores_to_itself(self, serial, typed, counted, ordinal, plans):
+        forged = _heap_lead_payload(serial, typed, counted, ordinal)
+        lead = forged[forged.index(_TARGET[:-1]) + len(_TARGET) - 1]
+        assert lead & 0x0F == 0x0A  # BLOCK | heap
+        assert lead >> 4 == (serial != "implied") | typed << 3 | counted << 1 | ordinal << 2
+        dest = Process(_LEADS, SPARC20)
+        with plans_off(dest) if not plans else nullcontext():
+            restore_state(_LEADS, forged, dest)
+            assert collect_state(dest)[0] == forged
+        assert_table_whole(dest)
+        assert dest.msrlt.has_logical((BlockKind.HEAP, _SERIALS[serial][0], 0))
+
+
 ROOTS_PROGRAM = """
 int g; int h; char c[4];
 int main() {
